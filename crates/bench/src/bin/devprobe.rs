@@ -1,7 +1,8 @@
 //! Device-overhead probe: quick serial-vs-parallel kernel timings on the
-//! largest evaluation graph (g3). The EXPERIMENTS.md discussion of the
-//! sGPU column was derived from these numbers; run it on your own host to
-//! see where the offload thresholds sit:
+//! largest evaluation graph (g3) — the numbers behind the sGPU column.
+//! Device-parallel scaling is deliberately not part of the whole-stack
+//! benchmark (`benchmark/README.md`, "Thread budget"); run this on your
+//! own host to see where the offload thresholds sit:
 //!
 //! ```text
 //! cargo run --release -p cfpq-bench --bin devprobe

@@ -8,9 +8,10 @@
 //! ```
 //!
 //! Prints each table in the paper's layout and optionally writes the raw
-//! rows as JSON (consumed when updating EXPERIMENTS.md and committed as
-//! the `BENCH_*.json` perf trajectory: per-sweep nnz, products computed,
-//! products skipped by the masked semi-naive pipeline). `#results` is
+//! rows as JSON (the historical `BENCH_*.json` perf trajectory: per-sweep
+//! nnz, products computed, products skipped by the masked semi-naive
+//! pipeline; new measurements belong to the whole-stack benchmark, see
+//! `benchmark/README.md`). `#results` is
 //! asserted identical across GLL / dGPU / sCPU / sGPU and across the
 //! naive vs masked-delta fixpoint strategies, mirroring the paper's "All
 //! implementations … have the same #results". `--smoke` restricts the

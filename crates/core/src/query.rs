@@ -7,10 +7,13 @@
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::Graph;
-use cfpq_matrix::{BoolEngine, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine};
+use cfpq_matrix::{
+    BoolEngine, BoolMat, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine,
+};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
-use crate::relational::{solve_set_matrix, Strategy};
+use crate::relational::{solve_set_matrix, RelationalIndex, SetMatrixResult, Strategy};
 use crate::session::{CfpqSession, PreparedQuery};
 
 /// Which implementation evaluates the query (§6 naming in comments).
@@ -56,10 +59,96 @@ impl Backend {
     }
 }
 
-/// A fully-materialized relational answer keyed by nonterminal *name*
+/// What a [`QueryAnswer`] reads from a solved closure, with the matrix
+/// type erased so the answer itself stays non-generic. `contains` is
+/// total: a node id outside the closure's universe is related to nothing.
+trait Closure: Send + Sync {
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool;
+    fn count(&self, nt: Nt) -> usize;
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)>;
+}
+
+impl<M: BoolMat> Closure for RelationalIndex<M> {
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
+        // The matrices do not range-check reads (CSR indexes its row
+        // pointers, dense would read a neighbouring row's word).
+        (i as usize) < self.n_nodes
+            && (j as usize) < self.n_nodes
+            && RelationalIndex::contains(self, nt, i, j)
+    }
+    fn count(&self, nt: Nt) -> usize {
+        RelationalIndex::count(self, nt)
+    }
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
+        RelationalIndex::pairs(self, nt)
+    }
+}
+
+impl Closure for SetMatrixResult {
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
+        let n = self.matrix.n();
+        (i as usize) < n && (j as usize) < n && self.matrix.contains(i, j, nt)
+    }
+    fn count(&self, nt: Nt) -> usize {
+        SetMatrixResult::pairs(self, nt).len()
+    }
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
+        SetMatrixResult::pairs(self, nt)
+    }
+}
+
+/// One nonterminal of an answer: where its relation lives in the
+/// closure, and its pair list once somebody has read it.
+struct Relation {
+    nt: Nt,
+    pairs: OnceLock<Vec<(u32, u32)>>,
+}
+
+/// The part of an answer its clones share: the solved closure and the
+/// pair lists extracted from it so far, keyed by nonterminal name.
+struct View {
+    closure: Arc<dyn Closure>,
+    relations: BTreeMap<String, Relation>,
+}
+
+impl View {
+    /// `R_A` as sorted pairs, extracted from the closure on first read.
+    fn pairs_of<'a>(&'a self, name: &str, relation: &'a Relation) -> &'a [(u32, u32)] {
+        relation.pairs.get_or_init(|| {
+            let mut sp = cfpq_obs::span("query.materialize");
+            let pairs = self.closure.pairs(relation.nt);
+            if sp.is_recording() {
+                sp.attr_text("nt", name.to_owned());
+                sp.attr_u64("pairs", pairs.len() as u64);
+            }
+            pairs
+        })
+    }
+}
+
+/// A relational answer: a lazy view over the solved closure — the
+/// Boolean matrices `R_A` of Theorem 2 — keyed by nonterminal *name*
 /// (names survive normalization; synthesized CNF helpers appear under
 /// their generated names such as `T<a>`).
-#[derive(Clone, Debug)]
+///
+/// The answer shares the closure it was evaluated from instead of
+/// copying it out, and pays only for what is read:
+///
+/// * [`QueryAnswer::contains`] probes one bit of one matrix — O(log) in
+///   the stored row or tile-row, O(1) on the dense engines; node ids
+///   outside the graph are related to nothing;
+/// * [`QueryAnswer::start_count`] counts set bits — O(stored words);
+/// * [`QueryAnswer::pairs`], [`QueryAnswer::start_pairs`] and
+///   [`QueryAnswer::relations`] extract a nonterminal's sorted pair list
+///   on its first read — O(nnz) — and keep it, so later reads (from this
+///   answer or any clone of it) are free. Under a `cfpq_obs` recorder
+///   each extraction is one `"query.materialize"` span (attrs `nt`,
+///   `pairs`).
+///
+/// An answer a caller holds keeps reading the relation it was evaluated
+/// against: a session that repairs the closure afterwards does so
+/// copy-on-write.
+#[derive(Clone)]
 pub struct QueryAnswer {
     /// Backend that produced the answer.
     pub backend: &'static str,
@@ -69,77 +158,109 @@ pub struct QueryAnswer {
     pub iterations: usize,
     /// Start nonterminal name of the query grammar.
     pub start: String,
-    /// Shared so a session cache hit hands out the materialized
-    /// relations by refcount bump instead of deep-copying every pair.
-    relations: std::sync::Arc<BTreeMap<String, Vec<(u32, u32)>>>,
+    view: Arc<View>,
+}
+
+impl std::fmt::Debug for QueryAnswer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryAnswer")
+            .field("backend", &self.backend)
+            .field("n_nodes", &self.n_nodes)
+            .field("iterations", &self.iterations)
+            .field("start", &self.start)
+            .finish_non_exhaustive()
+    }
 }
 
 impl QueryAnswer {
     /// `R_A` for the named nonterminal, if it exists.
     pub fn pairs(&self, nt_name: &str) -> Option<&[(u32, u32)]> {
-        self.relations.get(nt_name).map(Vec::as_slice)
+        self.view
+            .relations
+            .get_key_value(nt_name)
+            .map(|(name, relation)| self.view.pairs_of(name, relation))
     }
 
     /// `R_S` for the start nonterminal.
     pub fn start_pairs(&self) -> &[(u32, u32)] {
-        self.relations
-            .get(&self.start)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.pairs(&self.start).unwrap_or(&[])
     }
 
-    /// `|R_S|` — the `#results` column of Tables 1/2.
+    /// `|R_S|` — the `#results` column of Tables 1/2. Counted on the
+    /// closure; extracts nothing.
     pub fn start_count(&self) -> usize {
-        self.start_pairs().len()
+        self.view
+            .relations
+            .get(&self.start)
+            .map_or(0, |r| self.view.closure.count(r.nt))
     }
 
-    /// True if `(i, j) ∈ R_A` for the named nonterminal.
+    /// True if `(i, j) ∈ R_A` for the named nonterminal. Probed on the
+    /// closure; extracts nothing.
     pub fn contains(&self, nt_name: &str, i: u32, j: u32) -> bool {
-        self.pairs(nt_name)
-            .is_some_and(|p| p.binary_search(&(i, j)).is_ok())
+        self.view
+            .relations
+            .get(nt_name)
+            .is_some_and(|r| self.view.closure.contains(r.nt, i, j))
     }
 
-    /// Iterates `(name, pairs)` for all nonterminals.
+    /// Iterates `(name, pairs)` for all nonterminals, in name order
+    /// (extracting every relation not read before).
     pub fn relations(&self) -> impl Iterator<Item = (&str, &[(u32, u32)])> {
-        self.relations
+        self.view
+            .relations
             .iter()
-            .map(|(k, v)| (k.as_str(), v.as_slice()))
+            .map(|(name, relation)| (name.as_str(), self.view.pairs_of(name, relation)))
     }
 
-    /// Materializes an answer from a solved relational index. This is
-    /// the constructor layers above the session use (the `cfpq-service`
-    /// snapshot cache builds one answer per cached
-    /// [`crate::relational::RelationalIndex`] and hands it out by `Arc`
-    /// refcount bump).
-    pub fn from_index<M: cfpq_matrix::BoolMat>(
+    /// An answer over a copy of a solved relational index: the matrices
+    /// are cloned (O(stored words)), no pair list is extracted. Callers
+    /// that already hold the index behind an `Arc` share it instead
+    /// through [`QueryAnswer::from_shared`].
+    pub fn from_index<M: BoolMat>(
         backend: &'static str,
         wcnf: &Wcnf,
-        index: &crate::relational::RelationalIndex<M>,
+        index: &RelationalIndex<M>,
     ) -> Self {
-        Self::from_parts(
-            backend,
-            index.n_nodes,
-            index.iterations,
-            wcnf.symbols.nt_name(wcnf.start).to_owned(),
-            relations_map(wcnf, index),
-        )
+        Self::from_shared(backend, wcnf, Arc::new(index.clone()))
     }
 
-    /// Assembles an answer from already-collected relations (the session
-    /// layer materializes these straight from a [`RelationalIndex`]).
-    pub(crate) fn from_parts(
+    /// An answer viewing a shared solved index. This is what sessions
+    /// and the `cfpq-service` snapshot cache hand out: they keep their
+    /// own `Arc` to the closure and repair it through `Arc::make_mut`,
+    /// so a repair copies the closure only while an answer still reads
+    /// it.
+    pub fn from_shared<M: BoolMat>(
+        backend: &'static str,
+        wcnf: &Wcnf,
+        index: Arc<RelationalIndex<M>>,
+    ) -> Self {
+        Self::over(backend, index.n_nodes, index.iterations, wcnf, index)
+    }
+
+    fn over(
         backend: &'static str,
         n_nodes: usize,
         iterations: usize,
-        start: String,
-        relations: BTreeMap<String, Vec<(u32, u32)>>,
+        wcnf: &Wcnf,
+        closure: Arc<dyn Closure>,
     ) -> Self {
+        let relations = (0..wcnf.n_nts())
+            .map(|i| {
+                let nt = Nt(i as u32);
+                let relation = Relation {
+                    nt,
+                    pairs: OnceLock::new(),
+                };
+                (wcnf.symbols.nt_name(nt).to_owned(), relation)
+            })
+            .collect();
         Self {
             backend,
             n_nodes,
             iterations,
-            start,
-            relations: std::sync::Arc::new(relations),
+            start: wcnf.symbols.nt_name(wcnf.start).to_owned(),
+            view: Arc::new(View { closure, relations }),
         }
     }
 }
@@ -202,18 +323,12 @@ pub fn solve_wcnf_with(
         ),
         Backend::SetMatrix => {
             let result = solve_set_matrix(graph, wcnf, false);
-            let relations: BTreeMap<String, Vec<(u32, u32)>> = (0..wcnf.n_nts())
-                .map(|i| {
-                    let nt = Nt(i as u32);
-                    (wcnf.symbols.nt_name(nt).to_owned(), result.pairs(nt))
-                })
-                .collect();
-            QueryAnswer::from_parts(
+            QueryAnswer::over(
                 backend.name(),
                 graph.n_nodes(),
                 result.iterations,
-                wcnf.symbols.nt_name(wcnf.start).to_owned(),
-                relations,
+                wcnf,
+                Arc::new(result),
             )
         }
     }
@@ -235,20 +350,6 @@ fn one_shot<E: BoolEngine + cfpq_matrix::LenEngine>(
     let mut session = CfpqSession::over(index);
     let id = session.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()).strategy(strategy));
     session.evaluate(id)
-}
-
-/// Materializes every `R_A` of a solved index, keyed by nonterminal
-/// name. Shared by the backend dispatch here and the session layer.
-pub(crate) fn relations_map<M: cfpq_matrix::BoolMat>(
-    wcnf: &Wcnf,
-    index: &crate::relational::RelationalIndex<M>,
-) -> BTreeMap<String, Vec<(u32, u32)>> {
-    (0..wcnf.n_nts())
-        .map(|i| {
-            let nt = Nt(i as u32);
-            (wcnf.symbols.nt_name(nt).to_owned(), index.pairs(nt))
-        })
-        .collect()
 }
 
 #[cfg(test)]

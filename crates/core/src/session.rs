@@ -64,7 +64,7 @@
 //! ```
 
 use crate::all_paths::{PageRequest, PathEnumerator, PathPage};
-use crate::query::{relations_map, QueryAnswer};
+use crate::query::QueryAnswer;
 use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats, Strategy};
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
@@ -73,6 +73,7 @@ use cfpq_grammar::{Cfg, GrammarError, Nt, Term, Wcnf};
 use cfpq_graph::{Graph, NodeId};
 use cfpq_matrix::{BoolEngine, BoolMat, LenEngine, LenMat};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The persistent matrix form of a graph: one Boolean adjacency matrix
 /// per edge label, built once and updated in place as edges arrive.
@@ -450,15 +451,14 @@ pub struct RunInfo {
 #[derive(Clone)]
 struct QueryState<M: Clone> {
     query: PreparedQuery,
-    solved: Option<RelationalIndex<M>>,
+    /// Shared with every [`QueryAnswer`] handed out for it; repaired
+    /// through `Arc::make_mut`, so the closure is copied only while a
+    /// caller still holds an answer over it.
+    solved: Option<Arc<RelationalIndex<M>>>,
     /// Index into the session's batch log: batches before this are
     /// reflected in `solved`.
     watermark: usize,
     last_run: Option<RunInfo>,
-    /// Materialized answer of `solved`; dropped whenever the closure is
-    /// re-solved or repaired, so fully-cached evaluations only pay a
-    /// clone instead of re-extracting every relation from the matrices.
-    answer: Option<QueryAnswer>,
 }
 
 /// Per-single-path-query cached state: the prepared grammar, the solved
@@ -725,7 +725,6 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
             solved: None,
             watermark: 0,
             last_run: None,
-            answer: None,
         });
         QueryId(self.queries.len() - 1)
     }
@@ -794,6 +793,12 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// cached closure when nothing changed and repairing it semi-naively
     /// when edges arrived since the last evaluation.
     ///
+    /// The returned [`QueryAnswer`] is a lazy view sharing that closure
+    /// (see its docs for what each read costs). It is isolated from
+    /// later updates: while an answer is alive, the next repair works on
+    /// a copy of the closure (`Arc::make_mut`); once every answer is
+    /// dropped, repairs are in place again.
+    ///
     /// # Panics
     ///
     /// If `id` does not belong to this session. Multi-caller layers
@@ -827,9 +832,8 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
                     sweeps: solved.iterations,
                     incremental: false,
                 });
-                state.solved = Some(solved);
+                state.solved = Some(Arc::new(solved));
                 state.watermark = self.batches.len();
-                state.answer = None;
                 sp.attr_str("outcome", "cold");
             }
             Some(solved) => {
@@ -842,15 +846,19 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
                         &by_term,
                         wcnf,
                     );
-                    let stats =
-                        repair_prepared(&self.index.engine, &state.query, solved, new_pairs, n);
+                    let stats = repair_prepared(
+                        &self.index.engine,
+                        &state.query,
+                        Arc::make_mut(solved),
+                        new_pairs,
+                        n,
+                    );
                     state.last_run = Some(RunInfo {
                         sweeps: stats.sweep_nnz.len(),
                         stats,
                         incremental: true,
                     });
                     state.watermark = self.batches.len();
-                    state.answer = None;
                     sp.attr_str("outcome", "repair");
                 } else {
                     sp.attr_str("outcome", "cached");
@@ -858,26 +866,15 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
             }
         }
 
-        if state.answer.is_none() {
-            let solved = state.solved.as_ref().expect("closure just materialized");
-            state.answer = Some(QueryAnswer::from_parts(
-                self.index.engine.name(),
-                n,
-                solved.iterations,
-                state.query.start_name().to_owned(),
-                relations_map(wcnf, solved),
-            ));
-        }
-        // A cache hit costs a refcount bump (the relations live behind an
-        // `Arc`), not a deep copy.
-        let answer = state.answer.clone().expect("answer just materialized");
+        let solved = state.solved.as_ref().expect("closure just materialized");
+        let answer = QueryAnswer::from_shared(self.index.engine.name(), wcnf, Arc::clone(solved));
         self.compact_batches();
         Ok(answer)
     }
 
     /// The closed relational index of a query, if it has been evaluated.
     pub fn solved_index(&self, id: QueryId) -> Option<&RelationalIndex<E::Matrix>> {
-        self.queries[id.0].solved.as_ref()
+        self.queries[id.0].solved.as_deref()
     }
 
     /// What the last [`CfpqSession::evaluate`] of this query actually
@@ -1189,6 +1186,28 @@ mod tests {
         assert!(run.incremental);
         let cold = solve(&full, &grammar, Backend::Sparse).unwrap();
         assert_eq!(repaired.start_pairs(), cold.start_pairs());
+    }
+
+    #[test]
+    fn the_closure_is_shared_with_live_answers_only() {
+        let grammar = queries::query1();
+        let graph = generators::paper_example();
+        let mut session = CfpqSession::new(SparseEngine, &graph);
+        let id = session.prepare(&grammar).unwrap();
+        let handles = |s: &CfpqSession<SparseEngine>| {
+            Arc::strong_count(s.queries[id.0].solved.as_ref().expect("evaluated"))
+        };
+        let first = session.evaluate(id);
+        let second = session.evaluate(id);
+        assert_eq!(
+            handles(&session),
+            3,
+            "the session's handle plus two answers"
+        );
+        drop((first, second));
+        // The session caches no answer of its own, so the next repair
+        // finds the closure unshared and works in place.
+        assert_eq!(handles(&session), 1);
     }
 
     #[test]

@@ -7,16 +7,21 @@
 //! serve evolving graphs: the semi-naive repair loop
 //! ([`FixpointSolver::resume`]) never under- or over-approximates the
 //! least fixpoint, no matter how the updates are sliced.
+//!
+//! The answers a session hands out are lazy views over the closure it
+//! keeps repairing, so the suite also holds every lazy read to the
+//! closure's own `RelationalIndex::pairs` — cold and after each repair —
+//! and checks that an answer taken before an update is isolated from it.
 
-use cfpq_core::query::{solve_wcnf, Backend};
-use cfpq_core::relational::FixpointSolver;
+use cfpq_core::query::{solve_wcnf, Backend, QueryAnswer};
+use cfpq_core::relational::{FixpointSolver, RelationalIndex};
 use cfpq_core::session::{CfpqSession, PreparedQuery};
 use cfpq_grammar::cnf::CnfOptions;
-use cfpq_grammar::{Cfg, Wcnf};
+use cfpq_grammar::{Cfg, Nt, Wcnf};
 use cfpq_graph::{generators, Graph};
 use cfpq_matrix::{
-    AdaptiveEngine, BoolEngine, DenseEngine, Device, LenEngine, ParDenseEngine, ParSparseEngine,
-    SparseEngine, TiledEngine,
+    AdaptiveEngine, BoolEngine, BoolMat, DenseEngine, Device, LenEngine, ParDenseEngine,
+    ParSparseEngine, SparseEngine, TiledEngine,
 };
 use proptest::prelude::*;
 
@@ -40,11 +45,56 @@ fn grammars() -> Vec<Wcnf> {
         .collect()
 }
 
+/// Holds every lazy read of `answer` to the closure it views: probes on
+/// hits, misses and node ids past the graph (which must read "not
+/// related", never panic), the count, each nonterminal's pair list —
+/// helpers included — and the name-ordered `relations()` walk. Probes
+/// come first so they cannot lean on an earlier extraction.
+fn check_lazy_reads<M: BoolMat>(
+    answer: &QueryAnswer,
+    closure: &RelationalIndex<M>,
+    wcnf: &Wcnf,
+) -> Result<(), TestCaseError> {
+    let n = closure.n_nodes as u32;
+    let mut by_name = Vec::new();
+    for a in 0..wcnf.n_nts() {
+        let nt = Nt(a as u32);
+        let name = wcnf.symbols.nt_name(nt);
+        let expect = closure.pairs(nt);
+        for i in 0..n + 2 {
+            for j in 0..n + 2 {
+                prop_assert_eq!(
+                    answer.contains(name, i, j),
+                    expect.binary_search(&(i, j)).is_ok(),
+                    "contains({}, {}, {})",
+                    name,
+                    i,
+                    j
+                );
+            }
+        }
+        prop_assert!(!answer.contains(name, u32::MAX, 0));
+        prop_assert!(!answer.contains(name, 0, u32::MAX));
+        prop_assert_eq!(answer.pairs(name), Some(expect.as_slice()));
+        by_name.push((name, expect));
+    }
+    prop_assert!(!answer.contains("no such nonterminal", 0, 0));
+    prop_assert_eq!(answer.start_count(), closure.count(wcnf.start));
+    prop_assert_eq!(answer.start_pairs().len(), answer.start_count());
+    by_name.sort();
+    let walked: Vec<(&str, Vec<(u32, u32)>)> = answer
+        .relations()
+        .map(|(name, pairs)| (name, pairs.to_vec()))
+        .collect();
+    prop_assert_eq!(walked, by_name);
+    Ok(())
+}
+
 /// Replays `graph` edge by edge through a session on `engine`, checking
 /// the session answer against a from-scratch solve after every single
 /// insertion (not just at the end: intermediate prefixes are exactly
 /// where a wrong Δ seeding would hide).
-fn check_engine<E: BoolEngine + LenEngine>(
+fn check_engine<E: BoolEngine + LenEngine + Clone>(
     engine: E,
     graph: &Graph,
     wcnf: &Wcnf,
@@ -69,8 +119,71 @@ fn check_engine<E: BoolEngine + LenEngine>(
             "prefix of {} edges diverges",
             prefix.n_edges()
         );
+        check_lazy_reads(
+            &session.evaluate(id),
+            session.solved_index(id).expect("evaluated"),
+            wcnf,
+        )?;
     }
-    Ok(())
+    // And on a cold closure of the whole graph.
+    let mut cold = CfpqSession::over(session.index().clone());
+    let id = cold.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
+    let answer = cold.evaluate(id);
+    check_lazy_reads(&answer, cold.solved_index(id).expect("evaluated"), wcnf)
+}
+
+/// Copy-on-write isolation on one engine: an answer taken before an
+/// update keeps reading the relation it was evaluated against — even
+/// when its first read comes after the repair — and the session copies
+/// the closure for a repair only while such an answer is alive.
+fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
+    let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+    let chain = generators::word_chain(&["a", "a", "a", "b", "b", "b"]);
+    let mut partial = Graph::new(chain.n_nodes());
+    for e in chain.edges().iter().take(4) {
+        partial.add_edge_named(e.from, chain.label_name(e.label), e.to);
+    }
+    let mut session = CfpqSession::new(engine, &partial);
+    let id = session.prepare(&grammar).unwrap();
+    let closure_at =
+        |session: &CfpqSession<E>| std::ptr::from_ref(session.solved_index(id).expect("evaluated"));
+
+    let before = session.evaluate(id);
+    let viewed = closure_at(&session);
+    session.add_edges(&[(4, "b", 5)]);
+    let after = session.evaluate(id);
+    assert!(session.last_run(id).unwrap().incremental);
+    assert_ne!(
+        closure_at(&session),
+        viewed,
+        "a live answer: the repair works on a copy"
+    );
+    assert_eq!(before.start_pairs(), &[(2, 4)], "the old relation");
+    assert!(!before.contains("S", 1, 5));
+    assert_eq!(before.start_count(), 1);
+    assert_eq!(after.start_pairs(), &[(1, 5), (2, 4)]);
+
+    drop((before, after));
+    let unshared = closure_at(&session);
+    session.add_edges(&[(5, "b", 6)]);
+    let last = session.evaluate(id);
+    assert!(session.last_run(id).unwrap().incremental);
+    assert_eq!(
+        closure_at(&session),
+        unshared,
+        "no live answer: the repair is in place"
+    );
+    assert_eq!(last.start_pairs(), &[(0, 6), (1, 5), (2, 4)]);
+}
+
+#[test]
+fn answers_are_isolated_from_later_updates_copy_on_write() {
+    check_copy_on_write(DenseEngine);
+    check_copy_on_write(SparseEngine);
+    check_copy_on_write(ParDenseEngine::new(Device::new(2)));
+    check_copy_on_write(ParSparseEngine::new(Device::new(3)));
+    check_copy_on_write(TiledEngine::new(Device::new(2)));
+    check_copy_on_write(AdaptiveEngine::new(Device::new(2)));
 }
 
 proptest! {

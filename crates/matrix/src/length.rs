@@ -249,7 +249,7 @@ impl LenMat for DenseLenMatrix {
         self.entries().into_iter().map(|(i, j, _)| (i, j)).collect()
     }
     fn entries(&self) -> Vec<(u32, u32, u32)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.nnz());
         for i in 0..self.n {
             for (j, &l) in self.row(i).iter().enumerate() {
                 if l != NO_PATH {

@@ -209,7 +209,7 @@ impl TiledBitMatrix {
 
     /// All set `(row, col)` pairs in row-major order.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.nnz());
         for ti in 0..self.tn {
             let range = self.row_ptr[ti]..self.row_ptr[ti + 1];
             for r in 0..TILE {

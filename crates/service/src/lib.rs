@@ -31,7 +31,10 @@
 //! * **A multi-queue scheduler.** [`CfpqService::enqueue`] accepts
 //!   `(query, pairs)` requests and returns a [`Ticket`]; worker threads
 //!   drain one query's whole queue as a batch, evaluate that query's
-//!   closure once, and answer every request in the batch from it. Per
+//!   closure once, and answer every request in the batch from it: a
+//!   request naming pairs by probing the closure matrices (one bit per
+//!   pair; a node id the graph does not have is "not related"), a
+//!   request naming none from `R_S`, extracted once per epoch. Per
 //!   epoch, [`ServiceStats`] reports queries served, cache hits, repair
 //!   vs cold products, and the epoch publish latency. Regular path
 //!   queries are first-class tenants: [`CfpqService::prepare_regular`]
@@ -660,19 +663,16 @@ impl<V> CacheMap<V> {
     }
 }
 
-/// A solved relational closure plus its materialized answer, shared by
-/// refcount bump.
-struct SolvedRel<M> {
-    index: RelationalIndex<M>,
-    answer: QueryAnswer,
-}
-
 /// One immutable version of the graph: the index, the per-query closure
 /// caches, and the counters charged to this epoch.
 struct Epoch<E: ServiceEngine> {
     epoch: u64,
     index: GraphIndex<E>,
-    rel: CacheMap<SolvedRel<E::Matrix>>,
+    rel: CacheMap<RelationalIndex<E::Matrix>>,
+    /// The lazy answer over each `rel` closure, created when a snapshot
+    /// read or a full-answer ticket first asks for one and shared by all
+    /// later ones, so a relation is extracted at most once per epoch.
+    answers: CacheMap<QueryAnswer>,
     sp: CacheMap<SinglePathIndex<<E as LenEngine>::LenMatrix>>,
     counters: Arc<EpochCounters>,
 }
@@ -946,14 +946,17 @@ impl<E: ServiceEngine> Snapshot<E> {
 
     /// Evaluates a prepared relational query against this epoch. The
     /// first evaluation of a query in an epoch solves (or inherits the
-    /// repaired) closure; every later one is an `Arc` bump.
+    /// repaired) closure; every later one is an `Arc` bump. The answer
+    /// is a lazy view shared by the whole epoch: a relation is extracted
+    /// by whoever reads its pairs first.
     pub fn evaluate(&self, id: QueryId) -> QueryAnswer {
         let solved = solve_rel(&self.inner, &self.epoch, id.0);
         self.epoch
             .counters
             .queries_served
             .fetch_add(1, Ordering::Relaxed);
-        solved.answer.clone()
+        let prepared = read_recover(&self.inner.queries)[id.0].clone();
+        epoch_answer(&self.epoch, id.0, &prepared, &solved)
     }
 
     /// Evaluates a prepared single-path query against this epoch; the
@@ -977,7 +980,7 @@ fn solve_rel<E: ServiceEngine>(
     inner: &Inner<E>,
     epoch: &Epoch<E>,
     q: usize,
-) -> Arc<SolvedRel<E::Matrix>> {
+) -> Arc<RelationalIndex<E::Matrix>> {
     let prepared = read_recover(&inner.queries)[q].clone();
     let cell = epoch.rel.cell(q);
     let cold = Cell::new(false);
@@ -990,9 +993,7 @@ fn solve_rel<E: ServiceEngine>(
                 .counters
                 .cold_products
                 .fetch_add(index.stats.products_computed as u64, Ordering::Relaxed);
-            let answer =
-                QueryAnswer::from_index(epoch.index.engine().name(), prepared.wcnf(), &index);
-            Arc::new(SolvedRel { index, answer })
+            Arc::new(index)
         })
         .clone();
     if !cold.get() {
@@ -1028,20 +1029,61 @@ fn solve_sp<E: ServiceEngine>(
     solved
 }
 
-/// Restricts a sorted full relation to the requested pairs (empty
-/// request = the full relation).
-fn filter_pairs(full: &[(u32, u32)], wanted: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    if wanted.is_empty() {
-        return full.to_vec();
-    }
+/// The epoch's shared lazy answer over `solved`, the closure of query
+/// `q` on `epoch`.
+fn epoch_answer<E: ServiceEngine>(
+    epoch: &Epoch<E>,
+    q: usize,
+    prepared: &PreparedQuery,
+    solved: &Arc<RelationalIndex<E::Matrix>>,
+) -> QueryAnswer {
+    let cell = epoch.answers.cell(q);
+    let answer = cell.get_or_init(|| {
+        Arc::new(QueryAnswer::from_shared(
+            epoch.index.engine().name(),
+            prepared.wcnf(),
+            Arc::clone(solved),
+        ))
+    });
+    QueryAnswer::clone(answer)
+}
+
+/// The requested pairs that `related` holds, sorted and deduplicated.
+/// Tickets come from outside: a pair naming a node id `≥ n` is related
+/// to nothing and must not reach the matrices, whose reads are not
+/// range-checked.
+fn probe_pairs(
+    wanted: &[(u32, u32)],
+    n: usize,
+    related: impl Fn(u32, u32) -> bool,
+) -> Vec<(u32, u32)> {
     let mut out: Vec<(u32, u32)> = wanted
         .iter()
         .copied()
-        .filter(|p| full.binary_search(p).is_ok())
+        .filter(|&(i, j)| (i as usize) < n && (j as usize) < n && related(i, j))
         .collect();
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// The pairs a relational or paths ticket is answered with: the
+/// requested ones probed on the closure, or — for a ticket naming none —
+/// all of `R_S`, extracted once per epoch.
+fn rel_targets<E: ServiceEngine>(
+    epoch: &Epoch<E>,
+    q: usize,
+    prepared: &PreparedQuery,
+    solved: &Arc<RelationalIndex<E::Matrix>>,
+    wanted: &[(u32, u32)],
+) -> Vec<(u32, u32)> {
+    if wanted.is_empty() {
+        return epoch_answer(epoch, q, prepared, solved)
+            .start_pairs()
+            .to_vec();
+    }
+    let start = prepared.wcnf().start;
+    probe_pairs(wanted, solved.n_nodes, |i, j| solved.contains(start, i, j))
 }
 
 /// One scheduler worker: drain a query's whole queue, evaluate that
@@ -1206,9 +1248,9 @@ fn serve_batch<E: ServiceEngine>(
     match key {
         QueueKey::Rel(q) => {
             let solved = solve_rel(inner, &epoch, q);
-            let full = solved.answer.start_pairs();
+            let prepared = read_recover(&inner.queries)[q].clone();
             for req in batch {
-                let pairs = filter_pairs(full, &req.pairs);
+                let pairs = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
                 resolve_served(
                     &inner.obs,
                     &req,
@@ -1223,9 +1265,16 @@ fn serve_batch<E: ServiceEngine>(
         QueueKey::Sp(q) => {
             let solved = solve_sp(inner, &epoch, q);
             let start = read_recover(&inner.sp_queries)[q].wcnf().start;
-            let full = solved.pairs(start);
+            // Extracted for the first full-answer request of the batch.
+            let mut full = None;
             for req in batch {
-                let pairs = filter_pairs(&full, &req.pairs);
+                let pairs = if req.pairs.is_empty() {
+                    full.get_or_insert_with(|| solved.pairs(start)).clone()
+                } else {
+                    probe_pairs(&req.pairs, solved.n_nodes, |i, j| {
+                        solved.contains(start, i, j)
+                    })
+                };
                 resolve_served(
                     &inner.obs,
                     &req,
@@ -1250,7 +1299,7 @@ fn serve_batch<E: ServiceEngine>(
             let quota = inner.config.path_quota;
             for req in batch {
                 let page = req.page.unwrap_or_default();
-                let targets = filter_pairs(solved.answer.start_pairs(), &req.pairs);
+                let targets = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
                 // The quota bounds one request's total paths across all
                 // its pairs; a page it cuts short is reported truncated,
                 // never silently clipped.
@@ -1261,7 +1310,7 @@ fn serve_batch<E: ServiceEngine>(
                         PathPage::truncated()
                     } else {
                         enumerator.page(
-                            &solved.index,
+                            &solved,
                             start,
                             i,
                             j,
@@ -1363,6 +1412,7 @@ impl<E: ServiceEngine> CfpqService<E> {
             epoch: 0,
             index,
             rel: CacheMap::new(),
+            answers: CacheMap::new(),
             sp: CacheMap::new(),
             counters: Arc::clone(&counters),
         });
@@ -1666,20 +1716,14 @@ impl<E: ServiceEngine> CfpqService<E> {
                 &wcnf.nts_by_terminal(),
                 wcnf,
             );
-            let mut repaired = solved.index.clone();
+            // The published epoch keeps serving `solved`: repair a copy.
+            let mut repaired = RelationalIndex::clone(&solved);
             let stats = repair_prepared(index.engine(), prepared, &mut repaired, new_pairs, n);
             counters.repairs.fetch_add(1, Ordering::Relaxed);
             counters
                 .repair_products
                 .fetch_add(stats.products_computed as u64, Ordering::Relaxed);
-            let answer = QueryAnswer::from_index(index.engine().name(), wcnf, &repaired);
-            rel.preset(
-                q,
-                Arc::new(SolvedRel {
-                    index: repaired,
-                    answer,
-                }),
-            );
+            rel.preset(q, Arc::new(repaired));
         }
         let sp_queries = read_recover(&self.inner.sp_queries).clone();
         for (q, solved) in cur.sp.filled() {
@@ -1705,6 +1749,7 @@ impl<E: ServiceEngine> CfpqService<E> {
             epoch: cur.epoch + 1,
             index,
             rel,
+            answers: CacheMap::new(),
             sp,
             counters: Arc::clone(&counters),
         });

@@ -12,7 +12,16 @@
 //! replays the epoch sequence after the threads join and checks each
 //! recorded `(epoch, pairs)` observation against a from-scratch solve of
 //! that epoch's graph — and each `(epoch, pages)` paths observation
-//! against a from-scratch enumeration — on all four engines.
+//! against a from-scratch enumeration — on all six engines.
+//!
+//! Tickets that name pairs are answered by probing the closure, tickets
+//! that name none by extracting `R_S`; the two routes must agree. Every
+//! reader therefore also sends named-pair tickets down the Rel, Sp and
+//! Paths queues and the suite checks each against its epoch's *full*
+//! answer filtered to the named pairs. The named set mixes hits, misses
+//! and node ids the graph does not have (some of which the writer's
+//! growth batch brings into range mid-run): those must read "not
+//! related", never panic a worker.
 //!
 //! Inputs are generated from a fixed RNG seed (same scheme as the other
 //! fixed-seed suites), so CI replays identical interleaving *inputs* on
@@ -109,6 +118,25 @@ fn path_req() -> PageRequest {
     }
 }
 
+/// The pairs every named-pair ticket asks for: all of `[0, 12)²` — the
+/// base graph has 8 nodes and grows to 11, so ids 11 (always) and 8–10
+/// (until the growth batch) are out of range — plus two ids far outside
+/// any universe and a duplicate.
+fn named_pairs() -> Vec<(u32, u32)> {
+    let mut pairs: Vec<(u32, u32)> = (0..12u32)
+        .flat_map(|i| (0..12u32).map(move |j| (i, j)))
+        .collect();
+    pairs.extend([(u32::MAX, 0), (0, u32::MAX), (0, 0)]);
+    pairs
+}
+
+/// What a named-pair ticket must answer with: the epoch's full relation
+/// restricted to [`named_pairs`] (both are sorted and duplicate-free).
+fn restrict(full: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    let named = named_pairs();
+    full.iter().copied().filter(|p| named.contains(p)).collect()
+}
+
 /// The sequential all-path reference: for each epoch, a from-scratch
 /// enumeration of every start pair on that epoch's replayed graph. The
 /// replay interns labels in the same first-appearance order as the
@@ -199,8 +227,12 @@ fn check_engine<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg,
     type Obs = (u64, Vec<(u32, u32)>, &'static str);
     type PathObs = (u64, Vec<PairPaths>);
     type RpqObs = (u64, Vec<(u32, u32)>);
+    // (epoch, pairs, pages of a paths ticket, what) from the named-pair
+    // ticket rounds.
+    type NamedObs = (u64, Vec<(u32, u32)>, Option<Vec<PairPaths>>, &'static str);
     let done = AtomicBool::new(false);
-    let (observations, path_observations, rpq_observations): (Vec<Obs>, Vec<PathObs>, Vec<RpqObs>) =
+    type AllObs = (Vec<Obs>, Vec<PathObs>, Vec<RpqObs>, Vec<NamedObs>);
+    let (observations, path_observations, rpq_observations, named_observations): AllObs =
         std::thread::scope(|s| {
             let readers: Vec<_> = (0..n_readers())
                 .map(|r| {
@@ -210,6 +242,7 @@ fn check_engine<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg,
                         let mut obs: Vec<Obs> = Vec::new();
                         let mut path_obs: Vec<PathObs> = Vec::new();
                         let mut rpq_obs: Vec<RpqObs> = Vec::new();
+                        let mut named_obs: Vec<NamedObs> = Vec::new();
                         let mut round = 0usize;
                         // Keep reading until the writer finished, then once
                         // more so the final epoch is always observed — and
@@ -217,11 +250,11 @@ fn check_engine<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg,
                         // form (including the RPQ arm) is exercised even
                         // when the writer outpaces the readers.
                         let mut after_done = 0;
-                        while after_done < 2 || round < 5 {
+                        while after_done < 2 || round < 8 {
                             if done.load(Ordering::Relaxed) {
                                 after_done += 1;
                             }
-                            match (round + r) % 5 {
+                            match (round + r) % 8 {
                                 0 => {
                                     let snap = service.snapshot();
                                     obs.push((
@@ -248,15 +281,37 @@ fn check_engine<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg,
                                         a.paths.expect("paths ticket answers with pages"),
                                     ));
                                 }
-                                _ => {
+                                4 => {
                                     let t = service.enqueue(rpq, vec![]).unwrap();
                                     let a = t.wait().unwrap();
                                     rpq_obs.push((a.epoch, a.pairs));
                                 }
+                                5 => {
+                                    let t = service.enqueue(rel, named_pairs()).unwrap();
+                                    let a = t.wait().unwrap();
+                                    named_obs.push((a.epoch, a.pairs, None, "named ticket"));
+                                }
+                                6 => {
+                                    let t = service.enqueue_single_path(sp, named_pairs()).unwrap();
+                                    let a = t.wait().unwrap();
+                                    named_obs.push((a.epoch, a.pairs, None, "named sp ticket"));
+                                }
+                                _ => {
+                                    let t = service
+                                        .enqueue_paths(rel, named_pairs(), path_req())
+                                        .unwrap();
+                                    let a = t.wait().unwrap();
+                                    named_obs.push((
+                                        a.epoch,
+                                        a.pairs,
+                                        a.paths,
+                                        "named paths ticket",
+                                    ));
+                                }
                             }
                             round += 1;
                         }
-                        (obs, path_obs, rpq_obs)
+                        (obs, path_obs, rpq_obs, named_obs)
                     })
                 })
                 .collect();
@@ -274,13 +329,15 @@ fn check_engine<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg,
             let mut obs = Vec::new();
             let mut path_obs = Vec::new();
             let mut rpq_obs = Vec::new();
+            let mut named_obs = Vec::new();
             for r in readers {
-                let (o, p, q) = r.join().expect("reader panicked");
+                let (o, p, q, n) = r.join().expect("reader panicked");
                 obs.extend(o);
                 path_obs.extend(p);
                 rpq_obs.extend(q);
+                named_obs.extend(n);
             }
-            (obs, path_obs, rpq_obs)
+            (obs, path_obs, rpq_obs, named_obs)
         });
 
     assert_eq!(
@@ -318,6 +375,29 @@ fn check_engine<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg,
             &pairs, &expected_rpq[epoch as usize],
             "rpq observation at epoch {epoch} diverges from the product-graph oracle"
         );
+    }
+    // Every named-pair ticket — probed on the closure, never extracted —
+    // must equal its epoch's full answer restricted to the named pairs,
+    // on all three queues; a paths ticket's pages likewise.
+    assert!(!named_observations.is_empty());
+    for (epoch, pairs, pages, what) in named_observations {
+        seen_epochs.insert(epoch);
+        let wanted = restrict(&expected[epoch as usize]);
+        assert_eq!(
+            pairs, wanted,
+            "{what} at epoch {epoch} diverges from the filtered full answer"
+        );
+        if let Some(pages) = pages {
+            let wanted_pages: Vec<PairPaths> = expected_paths[epoch as usize]
+                .iter()
+                .filter(|p| wanted.contains(&(p.from, p.to)))
+                .cloned()
+                .collect();
+            assert_eq!(
+                pages, wanted_pages,
+                "{what} at epoch {epoch} diverges from the filtered full enumeration"
+            );
+        }
     }
     // The post-writer read guarantees the final state was observed.
     assert!(seen_epochs.contains(&(workload.batches.len() as u64)));

@@ -2,8 +2,9 @@
 //! service under a [`SpanCollector`], with the full span hierarchy,
 //! metrics exposition, and chrome://tracing export asserted — plus a
 //! span-tree well-formedness check under the multi-threaded
-//! linearizability workload and the stats-folding contract of the
-//! registry failure counters.
+//! linearizability workload, the stats-folding contract of the
+//! registry failure counters, and which tickets pay for extracting a
+//! relation (`"query.materialize"`).
 
 use cfpq_grammar::{queries, Cfg};
 use cfpq_graph::ontology;
@@ -272,4 +273,59 @@ fn failure_counters_fold_into_the_registry() {
     if shed > 0 {
         assert_eq!(stats[1].requests_shed, shed, "shed charged to epoch 1");
     }
+}
+
+/// "Did this query pay for extraction" is answerable from a trace: a
+/// ticket naming pairs is served by probing the closure and records no
+/// `"query.materialize"` span; a full-answer ticket extracts `R_S` —
+/// one span, for the start nonterminal, carrying the pair count — and
+/// later full-answer tickets of the same epoch reuse that extraction.
+#[test]
+fn only_full_answer_tickets_materialize_a_relation() {
+    let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+    let chain = cfpq_graph::generators::word_chain(&["a", "a", "b", "b"]);
+    let collector = Arc::new(SpanCollector::new());
+    let service = CfpqService::with_observability(
+        SparseEngine,
+        &chain,
+        ServiceConfig::new(1),
+        collector.clone(),
+    );
+    let q = service.prepare(&grammar).unwrap();
+    let materialized = || -> Vec<Span> {
+        collector
+            .spans()
+            .into_iter()
+            .filter(|s| s.name == "query.materialize")
+            .collect()
+    };
+
+    let named = service.enqueue(q, vec![(0, 4), (2, 2), (1, 3)]).unwrap();
+    assert_eq!(named.wait().unwrap().pairs, vec![(0, 4), (1, 3)]);
+    assert!(
+        materialized().is_empty(),
+        "a named-pair ticket probes the closure"
+    );
+
+    let full = service.enqueue(q, vec![]).unwrap().wait().unwrap();
+    let again = service.enqueue(q, vec![]).unwrap().wait().unwrap();
+    assert_eq!(full.pairs, vec![(0, 4), (1, 3)]);
+    assert_eq!(again.pairs, full.pairs);
+    let spans = materialized();
+    assert_eq!(spans.len(), 1, "R_S is extracted once per epoch");
+    assert_eq!(
+        attr(&spans[0], "nt"),
+        Some(&cfpq_obs::AttrValue::Text("S".to_owned())),
+        "only the start nonterminal"
+    );
+    assert_eq!(u64_attr(&spans[0], "pairs"), Some(2));
+
+    drop(service);
+    let all = collector.spans();
+    check_well_formed(&all).expect("span tree is well-formed");
+    let batch = all
+        .iter()
+        .find(|s| s.id == spans[0].parent)
+        .expect("the extraction has a parent span");
+    assert_eq!(batch.name, "batch", "charged to the batch that asked");
 }
