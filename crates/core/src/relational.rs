@@ -59,6 +59,15 @@
 //! [`FixpointSolver::resume`], which seeds the semi-naive Δ loop with
 //! only the new entries. This is what `cfpq_core::session::CfpqSession`
 //! builds on to answer `add_edges` without re-solving from scratch.
+//!
+//! # Source-restricted evaluation
+//!
+//! Algorithm 1 computes `R_A` for every source node at once. A caller
+//! that only asks about a few sources — a point lookup — can instead
+//! grow a [`SourceClosure`]: a demand-driven fixpoint (magic sets in
+//! matrix form) that solves the rows reachable from the requested
+//! sources and nothing else, with the same masked batched products, and
+//! that later requests extend rather than restart.
 
 use cfpq_grammar::{Nt, Term, Wcnf};
 use cfpq_graph::Graph;
@@ -157,6 +166,19 @@ pub struct SolveStats {
     /// nonterminals) — the per-nonterminal snapshot behind the adaptive
     /// engine's representation decisions.
     pub nt_nnz: Vec<usize>,
+}
+
+impl SolveStats {
+    /// Adds a later run on the same matrices (a resume, an extension) to
+    /// these cumulative counters; `nt_nnz` is replaced by the run's.
+    fn absorb(&mut self, run: &SolveStats) {
+        self.products_computed += run.products_computed;
+        self.products_skipped += run.products_skipped;
+        self.tiles_skipped += run.tiles_skipped;
+        self.repr_switches += run.repr_switches;
+        self.sweep_nnz.extend(run.sweep_nnz.iter().copied());
+        self.nt_nnz.clone_from(&run.nt_nnz);
+    }
 }
 
 /// The result of a relational CFPQ evaluation: one Boolean matrix per
@@ -373,15 +395,7 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         );
         finish_stats(&mut stats, engine, counters_before, &index.matrices);
         index.iterations += sweeps;
-        index.stats.products_computed += stats.products_computed;
-        index.stats.products_skipped += stats.products_skipped;
-        index.stats.tiles_skipped += stats.tiles_skipped;
-        index.stats.repr_switches += stats.repr_switches;
-        index
-            .stats
-            .sweep_nnz
-            .extend(stats.sweep_nnz.iter().copied());
-        index.stats.nt_nnz.clone_from(&stats.nt_nnz);
+        index.stats.absorb(&stats);
         if sp.is_recording() {
             sp.attr_u64("sweeps", sweeps as u64);
             sp.attr_u64("products", stats.products_computed as u64);
@@ -687,6 +701,408 @@ fn finish_stats<E: BoolEngine>(
     stats.tiles_skipped = work.tiles_skipped;
     stats.repr_switches = work.repr_switches;
     stats.nt_nnz = matrices.iter().map(BoolMat::nnz).collect();
+}
+
+/// A demand-driven partial closure: the rows of the context-free
+/// relations that a set of source nodes needs, and no others.
+///
+/// Per nonterminal `A` it keeps a demanded-row set `D_A` and a matrix
+/// `T_A` in which exactly the rows of `D_A` are filled in. Asking for
+/// sources puts them into `D_S`; from there, for every rule `A → B C`,
+///
+/// * `D_B ⊇ D_A` — a row of `A` starts with a row of `B`,
+/// * `D_C ⊇ cols(T_B|D_A)` — and continues from wherever `B` arrives,
+/// * `T_A ∪= T_B|D_A × T_C`,
+///
+/// and a demanded row of `A → x` is seeded with that row of the label
+/// matrix of `x` (plus its diagonal cell when the query keeps ε). The
+/// loop is semi-naive over all three kinds of fact — a newly demanded
+/// row is Δ like a newly derived entry — and every step is a Boolean
+/// product: `D_A` lives as a diagonal selector matrix, so seeding is
+/// `ΔD_A × L_x`, row selection `T_B|D_A` is `D_A × T_B`, and a sweep is
+/// one [`BoolEngine::multiply_masked_batch`] whose masks make every
+/// output exactly the new information. Each job of a batch is counted
+/// in [`SolveStats::products_computed`]; nothing else calls a product.
+///
+/// A nonterminal with terminal rules only (the `A → x` wrappers weak
+/// CNF introduces, a compiled RPQ's label nonterminals) needs no
+/// fixpoint: its relation *is* the union of its label matrices, so
+/// wherever it is an operand the label matrices stand in for it and it
+/// is never demanded, seeded or stored.
+///
+/// At rest, row `i ∈ D_A` of `T_A` equals row `i` of the all-pairs
+/// `R_A`, and rows outside `D_A` are empty. `D_S` holds the requested
+/// sources and whatever rows of `S` they turned out to need, so the
+/// all-pairs answer filtered to the requested sources is
+/// [`SourceClosure::pairs`] of the start nonterminal filtered likewise.
+/// [`SourceClosure::extend`] with further sources keeps everything
+/// solved so far. The work is proportional to what is reachable from
+/// the sources: on a graph of disjoint blocks a lookup stays inside its
+/// block, on one connected ontology demand spreads and the closure
+/// approaches the all-pairs one at a higher constant.
+#[derive(Clone, Debug)]
+pub struct SourceClosure<M> {
+    /// `T_A`, filled in on the rows of `D_A` only.
+    matrices: Vec<M>,
+    /// `D_A` as a diagonal selector: `(i, i)` is set iff row `i` of `A`
+    /// is demanded.
+    demand: Vec<M>,
+    /// One entry per distinct `(A, B)` among the rules `A → B C`:
+    /// `T_B|D_A`, the rows of `B` that some row of `A` starts with.
+    left: Vec<((usize, usize), M)>,
+    /// The rules `A → B C` as `(index into left, C)`, deduplicated.
+    rules: Vec<(usize, usize)>,
+    /// `heirs[A]`: `A` and every nonterminal reachable from it through
+    /// left children — a row demanded of `A` is demanded of all of them
+    /// (label-only nonterminals left out: they are never demanded).
+    heirs: Vec<Vec<usize>>,
+    /// Nonterminals read straight off their label matrices: terminal
+    /// rules only, no diagonal, not the start.
+    label_only: Vec<bool>,
+    /// Nonterminals whose demanded rows hold their diagonal cell (the
+    /// nullable ones, under [`SolveOptions::nullable_diagonal`]).
+    diagonal: Vec<bool>,
+    start: usize,
+    n_nodes: usize,
+    sweeps: usize,
+    stats: SolveStats,
+}
+
+/// Which matrix a job of a restricted sweep feeds.
+#[derive(Clone, Copy)]
+enum Target {
+    /// `T_A`.
+    Rel(usize),
+    /// The `left` entry of that index.
+    Left(usize),
+}
+
+/// `acc ∪= add`, where an absent accumulator is the empty matrix.
+fn union_into<E: BoolEngine>(engine: &E, acc: &mut Option<E::Matrix>, add: E::Matrix) {
+    match acc {
+        Some(acc) => {
+            engine.union_in_place(acc, &add);
+        }
+        None => *acc = Some(add),
+    }
+}
+
+impl<M: BoolMat> SourceClosure<M> {
+    /// An empty closure for `grammar` over `n` nodes: nothing demanded,
+    /// nothing solved, no product launched.
+    pub fn new<E: BoolEngine<Matrix = M>>(
+        engine: &E,
+        n: usize,
+        grammar: &Wcnf,
+        options: SolveOptions,
+    ) -> Self {
+        let n_nts = grammar.n_nts();
+        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+        for rule in &grammar.binary_rules {
+            let rights = groups
+                .entry((rule.lhs.index(), rule.left.index()))
+                .or_default();
+            if !rights.contains(&rule.right.index()) {
+                rights.push(rule.right.index());
+            }
+        }
+        let mut diagonal = vec![false; n_nts];
+        if options.nullable_diagonal {
+            for nt in &grammar.nullable {
+                diagonal[nt.index()] = true;
+            }
+        }
+        let mut label_only: Vec<bool> = diagonal.iter().map(|d| !d).collect();
+        label_only[grammar.start.index()] = false;
+        for &(a, _) in groups.keys() {
+            label_only[a] = false;
+        }
+        let mut left = Vec::with_capacity(groups.len());
+        let mut rules = Vec::new();
+        let mut heirs: Vec<Vec<usize>> = (0..n_nts)
+            .map(|a| if label_only[a] { vec![] } else { vec![a] })
+            .collect();
+        for ((a, b), rights) in groups {
+            rules.extend(rights.into_iter().map(|c| (left.len(), c)));
+            left.push(((a, b), engine.zeros(n)));
+            if !label_only[b] {
+                heirs[a].push(b);
+            }
+        }
+        // Transitive closure of the left-child edges collected above.
+        for a in 0..n_nts {
+            let mut next = 0;
+            while next < heirs[a].len() {
+                let b = heirs[a][next];
+                next += 1;
+                if b != a {
+                    for h in heirs[b].clone() {
+                        if !heirs[a].contains(&h) {
+                            heirs[a].push(h);
+                        }
+                    }
+                }
+            }
+        }
+        Self {
+            matrices: (0..n_nts).map(|_| engine.zeros(n)).collect(),
+            demand: (0..n_nts).map(|_| engine.zeros(n)).collect(),
+            left,
+            rules,
+            heirs,
+            label_only,
+            diagonal,
+            start: grammar.start.index(),
+            n_nodes: n,
+            sweeps: 0,
+            stats: SolveStats::default(),
+        }
+    }
+
+    /// Demands the rows `sources` of the start nonterminal and runs the
+    /// restricted fixpoint until neither demanded rows nor entries grow.
+    /// `terminals[A.index()]` lists the label matrices of the terminals
+    /// `x` with a rule `A → x`. Ids `≥ n_nodes` name no node and are
+    /// ignored; sources already demanded cost nothing (no product is
+    /// launched when all are). Everything solved by earlier calls is
+    /// kept. Returns the [`SolveStats`] of this call alone; the closure's
+    /// cumulative [`SourceClosure::stats`] advance too.
+    ///
+    /// `engine`, the node count and `terminals` must be those of the
+    /// graph the closure was created for: a partial closure has no
+    /// repair path, it is dropped when the graph changes.
+    pub fn extend<E: BoolEngine<Matrix = M>>(
+        &mut self,
+        engine: &E,
+        terminals: &[Vec<&M>],
+        sources: &[u32],
+    ) -> SolveStats {
+        let mut sp = cfpq_obs::span("solve");
+        let n_nts = self.matrices.len();
+        assert_eq!(terminals.len(), n_nts, "one terminal list per nonterminal");
+        let counters_before = engine.kernel_counters();
+        let mut stats = SolveStats::default();
+        let in_range: Vec<u32> = sources
+            .iter()
+            .copied()
+            .filter(|&i| (i as usize) < self.n_nodes)
+            .collect();
+        let mut wanted: Vec<Vec<u32>> = vec![Vec::new(); n_nts];
+        for &a in &self.heirs[self.start] {
+            wanted[a].extend_from_slice(&in_range);
+        }
+        // Δ of the three kinds of fact; `None` is empty.
+        let mut d_rel: Vec<Option<M>> = (0..n_nts).map(|_| None).collect();
+        let mut d_left: Vec<Option<M>> = self.left.iter().map(|_| None).collect();
+        let mut d_demand = self.admit(engine, wanted, &mut d_rel);
+
+        let mut ones_row: Option<M> = None;
+        let mut sweeps = 0;
+        loop {
+            // Operand views of this sweep's snapshot: a label-only
+            // nonterminal is its label matrices and never has a Δ.
+            let full: Vec<Vec<&M>> = (0..n_nts)
+                .map(|c| match self.label_only[c] {
+                    true => terminals[c].clone(),
+                    false => vec![&self.matrices[c]],
+                })
+                .collect();
+            let mut jobs: Vec<MaskedJob<'_, M>> = Vec::new();
+            let mut targets: Vec<Target> = Vec::new();
+            for (a, rows) in d_demand.iter().enumerate() {
+                let Some(rows) = rows else { continue };
+                for &label in &terminals[a] {
+                    jobs.push((rows, label, Some(&self.matrices[a])));
+                    targets.push(Target::Rel(a));
+                }
+            }
+            for (g, ((a, b), selected)) in self.left.iter().enumerate() {
+                if let Some(db) = &d_rel[*b] {
+                    jobs.push((&self.demand[*a], db, Some(selected)));
+                    targets.push(Target::Left(g));
+                }
+                if let Some(rows) = &d_demand[*a] {
+                    for &tb in &full[*b] {
+                        jobs.push((rows, tb, Some(selected)));
+                        targets.push(Target::Left(g));
+                    }
+                }
+            }
+            for &(g, c) in &self.rules {
+                let ((a, _), selected) = &self.left[g];
+                if let Some(dl) = &d_left[g] {
+                    for &tc in &full[c] {
+                        jobs.push((dl, tc, Some(&self.matrices[*a])));
+                        targets.push(Target::Rel(*a));
+                    }
+                }
+                if let Some(dc) = &d_rel[c] {
+                    jobs.push((selected, dc, Some(&self.matrices[*a])));
+                    targets.push(Target::Rel(*a));
+                }
+            }
+            if jobs.is_empty() {
+                break;
+            }
+            sweeps += 1;
+            let mut sweep_sp = cfpq_obs::span("sweep");
+            let n_jobs = jobs.len();
+            let products = engine.multiply_masked_batch(&jobs);
+            stats.products_computed += n_jobs;
+
+            // Every job was masked by the matrix it feeds, so what comes
+            // back is new: the union per target *is* the next Δ.
+            let mut fresh_rel: Vec<Option<M>> = (0..n_nts).map(|_| None).collect();
+            let mut fresh_left: Vec<Option<M>> = self.left.iter().map(|_| None).collect();
+            for (product, target) in products.into_iter().zip(targets) {
+                match target {
+                    Target::Rel(a) => union_into(engine, &mut fresh_rel[a], product),
+                    Target::Left(g) => union_into(engine, &mut fresh_left[g], product),
+                }
+            }
+            for (a, slot) in fresh_rel.iter_mut().enumerate() {
+                let Some(f) = slot.take().filter(|f| f.nnz() > 0) else {
+                    continue;
+                };
+                engine.union_in_place(&mut self.matrices[a], &f);
+                *slot = Some(f);
+            }
+            // Wherever a selected row of `B` newly arrives, every `C`
+            // that can follow it is demanded there.
+            let mut wanted: Vec<Vec<u32>> = vec![Vec::new(); n_nts];
+            for (g, slot) in fresh_left.iter_mut().enumerate() {
+                let Some(f) = slot.take() else { continue };
+                let nnz = f.nnz();
+                if nnz == 0 {
+                    continue;
+                }
+                engine.union_in_place(&mut self.left[g].1, &f);
+                let arrivals: Vec<u32> = if nnz <= self.n_nodes {
+                    let mut cols: Vec<u32> = f.pairs().into_iter().map(|(_, j)| j).collect();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    cols
+                } else {
+                    // More entries than columns: let a product fold them,
+                    // `1ᵀ × Δ` has the column support in its one row.
+                    let ones = ones_row.get_or_insert_with(|| {
+                        let cells: Vec<(u32, u32)> =
+                            (0..self.n_nodes as u32).map(|j| (0, j)).collect();
+                        engine.from_pairs(self.n_nodes, &cells)
+                    });
+                    stats.products_computed += 1;
+                    let support = engine.multiply(ones, &f);
+                    support.pairs().into_iter().map(|(_, j)| j).collect()
+                };
+                *slot = Some(f);
+                for &(_, c) in self.rules.iter().filter(|(rg, _)| *rg == g) {
+                    for &h in &self.heirs[c] {
+                        wanted[h].extend_from_slice(&arrivals);
+                    }
+                }
+            }
+            d_rel = fresh_rel;
+            d_left = fresh_left;
+            d_demand = self.admit(engine, wanted, &mut d_rel);
+
+            stats.sweep_nnz.push(total_nnz(&self.matrices));
+            if sweep_sp.is_recording() {
+                sweep_sp.attr_u64("sweep", sweeps as u64);
+                sweep_sp.attr_u64("products", n_jobs as u64);
+                sweep_sp.attr_u64("masked", 1);
+                let per_nt: Vec<String> = d_rel
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(a, d)| d.as_ref().map(|d| format!("{a}:{}", d.nnz())))
+                    .collect();
+                sweep_sp.attr_text("delta_nnz", per_nt.join(","));
+            }
+        }
+        finish_stats(&mut stats, engine, counters_before, &self.matrices);
+        self.sweeps += sweeps;
+        self.stats.absorb(&stats);
+        if sp.is_recording() {
+            sp.attr_str("strategy", Strategy::MaskedDelta.name());
+            sp.attr_str("mode", "sources");
+            sp.attr_u64("sources", in_range.len() as u64);
+            sp.attr_u64("rows_demanded", self.rows_demanded() as u64);
+            sp.attr_u64("sweeps", sweeps as u64);
+            sp.attr_u64("products", stats.products_computed as u64);
+        }
+        stats
+    }
+
+    /// Folds the not-yet-demanded rows of `wanted[A]` into `D_A` and
+    /// returns them as selector matrices (the next sweep's ΔD). A new row
+    /// of a diagonal nonterminal gets its diagonal cell at once, which is
+    /// a new entry like any other and joins `d_rel`.
+    fn admit<E: BoolEngine<Matrix = M>>(
+        &mut self,
+        engine: &E,
+        wanted: Vec<Vec<u32>>,
+        d_rel: &mut [Option<M>],
+    ) -> Vec<Option<M>> {
+        let mut admitted = Vec::with_capacity(wanted.len());
+        for (a, mut rows) in wanted.into_iter().enumerate() {
+            rows.retain(|&i| !self.demand[a].get(i, i));
+            if rows.is_empty() {
+                admitted.push(None);
+                continue;
+            }
+            rows.sort_unstable();
+            rows.dedup();
+            let cells: Vec<(u32, u32)> = rows.into_iter().map(|i| (i, i)).collect();
+            let selector = engine.from_pairs(self.n_nodes, &cells);
+            engine.union_in_place(&mut self.demand[a], &selector);
+            if self.diagonal[a] {
+                engine.union_in_place(&mut self.matrices[a], &selector);
+                union_into(engine, &mut d_rel[a], selector.clone());
+            }
+            admitted.push(Some(selector));
+        }
+        admitted
+    }
+
+    /// True if `(i, j) ∈ R_A` as far as this closure has solved it:
+    /// exact when row `i` of `A` is demanded ([`SourceClosure::demanded`]),
+    /// `false` otherwise — as for ids the graph does not have.
+    pub fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
+        let n = self.n_nodes;
+        (i as usize) < n && (j as usize) < n && self.matrices[nt.index()].get(i, j)
+    }
+
+    /// The solved part of `R_A` as sorted pairs: its demanded rows.
+    pub fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
+        self.matrices[nt.index()].pairs()
+    }
+
+    /// The demanded rows of `A`, ascending.
+    pub fn demanded(&self, nt: Nt) -> Vec<u32> {
+        let cells = self.demand[nt.index()].pairs();
+        cells.into_iter().map(|(i, _)| i).collect()
+    }
+
+    /// `Σ_A |D_A|` — how much of the closure the sources asked for so
+    /// far drew in.
+    pub fn rows_demanded(&self) -> usize {
+        self.demand.iter().map(BoolMat::nnz).sum()
+    }
+
+    /// Graph size `|V|`.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// Sweeps run so far, over all calls.
+    pub fn sweeps(&self) -> usize {
+        self.sweeps
+    }
+
+    /// Kernel-work counters so far, over all calls (`products_skipped`
+    /// is not kept for restricted solves and stays 0).
+    pub fn stats(&self) -> &SolveStats {
+        &self.stats
+    }
 }
 
 /// Runs Algorithm 1 in its Boolean decomposition on the given engine,

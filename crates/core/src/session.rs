@@ -65,7 +65,9 @@
 
 use crate::all_paths::{PageRequest, PathEnumerator, PathPage};
 use crate::query::QueryAnswer;
-use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats, Strategy};
+use crate::relational::{
+    FixpointSolver, RelationalIndex, SolveOptions, SolveStats, SourceClosure, Strategy,
+};
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::symbol::Interner;
@@ -605,6 +607,69 @@ pub fn repair_prepared<E: BoolEngine>(
         sp.attr_u64("products", stats.products_computed as u64);
     }
     stats
+}
+
+/// Solves a prepared query **from the given source nodes only**: the
+/// rows of the context-free relations that `sources` reach, instead of
+/// all `|V|` of them (see [`SourceClosure`] for the fixpoint). The work
+/// is proportional to what is reachable from the sources, so this is the
+/// path for point lookups; [`solve_prepared`] stays the path for whole
+/// answers. Restricted evaluation always runs masked semi-naive sweeps —
+/// the query's [`Strategy`] is an all-pairs ablation knob and is not
+/// consulted — and honours its [`SolveOptions`].
+///
+/// ```
+/// use cfpq_core::session::{extend_prepared_from, solve_prepared_from, GraphIndex, PreparedQuery};
+/// use cfpq_grammar::Cfg;
+/// use cfpq_graph::generators;
+/// use cfpq_matrix::SparseEngine;
+///
+/// let graph = generators::word_chain(&["a", "a", "b", "b"]);
+/// let index = GraphIndex::build(SparseEngine, &graph);
+/// let query = PreparedQuery::new(&Cfg::parse("S -> a S b | a b").unwrap()).unwrap();
+/// let s = query.wcnf().start;
+/// // From node 1 only the inner `ab` is visible...
+/// let mut closure = solve_prepared_from(&index, &query, &[1]);
+/// assert_eq!(closure.pairs(s), vec![(1, 3)]);
+/// // ...and asking for node 0 later extends the same closure.
+/// extend_prepared_from(&index, &query, &mut closure, &[0]);
+/// assert_eq!(closure.pairs(s), vec![(0, 4), (1, 3)]);
+/// ```
+pub fn solve_prepared_from<E: BoolEngine>(
+    index: &GraphIndex<E>,
+    query: &PreparedQuery,
+    sources: &[u32],
+) -> SourceClosure<E::Matrix> {
+    let mut closure = SourceClosure::new(&index.engine, index.n_nodes, query.wcnf(), query.options);
+    extend_prepared_from(index, query, &mut closure, sources);
+    closure
+}
+
+/// Extends a closure made by [`solve_prepared_from`] — for the same
+/// query against the same, unchanged index — to further `sources`,
+/// keeping everything it has solved. Sources it already covers launch no
+/// product. Returns the stats of the extension alone.
+pub fn extend_prepared_from<E: BoolEngine>(
+    index: &GraphIndex<E>,
+    query: &PreparedQuery,
+    closure: &mut SourceClosure<E::Matrix>,
+    sources: &[u32],
+) -> SolveStats {
+    assert_eq!(
+        closure.n_nodes(),
+        index.n_nodes,
+        "a source closure does not outlive a change of the graph"
+    );
+    let wcnf = query.wcnf();
+    let by_term = wcnf.nts_by_terminal();
+    let mut terminals: Vec<Vec<&E::Matrix>> = vec![Vec::new(); wcnf.n_nts()];
+    for (label, term) in index.term_bindings(wcnf).iter().enumerate() {
+        let Some(term) = term else { continue };
+        for nt in &by_term[term.index()] {
+            terminals[nt.index()].push(&index.matrices[label]);
+        }
+    }
+    closure.extend(&index.engine, &terminals, sources)
 }
 
 /// Cold-solves a prepared query under single-path (§5) semantics: the

@@ -131,16 +131,14 @@ pub fn random_graph(n_nodes: usize, n_edges: usize, labels: &[&str], seed: u64) 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new(n_nodes);
     let label_ids: Vec<_> = labels.iter().map(|l| g.label(l)).collect();
-    let mut seen = std::collections::HashSet::new();
+    g.reserve_edges(n_edges);
     let mut attempts = 0;
-    while seen.len() < n_edges && attempts < n_edges * 20 {
+    while g.n_edges() < n_edges && attempts < n_edges * 20 {
         attempts += 1;
         let u = rng.gen_range(0..n_nodes) as NodeId;
         let v = rng.gen_range(0..n_nodes) as NodeId;
         let l = label_ids[rng.gen_range(0..label_ids.len())];
-        if seen.insert((u, l, v)) {
-            g.add_edge(u, l, v);
-        }
+        g.add_edge(u, l, v);
     }
     g
 }
@@ -163,16 +161,14 @@ pub fn clustered_blocks(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new(n_blocks * block_size);
     let label_ids: Vec<_> = labels.iter().map(|l| g.label(l)).collect();
-    let mut seen = std::collections::HashSet::new();
+    g.reserve_edges(n_blocks * block_size * label_ids.len() * edges_per_node);
     for block in 0..n_blocks {
         let base = block * block_size;
         for u in base..base + block_size {
             for &l in &label_ids {
                 for _ in 0..edges_per_node {
                     let v = (base + rng.gen_range(0..block_size)) as NodeId;
-                    if seen.insert((u as NodeId, l, v)) {
-                        g.add_edge(u as NodeId, l, v);
-                    }
+                    g.add_edge(u as NodeId, l, v);
                 }
             }
         }

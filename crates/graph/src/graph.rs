@@ -42,8 +42,7 @@ pub struct Edge {
 /// inserting an edge that is already present is a no-op (it returns
 /// `false`), so the edge list, the per-node adjacency and the per-label
 /// views always agree with each other and with the Boolean adjacency
-/// matrices a `GraphIndex` derives from them — no manual
-/// [`Graph::dedup_edges`] pass is ever required.
+/// matrices a `GraphIndex` derives from them.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     labels: Interner,
@@ -102,6 +101,14 @@ impl Graph {
         self.labels.iter().map(|(i, n)| (Label(i), n))
     }
 
+    /// Reserves room for `additional` more edges in the edge list and the
+    /// membership set, so a generator that knows its size up front does
+    /// not pay for rehashing as the graph grows from empty.
+    pub fn reserve_edges(&mut self, additional: usize) {
+        self.edges.reserve(additional);
+        self.edge_set.reserve(additional);
+    }
+
     /// Grows the node set so that `id` is valid.
     pub fn ensure_node(&mut self, id: NodeId) {
         let needed = id as usize + 1;
@@ -114,8 +121,7 @@ impl Graph {
     /// Adds the edge `(from, label, to)`, growing the node set if needed.
     /// Returns `true` if the edge was new; re-inserting an existing edge
     /// is a no-op (`E` is a set, see the type-level invariant), so every
-    /// view of the graph stays coherent without a manual
-    /// [`Graph::dedup_edges`] pass. The matrix side mirrors both
+    /// view of the graph stays coherent. The matrix side mirrors both
     /// contracts: a `GraphIndex`'s `add_edges` skips duplicates the same
     /// way (reporting a count instead of a `bool`) and grows its node
     /// universe on unseen ids just like this method does.
@@ -157,40 +163,6 @@ impl Graph {
             .iter()
             .filter(move |e| e.label == label)
             .map(|e| (e.from, e.to))
-    }
-
-    /// Removes duplicate `(from, label, to)` edges (keeps first
-    /// occurrence). Since [`Graph::add_edge`] rejects duplicates at
-    /// insertion time this is now always a no-op; it is kept as a public
-    /// entry point so callers written against the old multigraph
-    /// behaviour keep compiling (and as a self-check: it debug-asserts
-    /// the uniqueness invariant).
-    pub fn dedup_edges(&mut self) {
-        let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
-        let mut kept = Vec::with_capacity(self.edges.len());
-        for &e in &self.edges {
-            if seen.insert((e.from, e.label.0, e.to)) {
-                kept.push(e);
-            }
-        }
-        debug_assert_eq!(
-            kept.len(),
-            self.edges.len(),
-            "add_edge enforces uniqueness; dedup_edges found duplicates"
-        );
-        if kept.len() != self.edges.len() {
-            self.edges = kept;
-            self.rebuild_adjacency();
-        }
-    }
-
-    fn rebuild_adjacency(&mut self) {
-        for a in &mut self.adj {
-            a.clear();
-        }
-        for &Edge { from, label, to } in &self.edges {
-            self.adj[from as usize].push((label, to));
-        }
     }
 
     /// Disjoint union of `k` copies of this graph: node `i` of copy `c`
@@ -288,17 +260,14 @@ mod tests {
         assert!(g.add_edge_named(0, "b", 0));
         assert!(!g.add_edge_named(0, "a", 0), "duplicate is a no-op");
         assert_eq!(g.n_edges(), 2);
-        g.dedup_edges(); // now a no-op; the invariant already holds
-        assert_eq!(g.n_edges(), 2);
         assert_eq!(g.out_edges(0).len(), 2);
     }
 
     #[test]
     fn duplicate_insertion_keeps_views_coherent() {
         // Regression test for the old footgun: duplicate add_edge calls
-        // used to leave duplicates in `edges`/`out_edges` until a manual
-        // dedup_edges() call; all views must now stay coherent through
-        // duplicate insertions with no manual pass.
+        // used to leave duplicates in `edges`/`out_edges`; all views
+        // must stay coherent through duplicate insertions.
         let mut g = Graph::new(3);
         for _ in 0..3 {
             g.add_edge_named(0, "a", 1);

@@ -34,7 +34,11 @@
 //!   closure once, and answer every request in the batch from it: a
 //!   request naming pairs by probing the closure matrices (one bit per
 //!   pair; a node id the graph does not have is "not related"), a
-//!   request naming none from `R_S`, extracted once per epoch. Per
+//!   request naming none from `R_S`, extracted once per epoch. A batch
+//!   of named pairs does not pay for the whole closure: until the epoch
+//!   has one, it solves only the rows its source nodes reach and keeps
+//!   them for later tickets to extend (see [`CfpqService::enqueue`] for
+//!   the cost model). Per
 //!   epoch, [`ServiceStats`] reports queries served, cache hits, repair
 //!   vs cold products, and the epoch publish latency. Regular path
 //!   queries are first-class tenants: [`CfpqService::prepare_regular`]
@@ -111,10 +115,10 @@
 
 use cfpq_core::all_paths::{PageRequest, PathEnumerator, PathPage};
 use cfpq_core::query::QueryAnswer;
-use cfpq_core::relational::RelationalIndex;
+use cfpq_core::relational::{RelationalIndex, SourceClosure};
 use cfpq_core::session::{
-    batch_seed_pairs, repair_prepared, repair_prepared_single_path, solve_prepared,
-    solve_prepared_single_path, GraphIndex, PreparedQuery,
+    batch_seed_pairs, extend_prepared_from, repair_prepared, repair_prepared_single_path,
+    solve_prepared, solve_prepared_from, solve_prepared_single_path, GraphIndex, PreparedQuery,
 };
 use cfpq_core::single_path::SinglePathIndex;
 use cfpq_grammar::{Cfg, GrammarError};
@@ -443,11 +447,14 @@ pub struct ServiceStats {
     /// Scheduler batches served (each batch shares one closure lookup).
     pub batches: u64,
     /// Evaluations answered from an already-solved closure (an `Arc`
-    /// bump, no kernel work).
+    /// bump, no kernel work) — including named-pair batches whose rows
+    /// a source-restricted closure already held.
     pub cache_hits: u64,
-    /// Closures cold-solved in this epoch.
+    /// Closures cold-solved in this epoch: all-pairs ones, and the first
+    /// source-restricted solve of each query.
     pub cold_solves: u64,
-    /// Matrix products launched by those cold solves.
+    /// Matrix products launched by those cold solves and by extensions
+    /// of source-restricted closures.
     pub cold_products: u64,
     /// Closures repaired from the previous epoch at publish time.
     pub repairs: u64,
@@ -673,6 +680,12 @@ struct Epoch<E: ServiceEngine> {
     /// read or a full-answer ticket first asks for one and shared by all
     /// later ones, so a relation is extracted at most once per epoch.
     answers: CacheMap<QueryAnswer>,
+    /// Per query, the source-restricted closure that named-pair tickets
+    /// grow while the epoch holds no all-pairs closure for it: extended
+    /// when a ticket names rows outside it, never carried into the next
+    /// epoch. `None` until the first such ticket — and again after a
+    /// solve that panicked, which takes the closure down with it.
+    sources: CacheMap<Mutex<Option<SourceClosure<E::Matrix>>>>,
     sp: CacheMap<SinglePathIndex<<E as LenEngine>::LenMatrix>>,
     counters: Arc<EpochCounters>,
 }
@@ -1086,6 +1099,61 @@ fn rel_targets<E: ServiceEngine>(
     probe_pairs(wanted, solved.n_nodes, |i, j| solved.contains(start, i, j))
 }
 
+/// Answers a batch of named-pair requests for query `q` from the
+/// epoch's source-restricted closure, first extending it to the source
+/// nodes the batch names (one extension for the whole batch). Charged
+/// like the all-pairs path: the first solve of a query in an epoch is a
+/// cold solve, every product goes to `cold_products`, and a batch whose
+/// rows were all solved already — no kernel ran — is a cache hit.
+fn probe_sources<E: ServiceEngine>(
+    epoch: &Epoch<E>,
+    q: usize,
+    prepared: &PreparedQuery,
+    batch: &VecDeque<Request>,
+) -> Vec<Vec<(u32, u32)>> {
+    let cell = epoch.sources.cell(q);
+    let mut slot = lock_recover(cell.get_or_init(Default::default));
+    // Taken out for the solve: if it panics the closure unwinds with it
+    // and the next ticket starts over, rather than reading one that
+    // stopped half-way to its fixpoint.
+    let taken = slot.take();
+    let first = taken.is_none();
+    let sources: Vec<u32> = batch
+        .iter()
+        .flat_map(|req| req.pairs.iter().map(|&(i, _)| i))
+        .collect();
+    let (closure, products) = match taken {
+        Some(mut closure) => {
+            let stats = extend_prepared_from(&epoch.index, prepared, &mut closure, &sources);
+            (closure, stats.products_computed)
+        }
+        None => {
+            let closure = solve_prepared_from(&epoch.index, prepared, &sources);
+            let products = closure.stats().products_computed;
+            (closure, products)
+        }
+    };
+    let counters = &epoch.counters;
+    if first {
+        counters.cold_solves.fetch_add(1, Ordering::Relaxed);
+    } else if products == 0 {
+        counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+    }
+    counters
+        .cold_products
+        .fetch_add(products as u64, Ordering::Relaxed);
+    let start = prepared.wcnf().start;
+    let closure = slot.insert(closure);
+    batch
+        .iter()
+        .map(|req| {
+            probe_pairs(&req.pairs, closure.n_nodes(), |i, j| {
+                closure.contains(start, i, j)
+            })
+        })
+        .collect()
+}
+
 /// One scheduler worker: drain a query's whole queue, evaluate that
 /// query once against the current epoch, answer every request from it.
 ///
@@ -1210,13 +1278,15 @@ fn resolve_served(
         batch_size,
         span: req.span,
     });
+    // Metrics and span first: whoever wakes on the ticket may read them
+    // at once, and must find this request in them.
+    obs.finish_ticket(req.span, req.enqueued_at, dispatched, "ok");
     req.ticket.resolve(Ok(TicketAnswer {
         epoch,
         pairs,
         paths,
         trace,
     }));
-    obs.finish_ticket(req.span, req.enqueued_at, dispatched, "ok");
 }
 
 fn serve_batch<E: ServiceEngine>(
@@ -1247,19 +1317,31 @@ fn serve_batch<E: ServiceEngine>(
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
     match key {
         QueueKey::Rel(q) => {
-            let solved = solve_rel(inner, &epoch, q);
             let prepared = read_recover(&inner.queries)[q].clone();
-            for req in batch {
-                let pairs = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
+            let resolve = |req: &Request, pairs| {
                 resolve_served(
                     &inner.obs,
-                    &req,
+                    req,
                     dispatched,
                     batch_size,
                     epoch.epoch,
                     pairs,
                     None,
-                );
+                )
+            };
+            // Named pairs need the rows they name; only a full answer —
+            // or an epoch that already has it — reads the whole closure.
+            let all_named = batch.iter().all(|req| !req.pairs.is_empty());
+            if all_named && epoch.rel.cell(q).get().is_none() {
+                let answers = probe_sources(&epoch, q, &prepared, &batch);
+                for (req, pairs) in batch.iter().zip(answers) {
+                    resolve(req, pairs);
+                }
+            } else {
+                let solved = solve_rel(inner, &epoch, q);
+                for req in &batch {
+                    resolve(req, rel_targets(&epoch, q, &prepared, &solved, &req.pairs));
+                }
             }
         }
         QueueKey::Sp(q) => {
@@ -1413,6 +1495,7 @@ impl<E: ServiceEngine> CfpqService<E> {
             index,
             rel: CacheMap::new(),
             answers: CacheMap::new(),
+            sources: CacheMap::new(),
             sp: CacheMap::new(),
             counters: Arc::clone(&counters),
         });
@@ -1544,6 +1627,29 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// [`ServiceError::UnknownQuery`], [`ServiceError::Overloaded`]
     /// (queue at [`ServiceConfig::max_queued`]), or
     /// [`ServiceError::ShuttingDown`].
+    ///
+    /// # What it costs
+    ///
+    /// * **Named pairs** need the rows of their source nodes. While the
+    ///   epoch has no all-pairs closure for `query`, the batch is served
+    ///   from a source-restricted closure
+    ///   ([`cfpq_core::relational::SourceClosure`]): work proportional
+    ///   to the rows reachable from the sources, kept per (query, epoch)
+    ///   and *extended* when a later ticket names rows outside it. The
+    ///   first such solve of a query in an epoch counts as one of
+    ///   [`ServiceStats::cold_solves`], every product of it and of its
+    ///   extensions goes to [`ServiceStats::cold_products`], and a batch
+    ///   whose rows are all there already — no kernel runs — is one of
+    ///   [`ServiceStats::cache_hits`].
+    /// * **Empty `pairs`** needs every row: the all-pairs closure is
+    ///   solved once per epoch, shared with [`Snapshot::evaluate`] and
+    ///   the paths queue, and repaired into the next epoch by
+    ///   [`CfpqService::add_edges`]. Once an epoch holds it — solved
+    ///   here, by a warm-up, or carried over by a publish — named pairs
+    ///   probe it instead, one bit per pair.
+    /// * Restricted closures are **dropped at publish**, never repaired:
+    ///   the next named-pair ticket regrows what it needs on the new
+    ///   epoch.
     pub fn enqueue(&self, query: QueryId, pairs: Vec<(u32, u32)>) -> Result<Ticket, ServiceError> {
         self.check_rel(query.0)?;
         self.push_request(QueueKey::Rel(query.0), pairs, None)
@@ -1750,6 +1856,7 @@ impl<E: ServiceEngine> CfpqService<E> {
             index,
             rel,
             answers: CacheMap::new(),
+            sources: CacheMap::new(),
             sp,
             counters: Arc::clone(&counters),
         });
@@ -1971,6 +2078,79 @@ mod tests {
             .enqueue(q, vec![(1, 2), (2, 2), (0, 0), (1, 2)])
             .unwrap();
         assert_eq!(t.wait().unwrap().pairs, vec![(0, 0), (1, 2)]);
+    }
+
+    #[test]
+    fn named_pair_tickets_account_for_every_kernel_call() {
+        use crate::faults::{FaultInjector, FaultPlan};
+        // Three 8-node clusters: a lookup in one leaves the others alone.
+        let graph = generators::clustered_blocks(3, 8, 2, &["a", "b"], 5);
+        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+        let full = solve(&graph, &grammar, Backend::Sparse).unwrap();
+        let expect = |wanted: &[(u32, u32)]| -> Vec<(u32, u32)> {
+            let mut hits: Vec<(u32, u32)> = wanted
+                .iter()
+                .copied()
+                .filter(|&(i, j)| full.contains("S", i, j))
+                .collect();
+            hits.sort_unstable();
+            hits.dedup();
+            hits
+        };
+        // An empty plan: the injector only counts multiply-class calls.
+        let engine = FaultInjector::new(SparseEngine, FaultPlan::none());
+        let service = CfpqService::with_config(engine.clone(), &graph, ServiceConfig::new(1));
+        let q = service.prepare(&grammar).unwrap();
+        let ask = |wanted: Vec<(u32, u32)>| {
+            let answer = service.enqueue(q, wanted.clone()).unwrap().wait().unwrap();
+            assert_eq!(answer.pairs, expect(&wanted));
+            service.stats()[0].clone()
+        };
+        let first_block: Vec<(u32, u32)> = (0..8).map(|j| (1, j)).collect();
+        let other_block: Vec<(u32, u32)> = (16..24).map(|j| (17, j)).collect();
+
+        // Restricted: the first ticket is the query's cold solve here.
+        let restricted = ask(first_block.clone());
+        assert_eq!(restricted.cold_solves, 1);
+        assert!(restricted.cold_products > 0);
+        assert_eq!(restricted.cold_products, engine.ops());
+        assert_eq!(restricted.cache_hits, 0);
+
+        // Extending: rows outside the closure grow it, no second solve.
+        let extended = ask(other_block);
+        assert_eq!(extended.cold_solves, 1);
+        assert!(extended.cold_products > restricted.cold_products);
+        assert_eq!(extended.cold_products, engine.ops());
+        assert_eq!(extended.cache_hits, 0, "kernels ran for this ticket");
+
+        // Covered: the rows are there, no kernel runs, a cache hit.
+        let covered = ask(first_block);
+        assert_eq!(covered.cold_solves, 1);
+        assert_eq!(covered.cold_products, extended.cold_products);
+        assert_eq!(covered.cold_products, engine.ops());
+        assert_eq!(covered.cache_hits, 1);
+
+        // A full answer needs every row: the all-pairs closure is solved
+        // (a second cold solve), and named pairs probe it from then on.
+        let all = service.enqueue(q, vec![]).unwrap().wait().unwrap();
+        assert_eq!(all.pairs, full.start_pairs());
+        let after_full = ask(vec![(1, 1), (9, 12)]);
+        assert_eq!(after_full.cold_solves, 2);
+        assert_eq!(after_full.cold_products, engine.ops());
+        assert_eq!(after_full.cache_hits, 2);
+
+        // The next epoch starts with the repaired all-pairs closure and
+        // no restricted state.
+        assert_eq!(service.add_edges(&[(0, "a", 24), (24, "b", 0)]), 2);
+        let next = service.enqueue(q, vec![(0, 0)]).unwrap().wait().unwrap();
+        assert_eq!((next.epoch, next.pairs), (1, vec![(0, 0)]));
+        let stats = service.stats();
+        assert_eq!(stats[1].cold_solves, 0);
+        assert_eq!(stats[1].cache_hits, 1);
+        assert_eq!(
+            stats[0].cold_products + stats[1].repair_products,
+            engine.ops()
+        );
     }
 
     #[test]

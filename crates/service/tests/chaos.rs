@@ -106,6 +106,79 @@ fn scheduled_panics_are_isolated_and_recovered_on_all_engines() {
     check(AdaptiveEngine::new(Device::new(2)));
 }
 
+/// A panic inside a source-restricted solve — the cold one of a
+/// named-pair ticket, then an extension of the closure it left — takes
+/// the closure down with it: the ticket fails typed, nothing half-grown
+/// is ever probed, and the retry solves again from the sources. Answers
+/// before, between and after the faults equal the sequential ones.
+#[test]
+fn panics_inside_a_restricted_solve_discard_the_closure() {
+    silence_injected_panics();
+    fn check<E: ServiceEngine + Clone>(raw: E) {
+        let grammar = chain_grammar();
+        let graph = generators::word_chain(&["a", "a", "a", "b", "b", "b"]);
+        let full = solve(&graph, &grammar, Backend::Sparse).unwrap();
+        // How many kernel launches the first lookup takes, fault-free.
+        let lookup: Vec<(u32, u32)> = vec![(2, 4), (2, 5)];
+        let clean = {
+            let counting = FaultInjector::new(raw.clone(), FaultPlan::none());
+            let service = CfpqService::with_config(counting.clone(), &graph, ServiceConfig::new(1));
+            let q = service.prepare(&grammar).unwrap();
+            wait_bounded(service.enqueue(q, lookup.clone()).unwrap()).unwrap();
+            counting.ops()
+        };
+        assert!(clean >= 2, "the lookup launches kernels");
+
+        // Op 1 dies inside the cold restricted solve; its retry runs ops
+        // 2..2+clean; the op right after lands in the extension below.
+        let second = 2 + clean;
+        let injector = FaultInjector::new(raw, FaultPlan::panic_on([1, second]));
+        let service = CfpqService::with_config(injector.clone(), &graph, ServiceConfig::new(1));
+        let q = service.prepare(&grammar).unwrap();
+        let ask = |wanted: &[(u32, u32)]| {
+            let mut failures = 0;
+            loop {
+                match wait_bounded(service.enqueue(q, wanted.to_vec()).unwrap()) {
+                    Ok(a) => break (a.pairs, failures),
+                    Err(ServiceError::WorkerPanicked) => failures += 1,
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            }
+        };
+        let expect = |wanted: &[(u32, u32)]| -> Vec<(u32, u32)> {
+            let mut hits: Vec<(u32, u32)> = wanted
+                .iter()
+                .copied()
+                .filter(|&(i, j)| full.contains("S", i, j))
+                .collect();
+            hits.sort_unstable();
+            hits
+        };
+
+        assert_eq!(ask(&lookup), (expect(&lookup), 1), "cold solve, one fault");
+        assert_eq!(injector.ops(), second);
+        // Rows 0 and 1 are new: the extension's first launch is `second`.
+        let wider: Vec<(u32, u32)> = vec![(0, 6), (1, 5), (1, 6), (2, 4)];
+        assert_eq!(ask(&wider), (expect(&wider), 1), "extension, one fault");
+        assert_eq!(injector.panics_injected(), 2);
+        // The faulted extension took the first closure with it, so this
+        // epoch solved from sources twice — and serves from what the
+        // second solve left.
+        assert_eq!(total(&service, |s| s.cold_solves), 2);
+        let ops = injector.ops();
+        assert_eq!(ask(&wider), (expect(&wider), 0));
+        assert_eq!(injector.ops(), ops, "covered rows launch nothing");
+        assert_eq!(total(&service, |s| s.worker_panics), 2);
+        await_restarts(&service, 2);
+    }
+    check(DenseEngine);
+    check(SparseEngine);
+    check(ParDenseEngine::new(Device::new(2)));
+    check(ParSparseEngine::new(Device::new(2)));
+    check(TiledEngine::new(Device::new(2)));
+    check(AdaptiveEngine::new(Device::new(2)));
+}
+
 /// Forced overload: one worker pinned inside a stalled cold solve, a
 /// burst past `max_queued` — the surplus sheds `Overloaded` with a
 /// retry hint at enqueue time, and the requests that did queue expire

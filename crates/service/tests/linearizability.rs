@@ -23,6 +23,12 @@
 //! growth batch brings into range mid-run): those must read "not
 //! related", never panic a worker.
 //!
+//! A second scenario keeps the service cold — named-pair tickets only,
+//! so each epoch serves them from a source-restricted closure it grows
+//! on demand — and checks the same filtered-full-answer contract across
+//! publishes and across the one full-answer ticket that switches the
+//! query over to the all-pairs closure.
+//!
 //! Inputs are generated from a fixed RNG seed (same scheme as the other
 //! fixed-seed suites), so CI replays identical interleaving *inputs* on
 //! every run; the thread count is tunable via `CFPQ_LIN_THREADS` (the CI
@@ -42,7 +48,7 @@ use cfpq_service::faults::{silence_injected_panics, FaultInjector, FaultPlan};
 use cfpq_service::{Backoff, CfpqService, PairPaths, ServiceConfig, ServiceEngine, ServiceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Base RNG seed shared with the workspace's other fixed-seed suites.
@@ -416,6 +422,122 @@ fn concurrent_observations_match_a_sequential_execution() {
         check_engine(TiledEngine::new(Device::new(2)), &w, &grammar, &wcnf);
         check_engine(AdaptiveEngine::new(Device::new(2)), &w, &grammar, &wcnf);
     }
+}
+
+/// Named-pair tickets on a service that holds no all-pairs closure are
+/// served from a source-restricted closure, grown ticket by ticket and
+/// dropped at every publish. Two clients keep asking for different rows
+/// — so both workers extend the same closure concurrently — while the
+/// writer publishes epochs and, half-way, sends the one full-answer
+/// ticket that makes the service solve (and from then on carry) the
+/// whole closure. Every answer must equal its epoch's full answer
+/// filtered to the pairs it named, whichever closure served it.
+fn check_cold_named_tickets<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg) {
+    let wcnf = grammar.to_wcnf(CnfOptions::default()).unwrap();
+    let expected = reference_answers(workload, &wcnf);
+    let service = CfpqService::with_config(engine, &workload.base, ServiceConfig::new(2));
+    let rel = service.prepare(grammar).unwrap();
+    const FULL_AFTER_BATCH: usize = 2;
+
+    type NamedObs = (u64, Vec<(u32, u32)>, Vec<(u32, u32)>);
+    let done = AtomicBool::new(false);
+    let served = AtomicUsize::new(0);
+    let observations: Vec<NamedObs> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2u32)
+            .map(|c| {
+                let service = &service;
+                let done = &done;
+                let served = &served;
+                s.spawn(move || {
+                    let mut obs: Vec<NamedObs> = Vec::new();
+                    let mut round = 0u32;
+                    let mut after_done = 0;
+                    while after_done < 2 || round < 12 {
+                        if done.load(Ordering::Relaxed) {
+                            after_done += 1;
+                        }
+                        // Two source rows per ticket, rotating through
+                        // (and past) the node universe.
+                        let rows = [(round * 2 + c) % 13, (round * 5 + 3 * c) % 13];
+                        let mut wanted: Vec<(u32, u32)> = rows
+                            .iter()
+                            .flat_map(|&i| (0..12u32).map(move |j| (i, j)))
+                            .collect();
+                        wanted.push((rows[0], u32::MAX));
+                        let answer = service
+                            .enqueue(rel, wanted.clone())
+                            .unwrap()
+                            .wait()
+                            .unwrap();
+                        obs.push((answer.epoch, wanted, answer.pairs));
+                        served.fetch_add(1, Ordering::Relaxed);
+                        round += 1;
+                    }
+                    obs
+                })
+            })
+            .collect();
+        for (b, batch) in workload.batches.iter().enumerate() {
+            // Every epoch gets to serve a ticket that was enqueued on it.
+            let seen = served.load(Ordering::Relaxed);
+            while served.load(Ordering::Relaxed) < seen + 3 {
+                std::thread::yield_now();
+            }
+            let edges: Vec<(u32, &str, u32)> =
+                batch.iter().map(|(u, l, v)| (*u, l.as_str(), *v)).collect();
+            assert!(service.add_edges(&edges) > 0);
+            if b == FULL_AFTER_BATCH {
+                let full = service.enqueue(rel, vec![]).unwrap().wait().unwrap();
+                assert_eq!(full.pairs, expected[full.epoch as usize]);
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client panicked"))
+            .collect()
+    });
+
+    assert!(!observations.is_empty());
+    for (epoch, wanted, pairs) in &observations {
+        let full = &expected[*epoch as usize];
+        let mut filtered: Vec<(u32, u32)> = wanted
+            .iter()
+            .copied()
+            .filter(|p| full.binary_search(p).is_ok())
+            .collect();
+        filtered.sort_unstable();
+        filtered.dedup();
+        assert_eq!(
+            pairs, &filtered,
+            "named ticket at epoch {epoch} diverges from the filtered full answer"
+        );
+    }
+    // Which closure served: before the full-answer ticket no epoch had an
+    // all-pairs closure to carry over, so whatever it served it solved
+    // from the sources; afterwards every epoch inherits the repaired one.
+    let stats = service.stats();
+    let (sourced, carried) = stats.split_at(FULL_AFTER_BATCH + 2);
+    for s in sourced {
+        assert_eq!(s.repairs, 0, "epoch {}: nothing to carry over", s.epoch);
+        assert!(s.cold_solves >= 1, "epoch {}: solved from sources", s.epoch);
+        assert!(s.cold_products > 0, "epoch {}", s.epoch);
+    }
+    for s in carried {
+        assert_eq!((s.repairs, s.cold_solves), (1, 0), "epoch {}", s.epoch);
+    }
+}
+
+#[test]
+fn cold_named_tickets_match_the_filtered_full_answer() {
+    let grammar = Cfg::parse("S -> a S b | a b | S S").unwrap();
+    let w = workload(RNG_SEED.wrapping_add(11));
+    check_cold_named_tickets(SparseEngine, &w, &grammar);
+    check_cold_named_tickets(DenseEngine, &w, &grammar);
+    check_cold_named_tickets(ParDenseEngine::new(Device::new(2)), &w, &grammar);
+    check_cold_named_tickets(ParSparseEngine::new(Device::new(2)), &w, &grammar);
+    check_cold_named_tickets(TiledEngine::new(Device::new(2)), &w, &grammar);
+    check_cold_named_tickets(AdaptiveEngine::new(Device::new(2)), &w, &grammar);
 }
 
 /// The chaos variant: the same fixed-seed workload, served through a

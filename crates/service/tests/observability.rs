@@ -329,3 +329,91 @@ fn only_full_answer_tickets_materialize_a_relation() {
         .expect("the extraction has a parent span");
     assert_eq!(batch.name, "batch", "charged to the batch that asked");
 }
+
+/// "Did this ticket pay for the whole closure" is answerable from its
+/// trace: a named-pair ticket on a cold service solves from its sources
+/// — one `"solve"` span, `mode = "sources"`, under the ticket's batch,
+/// saying how many sources it was given, how many rows they drew in and
+/// how many products that took — and only the full-answer ticket after
+/// it runs the all-pairs `mode = "cold"` solve.
+#[test]
+fn named_pair_tickets_solve_from_sources_not_the_whole_closure() {
+    let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+    let chain = cfpq_graph::generators::word_chain(&["a", "a", "b", "b"]);
+    let collector = Arc::new(SpanCollector::new());
+    let service = CfpqService::with_observability(
+        SparseEngine,
+        &chain,
+        ServiceConfig::new(1),
+        collector.clone(),
+    );
+    let q = service.prepare(&grammar).unwrap();
+    let solves = || -> Vec<Span> {
+        collector
+            .spans()
+            .into_iter()
+            .filter(|s| s.name == "solve")
+            .collect()
+    };
+    let mode = |s: &Span| match attr(s, "mode") {
+        Some(cfpq_obs::AttrValue::Str(m)) => *m,
+        other => panic!("solve span without a mode: {other:?}"),
+    };
+
+    let named = service.enqueue(q, vec![(1, 3), (1, 4)]).unwrap();
+    let named = named.wait().unwrap();
+    assert_eq!(named.pairs, vec![(1, 3)]);
+    let after_named = solves();
+    assert_eq!(after_named.len(), 1, "one solve for the named ticket");
+    let sources = &after_named[0];
+    assert_eq!(mode(sources), "sources");
+    assert_eq!(u64_attr(sources, "sources"), Some(2), "one per named pair");
+    let rows = u64_attr(sources, "rows_demanded").expect("rows_demanded");
+    assert!((1..5).contains(&rows), "demand stayed partial: {rows} rows");
+    assert!(u64_attr(sources, "products").unwrap() > 0);
+
+    // The same rows again: the closure covers them, no kernel runs.
+    service.enqueue(q, vec![(1, 3)]).unwrap().wait().unwrap();
+    let covered = solves();
+    assert_eq!(covered.len(), 2);
+    assert_eq!(mode(&covered[1]), "sources");
+    assert_eq!(u64_attr(&covered[1], "products"), Some(0));
+    assert!(covered.iter().all(|s| mode(s) != "cold"));
+
+    let full = service.enqueue(q, vec![]).unwrap().wait().unwrap();
+    assert_eq!(full.pairs, vec![(0, 4), (1, 3)]);
+    let after_full = solves();
+    assert_eq!(after_full.len(), 3);
+    assert_eq!(mode(&after_full[2]), "cold", "the full answer pays for it");
+
+    drop(service);
+    let all = collector.spans();
+    check_well_formed(&all).expect("span tree is well-formed");
+    // The restricted solve sits under the batch of the ticket that asked,
+    // whose trace names that ticket's span.
+    let batch = all
+        .iter()
+        .find(|s| s.id == sources.parent)
+        .expect("the solve has a parent span");
+    assert_eq!(batch.name, "batch");
+    let ticket = named.trace.expect("instrumented service attaches traces");
+    assert!(all
+        .iter()
+        .any(|s| s.name == "ticket" && s.id == ticket.span.0));
+    let kernels_under = all
+        .iter()
+        .filter(|s| s.name == "kernel")
+        .filter(|k| {
+            let mut cur = k.parent;
+            while cur != 0 && cur != sources.id {
+                cur = all.iter().find(|s| s.id == cur).map_or(0, |s| s.parent);
+            }
+            cur == sources.id
+        })
+        .count();
+    assert_eq!(
+        kernels_under as u64,
+        u64_attr(sources, "products").unwrap(),
+        "every product of the restricted solve is one kernel span under it"
+    );
+}

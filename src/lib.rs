@@ -54,10 +54,11 @@ pub mod prelude {
     pub use cfpq_core::query::{solve, solve_with, Backend, QueryAnswer};
     pub use cfpq_core::regular::{solve_regular, Nfa};
     pub use cfpq_core::relational::{
-        solve_on_engine, solve_set_matrix, FixpointSolver, SolveStats, Strategy,
+        solve_on_engine, solve_set_matrix, FixpointSolver, SolveStats, SourceClosure, Strategy,
     };
     pub use cfpq_core::session::{
-        AllPathsId, CfpqSession, GraphIndex, PreparedQuery, QueryId, SessionError, SinglePathId,
+        extend_prepared_from, solve_prepared, solve_prepared_from, AllPathsId, CfpqSession,
+        GraphIndex, PreparedQuery, QueryId, SessionError, SinglePathId,
     };
     pub use cfpq_core::single_path::{
         extract_path, solve_single_path, validate_witness, SinglePathSolver,
