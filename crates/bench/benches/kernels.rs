@@ -1,5 +1,4 @@
-//! Kernel-level Criterion benches for the masked multiplication path —
-//! the per-operation counterpart of the solver-level ablations.
+//! Kernel-level Criterion benches for the masked multiplication path.
 //!
 //! Measures, per representation:
 //!
@@ -10,7 +9,7 @@
 //! * `multiply` + `difference` vs the fused `multiply_masked` — what the
 //!   engine-default fallback costs against the real kernels;
 //! * batched masked products on the parallel device — the §7 "one
-//!   kernel per rule" overlap the `MaskedDelta` sweep relies on;
+//!   kernel per rule" overlap the solver's sweep relies on;
 //! * tiled vs dense vs CSR products across densities — where each
 //!   representation's crossover sits, on uniform random structure and
 //!   on the clustered block-diagonal structure the tiled backend

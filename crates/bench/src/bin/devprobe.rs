@@ -8,7 +8,7 @@
 //! cargo run --release -p cfpq-bench --bin devprobe
 //! ```
 
-use cfpq_core::relational::{solve_on_engine, FixpointSolver, Strategy};
+use cfpq_core::relational::FixpointSolver;
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_graph::ontology::evaluation_suite;
 use cfpq_matrix::{CsrMatrix, Device, ParSparseEngine, SparseEngine};
@@ -22,7 +22,7 @@ fn main() {
         .unwrap();
 
     let t = Instant::now();
-    let idx = solve_on_engine(&SparseEngine, g3, &q1);
+    let idx = FixpointSolver::new(&SparseEngine).solve(g3, &q1);
     println!("serial solve: {:?} ({} iters)", t.elapsed(), idx.iterations);
 
     let workers = std::thread::available_parallelism()
@@ -31,27 +31,9 @@ fn main() {
     let dev = Device::new(workers);
     let e = ParSparseEngine::new(dev.clone());
     let t = Instant::now();
-    let idx = solve_on_engine(&e, g3, &q1);
-    println!(
-        "par({workers}) solve: {:?} ({} iters)",
-        t.elapsed(),
-        idx.iterations
-    );
-
-    let t = Instant::now();
-    let idx = FixpointSolver::new(&e)
-        .strategy(Strategy::Batched)
-        .solve(g3, &q1);
-    println!(
-        "par({workers}) batched solve: {:?} ({} iters)",
-        t.elapsed(),
-        idx.iterations
-    );
-
-    let t = Instant::now();
     let idx = FixpointSolver::new(&e).solve(g3, &q1);
     println!(
-        "par({workers}) masked-delta solve: {:?} ({} iters, {} products, {} skipped)",
+        "par({workers}) solve: {:?} ({} iters, {} products, {} skipped)",
         t.elapsed(),
         idx.iterations,
         idx.stats.products_computed,

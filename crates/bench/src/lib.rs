@@ -1,10 +1,11 @@
 //! # cfpq-bench
 //!
 //! The evaluation harness reproducing §6 of the paper: Table 1 (Query 1)
-//! and Table 2 (Query 2) over the 14-dataset suite, plus ablation
-//! utilities shared by the Criterion benches.
+//! and Table 2 (Query 2) over the 14-dataset suite, shared by the
+//! `reproduce` binary and the Criterion benches.
 //!
-//! Column mapping (see DESIGN.md §3 for the GPU substitution):
+//! Column mapping (the README's "Paper → implementation map" explains
+//! the GPU substitution):
 //!
 //! | paper column | this harness |
 //! |---|---|
@@ -12,31 +13,24 @@
 //! | dGPU | dense matrices on the parallel device (`dense-par`) |
 //! | sCPU | serial CSR (`sparse`) |
 //! | sGPU | CSR on the parallel device (`sparse-par`) |
+//! | — | 64×64 block tiles on the parallel device (`tiled`) |
 //!
 //! Like the paper ("We omit dGPU performance on graphs g1, g2 and g3
 //! since a dense matrix representation leads to a significant performance
 //! degradation with the graph size growth"), the dense backend is skipped
 //! on g1–g3.
 //!
-//! All matrix columns run the default masked semi-naive pipeline
-//! (`Strategy::MaskedDelta`); each row also times the paper-literal
-//! naive loop on the serial CSR backend and reports both runs' kernel
-//! counters, so the JSON output doubles as the perf trajectory we hold
-//! future changes to (`BENCH_*.json`).
+//! Every matrix column runs [`FixpointSolver`]'s masked semi-naive loop;
+//! each row also reports the serial CSR run's kernel counters. Sessions,
+//! the service, single-path and RPQ evaluation are measured by the
+//! whole-stack benchmark in `benchmark/`, not here.
 
 use cfpq_baselines::gll::GllSolver;
-use cfpq_core::relational::{FixpointSolver, SolveOptions, SolveStats, Strategy};
-use cfpq_core::session::{CfpqSession, PreparedQuery};
-use cfpq_core::single_path::{
-    extract_path, solve_single_path_oracle, validate_witness, SinglePathSolver,
-};
+use cfpq_core::relational::{FixpointSolver, SolveStats};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{queries, Cfg, Wcnf};
 use cfpq_graph::ontology::{evaluation_suite, Dataset};
-use cfpq_graph::{generators, Graph};
-use cfpq_matrix::{
-    AdaptiveEngine, BoolMat, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
-};
+use cfpq_matrix::{Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -68,27 +62,22 @@ impl Query {
 }
 
 /// Kernel-work counters of one fixpoint run, serialized into the
-/// `reproduce --json` output so `BENCH_*.json` files carry the perf
-/// trajectory (per-sweep nnz, products launched, products avoided).
+/// `reproduce --json` output (per-sweep nnz, products launched, products
+/// avoided).
 #[derive(Clone, Debug, Serialize)]
 pub struct SweepStats {
     /// Fixpoint sweeps until no change.
     pub sweeps: usize,
     /// Matrix products actually launched.
     pub products_computed: usize,
-    /// Products avoided by shared-pair dedup, empty-Δ skipping (delta
-    /// strategies only).
+    /// Products avoided by shared-pair dedup and empty-Δ skipping.
     pub products_skipped: usize,
     /// `Σ_A nnz(T_A)` after each sweep.
     pub sweep_nnz: Vec<usize>,
     /// Tile products the tiled kernels skipped (empty tile-rows,
     /// saturated mask tiles); 0 on non-tiled engines.
     pub tiles_skipped: u64,
-    /// Representation conversions the adaptive engine performed at its
-    /// per-nonterminal per-sweep decision points; 0 elsewhere.
-    pub repr_switches: u64,
-    /// Per-nonterminal `nnz(T_A)` at the fixpoint — the observable the
-    /// adaptive policy decides representations from.
+    /// Per-nonterminal `nnz(T_A)` at the fixpoint.
     pub nt_nnz: Vec<usize>,
 }
 
@@ -100,15 +89,12 @@ impl SweepStats {
             products_skipped: stats.products_skipped,
             sweep_nnz: stats.sweep_nnz.clone(),
             tiles_skipped: stats.tiles_skipped,
-            repr_switches: stats.repr_switches,
             nt_nnz: stats.nt_nnz.clone(),
         }
     }
 }
 
-/// One row of a reproduced table. The matrix columns run the default
-/// [`Strategy::MaskedDelta`] pipeline; `sparse_naive_ms`/`naive` keep
-/// the paper-literal loop as the in-row ablation baseline.
+/// One row of a reproduced table.
 #[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// Dataset name (skos … g3).
@@ -125,23 +111,14 @@ pub struct Row {
     /// dGPU column (dense-par), milliseconds; `None` on g1–g3 as in the
     /// paper.
     pub dense_par_ms: Option<f64>,
-    /// sCPU column (sparse serial, masked-delta), milliseconds.
+    /// sCPU column (sparse serial), milliseconds.
     pub sparse_ms: f64,
-    /// sGPU column (sparse-par, masked-delta), milliseconds.
+    /// sGPU column (sparse-par), milliseconds.
     pub sparse_par_ms: f64,
-    /// Block-tiled backend (tiled, masked-delta), milliseconds.
+    /// Block-tiled backend (tiled), milliseconds.
     pub tiled_ms: f64,
-    /// Adaptive per-nonterminal representation engine, milliseconds.
-    pub adaptive_ms: f64,
-    /// sCPU with the paper-literal naive loop, milliseconds (ablation).
-    pub sparse_naive_ms: f64,
-    /// Work counters of the sparse masked-delta run.
-    pub masked: SweepStats,
-    /// Work counters of the sparse naive run.
-    pub naive: SweepStats,
-    /// Work counters of the adaptive run (carries the tile-skip and
-    /// representation-switch observables).
-    pub adaptive: SweepStats,
+    /// Work counters of the sCPU run.
+    pub sparse: SweepStats,
 }
 
 /// Times a closure in milliseconds.
@@ -151,10 +128,8 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Runs all four implementations of one query on one dataset (plus the
-/// paper-literal naive loop as an in-row ablation) and checks they
-/// report the same `#results`. Matrix backends run the default
-/// [`Strategy::MaskedDelta`] pipeline.
+/// Runs GLL and the four matrix engines on one query and one dataset
+/// and checks they report the same `#results`.
 pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
     let cfg = query.grammar();
     let wcnf: Wcnf = cfg
@@ -175,21 +150,11 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
     let (gll_store, gll_ms) = time_ms(|| GllSolver::new(&cfg, graph).solve(graph, start_cfg));
     let gll_results = gll_store.count(start_cfg);
 
-    // sCPU: serial CSR, default (masked-delta) pipeline.
+    // sCPU: serial CSR.
     let (sparse_idx, sparse_ms) =
         time_ms(|| FixpointSolver::new(&SparseEngine).solve(graph, &wcnf));
     let results = sparse_idx.matrices[start_wcnf.index()].nnz();
-    let masked = SweepStats::of(sparse_idx.iterations, &sparse_idx.stats);
-
-    // sCPU with the paper-literal Algorithm 1 loop: the in-row ablation
-    // showing what masking + semi-naive evaluation buys.
-    let (naive_idx, sparse_naive_ms) = time_ms(|| {
-        FixpointSolver::new(&SparseEngine)
-            .strategy(Strategy::Naive)
-            .solve(graph, &wcnf)
-    });
-    let naive_results = naive_idx.matrices[start_wcnf.index()].nnz();
-    let naive = SweepStats::of(naive_idx.iterations, &naive_idx.stats);
+    let sparse = SweepStats::of(sparse_idx.iterations, &sparse_idx.stats);
 
     // sGPU: parallel CSR (per-kernel offload above the work threshold,
     // mirroring CUSPARSE per-multiply offload).
@@ -201,12 +166,6 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
     let engine = TiledEngine::new(device());
     let (tiled_idx, tiled_ms) = time_ms(|| FixpointSolver::new(&engine).solve(graph, &wcnf));
     let tiled_results = tiled_idx.matrices[start_wcnf.index()].nnz();
-
-    // Adaptive per-nonterminal representation selection.
-    let engine = AdaptiveEngine::new(device());
-    let (adaptive_idx, adaptive_ms) = time_ms(|| FixpointSolver::new(&engine).solve(graph, &wcnf));
-    let adaptive_results = adaptive_idx.matrices[start_wcnf.index()].nnz();
-    let adaptive = SweepStats::of(adaptive_idx.iterations, &adaptive_idx.stats);
 
     // dGPU: parallel dense; skipped on the large repeated graphs, as in
     // the paper.
@@ -225,11 +184,6 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
         dataset.name
     );
     assert_eq!(
-        naive_results, results,
-        "naive vs masked-delta #results mismatch on {}",
-        dataset.name
-    );
-    assert_eq!(
         spar_results, results,
         "sparse-par #results mismatch on {}",
         dataset.name
@@ -244,11 +198,6 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
         "tiled #results mismatch on {}",
         dataset.name
     );
-    assert_eq!(
-        adaptive_results, results,
-        "adaptive #results mismatch on {}",
-        dataset.name
-    );
 
     Row {
         dataset: dataset.name.clone(),
@@ -260,11 +209,7 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
         sparse_ms,
         sparse_par_ms,
         tiled_ms,
-        adaptive_ms,
-        sparse_naive_ms,
-        masked,
-        naive,
-        adaptive,
+        sparse,
     }
 }
 
@@ -281,7 +226,7 @@ pub fn render_table(query: Query, rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{}\n", query.table_name()));
     out.push_str(&format!(
-        "{:<30} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>7} {:>7}\n",
+        "{:<30} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7}\n",
         "Ontology",
         "#triples",
         "#results",
@@ -290,14 +235,12 @@ pub fn render_table(query: Query, rows: &[Row]) -> String {
         "sCPU(ms)",
         "sGPU(ms)",
         "tile(ms)",
-        "adpt(ms)",
-        "naive(ms)",
         "#prod",
         "#skip"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<30} {:>8} {:>9} {:>9.0} {:>9} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>10.0} {:>7} {:>7}\n",
+            "{:<30} {:>8} {:>9} {:>9.0} {:>9} {:>9.0} {:>9.0} {:>9.0} {:>7} {:>7}\n",
             r.dataset,
             r.triples,
             r.results,
@@ -308,1771 +251,8 @@ pub fn render_table(query: Query, rows: &[Row]) -> String {
             r.sparse_ms,
             r.sparse_par_ms,
             r.tiled_ms,
-            r.adaptive_ms,
-            r.sparse_naive_ms,
-            r.masked.products_computed,
-            r.masked.products_skipped,
-        ));
-    }
-    out
-}
-
-/// One row of the incremental-update scenario: on one dataset, hold out
-/// the last `batch` edges, solve the truncated graph through a
-/// [`CfpqSession`], insert the held-out batch via `add_edges`, and
-/// re-query — comparing the session's semi-naive repair against a cold
-/// from-scratch solve of the full graph. The row asserts result equality
-/// and that the repair launched strictly fewer matrix products (the PR's
-/// acceptance criterion, re-checked on every `reproduce` run).
-#[derive(Clone, Debug, Serialize)]
-pub struct IncrementalRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// `"Q1"` or `"Q2"`.
-    pub query: String,
-    /// Edges held out of the index build and inserted via `add_edges`.
-    pub batch: usize,
-    /// `|R_S|` on the full graph (identical for both paths — asserted).
-    pub results: usize,
-    /// Cold from-scratch solve of the full graph, milliseconds.
-    pub cold_ms: f64,
-    /// Session re-query after `add_edges` (the semi-naive repair),
-    /// milliseconds.
-    pub incremental_ms: f64,
-    /// Wall time of the `add_edges` call itself (shared by the rows of
-    /// one batch: the index absorbs the batch once for all queries).
-    pub insert_ms: f64,
-    /// Products launched by the cold solve.
-    pub cold_products: usize,
-    /// Products launched by the incremental repair (strictly fewer —
-    /// asserted).
-    pub incremental_products: usize,
-    /// Fixpoint sweeps of the incremental repair.
-    pub incremental_sweeps: usize,
-}
-
-/// Splits a dataset graph into a truncated base graph plus the last
-/// `batch` *query-relevant* held-out edges (ontology graphs end in
-/// inert padding predicates — holding only those out would make every
-/// repair trivially empty). Shared by the incremental and single-path
-/// scenarios and their Criterion benches, so the hold-out policy cannot
-/// drift between them. Panics if no relevant edge exists.
-pub fn hold_out_edges(
-    graph: &Graph,
-    batch: usize,
-    relevant: impl Fn(&str) -> bool,
-) -> (Graph, Vec<(u32, &str, u32)>) {
-    let held_idx: std::collections::HashSet<usize> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .rev()
-        .filter(|(_, e)| relevant(graph.label_name(e.label)))
-        .take(batch)
-        .map(|(i, _)| i)
-        .collect();
-    assert!(!held_idx.is_empty(), "dataset has no query-relevant edges");
-    let mut base = Graph::new(graph.n_nodes());
-    let mut held: Vec<(u32, &str, u32)> = Vec::with_capacity(held_idx.len());
-    for (i, e) in graph.edges().iter().enumerate() {
-        if held_idx.contains(&i) {
-            held.push((e.from, graph.label_name(e.label), e.to));
-        } else {
-            base.add_edge_named(e.from, graph.label_name(e.label), e.to);
-        }
-    }
-    (base, held)
-}
-
-/// Runs the incremental scenario on one dataset for several batch sizes:
-/// per batch size, one session serves both evaluation queries (build
-/// index once, run 2 queries, insert the batch, re-query both).
-pub fn run_incremental(dataset: &Dataset, batches: &[usize]) -> Vec<IncrementalRow> {
-    batches
-        .iter()
-        .flat_map(|&k| run_incremental_batch(dataset, k))
-        .collect()
-}
-
-fn run_incremental_batch(dataset: &Dataset, batch: usize) -> Vec<IncrementalRow> {
-    assert!(batch >= 1, "the scenario needs at least one held-out edge");
-    let graph = &dataset.graph;
-    let wcnfs: Vec<(Query, Wcnf)> = [Query::Q1, Query::Q2]
-        .into_iter()
-        .map(|q| {
-            let wcnf = q
-                .grammar()
-                .to_wcnf(CnfOptions::default())
-                .expect("query normalizes");
-            (q, wcnf)
-        })
-        .collect();
-
-    // Hold out the last `batch` edges the queries can actually
-    // traverse. With the §6 edge ordering these are type/type_r edges:
-    // Q1 performs a real multi-sweep repair while Q2 — whose alphabet
-    // the batch never touches — repairs for free, demonstrating that a
-    // session only charges the queries an update actually affects.
-    let relevant: std::collections::HashSet<String> = wcnfs
-        .iter()
-        .flat_map(|(_, w)| w.symbols.terms().map(|(_, name)| name.to_owned()))
-        .collect();
-    let (base, held) = hold_out_edges(graph, batch, |name| relevant.contains(name));
-    let batch = held.len();
-
-    // Build the index once; prepare and warm both queries against the
-    // truncated graph.
-    let mut session = CfpqSession::new(SparseEngine, &base);
-    let prepared: Vec<(Query, Wcnf, cfpq_core::session::QueryId)> = wcnfs
-        .into_iter()
-        .map(|(q, wcnf)| {
-            let id = session.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
-            (q, wcnf, id)
-        })
-        .collect();
-    for (_, _, id) in &prepared {
-        session.evaluate(*id);
-    }
-
-    // Absorb the held-out edges (once, for every prepared query).
-    let (inserted, insert_ms) = time_ms(|| session.add_edges(&held));
-    assert_eq!(inserted, batch, "held-out edges are new by construction");
-
-    prepared
-        .into_iter()
-        .map(|(q, wcnf, id)| {
-            let (answer, incremental_ms) = time_ms(|| session.evaluate(id));
-            let run = session.last_run(id).expect("query evaluated").clone();
-            assert!(run.incremental || batch == 0, "re-query must be a repair");
-
-            let (cold_idx, cold_ms) =
-                time_ms(|| FixpointSolver::new(&SparseEngine).solve(graph, &wcnf));
-            let cold_results = cold_idx.matrices[wcnf.start.index()].nnz();
-            assert_eq!(
-                answer.start_count(),
-                cold_results,
-                "incremental vs cold #results mismatch on {} {:?}",
-                dataset.name,
-                q
-            );
-            assert!(
-                run.stats.products_computed < cold_idx.stats.products_computed,
-                "incremental repair must launch fewer products than a cold solve \
-                 ({} vs {}) on {} {:?}",
-                run.stats.products_computed,
-                cold_idx.stats.products_computed,
-                dataset.name,
-                q
-            );
-            IncrementalRow {
-                dataset: dataset.name.clone(),
-                query: format!("{q:?}"),
-                batch,
-                results: cold_results,
-                cold_ms,
-                incremental_ms,
-                insert_ms,
-                cold_products: cold_idx.stats.products_computed,
-                incremental_products: run.stats.products_computed,
-                incremental_sweeps: run.sweeps,
-            }
-        })
-        .collect()
-}
-
-/// Renders incremental rows as a table.
-pub fn render_incremental(rows: &[IncrementalRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Incremental updates (session add_edges vs cold re-solve)\n");
-    out.push_str(&format!(
-        "{:<10} {:>3} {:>6} {:>9} {:>9} {:>9} {:>10} {:>10} {:>7}\n",
-        "Dataset",
-        "Q",
-        "batch",
-        "#results",
-        "cold(ms)",
-        "incr(ms)",
-        "cold#prod",
-        "incr#prod",
-        "sweeps"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>3} {:>6} {:>9} {:>9.1} {:>9.1} {:>10} {:>10} {:>7}\n",
-            r.dataset,
-            r.query,
-            r.batch,
-            r.results,
-            r.cold_ms,
-            r.incremental_ms,
-            r.cold_products,
-            r.incremental_products,
-            r.incremental_sweeps,
-        ));
-    }
-    out
-}
-
-/// One row of the single-path (§5) scenario on one dataset: the
-/// engine-backed masked semi-naive length closure vs the seed-era naive
-/// `O(n³)` flat-table oracle on Q1, plus a `CfpqSession` single-path
-/// repair after a held-out edge batch. The row asserts (a) identical
-/// pair sets across the oracle, the engine pipeline and the relational
-/// index, (b) a CYK-validated witness extraction sample, and (c) the
-/// repair launching strictly fewer length-kernel products than the cold
-/// closure — the PR-4 acceptance criteria, re-checked on every
-/// `reproduce` run.
-#[derive(Clone, Debug, Serialize)]
-pub struct SinglePathRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// `#triples` column.
-    pub triples: usize,
-    /// Graph node count.
-    pub nodes: usize,
-    /// `|R_S|` of the single-path index (== relational — asserted).
-    pub results: usize,
-    /// Naive `O(n³)` flat-table oracle, milliseconds.
-    pub oracle_ms: f64,
-    /// Engine-backed masked semi-naive length closure (serial CSR),
-    /// milliseconds.
-    pub masked_ms: f64,
-    /// Work counters of the masked length closure.
-    pub masked: SweepStats,
-    /// Work counters of the oracle run (one "product" per rule-sweep).
-    pub oracle: SweepStats,
-    /// Edges held out of the session build and re-inserted via
-    /// `add_edges`.
-    pub batch: usize,
-    /// Session single-path re-query after `add_edges` (the semi-naive
-    /// length repair), milliseconds.
-    pub sp_repair_ms: f64,
-    /// Length-kernel products launched by the repair (strictly fewer
-    /// than the cold closure — asserted).
-    pub sp_repair_products: usize,
-    /// Length-kernel products of the cold masked closure.
-    pub sp_cold_products: usize,
-    /// Fixpoint sweeps of the repair.
-    pub sp_repair_sweeps: usize,
-}
-
-/// Runs the single-path scenario on one dataset (Q1). With
-/// `check_speed`, additionally asserts the engine-backed closure beats
-/// the oracle on wall time — enforced on the large full-mode datasets,
-/// where the `O(n³)` loop is orders of magnitude behind; tiny smoke
-/// graphs only assert correctness.
-pub fn run_single_path(dataset: &Dataset, batch: usize, check_speed: bool) -> SinglePathRow {
-    let wcnf: Wcnf = queries::query1()
-        .to_wcnf(CnfOptions::default())
-        .expect("Q1 normalizes");
-    let start = wcnf.start;
-    let graph = &dataset.graph;
-
-    // The seed-era naive loop (the test oracle) vs the engine pipeline.
-    let (oracle_idx, oracle_ms) =
-        time_ms(|| solve_single_path_oracle(graph, &wcnf, SolveOptions::default()));
-    let (masked_idx, masked_ms) =
-        time_ms(|| SinglePathSolver::new(&SparseEngine).solve(graph, &wcnf));
-    let results = masked_idx.count(start);
-    assert_eq!(
-        masked_idx.pairs(start),
-        oracle_idx.pairs(start),
-        "engine vs oracle pair-set mismatch on {}",
-        dataset.name
-    );
-    let relational = FixpointSolver::new(&SparseEngine).solve(graph, &wcnf);
-    assert_eq!(
-        masked_idx.pairs(start),
-        relational.pairs(start),
-        "single-path vs relational pair-set mismatch on {}",
-        dataset.name
-    );
-    if check_speed {
-        assert!(
-            masked_ms < oracle_ms,
-            "engine-backed closure must beat the naive oracle on {} ({masked_ms:.1} vs {oracle_ms:.1} ms)",
-            dataset.name
-        );
-    }
-    // Theorem-5 sample: the first recorded witness extracts and
-    // re-validates against the grammar.
-    if let Some((i, j, len)) = masked_idx.pairs_with_lengths(start).first().copied() {
-        let path = extract_path(&masked_idx, graph, &wcnf, start, i, j).expect("witness extracts");
-        assert_eq!(path.len() as u32, len, "witness length on {}", dataset.name);
-        assert!(
-            validate_witness(&path, graph, &wcnf, start, i, j),
-            "witness invalid on {}",
-            dataset.name
-        );
-    }
-
-    // Session repair: hold out the last `batch` Q1-relevant edges,
-    // cold-solve the rest, insert them back, re-evaluate.
-    let alphabet: std::collections::HashSet<&str> =
-        wcnf.symbols.terms().map(|(_, name)| name).collect();
-    let (base, held) = hold_out_edges(graph, batch, |name| alphabet.contains(name));
-    let batch = held.len();
-    let mut session = CfpqSession::new(SparseEngine, &base);
-    let id = session.prepare_single_path_query(PreparedQuery::from_wcnf(wcnf.clone()));
-    session.evaluate_single_path(id);
-    session.add_edges(&held);
-    let (_, sp_repair_ms) = time_ms(|| {
-        session.evaluate_single_path(id);
-    });
-    let run = session
-        .last_single_path_run(id)
-        .expect("query evaluated")
-        .clone();
-    assert!(run.incremental, "re-query must be a repair");
-    assert_eq!(
-        session.single_path_index(id).expect("solved").count(start),
-        results,
-        "repaired vs cold #results mismatch on {}",
-        dataset.name
-    );
-    assert!(
-        run.stats.products_computed < masked_idx.stats.products_computed,
-        "single-path repair must launch fewer length products than a cold solve \
-         ({} vs {}) on {}",
-        run.stats.products_computed,
-        masked_idx.stats.products_computed,
-        dataset.name
-    );
-
-    SinglePathRow {
-        dataset: dataset.name.clone(),
-        triples: dataset.triples,
-        nodes: graph.n_nodes(),
-        results,
-        oracle_ms,
-        masked_ms,
-        masked: SweepStats::of(masked_idx.iterations, &masked_idx.stats),
-        oracle: SweepStats::of(oracle_idx.iterations, &oracle_idx.stats),
-        batch,
-        sp_repair_ms,
-        sp_repair_products: run.stats.products_computed,
-        sp_cold_products: masked_idx.stats.products_computed,
-        sp_repair_sweeps: run.sweeps,
-    }
-}
-
-/// Renders single-path rows as a table.
-pub fn render_single_path(rows: &[SinglePathRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Single-path §5 (engine-backed length closure vs naive oracle, Q1)\n");
-    out.push_str(&format!(
-        "{:<10} {:>8} {:>9} {:>10} {:>10} {:>7} {:>6} {:>9} {:>10} {:>10}\n",
-        "Dataset",
-        "#triples",
-        "#results",
-        "oracle(ms)",
-        "masked(ms)",
-        "#prod",
-        "batch",
-        "repair(ms)",
-        "repair#prod",
-        "cold#prod"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>8} {:>9} {:>10.1} {:>10.1} {:>7} {:>6} {:>9.1} {:>10} {:>10}\n",
-            r.dataset,
-            r.triples,
-            r.results,
-            r.oracle_ms,
-            r.masked_ms,
-            r.masked.products_computed,
-            r.batch,
-            r.sp_repair_ms,
-            r.sp_repair_products,
-            r.sp_cold_products,
-        ));
-    }
-    out
-}
-
-/// One row of the concurrent-service scenario on one dataset: a request
-/// workload (two waves of `per_query` requests per evaluation query,
-/// separated by a held-out `add_edges` batch) served two ways and
-/// compared end to end.
-///
-/// * **Serial loop** — the pre-service status quo: requests arrive from
-///   independent callers and each one runs the one-shot solve path
-///   (`CfpqSession` is `&mut self` and not shareable across request
-///   handlers, so without the service layer every request pays its own
-///   closure).
-/// * **Service** — one [`cfpq_service::CfpqService`]: requests are enqueued as
-///   tickets, the multi-queue scheduler batches the ones sharing a
-///   grammar so each batch reuses a single cached closure, and the
-///   update publishes one repaired epoch instead of invalidating
-///   anything.
-///
-/// The row asserts the two paths produce **byte-identical per-request
-/// answer sets** and records the service's per-epoch counters; with
-/// `check_speedup` (full mode, g3 at 4 workers) it also asserts the
-/// service throughput is at least 2× the serial loop — the PR's
-/// acceptance criterion, re-checked on every `reproduce` run.
-#[derive(Clone, Debug, Serialize)]
-pub struct ServiceRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Scheduler worker threads.
-    pub workers: usize,
-    /// Total requests served (2 queries × 2 waves × `per_query`).
-    pub requests: usize,
-    /// Edges held out of the build and inserted between the waves.
-    pub batch: usize,
-    /// `|R_S|` of Q1 on the full graph.
-    pub results: usize,
-    /// Serial query loop (one-shot solve per request), milliseconds.
-    pub serial_ms: f64,
-    /// Service wall time for the same workload, milliseconds.
-    pub service_ms: f64,
-    /// `serial_ms / service_ms`.
-    pub speedup: f64,
-    /// Epochs the service published (build + one per update batch).
-    pub epochs: usize,
-    /// Publish latency of the update epoch, milliseconds (readers of the
-    /// previous epoch were never blocked during this window).
-    pub publish_ms: f64,
-    /// Requests answered across all epochs.
-    pub queries_served: u64,
-    /// Requests answered from an already-solved closure.
-    pub cache_hits: u64,
-    /// Closures cold-solved across all epochs.
-    pub cold_solves: u64,
-    /// Products launched by the cold solves.
-    pub cold_products: u64,
-    /// Closures repaired at epoch publish.
-    pub repairs: u64,
-    /// Products launched by the repairs (strictly fewer than
-    /// `cold_products` — asserted).
-    pub repair_products: u64,
-}
-
-/// Runs the service scenario on one dataset. See [`ServiceRow`] for the
-/// workload shape and what is asserted.
-pub fn run_service(
-    dataset: &Dataset,
-    workers: usize,
-    per_query: usize,
-    batch: usize,
-    check_speedup: bool,
-) -> ServiceRow {
-    use cfpq_service::{CfpqService, ServiceConfig, Ticket};
-
-    let graph = &dataset.graph;
-    let wcnfs: Vec<Wcnf> = [Query::Q1, Query::Q2]
-        .into_iter()
-        .map(|q| {
-            q.grammar()
-                .to_wcnf(CnfOptions::default())
-                .expect("query normalizes")
-        })
-        .collect();
-    let relevant: std::collections::HashSet<String> = wcnfs
-        .iter()
-        .flat_map(|w| w.symbols.terms().map(|(_, name)| name.to_owned()))
-        .collect();
-    let (base, held) = hold_out_edges(graph, batch, |name| relevant.contains(name));
-    let batch = held.len();
-
-    // Warmup (untimed): one solve per query so first-touch effects
-    // (page cache, allocator growth) don't land on either timed path.
-    for wcnf in &wcnfs {
-        let _ = FixpointSolver::new(&SparseEngine).solve(&base, wcnf);
-    }
-
-    // The serial loop: every request pays its own one-shot solve, wave 1
-    // against the truncated graph, wave 2 against the full graph.
-    let (serial_answers, serial_ms) = time_ms(|| {
-        let mut answers: Vec<Vec<(u32, u32)>> = Vec::new();
-        for wave_graph in [&base, graph] {
-            for wcnf in &wcnfs {
-                for _ in 0..per_query {
-                    let idx = FixpointSolver::new(&SparseEngine).solve(wave_graph, wcnf);
-                    answers.push(idx.pairs(wcnf.start));
-                }
-            }
-        }
-        answers
-    });
-
-    // The same workload through the service: enqueue each wave, wait for
-    // the tickets, publish the update in between.
-    let service = CfpqService::with_config(SparseEngine, &base, ServiceConfig::new(workers));
-    let ids: Vec<cfpq_service::QueryId> = wcnfs
-        .iter()
-        .map(|w| service.prepare_query(PreparedQuery::from_wcnf(w.clone())))
-        .collect();
-    let (service_answers, service_ms) = time_ms(|| {
-        let mut answers: Vec<Vec<(u32, u32)>> = Vec::new();
-        for wave in 0..2 {
-            if wave == 1 {
-                let inserted = service.add_edges(&held);
-                assert_eq!(inserted, batch, "held-out edges are new by construction");
-            }
-            let mut tickets: Vec<Ticket> = Vec::with_capacity(ids.len() * per_query);
-            for &id in &ids {
-                for _ in 0..per_query {
-                    tickets.push(service.enqueue(id, vec![]).expect("id is registered"));
-                }
-            }
-            answers.extend(
-                tickets
-                    .into_iter()
-                    .map(|t| t.wait().expect("no faults injected in this bench").pairs),
-            );
-        }
-        answers
-    });
-
-    assert_eq!(
-        service_answers, serial_answers,
-        "service vs serial answer sets must be byte-identical on {}",
-        dataset.name
-    );
-    let results = serial_answers[per_query * wcnfs.len()].len();
-
-    let stats = service.stats();
-    let epochs = stats.len();
-    assert_eq!(epochs, 2, "build epoch + one update epoch");
-    let publish_ms = stats[1].publish_ms;
-    let sum = |f: fn(&cfpq_service::ServiceStats) -> u64| stats.iter().map(f).sum::<u64>();
-    let queries_served = sum(|s| s.queries_served);
-    let cache_hits = sum(|s| s.cache_hits);
-    let cold_solves = sum(|s| s.cold_solves);
-    let cold_products = sum(|s| s.cold_products);
-    let repairs = sum(|s| s.repairs);
-    let repair_products = sum(|s| s.repair_products);
-    assert_eq!(queries_served as usize, serial_answers.len());
-    assert_eq!(
-        repairs,
-        wcnfs.len() as u64,
-        "every wave-1 closure is repaired at publish, not re-solved"
-    );
-    assert!(
-        repair_products < cold_products,
-        "epoch publish must cost less kernel work than the cold solves \
-         ({repair_products} vs {cold_products}) on {}",
-        dataset.name
-    );
-    assert!(
-        cache_hits > 0,
-        "batched requests must share cached closures"
-    );
-
-    let speedup = serial_ms / service_ms;
-    if check_speedup {
-        assert!(
-            speedup >= 2.0,
-            "service must be ≥2× the serial loop on {} ({serial_ms:.1}ms vs {service_ms:.1}ms)",
-            dataset.name
-        );
-    }
-
-    ServiceRow {
-        dataset: dataset.name.clone(),
-        workers,
-        requests: serial_answers.len(),
-        batch,
-        results,
-        serial_ms,
-        service_ms,
-        speedup,
-        epochs,
-        publish_ms,
-        queries_served,
-        cache_hits,
-        cold_solves,
-        cold_products,
-        repairs,
-        repair_products,
-    }
-}
-
-/// Renders service rows as a table.
-pub fn render_service(rows: &[ServiceRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Concurrent service (multi-queue scheduler vs serial query loop)\n");
-    out.push_str(&format!(
-        "{:<10} {:>7} {:>8} {:>10} {:>11} {:>8} {:>7} {:>6} {:>10} {:>10} {:>11}\n",
-        "Dataset",
-        "workers",
-        "#req",
-        "serial(ms)",
-        "service(ms)",
-        "speedup",
-        "#hits",
-        "epochs",
-        "pub(ms)",
-        "cold#prod",
-        "repair#prod"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>7} {:>8} {:>10.1} {:>11.1} {:>7.1}x {:>7} {:>6} {:>10.1} {:>10} {:>11}\n",
-            r.dataset,
-            r.workers,
-            r.requests,
-            r.serial_ms,
-            r.service_ms,
-            r.speedup,
-            r.cache_hits,
-            r.epochs,
-            r.publish_ms,
-            r.cold_products,
-            r.repair_products,
-        ));
-    }
-    out
-}
-
-/// One row of the faults scenario: a deterministic chaos run over one
-/// dataset, exercising the service's failure contract end to end.
-///
-/// Three sub-scenarios, all schedule-driven via
-/// [`cfpq_service::faults::FaultInjector`] (no sleeps-and-hope):
-///
-/// * **Recovery** — scheduled panics kill the first two cold-solve
-///   attempts; the client retries on `WorkerPanicked` and the third
-///   attempt's answer is asserted byte-identical to a sequential solve.
-/// * **Overload + deadlines** — a stall schedule pins the only worker
-///   inside a cold solve while a burst overruns `max_queued`: the
-///   surplus sheds `Overloaded` at enqueue, the queued remainder expires
-///   to `Deadline` at dispatch.
-/// * **Shutdown** — a bounded drain under a stalled worker resolves
-///   everything still queued to `ShuttingDown`.
-#[derive(Clone, Debug, Serialize)]
-pub struct FaultsRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Panics the schedule injected (asserted == 2).
-    pub injected_panics: u64,
-    /// Worker batches killed by those panics (asserted == injected).
-    pub worker_panics: u64,
-    /// Workers respawned by their supervisors (converges to
-    /// `worker_panics`; asserted).
-    pub worker_restarts: u64,
-    /// Client retries needed before the recovery answer (== injected).
-    pub retries: u64,
-    /// Wall time from first enqueue to the recovered answer, ms.
-    pub recovered_ms: f64,
-    /// Recovered answer matches the sequential solve (asserted).
-    pub answers_match: bool,
-    /// Burst requests shed `Overloaded` at enqueue (asserted ≥ burst −
-    /// max_queued).
-    pub requests_shed: u64,
-    /// Queued requests that expired to `Deadline` at dispatch.
-    pub deadline_expired: u64,
-    /// Tickets a zero-bound shutdown resolved to `ShuttingDown`.
-    pub shutdown_drained: usize,
-}
-
-/// Runs the faults scenario on one dataset. See [`FaultsRow`] for the
-/// three sub-scenarios and what each asserts.
-pub fn run_faults(dataset: &Dataset) -> FaultsRow {
-    use cfpq_service::faults::{silence_injected_panics, FaultInjector, FaultPlan};
-    use cfpq_service::{CfpqService, ServiceConfig, ServiceError, ServiceStats, Ticket};
-    use std::time::Duration;
-
-    silence_injected_panics();
-    let graph = &dataset.graph;
-    let wcnf = Query::Q1
-        .grammar()
-        .to_wcnf(CnfOptions::default())
-        .expect("query normalizes");
-    let expected = FixpointSolver::new(&SparseEngine)
-        .solve(graph, &wcnf)
-        .pairs(wcnf.start);
-    let total = |svc: &CfpqService<FaultInjector<SparseEngine>>, f: fn(&ServiceStats) -> u64| {
-        svc.stats().iter().map(f).sum::<u64>()
-    };
-
-    // Recovery: ops 0 and 1 — the first two kernel launches — panic, so
-    // the cold solve dies twice and the third client retry lands it.
-    let injector = FaultInjector::new(SparseEngine, FaultPlan::panic_on([0, 1]));
-    let service = CfpqService::with_config(injector.clone(), graph, ServiceConfig::new(2));
-    let q = service.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
-    let mut retries = 0u64;
-    let (pairs, recovered_ms) = time_ms(|| loop {
-        match service.enqueue(q, vec![]).expect("q is registered").wait() {
-            Ok(a) => break a.pairs,
-            Err(ServiceError::WorkerPanicked) => retries += 1,
-            Err(e) => panic!("unexpected error in the recovery scenario: {e}"),
-        }
-    });
-    let injected_panics = injector.panics_injected();
-    assert_eq!(injected_panics, 2, "the schedule fired exactly twice");
-    assert_eq!(retries, injected_panics, "one retry per injected panic");
-    let answers_match = pairs == expected;
-    assert!(answers_match, "recovered answer diverges from sequential");
-    let worker_panics = total(&service, |s| s.worker_panics);
-    assert_eq!(worker_panics, injected_panics);
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while total(&service, |s| s.worker_restarts) < worker_panics {
-        assert!(
-            Instant::now() < deadline,
-            "supervisors must respawn workers"
-        );
-        std::thread::yield_now();
-    }
-    let worker_restarts = total(&service, |s| s.worker_restarts);
-
-    // Overload + deadlines: every kernel launch after the first stalls
-    // 10ms, pinning the only worker inside the cold solve while the
-    // burst lands. max_queued=2 sheds the surplus at enqueue; the two
-    // that queued expire at dispatch (deadline 25ms ≪ the stall).
-    let injector = FaultInjector::new(
-        SparseEngine,
-        FaultPlan::none().with_delay_every(1, Duration::from_millis(10)),
-    );
-    let config = ServiceConfig::new(1)
-        .with_max_queued(2)
-        .with_default_deadline(Duration::from_millis(25));
-    let service = CfpqService::with_config(injector, graph, config);
-    let q = service.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
-    let t0 = service.enqueue(q, vec![]).expect("q is registered");
-    std::thread::sleep(Duration::from_millis(50));
-    let mut kept: Vec<Ticket> = Vec::new();
-    for _ in 0..10 {
-        match service.enqueue(q, vec![]) {
-            Ok(t) => kept.push(t),
-            Err(ServiceError::Overloaded { retry_after, .. }) => {
-                assert!(retry_after > Duration::ZERO, "shed with a retry hint");
-            }
-            Err(e) => panic!("unexpected enqueue error in the overload scenario: {e}"),
-        }
-    }
-    assert!(
-        t0.wait().is_ok(),
-        "the in-flight request was dispatched before its deadline"
-    );
-    for t in kept {
-        assert_eq!(t.wait(), Err(ServiceError::Deadline));
-    }
-    let requests_shed = total(&service, |s| s.requests_shed);
-    let deadline_expired = total(&service, |s| s.deadline_expired);
-    assert!(requests_shed >= 8, "the burst overruns max_queued=2");
-    assert_eq!(requests_shed + deadline_expired, 10);
-
-    // Shutdown: stall the worker again on a fresh service, queue three
-    // requests behind it, and drain with a zero bound — everything
-    // still queued resolves `ShuttingDown`, typed, immediately.
-    let injector = FaultInjector::new(
-        SparseEngine,
-        FaultPlan::none().with_delay_every(1, Duration::from_millis(10)),
-    );
-    let service = CfpqService::with_config(injector, graph, ServiceConfig::new(1));
-    let q = service.prepare_query(PreparedQuery::from_wcnf(wcnf));
-    let t0 = service.enqueue(q, vec![]).expect("q is registered");
-    std::thread::sleep(Duration::from_millis(30));
-    let queued: Vec<Ticket> = (0..3)
-        .map(|_| service.enqueue(q, vec![]).expect("q is registered"))
-        .collect();
-    let shutdown_drained = service.shutdown_within(Duration::ZERO);
-    assert_eq!(shutdown_drained, 3, "the zero bound drains the whole queue");
-    for t in queued {
-        assert_eq!(t.wait(), Err(ServiceError::ShuttingDown));
-    }
-    assert!(t0.wait().is_ok(), "the in-flight batch runs to completion");
-    assert_eq!(
-        service.enqueue(q, vec![]).err(),
-        Some(ServiceError::ShuttingDown),
-        "post-shutdown enqueues are rejected"
-    );
-
-    FaultsRow {
-        dataset: dataset.name.clone(),
-        injected_panics,
-        worker_panics,
-        worker_restarts,
-        retries,
-        recovered_ms,
-        answers_match,
-        requests_shed,
-        deadline_expired,
-        shutdown_drained,
-    }
-}
-
-/// Renders the faults rows.
-pub fn render_faults(rows: &[FaultsRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Fault tolerance (scheduled panics, overload shedding, bounded shutdown)\n");
-    out.push_str(&format!(
-        "{:<16} {:>8} {:>7} {:>8} {:>7} {:>12} {:>6} {:>8} {:>9} {:>8}\n",
-        "Dataset",
-        "injected",
-        "panics",
-        "restarts",
-        "retries",
-        "recover(ms)",
-        "match",
-        "shed",
-        "expired",
-        "drained"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<16} {:>8} {:>7} {:>8} {:>7} {:>12.1} {:>6} {:>8} {:>9} {:>8}\n",
-            r.dataset,
-            r.injected_panics,
-            r.worker_panics,
-            r.worker_restarts,
-            r.retries,
-            r.recovered_ms,
-            r.answers_match,
-            r.requests_shed,
-            r.deadline_expired,
-            r.shutdown_drained,
-        ));
-    }
-    out
-}
-
-/// One row of the all-paths scenario: the memoized streaming enumerator
-/// against the pre-rewrite eager recursive walk on the self-loop Dyck
-/// graph (where the eager walk is exponential in the length bound), the
-/// PR's lazy-only stress bound, and a paths-ticket service workload
-/// whose pages are checked epoch-consistent and CYK-valid under a
-/// concurrent `add_edges` batch.
-#[derive(Clone, Debug, Serialize)]
-pub struct AllPathsRow {
-    /// Scenario name.
-    pub dataset: String,
-    /// Length bound shared by the eager-vs-lazy comparison (the largest
-    /// the eager walk can still finish).
-    pub shared_max_len: usize,
-    /// Eager recursive walk at the shared bound, milliseconds.
-    pub eager_ms: f64,
-    /// Memoized streaming enumerator at the shared bound, milliseconds.
-    pub lazy_ms: f64,
-    /// The two walks streamed the same path set (asserted).
-    pub lazy_eager_agree: bool,
-    /// Length bound of the lazy-only stress run (the eager walk cannot
-    /// finish here).
-    pub stress_max_len: usize,
-    /// Paths the stress run streamed — every one CYK-validated.
-    pub paths_yielded: usize,
-    /// Stress run wall time, milliseconds.
-    pub stress_ms: f64,
-    /// Pair pages answered by the service paths tickets.
-    pub pages_served: u64,
-    /// Witness paths streamed across those pages (service counter).
-    pub paths_served: u64,
-    /// Pages cut by the tight-quota probe service (service counter;
-    /// `> 0` asserted — truncation must be loud, never silent).
-    pub pages_truncated: u64,
-}
-
-/// Runs the all-paths scenario. See [`AllPathsRow`] for the three parts;
-/// `smoke` lowers the eager bound (the eager walk's cost roughly doubles
-/// per unit of `max_len`) and the ticket wave size.
-pub fn run_all_paths(smoke: bool) -> Vec<AllPathsRow> {
-    use cfpq_core::all_paths::{
-        enumerate_paths, enumerate_paths_eager, EnumLimits, PageRequest, PathEnumerator,
-    };
-    use cfpq_graph::Edge;
-    use cfpq_service::{CfpqService, PairPaths, ServiceConfig, Ticket};
-
-    let wcnf = Cfg::parse("S -> a S b | a b")
-        .expect("Dyck grammar parses")
-        .to_wcnf(CnfOptions::default())
-        .expect("Dyck grammar normalizes");
-    let s = wcnf.start;
-
-    // The stress graph of the acceptance criterion: a/b self loops on
-    // one node, so every even length `2..=max_len` carries exactly one
-    // witness `aⁿbⁿ` and the eager walk re-derives every split from
-    // scratch.
-    let mut cyclic = Graph::new(1);
-    cyclic.add_edge_named(0, "a", 0);
-    cyclic.add_edge_named(0, "b", 0);
-    let idx = FixpointSolver::new(&SparseEngine).solve(&cyclic, &wcnf);
-
-    // Eager vs lazy at a bound the eager walk can still finish.
-    let shared_max_len = if smoke { 12 } else { 20 };
-    let shared = EnumLimits {
-        max_len: shared_max_len,
-        max_paths: 1000,
-    };
-    let (eager, eager_ms) =
-        time_ms(|| enumerate_paths_eager(&idx, &cyclic, &wcnf, s, 0, 0, shared));
-    let (lazy, lazy_ms) = time_ms(|| enumerate_paths(&idx, &cyclic, &wcnf, s, 0, 0, shared));
-    assert!(lazy.exhausted, "the path cap cannot bind at these bounds");
-    let key = |p: &Vec<Edge>| -> Vec<(u32, u32, u32)> {
-        p.iter().map(|e| (e.from, e.label.0, e.to)).collect()
-    };
-    let mut eager_keys: Vec<_> = eager.iter().map(|p| (p.len(), key(p))).collect();
-    eager_keys.sort();
-    eager_keys.dedup();
-    let lazy_keys: Vec<_> = lazy.paths.iter().map(|p| (p.len(), key(p))).collect();
-    let lazy_eager_agree = eager_keys == lazy_keys;
-    assert!(
-        lazy_eager_agree,
-        "eager and lazy walks must stream the same path set"
-    );
-
-    // The stress bound, lazy-only: max_len 64 at a 1000-path cap, where
-    // the eager walk's split recursion is infeasible (~2⁶⁴ calls).
-    let stress_max_len = 64;
-    let (stress, stress_ms) = time_ms(|| {
-        enumerate_paths(
-            &idx,
-            &cyclic,
-            &wcnf,
-            s,
-            0,
-            0,
-            EnumLimits {
-                max_len: stress_max_len,
-                max_paths: 1000,
-            },
-        )
-    });
-    assert!(stress.exhausted, "32 witnesses fit the 1000-path cap");
-    assert_eq!(
-        stress.paths.len(),
-        stress_max_len / 2,
-        "one aⁿbⁿ witness per even length"
-    );
-    for p in &stress.paths {
-        assert!(validate_witness(p, &cyclic, &wcnf, s, 0, 0));
-    }
-
-    // Paths as a service workload: two waves of paths tickets with an
-    // `add_edges` batch racing the first wave. Every answered page must
-    // equal a from-scratch enumeration of its *own* epoch's graph —
-    // never a mix of two epochs.
-    let n = 8u32;
-    let mut full = Graph::new(n as usize);
-    for v in 0..n - 1 {
-        full.add_edge_named(v, "a", v + 1);
-        full.add_edge_named(v + 1, "b", v);
-    }
-    full.add_edge_named(n - 1, "a", n - 1);
-    full.add_edge_named(n - 1, "b", n - 1);
-    let (base, held) = hold_out_edges(&full, 4, |name| name == "a" || name == "b");
-
-    let req = PageRequest {
-        offset: 0,
-        limit: 8,
-        max_len: 8,
-    };
-    // Sequential per-epoch reference: the replay interns labels in the
-    // same first-appearance order as the service's evolving index, so
-    // pages compare by raw label id (as in the linearizability suite).
-    let reference = |graph: &Graph| -> Vec<PairPaths> {
-        let rel = FixpointSolver::new(&SparseEngine).solve(graph, &wcnf);
-        let mut enumerator = PathEnumerator::from_graph(graph, &wcnf);
-        rel.pairs(s)
-            .into_iter()
-            .map(|(i, j)| {
-                let page = enumerator.page(&rel, s, i, j, req);
-                for p in &page.paths {
-                    assert!(validate_witness(p, graph, &wcnf, s, i, j));
-                }
-                PairPaths {
-                    from: i,
-                    to: j,
-                    paths: page.paths,
-                    exhausted: page.exhausted,
-                }
-            })
-            .collect()
-    };
-    let mut replay = base.clone();
-    let mut expected = vec![reference(&replay)];
-    for (u, l, v) in &held {
-        replay.add_edge_named(*u, l, *v);
-    }
-    expected.push(reference(&replay));
-
-    let service = CfpqService::with_config(SparseEngine, &base, ServiceConfig::new(2));
-    let q = service.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
-    let per_wave = if smoke { 3 } else { 8 };
-    let mut tickets: Vec<Ticket> = (0..per_wave)
-        .map(|_| {
-            service
-                .enqueue_paths(q, vec![], req)
-                .expect("q is registered")
-        })
-        .collect();
-    // The update races the first wave: tickets land on whichever epoch
-    // was current when the scheduler served their batch.
-    let inserted = service.add_edges(&held);
-    assert_eq!(
-        inserted,
-        held.len(),
-        "held-out edges are new by construction"
-    );
-    tickets.extend((0..per_wave).map(|_| {
-        service
-            .enqueue_paths(q, vec![], req)
-            .expect("q is registered")
-    }));
-    let mut pages_served = 0u64;
-    for t in tickets {
-        let a = t.wait().expect("no faults injected in this bench");
-        let pages = a.paths.expect("paths ticket answers with pages");
-        assert_eq!(
-            &pages, &expected[a.epoch as usize],
-            "paths pages at epoch {} diverge from that epoch's sequential enumeration",
-            a.epoch
-        );
-        pages_served += pages.len() as u64;
-    }
-    let stats = service.stats();
-    let paths_served: u64 = stats.iter().map(|e| e.paths_served).sum();
-    assert!(paths_served > 0, "the chain graph has Dyck witnesses");
-    assert_eq!(
-        stats.iter().map(|e| e.pages_truncated).sum::<u64>(),
-        0,
-        "the default quota never cuts these small pages"
-    );
-
-    // The quota probe: a tight per-request path budget must cut the page
-    // and say so — `exhausted: false` plus a bumped truncation counter.
-    let probe = CfpqService::with_config(
-        SparseEngine,
-        &cyclic,
-        ServiceConfig::new(1).with_path_quota(2),
-    );
-    let pq = probe.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
-    let probe_pages = probe
-        .enqueue_paths(pq, vec![], req)
-        .expect("pq is registered")
-        .wait()
-        .expect("no faults injected in this bench")
-        .paths
-        .expect("paths ticket answers with pages");
-    let probe_total: usize = probe_pages.iter().map(|p| p.paths.len()).sum();
-    assert!(probe_total <= 2, "quota bounds the streamed paths");
-    assert!(
-        probe_pages.iter().any(|p| !p.exhausted),
-        "a quota-cut page must report exhausted = false"
-    );
-    let pages_truncated: u64 = probe.stats().iter().map(|e| e.pages_truncated).sum();
-    assert!(pages_truncated > 0, "truncation must bump the counter");
-
-    vec![AllPathsRow {
-        dataset: "cyclic-dyck".to_owned(),
-        shared_max_len,
-        eager_ms,
-        lazy_ms,
-        lazy_eager_agree,
-        stress_max_len,
-        paths_yielded: stress.paths.len(),
-        stress_ms,
-        pages_served,
-        paths_served,
-        pages_truncated,
-    }]
-}
-
-/// Renders all-paths rows as a table.
-pub fn render_all_paths(rows: &[AllPathsRow]) -> String {
-    let mut out = String::new();
-    out.push_str("All-path enumeration (memoized streaming vs eager recursive walk)\n");
-    out.push_str(&format!(
-        "{:<12} {:>7} {:>10} {:>9} {:>6} {:>8} {:>7} {:>10} {:>7} {:>8} {:>5}\n",
-        "Scenario",
-        "len",
-        "eager(ms)",
-        "lazy(ms)",
-        "agree",
-        "s-len",
-        "#paths",
-        "stress(ms)",
-        "#pages",
-        "#served",
-        "#cut",
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12} {:>7} {:>10.2} {:>9.2} {:>6} {:>8} {:>7} {:>10.2} {:>7} {:>8} {:>5}\n",
-            r.dataset,
-            r.shared_max_len,
-            r.eager_ms,
-            r.lazy_ms,
-            r.lazy_eager_agree,
-            r.stress_max_len,
-            r.paths_yielded,
-            r.stress_ms,
-            r.pages_served,
-            r.paths_served,
-            r.pages_truncated,
-        ));
-    }
-    out
-}
-
-/// One row of the `scale` scenario: the Dyck query on a clustered block
-/// graph (tile-aligned 64-node clusters, [`generators::clustered_blocks`])
-/// far beyond the paper's ontology sizes, solved on the parallel-CSR
-/// baseline, the block-tiled backend, and the adaptive engine. Each
-/// cluster's closure is a handful of dense 64×64 tiles, so the tiled
-/// kernels turn the sweep into cache-resident bitwise work while CSR
-/// chases per-element pointers. A flat dense matrix is not run at this
-/// scale — `n²/8` bytes *per nonterminal* (≈1.3 GB at 102k nodes) —
-/// and the row records that skip explicitly.
-#[derive(Clone, Debug, Serialize)]
-pub struct ScaleRow {
-    /// Scenario name (`scale-<n_blocks>x64`).
-    pub dataset: String,
-    /// Graph node count (`n_blocks × 64`).
-    pub nodes: usize,
-    /// Graph edge count.
-    pub edges: usize,
-    /// `|R_S|` (identical across engines — asserted).
-    pub results: usize,
-    /// Parallel CSR (sparse-par, masked-delta) — the pre-PR best on this
-    /// shape — milliseconds.
-    pub sparse_par_ms: f64,
-    /// Block-tiled backend, milliseconds.
-    pub tiled_ms: f64,
-    /// Adaptive representation engine, milliseconds.
-    pub adaptive_ms: f64,
-    /// Flat dense is infeasible at this scale and never run (the skip
-    /// the paper applies to g1–g3, an order of magnitude earlier).
-    pub dense_skipped: bool,
-    /// Work counters of the tiled run.
-    pub tiled: SweepStats,
-    /// Work counters of the adaptive run (representation decisions).
-    pub adaptive: SweepStats,
-}
-
-/// Runs the `scale` scenario at `n_blocks` 64-node clusters. With
-/// `check_speed` (full mode, ≥100k nodes), asserts the tiled backend
-/// beats the parallel-CSR baseline — the PR's acceptance criterion,
-/// re-checked on every `reproduce` run; smoke mode only asserts result
-/// equality.
-pub fn run_scale(n_blocks: usize, device_workers: usize, check_speed: bool) -> ScaleRow {
-    let wcnf: Wcnf = Cfg::parse("S -> a S b | a b")
-        .expect("Dyck grammar parses")
-        .to_wcnf(CnfOptions::default())
-        .expect("Dyck grammar normalizes");
-    let start = wcnf.start;
-    let graph = generators::clustered_blocks(n_blocks, 64, 4, &["a", "b"], 0x5CA1E);
-    let device = || {
-        if device_workers == 0 {
-            Device::host_parallel()
-        } else {
-            Device::new(device_workers)
-        }
-    };
-
-    let engine = ParSparseEngine::new(device());
-    let (csr_idx, sparse_par_ms) = time_ms(|| FixpointSolver::new(&engine).solve(&graph, &wcnf));
-    let results = csr_idx.matrices[start.index()].nnz();
-
-    let engine = TiledEngine::new(device());
-    let (tiled_idx, tiled_ms) = time_ms(|| FixpointSolver::new(&engine).solve(&graph, &wcnf));
-    assert_eq!(
-        tiled_idx.matrices[start.index()].nnz(),
-        results,
-        "tiled #results mismatch on the scale graph"
-    );
-    let tiled = SweepStats::of(tiled_idx.iterations, &tiled_idx.stats);
-
-    let engine = AdaptiveEngine::new(device());
-    let (adaptive_idx, adaptive_ms) = time_ms(|| FixpointSolver::new(&engine).solve(&graph, &wcnf));
-    assert_eq!(
-        adaptive_idx.matrices[start.index()].nnz(),
-        results,
-        "adaptive #results mismatch on the scale graph"
-    );
-    let adaptive = SweepStats::of(adaptive_idx.iterations, &adaptive_idx.stats);
-
-    if check_speed {
-        assert!(
-            tiled_ms < sparse_par_ms,
-            "the tiled backend must beat parallel CSR on the scale graph \
-             ({tiled_ms:.0} vs {sparse_par_ms:.0} ms)"
-        );
-    }
-
-    ScaleRow {
-        dataset: format!("scale-{n_blocks}x64"),
-        nodes: graph.n_nodes(),
-        edges: graph.n_edges(),
-        results,
-        sparse_par_ms,
-        tiled_ms,
-        adaptive_ms,
-        dense_skipped: true,
-        tiled,
-        adaptive,
-    }
-}
-
-/// Renders scale rows as a table.
-pub fn render_scale(rows: &[ScaleRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Scale (block-tiled vs parallel CSR on clustered 64-node blocks)\n");
-    out.push_str(&format!(
-        "{:<16} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>6} {:>10} {:>8}\n",
-        "Scenario",
-        "#nodes",
-        "#edges",
-        "#results",
-        "sGPU(ms)",
-        "tile(ms)",
-        "adpt(ms)",
-        "dense",
-        "#tileskip",
-        "#switch"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<16} {:>8} {:>8} {:>9} {:>9.0} {:>9.0} {:>9.0} {:>6} {:>10} {:>8}\n",
-            r.dataset,
-            r.nodes,
-            r.edges,
-            r.results,
-            r.sparse_par_ms,
-            r.tiled_ms,
-            r.adaptive_ms,
-            if r.dense_skipped { "skip" } else { "run" },
-            r.tiled.tiles_skipped,
-            r.adaptive.repr_switches,
-        ));
-    }
-    out
-}
-
-/// One row of the `rpq` scenario: a regular path query on one dataset,
-/// answered by all three formulations the workspace keeps in
-/// triangulation — the standalone product-graph oracle, the compiled
-/// RSM/Kronecker pipeline (an NFA prepared through a [`CfpqSession`]),
-/// and the equivalent right-linear grammar under Algorithm 1 — plus a
-/// session repair after a held-out `add_edges` batch. The row asserts
-/// byte-identical answers everywhere and that the repair launches
-/// strictly fewer products than the pipeline's cold solve.
-#[derive(Clone, Debug, Serialize)]
-pub struct RpqRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Human-readable regular expression of the query.
-    pub query: String,
-    /// `#triples` column.
-    pub triples: usize,
-    /// Graph node count.
-    pub nodes: usize,
-    /// `|R|` of the query (identical across formulations — asserted).
-    pub results: usize,
-    /// Standalone product-graph oracle (rebuilds label matrices per
-    /// call), milliseconds.
-    pub rpq_oracle_ms: f64,
-    /// Compiled pipeline through a session (masked semi-naive fixpoint
-    /// on the materialized `GraphIndex`), milliseconds.
-    pub rpq_pipeline_ms: f64,
-    /// The equivalent right-linear grammar under plain Algorithm 1,
-    /// milliseconds.
-    pub rpq_grammar_ms: f64,
-    /// Work counters of the pipeline's cold solve (the `SolveStats` the
-    /// unified path populates for RPQs exactly as it does for CFPQs).
-    pub pipeline: SweepStats,
-    /// Edges held out of the session build and re-inserted via
-    /// `add_edges`.
-    pub batch: usize,
-    /// Session re-evaluation after the batch (incremental repair),
-    /// milliseconds.
-    pub rpq_repair_ms: f64,
-    /// Products launched by the repair (strictly fewer than the cold
-    /// pipeline solve — asserted).
-    pub rpq_repair_products: usize,
-    /// Products launched by the pipeline's cold solve.
-    pub rpq_cold_products: usize,
-}
-
-/// The RPQ cases of the `rpq` scenario: `(name, NFA, equivalent
-/// right-linear grammar)` over the ontology alphabet.
-fn rpq_cases() -> Vec<(&'static str, cfpq_core::regular::Nfa, Cfg)> {
-    use cfpq_core::regular::Nfa;
-    vec![
-        (
-            "subClassOf+",
-            Nfa::plus("subClassOf"),
-            Cfg::parse("S -> subClassOf S | subClassOf").expect("grammar parses"),
-        ),
-        (
-            "subClassOf* type_r",
-            Nfa::star_then("subClassOf", "type_r"),
-            Cfg::parse("S -> subClassOf S | type_r").expect("grammar parses"),
-        ),
-    ]
-}
-
-/// Runs the `rpq` scenario on one dataset. See [`RpqRow`] for the three
-/// formulations and what is asserted. With `check_repair` (full mode,
-/// graphs big enough for the cold solve to cost real sweeps), the
-/// repair must launch *strictly* fewer products than the cold pipeline
-/// solve; tiny smoke graphs — where a cold solve is already a handful
-/// of products — only assert it never launches more.
-pub fn run_rpq(dataset: &Dataset, batch: usize, check_repair: bool) -> Vec<RpqRow> {
-    use cfpq_core::regular::solve_regular;
-
-    let graph = &dataset.graph;
-    rpq_cases()
-        .into_iter()
-        .map(|(name, nfa, grammar)| {
-            // The product-graph oracle: independent, full recompute.
-            let (oracle, rpq_oracle_ms) =
-                time_ms(|| solve_regular(&SparseEngine, graph, &nfa).pairs());
-
-            // The compiled pipeline: NFA → RSM → state grammar, solved
-            // by the session's masked semi-naive fixpoint.
-            let mut session = CfpqSession::new(SparseEngine, graph);
-            let id = session.prepare_regular(&nfa);
-            let (answer, rpq_pipeline_ms) = time_ms(|| session.evaluate(id));
-            assert_eq!(
-                answer.start_pairs(),
-                oracle,
-                "pipeline vs oracle mismatch on {} {name}",
-                dataset.name
-            );
-            let cold = session.last_run(id).expect("query evaluated").clone();
-            assert!(
-                cold.stats.products_computed > 0,
-                "the pipeline populates SolveStats on {} {name}",
-                dataset.name
-            );
-
-            // The equivalent right-linear grammar under Algorithm 1.
-            let wcnf: Wcnf = grammar
-                .to_wcnf(CnfOptions::default())
-                .expect("grammar normalizes");
-            let (grammar_idx, rpq_grammar_ms) =
-                time_ms(|| FixpointSolver::new(&SparseEngine).solve(graph, &wcnf));
-            assert_eq!(
-                grammar_idx.pairs(wcnf.start),
-                oracle,
-                "regular-grammar CFPQ vs oracle mismatch on {} {name}",
-                dataset.name
-            );
-
-            // Session repair after a held-out batch of query-relevant
-            // edges: same answer as the full-graph oracle, fewer
-            // products than the cold pipeline solve.
-            let alphabet: std::collections::HashSet<String> = nfa
-                .transitions()
-                .iter()
-                .map(|(_, l, _)| l.clone())
-                .collect();
-            let (base, held) = hold_out_edges(graph, batch, |n| alphabet.contains(n));
-            let batch = held.len();
-            let mut repaired = CfpqSession::new(SparseEngine, &base);
-            let rid = repaired.prepare_regular(&nfa);
-            repaired.evaluate(rid);
-            repaired.add_edges(&held);
-            let (repair_answer, rpq_repair_ms) = time_ms(|| repaired.evaluate(rid));
-            let run = repaired.last_run(rid).expect("query evaluated").clone();
-            assert!(run.incremental, "re-query must be a repair");
-            assert_eq!(
-                repair_answer.start_pairs(),
-                oracle,
-                "repaired vs oracle mismatch on {} {name}",
-                dataset.name
-            );
-            assert!(
-                run.stats.products_computed <= cold.stats.products_computed,
-                "RPQ repair must never launch more products than a cold solve \
-                 ({} vs {}) on {} {name}",
-                run.stats.products_computed,
-                cold.stats.products_computed,
-                dataset.name
-            );
-            if check_repair {
-                assert!(
-                    run.stats.products_computed < cold.stats.products_computed,
-                    "RPQ repair must launch strictly fewer products than a cold solve \
-                     ({} vs {}) on {} {name}",
-                    run.stats.products_computed,
-                    cold.stats.products_computed,
-                    dataset.name
-                );
-            }
-
-            RpqRow {
-                dataset: dataset.name.clone(),
-                query: name.to_owned(),
-                triples: dataset.triples,
-                nodes: graph.n_nodes(),
-                results: oracle.len(),
-                rpq_oracle_ms,
-                rpq_pipeline_ms,
-                rpq_grammar_ms,
-                pipeline: SweepStats::of(cold.sweeps, &cold.stats),
-                batch,
-                rpq_repair_ms,
-                rpq_repair_products: run.stats.products_computed,
-                rpq_cold_products: cold.stats.products_computed,
-            }
-        })
-        .collect()
-}
-
-/// Renders RPQ rows as a table.
-pub fn render_rpq(rows: &[RpqRow]) -> String {
-    let mut out = String::new();
-    out.push_str("RPQ (compiled RSM pipeline vs product-graph oracle vs regular grammar)\n");
-    out.push_str(&format!(
-        "{:<12} {:<20} {:>9} {:>10} {:>9} {:>9} {:>7} {:>6} {:>10} {:>10}\n",
-        "Dataset",
-        "Query",
-        "#results",
-        "oracle(ms)",
-        "pipe(ms)",
-        "gram(ms)",
-        "#prod",
-        "batch",
-        "repair(ms)",
-        "repair#prod"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12} {:<20} {:>9} {:>10.1} {:>9.1} {:>9.1} {:>7} {:>6} {:>10.1} {:>10}\n",
-            r.dataset,
-            r.query,
-            r.results,
-            r.rpq_oracle_ms,
-            r.rpq_pipeline_ms,
-            r.rpq_grammar_ms,
-            r.pipeline.products_computed,
-            r.batch,
-            r.rpq_repair_ms,
-            r.rpq_repair_products,
-        ));
-    }
-    out
-}
-
-/// Checks a Prometheus text exposition line by line: comment lines must
-/// be well-formed `# HELP <name> <text>` / `# TYPE <name> <type>`
-/// directives, every sample line must parse as
-/// `name[{label="value",...}] value`, and every sample's base name must
-/// have been declared by a preceding `# TYPE` line. Returns how many
-/// non-empty lines were validated. This is the checker CI runs against
-/// [`cfpq_obs::MetricsRegistry::prometheus_text`] on every `reproduce`
-/// run.
-pub fn lint_prometheus_text(text: &str) -> Result<usize, String> {
-    fn is_name(s: &str) -> bool {
-        !s.is_empty()
-            && s.chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && s.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-    // A histogram series `x` exposes `x_bucket`/`x_sum`/`x_count`; its
-    // TYPE line declares the base name.
-    fn base_name(name: &str) -> &str {
-        for suffix in ["_bucket", "_sum", "_count"] {
-            if let Some(b) = name.strip_suffix(suffix) {
-                return b;
-            }
-        }
-        name
-    }
-    let mut typed: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    let mut checked = 0usize;
-    for (no, line) in text.lines().enumerate() {
-        let n = no + 1;
-        if line.is_empty() {
-            continue;
-        }
-        checked += 1;
-        if let Some(rest) = line.strip_prefix("# ") {
-            let mut parts = rest.splitn(3, ' ');
-            let directive = parts.next().unwrap_or("");
-            let name = parts.next().unwrap_or("");
-            let tail = parts.next().unwrap_or("");
-            if !is_name(name) {
-                return Err(format!("line {n}: bad metric name {name:?}"));
-            }
-            match directive {
-                "HELP" => {
-                    // Escaping leaves no raw backslash-X other than \\ and \n.
-                    let mut chars = tail.chars();
-                    while let Some(c) = chars.next() {
-                        if c == '\\' && !matches!(chars.next(), Some('\\') | Some('n')) {
-                            return Err(format!("line {n}: bad HELP escape"));
-                        }
-                    }
-                }
-                "TYPE" => {
-                    if !matches!(
-                        tail,
-                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
-                    ) {
-                        return Err(format!("line {n}: bad TYPE {tail:?}"));
-                    }
-                    if !typed.insert(name) {
-                        return Err(format!("line {n}: duplicate TYPE for {name}"));
-                    }
-                }
-                _ => return Err(format!("line {n}: unknown directive {directive:?}")),
-            }
-            continue;
-        }
-        // Sample line: name[{labels}] value
-        let (series, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {n}: no sample value"))?;
-        if value.parse::<f64>().is_err() && !matches!(value, "+Inf" | "-Inf" | "NaN") {
-            return Err(format!("line {n}: bad sample value {value:?}"));
-        }
-        let name = match series.split_once('{') {
-            Some((name, labels)) => {
-                let labels = labels
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("line {n}: unterminated label set"))?;
-                // One pass over `k="v",...` with escape-aware quoting.
-                let mut rest = labels;
-                while !rest.is_empty() {
-                    let (key, after) = rest
-                        .split_once("=\"")
-                        .ok_or_else(|| format!("line {n}: label without =\""))?;
-                    if !is_name(key) {
-                        return Err(format!("line {n}: bad label name {key:?}"));
-                    }
-                    let mut close = None;
-                    let mut escaped = false;
-                    for (i, c) in after.char_indices() {
-                        if escaped {
-                            if !matches!(c, '\\' | '"' | 'n') {
-                                return Err(format!("line {n}: bad label escape"));
-                            }
-                            escaped = false;
-                        } else if c == '\\' {
-                            escaped = true;
-                        } else if c == '"' {
-                            close = Some(i);
-                            break;
-                        }
-                    }
-                    let close =
-                        close.ok_or_else(|| format!("line {n}: unterminated label value"))?;
-                    rest = after[close + 1..].trim_start_matches(',');
-                }
-                name
-            }
-            None => series,
-        };
-        if !is_name(name) {
-            return Err(format!("line {n}: bad sample name {name:?}"));
-        }
-        if !typed.contains(base_name(name)) {
-            return Err(format!("line {n}: sample {name} has no TYPE declaration"));
-        }
-    }
-    Ok(checked)
-}
-
-/// One row of the observability scenario on one dataset: the zero-cost
-/// overhead guard plus a traced service run.
-///
-/// * **Overhead guard** — Q1 is solved on the sparse masked-delta
-///   pipeline twice: with nothing installed, and with the no-op
-///   [`cfpq_obs::NoopRecorder`] installed. The two runs must launch the
-///   *identical* product count (instrumentation must not change the
-///   algorithm), and the no-op run's best-of-N wall time must stay
-///   within 5% of the uninstrumented one — the "zero cost when off"
-///   contract, re-checked on every `reproduce` run.
-/// * **Traced service run** — the same query served through a
-///   [`cfpq_service::CfpqService`] built with a
-///   [`cfpq_obs::SpanCollector`]: two ticket waves around an `add_edges`
-///   epoch publish. The captured span tree must be well-formed and
-///   contain the full hierarchy (ticket, batch, epoch-publish, solve,
-///   sweep, kernel spans), the chrome://tracing export must round-trip
-///   through [`cfpq_obs::validate_chrome_trace`], and the Prometheus
-///   exposition must pass [`lint_prometheus_text`].
-#[derive(Clone, Debug, Serialize)]
-pub struct ObsRow {
-    /// Dataset name.
-    pub dataset: String,
-    /// Q1 products with no recorder installed.
-    pub products_plain: usize,
-    /// Q1 products under the no-op recorder (asserted equal).
-    pub products_noop: usize,
-    /// Best-of-N solve wall time, uninstrumented, milliseconds.
-    pub plain_ms: f64,
-    /// Best-of-N solve wall time under the no-op recorder, milliseconds.
-    pub noop_ms: f64,
-    /// `noop_ms / plain_ms` (asserted ≤ 1.05 modulo timer noise).
-    pub overhead: f64,
-    /// Spans the collector captured over the traced service run.
-    pub spans: usize,
-    /// `"sweep"` spans among them (per-nonterminal Δ-nnz attrs ride on
-    /// these).
-    pub sweep_spans: usize,
-    /// `"kernel"` spans among them (per-product nnz / repr attrs).
-    pub kernel_spans: usize,
-    /// p99 of the ticket queue-wait histogram, milliseconds.
-    pub ticket_wait_p99_ms: f64,
-    /// High-water mark of the scheduler queue depth.
-    pub queue_depth_max: u64,
-    /// Events in the chrome://tracing export (validated by the format
-    /// checker).
-    pub trace_events: usize,
-    /// Non-empty Prometheus exposition lines validated by
-    /// [`lint_prometheus_text`].
-    pub prometheus_lines: usize,
-}
-
-/// Runs the observability scenario on one dataset. See [`ObsRow`] for
-/// the two parts and what each asserts.
-pub fn run_obs(dataset: &Dataset) -> ObsRow {
-    use cfpq_obs::{NoopRecorder, SpanCollector};
-    use cfpq_service::{CfpqService, ServiceConfig, Ticket};
-    use std::sync::Arc;
-
-    let graph = &dataset.graph;
-    let wcnf: Wcnf = Query::Q1
-        .grammar()
-        .to_wcnf(CnfOptions::default())
-        .expect("query normalizes");
-
-    // --- Overhead guard -------------------------------------------------
-    let solve = || FixpointSolver::new(&SparseEngine).solve(graph, &wcnf);
-    let warm = solve(); // untimed warmup: page cache, allocator growth
-    const REPS: usize = 5;
-    let mut plain_ms = f64::INFINITY;
-    let mut noop_ms = f64::INFINITY;
-    let mut products_plain = 0;
-    let mut products_noop = 0;
-    // Interleave the two configurations so machine drift (thermal,
-    // scheduler) hits both evenly; keep the best of each.
-    for _ in 0..REPS {
-        let (idx, ms) = time_ms(solve);
-        products_plain = idx.stats.products_computed;
-        plain_ms = plain_ms.min(ms);
-        let guard = cfpq_obs::install(Arc::new(NoopRecorder));
-        let (idx, ms) = time_ms(solve);
-        drop(guard);
-        products_noop = idx.stats.products_computed;
-        noop_ms = noop_ms.min(ms);
-        assert_eq!(idx.pairs(wcnf.start), warm.pairs(wcnf.start));
-    }
-    assert_eq!(
-        products_plain, products_noop,
-        "the no-op recorder must not change the kernel schedule on {}",
-        dataset.name
-    );
-    let overhead = noop_ms / plain_ms;
-    // Best-of-N makes the comparison stable; the 0.5 ms absolute slack
-    // absorbs timer granularity on sub-millisecond solves.
-    assert!(
-        noop_ms <= plain_ms * 1.05 + 0.5,
-        "no-op observability must cost <5% wall time on {} \
-         ({plain_ms:.2}ms plain vs {noop_ms:.2}ms noop)",
-        dataset.name
-    );
-
-    // --- Traced service run ---------------------------------------------
-    let relevant: std::collections::HashSet<String> = wcnf
-        .symbols
-        .terms()
-        .map(|(_, name)| name.to_owned())
-        .collect();
-    let (base, held) = hold_out_edges(graph, 5, |name| relevant.contains(name));
-    let collector = Arc::new(SpanCollector::new());
-    let service = CfpqService::with_observability(
-        SparseEngine,
-        &base,
-        ServiceConfig::new(2),
-        collector.clone(),
-    );
-    let q = service.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
-    for wave in 0..2 {
-        if wave == 1 {
-            assert!(service.add_edges(&held) > 0, "held-out edges are new");
-        }
-        let tickets: Vec<Ticket> = (0..6)
-            .map(|_| service.enqueue(q, vec![]).expect("q is registered"))
-            .collect();
-        for t in tickets {
-            let answer = t.wait().expect("no faults in this scenario");
-            let trace = answer.trace.expect("instrumented service attaches traces");
-            assert!(!trace.span.is_none(), "ticket span recorded");
-        }
-    }
-    let metrics = service.metrics();
-    // Dropping the service joins the workers, so every span (including
-    // in-flight batch spans) is closed before the collector is read.
-    drop(service);
-
-    let spans = collector.spans();
-    cfpq_obs::trace::check_well_formed(&spans).expect("span tree is well-formed");
-    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
-    assert!(count("ticket") >= 12, "one span per ticket");
-    assert!(count("batch") >= 1, "workers open batch spans");
-    assert_eq!(count("epoch.publish"), 1, "one publish span per epoch");
-    let sweep_spans = count("sweep");
-    let kernel_spans = count("kernel");
-    assert!(
-        sweep_spans >= 1 && kernel_spans >= 1,
-        "solver spans present"
-    );
-
-    let trace_json = collector.chrome_trace_json();
-    let trace_events =
-        cfpq_obs::validate_chrome_trace(&trace_json).expect("chrome trace round-trips");
-    let prom = metrics.prometheus_text();
-    let prometheus_lines = lint_prometheus_text(&prom).expect("exposition parses");
-    let ticket_wait_p99_ms = metrics.histogram("cfpq_ticket_wait_us").quantile(0.99) as f64 / 1e3;
-    let queue_depth_max = metrics.gauge("cfpq_queue_depth_max").get();
-    assert!(queue_depth_max >= 1, "the waves must have queued requests");
-
-    ObsRow {
-        dataset: dataset.name.clone(),
-        products_plain,
-        products_noop,
-        plain_ms,
-        noop_ms,
-        overhead,
-        spans: spans.len(),
-        sweep_spans,
-        kernel_spans,
-        ticket_wait_p99_ms,
-        queue_depth_max,
-        trace_events,
-        prometheus_lines,
-    }
-}
-
-/// Renders observability rows as a table.
-pub fn render_obs(rows: &[ObsRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Observability (no-op overhead guard + traced service run)\n");
-    out.push_str(&format!(
-        "{:<10} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>12} {:>9} {:>9}\n",
-        "Dataset",
-        "plain(ms)",
-        "noop(ms)",
-        "overhead",
-        "#spans",
-        "#sweep",
-        "#kernel",
-        "wait p99(ms)",
-        "depth max",
-        "prom ln"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>9.2} {:>9.2} {:>8.2}x {:>7} {:>7} {:>8} {:>12.3} {:>9} {:>9}\n",
-            r.dataset,
-            r.plain_ms,
-            r.noop_ms,
-            r.overhead,
-            r.spans,
-            r.sweep_spans,
-            r.kernel_spans,
-            r.ticket_wait_p99_ms,
-            r.queue_depth_max,
-            r.prometheus_lines,
+            r.sparse.products_computed,
+            r.sparse.products_skipped,
         ));
     }
     out
@@ -2098,8 +278,8 @@ mod tests {
 
     #[test]
     fn rows_are_consistent_across_backends() {
-        // run_row asserts GLL == sparse == sparse-par == dense-par result
-        // counts internally; run it over the small suite for both queries.
+        // run_row asserts GLL == sparse == sparse-par == dense-par == tiled
+        // result counts internally; run it over the small suite for both queries.
         for ds in small_suite() {
             for q in [Query::Q1, Query::Q2] {
                 let row = run_row(q, &ds, 2);
@@ -2118,168 +298,6 @@ mod tests {
             assert!(text.contains(&d.name));
         }
         assert!(text.contains("#results"));
-    }
-
-    #[test]
-    fn incremental_rows_beat_cold_on_small_suite() {
-        // run_incremental asserts result equality and the strictly-fewer-
-        // products criterion internally; exercise it on the two smallest
-        // ontologies at two batch sizes.
-        for ds in small_suite().iter().take(2) {
-            let rows = run_incremental(ds, &[1, 10]);
-            assert_eq!(rows.len(), 4, "2 batch sizes × 2 queries");
-            for r in &rows {
-                assert!(r.incremental_products < r.cold_products);
-                assert!(r.batch == 1 || r.batch == 10);
-            }
-            let text = render_incremental(&rows);
-            assert!(text.contains(&ds.name));
-            assert!(text.contains("incr#prod"));
-        }
-    }
-
-    #[test]
-    fn single_path_rows_agree_and_repair_beats_cold() {
-        // run_single_path asserts oracle/engine/relational pair-set
-        // equality, witness validity, and the fewer-products repair
-        // criterion internally; exercise it on the two smallest
-        // ontologies.
-        for ds in small_suite().iter().take(2) {
-            let row = run_single_path(ds, 5, false);
-            assert_eq!(row.batch, 5);
-            assert!(row.sp_repair_products < row.sp_cold_products);
-            assert!(row.results > 0);
-            let text = render_single_path(&[row]);
-            assert!(text.contains(&ds.name));
-            assert!(text.contains("repair#prod"));
-        }
-    }
-
-    #[test]
-    fn service_rows_are_byte_identical_to_serial() {
-        // run_service asserts byte-identical answers, the repairs-at-
-        // publish invariant and cache-hit sharing internally; exercise
-        // it on the two smallest ontologies (no speedup assertion —
-        // tiny graphs cannot amortize thread overhead).
-        for ds in small_suite().iter().take(2) {
-            let row = run_service(ds, 4, 3, 5, false);
-            assert_eq!(row.workers, 4);
-            assert_eq!(row.requests, 12, "2 queries × 2 waves × 3");
-            assert_eq!(row.epochs, 2);
-            assert!(row.repair_products < row.cold_products);
-            let text = render_service(&[row]);
-            assert!(text.contains(&ds.name));
-            assert!(text.contains("repair#prod"));
-        }
-    }
-
-    #[test]
-    fn all_paths_rows_agree_and_truncate_loudly() {
-        // run_all_paths asserts eager/lazy set equality, CYK validity,
-        // epoch-consistent ticket pages, and loud quota truncation
-        // internally; exercise the smoke configuration.
-        let rows = run_all_paths(true);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert!(r.lazy_eager_agree);
-        assert_eq!(r.paths_yielded, 32, "one aⁿbⁿ witness per even length");
-        assert!(r.pages_served > 0 && r.paths_served > 0);
-        assert!(r.pages_truncated > 0);
-        let text = render_all_paths(&rows);
-        assert!(text.contains("cyclic-dyck"));
-        assert!(text.contains("eager(ms)"));
-    }
-
-    #[test]
-    fn rpq_rows_triangulate_and_repair_beats_cold() {
-        // run_rpq asserts oracle/pipeline/grammar answer equality and
-        // the fewer-products repair criterion internally; exercise it on
-        // the two smallest ontologies.
-        for ds in small_suite().iter().take(2) {
-            let rows = run_rpq(ds, 10, false);
-            assert_eq!(rows.len(), 2, "two RPQ cases per dataset");
-            for r in &rows {
-                assert!(r.results > 0, "{} {}", ds.name, r.query);
-                assert!(r.rpq_repair_products <= r.rpq_cold_products);
-                assert!(r.pipeline.products_computed > 0);
-            }
-            let text = render_rpq(&rows);
-            assert!(text.contains(&ds.name));
-            assert!(text.contains("subClassOf+"));
-        }
-    }
-
-    #[test]
-    fn scale_rows_agree_across_engines_and_skip_dense() {
-        // run_scale asserts tiled/adaptive result equality internally;
-        // a tiny 8-block instance keeps the test fast while still
-        // crossing tile boundaries. No speed assertion at this size.
-        let row = run_scale(8, 2, false);
-        assert_eq!(row.nodes, 512);
-        assert!(row.results > 0);
-        assert!(row.dense_skipped);
-        assert!(
-            row.adaptive.nt_nnz.iter().sum::<usize>() > 0,
-            "the per-nonterminal nnz snapshot must be populated"
-        );
-        let text = render_scale(&[row]);
-        assert!(text.contains("scale-8x64"));
-        assert!(text.contains("#tileskip"));
-    }
-
-    #[test]
-    fn prometheus_linter_accepts_the_real_exposition() {
-        // The linter must pass the registry's own output — including a
-        // help string with characters that need escaping and a histogram
-        // with its _bucket/_sum/_count family.
-        let reg = cfpq_obs::MetricsRegistry::new();
-        reg.describe("demo_total", "a counter with a \\ and a\nnewline");
-        reg.counter("demo_total").add(3);
-        reg.gauge("demo_depth").set(7);
-        let h = reg.histogram("demo_us");
-        for v in [1, 10, 100, 1_000, 10_000] {
-            h.observe(v);
-        }
-        let text = reg.prometheus_text();
-        let lines = lint_prometheus_text(&text).expect("registry output lints clean");
-        assert!(lines > 5, "exposition has HELP/TYPE + samples");
-    }
-
-    #[test]
-    fn prometheus_linter_rejects_malformed_exposition() {
-        // A sample whose metric family has no TYPE declaration.
-        assert!(lint_prometheus_text("orphan_total 3\n").is_err());
-        // An illegal metric name.
-        assert!(lint_prometheus_text("# TYPE 9bad counter\n9bad 1\n").is_err());
-        // A non-numeric value.
-        assert!(lint_prometheus_text("# TYPE ok_total counter\nok_total banana\n").is_err());
-        // Duplicate TYPE for one family.
-        assert!(
-            lint_prometheus_text("# TYPE x_total counter\n# TYPE x_total gauge\nx_total 1\n")
-                .is_err()
-        );
-        // An unterminated label value.
-        assert!(lint_prometheus_text("# TYPE y_total counter\ny_total{le=\"0.5 1\n").is_err());
-        // An unknown TYPE keyword.
-        assert!(lint_prometheus_text("# TYPE z_total meter\nz_total 1\n").is_err());
-    }
-
-    #[test]
-    fn obs_row_guards_overhead_and_round_trips_traces() {
-        // run_obs asserts the no-op-recorder overhead bound, span-tree
-        // well-formedness, chrome-trace validity, and exposition lint
-        // internally; exercise it on the smallest ontology. The absolute
-        // slack in the guard keeps sub-millisecond solves from flaking.
-        let ds = &small_suite()[0];
-        let row = run_obs(ds);
-        assert_eq!(row.products_plain, row.products_noop);
-        assert!(row.spans > 0 && row.sweep_spans > 0 && row.kernel_spans > 0);
-        assert!(row.trace_events >= row.spans);
-        assert!(row.prometheus_lines > 0);
-        assert!(row.queue_depth_max >= 1);
-        let text = render_obs(&[row]);
-        assert!(text.contains(&ds.name));
-        assert!(text.contains("overhead"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! a CFG's trie boxes ([`CompiledQuery::from_cfg`]) — plus its
 //! *lowering*: a weak-CNF "state grammar" that the existing
 //! [`crate::relational::FixpointSolver`] evaluates unchanged, on any of
-//! the six engines, inside sessions and the service.
+//! the five engines, inside sessions and the service.
 //!
 //! # The lowering
 //!
@@ -45,7 +45,7 @@
 //! [`SolveOptions::nullable_diagonal`].
 
 use crate::regular::Nfa;
-use crate::relational::{SolveOptions, Strategy};
+use crate::relational::SolveOptions;
 use crate::session::PreparedQuery;
 use cfpq_grammar::cfg::{Cfg, Symbol};
 use cfpq_grammar::rsm::{Rsm, RsmBox};
@@ -262,19 +262,13 @@ impl CompiledQuery {
         self.n_label_nts
     }
 
-    /// Wraps the lowering as a [`PreparedQuery`] on the default
-    /// (masked semi-naive) strategy. `nullable_diagonal` is forced on:
-    /// the lowering encodes entry-state identity seeds through it.
+    /// Wraps the lowering as a [`PreparedQuery`]. `nullable_diagonal` is
+    /// forced on: the lowering encodes entry-state identity seeds
+    /// through it.
     pub fn into_prepared(self) -> PreparedQuery {
         PreparedQuery::from_wcnf(self.wcnf).options(SolveOptions {
             nullable_diagonal: true,
         })
-    }
-
-    /// [`CompiledQuery::into_prepared`] with an explicit fixpoint
-    /// strategy (the diagonal option is still forced on).
-    pub fn into_prepared_with(self, strategy: Strategy) -> PreparedQuery {
-        self.into_prepared().strategy(strategy)
     }
 }
 

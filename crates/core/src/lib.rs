@@ -6,9 +6,9 @@
 //! * [`relational`] — **Algorithm 1**: relational-semantics CFPQ reduced
 //!   to the transitive closure `a_cf`, decomposed into per-nonterminal
 //!   Boolean matrices and executed on any [`cfpq_matrix::BoolEngine`]
-//!   backend (dense/sparse × serial/device-parallel), plus the
-//!   paper-literal set-matrix solver with per-iteration snapshots
-//!   (Fig. 6–8) and a semi-naive *delta* variant for the ablation benches.
+//!   backend (dense/sparse × serial/device-parallel, tiled) by one
+//!   masked semi-naive sweep loop, plus the paper-literal set-matrix
+//!   solver with per-iteration snapshots (Fig. 6–8).
 //! * [`single_path`] — §5: the length-annotated closure on the
 //!   [`cfpq_matrix::LenEngine`] kernels (masked semi-naive, engine
 //!   generic, with the naive flat-table oracle kept for cross-checking)
@@ -45,10 +45,10 @@ pub mod session;
 pub mod single_path;
 
 pub use compile::{CompiledQuery, QueryKind};
-pub use query::{solve, solve_with, Backend, QueryAnswer};
+pub use query::{solve, Backend, QueryAnswer};
 pub use regular::{solve_regular, Nfa};
 pub use relational::{
-    solve_on_engine, solve_set_matrix, FixpointSolver, RelationalIndex, SolveStats, Strategy,
+    solve_on_engine, solve_set_matrix, FixpointSolver, RelationalIndex, SolveStats,
 };
 pub use session::{
     CfpqSession, EdgeBatch, GraphIndex, PreparedQuery, QueryId, RunInfo, SessionError, SinglePathId,

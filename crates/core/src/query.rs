@@ -13,7 +13,7 @@ use cfpq_matrix::{
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use crate::relational::{solve_set_matrix, RelationalIndex, SetMatrixResult, Strategy};
+use crate::relational::{solve_set_matrix, RelationalIndex, SetMatrixResult};
 use crate::session::{CfpqSession, PreparedQuery};
 
 /// Which implementation evaluates the query (§6 naming in comments).
@@ -265,33 +265,16 @@ impl QueryAnswer {
     }
 }
 
-/// Evaluates a context-free path query w.r.t. the relational semantics,
-/// with the default fixpoint strategy ([`Strategy::MaskedDelta`]).
+/// Evaluates a context-free path query w.r.t. the relational semantics.
 ///
 /// The grammar is normalized to weak CNF internally; `grammar.start`
 /// (defaulting to the first rule's LHS) is the query's start nonterminal.
 pub fn solve(graph: &Graph, grammar: &Cfg, backend: Backend) -> Result<QueryAnswer, GrammarError> {
-    solve_with(graph, grammar, backend, Strategy::default())
-}
-
-/// [`solve`] with an explicit fixpoint [`Strategy`] (ignored by the
-/// paper-literal [`Backend::SetMatrix`], which has no strategy knob).
-pub fn solve_with(
-    graph: &Graph,
-    grammar: &Cfg,
-    backend: Backend,
-    strategy: Strategy,
-) -> Result<QueryAnswer, GrammarError> {
     let wcnf = grammar.to_wcnf(CnfOptions::default())?;
-    Ok(solve_wcnf_with(graph, &wcnf, backend, strategy))
+    Ok(solve_wcnf(graph, &wcnf, backend))
 }
 
-/// Evaluates an already-normalized grammar with the default strategy.
-pub fn solve_wcnf(graph: &Graph, wcnf: &Wcnf, backend: Backend) -> QueryAnswer {
-    solve_wcnf_with(graph, wcnf, backend, Strategy::default())
-}
-
-/// [`solve_wcnf`] with an explicit fixpoint [`Strategy`].
+/// Evaluates an already-normalized grammar.
 ///
 /// Every matrix backend is served through a one-shot
 /// [`CfpqSession`]: the graph is indexed
@@ -300,27 +283,16 @@ pub fn solve_wcnf(graph: &Graph, wcnf: &Wcnf, backend: Backend) -> QueryAnswer {
 /// exactly the path a long-lived session takes, so the one-shot and
 /// many-query code cannot drift apart. Only the paper-literal
 /// [`Backend::SetMatrix`] keeps its own direct path (it has no engine).
-pub fn solve_wcnf_with(
-    graph: &Graph,
-    wcnf: &Wcnf,
-    backend: Backend,
-    strategy: Strategy,
-) -> QueryAnswer {
+pub fn solve_wcnf(graph: &Graph, wcnf: &Wcnf, backend: Backend) -> QueryAnswer {
     match backend {
-        Backend::Dense => one_shot(DenseEngine, graph, wcnf, strategy),
-        Backend::DensePar { workers } => one_shot(
-            ParDenseEngine::new(Backend::device(workers)),
-            graph,
-            wcnf,
-            strategy,
-        ),
-        Backend::Sparse => one_shot(SparseEngine, graph, wcnf, strategy),
-        Backend::SparsePar { workers } => one_shot(
-            ParSparseEngine::new(Backend::device(workers)),
-            graph,
-            wcnf,
-            strategy,
-        ),
+        Backend::Dense => one_shot(DenseEngine, graph, wcnf),
+        Backend::DensePar { workers } => {
+            one_shot(ParDenseEngine::new(Backend::device(workers)), graph, wcnf)
+        }
+        Backend::Sparse => one_shot(SparseEngine, graph, wcnf),
+        Backend::SparsePar { workers } => {
+            one_shot(ParSparseEngine::new(Backend::device(workers)), graph, wcnf)
+        }
         Backend::SetMatrix => {
             let result = solve_set_matrix(graph, wcnf, false);
             QueryAnswer::over(
@@ -342,13 +314,12 @@ fn one_shot<E: BoolEngine + cfpq_matrix::LenEngine>(
     engine: E,
     graph: &Graph,
     wcnf: &Wcnf,
-    strategy: Strategy,
 ) -> QueryAnswer {
     let index = crate::session::GraphIndex::build_where(engine, graph, |name| {
         wcnf.symbols.get_term(name).is_some()
     });
     let mut session = CfpqSession::over(index);
-    let id = session.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()).strategy(strategy));
+    let id = session.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
     session.evaluate(id)
 }
 

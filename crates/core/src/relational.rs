@@ -15,42 +15,23 @@
 //!    [`BoolEngine`] so the paper's dGPU/sCPU/sGPU variants are just
 //!    engine choices.
 //!
-//! # Fixpoint strategies
+//! # The sweep loop
 //!
-//! All strategies compute the same least fixpoint (cross-checked by the
-//! fixed-seed property suite); they differ in how much kernel work a
-//! sweep launches. [`Strategy`] selects one:
-//!
-//! * [`Strategy::Naive`] — Algorithm 1 as printed: every rule recomputes
-//!   its full product `T_B × T_C` every sweep (Gauss–Seidel order, the
-//!   paper's reference loop).
-//! * [`Strategy::Batched`] — the same full products, but all rules of a
-//!   sweep are submitted as one [`BoolEngine::multiply_batch`], so
-//!   device-backed engines overlap rule kernels (the paper's §7 remark
-//!   that "matrix multiplication in the main loop … may be performed on
-//!   different GPGPU independently").
-//! * [`Strategy::Delta`] — classic semi-naive evaluation: each rule only
-//!   multiplies the entries discovered in the previous sweep,
-//!   `T_A |= ΔT_B × T_C ∪ T_B × ΔT_C`. Rules sharing the same `(B, C)`
-//!   right-hand side share one product, kernels with an empty Δ operand
-//!   are skipped outright, and no per-sweep zero matrices are allocated.
-//! * [`Strategy::MaskedDelta`] — **the default**: semi-naive plus
-//!   masking. Each product is computed through
-//!   [`BoolEngine::multiply_masked`] with the accumulated `T_A` as
-//!   complement mask, so the kernels never regenerate entries the
-//!   closure already holds — the output of every multiplication is
-//!   exactly the new information. Masking is what makes the
-//!   linear-algebra formulation pay off at scale (Azimov & Grigorev,
-//!   arXiv:1707.01007; Shemetova et al., arXiv:2103.14688), and it
-//!   composes with the batched §7 decomposition: a masked sweep is one
-//!   batch of independent masked kernels, the same shape the paper
-//!   proposes to spread across multiple GPUs.
-//!
-//! The legacy entry point [`solve_on_engine`] (naive) remains as the
-//! reference/ablation wrapper; `solve_on_engine_batched` and
-//! `solve_on_engine_delta` are deprecated delegating shims (pick a
-//! [`Strategy`] on the solver instead). Per-sweep work counters come
-//! back in [`RelationalIndex::stats`].
+//! [`FixpointSolver`] runs one loop: semi-naive evaluation with masked
+//! kernels. Each sweep multiplies only the entries discovered in the
+//! previous one, `T_A |= ΔT_B × T_C ∪ T_B × ΔT_C`; rules sharing the
+//! same `(B, C)` right-hand side share one product, kernels with an
+//! empty Δ operand are skipped outright, and the whole sweep goes to the
+//! engine as one [`BoolEngine::multiply_masked_batch`] (the paper's §7
+//! remark that "matrix multiplication in the main loop … may be
+//! performed on different GPGPU independently"). A product feeding
+//! exactly one `T_A` takes the accumulated `T_A` as complement mask, so
+//! the kernel never regenerates entries the closure already holds and
+//! its output is exactly the new information (Azimov & Grigorev,
+//! arXiv:1707.01007; Shemetova et al., arXiv:2103.14688). Algorithm 1 as
+//! printed — full products every sweep — is [`solve_set_matrix`], the
+//! oracle the property suites compare this loop against. Per-sweep work
+//! counters come back in [`RelationalIndex::stats`].
 //!
 //! # Incremental repair
 //!
@@ -103,53 +84,15 @@ pub fn init_pairs(graph: &Graph, grammar: &Wcnf) -> Vec<Vec<(u32, u32)>> {
     pairs
 }
 
-/// How a [`FixpointSolver`] runs the sweeps of Algorithm 1. See the
-/// module docs for the full comparison; [`Strategy::MaskedDelta`] is the
-/// default everywhere (facade, benches, examples).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Strategy {
-    /// Full products, rule by rule (the paper's Algorithm 1 loop).
-    Naive,
-    /// Full products, one engine batch per sweep (§7 decomposition).
-    Batched,
-    /// Semi-naive: only newly-discovered entries are multiplied.
-    Delta,
-    /// Semi-naive with masked kernels: products never regenerate entries
-    /// the closure already holds. The default.
-    #[default]
-    MaskedDelta,
-}
-
-impl Strategy {
-    /// Every strategy, for exhaustive cross-checking.
-    pub const ALL: [Strategy; 4] = [
-        Strategy::Naive,
-        Strategy::Batched,
-        Strategy::Delta,
-        Strategy::MaskedDelta,
-    ];
-
-    /// Stable name for reports and benches.
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Naive => "naive",
-            Strategy::Batched => "batched",
-            Strategy::Delta => "delta",
-            Strategy::MaskedDelta => "masked-delta",
-        }
-    }
-}
-
-/// Kernel-work counters of one fixpoint run, for `reproduce --json` and
-/// the perf-trajectory files (`BENCH_*.json`).
+/// Kernel-work counters of one fixpoint run (what `reproduce --json`
+/// reports per row).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Matrix products actually launched across all sweeps.
     pub products_computed: usize,
     /// Products a rule-by-rule semi-naive loop would have launched but
     /// this run avoided — by deduplicating shared `(B, C)` right-hand
-    /// sides and by skipping kernels whose Δ operand was empty. Zero for
-    /// the non-delta strategies (they skip nothing).
+    /// sides and by skipping kernels whose Δ operand was empty.
     pub products_skipped: usize,
     /// Total stored entries (`Σ_A nnz(T_A)`) after each sweep.
     pub sweep_nnz: Vec<usize>,
@@ -158,13 +101,8 @@ pub struct SolveStats {
     /// the engine's [`KernelCounters`](cfpq_matrix::KernelCounters)
     /// sampled before/after the run. Zero for the flat engines.
     pub tiles_skipped: u64,
-    /// Representation conversions (dense ↔ CSR ↔ tiled) the adaptive
-    /// engine performed during this run. Zero for fixed-representation
-    /// engines.
-    pub repr_switches: u64,
     /// Final `nnz(T_A)` per nonterminal (indexed like the grammar's
-    /// nonterminals) — the per-nonterminal snapshot behind the adaptive
-    /// engine's representation decisions.
+    /// nonterminals).
     pub nt_nnz: Vec<usize>,
 }
 
@@ -175,7 +113,6 @@ impl SolveStats {
         self.products_computed += run.products_computed;
         self.products_skipped += run.products_skipped;
         self.tiles_skipped += run.tiles_skipped;
-        self.repr_switches += run.repr_switches;
         self.sweep_nnz.extend(run.sweep_nnz.iter().copied());
         self.nt_nnz.clone_from(&run.nt_nnz);
     }
@@ -224,11 +161,11 @@ pub struct SolveOptions {
     pub nullable_diagonal: bool,
 }
 
-/// The unified fixpoint pipeline: one engine-generic solver whose
-/// [`Strategy`] selects how much kernel work each sweep launches.
+/// The fixpoint pipeline: one engine-generic solver running masked
+/// semi-naive sweeps (see the module docs).
 ///
 /// ```
-/// use cfpq_core::relational::{FixpointSolver, Strategy};
+/// use cfpq_core::relational::FixpointSolver;
 /// use cfpq_grammar::{cnf::CnfOptions, Cfg};
 /// use cfpq_graph::generators;
 /// use cfpq_matrix::SparseEngine;
@@ -237,37 +174,21 @@ pub struct SolveOptions {
 ///     .to_wcnf(CnfOptions::default()).unwrap();
 /// let s = g.symbols.get_nt("S").unwrap();
 /// let graph = generators::word_chain(&["a", "a", "b", "b"]);
-/// // MaskedDelta is the default strategy.
 /// let idx = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
 /// assert_eq!(idx.pairs(s), vec![(0, 4), (1, 3)]);
-/// // Ablations pick another strategy explicitly.
-/// let naive = FixpointSolver::new(&SparseEngine)
-///     .strategy(Strategy::Naive)
-///     .solve(&graph, &g);
-/// assert_eq!(naive.pairs(s), idx.pairs(s));
-/// assert!(idx.stats.products_computed <= naive.stats.products_computed);
 /// ```
 pub struct FixpointSolver<'e, E: BoolEngine> {
     engine: &'e E,
-    strategy: Strategy,
     options: SolveOptions,
 }
 
 impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
-    /// A solver on `engine` with the default [`Strategy::MaskedDelta`]
-    /// and default [`SolveOptions`].
+    /// A solver on `engine` with default [`SolveOptions`].
     pub fn new(engine: &'e E) -> Self {
         Self {
             engine,
-            strategy: Strategy::default(),
             options: SolveOptions::default(),
         }
-    }
-
-    /// Selects the sweep strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Sets the solve options (ε-diagonal seeding).
@@ -308,24 +229,26 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
     /// is just a function of the seeds.
     pub fn solve_from_matrices(
         &self,
-        matrices: Vec<E::Matrix>,
+        mut matrices: Vec<E::Matrix>,
         n: usize,
         grammar: &Wcnf,
     ) -> RelationalIndex<E::Matrix> {
         let mut sp = cfpq_obs::span("solve");
-        let index = match self.strategy {
-            Strategy::Naive => self.run_naive(matrices, n, grammar),
-            Strategy::Batched => self.run_batched(matrices, n, grammar),
-            Strategy::Delta => self.run_delta(matrices, n, grammar, false),
-            Strategy::MaskedDelta => self.run_delta(matrices, n, grammar, true),
-        };
+        let mut stats = SolveStats::default();
+        let counters_before = self.engine.kernel_counters();
+        let iterations = self.delta_sweeps(&mut matrices, DeltaSeed::Full, grammar, &mut stats);
+        finish_stats(&mut stats, self.engine, counters_before, &matrices);
         if sp.is_recording() {
-            sp.attr_str("strategy", self.strategy.name());
             sp.attr_str("mode", "cold");
-            sp.attr_u64("sweeps", index.iterations as u64);
-            sp.attr_u64("products", index.stats.products_computed as u64);
+            sp.attr_u64("sweeps", iterations as u64);
+            sp.attr_u64("products", stats.products_computed as u64);
         }
-        index
+        RelationalIndex {
+            matrices,
+            iterations,
+            n_nodes: n,
+            stats,
+        }
     }
 
     /// Incrementally folds newly-discovered base facts into an already
@@ -336,12 +259,6 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
     /// by multiplying **only the new information** instead of re-solving
     /// from scratch — the distribution property behind semi-naive
     /// evaluation guarantees the same least fixpoint.
-    ///
-    /// The sweeps are always semi-naive regardless of the configured
-    /// [`Strategy`] (re-running full naive products from a converged
-    /// state would defeat the point); [`Strategy::MaskedDelta`] — and,
-    /// for convenience, the full-product strategies — resume with masked
-    /// kernels, [`Strategy::Delta`] resumes unmasked.
     ///
     /// Returns the [`SolveStats`] of the resume portion alone; the
     /// index's cumulative `stats` and `iterations` are also advanced.
@@ -355,7 +272,6 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         let engine = self.engine;
         let n_nts = grammar.n_nts();
         assert_eq!(new_pairs.len(), n_nts, "one pair list per nonterminal");
-        let masked = self.strategy != Strategy::Delta;
         let counters_before = engine.kernel_counters();
 
         // Δ_A = new seeds not already in the closure; fold them in.
@@ -376,7 +292,6 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         }
         let mut stats = SolveStats::default();
         if sp.is_recording() {
-            sp.attr_str("strategy", self.strategy.name());
             sp.attr_str("mode", "resume");
         }
         if !any {
@@ -390,7 +305,6 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
             &mut index.matrices,
             DeltaSeed::Deltas(delta),
             grammar,
-            masked,
             &mut stats,
         );
         finish_stats(&mut stats, engine, counters_before, &index.matrices);
@@ -403,139 +317,31 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         stats
     }
 
-    /// Algorithm 1 as printed: every rule recomputes its full product on
-    /// every sweep, unions applied immediately (Gauss–Seidel order).
-    fn run_naive(
-        &self,
-        mut matrices: Vec<E::Matrix>,
-        n: usize,
-        grammar: &Wcnf,
-    ) -> RelationalIndex<E::Matrix> {
-        let engine = self.engine;
-        let mut stats = SolveStats::default();
-        let counters_before = engine.kernel_counters();
-        let mut iterations = 0;
-        loop {
-            iterations += 1;
-            let mut sweep_sp = cfpq_obs::span("sweep");
-            let mut changed = false;
-            for rule in &grammar.binary_rules {
-                let product =
-                    engine.multiply(&matrices[rule.left.index()], &matrices[rule.right.index()]);
-                stats.products_computed += 1;
-                changed |= engine.union_in_place(&mut matrices[rule.lhs.index()], &product);
-            }
-            stats.sweep_nnz.push(total_nnz(&matrices));
-            if sweep_sp.is_recording() {
-                sweep_sp.attr_u64("sweep", iterations as u64);
-                sweep_sp.attr_u64("products", grammar.binary_rules.len() as u64);
-            }
-            drop(sweep_sp);
-            if !changed {
-                break;
-            }
-        }
-        finish_stats(&mut stats, engine, counters_before, &matrices);
-        RelationalIndex {
-            matrices,
-            iterations,
-            n_nodes: n,
-            stats,
-        }
-    }
-
-    /// Full products, but each sweep's rules go to the engine as one
-    /// batch, computed from the same snapshot (Jacobi order; may take a
-    /// sweep or two more than Gauss–Seidel, same least fixpoint).
-    fn run_batched(
-        &self,
-        mut matrices: Vec<E::Matrix>,
-        n: usize,
-        grammar: &Wcnf,
-    ) -> RelationalIndex<E::Matrix> {
-        let engine = self.engine;
-        let mut stats = SolveStats::default();
-        let counters_before = engine.kernel_counters();
-        let mut iterations = 0;
-        loop {
-            iterations += 1;
-            let mut sweep_sp = cfpq_obs::span("sweep");
-            let jobs: Vec<(&E::Matrix, &E::Matrix)> = grammar
-                .binary_rules
-                .iter()
-                .map(|r| (&matrices[r.left.index()], &matrices[r.right.index()]))
-                .collect();
-            let n_jobs = jobs.len();
-            let products = engine.multiply_batch(&jobs);
-            stats.products_computed += n_jobs;
-            let mut changed = false;
-            for (rule, product) in grammar.binary_rules.iter().zip(products) {
-                changed |= engine.union_in_place(&mut matrices[rule.lhs.index()], &product);
-            }
-            stats.sweep_nnz.push(total_nnz(&matrices));
-            if sweep_sp.is_recording() {
-                sweep_sp.attr_u64("sweep", iterations as u64);
-                sweep_sp.attr_u64("products", n_jobs as u64);
-            }
-            drop(sweep_sp);
-            if !changed {
-                break;
-            }
-        }
-        finish_stats(&mut stats, engine, counters_before, &matrices);
-        RelationalIndex {
-            matrices,
-            iterations,
-            n_nodes: n,
-            stats,
-        }
-    }
-
-    /// Semi-naive sweeps, optionally with masked kernels.
+    /// The masked semi-naive sweep loop behind both the cold solve and
+    /// the incremental [`FixpointSolver::resume`] path.
     ///
     /// Per sweep each distinct `(B, C)` right-hand side contributes at
     /// most two products, `ΔT_B × T_C` and `T_B × ΔT_C`, shared by every
     /// rule `A → BC` (multiply once, union into every LHS). Kernels with
-    /// an empty Δ operand are skipped. On the first sweep Δ *is* the
-    /// initial matrix, so a single `T_B × T_C` product per pair suffices
-    /// — no clone of the initial matrices is ever taken. With `masked`
-    /// set, a pair produced by exactly one LHS `A` runs through
-    /// [`BoolEngine::multiply_masked`] with the accumulated `T_A` as
-    /// complement mask, so the kernel emits only new entries and the Δ
-    /// for the next sweep needs no difference pass.
-    fn run_delta(
-        &self,
-        mut full: Vec<E::Matrix>,
-        n: usize,
-        grammar: &Wcnf,
-        masked: bool,
-    ) -> RelationalIndex<E::Matrix> {
-        let mut stats = SolveStats::default();
-        let counters_before = self.engine.kernel_counters();
-        let iterations = self.delta_sweeps(&mut full, DeltaSeed::Full, grammar, masked, &mut stats);
-        finish_stats(&mut stats, self.engine, counters_before, &full);
-        RelationalIndex {
-            matrices: full,
-            iterations,
-            n_nodes: n,
-            stats,
-        }
-    }
-
-    /// The semi-naive sweep loop shared by the cold-solve delta
-    /// strategies and the incremental [`FixpointSolver::resume`] path.
+    /// an empty Δ operand are skipped. A pair produced by exactly one
+    /// LHS `A` runs through [`BoolEngine::multiply_masked`] with the
+    /// accumulated `T_A` as complement mask, so the kernel emits only new
+    /// entries and the Δ for the next sweep needs no difference pass; a
+    /// pair shared by several LHS runs unmasked and pays the difference.
+    ///
     /// `seed` selects where the first sweep's Δ comes from:
     /// [`DeltaSeed::Full`] treats the (freshly initialized) `full`
-    /// matrices themselves as the Δ — the cold-solve case, with no clone
-    /// ever taken — while [`DeltaSeed::Deltas`] starts from explicit Δ
-    /// matrices already folded into `full` — the resume case. Returns
-    /// the number of sweeps run; work counters accumulate into `stats`.
+    /// matrices themselves as the Δ — the cold-solve case, where ΔB×C
+    /// and B×ΔC coincide, so one `T_B × T_C` product per pair suffices
+    /// and no clone is ever taken — while [`DeltaSeed::Deltas`] starts
+    /// from explicit Δ matrices already folded into `full` — the resume
+    /// case. Returns the number of sweeps run; work counters accumulate
+    /// into `stats`.
     fn delta_sweeps(
         &self,
         full: &mut [E::Matrix],
         seed: DeltaSeed<E::Matrix>,
         grammar: &Wcnf,
-        masked: bool,
         stats: &mut SolveStats,
     ) -> usize {
         let engine = self.engine;
@@ -576,8 +382,8 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
             let mut jobs: Vec<MaskedJob<'_, E::Matrix>> = Vec::new();
             let mut job_group: Vec<usize> = Vec::new();
             for (gi, ((b, c), lhss)) in groups.iter().enumerate() {
-                let mask = match (masked, &lhss[..]) {
-                    (true, &[a]) => Some(&full[a]),
+                let mask = match &lhss[..] {
+                    &[a] => Some(&full[a]),
                     _ => None,
                 };
                 if first {
@@ -606,7 +412,7 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
             let mut fresh_masked: Vec<bool> = vec![true; n_nts];
             for (product, &gi) in products.into_iter().zip(&job_group) {
                 let lhss = &groups[gi].1;
-                let was_masked = masked && lhss.len() == 1;
+                let was_masked = lhss.len() == 1;
                 let (&last, rest) = lhss.split_last().expect("group has an LHS");
                 for &a in rest {
                     match &mut fresh[a] {
@@ -653,7 +459,6 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
             if sweep_sp.is_recording() {
                 sweep_sp.attr_u64("sweep", iterations as u64);
                 sweep_sp.attr_u64("products", n_jobs as u64);
-                sweep_sp.attr_u64("masked", masked as u64);
                 // Per-nonterminal Δ-nnz this sweep produced, as
                 // `nt:nnz` pairs (only nonterminals that changed).
                 let per_nt: Vec<String> = delta
@@ -699,7 +504,6 @@ fn finish_stats<E: BoolEngine>(
 ) {
     let work = engine.kernel_counters().since(counters_before);
     stats.tiles_skipped = work.tiles_skipped;
-    stats.repr_switches = work.repr_switches;
     stats.nt_nnz = matrices.iter().map(BoolMat::nnz).collect();
 }
 
@@ -1009,7 +813,6 @@ impl<M: BoolMat> SourceClosure<M> {
             if sweep_sp.is_recording() {
                 sweep_sp.attr_u64("sweep", sweeps as u64);
                 sweep_sp.attr_u64("products", n_jobs as u64);
-                sweep_sp.attr_u64("masked", 1);
                 let per_nt: Vec<String> = d_rel
                     .iter()
                     .enumerate()
@@ -1022,7 +825,6 @@ impl<M: BoolMat> SourceClosure<M> {
         self.sweeps += sweeps;
         self.stats.absorb(&stats);
         if sp.is_recording() {
-            sp.attr_str("strategy", Strategy::MaskedDelta.name());
             sp.attr_str("mode", "sources");
             sp.attr_u64("sources", in_range.len() as u64);
             sp.attr_u64("rows_demanded", self.rows_demanded() as u64);
@@ -1105,10 +907,8 @@ impl<M: BoolMat> SourceClosure<M> {
     }
 }
 
-/// Runs Algorithm 1 in its Boolean decomposition on the given engine,
-/// with the paper-literal [`Strategy::Naive`] loop. Kept as the
-/// reference/ablation entry point; the fast default pipeline is
-/// [`FixpointSolver`] (strategy [`Strategy::MaskedDelta`]).
+/// [`FixpointSolver::solve`] as a free function: the Boolean
+/// decomposition of Algorithm 1 on the given engine, default options.
 pub fn solve_on_engine<E: BoolEngine>(
     engine: &E,
     graph: &Graph,
@@ -1125,46 +925,7 @@ pub fn solve_on_engine_with<E: BoolEngine>(
     options: SolveOptions,
 ) -> RelationalIndex<E::Matrix> {
     FixpointSolver::new(engine)
-        .strategy(Strategy::Naive)
         .options(options)
-        .solve(graph, grammar)
-}
-
-/// Legacy [`Strategy::Batched`] wrapper, superseded by
-/// `FixpointSolver::new(engine).strategy(Strategy::Batched)`. Kept as a
-/// thin delegating shim so old callers keep compiling; new code should
-/// pick a [`Strategy`] on the solver (or go through `session::CfpqSession`
-/// when the same graph serves several queries).
-#[deprecated(
-    since = "0.1.0",
-    note = "use FixpointSolver::new(engine).strategy(Strategy::Batched).solve(..)"
-)]
-pub fn solve_on_engine_batched<E: BoolEngine>(
-    engine: &E,
-    graph: &Graph,
-    grammar: &Wcnf,
-) -> RelationalIndex<E::Matrix> {
-    FixpointSolver::new(engine)
-        .strategy(Strategy::Batched)
-        .solve(graph, grammar)
-}
-
-/// Legacy [`Strategy::Delta`] wrapper, superseded by
-/// `FixpointSolver::new(engine).strategy(Strategy::Delta)`. Kept as a
-/// thin delegating shim so old callers keep compiling; semi-naive
-/// evaluation multiplies only the newly discovered part of each operand,
-/// `T_A |= ΔT_B × T_C ∪ T_B × ΔT_C` (benchmarked as an ablation point).
-#[deprecated(
-    since = "0.1.0",
-    note = "use FixpointSolver::new(engine).strategy(Strategy::Delta).solve(..)"
-)]
-pub fn solve_on_engine_delta<E: BoolEngine>(
-    engine: &E,
-    graph: &Graph,
-    grammar: &Wcnf,
-) -> RelationalIndex<E::Matrix> {
-    FixpointSolver::new(engine)
-        .strategy(Strategy::Delta)
         .solve(graph, grammar)
 }
 
@@ -1222,7 +983,9 @@ mod tests {
     use cfpq_grammar::queries;
     use cfpq_grammar::Cfg;
     use cfpq_graph::generators;
-    use cfpq_matrix::{DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine};
+    use cfpq_matrix::{
+        DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    };
 
     fn wcnf(src: &str) -> Wcnf {
         Cfg::parse(src)
@@ -1260,49 +1023,23 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_agree() {
-        let g = wcnf("S -> a S b | a b");
-        let graph = generators::two_cycles(3, 2);
+    fn all_engines_agree_with_the_set_matrix_oracle() {
+        let g = wcnf("S -> a S b | a b | S S");
+        let graph = generators::two_cycles(3, 4);
+        let oracle = solve_set_matrix(&graph, &g, false);
         let dense = solve_on_engine(&DenseEngine, &graph, &g);
         let sparse = solve_on_engine(&SparseEngine, &graph, &g);
         let dpar = solve_on_engine(&ParDenseEngine::new(Device::new(3)), &graph, &g);
-        let spar = solve_on_engine(&ParSparseEngine::new(Device::new(3)), &graph, &g);
+        let spar = solve_on_engine(&ParSparseEngine::new(Device::new(2)), &graph, &g);
+        let tiled = solve_on_engine(&TiledEngine::new(Device::new(2)), &graph, &g);
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
-            let expect = dense.pairs(nt);
-            assert_eq!(sparse.pairs(nt), expect);
-            assert_eq!(dpar.pairs(nt), expect);
-            assert_eq!(spar.pairs(nt), expect);
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)] // the shims must stay observationally equivalent
-    fn batched_variant_agrees() {
-        use cfpq_matrix::{Device, ParSparseEngine};
-        let g = wcnf("S -> a S b | a b | S S");
-        let graph = generators::two_cycles(3, 4);
-        let naive = solve_on_engine(&SparseEngine, &graph, &g);
-        let batched = solve_on_engine_batched(&SparseEngine, &graph, &g);
-        let batched_par =
-            solve_on_engine_batched(&ParSparseEngine::new(Device::new(2)), &graph, &g);
-        for nt in 0..g.n_nts() {
-            let nt = Nt(nt as u32);
-            assert_eq!(naive.pairs(nt), batched.pairs(nt));
-            assert_eq!(naive.pairs(nt), batched_par.pairs(nt));
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)] // the shims must stay observationally equivalent
-    fn delta_variant_agrees() {
-        let g = wcnf("S -> a S b | a b | S S");
-        let graph = generators::two_cycles(3, 4);
-        let naive = solve_on_engine(&SparseEngine, &graph, &g);
-        let delta = solve_on_engine_delta(&SparseEngine, &graph, &g);
-        for nt in 0..g.n_nts() {
-            let nt = Nt(nt as u32);
-            assert_eq!(naive.pairs(nt), delta.pairs(nt));
+            let expect = oracle.pairs(nt);
+            assert_eq!(dense.pairs(nt), expect, "dense");
+            assert_eq!(sparse.pairs(nt), expect, "sparse");
+            assert_eq!(dpar.pairs(nt), expect, "dense-par");
+            assert_eq!(spar.pairs(nt), expect, "sparse-par");
+            assert_eq!(tiled.pairs(nt), expect, "tiled");
         }
     }
 
@@ -1382,92 +1119,30 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree_on_all_engines() {
-        let g = wcnf("S -> a S b | a b | S S");
-        let graph = generators::two_cycles(3, 4);
-        let reference = solve_on_engine(&DenseEngine, &graph, &g);
-        for strategy in Strategy::ALL {
-            let dense = FixpointSolver::new(&DenseEngine)
-                .strategy(strategy)
-                .solve(&graph, &g);
-            let sparse = FixpointSolver::new(&SparseEngine)
-                .strategy(strategy)
-                .solve(&graph, &g);
-            let dpar = FixpointSolver::new(&ParDenseEngine::new(Device::new(3)))
-                .strategy(strategy)
-                .solve(&graph, &g);
-            let spar = FixpointSolver::new(&ParSparseEngine::new(Device::new(2)))
-                .strategy(strategy)
-                .solve(&graph, &g);
-            for nt in 0..g.n_nts() {
-                let nt = Nt(nt as u32);
-                let expect = reference.pairs(nt);
-                let name = strategy.name();
-                assert_eq!(dense.pairs(nt), expect, "{name}/dense");
-                assert_eq!(sparse.pairs(nt), expect, "{name}/sparse");
-                assert_eq!(dpar.pairs(nt), expect, "{name}/dense-par");
-                assert_eq!(spar.pairs(nt), expect, "{name}/sparse-par");
-            }
-        }
-    }
-
-    #[test]
-    fn masked_delta_computes_fewer_products_than_naive() {
+    fn shared_pairs_and_empty_deltas_are_skipped() {
         // The paper's evaluation shape: an ontology-style query grammar
         // (Q1 has 6 binary rules sharing RHS pairs) over the small skos
-        // dataset. Shared-pair dedup and empty-Δ skipping must beat the
-        // naive loop's rules × sweeps product count.
+        // dataset. `products_skipped` counts what a rule-by-rule
+        // semi-naive loop (two products per rule per sweep) would have
+        // launched on top of what this run did.
         let g = cfpq_grammar::queries::query1()
             .to_wcnf(CnfOptions::default())
             .unwrap();
         let suite = cfpq_graph::ontology::evaluation_suite();
         let graph = &suite.iter().find(|d| d.name == "skos").unwrap().graph;
-        let naive = solve_on_engine(&SparseEngine, graph, &g);
-        let masked = FixpointSolver::new(&SparseEngine).solve(graph, &g);
-        assert_eq!(naive.pairs(g.start), masked.pairs(g.start));
-        assert!(
-            masked.stats.products_computed < naive.stats.products_computed,
-            "masked {} vs naive {}",
-            masked.stats.products_computed,
-            naive.stats.products_computed
-        );
-        assert!(masked.stats.products_skipped > 0, "dedup/empty-Δ skips");
-        // The final sweep_nnz data point is the fixpoint size for both.
+        let oracle = solve_set_matrix(graph, &g, false);
+        let idx = FixpointSolver::new(&SparseEngine).solve(graph, &g);
+        assert_eq!(idx.pairs(g.start), oracle.pairs(g.start));
+        assert!(idx.stats.products_skipped > 0, "dedup/empty-Δ skips");
         assert_eq!(
-            naive.stats.sweep_nnz.last(),
-            masked.stats.sweep_nnz.last(),
-            "both trajectories end at the same fixpoint"
+            idx.stats.products_computed + idx.stats.products_skipped,
+            2 * g.binary_rules.len() * idx.iterations
         );
-    }
-
-    #[test]
-    fn strategies_honour_nullable_diagonal() {
-        let g = Cfg::parse("S -> a S b | eps")
-            .unwrap()
-            .to_wcnf(CnfOptions::default())
-            .unwrap();
-        let graph = generators::two_cycles(2, 3);
-        let options = SolveOptions {
-            nullable_diagonal: true,
-        };
-        let reference = solve_on_engine_with(&SparseEngine, &graph, &g, options);
-        for strategy in Strategy::ALL {
-            let idx = FixpointSolver::new(&SparseEngine)
-                .strategy(strategy)
-                .options(options)
-                .solve(&graph, &g);
-            for nt in 0..g.n_nts() {
-                let nt = Nt(nt as u32);
-                assert_eq!(idx.pairs(nt), reference.pairs(nt), "{}", strategy.name());
-            }
-        }
-    }
-
-    #[test]
-    fn strategy_names_are_stable() {
-        let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, vec!["naive", "batched", "delta", "masked-delta"]);
-        assert_eq!(Strategy::default(), Strategy::MaskedDelta);
+        // The final sweep_nnz data point is the fixpoint size.
+        assert_eq!(
+            idx.stats.sweep_nnz.last().copied(),
+            Some(idx.stats.nt_nnz.iter().sum::<usize>())
+        );
     }
 
     #[test]

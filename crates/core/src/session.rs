@@ -20,8 +20,8 @@
 //! [`FixpointSolver::resume`] — the semi-naive Δ loop seeded with only
 //! the new entries — instead of re-solving from scratch. On the
 //! evaluation datasets this computes strictly fewer products than a cold
-//! solve (asserted by `reproduce --smoke` and benchmarked in
-//! `benches/incremental.rs`).
+//! solve (asserted by this module's tests, measured by the `benchmark/`
+//! workload `update-stream`).
 //!
 //! Sessions also speak the **unified compiled-query pipeline**:
 //! [`CfpqSession::prepare_regular`] lowers an NFA-form RPQ (and
@@ -65,9 +65,7 @@
 
 use crate::all_paths::{PageRequest, PathEnumerator, PathPage};
 use crate::query::QueryAnswer;
-use crate::relational::{
-    FixpointSolver, RelationalIndex, SolveOptions, SolveStats, SourceClosure, Strategy,
-};
+use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats, SourceClosure};
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::symbol::Interner;
@@ -346,13 +344,12 @@ impl<E: BoolEngine> GraphIndex<E> {
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
     wcnf: Wcnf,
-    strategy: Strategy,
     options: SolveOptions,
 }
 
 impl PreparedQuery {
     /// Normalizes `grammar` to weak CNF (the expensive, once-per-query
-    /// step) with the default strategy and options.
+    /// step) with the default options.
     pub fn new(grammar: &Cfg) -> Result<Self, GrammarError> {
         Ok(Self::from_wcnf(grammar.to_wcnf(CnfOptions::default())?))
     }
@@ -361,15 +358,8 @@ impl PreparedQuery {
     pub fn from_wcnf(wcnf: Wcnf) -> Self {
         Self {
             wcnf,
-            strategy: Strategy::default(),
             options: SolveOptions::default(),
         }
-    }
-
-    /// Selects the fixpoint strategy for this query's evaluations.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Sets the solve options (ε-diagonal seeding).
@@ -496,7 +486,7 @@ struct ApQueryState<M: Clone> {
 /// [`CfpqSession::add_edges`] grew the graph in between — then the
 /// cached closure is *repaired* semi-naively from exactly the new edges
 /// ([`FixpointSolver::resume`]), which on real workloads launches far
-/// fewer matrix products than a cold solve (see `BENCH_pr3.json`).
+/// fewer matrix products than a cold solve.
 pub struct CfpqSession<E: BoolEngine + LenEngine> {
     index: GraphIndex<E>,
     /// Log of accepted edge batches; `QueryState::watermark` points into
@@ -549,8 +539,8 @@ pub fn batch_seed_pairs(
 }
 
 /// Cold-solves a prepared (relational) query against an index: seed
-/// matrices straight from the label matrices, then the configured
-/// fixpoint strategy. This is the one code path behind
+/// matrices straight from the label matrices, then the fixpoint. This is
+/// the one code path behind
 /// [`CfpqSession::evaluate`]'s first call *and* every `cfpq-service`
 /// epoch-cache miss.
 pub fn solve_prepared<E: BoolEngine>(
@@ -561,7 +551,6 @@ pub fn solve_prepared<E: BoolEngine>(
     let wcnf = query.wcnf();
     let matrices = index.seed_matrices(wcnf, query.options);
     let solved = FixpointSolver::new(&index.engine)
-        .strategy(query.strategy)
         .options(query.options)
         .solve_from_matrices(matrices, index.n_nodes, wcnf);
     if sp.is_recording() {
@@ -599,7 +588,6 @@ pub fn repair_prepared<E: BoolEngine>(
         }
     }
     let stats = FixpointSolver::new(engine)
-        .strategy(query.strategy)
         .options(query.options)
         .resume(solved, wcnf, &new_pairs);
     if sp.is_recording() {
@@ -614,9 +602,7 @@ pub fn repair_prepared<E: BoolEngine>(
 /// all `|V|` of them (see [`SourceClosure`] for the fixpoint). The work
 /// is proportional to what is reachable from the sources, so this is the
 /// path for point lookups; [`solve_prepared`] stays the path for whole
-/// answers. Restricted evaluation always runs masked semi-naive sweeps —
-/// the query's [`Strategy`] is an all-pairs ablation knob and is not
-/// consulted — and honours its [`SolveOptions`].
+/// answers. Restricted evaluation honours the query's [`SolveOptions`].
 ///
 /// ```
 /// use cfpq_core::session::{extend_prepared_from, solve_prepared_from, GraphIndex, PreparedQuery};
@@ -939,14 +925,14 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
 
     /// The closed relational index of a query, if it has been evaluated.
     pub fn solved_index(&self, id: QueryId) -> Option<&RelationalIndex<E::Matrix>> {
-        self.queries[id.0].solved.as_deref()
+        self.queries.get(id.0)?.solved.as_deref()
     }
 
     /// What the last [`CfpqSession::evaluate`] of this query actually
     /// did (cold vs incremental, and its kernel-work counters). `None`
     /// until the first evaluation.
     pub fn last_run(&self, id: QueryId) -> Option<&RunInfo> {
-        self.queries[id.0].last_run.as_ref()
+        self.queries.get(id.0)?.last_run.as_ref()
     }
 
     /// Normalizes `grammar` and registers it for single-path (§5)
@@ -958,9 +944,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     }
 
     /// Registers a fully-configured [`PreparedQuery`] for single-path
-    /// evaluation (the [`Strategy`] knob is ignored — the length closure
-    /// always runs the masked semi-naive pipeline; [`SolveOptions`]
-    /// apply as usual).
+    /// evaluation ([`SolveOptions`] apply as usual).
     pub fn prepare_single_path_query(&mut self, query: PreparedQuery) -> SinglePathId {
         self.sp_queries.push(SpQueryState {
             query,
@@ -1055,13 +1039,13 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// The solved single-path index of a query, if it has been
     /// evaluated (without forcing an evaluation).
     pub fn single_path_index(&self, id: SinglePathId) -> Option<&SinglePathIndex<E::LenMatrix>> {
-        self.sp_queries[id.0].solved.as_ref()
+        self.sp_queries.get(id.0)?.solved.as_ref()
     }
 
     /// What the last [`CfpqSession::evaluate_single_path`] of this query
     /// actually did. `None` until the first evaluation.
     pub fn last_single_path_run(&self, id: SinglePathId) -> Option<&RunInfo> {
-        self.sp_queries[id.0].last_run.as_ref()
+        self.sp_queries.get(id.0)?.last_run.as_ref()
     }
 
     /// Normalizes `grammar` and registers it for all-path (§7)
@@ -1165,14 +1149,14 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// The closed relational index backing an all-path query, if it has
     /// been enumerated at least once.
     pub fn all_paths_index(&self, id: AllPathsId) -> Option<&RelationalIndex<E::Matrix>> {
-        self.ap_queries[id.0].solved.as_ref()
+        self.ap_queries.get(id.0)?.solved.as_ref()
     }
 
     /// What the last [`CfpqSession::enumerate_paths`] of this query
     /// actually did to the closure (cold vs incremental repair). `None`
     /// until the first enumeration.
     pub fn last_all_paths_run(&self, id: AllPathsId) -> Option<&RunInfo> {
-        self.ap_queries[id.0].last_run.as_ref()
+        self.ap_queries.get(id.0)?.last_run.as_ref()
     }
 }
 
@@ -1182,7 +1166,9 @@ mod tests {
     use crate::query::{solve, Backend};
     use cfpq_grammar::queries;
     use cfpq_graph::generators;
-    use cfpq_matrix::{DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine};
+    use cfpq_matrix::{
+        DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    };
 
     #[test]
     fn session_matches_one_shot_solve() {
@@ -1196,6 +1182,36 @@ mod tests {
         assert_eq!(answer.iterations, reference.iterations);
         assert_eq!(answer.backend, "sparse");
         assert!(!session.last_run(id).unwrap().incremental);
+    }
+
+    #[test]
+    fn read_accessors_answer_none_for_handles_of_another_session() {
+        // A handle minted by a session that prepared more queries is out
+        // of range here; the `Option` accessors must say so, not panic.
+        let grammar = queries::query1();
+        let graph = generators::paper_example();
+        let mut big = CfpqSession::new(SparseEngine, &graph);
+        big.prepare(&grammar).unwrap();
+        big.prepare_single_path(&grammar).unwrap();
+        big.prepare_all_paths(&grammar).unwrap();
+        let q = big.prepare(&grammar).unwrap();
+        let sp = big.prepare_single_path(&grammar).unwrap();
+        let ap = big.prepare_all_paths(&grammar).unwrap();
+
+        let mut small = CfpqSession::new(SparseEngine, &graph);
+        small.prepare(&grammar).unwrap();
+        small.prepare_single_path(&grammar).unwrap();
+        small.prepare_all_paths(&grammar).unwrap();
+        assert!(small.solved_index(q).is_none());
+        assert!(small.last_run(q).is_none());
+        assert!(small.single_path_index(sp).is_none());
+        assert!(small.last_single_path_run(sp).is_none());
+        assert!(small.all_paths_index(ap).is_none());
+        assert!(small.last_all_paths_run(ap).is_none());
+        assert!(matches!(
+            small.try_evaluate(q),
+            Err(SessionError::UnknownQuery { .. })
+        ));
     }
 
     #[test]
@@ -1249,8 +1265,17 @@ mod tests {
 
         let run = session.last_run(id).unwrap();
         assert!(run.incremental);
-        let cold = solve(&full, &grammar, Backend::Sparse).unwrap();
+        let mut cold_session = CfpqSession::new(SparseEngine, &full);
+        let cold_id = cold_session.prepare(&grammar).unwrap();
+        let cold = cold_session.evaluate(cold_id);
         assert_eq!(repaired.start_pairs(), cold.start_pairs());
+        let cold_run = cold_session.last_run(cold_id).unwrap();
+        assert!(
+            run.stats.products_computed < cold_run.stats.products_computed,
+            "repair {} vs cold {}",
+            run.stats.products_computed,
+            cold_run.stats.products_computed
+        );
     }
 
     #[test]
@@ -1327,6 +1352,10 @@ mod tests {
         );
         assert_eq!(
             check(ParSparseEngine::new(Device::new(3)), &chain, &grammar),
+            expect.start_pairs()
+        );
+        assert_eq!(
+            check(TiledEngine::new(Device::new(2)), &chain, &grammar),
             expect.start_pairs()
         );
     }

@@ -369,10 +369,9 @@ pub fn solve_single_path_with(
 }
 
 /// The seed-era naive `O(n³)` sweep over flat length tables, kept as the
-/// reference oracle the engine pipeline is property-tested against (and
-/// the ablation baseline of `benches/single_path.rs`). Fixed relative to
-/// its original form: absent is [`NO_PATH`] (not `0`), so the ε-overlay
-/// can store genuine length-0 witnesses.
+/// reference oracle the engine pipeline is property-tested against.
+/// Fixed relative to its original form: absent is [`NO_PATH`] (not `0`),
+/// so the ε-overlay can store genuine length-0 witnesses.
 pub fn solve_single_path_oracle(
     graph: &Graph,
     grammar: &Wcnf,

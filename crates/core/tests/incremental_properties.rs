@@ -20,8 +20,8 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Nt, Wcnf};
 use cfpq_graph::{generators, Graph};
 use cfpq_matrix::{
-    AdaptiveEngine, BoolEngine, BoolMat, DenseEngine, Device, LenEngine, ParDenseEngine,
-    ParSparseEngine, SparseEngine, TiledEngine,
+    BoolEngine, BoolMat, DenseEngine, Device, LenEngine, ParDenseEngine, ParSparseEngine,
+    SparseEngine, TiledEngine,
 };
 use proptest::prelude::*;
 
@@ -183,7 +183,6 @@ fn answers_are_isolated_from_later_updates_copy_on_write() {
     check_copy_on_write(ParDenseEngine::new(Device::new(2)));
     check_copy_on_write(ParSparseEngine::new(Device::new(3)));
     check_copy_on_write(TiledEngine::new(Device::new(2)));
-    check_copy_on_write(AdaptiveEngine::new(Device::new(2)));
 }
 
 proptest! {
@@ -207,7 +206,6 @@ proptest! {
             check_engine(ParDenseEngine::new(Device::new(2)), &graph, &wcnf)?;
             check_engine(ParSparseEngine::new(Device::new(3)), &graph, &wcnf)?;
             check_engine(TiledEngine::new(Device::new(2)), &graph, &wcnf)?;
-            check_engine(AdaptiveEngine::new(Device::new(2)), &graph, &wcnf)?;
         }
     }
 

@@ -13,7 +13,7 @@
 //!    CFPQ on a regular grammar).
 //!
 //! The suite triangulates all three on fixed-seed random graphs across
-//! all six matrix engines, checks that incremental repair after
+//! all five matrix engines, checks that incremental repair after
 //! `add_edges` answers exactly what a from-scratch solve answers, and
 //! pins the materialization contract: evaluating a compiled RPQ through
 //! a session performs **zero** `from_pairs` label-matrix builds — the
@@ -28,8 +28,8 @@ use cfpq_core::CfpqSession;
 use cfpq_grammar::Cfg;
 use cfpq_graph::{generators, Graph};
 use cfpq_matrix::{
-    AdaptiveEngine, BoolEngine, BoolMat, DenseEngine, Device, KernelCounters, LenEngine, MaskedJob,
-    ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    BoolEngine, BoolMat, DenseEngine, Device, KernelCounters, LenEngine, MaskedJob, ParDenseEngine,
+    ParSparseEngine, SparseEngine, TiledEngine,
 };
 
 /// Base RNG seed shared with the workspace's other fixed-seed suites.
@@ -150,7 +150,6 @@ fn three_formulations_agree_on_all_engines() {
     triangulate(|| ParDenseEngine::new(Device::new(2)));
     triangulate(|| ParSparseEngine::new(Device::new(2)));
     triangulate(|| TiledEngine::new(Device::new(2)));
-    triangulate(|| AdaptiveEngine::new(Device::new(2)));
 }
 
 #[test]
@@ -160,7 +159,61 @@ fn repair_matches_scratch_on_all_engines() {
     repair_vs_scratch(|| ParDenseEngine::new(Device::new(2)));
     repair_vs_scratch(|| ParSparseEngine::new(Device::new(2)));
     repair_vs_scratch(|| TiledEngine::new(Device::new(2)));
-    repair_vs_scratch(|| AdaptiveEngine::new(Device::new(2)));
+}
+
+/// On the two smallest evaluation ontologies, re-inserting the last (up
+/// to) ten query-relevant edges through a session repairs the RPQ
+/// closure with no more products than the cold solve of the full graph
+/// launches — and reaches its answer.
+#[test]
+fn repair_launches_no_more_products_than_cold_on_the_ontologies() {
+    let queries = [
+        Nfa::plus("subClassOf"),
+        Nfa::star_then("subClassOf", "type_r"),
+    ];
+    for name in ["skos", "generations"] {
+        let graph = cfpq_graph::ontology::dataset(name).unwrap().to_graph();
+        for nfa in &queries {
+            let in_alphabet = |label| {
+                let name = graph.label_name(label);
+                nfa.transitions().iter().any(|(_, l, _)| l == name)
+            };
+            let relevant: Vec<usize> = (0..graph.n_edges())
+                .filter(|&i| in_alphabet(graph.edges()[i].label))
+                .collect();
+            let held = &relevant[relevant.len().saturating_sub(10)..];
+            assert!(!held.is_empty(), "{name} has query-relevant edges");
+            let mut base = Graph::new(graph.n_nodes());
+            let mut batch = Vec::new();
+            for (i, e) in graph.edges().iter().enumerate() {
+                let label = graph.label_name(e.label);
+                if held.contains(&i) {
+                    batch.push((e.from, label, e.to));
+                } else {
+                    base.add_edge_named(e.from, label, e.to);
+                }
+            }
+
+            let mut cold = CfpqSession::new(SparseEngine, &graph);
+            let cold_id = cold.prepare_regular(nfa);
+            let expect = cold.evaluate(cold_id);
+            let cold_products = cold.last_run(cold_id).unwrap().stats.products_computed;
+            assert!(cold_products > 0, "the pipeline populates SolveStats");
+
+            let mut session = CfpqSession::new(SparseEngine, &base);
+            let id = session.prepare_regular(nfa);
+            session.evaluate(id);
+            assert_eq!(session.add_edges(&batch), batch.len());
+            assert_eq!(session.evaluate(id).start_pairs(), expect.start_pairs());
+            let repair = session.last_run(id).unwrap();
+            assert!(repair.incremental);
+            assert!(
+                repair.stats.products_computed <= cold_products,
+                "{name}: repair {} vs cold {cold_products}",
+                repair.stats.products_computed
+            );
+        }
+    }
 }
 
 /// A transparent decorator over [`SparseEngine`] that counts

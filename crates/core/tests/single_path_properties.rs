@@ -22,8 +22,7 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Nt, Wcnf};
 use cfpq_graph::{generators, Graph};
 use cfpq_matrix::{
-    AdaptiveEngine, DenseEngine, Device, LenEngine, ParDenseEngine, ParSparseEngine, SparseEngine,
-    TiledEngine,
+    DenseEngine, Device, LenEngine, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
 };
 use proptest::prelude::*;
 
@@ -134,13 +133,6 @@ fn check_all(graph: &Graph, grammar: &Wcnf, diagonal: bool) -> Result<(), TestCa
     check_engine(
         "tiled",
         &TiledEngine::new(Device::new(2)),
-        graph,
-        grammar,
-        options,
-    )?;
-    check_engine(
-        "adaptive",
-        &AdaptiveEngine::new(Device::new(2)),
         graph,
         grammar,
         options,

@@ -17,8 +17,8 @@ use cfpq_core::session::{
 use cfpq_grammar::{queries, Cfg, Nt};
 use cfpq_graph::{generators, ontology, Graph};
 use cfpq_matrix::{
-    AdaptiveEngine, BoolEngine, BoolMat, DenseEngine, Device, ParDenseEngine, ParSparseEngine,
-    SparseEngine, TiledEngine,
+    BoolEngine, BoolMat, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine,
+    TiledEngine,
 };
 use std::collections::HashSet;
 
@@ -263,11 +263,6 @@ fn restricted_equals_all_pairs_filtered_sparse_par() {
 #[test]
 fn restricted_equals_all_pairs_filtered_tiled() {
     check_engine(TiledEngine::new(Device::new(2)));
-}
-
-#[test]
-fn restricted_equals_all_pairs_filtered_adaptive() {
-    check_engine(AdaptiveEngine::new(Device::new(2)));
 }
 
 /// The point of the exercise: on a graph of disjoint blocks a lookup

@@ -1,9 +1,9 @@
 //! Deterministic random grammar and word generators for property tests.
 //!
-//! Cross-implementation equivalence testing (DESIGN.md §7) needs many
-//! random-but-reproducible weak-CNF grammars and, for string-level oracles,
-//! words that are *guaranteed members* of the generated language (sampled
-//! by random derivation with a size budget).
+//! Cross-implementation equivalence testing (`tests/equivalence.rs`)
+//! needs many random-but-reproducible weak-CNF grammars and, for
+//! string-level oracles, words that are *guaranteed members* of the
+//! generated language (sampled by random derivation with a size budget).
 
 use crate::symbol::{Nt, SymbolTable, Term};
 use crate::wcnf::{BinaryRule, TermRule, Wcnf};

@@ -149,7 +149,8 @@ pub fn random_graph(n_nodes: usize, n_edges: usize, labels: &[&str], seed: u64) 
 /// multiple of the 64-bit tile width, every cluster's closure lands in a
 /// handful of dense tiles while the global matrix stays block-diagonal —
 /// the regime the tiled backend is built for, and the generator behind
-/// the `scale` reproduction scenario (≥100k nodes at 1600 × 64).
+/// the `benchmark/` workloads `blocks-cold` and `point-cold` (≥100k nodes
+/// at 1600 × 64).
 pub fn clustered_blocks(
     n_blocks: usize,
     block_size: usize,

@@ -2,8 +2,9 @@
 //!
 //! The paper evaluates on "a dataset of popular ontologies taken from
 //! [Zhang et al.]" — RDF files we do not have. Per the substitution policy
-//! in DESIGN.md §3, this module generates deterministic ontology-like
-//! triple sets with the **exact** triple counts of Tables 1 and 2:
+//! in the README ("Paper → implementation map"), this module generates
+//! deterministic ontology-like triple sets with the **exact** triple
+//! counts of Tables 1 and 2:
 //!
 //! * a `subClassOf` class **DAG** (a spanning tree plus extra-parent
 //!   edges — real ontologies use multiple inheritance, which is what

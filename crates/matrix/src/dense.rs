@@ -151,8 +151,8 @@ impl DenseBitMatrix {
     /// present in `mask` are ANDed out of every accumulated output row,
     /// so the result is always disjoint from `mask`.
     ///
-    /// This is the kernel behind the semi-naive `MaskedDelta` fixpoint
-    /// strategy: passing the accumulated closure matrix as `mask` means
+    /// This is the kernel behind the masked semi-naive fixpoint:
+    /// passing the accumulated closure matrix as `mask` means
     /// the product only materializes *new* entries, and rows the mask
     /// already saturates produce no output at all.
     ///

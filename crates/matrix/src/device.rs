@@ -2,7 +2,7 @@
 //!
 //! The paper offloads whole-matrix multiplications to CUBLAS (dense) and
 //! CUSPARSE (sparse) on an NVIDIA GTX 1070. This repository has no GPU,
-//! so per DESIGN.md §3 the device is a **persistent worker pool**:
+//! so the device is a **persistent worker pool**:
 //! workers are created once (like a CUDA context) and kernels are
 //! submitted as batches of row-block tasks, so per-kernel overhead is a
 //! queue hand-off rather than thread creation. The algorithm side is

@@ -80,9 +80,6 @@ pub struct KernelCounters {
     /// plus accumulated output tiles that masking left empty. Zero for
     /// the flat engines.
     pub tiles_skipped: u64,
-    /// Representation conversions performed by the adaptive engine
-    /// (dense ↔ CSR ↔ tiled). Zero for fixed-representation engines.
-    pub repr_switches: u64,
 }
 
 impl KernelCounters {
@@ -90,7 +87,6 @@ impl KernelCounters {
     pub fn since(self, earlier: KernelCounters) -> KernelCounters {
         KernelCounters {
             tiles_skipped: self.tiles_skipped.saturating_sub(earlier.tiles_skipped),
-            repr_switches: self.repr_switches.saturating_sub(earlier.repr_switches),
         }
     }
 }
@@ -115,16 +111,15 @@ impl KernelCounters {
 ///   inner engine's version, not the trait default — the inner engine
 ///   may have a faster override the solvers rely on.
 /// * **Forward the counters.** [`BoolEngine::kernel_counters`] defaults
-///   to all-zeros; a decorator over a counting engine (tiled, adaptive)
+///   to all-zeros; a decorator over a counting engine (tiled)
 ///   must delegate it, or the solvers' per-run work accounting silently
 ///   reads zero through the wrapper.
 ///
 /// # The tile-kernel contract
 ///
-/// Blocked backends (`TiledEngine`, and `AdaptiveEngine` when it holds a
-/// tiled operand) decompose every product into fixed-size tile-pair
-/// kernels. Three guarantees keep them interchangeable with the flat
-/// engines:
+/// Blocked backends (`TiledEngine`) decompose every product into
+/// fixed-size tile-pair kernels. Three guarantees keep them
+/// interchangeable with the flat engines:
 ///
 /// * **Canonical form.** No all-zero tile is ever stored and tile
 ///   columns are strictly ascending per tile-row, so structural equality
@@ -150,8 +145,8 @@ impl KernelCounters {
 /// * **Gate attribute work.** Attribute computation (nnz popcounts,
 ///   string building) must sit behind `SpanGuard::is_recording`; an
 ///   engine with no recorder installed pays one thread-local read per
-///   kernel and nothing else (enforced by the `reproduce --smoke`
-///   overhead guard).
+///   kernel and nothing else (enforced by the overhead guard in
+///   `cfpq-service`'s `tests/observability.rs`).
 /// * **One span per kernel.** A method that delegates to another
 ///   *instrumented* entry point must not add its own span, or every
 ///   product double-counts; wrap exactly the site that runs the raw
@@ -544,8 +539,6 @@ mod tests {
         check_engine(&ParSparseEngine::new(Device::new(3)));
         check_engine(&crate::TiledEngine::serial());
         check_engine(&crate::TiledEngine::new(Device::new(3)));
-        check_engine(&crate::AdaptiveEngine::serial());
-        check_engine(&crate::AdaptiveEngine::new(Device::new(3)));
     }
 
     #[test]
@@ -555,6 +548,5 @@ mod tests {
         assert_eq!(ParDenseEngine::new(Device::new(2)).name(), "dense-par");
         assert_eq!(ParSparseEngine::new(Device::new(2)).name(), "sparse-par");
         assert_eq!(crate::TiledEngine::serial().name(), "tiled");
-        assert_eq!(crate::AdaptiveEngine::serial().name(), "adaptive");
     }
 }

@@ -10,7 +10,7 @@
 //!   representation, "row-major order for general matrix representation"),
 //! * [`CsrMatrix`] — Boolean CSR (the paper's sCPU/sGPU representation),
 //! * [`Device`] — a multi-worker execution device standing in for the GPU
-//!   (see DESIGN.md §3 on this substitution),
+//!   (README, "Paper → implementation map"),
 //! * [`engine`] — the [`engine::BoolEngine`] abstraction the solvers are
 //!   generic over: serial/parallel × dense/sparse backends,
 //! * [`SetMatrix`] — the paper-literal matrix whose elements are subsets
@@ -19,7 +19,6 @@
 //! * [`closure`] — the `a_cf` squaring closure and the `a⁺` Valiant-style
 //!   closure whose equivalence is Theorem 1.
 
-pub mod adaptive;
 pub mod closure;
 pub mod dense;
 pub mod device;
@@ -29,7 +28,6 @@ pub mod setmatrix;
 pub mod sparse;
 pub mod tiled;
 
-pub use adaptive::{AdaptiveEngine, AdaptiveMatrix};
 pub use dense::DenseBitMatrix;
 pub use device::{Device, Parallelism};
 pub use engine::{

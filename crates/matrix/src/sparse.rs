@@ -172,8 +172,8 @@ impl CsrMatrix {
     /// known are never set and the drained output contains only *new*
     /// entries — the result is always disjoint from `mask`.
     ///
-    /// This is the kernel behind the semi-naive `MaskedDelta` fixpoint
-    /// strategy, where `mask` is the accumulated closure matrix.
+    /// This is the kernel behind the masked semi-naive fixpoint, where
+    /// `mask` is the accumulated closure matrix.
     ///
     /// ```
     /// use cfpq_matrix::CsrMatrix;

@@ -764,7 +764,6 @@ impl BoolEngine for TiledEngine {
     fn kernel_counters(&self) -> KernelCounters {
         KernelCounters {
             tiles_skipped: self.tiles_skipped.load(Ordering::Relaxed),
-            repr_switches: 0,
         }
     }
 }
@@ -956,7 +955,6 @@ mod tests {
         let b = e.from_pairs(300, &[(0, 1)]);
         e.multiply(&a, &b);
         assert_eq!(twin.kernel_counters().tiles_skipped, 1);
-        assert_eq!(twin.kernel_counters().repr_switches, 0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 use cfpq_grammar::random::{random_wcnf, RandomGrammarConfig};
 use cfpq_matrix::closure::{squaring_closure, theorem1_terms_needed, valiant_closure_terms};
 use cfpq_matrix::{
-    AdaptiveEngine, BoolEngine, BoolMat, CsrMatrix, DenseBitMatrix, DenseEngine, Device,
-    ParDenseEngine, ParSparseEngine, SetMatrix, SparseEngine, TiledBitMatrix, TiledEngine,
+    BoolEngine, BoolMat, CsrMatrix, DenseBitMatrix, DenseEngine, Device, ParDenseEngine,
+    ParSparseEngine, SetMatrix, SparseEngine, TiledBitMatrix, TiledEngine,
 };
 use proptest::prelude::*;
 
@@ -145,7 +145,6 @@ proptest! {
         check(&ParDenseEngine::new(Device::new(2)), &a, &b)?;
         check(&ParSparseEngine::new(Device::new(3)), &a, &b)?;
         check(&TiledEngine::new(Device::new(2)), &a, &b)?;
-        check(&AdaptiveEngine::new(Device::new(2)), &a, &b)?;
     }
 
     #[test]
@@ -179,7 +178,6 @@ proptest! {
         check(&ParDenseEngine::new(Device::new(2)), &a, &b, &m)?;
         check(&ParSparseEngine::new(Device::new(3)), &a, &b, &m)?;
         check(&TiledEngine::new(Device::new(2)), &a, &b, &m)?;
-        check(&AdaptiveEngine::new(Device::new(2)), &a, &b, &m)?;
     }
 
     #[test]

@@ -30,7 +30,9 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
+pub use metrics::{
+    lint_prometheus_text, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+};
 pub use trace::{validate_chrome_trace, Span, SpanCollector};
 
 use std::cell::RefCell;

@@ -359,6 +359,128 @@ impl MetricsRegistry {
     }
 }
 
+/// Checks a Prometheus text exposition line by line: comment lines must
+/// be well-formed `# HELP <name> <text>` / `# TYPE <name> <type>`
+/// directives, every sample line must parse as
+/// `name[{label="value",...}] value`, and every sample's base name must
+/// have been declared by a preceding `# TYPE` line. Returns how many
+/// non-empty lines were validated. This is the checker the test suites
+/// run against [`MetricsRegistry::prometheus_text`] — the sibling of
+/// [`crate::validate_chrome_trace`] for the other export format.
+pub fn lint_prometheus_text(text: &str) -> Result<usize, String> {
+    fn is_name(s: &str) -> bool {
+        !s.is_empty()
+            && s.chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && s.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    }
+    // A histogram series `x` exposes `x_bucket`/`x_sum`/`x_count`; its
+    // TYPE line declares the base name.
+    fn base_name(name: &str) -> &str {
+        for suffix in ["_bucket", "_sum", "_count"] {
+            if let Some(b) = name.strip_suffix(suffix) {
+                return b;
+            }
+        }
+        name
+    }
+    let mut typed: std::collections::HashSet<&str> = std::collections::HashSet::new();
+    let mut checked = 0usize;
+    for (no, line) in text.lines().enumerate() {
+        let n = no + 1;
+        if line.is_empty() {
+            continue;
+        }
+        checked += 1;
+        if let Some(rest) = line.strip_prefix("# ") {
+            let mut parts = rest.splitn(3, ' ');
+            let directive = parts.next().unwrap_or("");
+            let name = parts.next().unwrap_or("");
+            let tail = parts.next().unwrap_or("");
+            if !is_name(name) {
+                return Err(format!("line {n}: bad metric name {name:?}"));
+            }
+            match directive {
+                "HELP" => {
+                    // Escaping leaves no raw backslash-X other than \\ and \n.
+                    let mut chars = tail.chars();
+                    while let Some(c) = chars.next() {
+                        if c == '\\' && !matches!(chars.next(), Some('\\') | Some('n')) {
+                            return Err(format!("line {n}: bad HELP escape"));
+                        }
+                    }
+                }
+                "TYPE" => {
+                    if !matches!(
+                        tail,
+                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                    ) {
+                        return Err(format!("line {n}: bad TYPE {tail:?}"));
+                    }
+                    if !typed.insert(name) {
+                        return Err(format!("line {n}: duplicate TYPE for {name}"));
+                    }
+                }
+                _ => return Err(format!("line {n}: unknown directive {directive:?}")),
+            }
+            continue;
+        }
+        // Sample line: name[{labels}] value
+        let (series, value) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| format!("line {n}: no sample value"))?;
+        if value.parse::<f64>().is_err() && !matches!(value, "+Inf" | "-Inf" | "NaN") {
+            return Err(format!("line {n}: bad sample value {value:?}"));
+        }
+        let name = match series.split_once('{') {
+            Some((name, labels)) => {
+                let labels = labels
+                    .strip_suffix('}')
+                    .ok_or_else(|| format!("line {n}: unterminated label set"))?;
+                // One pass over `k="v",...` with escape-aware quoting.
+                let mut rest = labels;
+                while !rest.is_empty() {
+                    let (key, after) = rest
+                        .split_once("=\"")
+                        .ok_or_else(|| format!("line {n}: label without =\""))?;
+                    if !is_name(key) {
+                        return Err(format!("line {n}: bad label name {key:?}"));
+                    }
+                    let mut close = None;
+                    let mut escaped = false;
+                    for (i, c) in after.char_indices() {
+                        if escaped {
+                            if !matches!(c, '\\' | '"' | 'n') {
+                                return Err(format!("line {n}: bad label escape"));
+                            }
+                            escaped = false;
+                        } else if c == '\\' {
+                            escaped = true;
+                        } else if c == '"' {
+                            close = Some(i);
+                            break;
+                        }
+                    }
+                    let close =
+                        close.ok_or_else(|| format!("line {n}: unterminated label value"))?;
+                    rest = after[close + 1..].trim_start_matches(',');
+                }
+                name
+            }
+            None => series,
+        };
+        if !is_name(name) {
+            return Err(format!("line {n}: bad sample name {name:?}"));
+        }
+        if !typed.contains(base_name(name)) {
+            return Err(format!("line {n}: sample {name} has no TYPE declaration"));
+        }
+    }
+    Ok(checked)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,5 +618,42 @@ mod tests {
         assert!(json.contains("\"c\":1"));
         assert!(json.contains("\"g\":2"));
         assert!(json.contains("\"count\":1"));
+    }
+
+    #[test]
+    fn prometheus_linter_accepts_the_real_exposition() {
+        // The linter must pass the registry's own output — including a
+        // help string with characters that need escaping and a histogram
+        // with its _bucket/_sum/_count family.
+        let reg = MetricsRegistry::new();
+        reg.describe("demo_total", "a counter with a \\ and a\nnewline");
+        reg.counter("demo_total").add(3);
+        reg.gauge("demo_depth").set(7);
+        let h = reg.histogram("demo_us");
+        for v in [1, 10, 100, 1_000, 10_000] {
+            h.observe(v);
+        }
+        let text = reg.prometheus_text();
+        let lines = lint_prometheus_text(&text).expect("registry output lints clean");
+        assert!(lines > 5, "exposition has HELP/TYPE + samples");
+    }
+
+    #[test]
+    fn prometheus_linter_rejects_malformed_exposition() {
+        // A sample whose metric family has no TYPE declaration.
+        assert!(lint_prometheus_text("orphan_total 3\n").is_err());
+        // An illegal metric name.
+        assert!(lint_prometheus_text("# TYPE 9bad counter\n9bad 1\n").is_err());
+        // A non-numeric value.
+        assert!(lint_prometheus_text("# TYPE ok_total counter\nok_total banana\n").is_err());
+        // Duplicate TYPE for one family.
+        assert!(
+            lint_prometheus_text("# TYPE x_total counter\n# TYPE x_total gauge\nx_total 1\n")
+                .is_err()
+        );
+        // An unterminated label value.
+        assert!(lint_prometheus_text("# TYPE y_total counter\ny_total{le=\"0.5 1\n").is_err());
+        // An unknown TYPE keyword.
+        assert!(lint_prometheus_text("# TYPE z_total meter\nz_total 1\n").is_err());
     }
 }

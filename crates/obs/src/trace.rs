@@ -531,7 +531,7 @@ mod tests {
         let _g = install(rec.clone());
         {
             let mut outer = span("solve");
-            outer.attr_str("strategy", "masked-delta");
+            outer.attr_str("mode", "cold");
             {
                 let mut inner = span("sweep");
                 inner.attr_u64("sweep", 1);

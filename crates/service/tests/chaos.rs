@@ -1,6 +1,6 @@
 //! Deterministic chaos suite: drives the service through scheduled
 //! worker panics, forced overload, deadline expiry, stalled shutdown,
-//! and interrupted epoch publishes — on all four engines — and asserts
+//! and interrupted epoch publishes — on all five engines — and asserts
 //! the failure contract exactly: every ticket resolves to an answer or
 //! a typed error within a bounded wait (zero hung waits), the service
 //! keeps serving after every fault, and post-fault epochs stay
@@ -14,7 +14,7 @@
 use cfpq_core::query::{solve, Backend};
 use cfpq_graph::{generators, Graph};
 use cfpq_matrix::{
-    AdaptiveEngine, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
 };
 use cfpq_service::faults::{silence_injected_panics, FaultInjector, FaultPlan};
 use cfpq_service::{CfpqService, ServiceConfig, ServiceEngine, ServiceError, ServiceStats, Ticket};
@@ -56,7 +56,7 @@ fn chain_grammar() -> cfpq_grammar::Cfg {
 /// Scheduled panics kill exactly the batches they land in; retries
 /// re-run the interrupted solve (the epoch cell is left empty on
 /// unwind) and the post-fault epochs stay byte-identical to a
-/// sequential execution. Runs the same schedule on all four engines.
+/// sequential execution. Runs the same schedule on all five engines.
 #[test]
 fn scheduled_panics_are_isolated_and_recovered_on_all_engines() {
     silence_injected_panics();
@@ -103,7 +103,6 @@ fn scheduled_panics_are_isolated_and_recovered_on_all_engines() {
     check(ParDenseEngine::new(Device::new(2)));
     check(ParSparseEngine::new(Device::new(2)));
     check(TiledEngine::new(Device::new(2)));
-    check(AdaptiveEngine::new(Device::new(2)));
 }
 
 /// A panic inside a source-restricted solve — the cold one of a
@@ -176,14 +175,13 @@ fn panics_inside_a_restricted_solve_discard_the_closure() {
     check(ParDenseEngine::new(Device::new(2)));
     check(ParSparseEngine::new(Device::new(2)));
     check(TiledEngine::new(Device::new(2)));
-    check(AdaptiveEngine::new(Device::new(2)));
 }
 
 /// Forced overload: one worker pinned inside a stalled cold solve, a
 /// burst past `max_queued` — the surplus sheds `Overloaded` with a
 /// retry hint at enqueue time, and the requests that did queue expire
 /// to `Deadline` at dispatch (the worker surfaces them long after their
-/// deadline). Runs on all four engines.
+/// deadline). Runs on all five engines.
 #[test]
 fn overload_sheds_and_deadlines_expire_on_all_engines() {
     silence_injected_panics();
@@ -243,7 +241,6 @@ fn overload_sheds_and_deadlines_expire_on_all_engines() {
     check(ParDenseEngine::new(Device::new(2)));
     check(ParSparseEngine::new(Device::new(2)));
     check(TiledEngine::new(Device::new(2)));
-    check(AdaptiveEngine::new(Device::new(2)));
 }
 
 /// Bounded shutdown under a stalled worker: the in-flight batch runs to

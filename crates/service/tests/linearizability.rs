@@ -12,7 +12,7 @@
 //! replays the epoch sequence after the threads join and checks each
 //! recorded `(epoch, pairs)` observation against a from-scratch solve of
 //! that epoch's graph — and each `(epoch, pages)` paths observation
-//! against a from-scratch enumeration — on all six engines.
+//! against a from-scratch enumeration — on all five engines.
 //!
 //! Tickets that name pairs are answered by probing the closure, tickets
 //! that name none by extracting `R_S`; the two routes must agree. Every
@@ -42,7 +42,7 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Wcnf};
 use cfpq_graph::{generators, Graph};
 use cfpq_matrix::{
-    AdaptiveEngine, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
 };
 use cfpq_service::faults::{silence_injected_panics, FaultInjector, FaultPlan};
 use cfpq_service::{Backoff, CfpqService, PairPaths, ServiceConfig, ServiceEngine, ServiceError};
@@ -420,7 +420,6 @@ fn concurrent_observations_match_a_sequential_execution() {
         check_engine(ParDenseEngine::new(Device::new(2)), &w, &grammar, &wcnf);
         check_engine(ParSparseEngine::new(Device::new(2)), &w, &grammar, &wcnf);
         check_engine(TiledEngine::new(Device::new(2)), &w, &grammar, &wcnf);
-        check_engine(AdaptiveEngine::new(Device::new(2)), &w, &grammar, &wcnf);
     }
 }
 
@@ -537,7 +536,6 @@ fn cold_named_tickets_match_the_filtered_full_answer() {
     check_cold_named_tickets(ParDenseEngine::new(Device::new(2)), &w, &grammar);
     check_cold_named_tickets(ParSparseEngine::new(Device::new(2)), &w, &grammar);
     check_cold_named_tickets(TiledEngine::new(Device::new(2)), &w, &grammar);
-    check_cold_named_tickets(AdaptiveEngine::new(Device::new(2)), &w, &grammar);
 }
 
 /// The chaos variant: the same fixed-seed workload, served through a

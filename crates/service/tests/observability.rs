@@ -3,18 +3,22 @@
 //! metrics exposition, and chrome://tracing export asserted — plus a
 //! span-tree well-formedness check under the multi-threaded
 //! linearizability workload, the stats-folding contract of the
-//! registry failure counters, and which tickets pay for extracting a
-//! relation (`"query.materialize"`).
+//! registry failure counters, which tickets pay for extracting a
+//! relation (`"query.materialize"`), and the "zero cost when off" guard
+//! of the no-op recorder.
 
+use cfpq_core::relational::FixpointSolver;
+use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{queries, Cfg};
 use cfpq_graph::ontology;
 use cfpq_matrix::SparseEngine;
 use cfpq_obs::trace::check_well_formed;
-use cfpq_obs::{validate_chrome_trace, Span, SpanCollector};
+use cfpq_obs::{lint_prometheus_text, validate_chrome_trace, NoopRecorder, Span, SpanCollector};
 use cfpq_service::faults::{silence_injected_panics, FaultInjector, FaultPlan};
 use cfpq_service::{CfpqService, ServiceConfig, ServiceError, Ticket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn attr<'a>(span: &'a Span, key: &str) -> Option<&'a cfpq_obs::AttrValue> {
     span.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
@@ -73,6 +77,14 @@ fn g3_query_produces_the_full_span_hierarchy() {
         }
     }
     let metrics = service.metrics();
+    let stats = service.stats();
+    assert_eq!(stats.len(), 2, "build epoch + one update epoch");
+    assert!(
+        stats[1].repair_products < stats[0].cold_products,
+        "the publish repaired the closure for less than the cold solve cost ({} vs {})",
+        stats[1].repair_products,
+        stats[0].cold_products
+    );
     drop(service); // joins workers; every span is closed
 
     let spans = collector.spans();
@@ -105,7 +117,7 @@ fn g3_query_produces_the_full_span_hierarchy() {
             attr(s, "delta_nnz"),
             Some(cfpq_obs::AttrValue::Text(t)) if t.contains(':')
         )),
-        "masked-delta sweeps carry the per-nonterminal delta-nnz breakdown"
+        "sweeps carry the per-nonterminal delta-nnz breakdown"
     );
     let kernels = named("kernel");
     assert!(!kernels.is_empty(), "kernel launches recorded");
@@ -144,6 +156,50 @@ fn g3_query_produces_the_full_span_hierarchy() {
     assert_eq!(metrics.histogram("cfpq_ticket_run_us").count(), 8);
     assert_eq!(metrics.histogram("cfpq_epoch_publish_us").count(), 1);
     assert!(metrics.gauge("cfpq_queue_depth_max").get() >= 1);
+
+    // What a scraper would read off this live service parses line by
+    // line, every sample under a declared family.
+    let lines = lint_prometheus_text(&metrics.prometheus_text()).expect("exposition lints clean");
+    assert!(lines > 0);
+}
+
+/// "Zero cost when off": with the no-op recorder installed, the Q1 solve
+/// on g3 sees inert span guards, launches the identical kernel schedule,
+/// returns the identical pairs, and its best-of-5 wall time stays within
+/// 5% (plus 0.5 ms of timer slack) of the run with nothing installed.
+/// The two configurations are interleaved so machine drift hits both.
+#[test]
+fn noop_recorder_leaves_schedule_and_wall_time_unchanged() {
+    let graph = ontology::dataset("pizza")
+        .expect("bundled dataset")
+        .to_graph()
+        .repeat(8);
+    let wcnf = queries::query1().to_wcnf(CnfOptions::default()).unwrap();
+    let solve = || {
+        let started = Instant::now();
+        let index = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
+        (index, started.elapsed().as_secs_f64() * 1e3)
+    };
+    let (warm, _) = solve(); // untimed: page cache, allocator growth
+    let (mut plain_ms, mut noop_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let (plain, ms) = solve();
+        plain_ms = plain_ms.min(ms);
+        let guard = cfpq_obs::install(Arc::new(NoopRecorder));
+        assert!(!cfpq_obs::span("probe").is_recording());
+        let (noop, ms) = solve();
+        drop(guard);
+        noop_ms = noop_ms.min(ms);
+        assert_eq!(
+            noop.stats.products_computed, plain.stats.products_computed,
+            "the no-op recorder must not change the kernel schedule"
+        );
+        assert_eq!(noop.pairs(wcnf.start), warm.pairs(wcnf.start));
+    }
+    assert!(
+        noop_ms <= plain_ms * 1.05 + 0.5,
+        "no-op observability must cost <5% wall time ({plain_ms:.2}ms plain vs {noop_ms:.2}ms noop)"
+    );
 }
 
 /// Satellite of the linearizability suite: the same multi-threaded

@@ -2,10 +2,11 @@
 //! queries over RDF-style ontologies.
 //!
 //! Generates the synthetic stand-ins for several ontology datasets of
-//! Tables 1/2 (exact triple counts, see DESIGN.md §3), converts them to
-//! graphs with forward + inverse edges, and evaluates Q1 and Q2 on the
-//! sparse backend, reporting `#triples`, `#results` and wall time per
-//! dataset — the structure of a Table 1/2 row.
+//! Tables 1/2 (exact triple counts, see the README's "Paper →
+//! implementation map"), converts them to graphs with forward + inverse
+//! edges, and evaluates Q1 and Q2 on the sparse backend, reporting
+//! `#triples`, `#results` and wall time per dataset — the structure of a
+//! Table 1/2 row.
 //!
 //! Run with: `cargo run --release --example ontology_same_generation`
 

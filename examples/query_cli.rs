@@ -3,15 +3,13 @@
 //!
 //! ```text
 //! cargo run --release --example query_cli -- \
-//!     data/university.triples data/same_generation.grammar [backend] [strategy] \
+//!     data/university.triples data/same_generation.grammar [backend] \
 //!     [--threads N] [--trace PATH]
 //! ```
 //!
 //! Loads an RDF-style triple file, a grammar in the DSL, evaluates the
 //! query w.r.t. relational semantics and prints the start-nonterminal
-//! relation with node names, plus graph statistics. The fixpoint
-//! strategy defaults to `masked-delta` (the fast pipeline); pass
-//! `naive`, `batched` or `delta` to compare the ablations.
+//! relation with node names, plus graph statistics.
 //! `--threads N` caps the process's thread budget (the
 //! [`Parallelism`] knob): the parallel backends size their kernel
 //! device from it instead of grabbing every available core.
@@ -70,17 +68,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let strategy = match args.get(3).map(String::as_str) {
-        None => Strategy::default(),
-        Some(name) => match Strategy::ALL.into_iter().find(|s| s.name() == name) {
-            Some(s) => s,
-            None => {
-                let known: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
-                eprintln!("unknown strategy `{name}` ({})", known.join("|"));
-                return ExitCode::from(2);
-            }
-        },
-    };
+    if let Some(extra) = args.get(3) {
+        eprintln!("unexpected argument `{extra}`");
+        return ExitCode::from(2);
+    }
 
     let triples_text = match std::fs::read_to_string(&triples_path) {
         Ok(t) => t,
@@ -127,7 +118,7 @@ fn main() -> ExitCode {
         .map(|c| cfpq::obs::install(Arc::clone(c) as Arc<dyn Recorder>));
 
     let started = std::time::Instant::now();
-    let answer = match cfpq::core::solve_with(&graph, &grammar, backend, strategy) {
+    let answer = match cfpq::core::solve(&graph, &grammar, backend) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("query failed: {e}");
@@ -160,16 +151,9 @@ fn main() -> ExitCode {
             }
         }
     }
-    // SetMatrix has no strategy knob; don't attribute one to it.
-    let strategy_note = if backend == Backend::SetMatrix {
-        String::new()
-    } else {
-        format!(" ({})", strategy.name())
-    };
     eprintln!(
-        "backend {}{} answered in {:.2?} ({} fixpoint iterations)",
+        "backend {} answered in {:.2?} ({} fixpoint iterations)",
         answer.backend,
-        strategy_note,
         started.elapsed(),
         answer.iterations
     );

@@ -57,7 +57,7 @@ fn main() {
 
     // The naive O(n³) oracle agrees too (it is the test reference; the
     // engine pipeline exists because it is dramatically faster at scale
-    // — see BENCH_pr4.json for the g3 numbers).
+    // — the `benchmark/` workload `single-path` measures it on g3).
     let oracle = solve_single_path_oracle(&graph, &wcnf, options);
     assert_eq!(index.pairs(s), oracle.pairs(s));
 

@@ -51,10 +51,10 @@ pub mod prelude {
         enumerate_paths, EnumLimits, PageRequest, PathEnumerator, PathPage,
     };
     pub use cfpq_core::compile::{CompiledQuery, QueryKind};
-    pub use cfpq_core::query::{solve, solve_with, Backend, QueryAnswer};
+    pub use cfpq_core::query::{solve, Backend, QueryAnswer};
     pub use cfpq_core::regular::{solve_regular, Nfa};
     pub use cfpq_core::relational::{
-        solve_on_engine, solve_set_matrix, FixpointSolver, SolveStats, SourceClosure, Strategy,
+        solve_on_engine, solve_set_matrix, FixpointSolver, SolveStats, SourceClosure,
     };
     pub use cfpq_core::session::{
         extend_prepared_from, solve_prepared, solve_prepared_from, AllPathsId, CfpqSession,
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use cfpq_grammar::{Cfg, Nt, Term, Wcnf};
     pub use cfpq_graph::{Graph, TripleSet};
     pub use cfpq_matrix::{
-        AdaptiveEngine, BoolEngine, DenseEngine, Device, KernelCounters, LenEngine, ParDenseEngine,
+        BoolEngine, DenseEngine, Device, KernelCounters, LenEngine, ParDenseEngine,
         ParSparseEngine, Parallelism, SparseEngine, TiledEngine,
     };
     pub use cfpq_obs::{MetricsRegistry, NoopRecorder, Recorder, SpanCollector};
