@@ -13,9 +13,17 @@
 //! * tiled vs dense vs CSR products across densities — where each
 //!   representation's crossover sits, on uniform random structure and
 //!   on the clustered block-diagonal structure the tiled backend
-//!   targets.
+//!   targets;
+//! * a 100-entry Δ against a 25,000-row closure — the shape of every
+//!   sweep after the first on a hypersparse graph (`sparse-cold`), where
+//!   the CSR kernels must cost what they change, not what the closure
+//!   holds: union/merge of the Δ, and both masked products with it, for
+//!   the Boolean and the length matrices.
 
-use cfpq_matrix::{BoolEngine, CsrMatrix, DenseBitMatrix, Device, ParSparseEngine, TiledBitMatrix};
+use cfpq_matrix::{
+    BoolEngine, CsrLenMatrix, CsrMatrix, DenseBitMatrix, Device, LenEngine, ParSparseEngine,
+    SparseEngine, TiledBitMatrix,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -151,11 +159,64 @@ fn bench_repr_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_delta_into_closure(c: &mut Criterion) {
+    let n = 25_000usize;
+    let closure_pairs = random_pairs(n, 33_000, 0x31);
+    let delta_pairs = random_pairs(n, 100, 0x32);
+    let closure = CsrMatrix::from_pairs(n, &closure_pairs);
+    let delta = CsrMatrix::from_pairs(n, &delta_pairs);
+    let with_len = |pairs: &[(u32, u32)]| -> Vec<(u32, u32, u32)> {
+        pairs
+            .iter()
+            .map(|&(i, j)| (i, j, 1 + (i + j) % 7))
+            .collect()
+    };
+    let len_closure = CsrLenMatrix::from_entries(n, &with_len(&closure_pairs));
+    let len_delta = CsrLenMatrix::from_entries(n, &with_len(&delta_pairs));
+    // One timed sample of the shim is one call; repeat so a row is
+    // milliseconds, not microseconds. The union rows pay one closure
+    // clone per repetition — the `clone` rows are that cost alone.
+    let reps = |f: &dyn Fn() -> usize| (0..50).map(|_| f()).sum::<usize>();
+    let e = SparseEngine;
+    let mask = Some(&len_closure);
+
+    let mut group = c.benchmark_group("kernel-delta-into-closure");
+    configure(&mut group);
+    let mut row = |name: &str, f: &dyn Fn() -> usize| {
+        group.bench_function(name, |bch| bch.iter(|| reps(f)));
+    };
+    row("csr/clone", &|| closure.clone().nnz());
+    row("csr/union", &|| {
+        let mut acc = closure.clone();
+        acc.union_in_place(&delta);
+        acc.nnz()
+    });
+    row("csr/masked/delta-x-closure", &|| {
+        delta.multiply_masked(&closure, &closure).nnz()
+    });
+    row("csr/masked/closure-x-delta", &|| {
+        closure.multiply_masked(&delta, &closure).nnz()
+    });
+    row("csr-len/clone", &|| len_closure.clone().nnz());
+    row("csr-len/merge-absent", &|| {
+        let mut acc = len_closure.clone();
+        e.len_merge_absent(&mut acc, &len_delta).nnz()
+    });
+    row("csr-len/masked/delta-x-closure", &|| {
+        e.len_multiply_masked(&len_delta, &len_closure, mask).nnz()
+    });
+    row("csr-len/masked/closure-x-delta", &|| {
+        e.len_multiply_masked(&len_closure, &len_delta, mask).nnz()
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dense_masked,
     bench_sparse_masked,
     bench_masked_batch,
-    bench_repr_sweep
+    bench_repr_sweep,
+    bench_delta_into_closure
 );
 criterion_main!(benches);

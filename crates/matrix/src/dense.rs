@@ -64,10 +64,12 @@ impl DenseBitMatrix {
         self.bits[i as usize * self.wpr + j as usize / 64] |= 1u64 << (j % 64);
     }
 
-    /// Reads bit `(i, j)`.
+    /// Reads bit `(i, j)`; cells outside the matrix read as unset.
     #[inline]
     pub fn get(&self, i: u32, j: u32) -> bool {
-        self.bits[i as usize * self.wpr + j as usize / 64] >> (j % 64) & 1 == 1
+        (i as usize) < self.n
+            && (j as usize) < self.n
+            && self.bits[i as usize * self.wpr + j as usize / 64] >> (j % 64) & 1 == 1
     }
 
     /// The words of row `i`.

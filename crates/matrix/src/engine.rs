@@ -15,7 +15,7 @@
 
 use crate::dense::DenseBitMatrix;
 use crate::device::Device;
-use crate::sparse::CsrMatrix;
+use crate::sparse::{multiply_jobs, CsrMatrix};
 
 /// Minimal Boolean-matrix interface required by the solvers.
 ///
@@ -221,8 +221,9 @@ pub trait BoolEngine: Send + Sync {
     ///
     /// The default falls back to `multiply` + `difference`; both concrete
     /// representations override it with real masked kernels that never
-    /// regenerate known entries (dense: AND-out mask words per output
-    /// row; CSR: seed the row accumulator with the mask row).
+    /// emit known entries (dense: AND-out mask words per output row; CSR:
+    /// subtract the mask row from every output row that accumulated
+    /// anything).
     fn multiply_masked(
         &self,
         a: &Self::Matrix,
@@ -425,6 +426,9 @@ impl BoolEngine for SparseEngine {
     fn multiply_masked(&self, a: &CsrMatrix, b: &CsrMatrix, mask: &CsrMatrix) -> CsrMatrix {
         traced_kernel("csr", "masked", || a.multiply_masked(b, mask))
     }
+    fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, CsrMatrix>]) -> Vec<CsrMatrix> {
+        multiply_jobs(jobs)
+    }
 }
 
 /// Device-parallel CSR backend — the stand-in for the paper's sGPU.
@@ -483,11 +487,12 @@ impl BoolEngine for ParSparseEngine {
         })
     }
     fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, CsrMatrix>]) -> Vec<CsrMatrix> {
-        // One serial kernel per job; no nested offload (see Device docs).
-        self.device.par_map(jobs.to_vec(), |(a, b, m)| match m {
-            Some(m) => traced_kernel("csr", "masked", || a.multiply_masked(b, m)),
-            None => traced_kernel("csr", "mul", || a.multiply(b)),
-        })
+        // One run of serial kernels per worker, sharing that worker's
+        // accumulator; no nested offload (see Device docs).
+        let runs = self
+            .device
+            .par_map_ranges(jobs.len(), |r| multiply_jobs(&jobs[r]));
+        runs.into_iter().flatten().collect()
     }
 }
 

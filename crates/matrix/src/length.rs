@@ -15,7 +15,13 @@
 //! * [`DenseLenMatrix`] — row-major `u32` lengths (the dGPU-style
 //!   representation),
 //! * [`CsrLenMatrix`] — CSR with a parallel value array (the sCPU/sGPU
-//!   representation),
+//!   representation, and the length representation of the tiled engine
+//!   too). Its kernels are the flat ones of [`crate::sparse`] with a
+//!   value per entry: the first-write-wins merge is the shared row
+//!   splice, construction the shared counting sort, and the masked
+//!   product applies its mask only to rows that received a candidate —
+//!   each costs its Δ plus, for the merge, one copy of the accumulator,
+//!   with a constant number of allocations per call,
 //! * [`LenEngine`] — the backend abstraction, implemented by the same
 //!   four engine types as [`crate::BoolEngine`].
 //!
@@ -33,6 +39,7 @@
 //! edge).
 
 use crate::engine::{DenseEngine, ParDenseEngine, ParSparseEngine, SparseEngine};
+use crate::sparse::{row_of, sort_cells, splice_rows, CsrBuf, CsrRef, Report};
 
 /// The *absent* sentinel of length matrices. Any other value — including
 /// `0`, the ε-witness — is a present path length.
@@ -81,7 +88,7 @@ pub trait LenEngine: Send + Sync {
     fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> Self::LenMatrix;
 
     /// Writes each entry only where the cell is absent (first-write-wins)
-    /// and returns the entries genuinely written.
+    /// and returns the entries genuinely written, in no particular order.
     fn len_set_absent(
         &self,
         a: &mut Self::LenMatrix,
@@ -137,6 +144,52 @@ fn add_len(a: u32, b: u32) -> u32 {
     a.saturating_add(b).min(MAX_LEN)
 }
 
+/// Implements [`LenEngine`] for `$engine` on the representation
+/// `$matrix`: construction and growth are the matrix type's own,
+/// `$set_absent`/`$merge_absent` its first-write-wins kernels, and
+/// `$batch` is how this engine runs the jobs of a batch (a single product
+/// is a batch of one).
+macro_rules! len_engine {
+    ($engine:ty, $matrix:ty, $set_absent:path, $merge_absent:path, $batch:expr) => {
+        impl LenEngine for $engine {
+            type LenMatrix = $matrix;
+
+            fn len_empty(&self, n: usize) -> $matrix {
+                <$matrix>::empty(n)
+            }
+            fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> $matrix {
+                <$matrix>::from_entries(n, entries)
+            }
+            fn len_set_absent(
+                &self,
+                a: &mut $matrix,
+                entries: &[(u32, u32, u32)],
+            ) -> Vec<(u32, u32, u32)> {
+                $set_absent(a, entries)
+            }
+            fn len_multiply_masked(
+                &self,
+                a: &$matrix,
+                b: &$matrix,
+                mask: Option<&$matrix>,
+            ) -> $matrix {
+                let mut products = self.len_multiply_masked_batch(&[(a, b, mask)]);
+                products.pop().expect("one product per job")
+            }
+            fn len_multiply_masked_batch(&self, jobs: &[LenJob<'_, $matrix>]) -> Vec<$matrix> {
+                let batch: fn(&Self, &[LenJob<'_, $matrix>]) -> Vec<$matrix> = $batch;
+                batch(self, jobs)
+            }
+            fn len_merge_absent(&self, acc: &mut $matrix, add: &$matrix) -> $matrix {
+                $merge_absent(acc, add)
+            }
+            fn len_grow(&self, a: &mut $matrix, n: usize) {
+                a.grow(n)
+            }
+        }
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Dense representation
 // ---------------------------------------------------------------------------
@@ -187,9 +240,13 @@ impl DenseLenMatrix {
         self.vals[i as usize * self.n + j as usize]
     }
 
-    /// The stored length at `(i, j)`, if present.
+    /// The stored length at `(i, j)`, if present; cells outside the
+    /// matrix read as absent.
     #[inline]
     pub fn get(&self, i: u32, j: u32) -> Option<u32> {
+        if i as usize >= self.n || j as usize >= self.n {
+            return None;
+        }
         let l = self.raw(i, j);
         (l != NO_PATH).then_some(l)
     }
@@ -334,77 +391,26 @@ fn dense_set_absent(a: &mut DenseLenMatrix, entries: &[(u32, u32, u32)]) -> Vec<
         .collect()
 }
 
-impl LenEngine for DenseEngine {
-    type LenMatrix = DenseLenMatrix;
-
-    fn len_empty(&self, n: usize) -> DenseLenMatrix {
-        DenseLenMatrix::empty(n)
-    }
-    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> DenseLenMatrix {
-        DenseLenMatrix::from_entries(n, entries)
-    }
-    fn len_set_absent(
-        &self,
-        a: &mut DenseLenMatrix,
-        entries: &[(u32, u32, u32)],
-    ) -> Vec<(u32, u32, u32)> {
-        dense_set_absent(a, entries)
-    }
-    fn len_multiply_masked(
-        &self,
-        a: &DenseLenMatrix,
-        b: &DenseLenMatrix,
-        mask: Option<&DenseLenMatrix>,
-    ) -> DenseLenMatrix {
-        dense_multiply_masked(a, b, mask)
-    }
-    fn len_merge_absent(&self, acc: &mut DenseLenMatrix, add: &DenseLenMatrix) -> DenseLenMatrix {
-        dense_merge_absent(acc, add)
-    }
-    fn len_grow(&self, a: &mut DenseLenMatrix, n: usize) {
-        a.grow(n)
-    }
-}
-
-impl LenEngine for ParDenseEngine {
-    type LenMatrix = DenseLenMatrix;
-
-    fn len_empty(&self, n: usize) -> DenseLenMatrix {
-        DenseLenMatrix::empty(n)
-    }
-    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> DenseLenMatrix {
-        DenseLenMatrix::from_entries(n, entries)
-    }
-    fn len_set_absent(
-        &self,
-        a: &mut DenseLenMatrix,
-        entries: &[(u32, u32, u32)],
-    ) -> Vec<(u32, u32, u32)> {
-        dense_set_absent(a, entries)
-    }
-    fn len_multiply_masked(
-        &self,
-        a: &DenseLenMatrix,
-        b: &DenseLenMatrix,
-        mask: Option<&DenseLenMatrix>,
-    ) -> DenseLenMatrix {
-        dense_multiply_masked(a, b, mask)
-    }
-    fn len_multiply_masked_batch(
-        &self,
-        jobs: &[LenJob<'_, DenseLenMatrix>],
-    ) -> Vec<DenseLenMatrix> {
-        // One serial kernel per job; no nested offload (see Device docs).
-        self.device
-            .par_map(jobs.to_vec(), |(a, b, m)| dense_multiply_masked(a, b, m))
-    }
-    fn len_merge_absent(&self, acc: &mut DenseLenMatrix, add: &DenseLenMatrix) -> DenseLenMatrix {
-        dense_merge_absent(acc, add)
-    }
-    fn len_grow(&self, a: &mut DenseLenMatrix, n: usize) {
-        a.grow(n)
-    }
-}
+len_engine!(
+    DenseEngine,
+    DenseLenMatrix,
+    dense_set_absent,
+    dense_merge_absent,
+    |_, jobs| jobs
+        .iter()
+        .map(|&(a, b, m)| dense_multiply_masked(a, b, m))
+        .collect()
+);
+// One serial kernel per job; no nested offload (see Device docs).
+len_engine!(
+    ParDenseEngine,
+    DenseLenMatrix,
+    dense_set_absent,
+    dense_merge_absent,
+    |e, jobs| e
+        .device
+        .par_map(jobs.to_vec(), |(a, b, m)| dense_multiply_masked(a, b, m))
+);
 
 // ---------------------------------------------------------------------------
 // CSR representation
@@ -431,46 +437,34 @@ impl CsrLenMatrix {
         }
     }
 
-    /// Builds from `(row, col, length)` entries, first-write-wins on
-    /// duplicate cells (the first occurrence in `entries` is kept).
+    /// Builds from `(row, col, length)` entries by counting sort on the
+    /// row, first-write-wins on duplicate cells (the first occurrence in
+    /// `entries` is kept).
     pub fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self {
-        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for &(i, j, l) in entries {
-            debug_assert!((i as usize) < n && (j as usize) < n);
-            debug_assert!(l != NO_PATH, "NO_PATH is the absent sentinel");
-            rows[i as usize].push((j, l));
-        }
-        for r in &mut rows {
-            // Stable sort keeps the first-written value of a duplicate
-            // column adjacent and first.
-            r.sort_by_key(|&(j, _)| j);
-            r.dedup_by_key(|&mut (j, _)| j);
-        }
-        Self::from_rows(rows)
-    }
-
-    /// Assembles from per-row sorted, column-deduplicated `(col, len)`
-    /// lists.
-    fn from_rows(rows: Vec<Vec<(u32, u32)>>) -> Self {
-        let n = rows.len();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        let mut cols = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        for r in rows {
-            debug_assert!(r.windows(2).all(|w| w[0].0 < w[1].0), "rows must be sorted");
-            for (j, l) in r {
-                cols.push(j);
-                vals.push(l);
-            }
-            row_ptr.push(cols.len());
-        }
+        debug_assert!(entries.iter().all(|e| e.2 != NO_PATH), "NO_PATH is absent");
+        let (row_ptr, order) = sort_cells(n, entries.len(), |e| (entries[e].0, entries[e].1));
         Self {
             n,
             row_ptr,
-            cols,
-            vals,
+            cols: order.iter().map(|&e| entries[e].1).collect(),
+            vals: order.iter().map(|&e| entries[e].2).collect(),
+        }
+    }
+
+    fn from_buf(n: usize, buf: CsrBuf<u32>) -> Self {
+        Self {
+            n,
+            row_ptr: buf.row_ptr,
+            cols: buf.cols,
+            vals: buf.vals,
+        }
+    }
+
+    fn flat(&self) -> CsrRef<'_, u32> {
+        CsrRef {
+            row_ptr: &self.row_ptr,
+            cols: &self.cols,
+            vals: &self.vals,
         }
     }
 
@@ -487,8 +481,12 @@ impl CsrLenMatrix {
         (&self.cols[r.clone()], &self.vals[r])
     }
 
-    /// The stored length at `(i, j)`, if present.
+    /// The stored length at `(i, j)`, if present; cells outside the
+    /// matrix read as absent.
     pub fn get(&self, i: u32, j: u32) -> Option<u32> {
+        if i as usize >= self.n {
+            return None;
+        }
         let (cols, vals) = self.row(i as usize);
         cols.binary_search(&j).ok().map(|p| vals[p])
     }
@@ -541,48 +539,25 @@ impl LenMat for CsrLenMatrix {
 
 /// A reusable accumulator for one output row of the CSR length product:
 /// a dense value buffer ([`NO_PATH`]-initialized) with a sparse touched
-/// list, plus a blocked set seeded from the complement-mask row.
+/// list.
+#[derive(Default)]
 struct LenRowAccumulator {
     vals: Vec<u32>,
     touched: Vec<u32>,
-    blocked: Vec<u64>,
-    blocked_touched: Vec<u32>,
 }
 
 impl LenRowAccumulator {
-    fn new(n: usize) -> Self {
-        Self {
-            vals: vec![NO_PATH; n],
-            touched: Vec::new(),
-            blocked: vec![0; n.div_ceil(64).max(1)],
-            blocked_touched: Vec::new(),
+    /// Makes room for rows of `n` columns (a batch reuses one
+    /// accumulator across jobs).
+    fn fit(&mut self, n: usize) {
+        if self.vals.len() < n {
+            self.vals.resize(n, NO_PATH);
         }
     }
 
-    /// Marks the mask row's columns as never-emit.
-    fn seed_mask(&mut self, cols: &[u32]) {
-        for &j in cols {
-            let w = (j / 64) as usize;
-            if self.blocked[w] == 0 {
-                self.blocked_touched.push(w as u32);
-            }
-            self.blocked[w] |= 1u64 << (j % 64);
-        }
-    }
-
-    fn clear_mask(&mut self) {
-        for &wi in &self.blocked_touched {
-            self.blocked[wi as usize] = 0;
-        }
-        self.blocked_touched.clear();
-    }
-
-    /// First-write-wins store of `l` at column `j`, unless blocked.
+    /// First-write-wins store of `l` at column `j`.
     #[inline]
     fn set(&mut self, j: u32, l: u32) {
-        if self.blocked[(j / 64) as usize] >> (j % 64) & 1 == 1 {
-            return;
-        }
         let cell = &mut self.vals[j as usize];
         if *cell == NO_PATH {
             *cell = l;
@@ -590,62 +565,76 @@ impl LenRowAccumulator {
         }
     }
 
-    /// Drains the touched cells in ascending column order.
+    /// Drops the mask row's columns again (the complement mask, applied
+    /// after accumulation); `touched` keeps them and the drain skips them.
+    fn remove(&mut self, cols: &[u32]) {
+        for &j in cols {
+            self.vals[j as usize] = NO_PATH;
+        }
+    }
+
+    /// Drains the cells still set in ascending column order.
     fn drain_into(&mut self, cols: &mut Vec<u32>, vals: &mut Vec<u32>) {
         self.touched.sort_unstable();
         for &j in &self.touched {
-            cols.push(j);
-            vals.push(self.vals[j as usize]);
-            self.vals[j as usize] = NO_PATH;
+            let l = std::mem::replace(&mut self.vals[j as usize], NO_PATH);
+            if l != NO_PATH {
+                cols.push(j);
+                vals.push(l);
+            }
         }
         self.touched.clear();
     }
 }
 
-/// Serial CSR masked length product (shared by [`SparseEngine`] and, as
-/// the per-job kernel, by [`ParSparseEngine`]).
+/// Serial CSR masked length product on a caller-owned accumulator. Like
+/// the Boolean kernel, a row pays for its mask row only if it received a
+/// candidate.
 fn csr_multiply_masked(
     a: &CsrLenMatrix,
     b: &CsrLenMatrix,
     mask: Option<&CsrLenMatrix>,
+    acc: &mut LenRowAccumulator,
 ) -> CsrLenMatrix {
     assert_eq!(a.n, b.n, "dimension mismatch");
     if let Some(m) = mask {
         assert_eq!(a.n, m.n, "mask dimension mismatch");
     }
     let n = a.n;
-    let mut acc = LenRowAccumulator::new(n);
+    acc.fit(n);
     let mut row_ptr = Vec::with_capacity(n + 1);
     row_ptr.push(0usize);
     let mut cols = Vec::new();
     let mut vals = Vec::new();
-    for i in 0..n {
-        let (acols, avals) = a.row(i);
-        if acols.is_empty() {
-            row_ptr.push(cols.len());
+    // Flat over the entries of `a` with lazily closed rows, exactly as
+    // the Boolean `multiply_block` (see there).
+    let mut open = 0;
+    let mut close = |acc: &mut LenRowAccumulator, open: usize, next: usize| {
+        if !acc.touched.is_empty() {
+            if let Some(m) = mask {
+                acc.remove(m.row(open).0);
+            }
+            acc.drain_into(&mut cols, &mut vals);
+        }
+        row_ptr.resize(row_ptr.len() + (next - open), cols.len());
+    };
+    for (e, (&k, &la)) in a.cols.iter().zip(&a.vals).enumerate() {
+        let (bcols, bvals) = b.row(k as usize);
+        if la == 0 || bcols.is_empty() {
             continue;
         }
-        if let Some(m) = mask {
-            acc.seed_mask(m.row(i).0);
+        if a.row_ptr[open + 1] <= e {
+            let next = row_of(&a.row_ptr, open, e);
+            close(acc, open, next);
+            open = next;
         }
-        for (&k, &la) in acols.iter().zip(avals) {
-            if la == 0 {
-                continue;
-            }
-            let (bcols, bvals) = b.row(k as usize);
-            for (&j, &lb) in bcols.iter().zip(bvals) {
-                if lb == 0 {
-                    continue;
-                }
+        for (&j, &lb) in bcols.iter().zip(bvals) {
+            if lb != 0 {
                 acc.set(j, add_len(la, lb));
             }
         }
-        if mask.is_some() {
-            acc.clear_mask();
-        }
-        acc.drain_into(&mut cols, &mut vals);
-        row_ptr.push(cols.len());
     }
+    close(acc, open, n);
     CsrLenMatrix {
         n,
         row_ptr,
@@ -654,134 +643,67 @@ fn csr_multiply_masked(
     }
 }
 
+/// Runs the jobs of a batch one after another on one accumulator (the
+/// whole batch on [`SparseEngine`], one run per worker on
+/// [`ParSparseEngine`]).
+fn csr_multiply_jobs(jobs: &[LenJob<'_, CsrLenMatrix>]) -> Vec<CsrLenMatrix> {
+    let mut acc = LenRowAccumulator::default();
+    jobs.iter()
+        .map(|&(a, b, m)| csr_multiply_masked(a, b, m, &mut acc))
+        .collect()
+}
+
+/// First-write-wins merge as one flat splice ([`splice_rows`]): `acc`
+/// is copied in contiguous runs around the cells `add` brings, and those
+/// cells are the returned Δ. `acc` keeps its storage if nothing is new.
 fn csr_merge_absent(acc: &mut CsrLenMatrix, add: &CsrLenMatrix) -> CsrLenMatrix {
     assert_eq!(acc.n, add.n, "dimension mismatch");
-    let n = acc.n;
-    let mut merged: Vec<Vec<(u32, u32)>> = Vec::with_capacity(n);
-    let mut fresh: Vec<Vec<(u32, u32)>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let (acols, avals) = acc.row(i);
-        let (bcols, bvals) = add.row(i);
-        let mut row: Vec<(u32, u32)> = Vec::with_capacity(acols.len() + bcols.len());
-        let mut new_row: Vec<(u32, u32)> = Vec::new();
-        let (mut x, mut y) = (0, 0);
-        while x < acols.len() && y < bcols.len() {
-            match acols[x].cmp(&bcols[y]) {
-                std::cmp::Ordering::Less => {
-                    row.push((acols[x], avals[x]));
-                    x += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    row.push((bcols[y], bvals[y]));
-                    new_row.push((bcols[y], bvals[y]));
-                    y += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    // First write wins: the accumulator's value stays.
-                    row.push((acols[x], avals[x]));
-                    x += 1;
-                    y += 1;
-                }
-            }
-        }
-        for p in x..acols.len() {
-            row.push((acols[p], avals[p]));
-        }
-        for p in y..bcols.len() {
-            row.push((bcols[p], bvals[p]));
-            new_row.push((bcols[p], bvals[p]));
-        }
-        merged.push(row);
-        fresh.push(new_row);
+    let (merged, fresh) = splice_rows(acc.flat(), add.flat(), true, Some(Report::Absent));
+    if let Some(merged) = merged {
+        *acc = CsrLenMatrix::from_buf(acc.n, merged);
     }
-    *acc = CsrLenMatrix::from_rows(merged);
-    CsrLenMatrix::from_rows(fresh)
+    CsrLenMatrix::from_buf(acc.n, fresh.expect("a report was asked for"))
 }
 
-/// Shared `len_set_absent` for the CSR representation: filters to
-/// genuinely-new cells (first occurrence wins within the batch), then
-/// merges them in one pass.
+/// Shared `len_set_absent` for the CSR representation: filters to the
+/// absent cells (a no-op batch costs only the probes), lets
+/// `from_entries` keep the first occurrence of each, and splices them in.
 fn csr_set_absent(a: &mut CsrLenMatrix, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
-    let mut seen = std::collections::BTreeSet::new();
-    let fresh: Vec<(u32, u32, u32)> = entries
+    let absent: Vec<(u32, u32, u32)> = entries
         .iter()
-        .filter(|&&(i, j, _)| a.get(i, j).is_none() && seen.insert((i, j)))
         .copied()
+        .filter(|&(i, j, _)| a.get(i, j).is_none())
         .collect();
-    if !fresh.is_empty() {
-        csr_merge_absent(a, &CsrLenMatrix::from_entries(a.n, &fresh));
+    if absent.is_empty() {
+        return absent;
     }
-    fresh
+    LenMat::entries(&csr_merge_absent(
+        a,
+        &CsrLenMatrix::from_entries(a.n, &absent),
+    ))
 }
 
-impl LenEngine for SparseEngine {
-    type LenMatrix = CsrLenMatrix;
-
-    fn len_empty(&self, n: usize) -> CsrLenMatrix {
-        CsrLenMatrix::empty(n)
-    }
-    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> CsrLenMatrix {
-        CsrLenMatrix::from_entries(n, entries)
-    }
-    fn len_set_absent(
-        &self,
-        a: &mut CsrLenMatrix,
-        entries: &[(u32, u32, u32)],
-    ) -> Vec<(u32, u32, u32)> {
-        csr_set_absent(a, entries)
-    }
-    fn len_multiply_masked(
-        &self,
-        a: &CsrLenMatrix,
-        b: &CsrLenMatrix,
-        mask: Option<&CsrLenMatrix>,
-    ) -> CsrLenMatrix {
-        csr_multiply_masked(a, b, mask)
-    }
-    fn len_merge_absent(&self, acc: &mut CsrLenMatrix, add: &CsrLenMatrix) -> CsrLenMatrix {
-        csr_merge_absent(acc, add)
-    }
-    fn len_grow(&self, a: &mut CsrLenMatrix, n: usize) {
-        a.grow(n)
-    }
-}
-
-impl LenEngine for ParSparseEngine {
-    type LenMatrix = CsrLenMatrix;
-
-    fn len_empty(&self, n: usize) -> CsrLenMatrix {
-        CsrLenMatrix::empty(n)
-    }
-    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> CsrLenMatrix {
-        CsrLenMatrix::from_entries(n, entries)
-    }
-    fn len_set_absent(
-        &self,
-        a: &mut CsrLenMatrix,
-        entries: &[(u32, u32, u32)],
-    ) -> Vec<(u32, u32, u32)> {
-        csr_set_absent(a, entries)
-    }
-    fn len_multiply_masked(
-        &self,
-        a: &CsrLenMatrix,
-        b: &CsrLenMatrix,
-        mask: Option<&CsrLenMatrix>,
-    ) -> CsrLenMatrix {
-        csr_multiply_masked(a, b, mask)
-    }
-    fn len_multiply_masked_batch(&self, jobs: &[LenJob<'_, CsrLenMatrix>]) -> Vec<CsrLenMatrix> {
-        // One serial kernel per job; no nested offload (see Device docs).
-        self.device
-            .par_map(jobs.to_vec(), |(a, b, m)| csr_multiply_masked(a, b, m))
-    }
-    fn len_merge_absent(&self, acc: &mut CsrLenMatrix, add: &CsrLenMatrix) -> CsrLenMatrix {
-        csr_merge_absent(acc, add)
-    }
-    fn len_grow(&self, a: &mut CsrLenMatrix, n: usize) {
-        a.grow(n)
-    }
-}
+len_engine!(
+    SparseEngine,
+    CsrLenMatrix,
+    csr_set_absent,
+    csr_merge_absent,
+    |_, jobs| csr_multiply_jobs(jobs)
+);
+// One run of serial kernels per worker, sharing that worker's
+// accumulator; no nested offload (see Device docs).
+len_engine!(
+    ParSparseEngine,
+    CsrLenMatrix,
+    csr_set_absent,
+    csr_merge_absent,
+    |e, jobs| e
+        .device
+        .par_map_ranges(jobs.len(), |r| csr_multiply_jobs(&jobs[r]))
+        .into_iter()
+        .flatten()
+        .collect()
+);
 
 #[cfg(test)]
 mod tests {
@@ -902,10 +824,10 @@ mod tests {
         // row, CSR scans the stored columns), so even the chosen lengths
         // coincide — assert full entry equality, not just pair sets.
         let dp = dense_multiply_masked(&da, &db, Some(&dm));
-        let sp = csr_multiply_masked(&sa, &sb, Some(&sm));
+        let sp = csr_multiply_masked(&sa, &sb, Some(&sm), &mut LenRowAccumulator::default());
         assert_eq!(LenMat::entries(&dp), LenMat::entries(&sp));
         let dp = dense_multiply_masked(&da, &db, None);
-        let sp = csr_multiply_masked(&sa, &sb, None);
+        let sp = csr_multiply_masked(&sa, &sb, None, &mut LenRowAccumulator::default());
         assert_eq!(LenMat::entries(&dp), LenMat::entries(&sp));
     }
 

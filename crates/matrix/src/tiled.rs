@@ -185,9 +185,11 @@ impl TiledBitMatrix {
         self.tiles.len()
     }
 
-    /// Reads bit `(i, j)`.
+    /// Reads bit `(i, j)`; cells outside the matrix read as unset.
     pub fn get(&self, i: u32, j: u32) -> bool {
-        debug_assert!((i as usize) < self.n && (j as usize) < self.n);
+        if i as usize >= self.n || j as usize >= self.n {
+            return false;
+        }
         let (ti, tj) = (i as usize / TILE, (j / TILE as u32));
         let row = &self.tile_cols[self.row_ptr[ti]..self.row_ptr[ti + 1]];
         match row.binary_search(&tj) {

@@ -1,0 +1,123 @@
+//! Allocation counts of the CSR kernels — the regression guard that
+//! needs no timer. A sweep of the semi-naive solvers unions a small Δ
+//! into a large closure and multiplies the two; each of those calls must
+//! allocate a constant number of times, whatever the number of rows (a
+//! per-row `Vec` anywhere in the kernel shows here as thousands).
+//!
+//! The counter is per thread, so the test harness's own threads do not
+//! disturb it.
+
+use cfpq_matrix::{CsrLenMatrix, CsrMatrix, LenEngine, SparseEngine};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// the only addition is a thread-local counter bump, which allocates
+// nothing (a `const`-initialized `Cell<usize>`).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller's contract is the system allocator's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller's contract is the system allocator's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) `f` performs on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+type Pairs = Vec<(u32, u32)>;
+
+/// A closure with two entries in every row — `(i, 2i)` and `(i, 2i+1)`
+/// modulo `n` — and a 100-entry Δ, `(20k+2, 20k+11)`, that is the same
+/// for every even `n ≥ 2,000`, disjoint from the closure, and meets it
+/// in the same number of places: the sizes of all results, and with them
+/// the amortized growth of the output buffers, do not depend on `n`.
+fn closure_and_delta(n: u32) -> (Pairs, Pairs) {
+    let closure = (0..n)
+        .flat_map(|i| [(i, 2 * i % n), (i, (2 * i + 1) % n)])
+        .collect();
+    let delta = (0..100).map(|k| (20 * k + 2, 20 * k + 11)).collect();
+    (closure, delta)
+}
+
+/// Allocation counts of one sweep's kernel calls on an `n`-row closure:
+/// Boolean union, both masked products, then the same for lengths.
+fn sweep_allocations(n: u32) -> [usize; 6] {
+    let (closure_pairs, delta_pairs) = closure_and_delta(n);
+    let n = n as usize;
+    let closure = CsrMatrix::from_pairs(n, &closure_pairs);
+    let delta = CsrMatrix::from_pairs(n, &delta_pairs);
+    let mut acc = closure.clone();
+    let (union, grew) = allocations(|| acc.union_in_place(&delta));
+    assert!(grew && acc.nnz() == closure.nnz() + 100);
+    let (left, product) = allocations(|| delta.multiply_masked(&closure, &closure));
+    assert_eq!(product.nnz(), 200);
+    let (right, product) = allocations(|| closure.multiply_masked(&delta, &closure));
+    assert_eq!(product.nnz(), 200);
+
+    let with_len = |pairs: &[(u32, u32)]| -> Vec<(u32, u32, u32)> {
+        pairs
+            .iter()
+            .map(|&(i, j)| (i, j, 1 + (i + j) % 7))
+            .collect()
+    };
+    let len_closure = CsrLenMatrix::from_entries(n, &with_len(&closure_pairs));
+    let len_delta = CsrLenMatrix::from_entries(n, &with_len(&delta_pairs));
+    let e = SparseEngine;
+    let mut len_acc = len_closure.clone();
+    let (merge, fresh) = allocations(|| e.len_merge_absent(&mut len_acc, &len_delta));
+    assert!(fresh == len_delta && len_acc.nnz() == len_closure.nnz() + 100);
+    let mask = Some(&len_closure);
+    let (len_left, product) = allocations(|| e.len_multiply_masked(&len_delta, &len_closure, mask));
+    assert_eq!(product.nnz(), 200);
+    let (len_right, product) =
+        allocations(|| e.len_multiply_masked(&len_closure, &len_delta, mask));
+    assert_eq!(product.nnz(), 200);
+    [union, left, right, merge, len_left, len_right]
+}
+
+#[test]
+fn a_delta_into_a_closure_allocates_a_constant_number_of_times() {
+    let small = sweep_allocations(2_500);
+    let large = sweep_allocations(25_000);
+    assert_eq!(small, large, "allocation counts must not depend on n");
+    // Union: new row pointers and columns. Merge: those and the lengths,
+    // for the closure and for the returned Δ. Products: row pointers,
+    // the accumulator, and the doubling growth of a 200-entry output.
+    let [union, left, right, merge, len_left, len_right] = large;
+    assert!(union <= 2, "union allocated {union} times");
+    assert!(merge <= 6, "merge allocated {merge} times");
+    for (what, count) in [("Δ × closure", left), ("closure × Δ", right)] {
+        assert!(count <= 12, "Boolean {what} allocated {count} times");
+    }
+    for (what, count) in [("Δ × closure", len_left), ("closure × Δ", len_right)] {
+        assert!(count <= 24, "length {what} allocated {count} times");
+    }
+}

@@ -1,0 +1,200 @@
+//! Property-based tests for the length kernels (§5): on every engine
+//! whose length matrices are CSR — `SparseEngine`, `ParSparseEngine`, and
+//! `TiledEngine` — `len_merge_absent`, `len_set_absent` and
+//! `len_multiply_masked` must be observationally identical to the dense
+//! reference, cell for cell and length for length, including on the
+//! shapes a flat splice can get wrong.
+
+use cfpq_matrix::{
+    DenseEngine, Device, LenEngine, LenMat, ParSparseEngine, SparseEngine, TiledEngine,
+};
+use proptest::prelude::*;
+
+/// Same base seed as `properties.rs`: CI replays identical cases.
+const RNG_SEED: u64 = 0x7E01_51ED;
+
+const N: usize = 37;
+
+type Entry = (u32, u32, u32);
+
+/// Strategy: `(row, col, length)` entries; lengths include `0`, the
+/// present-but-never-an-operand ε-witness.
+fn entries(max_len: usize) -> impl Strategy<Value = Vec<Entry>> {
+    prop::collection::vec((0..N as u32, 0..N as u32, 0u32..9), 0..max_len)
+}
+
+/// Bends a random `(acc, add)` pair into the shapes that matter: an
+/// empty side, `add ⊆ acc` cell-wise but with *different* lengths (first
+/// write must win), first and last row touched, every entry given twice
+/// with the second copy carrying another length.
+fn shaped(shape: u8, mut acc: Vec<Entry>, mut add: Vec<Entry>) -> (Vec<Entry>, Vec<Entry>) {
+    let last = N as u32 - 1;
+    match shape {
+        0 => acc.clear(),
+        1 => add.clear(),
+        2 => {
+            add = acc
+                .iter()
+                .step_by(2)
+                .map(|&(i, j, l)| (i, j, l + 10))
+                .collect()
+        }
+        3 => add.extend([(0, last, 1), (0, 0, 2), (last, 0, 3), (last, last, 4)]),
+        4 => {
+            add = add
+                .iter()
+                .flat_map(|&(i, j, l)| [(i, j, l), (i, j, l + 10)])
+                .collect()
+        }
+        _ => {}
+    }
+    (acc, add)
+}
+
+/// Runs `f` on the dense reference and on each CSR-backed engine and
+/// checks that all results agree.
+fn on_every_engine<T: PartialEq + std::fmt::Debug>(
+    f: impl Fn(&dyn Fn(&[Entry], usize) -> Box<dyn LenOps>) -> T,
+) -> Result<(), TestCaseError> {
+    let reference = f(&|e, n| Box::new(Ops::new(DenseEngine, e, n)));
+    let sparse = f(&|e, n| Box::new(Ops::new(SparseEngine, e, n)));
+    prop_assert_eq!(&sparse, &reference, "sparse");
+    let par = f(&|e, n| Box::new(Ops::new(ParSparseEngine::new(Device::new(3)), e, n)));
+    prop_assert_eq!(&par, &reference, "sparse-par");
+    let tiled = f(&|e, n| Box::new(Ops::new(TiledEngine::new(Device::new(2)), e, n)));
+    prop_assert_eq!(&tiled, &reference, "tiled");
+    Ok(())
+}
+
+/// One length matrix together with the engine that owns it, behind an
+/// object-safe face so a property is written once for all engines.
+trait LenOps {
+    fn entries(&self) -> Vec<Entry>;
+    fn grow(&mut self, n: usize);
+    /// `len_merge_absent`; returns the fresh cells.
+    fn merge(&mut self, add: &[Entry]) -> Vec<Entry>;
+    /// `len_set_absent`; returns the written entries, sorted.
+    fn set(&mut self, add: &[Entry]) -> Vec<Entry>;
+    /// `self × b`, masked by `mask` if given, as one job of a batch of
+    /// two (the other job is the unmasked product, returned second).
+    fn times(&self, b: &[Entry], mask: Option<&[Entry]>) -> (Vec<Entry>, Vec<Entry>);
+}
+
+struct Ops<E: LenEngine> {
+    engine: E,
+    matrix: E::LenMatrix,
+}
+
+impl<E: LenEngine> Ops<E> {
+    fn new(engine: E, entries: &[Entry], n: usize) -> Self {
+        let matrix = engine.len_from_entries(n, entries);
+        Self { engine, matrix }
+    }
+}
+
+impl<E: LenEngine> LenOps for Ops<E> {
+    fn entries(&self) -> Vec<Entry> {
+        self.matrix.entries()
+    }
+    fn grow(&mut self, n: usize) {
+        self.engine.len_grow(&mut self.matrix, n);
+    }
+    fn merge(&mut self, add: &[Entry]) -> Vec<Entry> {
+        let add = self.engine.len_from_entries(self.matrix.n(), add);
+        self.engine
+            .len_merge_absent(&mut self.matrix, &add)
+            .entries()
+    }
+    fn set(&mut self, add: &[Entry]) -> Vec<Entry> {
+        let mut written = self.engine.len_set_absent(&mut self.matrix, add);
+        written.sort_unstable();
+        written
+    }
+    fn times(&self, b: &[Entry], mask: Option<&[Entry]>) -> (Vec<Entry>, Vec<Entry>) {
+        let n = self.matrix.n();
+        let b = self.engine.len_from_entries(n, b);
+        let mask = mask.map(|m| self.engine.len_from_entries(n, m));
+        let single = self
+            .engine
+            .len_multiply_masked(&self.matrix, &b, mask.as_ref());
+        let batch = self.engine.len_multiply_masked_batch(&[
+            (&self.matrix, &b, mask.as_ref()),
+            (&self.matrix, &b, None),
+        ]);
+        assert_eq!(batch[0].entries(), single.entries(), "batch job ≡ single");
+        (single.entries(), batch[1].entries())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(96, RNG_SEED))]
+
+    #[test]
+    fn merge_and_set_absent_agree_with_dense(
+        acc in entries(90), add in entries(90), shape in 0u8..8, grown in 0usize..2
+    ) {
+        let (acc, add) = shaped(shape, acc, add);
+        // Optionally build the accumulator in a smaller universe and grow
+        // it first: rows appended by `grow` merge like any empty row.
+        let small = if grown == 1 { N - 9 } else { N };
+        let acc: Vec<Entry> = acc
+            .into_iter()
+            .filter(|&(i, j, _)| (i as usize) < small && (j as usize) < small)
+            .collect();
+        on_every_engine(|make| {
+            let mut merged = make(&acc, small);
+            merged.grow(N);
+            let before = merged.entries();
+            let fresh = merged.merge(&add);
+            let after = merged.entries();
+            // The laws, on whichever engine this is: nothing stored is
+            // ever rewritten, and `fresh` is exactly what was added.
+            for cell in &before {
+                assert!(after.contains(cell), "first write wins: {cell:?} was rewritten");
+            }
+            let mut rebuilt = before.clone();
+            rebuilt.extend(&fresh);
+            rebuilt.sort_unstable();
+            assert_eq!(rebuilt, after, "fresh ≡ add \\\\ acc");
+
+            let mut set = make(&acc, small);
+            set.grow(N);
+            let written = set.set(&add);
+            assert_eq!(set.entries(), after, "set_absent ≡ merge_absent of from_entries");
+            assert_eq!(written, fresh, "set_absent reports the fresh cells");
+            assert!(set.set(&add).is_empty(), "a second write adds nothing");
+            (after, fresh)
+        })?;
+    }
+
+    #[test]
+    fn masked_products_agree_with_dense(
+        a in entries(90), b in entries(90), mask in entries(400), shape in 0u8..6
+    ) {
+        // Shapes: an empty operand, and a mask denser than the product
+        // (400 entries on 37² cells; shape 2 masks every cell).
+        let (a, b) = match shape {
+            0 => (Vec::new(), b),
+            1 => (a, Vec::new()),
+            _ => (a, b),
+        };
+        let mask: Vec<Entry> = match shape {
+            2 => (0..N as u32)
+                .flat_map(|i| (0..N as u32).map(move |j| (i, j, 1)))
+                .collect(),
+            3 => Vec::new(),
+            _ => mask,
+        };
+        on_every_engine(|make| {
+            let (masked, plain) = make(&a, N).times(&b, Some(&mask));
+            // masked ≡ plain minus the mask's cells, lengths untouched.
+            let kept: Vec<Entry> = plain
+                .iter()
+                .copied()
+                .filter(|&(i, j, _)| !mask.iter().any(|&(mi, mj, _)| (mi, mj) == (i, j)))
+                .collect();
+            assert_eq!(masked, kept, "masked ≡ product \\\\ mask");
+            (masked, plain)
+        })?;
+    }
+}

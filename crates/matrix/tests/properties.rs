@@ -6,10 +6,11 @@
 use cfpq_grammar::random::{random_wcnf, RandomGrammarConfig};
 use cfpq_matrix::closure::{squaring_closure, theorem1_terms_needed, valiant_closure_terms};
 use cfpq_matrix::{
-    BoolEngine, BoolMat, CsrMatrix, DenseBitMatrix, DenseEngine, Device, ParDenseEngine,
-    ParSparseEngine, SetMatrix, SparseEngine, TiledBitMatrix, TiledEngine,
+    BoolEngine, BoolMat, CsrMatrix, DenseBitMatrix, DenseEngine, Device, LenEngine, LenMat,
+    ParDenseEngine, ParSparseEngine, SetMatrix, SparseEngine, TiledBitMatrix, TiledEngine,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Base RNG seed for every property in this file: CI must replay the
 /// exact same cases on every run (see shims/README.md for the seeding
@@ -221,6 +222,129 @@ proptest! {
         prop_assert_eq!(s.multiply(&sid), s.clone());
         prop_assert_eq!(sid.multiply(&s), s);
     }
+}
+
+// ---------------------------------------------------------------------------
+// CSR set operations ≡ a sorted pair-set model
+// ---------------------------------------------------------------------------
+
+type PairList = Vec<(u32, u32)>;
+
+/// Bends a random `(a, b)` pair of pair lists into the shapes the flat
+/// splice has to get right: an empty side, `b ⊆ a` (nothing new), the
+/// first and the last row touched, every pair given twice.
+fn shaped(shape: u8, mut a: PairList, mut b: PairList) -> (PairList, PairList) {
+    let last = N as u32 - 1;
+    match shape {
+        0 => a.clear(),
+        1 => b.clear(),
+        2 => b = a.iter().copied().step_by(2).collect(),
+        3 => b.extend([(0, last), (0, 0), (last, 0), (last, last)]),
+        4 => b = b.iter().flat_map(|&p| [p, p]).collect(),
+        _ => {}
+    }
+    (a, b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(96, RNG_SEED))]
+
+    #[test]
+    fn csr_set_operations_match_the_pair_set_model(
+        a in pairs(N, 90), b in pairs(N, 90), shape in 0u8..8, grown in 0usize..2
+    ) {
+        let (a, b) = shaped(shape, a, b);
+        // Optionally build `a` in a smaller universe and grow it: rows
+        // appended by `grow` must splice like any other empty row.
+        let small = if grown == 1 { N - 9 } else { N };
+        let a: Vec<(u32, u32)> = a
+            .into_iter()
+            .filter(|&(i, j)| (i as usize) < small && (j as usize) < small)
+            .collect();
+        let mut ma = CsrMatrix::from_pairs(small, &a);
+        ma.grow(N);
+        let mb = CsrMatrix::from_pairs(N, &b);
+        let set_a: BTreeSet<(u32, u32)> = a.iter().copied().collect();
+        let set_b: BTreeSet<(u32, u32)> = b.iter().copied().collect();
+        // Structural equality with `from_pairs` of the model's sorted
+        // pairs: same row pointers, same ascending columns, no duplicates.
+        let model = |set: BTreeSet<(u32, u32)>| {
+            CsrMatrix::from_pairs(N, &set.into_iter().collect::<Vec<_>>())
+        };
+
+        prop_assert_eq!(ma.pairs(), set_a.iter().copied().collect::<Vec<_>>(), "from_pairs + grow");
+        prop_assert_eq!(mb.pairs(), set_b.iter().copied().collect::<Vec<_>>(), "from_pairs");
+
+        let union: BTreeSet<_> = set_a.union(&set_b).copied().collect();
+        let grows = union.len() > set_a.len();
+        let mut unioned = ma.clone();
+        prop_assert_eq!(unioned.union_in_place(&mb), grows, "union change flag");
+        prop_assert_eq!(&unioned, &model(union.clone()), "union");
+        let mut inserted = ma.clone();
+        prop_assert_eq!(inserted.insert_pairs(&b), grows, "insert_pairs change flag");
+        prop_assert_eq!(&inserted, &model(union), "insert_pairs");
+        if !grows {
+            prop_assert_eq!(&unioned, &ma, "nothing new leaves the matrix as it was");
+        }
+
+        prop_assert_eq!(
+            ma.difference(&mb),
+            model(set_a.difference(&set_b).copied().collect()),
+            "a minus b"
+        );
+        prop_assert_eq!(
+            mb.difference(&ma),
+            model(set_b.difference(&set_a).copied().collect()),
+            "b minus a"
+        );
+        let common: BTreeSet<_> = set_a.intersection(&set_b).copied().collect();
+        prop_assert_eq!(ma.intersect(&mb), model(common.clone()), "a and b");
+        prop_assert_eq!(mb.intersect(&ma), model(common), "b and a");
+        prop_assert_eq!(
+            ma.transpose(),
+            model(set_a.iter().map(|&(i, j)| (j, i)).collect()),
+            "transpose"
+        );
+    }
+}
+
+/// ROADMAP 6(d): a read outside the matrix answers "not there" in every
+/// representation — it neither panics nor aliases a neighbouring row
+/// (`(0, 64)` is where a 64-bit-word row of a dense matrix wraps into
+/// row 1). Checked on the five Boolean and the five length engines,
+/// before and after `grow`.
+#[test]
+fn reads_outside_the_matrix_answer_absent_on_every_engine() {
+    fn check<E: BoolEngine + LenEngine>(e: &E) {
+        let n = N as u32;
+        let mut m = e.from_pairs(N, &[(0, 0), (1, 0), (n - 1, n - 1)]);
+        let mut l = e.len_from_entries(N, &[(0, 0, 3), (1, 0, 4), (n - 1, n - 1, 5)]);
+        for grown_to in [N, N + 70] {
+            e.grow(&mut m, grown_to);
+            e.len_grow(&mut l, grown_to);
+            let edge = grown_to as u32;
+            let outside = [(edge, 0), (0, edge), (edge, edge), (0, 64), (0, edge + 64)];
+            for (i, j) in outside.into_iter().chain([(u32::MAX, 0), (0, u32::MAX)]) {
+                if (i as usize) < grown_to && (j as usize) < grown_to {
+                    continue;
+                }
+                assert!(!m.get(i, j), "{} bool ({i}, {j}) at n={grown_to}", e.name());
+                assert_eq!(
+                    l.get(i, j),
+                    None,
+                    "{} len ({i}, {j}) at n={grown_to}",
+                    e.name()
+                );
+            }
+            assert!(m.get(1, 0) && m.get(n - 1, n - 1));
+            assert_eq!((l.get(1, 0), l.get(n - 1, n - 1)), (Some(4), Some(5)));
+        }
+    }
+    check(&DenseEngine);
+    check(&SparseEngine);
+    check(&ParDenseEngine::new(Device::new(2)));
+    check(&ParSparseEngine::new(Device::new(2)));
+    check(&TiledEngine::new(Device::new(2)));
 }
 
 // Theorem 1 (§2): the squaring closure `a_cf` equals Valiant's
