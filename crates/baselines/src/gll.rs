@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn matches_matrix_solver_on_random_graphs() {
-        use cfpq_core::relational::solve_on_engine;
+        use cfpq_core::relational::FixpointSolver;
         use cfpq_grammar::cnf::CnfOptions;
         use cfpq_matrix::SparseEngine;
         for seed in 0..8u64 {
@@ -270,7 +270,7 @@ mod tests {
             let graph = generators::random_graph(8, 20, &["a", "b"], seed);
             let store = solve_gll(&graph, &cfg);
             let wcnf = cfg.to_wcnf(CnfOptions::default()).unwrap();
-            let idx = solve_on_engine(&SparseEngine, &graph, &wcnf);
+            let idx = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
             let s_gll = cfg.symbols.get_nt("S").unwrap();
             let s_mat = wcnf.symbols.get_nt("S").unwrap();
             assert_eq!(

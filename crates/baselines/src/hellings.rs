@@ -144,13 +144,13 @@ mod tests {
 
     #[test]
     fn matches_matrix_solver_on_random_graphs() {
-        use cfpq_core::relational::solve_on_engine;
+        use cfpq_core::relational::FixpointSolver;
         use cfpq_matrix::SparseEngine;
         for seed in 0..8u64 {
             let g = wcnf("S -> a S b | a b | S S");
             let graph = generators::random_graph(9, 24, &["a", "b"], seed);
             let store = solve_hellings(&graph, &g);
-            let idx = solve_on_engine(&SparseEngine, &graph, &g);
+            let idx = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
             for i in 0..g.n_nts() {
                 let nt = Nt(i as u32);
                 assert_eq!(store.pairs(nt), idx.pairs(nt), "seed {seed}, nt {nt:?}");

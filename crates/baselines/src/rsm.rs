@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn matches_gll_and_matrix_on_random_graphs() {
         use crate::gll::solve_gll;
-        use cfpq_core::relational::solve_on_engine;
+        use cfpq_core::relational::FixpointSolver;
         use cfpq_grammar::cnf::CnfOptions;
         use cfpq_matrix::SparseEngine;
         for seed in 0..8u64 {
@@ -201,7 +201,7 @@ mod tests {
                 "rsm vs gll, seed {seed}"
             );
             let wcnf = cfg.to_wcnf(CnfOptions::default()).unwrap();
-            let idx = solve_on_engine(&SparseEngine, &graph, &wcnf);
+            let idx = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
             let s_w = wcnf.symbols.get_nt("S").unwrap();
             assert_eq!(
                 rsm_store.pairs(s),

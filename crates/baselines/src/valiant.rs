@@ -276,7 +276,7 @@ mod tests {
     fn agrees_with_algorithm1_on_word_chains() {
         // The bridge result: Valiant on the string == Algorithm 1 on the
         // chain encoding of the string.
-        use cfpq_core::relational::solve_on_engine;
+        use cfpq_core::relational::FixpointSolver;
         use cfpq_graph::generators;
         use cfpq_matrix::DenseEngine;
         let g = wcnf("S -> a S b | a b | S S");
@@ -284,7 +284,7 @@ mod tests {
         let w = word(&g, &names);
         let t = valiant_parse(&g, &w);
         let graph = generators::word_chain(&names);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
             let valiant_pairs: Vec<(u32, u32)> = (0..=names.len() as u32)

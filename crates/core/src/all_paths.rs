@@ -709,7 +709,7 @@ impl<M: BoolMat> Ctx<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::{solve_on_engine, solve_on_engine_with, SolveOptions};
+    use crate::relational::{FixpointSolver, SolveOptions};
     use crate::single_path::validate_witness;
     use cfpq_grammar::cnf::CnfOptions;
     use cfpq_grammar::Cfg;
@@ -728,7 +728,7 @@ mod tests {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "a", "b", "b"]);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let page = enumerate_paths(&idx, &graph, &g, s, 0, 4, EnumLimits::default());
         assert_eq!(page.paths.len(), 1);
         assert_eq!(page.paths[0].len(), 4);
@@ -744,7 +744,7 @@ mod tests {
         let mut graph = cfpq_graph::Graph::new(1);
         graph.add_edge_named(0, "a", 0);
         graph.add_edge_named(0, "b", 0);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let limits = EnumLimits {
             max_len: 8,
             max_paths: 10,
@@ -772,7 +772,7 @@ mod tests {
         let mut graph = cfpq_graph::Graph::new(1);
         graph.add_edge_named(0, "a", 0);
         graph.add_edge_named(0, "b", 0);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let page = enumerate_paths(
             &idx,
             &graph,
@@ -802,14 +802,11 @@ mod tests {
         let g = wcnf("S -> ( S ) S | eps");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["(", ")", "(", ")"]);
-        let idx = solve_on_engine_with(
-            &DenseEngine,
-            &graph,
-            &g,
-            SolveOptions {
+        let idx = FixpointSolver::new(&DenseEngine)
+            .options(SolveOptions {
                 nullable_diagonal: true,
-            },
-        );
+            })
+            .solve(&graph, &g);
         // Diagonal: ε-witness plus nothing else at node 0 of length 0.
         let at_zero = enumerate_paths(&idx, &graph, &g, s, 0, 0, EnumLimits::default());
         assert_eq!(at_zero.paths[0], Vec::<Edge>::new(), "ε-witness first");
@@ -838,18 +835,15 @@ mod tests {
         let g = wcnf("S -> ( S ) | eps");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["(", ")"]);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let page = enumerate_paths(&idx, &graph, &g, s, 1, 1, EnumLimits::default());
         assert!(page.paths.is_empty());
         assert!(page.exhausted, "empty because nothing exists, not capped");
-        let aware = solve_on_engine_with(
-            &DenseEngine,
-            &graph,
-            &g,
-            SolveOptions {
+        let aware = FixpointSolver::new(&DenseEngine)
+            .options(SolveOptions {
                 nullable_diagonal: true,
-            },
-        );
+            })
+            .solve(&graph, &g);
         let page = enumerate_paths(&aware, &graph, &g, s, 1, 1, EnumLimits::default());
         assert_eq!(page.paths, vec![Vec::new()], "exactly the ε-witness");
     }
@@ -861,7 +855,7 @@ mod tests {
         let g = wcnf("S -> S S | ( S ) | ( )");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["(", ")", "(", ")"]);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let page = enumerate_paths(&idx, &graph, &g, s, 0, 4, EnumLimits::default());
         // The path is unique even though derivations are many — dedup.
         assert_eq!(page.paths.len(), 1);
@@ -874,7 +868,7 @@ mod tests {
         let mut graph = cfpq_graph::Graph::new(1);
         graph.add_edge_named(0, "a", 0);
         graph.add_edge_named(0, "b", 0);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let page = enumerate_paths(
             &idx,
             &graph,
@@ -897,7 +891,7 @@ mod tests {
         let g = wcnf("S -> a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "b"]);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let page = enumerate_paths(&idx, &graph, &g, s, 1, 0, EnumLimits::default());
         assert!(page.paths.is_empty());
         assert!(page.exhausted);
@@ -917,7 +911,7 @@ mod tests {
         graph.add_edge_named(2, "b", 3);
         graph.add_edge_named(0, "a", 1);
         graph.add_edge_named(1, "b", 3);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let page = enumerate_paths(&idx, &graph, &g, s, 0, 3, EnumLimits::default());
         assert_eq!(page.paths.len(), 2);
         let keys: Vec<Vec<(u32, u32, u32)>> = page
@@ -940,7 +934,7 @@ mod tests {
         let mut graph = cfpq_graph::Graph::new(1);
         graph.add_edge_named(0, "a", 0);
         graph.add_edge_named(0, "b", 0);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let mut enumerator = PathEnumerator::from_graph(&graph, &g);
         let full = enumerator.page(
             &idx,
@@ -988,14 +982,11 @@ mod tests {
         let s = g.symbols.get_nt("S").unwrap();
         let labels = vec!["a"; 24];
         let graph = generators::word_chain(&labels);
-        let idx = solve_on_engine_with(
-            &DenseEngine,
-            &graph,
-            &g,
-            SolveOptions {
+        let idx = FixpointSolver::new(&DenseEngine)
+            .options(SolveOptions {
                 nullable_diagonal: true,
-            },
-        );
+            })
+            .solve(&graph, &g);
         let page = enumerate_paths(
             &idx,
             &graph,
@@ -1055,7 +1046,7 @@ mod tests {
         let mut graph = cfpq_graph::Graph::new(1);
         graph.add_edge_named(0, "a", 0);
         graph.add_edge_named(0, "b", 0);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let limits = EnumLimits {
             max_len: 10,
             max_paths: 100,

@@ -192,7 +192,7 @@ pub fn anbncn() -> ConjunctiveGrammar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::solve_on_engine;
+    use crate::relational::FixpointSolver;
     use cfpq_graph::generators;
     use cfpq_matrix::{DenseEngine, SparseEngine};
 
@@ -244,7 +244,7 @@ mod tests {
         let conj = solve_conjunctive(&DenseEngine, &graph, &g);
         for pick in 0..2 {
             let proj = g.projection(pick);
-            let rel = solve_on_engine(&DenseEngine, &graph, &proj);
+            let rel = FixpointSolver::new(&DenseEngine).solve(&graph, &proj);
             let conj_pairs: std::collections::BTreeSet<_> = conj.pairs(s).into_iter().collect();
             let proj_pairs: std::collections::BTreeSet<_> = rel.pairs(s).into_iter().collect();
             assert!(
@@ -266,7 +266,7 @@ mod tests {
         let graph = generators::two_cycles(2, 3);
         let conj = solve_conjunctive(&DenseEngine, &graph, &g);
         let proj = g.projection(0);
-        let rel = solve_on_engine(&DenseEngine, &graph, &proj);
+        let rel = FixpointSolver::new(&DenseEngine).solve(&graph, &proj);
         let s = s_of(&g);
         assert_eq!(conj.pairs(s), rel.pairs(s));
     }

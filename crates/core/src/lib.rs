@@ -6,13 +6,15 @@
 //! * [`relational`] — **Algorithm 1**: relational-semantics CFPQ reduced
 //!   to the transitive closure `a_cf`, decomposed into per-nonterminal
 //!   Boolean matrices and executed on any [`cfpq_matrix::BoolEngine`]
-//!   backend (dense/sparse × serial/device-parallel, tiled) by one
-//!   masked semi-naive sweep loop, plus the paper-literal set-matrix
-//!   solver with per-iteration snapshots (Fig. 6–8).
+//!   backend (dense/sparse × serial/device-parallel, tiled), plus the
+//!   paper-literal set-matrix solver with per-iteration snapshots
+//!   (Fig. 6–8).
 //! * [`single_path`] — §5: the length-annotated closure on the
-//!   [`cfpq_matrix::LenEngine`] kernels (masked semi-naive, engine
-//!   generic, with the naive flat-table oracle kept for cross-checking)
-//!   and witness-path extraction (Theorem 5 machinery).
+//!   [`cfpq_matrix::LenEngine`] kernels (engine generic, with the naive
+//!   flat-table oracle kept for cross-checking) and witness-path
+//!   extraction (Theorem 5 machinery). Both closures run the one masked
+//!   semi-naive sweep loop of the crate-private `fixpoint` module, at
+//!   the Boolean and at the first-write-wins length algebra.
 //! * [`all_paths`] — bounded all-path enumeration, the §7 future-work
 //!   semantics, built on top of the relational index.
 //! * [`conjunctive`] — the §7 conjecture: Algorithm 1 "trivially
@@ -38,6 +40,7 @@
 pub mod all_paths;
 pub mod compile;
 pub mod conjunctive;
+mod fixpoint;
 pub mod query;
 pub mod regular;
 pub mod relational;
@@ -47,13 +50,8 @@ pub mod single_path;
 pub use compile::{CompiledQuery, QueryKind};
 pub use query::{solve, Backend, QueryAnswer};
 pub use regular::{solve_regular, Nfa};
-pub use relational::{
-    solve_on_engine, solve_set_matrix, FixpointSolver, RelationalIndex, SolveStats,
-};
+pub use relational::{solve_set_matrix, FixpointSolver, RelationalIndex, SolveStats};
 pub use session::{
     CfpqSession, EdgeBatch, GraphIndex, PreparedQuery, QueryId, RunInfo, SessionError, SinglePathId,
 };
-pub use single_path::{
-    solve_single_path, solve_single_path_oracle, solve_single_path_with, SinglePathIndex,
-    SinglePathSolver,
-};
+pub use single_path::{solve_single_path_oracle, SinglePathIndex, SinglePathSolver};

@@ -179,7 +179,7 @@ pub fn solve_regular<E: BoolEngine>(engine: &E, graph: &Graph, nfa: &Nfa) -> E::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::solve_on_engine;
+    use crate::relational::FixpointSolver;
     use cfpq_grammar::cnf::CnfOptions;
     use cfpq_grammar::Cfg;
     use cfpq_graph::generators;
@@ -242,7 +242,7 @@ mod tests {
         let s = wcnf.symbols.get_nt("S").unwrap();
         for seed in 0..6u64 {
             let graph = generators::random_graph(7, 15, &["a", "b"], seed);
-            let cf = solve_on_engine(&SparseEngine, &graph, &wcnf);
+            let cf = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
             let re = solve_regular(&SparseEngine, &graph, &Nfa::plus("a"));
             assert_eq!(cf.pairs(s), re.pairs(), "seed {seed}");
         }

@@ -17,21 +17,14 @@
 //!
 //! # The sweep loop
 //!
-//! [`FixpointSolver`] runs one loop: semi-naive evaluation with masked
-//! kernels. Each sweep multiplies only the entries discovered in the
-//! previous one, `T_A |= ΔT_B × T_C ∪ T_B × ΔT_C`; rules sharing the
-//! same `(B, C)` right-hand side share one product, kernels with an
-//! empty Δ operand are skipped outright, and the whole sweep goes to the
-//! engine as one [`BoolEngine::multiply_masked_batch`] (the paper's §7
-//! remark that "matrix multiplication in the main loop … may be
-//! performed on different GPGPU independently"). A product feeding
-//! exactly one `T_A` takes the accumulated `T_A` as complement mask, so
-//! the kernel never regenerates entries the closure already holds and
-//! its output is exactly the new information (Azimov & Grigorev,
-//! arXiv:1707.01007; Shemetova et al., arXiv:2103.14688). Algorithm 1 as
-//! printed — full products every sweep — is [`solve_set_matrix`], the
-//! oracle the property suites compare this loop against. Per-sweep work
-//! counters come back in [`RelationalIndex::stats`].
+//! [`FixpointSolver`] is the Boolean front of the one masked semi-naive
+//! sweep loop in `fixpoint.rs` (the module docs there describe a sweep):
+//! it seeds `T_A` from the edges, places the optional ε-diagonal, and
+//! hands over. [`crate::single_path::SinglePathSolver`] runs the same
+//! loop over witness lengths. Algorithm 1 as printed — full products
+//! every sweep — is [`solve_set_matrix`], the oracle the property suites
+//! compare the loop against. Per-sweep work counters come back in
+//! [`RelationalIndex::stats`].
 //!
 //! # Incremental repair
 //!
@@ -50,6 +43,7 @@
 //! sources and nothing else, with the same masked batched products, and
 //! that later requests extend rather than restart.
 
+use crate::fixpoint::{self, accumulate_into, Boolean};
 use cfpq_grammar::{Nt, Term, Wcnf};
 use cfpq_graph::Graph;
 use cfpq_matrix::closure::squaring_closure;
@@ -108,13 +102,16 @@ pub struct SolveStats {
 
 impl SolveStats {
     /// Adds a later run on the same matrices (a resume, an extension) to
-    /// these cumulative counters; `nt_nnz` is replaced by the run's.
-    fn absorb(&mut self, run: &SolveStats) {
+    /// these cumulative counters; `nt_nnz` is replaced by the run's,
+    /// unless the run found nothing to do and took none.
+    pub(crate) fn absorb(&mut self, run: &SolveStats) {
         self.products_computed += run.products_computed;
         self.products_skipped += run.products_skipped;
         self.tiles_skipped += run.tiles_skipped;
         self.sweep_nnz.extend(run.sweep_nnz.iter().copied());
-        self.nt_nnz.clone_from(&run.nt_nnz);
+        if !run.nt_nnz.is_empty() {
+            self.nt_nnz.clone_from(&run.nt_nnz);
+        }
     }
 }
 
@@ -150,7 +147,7 @@ impl<M: BoolMat> RelationalIndex<M> {
     }
 }
 
-/// Options for [`solve_on_engine_with`].
+/// Options of a solve ([`FixpointSolver::options`] and its siblings).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolveOptions {
     /// Seed `(A, m, m)` for every node `m` and every nullable `A`. The
@@ -233,19 +230,10 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         n: usize,
         grammar: &Wcnf,
     ) -> RelationalIndex<E::Matrix> {
-        let mut sp = cfpq_obs::span("solve");
-        let mut stats = SolveStats::default();
-        let counters_before = self.engine.kernel_counters();
-        let iterations = self.delta_sweeps(&mut matrices, DeltaSeed::Full, grammar, &mut stats);
-        finish_stats(&mut stats, self.engine, counters_before, &matrices);
-        if sp.is_recording() {
-            sp.attr_str("mode", "cold");
-            sp.attr_u64("sweeps", iterations as u64);
-            sp.attr_u64("products", stats.products_computed as u64);
-        }
+        let stats = fixpoint::solve(&Boolean(self.engine), &mut matrices, grammar);
         RelationalIndex {
             matrices,
-            iterations,
+            iterations: stats.sweep_nnz.len(),
             n_nodes: n,
             stats,
         }
@@ -268,243 +256,12 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         grammar: &Wcnf,
         new_pairs: &[Vec<(u32, u32)>],
     ) -> SolveStats {
-        let mut sp = cfpq_obs::span("solve");
-        let engine = self.engine;
-        let n_nts = grammar.n_nts();
-        assert_eq!(new_pairs.len(), n_nts, "one pair list per nonterminal");
-        let counters_before = engine.kernel_counters();
-
-        // Δ_A = new seeds not already in the closure; fold them in.
-        let mut delta: Vec<Option<E::Matrix>> = (0..n_nts).map(|_| None).collect();
-        let mut any = false;
-        for (a, pairs) in new_pairs.iter().enumerate() {
-            if pairs.is_empty() {
-                continue;
-            }
-            let fresh =
-                engine.difference(&engine.from_pairs(index.n_nodes, pairs), &index.matrices[a]);
-            if fresh.nnz() == 0 {
-                continue;
-            }
-            engine.union_in_place(&mut index.matrices[a], &fresh);
-            delta[a] = Some(fresh);
-            any = true;
-        }
-        let mut stats = SolveStats::default();
-        if sp.is_recording() {
-            sp.attr_str("mode", "resume");
-        }
-        if !any {
-            if sp.is_recording() {
-                sp.attr_u64("sweeps", 0);
-                sp.attr_u64("products", 0);
-            }
-            return stats; // nothing new: the closure is already correct
-        }
-        let sweeps = self.delta_sweeps(
-            &mut index.matrices,
-            DeltaSeed::Deltas(delta),
-            grammar,
-            &mut stats,
-        );
-        finish_stats(&mut stats, engine, counters_before, &index.matrices);
-        index.iterations += sweeps;
+        let algebra = Boolean(self.engine);
+        let stats = fixpoint::resume(&algebra, &mut index.matrices, grammar, new_pairs);
+        index.iterations += stats.sweep_nnz.len();
         index.stats.absorb(&stats);
-        if sp.is_recording() {
-            sp.attr_u64("sweeps", sweeps as u64);
-            sp.attr_u64("products", stats.products_computed as u64);
-        }
         stats
     }
-
-    /// The masked semi-naive sweep loop behind both the cold solve and
-    /// the incremental [`FixpointSolver::resume`] path.
-    ///
-    /// Per sweep each distinct `(B, C)` right-hand side contributes at
-    /// most two products, `ΔT_B × T_C` and `T_B × ΔT_C`, shared by every
-    /// rule `A → BC` (multiply once, union into every LHS). Kernels with
-    /// an empty Δ operand are skipped. A pair produced by exactly one
-    /// LHS `A` runs through [`BoolEngine::multiply_masked`] with the
-    /// accumulated `T_A` as complement mask, so the kernel emits only new
-    /// entries and the Δ for the next sweep needs no difference pass; a
-    /// pair shared by several LHS runs unmasked and pays the difference.
-    ///
-    /// `seed` selects where the first sweep's Δ comes from:
-    /// [`DeltaSeed::Full`] treats the (freshly initialized) `full`
-    /// matrices themselves as the Δ — the cold-solve case, where ΔB×C
-    /// and B×ΔC coincide, so one `T_B × T_C` product per pair suffices
-    /// and no clone is ever taken — while [`DeltaSeed::Deltas`] starts
-    /// from explicit Δ matrices already folded into `full` — the resume
-    /// case. Returns the number of sweeps run; work counters accumulate
-    /// into `stats`.
-    fn delta_sweeps(
-        &self,
-        full: &mut [E::Matrix],
-        seed: DeltaSeed<E::Matrix>,
-        grammar: &Wcnf,
-        stats: &mut SolveStats,
-    ) -> usize {
-        let engine = self.engine;
-        let n_nts = grammar.n_nts();
-
-        // Distinct (B, C) operand pairs → the LHS nonterminals they feed.
-        let mut by_pair: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for rule in &grammar.binary_rules {
-            let lhss = by_pair.entry((rule.left.0, rule.right.0)).or_default();
-            if !lhss.contains(&rule.lhs.index()) {
-                lhss.push(rule.lhs.index());
-            }
-        }
-        let groups: Vec<((usize, usize), Vec<usize>)> = by_pair
-            .into_iter()
-            .map(|((b, c), lhss)| ((b as usize, c as usize), lhss))
-            .collect();
-        // What a rule-by-rule semi-naive loop launches per sweep: two
-        // products (ΔB×C and B×ΔC) for every binary rule.
-        let per_sweep_potential = 2 * grammar.binary_rules.len();
-
-        // Δ per nonterminal; `None` means empty (never allocated for
-        // nonterminals no rule produces).
-        let (mut seed_from_full, mut delta): (bool, Vec<Option<E::Matrix>>) = match seed {
-            DeltaSeed::Full => (true, (0..n_nts).map(|_| None).collect()),
-            DeltaSeed::Deltas(d) => {
-                debug_assert_eq!(d.len(), n_nts);
-                (false, d)
-            }
-        };
-        let mut iterations = 0;
-        loop {
-            iterations += 1;
-            let mut sweep_sp = cfpq_obs::span("sweep");
-            let first = std::mem::take(&mut seed_from_full);
-
-            // Assemble this sweep's kernel jobs from the same snapshot.
-            let mut jobs: Vec<MaskedJob<'_, E::Matrix>> = Vec::new();
-            let mut job_group: Vec<usize> = Vec::new();
-            for (gi, ((b, c), lhss)) in groups.iter().enumerate() {
-                let mask = match &lhss[..] {
-                    &[a] => Some(&full[a]),
-                    _ => None,
-                };
-                if first {
-                    // Δ = T initially, so ΔB×C and B×ΔC coincide.
-                    jobs.push((&full[*b], &full[*c], mask));
-                    job_group.push(gi);
-                } else {
-                    if let Some(db) = &delta[*b] {
-                        jobs.push((db, &full[*c], mask));
-                        job_group.push(gi);
-                    }
-                    if let Some(dc) = &delta[*c] {
-                        jobs.push((&full[*b], dc, mask));
-                        job_group.push(gi);
-                    }
-                }
-            }
-            let n_jobs = jobs.len();
-            let products = engine.multiply_masked_batch(&jobs);
-            stats.products_computed += n_jobs;
-            stats.products_skipped += per_sweep_potential - n_jobs;
-
-            // Union each product into the fresh accumulator of every LHS
-            // of its group (the product is shared, not recomputed).
-            let mut fresh: Vec<Option<E::Matrix>> = (0..n_nts).map(|_| None).collect();
-            let mut fresh_masked: Vec<bool> = vec![true; n_nts];
-            for (product, &gi) in products.into_iter().zip(&job_group) {
-                let lhss = &groups[gi].1;
-                let was_masked = lhss.len() == 1;
-                let (&last, rest) = lhss.split_last().expect("group has an LHS");
-                for &a in rest {
-                    match &mut fresh[a] {
-                        Some(acc) => {
-                            engine.union_in_place(acc, &product);
-                        }
-                        None => fresh[a] = Some(product.clone()),
-                    }
-                    fresh_masked[a] &= was_masked;
-                }
-                match &mut fresh[last] {
-                    Some(acc) => {
-                        engine.union_in_place(acc, &product);
-                    }
-                    None => fresh[last] = Some(product),
-                }
-                fresh_masked[last] &= was_masked;
-            }
-
-            // Fold the fresh entries into the closure and derive the next Δ.
-            let mut changed = false;
-            for a in 0..n_nts {
-                let Some(f) = fresh[a].take() else {
-                    delta[a] = None;
-                    continue;
-                };
-                // Masked products are already disjoint from `full[a]`
-                // (the mask snapshot predates this sweep's unions), so
-                // they *are* the new Δ; unmasked ones need a difference.
-                let new_entries = if fresh_masked[a] {
-                    f
-                } else {
-                    engine.difference(&f, &full[a])
-                };
-                if new_entries.nnz() == 0 {
-                    delta[a] = None;
-                    continue;
-                }
-                engine.union_in_place(&mut full[a], &new_entries);
-                delta[a] = Some(new_entries);
-                changed = true;
-            }
-            stats.sweep_nnz.push(total_nnz(full));
-            if sweep_sp.is_recording() {
-                sweep_sp.attr_u64("sweep", iterations as u64);
-                sweep_sp.attr_u64("products", n_jobs as u64);
-                // Per-nonterminal Δ-nnz this sweep produced, as
-                // `nt:nnz` pairs (only nonterminals that changed).
-                let per_nt: Vec<String> = delta
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(a, d)| d.as_ref().map(|d| format!("{a}:{}", d.nnz())))
-                    .collect();
-                sweep_sp.attr_text("delta_nnz", per_nt.join(","));
-            }
-            drop(sweep_sp);
-            if !changed {
-                break;
-            }
-        }
-        iterations
-    }
-}
-
-/// Where [`FixpointSolver::delta_sweeps`] takes its first sweep's Δ
-/// from: the freshly-seeded full matrices themselves (cold solve), or
-/// explicit per-nonterminal deltas (incremental resume).
-enum DeltaSeed<M> {
-    /// Δ = T: every seeded matrix is entirely new information.
-    Full,
-    /// Explicit Δ matrices, already folded into the closure.
-    Deltas(Vec<Option<M>>),
-}
-
-/// `Σ_A nnz(T_A)` — one data point of [`SolveStats::sweep_nnz`].
-fn total_nnz<M: BoolMat>(matrices: &[M]) -> usize {
-    matrices.iter().map(BoolMat::nnz).sum()
-}
-
-/// Closes out a run's [`SolveStats`]: brackets the engine's cumulative
-/// [`KernelCounters`](cfpq_matrix::KernelCounters) (sampled at run
-/// start) to this run's contribution and snapshots the final
-/// per-nonterminal nnz.
-fn finish_stats<E: BoolEngine>(
-    stats: &mut SolveStats,
-    engine: &E,
-    counters_before: cfpq_matrix::KernelCounters,
-    matrices: &[E::Matrix],
-) {
-    let work = engine.kernel_counters().since(counters_before);
-    stats.tiles_skipped = work.tiles_skipped;
-    stats.nt_nnz = matrices.iter().map(BoolMat::nnz).collect();
 }
 
 /// A demand-driven partial closure: the rows of the context-free
@@ -579,16 +336,6 @@ enum Target {
     Rel(usize),
     /// The `left` entry of that index.
     Left(usize),
-}
-
-/// `acc ∪= add`, where an absent accumulator is the empty matrix.
-fn union_into<E: BoolEngine>(engine: &E, acc: &mut Option<E::Matrix>, add: E::Matrix) {
-    match acc {
-        Some(acc) => {
-            engine.union_in_place(acc, &add);
-        }
-        None => *acc = Some(add),
-    }
 }
 
 impl<M: BoolMat> SourceClosure<M> {
@@ -760,8 +507,10 @@ impl<M: BoolMat> SourceClosure<M> {
             let mut fresh_left: Vec<Option<M>> = self.left.iter().map(|_| None).collect();
             for (product, target) in products.into_iter().zip(targets) {
                 match target {
-                    Target::Rel(a) => union_into(engine, &mut fresh_rel[a], product),
-                    Target::Left(g) => union_into(engine, &mut fresh_left[g], product),
+                    Target::Rel(a) => accumulate_into(&Boolean(engine), &mut fresh_rel[a], product),
+                    Target::Left(g) => {
+                        accumulate_into(&Boolean(engine), &mut fresh_left[g], product)
+                    }
                 }
             }
             for (a, slot) in fresh_rel.iter_mut().enumerate() {
@@ -809,19 +558,24 @@ impl<M: BoolMat> SourceClosure<M> {
             d_left = fresh_left;
             d_demand = self.admit(engine, wanted, &mut d_rel);
 
-            stats.sweep_nnz.push(total_nnz(&self.matrices));
+            stats
+                .sweep_nnz
+                .push(fixpoint::total_nnz(&Boolean(engine), &self.matrices));
             if sweep_sp.is_recording() {
                 sweep_sp.attr_u64("sweep", sweeps as u64);
                 sweep_sp.attr_u64("products", n_jobs as u64);
-                let per_nt: Vec<String> = d_rel
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(a, d)| d.as_ref().map(|d| format!("{a}:{}", d.nnz())))
-                    .collect();
-                sweep_sp.attr_text("delta_nnz", per_nt.join(","));
+                sweep_sp.attr_text(
+                    "delta_nnz",
+                    fixpoint::delta_nnz_text(&Boolean(engine), &d_rel),
+                );
             }
         }
-        finish_stats(&mut stats, engine, counters_before, &self.matrices);
+        fixpoint::finish_stats(
+            &mut stats,
+            &Boolean(engine),
+            counters_before,
+            &self.matrices,
+        );
         self.sweeps += sweeps;
         self.stats.absorb(&stats);
         if sp.is_recording() {
@@ -858,7 +612,7 @@ impl<M: BoolMat> SourceClosure<M> {
             engine.union_in_place(&mut self.demand[a], &selector);
             if self.diagonal[a] {
                 engine.union_in_place(&mut self.matrices[a], &selector);
-                union_into(engine, &mut d_rel[a], selector.clone());
+                accumulate_into(&Boolean(engine), &mut d_rel[a], selector.clone());
             }
             admitted.push(Some(selector));
         }
@@ -905,28 +659,6 @@ impl<M: BoolMat> SourceClosure<M> {
     pub fn stats(&self) -> &SolveStats {
         &self.stats
     }
-}
-
-/// [`FixpointSolver::solve`] as a free function: the Boolean
-/// decomposition of Algorithm 1 on the given engine, default options.
-pub fn solve_on_engine<E: BoolEngine>(
-    engine: &E,
-    graph: &Graph,
-    grammar: &Wcnf,
-) -> RelationalIndex<E::Matrix> {
-    solve_on_engine_with(engine, graph, grammar, SolveOptions::default())
-}
-
-/// [`solve_on_engine`] with explicit [`SolveOptions`].
-pub fn solve_on_engine_with<E: BoolEngine>(
-    engine: &E,
-    graph: &Graph,
-    grammar: &Wcnf,
-    options: SolveOptions,
-) -> RelationalIndex<E::Matrix> {
-    FixpointSolver::new(engine)
-        .options(options)
-        .solve(graph, grammar)
 }
 
 /// Result of the paper-literal set-matrix run (used for the Fig. 6–8
@@ -999,7 +731,7 @@ mod tests {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "a", "b", "b"]);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         assert_eq!(idx.pairs(s), vec![(0, 4), (1, 3)]);
     }
 
@@ -1011,7 +743,7 @@ mod tests {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::two_cycles(2, 3);
-        let idx = solve_on_engine(&SparseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
         // Well-known result: |R_S| > 0 and includes (0, 0).
         assert!(idx.contains(s, 0, 0));
         // Every pair must start in the a-cycle {0,1} and end in the
@@ -1027,11 +759,11 @@ mod tests {
         let g = wcnf("S -> a S b | a b | S S");
         let graph = generators::two_cycles(3, 4);
         let oracle = solve_set_matrix(&graph, &g, false);
-        let dense = solve_on_engine(&DenseEngine, &graph, &g);
-        let sparse = solve_on_engine(&SparseEngine, &graph, &g);
-        let dpar = solve_on_engine(&ParDenseEngine::new(Device::new(3)), &graph, &g);
-        let spar = solve_on_engine(&ParSparseEngine::new(Device::new(2)), &graph, &g);
-        let tiled = solve_on_engine(&TiledEngine::new(Device::new(2)), &graph, &g);
+        let dense = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
+        let sparse = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
+        let dpar = FixpointSolver::new(&ParDenseEngine::new(Device::new(3))).solve(&graph, &g);
+        let spar = FixpointSolver::new(&ParSparseEngine::new(Device::new(2))).solve(&graph, &g);
+        let tiled = FixpointSolver::new(&TiledEngine::new(Device::new(2))).solve(&graph, &g);
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
             let expect = oracle.pairs(nt);
@@ -1149,7 +881,7 @@ mod tests {
     fn set_matrix_agrees_with_boolean_decomposition() {
         let g = wcnf("S -> a S b | a b");
         let graph = generators::two_cycles(2, 3);
-        let boolean = solve_on_engine(&DenseEngine, &graph, &g);
+        let boolean = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let set = solve_set_matrix(&graph, &g, false);
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
@@ -1162,7 +894,7 @@ mod tests {
         let g = wcnf("S -> a");
         let mut graph = generators::chain(1, "a");
         graph.add_edge_named(0, "unrelated", 1);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let s = g.symbols.get_nt("S").unwrap();
         assert_eq!(idx.pairs(s), vec![(0, 1)]);
     }
@@ -1171,7 +903,7 @@ mod tests {
     fn empty_graph_and_empty_answer() {
         let g = wcnf("S -> a b");
         let graph = cfpq_graph::Graph::new(4);
-        let idx = solve_on_engine(&SparseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
         let s = g.symbols.get_nt("S").unwrap();
         assert!(idx.pairs(s).is_empty());
         assert_eq!(idx.iterations, 1);
@@ -1184,7 +916,7 @@ mod tests {
             .to_wcnf(CnfOptions::default())
             .unwrap();
         let graph = generators::paper_example();
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let nt = |name: &str| g.symbols.get_nt(name).unwrap();
         assert_eq!(idx.pairs(nt("S")), vec![(0, 0), (0, 2), (1, 2)]);
         assert_eq!(idx.pairs(nt("S1")), vec![(0, 0)]);
@@ -1201,7 +933,7 @@ mod tests {
         // as the hand-normalized Fig. 4 grammar (L(G_S) = L(G'_S), §4.3).
         let g = queries::query1().to_wcnf(CnfOptions::default()).unwrap();
         let graph = generators::paper_example();
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let s = g.symbols.get_nt("S").unwrap();
         assert_eq!(idx.pairs(s), vec![(0, 0), (0, 2), (1, 2)]);
     }
@@ -1223,16 +955,13 @@ mod nullable_tests {
             .unwrap();
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::chain(2, "a");
-        let without = solve_on_engine(&SparseEngine, &graph, &g);
+        let without = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
         assert_eq!(without.pairs(s), vec![(0, 1), (0, 2), (1, 2)]);
-        let with = solve_on_engine_with(
-            &SparseEngine,
-            &graph,
-            &g,
-            SolveOptions {
+        let with = FixpointSolver::new(&SparseEngine)
+            .options(SolveOptions {
                 nullable_diagonal: true,
-            },
-        );
+            })
+            .solve(&graph, &g);
         assert_eq!(
             with.pairs(s),
             vec![(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -1246,14 +975,11 @@ mod nullable_tests {
         let cfg = Cfg::parse("S -> a S b | eps").unwrap();
         let wcnf = cfg.to_wcnf(CnfOptions::default()).unwrap();
         let graph = generators::two_cycles(2, 3);
-        let with = solve_on_engine_with(
-            &SparseEngine,
-            &graph,
-            &wcnf,
-            SolveOptions {
+        let with = FixpointSolver::new(&SparseEngine)
+            .options(SolveOptions {
                 nullable_diagonal: true,
-            },
-        );
+            })
+            .solve(&graph, &wcnf);
         // Reference semantics computed directly: all pairs related by
         // a^n b^n for n >= 0 (n = 0 gives the diagonal).
         let s = wcnf.symbols.get_nt("S").unwrap();
@@ -1262,7 +988,7 @@ mod nullable_tests {
             assert!(pairs.contains(&(m, m)), "diagonal ({m},{m})");
         }
         // Non-diagonal part must equal the epsilon-free relation.
-        let without = solve_on_engine(&SparseEngine, &graph, &wcnf);
+        let without = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
         let non_diag: Vec<(u32, u32)> = pairs.iter().copied().filter(|(i, j)| i != j).collect();
         let expect: Vec<(u32, u32)> = without
             .pairs(s)
@@ -1280,14 +1006,11 @@ mod nullable_tests {
             .unwrap();
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "b"]);
-        let with = solve_on_engine_with(
-            &SparseEngine,
-            &graph,
-            &g,
-            SolveOptions {
+        let with = FixpointSolver::new(&SparseEngine)
+            .options(SolveOptions {
                 nullable_diagonal: true,
-            },
-        );
+            })
+            .solve(&graph, &g);
         assert_eq!(with.pairs(s), vec![(0, 2)]);
     }
 }

@@ -31,14 +31,24 @@
 //! semi-naive repair, and engine genericity for free, with the old
 //! `solve_regular` surviving only as a differential oracle.
 //!
-//! Since PR 4 sessions also serve the paper's **single-path semantics
-//! (§5)**: [`CfpqSession::prepare_single_path`] registers a grammar for
+//! Sessions serve the paper's other two semantics through the same
+//! lifecycle. **Single-path (§5)**:
+//! [`CfpqSession::prepare_single_path`] registers a grammar for
 //! length-annotated evaluation, [`CfpqSession::evaluate_single_path`]
 //! caches its length closure (cold-solved on the
 //! [`cfpq_matrix::LenEngine`] kernels, repaired semi-naively after edge
 //! updates), and witness extraction
 //! ([`crate::single_path::extract_path`]) works unchanged on the cached
-//! index.
+//! index. **All-path (§7)**: [`CfpqSession::enumerate_paths`] pages the
+//! witnesses of a relational query, pruned by the very closure
+//! [`CfpqSession::evaluate`] caches.
+//!
+//! There is one cached-closure lifecycle, not one per query kind:
+//! [`CachedClosure`] says how a kind of closure is cold-solved and
+//! repaired, and one private `refresh` — handle check, cold solve or
+//! repair or cache hit, [`RunInfo`], batch-log watermark — sits behind
+//! every `evaluate*` and `enumerate_paths` call. `cfpq-service` keeps its
+//! per-epoch caches through the same trait.
 //!
 //! ```
 //! use cfpq_core::session::CfpqSession;
@@ -69,9 +79,9 @@ use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStat
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::symbol::Interner;
-use cfpq_grammar::{Cfg, GrammarError, Nt, Term, Wcnf};
+use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::{Graph, NodeId};
-use cfpq_matrix::{BoolEngine, BoolMat, LenEngine, LenMat};
+use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -89,24 +99,13 @@ use std::sync::Arc;
 /// ids, widening every label matrix (dense rebuild / CSR row append)
 /// before inserting. Sessions pick the growth up lazily — a cached
 /// closure is widened the same way before its next repair.
+#[derive(Clone)]
 pub struct GraphIndex<E: BoolEngine> {
     engine: E,
     n_nodes: usize,
     labels: Interner,
     matrices: Vec<E::Matrix>,
     n_edges: usize,
-}
-
-impl<E: BoolEngine + Clone> Clone for GraphIndex<E> {
-    fn clone(&self) -> Self {
-        Self {
-            engine: self.engine.clone(),
-            n_nodes: self.n_nodes,
-            labels: self.labels.clone(),
-            matrices: self.matrices.clone(),
-            n_edges: self.n_edges,
-        }
-    }
 }
 
 /// The record of one [`GraphIndex::add_edges`] batch: which `(from, to)`
@@ -121,16 +120,6 @@ pub struct EdgeBatch {
     /// Edges skipped because the index (or this same batch) already held
     /// them.
     pub duplicates: usize,
-}
-
-impl EdgeBatch {
-    /// The genuinely-new `(from, to)` pairs this batch inserted, grouped
-    /// by index-local label id (only labels that gained entries appear)
-    /// — the update-log record that [`batch_seed_pairs`] translates into
-    /// per-nonterminal repair seeds.
-    pub fn new_by_label(&self) -> &[(u32, Vec<(u32, u32)>)] {
-        &self.new_by_label
-    }
 }
 
 impl<E: BoolEngine> GraphIndex<E> {
@@ -265,14 +254,18 @@ impl<E: BoolEngine> GraphIndex<E> {
         }
     }
 
-    /// `label index → grammar terminal` binding by name (labels the
-    /// grammar never mentions bind to `None` and are ignored). Public so
-    /// layers above the session — the `cfpq-service` snapshot cache —
-    /// can translate [`EdgeBatch`] logs into repair seeds themselves.
-    pub fn term_bindings(&self, wcnf: &Wcnf) -> Vec<Option<Term>> {
+    /// Per label index, the nonterminals `A` with a rule `A → x` for the
+    /// terminal `x` the label binds to by name (none for a label the
+    /// grammar never mentions). Cold, restricted and repair seeds all
+    /// read the binding here, so it cannot drift between them.
+    fn label_nonterminals(&self, wcnf: &Wcnf) -> Vec<Vec<Nt>> {
+        let by_term = wcnf.nts_by_terminal();
         self.labels
             .iter()
-            .map(|(_, name)| wcnf.symbols.get_term(name))
+            .map(|(_, name)| match wcnf.symbols.get_term(name) {
+                Some(term) => by_term[term.index()].clone(),
+                None => Vec::new(),
+            })
             .collect()
     }
 
@@ -283,13 +276,9 @@ impl<E: BoolEngine> GraphIndex<E> {
     /// index instead of the edge list.
     pub fn seed_matrices(&self, wcnf: &Wcnf, options: SolveOptions) -> Vec<E::Matrix> {
         let n = self.n_nodes;
-        let bindings = self.term_bindings(wcnf);
-        let by_term = wcnf.nts_by_terminal();
         let mut seeds: Vec<Option<E::Matrix>> = (0..wcnf.n_nts()).map(|_| None).collect();
-        for (label, term) in bindings.iter().enumerate() {
-            let Some(term) = term else { continue };
-            for nt in &by_term[term.index()] {
-                let m = &self.matrices[label];
+        for (m, nts) in self.matrices.iter().zip(self.label_nonterminals(wcnf)) {
+            for nt in nts {
                 match &mut seeds[nt.index()] {
                     Some(acc) => {
                         self.engine.union_in_place(acc, m);
@@ -319,21 +308,36 @@ impl<E: BoolEngine> GraphIndex<E> {
     where
         E: LenEngine,
     {
-        let n = self.n_nodes;
-        let bindings = self.term_bindings(wcnf);
-        let by_term = wcnf.nts_by_terminal();
         let mut entries: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); wcnf.n_nts()];
-        for (label, term) in bindings.iter().enumerate() {
-            let Some(term) = term else { continue };
-            let pairs = self.matrices[label].pairs();
-            for nt in &by_term[term.index()] {
+        for (m, nts) in self.matrices.iter().zip(self.label_nonterminals(wcnf)) {
+            if nts.is_empty() {
+                continue;
+            }
+            let pairs = m.pairs();
+            for nt in nts {
                 entries[nt.index()].extend(pairs.iter().map(|&(i, j)| (i, j, 1)));
             }
         }
         entries
             .into_iter()
-            .map(|e| self.engine.len_from_entries(n, &e))
+            .map(|e| self.engine.len_from_entries(self.n_nodes, &e))
             .collect()
+    }
+
+    /// Translates edge batches this index absorbed into per-nonterminal
+    /// seed pairs: the base facts a repair of `wcnf`'s closure starts
+    /// from.
+    fn batch_seeds(&self, wcnf: &Wcnf, batches: &[EdgeBatch]) -> Vec<Vec<(u32, u32)>> {
+        let nts_of = self.label_nonterminals(wcnf);
+        let mut new_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); wcnf.n_nts()];
+        for batch in batches {
+            for (label, pairs) in &batch.new_by_label {
+                for nt in &nts_of[*label as usize] {
+                    new_pairs[nt.index()].extend_from_slice(pairs);
+                }
+            }
+        }
+        new_pairs
     }
 }
 
@@ -387,10 +391,6 @@ pub struct QueryId(usize);
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SinglePathId(usize);
 
-/// Handle to an all-path query registered in a [`CfpqSession`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AllPathsId(usize);
-
 /// Typed failure of the fallible session entry points
 /// ([`CfpqSession::try_evaluate`] and friends). The session is
 /// single-caller, so the only runtime failure is handle confusion —
@@ -438,43 +438,190 @@ pub struct RunInfo {
     pub incremental: bool,
 }
 
-/// Per-query cached state: the prepared grammar, the solved closure (if
-/// any), and how much of the session's edge log it has absorbed.
+/// A closure that sessions and the `cfpq-service` epochs cache per
+/// prepared query — a [`RelationalIndex`] or a [`SinglePathIndex`]: how
+/// it is cold-solved against an index and repaired once the index has
+/// absorbed further edges, so the lifecycle around it (solve once, serve
+/// from the cache, repair after updates) is written once per layer.
+pub trait CachedClosure<E: BoolEngine>: Clone {
+    /// Cold solve: seeds straight from the index's label matrices, then
+    /// the fixpoint.
+    fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self;
+
+    /// Repairs the closure in place for `batches`, which `index` absorbed
+    /// since the closure was solved or last repaired: widens it if the
+    /// node universe grew, then resumes the semi-naive Δ loop from the
+    /// batches' seeds. Returns the stats of the repair alone.
+    fn repair(
+        &mut self,
+        index: &GraphIndex<E>,
+        query: &PreparedQuery,
+        batches: &[EdgeBatch],
+    ) -> SolveStats;
+
+    /// Cumulative kernel-work counters: the cold solve plus every repair.
+    fn stats(&self) -> &SolveStats;
+}
+
+impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
+    fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
+        solve_prepared(index, query)
+    }
+
+    /// Widening seeds the new ε-diagonal cells when the query asks for
+    /// the nullable diagonal.
+    fn repair(
+        &mut self,
+        index: &GraphIndex<E>,
+        query: &PreparedQuery,
+        batches: &[EdgeBatch],
+    ) -> SolveStats {
+        let mut sp = cfpq_obs::span("query.repair");
+        let (wcnf, n) = (query.wcnf(), index.n_nodes);
+        let mut new_pairs = index.batch_seeds(wcnf, batches);
+        if self.n_nodes < n {
+            let old_n = self.n_nodes;
+            for m in &mut self.matrices {
+                index.engine.grow(m, n);
+            }
+            self.n_nodes = n;
+            if query.options.nullable_diagonal {
+                for &nt in &wcnf.nullable {
+                    new_pairs[nt.index()].extend((old_n as u32..n as u32).map(|m| (m, m)));
+                }
+            }
+        }
+        let stats = FixpointSolver::new(&index.engine)
+            .options(query.options)
+            .resume(self, wcnf, &new_pairs);
+        if sp.is_recording() {
+            sp.attr_u64("n_nodes", n as u64);
+            sp.attr_u64("products", stats.products_computed as u64);
+        }
+        stats
+    }
+
+    fn stats(&self) -> &SolveStats {
+        &self.stats
+    }
+}
+
+impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatrix> {
+    fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
+        solve_prepared_single_path(index, query)
+    }
+
+    /// The resume's ε-overlay covers the diagonal cells of new nodes;
+    /// first-write-wins means entries that survive keep their recorded
+    /// witness lengths.
+    fn repair(
+        &mut self,
+        index: &GraphIndex<E>,
+        query: &PreparedQuery,
+        batches: &[EdgeBatch],
+    ) -> SolveStats {
+        let n = index.n_nodes;
+        if self.n_nodes < n {
+            for m in &mut self.lengths {
+                index.engine.len_grow(m, n);
+            }
+            self.n_nodes = n;
+        }
+        let new_pairs = index.batch_seeds(query.wcnf(), batches);
+        SinglePathSolver::new(&index.engine)
+            .options(query.options)
+            .resume(self, query.wcnf(), &new_pairs)
+    }
+
+    fn stats(&self) -> &SolveStats {
+        &self.stats
+    }
+}
+
+/// Per-query cached state, whatever the closure: the prepared grammar,
+/// the solved closure (if any), and how much of the session's edge log
+/// it has absorbed.
 #[derive(Clone)]
-struct QueryState<M: Clone> {
+struct CachedQuery<C, D = ()> {
     query: PreparedQuery,
     /// Shared with every [`QueryAnswer`] handed out for it; repaired
     /// through `Arc::make_mut`, so the closure is copied only while a
     /// caller still holds an answer over it.
-    solved: Option<Arc<RelationalIndex<M>>>,
+    solved: Option<Arc<C>>,
     /// Index into the session's batch log: batches before this are
     /// reflected in `solved`.
     watermark: usize,
     last_run: Option<RunInfo>,
+    /// What a reader built from `solved` and the graph state it reflects
+    /// and keeps for the next read — the [`PathEnumerator`] of a
+    /// relational query. Valid for exactly that state, so every cold
+    /// solve and repair drops it.
+    derived: Option<D>,
 }
 
-/// Per-single-path-query cached state: the prepared grammar, the solved
-/// length closure (if any), and the batch-log watermark.
-#[derive(Clone)]
-struct SpQueryState<M: LenMat> {
-    query: PreparedQuery,
-    solved: Option<SinglePathIndex<M>>,
-    watermark: usize,
-    last_run: Option<RunInfo>,
-}
+impl<C, D> CachedQuery<C, D> {
+    fn new(query: PreparedQuery) -> Self {
+        Self {
+            query,
+            solved: None,
+            watermark: 0,
+            last_run: None,
+            derived: None,
+        }
+    }
 
-/// Per-all-path-query cached state: the prepared grammar, the solved
-/// relational closure (the pruning oracle), the batch-log watermark, and
-/// the memoized enumeration tables — valid for exactly the graph state
-/// the closure reflects, so cold solves and repairs rebuild them while
-/// page-after-page reads on a quiet graph keep accumulating reuse.
-#[derive(Clone)]
-struct ApQueryState<M: Clone> {
-    query: PreparedQuery,
-    solved: Option<RelationalIndex<M>>,
-    watermark: usize,
-    last_run: Option<RunInfo>,
-    enumerator: Option<PathEnumerator>,
+    /// How far into the batch log the solved closure has caught up;
+    /// `None` while unsolved (an eventual cold solve reads the index
+    /// directly, so it pins no batch).
+    fn absorbed(&self) -> Option<usize> {
+        self.solved.as_ref().map(|_| self.watermark)
+    }
+
+    /// Brings query `id` of `queries` up to date with `index`, of whose
+    /// history `batches` is the not-yet-compacted tail: cold solve on
+    /// first use, semi-naive repair when batches arrived since it last
+    /// caught up, the cached closure otherwise. The one place a session
+    /// handle is range-checked and `RunInfo` and watermark are written.
+    fn refresh<'q, E: BoolEngine>(
+        queries: &'q mut [Self],
+        id: usize,
+        index: &GraphIndex<E>,
+        batches: &[EdgeBatch],
+    ) -> Result<&'q mut Self, SessionError>
+    where
+        C: CachedClosure<E>,
+    {
+        let registered = queries.len();
+        let state = queries
+            .get_mut(id)
+            .ok_or(SessionError::UnknownQuery { id, registered })?;
+        let mut sp = cfpq_obs::span("session.evaluate");
+        let (outcome, run) = match &mut state.solved {
+            None => {
+                let solved = C::cold_solve(index, &state.query);
+                let stats = solved.stats().clone();
+                state.solved = Some(Arc::new(solved));
+                ("cold", Some((stats, false)))
+            }
+            Some(solved) if state.watermark < batches.len() => {
+                let pending = &batches[state.watermark..];
+                let stats = Arc::make_mut(solved).repair(index, &state.query, pending);
+                ("repair", Some((stats, true)))
+            }
+            Some(_) => ("cached", None),
+        };
+        if let Some((stats, incremental)) = run {
+            state.last_run = Some(RunInfo {
+                sweeps: stats.sweep_nnz.len(),
+                stats,
+                incremental,
+            });
+            state.watermark = batches.len();
+            state.derived = None;
+        }
+        sp.attr_str("outcome", outcome);
+        Ok(state)
+    }
 }
 
 /// A multi-query evaluation session over one [`GraphIndex`]: prepare
@@ -486,56 +633,19 @@ struct ApQueryState<M: Clone> {
 /// [`CfpqSession::add_edges`] grew the graph in between — then the
 /// cached closure is *repaired* semi-naively from exactly the new edges
 /// ([`FixpointSolver::resume`]), which on real workloads launches far
-/// fewer matrix products than a cold solve.
+/// fewer matrix products than a cold solve. Single-path queries and the
+/// path pages of a relational query go through the same lifecycle.
+#[derive(Clone)]
 pub struct CfpqSession<E: BoolEngine + LenEngine> {
     index: GraphIndex<E>,
-    /// Log of accepted edge batches; `QueryState::watermark` points into
-    /// this.
+    /// Log of accepted edge batches; every query's watermark points
+    /// into this.
     batches: Vec<EdgeBatch>,
-    queries: Vec<QueryState<E::Matrix>>,
+    /// Prepared relational queries with their cached closures and, once
+    /// paged, the memoized enumeration tables.
+    queries: Vec<CachedQuery<RelationalIndex<E::Matrix>, PathEnumerator>>,
     /// Prepared single-path queries with their cached length closures.
-    sp_queries: Vec<SpQueryState<E::LenMatrix>>,
-    /// Prepared all-path queries with their cached closures and
-    /// memoized enumeration tables.
-    ap_queries: Vec<ApQueryState<E::Matrix>>,
-}
-
-impl<E: BoolEngine + LenEngine + Clone> Clone for CfpqSession<E> {
-    fn clone(&self) -> Self {
-        Self {
-            index: self.index.clone(),
-            batches: self.batches.clone(),
-            queries: self.queries.clone(),
-            sp_queries: self.sp_queries.clone(),
-            ap_queries: self.ap_queries.clone(),
-        }
-    }
-}
-
-/// Translates pending edge batches into per-nonterminal seed pairs
-/// under the given label→terminal bindings (`bindings[label] = term`,
-/// `by_term[term] = nonterminals with a rule A → term`). Shared by the
-/// relational and single-path repair paths — in sessions *and* in the
-/// `cfpq-service` epoch builder — so every consumer of an update log
-/// derives identical repair seeds and the semantics cannot drift.
-pub fn batch_seed_pairs(
-    batches: &[EdgeBatch],
-    bindings: &[Option<Term>],
-    by_term: &[Vec<Nt>],
-    wcnf: &Wcnf,
-) -> Vec<Vec<(u32, u32)>> {
-    let mut new_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); wcnf.n_nts()];
-    for batch in batches {
-        for (label, pairs) in &batch.new_by_label {
-            let Some(term) = bindings[*label as usize] else {
-                continue;
-            };
-            for nt in &by_term[term.index()] {
-                new_pairs[nt.index()].extend_from_slice(pairs);
-            }
-        }
-    }
-    new_pairs
+    sp_queries: Vec<CachedQuery<SinglePathIndex<E::LenMatrix>>>,
 }
 
 /// Cold-solves a prepared (relational) query against an index: seed
@@ -558,43 +668,6 @@ pub fn solve_prepared<E: BoolEngine>(
         sp.attr_u64("sweeps", solved.iterations as u64);
     }
     solved
-}
-
-/// Repairs a closed relational closure in place for freshly-inserted
-/// seed pairs: widens the cached matrices if the node universe grew to
-/// `n` (seeding the new ε-diagonal cells when the query asks for the
-/// nullable diagonal), then resumes the semi-naive Δ loop. Returns the
-/// stats of the repair alone. Shared by [`CfpqSession::evaluate`] and
-/// the `cfpq-service` epoch builder.
-pub fn repair_prepared<E: BoolEngine>(
-    engine: &E,
-    query: &PreparedQuery,
-    solved: &mut RelationalIndex<E::Matrix>,
-    mut new_pairs: Vec<Vec<(u32, u32)>>,
-    n: usize,
-) -> SolveStats {
-    let mut sp = cfpq_obs::span("query.repair");
-    let wcnf = query.wcnf();
-    if solved.n_nodes < n {
-        let old_n = solved.n_nodes;
-        for m in &mut solved.matrices {
-            engine.grow(m, n);
-        }
-        solved.n_nodes = n;
-        if query.options.nullable_diagonal {
-            for &nt in &wcnf.nullable {
-                new_pairs[nt.index()].extend((old_n as u32..n as u32).map(|m| (m, m)));
-            }
-        }
-    }
-    let stats = FixpointSolver::new(engine)
-        .options(query.options)
-        .resume(solved, wcnf, &new_pairs);
-    if sp.is_recording() {
-        sp.attr_u64("n_nodes", n as u64);
-        sp.attr_u64("products", stats.products_computed as u64);
-    }
-    stats
 }
 
 /// Solves a prepared query **from the given source nodes only**: the
@@ -647,12 +720,10 @@ pub fn extend_prepared_from<E: BoolEngine>(
         "a source closure does not outlive a change of the graph"
     );
     let wcnf = query.wcnf();
-    let by_term = wcnf.nts_by_terminal();
     let mut terminals: Vec<Vec<&E::Matrix>> = vec![Vec::new(); wcnf.n_nts()];
-    for (label, term) in index.term_bindings(wcnf).iter().enumerate() {
-        let Some(term) = term else { continue };
-        for nt in &by_term[term.index()] {
-            terminals[nt.index()].push(&index.matrices[label]);
+    for (m, nts) in index.matrices.iter().zip(index.label_nonterminals(wcnf)) {
+        for nt in nts {
+            terminals[nt.index()].push(m);
         }
     }
     closure.extend(&index.engine, &terminals, sources)
@@ -673,30 +744,6 @@ pub fn solve_prepared_single_path<E: BoolEngine + LenEngine>(
         .solve_from_matrices(matrices, index.n_nodes, wcnf)
 }
 
-/// Repairs a closed single-path closure in place for freshly-inserted
-/// seed pairs — the §5 analogue of [`repair_prepared`]: widen the
-/// cached length matrices if the universe grew to `n` (the resume's
-/// ε-overlay covers the new diagonal cells), then resume the length Δ
-/// loop. First-write-wins means entries that survive keep their
-/// recorded witness lengths.
-pub fn repair_prepared_single_path<E: BoolEngine + LenEngine>(
-    engine: &E,
-    query: &PreparedQuery,
-    solved: &mut SinglePathIndex<E::LenMatrix>,
-    new_pairs: Vec<Vec<(u32, u32)>>,
-    n: usize,
-) -> SolveStats {
-    if solved.n_nodes < n {
-        for m in &mut solved.lengths {
-            engine.len_grow(m, n);
-        }
-        solved.n_nodes = n;
-    }
-    SinglePathSolver::new(engine)
-        .options(query.options)
-        .resume(solved, query.wcnf(), &new_pairs)
-}
-
 impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// Indexes `graph` on `engine` and opens a session over it.
     pub fn new(engine: E, graph: &Graph) -> Self {
@@ -710,7 +757,6 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
             batches: Vec::new(),
             queries: Vec::new(),
             sp_queries: Vec::new(),
-            ap_queries: Vec::new(),
         }
     }
 
@@ -768,15 +814,12 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         Ok(self.prepare_query(crate::compile::CompiledQuery::from_cfg(grammar)?.into_prepared()))
     }
 
-    /// Registers a fully-configured [`PreparedQuery`].
+    /// Registers a fully-configured [`PreparedQuery`]. Solve it with
+    /// `nullable_diagonal` enabled if the grammar has ε-rules and
+    /// ε-witnesses should surface in [`CfpqSession::enumerate_paths`].
     pub fn prepare_query(&mut self, query: PreparedQuery) -> QueryId {
         let _sp = cfpq_obs::span("session.prepare");
-        self.queries.push(QueryState {
-            query,
-            solved: None,
-            watermark: 0,
-            last_run: None,
-        });
+        self.queries.push(CachedQuery::new(query));
         QueryId(self.queries.len() - 1)
     }
 
@@ -785,20 +828,23 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// were genuinely new. Cached query closures are *not* recomputed
     /// here — each query repairs itself lazily on its next
     /// [`CfpqSession::evaluate`] / [`CfpqSession::evaluate_single_path`]
-    /// call.
+    /// / [`CfpqSession::enumerate_paths`] call.
     pub fn add_edges(&mut self, edges: &[(NodeId, &str, NodeId)]) -> usize {
         let batch = self.index.add_edges(edges);
         let inserted = batch.inserted;
         // The log only exists to repair already-solved closures: with no
         // solved query, cold solves read the index directly, so nothing
         // needs the batch.
-        let any_solved = self.queries.iter().any(|q| q.solved.is_some())
-            || self.sp_queries.iter().any(|q| q.solved.is_some())
-            || self.ap_queries.iter().any(|q| q.solved.is_some());
-        if inserted > 0 && any_solved {
+        if inserted > 0 && self.absorbed().next().is_some() {
             self.batches.push(batch);
         }
         inserted
+    }
+
+    /// The batch-log watermark of every solved query, of either kind.
+    fn absorbed(&self) -> impl Iterator<Item = usize> + '_ {
+        let rel = self.queries.iter().filter_map(CachedQuery::absorbed);
+        rel.chain(self.sp_queries.iter().filter_map(CachedQuery::absorbed))
     }
 
     /// Drops log batches every solved query has already absorbed, so a
@@ -806,37 +852,14 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// number of `add_edges` calls ever made. Unevaluated queries don't
     /// pin the log (their eventual cold solve reads the index directly).
     fn compact_batches(&mut self) {
-        let consumed = self
-            .queries
-            .iter()
-            .filter(|q| q.solved.is_some())
-            .map(|q| q.watermark)
-            .chain(
-                self.sp_queries
-                    .iter()
-                    .filter(|q| q.solved.is_some())
-                    .map(|q| q.watermark),
-            )
-            .chain(
-                self.ap_queries
-                    .iter()
-                    .filter(|q| q.solved.is_some())
-                    .map(|q| q.watermark),
-            )
-            .min()
-            .unwrap_or(self.batches.len());
+        let consumed = self.absorbed().min().unwrap_or(self.batches.len());
         if consumed == 0 {
             return;
         }
         self.batches.drain(..consumed);
-        for q in &mut self.queries {
-            q.watermark = q.watermark.saturating_sub(consumed);
-        }
-        for q in &mut self.sp_queries {
-            q.watermark = q.watermark.saturating_sub(consumed);
-        }
-        for q in &mut self.ap_queries {
-            q.watermark = q.watermark.saturating_sub(consumed);
+        let rel = self.queries.iter_mut().map(|q| &mut q.watermark);
+        for watermark in rel.chain(self.sp_queries.iter_mut().map(|q| &mut q.watermark)) {
+            *watermark = watermark.saturating_sub(consumed);
         }
     }
 
@@ -863,62 +886,13 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// [`CfpqSession::evaluate`] with the handle check surfaced as a
     /// typed [`SessionError`] instead of a panic.
     pub fn try_evaluate(&mut self, id: QueryId) -> Result<QueryAnswer, SessionError> {
-        if id.0 >= self.queries.len() {
-            return Err(SessionError::UnknownQuery {
-                id: id.0,
-                registered: self.queries.len(),
-            });
-        }
-        let mut sp = cfpq_obs::span("session.evaluate");
-        let state = &mut self.queries[id.0];
-        let wcnf = &state.query.wcnf;
-        let n = self.index.n_nodes;
-
-        match &mut state.solved {
-            None => {
-                // Cold solve, seeded straight from the label matrices.
-                let solved = solve_prepared(&self.index, &state.query);
-                state.last_run = Some(RunInfo {
-                    stats: solved.stats.clone(),
-                    sweeps: solved.iterations,
-                    incremental: false,
-                });
-                state.solved = Some(Arc::new(solved));
-                state.watermark = self.batches.len();
-                sp.attr_str("outcome", "cold");
-            }
-            Some(solved) => {
-                if state.watermark < self.batches.len() {
-                    let bindings = self.index.term_bindings(wcnf);
-                    let by_term = wcnf.nts_by_terminal();
-                    let new_pairs = batch_seed_pairs(
-                        &self.batches[state.watermark..],
-                        &bindings,
-                        &by_term,
-                        wcnf,
-                    );
-                    let stats = repair_prepared(
-                        &self.index.engine,
-                        &state.query,
-                        Arc::make_mut(solved),
-                        new_pairs,
-                        n,
-                    );
-                    state.last_run = Some(RunInfo {
-                        sweeps: stats.sweep_nnz.len(),
-                        stats,
-                        incremental: true,
-                    });
-                    state.watermark = self.batches.len();
-                    sp.attr_str("outcome", "repair");
-                } else {
-                    sp.attr_str("outcome", "cached");
-                }
-            }
-        }
-
+        let state = CachedQuery::refresh(&mut self.queries, id.0, &self.index, &self.batches)?;
         let solved = state.solved.as_ref().expect("closure just materialized");
-        let answer = QueryAnswer::from_shared(self.index.engine.name(), wcnf, Arc::clone(solved));
+        let answer = QueryAnswer::from_shared(
+            self.index.engine.name(),
+            &state.query.wcnf,
+            Arc::clone(solved),
+        );
         self.compact_batches();
         Ok(answer)
     }
@@ -928,11 +902,63 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         self.queries.get(id.0)?.solved.as_deref()
     }
 
-    /// What the last [`CfpqSession::evaluate`] of this query actually
-    /// did (cold vs incremental, and its kernel-work counters). `None`
-    /// until the first evaluation.
+    /// What the last [`CfpqSession::evaluate`] or
+    /// [`CfpqSession::enumerate_paths`] of this query actually did to
+    /// its closure (cold vs incremental, and its kernel-work counters).
+    /// `None` until the first of either.
     pub fn last_run(&self, id: QueryId) -> Option<&RunInfo> {
         self.queries.get(id.0)?.last_run.as_ref()
+    }
+
+    /// Streams one page of distinct witness paths for the query's start
+    /// nonterminal between `from` and `to`, in (length, lexicographic)
+    /// order — see [`crate::all_paths::PathEnumerator::page`].
+    ///
+    /// The closure [`CfpqSession::evaluate`] caches is the pruning
+    /// oracle: whichever of the two is called first solves it, the other
+    /// finds it. The memoized enumeration tables are kept beside it: on a
+    /// quiet graph, consecutive pages (or other endpoint pairs) keep
+    /// extending them; once [`CfpqSession::add_edges`] grew the graph,
+    /// the next call of either kind repairs the closure and the tables
+    /// are rebuilt — so a repaired session serves exactly the pages a
+    /// from-scratch session would.
+    ///
+    /// # Panics
+    ///
+    /// If `id` does not belong to this session. Multi-caller layers
+    /// should use [`CfpqSession::try_enumerate_paths`].
+    pub fn enumerate_paths(
+        &mut self,
+        id: QueryId,
+        from: NodeId,
+        to: NodeId,
+        page: PageRequest,
+    ) -> PathPage {
+        self.try_enumerate_paths(id, from, to, page)
+            .expect("query not registered in this session")
+    }
+
+    /// [`CfpqSession::enumerate_paths`] with the handle check surfaced
+    /// as a typed [`SessionError`] instead of a panic.
+    pub fn try_enumerate_paths(
+        &mut self,
+        id: QueryId,
+        from: NodeId,
+        to: NodeId,
+        page: PageRequest,
+    ) -> Result<PathPage, SessionError> {
+        let state = CachedQuery::refresh(&mut self.queries, id.0, &self.index, &self.batches)?;
+        let wcnf = &state.query.wcnf;
+        let solved = state.solved.as_ref().expect("closure just materialized");
+        // The memoized length classes are exact-length sets over the edge
+        // relation they were built from — any of them may grow with it,
+        // so the refresh dropped them and they are rebuilt, not patched.
+        let result = state
+            .derived
+            .get_or_insert_with(|| PathEnumerator::from_index(&self.index, wcnf))
+            .page(solved, wcnf.start, from, to, page);
+        self.compact_batches();
+        Ok(result)
     }
 
     /// Normalizes `grammar` and registers it for single-path (§5)
@@ -946,12 +972,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// Registers a fully-configured [`PreparedQuery`] for single-path
     /// evaluation ([`SolveOptions`] apply as usual).
     pub fn prepare_single_path_query(&mut self, query: PreparedQuery) -> SinglePathId {
-        self.sp_queries.push(SpQueryState {
-            query,
-            solved: None,
-            watermark: 0,
-            last_run: None,
-        });
+        self.sp_queries.push(CachedQuery::new(query));
         SinglePathId(self.sp_queries.len() - 1)
     }
 
@@ -980,183 +1001,23 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         &mut self,
         id: SinglePathId,
     ) -> Result<&SinglePathIndex<E::LenMatrix>, SessionError> {
-        if id.0 >= self.sp_queries.len() {
-            return Err(SessionError::UnknownQuery {
-                id: id.0,
-                registered: self.sp_queries.len(),
-            });
-        }
-        let state = &mut self.sp_queries[id.0];
-        let wcnf = &state.query.wcnf;
-        let n = self.index.n_nodes;
-
-        match &mut state.solved {
-            None => {
-                // Cold solve: length-1 seeds straight from the label
-                // matrices.
-                let solved = solve_prepared_single_path(&self.index, &state.query);
-                state.last_run = Some(RunInfo {
-                    stats: solved.stats.clone(),
-                    sweeps: solved.iterations,
-                    incremental: false,
-                });
-                state.solved = Some(solved);
-                state.watermark = self.batches.len();
-            }
-            Some(solved) => {
-                if state.watermark < self.batches.len() {
-                    let bindings = self.index.term_bindings(wcnf);
-                    let by_term = wcnf.nts_by_terminal();
-                    let new_pairs = batch_seed_pairs(
-                        &self.batches[state.watermark..],
-                        &bindings,
-                        &by_term,
-                        wcnf,
-                    );
-                    let stats = repair_prepared_single_path(
-                        &self.index.engine,
-                        &state.query,
-                        solved,
-                        new_pairs,
-                        n,
-                    );
-                    state.last_run = Some(RunInfo {
-                        sweeps: stats.sweep_nnz.len(),
-                        stats,
-                        incremental: true,
-                    });
-                    state.watermark = self.batches.len();
-                }
-            }
-        }
+        CachedQuery::refresh(&mut self.sp_queries, id.0, &self.index, &self.batches)?;
         self.compact_batches();
-        Ok(self.sp_queries[id.0]
-            .solved
-            .as_ref()
+        Ok(self
+            .single_path_index(id)
             .expect("closure just materialized"))
     }
 
     /// The solved single-path index of a query, if it has been
     /// evaluated (without forcing an evaluation).
     pub fn single_path_index(&self, id: SinglePathId) -> Option<&SinglePathIndex<E::LenMatrix>> {
-        self.sp_queries.get(id.0)?.solved.as_ref()
+        self.sp_queries.get(id.0)?.solved.as_deref()
     }
 
     /// What the last [`CfpqSession::evaluate_single_path`] of this query
     /// actually did. `None` until the first evaluation.
     pub fn last_single_path_run(&self, id: SinglePathId) -> Option<&RunInfo> {
         self.sp_queries.get(id.0)?.last_run.as_ref()
-    }
-
-    /// Normalizes `grammar` and registers it for all-path (§7)
-    /// enumeration: the session keeps a relational closure for pruning
-    /// plus the memoized enumeration tables, both repaired/rebuilt
-    /// lazily after [`CfpqSession::add_edges`].
-    pub fn prepare_all_paths(&mut self, grammar: &Cfg) -> Result<AllPathsId, GrammarError> {
-        Ok(self.prepare_all_paths_query(PreparedQuery::new(grammar)?))
-    }
-
-    /// Registers a fully-configured [`PreparedQuery`] for all-path
-    /// enumeration. Solve it with `nullable_diagonal` enabled if the
-    /// grammar has ε-rules and ε-witnesses should surface.
-    pub fn prepare_all_paths_query(&mut self, query: PreparedQuery) -> AllPathsId {
-        self.ap_queries.push(ApQueryState {
-            query,
-            solved: None,
-            watermark: 0,
-            last_run: None,
-            enumerator: None,
-        });
-        AllPathsId(self.ap_queries.len() - 1)
-    }
-
-    /// Streams one page of distinct witness paths for the query's start
-    /// nonterminal between `from` and `to`, in (length, lexicographic)
-    /// order — see [`crate::all_paths::PathEnumerator::page`].
-    ///
-    /// The first call cold-solves the query's relational closure (the
-    /// pruning oracle) and builds fresh enumeration tables; later calls
-    /// reuse both, repairing the closure semi-naively and rebuilding the
-    /// tables only when [`CfpqSession::add_edges`] grew the graph in
-    /// between — so a repaired session serves exactly the pages a
-    /// from-scratch session would. On a quiet graph, consecutive pages
-    /// (or queries on other endpoint pairs) keep extending the same
-    /// memoized tables.
-    ///
-    /// # Panics
-    ///
-    /// If `id` does not belong to this session.
-    pub fn enumerate_paths(
-        &mut self,
-        id: AllPathsId,
-        from: NodeId,
-        to: NodeId,
-        page: PageRequest,
-    ) -> PathPage {
-        let state = &mut self.ap_queries[id.0];
-        let wcnf = &state.query.wcnf;
-        let n = self.index.n_nodes;
-
-        match &mut state.solved {
-            None => {
-                let solved = solve_prepared(&self.index, &state.query);
-                state.last_run = Some(RunInfo {
-                    stats: solved.stats.clone(),
-                    sweeps: solved.iterations,
-                    incremental: false,
-                });
-                state.solved = Some(solved);
-                state.watermark = self.batches.len();
-                state.enumerator = Some(PathEnumerator::from_index(&self.index, wcnf));
-            }
-            Some(solved) => {
-                if state.watermark < self.batches.len() {
-                    let bindings = self.index.term_bindings(wcnf);
-                    let by_term = wcnf.nts_by_terminal();
-                    let new_pairs = batch_seed_pairs(
-                        &self.batches[state.watermark..],
-                        &bindings,
-                        &by_term,
-                        wcnf,
-                    );
-                    let stats =
-                        repair_prepared(&self.index.engine, &state.query, solved, new_pairs, n);
-                    state.last_run = Some(RunInfo {
-                        sweeps: stats.sweep_nnz.len(),
-                        stats,
-                        incremental: true,
-                    });
-                    state.watermark = self.batches.len();
-                    // The memoized length classes are exact-length sets
-                    // over the *old* edge relation — any of them may have
-                    // grown, so rebuild rather than patch.
-                    state.enumerator = Some(PathEnumerator::from_index(&self.index, wcnf));
-                }
-            }
-        }
-
-        let nt = wcnf.start;
-        let solved = state.solved.as_ref().expect("closure just materialized");
-        let result = state
-            .enumerator
-            .as_mut()
-            .expect("enumerator just materialized")
-            .page(solved, nt, from, to, page);
-        self.compact_batches();
-        result
-    }
-
-    /// The closed relational index backing an all-path query, if it has
-    /// been enumerated at least once.
-    pub fn all_paths_index(&self, id: AllPathsId) -> Option<&RelationalIndex<E::Matrix>> {
-        self.ap_queries.get(id.0)?.solved.as_ref()
-    }
-
-    /// What the last [`CfpqSession::enumerate_paths`] of this query
-    /// actually did to the closure (cold vs incremental repair). `None`
-    /// until the first enumeration.
-    pub fn last_all_paths_run(&self, id: AllPathsId) -> Option<&RunInfo> {
-        self.ap_queries.get(id.0)?.last_run.as_ref()
     }
 }
 
@@ -1187,31 +1048,35 @@ mod tests {
     #[test]
     fn read_accessors_answer_none_for_handles_of_another_session() {
         // A handle minted by a session that prepared more queries is out
-        // of range here; the `Option` accessors must say so, not panic.
+        // of range here; the `Option` accessors must say so, and every
+        // evaluating entry point must fail typed, not panic.
         let grammar = queries::query1();
         let graph = generators::paper_example();
         let mut big = CfpqSession::new(SparseEngine, &graph);
         big.prepare(&grammar).unwrap();
         big.prepare_single_path(&grammar).unwrap();
-        big.prepare_all_paths(&grammar).unwrap();
         let q = big.prepare(&grammar).unwrap();
         let sp = big.prepare_single_path(&grammar).unwrap();
-        let ap = big.prepare_all_paths(&grammar).unwrap();
 
         let mut small = CfpqSession::new(SparseEngine, &graph);
         small.prepare(&grammar).unwrap();
         small.prepare_single_path(&grammar).unwrap();
-        small.prepare_all_paths(&grammar).unwrap();
         assert!(small.solved_index(q).is_none());
         assert!(small.last_run(q).is_none());
         assert!(small.single_path_index(sp).is_none());
         assert!(small.last_single_path_run(sp).is_none());
-        assert!(small.all_paths_index(ap).is_none());
-        assert!(small.last_all_paths_run(ap).is_none());
-        assert!(matches!(
-            small.try_evaluate(q),
-            Err(SessionError::UnknownQuery { .. })
-        ));
+        let unknown = SessionError::UnknownQuery {
+            id: 1,
+            registered: 1,
+        };
+        assert_eq!(small.try_evaluate(q).err(), Some(unknown));
+        assert_eq!(
+            small
+                .try_enumerate_paths(q, 0, 0, PageRequest::default())
+                .err(),
+            Some(unknown)
+        );
+        assert_eq!(small.try_evaluate_single_path(sp).err(), Some(unknown));
     }
 
     #[test]
@@ -1581,16 +1446,16 @@ mod tests {
         graph.add_edge_named(1, "a", 2);
         graph.add_edge_named(2, "b", 3);
         let mut session = CfpqSession::new(SparseEngine, &graph);
-        let q = session.prepare_all_paths(&grammar).unwrap();
+        let q = session.prepare(&grammar).unwrap();
         // Truncated chain: only the inner `ab` span has a witness.
         let page = session.enumerate_paths(q, 1, 3, PageRequest::default());
         assert_eq!(page.paths.len(), 1);
         assert!(page.exhausted);
-        assert!(!session.last_all_paths_run(q).unwrap().incremental);
+        assert!(!session.last_run(q).unwrap().incremental);
         // Complete the chain: the closure repairs, the tables rebuild.
         session.add_edges(&[(3, "b", 4)]);
         let outer = session.enumerate_paths(q, 0, 4, PageRequest::default());
-        assert!(session.last_all_paths_run(q).unwrap().incremental);
+        assert!(session.last_run(q).unwrap().incremental);
         assert_eq!(outer.paths.len(), 1);
         assert_eq!(outer.paths[0].len(), 4);
         // A from-scratch session over the final graph serves the same
@@ -1600,13 +1465,63 @@ mod tests {
             full.add_edge_named(f, l, t);
         }
         let mut fresh = CfpqSession::new(SparseEngine, &full);
-        let q2 = fresh.prepare_all_paths(&grammar).unwrap();
+        let q2 = fresh.prepare(&grammar).unwrap();
         assert_eq!(
             fresh.enumerate_paths(q2, 0, 4, PageRequest::default()),
             outer
         );
         // The log drained once the only query absorbed it.
         assert!(session.batches.is_empty());
+    }
+
+    #[test]
+    fn answers_and_path_pages_share_one_closure() {
+        // a^n b^n around two self-loops: infinitely many witnesses at
+        // (0, 0), so pages are worth memoizing.
+        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+        let mut graph = Graph::new(2);
+        graph.add_edge_named(0, "a", 0);
+        graph.add_edge_named(0, "b", 0);
+        let mut session = CfpqSession::new(SparseEngine, &graph);
+        let q = session.prepare(&grammar).unwrap();
+        let page_at = |offset| PageRequest {
+            offset,
+            limit: 2,
+            max_len: 12,
+        };
+
+        // Evaluate, then page: the page finds the closure solved.
+        assert_eq!(session.evaluate(q).start_pairs(), &[(0, 0)]);
+        let cold = session.last_run(q).unwrap().clone();
+        assert!(!cold.incremental);
+        let first = session.enumerate_paths(q, 0, 0, page_at(0));
+        assert_eq!(first.paths.len(), 2);
+        let run = session.last_run(q).unwrap();
+        assert!(!run.incremental, "no second solve, no repair");
+        assert_eq!(run.stats, cold.stats, "the first page launched no kernel");
+        // The next page extends the same tables.
+        let classes = |s: &CfpqSession<SparseEngine>| {
+            let tables = s.queries[q.0].derived.as_ref();
+            tables.expect("kept beside the closure").n_classes()
+        };
+        let after_first = classes(&session);
+        session.enumerate_paths(q, 0, 0, page_at(2));
+        assert!(classes(&session) > after_first, "same tables, grown");
+
+        // A repair between pages drops them: the next page is the one a
+        // from-scratch session over the grown graph serves (the stale
+        // tables hold one witness per length, the grown graph has more).
+        session.add_edges(&[(0, "a", 1), (1, "b", 0)]);
+        let repaired = session.enumerate_paths(q, 0, 0, page_at(2));
+        assert!(session.last_run(q).unwrap().incremental);
+        graph.add_edge_named(0, "a", 1);
+        graph.add_edge_named(1, "b", 0);
+        let mut fresh = CfpqSession::new(SparseEngine, &graph);
+        let q2 = fresh.prepare(&grammar).unwrap();
+        assert_eq!(fresh.enumerate_paths(q2, 0, 0, page_at(2)), repaired);
+        // And paging first leaves the closure for `evaluate`.
+        assert_eq!(fresh.evaluate(q2).start_pairs(), &[(0, 0)]);
+        assert!(!fresh.last_run(q2).unwrap().incremental);
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //! smaller and remain valid forever because matrices only grow.
 //!
 //! That first-write-wins discipline is exactly the masked-kernel contract
-//! of the relational pipeline, so since PR 4 the solver is no longer a
-//! hand-rolled `O(n³)` sweep over flat length tables: [`SinglePathSolver`]
-//! runs the same masked semi-naive fixpoint as
-//! [`crate::relational::FixpointSolver`] — one length matrix
-//! ([`cfpq_matrix::LenMat`]) per nonterminal, per-sweep Δ operands,
-//! shared `(B, C)` products, and [`cfpq_matrix::LenEngine`] masked
-//! kernels that only emit cells the closure does not hold yet — generic
-//! over the paper's four representation × device engines. The original
-//! triple loop survives as [`solve_single_path_oracle`], the reference
-//! the property suite holds the engine pipeline to.
+//! of the relational pipeline, so [`SinglePathSolver`] is not a second
+//! solver: it is the length front of the same loop
+//! [`crate::relational::FixpointSolver`] fronts for bits (`fixpoint.rs`)
+//! — one length matrix ([`cfpq_matrix::LenMat`]) per nonterminal,
+//! per-sweep Δ operands, shared `(B, C)` products, and
+//! [`cfpq_matrix::LenEngine`] masked kernels that only emit cells the
+//! closure does not hold yet — generic over the paper's four
+//! representation × device engines, with the same spans and the same
+//! [`SolveStats`] as a relational run. The seed-era `O(n³)` triple loop
+//! over flat length tables survives as [`solve_single_path_oracle`], the
+//! reference the property suite holds the engine pipeline to.
 //!
 //! # ε-witnesses (the nullable-diagonal fix)
 //!
@@ -46,9 +47,9 @@
 
 use cfpq_grammar::{Nt, Wcnf};
 use cfpq_graph::{Edge, Graph, NodeId};
-use cfpq_matrix::{DenseEngine, DenseLenMatrix, LenEngine, LenJob, LenMat, NO_PATH};
-use std::collections::BTreeMap;
+use cfpq_matrix::{DenseLenMatrix, LenEngine, LenMat, NO_PATH};
 
+use crate::fixpoint::{self, Lengths};
 use crate::relational::{init_pairs, label_terminal_map, SolveOptions, SolveStats};
 
 /// Length-annotated relational index: one length matrix per nonterminal;
@@ -64,8 +65,9 @@ pub struct SinglePathIndex<M: LenMat> {
     pub(crate) lengths: Vec<M>,
     /// Fixpoint sweeps executed.
     pub iterations: usize,
-    /// Kernel-work counters of the run (naive oracle runs count one
-    /// product per rule per sweep).
+    /// Kernel-work counters of the fixpoint (naive oracle runs count one
+    /// product per rule per sweep). The ε-overlay is written after it,
+    /// so `sweep_nnz` and `nt_nnz` do not count ε-cells.
     pub stats: SolveStats,
 }
 
@@ -102,8 +104,8 @@ impl<M: LenMat> SinglePathIndex<M> {
     }
 }
 
-/// The engine-generic §5 solver: a masked semi-naive fixpoint over
-/// length matrices, mirroring [`crate::relational::FixpointSolver`].
+/// The engine-generic §5 solver: the masked semi-naive fixpoint of
+/// [`crate::relational::FixpointSolver`], run over length matrices.
 ///
 /// ```
 /// use cfpq_core::single_path::{extract_path, SinglePathSolver};
@@ -164,13 +166,12 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
         n: usize,
         grammar: &Wcnf,
     ) -> SinglePathIndex<E::LenMatrix> {
-        let mut stats = SolveStats::default();
-        let iterations = self.delta_sweeps(&mut matrices, None, grammar, &mut stats);
+        let stats = fixpoint::solve(&Lengths(self.engine), &mut matrices, grammar);
         self.apply_epsilon_overlay(&mut matrices, n, grammar);
         SinglePathIndex {
             n_nodes: n,
             lengths: matrices,
-            iterations,
+            iterations: stats.sweep_nnz.len(),
             stats,
         }
     }
@@ -188,37 +189,13 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
         grammar: &Wcnf,
         new_pairs: &[Vec<(u32, u32)>],
     ) -> SolveStats {
-        let n_nts = grammar.n_nts();
-        assert_eq!(new_pairs.len(), n_nts, "one pair list per nonterminal");
-        let n = index.n_nodes;
-        let mut delta: Vec<Option<E::LenMatrix>> = (0..n_nts).map(|_| None).collect();
-        let mut any = false;
-        for (a, pairs) in new_pairs.iter().enumerate() {
-            if pairs.is_empty() {
-                continue;
-            }
-            let entries: Vec<(u32, u32, u32)> = pairs.iter().map(|&(i, j)| (i, j, 1)).collect();
-            let fresh = self.engine.len_set_absent(&mut index.lengths[a], &entries);
-            if fresh.is_empty() {
-                continue;
-            }
-            delta[a] = Some(self.engine.len_from_entries(n, &fresh));
-            any = true;
-        }
-        let mut stats = SolveStats::default();
-        if any {
-            let sweeps = self.delta_sweeps(&mut index.lengths, Some(delta), grammar, &mut stats);
-            index.iterations += sweeps;
-            index.stats.products_computed += stats.products_computed;
-            index.stats.products_skipped += stats.products_skipped;
-            index
-                .stats
-                .sweep_nnz
-                .extend(stats.sweep_nnz.iter().copied());
-        }
+        let algebra = Lengths(self.engine);
+        let stats = fixpoint::resume(&algebra, &mut index.lengths, grammar, new_pairs);
+        index.iterations += stats.sweep_nnz.len();
+        index.stats.absorb(&stats);
         // Re-applied unconditionally: a session that grew the node
         // universe needs ε-cells on the new diagonal entries too.
-        self.apply_epsilon_overlay(&mut index.lengths, n, grammar);
+        self.apply_epsilon_overlay(&mut index.lengths, index.n_nodes, grammar);
         stats
     }
 
@@ -237,135 +214,6 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
                 .len_set_absent(&mut lengths[nt.index()], &diagonal);
         }
     }
-
-    /// The masked semi-naive sweep loop, structurally identical to the
-    /// Boolean `FixpointSolver::delta_sweeps`: distinct `(B, C)` operand
-    /// pairs share one product per sweep, kernels with an empty Δ are
-    /// skipped, and a product feeding exactly one LHS `A` runs masked
-    /// against the accumulated `T_A` so it emits only unset cells —
-    /// which under first-write-wins *is* the next Δ. `seed` is `None`
-    /// for a cold solve (the freshly-seeded matrices are the first Δ) or
-    /// explicit per-nonterminal deltas for [`SinglePathSolver::resume`].
-    fn delta_sweeps(
-        &self,
-        full: &mut [E::LenMatrix],
-        seed: Option<Vec<Option<E::LenMatrix>>>,
-        grammar: &Wcnf,
-        stats: &mut SolveStats,
-    ) -> usize {
-        let engine = self.engine;
-        let n_nts = grammar.n_nts();
-
-        // Distinct (B, C) operand pairs → the LHS nonterminals they feed.
-        let mut by_pair: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for rule in &grammar.binary_rules {
-            let lhss = by_pair.entry((rule.left.0, rule.right.0)).or_default();
-            if !lhss.contains(&rule.lhs.index()) {
-                lhss.push(rule.lhs.index());
-            }
-        }
-        let groups: Vec<((usize, usize), Vec<usize>)> = by_pair
-            .into_iter()
-            .map(|((b, c), lhss)| ((b as usize, c as usize), lhss))
-            .collect();
-        // What a rule-by-rule semi-naive loop launches per sweep.
-        let per_sweep_potential = 2 * grammar.binary_rules.len();
-
-        let (mut seed_from_full, mut delta): (bool, Vec<Option<E::LenMatrix>>) = match seed {
-            None => (true, (0..n_nts).map(|_| None).collect()),
-            Some(d) => {
-                debug_assert_eq!(d.len(), n_nts);
-                (false, d)
-            }
-        };
-        let mut iterations = 0;
-        loop {
-            iterations += 1;
-            let first = std::mem::take(&mut seed_from_full);
-
-            let mut jobs: Vec<LenJob<'_, E::LenMatrix>> = Vec::new();
-            let mut job_group: Vec<usize> = Vec::new();
-            for (gi, ((b, c), lhss)) in groups.iter().enumerate() {
-                let mask = match &lhss[..] {
-                    &[a] => Some(&full[a]),
-                    _ => None,
-                };
-                if first {
-                    // Δ = T initially, so ΔB×C and B×ΔC coincide.
-                    jobs.push((&full[*b], &full[*c], mask));
-                    job_group.push(gi);
-                } else {
-                    if let Some(db) = &delta[*b] {
-                        jobs.push((db, &full[*c], mask));
-                        job_group.push(gi);
-                    }
-                    if let Some(dc) = &delta[*c] {
-                        jobs.push((&full[*b], dc, mask));
-                        job_group.push(gi);
-                    }
-                }
-            }
-            let products = engine.len_multiply_masked_batch(&jobs);
-            stats.products_computed += jobs.len();
-            stats.products_skipped += per_sweep_potential - jobs.len();
-
-            // First-write-wins accumulation of each product into the
-            // fresh candidates of every LHS of its group.
-            let mut fresh: Vec<Option<E::LenMatrix>> = (0..n_nts).map(|_| None).collect();
-            for (product, &gi) in products.into_iter().zip(&job_group) {
-                for &a in &groups[gi].1 {
-                    match &mut fresh[a] {
-                        Some(acc) => {
-                            engine.len_merge_absent(acc, &product);
-                        }
-                        None => fresh[a] = Some(product.clone()),
-                    }
-                }
-            }
-
-            // Fold fresh cells into the closure; the genuinely-new cells
-            // (with their lengths) are the next Δ.
-            let mut changed = false;
-            for a in 0..n_nts {
-                let Some(f) = fresh[a].take() else {
-                    delta[a] = None;
-                    continue;
-                };
-                let new_entries = engine.len_merge_absent(&mut full[a], &f);
-                if new_entries.nnz() == 0 {
-                    delta[a] = None;
-                    continue;
-                }
-                delta[a] = Some(new_entries);
-                changed = true;
-            }
-            stats
-                .sweep_nnz
-                .push(full.iter().map(LenMat::nnz).sum::<usize>());
-            if !changed {
-                break;
-            }
-        }
-        iterations
-    }
-}
-
-/// Runs the §5 length-annotated closure with default options on the
-/// serial dense engine (back-compat entry point; pick a
-/// [`SinglePathSolver`] for other engines or ε-diagonal seeding).
-pub fn solve_single_path(graph: &Graph, grammar: &Wcnf) -> SinglePathIndex<DenseLenMatrix> {
-    SinglePathSolver::new(&DenseEngine).solve(graph, grammar)
-}
-
-/// [`solve_single_path`] with explicit [`SolveOptions`].
-pub fn solve_single_path_with(
-    graph: &Graph,
-    grammar: &Wcnf,
-    options: SolveOptions,
-) -> SinglePathIndex<DenseLenMatrix> {
-    SinglePathSolver::new(&DenseEngine)
-        .options(options)
-        .solve(graph, grammar)
 }
 
 /// The seed-era naive `O(n³)` sweep over flat length tables, kept as the
@@ -642,11 +490,11 @@ pub fn validate_witness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::solve_on_engine_with;
+    use crate::relational::FixpointSolver;
     use cfpq_grammar::cnf::CnfOptions;
     use cfpq_grammar::Cfg;
     use cfpq_graph::generators;
-    use cfpq_matrix::{Device, ParDenseEngine, ParSparseEngine, SparseEngine};
+    use cfpq_matrix::{DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine};
 
     fn wcnf(src: &str) -> Wcnf {
         Cfg::parse(src)
@@ -660,7 +508,7 @@ mod tests {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "a", "b", "b"]);
-        let idx = solve_single_path(&graph, &g);
+        let idx = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
         assert_eq!(idx.length(s, 0, 4), Some(4));
         assert_eq!(idx.length(s, 1, 3), Some(2));
         assert_eq!(idx.length(s, 0, 3), None);
@@ -670,8 +518,8 @@ mod tests {
     fn pair_sets_match_relational_solver() {
         let g = wcnf("S -> a S b | a b | S S");
         let graph = generators::two_cycles(3, 2);
-        let sp = solve_single_path(&graph, &g);
-        let rel = crate::relational::solve_on_engine(&DenseEngine, &graph, &g);
+        let sp = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
+        let rel = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
             assert_eq!(sp.pairs(nt), rel.pairs(nt), "nt {nt:?}");
@@ -711,7 +559,9 @@ mod tests {
         let options = SolveOptions {
             nullable_diagonal: true,
         };
-        let rel = solve_on_engine_with(&SparseEngine, &graph, &g, options);
+        let rel = FixpointSolver::new(&SparseEngine)
+            .options(options)
+            .solve(&graph, &g);
         for engine_pairs in [
             {
                 let idx = SinglePathSolver::new(&SparseEngine)
@@ -775,23 +625,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resume_matches_cold_solve() {
+    /// Per-nonterminal base facts, as `resume` takes them.
+    type Seeds = Vec<Vec<(u32, u32)>>;
+
+    /// `S → a S b | a b`, the chain a²b², the chain without its last edge
+    /// `(3, b, 4)`, and that edge as the seeds of a resume.
+    fn chain_missing_its_last_edge() -> (Wcnf, Graph, Graph, Seeds) {
         let g = wcnf("S -> a S b | a b");
         let full_graph = generators::word_chain(&["a", "a", "b", "b"]);
         let mut partial = cfpq_graph::Graph::new(5);
         for e in full_graph.edges().iter().take(3) {
             partial.add_edge_named(e.from, full_graph.label_name(e.label), e.to);
         }
-        let solver = SinglePathSolver::new(&SparseEngine);
-        let mut idx = solver.solve(&partial, &g);
-        let cold = solver.solve(&full_graph, &g);
-
         let b_term = g.symbols.get_term("b").unwrap();
         let mut new_pairs = vec![Vec::new(); g.n_nts()];
         for nt in &g.nts_by_terminal()[b_term.index()] {
             new_pairs[nt.index()].push((3, 4));
         }
+        (g, full_graph, partial, new_pairs)
+    }
+
+    #[test]
+    fn resume_matches_cold_solve() {
+        let (g, full_graph, partial, new_pairs) = chain_missing_its_last_edge();
+        let solver = SinglePathSolver::new(&SparseEngine);
+        let mut idx = solver.solve(&partial, &g);
+        let cold = solver.solve(&full_graph, &g);
+
         let resume_stats = solver.resume(&mut idx, &g, &new_pairs);
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
@@ -810,11 +670,91 @@ mod tests {
     }
 
     #[test]
+    fn stats_are_kept_like_the_relational_solvers() {
+        // Every `SolveStats` field is filled by the cold solve and by the
+        // repair, and the index's cumulative counters are exactly the one
+        // absorbed into the other.
+        let (g, _, partial, new_pairs) = chain_missing_its_last_edge();
+        let solver = SinglePathSolver::new(&SparseEngine);
+        let mut idx = solver.solve(&partial, &g);
+        let stored = |idx: &SinglePathIndex<_>| -> Vec<usize> {
+            (0..g.n_nts()).map(|a| idx.count(Nt(a as u32))).collect()
+        };
+        let cold = idx.stats.clone();
+        assert_eq!(cold.nt_nnz, stored(&idx), "filled by the cold solve");
+        assert_eq!(cold.sweep_nnz.len(), idx.iterations);
+        assert_eq!(cold.sweep_nnz.last(), Some(&cold.nt_nnz.iter().sum()));
+        assert_eq!(
+            cold.products_computed + cold.products_skipped,
+            2 * g.binary_rules.len() * idx.iterations
+        );
+
+        let repair = solver.resume(&mut idx, &g, &new_pairs);
+        assert!(repair.products_computed > 0);
+        assert_eq!(repair.nt_nnz, stored(&idx), "and by the repair");
+        assert!(repair.nt_nnz.iter().sum::<usize>() > cold.nt_nnz.iter().sum());
+        let mut both = cold;
+        both.absorb(&repair);
+        assert_eq!(idx.stats, both, "cumulative = cold absorbed repair");
+        assert_eq!(idx.iterations, idx.stats.sweep_nnz.len());
+
+        // A repair that finds nothing new runs no sweep and leaves the
+        // cumulative counters alone.
+        let noop = solver.resume(&mut idx, &g, &new_pairs);
+        assert_eq!(noop, SolveStats::default());
+        assert_eq!(idx.stats, both);
+    }
+
+    #[test]
+    fn cold_solve_and_resume_are_traced_like_the_relational_solvers() {
+        use cfpq_obs::{AttrValue, SpanCollector};
+        let (g, _, partial, new_pairs) = chain_missing_its_last_edge();
+        let collector = std::sync::Arc::new(SpanCollector::new());
+        let guard = cfpq_obs::install(collector.clone());
+        let solver = SinglePathSolver::new(&SparseEngine);
+        let mut idx = solver.solve(&partial, &g);
+        let cold = idx.stats.clone();
+        let repair = solver.resume(&mut idx, &g, &new_pairs);
+        drop(guard);
+
+        let spans = collector.spans();
+        let solves: Vec<_> = spans.iter().filter(|s| s.name == "solve").collect();
+        let modes: Vec<_> = solves.iter().map(|s| s.attr("mode")).collect();
+        assert_eq!(
+            modes,
+            [
+                Some(&AttrValue::Str("cold")),
+                Some(&AttrValue::Str("resume"))
+            ]
+        );
+        for (solve, run) in solves.iter().zip([cold, repair]) {
+            let (sweeps, products) = (run.sweep_nnz.len(), run.products_computed);
+            assert_eq!(solve.attr("sweeps"), Some(&AttrValue::U64(sweeps as u64)));
+            assert_eq!(
+                solve.attr("products"),
+                Some(&AttrValue::U64(products as u64))
+            );
+            let children: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name == "sweep" && s.parent == solve.id)
+                .collect();
+            assert_eq!(children.len(), sweeps, "one sweep span per sweep");
+            assert!(
+                children.iter().any(|s| matches!(
+                    s.attr("delta_nnz"),
+                    Some(AttrValue::Text(t)) if t.contains(':')
+                )),
+                "sweeps carry the per-nonterminal delta-nnz breakdown"
+            );
+        }
+    }
+
+    #[test]
     fn extraction_on_chain_yields_the_chain() {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "a", "b", "b"]);
-        let idx = solve_single_path(&graph, &g);
+        let idx = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
         let path = extract_path(&idx, &graph, &g, s, 0, 4).unwrap();
         assert_eq!(path.len(), 4);
         assert!(validate_witness(&path, &graph, &g, s, 0, 4));
@@ -828,7 +768,7 @@ mod tests {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::two_cycles(2, 3);
-        let idx = solve_single_path(&graph, &g);
+        let idx = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
         let pairs = idx.pairs_with_lengths(s);
         assert!(!pairs.is_empty());
         for (i, j, len) in pairs {
@@ -853,7 +793,7 @@ mod tests {
         let mut graph = cfpq_graph::Graph::new(1);
         graph.add_edge_named(0, "a", 0);
         graph.add_edge_named(0, "b", 0);
-        let idx = solve_single_path(&graph, &g);
+        let idx = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
         let len = idx.length(s, 0, 0).expect("S at (0,0)");
         assert!(len >= 2 && len.is_multiple_of(2));
         let path = extract_path(&idx, &graph, &g, s, 0, 0).unwrap();
@@ -865,7 +805,7 @@ mod tests {
         let g = wcnf("S -> a b");
         let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "b"]);
-        let idx = solve_single_path(&graph, &g);
+        let idx = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
         assert_eq!(
             extract_path(&idx, &graph, &g, s, 1, 0),
             Err(ExtractError::NotInRelation)

@@ -283,11 +283,11 @@ proptest! {
                 base.add_edge_named(e.from, graph.label_name(e.label), e.to);
             }
             let mut session = CfpqSession::new(SparseEngine, &base);
-            let id = session.prepare_all_paths_query(PreparedQuery::from_wcnf(grammar.clone()));
+            let id = session.prepare_query(PreparedQuery::from_wcnf(grammar.clone()));
             // Cold enumeration on the truncated graph (also warms the
             // memo tables that the repair must then invalidate).
             session.enumerate_paths(id, 0, 0, req);
-            prop_assert!(!session.last_all_paths_run(id).unwrap().incremental);
+            prop_assert!(!session.last_run(id).unwrap().incremental);
             let held: Vec<(u32, &str, u32)> = edges[edges.len() - split..]
                 .iter()
                 .map(|e| (e.from, graph.label_name(e.label), e.to))
@@ -295,7 +295,7 @@ proptest! {
             session.add_edges(&held);
 
             let mut fresh = CfpqSession::new(SparseEngine, &graph);
-            let fresh_id = fresh.prepare_all_paths_query(PreparedQuery::from_wcnf(grammar.clone()));
+            let fresh_id = fresh.prepare_query(PreparedQuery::from_wcnf(grammar.clone()));
             // The sessions may have interned the labels in different
             // orders (the held-out suffix can carry a label's first
             // occurrence), so compare pages by label *name*.
@@ -326,10 +326,10 @@ proptest! {
                 }
             }
             prop_assert!(repaired_any);
-            if !held.is_empty() && session.last_all_paths_run(id).is_some() {
+            if !held.is_empty() && session.last_run(id).is_some() {
                 // The post-update evaluations went through the repair
                 // path, not a cold re-solve.
-                prop_assert!(session.last_all_paths_run(id).unwrap().incremental
+                prop_assert!(session.last_run(id).unwrap().incremental
                     || session.add_edges(&held) == 0);
             }
         }

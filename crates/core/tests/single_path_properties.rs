@@ -80,6 +80,18 @@ fn check_engine<E: LenEngine>(
             nt
         );
     }
+    // Same closure, same loop: without the ε-diagonal (which the
+    // relational solver seeds before its fixpoint and this one overlays
+    // after) the two runs launch the same products over the same sweeps
+    // and grow the same number of cells in each.
+    if !options.nullable_diagonal {
+        prop_assert_eq!(idx.iterations, relational.iterations, "{}", name);
+        let (sp, rel) = (&idx.stats, &relational.stats);
+        prop_assert_eq!(sp.products_computed, rel.products_computed, "{}", name);
+        prop_assert_eq!(sp.products_skipped, rel.products_skipped, "{}", name);
+        prop_assert_eq!(&sp.sweep_nnz, &rel.sweep_nnz, "{}", name);
+        prop_assert_eq!(&sp.nt_nnz, &rel.nt_nnz, "{}", name);
+    }
     // Theorem 5 on every recorded start-symbol entry (and the oracle's):
     // the witness extracts, has exactly the recorded length, and its
     // label word derives from the nonterminal (CYK re-check inside
@@ -195,6 +207,9 @@ proptest! {
                 let nt = Nt(a as u32);
                 prop_assert_eq!(idx.pairs(nt), cold.pairs(nt), "nt {:?}", nt);
             }
+            // However the closure was reached, its counters describe it.
+            prop_assert_eq!(&idx.stats.nt_nnz, &cold.stats.nt_nnz);
+            prop_assert_eq!(idx.stats.sweep_nnz.len(), idx.iterations);
             for (i, j, len) in idx.pairs_with_lengths(grammar.start) {
                 let path = extract_path(idx, &graph, &grammar, grammar.start, i, j)
                     .map_err(|e| TestCaseError::fail(format!("extract ({i},{j}): {e}")))?;

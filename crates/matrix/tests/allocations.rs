@@ -4,53 +4,14 @@
 //! allocate a constant number of times, whatever the number of rows (a
 //! per-row `Vec` anywhere in the kernel shows here as thousands).
 //!
-//! The counter is per thread, so the test harness's own threads do not
-//! disturb it.
+//! The counter (`support/counting_allocator.rs`) is per thread, so the
+//! test harness's own threads do not disturb it.
 
 use cfpq_matrix::{CsrLenMatrix, CsrMatrix, LenEngine, SparseEngine};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use counting_allocator::allocations;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note_allocation() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator;
-// the only addition is a thread-local counter bump, which allocates
-// nothing (a `const`-initialized `Cell<usize>`).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        // SAFETY: the caller's contract is the system allocator's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
-        // SAFETY: the caller's contract is the system allocator's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations (and reallocations) `f` performs on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
-}
+#[path = "support/counting_allocator.rs"]
+mod counting_allocator;
 
 type Pairs = Vec<(u32, u32)>;
 

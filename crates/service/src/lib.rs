@@ -16,11 +16,11 @@
 //!   closure cache. Readers grab the current snapshot and keep using it
 //!   for as long as they like; [`CfpqService::add_edges`] clones the
 //!   index *off to the side*, repairs every cached closure through the
-//!   session layer's semi-naive resume paths
-//!   ([`cfpq_core::session::repair_prepared`] /
-//!   [`cfpq_core::session::repair_prepared_single_path`]), and publishes
-//!   the next epoch atomically. A reader never blocks on a writer and
-//!   never observes a half-applied batch.
+//!   session layer's semi-naive resume path
+//!   ([`cfpq_core::session::CachedClosure::repair`], one loop for both
+//!   kinds of closure), and publishes the next epoch atomically. A
+//!   reader never blocks on a writer and never observes a half-applied
+//!   batch.
 //! * **Shared closure caching.** Within an epoch, each prepared query's
 //!   solved closure is computed exactly once (a `OnceLock` cell:
 //!   concurrent readers of the same cold query block on one solve
@@ -117,8 +117,7 @@ use cfpq_core::all_paths::{PageRequest, PathEnumerator, PathPage};
 use cfpq_core::query::QueryAnswer;
 use cfpq_core::relational::{RelationalIndex, SourceClosure};
 use cfpq_core::session::{
-    batch_seed_pairs, extend_prepared_from, repair_prepared, repair_prepared_single_path,
-    solve_prepared, solve_prepared_from, solve_prepared_single_path, GraphIndex, PreparedQuery,
+    extend_prepared_from, solve_prepared_from, CachedClosure, EdgeBatch, GraphIndex, PreparedQuery,
 };
 use cfpq_core::single_path::SinglePathIndex;
 use cfpq_grammar::{Cfg, GrammarError};
@@ -668,6 +667,80 @@ impl<V> CacheMap<V> {
             .filter_map(|(&k, cell)| cell.get().map(|v| (k, v.clone())))
             .collect()
     }
+
+    /// Solves (or fetches) the closure of query `q` of `queries` on
+    /// `epoch`, to which this cache belongs; returns it with the query.
+    fn solve_or_fetch<E: ServiceEngine>(
+        &self,
+        queries: &RwLock<Vec<Arc<PreparedQuery>>>,
+        epoch: &Epoch<E>,
+        q: usize,
+    ) -> Result<(Arc<PreparedQuery>, Arc<V>), ServiceError>
+    where
+        V: CachedClosure<E>,
+    {
+        let prepared = registered(queries, q)?;
+        let cold = Cell::new(false);
+        let solved = self
+            .cell(q)
+            .get_or_init(|| {
+                cold.set(true);
+                let solved = V::cold_solve(&epoch.index, &prepared);
+                let products = solved.stats().products_computed as u64;
+                let counters = &epoch.counters;
+                counters.cold_solves.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .cold_products
+                    .fetch_add(products, Ordering::Relaxed);
+                Arc::new(solved)
+            })
+            .clone();
+        if !cold.get() {
+            epoch.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((prepared, solved))
+    }
+
+    /// The next epoch's cache: every closure solved here, repaired for
+    /// `batch`, which `index` (the next epoch's) has absorbed. The
+    /// published epoch keeps serving the originals — `Arc::make_mut`
+    /// repairs a copy.
+    fn carry_over<E: ServiceEngine>(
+        &self,
+        queries: &RwLock<Vec<Arc<PreparedQuery>>>,
+        index: &GraphIndex<E>,
+        batch: &EdgeBatch,
+        counters: &EpochCounters,
+    ) -> Self
+    where
+        V: CachedClosure<E>,
+    {
+        let queries = read_recover(queries).clone();
+        let batches = std::slice::from_ref(batch);
+        let next = Self::new();
+        for (q, mut solved) in self.filled() {
+            let stats = Arc::make_mut(&mut solved).repair(index, &queries[q], batches);
+            counters.repairs.fetch_add(1, Ordering::Relaxed);
+            counters
+                .repair_products
+                .fetch_add(stats.products_computed as u64, Ordering::Relaxed);
+            next.preset(q, solved);
+        }
+        next
+    }
+}
+
+/// Query `id` of `queries`. Handles come from outside, so every entry
+/// point that takes one — `enqueue*`, the snapshot reads — checks it
+/// here and nowhere else.
+fn registered(
+    queries: &RwLock<Vec<Arc<PreparedQuery>>>,
+    id: usize,
+) -> Result<Arc<PreparedQuery>, ServiceError> {
+    let queries = read_recover(queries);
+    let registered = queries.len();
+    let found = queries.get(id).cloned();
+    found.ok_or(ServiceError::UnknownQuery { id, registered })
 }
 
 /// One immutable version of the graph: the index, the per-query closure
@@ -962,84 +1035,61 @@ impl<E: ServiceEngine> Snapshot<E> {
     /// repaired) closure; every later one is an `Arc` bump. The answer
     /// is a lazy view shared by the whole epoch: a relation is extracted
     /// by whoever reads its pairs first.
+    ///
+    /// # Panics
+    ///
+    /// If `id` was not registered with this service; callers passing
+    /// handles on from elsewhere should use [`Snapshot::try_evaluate`].
     pub fn evaluate(&self, id: QueryId) -> QueryAnswer {
-        let solved = solve_rel(&self.inner, &self.epoch, id.0);
-        self.epoch
+        self.try_evaluate(id)
+            .expect("query not registered in this service")
+    }
+
+    /// [`Snapshot::evaluate`] with the handle check surfaced as
+    /// [`ServiceError::UnknownQuery`] instead of a panic.
+    pub fn try_evaluate(&self, id: QueryId) -> Result<QueryAnswer, ServiceError> {
+        let epoch = &*self.epoch;
+        let (prepared, solved) = epoch.rel.solve_or_fetch(&self.inner.queries, epoch, id.0)?;
+        epoch
             .counters
             .queries_served
             .fetch_add(1, Ordering::Relaxed);
-        let prepared = read_recover(&self.inner.queries)[id.0].clone();
-        epoch_answer(&self.epoch, id.0, &prepared, &solved)
+        Ok(epoch_answer(epoch, id.0, &prepared, &solved))
     }
 
     /// Evaluates a prepared single-path query against this epoch; the
     /// returned index supports witness extraction
     /// ([`cfpq_core::single_path::extract_path`]) as usual.
+    ///
+    /// # Panics
+    ///
+    /// If `id` was not registered with this service; callers passing
+    /// handles on from elsewhere should use
+    /// [`Snapshot::try_evaluate_single_path`].
     pub fn evaluate_single_path(
         &self,
         id: SinglePathId,
     ) -> Arc<SinglePathIndex<<E as LenEngine>::LenMatrix>> {
-        let solved = solve_sp(&self.inner, &self.epoch, id.0);
-        self.epoch
+        self.try_evaluate_single_path(id)
+            .expect("query not registered in this service")
+    }
+
+    /// [`Snapshot::evaluate_single_path`] with the handle check surfaced
+    /// as [`ServiceError::UnknownQuery`] instead of a panic.
+    pub fn try_evaluate_single_path(
+        &self,
+        id: SinglePathId,
+    ) -> Result<Arc<SinglePathIndex<<E as LenEngine>::LenMatrix>>, ServiceError> {
+        let epoch = &*self.epoch;
+        let (_, solved) = epoch
+            .sp
+            .solve_or_fetch(&self.inner.sp_queries, epoch, id.0)?;
+        epoch
             .counters
             .queries_served
             .fetch_add(1, Ordering::Relaxed);
-        solved
+        Ok(solved)
     }
-}
-
-/// Solves (or fetches) the relational closure of query `q` on `epoch`.
-fn solve_rel<E: ServiceEngine>(
-    inner: &Inner<E>,
-    epoch: &Epoch<E>,
-    q: usize,
-) -> Arc<RelationalIndex<E::Matrix>> {
-    let prepared = read_recover(&inner.queries)[q].clone();
-    let cell = epoch.rel.cell(q);
-    let cold = Cell::new(false);
-    let solved = cell
-        .get_or_init(|| {
-            cold.set(true);
-            let index = solve_prepared(&epoch.index, &prepared);
-            epoch.counters.cold_solves.fetch_add(1, Ordering::Relaxed);
-            epoch
-                .counters
-                .cold_products
-                .fetch_add(index.stats.products_computed as u64, Ordering::Relaxed);
-            Arc::new(index)
-        })
-        .clone();
-    if !cold.get() {
-        epoch.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    solved
-}
-
-/// Solves (or fetches) the single-path closure of query `q` on `epoch`.
-fn solve_sp<E: ServiceEngine>(
-    inner: &Inner<E>,
-    epoch: &Epoch<E>,
-    q: usize,
-) -> Arc<SinglePathIndex<<E as LenEngine>::LenMatrix>> {
-    let prepared = read_recover(&inner.sp_queries)[q].clone();
-    let cell = epoch.sp.cell(q);
-    let cold = Cell::new(false);
-    let solved = cell
-        .get_or_init(|| {
-            cold.set(true);
-            let index = solve_prepared_single_path(&epoch.index, &prepared);
-            epoch.counters.cold_solves.fetch_add(1, Ordering::Relaxed);
-            epoch
-                .counters
-                .cold_products
-                .fetch_add(index.stats.products_computed as u64, Ordering::Relaxed);
-            Arc::new(index)
-        })
-        .clone();
-    if !cold.get() {
-        epoch.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    solved
 }
 
 /// The epoch's shared lazy answer over `solved`, the closure of query
@@ -1315,41 +1365,44 @@ fn serve_batch<E: ServiceEngine>(
     counters
         .queries_served
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    let resolve = |req: &Request, pairs, paths| {
+        let obs = &inner.obs;
+        resolve_served(obs, req, dispatched, batch_size, epoch.epoch, pairs, paths)
+    };
+    // Queued handles were range-checked at enqueue and queries are never
+    // unregistered, so the closure lookups below cannot miss.
+    const CHECKED: &str = "query checked at enqueue";
     match key {
         QueueKey::Rel(q) => {
-            let prepared = read_recover(&inner.queries)[q].clone();
-            let resolve = |req: &Request, pairs| {
-                resolve_served(
-                    &inner.obs,
-                    req,
-                    dispatched,
-                    batch_size,
-                    epoch.epoch,
-                    pairs,
-                    None,
-                )
-            };
             // Named pairs need the rows they name; only a full answer —
             // or an epoch that already has it — reads the whole closure.
             let all_named = batch.iter().all(|req| !req.pairs.is_empty());
             if all_named && epoch.rel.cell(q).get().is_none() {
+                let prepared = read_recover(&inner.queries)[q].clone();
                 let answers = probe_sources(&epoch, q, &prepared, &batch);
                 for (req, pairs) in batch.iter().zip(answers) {
-                    resolve(req, pairs);
+                    resolve(req, pairs, None);
                 }
             } else {
-                let solved = solve_rel(inner, &epoch, q);
+                let (prepared, solved) = epoch
+                    .rel
+                    .solve_or_fetch(&inner.queries, &epoch, q)
+                    .expect(CHECKED);
                 for req in &batch {
-                    resolve(req, rel_targets(&epoch, q, &prepared, &solved, &req.pairs));
+                    let pairs = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
+                    resolve(req, pairs, None);
                 }
             }
         }
         QueueKey::Sp(q) => {
-            let solved = solve_sp(inner, &epoch, q);
-            let start = read_recover(&inner.sp_queries)[q].wcnf().start;
+            let (prepared, solved) = epoch
+                .sp
+                .solve_or_fetch(&inner.sp_queries, &epoch, q)
+                .expect(CHECKED);
+            let start = prepared.wcnf().start;
             // Extracted for the first full-answer request of the batch.
             let mut full = None;
-            for req in batch {
+            for req in &batch {
                 let pairs = if req.pairs.is_empty() {
                     full.get_or_insert_with(|| solved.pairs(start)).clone()
                 } else {
@@ -1357,20 +1410,14 @@ fn serve_batch<E: ServiceEngine>(
                         solved.contains(start, i, j)
                     })
                 };
-                resolve_served(
-                    &inner.obs,
-                    &req,
-                    dispatched,
-                    batch_size,
-                    epoch.epoch,
-                    pairs,
-                    None,
-                );
+                resolve(req, pairs, None);
             }
         }
         QueueKey::Paths(q) => {
-            let solved = solve_rel(inner, &epoch, q);
-            let prepared = read_recover(&inner.queries)[q].clone();
+            let (prepared, solved) = epoch
+                .rel
+                .solve_or_fetch(&inner.queries, &epoch, q)
+                .expect(CHECKED);
             let wcnf = prepared.wcnf();
             let start = wcnf.start;
             // One enumerator per batch: its memoized length classes are
@@ -1379,7 +1426,7 @@ fn serve_batch<E: ServiceEngine>(
             // pages are epoch-consistent by construction.
             let mut enumerator = PathEnumerator::from_index(&epoch.index, wcnf);
             let quota = inner.config.path_quota;
-            for req in batch {
+            for req in &batch {
                 let page = req.page.unwrap_or_default();
                 let targets = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
                 // The quota bounds one request's total paths across all
@@ -1416,15 +1463,7 @@ fn serve_batch<E: ServiceEngine>(
                         exhausted: result.exhausted,
                     });
                 }
-                resolve_served(
-                    &inner.obs,
-                    &req,
-                    dispatched,
-                    batch_size,
-                    epoch.epoch,
-                    targets,
-                    Some(answers),
-                );
+                resolve(req, targets, Some(answers));
             }
         }
     }
@@ -1651,7 +1690,7 @@ impl<E: ServiceEngine> CfpqService<E> {
     ///   the next named-pair ticket regrows what it needs on the new
     ///   epoch.
     pub fn enqueue(&self, query: QueryId, pairs: Vec<(u32, u32)>) -> Result<Ticket, ServiceError> {
-        self.check_rel(query.0)?;
+        registered(&self.inner.queries, query.0)?;
         self.push_request(QueueKey::Rel(query.0), pairs, None)
     }
 
@@ -1669,7 +1708,7 @@ impl<E: ServiceEngine> CfpqService<E> {
         pairs: Vec<(u32, u32)>,
         page: PageRequest,
     ) -> Result<Ticket, ServiceError> {
-        self.check_rel(query.0)?;
+        registered(&self.inner.queries, query.0)?;
         self.push_request(QueueKey::Paths(query.0), pairs, Some(page))
     }
 
@@ -1682,22 +1721,8 @@ impl<E: ServiceEngine> CfpqService<E> {
         query: SinglePathId,
         pairs: Vec<(u32, u32)>,
     ) -> Result<Ticket, ServiceError> {
-        let registered = read_recover(&self.inner.sp_queries).len();
-        if query.0 >= registered {
-            return Err(ServiceError::UnknownQuery {
-                id: query.0,
-                registered,
-            });
-        }
+        registered(&self.inner.sp_queries, query.0)?;
         self.push_request(QueueKey::Sp(query.0), pairs, None)
-    }
-
-    fn check_rel(&self, id: usize) -> Result<(), ServiceError> {
-        let registered = read_recover(&self.inner.queries).len();
-        if id >= registered {
-            return Err(ServiceError::UnknownQuery { id, registered });
-        }
-        Ok(())
     }
 
     fn push_request(
@@ -1806,50 +1831,10 @@ impl<E: ServiceEngine> CfpqService<E> {
             .enabled
             .then(|| cfpq_obs::install(Arc::clone(&self.inner.obs.recorder)));
         let mut publish_sp = cfpq_obs::span("epoch.publish");
-        let n = index.n_nodes();
         let counters = Arc::new(EpochCounters::default());
-        let rel = CacheMap::new();
-        let sp = CacheMap::new();
-        let batches = [batch];
-
-        let queries = read_recover(&self.inner.queries).clone();
-        for (q, solved) in cur.rel.filled() {
-            let prepared = &queries[q];
-            let wcnf = prepared.wcnf();
-            let new_pairs = batch_seed_pairs(
-                &batches,
-                &index.term_bindings(wcnf),
-                &wcnf.nts_by_terminal(),
-                wcnf,
-            );
-            // The published epoch keeps serving `solved`: repair a copy.
-            let mut repaired = RelationalIndex::clone(&solved);
-            let stats = repair_prepared(index.engine(), prepared, &mut repaired, new_pairs, n);
-            counters.repairs.fetch_add(1, Ordering::Relaxed);
-            counters
-                .repair_products
-                .fetch_add(stats.products_computed as u64, Ordering::Relaxed);
-            rel.preset(q, Arc::new(repaired));
-        }
-        let sp_queries = read_recover(&self.inner.sp_queries).clone();
-        for (q, solved) in cur.sp.filled() {
-            let prepared = &sp_queries[q];
-            let wcnf = prepared.wcnf();
-            let new_pairs = batch_seed_pairs(
-                &batches,
-                &index.term_bindings(wcnf),
-                &wcnf.nts_by_terminal(),
-                wcnf,
-            );
-            let mut repaired = (*solved).clone();
-            let stats =
-                repair_prepared_single_path(index.engine(), prepared, &mut repaired, new_pairs, n);
-            counters.repairs.fetch_add(1, Ordering::Relaxed);
-            counters
-                .repair_products
-                .fetch_add(stats.products_computed as u64, Ordering::Relaxed);
-            sp.preset(q, Arc::new(repaired));
-        }
+        let (queries, sp_queries) = (&self.inner.queries, &self.inner.sp_queries);
+        let rel = cur.rel.carry_over(queries, &index, &batch, &counters);
+        let sp = cur.sp.carry_over(sp_queries, &index, &batch, &counters);
 
         let next = Arc::new(Epoch {
             epoch: cur.epoch + 1,
@@ -1864,7 +1849,7 @@ impl<E: ServiceEngine> CfpqService<E> {
         self.inner.obs.publish_us.observe((publish_ms * 1e3) as u64);
         if publish_sp.is_recording() {
             publish_sp.attr_u64("epoch", cur.epoch + 1);
-            publish_sp.attr_u64("inserted", batches[0].inserted as u64);
+            publish_sp.attr_u64("inserted", batch.inserted as u64);
             publish_sp.attr_u64("repairs", counters.repairs.load(Ordering::Relaxed));
         }
         *write_recover(&self.inner.current) = next;
@@ -1874,7 +1859,7 @@ impl<E: ServiceEngine> CfpqService<E> {
             counters,
             failures_at_publish: self.inner.obs.failure_snapshot(),
         });
-        batches[0].inserted
+        batch.inserted
     }
 
     /// Stops accepting requests and drains the queues within the
@@ -2247,8 +2232,27 @@ mod tests {
                 registered: 0
             })
         );
+        // Direct reads answer a foreign handle the same way, on the
+        // caller's thread.
+        let snapshot = service.snapshot();
+        assert_eq!(
+            snapshot.try_evaluate(bad_rel).err(),
+            Some(ServiceError::UnknownQuery {
+                id: 7,
+                registered: 1
+            })
+        );
+        assert_eq!(
+            snapshot.try_evaluate_single_path(bad_sp).err(),
+            Some(ServiceError::UnknownQuery {
+                id: 0,
+                registered: 0
+            })
+        );
+        assert_eq!(service.stats()[0].queries_served, 0, "nothing was served");
         // The registered query still serves.
         assert!(service.enqueue(q, vec![]).unwrap().wait().is_ok());
+        assert!(snapshot.try_evaluate(q).is_ok());
     }
 
     #[test]
@@ -2532,7 +2536,7 @@ mod tests {
     fn paths_pages_are_epoch_consistent_across_updates() {
         use cfpq_core::all_paths::enumerate_paths;
         use cfpq_core::all_paths::EnumLimits;
-        use cfpq_core::relational::solve_on_engine;
+        use cfpq_core::relational::FixpointSolver;
         let grammar = Cfg::parse("S -> a S b | a b").unwrap();
         let wcnf = grammar
             .to_wcnf(cfpq_grammar::cnf::CnfOptions::default())
@@ -2563,7 +2567,7 @@ mod tests {
         let mut full = generators::word_chain(&["a", "a", "b"]);
         full.add_edge_named(3, "b", 4);
         for (answer, graph) in [(&before, &chain), (&after, &full)] {
-            let rel = solve_on_engine(&SparseEngine, graph, &wcnf);
+            let rel = FixpointSolver::new(&SparseEngine).solve(graph, &wcnf);
             for pp in answer.paths.as_ref().unwrap() {
                 let expect = enumerate_paths(
                     &rel,

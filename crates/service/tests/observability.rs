@@ -8,6 +8,7 @@
 //! of the no-op recorder.
 
 use cfpq_core::relational::FixpointSolver;
+use cfpq_core::single_path::SinglePathSolver;
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{queries, Cfg};
 use cfpq_graph::ontology;
@@ -19,6 +20,12 @@ use cfpq_service::{CfpqService, ServiceConfig, ServiceError, Ticket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The per-thread allocation counter of `cfpq-matrix`'s
+/// `tests/allocations.rs`: the no-op guard below compares work without a
+/// timer, and the other tests' threads do not disturb it.
+#[path = "../../matrix/tests/support/counting_allocator.rs"]
+mod counting_allocator;
 
 fn attr<'a>(span: &'a Span, key: &str) -> Option<&'a cfpq_obs::AttrValue> {
     span.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
@@ -164,42 +171,55 @@ fn g3_query_produces_the_full_span_hierarchy() {
 }
 
 /// "Zero cost when off": with the no-op recorder installed, the Q1 solve
-/// on g3 sees inert span guards, launches the identical kernel schedule,
-/// returns the identical pairs, and its best-of-5 wall time stays within
-/// 5% (plus 0.5 ms of timer slack) of the run with nothing installed.
-/// The two configurations are interleaved so machine drift hits both.
+/// on g3 — relational, then single-path — sees inert span guards,
+/// launches the identical kernel schedule, returns the identical pairs,
+/// and allocates exactly as often as the run with nothing installed (a
+/// span that built an attribute, or boxed anything, for a recorder that
+/// drops it would show here). Wall times are printed, not asserted: a
+/// 5 % bound on them failed by chance beside the sibling tests.
 #[test]
-fn noop_recorder_leaves_schedule_and_wall_time_unchanged() {
+fn noop_recorder_leaves_schedule_and_allocations_unchanged() {
     let graph = ontology::dataset("pizza")
         .expect("bundled dataset")
         .to_graph()
         .repeat(8);
     let wcnf = queries::query1().to_wcnf(CnfOptions::default()).unwrap();
-    let solve = || {
-        let started = Instant::now();
+    // (products, pairs of the start nonterminal) of one solve, with what
+    // it allocated on this thread and how long it took.
+    type Solved = (usize, Vec<(u32, u32)>);
+    let relational = || -> Solved {
         let index = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
-        (index, started.elapsed().as_secs_f64() * 1e3)
+        (index.stats.products_computed, index.pairs(wcnf.start))
     };
-    let (warm, _) = solve(); // untimed: page cache, allocator growth
-    let (mut plain_ms, mut noop_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        let (plain, ms) = solve();
-        plain_ms = plain_ms.min(ms);
+    let single_path = || -> Solved {
+        let index = SinglePathSolver::new(&SparseEngine).solve(&graph, &wcnf);
+        (index.stats.products_computed, index.pairs(wcnf.start))
+    };
+    let measured = |solve: &dyn Fn() -> Solved| {
+        let started = Instant::now();
+        let (allocations, solved) = counting_allocator::allocations(solve);
+        (solved, allocations, started.elapsed().as_secs_f64() * 1e3)
+    };
+    let solves: [(&str, &dyn Fn() -> Solved); 2] =
+        [("relational", &relational), ("single-path", &single_path)];
+    for (name, solve) in solves {
+        let (plain, plain_allocations, plain_ms) = measured(solve);
         let guard = cfpq_obs::install(Arc::new(NoopRecorder));
         assert!(!cfpq_obs::span("probe").is_recording());
-        let (noop, ms) = solve();
+        let (noop, noop_allocations, noop_ms) = measured(solve);
         drop(guard);
-        noop_ms = noop_ms.min(ms);
         assert_eq!(
-            noop.stats.products_computed, plain.stats.products_computed,
-            "the no-op recorder must not change the kernel schedule"
+            noop.0, plain.0,
+            "{name}: the no-op recorder must not change the kernel schedule"
         );
-        assert_eq!(noop.pairs(wcnf.start), warm.pairs(wcnf.start));
+        assert_eq!(noop.1, plain.1, "{name}: nor the answer");
+        assert!(plain_allocations > 0, "{name}: the counter sees the solve");
+        assert_eq!(
+            noop_allocations, plain_allocations,
+            "{name}: no-op observability must not allocate"
+        );
+        println!("{name}: {plain_ms:.2} ms plain, {noop_ms:.2} ms noop");
     }
-    assert!(
-        noop_ms <= plain_ms * 1.05 + 0.5,
-        "no-op observability must cost <5% wall time ({plain_ms:.2}ms plain vs {noop_ms:.2}ms noop)"
-    );
 }
 
 /// Satellite of the linearizability suite: the same multi-threaded

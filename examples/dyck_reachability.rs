@@ -53,7 +53,7 @@ fn main() {
     let wcnf = grammar
         .to_wcnf(cfpq::grammar::cnf::CnfOptions::default())
         .expect("normalizes");
-    let index = solve_single_path(&chain, &wcnf);
+    let index = SinglePathSolver::new(&DenseEngine).solve(&chain, &wcnf);
     let s = wcnf.symbols.get_nt("S").expect("S exists");
     let path = extract_path(&index, &chain, &wcnf, s, 0, 4).expect("witness exists");
     let labels: Vec<&str> = path.iter().map(|e| chain.label_name(e.label)).collect();

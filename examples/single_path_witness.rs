@@ -34,7 +34,7 @@ fn main() {
     println!("Graph: {graph}");
 
     // §5: length-annotated closure.
-    let index = solve_single_path(&graph, &wcnf);
+    let index = SinglePathSolver::new(&DenseEngine).solve(&graph, &wcnf);
     let answers = index.pairs_with_lengths(s);
     println!("Same-generation pairs with witness lengths:");
     for &(i, j, len) in &answers {

@@ -53,16 +53,12 @@ pub mod prelude {
     pub use cfpq_core::compile::{CompiledQuery, QueryKind};
     pub use cfpq_core::query::{solve, Backend, QueryAnswer};
     pub use cfpq_core::regular::{solve_regular, Nfa};
-    pub use cfpq_core::relational::{
-        solve_on_engine, solve_set_matrix, FixpointSolver, SolveStats, SourceClosure,
-    };
+    pub use cfpq_core::relational::{solve_set_matrix, FixpointSolver, SolveStats, SourceClosure};
     pub use cfpq_core::session::{
-        extend_prepared_from, solve_prepared, solve_prepared_from, AllPathsId, CfpqSession,
-        GraphIndex, PreparedQuery, QueryId, SessionError, SinglePathId,
+        extend_prepared_from, solve_prepared, solve_prepared_from, CfpqSession, GraphIndex,
+        PreparedQuery, QueryId, SessionError, SinglePathId,
     };
-    pub use cfpq_core::single_path::{
-        extract_path, solve_single_path, validate_witness, SinglePathSolver,
-    };
+    pub use cfpq_core::single_path::{extract_path, validate_witness, SinglePathSolver};
     pub use cfpq_grammar::{Cfg, Nt, Term, Wcnf};
     pub use cfpq_graph::{Graph, TripleSet};
     pub use cfpq_matrix::{

@@ -44,11 +44,11 @@ proptest! {
         let g = random_wcnf(grammar_seed, RandomGrammarConfig::default());
         let graph = graph_for(&g, n_nodes, n_edges, graph_seed);
 
-        let dense = solve_on_engine(&DenseEngine, &graph, &g);
-        let sparse = solve_on_engine(&SparseEngine, &graph, &g);
-        let dense_par = solve_on_engine(&ParDenseEngine::new(Device::new(3)), &graph, &g);
-        let sparse_par = solve_on_engine(&ParSparseEngine::new(Device::new(2)), &graph, &g);
-        let tiled = solve_on_engine(&TiledEngine::new(Device::new(2)), &graph, &g);
+        let dense = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
+        let sparse = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
+        let dense_par = FixpointSolver::new(&ParDenseEngine::new(Device::new(3))).solve(&graph, &g);
+        let sparse_par = FixpointSolver::new(&ParSparseEngine::new(Device::new(2))).solve(&graph, &g);
+        let tiled = FixpointSolver::new(&TiledEngine::new(Device::new(2))).solve(&graph, &g);
         let set_matrix = solve_set_matrix(&graph, &g, false);
         let hellings = solve_hellings(&graph, &g);
 
@@ -73,8 +73,8 @@ proptest! {
     ) {
         let g = random_wcnf(grammar_seed, RandomGrammarConfig::default());
         let graph = graph_for(&g, n_nodes, n_edges, graph_seed);
-        let rel = solve_on_engine(&SparseEngine, &graph, &g);
-        let sp = solve_single_path(&graph, &g);
+        let rel = FixpointSolver::new(&SparseEngine).solve(&graph, &g);
+        let sp = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
         for i in 0..g.n_nts() {
             let nt = Nt(i as u32);
             let sp_pairs: Vec<(u32, u32)> = sp
@@ -94,7 +94,7 @@ proptest! {
         use cfpq::core::single_path::validate_witness;
         let g = random_wcnf(grammar_seed, RandomGrammarConfig::default());
         let graph = graph_for(&g, 6, 14, graph_seed);
-        let sp = solve_single_path(&graph, &g);
+        let sp = SinglePathSolver::new(&DenseEngine).solve(&graph, &g);
         for i in 0..g.n_nts() {
             let nt = Nt(i as u32);
             for (a, b, len) in sp.pairs_with_lengths(nt) {
@@ -120,7 +120,7 @@ proptest! {
         }
         let names: Vec<&str> = word.iter().map(|t| g.symbols.term_name(*t)).collect();
         let graph = generators::word_chain(&names);
-        let idx = solve_on_engine(&DenseEngine, &graph, &g);
+        let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
         let cyk = CykTable::build(&g, &word);
         let val = valiant_parse(&g, &word);
         for i in 0..word.len() {
@@ -152,7 +152,7 @@ proptest! {
         let wcnf = cfg.to_wcnf(cfpq::grammar::cnf::CnfOptions::default()).unwrap();
         let graph = generators::random_graph(n_nodes, n_edges, &["a", "b"], graph_seed);
         let store = GllSolver::new(&cfg, &graph).solve(&graph, cfg.start.unwrap());
-        let idx = solve_on_engine(&SparseEngine, &graph, &wcnf);
+        let idx = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
         let s_cfg = cfg.symbols.get_nt("S").unwrap();
         let s_wcnf = wcnf.symbols.get_nt("S").unwrap();
         prop_assert_eq!(store.pairs(s_cfg), idx.pairs(s_wcnf));
@@ -177,11 +177,13 @@ fn all_engines_agree_on_paper_example_and_generated_graph() {
         ),
     ];
     for (graph, expect) in instances {
-        let dense = solve_on_engine(&DenseEngine, &graph, &wcnf);
-        let sparse = solve_on_engine(&SparseEngine, &graph, &wcnf);
-        let dense_par = solve_on_engine(&ParDenseEngine::new(Device::new(2)), &graph, &wcnf);
-        let sparse_par = solve_on_engine(&ParSparseEngine::new(Device::new(3)), &graph, &wcnf);
-        let tiled = solve_on_engine(&TiledEngine::new(Device::new(2)), &graph, &wcnf);
+        let dense = FixpointSolver::new(&DenseEngine).solve(&graph, &wcnf);
+        let sparse = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
+        let dense_par =
+            FixpointSolver::new(&ParDenseEngine::new(Device::new(2))).solve(&graph, &wcnf);
+        let sparse_par =
+            FixpointSolver::new(&ParSparseEngine::new(Device::new(3))).solve(&graph, &wcnf);
+        let tiled = FixpointSolver::new(&TiledEngine::new(Device::new(2))).solve(&graph, &wcnf);
 
         let reference = dense.pairs(wcnf.start);
         if let Some(expect) = expect {

@@ -133,7 +133,7 @@ fn example_path_from_section_4_3() {
     let graph = generators::paper_example();
     let s = wcnf.symbols.get_nt("S").unwrap();
 
-    let index = solve_single_path(&graph, &wcnf);
+    let index = SinglePathSolver::new(&DenseEngine).solve(&graph, &wcnf);
     assert_eq!(index.length(s, 1, 2), Some(2), "two-edge witness");
     let path = extract_path(&index, &graph, &wcnf, s, 1, 2).unwrap();
     let labels: Vec<&str> = path.iter().map(|e| graph.label_name(e.label)).collect();

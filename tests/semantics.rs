@@ -4,7 +4,6 @@
 
 use cfpq::core::all_paths::{enumerate_paths, EnumLimits};
 use cfpq::core::conjunctive::{anbncn, solve_conjunctive};
-use cfpq::core::relational::solve_on_engine;
 use cfpq::core::single_path::validate_witness;
 use cfpq::grammar::cnf::CnfOptions;
 use cfpq::grammar::queries;
@@ -18,7 +17,7 @@ fn every_single_path_witness_on_skos_validates() {
     let wcnf = queries::query1().to_wcnf(CnfOptions::default()).unwrap();
     let graph = ontology::dataset("skos").unwrap().to_graph();
     let s = wcnf.symbols.get_nt("S").unwrap();
-    let index = solve_single_path(&graph, &wcnf);
+    let index = SinglePathSolver::new(&DenseEngine).solve(&graph, &wcnf);
     let pairs = index.pairs_with_lengths(s);
     assert!(!pairs.is_empty());
     for (i, j, len) in pairs {
@@ -37,7 +36,7 @@ fn witness_lengths_are_even_for_same_generation() {
     let wcnf = queries::query1().to_wcnf(CnfOptions::default()).unwrap();
     let graph = ontology::dataset("travel").unwrap().to_graph();
     let s = wcnf.symbols.get_nt("S").unwrap();
-    let index = solve_single_path(&graph, &wcnf);
+    let index = SinglePathSolver::new(&DenseEngine).solve(&graph, &wcnf);
     for (i, j, len) in index.pairs_with_lengths(s) {
         assert_eq!(len % 2, 0, "odd witness length {len} at ({i},{j})");
     }
@@ -56,7 +55,7 @@ fn all_paths_on_binary_tree_counts_descend_ascend_pairs() {
     let wcnf = grammar.to_wcnf(CnfOptions::default()).unwrap();
     let s = wcnf.symbols.get_nt("S").unwrap();
     let graph = generators::binary_tree(3, "down", "up");
-    let rel = solve_on_engine(&SparseEngine, &graph, &wcnf);
+    let rel = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
     assert!(rel.contains(s, 0, 0));
     let page = enumerate_paths(
         &rel,
@@ -122,7 +121,7 @@ fn conjunctive_is_upper_approximation_on_merged_cycles() {
     let conj = solve_conjunctive(&SparseEngine, &graph, &g);
     for pick in 0..2 {
         let proj = g.projection(pick);
-        let rel = solve_on_engine(&SparseEngine, &graph, &proj);
+        let rel = FixpointSolver::new(&SparseEngine).solve(&graph, &proj);
         for (i, j) in conj.pairs(s) {
             assert!(
                 rel.contains(s, i, j),
