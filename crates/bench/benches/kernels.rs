@@ -13,7 +13,8 @@
 //! * tiled vs dense vs CSR products across densities — where each
 //!   representation's crossover sits, on uniform random structure and
 //!   on the clustered block-diagonal structure the tiled backend
-//!   targets;
+//!   targets, the latter also with a dense operand against a sparse
+//!   one (a closure's Δ against a label matrix, either way round);
 //! * a 100-entry Δ against a 25,000-row closure — the shape of every
 //!   sweep after the first on a hypersparse graph (`sparse-cold`), where
 //!   the CSR kernels must cost what they change, not what the closure
@@ -136,9 +137,21 @@ fn bench_repr_sweep(c: &mut Criterion) {
         ),
         ("clustered", clustered_pairs),
     ] {
-        for row_nnz in [2usize, 16, 48] {
-            let pa = gen(n, row_nnz * n, 0x21);
-            let pb = gen(n, row_nnz * n, 0x22);
+        // Equal densities on both sides, then — on the clustered shape,
+        // where a tile can be dense — one operand far sparser than the
+        // other: the cells in which the tiled kernel walks its right
+        // operand (48 × 2) or its left one (2 × 48).
+        let mut cells = vec![(2usize, 2usize), (16, 16), (48, 48)];
+        if shape == "clustered" {
+            cells.extend([(48, 2), (2, 48)]);
+        }
+        for (left_nnz, right_nnz) in cells {
+            let row_nnz = match left_nnz == right_nnz {
+                true => format!("{left_nnz}"),
+                false => format!("{left_nnz}x{right_nnz}"),
+            };
+            let pa = gen(n, left_nnz * n, 0x21);
+            let pb = gen(n, right_nnz * n, 0x22);
             let da = DenseBitMatrix::from_pairs(n, &pa);
             let db = DenseBitMatrix::from_pairs(n, &pb);
             let ca = CsrMatrix::from_pairs(n, &pa);

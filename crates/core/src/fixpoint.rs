@@ -46,15 +46,17 @@ pub(crate) trait Algebra {
     fn accumulate(&self, acc: &mut Self::Matrix, add: &Self::Matrix);
 
     /// Folds a sweep's gathered products into the closure and returns
-    /// what was new there — the next sweep's Δ, `None` if nothing was.
-    /// `masked` says every product in `fresh` ran masked by `full`, so
-    /// none of its cells is in `full` yet.
+    /// what was new there — the next sweep's Δ, with its cell count —
+    /// `None` if nothing was. The Δ is disjoint from what `full` held, so
+    /// `full` grew by exactly that count. `masked` says every product in
+    /// `fresh` ran masked by `full`, so none of its cells is in `full`
+    /// yet.
     fn fold(
         &self,
         full: &mut Self::Matrix,
         fresh: Self::Matrix,
         masked: bool,
-    ) -> Option<Self::Matrix>;
+    ) -> Option<(Self::Matrix, usize)>;
 
     /// Folds base facts (freshly inserted edges deriving the nonterminal
     /// of `full`) into a closed matrix; returns the new ones as a Δ,
@@ -85,7 +87,12 @@ impl<E: BoolEngine> Algebra for Boolean<'_, E> {
         self.0.union_in_place(acc, add);
     }
 
-    fn fold(&self, full: &mut E::Matrix, fresh: E::Matrix, masked: bool) -> Option<E::Matrix> {
+    fn fold(
+        &self,
+        full: &mut E::Matrix,
+        fresh: E::Matrix,
+        masked: bool,
+    ) -> Option<(E::Matrix, usize)> {
         // Masked products are already disjoint from `full` (the mask
         // snapshot predates this sweep's unions), so they *are* the new
         // Δ; unmasked ones need a difference.
@@ -93,15 +100,17 @@ impl<E: BoolEngine> Algebra for Boolean<'_, E> {
             true => fresh,
             false => self.0.difference(&fresh, full),
         };
-        if new.nnz() == 0 {
+        let nnz = new.nnz();
+        if nnz == 0 {
             return None;
         }
         self.0.union_in_place(full, &new);
-        Some(new)
+        Some((new, nnz))
     }
 
     fn seed(&self, full: &mut E::Matrix, pairs: &[(u32, u32)]) -> Option<E::Matrix> {
-        self.fold(full, self.0.from_pairs(full.n(), pairs), false)
+        let fresh = self.0.from_pairs(full.n(), pairs);
+        self.fold(full, fresh, false).map(|(new, _)| new)
     }
 
     fn nnz(&self, m: &E::Matrix) -> usize {
@@ -135,10 +144,11 @@ impl<E: LenEngine> Algebra for Lengths<'_, E> {
         full: &mut E::LenMatrix,
         fresh: E::LenMatrix,
         _masked: bool,
-    ) -> Option<E::LenMatrix> {
+    ) -> Option<(E::LenMatrix, usize)> {
         // The merge reports what it wrote, masked or not.
         let new = self.0.len_merge_absent(full, &fresh);
-        (new.nnz() > 0).then_some(new)
+        let nnz = new.nnz();
+        (nnz > 0).then_some((new, nnz))
     }
 
     fn seed(&self, full: &mut E::LenMatrix, pairs: &[(u32, u32)]) -> Option<E::LenMatrix> {
@@ -256,6 +266,10 @@ fn delta_sweeps<A: Algebra>(
     let mut first = seed.is_none();
     let mut delta = seed.unwrap_or_else(|| (0..n_nts).map(|_| None).collect());
     debug_assert_eq!(delta.len(), n_nts);
+    // `Σ_A nnz(T_A)`, counted once here and then kept by adding each Δ
+    // as it is folded in: a sweep pays for what it found, not for a
+    // recount of the closure.
+    let mut closure_nnz = total_nnz(algebra, full);
     loop {
         let mut sweep_sp = cfpq_obs::span("sweep");
 
@@ -310,11 +324,16 @@ fn delta_sweeps<A: Algebra>(
 
         // Fold the fresh entries into the closure and derive the next Δ.
         for a in 0..n_nts {
-            delta[a] = fresh[a]
+            let folded = fresh[a]
                 .take()
                 .and_then(|f| algebra.fold(&mut full[a], f, fresh_masked[a]));
+            delta[a] = folded.map(|(new, nnz)| {
+                closure_nnz += nnz;
+                new
+            });
         }
-        stats.sweep_nnz.push(total_nnz(algebra, full));
+        debug_assert_eq!(closure_nnz, total_nnz(algebra, full), "a Δ met its closure");
+        stats.sweep_nnz.push(closure_nnz);
         if sweep_sp.is_recording() {
             sweep_sp.attr_u64("sweep", stats.sweep_nnz.len() as u64);
             sweep_sp.attr_u64("products", n_jobs as u64);

@@ -10,7 +10,12 @@
 //! right-hand side feeding several left-hand sides runs unmasked and
 //! derives its Δ by `difference`. [`shared_rhs_takes_the_unmasked_branch`]
 //! pins that branch on a hand-built grammar, cold and through `resume`.
+//!
+//! The random graphs above fit in one 64 × 64 tile.
+//! [`saturating_multi_tile_blocks_agree_on_every_engine`] is the tiled
+//! backend's regime: clusters several tiles wide whose closure fills up.
 
+use cfpq_baselines::hellings::solve_hellings;
 use cfpq_core::query::{solve_wcnf, Backend};
 use cfpq_core::relational::{init_pairs, FixpointSolver, RelationalIndex, SolveOptions};
 use cfpq_grammar::cnf::CnfOptions;
@@ -278,4 +283,64 @@ fn shared_rhs_takes_the_unmasked_branch() {
         expect,
     );
     check(TiledEngine::new(Device::new(2)), &grammar, graphs, expect);
+}
+
+/// Three 192-node clusters under `S → a S b | a b`: every cluster is
+/// three tiles wide, so a left tile meets a panel of three right tiles,
+/// and the closure saturates its blocks — `ΔS` tiles go from a few cells
+/// to nearly full and back to nothing while the label matrices keep four
+/// cells per row. Those are the products (`ΔS × T_b` against
+/// `T_a × ΔS1`) on which the tiled kernel walks one operand or the
+/// other, so the tiled engine, alone and split over two workers, must
+/// match dense, CSR and the Hellings worklist cell for cell and run the
+/// same sweeps, products and per-sweep totals as the flat engines.
+#[test]
+fn saturating_multi_tile_blocks_agree_on_every_engine() {
+    let graph = generators::clustered_blocks(3, 192, 4, &["a", "b"], 0xB10C);
+    let grammar = Cfg::parse("S -> a S b | a b")
+        .unwrap()
+        .to_wcnf(CnfOptions::default())
+        .unwrap();
+    let hellings = solve_hellings(&graph, &grammar);
+    let expect: Vec<Vec<(u32, u32)>> = (0..grammar.n_nts())
+        .map(|a| hellings.pairs(Nt(a as u32)))
+        .collect();
+    let start = &expect[grammar.start.index()];
+    assert!(
+        start.len() > 3 * 192 * 192 / 2,
+        "the blocks saturate: {} of {} cells",
+        start.len(),
+        3 * 192 * 192
+    );
+
+    type Run = (Vec<Vec<(u32, u32)>>, usize, usize, Vec<usize>);
+    fn run<E: BoolEngine>(engine: E, graph: &Graph, grammar: &Wcnf) -> Run {
+        let index = FixpointSolver::new(&engine).solve(graph, grammar);
+        assert_eq!(
+            index.stats.nt_nnz.iter().sum::<usize>(),
+            *index.stats.sweep_nnz.last().unwrap(),
+            "{}: the running total is the closure's",
+            engine.name()
+        );
+        (
+            all_pairs(&index),
+            index.iterations,
+            index.stats.products_computed,
+            index.stats.sweep_nnz,
+        )
+    }
+    // Boolean asserts: a failure names the engine instead of printing
+    // a hundred thousand pairs.
+    let dense = run(DenseEngine, &graph, &grammar);
+    assert!(dense.0 == expect, "dense vs Hellings");
+    assert!(dense.1 > 4, "several sweeps of growth: {:?}", dense.3);
+    assert!(run(SparseEngine, &graph, &grammar) == dense, "CSR");
+    assert!(
+        run(TiledEngine::serial(), &graph, &grammar) == dense,
+        "tiled"
+    );
+    assert!(
+        run(TiledEngine::new(Device::new(2)), &graph, &grammar) == dense,
+        "tiled, two workers"
+    );
 }

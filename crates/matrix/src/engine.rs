@@ -118,7 +118,7 @@ impl KernelCounters {
 /// # The tile-kernel contract
 ///
 /// Blocked backends (`TiledEngine`) decompose every product into
-/// fixed-size tile-pair kernels. Three guarantees keep them
+/// fixed-size tile-pair kernels. Four guarantees keep them
 /// interchangeable with the flat engines:
 ///
 /// * **Canonical form.** No all-zero tile is ever stored and tile
@@ -132,6 +132,18 @@ impl KernelCounters {
 /// * **Monotone shared counters.** Skip counts only grow and are shared
 ///   across engine clones, so `kernel_counters()` sampled before and
 ///   after a run brackets exactly that run's work on a quiescent engine.
+/// * **A product costs its sparser operand, and nothing shows which.**
+///   A tile pair can be evaluated by walking the set bits of either
+///   tile (for `TiledEngine`: the left tile's rows, or — after one
+///   64×64 transpose — the right panel's, into a transposed
+///   accumulator), at one word-OR per bit walked. The backend picks the
+///   side per left tile by comparing the two operation counts, computed
+///   from popcounts of the operands it was handed and from nothing
+///   else: no threshold, option or build setting enters, so a caller
+///   cannot select a side and need not. The output matrix, its
+///   canonical form, `tiles_skipped` and the way a `Device` splits the
+///   tile-rows are the same whichever side ran — serial and
+///   multi-worker products stay byte-identical.
 ///
 /// # The Recorder contract
 ///

@@ -18,11 +18,27 @@
 //! * per tile-row, the non-empty tiles are stored CSR-style: a sorted
 //!   tile-column index array plus the tile payloads (the same
 //!   `row_ptr`/`cols` idiom as [`crate::CsrMatrix`], one level up);
-//! * `C_{ij} |= A_{ik} × B_{kj}` runs the classic dense bitset kernel
-//!   per tile pair — for each of the 64 tile rows, OR `B`'s row `k` word
-//!   into the accumulator for every set bit `k` — and tile pairs whose
-//!   counterpart tile-row in `B` is empty are skipped without touching
-//!   any bit (counted in [`crate::engine::KernelCounters::tiles_skipped`]);
+//! * `C_{ij} |= A_{ik} × B_{kj}` runs a dense bitset kernel per tile
+//!   pair, and a left tile `A_{ik}` goes through its *panel* — the `nb`
+//!   stored tiles of `B`'s tile-row `k` — whichever of two ways costs
+//!   fewer word-ORs. *Left-driven*, the classic kernel: for every set
+//!   bit `(r, k')` of `A_{ik}`, OR row `k'` of the panel tile into row
+//!   `r` of the accumulator — `|A_{ik}| · nb` ORs. *Right-driven*:
+//!   transpose `A_{ik}` once, then for every set bit `(k', j')` of the
+//!   panel OR column `k'` of `A_{ik}` into row `j'` of a transposed
+//!   accumulator — `|B_{k*}|` ORs — and transpose each such accumulator
+//!   back into the ordinary one when the tile-row is drained. A dense Δ
+//!   against a sparse label matrix (`ΔS × T_b`) is cheap right-driven
+//!   and the same pair the other way round (`T_a × ΔS`) is cheap
+//!   left-driven, so a sweep costs its sparser operands. The choice is
+//!   made from popcounts of the two operands alone
+//!   (`TileAccumulator::right_driven_is_cheaper`, where the rule and
+//!   its unit live), is not configurable, and cannot show in a result:
+//!   both paths feed one accumulator ahead of masking, the zero-tile
+//!   test and the skip accounting;
+//! * tile pairs whose counterpart tile-row in `B` is empty are skipped
+//!   without touching any bit (counted in
+//!   [`crate::engine::KernelCounters::tiles_skipped`]);
 //! * tile-row blocks of the product are dispatched in parallel across
 //!   the existing [`Device`] pool, exactly like the flat kernels.
 //!
@@ -78,6 +94,17 @@ fn tile_is_zero(t: &TileWords) -> bool {
     t.iter().all(|&w| w == 0)
 }
 
+/// The write paths' range check: a bit outside the matrix would break
+/// the "out-of-range bits are zero" invariant `grow` relies on, or index
+/// past the tile grid.
+#[inline]
+fn assert_in_range(n: usize, (i, j): (u32, u32)) {
+    assert!(
+        (i as usize) < n && (j as usize) < n,
+        "pair ({i}, {j}) is outside the {n} × {n} matrix"
+    );
+}
+
 impl TiledBitMatrix {
     /// Creates the zero matrix of size `n × n`.
     pub fn zeros(n: usize) -> Self {
@@ -94,6 +121,10 @@ impl TiledBitMatrix {
     /// Builds a matrix from `(row, col)` pairs. Row-major-sorted input —
     /// what `pairs()` emits on every representation — takes an `O(nnz)`
     /// streaming path; unsorted input falls back to the sorting insert.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a row or column `>= n`.
     pub fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
         if pairs.windows(2).all(|w| w[0] <= w[1]) {
             Self::from_sorted_pairs(n, pairs)
@@ -122,7 +153,7 @@ impl TiledBitMatrix {
             let row_end = ((ti + 1) * TILE) as u32;
             while k < pairs.len() && pairs[k].0 < row_end {
                 let (i, j) = pairs[k];
-                debug_assert!((i as usize) < n && (j as usize) < n);
+                assert_in_range(n, (i, j));
                 let tj = j as usize / TILE;
                 let mut slot = slot_of[tj];
                 if slot == u32::MAX {
@@ -157,7 +188,10 @@ impl TiledBitMatrix {
             }
             row_ptr.push(tiles.len());
         }
-        debug_assert_eq!(k, pairs.len(), "pairs out of range");
+        // Sorted input: whatever is left names a row past the last tile.
+        if let Some(&beyond) = pairs.get(k) {
+            assert_in_range(n, beyond);
+        }
         Self {
             n,
             tn,
@@ -203,10 +237,7 @@ impl TiledBitMatrix {
 
     /// Number of set bits.
     pub fn nnz(&self) -> usize {
-        self.tiles
-            .iter()
-            .map(|t| t.iter().map(|w| w.count_ones() as usize).sum::<usize>())
-            .sum()
+        self.tiles.iter().map(tile_bits).sum()
     }
 
     /// All set `(row, col)` pairs in row-major order.
@@ -236,6 +267,10 @@ impl TiledBitMatrix {
 
     /// Sets every bit of `pairs` in place; returns `true` if any bit was
     /// newly set. The point-update path behind `BoolEngine::union_pairs`.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a row or column `>= n`; the matrix is unchanged.
     pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
         if pairs.is_empty() {
             return false;
@@ -245,7 +280,7 @@ impl TiledBitMatrix {
         let mut keyed: Vec<(u32, u32, u32, u32)> = pairs
             .iter()
             .map(|&(i, j)| {
-                debug_assert!((i as usize) < self.n && (j as usize) < self.n);
+                assert_in_range(self.n, (i, j));
                 (
                     i / TILE as u32,
                     j / TILE as u32,
@@ -458,13 +493,17 @@ impl TiledBitMatrix {
             assert_eq!(self.n, m.n, "mask dimension mismatch");
         }
         let mut out = TiledBitMatrix::zeros(self.n);
-        let offload = device.is_some_and(|d| d.n_workers() > 1 && self.tn > 1);
-        let blocks: Vec<TileBlock> = if offload {
-            let device = device.expect("offload implies device");
-            device.par_map_ranges(self.tn, |range| self.multiply_block(other, mask, range))
-        } else {
-            vec![self.multiply_block(other, mask, 0..self.tn)]
+        let Some(device) = device.filter(|d| d.n_workers() > 1 && self.tn > 1) else {
+            // One block is the whole product: its vectors become the
+            // output's instead of being copied into it.
+            let (row_ends, cols, tiles, skipped) = self.multiply_block(other, mask, 0..self.tn);
+            out.row_ptr[1..].copy_from_slice(&row_ends);
+            out.tile_cols = cols;
+            out.tiles = tiles;
+            return (out, skipped);
         };
+        let blocks: Vec<TileBlock> =
+            device.par_map_ranges(self.tn, |range| self.multiply_block(other, mask, range));
         let mut skipped = 0u64;
         let mut ti = 0usize;
         for (row_ends, cols, tiles, block_skipped) in blocks {
@@ -494,30 +533,56 @@ impl TiledBitMatrix {
         let mut cols: Vec<u32> = Vec::new();
         let mut tiles: Vec<TileWords> = Vec::new();
         let mut skipped = 0u64;
-        with_tile_accumulator(self.tn, |acc| {
+        TILE_ACC.with_borrow_mut(|acc| {
+            acc.begin_product(self.tn);
             for ti in rows {
+                let a_row = self.row_ptr[ti]..self.row_ptr[ti + 1];
+                let row_len = a_row.len();
+                if row_len == 0 {
+                    // Most tile-rows of a source-restricted product:
+                    // nothing to begin, fold or drain.
+                    row_ends.push(cols.len());
+                    continue;
+                }
                 acc.begin_row();
-                for t in self.row_ptr[ti]..self.row_ptr[ti + 1] {
+                for t in a_row {
                     let tk = self.tile_cols[t] as usize;
-                    let b_range = other.row_ptr[tk]..other.row_ptr[tk + 1];
-                    if b_range.is_empty() {
+                    let panel = other.row_ptr[tk]..other.row_ptr[tk + 1];
+                    if panel.is_empty() {
                         // The whole family of products A_{i,k} × B_{k,*}
                         // vanishes: B's tile-row k stores nothing.
                         skipped += 1;
                         continue;
                     }
                     let a_tile = &self.tiles[t];
-                    for bt in b_range {
-                        let tj = other.tile_cols[bt];
-                        tile_multiply_into(a_tile, &other.tiles[bt], acc.tile(tj));
+                    if acc.right_driven_is_cheaper(a_tile, tk, &other.tiles[panel.clone()], row_len)
+                    {
+                        let a_cols = transpose_tile(a_tile);
+                        for bt in panel {
+                            let tj = other.tile_cols[bt];
+                            tile_multiply_transposed_into(
+                                &a_cols,
+                                &other.tiles[bt],
+                                acc.transposed_tile(tj),
+                            );
+                        }
+                    } else {
+                        for bt in panel {
+                            let tj = other.tile_cols[bt];
+                            tile_multiply_into(a_tile, &other.tiles[bt], acc.tile(tj));
+                        }
                     }
                 }
+                // Whatever went right-driven joins the ordinary
+                // accumulator here, so everything below sees one row.
+                acc.fold_transposed();
                 // Drain this tile-row's accumulated tiles in ascending
                 // tile-column order (canonical form), masking on the way.
-                acc.touched.sort_unstable();
+                let row = &mut acc.row;
+                row.touched.sort_unstable();
                 let mask_row = mask.map(|m| (m, m.row_ptr[ti]..m.row_ptr[ti + 1]));
-                for &tj in &acc.touched {
-                    let tile = &mut acc.tiles[tj as usize];
+                for &tj in &row.touched {
+                    let tile = &mut row.tiles[tj as usize];
                     if let Some((m, ref mrange)) = mask_row {
                         if let Ok(pos) = m.tile_cols[mrange.clone()].binary_search(&tj) {
                             let mtile = &m.tiles[mrange.start + pos];
@@ -542,9 +607,9 @@ impl TiledBitMatrix {
     }
 }
 
-/// The dense 64×64 kernel: `c |= a × b` over Boolean semiring. For each
-/// tile row `r`, every set bit `k` of `a[r]` ORs `b`'s row `k` into
-/// `c[r]` — the flat dense kernel at cache-resident scale.
+/// The left-driven 64×64 kernel: `c |= a × b` over the Boolean semiring.
+/// For each tile row `r`, every set bit `k` of `a[r]` ORs `b`'s row `k`
+/// into `c[r]` — one word-OR per set bit of `a`, whatever `b` holds.
 #[inline]
 fn tile_multiply_into(a: &TileWords, b: &TileWords, c: &mut TileWords) {
     for r in 0..TILE {
@@ -561,25 +626,72 @@ fn tile_multiply_into(a: &TileWords, b: &TileWords, c: &mut TileWords) {
     }
 }
 
-/// Per-thread accumulator for one tile-row of a product: a lazily-zeroed
-/// tile per tile-column plus the touched-column list. Reused across
-/// products via a thread-local (the device workers are persistent), so
-/// no per-product `O(tn)` allocation or zeroing happens — only tiles
-/// actually touched are cleared, at first touch.
-struct TileAccumulator {
+/// The right-driven 64×64 kernel: `cᵀ |= (a × b)ᵀ`, given `a`'s columns
+/// (`a_cols = aᵀ`). Every set bit `(k, j)` of `b` ORs column `k` of `a`
+/// into column `j` of the product, which is row `j` of the transposed
+/// accumulator — one word-OR per set bit of `b`, whatever `a` holds
+/// (an empty column is OR-ed like any other: testing for it would put a
+/// coin-flip branch in front of every row of a half-empty `a`).
+#[inline]
+fn tile_multiply_transposed_into(a_cols: &TileWords, b: &TileWords, c_cols: &mut TileWords) {
+    for k in 0..TILE {
+        let col = a_cols[k];
+        let mut bw = b[k];
+        while bw != 0 {
+            c_cols[bw.trailing_zeros() as usize] |= col;
+            bw &= bw - 1;
+        }
+    }
+}
+
+/// The 64×64 bit transpose: six rounds of block swaps (widths 32, 16, …
+/// 1), 32 word pairs each. A round at width `j` exchanges, inside every
+/// `2j × 2j` diagonal block, the upper-right `j × j` quadrant with the
+/// lower-left one.
+fn transpose_tile(tile: &TileWords) -> TileWords {
+    let mut t = *tile;
+    let mut j = TILE / 2;
+    let mut low = u64::MAX >> j;
+    while j != 0 {
+        for block in (0..TILE).step_by(2 * j) {
+            for r in block..block + j {
+                let swap = ((t[r] >> j) ^ t[r + j]) & low;
+                t[r] ^= swap << j;
+                t[r + j] ^= swap;
+            }
+        }
+        j /= 2;
+        low ^= low << j;
+    }
+    t
+}
+
+/// What one [`transpose_tile`] costs in the unit
+/// [`TileAccumulator::right_driven_is_cheaper`] counts in — word
+/// operations, a kernel's OR of one word into another being one: six
+/// rounds of 32 swaps.
+const TRANSPOSE_OPS: usize = 6 * (TILE / 2);
+
+#[inline]
+fn tile_bits(t: &TileWords) -> usize {
+    t.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// A stamped set of tiles, one slot per tile-column: a slot belongs to
+/// the current tile-row iff its stamp says so and is zeroed at first
+/// touch, so starting a row clears nothing.
+struct TileSlots {
     tiles: Vec<TileWords>,
     /// `stamp[tj] == cur` iff `tiles[tj]` belongs to the current row.
     stamp: Vec<u64>,
-    cur: u64,
     touched: Vec<u32>,
 }
 
-impl TileAccumulator {
-    fn new() -> Self {
+impl TileSlots {
+    const fn new() -> Self {
         Self {
             tiles: Vec::new(),
             stamp: Vec::new(),
-            cur: 0,
             touched: Vec::new(),
         }
     }
@@ -591,16 +703,11 @@ impl TileAccumulator {
         }
     }
 
-    fn begin_row(&mut self) {
-        self.cur += 1;
-        self.touched.clear();
-    }
-
     #[inline]
-    fn tile(&mut self, tj: u32) -> &mut TileWords {
+    fn tile(&mut self, cur: u64, tj: u32) -> &mut TileWords {
         let idx = tj as usize;
-        if self.stamp[idx] != self.cur {
-            self.stamp[idx] = self.cur;
+        if self.stamp[idx] != cur {
+            self.stamp[idx] = cur;
             self.tiles[idx] = EMPTY_TILE;
             self.touched.push(tj);
         }
@@ -608,16 +715,125 @@ impl TileAccumulator {
     }
 }
 
-thread_local! {
-    static TILE_ACC: RefCell<TileAccumulator> = RefCell::new(TileAccumulator::new());
+/// Per-thread accumulator for one tile-row of a product: the row's
+/// output tiles, a second set holding the transposes of what the
+/// right-driven kernel produced, and the panel bit counts the path
+/// choice reads. Reused across products via a thread-local (the device
+/// workers are persistent), so no per-product `O(tn)` allocation or
+/// zeroing happens — only tiles actually touched are cleared, at first
+/// touch — and the right-driven half (as many tiles again, 512 B each)
+/// is allocated by the first product on the thread that takes that path.
+struct TileAccumulator {
+    /// Stamp of the current tile-row. Bumped per row and per product and
+    /// never reset, so one counter keys both tile sets and `panel_bits`.
+    cur: u64,
+    /// `cur` as the product in progress began.
+    product: u64,
+    row: TileSlots,
+    transposed: TileSlots,
+    /// `panel_bits[k] == (product, bits)` iff `bits` is the popcount of
+    /// the right operand's tile-row `k` in the product in progress.
+    panel_bits: Vec<(u64, usize)>,
 }
 
-fn with_tile_accumulator<R>(tn: usize, f: impl FnOnce(&mut TileAccumulator) -> R) -> R {
-    TILE_ACC.with(|cell| {
-        let mut acc = cell.borrow_mut();
-        acc.ensure(tn);
-        f(&mut acc)
-    })
+impl TileAccumulator {
+    const fn new() -> Self {
+        Self {
+            cur: 0,
+            product: 0,
+            row: TileSlots::new(),
+            transposed: TileSlots::new(),
+            panel_bits: Vec::new(),
+        }
+    }
+
+    fn begin_product(&mut self, tn: usize) {
+        self.row.ensure(tn);
+        self.cur += 1;
+        self.product = self.cur;
+    }
+
+    fn begin_row(&mut self) {
+        self.cur += 1;
+        self.row.touched.clear();
+        self.transposed.touched.clear();
+    }
+
+    #[inline]
+    fn tile(&mut self, tj: u32) -> &mut TileWords {
+        self.row.tile(self.cur, tj)
+    }
+
+    #[inline]
+    fn transposed_tile(&mut self, tj: u32) -> &mut TileWords {
+        self.transposed.ensure(self.row.tiles.len());
+        self.transposed.tile(self.cur, tj)
+    }
+
+    /// Transposes back what the right-driven kernel accumulated for this
+    /// tile-row and ORs it into the row's ordinary tiles.
+    fn fold_transposed(&mut self) {
+        for &tj in &self.transposed.touched {
+            let back = transpose_tile(&self.transposed.tiles[tj as usize]);
+            for (w, b) in self.row.tile(self.cur, tj).iter_mut().zip(back) {
+                *w |= b;
+            }
+        }
+    }
+
+    /// Picks the path of one left tile `a` — tile-column `k`, one of
+    /// `row_len` stored in its tile-row — through its `panel`, the `nb`
+    /// stored tiles of the right operand's tile-row `k`, by counting
+    /// both paths in word operations:
+    ///
+    /// * left-driven ([`tile_multiply_into`]): an OR per set bit of `a`
+    ///   for every panel tile, `|a| · nb`;
+    /// * right-driven ([`tile_multiply_transposed_into`]): one transpose
+    ///   of `a`, an OR per set bit of the panel, and at the drain a
+    ///   transpose and a 64-word OR for every transposed accumulator
+    ///   touched — at most `nb`, of which this tile is charged its
+    ///   `1 / row_len` share, the row's other left tiles filling the
+    ///   same ones.
+    ///
+    /// Both counts are read off the operands alone, so a product takes
+    /// the same paths wherever and however often it runs, and its bits
+    /// never depend on them. Counting stays below the work it steers by
+    /// first holding left-driven to what right-driven costs at its best
+    /// (its transposes, and one bit in each stored panel tile): a tile
+    /// whose non-empty rows, were they full, stay under that is not
+    /// popcounted; one whose bits stay under it is not compared; and a
+    /// panel is popcounted once per product, when the first left tile
+    /// that needs the comparison meets it.
+    fn right_driven_is_cheaper(
+        &mut self,
+        a: &TileWords,
+        k: usize,
+        panel: &[TileWords],
+        row_len: usize,
+    ) -> bool {
+        let nb = panel.len();
+        let transposes = TRANSPOSE_OPS + ((TRANSPOSE_OPS + TILE) * nb).div_ceil(row_len);
+        let right_at_best = transposes + nb;
+        let nonzero_rows = a.iter().filter(|&&w| w != 0).count();
+        if TILE * nonzero_rows * nb <= right_at_best {
+            return false;
+        }
+        let left = tile_bits(a) * nb;
+        if left <= right_at_best {
+            return false;
+        }
+        if self.panel_bits.len() < self.row.tiles.len() {
+            self.panel_bits.resize(self.row.tiles.len(), (0, 0));
+        }
+        if self.panel_bits[k].0 != self.product {
+            self.panel_bits[k] = (self.product, panel.iter().map(tile_bits).sum());
+        }
+        transposes + self.panel_bits[k].1 < left
+    }
+}
+
+thread_local! {
+    static TILE_ACC: RefCell<TileAccumulator> = const { RefCell::new(TileAccumulator::new()) };
 }
 
 impl BoolMat for TiledBitMatrix {
@@ -898,6 +1114,97 @@ mod tests {
             let (par, _) = a.multiply_masked_opt_on(&b, Some(&mask), Some(&d));
             assert_eq!(par, serial, "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn transpose_matches_the_bit_by_bit_definition_and_undoes_itself() {
+        let mut tile = EMPTY_TILE;
+        for (i, j) in pseudo_pairs(TILE, 700, 0x7A) {
+            tile[i as usize] |= 1 << j;
+        }
+        // An asymmetric frame, so a transpose about the wrong diagonal or
+        // a shift in the wrong direction cannot pass: the whole first row
+        // and the last cell of the second.
+        tile[0] = u64::MAX;
+        tile[1] |= 1 << 63;
+        let mut expect = EMPTY_TILE;
+        for (r, &word) in tile.iter().enumerate() {
+            for c in (0..TILE).filter(|c| word >> c & 1 == 1) {
+                expect[c] |= 1 << r;
+            }
+        }
+        let transposed = transpose_tile(&tile);
+        assert_eq!(transposed, expect);
+        assert_ne!(transposed, tile);
+        assert_eq!(transpose_tile(&transposed), tile);
+        assert_eq!(transpose_tile(&EMPTY_TILE), EMPTY_TILE);
+    }
+
+    #[test]
+    fn one_tile_row_takes_both_paths_into_the_same_output_tiles() {
+        // 3 × 3 tiles. Tile-row 0 of `a` stores a full tile in column 0
+        // and a two-bit tile in column 1; tile-rows 0 and 1 of `b` are
+        // sparse panels over all three tile-columns. The full tile costs
+        // 4096 · 3 ORs left-driven against one per panel bit, so it goes
+        // right-driven; the two-bit tile cannot pay for a transpose; and
+        // both land in output tiles (0, 0), (0, 1) and (0, 2).
+        let n = 3 * TILE;
+        let mut pa: Vec<(u32, u32)> = (0..64).flat_map(|i| (0..64).map(move |j| (i, j))).collect();
+        pa.extend([(3, 70), (40, 100)]);
+        let mut pb: Vec<(u32, u32)> = pseudo_pairs(n, 120, 0xB16)
+            .into_iter()
+            .filter(|&(i, _)| i < 128)
+            .collect();
+        pb.extend([(5, 5), (5, 69), (5, 133), (70, 6), (70, 70), (100, 134)]);
+        let a = TiledBitMatrix::from_pairs(n, &pa);
+        let b = TiledBitMatrix::from_pairs(n, &pb);
+        assert_eq!((a.stored_tiles(), b.stored_tiles()), (2, 6));
+
+        let mut chooser = TileAccumulator::new();
+        chooser.begin_product(a.tn);
+        assert!(chooser.right_driven_is_cheaper(&a.tiles[0], 0, &b.tiles[..3], 2));
+        assert!(!chooser.right_driven_is_cheaper(&a.tiles[1], 1, &b.tiles[3..], 2));
+
+        // Output tile (0, 1) fully masked, (0, 2) partly.
+        let mut pm: Vec<(u32, u32)> = (0..64)
+            .flat_map(|i| (64..128).map(move |j| (i, j)))
+            .collect();
+        pm.extend((0..64).map(|i| (i, 128 + i)));
+        let mask = TiledBitMatrix::from_pairs(n, &pm);
+        let (da, db, dm) = (
+            crate::DenseBitMatrix::from_pairs(n, &pa),
+            crate::DenseBitMatrix::from_pairs(n, &pb),
+            crate::DenseBitMatrix::from_pairs(n, &pm),
+        );
+
+        let allocated = || TILE_ACC.with_borrow(|acc| acc.transposed.tiles.len());
+        assert_eq!(allocated(), 0, "no right-driven product on this thread yet");
+        let (plain, skipped) = a.multiply_masked_opt_on(&b, None, None);
+        assert_eq!(allocated(), a.tn, "the full tile went right-driven");
+        assert!(plain.pairs() == da.multiply(&db).pairs());
+        assert_eq!(skipped, 0);
+        let (masked, skipped) = a.multiply_masked_opt_on(&b, Some(&mask), None);
+        assert!(masked.pairs() == da.multiply(&db).difference(&dm).pairs());
+        assert_eq!(skipped, 1, "output tile (0, 1) is masked out whole");
+        assert_eq!(masked.stored_tiles(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair (0, 131) is outside the 130 × 130 matrix")]
+    fn from_pairs_rejects_a_column_in_the_edge_tiles_padding() {
+        TiledBitMatrix::from_pairs(130, &[(0, 131)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair (0, 200) is outside the 130 × 130 matrix")]
+    fn from_pairs_rejects_a_column_past_the_tile_grid() {
+        TiledBitMatrix::from_pairs(130, &[(0, 200)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair (0, 150) is outside the 130 × 130 matrix")]
+    fn insert_pairs_rejects_a_column_in_the_edge_tiles_padding() {
+        TiledBitMatrix::zeros(130).insert_pairs(&[(0, 150)]);
     }
 
     #[test]

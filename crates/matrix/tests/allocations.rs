@@ -4,10 +4,14 @@
 //! allocate a constant number of times, whatever the number of rows (a
 //! per-row `Vec` anywhere in the kernel shows here as thousands).
 //!
+//! The tiled product is held to the same rule one level up: its
+//! allocation count must not depend on the number of tile-rows, whichever
+//! way its tiles go through their panels.
+//!
 //! The counter (`support/counting_allocator.rs`) is per thread, so the
 //! test harness's own threads do not disturb it.
 
-use cfpq_matrix::{CsrLenMatrix, CsrMatrix, LenEngine, SparseEngine};
+use cfpq_matrix::{CsrLenMatrix, CsrMatrix, LenEngine, SparseEngine, TiledBitMatrix};
 use counting_allocator::allocations;
 
 #[path = "support/counting_allocator.rs"]
@@ -81,4 +85,52 @@ fn a_delta_into_a_closure_allocates_a_constant_number_of_times() {
     for (what, count) in [("Δ × closure", len_left), ("closure × Δ", len_right)] {
         assert!(count <= 24, "length {what} allocated {count} times");
     }
+}
+
+/// Allocation counts of two tiled products whose operands fill the same
+/// 8 × 8 leading tiles of an `n × n` matrix, whatever `n` is: sparse ×
+/// sparse, every tile left-driven, then full × sparse, every tile
+/// right-driven. Each is counted on its first run on this thread and
+/// again once the thread's accumulators exist.
+fn tiled_product_allocations(n: usize) -> [(usize, usize); 2] {
+    let block = 512u32;
+    let sparse = |shift: u32| -> Pairs {
+        (0..block)
+            .flat_map(|i| {
+                [
+                    (i, (3 * i + shift) % block),
+                    (i, (7 * i + 2 * shift) % block),
+                ]
+            })
+            .collect()
+    };
+    let full: Pairs = (0..block)
+        .flat_map(|i| (0..block).map(move |j| (i, j)))
+        .collect();
+    let b = TiledBitMatrix::from_pairs(n, &sparse(5));
+    [sparse(1), full].map(|left| {
+        let a = TiledBitMatrix::from_pairs(n, &left);
+        let (first, expect) = allocations(|| a.multiply_masked(&b, &b));
+        let (warm, product) = allocations(|| a.multiply_masked(&b, &b));
+        assert!(product == expect && product.stored_tiles() == 64);
+        (first, warm)
+    })
+}
+
+#[test]
+fn a_tiled_product_allocates_independently_of_the_number_of_tile_rows() {
+    let [left_small, right_small] = tiled_product_allocations(512);
+    let [left_large, right_large] = tiled_product_allocations(51_200);
+    // Warm, a product allocates its output — row offsets twice, and the
+    // doubling growth of 64 tile columns and payloads — and nothing per
+    // tile-row: 8 tile-rows or 800.
+    assert_eq!(left_small.1, left_large.1, "left-driven");
+    assert_eq!(right_small.1, right_large.1, "right-driven");
+    assert!(left_large.1 <= 20, "allocated {} times", left_large.1);
+    assert!(right_large.1 <= 20, "allocated {} times", right_large.1);
+    // The transposed accumulators and panel counts come with the first
+    // right-driven product, not before: the sparse product ran first and
+    // left them unallocated.
+    assert!(right_small.0 > right_small.1, "{right_small:?}");
+    assert!(right_large.0 > right_large.1, "{right_large:?}");
 }

@@ -308,6 +308,93 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Tiled products across tile panels and densities
+// ---------------------------------------------------------------------------
+
+/// 4 × 4 tiles, the last tile-row and tile-column 8 bits wide: every
+/// left tile meets a panel of several right tiles.
+const N_PANELS: usize = 200;
+
+/// A seeded `N_PANELS`-square pair list in one of four density classes:
+/// hypersparse (six cells), about two cells per row, half full, full.
+/// A tile of the first two is cheapest walked itself and a tile of the
+/// last two is cheapest met from the other operand's side, so the
+/// sixteen left × right combinations put both tile kernels, and rows
+/// that mix them, under the same product laws.
+fn with_density(class: usize, seed: u64) -> Vec<(u32, u32)> {
+    let n = N_PANELS as u32;
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    let mut all = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+    match class {
+        0 => (0..6).map(|_| (next() % n, next() % n)).collect(),
+        1 => (0..2 * n).map(|_| (next() % n, next() % n)).collect(),
+        2 => all.filter(|_| next() & 1 == 1).collect(),
+        _ => all.by_ref().collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(6, RNG_SEED))]
+
+    #[test]
+    fn tiled_products_equal_dense_ones_at_every_density(
+        seeds in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+    ) {
+        let devices = [Device::new(2), Device::new(3)];
+        // The same four pair lists per operand, once per representation.
+        let per_class = |seed: u64| -> Vec<(DenseBitMatrix, TiledBitMatrix)> {
+            (0..4)
+                .map(|class| {
+                    let pairs = with_density(class, seed);
+                    (
+                        DenseBitMatrix::from_pairs(N_PANELS, &pairs),
+                        TiledBitMatrix::from_pairs(N_PANELS, &pairs),
+                    )
+                })
+                .collect()
+        };
+        let (lefts, rights, masks) = (per_class(seeds.0), per_class(seeds.1), per_class(seeds.2));
+        for (left, (da, ta)) in lefts.iter().enumerate() {
+            for (right, (db, tb)) in rights.iter().enumerate() {
+                let product = da.multiply(db);
+                let unmasked = [(None, product.clone(), "none".to_string())];
+                let masked = masks.iter().enumerate().map(|(masking, (dm, tm))| {
+                    (Some(tm), product.difference(dm), masking.to_string())
+                });
+                for (mask, expect, masking) in unmasked.into_iter().chain(masked) {
+                    let what = format!("densities {left} x {right}, mask {masking}");
+                    let (serial, skipped) = ta.multiply_masked_opt_on(tb, mask, None);
+                    // Structural equality: the same bits in canonical form.
+                    // (Boolean asserts — a failure names the case instead of
+                    // printing two 200 × 200 matrices.)
+                    let expect = TiledBitMatrix::from_pairs(N_PANELS, &expect.pairs());
+                    prop_assert!(serial == expect, "{}", what);
+                    for device in &devices {
+                        let workers = device.n_workers();
+                        let (split, split_skipped) =
+                            ta.multiply_masked_opt_on(tb, mask, Some(device));
+                        prop_assert!(split == serial, "{} workers, {}", workers, what);
+                        prop_assert_eq!(
+                            split_skipped,
+                            skipped,
+                            "tiles_skipped, {} workers, {}",
+                            workers,
+                            what
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// ROADMAP 6(d): a read outside the matrix answers "not there" in every
 /// representation — it neither panics nor aliases a neighbouring row
 /// (`(0, 64)` is where a 64-bit-word row of a dense matrix wraps into
