@@ -90,13 +90,13 @@ use std::sync::Arc;
 ///
 /// This is the artifact Algorithm 1's initialization (lines 6–7)
 /// produces implicitly and then throws away; materialized, it is shared
-/// by every query evaluated against the graph. Generic over all four
+/// by every query evaluated against the graph. Generic over all five
 /// [`BoolEngine`]s, so the index inherits the paper's representation ×
-/// device matrix.
+/// device matrix, and the tiled layout beside it.
 ///
 /// The node universe starts at the build graph's size and grows on
 /// demand: [`GraphIndex::add_edges`] accepts new labels *and* new node
-/// ids, widening every label matrix (dense rebuild / CSR row append)
+/// ids, widening every label matrix (dense rebuild / CSR and tile-row append)
 /// before inserting. Sessions pick the growth up lazily — a cached
 /// closure is widened the same way before its next repair.
 #[derive(Clone)]

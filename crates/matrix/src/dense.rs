@@ -6,6 +6,7 @@
 //! `k` of `B` into row `i` of `C` — `O(n²·n/64)` word operations.
 
 use crate::device::Device;
+use crate::sparse::assert_in_range;
 
 /// A dense `n × n` Boolean matrix stored as row-major bitset.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -37,6 +38,10 @@ impl DenseBitMatrix {
     }
 
     /// Builds a matrix from `(row, col)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a row or column `>= n`.
     pub fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
         let mut m = Self::zeros(n);
         for &(i, j) in pairs {
@@ -58,9 +63,14 @@ impl DenseBitMatrix {
     }
 
     /// Sets bit `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` or `j` is `>= n` (a column past the row would otherwise
+    /// land in the row's padding or in the next row).
     #[inline]
     pub fn set(&mut self, i: u32, j: u32) {
-        debug_assert!((i as usize) < self.n && (j as usize) < self.n);
+        assert_in_range(self.n, (i, j));
         self.bits[i as usize * self.wpr + j as usize / 64] |= 1u64 << (j % 64);
     }
 
@@ -447,10 +457,16 @@ impl DenseBitMatrix {
     /// `BoolEngine::union_pairs` — a `GraphIndex` absorbing an edge batch
     /// touches only the addressed words instead of building a whole
     /// matrix to union.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a row or column `>= n`; the matrix is unchanged.
     pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
+        for &pair in pairs {
+            assert_in_range(self.n, pair);
+        }
         let mut changed = false;
         for &(i, j) in pairs {
-            debug_assert!((i as usize) < self.n && (j as usize) < self.n);
             let w = &mut self.bits[i as usize * self.wpr + j as usize / 64];
             let bit = 1u64 << (j % 64);
             changed |= *w & bit == 0;

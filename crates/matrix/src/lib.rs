@@ -8,11 +8,18 @@
 //!
 //! * [`DenseBitMatrix`] — row-major bitset matrix (the paper's dGPU
 //!   representation, "row-major order for general matrix representation"),
-//! * [`CsrMatrix`] — Boolean CSR (the paper's sCPU/sGPU representation),
+//! * [`CsrMatrix`] — Boolean CSR (the paper's sCPU/sGPU representation);
+//!   its module, [`sparse`], also holds the one CSR storage and row
+//!   splice under all three sparse matrix types below,
+//! * [`TiledBitMatrix`] — non-empty 64 × 64 bit tiles in that storage,
+//!   multiplied by dense tile kernels ([`tiled`], with [`TiledEngine`]),
+//! * [`length`] — the length-annotated matrices of the single-path
+//!   semantics (§5), [`DenseLenMatrix`] and [`CsrLenMatrix`], and their
+//!   backend trait [`LenEngine`],
 //! * [`Device`] — a multi-worker execution device standing in for the GPU
 //!   (README, "Paper → implementation map"),
 //! * [`engine`] — the [`engine::BoolEngine`] abstraction the solvers are
-//!   generic over: serial/parallel × dense/sparse backends,
+//!   generic over: serial/parallel × dense/sparse backends, and tiled,
 //! * [`SetMatrix`] — the paper-literal matrix whose elements are subsets
 //!   of `N`, with the element product `N1 · N2 = {A | A → BC, B ∈ N1,
 //!   C ∈ N2}` of §2,

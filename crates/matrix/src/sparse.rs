@@ -1,61 +1,67 @@
-//! Sparse Boolean matrices in CSR (compressed sparse row) format.
+//! Sparse Boolean matrices in CSR (compressed sparse row) format, and
+//! the CSR storage, row splice and flat product the other sparse matrix
+//! types share with them.
 //!
-//! This is the representation behind the paper's best-performing
+//! CSR is the representation behind the paper's best-performing
 //! implementations (sCPU and sGPU use "CSR format for sparse matrix
-//! representation"). A sweep of the solvers meets it with a small Δ on
-//! one side and a large closure on the other, so every operation is one
-//! flat pass over the entries of the side it iterates plus one bulk
+//! representation"). The crate keeps the layout once, `Csr<V>` —
+//! `row_ptr`, `cols` and one value per stored cell — under [`CsrMatrix`]
+//! (`V = ()`), [`crate::CsrLenMatrix`] (a length) and
+//! [`crate::TiledBitMatrix`] (a 64 × 64 bit tile; its rows are
+//! tile-rows). A sweep of the solvers meets each with a small Δ on one
+//! side and a large closure on the other, so every shared operation is
+//! one flat pass over the cells of the side it iterates plus one bulk
 //! write of the result's row pointers, with a constant number of
 //! allocations per call and none per row:
 //!
 //! * the set operations (`union_in_place`, `insert_pairs`, `difference`,
-//!   `intersect`, and the length matrices' merge in [`crate::length`])
-//!   are one routine, `splice_rows`: it looks each entry of one
-//!   operand up in the other's row and copies what lies in between —
-//!   whole runs of untouched rows included — as contiguous blocks;
-//! * construction (`from_pairs`, and `from_entries` for lengths) is a
-//!   counting sort by row, `sort_cells`;
-//! * multiplication is a Boolean SpGEMM with a dense bitset row
-//!   accumulator. The complement mask is applied lazily: a row's mask
-//!   entries are subtracted only after that row received a candidate,
-//!   so the rows a sparse Δ operand leaves empty never read the mask.
+//!   `intersect`, the first-write-wins merge of [`crate::length`]) are
+//!   one routine, `splice_rows`: it looks each cell of one operand up in
+//!   the other's row and copies what lies in between — whole runs of
+//!   untouched rows included — as contiguous blocks. Where both operands
+//!   store a cell the value's `Cell` implementation decides: nothing to
+//!   do for a bit or a length, OR, AND-NOT and AND for a tile;
+//! * construction of the two flat types is a counting sort by row,
+//!   `Csr::from_cells`, which is where a cell outside the matrix is
+//!   refused (`assert_in_range`, as on every other write path);
+//! * their product is one loop, `Csr::multiply`, flat over the left
+//!   operand's cells and masked lazily; the cell type brings its
+//!   `RowAccumulator` — a dense bitset here, a table of lengths (`⊗` =
+//!   saturating add, `⊕` = first write) in [`crate::length`].
+//!
+//! The tile product stays in [`crate::tiled`]: a cell of its operands is
+//! itself a matrix, so a pair of cells is a 64 × 64 product — through
+//! one of two kernels picked from popcounts — not a `⊗` of two scalars.
 
 use crate::device::Device;
 use crate::engine::{traced_kernel, MaskedJob};
 use std::ops::Range;
 
-/// An `n × n` Boolean matrix in CSR format; column indices per row are
-/// strictly ascending.
+/// The shared storage (see the module docs). Columns are strictly
+/// ascending within a row and `vals` is as long as `cols` — as a
+/// `Vec<()>` it stores nothing.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CsrMatrix {
-    n: usize,
-    /// `row_ptr[i] .. row_ptr[i+1]` indexes `cols` for row `i`.
-    row_ptr: Vec<usize>,
-    cols: Vec<u32>,
-}
-
-/// Borrowed flat CSR storage with one value per entry (`()` for Boolean
-/// matrices, a length for [`crate::CsrLenMatrix`]) — what the shared
-/// routines read.
-#[derive(Clone, Copy)]
-pub(crate) struct CsrRef<'a, V> {
-    pub row_ptr: &'a [usize],
-    pub cols: &'a [u32],
-    pub vals: &'a [V],
-}
-
-/// Owned flat CSR storage under construction — what the shared routines
-/// write.
-pub(crate) struct CsrBuf<V> {
+pub(crate) struct Csr<V> {
+    /// `row_ptr[i] .. row_ptr[i+1]` indexes `cols` and `vals` for row `i`.
     pub row_ptr: Vec<usize>,
     pub cols: Vec<u32>,
     pub vals: Vec<V>,
 }
 
-impl<V: Copy> CsrBuf<V> {
-    /// Empty storage with room for `n` rows and `nnz` entries.
-    fn with_capacity(n: usize, nnz: usize) -> Self {
-        let mut row_ptr = Vec::with_capacity(n + 1);
+impl<V: Copy> Csr<V> {
+    /// `rows` empty rows.
+    pub fn empty(rows: usize) -> Self {
+        Self {
+            row_ptr: vec![0; rows + 1],
+            cols: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    /// No row yet, with room for `rows` of them and `nnz` cells: what a
+    /// flat pass appends its cells and row ends to.
+    pub fn with_capacity(rows: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
         row_ptr.push(0);
         Self {
             row_ptr,
@@ -64,23 +70,187 @@ impl<V: Copy> CsrBuf<V> {
         }
     }
 
-    fn push(&mut self, col: u32, val: V) {
+    /// Counting sort of `len` cells by row: `cell(e)` is the
+    /// `(row, col, value)` of input entry `e`. Each row is then ordered
+    /// by column and cut to the first input entry of every cell (first
+    /// write wins).
+    ///
+    /// # Panics
+    ///
+    /// If a cell names a row or column `>= n`.
+    pub fn from_cells(n: usize, len: usize, cell: impl Fn(usize) -> (u32, u32, V)) -> Self {
+        let mut row_ptr = vec![0usize; n + 1];
+        for e in 0..len {
+            let (i, j, _) = cell(e);
+            assert_in_range(n, (i, j));
+            row_ptr[i as usize + 1] += 1;
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        // Scatter with `row_ptr[i]` as row i's write cursor; afterwards it
+        // holds the row's end, i.e. the next row's start.
+        let mut order = vec![0usize; len];
+        for e in 0..len {
+            let cursor = &mut row_ptr[cell(e).0 as usize];
+            order[*cursor] = e;
+            *cursor += 1;
+        }
+        let (mut start, mut kept) = (0, 0);
+        for slot in row_ptr.iter_mut().take(n) {
+            let end = std::mem::replace(slot, kept);
+            order[start..end].sort_unstable_by_key(|&e| (cell(e).1, e));
+            let mut last = None;
+            for at in start..end {
+                let e = order[at];
+                if last.replace(cell(e).1) != Some(cell(e).1) {
+                    order[kept] = e;
+                    kept += 1;
+                }
+            }
+            start = end;
+        }
+        row_ptr[n] = kept;
+        order.truncate(kept);
+        Self {
+            row_ptr,
+            cols: order.iter().map(|&e| cell(e).1).collect(),
+            vals: order.iter().map(|&e| cell(e).2).collect(),
+        }
+    }
+
+    /// The row blocks of a device-parallel product, each with row ends
+    /// relative to itself, as one storage; the first block's vectors
+    /// become the result's instead of being copied into it.
+    pub fn concat(blocks: impl IntoIterator<Item = Self>) -> Self {
+        let mut blocks = blocks.into_iter();
+        let mut out = blocks.next().unwrap_or_else(|| Self::empty(0));
+        for block in blocks {
+            let base = out.nnz();
+            out.row_ptr
+                .extend(block.row_ptr[1..].iter().map(|&end| base + end));
+            out.extend(&block, 0..block.nnz());
+        }
+        out
+    }
+
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// Number of stored cells.
+    #[inline]
+    pub fn nnz(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Where row `i` lies in `cols` and `vals`.
+    #[inline]
+    pub fn row(&self, i: usize) -> Range<usize> {
+        self.row_ptr[i]..self.row_ptr[i + 1]
+    }
+
+    /// `cell(row, col, value)` of every stored cell in row-major order.
+    pub fn cells<T>(&self, cell: impl Fn(u32, u32, V) -> T) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.nnz());
+        for i in 0..self.rows() {
+            let row = self.row(i);
+            out.extend(row.map(|at| cell(i as u32, self.cols[at], self.vals[at])));
+        }
+        out
+    }
+
+    /// Where cell `(i, col)` is stored, by binary search of row `i`.
+    pub fn find(&self, i: usize, col: u32) -> Option<usize> {
+        let row = self.row(i);
+        let at = self.cols[row.clone()].binary_search(&col).ok()?;
+        Some(row.start + at)
+    }
+
+    /// Appends empty rows up to `rows` of them: a pure row-pointer
+    /// append, the stored cells stay where they are.
+    pub fn grow(&mut self, rows: usize) {
+        let last = *self.row_ptr.last().expect("row_ptr nonempty");
+        self.row_ptr.resize(rows + 1, last);
+    }
+
+    #[inline]
+    pub fn push(&mut self, col: u32, val: V) {
         self.cols.push(col);
         self.vals.push(val);
     }
 
-    /// Appends the entries `range` of `src` as one contiguous copy.
-    fn extend(&mut self, src: CsrRef<'_, V>, range: Range<usize>) {
+    /// Appends the cells `range` of `src` as one contiguous copy.
+    fn extend(&mut self, src: &Self, range: Range<usize>) {
         self.cols.extend_from_slice(&src.cols[range.clone()]);
         self.vals.extend_from_slice(&src.vals[range]);
     }
 
-    /// Gives back the capacity reserved for entries that never came.
+    /// Gives back the capacity reserved for cells that never came.
     fn shrink(mut self) -> Self {
         self.cols.shrink_to_fit();
         self.vals.shrink_to_fit();
         self
     }
+}
+
+/// What [`splice_rows`] does where both operands store the same
+/// `(row, col)`. The defaults are a cell that is simply there or not — a
+/// bit, or a first-write-wins length, which the accumulator's value
+/// always survives; a tile ([`crate::tiled`]) combines word by word.
+pub(crate) trait Cell: Copy {
+    /// `self ∪= other`; returns whether `self` grew.
+    fn absorb(&mut self, _other: &Self) -> bool {
+        false
+    }
+
+    /// What of `self` is absent from `other` — `None` if nothing is, so
+    /// an empty value is never stored.
+    fn minus(&self, _other: &Self) -> Option<Self> {
+        None
+    }
+
+    /// What of `self` is present in `other`; `None` as for `minus`.
+    fn meet(&self, _other: &Self) -> Option<Self> {
+        Some(*self)
+    }
+}
+
+impl Cell for () {}
+impl Cell for u32 {}
+
+impl<V: Cell> Csr<V> {
+    /// `self ∪= other` as one flat splice; returns `true` if anything was
+    /// added, and leaves the storage untouched if not.
+    pub fn union_in_place(&mut self, other: &Self) -> bool {
+        let (merged, _) = splice_rows(self, other, true, None);
+        merged.map(|merged| *self = merged).is_some()
+    }
+
+    /// `self \ other`; never reads `other` outside the rows `self` fills.
+    pub fn difference(&self, other: &Self) -> Self {
+        let (_, absent) = splice_rows(other, self, false, Some(Report::Absent));
+        absent.expect("a report was asked for")
+    }
+
+    /// `self ∩ other`; never reads `other` outside the rows `self` fills.
+    pub fn intersect(&self, other: &Self) -> Self {
+        let (_, present) = splice_rows(other, self, false, Some(Report::Present));
+        present.expect("a report was asked for")
+    }
+}
+
+/// The write paths' range check, made before anything is stored: a cell
+/// outside the matrix would index past a row table at some later read,
+/// alias a dense row's padding or neighbour, or leave a bit where tiled
+/// `grow` relies on zeros.
+#[inline]
+pub(crate) fn assert_in_range(n: usize, (i, j): (u32, u32)) {
+    assert!(
+        (i as usize) < n && (j as usize) < n,
+        "pair ({i}, {j}) is outside the {n} × {n} matrix"
+    );
 }
 
 /// `from + sorted[from..].partition_point(pred)`, found in doubling
@@ -103,237 +273,180 @@ pub(crate) fn row_of(row_ptr: &[usize], row: usize, e: usize) -> usize {
     gallop(&row_ptr[1..], row + 1, |&end| end <= e)
 }
 
-/// What [`splice_rows`] returns: `a ∪ b` and the reported part of `b`,
-/// each only if asked for.
-pub(crate) type Bufs<V> = (Option<CsrBuf<V>>, Option<CsrBuf<V>>);
-
-/// Which entries of `b` [`splice_rows`] reports on their own: those
-/// absent from `a` (`b \ a`) or those present in it (`b ∩ a`).
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Which part of `b` [`splice_rows`] reports on its own: what is absent
+/// from `a` (`b \ a`) or what is present in it (`b ∩ a`).
+#[derive(Clone, Copy)]
 pub(crate) enum Report {
     Absent,
     Present,
 }
 
-/// The row splice behind every CSR set operation. One flat pass over the
-/// entries of `b` looks each up in the same row of `a` (binary search
-/// from the previous hit on) and writes up to two flat results:
+/// The row splice behind every set operation of the three CSR-stored
+/// matrix types. One flat pass over the cells of `b` looks each up in
+/// the same row of `a` (binary search from the previous hit on) and
+/// writes up to two flat results:
 ///
-/// * with `merge`, `a ∪ b` — entries of `a` between two insertion
-///   points, and whole runs of rows `b` leaves empty, are one contiguous
-///   copy, and where both hold a cell `a`'s value stays (first write
-///   wins). `None` if `b ⊆ a`, so the caller keeps its storage;
-/// * with `report`, the entries of `b` absent from (or present in) `a`,
-///   carrying `b`'s values.
+/// * with `merge`, `a ∪ b` — cells of `a` between two writes, and whole
+///   runs of rows `b` leaves empty, are one contiguous copy; a cell only
+///   `b` holds is inserted, and one both hold is rewritten only if
+///   [`Cell::absorb`] says `a`'s value grew. `None`, with nothing
+///   allocated, if `b` adds nothing, so the caller keeps its storage;
+/// * with `report`, the part of `b` absent from (or present in) `a`:
+///   `b`'s value where `a` has no such cell, [`Cell::minus`] (or
+///   [`Cell::meet`]) of the two where it has.
 ///
 /// The cost is O(nnz(b) · log(row of a)) plus one bulk write of each
 /// result's row pointers and, with `merge`, the copy of `a`; only
 /// `merge` ever reads `a` outside the rows `b` fills.
-pub(crate) fn splice_rows<V: Copy>(
-    a: CsrRef<'_, V>,
-    b: CsrRef<'_, V>,
+pub(crate) fn splice_rows<V: Cell>(
+    a: &Csr<V>,
+    b: &Csr<V>,
     merge: bool,
     report: Option<Report>,
-) -> Bufs<V> {
-    assert_eq!(a.row_ptr.len(), b.row_ptr.len(), "dimension mismatch");
-    let n = a.row_ptr.len() - 1;
-    let merge = merge && !b.cols.is_empty();
-    let mut out: Bufs<V> = (
-        merge.then(|| CsrBuf::with_capacity(n, a.cols.len() + b.cols.len())),
-        report.map(|_| CsrBuf::with_capacity(n, b.cols.len())),
-    );
-    let want_present = report == Some(Report::Present);
-    // Entries of `a` already copied into `merged`; the rest is flushed
-    // lazily, right before the next insertion.
+) -> (Option<Csr<V>>, Option<Csr<V>>) {
+    assert_eq!(a.rows(), b.rows(), "dimension mismatch");
+    let n = a.rows();
+    let mut merged: Option<Csr<V>> = None;
+    let mut reported = report.map(|_| Csr::with_capacity(n, b.nnz()));
+    // Cells of `a` already copied into `merged` or rewritten there; the
+    // rest is flushed lazily, right before the next write.
     let mut copied = 0;
-    // Writes the row ends of `rows`, none of which gets another entry:
+    // Writes the row ends of `rows`, none of which gets another cell:
     // in `merged` they are `a`'s, shifted by the insertions so far.
-    let close = |(merged, reported): &mut Bufs<V>, copied: usize, rows: Range<usize>| {
+    let close = |merged: &mut Option<Csr<V>>,
+                 reported: &mut Option<Csr<V>>,
+                 copied: usize,
+                 rows: Range<usize>| {
         if let Some(m) = merged {
-            let inserted = m.cols.len() - copied;
+            let inserted = m.nnz() - copied;
             let ends = &a.row_ptr[rows.start + 1..=rows.end];
             m.row_ptr.extend(ends.iter().map(|&end| end + inserted));
         }
         if let Some(r) = reported {
-            r.row_ptr.resize(r.row_ptr.len() + rows.len(), r.cols.len());
+            r.row_ptr.resize(r.row_ptr.len() + rows.len(), r.nnz());
         }
     };
-    // `row` is the row of `b`'s current entry, `at` the cursor in `a`'s.
+    // `row` is the row of `b`'s current cell, `at` the cursor in `a`'s.
     let (mut row, mut at) = (0, 0);
-    for (e, (&col, &val)) in b.cols.iter().zip(b.vals).enumerate() {
+    for (e, (&col, val)) in b.cols.iter().zip(&b.vals).enumerate() {
         if b.row_ptr[row + 1] <= e {
-            let next = row_of(b.row_ptr, row, e);
-            close(&mut out, copied, row..next);
+            let next = row_of(&b.row_ptr, row, e);
+            close(&mut merged, &mut reported, copied, row..next);
             (row, at) = (next, a.row_ptr[next]);
         }
         let a_end = a.row_ptr[row + 1];
         at = gallop(&a.cols[..a_end], at, |&c| c < col);
-        let present = at < a_end && a.cols[at] == col;
-        if let (false, Some(m)) = (present, &mut out.0) {
-            m.extend(a, copied..at);
-            copied = at;
-            m.push(col, val);
-        }
-        if let (true, Some(r)) = (present == want_present, &mut out.1) {
-            r.push(col, val);
-        }
-    }
-    close(&mut out, copied, row..n);
-    // Nothing inserted means nothing copied either: `b ⊆ a`.
-    let merged = out.0.filter(|m| !m.cols.is_empty()).map(|mut m| {
-        m.extend(a, copied..a.cols.len());
-        m.shrink()
-    });
-    (merged, out.1.map(CsrBuf::shrink))
-}
-
-/// Counting sort of `len` cells by row: `cell(e)` is the `(row, col)` of
-/// input entry `e`. Each row is then ordered by column and cut to the
-/// first input entry of every cell (first write wins). Returns `row_ptr`
-/// and, per stored entry, the index of the input entry it keeps.
-pub(crate) fn sort_cells(
-    n: usize,
-    len: usize,
-    cell: impl Fn(usize) -> (u32, u32),
-) -> (Vec<usize>, Vec<usize>) {
-    let mut row_ptr = vec![0usize; n + 1];
-    for e in 0..len {
-        let (i, j) = cell(e);
-        debug_assert!((i as usize) < n && (j as usize) < n);
-        row_ptr[i as usize + 1] += 1;
-    }
-    for i in 0..n {
-        row_ptr[i + 1] += row_ptr[i];
-    }
-    // Scatter with `row_ptr[i]` as row i's write cursor; afterwards it
-    // holds the row's end, i.e. the next row's start.
-    let mut order = vec![0usize; len];
-    for e in 0..len {
-        let cursor = &mut row_ptr[cell(e).0 as usize];
-        order[*cursor] = e;
-        *cursor += 1;
-    }
-    let (mut start, mut kept) = (0, 0);
-    for slot in row_ptr.iter_mut().take(n) {
-        let end = std::mem::replace(slot, kept);
-        order[start..end].sort_unstable_by_key(|&e| (cell(e).1, e));
-        let mut last = None;
-        for at in start..end {
-            let e = order[at];
-            if last.replace(cell(e).1) != Some(cell(e).1) {
-                order[kept] = e;
-                kept += 1;
+        let held = (at < a_end && a.cols[at] == col).then(|| &a.vals[at]);
+        if merge {
+            // What the union stores here, unless that is `a`'s own value.
+            let write = match held {
+                None => Some(*val),
+                Some(held) => {
+                    let mut grown = *held;
+                    grown.absorb(val).then_some(grown)
+                }
+            };
+            if let Some(write) = write {
+                // Up to its first write the union is `a` itself.
+                let m = merged.get_or_insert_with(|| {
+                    let mut m = Csr::with_capacity(n, a.nnz() + b.nnz());
+                    m.row_ptr.extend_from_slice(&a.row_ptr[1..=row]);
+                    m
+                });
+                m.extend(a, copied..at);
+                m.push(col, write);
+                copied = at + usize::from(held.is_some());
             }
         }
-        start = end;
+        if let (Some(r), Some(report)) = (&mut reported, report) {
+            let part = match (held, report) {
+                (None, Report::Absent) => Some(*val),
+                (None, Report::Present) => None,
+                (Some(held), Report::Absent) => val.minus(held),
+                (Some(held), Report::Present) => val.meet(held),
+            };
+            if let Some(part) = part {
+                r.push(col, part);
+            }
+        }
     }
-    row_ptr[n] = kept;
-    order.truncate(kept);
-    (row_ptr, order)
+    close(&mut merged, &mut reported, copied, row..n);
+    let merged = merged.map(|mut m| {
+        m.extend(a, copied..a.nnz());
+        m.shrink()
+    });
+    (merged, reported.map(Csr::shrink))
+}
+
+/// An `n × n` Boolean matrix in CSR format; column indices per row are
+/// strictly ascending.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct CsrMatrix {
+    csr: Csr<()>,
 }
 
 impl CsrMatrix {
     /// Creates the zero matrix of size `n × n`.
     pub fn zeros(n: usize) -> Self {
-        Self {
-            n,
-            row_ptr: vec![0; n + 1],
-            cols: Vec::new(),
-        }
+        Self { csr: Csr::empty(n) }
     }
 
     /// Creates the identity matrix of size `n × n`.
     pub fn identity(n: usize) -> Self {
-        Self {
-            n,
-            row_ptr: (0..=n).collect(),
-            cols: (0..n as u32).collect(),
-        }
+        let diagonal: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, i)).collect();
+        Self::from_pairs(n, &diagonal)
     }
 
     /// Builds a matrix from `(row, col)` pairs (duplicates allowed) by
     /// counting sort on the row.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a row or column `>= n`.
     pub fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        let (row_ptr, order) = sort_cells(n, pairs.len(), |e| pairs[e]);
-        let cols = order.iter().map(|&e| pairs[e].1).collect();
-        Self { n, row_ptr, cols }
-    }
-
-    fn from_buf(n: usize, buf: CsrBuf<()>) -> Self {
-        Self {
-            n,
-            row_ptr: buf.row_ptr,
-            cols: buf.cols,
-        }
-    }
-
-    /// The storage as [`splice_rows`] reads it: a Boolean entry carries
-    /// the unit value, which takes no storage and copies for free.
-    fn flat<'a>(&'a self, units: &'a [()]) -> CsrRef<'a, ()> {
-        CsrRef {
-            row_ptr: &self.row_ptr,
-            cols: &self.cols,
-            vals: &units[..self.nnz()],
-        }
-    }
-
-    /// Runs [`splice_rows`] with `self` as `a` and `other` as `b`.
-    fn splice(&self, other: &CsrMatrix, merge: bool, report: Option<Report>) -> Bufs<()> {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let units = vec![(); self.nnz().max(other.nnz())];
-        splice_rows(self.flat(&units), other.flat(&units), merge, report)
+        let csr = Csr::from_cells(n, pairs.len(), |e| (pairs[e].0, pairs[e].1, ()));
+        Self { csr }
     }
 
     /// Matrix dimension `n`.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.csr.rows()
     }
 
     /// Number of stored entries.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.cols.len()
+        self.csr.nnz()
     }
 
     /// Column indices of row `i` (ascending).
     #[inline]
     pub fn row(&self, i: usize) -> &[u32] {
-        &self.cols[self.row_ptr[i]..self.row_ptr[i + 1]]
+        &self.csr.cols[self.csr.row(i)]
     }
 
     /// Reads bit `(i, j)` by binary search; cells outside the matrix
     /// read as unset.
     pub fn get(&self, i: u32, j: u32) -> bool {
-        (i as usize) < self.n && self.row(i as usize).binary_search(&j).is_ok()
+        (i as usize) < self.n() && self.csr.find(i as usize, j).is_some()
     }
 
     /// All set `(row, col)` pairs in row-major order.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for i in 0..self.n {
-            for &j in self.row(i) {
-                out.push((i as u32, j));
-            }
-        }
-        out
+        self.csr.cells(|i, j, ()| (i, j))
     }
 
     /// True if no entry is stored.
     pub fn is_zero(&self) -> bool {
-        self.cols.is_empty()
+        self.csr.cols.is_empty()
     }
 
     /// `self |= other` as one flat splice (see `splice_rows`: runs of
     /// rows `other` leaves empty are one contiguous copy); returns `true`
     /// if any entry was added, and leaves the storage untouched if not.
     pub fn union_in_place(&mut self, other: &CsrMatrix) -> bool {
-        let (merged, _) = self.splice(other, true, None);
-        let changed = merged.is_some();
-        if let Some(buf) = merged {
-            *self = Self::from_buf(self.n, buf);
-        }
-        changed
+        self.csr.union_in_place(&other.csr)
     }
 
     /// Merges `pairs` into the matrix in place; returns `true` if any
@@ -342,34 +455,38 @@ impl CsrMatrix {
     /// batch): already-present pairs are filtered first — a no-op batch
     /// costs only the membership probes — and the rest is spliced in
     /// like any other union.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a row or column `>= n`; the matrix is unchanged.
     pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
         let fresh: Vec<(u32, u32)> = pairs
             .iter()
             .copied()
             .filter(|&(i, j)| !self.get(i, j))
             .collect();
-        !fresh.is_empty() && self.union_in_place(&Self::from_pairs(self.n, &fresh))
+        !fresh.is_empty() && self.union_in_place(&Self::from_pairs(self.n(), &fresh))
     }
 
     /// `self \ other` — entries of `self` absent from `other`; never
     /// reads `other` outside the rows `self` fills.
     pub fn difference(&self, other: &CsrMatrix) -> CsrMatrix {
-        let (_, absent) = other.splice(self, false, Some(Report::Absent));
-        Self::from_buf(self.n, absent.expect("a report was asked for"))
+        let csr = self.csr.difference(&other.csr);
+        Self { csr }
     }
 
     /// `self ∩ other` — entries of `self` present in `other`; never
     /// reads `other` outside the rows `self` fills.
     pub fn intersect(&self, other: &CsrMatrix) -> CsrMatrix {
-        let (_, present) = other.splice(self, false, Some(Report::Present));
-        Self::from_buf(self.n, present.expect("a report was asked for"))
+        let csr = self.csr.intersect(&other.csr);
+        Self { csr }
     }
 
     /// Boolean SpGEMM `self × other` (serial). Output rows are drained
     /// straight into the flat CSR `row_ptr`/`cols` arrays — no
     /// intermediate per-row `Vec` allocations.
     pub fn multiply(&self, other: &CsrMatrix) -> CsrMatrix {
-        product(self, other, None, &mut RowAccumulator::default())
+        product(self, other, None, &mut BitRow::default())
     }
 
     /// Masked Boolean SpGEMM `(self × other) \ mask`: each output row is
@@ -389,7 +506,7 @@ impl CsrMatrix {
     /// assert_eq!(a.multiply_masked(&b, &mask).pairs(), vec![(1, 2)]);
     /// ```
     pub fn multiply_masked(&self, other: &CsrMatrix, mask: &CsrMatrix) -> CsrMatrix {
-        product(self, other, Some(mask), &mut RowAccumulator::default())
+        product(self, other, Some(mask), &mut BitRow::default())
     }
 
     /// Boolean SpGEMM with row blocks computed in parallel on `device`.
@@ -421,29 +538,17 @@ impl CsrMatrix {
     ) -> CsrMatrix {
         const OFFLOAD_THRESHOLD_NNZ: usize = 64 * 1024;
         if device.n_workers() == 1 || self.nnz() + other.nnz() < OFFLOAD_THRESHOLD_NNZ {
-            return product(self, other, mask, &mut RowAccumulator::default());
+            return product(self, other, mask, &mut BitRow::default());
         }
-        check_dimensions(self, other, mask);
-        let blocks = device.par_map_ranges(self.n, |range: Range<usize>| {
-            let mut acc = RowAccumulator::default();
-            acc.fit(self.n);
-            let (mut row_ends, mut cols) = (Vec::with_capacity(range.len()), Vec::new());
-            multiply_block(self, other, mask, range, &mut acc, &mut row_ends, &mut cols);
-            (row_ends, cols)
+        let (a, b, mask) = (&self.csr, &other.csr, mask.map(|m| &m.csr));
+        a.check_dimensions(b, mask);
+        let blocks = device.par_map_ranges(self.n(), |range: Range<usize>| {
+            let mut acc = BitRow::default();
+            acc.fit(self.n());
+            a.multiply_block(b, mask, range, &mut acc)
         });
-        let mut row_ptr = Vec::with_capacity(self.n + 1);
-        row_ptr.push(0);
-        let mut cols = Vec::new();
-        for (block_ends, block_cols) in blocks {
-            let base = cols.len();
-            row_ptr.extend(block_ends.into_iter().map(|e| base + e));
-            cols.extend_from_slice(&block_cols);
-        }
-        CsrMatrix {
-            n: self.n,
-            row_ptr,
-            cols,
-        }
+        let csr = Csr::concat(blocks);
+        Self { csr }
     }
 
     /// Grows the matrix to `n × n`, keeping existing entries (a pure
@@ -451,50 +556,26 @@ impl CsrMatrix {
     /// indices stay valid in the wider universe). `n` must not shrink
     /// the matrix.
     pub fn grow(&mut self, n: usize) {
-        assert!(n >= self.n, "Boolean matrices only grow");
-        let last = *self.row_ptr.last().expect("row_ptr nonempty");
-        self.row_ptr.resize(n + 1, last);
-        self.n = n;
+        assert!(n >= self.n(), "Boolean matrices only grow");
+        self.csr.grow(n);
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> CsrMatrix {
-        let flipped: Vec<(u32, u32)> = self.pairs().into_iter().map(|(i, j)| (j, i)).collect();
-        Self::from_pairs(self.n, &flipped)
-    }
-}
-
-fn check_dimensions(a: &CsrMatrix, b: &CsrMatrix, mask: Option<&CsrMatrix>) {
-    assert_eq!(a.n, b.n, "dimension mismatch");
-    if let Some(m) = mask {
-        assert_eq!(a.n, m.n, "mask dimension mismatch");
+        Self::from_pairs(self.n(), &self.csr.cells(|i, j, ()| (j, i)))
     }
 }
 
 /// Serial (optionally masked) product on a caller-owned accumulator.
-fn product(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    mask: Option<&CsrMatrix>,
-    acc: &mut RowAccumulator,
-) -> CsrMatrix {
-    check_dimensions(a, b, mask);
-    acc.fit(a.n);
-    let mut row_ptr = Vec::with_capacity(a.n + 1);
-    row_ptr.push(0);
-    let mut cols = Vec::new();
-    multiply_block(a, b, mask, 0..a.n, acc, &mut row_ptr, &mut cols);
-    CsrMatrix {
-        n: a.n,
-        row_ptr,
-        cols,
-    }
+fn product(a: &CsrMatrix, b: &CsrMatrix, mask: Option<&CsrMatrix>, acc: &mut BitRow) -> CsrMatrix {
+    let csr = a.csr.multiply(&b.csr, mask.map(|m| &m.csr), acc);
+    CsrMatrix { csr }
 }
 
 /// Runs the jobs of a batch one after another on one accumulator, each
 /// under its own kernel span (the `BoolEngine` Recorder contract).
 pub(crate) fn multiply_jobs(jobs: &[MaskedJob<'_, CsrMatrix>]) -> Vec<CsrMatrix> {
-    let mut acc = RowAccumulator::default();
+    let mut acc = BitRow::default();
     jobs.iter()
         .map(|&(a, b, mask)| {
             let op = if mask.is_some() { "masked" } else { "mul" };
@@ -503,68 +584,107 @@ pub(crate) fn multiply_jobs(jobs: &[MaskedJob<'_, CsrMatrix>]) -> Vec<CsrMatrix>
         .collect()
 }
 
-/// Computes rows `range` of `a × b` (optionally masked), appending the
-/// packed column indices to `cols` and each row's end within `cols` to
-/// `row_ends`. Shared by the serial and device-parallel kernels.
-fn multiply_block(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    mask: Option<&CsrMatrix>,
-    range: Range<usize>,
-    acc: &mut RowAccumulator,
-    row_ends: &mut Vec<usize>,
-    cols: &mut Vec<u32>,
-) {
-    // Flat over the entries of `a`, not row by row: against a sparse Δ
-    // almost no entry finds anything to multiply with, so the scan is one
-    // predictable loop. `open` is the row being accumulated; it is closed
-    // when an entry that does find something lies in a later row.
-    let mut open = range.start;
-    // Closes row `open` and the rows up to `next`, which nothing reached.
-    let mut close = |acc: &mut RowAccumulator, open: usize, next: usize| {
-        // Only a row that received a candidate pays for its mask row.
-        if !acc.touched.is_empty() {
-            if let Some(m) = mask {
-                acc.remove(m.row(open));
-            }
-            acc.drain_into(cols);
-        }
-        row_ends.resize(row_ends.len() + (next - open), cols.len());
-    };
-    for e in a.row_ptr[range.start]..a.row_ptr[range.end] {
-        let b_row = b.row(a.cols[e] as usize);
-        if b_row.is_empty() {
-            continue;
-        }
-        if a.row_ptr[open + 1] <= e {
-            let next = row_of(&a.row_ptr, open, e);
-            close(acc, open, next);
-            open = next;
-        }
-        for &j in b_row {
-            acc.set(j);
-        }
-    }
-    close(acc, open, range.end);
+/// One output row of the flat product while it is accumulated — the part
+/// of that product that is the cell type's own: a bitset for bits
+/// ([`BitRow`]), a table of first-write-wins lengths in
+/// [`crate::length`]. Reused from row to row and from job to job.
+pub(crate) trait RowAccumulator<V>: Default {
+    /// Makes room for rows of `n` columns.
+    fn fit(&mut self, n: usize);
+
+    /// Accumulates `left ⊗ value` at `col` for every cell `(col, value)`
+    /// of one row of the right operand.
+    fn add(&mut self, left: V, cols: &[u32], vals: &[V]);
+
+    /// Whether nothing was accumulated since the last drain.
+    fn is_empty(&self) -> bool;
+
+    /// Drops the columns of a sorted row of known cells again (the
+    /// complement mask, applied after accumulation).
+    fn remove(&mut self, cols: &[u32]);
+
+    /// Appends what is left to `out` in ascending column order and
+    /// clears the accumulator.
+    fn drain_into(&mut self, out: &mut Csr<V>);
 }
 
-/// A reusable dense bitset accumulator for one output row of SpGEMM.
+impl<V: Copy> Csr<V> {
+    /// Serial (optionally masked) product `(self × b) \ mask?` on a
+    /// caller-owned accumulator.
+    pub fn multiply<A: RowAccumulator<V>>(
+        &self,
+        b: &Self,
+        mask: Option<&Self>,
+        acc: &mut A,
+    ) -> Self {
+        self.check_dimensions(b, mask);
+        acc.fit(self.rows());
+        self.multiply_block(b, mask, 0..self.rows(), acc)
+    }
+
+    fn check_dimensions(&self, b: &Self, mask: Option<&Self>) {
+        assert_eq!(self.rows(), b.rows(), "dimension mismatch");
+        if let Some(m) = mask {
+            assert_eq!(self.rows(), m.rows(), "mask dimension mismatch");
+        }
+    }
+
+    /// Computes rows `range` of `self × b` (optionally masked) as a block
+    /// of their own, row ends relative to it. Shared by the serial and
+    /// device-parallel kernels.
+    fn multiply_block<A: RowAccumulator<V>>(
+        &self,
+        b: &Self,
+        mask: Option<&Self>,
+        range: Range<usize>,
+        acc: &mut A,
+    ) -> Self {
+        let mut out = Csr::with_capacity(range.len(), 0);
+        // Flat over the cells of `self`, not row by row: against a sparse
+        // Δ almost no cell finds anything to multiply with, so the scan
+        // is one predictable loop. `open` is the row being accumulated;
+        // it is closed when a cell that does find something lies in a
+        // later row.
+        let mut open = range.start;
+        // Closes row `open` and the rows up to `next`, which nothing
+        // reached.
+        let mut close = |acc: &mut A, open: usize, next: usize| {
+            // Only a row that received a candidate pays for its mask row.
+            if !acc.is_empty() {
+                if let Some(m) = mask {
+                    acc.remove(&m.cols[m.row(open)]);
+                }
+                acc.drain_into(&mut out);
+            }
+            out.row_ptr
+                .resize(out.row_ptr.len() + (next - open), out.nnz());
+        };
+        for e in self.row_ptr[range.start]..self.row_ptr[range.end] {
+            let b_row = b.row(self.cols[e] as usize);
+            if b_row.is_empty() {
+                continue;
+            }
+            if self.row_ptr[open + 1] <= e {
+                let next = row_of(&self.row_ptr, open, e);
+                close(acc, open, next);
+                open = next;
+            }
+            acc.add(self.vals[e], &b.cols[b_row.clone()], &b.vals[b_row]);
+        }
+        close(acc, open, range.end);
+        out
+    }
+}
+
+/// The dense bitset accumulator for one output row of Boolean SpGEMM.
 #[derive(Default)]
-struct RowAccumulator {
+struct BitRow {
     words: Vec<u64>,
     /// Indices of words touched since the last drain (sparse reset).
     touched: Vec<u32>,
 }
 
-impl RowAccumulator {
-    /// Makes room for rows of `n` columns (a batch reuses one
-    /// accumulator across jobs).
-    fn fit(&mut self, n: usize) {
-        if self.words.len() < n.div_ceil(64) {
-            self.words.resize(n.div_ceil(64), 0);
-        }
-    }
-
+impl BitRow {
     #[inline]
     fn set(&mut self, j: u32) {
         let w = (j / 64) as usize;
@@ -573,24 +693,39 @@ impl RowAccumulator {
         }
         self.words[w] |= 1u64 << (j % 64);
     }
+}
 
-    /// Clears the bits of a sorted row of known entries (the complement
-    /// mask, applied after accumulation).
+impl RowAccumulator<()> for BitRow {
+    fn fit(&mut self, n: usize) {
+        if self.words.len() < n.div_ceil(64) {
+            self.words.resize(n.div_ceil(64), 0);
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, _left: (), cols: &[u32], _vals: &[()]) {
+        for &j in cols {
+            self.set(j);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.touched.is_empty()
+    }
+
     fn remove(&mut self, row: &[u32]) {
         for &j in row {
             self.words[(j / 64) as usize] &= !(1u64 << (j % 64));
         }
     }
 
-    /// Appends all set bits in ascending order to `out` and clears the
-    /// buffer.
-    fn drain_into(&mut self, out: &mut Vec<u32>) {
+    fn drain_into(&mut self, out: &mut Csr<()>) {
         self.touched.sort_unstable();
         for &wi in &self.touched {
             let mut word = self.words[wi as usize];
             self.words[wi as usize] = 0;
             while word != 0 {
-                out.push(wi * 64 + word.trailing_zeros());
+                out.push(wi * 64 + word.trailing_zeros(), ());
                 word &= word - 1;
             }
         }
@@ -686,15 +821,15 @@ mod tests {
         assert_eq!(m.multiply_on(&m, &Device::new(3)).n(), 0);
     }
 
-    fn drain_sorted(acc: &mut RowAccumulator) -> Vec<u32> {
-        let mut out = Vec::new();
+    fn drain_sorted(acc: &mut BitRow) -> Vec<u32> {
+        let mut out = Csr::empty(0);
         acc.drain_into(&mut out);
-        out
+        out.cols
     }
 
     #[test]
     fn accumulator_crosses_word_boundaries() {
-        let mut acc = RowAccumulator::default();
+        let mut acc = BitRow::default();
         acc.fit(200);
         for j in [199u32, 0, 64, 63, 128] {
             acc.set(j);
@@ -710,7 +845,7 @@ mod tests {
 
     #[test]
     fn accumulator_removes_known_bits_after_accumulation() {
-        let mut acc = RowAccumulator::default();
+        let mut acc = BitRow::default();
         acc.fit(200);
         for j in [0u32, 1, 64, 65, 199] {
             acc.set(j);
@@ -725,13 +860,13 @@ mod tests {
     #[test]
     fn splice_keeps_storage_when_nothing_is_new() {
         let mut a = CsrMatrix::from_pairs(5, &[(0, 1), (0, 3), (4, 4)]);
-        let before = (a.row_ptr.as_ptr(), a.cols.as_ptr());
+        let before = (a.csr.row_ptr.as_ptr(), a.csr.cols.as_ptr());
         assert!(!a.union_in_place(&CsrMatrix::from_pairs(5, &[(0, 3), (4, 4)])));
-        assert_eq!(before, (a.row_ptr.as_ptr(), a.cols.as_ptr()));
+        assert_eq!(before, (a.csr.row_ptr.as_ptr(), a.csr.cols.as_ptr()));
         // A real union leaves no slack behind, overlap or not.
         assert!(a.union_in_place(&CsrMatrix::from_pairs(5, &[(0, 3), (2, 2)])));
         assert_eq!(a.pairs(), vec![(0, 1), (0, 3), (2, 2), (4, 4)]);
-        assert_eq!(a.cols.capacity(), a.cols.len());
+        assert_eq!(a.csr.cols.capacity(), a.csr.cols.len());
     }
 
     #[test]

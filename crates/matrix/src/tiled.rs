@@ -15,9 +15,15 @@
 //!
 //! * the `n × n` bit space is cut into `TILE × TILE` (64 × 64) tiles —
 //!   one tile is 64 `u64` words = 512 bytes, comfortably L1-resident;
-//! * per tile-row, the non-empty tiles are stored CSR-style: a sorted
-//!   tile-column index array plus the tile payloads (the same
-//!   `row_ptr`/`cols` idiom as [`crate::CsrMatrix`], one level up);
+//! * per tile-row, the non-empty tiles are stored in the CSR storage
+//!   of [`crate::sparse`], `Csr<[u64; 64]>`: a row is a tile-row, a
+//!   column a tile-column, a cell's value the tile. The set operations
+//!   are therefore the shared row splice with this module's `Cell`
+//!   implementation — OR, AND-NOT and AND of two tiles stored at the
+//!   same place, an emptied tile dropped — and cost the tiles of their
+//!   smaller operand; a union that adds no bit leaves the storage where
+//!   it is. Only construction (bits are packed into tiles as they
+//!   stream in) and the product below are this module's own;
 //! * `C_{ij} |= A_{ik} × B_{kj}` runs a dense bitset kernel per tile
 //!   pair, and a left tile `A_{ik}` goes through its *panel* — the `nb`
 //!   stored tiles of `B`'s tile-row `k` — whichever of two ways costs
@@ -48,8 +54,8 @@
 //! equality.
 
 use crate::device::Device;
-use crate::engine::{BoolEngine, BoolMat, KernelCounters, MaskedJob, ParSparseEngine};
-use crate::length::{CsrLenMatrix, LenEngine, LenJob};
+use crate::engine::{BoolEngine, BoolMat, KernelCounters, MaskedJob};
+use crate::sparse::{assert_in_range, Cell, Csr};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,10 +66,6 @@ pub const TILE: usize = 64;
 
 type TileWords = [u64; TILE];
 
-/// One worker's output block: per-tile-row end offsets (relative to the
-/// block), tile columns, tile payloads, and the skipped-kernel count.
-type TileBlock = (Vec<usize>, Vec<u32>, Vec<TileWords>, u64);
-
 const EMPTY_TILE: TileWords = [0u64; TILE];
 
 /// An `n × n` Boolean matrix stored as non-empty 64×64 bitset tiles in
@@ -71,17 +73,10 @@ const EMPTY_TILE: TileWords = [0u64; TILE];
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TiledBitMatrix {
     n: usize,
-    /// Tiles per side (`ceil(n / TILE)`).
-    tn: usize,
-    /// `row_ptr[ti]..row_ptr[ti + 1]` indexes the stored tiles of
-    /// tile-row `ti` in `tile_cols` / `tiles`.
-    row_ptr: Vec<usize>,
-    /// Tile-column index of each stored tile, ascending per tile-row.
-    tile_cols: Vec<u32>,
-    /// Tile payloads, aligned with `tile_cols`. `tiles[t][r]` holds bit
-    /// columns `tile_cols[t]*64 .. +64` of global row
-    /// `tile_row(t)*64 + r`.
-    tiles: Vec<TileWords>,
+    /// One row per tile-row (`ceil(n / TILE)` of them), one cell per
+    /// stored tile: `cols[t]` is its tile-column and `vals[t][r]` holds
+    /// bit columns `cols[t]*64 .. +64` of global row `tile_row(t)*64 + r`.
+    csr: Csr<TileWords>,
 }
 
 #[inline]
@@ -94,45 +89,52 @@ fn tile_is_zero(t: &TileWords) -> bool {
     t.iter().all(|&w| w == 0)
 }
 
-/// The write paths' range check: a bit outside the matrix would break
-/// the "out-of-range bits are zero" invariant `grow` relies on, or index
-/// past the tile grid.
-#[inline]
-fn assert_in_range(n: usize, (i, j): (u32, u32)) {
-    assert!(
-        (i as usize) < n && (j as usize) < n,
-        "pair ({i}, {j}) is outside the {n} × {n} matrix"
-    );
+/// `tile`, unless it is empty: the canonical form stores no zero tile.
+fn nonzero(tile: TileWords) -> Option<TileWords> {
+    (!tile_is_zero(&tile)).then_some(tile)
+}
+
+/// Two tiles stored at the same place combine word by word.
+impl Cell for TileWords {
+    fn absorb(&mut self, other: &Self) -> bool {
+        let mut grew = 0u64;
+        for (w, &o) in self.iter_mut().zip(other) {
+            grew |= o & !*w;
+            *w |= o;
+        }
+        grew != 0
+    }
+
+    fn minus(&self, other: &Self) -> Option<Self> {
+        nonzero(std::array::from_fn(|r| self[r] & !other[r]))
+    }
+
+    fn meet(&self, other: &Self) -> Option<Self> {
+        nonzero(std::array::from_fn(|r| self[r] & other[r]))
+    }
 }
 
 impl TiledBitMatrix {
     /// Creates the zero matrix of size `n × n`.
     pub fn zeros(n: usize) -> Self {
-        let tn = tile_count(n);
-        Self {
-            n,
-            tn,
-            row_ptr: vec![0; tn + 1],
-            tile_cols: Vec::new(),
-            tiles: Vec::new(),
-        }
+        let csr = Csr::empty(tile_count(n));
+        Self { n, csr }
     }
 
-    /// Builds a matrix from `(row, col)` pairs. Row-major-sorted input —
-    /// what `pairs()` emits on every representation — takes an `O(nnz)`
-    /// streaming path; unsorted input falls back to the sorting insert.
+    /// Builds a matrix from `(row, col)` pairs in `O(nnz)` if they come
+    /// row-major-sorted — what `pairs()` emits on every representation —
+    /// and after sorting a copy if not.
     ///
     /// # Panics
     ///
     /// If a pair names a row or column `>= n`.
     pub fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        if pairs.windows(2).all(|w| w[0] <= w[1]) {
-            Self::from_sorted_pairs(n, pairs)
-        } else {
-            let mut m = Self::zeros(n);
-            m.insert_pairs(pairs);
-            m
+        if pairs.is_sorted() {
+            return Self::from_sorted_pairs(n, pairs);
         }
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        Self::from_sorted_pairs(n, &sorted)
     }
 
     /// The `O(nnz)` builder for row-major-sorted pairs: each tile-row is
@@ -140,16 +142,13 @@ impl TiledBitMatrix {
     /// a `tile_col → slot` scratch (no global sort) and only the
     /// per-tile-row column lists are sorted at the end of their run.
     fn from_sorted_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(pairs.is_sorted());
         let tn = tile_count(n);
-        let mut row_ptr = Vec::with_capacity(tn + 1);
-        let mut tile_cols: Vec<u32> = Vec::new();
-        let mut tiles: Vec<TileWords> = Vec::new();
-        row_ptr.push(0);
+        let mut csr: Csr<TileWords> = Csr::with_capacity(tn, 0);
         let mut slot_of: Vec<u32> = vec![u32::MAX; tn];
         let mut k = 0usize;
         for ti in 0..tn {
-            let row_start = tiles.len();
+            let row_start = csr.nnz();
             let row_end = ((ti + 1) * TILE) as u32;
             while k < pairs.len() && pairs[k].0 < row_end {
                 let (i, j) = pairs[k];
@@ -157,48 +156,41 @@ impl TiledBitMatrix {
                 let tj = j as usize / TILE;
                 let mut slot = slot_of[tj];
                 if slot == u32::MAX {
-                    slot = tiles.len() as u32;
+                    slot = csr.nnz() as u32;
                     slot_of[tj] = slot;
-                    tile_cols.push(tj as u32);
-                    tiles.push(EMPTY_TILE);
+                    csr.push(tj as u32, EMPTY_TILE);
                 }
-                tiles[slot as usize][i as usize % TILE] |= 1u64 << (j as usize % TILE);
+                csr.vals[slot as usize][i as usize % TILE] |= 1u64 << (j as usize % TILE);
                 k += 1;
             }
             // Restore the canonical ascending tile-col order for this
             // tile-row (first-touch order follows the rows, not the
             // columns) and release the scratch slots.
-            let m = tiles.len() - row_start;
+            let m = csr.nnz() - row_start;
             if m > 1 {
                 let mut perm: Vec<u32> = (0..m as u32).collect();
-                perm.sort_unstable_by_key(|&x| tile_cols[row_start + x as usize]);
+                perm.sort_unstable_by_key(|&x| csr.cols[row_start + x as usize]);
                 let cols: Vec<u32> = perm
                     .iter()
-                    .map(|&x| tile_cols[row_start + x as usize])
+                    .map(|&x| csr.cols[row_start + x as usize])
                     .collect();
                 let tls: Vec<TileWords> = perm
                     .iter()
-                    .map(|&x| tiles[row_start + x as usize])
+                    .map(|&x| csr.vals[row_start + x as usize])
                     .collect();
-                tile_cols[row_start..].copy_from_slice(&cols);
-                tiles[row_start..].copy_from_slice(&tls);
+                csr.cols[row_start..].copy_from_slice(&cols);
+                csr.vals[row_start..].copy_from_slice(&tls);
             }
-            for &tj in &tile_cols[row_start..] {
+            for &tj in &csr.cols[row_start..] {
                 slot_of[tj as usize] = u32::MAX;
             }
-            row_ptr.push(tiles.len());
+            csr.row_ptr.push(csr.nnz());
         }
         // Sorted input: whatever is left names a row past the last tile.
         if let Some(&beyond) = pairs.get(k) {
             assert_in_range(n, beyond);
         }
-        Self {
-            n,
-            tn,
-            row_ptr,
-            tile_cols,
-            tiles,
-        }
+        Self { n, csr }
     }
 
     /// Matrix dimension `n`.
@@ -210,13 +202,13 @@ impl TiledBitMatrix {
     /// Tiles per side.
     #[inline]
     pub fn tile_rows(&self) -> usize {
-        self.tn
+        self.csr.rows()
     }
 
     /// Number of stored (non-empty) tiles.
     #[inline]
     pub fn stored_tiles(&self) -> usize {
-        self.tiles.len()
+        self.csr.nnz()
     }
 
     /// Reads bit `(i, j)`; cells outside the matrix read as unset.
@@ -224,32 +216,25 @@ impl TiledBitMatrix {
         if i as usize >= self.n || j as usize >= self.n {
             return false;
         }
-        let (ti, tj) = (i as usize / TILE, (j / TILE as u32));
-        let row = &self.tile_cols[self.row_ptr[ti]..self.row_ptr[ti + 1]];
-        match row.binary_search(&tj) {
-            Ok(pos) => {
-                let t = &self.tiles[self.row_ptr[ti] + pos];
-                t[i as usize % TILE] >> (j as usize % TILE) & 1 == 1
-            }
-            Err(_) => false,
-        }
+        self.csr
+            .find(i as usize / TILE, j / TILE as u32)
+            .is_some_and(|t| self.csr.vals[t][i as usize % TILE] >> (j as usize % TILE) & 1 == 1)
     }
 
     /// Number of set bits.
     pub fn nnz(&self) -> usize {
-        self.tiles.iter().map(tile_bits).sum()
+        self.csr.vals.iter().map(tile_bits).sum()
     }
 
     /// All set `(row, col)` pairs in row-major order.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.nnz());
-        for ti in 0..self.tn {
-            let range = self.row_ptr[ti]..self.row_ptr[ti + 1];
+        for ti in 0..self.tile_rows() {
             for r in 0..TILE {
                 let i = (ti * TILE + r) as u32;
-                for t in range.clone() {
-                    let base = self.tile_cols[t] * TILE as u32;
-                    let mut word = self.tiles[t][r];
+                for t in self.csr.row(ti) {
+                    let base = self.csr.cols[t] * TILE as u32;
+                    let mut word = self.csr.vals[t][r];
                     while word != 0 {
                         out.push((i, base + word.trailing_zeros()));
                         word &= word - 1;
@@ -262,193 +247,49 @@ impl TiledBitMatrix {
 
     /// True if no bit is set.
     pub fn is_zero(&self) -> bool {
-        self.tiles.is_empty()
+        self.csr.vals.is_empty()
     }
 
     /// Sets every bit of `pairs` in place; returns `true` if any bit was
-    /// newly set. The point-update path behind `BoolEngine::union_pairs`.
+    /// newly set. The point-update path behind `BoolEngine::union_pairs`:
+    /// bits already set are filtered first — a no-op batch costs only the
+    /// probes — and the rest is spliced in like any other union.
     ///
     /// # Panics
     ///
     /// If a pair names a row or column `>= n`; the matrix is unchanged.
     pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
-        if pairs.is_empty() {
-            return false;
-        }
-        // Group the updates by tile, then merge tile-row by tile-row so
-        // untouched tile-rows are copied contiguously.
-        let mut keyed: Vec<(u32, u32, u32, u32)> = pairs
+        let fresh: Vec<(u32, u32)> = pairs
             .iter()
-            .map(|&(i, j)| {
-                assert_in_range(self.n, (i, j));
-                (
-                    i / TILE as u32,
-                    j / TILE as u32,
-                    i % TILE as u32,
-                    j % TILE as u32,
-                )
-            })
+            .copied()
+            .filter(|&(i, j)| !self.get(i, j))
             .collect();
-        keyed.sort_unstable();
-        let mut changed = false;
-        let mut row_ptr = Vec::with_capacity(self.tn + 1);
-        let mut tile_cols = Vec::with_capacity(self.tile_cols.len());
-        let mut tiles = Vec::with_capacity(self.tiles.len());
-        row_ptr.push(0);
-        let mut k = 0usize;
-        for ti in 0..self.tn as u32 {
-            let old = self.row_ptr[ti as usize]..self.row_ptr[ti as usize + 1];
-            if k >= keyed.len() || keyed[k].0 != ti {
-                // Untouched tile-row: copy through.
-                tile_cols.extend_from_slice(&self.tile_cols[old.clone()]);
-                tiles.extend_from_slice(&self.tiles[old]);
-                row_ptr.push(tile_cols.len());
-                continue;
-            }
-            let mut o = old.start;
-            while k < keyed.len() && keyed[k].0 == ti {
-                let tj = keyed[k].1;
-                while o < old.end && self.tile_cols[o] < tj {
-                    tile_cols.push(self.tile_cols[o]);
-                    tiles.push(self.tiles[o]);
-                    o += 1;
-                }
-                let mut tile = if o < old.end && self.tile_cols[o] == tj {
-                    let t = self.tiles[o];
-                    o += 1;
-                    t
-                } else {
-                    EMPTY_TILE
-                };
-                while k < keyed.len() && keyed[k].0 == ti && keyed[k].1 == tj {
-                    let (_, _, r, c) = keyed[k];
-                    let bit = 1u64 << c;
-                    changed |= tile[r as usize] & bit == 0;
-                    tile[r as usize] |= bit;
-                    k += 1;
-                }
-                tile_cols.push(tj);
-                tiles.push(tile);
-            }
-            while o < old.end {
-                tile_cols.push(self.tile_cols[o]);
-                tiles.push(self.tiles[o]);
-                o += 1;
-            }
-            row_ptr.push(tile_cols.len());
-        }
-        self.row_ptr = row_ptr;
-        self.tile_cols = tile_cols;
-        self.tiles = tiles;
-        changed
+        !fresh.is_empty() && self.union_in_place(&Self::from_pairs(self.n, &fresh))
     }
 
-    /// `self |= other`; returns `true` if any bit changed.
+    /// `self |= other` as one splice of tile-rows (see
+    /// `sparse.rs::splice_rows`): it costs the tiles `other` stores, a
+    /// tile both store is rewritten only if it gains a bit, and the
+    /// storage is untouched if no bit is new. Returns `true` if any bit
+    /// changed.
     pub fn union_in_place(&mut self, other: &TiledBitMatrix) -> bool {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        if other.tiles.is_empty() {
-            return false;
-        }
-        let mut changed = 0u64;
-        let mut row_ptr = Vec::with_capacity(self.tn + 1);
-        let mut tile_cols = Vec::with_capacity(self.tile_cols.len() + other.tile_cols.len());
-        let mut tiles = Vec::with_capacity(self.tiles.len() + other.tiles.len());
-        row_ptr.push(0);
-        for ti in 0..self.tn {
-            let (mut a, a_end) = (self.row_ptr[ti], self.row_ptr[ti + 1]);
-            let (mut b, b_end) = (other.row_ptr[ti], other.row_ptr[ti + 1]);
-            while a < a_end || b < b_end {
-                let ca = self.tile_cols.get(a).copied().filter(|_| a < a_end);
-                let cb = other.tile_cols.get(b).copied().filter(|_| b < b_end);
-                match (ca, cb) {
-                    (Some(x), Some(y)) if x == y => {
-                        let mut t = self.tiles[a];
-                        for (tw, &ow) in t.iter_mut().zip(other.tiles[b].iter()) {
-                            changed |= ow & !*tw;
-                            *tw |= ow;
-                        }
-                        tile_cols.push(x);
-                        tiles.push(t);
-                        a += 1;
-                        b += 1;
-                    }
-                    (Some(x), Some(y)) if x < y => {
-                        tile_cols.push(x);
-                        tiles.push(self.tiles[a]);
-                        a += 1;
-                    }
-                    (Some(_), Some(y)) | (None, Some(y)) => {
-                        changed |= 1; // a whole new tile; invariant: non-zero
-                        tile_cols.push(y);
-                        tiles.push(other.tiles[b]);
-                        b += 1;
-                    }
-                    (Some(x), None) => {
-                        tile_cols.push(x);
-                        tiles.push(self.tiles[a]);
-                        a += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-            row_ptr.push(tile_cols.len());
-        }
-        self.row_ptr = row_ptr;
-        self.tile_cols = tile_cols;
-        self.tiles = tiles;
-        changed != 0
+        self.csr.union_in_place(&other.csr)
     }
 
-    /// `self \ other` — bits set in `self` but not `other`.
+    /// `self \ other` — bits set in `self` but not `other`; costs the
+    /// tiles `self` stores.
     pub fn difference(&self, other: &TiledBitMatrix) -> TiledBitMatrix {
-        self.zip_set_op(other, |a, b| a & !b)
-    }
-
-    /// `self ∩ other` — bitwise AND.
-    pub fn intersect(&self, other: &TiledBitMatrix) -> TiledBitMatrix {
-        self.zip_set_op(other, |a, b| a & b)
-    }
-
-    /// Entrywise combine against `other`, treating tiles absent on either
-    /// side as zero. `op(a, 0)` must equal either `a` or `0` (which is
-    /// true for AND-NOT and AND), so only aligned tile walks are needed.
-    fn zip_set_op(&self, other: &TiledBitMatrix, op: impl Fn(u64, u64) -> u64) -> TiledBitMatrix {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        let keep_unmatched = op(u64::MAX, 0) == u64::MAX;
-        let mut out = TiledBitMatrix::zeros(self.n);
-        for ti in 0..self.tn {
-            let (mut a, a_end) = (self.row_ptr[ti], self.row_ptr[ti + 1]);
-            let (b_start, b_end) = (other.row_ptr[ti], other.row_ptr[ti + 1]);
-            let mut b = b_start;
-            while a < a_end {
-                let ca = self.tile_cols[a];
-                while b < b_end && other.tile_cols[b] < ca {
-                    b += 1;
-                }
-                if b < b_end && other.tile_cols[b] == ca {
-                    let mut t = EMPTY_TILE;
-                    let mut any = 0u64;
-                    for ((tw, &aw), &bw) in t
-                        .iter_mut()
-                        .zip(self.tiles[a].iter())
-                        .zip(other.tiles[b].iter())
-                    {
-                        *tw = op(aw, bw);
-                        any |= *tw;
-                    }
-                    if any != 0 {
-                        out.tile_cols.push(ca);
-                        out.tiles.push(t);
-                    }
-                } else if keep_unmatched {
-                    out.tile_cols.push(ca);
-                    out.tiles.push(self.tiles[a]);
-                }
-                a += 1;
-            }
-            out.row_ptr[ti + 1] = out.tile_cols.len();
-        }
-        out
+        let csr = self.csr.difference(&other.csr);
+        Self { n: self.n, csr }
+    }
+
+    /// `self ∩ other` — bitwise AND; costs the tiles `self` stores.
+    pub fn intersect(&self, other: &TiledBitMatrix) -> TiledBitMatrix {
+        assert_eq!(self.n, other.n, "dimension mismatch");
+        let csr = self.csr.intersect(&other.csr);
+        Self { n: self.n, csr }
     }
 
     /// Grows the matrix to `n × n`, keeping existing bits. `n` must not
@@ -457,14 +298,8 @@ impl TiledBitMatrix {
     /// whose out-of-range bits were zero by invariant).
     pub fn grow(&mut self, n: usize) {
         assert!(n >= self.n, "Boolean matrices only grow");
-        if n == self.n {
-            return;
-        }
-        let tn = tile_count(n);
-        let stored = *self.row_ptr.last().expect("row_ptr non-empty");
-        self.row_ptr.resize(tn + 1, stored);
+        self.csr.grow(tile_count(n));
         self.n = n;
-        self.tn = tn;
     }
 
     /// Serial Boolean product `self × other`.
@@ -492,84 +327,67 @@ impl TiledBitMatrix {
         if let Some(m) = mask {
             assert_eq!(self.n, m.n, "mask dimension mismatch");
         }
-        let mut out = TiledBitMatrix::zeros(self.n);
-        let Some(device) = device.filter(|d| d.n_workers() > 1 && self.tn > 1) else {
-            // One block is the whole product: its vectors become the
-            // output's instead of being copied into it.
-            let (row_ends, cols, tiles, skipped) = self.multiply_block(other, mask, 0..self.tn);
-            out.row_ptr[1..].copy_from_slice(&row_ends);
-            out.tile_cols = cols;
-            out.tiles = tiles;
-            return (out, skipped);
+        let n = self.n;
+        let tn = self.tile_rows();
+        let Some(device) = device.filter(|d| d.n_workers() > 1 && tn > 1) else {
+            // One block is the whole product.
+            let (csr, skipped) = self.multiply_block(other, mask, 0..tn);
+            return (Self { n, csr }, skipped);
         };
-        let blocks: Vec<TileBlock> =
-            device.par_map_ranges(self.tn, |range| self.multiply_block(other, mask, range));
-        let mut skipped = 0u64;
-        let mut ti = 0usize;
-        for (row_ends, cols, tiles, block_skipped) in blocks {
-            let base = out.tile_cols.len();
-            for end in row_ends {
-                ti += 1;
-                out.row_ptr[ti] = base + end;
-            }
-            out.tile_cols.extend_from_slice(&cols);
-            out.tiles.extend_from_slice(&tiles);
-            skipped += block_skipped;
-        }
-        debug_assert_eq!(ti, self.tn, "every tile-row stitched");
-        (out, skipped)
+        let blocks = device.par_map_ranges(tn, |range| self.multiply_block(other, mask, range));
+        let skipped = blocks.iter().map(|(_, skipped)| skipped).sum();
+        let csr = Csr::concat(blocks.into_iter().map(|(block, _)| block));
+        debug_assert_eq!(csr.rows(), tn, "every tile-row stitched");
+        (Self { n, csr }, skipped)
     }
 
-    /// Computes tile-rows `rows` of `(self × other) \ mask?`. Returns the
-    /// per-tile-row end offsets (relative to the block), the tile columns
-    /// and payloads, and the skipped-kernel count.
+    /// Computes tile-rows `rows` of `(self × other) \ mask?` as a block of
+    /// their own (row ends relative to it), and the skipped-kernel count.
     fn multiply_block(
         &self,
         other: &TiledBitMatrix,
         mask: Option<&TiledBitMatrix>,
         rows: Range<usize>,
-    ) -> TileBlock {
-        let mut row_ends = Vec::with_capacity(rows.len());
-        let mut cols: Vec<u32> = Vec::new();
-        let mut tiles: Vec<TileWords> = Vec::new();
+    ) -> (Csr<TileWords>, u64) {
+        let (a, b) = (&self.csr, &other.csr);
+        let mut out = Csr::with_capacity(rows.len(), 0);
         let mut skipped = 0u64;
         TILE_ACC.with_borrow_mut(|acc| {
-            acc.begin_product(self.tn);
+            acc.begin_product(a.rows());
             for ti in rows {
-                let a_row = self.row_ptr[ti]..self.row_ptr[ti + 1];
+                let a_row = a.row(ti);
                 let row_len = a_row.len();
                 if row_len == 0 {
                     // Most tile-rows of a source-restricted product:
                     // nothing to begin, fold or drain.
-                    row_ends.push(cols.len());
+                    out.row_ptr.push(out.nnz());
                     continue;
                 }
                 acc.begin_row();
                 for t in a_row {
-                    let tk = self.tile_cols[t] as usize;
-                    let panel = other.row_ptr[tk]..other.row_ptr[tk + 1];
+                    let tk = a.cols[t] as usize;
+                    let panel = b.row(tk);
                     if panel.is_empty() {
                         // The whole family of products A_{i,k} × B_{k,*}
                         // vanishes: B's tile-row k stores nothing.
                         skipped += 1;
                         continue;
                     }
-                    let a_tile = &self.tiles[t];
-                    if acc.right_driven_is_cheaper(a_tile, tk, &other.tiles[panel.clone()], row_len)
-                    {
+                    let a_tile = &a.vals[t];
+                    if acc.right_driven_is_cheaper(a_tile, tk, &b.vals[panel.clone()], row_len) {
                         let a_cols = transpose_tile(a_tile);
                         for bt in panel {
-                            let tj = other.tile_cols[bt];
+                            let tj = b.cols[bt];
                             tile_multiply_transposed_into(
                                 &a_cols,
-                                &other.tiles[bt],
+                                &b.vals[bt],
                                 acc.transposed_tile(tj),
                             );
                         }
                     } else {
                         for bt in panel {
-                            let tj = other.tile_cols[bt];
-                            tile_multiply_into(a_tile, &other.tiles[bt], acc.tile(tj));
+                            let tj = b.cols[bt];
+                            tile_multiply_into(a_tile, &b.vals[bt], acc.tile(tj));
                         }
                     }
                 }
@@ -580,12 +398,12 @@ impl TiledBitMatrix {
                 // tile-column order (canonical form), masking on the way.
                 let row = &mut acc.row;
                 row.touched.sort_unstable();
-                let mask_row = mask.map(|m| (m, m.row_ptr[ti]..m.row_ptr[ti + 1]));
+                let mask_row = mask.map(|m| (&m.csr, m.csr.row(ti)));
                 for &tj in &row.touched {
                     let tile = &mut row.tiles[tj as usize];
                     if let Some((m, ref mrange)) = mask_row {
-                        if let Ok(pos) = m.tile_cols[mrange.clone()].binary_search(&tj) {
-                            let mtile = &m.tiles[mrange.start + pos];
+                        if let Ok(pos) = m.cols[mrange.clone()].binary_search(&tj) {
+                            let mtile = &m.vals[mrange.start + pos];
                             for (tw, &mw) in tile.iter_mut().zip(mtile.iter()) {
                                 *tw &= !mw;
                             }
@@ -597,13 +415,12 @@ impl TiledBitMatrix {
                         skipped += 1;
                         continue;
                     }
-                    cols.push(tj);
-                    tiles.push(*tile);
+                    out.push(tj, *tile);
                 }
-                row_ends.push(cols.len());
+                out.row_ptr.push(out.nnz());
             }
         });
-        (row_ends, cols, tiles, skipped)
+        (out, skipped)
     }
 }
 
@@ -878,17 +695,30 @@ impl TiledEngine {
         Self::new(Device::new(1))
     }
 
-    pub(crate) fn note_skipped(&self, skipped: u64) {
+    /// One product `(a × b) \ mask?` under its kernel span — the standard
+    /// repr/op/nnz tags plus the product's `tiles_skipped` (see the
+    /// Recorder contract on [`BoolEngine`]) — its skips added to the
+    /// engine's counter. A job of a batch passes no `device`: one serial
+    /// kernel per job, no nested offload.
+    fn product(
+        &self,
+        a: &TiledBitMatrix,
+        b: &TiledBitMatrix,
+        mask: Option<&TiledBitMatrix>,
+        device: Option<&Device>,
+    ) -> TiledBitMatrix {
+        let mut sp = cfpq_obs::span("kernel");
+        let (c, skipped) = a.multiply_masked_opt_on(b, mask, device);
         if skipped > 0 {
             self.tiles_skipped.fetch_add(skipped, Ordering::Relaxed);
         }
-    }
-
-    /// The §5 length kernels run on the CSR length representation (tile
-    /// payloads are bitsets; path lengths need `u32` cells), sharing the
-    /// tiled engine's device.
-    fn len_engine(&self) -> ParSparseEngine {
-        ParSparseEngine::new(self.device.clone())
+        if sp.is_recording() {
+            sp.attr_str("repr", "tiled");
+            sp.attr_str("op", if mask.is_some() { "masked" } else { "mul" });
+            sp.attr_u64("nnz", c.nnz() as u64);
+            sp.attr_u64("tiles_skipped", skipped);
+        }
+        c
     }
 }
 
@@ -896,21 +726,6 @@ impl Default for TiledEngine {
     fn default() -> Self {
         Self::serial()
     }
-}
-
-/// Kernel-span wrapper for tiled products: adds the per-product
-/// `tiles_skipped` count on top of the standard repr/op/nnz tags (see
-/// the Recorder contract on [`BoolEngine`]).
-fn tiled_kernel(op: &'static str, f: impl FnOnce() -> (TiledBitMatrix, u64)) -> TiledBitMatrix {
-    let mut sp = cfpq_obs::span("kernel");
-    let (c, skipped) = f();
-    if sp.is_recording() {
-        sp.attr_str("repr", "tiled");
-        sp.attr_str("op", op);
-        sp.attr_u64("nnz", c.nnz() as u64);
-        sp.attr_u64("tiles_skipped", skipped);
-    }
-    c
 }
 
 impl BoolEngine for TiledEngine {
@@ -926,11 +741,7 @@ impl BoolEngine for TiledEngine {
         TiledBitMatrix::from_pairs(n, pairs)
     }
     fn multiply(&self, a: &TiledBitMatrix, b: &TiledBitMatrix) -> TiledBitMatrix {
-        tiled_kernel("mul", || {
-            let (c, skipped) = a.multiply_masked_opt_on(b, None, Some(&self.device));
-            self.note_skipped(skipped);
-            (c, skipped)
-        })
+        self.product(a, b, None, Some(&self.device))
     }
     fn union_in_place(&self, a: &mut TiledBitMatrix, b: &TiledBitMatrix) -> bool {
         a.union_in_place(b)
@@ -948,14 +759,8 @@ impl BoolEngine for TiledEngine {
         a.intersect(b)
     }
     fn multiply_batch(&self, jobs: &[(&TiledBitMatrix, &TiledBitMatrix)]) -> Vec<TiledBitMatrix> {
-        // One serial tiled kernel per job; no nested offload.
-        self.device.par_map(jobs.to_vec(), |(a, b)| {
-            tiled_kernel("mul", || {
-                let (c, skipped) = a.multiply_masked_opt_on(b, None, None);
-                self.note_skipped(skipped);
-                (c, skipped)
-            })
-        })
+        let product = |(a, b)| self.product(a, b, None, None);
+        self.device.par_map(jobs.to_vec(), product)
     }
     fn multiply_masked(
         &self,
@@ -963,61 +768,16 @@ impl BoolEngine for TiledEngine {
         b: &TiledBitMatrix,
         mask: &TiledBitMatrix,
     ) -> TiledBitMatrix {
-        tiled_kernel("masked", || {
-            let (c, skipped) = a.multiply_masked_opt_on(b, Some(mask), Some(&self.device));
-            self.note_skipped(skipped);
-            (c, skipped)
-        })
+        self.product(a, b, Some(mask), Some(&self.device))
     }
     fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, TiledBitMatrix>]) -> Vec<TiledBitMatrix> {
-        // One serial tiled kernel per job; no nested offload.
-        self.device.par_map(jobs.to_vec(), |(a, b, m)| {
-            tiled_kernel(if m.is_some() { "masked" } else { "mul" }, || {
-                let (c, skipped) = a.multiply_masked_opt_on(b, m, None);
-                self.note_skipped(skipped);
-                (c, skipped)
-            })
-        })
+        let product = |(a, b, mask)| self.product(a, b, mask, None);
+        self.device.par_map(jobs.to_vec(), product)
     }
     fn kernel_counters(&self) -> KernelCounters {
         KernelCounters {
             tiles_skipped: self.tiles_skipped.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl LenEngine for TiledEngine {
-    type LenMatrix = CsrLenMatrix;
-
-    fn len_empty(&self, n: usize) -> CsrLenMatrix {
-        self.len_engine().len_empty(n)
-    }
-    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> CsrLenMatrix {
-        self.len_engine().len_from_entries(n, entries)
-    }
-    fn len_set_absent(
-        &self,
-        a: &mut CsrLenMatrix,
-        entries: &[(u32, u32, u32)],
-    ) -> Vec<(u32, u32, u32)> {
-        self.len_engine().len_set_absent(a, entries)
-    }
-    fn len_multiply_masked(
-        &self,
-        a: &CsrLenMatrix,
-        b: &CsrLenMatrix,
-        mask: Option<&CsrLenMatrix>,
-    ) -> CsrLenMatrix {
-        self.len_engine().len_multiply_masked(a, b, mask)
-    }
-    fn len_multiply_masked_batch(&self, jobs: &[LenJob<'_, CsrLenMatrix>]) -> Vec<CsrLenMatrix> {
-        self.len_engine().len_multiply_masked_batch(jobs)
-    }
-    fn len_merge_absent(&self, acc: &mut CsrLenMatrix, add: &CsrLenMatrix) -> CsrLenMatrix {
-        self.len_engine().len_merge_absent(acc, add)
-    }
-    fn len_grow(&self, a: &mut CsrLenMatrix, n: usize) {
-        self.len_engine().len_grow(a, n)
     }
 }
 
@@ -1063,10 +823,11 @@ mod tests {
 
     #[test]
     fn sorted_fast_path_builds_the_same_matrix() {
-        // Row-major-sorted input (what pairs() emits) takes the O(nnz)
-        // streaming builder; it must produce the exact canonical form
-        // the sorting fallback does, including multi-tile rows whose
-        // tiles are first-touched out of column order.
+        // Row-major-sorted input (what pairs() emits) goes straight to
+        // the O(nnz) streaming builder and unsorted input is sorted
+        // first; both must produce the same canonical form, including
+        // multi-tile rows whose tiles are first-touched out of column
+        // order.
         let n = 300usize;
         let unsorted = pseudo_pairs(n, 2000, 0xFA57);
         let reference = TiledBitMatrix::from_pairs(n, &unsorted);
@@ -1074,8 +835,8 @@ mod tests {
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
         let rebuilt = TiledBitMatrix::from_pairs(n, &sorted);
         assert_eq!(rebuilt, reference);
-        assert_eq!(rebuilt.row_ptr, reference.row_ptr);
-        assert_eq!(rebuilt.tile_cols, reference.tile_cols);
+        assert_eq!(rebuilt.csr.row_ptr, reference.csr.row_ptr);
+        assert_eq!(rebuilt.csr.cols, reference.csr.cols);
     }
 
     #[test]
@@ -1161,9 +922,9 @@ mod tests {
         assert_eq!((a.stored_tiles(), b.stored_tiles()), (2, 6));
 
         let mut chooser = TileAccumulator::new();
-        chooser.begin_product(a.tn);
-        assert!(chooser.right_driven_is_cheaper(&a.tiles[0], 0, &b.tiles[..3], 2));
-        assert!(!chooser.right_driven_is_cheaper(&a.tiles[1], 1, &b.tiles[3..], 2));
+        chooser.begin_product(a.tile_rows());
+        assert!(chooser.right_driven_is_cheaper(&a.csr.vals[0], 0, &b.csr.vals[..3], 2));
+        assert!(!chooser.right_driven_is_cheaper(&a.csr.vals[1], 1, &b.csr.vals[3..], 2));
 
         // Output tile (0, 1) fully masked, (0, 2) partly.
         let mut pm: Vec<(u32, u32)> = (0..64)
@@ -1180,7 +941,11 @@ mod tests {
         let allocated = || TILE_ACC.with_borrow(|acc| acc.transposed.tiles.len());
         assert_eq!(allocated(), 0, "no right-driven product on this thread yet");
         let (plain, skipped) = a.multiply_masked_opt_on(&b, None, None);
-        assert_eq!(allocated(), a.tn, "the full tile went right-driven");
+        assert_eq!(
+            allocated(),
+            a.tile_rows(),
+            "the full tile went right-driven"
+        );
         assert!(plain.pairs() == da.multiply(&db).pairs());
         assert_eq!(skipped, 0);
         let (masked, skipped) = a.multiply_masked_opt_on(&b, Some(&mask), None);
@@ -1212,11 +977,19 @@ mod tests {
         let mut a = TiledBitMatrix::from_pairs(100, &[(0, 1)]);
         let b = TiledBitMatrix::from_pairs(100, &[(0, 1), (65, 70)]);
         assert!(a.union_in_place(&b));
+        let storage = |m: &TiledBitMatrix| {
+            let csr = &m.csr;
+            (csr.row_ptr.as_ptr(), csr.cols.as_ptr(), csr.vals.as_ptr())
+        };
+        let before = storage(&a);
         assert!(!a.union_in_place(&b), "second union is a no-op");
+        assert_eq!(storage(&a), before, "and leaves the storage where it is");
         assert_eq!(a.nnz(), 2);
         assert!(a.insert_pairs(&[(99, 99)]));
+        let before = storage(&a);
         assert!(!a.insert_pairs(&[(99, 99), (0, 1)]));
         assert!(!a.insert_pairs(&[]));
+        assert_eq!(storage(&a), before, "nothing new, nothing rebuilt");
         assert_eq!(a.pairs(), vec![(0, 1), (65, 70), (99, 99)]);
     }
 

@@ -4,9 +4,10 @@
 //! allocate a constant number of times, whatever the number of rows (a
 //! per-row `Vec` anywhere in the kernel shows here as thousands).
 //!
-//! The tiled product is held to the same rule one level up: its
-//! allocation count must not depend on the number of tile-rows, whichever
-//! way its tiles go through their panels.
+//! The tiled matrix is held to the same rule one level up: what its
+//! product — whichever way its tiles go through their panels — and its
+//! union allocate must not depend on the number of tile-rows, and a
+//! union that adds nothing must allocate nothing at all.
 //!
 //! The counter (`support/counting_allocator.rs`) is per thread, so the
 //! test harness's own threads do not disturb it.
@@ -121,7 +122,7 @@ fn tiled_product_allocations(n: usize) -> [(usize, usize); 2] {
 fn a_tiled_product_allocates_independently_of_the_number_of_tile_rows() {
     let [left_small, right_small] = tiled_product_allocations(512);
     let [left_large, right_large] = tiled_product_allocations(51_200);
-    // Warm, a product allocates its output — row offsets twice, and the
+    // Warm, a product allocates its output — row offsets, and the
     // doubling growth of 64 tile columns and payloads — and nothing per
     // tile-row: 8 tile-rows or 800.
     assert_eq!(left_small.1, left_large.1, "left-driven");
@@ -133,4 +134,39 @@ fn a_tiled_product_allocates_independently_of_the_number_of_tile_rows() {
     // left them unallocated.
     assert!(right_small.0 > right_small.1, "{right_small:?}");
     assert!(right_large.0 > right_large.1, "{right_large:?}");
+}
+
+/// Allocation counts of a tiled sweep's unions on an `n × n` closure
+/// with two bits in every row: a 100-bit Δ on the diagonal of the first
+/// 512 rows — disjoint from the closure, in tiles it stores and in tiles
+/// it does not — unioned in; then the same Δ again as a matrix and as
+/// pairs, which adds nothing.
+fn tiled_union_allocations(n: u32) -> [usize; 3] {
+    let (closure_pairs, _) = closure_and_delta(n);
+    let delta_pairs: Pairs = (0..100).map(|k| (5 * k + 2, 5 * k + 2)).collect();
+    let closure = TiledBitMatrix::from_pairs(n as usize, &closure_pairs);
+    let delta = TiledBitMatrix::from_pairs(n as usize, &delta_pairs);
+    let mut acc = closure.clone();
+    let (union, grew) = allocations(|| acc.union_in_place(&delta));
+    assert!(grew && acc.nnz() == closure.nnz() + 100);
+    assert!(acc.stored_tiles() < closure.stored_tiles() + delta.stored_tiles());
+    let unioned = acc.clone();
+    let (again, grew) = allocations(|| acc.union_in_place(&delta));
+    assert!(!grew && acc == unioned);
+    let (as_pairs, grew) = allocations(|| acc.insert_pairs(&delta_pairs));
+    assert!(!grew && acc == unioned);
+    [union, again, as_pairs]
+}
+
+#[test]
+fn a_tiled_union_allocates_for_what_it_adds_and_not_per_tile_row() {
+    let small = tiled_union_allocations(512);
+    let large = tiled_union_allocations(51_200);
+    assert_eq!(small, large, "8 tile-rows or 800");
+    // New row offsets, tile columns and payloads, and the last two cut
+    // back to what the overlapping tiles left unused.
+    let [union, again, as_pairs] = large;
+    assert!(union <= 5, "union allocated {union} times");
+    // No new bit: the storage stays where it is, so nothing is allocated.
+    assert_eq!((again, as_pairs), (0, 0), "a union that adds nothing");
 }

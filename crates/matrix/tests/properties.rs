@@ -11,6 +11,7 @@ use cfpq_matrix::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Base RNG seed for every property in this file: CI must replay the
 /// exact same cases on every run (see shims/README.md for the seeding
@@ -225,16 +226,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// CSR set operations ≡ a sorted pair-set model
+// Sparse set operations ≡ a sorted pair-set model
 // ---------------------------------------------------------------------------
 
 type PairList = Vec<(u32, u32)>;
+type PairSet = BTreeSet<(u32, u32)>;
 
-/// Bends a random `(a, b)` pair of pair lists into the shapes the flat
-/// splice has to get right: an empty side, `b ⊆ a` (nothing new), the
-/// first and the last row touched, every pair given twice.
-fn shaped(shape: u8, mut a: PairList, mut b: PairList) -> (PairList, PairList) {
-    let last = N as u32 - 1;
+/// Bends a random `(a, b)` pair of pair lists over `n` rows into the
+/// shapes the row splice has to get right: an empty side, `b ⊆ a`
+/// (nothing new), the first and the last row touched, every pair given
+/// twice.
+fn shaped(n: usize, shape: u8, mut a: PairList, mut b: PairList) -> (PairList, PairList) {
+    let last = n as u32 - 1;
     match shape {
         0 => a.clear(),
         1 => b.clear(),
@@ -246,6 +249,77 @@ fn shaped(shape: u8, mut a: PairList, mut b: PairList) -> (PairList, PairList) {
     (a, b)
 }
 
+/// 4 × 4 tiles, the last tile-row and tile-column 8 bits wide: every
+/// left tile meets a panel of several right tiles, and a tiled set
+/// operation meets tile-row boundaries, tiles that overlap in part and
+/// the ragged last tile.
+const N_PANELS: usize = 200;
+
+/// Holds the set operations of one sparse representation, reached
+/// through its engine `e`, to a `BTreeSet` model on `n` rows: results,
+/// change flags, "nothing new leaves the matrix as it was", and
+/// structural equality with `from_pairs` of the model's sorted pairs —
+/// the canonical form, whatever route built the matrix. `a` is built
+/// `grown_by` rows short and grown, so appended rows splice like any
+/// other empty row. `also(matrix, set)` is what else the representation
+/// promises of a matrix that stores exactly `set`.
+fn set_operations_match_the_model<E: BoolEngine>(
+    e: &E,
+    n: usize,
+    (a, b): (PairList, PairList),
+    grown_by: usize,
+    also: impl Fn(&E::Matrix, &PairSet) -> bool,
+) -> Result<(), TestCaseError> {
+    let small = n - grown_by;
+    let a: PairList = a
+        .into_iter()
+        .filter(|&(i, j)| (i as usize) < small && (j as usize) < small)
+        .collect();
+    let mut ma = e.from_pairs(small, &a);
+    e.grow(&mut ma, n);
+    let mb = e.from_pairs(n, &b);
+    let set_a: PairSet = a.iter().copied().collect();
+    let set_b: PairSet = b.iter().copied().collect();
+    let holds = |what: &str, got: &E::Matrix, set: PairSet| {
+        let sorted: PairList = set.iter().copied().collect();
+        prop_assert!(got.pairs() == sorted, "{}: pairs", what);
+        prop_assert!(*got == e.from_pairs(n, &sorted), "{}: canonical form", what);
+        prop_assert!(also(got, &set), "{}: representation's own check", what);
+        Ok(())
+    };
+
+    holds("from_pairs + grow", &ma, set_a.clone())?;
+    holds("from_pairs", &mb, set_b.clone())?;
+
+    let union: PairSet = set_a.union(&set_b).copied().collect();
+    let grows = union.len() > set_a.len();
+    let mut unioned = ma.clone();
+    prop_assert_eq!(
+        e.union_in_place(&mut unioned, &mb),
+        grows,
+        "union change flag"
+    );
+    holds("union", &unioned, union.clone())?;
+    let mut inserted = ma.clone();
+    prop_assert_eq!(
+        e.union_pairs(&mut inserted, &b),
+        grows,
+        "insert_pairs change flag"
+    );
+    holds("insert_pairs", &inserted, union)?;
+    if !grows {
+        prop_assert!(unioned == ma, "nothing new leaves the matrix as it was");
+    }
+
+    let a_minus_b = set_a.difference(&set_b).copied().collect();
+    holds("a minus b", &e.difference(&ma, &mb), a_minus_b)?;
+    let b_minus_a = set_b.difference(&set_a).copied().collect();
+    holds("b minus a", &e.difference(&mb, &ma), b_minus_a)?;
+    let common: PairSet = set_a.intersection(&set_b).copied().collect();
+    holds("a and b", &e.intersect(&ma, &mb), common.clone())?;
+    holds("b and a", &e.intersect(&mb, &ma), common)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(96, RNG_SEED))]
 
@@ -253,68 +327,31 @@ proptest! {
     fn csr_set_operations_match_the_pair_set_model(
         a in pairs(N, 90), b in pairs(N, 90), shape in 0u8..8, grown in 0usize..2
     ) {
-        let (a, b) = shaped(shape, a, b);
-        // Optionally build `a` in a smaller universe and grow it: rows
-        // appended by `grow` must splice like any other empty row.
-        let small = if grown == 1 { N - 9 } else { N };
-        let a: Vec<(u32, u32)> = a
-            .into_iter()
-            .filter(|&(i, j)| (i as usize) < small && (j as usize) < small)
-            .collect();
-        let mut ma = CsrMatrix::from_pairs(small, &a);
-        ma.grow(N);
-        let mb = CsrMatrix::from_pairs(N, &b);
-        let set_a: BTreeSet<(u32, u32)> = a.iter().copied().collect();
-        let set_b: BTreeSet<(u32, u32)> = b.iter().copied().collect();
-        // Structural equality with `from_pairs` of the model's sorted
-        // pairs: same row pointers, same ascending columns, no duplicates.
-        let model = |set: BTreeSet<(u32, u32)>| {
-            CsrMatrix::from_pairs(N, &set.into_iter().collect::<Vec<_>>())
+        let transposed = |m: &CsrMatrix, set: &PairSet| {
+            let flipped: PairList = set.iter().map(|&(i, j)| (j, i)).collect();
+            m.transpose() == CsrMatrix::from_pairs(N, &flipped)
         };
+        set_operations_match_the_model(&SparseEngine, N, shaped(N, shape, a, b), 9 * grown, transposed)?;
+    }
 
-        prop_assert_eq!(ma.pairs(), set_a.iter().copied().collect::<Vec<_>>(), "from_pairs + grow");
-        prop_assert_eq!(mb.pairs(), set_b.iter().copied().collect::<Vec<_>>(), "from_pairs");
-
-        let union: BTreeSet<_> = set_a.union(&set_b).copied().collect();
-        let grows = union.len() > set_a.len();
-        let mut unioned = ma.clone();
-        prop_assert_eq!(unioned.union_in_place(&mb), grows, "union change flag");
-        prop_assert_eq!(&unioned, &model(union.clone()), "union");
-        let mut inserted = ma.clone();
-        prop_assert_eq!(inserted.insert_pairs(&b), grows, "insert_pairs change flag");
-        prop_assert_eq!(&inserted, &model(union), "insert_pairs");
-        if !grows {
-            prop_assert_eq!(&unioned, &ma, "nothing new leaves the matrix as it was");
-        }
-
-        prop_assert_eq!(
-            ma.difference(&mb),
-            model(set_a.difference(&set_b).copied().collect()),
-            "a minus b"
-        );
-        prop_assert_eq!(
-            mb.difference(&ma),
-            model(set_b.difference(&set_a).copied().collect()),
-            "b minus a"
-        );
-        let common: BTreeSet<_> = set_a.intersection(&set_b).copied().collect();
-        prop_assert_eq!(ma.intersect(&mb), model(common.clone()), "a and b");
-        prop_assert_eq!(mb.intersect(&ma), model(common), "b and a");
-        prop_assert_eq!(
-            ma.transpose(),
-            model(set_a.iter().map(|&(i, j)| (j, i)).collect()),
-            "transpose"
-        );
+    #[test]
+    fn tiled_set_operations_match_the_pair_set_model(
+        a in pairs(N_PANELS, 90), b in pairs(N_PANELS, 90), shape in 0u8..8, grown in 0usize..2
+    ) {
+        // One stored tile per tile the set touches: none missing, none
+        // left behind all-zero by a difference or an intersection.
+        let tiles_of_the_set = |m: &TiledBitMatrix, set: &PairSet| {
+            let tiles: BTreeSet<(u32, u32)> = set.iter().map(|&(i, j)| (i / 64, j / 64)).collect();
+            m.stored_tiles() == tiles.len()
+        };
+        let cases = shaped(N_PANELS, shape, a, b);
+        set_operations_match_the_model(&TiledEngine::serial(), N_PANELS, cases, 9 * grown, tiles_of_the_set)?;
     }
 }
 
 // ---------------------------------------------------------------------------
 // Tiled products across tile panels and densities
 // ---------------------------------------------------------------------------
-
-/// 4 × 4 tiles, the last tile-row and tile-column 8 bits wide: every
-/// left tile meets a panel of several right tiles.
-const N_PANELS: usize = 200;
 
 /// A seeded `N_PANELS`-square pair list in one of four density classes:
 /// hypersparse (six cells), about two cells per row, half full, full.
@@ -425,6 +462,56 @@ fn reads_outside_the_matrix_answer_absent_on_every_engine() {
             }
             assert!(m.get(1, 0) && m.get(n - 1, n - 1));
             assert_eq!((l.get(1, 0), l.get(n - 1, n - 1)), (Some(4), Some(5)));
+        }
+    }
+    check(&DenseEngine);
+    check(&SparseEngine);
+    check(&ParDenseEngine::new(Device::new(2)));
+    check(&ParSparseEngine::new(Device::new(2)));
+    check(&TiledEngine::new(Device::new(2)));
+}
+
+/// ROADMAP 6(d), the write side: a cell outside the matrix is refused by
+/// every engine at every entry point that stores cells, with the same
+/// message, before anything is stored — `(0, N)` would land in a dense
+/// row's padding, `(0, 64)` in the next dense row, `(N, 0)` past a row
+/// table. Run in debug and in release builds (CI does both): a
+/// `debug_assert!` passes one and not the other.
+#[test]
+fn writes_outside_the_matrix_are_refused_on_every_engine() {
+    fn refused<T>(what: &str, write: impl FnOnce() -> T) {
+        let Err(panic) = catch_unwind(AssertUnwindSafe(write)) else {
+            panic!("{what} was stored");
+        };
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        let outside = format!("is outside the {N} × {N} matrix");
+        assert!(message.contains(&outside), "{what}: {message}");
+    }
+    fn check<E: BoolEngine + LenEngine>(e: &E) {
+        let n = N as u32;
+        let name = e.name();
+        for (i, j) in [(0, n), (0, 64), (n, 0), (n, n), (u32::MAX, 0)] {
+            // A batch that is fine up to its last cell.
+            let pairs = [(0, 0), (2, 3), (i, j)];
+            let entries = [(0, 0, 1), (2, 3, 4), (i, j, 5)];
+            refused(&format!("{name} from_pairs ({i}, {j})"), || {
+                e.from_pairs(N, &pairs)
+            });
+            refused(&format!("{name} len_from_entries ({i}, {j})"), || {
+                e.len_from_entries(N, &entries)
+            });
+            let mut m = e.from_pairs(N, &[(0, 0), (1, 36)]);
+            let before = m.clone();
+            refused(&format!("{name} union_pairs ({i}, {j})"), || {
+                e.union_pairs(&mut m, &pairs)
+            });
+            assert!(m == before, "{name} union_pairs ({i}, {j}) left a trace");
+            let mut l = e.len_from_entries(N, &[(0, 0, 1), (1, 36, 2)]);
+            let before = l.clone();
+            refused(&format!("{name} len_set_absent ({i}, {j})"), || {
+                e.len_set_absent(&mut l, &entries)
+            });
+            assert!(l == before, "{name} len_set_absent ({i}, {j}) left a trace");
         }
     }
     check(&DenseEngine);
