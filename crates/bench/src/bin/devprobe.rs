@@ -49,7 +49,7 @@ fn main() {
     println!("serial 20x multiply nnz={}: {:?}", s.nnz(), t.elapsed());
     let t = Instant::now();
     for _ in 0..20 {
-        let _ = s.multiply_on(s, &dev);
+        let _ = s.multiply_masked_opt_on(s, None, Some(&dev));
     }
     println!("par({workers})  20x multiply: {:?}", t.elapsed());
 

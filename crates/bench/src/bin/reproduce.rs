@@ -15,7 +15,7 @@
 //! (sessions, the service, single-path, all-paths, RPQ, scale) is
 //! measured by the whole-stack benchmark, see `benchmark/README.md`.
 
-use cfpq_bench::{render_table, run_row, run_table, small_suite, Query};
+use cfpq_bench::{render_json, render_table, run_row, run_table, small_suite, Query};
 use std::io::Write;
 
 fn main() {
@@ -60,7 +60,7 @@ fn main() {
         }
     }
 
-    let mut sections: Vec<serde_json::Value> = Vec::new();
+    let mut sections = Vec::new();
     for q in queries {
         let rows = if smoke {
             eprintln!("running {} over the smoke suite...", q.table_name());
@@ -74,11 +74,11 @@ fn main() {
         };
         print!("{}", render_table(q, &rows));
         println!();
-        sections.push(serde_json::json!({ "query": format!("{q:?}"), "rows": rows }));
+        sections.push((q, rows));
     }
 
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&sections).expect("rows serialize");
+        let json = render_json(&sections);
         let mut f = std::fs::File::create(&path).expect("open json output");
         f.write_all(json.as_bytes()).expect("write json output");
         eprintln!("wrote {path}");

@@ -1,8 +1,8 @@
 //! # cfpq-bench
 //!
 //! The evaluation harness reproducing §6 of the paper: Table 1 (Query 1)
-//! and Table 2 (Query 2) over the 14-dataset suite, shared by the
-//! `reproduce` binary and the Criterion benches.
+//! and Table 2 (Query 2) over the 14-dataset suite, behind the
+//! `reproduce` binary.
 //!
 //! Column mapping (the README's "Paper → implementation map" explains
 //! the GPU substitution):
@@ -31,7 +31,6 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{queries, Cfg, Wcnf};
 use cfpq_graph::ontology::{evaluation_suite, Dataset};
 use cfpq_matrix::{Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine};
-use serde::Serialize;
 use std::time::Instant;
 
 /// Which of the paper's two evaluation queries to run.
@@ -61,10 +60,10 @@ impl Query {
     }
 }
 
-/// Kernel-work counters of one fixpoint run, serialized into the
+/// Kernel-work counters of one fixpoint run, written into the
 /// `reproduce --json` output (per-sweep nnz, products launched, products
 /// avoided).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SweepStats {
     /// Fixpoint sweeps until no change.
     pub sweeps: usize,
@@ -95,7 +94,7 @@ impl SweepStats {
 }
 
 /// One row of a reproduced table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Row {
     /// Dataset name (skos … g3).
     pub dataset: String,
@@ -258,7 +257,93 @@ pub fn render_table(query: Query, rows: &[Row]) -> String {
     out
 }
 
-/// A smaller suite for unit tests and smoke benches: the four smallest
+/// The `reproduce --json` document: one `{"query", "rows"}` object per
+/// table, every field of [`Row`] and [`SweepStats`] under its own name in
+/// declaration order, two-space indentation, one array element per line.
+/// Written by hand — two flat structs do not need a serializer — so CI
+/// parses the file it writes.
+pub fn render_json(sections: &[(Query, Vec<Row>)]) -> String {
+    let sections = sections.iter().map(|(query, rows)| {
+        let query = json_string(&format!("{query:?}"));
+        let rows = json_array(rows.iter().map(|row| row.json(3)), 2);
+        json_object(&[("query", query), ("rows", rows)], 1)
+    });
+    json_array(sections, 0)
+}
+
+impl Row {
+    fn json(&self, level: usize) -> String {
+        let dense_par_ms = self
+            .dense_par_ms
+            .map_or("null".to_owned(), |ms| ms.to_string());
+        let fields = [
+            ("dataset", json_string(&self.dataset)),
+            ("triples", self.triples.to_string()),
+            ("nodes", self.nodes.to_string()),
+            ("results", self.results.to_string()),
+            ("gll_ms", self.gll_ms.to_string()),
+            ("dense_par_ms", dense_par_ms),
+            ("sparse_ms", self.sparse_ms.to_string()),
+            ("sparse_par_ms", self.sparse_par_ms.to_string()),
+            ("tiled_ms", self.tiled_ms.to_string()),
+            ("sparse", self.sparse.json(level + 1)),
+        ];
+        json_object(&fields, level)
+    }
+}
+
+impl SweepStats {
+    fn json(&self, level: usize) -> String {
+        let counts = |counts: &[usize]| json_array(counts.iter().map(usize::to_string), level + 1);
+        let fields = [
+            ("sweeps", self.sweeps.to_string()),
+            ("products_computed", self.products_computed.to_string()),
+            ("products_skipped", self.products_skipped.to_string()),
+            ("sweep_nnz", counts(&self.sweep_nnz)),
+            ("tiles_skipped", self.tiles_skipped.to_string()),
+            ("nt_nnz", counts(&self.nt_nnz)),
+        ];
+        json_object(&fields, level)
+    }
+}
+
+/// `items`, already rendered one level deeper, as an array at `level`.
+fn json_array(items: impl Iterator<Item = String>, level: usize) -> String {
+    json_block(['[', ']'], items, level)
+}
+
+/// `fields`, values already rendered one level deeper, as an object at
+/// `level`.
+fn json_object(fields: &[(&str, String)], level: usize) -> String {
+    let fields = fields
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {value}"));
+    json_block(['{', '}'], fields, level)
+}
+
+fn json_block(
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = String>,
+    level: usize,
+) -> String {
+    let (pad, end) = ("  ".repeat(level + 1), "  ".repeat(level));
+    let items: Vec<String> = items.map(|item| format!("{pad}{item}")).collect();
+    if items.is_empty() {
+        return format!("{open}{close}");
+    }
+    format!("{open}\n{}\n{end}{close}", items.join(",\n"))
+}
+
+fn json_string(s: &str) -> String {
+    let escape = |c: char| match c {
+        '"' | '\\' => format!("\\{c}"),
+        c if c < ' ' => format!("\\u{:04x}", c as u32),
+        c => c.to_string(),
+    };
+    format!("\"{}\"", s.chars().map(escape).collect::<String>())
+}
+
+/// A smaller suite for unit tests and smoke runs: the four smallest
 /// ontologies.
 pub fn small_suite() -> Vec<Dataset> {
     evaluation_suite()
@@ -298,6 +383,59 @@ mod tests {
             assert!(text.contains(&d.name));
         }
         assert!(text.contains("#results"));
+    }
+
+    #[test]
+    fn json_keeps_field_order_nulls_and_empty_arrays() {
+        let row = Row {
+            dataset: "g\"1".to_owned(),
+            triples: 7,
+            nodes: 3,
+            results: 2,
+            gll_ms: 1.5,
+            dense_par_ms: None,
+            sparse_ms: 0.25,
+            sparse_par_ms: 3.0,
+            tiled_ms: 12.0625,
+            sparse: SweepStats {
+                sweeps: 2,
+                products_computed: 4,
+                products_skipped: 1,
+                sweep_nnz: vec![5, 6],
+                tiles_skipped: 0,
+                nt_nnz: vec![],
+            },
+        };
+        let expect = r#"[
+  {
+    "query": "Q2",
+    "rows": [
+      {
+        "dataset": "g\"1",
+        "triples": 7,
+        "nodes": 3,
+        "results": 2,
+        "gll_ms": 1.5,
+        "dense_par_ms": null,
+        "sparse_ms": 0.25,
+        "sparse_par_ms": 3,
+        "tiled_ms": 12.0625,
+        "sparse": {
+          "sweeps": 2,
+          "products_computed": 4,
+          "products_skipped": 1,
+          "sweep_nnz": [
+            5,
+            6
+          ],
+          "tiles_skipped": 0,
+          "nt_nnz": []
+        }
+      }
+    ]
+  }
+]"#;
+        assert_eq!(render_json(&[(Query::Q2, vec![row])]), expect);
     }
 
     #[test]

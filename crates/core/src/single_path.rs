@@ -746,6 +746,25 @@ mod tests {
                 )),
                 "sweeps carry the per-nonterminal delta-nnz breakdown"
             );
+            // Length products open the same `kernel` span the Boolean
+            // ones do, one per product, under the solve that ran them.
+            let kernels: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name == "kernel")
+                .filter(|k| {
+                    let mut cur = k.parent;
+                    while cur != 0 && cur != solve.id {
+                        cur = spans.iter().find(|s| s.id == cur).map_or(0, |s| s.parent);
+                    }
+                    cur == solve.id
+                })
+                .collect();
+            assert_eq!(kernels.len(), products, "one kernel span per product");
+            for kernel in kernels {
+                assert_eq!(kernel.attr("op"), Some(&AttrValue::Str("len")));
+                assert_eq!(kernel.attr("repr"), Some(&AttrValue::Str("csr")));
+                assert!(matches!(kernel.attr("nnz"), Some(AttrValue::U64(_))));
+            }
         }
     }
 

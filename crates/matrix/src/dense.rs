@@ -6,6 +6,9 @@
 //! `k` of `B` into row `i` of `C` — `O(n²·n/64)` word operations.
 
 use crate::device::Device;
+use crate::engine::MaskedJob;
+use crate::length::DenseLenMatrix;
+use crate::repr::BoolRepr;
 use crate::sparse::assert_in_range;
 
 /// A dense `n × n` Boolean matrix stored as row-major bitset.
@@ -143,20 +146,7 @@ impl DenseBitMatrix {
     /// assert_eq!(a.multiply(&b).pairs(), vec![(0, 2)]); // path composition
     /// ```
     pub fn multiply(&self, other: &DenseBitMatrix) -> DenseBitMatrix {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let mut c = DenseBitMatrix::zeros(self.n);
-        multiply_rows(self, other, 0, &mut c.bits);
-        c
-    }
-
-    /// Boolean matrix product with row blocks computed in parallel on the
-    /// `device` pool.
-    ///
-    /// Small matrices run serially: kernel dispatch has a fixed latency
-    /// (as GPU offload pays launch/transfer costs), so offloading only
-    /// pays off past a size threshold.
-    pub fn multiply_on(&self, other: &DenseBitMatrix, device: &Device) -> DenseBitMatrix {
-        self.multiply_masked_opt_on(other, None, device)
+        self.multiply_masked_opt_on(other, None, None)
     }
 
     /// Masked Boolean product `(self × other) \ mask`: entries already
@@ -176,43 +166,32 @@ impl DenseBitMatrix {
     /// assert_eq!(a.multiply_masked(&b, &mask).pairs(), vec![(1, 2)]);
     /// ```
     pub fn multiply_masked(&self, other: &DenseBitMatrix, mask: &DenseBitMatrix) -> DenseBitMatrix {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        assert_eq!(self.n, mask.n, "mask dimension mismatch");
-        let mut c = DenseBitMatrix::zeros(self.n);
-        multiply_rows_masked(self, other, Some(mask), 0, &mut c.bits);
-        c
+        self.multiply_masked_opt_on(other, Some(mask), None)
     }
 
-    /// [`DenseBitMatrix::multiply_masked`] with row blocks computed in
-    /// parallel on the `device` pool (same offload threshold as
-    /// [`DenseBitMatrix::multiply_on`]).
-    pub fn multiply_masked_on(
-        &self,
-        other: &DenseBitMatrix,
-        mask: &DenseBitMatrix,
-        device: &Device,
-    ) -> DenseBitMatrix {
-        assert_eq!(self.n, mask.n, "mask dimension mismatch");
-        self.multiply_masked_opt_on(other, Some(mask), device)
-    }
-
-    /// Shared offload scaffold of the serial-fallback threshold, row
-    /// chunking and scoped dispatch for the masked and unmasked products.
-    fn multiply_masked_opt_on(
+    /// The product entry point, `(self × other) \ mask?`, with row blocks
+    /// computed in parallel on the `device` pool if one is given.
+    ///
+    /// Small matrices run serially even then: kernel dispatch has a fixed
+    /// latency (as GPU offload pays launch/transfer costs), so offloading
+    /// only pays off past a size threshold.
+    pub fn multiply_masked_opt_on(
         &self,
         other: &DenseBitMatrix,
         mask: Option<&DenseBitMatrix>,
-        device: &Device,
+        device: Option<&Device>,
     ) -> DenseBitMatrix {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        const OFFLOAD_THRESHOLD_N: usize = 192;
-        if device.n_workers() == 1 || self.n < OFFLOAD_THRESHOLD_N {
-            return match mask {
-                Some(m) => self.multiply_masked(other, m),
-                None => self.multiply(other),
-            };
+        if let Some(m) = mask {
+            assert_eq!(self.n, m.n, "mask dimension mismatch");
         }
+        const OFFLOAD_THRESHOLD_N: usize = 192;
         let mut c = DenseBitMatrix::zeros(self.n);
+        let Some(device) = device.filter(|d| d.n_workers() > 1 && self.n >= OFFLOAD_THRESHOLD_N)
+        else {
+            multiply_rows(self, other, mask, 0, &mut c.bits);
+            return c;
+        };
         let rows_per = self.n.div_ceil(device.n_workers()).max(1);
         let wpr = self.wpr;
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = c
@@ -221,7 +200,7 @@ impl DenseBitMatrix {
             .enumerate()
             .map(|(chunk_idx, chunk)| {
                 let first_row = chunk_idx * rows_per;
-                Box::new(move || multiply_rows_masked(self, other, mask, first_row, chunk))
+                Box::new(move || multiply_rows(self, other, mask, first_row, chunk))
                     as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
@@ -264,13 +243,6 @@ impl DenseBitMatrix {
     }
 }
 
-/// Computes rows `first_row ..` of `a × b` into `out` (a slice of whole
-/// rows, `out.len() / a.wpr` rows long). Shared by the serial and
-/// device-parallel kernels.
-fn multiply_rows(a: &DenseBitMatrix, b: &DenseBitMatrix, first_row: usize, out: &mut [u64]) {
-    multiply_rows_masked(a, b, None, first_row, out);
-}
-
 // Per-thread row accumulator for the dense kernels. Each output row is
 // OR-accumulated here — `wpr` words that stay L1-resident across the
 // whole product — and copied into the (cold, freshly-zeroed) output
@@ -282,11 +254,13 @@ thread_local! {
     static ROW_SCRATCH: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// [`multiply_rows`] with an optional complement mask: after a row is
+/// Computes rows `first_row ..` of `(a × b) \ mask?` into `out` (a slice
+/// of whole rows, `out.len() / a.wpr` rows long) — the one row kernel of
+/// the serial and the device-parallel product. After a row is
 /// accumulated, every word already set in the mask row is ANDed out, so
 /// the output never regenerates known entries. Rows whose mask is fully
 /// saturated (all `n` columns set) skip the accumulation entirely.
-fn multiply_rows_masked(
+fn multiply_rows(
     a: &DenseBitMatrix,
     b: &DenseBitMatrix,
     mask: Option<&DenseBitMatrix>,
@@ -339,6 +313,40 @@ fn multiply_rows_masked(
             }
         }
     });
+}
+
+impl BoolRepr for DenseBitMatrix {
+    const REPR: &'static str = "dense";
+    const ON_DEVICE: &'static str = "dense-par";
+    type Len = DenseLenMatrix;
+
+    fn zeros(n: usize) -> Self {
+        Self::zeros(n)
+    }
+    fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
+        Self::from_pairs(n, pairs)
+    }
+    fn union_in_place(&mut self, other: &Self) -> bool {
+        self.union_in_place(other)
+    }
+    fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
+        self.insert_pairs(pairs)
+    }
+    fn grow(&mut self, n: usize) {
+        self.grow(n)
+    }
+    fn difference(&self, other: &Self) -> Self {
+        self.difference(other)
+    }
+    fn intersect(&self, other: &Self) -> Self {
+        self.intersect(other)
+    }
+    /// Nothing to own: the row scratch is the thread's.
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>) {
+        |(a, b, mask): MaskedJob<'_, Self>, device: Option<&Device>| {
+            (a.multiply_masked_opt_on(b, mask, device), None)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -402,7 +410,7 @@ mod tests {
 
     #[test]
     fn parallel_product_equals_serial() {
-        let n = 130usize;
+        let n = 260usize; // above the offload threshold, not a multiple of 64
         let mut a = DenseBitMatrix::zeros(n);
         let mut b = DenseBitMatrix::zeros(n);
         for i in 0..n as u32 {
@@ -413,7 +421,8 @@ mod tests {
         let serial = a.multiply(&b);
         for workers in [1, 2, 3, 8] {
             let device = Device::new(workers);
-            assert_eq!(a.multiply_on(&b, &device), serial, "workers = {workers}");
+            let par = a.multiply_masked_opt_on(&b, None, Some(&device));
+            assert_eq!(par, serial, "workers = {workers}");
         }
     }
 
@@ -440,7 +449,7 @@ mod tests {
         assert_eq!(c.n(), 0);
         assert!(c.is_zero());
         let d = Device::new(4);
-        assert_eq!(m.multiply_on(&m, &d).n(), 0);
+        assert_eq!(m.multiply_masked_opt_on(&m, None, Some(&d)).n(), 0);
     }
 
     #[test]
@@ -564,7 +573,8 @@ mod setops_tests {
         let serial = a.multiply_masked(&a, &mask);
         for workers in [1, 2, 4] {
             let d = Device::new(workers);
-            assert_eq!(a.multiply_masked_on(&a, &mask, &d), serial, "w={workers}");
+            let par = a.multiply_masked_opt_on(&a, Some(&mask), Some(&d));
+            assert_eq!(par, serial, "w={workers}");
         }
     }
 }

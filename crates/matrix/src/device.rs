@@ -21,10 +21,10 @@
 //! completion is signalled from a `Drop` guard), so no borrow outlives
 //! its referent.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -102,7 +102,8 @@ fn worker_loop(shared: &Shared) {
 struct Completion {
     remaining: Mutex<usize>,
     done: Condvar,
-    panicked: AtomicBool,
+    /// What the first task to panic said, for the caller to re-raise.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 /// Decrements the barrier on drop so a panicking task still signals.
@@ -167,7 +168,9 @@ impl Device {
 
     /// Runs the given tasks on the pool and returns once **all** have
     /// completed. Tasks may borrow from the caller's stack (see the
-    /// module-level safety discussion). Panics if any task panicked.
+    /// module-level safety discussion). If a task panicked, the first
+    /// panic is re-raised here once all have completed — on a pool as on
+    /// the inline device, the caller sees what the task said.
     pub fn run_scoped<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if tasks.is_empty() {
             return;
@@ -181,7 +184,7 @@ impl Device {
         let completion = Arc::new(Completion {
             remaining: Mutex::new(tasks.len()),
             done: Condvar::new(),
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
         });
         // The recorder hook: capture the caller's observability context
         // (installed recorder + innermost open span) so spans opened
@@ -197,8 +200,11 @@ impl Device {
                 let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
                     let guard = CompletionGuard(Arc::clone(&c));
                     let _obs = ctx.map(|(rec, parent)| cfpq_obs::install_with_parent(rec, parent));
-                    if std::panic::catch_unwind(AssertUnwindSafe(task)).is_err() {
-                        c.panicked.store(true, Ordering::SeqCst);
+                    if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(task)) {
+                        c.panic
+                            .lock()
+                            .expect("completion poisoned")
+                            .get_or_insert(payload);
                     }
                     drop(guard);
                 });
@@ -238,53 +244,22 @@ impl Device {
                 .expect("completion poisoned");
         }
         drop(remaining);
-        if completion.panicked.load(Ordering::SeqCst) {
-            panic!("device task panicked");
+        let panic = completion.panic.lock().expect("completion poisoned").take();
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
-    }
-
-    /// Maps `f` over `items` with each item as one pool task, collecting
-    /// results in order. Used to batch independent whole-matrix kernels
-    /// (one per grammar rule) onto the device — the paper's §7 remark
-    /// that "matrix multiplication in the main loop … may be performed on
-    /// different GPGPU independently".
-    ///
-    /// Must not be called from inside a device task (the caller blocks on
-    /// the pool, so nested submission from every worker could starve).
-    pub fn par_map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        if self.pool.is_none() || items.len() <= 1 {
-            return items.into_iter().map(&f).collect();
-        }
-        let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        {
-            let f = &f;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .zip(items)
-                .map(|(slot, item)| {
-                    Box::new(move || {
-                        *slot = Some(f(item));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.run_scoped(tasks);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("device task completed"))
-            .collect()
     }
 
     /// Runs `f` over each partition of `0..n_items` on the pool and
     /// collects the results in partition order. This is the map primitive
-    /// the sparse kernels use (each worker produces the rows of its
-    /// block).
+    /// of the sparse kernels (each worker produces the rows of its block)
+    /// and of the engines' batches (each worker runs its share of a
+    /// sweep's independent products — the paper's §7 remark that "matrix
+    /// multiplication in the main loop … may be performed on different
+    /// GPGPU independently").
+    ///
+    /// Must not be called from inside a device task (the caller blocks on
+    /// the pool, so nested submission from every worker could starve).
     pub fn par_map_ranges<T, F>(&self, n_items: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -421,7 +396,7 @@ pub fn partition(n_items: usize, n_parts: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parallelism_budget_is_never_oversubscribed() {
@@ -558,29 +533,26 @@ mod tests {
 
     #[test]
     fn panicking_task_propagates_without_deadlock() {
-        let d = Device::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
-                Box::new(|| {}),
-                Box::new(|| panic!("boom")),
-                Box::new(|| {}),
-            ];
-            d.run_scoped(tasks);
-        }));
-        assert!(result.is_err(), "panic must propagate to the caller");
-        // The pool must still be usable afterwards.
-        let out = d.par_map_ranges(4, |r| r.len());
-        assert_eq!(out.iter().sum::<usize>(), 4);
-    }
-
-    #[test]
-    fn par_map_items_in_order() {
-        let d = Device::new(3);
-        let out = d.par_map((0..20).collect::<Vec<i32>>(), |x| x * 2);
-        assert_eq!(out, (0..20).map(|x| x * 2).collect::<Vec<i32>>());
-        // Single item short-circuits.
-        let out = d.par_map(vec![7], |x: i32| x + 1);
-        assert_eq!(out, vec![8]);
+        for workers in [1, 2, 3] {
+            let d = Device::new(workers);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+                    Box::new(|| {}),
+                    Box::new(|| panic!("boom")),
+                    Box::new(|| {}),
+                ];
+                d.run_scoped(tasks);
+            }));
+            let payload = result.expect_err("panic must propagate to the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"boom"),
+                "with what the task said, on {workers} workers"
+            );
+            // The pool must still be usable afterwards.
+            let out = d.par_map_ranges(4, |r| r.len());
+            assert_eq!(out.iter().sum::<usize>(), 4);
+        }
     }
 
     #[test]

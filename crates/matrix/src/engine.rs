@@ -12,10 +12,21 @@
 //! | sCPU | [`SparseEngine`] (CSR, serial) |
 //! | sGPU | [`ParSparseEngine`] (CSR, device-parallel) |
 //! | — | [`DenseEngine`] (dense, serial; ablation baseline) |
+//! | — | [`TiledEngine`] (64 × 64 bit tiles, device-parallel) |
+//!
+//! An engine is a representation on a device and its type says nothing
+//! else: the five names pair one of the three matrix types with a
+//! [`Device`] or with none, and [`BoolEngine`] — like
+//! [`crate::LenEngine`] — has one implementation, below, for all five.
 
 use crate::dense::DenseBitMatrix;
 use crate::device::Device;
-use crate::sparse::{multiply_jobs, CsrMatrix};
+use crate::repr::{Backend, BoolRepr};
+use crate::sparse::CsrMatrix;
+use crate::tiled::TiledBitMatrix;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Minimal Boolean-matrix interface required by the solvers.
 ///
@@ -147,22 +158,17 @@ impl KernelCounters {
 ///
 /// # The Recorder contract
 ///
-/// Every product entry point (`multiply`, `multiply_masked`, and each
-/// job of the batch variants) must run under a `cfpq_obs` span named
-/// `"kernel"` tagged with the representation actually used (`repr`),
-/// the operation (`op`: `mul`/`masked`), and the output `nnz` —
-/// blocked backends additionally tag `tiles_skipped`. Three rules keep
-/// this free when tracing is off and honest when it is on:
+/// Every product — `multiply`, `multiply_masked`, each job of the batch
+/// variants, and each length product of [`crate::LenEngine`] — runs
+/// under one `cfpq_obs` span named `"kernel"` tagged with the
+/// representation (`repr`), the operation (`op`: `mul`/`masked`/`len`)
+/// and the output `nnz`; the tiled representation additionally tags
+/// `tiles_skipped`. One function of this module opens that span, around
+/// exactly the raw matrix kernel, and computes the attributes behind
+/// `SpanGuard::is_recording`: with no recorder installed a kernel pays
+/// one thread-local read and nothing else (enforced by the guard in
+/// `cfpq-service`'s `tests/observability.rs`). Which leaves one rule:
 ///
-/// * **Gate attribute work.** Attribute computation (nnz popcounts,
-///   string building) must sit behind `SpanGuard::is_recording`; an
-///   engine with no recorder installed pays one thread-local read per
-///   kernel and nothing else (enforced by the overhead guard in
-///   `cfpq-service`'s `tests/observability.rs`).
-/// * **One span per kernel.** A method that delegates to another
-///   *instrumented* entry point must not add its own span, or every
-///   product double-counts; wrap exactly the site that runs the raw
-///   matrix kernel.
 /// * **Decorators add no kernel spans.** A decorator forwards to an
 ///   inner engine that already records its kernels; like the counters
 ///   above, span emission belongs to the engine doing the work. The
@@ -196,8 +202,8 @@ pub trait BoolEngine: Send + Sync {
     /// place; returns `true` if `a` changed. This is the edge-update hook
     /// a persistent `GraphIndex` relies on: absorbing a small batch of
     /// new edges must not materialize a whole second matrix. The default
-    /// falls back to `from_pairs` + `union_in_place`; both concrete
-    /// representations override it with real point updates.
+    /// falls back to `from_pairs` + `union_in_place`; the engines of this
+    /// crate make real point updates.
     fn union_pairs(&self, a: &mut Self::Matrix, pairs: &[(u32, u32)]) -> bool {
         if pairs.is_empty() {
             return false;
@@ -218,9 +224,9 @@ pub trait BoolEngine: Send + Sync {
     fn intersect(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix;
 
     /// Computes several independent products. The default runs them
-    /// sequentially; device-backed engines dispatch one (serial) kernel
-    /// per job to the pool, exploiting inter-rule independence within a
-    /// fixpoint sweep (the paper's §7 multi-device remark).
+    /// sequentially; device-backed engines hand each worker of the pool
+    /// a run of serial kernels, exploiting inter-rule independence
+    /// within a fixpoint sweep (the paper's §7 multi-device remark).
     fn multiply_batch(&self, jobs: &[(&Self::Matrix, &Self::Matrix)]) -> Vec<Self::Matrix> {
         jobs.iter().map(|(a, b)| self.multiply(a, b)).collect()
     }
@@ -231,11 +237,11 @@ pub trait BoolEngine: Send + Sync {
     /// the output is disjoint from `complement_mask`, and
     /// `multiply_masked(a, b, m) ∪ (multiply(a, b) ∩ m) = multiply(a, b)`.
     ///
-    /// The default falls back to `multiply` + `difference`; both concrete
-    /// representations override it with real masked kernels that never
-    /// emit known entries (dense: AND-out mask words per output row; CSR:
-    /// subtract the mask row from every output row that accumulated
-    /// anything).
+    /// The default falls back to `multiply` + `difference`; the engines
+    /// of this crate run real masked kernels that never emit known
+    /// entries (dense: AND-out mask words per output row; CSR: subtract
+    /// the mask row from every output row that accumulated anything;
+    /// tiled: AND-out the mask tile from every accumulated output tile).
     fn multiply_masked(
         &self,
         a: &Self::Matrix,
@@ -248,9 +254,9 @@ pub trait BoolEngine: Send + Sync {
     /// Computes several independent products, each with an optional
     /// complement mask ([`BoolEngine::multiply_masked`] semantics when
     /// the mask is present, plain [`BoolEngine::multiply`] otherwise).
-    /// The default runs sequentially; device-backed engines dispatch one
-    /// serial kernel per job to the pool so a fixpoint sweep's rule
-    /// kernels overlap.
+    /// The default runs sequentially; device-backed engines hand each
+    /// worker of the pool a run of serial kernels so a fixpoint sweep's
+    /// rule kernels overlap.
     fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, Self::Matrix>]) -> Vec<Self::Matrix> {
         jobs.iter()
             .map(|&(a, b, m)| match m {
@@ -269,253 +275,249 @@ pub trait BoolEngine: Send + Sync {
     }
 }
 
-/// Runs one product kernel under an obs `"kernel"` span, tagging the
-/// representation, operation, and output nnz (computed only when a
-/// recorder is actually capturing — see the Recorder contract on
-/// [`BoolEngine`]).
-pub(crate) fn traced_kernel<M: BoolMat>(
+/// Runs one product kernel, Boolean or length, under its `"kernel"` span
+/// (see the Recorder contract on [`BoolEngine`]).
+pub(crate) fn traced_kernel<M>(
     repr: &'static str,
     op: &'static str,
-    f: impl FnOnce() -> M,
-) -> M {
+    nnz: impl FnOnce(&M) -> usize,
+    kernel: impl FnOnce() -> (M, Option<u64>),
+) -> (M, Option<u64>) {
     let mut sp = cfpq_obs::span("kernel");
-    let out = f();
+    let (out, skipped) = kernel();
     if sp.is_recording() {
         sp.attr_str("repr", repr);
         sp.attr_str("op", op);
-        sp.attr_u64("nnz", out.nnz() as u64);
+        sp.attr_u64("nnz", nnz(&out) as u64);
+        if let Some(skipped) = skipped {
+            sp.attr_u64("tiles_skipped", skipped);
+        }
+    }
+    (out, skipped)
+}
+
+/// The batch rule of every engine: the jobs are cut into one contiguous
+/// run per worker of the `device`, and `run` executes a run serially on
+/// whichever thread picks it up, so the kernels of a run share what they
+/// can. Without a device, or with a single job, the batch is one run on
+/// the caller.
+pub(crate) fn run_batch<J: Sync, M: Send>(
+    device: Option<&Device>,
+    jobs: &[J],
+    run: impl Fn(&[J]) -> Vec<M> + Sync,
+) -> Vec<M> {
+    match device.filter(|d| d.n_workers() > 1 && jobs.len() > 1) {
+        Some(device) => {
+            let runs = device.par_map_ranges(jobs.len(), |r| run(&jobs[r]));
+            runs.into_iter().flatten().collect()
+        }
+        None => run(jobs),
+    }
+}
+
+/// One product of `e` through `kernel`, under its span, the tiles it
+/// skipped added to the engine's counter.
+fn product<B: Backend>(
+    e: &B,
+    kernel: &mut impl FnMut(MaskedJob<'_, B::Repr>, Option<&Device>) -> (B::Repr, Option<u64>),
+    job: MaskedJob<'_, B::Repr>,
+    device: Option<&Device>,
+) -> B::Repr {
+    let op = if job.2.is_some() { "masked" } else { "mul" };
+    let (out, skipped) = traced_kernel(B::Repr::REPR, op, BoolMat::nnz, || kernel(job, device));
+    if let Some(skipped @ 1..) = skipped {
+        e.add_tiles_skipped(skipped);
     }
     out
 }
 
-/// Serial dense backend.
+/// Every engine is a `Backend`: its representation does the work, and
+/// what the five names share — the kernel span, the skip counter, how a
+/// batch meets the device — is stated here, once.
+impl<B: Backend> BoolEngine for B {
+    type Matrix = B::Repr;
+
+    fn name(&self) -> &'static str {
+        B::NAME
+    }
+    fn zeros(&self, n: usize) -> B::Repr {
+        B::Repr::zeros(n)
+    }
+    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> B::Repr {
+        B::Repr::from_pairs(n, pairs)
+    }
+    fn multiply(&self, a: &B::Repr, b: &B::Repr) -> B::Repr {
+        product(self, &mut B::Repr::kernel(), (a, b, None), self.device())
+    }
+    fn union_in_place(&self, a: &mut B::Repr, b: &B::Repr) -> bool {
+        a.union_in_place(b)
+    }
+    fn union_pairs(&self, a: &mut B::Repr, pairs: &[(u32, u32)]) -> bool {
+        a.insert_pairs(pairs)
+    }
+    fn grow(&self, a: &mut B::Repr, n: usize) {
+        a.grow(n)
+    }
+    fn difference(&self, a: &B::Repr, b: &B::Repr) -> B::Repr {
+        a.difference(b)
+    }
+    fn intersect(&self, a: &B::Repr, b: &B::Repr) -> B::Repr {
+        a.intersect(b)
+    }
+    fn multiply_batch(&self, jobs: &[(&B::Repr, &B::Repr)]) -> Vec<B::Repr> {
+        let jobs: Vec<MaskedJob<'_, B::Repr>> = jobs.iter().map(|&(a, b)| (a, b, None)).collect();
+        self.multiply_masked_batch(&jobs)
+    }
+    fn multiply_masked(&self, a: &B::Repr, b: &B::Repr, mask: &B::Repr) -> B::Repr {
+        product(
+            self,
+            &mut B::Repr::kernel(),
+            (a, b, Some(mask)),
+            self.device(),
+        )
+    }
+    fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, B::Repr>]) -> Vec<B::Repr> {
+        run_batch(self.device(), jobs, |run| {
+            let mut kernel = B::Repr::kernel();
+            // A job of a batch gets no device: the run is the unit of
+            // parallelism, and a device task must not submit to its own
+            // pool (no nested offload, see the `Device` docs).
+            run.iter()
+                .map(|&job| product(self, &mut kernel, job, None))
+                .collect()
+        })
+    }
+    fn kernel_counters(&self) -> KernelCounters {
+        KernelCounters {
+            tiles_skipped: self.tiles_skipped(),
+        }
+    }
+}
+
+/// Serial dense backend (the ablation baseline): [`DenseBitMatrix`] on
+/// the calling thread.
 #[derive(Clone, Debug, Default)]
 pub struct DenseEngine;
 
-impl BoolEngine for DenseEngine {
-    type Matrix = DenseBitMatrix;
+impl Backend for DenseEngine {
+    type Repr = DenseBitMatrix;
+    const NAME: &'static str = "dense";
+}
 
-    fn name(&self) -> &'static str {
-        "dense"
+/// Serial CSR backend — the stand-in for the paper's sCPU: [`CsrMatrix`]
+/// on the calling thread.
+#[derive(Clone, Debug, Default)]
+pub struct SparseEngine;
+
+impl Backend for SparseEngine {
+    type Repr = CsrMatrix;
+    const NAME: &'static str = "sparse";
+}
+
+/// The representation `R` on a [`Device`]: a single product splits its
+/// rows over the device's workers and a batch its jobs. Clones share the
+/// device handle *and* the skip counter, so
+/// [`BoolEngine::kernel_counters`] reads one stream across snapshots and
+/// worker threads. Reached under the three names below; on
+/// `Device::new(1)` each runs the kernels of its serial counterpart.
+#[derive(Clone, Debug)]
+pub struct OnDevice<R> {
+    shared: Arc<Shared>,
+    repr: PhantomData<fn() -> R>,
+}
+
+/// What the clones of an [`OnDevice`] share.
+#[derive(Debug)]
+struct Shared {
+    device: Device,
+    /// Added to by the products that report skips — the tiled ones.
+    tiles_skipped: AtomicU64,
+}
+
+impl<R> OnDevice<R> {
+    /// Creates the backend with the given device.
+    pub fn new(device: Device) -> Self {
+        let shared = Shared {
+            device,
+            tiles_skipped: AtomicU64::new(0),
+        };
+        Self {
+            shared: Arc::new(shared),
+            repr: PhantomData,
+        }
     }
-    fn zeros(&self, n: usize) -> DenseBitMatrix {
-        DenseBitMatrix::zeros(n)
+}
+
+impl<R: BoolRepr> Backend for OnDevice<R> {
+    type Repr = R;
+    const NAME: &'static str = R::ON_DEVICE;
+
+    fn device(&self) -> Option<&Device> {
+        Some(&self.shared.device)
     }
-    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> DenseBitMatrix {
-        DenseBitMatrix::from_pairs(n, pairs)
+    fn add_tiles_skipped(&self, tiles: u64) {
+        self.shared
+            .tiles_skipped
+            .fetch_add(tiles, Ordering::Relaxed);
     }
-    fn multiply(&self, a: &DenseBitMatrix, b: &DenseBitMatrix) -> DenseBitMatrix {
-        traced_kernel("dense", "mul", || a.multiply(b))
-    }
-    fn union_in_place(&self, a: &mut DenseBitMatrix, b: &DenseBitMatrix) -> bool {
-        a.union_in_place(b)
-    }
-    fn union_pairs(&self, a: &mut DenseBitMatrix, pairs: &[(u32, u32)]) -> bool {
-        a.insert_pairs(pairs)
-    }
-    fn grow(&self, a: &mut DenseBitMatrix, n: usize) {
-        a.grow(n)
-    }
-    fn difference(&self, a: &DenseBitMatrix, b: &DenseBitMatrix) -> DenseBitMatrix {
-        a.difference(b)
-    }
-    fn intersect(&self, a: &DenseBitMatrix, b: &DenseBitMatrix) -> DenseBitMatrix {
-        a.intersect(b)
-    }
-    fn multiply_masked(
-        &self,
-        a: &DenseBitMatrix,
-        b: &DenseBitMatrix,
-        mask: &DenseBitMatrix,
-    ) -> DenseBitMatrix {
-        traced_kernel("dense", "masked", || a.multiply_masked(b, mask))
+    fn tiles_skipped(&self) -> u64 {
+        self.shared.tiles_skipped.load(Ordering::Relaxed)
     }
 }
 
 /// Device-parallel dense backend — the stand-in for the paper's dGPU.
-#[derive(Clone, Debug)]
-pub struct ParDenseEngine {
-    /// The execution device.
-    pub device: Device,
-}
-
-impl ParDenseEngine {
-    /// Creates the backend with the given device.
-    pub fn new(device: Device) -> Self {
-        Self { device }
-    }
-}
-
-impl BoolEngine for ParDenseEngine {
-    type Matrix = DenseBitMatrix;
-
-    fn name(&self) -> &'static str {
-        "dense-par"
-    }
-    fn zeros(&self, n: usize) -> DenseBitMatrix {
-        DenseBitMatrix::zeros(n)
-    }
-    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> DenseBitMatrix {
-        DenseBitMatrix::from_pairs(n, pairs)
-    }
-    fn multiply(&self, a: &DenseBitMatrix, b: &DenseBitMatrix) -> DenseBitMatrix {
-        traced_kernel("dense", "mul", || a.multiply_on(b, &self.device))
-    }
-    fn union_in_place(&self, a: &mut DenseBitMatrix, b: &DenseBitMatrix) -> bool {
-        a.union_in_place(b)
-    }
-    fn union_pairs(&self, a: &mut DenseBitMatrix, pairs: &[(u32, u32)]) -> bool {
-        a.insert_pairs(pairs)
-    }
-    fn grow(&self, a: &mut DenseBitMatrix, n: usize) {
-        a.grow(n)
-    }
-    fn difference(&self, a: &DenseBitMatrix, b: &DenseBitMatrix) -> DenseBitMatrix {
-        a.difference(b)
-    }
-    fn intersect(&self, a: &DenseBitMatrix, b: &DenseBitMatrix) -> DenseBitMatrix {
-        a.intersect(b)
-    }
-    fn multiply_batch(&self, jobs: &[(&DenseBitMatrix, &DenseBitMatrix)]) -> Vec<DenseBitMatrix> {
-        // One serial kernel per job; no nested offload (see Device docs).
-        self.device.par_map(jobs.to_vec(), |(a, b)| {
-            traced_kernel("dense", "mul", || a.multiply(b))
-        })
-    }
-    fn multiply_masked(
-        &self,
-        a: &DenseBitMatrix,
-        b: &DenseBitMatrix,
-        mask: &DenseBitMatrix,
-    ) -> DenseBitMatrix {
-        traced_kernel("dense", "masked", || {
-            a.multiply_masked_on(b, mask, &self.device)
-        })
-    }
-    fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, DenseBitMatrix>]) -> Vec<DenseBitMatrix> {
-        // One serial kernel per job; no nested offload (see Device docs).
-        self.device.par_map(jobs.to_vec(), |(a, b, m)| match m {
-            Some(m) => traced_kernel("dense", "masked", || a.multiply_masked(b, m)),
-            None => traced_kernel("dense", "mul", || a.multiply(b)),
-        })
-    }
-}
-
-/// Serial CSR backend — the stand-in for the paper's sCPU.
-#[derive(Clone, Debug, Default)]
-pub struct SparseEngine;
-
-impl BoolEngine for SparseEngine {
-    type Matrix = CsrMatrix;
-
-    fn name(&self) -> &'static str {
-        "sparse"
-    }
-    fn zeros(&self, n: usize) -> CsrMatrix {
-        CsrMatrix::zeros(n)
-    }
-    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> CsrMatrix {
-        CsrMatrix::from_pairs(n, pairs)
-    }
-    fn multiply(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        traced_kernel("csr", "mul", || a.multiply(b))
-    }
-    fn union_in_place(&self, a: &mut CsrMatrix, b: &CsrMatrix) -> bool {
-        a.union_in_place(b)
-    }
-    fn union_pairs(&self, a: &mut CsrMatrix, pairs: &[(u32, u32)]) -> bool {
-        a.insert_pairs(pairs)
-    }
-    fn grow(&self, a: &mut CsrMatrix, n: usize) {
-        a.grow(n)
-    }
-    fn difference(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        a.difference(b)
-    }
-    fn intersect(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        a.intersect(b)
-    }
-    fn multiply_masked(&self, a: &CsrMatrix, b: &CsrMatrix, mask: &CsrMatrix) -> CsrMatrix {
-        traced_kernel("csr", "masked", || a.multiply_masked(b, mask))
-    }
-    fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, CsrMatrix>]) -> Vec<CsrMatrix> {
-        multiply_jobs(jobs)
-    }
-}
+pub type ParDenseEngine = OnDevice<DenseBitMatrix>;
 
 /// Device-parallel CSR backend — the stand-in for the paper's sGPU.
-#[derive(Clone, Debug)]
-pub struct ParSparseEngine {
-    /// The execution device.
-    pub device: Device,
+pub type ParSparseEngine = OnDevice<CsrMatrix>;
+
+/// Device-parallel block-tiled backend: tile-row blocks of a product are
+/// dispatched across the [`Device`] pool.
+pub type TiledEngine = OnDevice<TiledBitMatrix>;
+
+impl TiledEngine {
+    /// A serial tiled backend (inline device, no extra threads).
+    pub fn serial() -> Self {
+        Self::new(Device::new(1))
+    }
 }
 
-impl ParSparseEngine {
-    /// Creates the backend with the given device.
-    pub fn new(device: Device) -> Self {
-        Self { device }
-    }
-}
-
-impl BoolEngine for ParSparseEngine {
-    type Matrix = CsrMatrix;
-
-    fn name(&self) -> &'static str {
-        "sparse-par"
-    }
-    fn zeros(&self, n: usize) -> CsrMatrix {
-        CsrMatrix::zeros(n)
-    }
-    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> CsrMatrix {
-        CsrMatrix::from_pairs(n, pairs)
-    }
-    fn multiply(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        traced_kernel("csr", "mul", || a.multiply_on(b, &self.device))
-    }
-    fn union_in_place(&self, a: &mut CsrMatrix, b: &CsrMatrix) -> bool {
-        a.union_in_place(b)
-    }
-    fn union_pairs(&self, a: &mut CsrMatrix, pairs: &[(u32, u32)]) -> bool {
-        a.insert_pairs(pairs)
-    }
-    fn grow(&self, a: &mut CsrMatrix, n: usize) {
-        a.grow(n)
-    }
-    fn difference(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        a.difference(b)
-    }
-    fn intersect(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        a.intersect(b)
-    }
-    fn multiply_batch(&self, jobs: &[(&CsrMatrix, &CsrMatrix)]) -> Vec<CsrMatrix> {
-        // One serial kernel per job; no nested offload (see Device docs).
-        self.device.par_map(jobs.to_vec(), |(a, b)| {
-            traced_kernel("csr", "mul", || a.multiply(b))
-        })
-    }
-    fn multiply_masked(&self, a: &CsrMatrix, b: &CsrMatrix, mask: &CsrMatrix) -> CsrMatrix {
-        traced_kernel("csr", "masked", || {
-            a.multiply_masked_on(b, mask, &self.device)
-        })
-    }
-    fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, CsrMatrix>]) -> Vec<CsrMatrix> {
-        // One run of serial kernels per worker, sharing that worker's
-        // accumulator; no nested offload (see Device docs).
-        let runs = self
-            .device
-            .par_map_ranges(jobs.len(), |r| multiply_jobs(&jobs[r]));
-        runs.into_iter().flatten().collect()
+impl Default for TiledEngine {
+    fn default() -> Self {
+        Self::serial()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LenEngine;
+    use cfpq_obs::SpanCollector;
 
-    fn check_engine<E: BoolEngine>(e: &E) {
+    /// What a run of [`check_engine`] showed of an engine. Neither the
+    /// name it was reached under nor the width of its device may show
+    /// here.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Every Boolean product made, in order.
+        products: Vec<Vec<(u32, u32)>>,
+        /// Every length product made, in order.
+        lengths: Vec<Vec<(u32, u32, u32)>>,
+        tiles_skipped: u64,
+        kernel_spans: usize,
+    }
+
+    fn check_engine<E: BoolEngine + LenEngine>(e: &E, name: &str) -> Observed {
+        assert_eq!(e.name(), name);
+        let collector = Arc::new(SpanCollector::new());
+        let guard = cfpq_obs::install(collector.clone());
+        let mut products = Vec::new();
+        let mut seen = |product: &E::Matrix| products.push(product.pairs());
+
         let a = e.from_pairs(5, &[(0, 1), (4, 4)]);
         let b = e.from_pairs(5, &[(1, 2), (4, 4)]);
         let c = e.multiply(&a, &b);
+        seen(&c);
         assert_eq!(c.pairs(), vec![(0, 2), (4, 4)]);
         let mut acc = e.zeros(5);
         assert!(e.union_in_place(&mut acc, &c));
@@ -526,44 +528,91 @@ mod tests {
         assert_eq!(diff.pairs(), vec![(4, 4)]);
         let inter = e.intersect(&acc, &e.from_pairs(5, &[(0, 2), (1, 1)]));
         assert_eq!(inter.pairs(), vec![(0, 2)]);
+        let reversed = e.multiply(&b, &a);
+        seen(&reversed);
         let batch = e.multiply_batch(&[(&a, &b), (&b, &a)]);
+        batch.iter().for_each(&mut seen);
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].pairs(), e.multiply(&a, &b).pairs());
-        assert_eq!(batch[1].pairs(), e.multiply(&b, &a).pairs());
+        assert_eq!(batch[0].pairs(), c.pairs());
+        assert_eq!(batch[1].pairs(), reversed.pairs());
 
         // Masked-product contract: output disjoint from the mask, and
         // masked(a,b,m) ∪ (a×b ∩ m) == a×b.
         let mask = e.from_pairs(5, &[(0, 2), (3, 3)]);
         let masked = e.multiply_masked(&a, &b, &mask);
+        seen(&masked);
         assert!(e.intersect(&masked, &mask).pairs().is_empty());
-        let product = e.multiply(&a, &b);
+        let product = &c;
         let mut rebuilt = masked.clone();
-        e.union_in_place(&mut rebuilt, &e.intersect(&product, &mask));
+        e.union_in_place(&mut rebuilt, &e.intersect(product, &mask));
         assert_eq!(rebuilt.pairs(), product.pairs());
         let masked_batch =
             e.multiply_masked_batch(&[(&a, &b, Some(&mask)), (&a, &b, None), (&b, &a, None)]);
+        masked_batch.iter().for_each(&mut seen);
         assert_eq!(masked_batch.len(), 3);
         assert_eq!(masked_batch[0].pairs(), masked.pairs());
         assert_eq!(masked_batch[1].pairs(), product.pairs());
-        assert_eq!(masked_batch[2].pairs(), e.multiply(&b, &a).pairs());
+        assert_eq!(masked_batch[2].pairs(), reversed.pairs());
+
+        // Wide enough for a device to split a single product — past the
+        // dense offload threshold, over five tile-rows — and with a tile
+        // to skip: of `a`'s tiles (0, 2) and (1, 0), the first meets an
+        // empty tile-row of `b`.
+        let wide_a = e.from_pairs(300, &[(0, 140), (70, 3)]);
+        let wide_b = e.from_pairs(300, &[(0, 1), (3, 299)]);
+        let before = e.kernel_counters();
+        let wide = e.multiply(&wide_a, &wide_b);
+        seen(&wide);
+        assert_eq!(wide.pairs(), vec![(70, 299)]);
+        let wide_mask = e.from_pairs(300, &[(70, 299)]);
+        let wide_masked = e.multiply_masked(&wide_a, &wide_b, &wide_mask);
+        seen(&wide_masked);
+        assert_eq!(wide_masked.nnz(), 0);
+        let tiles_skipped = e.kernel_counters().since(before).tiles_skipped;
+
+        let lengths = crate::length::tests::check_engine(e);
+        drop(guard);
+        let spans = collector.spans();
+        let kernel_spans = spans.iter().filter(|s| s.name == "kernel").count();
+        assert_eq!(
+            kernel_spans,
+            products.len() + lengths.len(),
+            "one kernel span per product, Boolean or length"
+        );
+        Observed {
+            products,
+            lengths,
+            tiles_skipped,
+            kernel_spans,
+        }
     }
 
     #[test]
     fn all_engines_behave_identically() {
-        check_engine(&DenseEngine);
-        check_engine(&SparseEngine);
-        check_engine(&ParDenseEngine::new(Device::new(3)));
-        check_engine(&ParSparseEngine::new(Device::new(3)));
-        check_engine(&crate::TiledEngine::serial());
-        check_engine(&crate::TiledEngine::new(Device::new(3)));
-    }
-
-    #[test]
-    fn engine_names() {
-        assert_eq!(DenseEngine.name(), "dense");
-        assert_eq!(SparseEngine.name(), "sparse");
-        assert_eq!(ParDenseEngine::new(Device::new(2)).name(), "dense-par");
-        assert_eq!(ParSparseEngine::new(Device::new(2)).name(), "sparse-par");
-        assert_eq!(crate::TiledEngine::serial().name(), "tiled");
+        let widths = [1, 2, 3].map(Device::new);
+        // A unit engine and its alias at any width: the same matrices,
+        // the same kernel spans.
+        let dense = check_engine(&DenseEngine, "dense");
+        let sparse = check_engine(&SparseEngine, "sparse");
+        let tiled = check_engine(&TiledEngine::serial(), "tiled");
+        for device in widths {
+            let workers = device.n_workers();
+            let par_dense = check_engine(&ParDenseEngine::new(device.clone()), "dense-par");
+            assert_eq!(par_dense, dense, "dense-par on {workers}");
+            let par_sparse = check_engine(&ParSparseEngine::new(device.clone()), "sparse-par");
+            assert_eq!(par_sparse, sparse, "sparse-par on {workers}");
+            let on_device = check_engine(&TiledEngine::new(device), "tiled");
+            assert_eq!(on_device, tiled, "tiled on {workers}");
+        }
+        // Only the tiled representation has tiles to skip. In each wide
+        // product: the empty tile-row of `b`, and output tile (1, 0),
+        // touched but left empty; in the masked one also tile (1, 4).
+        assert_eq!((dense.tiles_skipped, sparse.tiles_skipped), (0, 0));
+        assert_eq!(tiled.tiles_skipped, 5);
+        // And the representation shows in no product.
+        assert_eq!(dense.products, sparse.products);
+        assert_eq!(dense.products, tiled.products);
+        assert_eq!(dense.lengths, sparse.lengths);
+        assert_eq!(dense.lengths, tiled.lengths);
     }
 }

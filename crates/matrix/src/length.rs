@@ -25,9 +25,9 @@
 //!   number of allocations per call. What is this module's own is the
 //!   length algebra: `LenRow`, the row accumulator whose `⊗` is
 //!   `add_len` over operands `≥ 1` and whose `⊕` keeps the first write,
-//! * [`LenEngine`] — the backend abstraction, implemented by the same
-//!   five engine types as [`crate::BoolEngine`], every one through
-//!   `len_engine!`.
+//! * [`LenEngine`] — the backend abstraction, implemented once, below,
+//!   for the same five engine names as [`crate::BoolEngine`]: an engine's
+//!   Boolean representation names the length representation it runs on.
 //!
 //! # The absent sentinel
 //!
@@ -42,10 +42,9 @@
 //! shorter *nonzero* parts, and a length-1 cell is always a direct
 //! edge).
 
-use crate::device::Device;
-use crate::engine::{DenseEngine, ParDenseEngine, ParSparseEngine, SparseEngine};
+use crate::engine::{run_batch, traced_kernel};
+use crate::repr::{Backend, BoolRepr, LenRepr};
 use crate::sparse::{assert_in_range, splice_rows, Csr, Report, RowAccumulator};
-use crate::tiled::TiledEngine;
 
 /// The *absent* sentinel of length matrices. Any other value — including
 /// `0`, the ε-witness — is a present path length.
@@ -121,9 +120,9 @@ pub trait LenEngine: Send + Sync {
     ) -> Self::LenMatrix;
 
     /// Computes several independent (optionally masked) products. The
-    /// default runs them sequentially; device-backed engines dispatch one
-    /// serial kernel per job to the pool, mirroring
-    /// [`crate::BoolEngine::multiply_masked_batch`].
+    /// default runs them sequentially; device-backed engines hand each
+    /// worker of the pool a run of serial kernels, as
+    /// [`crate::BoolEngine::multiply_masked_batch`] does.
     fn len_multiply_masked_batch(
         &self,
         jobs: &[LenJob<'_, Self::LenMatrix>],
@@ -150,50 +149,50 @@ fn add_len(a: u32, b: u32) -> u32 {
     a.saturating_add(b).min(MAX_LEN)
 }
 
-/// Implements [`LenEngine`] for `$engine` on the representation
-/// `$matrix`: construction and growth are the matrix type's own,
-/// `$set_absent`/`$merge_absent` its first-write-wins kernels, and
-/// `$batch` is how this engine runs the jobs of a batch (a single product
-/// is a batch of one).
-macro_rules! len_engine {
-    ($engine:ty, $matrix:ty, $set_absent:path, $merge_absent:path, $batch:expr) => {
-        impl LenEngine for $engine {
-            type LenMatrix = $matrix;
+/// The length representation of the engine `B`.
+type LenOf<B> = <<B as Backend>::Repr as BoolRepr>::Len;
 
-            fn len_empty(&self, n: usize) -> $matrix {
-                <$matrix>::empty(n)
-            }
-            fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> $matrix {
-                <$matrix>::from_entries(n, entries)
-            }
-            fn len_set_absent(
-                &self,
-                a: &mut $matrix,
-                entries: &[(u32, u32, u32)],
-            ) -> Vec<(u32, u32, u32)> {
-                $set_absent(a, entries)
-            }
-            fn len_multiply_masked(
-                &self,
-                a: &$matrix,
-                b: &$matrix,
-                mask: Option<&$matrix>,
-            ) -> $matrix {
-                let mut products = self.len_multiply_masked_batch(&[(a, b, mask)]);
-                products.pop().expect("one product per job")
-            }
-            fn len_multiply_masked_batch(&self, jobs: &[LenJob<'_, $matrix>]) -> Vec<$matrix> {
-                let batch: fn(&Self, &[LenJob<'_, $matrix>]) -> Vec<$matrix> = $batch;
-                batch(self, jobs)
-            }
-            fn len_merge_absent(&self, acc: &mut $matrix, add: &$matrix) -> $matrix {
-                $merge_absent(acc, add)
-            }
-            fn len_grow(&self, a: &mut $matrix, n: usize) {
-                a.grow(n)
-            }
-        }
-    };
+/// One length product through `kernel`, under the same `"kernel"` span
+/// the Boolean products open (`op = "len"`).
+fn product<M: LenRepr>(kernel: &mut impl FnMut(LenJob<'_, M>) -> M, job: LenJob<'_, M>) -> M {
+    traced_kernel(M::REPR, "len", LenMat::nnz, || (kernel(job), None)).0
+}
+
+/// Every engine is a `Backend`, and its length kernels are those of
+/// the representation its Boolean one names. A length product is always
+/// serial: only a batch meets the device, by the rule of
+/// [`crate::BoolEngine::multiply_masked_batch`].
+impl<B: Backend> LenEngine for B {
+    type LenMatrix = LenOf<B>;
+
+    fn len_empty(&self, n: usize) -> LenOf<B> {
+        LenOf::<B>::empty(n)
+    }
+    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> LenOf<B> {
+        LenOf::<B>::from_entries(n, entries)
+    }
+    fn len_set_absent(
+        &self,
+        a: &mut LenOf<B>,
+        entries: &[(u32, u32, u32)],
+    ) -> Vec<(u32, u32, u32)> {
+        a.set_absent(entries)
+    }
+    fn len_multiply_masked(&self, a: &LenOf<B>, b: &LenOf<B>, mask: Option<&LenOf<B>>) -> LenOf<B> {
+        product(&mut LenOf::<B>::kernel(), (a, b, mask))
+    }
+    fn len_multiply_masked_batch(&self, jobs: &[LenJob<'_, LenOf<B>>]) -> Vec<LenOf<B>> {
+        run_batch(self.device(), jobs, |run| {
+            let mut kernel = LenOf::<B>::kernel();
+            run.iter().map(|&job| product(&mut kernel, job)).collect()
+        })
+    }
+    fn len_merge_absent(&self, acc: &mut LenOf<B>, add: &LenOf<B>) -> LenOf<B> {
+        acc.merge_absent(add)
+    }
+    fn len_grow(&self, a: &mut LenOf<B>, n: usize) {
+        a.grow(n)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,8 +332,7 @@ impl LenMat for DenseLenMatrix {
     }
 }
 
-/// Serial dense masked length product (shared by [`DenseEngine`] and, as
-/// the per-job kernel, by [`ParDenseEngine`]).
+/// Serial dense masked length product.
 fn dense_multiply_masked(
     a: &DenseLenMatrix,
     b: &DenseLenMatrix,
@@ -380,56 +378,50 @@ fn dense_multiply_masked(
     out
 }
 
-fn dense_merge_absent(acc: &mut DenseLenMatrix, add: &DenseLenMatrix) -> DenseLenMatrix {
-    assert_eq!(acc.n, add.n, "dimension mismatch");
-    let mut fresh = DenseLenMatrix::empty(acc.n);
-    for ((dst, &src), out) in acc
-        .vals
-        .iter_mut()
-        .zip(add.vals.iter())
-        .zip(fresh.vals.iter_mut())
-    {
-        if src != NO_PATH && *dst == NO_PATH {
-            *dst = src;
-            *out = src;
+impl LenRepr for DenseLenMatrix {
+    const REPR: &'static str = "dense";
+
+    fn empty(n: usize) -> Self {
+        Self::empty(n)
+    }
+    fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self {
+        Self::from_entries(n, entries)
+    }
+    /// The whole batch is range-checked first, so a refused one leaves
+    /// `self` as it was.
+    fn set_absent(&mut self, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
+        for &(i, j, _) in entries {
+            assert_in_range(self.n, (i, j));
         }
+        entries
+            .iter()
+            .filter(|&&(i, j, l)| self.set_if_absent(i, j, l))
+            .copied()
+            .collect()
     }
-    fresh
-}
-
-/// Shared `len_set_absent` for the dense representation. The whole
-/// batch is range-checked first, so a refused one leaves `a` as it was.
-fn dense_set_absent(a: &mut DenseLenMatrix, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
-    for &(i, j, _) in entries {
-        assert_in_range(a.n, (i, j));
+    fn merge_absent(&mut self, add: &Self) -> Self {
+        assert_eq!(self.n, add.n, "dimension mismatch");
+        let mut fresh = DenseLenMatrix::empty(self.n);
+        for ((dst, &src), out) in self
+            .vals
+            .iter_mut()
+            .zip(add.vals.iter())
+            .zip(fresh.vals.iter_mut())
+        {
+            if src != NO_PATH && *dst == NO_PATH {
+                *dst = src;
+                *out = src;
+            }
+        }
+        fresh
     }
-    entries
-        .iter()
-        .filter(|&&(i, j, l)| a.set_if_absent(i, j, l))
-        .copied()
-        .collect()
+    fn grow(&mut self, n: usize) {
+        self.grow(n)
+    }
+    fn kernel() -> impl FnMut(LenJob<'_, Self>) -> Self {
+        |(a, b, mask): LenJob<'_, Self>| dense_multiply_masked(a, b, mask)
+    }
 }
-
-len_engine!(
-    DenseEngine,
-    DenseLenMatrix,
-    dense_set_absent,
-    dense_merge_absent,
-    |_, jobs| jobs
-        .iter()
-        .map(|&(a, b, m)| dense_multiply_masked(a, b, m))
-        .collect()
-);
-// One serial kernel per job; no nested offload (see Device docs).
-len_engine!(
-    ParDenseEngine,
-    DenseLenMatrix,
-    dense_set_absent,
-    dense_merge_absent,
-    |e, jobs| e
-        .device
-        .par_map(jobs.to_vec(), |(a, b, m)| dense_multiply_masked(a, b, m))
-);
 
 // ---------------------------------------------------------------------------
 // CSR representation
@@ -579,85 +571,63 @@ impl RowAccumulator<u32> for LenRow {
     }
 }
 
-/// Runs the jobs of a batch one after another on one accumulator (the
-/// whole batch on [`SparseEngine`], one run per worker on
-/// [`ParSparseEngine`]) through the flat product the Boolean CSR kernels
-/// use (`Csr::multiply`): like them, a row pays for its mask row only if
-/// it received a candidate.
-fn csr_jobs(jobs: &[LenJob<'_, CsrLenMatrix>]) -> Vec<CsrLenMatrix> {
-    let mut acc = LenRow::default();
-    jobs.iter()
-        .map(|&(a, b, m)| {
-            let csr = a.csr.multiply(&b.csr, m.map(|m| &m.csr), &mut acc);
+impl LenRepr for CsrLenMatrix {
+    const REPR: &'static str = "csr";
+
+    fn empty(n: usize) -> Self {
+        Self::empty(n)
+    }
+    fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self {
+        Self::from_entries(n, entries)
+    }
+    /// Filters to the absent cells (a no-op batch costs only the probes),
+    /// lets `from_entries` keep the first occurrence of each — and refuse
+    /// an entry outside the matrix before `self` is touched — and
+    /// splices them in.
+    fn set_absent(&mut self, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
+        let absent: Vec<(u32, u32, u32)> = entries
+            .iter()
+            .copied()
+            .filter(|&(i, j, _)| self.get(i, j).is_none())
+            .collect();
+        if absent.is_empty() {
+            return absent;
+        }
+        let fresh = CsrLenMatrix::from_entries(self.n(), &absent);
+        LenMat::entries(&self.merge_absent(&fresh))
+    }
+    /// First-write-wins merge as one flat splice ([`splice_rows`]):
+    /// `self` is copied in contiguous runs around the cells `add` brings,
+    /// and those cells are the returned Δ. `self` keeps its storage if
+    /// nothing is new.
+    fn merge_absent(&mut self, add: &Self) -> Self {
+        let (merged, fresh) = splice_rows(&self.csr, &add.csr, true, Some(Report::Absent));
+        if let Some(merged) = merged {
+            self.csr = merged;
+        }
+        let csr = fresh.expect("a report was asked for");
+        CsrLenMatrix { csr }
+    }
+    fn grow(&mut self, n: usize) {
+        self.grow(n)
+    }
+    /// One row accumulator for the run, through the flat product the
+    /// Boolean CSR kernels use (`Csr::multiply`): like them, a row pays
+    /// for its mask row only if it received a candidate.
+    fn kernel() -> impl FnMut(LenJob<'_, Self>) -> Self {
+        let mut acc = LenRow::default();
+        move |(a, b, mask): LenJob<'_, Self>| {
+            let csr = a
+                .csr
+                .multiply(&b.csr, mask.map(|m| &m.csr), 0..a.n(), &mut acc);
             CsrLenMatrix { csr }
-        })
-        .collect()
-}
-
-/// [`csr_jobs`] on `device`: one run of serial kernels per worker,
-/// sharing that worker's accumulator; no nested offload (see Device docs).
-fn csr_jobs_on(device: &Device, jobs: &[LenJob<'_, CsrLenMatrix>]) -> Vec<CsrLenMatrix> {
-    let runs = device.par_map_ranges(jobs.len(), |r| csr_jobs(&jobs[r]));
-    runs.into_iter().flatten().collect()
-}
-
-/// First-write-wins merge as one flat splice ([`splice_rows`]): `acc`
-/// is copied in contiguous runs around the cells `add` brings, and those
-/// cells are the returned Δ. `acc` keeps its storage if nothing is new.
-fn csr_merge_absent(acc: &mut CsrLenMatrix, add: &CsrLenMatrix) -> CsrLenMatrix {
-    let (merged, fresh) = splice_rows(&acc.csr, &add.csr, true, Some(Report::Absent));
-    if let Some(merged) = merged {
-        acc.csr = merged;
+        }
     }
-    let csr = fresh.expect("a report was asked for");
-    CsrLenMatrix { csr }
 }
-
-/// Shared `len_set_absent` for the CSR representation: filters to the
-/// absent cells (a no-op batch costs only the probes), lets
-/// `from_entries` keep the first occurrence of each — and refuse an
-/// entry outside the matrix before `a` is touched — and splices them in.
-fn csr_set_absent(a: &mut CsrLenMatrix, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
-    let absent: Vec<(u32, u32, u32)> = entries
-        .iter()
-        .copied()
-        .filter(|&(i, j, _)| a.get(i, j).is_none())
-        .collect();
-    if absent.is_empty() {
-        return absent;
-    }
-    let fresh = CsrLenMatrix::from_entries(a.n(), &absent);
-    LenMat::entries(&csr_merge_absent(a, &fresh))
-}
-
-len_engine!(
-    SparseEngine,
-    CsrLenMatrix,
-    csr_set_absent,
-    csr_merge_absent,
-    |_, jobs| csr_jobs(jobs)
-);
-len_engine!(
-    ParSparseEngine,
-    CsrLenMatrix,
-    csr_set_absent,
-    csr_merge_absent,
-    |e, jobs| csr_jobs_on(&e.device, jobs)
-);
-// Tile payloads are bitsets and path lengths need `u32` cells, so the
-// tiled engine's §5 kernels are the CSR ones on its own device.
-len_engine!(
-    TiledEngine,
-    CsrLenMatrix,
-    csr_set_absent,
-    csr_merge_absent,
-    |e, jobs| csr_jobs_on(&e.device, jobs)
-);
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::Device;
 
     fn dense(entries: &[(u32, u32, u32)], n: usize) -> DenseLenMatrix {
         DenseLenMatrix::from_entries(n, entries)
@@ -688,7 +658,9 @@ mod tests {
         assert_eq!(s.get(1, 1), Some(3));
     }
 
-    fn check_engine<E: LenEngine>(e: &E) {
+    /// Drives every method of the engine's length half; returns the
+    /// entries of every product it made, in order.
+    pub(crate) fn check_engine<E: LenEngine>(e: &E) -> Vec<Vec<(u32, u32, u32)>> {
         // Path composition: (0,1,2) · (1,2,3) → (0,2,5).
         let a = e.len_from_entries(4, &[(0, 1, 2), (3, 3, 1)]);
         let b = e.len_from_entries(4, &[(1, 2, 3), (3, 3, 1)]);
@@ -697,8 +669,9 @@ mod tests {
 
         // ε-operands (length 0) never compose.
         let eps = e.len_from_entries(4, &[(0, 0, 0), (1, 1, 0)]);
-        assert_eq!(e.len_multiply(&eps, &b).nnz(), 0);
-        assert_eq!(e.len_multiply(&a, &eps).nnz(), 0);
+        let (eps_left, eps_right) = (e.len_multiply(&eps, &b), e.len_multiply(&a, &eps));
+        assert_eq!(eps_left.nnz(), 0);
+        assert_eq!(eps_right.nnz(), 0);
 
         // Masking suppresses known cells.
         let mask = e.len_from_entries(4, &[(0, 2, 7)]);
@@ -727,24 +700,20 @@ mod tests {
         assert_eq!(g.get(0, 1), Some(1));
         assert_eq!(g.get(4, 4), None);
         let grown_b = e.len_from_entries(5, &[(1, 4, 3)]);
-        assert_eq!(
-            e.len_multiply(&g, &grown_b).entries(),
-            vec![(0, 4, 4), (1, 4, 5)]
-        );
+        let grown = e.len_multiply(&g, &grown_b);
+        assert_eq!(grown.entries(), vec![(0, 4, 4), (1, 4, 5)]);
 
         // Batch == per-job results.
         let batch = e.len_multiply_masked_batch(&[(&a, &b, Some(&mask)), (&a, &b, None)]);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].entries(), masked.entries());
         assert_eq!(batch[1].entries(), c.entries());
-    }
 
-    #[test]
-    fn all_engines_behave_identically() {
-        check_engine(&DenseEngine);
-        check_engine(&SparseEngine);
-        check_engine(&ParDenseEngine::new(Device::new(3)));
-        check_engine(&ParSparseEngine::new(Device::new(2)));
+        [c, eps_left, eps_right, masked, grown]
+            .iter()
+            .chain(&batch)
+            .map(LenMat::entries)
+            .collect()
     }
 
     #[test]
@@ -772,7 +741,8 @@ mod tests {
         // Both kernels scan k in ascending order (dense scans the full
         // row, CSR scans the stored columns), so even the chosen lengths
         // coincide — assert full entry equality, not just pair sets.
-        let sp = csr_jobs(&[(&sa, &sb, Some(&sm)), (&sa, &sb, None)]);
+        let mut csr_multiply_masked = CsrLenMatrix::kernel();
+        let sp = [(&sa, &sb, Some(&sm)), (&sa, &sb, None)].map(&mut csr_multiply_masked);
         let dp = dense_multiply_masked(&da, &db, Some(&dm));
         assert_eq!(LenMat::entries(&dp), LenMat::entries(&sp[0]));
         let dp = dense_multiply_masked(&da, &db, None);

@@ -31,6 +31,7 @@ pub mod dense;
 pub mod device;
 pub mod engine;
 pub mod length;
+mod repr;
 pub mod setmatrix;
 pub mod sparse;
 pub mod tiled;
@@ -39,9 +40,9 @@ pub use dense::DenseBitMatrix;
 pub use device::{Device, Parallelism};
 pub use engine::{
     BoolEngine, BoolMat, DenseEngine, KernelCounters, MaskedJob, ParDenseEngine, ParSparseEngine,
-    SparseEngine,
+    SparseEngine, TiledEngine,
 };
 pub use length::{CsrLenMatrix, DenseLenMatrix, LenEngine, LenJob, LenMat, NO_PATH};
 pub use setmatrix::SetMatrix;
 pub use sparse::CsrMatrix;
-pub use tiled::{TiledBitMatrix, TiledEngine, TILE};
+pub use tiled::{TiledBitMatrix, TILE};

@@ -1,0 +1,85 @@
+//! What a backend states: how a matrix is stored, and on what device.
+//!
+//! The paper's dGPU, sCPU and sGPU implementations are one algorithm
+//! handed to three matrix libraries. Here a *representation* says how a
+//! matrix is stored and multiplied ([`BoolRepr`] for bits, [`LenRepr`]
+//! for §5's path lengths), a [`Backend`] pairs one with an optional
+//! [`Device`], and `BoolEngine` and `LenEngine` are implemented once
+//! each, for every `Backend`, in [`crate::engine`] and [`crate::length`].
+//! The module is private, which seals the three traits: code outside the
+//! crate picks an engine by name or decorates one, and adds none.
+
+use crate::device::Device;
+use crate::engine::{BoolMat, MaskedJob};
+use crate::length::{LenJob, LenMat};
+
+/// A Boolean matrix representation: the operations the engines forward,
+/// and one product entry point.
+pub trait BoolRepr: BoolMat {
+    /// The `repr` tag of this representation's kernel spans.
+    const REPR: &'static str;
+    /// `BoolEngine::name` of this representation on a [`Device`].
+    const ON_DEVICE: &'static str;
+    /// The representation its engines run the §5 length kernels on.
+    type Len: LenRepr;
+
+    fn zeros(n: usize) -> Self;
+    fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self;
+    fn union_in_place(&mut self, other: &Self) -> bool;
+    fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool;
+    fn grow(&mut self, n: usize);
+    fn difference(&self, other: &Self) -> Self;
+    fn intersect(&self, other: &Self) -> Self;
+
+    /// The product entry point `((a, b, mask?), device?) → ((a × b) \ mask?,
+    /// tiles skipped)` for one run of products on the calling thread:
+    /// whatever consecutive serial products can share — the CSR row
+    /// accumulator — lives in the returned kernel. With a `device` the
+    /// rows of the product are split over its workers (past the
+    /// representation's own offload threshold); the skip count is `None`
+    /// where the representation has no tiles to skip.
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>);
+}
+
+/// A length-matrix representation (§5): first-write-wins cells, and one
+/// serial masked product.
+pub trait LenRepr: LenMat {
+    /// The `repr` tag of this representation's kernel spans.
+    const REPR: &'static str;
+
+    fn empty(n: usize) -> Self;
+    fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self;
+    fn set_absent(&mut self, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)>;
+    fn merge_absent(&mut self, add: &Self) -> Self;
+    fn grow(&mut self, n: usize);
+
+    /// The serial product `(a, b, mask?) → (a ⊗ b) \ mask?` for one run
+    /// of jobs on the calling thread (see [`BoolRepr::kernel`]).
+    fn kernel() -> impl FnMut(LenJob<'_, Self>) -> Self;
+}
+
+/// A representation plus an optional [`Device`] plus a skip counter —
+/// everything `BoolEngine` and `LenEngine` need to know of an engine.
+pub trait Backend: Send + Sync {
+    /// How this engine's Boolean matrices are stored.
+    type Repr: BoolRepr;
+    /// `BoolEngine::name`.
+    const NAME: &'static str;
+
+    /// Where a product may split its rows and a batch its jobs; `None`
+    /// runs everything on the calling thread.
+    fn device(&self) -> Option<&Device> {
+        None
+    }
+
+    /// Adds the tiles one product skipped to the engine's count. Whether
+    /// there is anything to add is the kernel's to say
+    /// ([`BoolRepr::kernel`]); the unit engines, which keep no state, are
+    /// never asked.
+    fn add_tiles_skipped(&self, _tiles: u64) {}
+
+    /// The count so far (`BoolEngine::kernel_counters`).
+    fn tiles_skipped(&self) -> u64 {
+        0
+    }
+}

@@ -34,7 +34,9 @@
 //! one of two kernels picked from popcounts — not a `⊗` of two scalars.
 
 use crate::device::Device;
-use crate::engine::{traced_kernel, MaskedJob};
+use crate::engine::MaskedJob;
+use crate::length::CsrLenMatrix;
+use crate::repr::BoolRepr;
 use std::ops::Range;
 
 /// The shared storage (see the module docs). Columns are strictly
@@ -486,7 +488,7 @@ impl CsrMatrix {
     /// straight into the flat CSR `row_ptr`/`cols` arrays — no
     /// intermediate per-row `Vec` allocations.
     pub fn multiply(&self, other: &CsrMatrix) -> CsrMatrix {
-        product(self, other, None, &mut BitRow::default())
+        self.multiply_masked_opt_on(other, None, None)
     }
 
     /// Masked Boolean SpGEMM `(self × other) \ mask`: each output row is
@@ -506,48 +508,43 @@ impl CsrMatrix {
     /// assert_eq!(a.multiply_masked(&b, &mask).pairs(), vec![(1, 2)]);
     /// ```
     pub fn multiply_masked(&self, other: &CsrMatrix, mask: &CsrMatrix) -> CsrMatrix {
-        product(self, other, Some(mask), &mut BitRow::default())
+        self.multiply_masked_opt_on(other, Some(mask), None)
     }
 
-    /// Boolean SpGEMM with row blocks computed in parallel on `device`.
+    /// The product entry point, `(self × other) \ mask?`, with row blocks
+    /// computed in parallel on `device` if one is given.
     ///
-    /// Small operands run serially: kernel dispatch has a fixed latency
-    /// (just as GPU offload pays transfer/launch costs), so offloading
-    /// only pays off past a work threshold.
-    pub fn multiply_on(&self, other: &CsrMatrix, device: &Device) -> CsrMatrix {
-        self.multiply_masked_opt_on(other, None, device)
-    }
-
-    /// [`CsrMatrix::multiply_masked`] with row blocks computed in
-    /// parallel on `device` (same offload threshold as
-    /// [`CsrMatrix::multiply_on`]).
-    pub fn multiply_masked_on(
-        &self,
-        other: &CsrMatrix,
-        mask: &CsrMatrix,
-        device: &Device,
-    ) -> CsrMatrix {
-        self.multiply_masked_opt_on(other, Some(mask), device)
-    }
-
-    fn multiply_masked_opt_on(
+    /// Small operands run serially even then: kernel dispatch has a fixed
+    /// latency (just as GPU offload pays transfer/launch costs), so
+    /// offloading only pays off past a work threshold.
+    pub fn multiply_masked_opt_on(
         &self,
         other: &CsrMatrix,
         mask: Option<&CsrMatrix>,
-        device: &Device,
+        device: Option<&Device>,
+    ) -> CsrMatrix {
+        self.product(other, mask, device, &mut BitRow::default())
+    }
+
+    /// [`CsrMatrix::multiply_masked_opt_on`] on a caller-owned
+    /// accumulator, which a serial product uses and leaves clean for the
+    /// next (the blocks of a device-parallel one bring their own).
+    fn product(
+        &self,
+        other: &CsrMatrix,
+        mask: Option<&CsrMatrix>,
+        device: Option<&Device>,
+        acc: &mut BitRow,
     ) -> CsrMatrix {
         const OFFLOAD_THRESHOLD_NNZ: usize = 64 * 1024;
-        if device.n_workers() == 1 || self.nnz() + other.nnz() < OFFLOAD_THRESHOLD_NNZ {
-            return product(self, other, mask, &mut BitRow::default());
-        }
         let (a, b, mask) = (&self.csr, &other.csr, mask.map(|m| &m.csr));
-        a.check_dimensions(b, mask);
-        let blocks = device.par_map_ranges(self.n(), |range: Range<usize>| {
-            let mut acc = BitRow::default();
-            acc.fit(self.n());
-            a.multiply_block(b, mask, range, &mut acc)
-        });
-        let csr = Csr::concat(blocks);
+        let work = self.nnz() + other.nnz();
+        let csr = match device.filter(|d| d.n_workers() > 1 && work >= OFFLOAD_THRESHOLD_NNZ) {
+            None => a.multiply(b, mask, 0..self.n(), acc),
+            Some(device) => Csr::concat(device.par_map_ranges(self.n(), |range| {
+                a.multiply(b, mask, range, &mut BitRow::default())
+            })),
+        };
         Self { csr }
     }
 
@@ -566,22 +563,39 @@ impl CsrMatrix {
     }
 }
 
-/// Serial (optionally masked) product on a caller-owned accumulator.
-fn product(a: &CsrMatrix, b: &CsrMatrix, mask: Option<&CsrMatrix>, acc: &mut BitRow) -> CsrMatrix {
-    let csr = a.csr.multiply(&b.csr, mask.map(|m| &m.csr), acc);
-    CsrMatrix { csr }
-}
+impl BoolRepr for CsrMatrix {
+    const REPR: &'static str = "csr";
+    const ON_DEVICE: &'static str = "sparse-par";
+    type Len = CsrLenMatrix;
 
-/// Runs the jobs of a batch one after another on one accumulator, each
-/// under its own kernel span (the `BoolEngine` Recorder contract).
-pub(crate) fn multiply_jobs(jobs: &[MaskedJob<'_, CsrMatrix>]) -> Vec<CsrMatrix> {
-    let mut acc = BitRow::default();
-    jobs.iter()
-        .map(|&(a, b, mask)| {
-            let op = if mask.is_some() { "masked" } else { "mul" };
-            traced_kernel("csr", op, || product(a, b, mask, &mut acc))
-        })
-        .collect()
+    fn zeros(n: usize) -> Self {
+        Self::zeros(n)
+    }
+    fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
+        Self::from_pairs(n, pairs)
+    }
+    fn union_in_place(&mut self, other: &Self) -> bool {
+        self.union_in_place(other)
+    }
+    fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
+        self.insert_pairs(pairs)
+    }
+    fn grow(&mut self, n: usize) {
+        self.grow(n)
+    }
+    fn difference(&self, other: &Self) -> Self {
+        self.difference(other)
+    }
+    fn intersect(&self, other: &Self) -> Self {
+        self.intersect(other)
+    }
+    /// One row accumulator for the run.
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>) {
+        let mut acc = BitRow::default();
+        move |(a, b, mask): MaskedJob<'_, Self>, device: Option<&Device>| {
+            (a.product(b, mask, device, &mut acc), None)
+        }
+    }
 }
 
 /// One output row of the flat product while it is accumulated — the part
@@ -609,36 +623,21 @@ pub(crate) trait RowAccumulator<V>: Default {
 }
 
 impl<V: Copy> Csr<V> {
-    /// Serial (optionally masked) product `(self × b) \ mask?` on a
-    /// caller-owned accumulator.
+    /// Rows `range` of `(self × b) \ mask?` as a block of their own, row
+    /// ends relative to it, on a caller-owned accumulator: the whole
+    /// product if serial, one block per worker on a device.
     pub fn multiply<A: RowAccumulator<V>>(
-        &self,
-        b: &Self,
-        mask: Option<&Self>,
-        acc: &mut A,
-    ) -> Self {
-        self.check_dimensions(b, mask);
-        acc.fit(self.rows());
-        self.multiply_block(b, mask, 0..self.rows(), acc)
-    }
-
-    fn check_dimensions(&self, b: &Self, mask: Option<&Self>) {
-        assert_eq!(self.rows(), b.rows(), "dimension mismatch");
-        if let Some(m) = mask {
-            assert_eq!(self.rows(), m.rows(), "mask dimension mismatch");
-        }
-    }
-
-    /// Computes rows `range` of `self × b` (optionally masked) as a block
-    /// of their own, row ends relative to it. Shared by the serial and
-    /// device-parallel kernels.
-    fn multiply_block<A: RowAccumulator<V>>(
         &self,
         b: &Self,
         mask: Option<&Self>,
         range: Range<usize>,
         acc: &mut A,
     ) -> Self {
+        assert_eq!(self.rows(), b.rows(), "dimension mismatch");
+        if let Some(m) = mask {
+            assert_eq!(self.rows(), m.rows(), "mask dimension mismatch");
+        }
+        acc.fit(self.rows());
         let mut out = Csr::with_capacity(range.len(), 0);
         // Flat over the cells of `self`, not row by row: against a sparse
         // Δ almost no cell finds anything to multiply with, so the scan
@@ -794,15 +793,18 @@ mod tests {
 
     #[test]
     fn parallel_product_equals_serial() {
-        let n = 120usize;
+        // 60 entries a row: enough nnz to cross the offload threshold.
+        let n = 600usize;
         let pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| [(i, (i * 31 + 7) % n as u32), (i, (i * 17 + 2) % n as u32)])
+            .flat_map(|i| (0..60u32).map(move |d| (i, (i * 31 + d * 7 + 2) % n as u32)))
             .collect();
         let m = CsrMatrix::from_pairs(n, &pairs);
+        assert!(m.nnz() + m.nnz() >= 64 * 1024, "test must cross threshold");
         let serial = m.multiply(&m);
         for workers in [1, 2, 5, 16] {
             let d = Device::new(workers);
-            assert_eq!(m.multiply_on(&m, &d), serial, "workers {workers}");
+            let par = m.multiply_masked_opt_on(&m, None, Some(&d));
+            assert_eq!(par, serial, "workers {workers}");
         }
     }
 
@@ -818,7 +820,8 @@ mod tests {
     fn zero_sized() {
         let m = CsrMatrix::zeros(0);
         assert!(m.multiply(&m).is_zero());
-        assert_eq!(m.multiply_on(&m, &Device::new(3)).n(), 0);
+        let d = Device::new(3);
+        assert_eq!(m.multiply_masked_opt_on(&m, None, Some(&d)).n(), 0);
     }
 
     fn drain_sorted(acc: &mut BitRow) -> Vec<u32> {
@@ -913,8 +916,10 @@ mod tests {
         let serial = a.multiply_masked(&a, &m);
         for workers in [2, 4] {
             let d = Device::new(workers);
-            assert_eq!(a.multiply_masked_on(&a, &m, &d), serial, "w={workers}");
-            assert_eq!(a.multiply_on(&a, &d), a.multiply(&a), "w={workers}");
+            let par = a.multiply_masked_opt_on(&a, Some(&m), Some(&d));
+            assert_eq!(par, serial, "w={workers}");
+            let par = a.multiply_masked_opt_on(&a, None, Some(&d));
+            assert_eq!(par, a.multiply(&a), "w={workers}");
         }
     }
 

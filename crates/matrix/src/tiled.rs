@@ -54,12 +54,12 @@
 //! equality.
 
 use crate::device::Device;
-use crate::engine::{BoolEngine, BoolMat, KernelCounters, MaskedJob};
+use crate::engine::{BoolMat, MaskedJob};
+use crate::length::CsrLenMatrix;
+use crate::repr::BoolRepr;
 use crate::sparse::{assert_in_range, Cell, Csr};
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Tile edge length in bits. One tile is `TILE` `u64` words.
 pub const TILE: usize = 64;
@@ -313,10 +313,11 @@ impl TiledBitMatrix {
         self.multiply_masked_opt_on(other, Some(mask), None).0
     }
 
-    /// Product with tile-row blocks computed in parallel on the `device`
-    /// pool. Also returns the number of tile-granular kernel launches
-    /// avoided (empty counterpart tile-rows in `other`, plus accumulated
-    /// output tiles that masking or cancellation left empty).
+    /// The product entry point, `(self × other) \ mask?`, with tile-row
+    /// blocks computed in parallel on the `device` pool if one is given.
+    /// Also returns the number of tile-granular kernel launches avoided
+    /// (empty counterpart tile-rows in `other`, plus accumulated output
+    /// tiles that masking or cancellation left empty).
     pub fn multiply_masked_opt_on(
         &self,
         other: &TiledBitMatrix,
@@ -668,115 +669,39 @@ impl BoolMat for TiledBitMatrix {
     }
 }
 
-/// Device-parallel block-tiled backend. Tile-row blocks of every product
-/// are dispatched across the [`Device`] pool; batch entry points run one
-/// serial tiled kernel per job on the pool instead (no nested offload,
-/// per the `Device` contract). Clones share the device handle *and* the
-/// skip counter, so [`BoolEngine::kernel_counters`] reads one stream
-/// across snapshots and worker threads.
-#[derive(Clone, Debug)]
-pub struct TiledEngine {
-    /// The execution device.
-    pub device: Device,
-    tiles_skipped: Arc<AtomicU64>,
-}
+impl BoolRepr for TiledBitMatrix {
+    const REPR: &'static str = "tiled";
+    const ON_DEVICE: &'static str = "tiled";
+    /// Tile payloads are bitsets and path lengths need `u32` cells, so
+    /// the tiled engine's §5 kernels are the CSR ones.
+    type Len = CsrLenMatrix;
 
-impl TiledEngine {
-    /// Creates the backend with the given device.
-    pub fn new(device: Device) -> Self {
-        Self {
-            device,
-            tiles_skipped: Arc::new(AtomicU64::new(0)),
-        }
+    fn zeros(n: usize) -> Self {
+        Self::zeros(n)
     }
-
-    /// A serial tiled backend (inline device, no extra threads).
-    pub fn serial() -> Self {
-        Self::new(Device::new(1))
+    fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
+        Self::from_pairs(n, pairs)
     }
-
-    /// One product `(a × b) \ mask?` under its kernel span — the standard
-    /// repr/op/nnz tags plus the product's `tiles_skipped` (see the
-    /// Recorder contract on [`BoolEngine`]) — its skips added to the
-    /// engine's counter. A job of a batch passes no `device`: one serial
-    /// kernel per job, no nested offload.
-    fn product(
-        &self,
-        a: &TiledBitMatrix,
-        b: &TiledBitMatrix,
-        mask: Option<&TiledBitMatrix>,
-        device: Option<&Device>,
-    ) -> TiledBitMatrix {
-        let mut sp = cfpq_obs::span("kernel");
-        let (c, skipped) = a.multiply_masked_opt_on(b, mask, device);
-        if skipped > 0 {
-            self.tiles_skipped.fetch_add(skipped, Ordering::Relaxed);
-        }
-        if sp.is_recording() {
-            sp.attr_str("repr", "tiled");
-            sp.attr_str("op", if mask.is_some() { "masked" } else { "mul" });
-            sp.attr_u64("nnz", c.nnz() as u64);
-            sp.attr_u64("tiles_skipped", skipped);
-        }
-        c
+    fn union_in_place(&mut self, other: &Self) -> bool {
+        self.union_in_place(other)
     }
-}
-
-impl Default for TiledEngine {
-    fn default() -> Self {
-        Self::serial()
+    fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
+        self.insert_pairs(pairs)
     }
-}
-
-impl BoolEngine for TiledEngine {
-    type Matrix = TiledBitMatrix;
-
-    fn name(&self) -> &'static str {
-        "tiled"
+    fn grow(&mut self, n: usize) {
+        self.grow(n)
     }
-    fn zeros(&self, n: usize) -> TiledBitMatrix {
-        TiledBitMatrix::zeros(n)
+    fn difference(&self, other: &Self) -> Self {
+        self.difference(other)
     }
-    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> TiledBitMatrix {
-        TiledBitMatrix::from_pairs(n, pairs)
+    fn intersect(&self, other: &Self) -> Self {
+        self.intersect(other)
     }
-    fn multiply(&self, a: &TiledBitMatrix, b: &TiledBitMatrix) -> TiledBitMatrix {
-        self.product(a, b, None, Some(&self.device))
-    }
-    fn union_in_place(&self, a: &mut TiledBitMatrix, b: &TiledBitMatrix) -> bool {
-        a.union_in_place(b)
-    }
-    fn union_pairs(&self, a: &mut TiledBitMatrix, pairs: &[(u32, u32)]) -> bool {
-        a.insert_pairs(pairs)
-    }
-    fn grow(&self, a: &mut TiledBitMatrix, n: usize) {
-        a.grow(n)
-    }
-    fn difference(&self, a: &TiledBitMatrix, b: &TiledBitMatrix) -> TiledBitMatrix {
-        a.difference(b)
-    }
-    fn intersect(&self, a: &TiledBitMatrix, b: &TiledBitMatrix) -> TiledBitMatrix {
-        a.intersect(b)
-    }
-    fn multiply_batch(&self, jobs: &[(&TiledBitMatrix, &TiledBitMatrix)]) -> Vec<TiledBitMatrix> {
-        let product = |(a, b)| self.product(a, b, None, None);
-        self.device.par_map(jobs.to_vec(), product)
-    }
-    fn multiply_masked(
-        &self,
-        a: &TiledBitMatrix,
-        b: &TiledBitMatrix,
-        mask: &TiledBitMatrix,
-    ) -> TiledBitMatrix {
-        self.product(a, b, Some(mask), Some(&self.device))
-    }
-    fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, TiledBitMatrix>]) -> Vec<TiledBitMatrix> {
-        let product = |(a, b, mask)| self.product(a, b, mask, None);
-        self.device.par_map(jobs.to_vec(), product)
-    }
-    fn kernel_counters(&self) -> KernelCounters {
-        KernelCounters {
-            tiles_skipped: self.tiles_skipped.load(Ordering::Relaxed),
+    /// Nothing to own: the tile accumulator is the thread's.
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>) {
+        |(a, b, mask): MaskedJob<'_, Self>, device: Option<&Device>| {
+            let (product, skipped) = a.multiply_masked_opt_on(b, mask, device);
+            (product, Some(skipped))
         }
     }
 }
@@ -784,6 +709,7 @@ impl BoolEngine for TiledEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BoolEngine, TiledEngine};
 
     fn pseudo_pairs(n: usize, count: usize, seed: u64) -> Vec<(u32, u32)> {
         let mut state = seed;

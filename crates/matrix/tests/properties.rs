@@ -42,10 +42,10 @@ proptest! {
         let device = Device::new(workers);
         let da = DenseBitMatrix::from_pairs(N, &a);
         let db = DenseBitMatrix::from_pairs(N, &b);
-        prop_assert_eq!(da.multiply(&db), da.multiply_on(&db, &device));
+        prop_assert_eq!(da.multiply(&db), da.multiply_masked_opt_on(&db, None, Some(&device)));
         let sa = CsrMatrix::from_pairs(N, &a);
         let sb = CsrMatrix::from_pairs(N, &b);
-        prop_assert_eq!(sa.multiply(&sb), sa.multiply_on(&sb, &device));
+        prop_assert_eq!(sa.multiply(&sb), sa.multiply_masked_opt_on(&sb, None, Some(&device)));
     }
 
     #[test]
