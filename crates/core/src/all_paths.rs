@@ -348,8 +348,10 @@ impl PathEnumerator {
 
     /// The ε-erasure-free contributions to a length class: terminal
     /// edges at `len == 1`, two-sided splits `d → BC` over every pivot
-    /// at `len ≥ 2`. Both sides of a split are full classes of strictly
-    /// smaller length, so the recursion terminates without any guard.
+    /// at `len ≥ 2` — the pivots being the stored cells of row `from` of
+    /// `R_B`, in ascending order, so a split costs that row and not the
+    /// graph. Both sides of a split are full classes of strictly smaller
+    /// length, so the recursion terminates without any guard.
     fn base_class<M: BoolMat>(
         &mut self,
         index: &RelationalIndex<M>,
@@ -373,8 +375,8 @@ impl PathEnumerator {
         } else {
             let rules = Arc::clone(&self.rules);
             for rule in rules.iter().filter(|r| r.lhs == d) {
-                for k in 0..self.adj.n_nodes as u32 {
-                    if !index.contains(rule.left, from, k) || !index.contains(rule.right, k, to) {
+                for k in index.matrices[rule.left.index()].row_cols(from) {
+                    if !index.contains(rule.right, k, to) {
                         continue;
                     }
                     for left_len in 1..len {

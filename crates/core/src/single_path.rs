@@ -410,15 +410,14 @@ fn extract_into<M: LenMat>(
         });
     }
     // Split via some rule A -> BC and midpoint k with l_B + l_C = l_A,
-    // both parts nonzero (ε-cells never participate in splits).
+    // both parts nonzero (ε-cells never participate in splits). The
+    // candidates are the stored cells of row `from` of l_B, in ascending
+    // k: a split costs that row, not the graph.
     for rule in &grammar.binary_rules {
         if rule.lhs != nt {
             continue;
         }
-        for k in 0..index.n_nodes as u32 {
-            let Some(lb) = index.length(rule.left, from, k) else {
-                continue;
-            };
+        for (k, lb) in index.matrix(rule.left).row_cells(from) {
             if lb == 0 || lb >= length {
                 continue;
             }
@@ -829,6 +828,38 @@ mod tests {
             extract_path(&idx, &graph, &g, s, 1, 0),
             Err(ExtractError::NotInRelation)
         );
+    }
+
+    #[test]
+    fn a_graph_smaller_than_the_index_is_an_error_not_a_panic() {
+        // What a session hands out after `add_edges` named new nodes: an
+        // index over six nodes, beside the caller's three-node graph.
+        let g = wcnf("S -> a b");
+        let s = g.symbols.get_nt("S").unwrap();
+        let small = generators::word_chain(&["a", "b"]);
+        let mut grown = small.clone();
+        grown.add_edge_named(3, "a", 4);
+        grown.add_edge_named(4, "b", 5);
+        let idx = SinglePathSolver::new(&SparseEngine).solve(&grown, &g);
+        assert_eq!(idx.length(s, 3, 5), Some(2));
+        assert!(matches!(
+            extract_path(&idx, &small, &g, s, 3, 5),
+            Err(ExtractError::NoWitnessSplit { from: 3, to: 4, .. })
+        ));
+        assert_eq!(extract_path(&idx, &small, &g, s, 0, 2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn validate_rejects_an_edge_from_a_node_outside_the_graph() {
+        let g = wcnf("S -> a b");
+        let s = g.symbols.get_nt("S").unwrap();
+        let graph = generators::word_chain(&["a", "b"]);
+        let outside = [Edge {
+            from: 7,
+            label: graph.get_label("a").unwrap(),
+            to: 8,
+        }];
+        assert!(!validate_witness(&outside, &graph, &g, s, 7, 8));
     }
 
     #[test]

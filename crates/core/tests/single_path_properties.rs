@@ -12,19 +12,28 @@
 //! 3. Theorem 5: every recorded entry admits an extractable witness of
 //!    exactly the recorded length, re-checked against the grammar by the
 //!    CYK oracle (lengths are *valid*, not necessarily minimal — the
-//!    paper evaluates an arbitrary path).
+//!    paper evaluates an arbitrary path), and it is the witness §5's
+//!    "simple search" finds when it tries every node as the pivot.
+//!
+//! Two deterministic guards then hold the cost of turning a closure into
+//! paths — [`extract_path`] and [`PathEnumerator::page`] — to the stored
+//! row of a split's left operand: isolated nodes added to the graph add
+//! no matrix read.
 
-use cfpq_core::relational::{FixpointSolver, SolveOptions};
+use cfpq_core::all_paths::{PageRequest, PathEnumerator};
+use cfpq_core::relational::{FixpointSolver, RelationalIndex, SolveOptions};
 use cfpq_core::single_path::{
-    extract_path, solve_single_path_oracle, validate_witness, SinglePathSolver,
+    extract_path, solve_single_path_oracle, validate_witness, SinglePathIndex, SinglePathSolver,
 };
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Nt, Wcnf};
-use cfpq_graph::{generators, Graph};
+use cfpq_graph::{generators, Edge, Graph};
 use cfpq_matrix::{
-    DenseEngine, Device, LenEngine, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    BoolEngine, BoolMat, DenseEngine, Device, LenEngine, LenMat, ParDenseEngine, ParSparseEngine,
+    SparseEngine, TiledEngine,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
 
 /// Base RNG seed: CI must replay the exact same cases on every run (see
 /// shims/README.md for the seeding scheme and `CFPQ_PROPTEST_SEED`).
@@ -101,15 +110,72 @@ fn check_engine<E: LenEngine>(
     Ok(())
 }
 
-fn check_extraction<M: cfpq_matrix::LenMat>(
+/// §5's "simple search" as the paper states it, over the public
+/// [`SinglePathIndex::length`] alone: the first rule `A → BC`, and for it
+/// the smallest of *all* nodes `k`, with `l_B(i, k) + l_C(k, j) = l_A(i, j)`
+/// and both parts nonzero.
+fn reference_witness<M: LenMat>(
+    index: &SinglePathIndex<M>,
+    graph: &Graph,
+    grammar: &Wcnf,
+    nt: Nt,
+    from: u32,
+    to: u32,
+) -> Vec<Edge> {
+    let length = index.length(nt, from, to).expect("a recorded pair");
+    if length == 0 {
+        return Vec::new();
+    }
+    if length == 1 {
+        let derives = |label| {
+            let term = grammar.symbols.get_term(graph.label_name(label));
+            term.is_some_and(|t| {
+                grammar
+                    .term_rules
+                    .iter()
+                    .any(|r| r.lhs == nt && r.term == t)
+            })
+        };
+        let &(label, _) = graph
+            .out_edges(from)
+            .iter()
+            .find(|&&(label, v)| v == to && derives(label))
+            .expect("a length-1 cell is an edge");
+        return vec![Edge { from, label, to }];
+    }
+    for rule in grammar.binary_rules.iter().filter(|r| r.lhs == nt) {
+        for k in 0..index.n_nodes as u32 {
+            let Some(lb) = index.length(rule.left, from, k) else {
+                continue;
+            };
+            if lb == 0 || lb >= length || index.length(rule.right, k, to) != Some(length - lb) {
+                continue;
+            }
+            let mut path = reference_witness(index, graph, grammar, rule.left, from, k);
+            path.extend(reference_witness(index, graph, grammar, rule.right, k, to));
+            return path;
+        }
+    }
+    panic!("no split for {nt:?} ({from} -> {to}, length {length})");
+}
+
+fn check_extraction<M: LenMat>(
     name: &str,
-    index: &cfpq_core::single_path::SinglePathIndex<M>,
+    index: &SinglePathIndex<M>,
     graph: &Graph,
     grammar: &Wcnf,
 ) -> Result<(), TestCaseError> {
     for (i, j, len) in index.pairs_with_lengths(grammar.start) {
         let path = extract_path(index, graph, grammar, grammar.start, i, j)
             .map_err(|e| TestCaseError::fail(format!("{name}: extract ({i},{j}): {e}")))?;
+        prop_assert_eq!(
+            &path,
+            &reference_witness(index, graph, grammar, grammar.start, i, j),
+            "{}: not the all-nodes search's witness at ({},{})",
+            name,
+            i,
+            j
+        );
         prop_assert_eq!(path.len() as u32, len, "{}: length at ({},{})", name, i, j);
         prop_assert!(
             validate_witness(&path, graph, grammar, grammar.start, i, j),
@@ -150,6 +216,212 @@ fn check_all(graph: &Graph, grammar: &Wcnf, diagonal: bool) -> Result<(), TestCa
         options,
     )?;
     Ok(())
+}
+
+thread_local! {
+    /// `(get calls, row cells yielded)` made on this thread through a
+    /// [`Counted`] matrix.
+    static READS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// A matrix, or an engine making such matrices, whose reads are counted
+/// in [`READS`]. Extraction and paging read on the calling thread.
+#[derive(Clone, PartialEq)]
+struct Counted<T>(T);
+
+fn count_get() {
+    READS.set((READS.get().0 + 1, READS.get().1));
+}
+
+fn count_cell() {
+    READS.set((READS.get().0, READS.get().1 + 1));
+}
+
+impl<M: BoolMat> BoolMat for Counted<M> {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+    fn get(&self, i: u32, j: u32) -> bool {
+        count_get();
+        self.0.get(i, j)
+    }
+    fn nnz(&self) -> usize {
+        self.0.nnz()
+    }
+    fn pairs(&self) -> Vec<(u32, u32)> {
+        self.0.pairs()
+    }
+    fn row_cols(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        self.0.row_cols(i).inspect(|_| count_cell())
+    }
+}
+
+impl<M: LenMat> LenMat for Counted<M> {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+    fn get(&self, i: u32, j: u32) -> Option<u32> {
+        count_get();
+        self.0.get(i, j)
+    }
+    fn nnz(&self) -> usize {
+        self.0.nnz()
+    }
+    fn pairs(&self) -> Vec<(u32, u32)> {
+        self.0.pairs()
+    }
+    fn entries(&self) -> Vec<(u32, u32, u32)> {
+        self.0.entries()
+    }
+    fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.0.row_cells(i).inspect(|_| count_cell())
+    }
+}
+
+/// [`SinglePathIndex`] is built by a solver only, so the counted length
+/// matrices come from a counted engine.
+impl<E: LenEngine> LenEngine for Counted<E> {
+    type LenMatrix = Counted<E::LenMatrix>;
+
+    fn len_empty(&self, n: usize) -> Self::LenMatrix {
+        Counted(self.0.len_empty(n))
+    }
+    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> Self::LenMatrix {
+        Counted(self.0.len_from_entries(n, entries))
+    }
+    fn len_set_absent(
+        &self,
+        a: &mut Self::LenMatrix,
+        entries: &[(u32, u32, u32)],
+    ) -> Vec<(u32, u32, u32)> {
+        self.0.len_set_absent(&mut a.0, entries)
+    }
+    fn len_multiply_masked(
+        &self,
+        a: &Self::LenMatrix,
+        b: &Self::LenMatrix,
+        mask: Option<&Self::LenMatrix>,
+    ) -> Self::LenMatrix {
+        Counted(self.0.len_multiply_masked(&a.0, &b.0, mask.map(|m| &m.0)))
+    }
+    fn len_merge_absent(
+        &self,
+        acc: &mut Self::LenMatrix,
+        add: &Self::LenMatrix,
+    ) -> Self::LenMatrix {
+        Counted(self.0.len_merge_absent(&mut acc.0, &add.0))
+    }
+    fn len_grow(&self, a: &mut Self::LenMatrix, n: usize) {
+        self.0.len_grow(&mut a.0, n)
+    }
+}
+
+/// The graph both guards read: dense enough in `R_S` that a split has
+/// several candidate pivots, and its copy among 4× as many isolated nodes.
+fn graph_and_padded() -> (Graph, Graph) {
+    let graph = generators::random_graph(12, 30, &LABELS, 7);
+    let mut padded = graph.clone();
+    padded.ensure_node(5 * graph.n_nodes() as u32 - 1);
+    (graph, padded)
+}
+
+/// The reads `work` makes through [`Counted`] matrices.
+fn reads_of<T>(work: impl FnOnce() -> T) -> (T, (usize, usize)) {
+    READS.set((0, 0));
+    let out = work();
+    (out, READS.get())
+}
+
+/// Every witness of `R_S` and the matrix reads extracting them took.
+fn extraction_reads<E: LenEngine>(
+    engine: E,
+    graph: &Graph,
+    grammar: &Wcnf,
+) -> (Vec<Vec<Edge>>, (usize, usize)) {
+    let idx = SinglePathSolver::new(&Counted(engine)).solve(graph, grammar);
+    let start = grammar.start;
+    reads_of(|| {
+        idx.pairs(start)
+            .into_iter()
+            .map(|(i, j)| extract_path(&idx, graph, grammar, start, i, j).unwrap())
+            .collect()
+    })
+}
+
+#[test]
+fn extraction_reads_the_left_row_not_every_node() {
+    let (graph, padded) = graph_and_padded();
+    let grammar = &grammars()[0];
+    let (paths, reads) = extraction_reads(SparseEngine, &graph, grammar);
+    assert!(paths.iter().any(|p| p.len() > 2), "some witness was split");
+    assert!(reads.1 > 0, "and its pivots came from a row");
+    assert_eq!(
+        extraction_reads(SparseEngine, &padded, grammar),
+        (paths.clone(), reads)
+    );
+    assert_eq!(
+        extraction_reads(DenseEngine, &graph, grammar),
+        (paths.clone(), reads)
+    );
+    assert_eq!(
+        extraction_reads(DenseEngine, &padded, grammar),
+        (paths, reads)
+    );
+}
+
+/// The first page of every pair of `R_S` on a fresh enumerator, and the
+/// matrix reads serving them took.
+fn page_reads<E: BoolEngine>(
+    engine: E,
+    graph: &Graph,
+    grammar: &Wcnf,
+) -> (Vec<Vec<Vec<Edge>>>, (usize, usize)) {
+    let solved = FixpointSolver::new(&engine).solve(graph, grammar);
+    let pairs = solved.pairs(grammar.start);
+    let index = RelationalIndex {
+        matrices: solved.matrices.into_iter().map(Counted).collect(),
+        iterations: solved.iterations,
+        n_nodes: solved.n_nodes,
+        stats: solved.stats,
+    };
+    let req = PageRequest {
+        offset: 0,
+        limit: 8,
+        max_len: 6,
+    };
+    reads_of(|| {
+        let mut paths = PathEnumerator::from_graph(graph, grammar);
+        pairs
+            .into_iter()
+            .map(|(i, j)| paths.page(&index, grammar.start, i, j, req).paths)
+            .collect()
+    })
+}
+
+#[test]
+fn a_paths_page_reads_the_left_row_not_every_node() {
+    let (graph, padded) = graph_and_padded();
+    let grammar = &grammars()[0];
+    let (pages, reads) = page_reads(SparseEngine, &graph, grammar);
+    assert!(
+        pages.iter().flatten().any(|p| p.len() > 2),
+        "some path was split"
+    );
+    assert!(reads.1 > 0, "and its pivots came from a row");
+    assert_eq!(
+        page_reads(SparseEngine, &padded, grammar),
+        (pages.clone(), reads)
+    );
+    for graph in [&graph, &padded] {
+        assert_eq!(
+            page_reads(DenseEngine, graph, grammar),
+            (pages.clone(), reads)
+        );
+        assert_eq!(
+            page_reads(TiledEngine::serial(), graph, grammar),
+            (pages.clone(), reads)
+        );
+    }
 }
 
 proptest! {

@@ -152,9 +152,11 @@ impl Graph {
         &self.edges
     }
 
-    /// Forward adjacency of `u`: `(label, v)` pairs in insertion order.
+    /// Forward adjacency of `u`: `(label, v)` pairs in insertion order. A
+    /// node outside the graph has none — callers (witness extraction and
+    /// validation) pass nodes of an index that may have outgrown it.
     pub fn out_edges(&self, u: NodeId) -> &[(Label, NodeId)] {
-        &self.adj[u as usize]
+        self.adj.get(u as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Edges with a given label.
@@ -251,6 +253,7 @@ mod tests {
         assert_eq!(g.n_nodes(), 10);
         assert_eq!(g.out_edges(5).len(), 1);
         assert!(g.out_edges(3).is_empty());
+        assert!(g.out_edges(10).is_empty(), "no such node, no edges");
     }
 
     #[test]

@@ -112,19 +112,6 @@ impl DenseBitMatrix {
         out
     }
 
-    /// Set columns of row `i`, ascending.
-    pub fn row_indices(&self, i: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (wi, &word) in self.row(i).iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                out.push((wi * 64) as u32 + word.trailing_zeros());
-                word &= word - 1;
-            }
-        }
-        out
-    }
-
     /// `self |= other`; returns `true` if any bit changed. This is the
     /// matrix union of Algorithm 1 line 9.
     pub fn union_in_place(&mut self, other: &DenseBitMatrix) -> bool {
@@ -453,10 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn row_indices_sorted() {
+    fn row_cols_sorted() {
+        use crate::BoolMat;
         let m = DenseBitMatrix::from_pairs(130, &[(1, 100), (1, 3), (1, 64)]);
-        assert_eq!(m.row_indices(1), vec![3, 64, 100]);
-        assert!(m.row_indices(0).is_empty());
+        assert_eq!(m.row_cols(1).collect::<Vec<_>>(), vec![3, 64, 100]);
+        assert_eq!(m.row_cols(0).count(), 0);
     }
 }
 

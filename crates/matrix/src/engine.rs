@@ -43,6 +43,23 @@ pub trait BoolMat: Clone + PartialEq + Send + Sync + 'static {
     fn nnz(&self) -> usize;
     /// All set `(row, col)` pairs in row-major order.
     fn pairs(&self) -> Vec<(u32, u32)>;
+    /// The set columns of row `i`, ascending, read off the storage (no
+    /// allocation on the CSR and tiled forms); a row outside the matrix
+    /// is empty, as [`BoolMat::get`] reads it unset. What a pivot search
+    /// walks: the candidates `k` of a split `(i, k), (k, j)` are the
+    /// stored cells of the left operand's row `i`, not all `n` nodes.
+    fn row_cols(&self, i: u32) -> impl Iterator<Item = u32> + '_;
+}
+
+/// The positions of the set bits of `word`, ascending.
+pub(crate) fn word_bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 impl BoolMat for DenseBitMatrix {
@@ -58,6 +75,16 @@ impl BoolMat for DenseBitMatrix {
     fn pairs(&self) -> Vec<(u32, u32)> {
         DenseBitMatrix::pairs(self)
     }
+    fn row_cols(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        let words = if (i as usize) < self.n() {
+            self.row(i as usize)
+        } else {
+            &[]
+        };
+        (0u32..)
+            .zip(words)
+            .flat_map(|(wi, &word)| word_bits(word).map(move |bit| wi * 64 + bit))
+    }
 }
 
 impl BoolMat for CsrMatrix {
@@ -72,6 +99,14 @@ impl BoolMat for CsrMatrix {
     }
     fn pairs(&self) -> Vec<(u32, u32)> {
         CsrMatrix::pairs(self)
+    }
+    fn row_cols(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        let cols = if (i as usize) < self.n() {
+            self.row(i as usize)
+        } else {
+            &[]
+        };
+        cols.iter().copied()
     }
 }
 
@@ -507,12 +542,26 @@ mod tests {
         kernel_spans: usize,
     }
 
+    /// `row_cols` is `pairs()` row by row, and a row past `n` is empty.
+    fn check_rows<M: BoolMat>(m: &M) {
+        let n = m.n() as u32;
+        let rows: Vec<(u32, u32)> = (0..n)
+            .flat_map(|i| m.row_cols(i).map(move |j| (i, j)))
+            .collect();
+        assert_eq!(rows, m.pairs());
+        assert_eq!(m.row_cols(n).count(), 0);
+        assert_eq!(m.row_cols(u32::MAX).count(), 0);
+    }
+
     fn check_engine<E: BoolEngine + LenEngine>(e: &E, name: &str) -> Observed {
         assert_eq!(e.name(), name);
         let collector = Arc::new(SpanCollector::new());
         let guard = cfpq_obs::install(collector.clone());
         let mut products = Vec::new();
-        let mut seen = |product: &E::Matrix| products.push(product.pairs());
+        let mut seen = |product: &E::Matrix| {
+            check_rows(product);
+            products.push(product.pairs())
+        };
 
         let a = e.from_pairs(5, &[(0, 1), (4, 4)]);
         let b = e.from_pairs(5, &[(1, 2), (4, 4)]);
@@ -528,6 +577,9 @@ mod tests {
         assert_eq!(diff.pairs(), vec![(4, 4)]);
         let inter = e.intersect(&acc, &e.from_pairs(5, &[(0, 2), (1, 1)]));
         assert_eq!(inter.pairs(), vec![(0, 2)]);
+        for built in [&a, &b, &acc, &diff, &inter, &e.zeros(0)] {
+            check_rows(built);
+        }
         let reversed = e.multiply(&b, &a);
         seen(&reversed);
         let batch = e.multiply_batch(&[(&a, &b), (&b, &a)]);
@@ -569,6 +621,14 @@ mod tests {
         seen(&wide_masked);
         assert_eq!(wide_masked.nnz(), 0);
         let tiles_skipped = e.kernel_counters().since(before).tiles_skipped;
+        // A row over tile columns 0, 1, 2 and 4 comes out ascending,
+        // whatever order it was written in.
+        let mut crossing = e.from_pairs(300, &[(70, 299), (70, 3), (69, 5)]);
+        e.union_pairs(&mut crossing, &[(70, 140), (70, 64), (71, 0)]);
+        assert_eq!(crossing.row_cols(70).collect::<Vec<_>>(), [3, 64, 140, 299]);
+        for built in [&wide_a, &wide_b, &wide_mask, &crossing] {
+            check_rows(built);
+        }
 
         let lengths = crate::length::tests::check_engine(e);
         drop(guard);

@@ -44,7 +44,7 @@
 
 use crate::engine::{run_batch, traced_kernel};
 use crate::repr::{Backend, BoolRepr, LenRepr};
-use crate::sparse::{assert_in_range, splice_rows, Csr, Report, RowAccumulator};
+use crate::sparse::{assert_in_range, splice_rows, BitRow, Csr, Report, RowAccumulator};
 
 /// The *absent* sentinel of length matrices. Any other value — including
 /// `0`, the ε-witness — is a present path length.
@@ -69,6 +69,11 @@ pub trait LenMat: Clone + PartialEq + Send + Sync + 'static {
     fn pairs(&self) -> Vec<(u32, u32)>;
     /// All present `(row, col, length)` entries in row-major order.
     fn entries(&self) -> Vec<(u32, u32, u32)>;
+    /// The present `(col, length)` cells of row `i`, columns ascending,
+    /// ε-cells (length 0) included, read off the storage (no allocation
+    /// on the CSR form); a row outside the matrix is empty, as
+    /// [`LenMat::get`] reads it absent. See [`crate::BoolMat::row_cols`].
+    fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_;
 }
 
 /// One job of a [`LenEngine::len_multiply_masked_batch`]: operands
@@ -330,6 +335,16 @@ impl LenMat for DenseLenMatrix {
         }
         out
     }
+    fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let vals = if (i as usize) < self.n {
+            self.row(i as usize)
+        } else {
+            &[]
+        };
+        (0u32..)
+            .zip(vals.iter().copied())
+            .filter(|&(_, l)| l != NO_PATH)
+    }
 }
 
 /// Serial dense masked length product.
@@ -504,15 +519,24 @@ impl LenMat for CsrLenMatrix {
     fn entries(&self) -> Vec<(u32, u32, u32)> {
         self.csr.cells(|i, j, l| (i, j, l))
     }
+    fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (cols, vals) = if (i as usize) < self.n() {
+            self.row(i as usize)
+        } else {
+            (&[][..], &[][..])
+        };
+        cols.iter().copied().zip(vals.iter().copied())
+    }
 }
 
 /// A reusable accumulator for one output row of the CSR length product:
-/// a dense value buffer ([`NO_PATH`]-initialized) with a sparse touched
-/// list.
+/// a dense value buffer ([`NO_PATH`]-initialized) with the occupied
+/// columns as a [`BitRow`], so a drain sorts the 64-column words the row
+/// touched instead of its columns.
 #[derive(Default)]
 struct LenRow {
     vals: Vec<u32>,
-    touched: Vec<u32>,
+    occupied: BitRow,
 }
 
 impl LenRow {
@@ -522,7 +546,7 @@ impl LenRow {
         let cell = &mut self.vals[j as usize];
         if *cell == NO_PATH {
             *cell = l;
-            self.touched.push(j);
+            self.occupied.set(j);
         }
     }
 }
@@ -532,6 +556,7 @@ impl RowAccumulator<u32> for LenRow {
         if self.vals.len() < n {
             self.vals.resize(n, NO_PATH);
         }
+        self.occupied.fit(n);
     }
 
     /// `left + l` at every column the row holds an `l ≥ 1` at; an
@@ -549,10 +574,10 @@ impl RowAccumulator<u32> for LenRow {
     }
 
     fn is_empty(&self) -> bool {
-        self.touched.is_empty()
+        self.occupied.is_empty()
     }
 
-    /// `touched` keeps the removed columns and the drain skips them.
+    /// `occupied` keeps the removed columns and the drain skips them.
     fn remove(&mut self, cols: &[u32]) {
         for &j in cols {
             self.vals[j as usize] = NO_PATH;
@@ -560,14 +585,13 @@ impl RowAccumulator<u32> for LenRow {
     }
 
     fn drain_into(&mut self, out: &mut Csr<u32>) {
-        self.touched.sort_unstable();
-        for &j in &self.touched {
-            let l = std::mem::replace(&mut self.vals[j as usize], NO_PATH);
+        let vals = &mut self.vals;
+        self.occupied.drain(|j| {
+            let l = std::mem::replace(&mut vals[j as usize], NO_PATH);
             if l != NO_PATH {
                 out.push(j, l);
             }
-        }
-        self.touched.clear();
+        });
     }
 }
 
@@ -658,6 +682,17 @@ pub(crate) mod tests {
         assert_eq!(s.get(1, 1), Some(3));
     }
 
+    /// `row_cells` is `entries()` row by row, and a row past `n` is empty.
+    fn check_rows<M: LenMat>(m: &M) {
+        let n = m.n() as u32;
+        let rows: Vec<(u32, u32, u32)> = (0..n)
+            .flat_map(|i| m.row_cells(i).map(move |(j, l)| (i, j, l)))
+            .collect();
+        assert_eq!(rows, m.entries());
+        assert_eq!(m.row_cells(n).count(), 0);
+        assert_eq!(m.row_cells(u32::MAX).count(), 0);
+    }
+
     /// Drives every method of the engine's length half; returns the
     /// entries of every product it made, in order.
     pub(crate) fn check_engine<E: LenEngine>(e: &E) -> Vec<Vec<(u32, u32, u32)>> {
@@ -667,11 +702,12 @@ pub(crate) mod tests {
         let c = e.len_multiply(&a, &b);
         assert_eq!(c.entries(), vec![(0, 2, 5), (3, 3, 2)]);
 
-        // ε-operands (length 0) never compose.
-        let eps = e.len_from_entries(4, &[(0, 0, 0), (1, 1, 0)]);
+        // ε-operands (length 0) never compose, and a row keeps them.
+        let eps = e.len_from_entries(4, &[(0, 0, 0), (0, 2, 4), (1, 1, 0)]);
         let (eps_left, eps_right) = (e.len_multiply(&eps, &b), e.len_multiply(&a, &eps));
         assert_eq!(eps_left.nnz(), 0);
         assert_eq!(eps_right.nnz(), 0);
+        assert_eq!(eps.row_cells(0).collect::<Vec<_>>(), [(0, 0), (2, 4)]);
 
         // Masking suppresses known cells.
         let mask = e.len_from_entries(4, &[(0, 2, 7)]);
@@ -709,9 +745,16 @@ pub(crate) mod tests {
         assert_eq!(batch[0].entries(), masked.entries());
         assert_eq!(batch[1].entries(), c.entries());
 
+        let empty = e.len_empty(0);
+        for built in [
+            &a, &b, &eps, &mask, &acc, &fresh, &none, &g, &grown_b, &empty,
+        ] {
+            check_rows(built);
+        }
         [c, eps_left, eps_right, masked, grown]
             .iter()
             .chain(&batch)
+            .inspect(|product| check_rows(*product))
             .map(LenMat::entries)
             .collect()
     }

@@ -675,9 +675,11 @@ impl<V: Copy> Csr<V> {
     }
 }
 
-/// The dense bitset accumulator for one output row of Boolean SpGEMM.
+/// The dense bitset accumulator for one output row of Boolean SpGEMM,
+/// and the occupancy of the length accumulator ([`crate::length`]): a
+/// row that touched few 64-column words sorts few indices on its drain.
 #[derive(Default)]
-struct BitRow {
+pub(crate) struct BitRow {
     words: Vec<u64>,
     /// Indices of words touched since the last drain (sparse reset).
     touched: Vec<u32>,
@@ -685,12 +687,26 @@ struct BitRow {
 
 impl BitRow {
     #[inline]
-    fn set(&mut self, j: u32) {
+    pub fn set(&mut self, j: u32) {
         let w = (j / 64) as usize;
         if self.words[w] == 0 {
             self.touched.push(w as u32);
         }
         self.words[w] |= 1u64 << (j % 64);
+    }
+
+    /// Hands the set columns to `each` in ascending order and clears the
+    /// row.
+    pub fn drain(&mut self, mut each: impl FnMut(u32)) {
+        self.touched.sort_unstable();
+        for &wi in &self.touched {
+            let mut word = std::mem::take(&mut self.words[wi as usize]);
+            while word != 0 {
+                each(wi * 64 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+        self.touched.clear();
     }
 }
 
@@ -719,16 +735,7 @@ impl RowAccumulator<()> for BitRow {
     }
 
     fn drain_into(&mut self, out: &mut Csr<()>) {
-        self.touched.sort_unstable();
-        for &wi in &self.touched {
-            let mut word = self.words[wi as usize];
-            self.words[wi as usize] = 0;
-            while word != 0 {
-                out.push(wi * 64 + word.trailing_zeros(), ());
-                word &= word - 1;
-            }
-        }
-        self.touched.clear();
+        self.drain(|j| out.push(j, ()));
     }
 }
 

@@ -54,7 +54,7 @@
 //! equality.
 
 use crate::device::Device;
-use crate::engine::{BoolMat, MaskedJob};
+use crate::engine::{word_bits, BoolMat, MaskedJob};
 use crate::length::CsrLenMatrix;
 use crate::repr::BoolRepr;
 use crate::sparse::{assert_in_range, Cell, Csr};
@@ -666,6 +666,20 @@ impl BoolMat for TiledBitMatrix {
     }
     fn pairs(&self) -> Vec<(u32, u32)> {
         TiledBitMatrix::pairs(self)
+    }
+    /// Word `i % 64` of each tile stored in tile-row `i / 64`; the tile
+    /// columns ascend, so the bit columns do.
+    fn row_cols(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        let (ti, r) = (i as usize / TILE, i as usize % TILE);
+        let tiles = if (i as usize) < self.n {
+            self.csr.row(ti)
+        } else {
+            0..0
+        };
+        tiles.flat_map(move |t| {
+            let base = self.csr.cols[t] * TILE as u32;
+            word_bits(self.csr.vals[t][r]).map(move |bit| base + bit)
+        })
     }
 }
 
