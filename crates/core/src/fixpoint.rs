@@ -1,30 +1,40 @@
-//! The masked semi-naive sweep loop, once, over an element algebra.
+//! The masked semi-naive sweep loop, once, over an element algebra and a
+//! rule program.
 //!
-//! §4's relational closure and §5's single-path closure are the same
-//! fixpoint — per sweep `T_A ⊕= ΔT_B ⊗ T_C ⊕ T_B ⊗ ΔT_C` for every rule
-//! `A → BC` — over two kinds of cell: a bit, and the length of the first
-//! witness found. [`Algebra`] names what the loop asks of a matrix family
-//! and has exactly those two instances, [`Boolean`] over a
-//! [`BoolEngine`] and [`Lengths`] over a [`LenEngine`]; [`solve`],
-//! [`resume`] and the loop they share are written against the trait.
-//! [`crate::relational::FixpointSolver`] and
-//! [`crate::single_path::SinglePathSolver`] are the typed fronts: they
-//! seed the matrices, call in here, and place the ε-diagonal (before the
-//! fixpoint for §4, as an overlay after it for §5).
+//! Every closure this crate computes is a least fixpoint of rules
+//! `T ⊇ L × R`. **What is multiplied** is a [`Program`]: a table of such
+//! rules whose operands are *variables* — the matrices being closed,
+//! each with a Δ — or *constants*, matrices lent to the run that never
+//! change and so never have one. There are two builders of one.
+//! [`Program::of_grammar`] is Algorithm 1: a variable `T_A` per
+//! nonterminal and `T_A ⊇ T_B × T_C` for every rule `A → B C`, behind
+//! [`solve`] and [`resume`]. [`crate::relational::SourceClosure`] writes
+//! the demand-driven table — row selectors, row selections and the
+//! graph's label matrices as constants — and supplies the one thing a
+//! product cannot derive, which rows are demanded next, as the `grow`
+//! step of [`run`]. **What a cell is** is an [`Algebra`], with exactly
+//! two instances: [`Boolean`] over a [`BoolEngine`] (§4, a bit) and
+//! [`Lengths`] over a [`LenEngine`] (§5, the length of the first witness
+//! found). [`crate::relational::FixpointSolver`] and
+//! [`crate::single_path::SinglePathSolver`] are the typed fronts of the
+//! all-pairs program: they seed the matrices, call in here, and place
+//! the ε-diagonal (before the fixpoint for §4, as an overlay after it
+//! for §5).
 //!
-//! Each sweep multiplies only the entries the previous one discovered.
-//! Rules sharing a `(B, C)` right-hand side share one product, kernels
-//! with an empty Δ operand are skipped outright, and the whole sweep goes
-//! to the engine as one batch (the paper's §7 remark that "matrix
+//! Each sweep multiplies only the entries the previous one discovered:
+//! per rule `ΔL × R` and `L × ΔR`, a constant contributing no Δ side.
+//! Rules sharing an operand pair share one product, kernels with an
+//! empty Δ operand are skipped outright, and the whole sweep goes to the
+//! engine as one batch (the paper's §7 remark that "matrix
 //! multiplication in the main loop … may be performed on different GPGPU
-//! independently"). A product feeding exactly one `T_A` takes the
-//! accumulated `T_A` as complement mask, so the kernel never regenerates
-//! entries the closure already holds and its output is exactly the new
-//! information (Azimov & Grigorev, arXiv:1707.01007; Shemetova et al.,
-//! arXiv:2103.14688).
+//! independently"). A product feeding exactly one target takes the
+//! accumulated target as complement mask, so the kernel never
+//! regenerates entries the closure already holds and its output is
+//! exactly the new information (Azimov & Grigorev, arXiv:1707.01007;
+//! Shemetova et al., arXiv:2103.14688).
 
-use crate::relational::SolveStats;
-use cfpq_grammar::Wcnf;
+use crate::relational::{SeedOutOfRange, SolveStats};
+use cfpq_grammar::{Nt, Wcnf};
 use cfpq_matrix::{BoolEngine, BoolMat, KernelCounters, LenEngine, LenMat};
 use std::collections::BTreeMap;
 
@@ -37,6 +47,9 @@ type Job<'a, M> = (&'a M, &'a M, Option<&'a M>);
 pub(crate) trait Algebra {
     /// One `T_A`.
     type Matrix: Clone;
+
+    /// The dimension `n` of an `n × n` matrix.
+    fn n(&self, m: &Self::Matrix) -> usize;
 
     /// Runs a sweep's products as one batch; cells of a job's mask are
     /// never emitted.
@@ -79,6 +92,10 @@ pub(crate) struct Boolean<'e, E>(pub &'e E);
 impl<E: BoolEngine> Algebra for Boolean<'_, E> {
     type Matrix = E::Matrix;
 
+    fn n(&self, m: &E::Matrix) -> usize {
+        m.n()
+    }
+
     fn products(&self, jobs: &[Job<'_, E::Matrix>]) -> Vec<E::Matrix> {
         self.0.multiply_masked_batch(jobs)
     }
@@ -109,8 +126,19 @@ impl<E: BoolEngine> Algebra for Boolean<'_, E> {
     }
 
     fn seed(&self, full: &mut E::Matrix, pairs: &[(u32, u32)]) -> Option<E::Matrix> {
-        let fresh = self.0.from_pairs(full.n(), pairs);
-        self.fold(full, fresh, false).map(|(new, _)| new)
+        // Point reads, as the length side makes point writes: a handful
+        // of cells costs no pass over the closure, and none that is new
+        // costs no matrix at all.
+        let absent: Vec<(u32, u32)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(i, j)| !full.get(i, j))
+            .collect();
+        if absent.is_empty() {
+            return None;
+        }
+        let fresh = self.0.from_pairs(full.n(), &absent);
+        self.fold(full, fresh, true).map(|(new, _)| new)
     }
 
     fn nnz(&self, m: &E::Matrix) -> usize {
@@ -130,6 +158,10 @@ pub(crate) struct Lengths<'e, E>(pub &'e E);
 
 impl<E: LenEngine> Algebra for Lengths<'_, E> {
     type Matrix = E::LenMatrix;
+
+    fn n(&self, m: &E::LenMatrix) -> usize {
+        m.n()
+    }
 
     fn products(&self, jobs: &[Job<'_, E::LenMatrix>]) -> Vec<E::LenMatrix> {
         self.0.len_multiply_masked_batch(jobs)
@@ -162,22 +194,109 @@ impl<E: LenEngine> Algebra for Lengths<'_, E> {
     }
 }
 
-/// Runs the fixpoint to completion from freshly seeded matrices
-/// (`matrices[A.index()]` holds the initialization of `T_A`): every
-/// seeded entry is new information, so the matrices themselves are the
-/// first sweep's Δ. Returns the run's work counters, one `sweep_nnz` point
-/// per sweep. Termination: entries only grow, bounded by `|V|²·|N|`
-/// (Theorem 3).
+/// An operand of a rule: one of the matrices a [`Program`] multiplies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Operand {
+    /// `vars[i]`, a matrix being closed: it grows, so it has a Δ.
+    Var(usize),
+    /// `consts[i]`, borrowed matrices standing for their union and
+    /// multiplied part by part: they never change, so they never have one.
+    Const(usize),
+}
+
+impl Operand {
+    fn is_var(self) -> bool {
+        matches!(self, Operand::Var(_))
+    }
+
+    /// The matrices a product with this operand runs over.
+    fn parts<'a, M>(self, vars: &'a [M], consts: &'a [Vec<&'a M>]) -> impl Iterator<Item = &'a M> {
+        let (var, parts) = match self {
+            Operand::Var(v) => (Some(&vars[v]), &[][..]),
+            Operand::Const(c) => (None, &consts[c][..]),
+        };
+        var.into_iter().chain(parts.iter().copied())
+    }
+}
+
+/// What the sweep loop runs: rules `vars[target] ⊇ left × right` over
+/// the variables of one run and the constants lent to it. The all-pairs
+/// closure is [`Program::of_grammar`]; the source-restricted one
+/// ([`crate::relational::SourceClosure`]) writes its own table over row
+/// selectors, row selections and label matrices.
+#[derive(Clone, Debug)]
+pub(crate) struct Program {
+    /// The rules as given: `(target, left, right)`.
+    rules: Vec<(usize, Operand, Operand)>,
+    /// Distinct operand pairs → the targets they feed. Rules sharing a
+    /// pair share its products; a pair with a sole target runs masked by
+    /// it.
+    groups: Vec<((Operand, Operand), Vec<usize>)>,
+    /// `vars[..relations]` are the relations the run is asked for, the
+    /// ones [`SolveStats::sweep_nnz`] and [`SolveStats::nt_nnz`] count;
+    /// variables past them are auxiliary.
+    relations: usize,
+}
+
+impl Program {
+    /// A program over `rules`, each with at least one variable operand
+    /// (a product of constants never changes: it is a constant).
+    pub(crate) fn new(relations: usize, rules: Vec<(usize, Operand, Operand)>) -> Self {
+        let mut by_pair: BTreeMap<(Operand, Operand), Vec<usize>> = BTreeMap::new();
+        for &(target, left, right) in &rules {
+            debug_assert!(left.is_var() || right.is_var(), "a rule over constants");
+            let targets = by_pair.entry((left, right)).or_default();
+            if !targets.contains(&target) {
+                targets.push(target);
+            }
+        }
+        Self {
+            rules,
+            groups: by_pair.into_iter().collect(),
+            relations,
+        }
+    }
+
+    /// Algorithm 1's program: `T_A ⊇ T_B × T_C` for every `A → B C`, one
+    /// variable per nonterminal and no constant.
+    pub(crate) fn of_grammar(grammar: &Wcnf) -> Self {
+        let var = |nt: Nt| Operand::Var(nt.index());
+        let rules = grammar.binary_rules.iter();
+        let rules = rules.map(|r| (r.lhs.index(), var(r.left), var(r.right)));
+        Self::new(grammar.n_nts(), rules.collect())
+    }
+
+    /// What a rule-by-rule semi-naive loop launches per sweep: for every
+    /// rule, a product per variable operand and part of the other one.
+    fn per_sweep_potential<M>(&self, consts: &[Vec<&M>]) -> usize {
+        let parts = |o: Operand| match o {
+            Operand::Var(_) => 1,
+            Operand::Const(c) => consts[c].len(),
+        };
+        let sides = |&(_, l, r): &(usize, Operand, Operand)| {
+            usize::from(l.is_var()) * parts(r) + usize::from(r.is_var()) * parts(l)
+        };
+        self.rules.iter().map(sides).sum()
+    }
+}
+
+/// The `grow` of a program whose Δ come from its products alone.
+pub(crate) fn no_growth<M>(_: &[Option<M>], _: &mut SolveStats) -> Vec<Vec<(u32, u32)>> {
+    Vec::new()
+}
+
+/// Runs the all-pairs fixpoint to completion from freshly seeded
+/// matrices (`matrices[A.index()]` holds the initialization of `T_A`).
+/// Returns the run's work counters, one `sweep_nnz` point per sweep.
+/// Termination: entries only grow, bounded by `|V|²·|N|` (Theorem 3).
 pub(crate) fn solve<A: Algebra>(
     algebra: &A,
     matrices: &mut [A::Matrix],
     grammar: &Wcnf,
 ) -> SolveStats {
     let mut sp = cfpq_obs::span("solve");
-    let mut stats = SolveStats::default();
-    let counters_before = algebra.counters();
-    delta_sweeps(algebra, matrices, None, grammar, &mut stats);
-    finish_stats(&mut stats, algebra, counters_before, matrices);
+    let program = Program::of_grammar(grammar);
+    let stats = run(algebra, matrices, &program, &[], None, no_growth);
     if sp.is_recording() {
         sp.attr_str("mode", "cold");
         sp.attr_u64("sweeps", stats.sweep_nnz.len() as u64);
@@ -191,107 +310,107 @@ pub(crate) fn solve<A: Algebra>(
 /// only the Δ loop they seed; what that guarantees is on
 /// [`crate::relational::FixpointSolver::resume`]. Returns the counters of
 /// this run alone: one `sweep_nnz` point per sweep, all-default when
-/// nothing was new.
+/// nothing was new. This is where pairs a caller wrote reach a closed
+/// matrix, so this is where they are range-checked: a pair outside the
+/// matrices is refused before anything is written.
 pub(crate) fn resume<A: Algebra>(
     algebra: &A,
     matrices: &mut [A::Matrix],
     grammar: &Wcnf,
     new_pairs: &[Vec<(u32, u32)>],
-) -> SolveStats {
-    let mut sp = cfpq_obs::span("solve");
+) -> Result<SolveStats, SeedOutOfRange> {
     assert_eq!(
         new_pairs.len(),
         grammar.n_nts(),
         "one pair list per nonterminal"
     );
-    let counters_before = algebra.counters();
-    let delta: Vec<Option<A::Matrix>> = matrices
-        .iter_mut()
-        .zip(new_pairs)
-        .map(|(full, pairs)| match pairs.is_empty() {
-            true => None,
-            false => algebra.seed(full, pairs),
-        })
-        .collect();
-    let mut stats = SolveStats::default();
-    // Nothing new: the closure is already correct.
-    if delta.iter().any(Option::is_some) {
-        delta_sweeps(algebra, matrices, Some(delta), grammar, &mut stats);
-        finish_stats(&mut stats, algebra, counters_before, matrices);
+    for ((a, pairs), full) in new_pairs.iter().enumerate().zip(matrices.iter()) {
+        let n = algebra.n(full);
+        if let Some(&cell) = pairs.iter().find(|&&(i, j)| i.max(j) as usize >= n) {
+            let nt = Nt(a as u32);
+            return Err(SeedOutOfRange { nt, cell, n });
+        }
     }
+    let mut sp = cfpq_obs::span("solve");
+    let program = Program::of_grammar(grammar);
+    let stats = run(algebra, matrices, &program, &[], Some(new_pairs), no_growth);
     if sp.is_recording() {
         sp.attr_str("mode", "resume");
         sp.attr_u64("sweeps", stats.sweep_nnz.len() as u64);
         sp.attr_u64("products", stats.products_computed as u64);
     }
-    stats
+    Ok(stats)
 }
 
-/// The sweep loop behind [`solve`] and [`resume`] (the module docs say
-/// what a sweep is). A `(B, C)` pair shared by several LHS runs unmasked
-/// and [`Algebra::fold`] sorts out what is new.
+/// The sweep loop (the module docs say what a sweep is): runs `program`
+/// over `vars` and `consts` until no variable grows, and returns the
+/// run's work counters, one `sweep_nnz` point per sweep.
 ///
-/// `seed` is where the first sweep's Δ comes from: `None` treats the
-/// (freshly initialized) `full` matrices themselves as the Δ — the
-/// cold-solve case, where ΔB×C and B×ΔC coincide, so one `T_B × T_C`
-/// product per pair suffices and no clone is ever taken — while explicit
-/// Δ matrices, already folded into `full`, are the resume case. Work
-/// counters accumulate into `stats`, one `sweep_nnz` point per sweep.
-fn delta_sweeps<A: Algebra>(
+/// `seeds` is where the first sweep's Δ comes from. `None` treats the
+/// (freshly initialized) variables themselves as the Δ — the cold-solve
+/// case, where ΔL×R and L×ΔR coincide, so one `L × R` product per pair
+/// suffices and no clone is ever taken. `Some(cells)` folds `cells[v]`
+/// into the already closed `vars[v]` and starts from what was new there;
+/// nothing new, no sweep, all-default counters.
+///
+/// After every fold `grow` sees the sweep's Δ and names further cells
+/// per variable, which are folded in the same way and join the next
+/// sweep's Δ: facts that follow from the new entries by something other
+/// than a product. It may launch products of its own and counts them in
+/// the stats it is handed.
+pub(crate) fn run<A: Algebra>(
     algebra: &A,
-    full: &mut [A::Matrix],
-    seed: Option<Vec<Option<A::Matrix>>>,
-    grammar: &Wcnf,
-    stats: &mut SolveStats,
-) {
-    let n_nts = grammar.n_nts();
-
-    // Distinct (B, C) operand pairs → the LHS nonterminals they feed.
-    let mut by_pair: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for rule in &grammar.binary_rules {
-        let lhss = by_pair
-            .entry((rule.left.index(), rule.right.index()))
-            .or_default();
-        if !lhss.contains(&rule.lhs.index()) {
-            lhss.push(rule.lhs.index());
+    vars: &mut [A::Matrix],
+    program: &Program,
+    consts: &[Vec<&A::Matrix>],
+    seeds: Option<&[Vec<(u32, u32)>]>,
+    mut grow: impl FnMut(&[Option<A::Matrix>], &mut SolveStats) -> Vec<Vec<(u32, u32)>>,
+) -> SolveStats {
+    let counters_before = algebra.counters();
+    let mut stats = SolveStats::default();
+    let relations = program.relations;
+    // Δ per variable; `None` means empty (never allocated for variables
+    // nothing produces).
+    let mut first = seeds.is_none();
+    let mut delta: Vec<Option<A::Matrix>> = vars.iter().map(|_| None).collect();
+    if let Some(cells) = seeds {
+        inject(algebra, vars, &mut delta, cells, relations);
+        // Nothing new: the closure is already correct.
+        if delta.iter().all(Option::is_none) {
+            return stats;
         }
     }
-    let groups: Vec<((usize, usize), Vec<usize>)> = by_pair.into_iter().collect();
-    // What a rule-by-rule semi-naive loop launches per sweep: two
-    // products (ΔB×C and B×ΔC) for every binary rule.
-    let per_sweep_potential = 2 * grammar.binary_rules.len();
-
-    // Δ per nonterminal; `None` means empty (never allocated for
-    // nonterminals no rule produces).
-    let mut first = seed.is_none();
-    let mut delta = seed.unwrap_or_else(|| (0..n_nts).map(|_| None).collect());
-    debug_assert_eq!(delta.len(), n_nts);
+    let per_sweep_potential = program.per_sweep_potential(consts);
     // `Σ_A nnz(T_A)`, counted once here and then kept by adding each Δ
     // as it is folded in: a sweep pays for what it found, not for a
     // recount of the closure.
-    let mut closure_nnz = total_nnz(algebra, full);
+    let mut closure_nnz = total_nnz(algebra, &vars[..relations]);
     loop {
         let mut sweep_sp = cfpq_obs::span("sweep");
 
         // Assemble this sweep's kernel jobs from the same snapshot.
         let mut jobs: Vec<Job<'_, A::Matrix>> = Vec::new();
         let mut job_group: Vec<usize> = Vec::new();
-        for (gi, ((b, c), lhss)) in groups.iter().enumerate() {
-            let mask = match &lhss[..] {
-                &[a] => Some(&full[a]),
+        for (gi, ((l, r), targets)) in program.groups.iter().enumerate() {
+            let mask = match &targets[..] {
+                &[t] => Some(&vars[t]),
                 _ => None,
             };
-            if first {
-                // Δ = T initially, so ΔB×C and B×ΔC coincide.
-                jobs.push((&full[*b], &full[*c], mask));
-                job_group.push(gi);
-            } else {
-                if let Some(db) = &delta[*b] {
-                    jobs.push((db, &full[*c], mask));
+            let delta_of = |o: Operand| match o {
+                Operand::Var(v) if first => Some(&vars[v]),
+                Operand::Var(v) => delta[v].as_ref(),
+                Operand::Const(_) => None,
+            };
+            if let Some(dl) = delta_of(*l) {
+                for part in r.parts(vars, consts) {
+                    jobs.push((dl, part, mask));
                     job_group.push(gi);
                 }
-                if let Some(dc) = &delta[*c] {
-                    jobs.push((&full[*b], dc, mask));
+            }
+            // Δ = T initially, so ΔL×R above was L×ΔR too.
+            if let Some(dr) = delta_of(*r).filter(|_| !(first && l.is_var())) {
+                for part in l.parts(vars, consts) {
+                    jobs.push((part, dr, mask));
                     job_group.push(gi);
                 }
             }
@@ -302,56 +421,83 @@ fn delta_sweeps<A: Algebra>(
         stats.products_computed += n_jobs;
         stats.products_skipped += per_sweep_potential - n_jobs;
 
-        // Gather each product into the fresh accumulator of every LHS of
-        // its group (the product is shared, not recomputed; its last LHS
-        // takes it by value).
-        let mut fresh: Vec<Option<A::Matrix>> = (0..n_nts).map(|_| None).collect();
-        let mut fresh_masked: Vec<bool> = vec![true; n_nts];
+        // Gather each product into the fresh accumulator of every target
+        // of its group (the product is shared, not recomputed; its last
+        // target takes it by value).
+        let mut fresh: Vec<Option<A::Matrix>> = vars.iter().map(|_| None).collect();
+        let mut fresh_masked: Vec<bool> = vec![true; vars.len()];
         for (product, &gi) in products.into_iter().zip(&job_group) {
-            let lhss = &groups[gi].1;
-            let was_masked = lhss.len() == 1;
-            let (&last, rest) = lhss.split_last().expect("group has an LHS");
-            for &a in rest {
-                match &mut fresh[a] {
+            let targets = &program.groups[gi].1;
+            let was_masked = targets.len() == 1;
+            let (&last, rest) = targets.split_last().expect("group has a target");
+            for &t in rest {
+                match &mut fresh[t] {
                     Some(acc) => algebra.accumulate(acc, &product),
-                    None => fresh[a] = Some(product.clone()),
+                    None => fresh[t] = Some(product.clone()),
                 }
-                fresh_masked[a] &= was_masked;
+                fresh_masked[t] &= was_masked;
             }
             accumulate_into(algebra, &mut fresh[last], product);
             fresh_masked[last] &= was_masked;
         }
 
         // Fold the fresh entries into the closure and derive the next Δ.
-        for a in 0..n_nts {
-            let folded = fresh[a]
+        for v in 0..vars.len() {
+            let folded = fresh[v]
                 .take()
-                .and_then(|f| algebra.fold(&mut full[a], f, fresh_masked[a]));
-            delta[a] = folded.map(|(new, nnz)| {
-                closure_nnz += nnz;
+                .and_then(|f| algebra.fold(&mut vars[v], f, fresh_masked[v]));
+            delta[v] = folded.map(|(new, nnz)| {
+                closure_nnz += if v < relations { nnz } else { 0 };
                 new
             });
         }
-        debug_assert_eq!(closure_nnz, total_nnz(algebra, full), "a Δ met its closure");
+        let grown = grow(&delta, &mut stats);
+        closure_nnz += inject(algebra, vars, &mut delta, &grown, relations);
+        debug_assert_eq!(
+            closure_nnz,
+            total_nnz(algebra, &vars[..relations]),
+            "a Δ met its closure"
+        );
         stats.sweep_nnz.push(closure_nnz);
         if sweep_sp.is_recording() {
             sweep_sp.attr_u64("sweep", stats.sweep_nnz.len() as u64);
             sweep_sp.attr_u64("products", n_jobs as u64);
-            sweep_sp.attr_text("delta_nnz", delta_nnz_text(algebra, &delta));
+            sweep_sp.attr_text("delta_nnz", delta_nnz_text(algebra, &delta[..relations]));
         }
         drop(sweep_sp);
         if delta.iter().all(Option::is_none) {
             break;
         }
     }
+    // Brackets the engine's cumulative counters to this run's
+    // contribution and snapshots the final per-relation nnz.
+    stats.tiles_skipped = algebra.counters().since(counters_before).tiles_skipped;
+    stats.nt_nnz = vars[..relations].iter().map(|m| algebra.nnz(m)).collect();
+    stats
+}
+
+/// Folds `cells[v]` into `vars[v]` and joins what was new there to
+/// `delta[v]`; returns how many cells the first `relations` variables
+/// gained.
+fn inject<A: Algebra>(
+    algebra: &A,
+    vars: &mut [A::Matrix],
+    delta: &mut [Option<A::Matrix>],
+    cells: &[Vec<(u32, u32)>],
+    relations: usize,
+) -> usize {
+    let mut gained = 0;
+    for (v, cells) in cells.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+        if let Some(new) = algebra.seed(&mut vars[v], cells) {
+            gained += if v < relations { algebra.nnz(&new) } else { 0 };
+            accumulate_into(algebra, &mut delta[v], new);
+        }
+    }
+    gained
 }
 
 /// `acc ⊕= add`, where an absent accumulator is the empty matrix.
-pub(crate) fn accumulate_into<A: Algebra>(
-    algebra: &A,
-    acc: &mut Option<A::Matrix>,
-    add: A::Matrix,
-) {
+fn accumulate_into<A: Algebra>(algebra: &A, acc: &mut Option<A::Matrix>, add: A::Matrix) {
     match acc {
         Some(acc) => algebra.accumulate(acc, &add),
         None => *acc = Some(add),
@@ -359,30 +505,83 @@ pub(crate) fn accumulate_into<A: Algebra>(
 }
 
 /// `Σ_A nnz(T_A)` — one data point of [`SolveStats::sweep_nnz`].
-pub(crate) fn total_nnz<A: Algebra>(algebra: &A, matrices: &[A::Matrix]) -> usize {
+fn total_nnz<A: Algebra>(algebra: &A, matrices: &[A::Matrix]) -> usize {
     matrices.iter().map(|m| algebra.nnz(m)).sum()
-}
-
-/// Closes out a run's [`SolveStats`]: brackets the engine's cumulative
-/// [`KernelCounters`] (sampled at run start) to this run's contribution
-/// and snapshots the final per-nonterminal nnz.
-pub(crate) fn finish_stats<A: Algebra>(
-    stats: &mut SolveStats,
-    algebra: &A,
-    counters_before: KernelCounters,
-    matrices: &[A::Matrix],
-) {
-    stats.tiles_skipped = algebra.counters().since(counters_before).tiles_skipped;
-    stats.nt_nnz = matrices.iter().map(|m| algebra.nnz(m)).collect();
 }
 
 /// A sweep's `delta_nnz` span attribute: the per-nonterminal Δ-nnz it
 /// produced, as `nt:nnz` pairs (only nonterminals that changed).
-pub(crate) fn delta_nnz_text<A: Algebra>(algebra: &A, delta: &[Option<A::Matrix>]) -> String {
+fn delta_nnz_text<A: Algebra>(algebra: &A, delta: &[Option<A::Matrix>]) -> String {
     let per_nt: Vec<String> = delta
         .iter()
         .enumerate()
         .filter_map(|(a, d)| d.as_ref().map(|d| format!("{a}:{}", algebra.nnz(d))))
         .collect();
     per_nt.join(",")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::regular::{solve_regular, Nfa};
+    use cfpq_graph::generators;
+    use cfpq_matrix::SparseEngine;
+    use std::collections::HashSet;
+
+    /// A hand-written program with a constant operand, `R ⊇ R × E` with
+    /// `R` seeded with `E`, closes `R` to `E⁺` under both algebras, and
+    /// the constant never gets a Δ side: every sweep launches the one
+    /// product `ΔR × E`.
+    #[test]
+    fn a_constant_operand_is_multiplied_but_never_a_delta() {
+        let program = Program::new(1, vec![(0, Operand::Var(0), Operand::Const(0))]);
+        for graph in [
+            generators::two_cycles(3, 4),
+            generators::random_graph(20, 40, &["a", "b"], 0xE),
+        ] {
+            let n = graph.n_nodes();
+            let edges: Vec<(u32, u32)> = graph
+                .edges()
+                .iter()
+                .filter(|e| graph.label_name(e.label) == "a")
+                .map(|e| (e.from, e.to))
+                .collect();
+            let expect = solve_regular(&SparseEngine, &graph, &Nfa::plus("a")).pairs();
+
+            let e = SparseEngine.from_pairs(n, &edges);
+            let mut r = vec![e.clone()];
+            let bits = Boolean(&SparseEngine);
+            let stats = run(&bits, &mut r, &program, &[vec![&e]], None, no_growth);
+            assert_eq!(r[0].pairs(), expect);
+            assert!(stats.sweep_nnz.len() > 1, "the closure took sweeps");
+            assert_eq!(stats.products_computed, stats.sweep_nnz.len());
+            assert_eq!(stats.products_skipped, 0);
+            assert_eq!(stats.nt_nnz, [expect.len()]);
+
+            let unit: Vec<(u32, u32, u32)> = edges.iter().map(|&(i, j)| (i, j, 1)).collect();
+            let e = SparseEngine.len_from_entries(n, &unit);
+            let mut r = vec![e.clone()];
+            let lengths = Lengths(&SparseEngine);
+            let len_stats = run(&lengths, &mut r, &program, &[vec![&e]], None, no_growth);
+            assert_eq!(r[0].pairs(), expect);
+            assert_eq!(len_stats, stats, "the same sweeps, cell for cell");
+            // Every recorded length is the length of a real walk.
+            let mut walks: Vec<HashSet<(u32, u32)>> = vec![edges.iter().copied().collect()];
+            for (i, j, l) in r[0].entries() {
+                while walks.len() < l as usize {
+                    let longer = walks[walks.len() - 1]
+                        .iter()
+                        .flat_map(|&(i, k)| {
+                            edges
+                                .iter()
+                                .filter(move |e| e.0 == k)
+                                .map(move |e| (i, e.1))
+                        })
+                        .collect();
+                    walks.push(longer);
+                }
+                assert!(walks[l as usize - 1].contains(&(i, j)), "({i}, {j}) at {l}");
+            }
+        }
+    }
 }

@@ -40,14 +40,18 @@
 //! that only asks about a few sources — a point lookup — can instead
 //! grow a [`SourceClosure`]: a demand-driven fixpoint (magic sets in
 //! matrix form) that solves the rows reachable from the requested
-//! sources and nothing else, with the same masked batched products, and
-//! that later requests extend rather than restart.
+//! sources and nothing else, and that later requests extend rather than
+//! restart. It is the same sweep loop run on another rule table: where
+//! [`FixpointSolver`] hands `fixpoint.rs` the grammar's rules, a
+//! [`SourceClosure`] hands it rules over row selectors, row selections
+//! and the graph's label matrices, and tells it after each sweep which
+//! rows the new entries demand.
 
-use crate::fixpoint::{self, accumulate_into, Boolean};
+use crate::fixpoint::{self, Boolean, Operand, Program};
 use cfpq_grammar::{Nt, Term, Wcnf};
 use cfpq_graph::Graph;
 use cfpq_matrix::closure::squaring_closure;
-use cfpq_matrix::{BoolEngine, BoolMat, MaskedJob, SetMatrix};
+use cfpq_matrix::{BoolEngine, BoolMat, SetMatrix};
 use std::collections::BTreeMap;
 
 /// Maps grammar terminals to graph labels by name: `term_of[label] =
@@ -114,6 +118,33 @@ impl SolveStats {
         }
     }
 }
+
+/// A resume was handed a seed pair that names no cell of the closed
+/// matrices ([`FixpointSolver::resume`],
+/// [`crate::single_path::SinglePathSolver::resume`]); nothing was
+/// written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeedOutOfRange {
+    /// The nonterminal whose pair list holds the cell.
+    pub nt: Nt,
+    /// The offending `(row, column)`.
+    pub cell: (u32, u32),
+    /// The matrices are `n × n`.
+    pub n: usize,
+}
+
+impl std::fmt::Display for SeedOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self { nt, cell, n } = self;
+        write!(
+            f,
+            "seed {cell:?} of nonterminal #{} lies outside the {n}×{n} closure",
+            nt.index()
+        )
+    }
+}
+
+impl std::error::Error for SeedOutOfRange {}
 
 /// The result of a relational CFPQ evaluation: one Boolean matrix per
 /// nonterminal, i.e. the decomposed transitive closure `a_cf`.
@@ -249,18 +280,20 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
     /// evaluation guarantees the same least fixpoint.
     ///
     /// Returns the [`SolveStats`] of the resume portion alone; the
-    /// index's cumulative `stats` and `iterations` are also advanced.
+    /// index's cumulative `stats` and `iterations` are also advanced. A
+    /// pair outside the index's matrices is a [`SeedOutOfRange`] error
+    /// and leaves the index as it was.
     pub fn resume(
         &self,
         index: &mut RelationalIndex<E::Matrix>,
         grammar: &Wcnf,
         new_pairs: &[Vec<(u32, u32)>],
-    ) -> SolveStats {
+    ) -> Result<SolveStats, SeedOutOfRange> {
         let algebra = Boolean(self.engine);
-        let stats = fixpoint::resume(&algebra, &mut index.matrices, grammar, new_pairs);
+        let stats = fixpoint::resume(&algebra, &mut index.matrices, grammar, new_pairs)?;
         index.iterations += stats.sweep_nnz.len();
         index.stats.absorb(&stats);
-        stats
+        Ok(stats)
     }
 }
 
@@ -276,14 +309,20 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
 /// * `T_A ∪= T_B|D_A × T_C`,
 ///
 /// and a demanded row of `A → x` is seeded with that row of the label
-/// matrix of `x` (plus its diagonal cell when the query keeps ε). The
-/// loop is semi-naive over all three kinds of fact — a newly demanded
-/// row is Δ like a newly derived entry — and every step is a Boolean
-/// product: `D_A` lives as a diagonal selector matrix, so seeding is
-/// `ΔD_A × L_x`, row selection `T_B|D_A` is `D_A × T_B`, and a sweep is
-/// one [`BoolEngine::multiply_masked_batch`] whose masks make every
-/// output exactly the new information. Each job of a batch is counted
-/// in [`SolveStats::products_computed`]; nothing else calls a product.
+/// matrix of `x` (plus its diagonal cell when the query keeps ε). All
+/// three kinds of fact are semi-naive — a newly demanded row is Δ like a
+/// newly derived entry — and all but the column projection are Boolean
+/// products: `D_A` lives as a diagonal selector matrix, so seeding is
+/// `T_A ⊇ D_A × L_x`, row selection is `T_B|D_A ⊇ D_A × T_B`, derivation
+/// is `T_A ⊇ T_B|D_A × T_C`. That rule table, written once in
+/// [`SourceClosure::new`], is what [`SourceClosure::extend`] hands the
+/// sweep loop of `fixpoint.rs` — the loop the all-pairs solvers run on
+/// the grammar's own rules — with the label matrices as constants; the
+/// loop batches, masks and skips as it does there. After each sweep the
+/// closure reads the columns the new selections arrive at and demands
+/// the rows that follow; a Δ with more entries than columns is projected
+/// by one more product, `1ᵀ × Δ`. Every product, that one included, is
+/// counted in [`SolveStats::products_computed`].
 ///
 /// A nonterminal with terminal rules only (the `A → x` wrappers weak
 /// CNF introduces, a compiled RPQ's label nonterminals) needs no
@@ -303,39 +342,28 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
 /// approaches the all-pairs one at a higher constant.
 #[derive(Clone, Debug)]
 pub struct SourceClosure<M> {
-    /// `T_A`, filled in on the rows of `D_A` only.
-    matrices: Vec<M>,
-    /// `D_A` as a diagonal selector: `(i, i)` is set iff row `i` of `A`
-    /// is demanded.
-    demand: Vec<M>,
-    /// One entry per distinct `(A, B)` among the rules `A → B C`:
-    /// `T_B|D_A`, the rows of `B` that some row of `A` starts with.
-    left: Vec<((usize, usize), M)>,
-    /// The rules `A → B C` as `(index into left, C)`, deduplicated.
-    rules: Vec<(usize, usize)>,
-    /// `heirs[A]`: `A` and every nonterminal reachable from it through
-    /// left children — a row demanded of `A` is demanded of all of them
-    /// (label-only nonterminals left out: they are never demanded).
-    heirs: Vec<Vec<usize>>,
-    /// Nonterminals read straight off their label matrices: terminal
-    /// rules only, no diagonal, not the start.
-    label_only: Vec<bool>,
+    /// Every matrix the fixpoint closes, in the one vector the sweep
+    /// loop takes. At `A`: `T_A`, filled in on the rows of `D_A` only.
+    /// At `n_nts + A`: `D_A` as a diagonal selector, `(i, i)` set iff row
+    /// `i` of `A` is demanded. At `2·n_nts + g`, one per distinct
+    /// `(A, B)` among the rules `A → B C`: `T_B|D_A`, the rows of `B`
+    /// that some row of `A` starts with.
+    vars: Vec<M>,
+    /// The rules of the list above over `vars`, with the label matrices
+    /// of nonterminal `A` as constant `A`.
+    program: Program,
+    /// `roots`: the start and every nonterminal reachable from it
+    /// through left children — a row demanded of `A` is demanded of all
+    /// of them (label-only nonterminals left out: they are never
+    /// demanded). `follows[g]`: the same for every `C` of the rules
+    /// `A → B C` behind selection `g`.
+    roots: Vec<usize>,
+    follows: Vec<Vec<usize>>,
     /// Nonterminals whose demanded rows hold their diagonal cell (the
     /// nullable ones, under [`SolveOptions::nullable_diagonal`]).
     diagonal: Vec<bool>,
-    start: usize,
     n_nodes: usize,
-    sweeps: usize,
     stats: SolveStats,
-}
-
-/// Which matrix a job of a restricted sweep feeds.
-#[derive(Clone, Copy)]
-enum Target {
-    /// `T_A`.
-    Rel(usize),
-    /// The `left` entry of that index.
-    Left(usize),
 }
 
 impl<M: BoolMat> SourceClosure<M> {
@@ -348,9 +376,9 @@ impl<M: BoolMat> SourceClosure<M> {
         options: SolveOptions,
     ) -> Self {
         let n_nts = grammar.n_nts();
-        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+        let mut by_left: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
         for rule in &grammar.binary_rules {
-            let rights = groups
+            let rights = by_left
                 .entry((rule.lhs.index(), rule.left.index()))
                 .or_default();
             if !rights.contains(&rule.right.index()) {
@@ -363,19 +391,44 @@ impl<M: BoolMat> SourceClosure<M> {
                 diagonal[nt.index()] = true;
             }
         }
+        // Read straight off their label matrices: terminal rules only,
+        // no diagonal, not the start.
         let mut label_only: Vec<bool> = diagonal.iter().map(|d| !d).collect();
         label_only[grammar.start.index()] = false;
-        for &(a, _) in groups.keys() {
+        for &(a, _) in by_left.keys() {
             label_only[a] = false;
         }
-        let mut left = Vec::with_capacity(groups.len());
-        let mut rules = Vec::new();
+        // Constant `A` is the label matrices of the rules `A → x`.
+        // Nonterminals with the same terminal rules name the same
+        // matrices, so they go by the first one's constant and rules over
+        // the same labels share their products.
+        let mut terms: Vec<Vec<Term>> = vec![Vec::new(); n_nts];
+        for rule in &grammar.term_rules {
+            terms[rule.lhs.index()].push(rule.term);
+        }
+        let labels = |a: usize| {
+            let first = terms.iter().position(|t| *t == terms[a]);
+            Operand::Const(first.expect("a nonterminal has its own terminal rules"))
+        };
+        let relation = |c: usize| match label_only[c] {
+            true => labels(c),
+            false => Operand::Var(c),
+        };
+        let demand = |a: usize| Operand::Var(n_nts + a);
+        // `T_A ⊇ D_A × L_x` seeds a demanded row, `T_B|D_A ⊇ D_A × T_B`
+        // selects, `T_A ⊇ T_B|D_A × T_C` derives.
+        let mut rules: Vec<(usize, Operand, Operand)> = (0..n_nts)
+            .filter(|&a| !label_only[a])
+            .map(|a| (a, demand(a), labels(a)))
+            .collect();
         let mut heirs: Vec<Vec<usize>> = (0..n_nts)
             .map(|a| if label_only[a] { vec![] } else { vec![a] })
             .collect();
-        for ((a, b), rights) in groups {
-            rules.extend(rights.into_iter().map(|c| (left.len(), c)));
-            left.push(((a, b), engine.zeros(n)));
+        for (g, (&(a, b), rights)) in by_left.iter().enumerate() {
+            let selection = 2 * n_nts + g;
+            rules.push((selection, demand(a), relation(b)));
+            let derived = rights.iter();
+            rules.extend(derived.map(|&c| (a, Operand::Var(selection), relation(c))));
             if !label_only[b] {
                 heirs[a].push(b);
             }
@@ -395,17 +448,25 @@ impl<M: BoolMat> SourceClosure<M> {
                 }
             }
         }
+        let follows = by_left
+            .values()
+            .map(|rights| {
+                let mut woken: Vec<usize> =
+                    rights.iter().flat_map(|&c| &heirs[c]).copied().collect();
+                woken.sort_unstable();
+                woken.dedup();
+                woken
+            })
+            .collect();
         Self {
-            matrices: (0..n_nts).map(|_| engine.zeros(n)).collect(),
-            demand: (0..n_nts).map(|_| engine.zeros(n)).collect(),
-            left,
-            rules,
-            heirs,
-            label_only,
+            vars: (0..2 * n_nts + by_left.len())
+                .map(|_| engine.zeros(n))
+                .collect(),
+            program: Program::new(n_nts, rules),
+            roots: std::mem::take(&mut heirs[grammar.start.index()]),
+            follows,
             diagonal,
-            start: grammar.start.index(),
             n_nodes: n,
-            sweeps: 0,
             stats: SolveStats::default(),
         }
     }
@@ -429,109 +490,42 @@ impl<M: BoolMat> SourceClosure<M> {
         sources: &[u32],
     ) -> SolveStats {
         let mut sp = cfpq_obs::span("solve");
-        let n_nts = self.matrices.len();
+        let n_nts = self.diagonal.len();
         assert_eq!(terminals.len(), n_nts, "one terminal list per nonterminal");
-        let counters_before = engine.kernel_counters();
-        let mut stats = SolveStats::default();
         let in_range: Vec<u32> = sources
             .iter()
             .copied()
             .filter(|&i| (i as usize) < self.n_nodes)
             .collect();
+        // `wanted[A]` as cells of `D_A`, and of `T_A` where a demanded row
+        // holds its diagonal cell. The loop keeps the new ones: a newly
+        // demanded row is Δ like a newly derived entry.
+        let n_vars = self.vars.len();
+        let demanding = |wanted: Vec<Vec<u32>>| {
+            let mut cells: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_vars];
+            for (a, rows) in wanted.into_iter().enumerate() {
+                let selector: Vec<(u32, u32)> = rows.into_iter().map(|i| (i, i)).collect();
+                if self.diagonal[a] {
+                    cells[a].clone_from(&selector);
+                }
+                cells[n_nts + a] = selector;
+            }
+            cells
+        };
         let mut wanted: Vec<Vec<u32>> = vec![Vec::new(); n_nts];
-        for &a in &self.heirs[self.start] {
-            wanted[a].extend_from_slice(&in_range);
+        for &a in &self.roots {
+            wanted[a].clone_from(&in_range);
         }
-        // Δ of the three kinds of fact; `None` is empty.
-        let mut d_rel: Vec<Option<M>> = (0..n_nts).map(|_| None).collect();
-        let mut d_left: Vec<Option<M>> = self.left.iter().map(|_| None).collect();
-        let mut d_demand = self.admit(engine, wanted, &mut d_rel);
-
+        let requested = demanding(wanted);
+        // Wherever a selected row of `B` newly arrives, every `C` that
+        // can follow it is demanded there.
         let mut ones_row: Option<M> = None;
-        let mut sweeps = 0;
-        loop {
-            // Operand views of this sweep's snapshot: a label-only
-            // nonterminal is its label matrices and never has a Δ.
-            let full: Vec<Vec<&M>> = (0..n_nts)
-                .map(|c| match self.label_only[c] {
-                    true => terminals[c].clone(),
-                    false => vec![&self.matrices[c]],
-                })
-                .collect();
-            let mut jobs: Vec<MaskedJob<'_, M>> = Vec::new();
-            let mut targets: Vec<Target> = Vec::new();
-            for (a, rows) in d_demand.iter().enumerate() {
-                let Some(rows) = rows else { continue };
-                for &label in &terminals[a] {
-                    jobs.push((rows, label, Some(&self.matrices[a])));
-                    targets.push(Target::Rel(a));
-                }
-            }
-            for (g, ((a, b), selected)) in self.left.iter().enumerate() {
-                if let Some(db) = &d_rel[*b] {
-                    jobs.push((&self.demand[*a], db, Some(selected)));
-                    targets.push(Target::Left(g));
-                }
-                if let Some(rows) = &d_demand[*a] {
-                    for &tb in &full[*b] {
-                        jobs.push((rows, tb, Some(selected)));
-                        targets.push(Target::Left(g));
-                    }
-                }
-            }
-            for &(g, c) in &self.rules {
-                let ((a, _), selected) = &self.left[g];
-                if let Some(dl) = &d_left[g] {
-                    for &tc in &full[c] {
-                        jobs.push((dl, tc, Some(&self.matrices[*a])));
-                        targets.push(Target::Rel(*a));
-                    }
-                }
-                if let Some(dc) = &d_rel[c] {
-                    jobs.push((selected, dc, Some(&self.matrices[*a])));
-                    targets.push(Target::Rel(*a));
-                }
-            }
-            if jobs.is_empty() {
-                break;
-            }
-            sweeps += 1;
-            let mut sweep_sp = cfpq_obs::span("sweep");
-            let n_jobs = jobs.len();
-            let products = engine.multiply_masked_batch(&jobs);
-            stats.products_computed += n_jobs;
-
-            // Every job was masked by the matrix it feeds, so what comes
-            // back is new: the union per target *is* the next Δ.
-            let mut fresh_rel: Vec<Option<M>> = (0..n_nts).map(|_| None).collect();
-            let mut fresh_left: Vec<Option<M>> = self.left.iter().map(|_| None).collect();
-            for (product, target) in products.into_iter().zip(targets) {
-                match target {
-                    Target::Rel(a) => accumulate_into(&Boolean(engine), &mut fresh_rel[a], product),
-                    Target::Left(g) => {
-                        accumulate_into(&Boolean(engine), &mut fresh_left[g], product)
-                    }
-                }
-            }
-            for (a, slot) in fresh_rel.iter_mut().enumerate() {
-                let Some(f) = slot.take().filter(|f| f.nnz() > 0) else {
-                    continue;
-                };
-                engine.union_in_place(&mut self.matrices[a], &f);
-                *slot = Some(f);
-            }
-            // Wherever a selected row of `B` newly arrives, every `C`
-            // that can follow it is demanded there.
+        let arrivals = |delta: &[Option<M>], stats: &mut SolveStats| {
             let mut wanted: Vec<Vec<u32>> = vec![Vec::new(); n_nts];
-            for (g, slot) in fresh_left.iter_mut().enumerate() {
-                let Some(f) = slot.take() else { continue };
-                let nnz = f.nnz();
-                if nnz == 0 {
-                    continue;
-                }
-                engine.union_in_place(&mut self.left[g].1, &f);
-                let arrivals: Vec<u32> = if nnz <= self.n_nodes {
-                    let mut cols: Vec<u32> = f.pairs().into_iter().map(|(_, j)| j).collect();
+            for (selected, woken) in delta[2 * n_nts..].iter().zip(&self.follows) {
+                let Some(selected) = selected else { continue };
+                let columns: Vec<u32> = if selected.nnz() <= self.n_nodes {
+                    let mut cols: Vec<u32> = selected.pairs().into_iter().map(|(_, j)| j).collect();
                     cols.sort_unstable();
                     cols.dedup();
                     cols
@@ -544,79 +538,32 @@ impl<M: BoolMat> SourceClosure<M> {
                         engine.from_pairs(self.n_nodes, &cells)
                     });
                     stats.products_computed += 1;
-                    let support = engine.multiply(ones, &f);
+                    let support = engine.multiply(ones, selected);
                     support.pairs().into_iter().map(|(_, j)| j).collect()
                 };
-                *slot = Some(f);
-                for &(_, c) in self.rules.iter().filter(|(rg, _)| *rg == g) {
-                    for &h in &self.heirs[c] {
-                        wanted[h].extend_from_slice(&arrivals);
-                    }
+                for &h in woken {
+                    wanted[h].extend_from_slice(&columns);
                 }
             }
-            d_rel = fresh_rel;
-            d_left = fresh_left;
-            d_demand = self.admit(engine, wanted, &mut d_rel);
-
-            stats
-                .sweep_nnz
-                .push(fixpoint::total_nnz(&Boolean(engine), &self.matrices));
-            if sweep_sp.is_recording() {
-                sweep_sp.attr_u64("sweep", sweeps as u64);
-                sweep_sp.attr_u64("products", n_jobs as u64);
-                sweep_sp.attr_text(
-                    "delta_nnz",
-                    fixpoint::delta_nnz_text(&Boolean(engine), &d_rel),
-                );
-            }
-        }
-        fixpoint::finish_stats(
-            &mut stats,
+            demanding(wanted)
+        };
+        let stats = fixpoint::run(
             &Boolean(engine),
-            counters_before,
-            &self.matrices,
+            &mut self.vars,
+            &self.program,
+            terminals,
+            Some(&requested),
+            arrivals,
         );
-        self.sweeps += sweeps;
         self.stats.absorb(&stats);
         if sp.is_recording() {
             sp.attr_str("mode", "sources");
             sp.attr_u64("sources", in_range.len() as u64);
             sp.attr_u64("rows_demanded", self.rows_demanded() as u64);
-            sp.attr_u64("sweeps", sweeps as u64);
+            sp.attr_u64("sweeps", stats.sweep_nnz.len() as u64);
             sp.attr_u64("products", stats.products_computed as u64);
         }
         stats
-    }
-
-    /// Folds the not-yet-demanded rows of `wanted[A]` into `D_A` and
-    /// returns them as selector matrices (the next sweep's ΔD). A new row
-    /// of a diagonal nonterminal gets its diagonal cell at once, which is
-    /// a new entry like any other and joins `d_rel`.
-    fn admit<E: BoolEngine<Matrix = M>>(
-        &mut self,
-        engine: &E,
-        wanted: Vec<Vec<u32>>,
-        d_rel: &mut [Option<M>],
-    ) -> Vec<Option<M>> {
-        let mut admitted = Vec::with_capacity(wanted.len());
-        for (a, mut rows) in wanted.into_iter().enumerate() {
-            rows.retain(|&i| !self.demand[a].get(i, i));
-            if rows.is_empty() {
-                admitted.push(None);
-                continue;
-            }
-            rows.sort_unstable();
-            rows.dedup();
-            let cells: Vec<(u32, u32)> = rows.into_iter().map(|i| (i, i)).collect();
-            let selector = engine.from_pairs(self.n_nodes, &cells);
-            engine.union_in_place(&mut self.demand[a], &selector);
-            if self.diagonal[a] {
-                engine.union_in_place(&mut self.matrices[a], &selector);
-                accumulate_into(&Boolean(engine), &mut d_rel[a], selector.clone());
-            }
-            admitted.push(Some(selector));
-        }
-        admitted
     }
 
     /// True if `(i, j) ∈ R_A` as far as this closure has solved it:
@@ -624,24 +571,30 @@ impl<M: BoolMat> SourceClosure<M> {
     /// `false` otherwise — as for ids the graph does not have.
     pub fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
         let n = self.n_nodes;
-        (i as usize) < n && (j as usize) < n && self.matrices[nt.index()].get(i, j)
+        (i as usize) < n && (j as usize) < n && self.vars[nt.index()].get(i, j)
     }
 
     /// The solved part of `R_A` as sorted pairs: its demanded rows.
     pub fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
-        self.matrices[nt.index()].pairs()
+        self.vars[nt.index()].pairs()
+    }
+
+    /// `D_A` of every nonterminal `A`, in index order.
+    fn selectors(&self) -> &[M] {
+        let n_nts = self.diagonal.len();
+        &self.vars[n_nts..2 * n_nts]
     }
 
     /// The demanded rows of `A`, ascending.
     pub fn demanded(&self, nt: Nt) -> Vec<u32> {
-        let cells = self.demand[nt.index()].pairs();
+        let cells = self.selectors()[nt.index()].pairs();
         cells.into_iter().map(|(i, _)| i).collect()
     }
 
     /// `Σ_A |D_A|` — how much of the closure the sources asked for so
     /// far drew in.
     pub fn rows_demanded(&self) -> usize {
-        self.demand.iter().map(BoolMat::nnz).sum()
+        self.selectors().iter().map(BoolMat::nnz).sum()
     }
 
     /// Graph size `|V|`.
@@ -651,11 +604,10 @@ impl<M: BoolMat> SourceClosure<M> {
 
     /// Sweeps run so far, over all calls.
     pub fn sweeps(&self) -> usize {
-        self.sweeps
+        self.stats.sweep_nnz.len()
     }
 
-    /// Kernel-work counters so far, over all calls (`products_skipped`
-    /// is not kept for restricted solves and stays 0).
+    /// Kernel-work counters so far, over all calls.
     pub fn stats(&self) -> &SolveStats {
         &self.stats
     }
@@ -815,7 +767,7 @@ mod tests {
         for nt in &g.nts_by_terminal()[b_term.index()] {
             new_pairs[nt.index()].push((3, 4));
         }
-        let resume_stats = solver.resume(&mut idx, &g, &new_pairs);
+        let resume_stats = solver.resume(&mut idx, &g, &new_pairs).unwrap();
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
             assert_eq!(idx.pairs(nt), cold.pairs(nt), "repaired == from-scratch");
@@ -844,10 +796,33 @@ mod tests {
         for nt in &g.nts_by_terminal()[a_term.index()] {
             new_pairs[nt.index()].push((0, 1));
         }
-        let stats = solver.resume(&mut idx, &g, &new_pairs);
+        let stats = solver.resume(&mut idx, &g, &new_pairs).unwrap();
         assert_eq!(stats, SolveStats::default(), "no new facts, no sweeps");
         assert_eq!(idx.iterations, before_iterations);
         assert_eq!(idx.stats, before);
+    }
+
+    #[test]
+    fn resume_refuses_a_seed_outside_the_universe() {
+        let g = wcnf("S -> a S b | a b");
+        let s = g.symbols.get_nt("S").unwrap();
+        let graph = generators::word_chain(&["a", "a", "b", "b"]);
+        let solver = FixpointSolver::new(&SparseEngine);
+        let mut idx = solver.solve(&graph, &g);
+        let before = (idx.pairs(s), idx.iterations, idx.stats.clone());
+        // In range for the first nonterminal, then column 5 of a 5×5.
+        let mut new_pairs = vec![vec![(0, 1)]; g.n_nts()];
+        new_pairs[s.index()] = vec![(4, 4), (3, 5)];
+        assert_eq!(
+            solver.resume(&mut idx, &g, &new_pairs),
+            Err(SeedOutOfRange {
+                nt: s,
+                cell: (3, 5),
+                n: 5
+            })
+        );
+        assert_eq!((idx.pairs(s), idx.iterations, idx.stats.clone()), before);
+        assert!(!idx.contains(s, 4, 4), "nothing before the bad pair either");
     }
 
     #[test]

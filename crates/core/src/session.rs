@@ -493,7 +493,8 @@ impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
         }
         let stats = FixpointSolver::new(&index.engine)
             .options(query.options)
-            .resume(self, wcnf, &new_pairs);
+            .resume(self, wcnf, &new_pairs)
+            .expect("seeds read off the grown index are cells of it");
         if sp.is_recording() {
             sp.attr_u64("n_nodes", n as u64);
             sp.attr_u64("products", stats.products_computed as u64);
@@ -531,6 +532,7 @@ impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatri
         SinglePathSolver::new(&index.engine)
             .options(query.options)
             .resume(self, query.wcnf(), &new_pairs)
+            .expect("seeds read off the grown index are cells of it")
     }
 
     fn stats(&self) -> &SolveStats {

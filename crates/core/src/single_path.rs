@@ -50,7 +50,7 @@ use cfpq_graph::{Edge, Graph, NodeId};
 use cfpq_matrix::{DenseLenMatrix, LenEngine, LenMat, NO_PATH};
 
 use crate::fixpoint::{self, Lengths};
-use crate::relational::{init_pairs, label_terminal_map, SolveOptions, SolveStats};
+use crate::relational::{init_pairs, label_terminal_map, SeedOutOfRange, SolveOptions, SolveStats};
 
 /// Length-annotated relational index: one length matrix per nonterminal;
 /// a present cell `(A, i, j) = l` means `(i, j) ∈ R_A` with a witness
@@ -182,21 +182,23 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
     /// [`crate::relational::FixpointSolver::resume`]. Entries already
     /// present keep their recorded lengths (first-write-wins); the rest
     /// seed the Δ sweeps. Returns the stats of the resume portion alone;
-    /// the index's cumulative counters are also advanced.
+    /// the index's cumulative counters are also advanced. A pair outside
+    /// the index's matrices is a [`SeedOutOfRange`] error and leaves the
+    /// index as it was.
     pub fn resume(
         &self,
         index: &mut SinglePathIndex<E::LenMatrix>,
         grammar: &Wcnf,
         new_pairs: &[Vec<(u32, u32)>],
-    ) -> SolveStats {
+    ) -> Result<SolveStats, SeedOutOfRange> {
         let algebra = Lengths(self.engine);
-        let stats = fixpoint::resume(&algebra, &mut index.lengths, grammar, new_pairs);
+        let stats = fixpoint::resume(&algebra, &mut index.lengths, grammar, new_pairs)?;
         index.iterations += stats.sweep_nnz.len();
         index.stats.absorb(&stats);
         // Re-applied unconditionally: a session that grew the node
         // universe needs ε-cells on the new diagonal entries too.
         self.apply_epsilon_overlay(&mut index.lengths, index.n_nodes, grammar);
-        stats
+        Ok(stats)
     }
 
     /// Seeds `(A, m, m) = 0` for every nullable `A` wherever no witness
@@ -651,7 +653,7 @@ mod tests {
         let mut idx = solver.solve(&partial, &g);
         let cold = solver.solve(&full_graph, &g);
 
-        let resume_stats = solver.resume(&mut idx, &g, &new_pairs);
+        let resume_stats = solver.resume(&mut idx, &g, &new_pairs).unwrap();
         for nt in 0..g.n_nts() {
             let nt = Nt(nt as u32);
             assert_eq!(idx.pairs(nt), cold.pairs(nt), "repaired == from-scratch");
@@ -666,6 +668,27 @@ mod tests {
         let s = g.symbols.get_nt("S").unwrap();
         let path = extract_path(&idx, &full_graph, &g, s, 0, 4).unwrap();
         assert!(validate_witness(&path, &full_graph, &g, s, 0, 4));
+    }
+
+    #[test]
+    fn resume_refuses_a_seed_outside_the_universe() {
+        let (g, _, partial, mut new_pairs) = chain_missing_its_last_edge();
+        let s = g.symbols.get_nt("S").unwrap();
+        let solver = SinglePathSolver::new(&SparseEngine);
+        let mut idx = solver.solve(&partial, &g);
+        let before = (idx.pairs(s), idx.iterations, idx.stats.clone());
+        new_pairs[s.index()].push((9, 0));
+        assert_eq!(
+            solver.resume(&mut idx, &g, &new_pairs),
+            Err(SeedOutOfRange {
+                nt: s,
+                cell: (9, 0),
+                n: 5
+            })
+        );
+        assert_eq!((idx.pairs(s), idx.iterations, idx.stats.clone()), before);
+        let b = g.nts_by_terminal()[g.symbols.get_term("b").unwrap().index()][0];
+        assert_eq!(idx.length(b, 3, 4), None, "nor were the pairs in range");
     }
 
     #[test]
@@ -688,7 +711,7 @@ mod tests {
             2 * g.binary_rules.len() * idx.iterations
         );
 
-        let repair = solver.resume(&mut idx, &g, &new_pairs);
+        let repair = solver.resume(&mut idx, &g, &new_pairs).unwrap();
         assert!(repair.products_computed > 0);
         assert_eq!(repair.nt_nnz, stored(&idx), "and by the repair");
         assert!(repair.nt_nnz.iter().sum::<usize>() > cold.nt_nnz.iter().sum());
@@ -699,7 +722,7 @@ mod tests {
 
         // A repair that finds nothing new runs no sweep and leaves the
         // cumulative counters alone.
-        let noop = solver.resume(&mut idx, &g, &new_pairs);
+        let noop = solver.resume(&mut idx, &g, &new_pairs).unwrap();
         assert_eq!(noop, SolveStats::default());
         assert_eq!(idx.stats, both);
     }
@@ -713,7 +736,7 @@ mod tests {
         let solver = SinglePathSolver::new(&SparseEngine);
         let mut idx = solver.solve(&partial, &g);
         let cold = idx.stats.clone();
-        let repair = solver.resume(&mut idx, &g, &new_pairs);
+        let repair = solver.resume(&mut idx, &g, &new_pairs).unwrap();
         drop(guard);
 
         let spans = collector.spans();

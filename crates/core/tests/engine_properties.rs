@@ -256,7 +256,9 @@ fn shared_rhs_takes_the_unmasked_branch() {
         assert_eq!(&all_pairs(&index), expect[0], "{name}: cold");
         assert_eq!(index.iterations, 2, "{name}: the known product ends it");
 
-        let repair = solver.resume(&mut index, grammar, &init_pairs(added, grammar));
+        let repair = solver
+            .resume(&mut index, grammar, &init_pairs(added, grammar))
+            .unwrap();
         assert_eq!(&all_pairs(&index), expect[1], "{name}: resumed");
         assert_eq!(index.iterations, 4, "{name}: two more sweeps");
         assert_eq!(repair.sweep_nnz.len(), 2);

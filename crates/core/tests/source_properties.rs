@@ -65,6 +65,15 @@ fn cases() -> Vec<Case> {
             oracle: nullable,
             ontology_labels: false,
         },
+        // `S` is seeded from the label matrix its left child stands for:
+        // `T_S` and the selection of that child share the products
+        // `D_S × L_a`.
+        Case {
+            name: "right-linear",
+            query: PreparedQuery::new(&Cfg::parse("S -> a S | a").unwrap()).unwrap(),
+            oracle: Cfg::parse("S -> a S | a").unwrap(),
+            ontology_labels: false,
+        },
         Case {
             name: "rpq subClassOf+",
             query: CompiledQuery::from_nfa(&Nfa::plus("subClassOf")).into_prepared(),
