@@ -7,7 +7,7 @@
 //! `(box, entry node, state, current node)` with call-site memoization —
 //! purely as a cross-check. Like `solve_regular` for NFAs, [`solve_rsm`]
 //! survives only to referee the pipeline: tests assert that the
-//! Kronecker-style lowering and this GLL-flavoured traversal agree
+//! compiled lowering and this GLL-flavoured traversal agree
 //! triple-for-triple.
 
 use crate::TripleStore;

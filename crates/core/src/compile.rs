@@ -14,44 +14,51 @@
 //!
 //! # The lowering
 //!
-//! The product-graph (Kronecker) formulation indexes reachability
-//! matrices by automaton state: `R_q[i, j]` ⇔ some path `i → j` moves
-//! box `A` from an entry state to state `q`. Each RSM transition becomes
-//! one masked multiply per fixpoint sweep, expressed as a WCNF binary
-//! rule so the solver's shared-product grouping, masking and semi-naive
-//! Δ machinery apply as-is:
+//! States are read **backward**: state `q` stands for the words that
+//! take it to acceptance. Indexed that way, a box *is* a right-linear
+//! grammar over terminals and calls, and it goes through the same
+//! [`Cfg::to_wcnf`] pipeline (TERM, BIN, DEL, UNIT) as a hand-written
+//! one — so a regular query costs what its right-linear grammar costs:
+//! `a+` lowers to `Rpq → a Rpq | a`, `a* b` to `Rpq → a Rpq | b`.
 //!
-//! * **state nonterminals** `A@qk` hold `R_q`; entry states are seeded
-//!   with the identity (the Kronecker diagonal start), implemented by
-//!   marking them nullable and forcing `nullable_diagonal` on — which
-//!   also makes node-universe growth repair their diagonals for free;
-//! * **label nonterminals** `@t:x` carry one term rule `@t:x → x`, so
-//!   [`crate::session::GraphIndex::seed_matrices`] binds them straight
-//!   to the session's materialized label matrices — no per-query
-//!   rebuild, unlike the `solve_regular` oracle;
-//! * a terminal transition `q --x--> q'` lowers to `A@q' → A@q @t:x`; a
-//!   call transition `q --B--> q'` lowers to `A@q' → A@q B`, the
-//!   mutual recursion between boxes running inside the one fixpoint;
-//! * transitions *into a final state* additionally target the box's
-//!   **answer nonterminal** (named after the source nonterminal, or
-//!   `Rpq` for an NFA), which unions the accepting states without
-//!   needing the unit rules WCNF forbids.
+//! * Every box gets one more state, its entry `⊤`, whose transitions are
+//!   those of all its entry states: a box with several entries (or none)
+//!   still has exactly one answer.
+//! * A state is **live** if it is reachable from `⊤` and some non-empty
+//!   run takes it to a final state; only live states become
+//!   nonterminals. Live `q` gets `A_q → s A_q'` for every transition
+//!   `q --s--> q'` into a live state and `A_q → s` for every transition
+//!   into a final one; a call `s = B` names B's answer nonterminal.
+//! * Before any rule is written, the live states of all boxes are merged
+//!   by partition refinement (Moore's algorithm) on the signature
+//!   `{(symbol, class of the target if live, target is final)}`. Equal
+//!   signatures derive the same non-empty words, so merged states share
+//!   one nonterminal, one matrix and one set of products (`a+`'s two
+//!   states are one). The class holding box `b`'s `⊤` is `b`'s **answer
+//!   nonterminal** (named after the source nonterminal, `Rpq` for an
+//!   NFA); if another box named that class first, `b` gets the unit rule
+//!   `b → that answer`, which the pipeline's UNIT step expands.
 //!
-//! ε-semantics: an NFA accepting ε still answers non-empty paths only
-//! (matching [`crate::regular::solve_regular`]); a *grammar* box that
-//! accepts ε gets a nullable answer nonterminal, so compiled CFPQ
-//! reports the diagonal for nullable nonterminals — the RSM/GLL
-//! convention, identical to `solve_rsm` and to Algorithm 1 under
-//! [`SolveOptions::nullable_diagonal`].
+//! ε-semantics: a state nonterminal derives the *non-empty* words from
+//! its state, so an NFA never yields an ε-rule: its answer holds
+//! non-empty paths only, like [`crate::regular::solve_regular`], even
+//! when a start state accepts — no diagonal to seed or to repair. A
+//! *grammar* box whose entry accepts gets `b → ε`, and DEL carries that
+//! through calls, so compiled CFPQ reports the diagonal of every
+//! nullable nonterminal — the RSM/GLL convention, identical to
+//! Algorithm 1 under [`SolveOptions::nullable_diagonal`]. Such a `⊤`
+//! starts the refinement in a block of its own, so its ε never reaches
+//! a class that some transition targets.
 
 use crate::regular::Nfa;
 use crate::relational::SolveOptions;
 use crate::session::PreparedQuery;
-use cfpq_grammar::cfg::{Cfg, Symbol};
+use cfpq_grammar::cfg::{Cfg, Production, Symbol};
+use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::rsm::{Rsm, RsmBox};
 use cfpq_grammar::symbol::SymbolTable;
-use cfpq_grammar::{BinaryRule, GrammarError, Nt, TermRule, Wcnf};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use cfpq_grammar::{GrammarError, Nt, Wcnf};
+use std::collections::{BTreeSet, HashMap};
 
 /// Which query class a [`CompiledQuery`] was compiled from. Affects only
 /// ε-semantics (see the module docs); the lowering and evaluation are
@@ -79,12 +86,11 @@ pub struct CompiledQuery {
     rsm: Rsm,
     wcnf: Wcnf,
     n_state_nts: usize,
-    n_label_nts: usize,
 }
 
 impl CompiledQuery {
     /// Compiles an NFA-form regular path query: one box, no calls, the
-    /// `Rpq` answer nonterminal unioning the accepting states.
+    /// `Rpq` answer nonterminal standing for its start states.
     pub fn from_nfa(nfa: &Nfa) -> Self {
         let mut table = SymbolTable::new();
         let mut bx = RsmBox::with_states(nfa.n_states().max(1));
@@ -121,10 +127,10 @@ impl CompiledQuery {
         ))
     }
 
-    /// Lowers `rsm` to the weak-CNF state grammar described in the
-    /// module docs. `names[b]` names box `b`'s answer nonterminal;
-    /// terminal names come from `source` (they must match graph edge
-    /// labels for the index to bind them).
+    /// Lowers `rsm` backward to the state grammar the module docs
+    /// describe and normalizes it. `names[b]` names box `b`'s answer
+    /// nonterminal; terminal names come from `source` (they must match
+    /// graph edge labels for the index to bind them).
     fn lower(
         kind: QueryKind,
         rsm: Rsm,
@@ -132,100 +138,91 @@ impl CompiledQuery {
         names: &[String],
         start_box: usize,
     ) -> Self {
-        let mut sy = SymbolTable::new();
-        let answers: Vec<Nt> = names.iter().map(|n| sy.nt(n)).collect();
+        let flat = Flat::new(&rsm);
+        let accepts_eps =
+            |s: usize| kind == QueryKind::ContextFree && flat.is_top(s) && flat.finals[s];
+        let class = flat.merge(&flat.live(), accepts_eps);
 
-        // State nonterminals, allocated only where a reachability matrix
-        // is observable: entry states (they carry the identity seed) and
-        // states with outgoing transitions (they feed a multiply).
-        let mut state_nts: Vec<Vec<Option<Nt>>> = Vec::with_capacity(rsm.boxes.len());
-        for (b, bx) in rsm.boxes.iter().enumerate() {
-            let mut needed = vec![false; bx.n_states as usize];
-            for &e in &bx.entries {
-                needed[e as usize] = true;
-            }
-            for &(q, _, _) in &bx.transitions {
-                needed[q as usize] = true;
-            }
-            state_nts.push(
-                needed
-                    .iter()
-                    .enumerate()
-                    .map(|(q, &need)| need.then(|| sy.nt(&format!("{}@q{q}", names[b]))))
-                    .collect(),
-            );
-        }
-
-        // Label nonterminals with their term rules, one per terminal the
-        // RSM mentions; the session's seed_matrices unions the matching
-        // materialized label matrix straight into them.
-        let mut term_rules: Vec<TermRule> = Vec::new();
-        let mut label_nts: HashMap<cfpq_grammar::Term, Nt> = HashMap::new();
-        let mut binary_rules: Vec<BinaryRule> = Vec::new();
-        let mut rule_seen: HashSet<(Nt, Nt, Nt)> = HashSet::new();
-        for (b, bx) in rsm.boxes.iter().enumerate() {
-            for &(q, sym, q2) in &bx.transitions {
-                let right = match sym {
-                    Symbol::T(t) => *label_nts.entry(t).or_insert_with(|| {
-                        let name = source.term_name(t);
-                        let term = sy.term(name);
-                        let lhs = sy.nt(&format!("@t:{name}"));
-                        term_rules.push(TermRule { lhs, term });
-                        lhs
+        // Nonterminals: the box answers, each naming the class of its ⊤
+        // unless an earlier box did; then one per remaining class, named
+        // after its first state.
+        let mut grammar = Cfg::new();
+        let answers: Vec<Nt> = names.iter().map(|n| grammar.symbols.nt(n)).collect();
+        let firsts = first_states(&class);
+        let mut named: Vec<Option<Nt>> = vec![None; firsts.len()];
+        let mut rules: Vec<Production> = Vec::new();
+        for (b, &answer) in answers.iter().enumerate() {
+            let top = flat.tops[b];
+            if let Some(c) = class[top] {
+                match named[c] {
+                    Some(earlier) => rules.push(Production {
+                        lhs: answer,
+                        rhs: vec![Symbol::N(earlier)],
                     }),
-                    Symbol::N(callee) => answers[callee.index()],
-                };
-                let left =
-                    state_nts[b][q as usize].expect("transition source always has a state nt");
-                let mut emit = |lhs: Nt| {
-                    if rule_seen.insert((lhs, left, right)) {
-                        binary_rules.push(BinaryRule { lhs, left, right });
-                    }
-                };
-                if let Some(target) = state_nts[b][q2 as usize] {
-                    emit(target);
-                }
-                if bx.is_final(q2) {
-                    emit(answers[b]);
+                    None => named[c] = Some(answer),
                 }
             }
-        }
-
-        // Nullability: entry states always carry the identity seed (the
-        // Kronecker diagonal); answer nonterminals only under
-        // context-free ε-semantics.
-        let mut nullable: BTreeSet<Nt> = BTreeSet::new();
-        for (b, bx) in rsm.boxes.iter().enumerate() {
-            for &e in &bx.entries {
-                nullable.insert(state_nts[b][e as usize].expect("entries always get a state nt"));
+            if accepts_eps(top) {
+                rules.push(Production {
+                    lhs: answer,
+                    rhs: Vec::new(),
+                });
             }
         }
-        if kind == QueryKind::ContextFree {
-            for (b, is_nullable) in rsm.nullable_boxes().iter().enumerate() {
-                if *is_nullable {
-                    nullable.insert(answers[b]);
-                }
-            }
-        }
-
-        let n_state_nts = state_nts
+        let class_nt: Vec<Nt> = firsts
             .iter()
-            .map(|v| v.iter().flatten().count())
-            .sum::<usize>();
-        let n_label_nts = label_nts.len();
-        let wcnf = Wcnf {
-            symbols: sy,
-            term_rules,
-            binary_rules,
-            start: answers[start_box],
-            nullable,
+            .zip(named)
+            .map(|(&s, nt)| {
+                let (b, q) = flat.origin[s];
+                nt.unwrap_or_else(|| grammar.symbols.fresh_nt(&format!("{}@q{q}", names[b])))
+            })
+            .collect();
+
+        // Rules, once per class: its states share their signature.
+        for (c, &s) in firsts.iter().enumerate() {
+            for &(sym, t) in &flat.out[s] {
+                let sym = match sym {
+                    Symbol::T(term) => Symbol::T(grammar.symbols.term(source.term_name(term))),
+                    Symbol::N(callee) => Symbol::N(answers[callee.index()]),
+                };
+                if let Some(target) = class[t] {
+                    rules.push(Production {
+                        lhs: class_nt[c],
+                        rhs: vec![sym, Symbol::N(class_nt[target])],
+                    });
+                }
+                if flat.finals[t] {
+                    rules.push(Production {
+                        lhs: class_nt[c],
+                        rhs: vec![sym],
+                    });
+                }
+            }
+        }
+
+        let start = answers[start_box];
+        let n_state_nts = grammar.symbols.n_nts();
+        let wcnf = if rules.is_empty() {
+            // Nothing live, no ε: the answer is empty.
+            Wcnf {
+                symbols: grammar.symbols,
+                term_rules: Vec::new(),
+                binary_rules: Vec::new(),
+                start,
+                nullable: BTreeSet::new(),
+            }
+        } else {
+            grammar.productions = rules;
+            grammar.start = Some(start);
+            grammar
+                .to_wcnf(CnfOptions::default())
+                .expect("a state grammar with rules and a start normalizes")
         };
         Self {
             kind,
             rsm,
             wcnf,
             n_state_nts,
-            n_label_nts,
         }
     }
 
@@ -250,26 +247,169 @@ impl CompiledQuery {
         self.wcnf.symbols.nt_name(self.wcnf.start)
     }
 
-    /// Number of state nonterminals in the lowering (one reachability
+    /// Number of state nonterminals in the lowering: the box answers
+    /// plus one per other class of merged live states (one reachability
     /// matrix each).
     pub fn n_state_nts(&self) -> usize {
         self.n_state_nts
     }
 
-    /// Number of label nonterminals (one per distinct terminal; each is
-    /// an alias of a materialized index matrix).
+    /// Number of label nonterminals: the `T<x>` the CNF pipeline lifted
+    /// a terminal into (one per terminal that precedes a state; each
+    /// is an alias of a materialized index matrix).
     pub fn n_label_nts(&self) -> usize {
-        self.n_label_nts
+        self.wcnf.n_nts() - self.n_state_nts
     }
 
-    /// Wraps the lowering as a [`PreparedQuery`]. `nullable_diagonal` is
-    /// forced on: the lowering encodes entry-state identity seeds
-    /// through it.
+    /// Wraps the lowering as a [`PreparedQuery`]. A context-free query
+    /// reports the ε-diagonal of its nullable nonterminals
+    /// (`nullable_diagonal`); an NFA's lowering has none.
     pub fn into_prepared(self) -> PreparedQuery {
         PreparedQuery::from_wcnf(self.wcnf).options(SolveOptions {
-            nullable_diagonal: true,
+            nullable_diagonal: self.kind == QueryKind::ContextFree,
         })
     }
+}
+
+/// `(symbol, class of the target if live, target is final)` for each
+/// transition of a state that yields a rule.
+type Signature = Vec<(Symbol, Option<usize>, bool)>;
+
+/// An RSM's boxes as one automaton over flat state ids, each box with
+/// its added entry state `⊤` (see the module docs).
+struct Flat {
+    /// `(box, state)` of every flat state; a box's `⊤` is its state
+    /// `n_states`.
+    origin: Vec<(usize, u32)>,
+    /// Outgoing transitions `(symbol, target)` of every flat state.
+    out: Vec<Vec<(Symbol, usize)>>,
+    /// Accepting flat states; a `⊤` accepts if one of its entries does.
+    finals: Vec<bool>,
+    /// Each box's `⊤`.
+    tops: Vec<usize>,
+}
+
+impl Flat {
+    fn new(rsm: &Rsm) -> Self {
+        let mut flat = Flat {
+            origin: Vec::new(),
+            out: Vec::new(),
+            finals: Vec::new(),
+            tops: Vec::new(),
+        };
+        for (b, bx) in rsm.boxes.iter().enumerate() {
+            let base = flat.out.len();
+            let top = base + bx.n_states as usize;
+            flat.origin.extend((0..=bx.n_states).map(|q| (b, q)));
+            flat.out.resize(top + 1, Vec::new());
+            flat.finals.extend((0..bx.n_states).map(|q| bx.is_final(q)));
+            flat.finals.push(bx.entries.iter().any(|&e| bx.is_final(e)));
+            for &(q, sym, q2) in &bx.transitions {
+                let edge = (sym, base + q2 as usize);
+                flat.out[base + q as usize].push(edge);
+                if bx.is_entry(q) {
+                    flat.out[top].push(edge);
+                }
+            }
+            flat.tops.push(top);
+        }
+        flat
+    }
+
+    fn is_top(&self, s: usize) -> bool {
+        self.tops[self.origin[s].0] == s
+    }
+
+    /// The live states: reachable from a `⊤`, and taken to a final state
+    /// by some non-empty run.
+    fn live(&self) -> Vec<bool> {
+        let mut reached = vec![false; self.out.len()];
+        let mut stack = self.tops.clone();
+        while let Some(s) = stack.pop() {
+            if !std::mem::replace(&mut reached[s], true) {
+                stack.extend(self.out[s].iter().map(|&(_, t)| t));
+            }
+        }
+        let mut accepting = vec![false; self.out.len()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for s in 0..self.out.len() {
+                if !accepting[s]
+                    && self.out[s]
+                        .iter()
+                        .any(|&(_, t)| self.finals[t] || accepting[t])
+                {
+                    accepting[s] = true;
+                    changed = true;
+                }
+            }
+        }
+        reached
+            .iter()
+            .zip(accepting)
+            .map(|(&r, a)| r && a)
+            .collect()
+    }
+
+    /// Moore's partition refinement of the live states: `class[s]` is
+    /// the block of live `s` (`None` for the rest), blocks numbered in
+    /// order of their first state. States `apart` says so start in a
+    /// block of their own.
+    fn merge(&self, live: &[bool], apart: impl Fn(usize) -> bool) -> Vec<Option<usize>> {
+        let states = 0..self.out.len();
+        let mut class: Vec<Option<usize>> = states
+            .clone()
+            .map(|s| live[s].then(|| usize::from(apart(s))))
+            .collect();
+        let mut n_classes = 0;
+        loop {
+            let mut ids: HashMap<(usize, Signature), usize> = HashMap::new();
+            let next: Vec<Option<usize>> = states
+                .clone()
+                .map(|s| {
+                    let key = (class[s]?, self.signature(s, &class));
+                    let fresh = ids.len();
+                    Some(*ids.entry(key).or_insert(fresh))
+                })
+                .collect();
+            // A refinement that splits nothing is the fixpoint.
+            let stable = ids.len() == n_classes;
+            n_classes = ids.len();
+            class = next;
+            if stable {
+                return class;
+            }
+        }
+    }
+
+    /// What the rules of state `s` are made of under `class`, sorted and
+    /// without repeats.
+    fn signature(&self, s: usize, class: &[Option<usize>]) -> Signature {
+        let mut sig: Signature = self.out[s]
+            .iter()
+            .map(|&(sym, t)| (sym, class[t], self.finals[t]))
+            .filter(|&(_, target, accepts)| target.is_some() || accepts)
+            .collect();
+        let symbol_key = |sym: Symbol| match sym {
+            Symbol::T(t) => (false, t.0),
+            Symbol::N(nt) => (true, nt.0),
+        };
+        sig.sort_unstable_by_key(|&(sym, target, accepts)| (symbol_key(sym), target, accepts));
+        sig.dedup();
+        sig
+    }
+}
+
+/// The first state of every class `Flat::merge` numbered.
+fn first_states(class: &[Option<usize>]) -> Vec<usize> {
+    let mut firsts = Vec::new();
+    for (s, &c) in class.iter().enumerate() {
+        if c == Some(firsts.len()) {
+            firsts.push(s);
+        }
+    }
+    firsts
 }
 
 #[cfg(test)]
@@ -327,6 +467,7 @@ mod tests {
         let oracle = solve_regular(&SparseEngine, &graph, &nfa);
         assert_eq!(pipeline_pairs(&graph, &nfa), oracle.pairs());
         assert_eq!(oracle.pairs(), vec![(0, 2), (0, 4), (2, 4)]);
+        assert!(CompiledQuery::from_nfa(&nfa).wcnf().nullable.is_empty());
     }
 
     #[test]
@@ -388,16 +529,70 @@ mod tests {
     }
 
     #[test]
+    fn equal_boxes_share_one_answer() {
+        // S and A are the same box: their states merge across boxes and
+        // A's answer is a unit rule onto S's.
+        let cfg = Cfg::parse("S -> a B | eps\nA -> a B | eps\nB -> b").unwrap();
+        let compiled = CompiledQuery::from_cfg(&cfg).unwrap();
+        // S, A, B and the one merged state after `a`.
+        assert_eq!(compiled.n_state_nts(), 4);
+        let graph = generators::word_chain(&["a", "b"]);
+        let mut session = CfpqSession::new(SparseEngine, &graph);
+        let id = session.prepare_query(compiled.into_prepared());
+        let answer = session.evaluate(id);
+        let expect = [(0, 0), (0, 2), (1, 1), (2, 2)];
+        assert_eq!(answer.pairs("S").unwrap(), expect);
+        assert_eq!(answer.pairs("A").unwrap(), expect);
+        assert_eq!(answer.pairs("B").unwrap(), [(1, 2)]);
+    }
+
+    #[test]
+    fn an_accepting_entry_keeps_its_epsilon_to_itself() {
+        // X's entry and Y's state after `a` both read one `b` to accept.
+        // Merged, X's ε would reach `Y → a ·` and Y would answer `a`.
+        let cfg = Cfg::parse("Y -> a b\nX -> b | eps").unwrap();
+        let graph = generators::word_chain(&["a"]);
+        let mut session = CfpqSession::new(SparseEngine, &graph);
+        let id = session.prepare_rsm(&cfg).unwrap();
+        let answer = session.evaluate(id);
+        assert_eq!(answer.pairs("Y").unwrap(), []);
+        assert_eq!(answer.pairs("X").unwrap(), [(0, 0), (1, 1)]);
+    }
+
+    /// Renders the lowering's rules as sorted text lines.
+    fn rules(compiled: &CompiledQuery) -> Vec<String> {
+        let mut lines: Vec<String> = compiled
+            .wcnf()
+            .to_text()
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    #[test]
     fn lowering_shape_is_small_and_shared() {
-        // a* b: 2 NFA states, 2 labels. State 1 is a pure sink (no
-        // outgoing transitions), so its reachability lives only in the
-        // answer nonterminal: 1 state nt + 2 label nts + Rpq.
+        // a* b: state 1 is a final sink, so only the entry is a state
+        // nonterminal — the answer — and the lowering is the
+        // right-linear grammar `Rpq → a Rpq | b` in weak CNF.
         let compiled = CompiledQuery::from_nfa(&Nfa::star_then("a", "b"));
         assert_eq!(compiled.n_state_nts(), 1);
-        assert_eq!(compiled.n_label_nts(), 2);
+        assert_eq!(compiled.n_label_nts(), 1);
         assert_eq!(compiled.start_name(), "Rpq");
         assert_eq!(compiled.rsm().boxes.len(), 1);
-        // Per-transition rules: 0-a->0 (state), 0-b->1 (answer only).
-        assert_eq!(compiled.wcnf().binary_rules.len(), 2);
+        assert_eq!(
+            rules(&compiled),
+            ["Rpq -> T<a> Rpq", "Rpq -> b", "T<a> -> a"]
+        );
+
+        // a+: q0 and q1 have one signature, {(a, q1's class, final)}, so
+        // they merge into one nonterminal: `Rpq → a Rpq | a`.
+        let compiled = CompiledQuery::from_nfa(&Nfa::plus("a"));
+        assert_eq!(compiled.n_state_nts(), 1);
+        assert_eq!(
+            rules(&compiled),
+            ["Rpq -> T<a> Rpq", "Rpq -> a", "T<a> -> a"]
+        );
     }
 }

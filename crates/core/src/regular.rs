@@ -4,8 +4,9 @@
 //! §3 positions CFPQ as the strictly-more-expressive sibling of the
 //! regular language constrained path querying of [2, 8, 16, 21]. The
 //! *production* RPQ path no longer lives here: an [`Nfa`] is compiled
-//! through [`crate::compile::CompiledQuery`] into the same RSM/Kronecker
-//! lowering CFPQ uses, and evaluated by the [`crate::relational::FixpointSolver`]
+//! through [`crate::compile::CompiledQuery`] into its right-linear
+//! grammar by the same RSM lowering CFPQ uses, and evaluated by the
+//! [`crate::relational::FixpointSolver`]
 //! pipeline — masked semi-naive sweeps against the session's
 //! [`crate::session::GraphIndex`] label matrices, with incremental
 //! repair after edge updates and service scheduling on top.

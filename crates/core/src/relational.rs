@@ -325,7 +325,7 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
 /// counted in [`SolveStats::products_computed`].
 ///
 /// A nonterminal with terminal rules only (the `A → x` wrappers weak
-/// CNF introduces, a compiled RPQ's label nonterminals) needs no
+/// CNF introduces, in a compiled query too) needs no
 /// fixpoint: its relation *is* the union of its label matrices, so
 /// wherever it is an operand the label matrices stand in for it and it
 /// is never demanded, seeded or stored.

@@ -11,11 +11,12 @@
 //! `S → subClassOf_r S subClassOf | subClassOf_r subClassOf` shares the
 //! initial `subClassOf_r` transition.
 //!
-//! This module owns the IR itself: [`RsmBox`], [`Rsm::from_cfg`] (the
-//! trie construction, promoted out of `cfpq-baselines`), and the
-//! [`Rsm::nullable_boxes`] fixpoint. Lowering an RSM onto the matrix
-//! pipeline lives in `cfpq-core::compile`; the worklist evaluator kept
-//! as a differential oracle lives in `cfpq-baselines::rsm`.
+//! This module owns the IR itself: [`RsmBox`] and [`Rsm::from_cfg`] (the
+//! trie construction, promoted out of `cfpq-baselines`). Lowering an RSM
+//! onto the matrix pipeline — nullability included, which the CNF
+//! pipeline derives from the lowered rules — lives in
+//! `cfpq-core::compile`; the worklist evaluator kept as a differential
+//! oracle lives in `cfpq-baselines::rsm`.
 
 use crate::cfg::{Cfg, Symbol};
 use std::collections::HashMap;
@@ -167,48 +168,6 @@ impl Rsm {
             total_states,
         }
     }
-
-    /// Which boxes accept ε: a box is nullable iff some final state is
-    /// reachable from an entry using only calls to nullable boxes
-    /// (terminal transitions always consume an edge). Computed as a
-    /// fixpoint because nullability feeds through calls transitively.
-    pub fn nullable_boxes(&self) -> Vec<bool> {
-        let mut nullable = vec![false; self.boxes.len()];
-        loop {
-            let mut changed = false;
-            for (b, bx) in self.boxes.iter().enumerate() {
-                if nullable[b] {
-                    continue;
-                }
-                // BFS over ε-transitions (= calls to nullable boxes).
-                let mut reach = vec![false; bx.n_states as usize];
-                let mut work: Vec<StateId> = bx.entries.clone();
-                for &e in &bx.entries {
-                    reach[e as usize] = true;
-                }
-                while let Some(q) = work.pop() {
-                    for &(from, sym, to) in &bx.transitions {
-                        if from != q || reach[to as usize] {
-                            continue;
-                        }
-                        if let Symbol::N(c) = sym {
-                            if nullable[c.index()] {
-                                reach[to as usize] = true;
-                                work.push(to);
-                            }
-                        }
-                    }
-                }
-                if bx.finals.iter().any(|&f| reach[f as usize]) {
-                    nullable[b] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return nullable;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,24 +198,5 @@ mod tests {
         let before = bx.n_states;
         bx.add_production(&[a]);
         assert_eq!(bx.n_states, before, "same RHS adds no states");
-    }
-
-    #[test]
-    fn nullable_boxes_flow_through_calls() {
-        // A -> B B, B -> eps: A is transitively nullable.
-        let cfg = Cfg::parse("A -> B B\nB -> eps | b").unwrap();
-        let rsm = Rsm::from_cfg(&cfg);
-        let a = cfg.symbols.get_nt("A").unwrap();
-        let b = cfg.symbols.get_nt("B").unwrap();
-        let nullable = rsm.nullable_boxes();
-        assert!(nullable[a.index()]);
-        assert!(nullable[b.index()]);
-    }
-
-    #[test]
-    fn non_nullable_terminal_paths() {
-        let cfg = Cfg::parse("S -> a S | a").unwrap();
-        let rsm = Rsm::from_cfg(&cfg);
-        assert_eq!(rsm.nullable_boxes(), vec![false]);
     }
 }

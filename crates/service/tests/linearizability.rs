@@ -180,7 +180,7 @@ fn reference_paths(workload: &Workload, wcnf: &Wcnf) -> Vec<Vec<PairPaths>> {
 
 /// The sequential RPQ reference: each epoch's graph evaluated by the
 /// standalone product-graph oracle (independent of the compiled
-/// RSM/Kronecker pipeline the service actually runs).
+/// RSM pipeline the service actually runs).
 fn reference_rpq(workload: &Workload, nfa: &Nfa) -> Vec<Vec<(u32, u32)>> {
     let mut graph = workload.base.clone();
     let mut expected = vec![solve_regular(&SparseEngine, &graph, nfa).pairs()];

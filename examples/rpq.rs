@@ -15,8 +15,11 @@ fn main() {
     let nfa = Nfa::plus("subClassOf");
 
     // Under the hood, `prepare_regular` compiles the NFA through the
-    // same RSM lowering CFPQ grammars use: one box, whose states become
-    // nonterminals of a weak-CNF "state grammar".
+    // same RSM lowering CFPQ grammars use: one box, whose live states —
+    // read backward, equivalent ones merged — become the nonterminals
+    // of a right-linear grammar, normalized like any other. Both states
+    // of `subClassOf+` read `subClassOf` into an accepting state, so
+    // they are one nonterminal: `Rpq -> subClassOf Rpq | subClassOf`.
     let compiled = CompiledQuery::from_nfa(&nfa);
     println!(
         "compiled `subClassOf+`: {} state nonterminals, {} label nonterminals, kind {:?}",
@@ -24,6 +27,7 @@ fn main() {
         compiled.n_label_nts(),
         compiled.kind(),
     );
+    print!("{}", compiled.wcnf());
 
     // One session, one materialized label-matrix index — the RPQ is
     // prepared and served exactly like a context-free query.
@@ -42,13 +46,18 @@ fn main() {
 
     // The differential oracle — the standalone product-graph evaluator —
     // and the same language as a right-linear grammar under Algorithm 1
-    // must answer byte-identically.
+    // must answer byte-identically, and the compiled RPQ must cost what
+    // that grammar costs.
     let oracle = solve_regular(&SparseEngine, &graph, &nfa);
     assert_eq!(answer.start_pairs(), oracle.pairs());
     let grammar = Cfg::parse("S -> subClassOf S | subClassOf").expect("parses");
-    let cfpq = solve(&graph, &grammar, Backend::Sparse).expect("solves");
-    assert_eq!(answer.start_pairs(), cfpq.start_pairs());
-    println!("oracle and regular-grammar CFPQ agree.");
+    let cfpq = session.prepare(&grammar).expect("normalizes");
+    assert_eq!(answer.start_pairs(), session.evaluate(cfpq).start_pairs());
+    let grammar_products = session.last_run(cfpq).expect("ran").stats.products_computed;
+    assert_eq!(cold.stats.products_computed, grammar_products);
+    println!(
+        "oracle and regular-grammar CFPQ agree; the grammar takes {grammar_products} products too."
+    );
 
     // The graph evolves; the compiled RPQ repairs incrementally like
     // any other prepared query.
