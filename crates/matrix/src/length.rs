@@ -562,7 +562,7 @@ impl RowAccumulator<u32> for LenRow {
     /// `left + l` at every column the row holds an `l ≥ 1` at; an
     /// ε-witness composes on neither side (see the module docs).
     #[inline]
-    fn add(&mut self, left: u32, cols: &[u32], vals: &[u32]) {
+    fn add(&mut self, &left: &u32, _k: u32, _row_len: usize, cols: &[u32], vals: &[u32]) {
         if left == 0 {
             return;
         }
@@ -577,14 +577,11 @@ impl RowAccumulator<u32> for LenRow {
         self.occupied.is_empty()
     }
 
-    /// `occupied` keeps the removed columns and the drain skips them.
-    fn remove(&mut self, cols: &[u32]) {
-        for &j in cols {
+    /// `occupied` keeps the masked columns and the drain skips them.
+    fn drain_into(&mut self, mask: Option<(&[u32], &[u32])>, out: &mut Csr<u32>) {
+        for &j in mask.map_or(&[][..], |(cols, _)| cols) {
             self.vals[j as usize] = NO_PATH;
         }
-    }
-
-    fn drain_into(&mut self, out: &mut Csr<u32>) {
         let vals = &mut self.vals;
         self.occupied.drain(|j| {
             let l = std::mem::replace(&mut vals[j as usize], NO_PATH);
@@ -641,7 +638,7 @@ impl LenRepr for CsrLenMatrix {
     fn kernel() -> impl FnMut(LenJob<'_, Self>) -> Self {
         let mut acc = LenRow::default();
         move |(a, b, mask): LenJob<'_, Self>| {
-            let csr = a
+            let (csr, _) = a
                 .csr
                 .multiply(&b.csr, mask.map(|m| &m.csr), 0..a.n(), &mut acc);
             CsrLenMatrix { csr }

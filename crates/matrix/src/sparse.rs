@@ -24,14 +24,13 @@
 //! * construction of the two flat types is a counting sort by row,
 //!   `Csr::from_cells`, which is where a cell outside the matrix is
 //!   refused (`assert_in_range`, as on every other write path);
-//! * their product is one loop, `Csr::multiply`, flat over the left
-//!   operand's cells and masked lazily; the cell type brings its
+//! * the product of all three is one loop, `Csr::multiply`, flat over the
+//!   left operand's cells and masked lazily; the cell type brings its
 //!   `RowAccumulator` — a dense bitset here, a table of lengths (`⊗` =
-//!   saturating add, `⊕` = first write) in [`crate::length`].
-//!
-//! The tile product stays in [`crate::tiled`]: a cell of its operands is
-//! itself a matrix, so a pair of cells is a 64 × 64 product — through
-//! one of two kernels picked from popcounts — not a `⊗` of two scalars.
+//!   saturating add, `⊕` = first write) in [`crate::length`], a row of
+//!   tiles in [`crate::tiled`], where a pair of cells is a 64 × 64
+//!   product through one of two kernels picked from popcounts rather
+//!   than a `⊗` of two scalars.
 
 use crate::device::Device;
 use crate::engine::MaskedJob;
@@ -151,6 +150,23 @@ impl<V: Copy> Csr<V> {
     #[inline]
     pub fn row(&self, i: usize) -> Range<usize> {
         self.row_ptr[i]..self.row_ptr[i + 1]
+    }
+
+    /// The rows that store a cell, ascending: a run of empty rows costs
+    /// one gallop over its row ends, not a step per row.
+    pub fn occupied_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            // `e`, the first cell not yet visited, starts row `next` or
+            // the first row after it that stores anything.
+            let e = self.row_ptr[next];
+            if e == self.nnz() {
+                return None;
+            }
+            let row = gallop(&self.row_ptr[1..], next, |&end| end <= e);
+            next = row + 1;
+            Some(row)
+        })
     }
 
     /// `cell(row, col, value)` of every stored cell in row-major order.
@@ -540,9 +556,9 @@ impl CsrMatrix {
         let (a, b, mask) = (&self.csr, &other.csr, mask.map(|m| &m.csr));
         let work = self.nnz() + other.nnz();
         let csr = match device.filter(|d| d.n_workers() > 1 && work >= OFFLOAD_THRESHOLD_NNZ) {
-            None => a.multiply(b, mask, 0..self.n(), acc),
+            None => a.multiply(b, mask, 0..self.n(), acc).0,
             Some(device) => Csr::concat(device.par_map_ranges(self.n(), |range| {
-                a.multiply(b, mask, range, &mut BitRow::default())
+                a.multiply(b, mask, range, &mut BitRow::default()).0
             })),
         };
         Self { csr }
@@ -601,38 +617,47 @@ impl BoolRepr for CsrMatrix {
 /// One output row of the flat product while it is accumulated — the part
 /// of that product that is the cell type's own: a bitset for bits
 /// ([`BitRow`]), a table of first-write-wins lengths in
-/// [`crate::length`]. Reused from row to row and from job to job.
-pub(crate) trait RowAccumulator<V>: Default {
-    /// Makes room for rows of `n` columns.
+/// [`crate::length`], a row of 64 × 64 tiles in [`crate::tiled`]. Reused
+/// from row to row and from job to job.
+pub(crate) trait RowAccumulator<V> {
+    /// Makes room for rows of `n` columns, as a product (or one device
+    /// block of it) starts.
     fn fit(&mut self, n: usize);
 
     /// Accumulates `left ⊗ value` at `col` for every cell `(col, value)`
-    /// of one row of the right operand.
-    fn add(&mut self, left: V, cols: &[u32], vals: &[V]);
+    /// of row `k` of the right operand, where `left` is the cell at
+    /// column `k` of a left row of `row_len` cells (what a tile's kernel
+    /// choice reads; a scalar ignores both).
+    fn add(&mut self, left: &V, k: u32, row_len: usize, cols: &[u32], vals: &[V]);
 
     /// Whether nothing was accumulated since the last drain.
     fn is_empty(&self) -> bool;
 
-    /// Drops the columns of a sorted row of known cells again (the
-    /// complement mask, applied after accumulation).
-    fn remove(&mut self, cols: &[u32]);
-
-    /// Appends what is left to `out` in ascending column order and
-    /// clears the accumulator.
-    fn drain_into(&mut self, out: &mut Csr<V>);
+    /// Drops what `mask`, a row of known cells as `(cols, vals)`, holds
+    /// (the complement mask, applied after accumulation: whole columns
+    /// for a scalar, the bits of each tile for a tile), appends what is
+    /// left to `out` in ascending column order, and clears the
+    /// accumulator.
+    fn drain_into(&mut self, mask: Option<(&[u32], &[V])>, out: &mut Csr<V>);
 }
 
 impl<V: Copy> Csr<V> {
     /// Rows `range` of `(self × b) \ mask?` as a block of their own, row
     /// ends relative to it, on a caller-owned accumulator: the whole
-    /// product if serial, one block per worker on a device.
+    /// product if serial, one block per worker on a device. Also returns
+    /// how many cells of `self` met an empty row of `b` and so were
+    /// skipped (for tiles, whole families of tile products).
+    ///
+    /// The cost is the cells of `self` in `range`, a gallop over each run
+    /// of rows nothing reaches, and one bulk write of their row ends: a
+    /// block pays nothing per empty row of `self` beyond that write.
     pub fn multiply<A: RowAccumulator<V>>(
         &self,
         b: &Self,
         mask: Option<&Self>,
         range: Range<usize>,
         acc: &mut A,
-    ) -> Self {
+    ) -> (Self, u64) {
         assert_eq!(self.rows(), b.rows(), "dimension mismatch");
         if let Some(m) = mask {
             assert_eq!(self.rows(), m.rows(), "mask dimension mismatch");
@@ -650,28 +675,43 @@ impl<V: Copy> Csr<V> {
         let mut close = |acc: &mut A, open: usize, next: usize| {
             // Only a row that received a candidate pays for its mask row.
             if !acc.is_empty() {
-                if let Some(m) = mask {
-                    acc.remove(&m.cols[m.row(open)]);
-                }
-                acc.drain_into(&mut out);
+                let mask_row = mask.map(|m| {
+                    let row = m.row(open);
+                    (&m.cols[row.clone()], &m.vals[row])
+                });
+                acc.drain_into(mask_row, &mut out);
             }
             out.row_ptr
                 .resize(out.row_ptr.len() + (next - open), out.nnz());
         };
-        for e in self.row_ptr[range.start]..self.row_ptr[range.end] {
-            let b_row = b.row(self.cols[e] as usize);
+        // The cells of row `open`, read when a row is opened: the skipping
+        // cells, the bulk of a sparse Δ's scan, pay for nothing but the
+        // test that skips them.
+        let mut open_len = if range.is_empty() {
+            0
+        } else {
+            self.row(open).len()
+        };
+        let cells = self.row_ptr[range.start]..self.row_ptr[range.end];
+        let mut found = 0;
+        for e in cells.clone() {
+            let k = self.cols[e];
+            let b_row = b.row(k as usize);
             if b_row.is_empty() {
                 continue;
             }
+            found += 1;
             if self.row_ptr[open + 1] <= e {
                 let next = row_of(&self.row_ptr, open, e);
                 close(acc, open, next);
                 open = next;
+                open_len = self.row(open).len();
             }
-            acc.add(self.vals[e], &b.cols[b_row.clone()], &b.vals[b_row]);
+            let (cols, vals) = (&b.cols[b_row.clone()], &b.vals[b_row]);
+            acc.add(&self.vals[e], k, open_len, cols, vals);
         }
         close(acc, open, range.end);
-        out
+        (out, (cells.len() - found) as u64)
     }
 }
 
@@ -718,7 +758,7 @@ impl RowAccumulator<()> for BitRow {
     }
 
     #[inline]
-    fn add(&mut self, _left: (), cols: &[u32], _vals: &[()]) {
+    fn add(&mut self, _left: &(), _k: u32, _row_len: usize, cols: &[u32], _vals: &[()]) {
         for &j in cols {
             self.set(j);
         }
@@ -728,13 +768,10 @@ impl RowAccumulator<()> for BitRow {
         self.touched.is_empty()
     }
 
-    fn remove(&mut self, row: &[u32]) {
-        for &j in row {
+    fn drain_into(&mut self, mask: Option<(&[u32], &[()])>, out: &mut Csr<()>) {
+        for &j in mask.map_or(&[][..], |(cols, _)| cols) {
             self.words[(j / 64) as usize] &= !(1u64 << (j % 64));
         }
-    }
-
-    fn drain_into(&mut self, out: &mut Csr<()>) {
         self.drain(|j| out.push(j, ()));
     }
 }
@@ -831,9 +868,10 @@ mod tests {
         assert_eq!(m.multiply_masked_opt_on(&m, None, Some(&d)).n(), 0);
     }
 
-    fn drain_sorted(acc: &mut BitRow) -> Vec<u32> {
+    fn drain_sorted(acc: &mut BitRow, mask: Option<&[u32]>) -> Vec<u32> {
         let mut out = Csr::empty(0);
-        acc.drain_into(&mut out);
+        let units = vec![(); mask.map_or(0, <[u32]>::len)];
+        acc.drain_into(mask.map(|cols| (cols, &units[..])), &mut out);
         out.cols
     }
 
@@ -844,13 +882,13 @@ mod tests {
         for j in [199u32, 0, 64, 63, 128] {
             acc.set(j);
         }
-        assert_eq!(drain_sorted(&mut acc), vec![0, 63, 64, 128, 199]);
+        assert_eq!(drain_sorted(&mut acc, None), vec![0, 63, 64, 128, 199]);
         // Reusable after drain, and after growing for a wider job.
         acc.set(5);
-        assert_eq!(drain_sorted(&mut acc), vec![5]);
+        assert_eq!(drain_sorted(&mut acc, None), vec![5]);
         acc.fit(1000);
         acc.set(999);
-        assert_eq!(drain_sorted(&mut acc), vec![999]);
+        assert_eq!(drain_sorted(&mut acc, None), vec![999]);
     }
 
     #[test]
@@ -861,10 +899,10 @@ mod tests {
             acc.set(j);
         }
         // The mask may name bits nothing set, and may empty whole words.
-        acc.remove(&[0, 64, 130, 199]);
-        assert_eq!(drain_sorted(&mut acc), vec![1, 65], "mask bits never drain");
+        let drained = drain_sorted(&mut acc, Some(&[0, 64, 130, 199]));
+        assert_eq!(drained, vec![1, 65], "mask bits never drain");
         acc.set(0);
-        assert_eq!(drain_sorted(&mut acc), vec![0], "nothing lingers");
+        assert_eq!(drain_sorted(&mut acc, None), vec![0], "nothing lingers");
     }
 
     #[test]

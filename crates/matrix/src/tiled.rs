@@ -22,8 +22,18 @@
 //!   implementation — OR, AND-NOT and AND of two tiles stored at the
 //!   same place, an emptied tile dropped — and cost the tiles of their
 //!   smaller operand; a union that adds no bit leaves the storage where
-//!   it is. Only construction (bits are packed into tiles as they
-//!   stream in) and the product below are this module's own;
+//!   it is. The product is the shared flat loop too (`Csr::multiply`),
+//!   with this module's `TileAccumulator` as the row accumulator. Only
+//!   construction (bits are packed into tiles as they stream in) and the
+//!   tile kernels below are this module's own;
+//! * a pass costs what the matrix stores, not its `⌈n / 64⌉` tile-rows:
+//!   a product walks the stored tiles of its left operand flat and
+//!   gallops over each run of tile-rows they leave empty, a build jumps
+//!   from the tile-row of one pair to that of the next, and
+//!   [`TiledBitMatrix::pairs`] gallops from one stored tile-row to the
+//!   next. All that is left per tile-row is a bulk fill: the row ends a
+//!   product or a build writes for an empty run in one `resize`, and the
+//!   build's tile-column scratch;
 //! * `C_{ij} |= A_{ik} × B_{kj}` runs a dense bitset kernel per tile
 //!   pair, and a left tile `A_{ik}` goes through its *panel* — the `nb`
 //!   stored tiles of `B`'s tile-row `k` — whichever of two ways costs
@@ -57,7 +67,7 @@ use crate::device::Device;
 use crate::engine::{word_bits, BoolMat, MaskedJob};
 use crate::length::CsrLenMatrix;
 use crate::repr::BoolRepr;
-use crate::sparse::{assert_in_range, Cell, Csr};
+use crate::sparse::{assert_in_range, Cell, Csr, RowAccumulator};
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -140,17 +150,22 @@ impl TiledBitMatrix {
     /// The `O(nnz)` builder for row-major-sorted pairs: each tile-row is
     /// a contiguous run of the input, so tiles are filled first-touch via
     /// a `tile_col → slot` scratch (no global sort) and only the
-    /// per-tile-row column lists are sorted at the end of their run.
+    /// per-tile-row column lists are sorted at the end of their run. The
+    /// tile-rows between two runs get their row ends in one bulk write.
     fn from_sorted_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
         debug_assert!(pairs.is_sorted());
         let tn = tile_count(n);
         let mut csr: Csr<TileWords> = Csr::with_capacity(tn, 0);
         let mut slot_of: Vec<u32> = vec![u32::MAX; tn];
         let mut k = 0usize;
-        for ti in 0..tn {
+        while let Some(&first) = pairs.get(k) {
+            // Refused before its tile-row is opened: a row past the last
+            // tile names none.
+            assert_in_range(n, first);
+            let ti = first.0 as usize / TILE;
+            csr.row_ptr.resize(ti + 1, csr.nnz());
             let row_start = csr.nnz();
-            let row_end = ((ti + 1) * TILE) as u32;
-            while k < pairs.len() && pairs[k].0 < row_end {
+            while k < pairs.len() && pairs[k].0 as usize / TILE == ti {
                 let (i, j) = pairs[k];
                 assert_in_range(n, (i, j));
                 let tj = j as usize / TILE;
@@ -186,10 +201,7 @@ impl TiledBitMatrix {
             }
             csr.row_ptr.push(csr.nnz());
         }
-        // Sorted input: whatever is left names a row past the last tile.
-        if let Some(&beyond) = pairs.get(k) {
-            assert_in_range(n, beyond);
-        }
+        csr.row_ptr.resize(tn + 1, csr.nnz());
         Self { n, csr }
     }
 
@@ -226,10 +238,11 @@ impl TiledBitMatrix {
         self.csr.vals.iter().map(tile_bits).sum()
     }
 
-    /// All set `(row, col)` pairs in row-major order.
+    /// All set `(row, col)` pairs in row-major order; tile-rows that store
+    /// nothing are galloped over, not visited.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.nnz());
-        for ti in 0..self.tile_rows() {
+        for ti in self.csr.occupied_rows() {
             for r in 0..TILE {
                 let i = (ti * TILE + r) as u32;
                 for t in self.csr.row(ti) {
@@ -343,85 +356,20 @@ impl TiledBitMatrix {
     }
 
     /// Computes tile-rows `rows` of `(self × other) \ mask?` as a block of
-    /// their own (row ends relative to it), and the skipped-kernel count.
+    /// their own (row ends relative to it), and the skipped-kernel count:
+    /// the shared flat product (`sparse.rs::Csr::multiply`) over the
+    /// stored tiles of `self`, on this thread's tile accumulator.
     fn multiply_block(
         &self,
         other: &TiledBitMatrix,
         mask: Option<&TiledBitMatrix>,
         rows: Range<usize>,
     ) -> (Csr<TileWords>, u64) {
-        let (a, b) = (&self.csr, &other.csr);
-        let mut out = Csr::with_capacity(rows.len(), 0);
-        let mut skipped = 0u64;
         TILE_ACC.with_borrow_mut(|acc| {
-            acc.begin_product(a.rows());
-            for ti in rows {
-                let a_row = a.row(ti);
-                let row_len = a_row.len();
-                if row_len == 0 {
-                    // Most tile-rows of a source-restricted product:
-                    // nothing to begin, fold or drain.
-                    out.row_ptr.push(out.nnz());
-                    continue;
-                }
-                acc.begin_row();
-                for t in a_row {
-                    let tk = a.cols[t] as usize;
-                    let panel = b.row(tk);
-                    if panel.is_empty() {
-                        // The whole family of products A_{i,k} × B_{k,*}
-                        // vanishes: B's tile-row k stores nothing.
-                        skipped += 1;
-                        continue;
-                    }
-                    let a_tile = &a.vals[t];
-                    if acc.right_driven_is_cheaper(a_tile, tk, &b.vals[panel.clone()], row_len) {
-                        let a_cols = transpose_tile(a_tile);
-                        for bt in panel {
-                            let tj = b.cols[bt];
-                            tile_multiply_transposed_into(
-                                &a_cols,
-                                &b.vals[bt],
-                                acc.transposed_tile(tj),
-                            );
-                        }
-                    } else {
-                        for bt in panel {
-                            let tj = b.cols[bt];
-                            tile_multiply_into(a_tile, &b.vals[bt], acc.tile(tj));
-                        }
-                    }
-                }
-                // Whatever went right-driven joins the ordinary
-                // accumulator here, so everything below sees one row.
-                acc.fold_transposed();
-                // Drain this tile-row's accumulated tiles in ascending
-                // tile-column order (canonical form), masking on the way.
-                let row = &mut acc.row;
-                row.touched.sort_unstable();
-                let mask_row = mask.map(|m| (&m.csr, m.csr.row(ti)));
-                for &tj in &row.touched {
-                    let tile = &mut row.tiles[tj as usize];
-                    if let Some((m, ref mrange)) = mask_row {
-                        if let Ok(pos) = m.cols[mrange.clone()].binary_search(&tj) {
-                            let mtile = &m.vals[mrange.start + pos];
-                            for (tw, &mw) in tile.iter_mut().zip(mtile.iter()) {
-                                *tw &= !mw;
-                            }
-                        }
-                    }
-                    if tile_is_zero(tile) {
-                        // Accumulated but fully masked (or cancelled):
-                        // nothing reaches the output.
-                        skipped += 1;
-                        continue;
-                    }
-                    out.push(tj, *tile);
-                }
-                out.row_ptr.push(out.nnz());
-            }
-        });
-        (out, skipped)
+            let mask = mask.map(|m| &m.csr);
+            let (block, empty_panels) = self.csr.multiply(&other.csr, mask, rows, acc);
+            (block, empty_panels + acc.dropped)
+        })
     }
 }
 
@@ -552,6 +500,9 @@ struct TileAccumulator {
     /// `panel_bits[k] == (product, bits)` iff `bits` is the popcount of
     /// the right operand's tile-row `k` in the product in progress.
     panel_bits: Vec<(u64, usize)>,
+    /// Tiles of the product in progress that were accumulated but drained
+    /// empty — masked out whole, or cancelled.
+    dropped: u64,
 }
 
 impl TileAccumulator {
@@ -562,19 +513,8 @@ impl TileAccumulator {
             row: TileSlots::new(),
             transposed: TileSlots::new(),
             panel_bits: Vec::new(),
+            dropped: 0,
         }
-    }
-
-    fn begin_product(&mut self, tn: usize) {
-        self.row.ensure(tn);
-        self.cur += 1;
-        self.product = self.cur;
-    }
-
-    fn begin_row(&mut self) {
-        self.cur += 1;
-        self.row.touched.clear();
-        self.transposed.touched.clear();
     }
 
     #[inline]
@@ -589,7 +529,8 @@ impl TileAccumulator {
     }
 
     /// Transposes back what the right-driven kernel accumulated for this
-    /// tile-row and ORs it into the row's ordinary tiles.
+    /// tile-row and ORs it into the row's ordinary tiles, so masking and
+    /// the drain see one row.
     fn fold_transposed(&mut self) {
         for &tj in &self.transposed.touched {
             let back = transpose_tile(&self.transposed.tiles[tj as usize]);
@@ -597,6 +538,7 @@ impl TileAccumulator {
                 *w |= b;
             }
         }
+        self.transposed.touched.clear();
     }
 
     /// Picks the path of one left tile `a` — tile-column `k`, one of
@@ -647,6 +589,67 @@ impl TileAccumulator {
             self.panel_bits[k] = (self.product, panel.iter().map(tile_bits).sum());
         }
         transposes + self.panel_bits[k].1 < left
+    }
+}
+
+/// The tile-row of the shared flat product: a left tile `a` at
+/// tile-column `k` goes through its panel, the stored tiles of the right
+/// operand's tile-row `k`, on whichever kernel costs fewer word-ORs.
+impl RowAccumulator<TileWords> for TileAccumulator {
+    /// Starts a product (or a device block of one): a fresh stamp for its
+    /// panel counts and first tile-row, nothing dropped yet, and nothing
+    /// left of a product that panicked halfway on this thread.
+    fn fit(&mut self, tn: usize) {
+        self.row.ensure(tn);
+        self.cur += 1;
+        self.product = self.cur;
+        self.dropped = 0;
+        self.row.touched.clear();
+        self.transposed.touched.clear();
+    }
+
+    #[inline]
+    fn add(&mut self, a: &TileWords, k: u32, row_len: usize, cols: &[u32], panel: &[TileWords]) {
+        if self.right_driven_is_cheaper(a, k as usize, panel, row_len) {
+            let a_cols = transpose_tile(a);
+            for (&tj, b) in cols.iter().zip(panel) {
+                tile_multiply_transposed_into(&a_cols, b, self.transposed_tile(tj));
+            }
+        } else {
+            for (&tj, b) in cols.iter().zip(panel) {
+                tile_multiply_into(a, b, self.tile(tj));
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.row.touched.is_empty() && self.transposed.touched.is_empty()
+    }
+
+    /// Appends the row's tiles in ascending tile-column order (canonical
+    /// form), each less the bits of the mask tile at its tile-column,
+    /// counting instead of storing those left empty, and moves to a fresh
+    /// stamp. Masking and draining are one pass, while the tile is hot.
+    fn drain_into(&mut self, mask: Option<(&[u32], &[TileWords])>, out: &mut Csr<TileWords>) {
+        self.fold_transposed();
+        self.row.touched.sort_unstable();
+        for &tj in &self.row.touched {
+            let tile = &mut self.row.tiles[tj as usize];
+            if let Some((cols, mask)) = mask {
+                if let Ok(at) = cols.binary_search(&tj) {
+                    for (w, &m) in tile.iter_mut().zip(&mask[at]) {
+                        *w &= !m;
+                    }
+                }
+            }
+            if tile_is_zero(tile) {
+                self.dropped += 1;
+            } else {
+                out.push(tj, *tile);
+            }
+        }
+        self.row.touched.clear();
+        self.cur += 1;
     }
 }
 
@@ -777,6 +780,72 @@ mod tests {
         assert_eq!(rebuilt, reference);
         assert_eq!(rebuilt.csr.row_ptr, reference.csr.row_ptr);
         assert_eq!(rebuilt.csr.cols, reference.csr.cols);
+
+        // Runs of empty tile-rows before, between and after the stored
+        // ones: `pairs()` and the builder skip them, and the round trip
+        // still gives back the input, sorted and without duplicates.
+        let mut banded = banded_pairs(2000, 0xFA57);
+        let reference = TiledBitMatrix::from_pairs(BANDED_N, &banded);
+        banded.sort_unstable();
+        banded.dedup();
+        assert_eq!(reference.pairs(), banded);
+        let occupied: Vec<usize> = reference.csr.occupied_rows().collect();
+        assert_eq!(occupied, [0, 25, 50]);
+        let rebuilt = TiledBitMatrix::from_pairs(BANDED_N, &reference.pairs());
+        assert_eq!(rebuilt, reference);
+        assert_eq!(rebuilt.csr.row_ptr.len(), 52);
+        let shifted: Vec<(u32, u32)> = banded.iter().map(|&(i, j)| (i + 64, j)).collect();
+        let shifted = TiledBitMatrix::from_pairs(BANDED_N + 64, &shifted);
+        assert_eq!(shifted.csr.occupied_rows().collect::<Vec<_>>(), [1, 26, 51]);
+        assert!(TiledBitMatrix::zeros(BANDED_N).pairs().is_empty());
+
+        // A row in the edge tile's padding, or past the tile grid, is
+        // still refused after the builder skipped the empty tile-rows.
+        for bad in [(BANDED_N as u32 + 5, 0), (BANDED_N as u32 + 64, 0)] {
+            for pairs in [vec![bad], vec![(3, 3), bad]] {
+                let refusal = std::panic::catch_unwind(|| {
+                    TiledBitMatrix::from_pairs(BANDED_N, &pairs);
+                })
+                .expect_err("a row outside the matrix is refused");
+                let message = refusal
+                    .downcast_ref::<String>()
+                    .expect("a formatted message");
+                assert_eq!(
+                    *message,
+                    format!(
+                        "pair ({}, 0) is outside the {BANDED_N} × {BANDED_N} matrix",
+                        bad.0
+                    )
+                );
+            }
+        }
+    }
+
+    /// `64·50 + 17` nodes: 51 tile-rows, the last one 17 rows deep.
+    const BANDED_N: usize = 64 * 50 + 17;
+
+    /// `count` pairs of a [`BANDED_N`] matrix whose rows fall in its
+    /// first, middle and last tile-rows, with 24 empty tile-rows between
+    /// each, and every other column in the same three tile-columns, so
+    /// that two such matrices meet in stored panels as well as empty ones.
+    fn banded_pairs(count: usize, seed: u64) -> Vec<(u32, u32)> {
+        let band = |x: u32| {
+            let (start, len) = [(0, 64), (25 * 64, 64), (50 * 64, 17)][x as usize % 3];
+            start + x / 3 % len
+        };
+        pseudo_pairs(BANDED_N, count, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(e, (i, j))| (band(i), if e % 2 == 0 { band(j) } else { j }))
+            .collect()
+    }
+
+    /// [`banded_pairs`] plus a full tile at tile `(25, 0)`, which meets
+    /// its panel right-driven.
+    fn banded_with_full_tile(count: usize, seed: u64) -> Vec<(u32, u32)> {
+        let mut pairs = banded_pairs(count, seed);
+        pairs.extend((25 * 64..26 * 64).flat_map(|i| (0..64).map(move |j| (i, j))));
+        pairs
     }
 
     #[test]
@@ -784,36 +853,69 @@ mod tests {
         let n = 157usize; // deliberately not a multiple of 64
         let pa = pseudo_pairs(n, 600, 0xA11CE);
         let pb = pseudo_pairs(n, 600, 0xB0B);
-        let a = TiledBitMatrix::from_pairs(n, &pa);
-        let b = TiledBitMatrix::from_pairs(n, &pb);
-        let da = crate::DenseBitMatrix::from_pairs(n, &pa);
-        let db = crate::DenseBitMatrix::from_pairs(n, &pb);
-        assert_eq!(a.multiply(&b).pairs(), da.multiply(&db).pairs());
+        // Stored tiles in three tile-rows out of 51, one tile full (it goes
+        // right-driven), against each other and against an operand that
+        // stores something in every tile-row.
+        let banded = banded_with_full_tile(400, 0xA11CE);
+        let uniform = pseudo_pairs(BANDED_N, 3000, 0xC0DE);
+        for (n, pa, pb) in [
+            (n, &pa, &pb),
+            (BANDED_N, &banded, &banded_pairs(400, 0xB0B)),
+            (BANDED_N, &banded, &uniform),
+            (BANDED_N, &uniform, &banded),
+        ] {
+            let a = TiledBitMatrix::from_pairs(n, pa);
+            let b = TiledBitMatrix::from_pairs(n, pb);
+            let da = crate::DenseBitMatrix::from_pairs(n, pa);
+            let db = crate::DenseBitMatrix::from_pairs(n, pb);
+            assert_eq!(a.multiply(&b).pairs(), da.multiply(&db).pairs(), "n = {n}");
+        }
     }
 
     #[test]
     fn masked_product_equals_product_minus_mask() {
         let n = 157usize;
-        let a = TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 500, 1));
-        let b = TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 500, 2));
-        let mask = TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 900, 3));
-        let expect = a.multiply(&b).difference(&mask);
-        let got = a.multiply_masked(&b, &mask);
-        assert_eq!(got, expect);
-        assert!(got.intersect(&mask).is_zero());
+        let uniform = |count, seed| TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, count, seed));
+        let banded = |pairs: Vec<(u32, u32)>| TiledBitMatrix::from_pairs(BANDED_N, &pairs);
+        for (a, b, mask) in [
+            (uniform(500, 1), uniform(500, 2), uniform(900, 3)),
+            (
+                banded(banded_with_full_tile(400, 1)),
+                banded(banded_pairs(400, 2)),
+                banded(banded_pairs(900, 3)),
+            ),
+        ] {
+            let expect = a.multiply(&b).difference(&mask);
+            assert!(!expect.is_zero() && expect != a.multiply(&b));
+            let got = a.multiply_masked(&b, &mask);
+            assert_eq!(got, expect);
+            assert!(got.intersect(&mask).is_zero());
+        }
     }
 
     #[test]
     fn parallel_product_equals_serial() {
         let n = 300usize;
-        let a = TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 2000, 7));
-        let b = TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 2000, 8));
-        let mask = TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 2000, 9));
-        let (serial, _) = a.multiply_masked_opt_on(&b, Some(&mask), None);
-        for workers in [1usize, 2, 4] {
-            let d = Device::new(workers);
-            let (par, _) = a.multiply_masked_opt_on(&b, Some(&mask), Some(&d));
-            assert_eq!(par, serial, "workers = {workers}");
+        let uniform = |seed| TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 2000, seed));
+        let banded = |pairs: Vec<(u32, u32)>| TiledBitMatrix::from_pairs(BANDED_N, &pairs);
+        // At widths 2 and 3 the 51 banded tile-rows split at 26 and at
+        // 17 and 34: every block starts or ends inside an empty run.
+        for (a, b, mask) in [
+            (uniform(7), uniform(8), uniform(9)),
+            (
+                banded(banded_with_full_tile(400, 7)),
+                banded(banded_pairs(400, 8)),
+                banded(banded_pairs(900, 9)),
+            ),
+        ] {
+            for mask in [Some(&mask), None] {
+                let serial = a.multiply_masked_opt_on(&b, mask, None);
+                for workers in [1usize, 2, 3, 4] {
+                    let d = Device::new(workers);
+                    let par = a.multiply_masked_opt_on(&b, mask, Some(&d));
+                    assert_eq!(par, serial, "workers = {workers}");
+                }
+            }
         }
     }
 
@@ -862,7 +964,7 @@ mod tests {
         assert_eq!((a.stored_tiles(), b.stored_tiles()), (2, 6));
 
         let mut chooser = TileAccumulator::new();
-        chooser.begin_product(a.tile_rows());
+        chooser.fit(a.tile_rows());
         assert!(chooser.right_driven_is_cheaper(&a.csr.vals[0], 0, &b.csr.vals[..3], 2));
         assert!(!chooser.right_driven_is_cheaper(&a.csr.vals[1], 1, &b.csr.vals[3..], 2));
 
