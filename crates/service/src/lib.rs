@@ -113,31 +113,36 @@
 //! );
 //! ```
 
-use cfpq_core::all_paths::{PageRequest, PathEnumerator, PathPage};
+use cfpq_core::all_paths::PageRequest;
 use cfpq_core::query::QueryAnswer;
-use cfpq_core::relational::{RelationalIndex, SourceClosure};
-use cfpq_core::session::{
-    extend_prepared_from, solve_prepared_from, CachedClosure, EdgeBatch, GraphIndex, PreparedQuery,
-};
+use cfpq_core::session::{GraphIndex, PreparedQuery};
 use cfpq_core::single_path::SinglePathIndex;
 use cfpq_grammar::{Cfg, GrammarError};
-use cfpq_graph::{Edge, Graph, NodeId};
-use cfpq_matrix::{BoolEngine, BoolMat, LenEngine, Parallelism};
-use cfpq_obs::{
-    AttrValue, Counter, Gauge, Histogram, MetricsRegistry, NoopRecorder, Recorder, SpanId,
-};
-use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cfpq_graph::{Graph, NodeId};
+use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
+use cfpq_obs::{MetricsRegistry, NoopRecorder, Recorder, SpanId};
+use epoch::{registered, CacheMap, Epoch, EpochCounters, EpochRecord};
+use obs::Obs;
+use sched::{spawn_worker, QueueKey, Request, SchedShared, SchedState};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard,
-    RwLockWriteGuard,
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use ticket::TicketState;
 
+mod config;
+mod epoch;
 pub mod faults;
+mod obs;
+mod sched;
+mod ticket;
+
+pub use config::{Backoff, ServiceConfig, ServiceError};
+pub use epoch::{ServiceStats, Snapshot};
+pub use ticket::{PairPaths, QueryTrace, Ticket, TicketAnswer, TicketResult};
 
 pub use cfpq_core::all_paths::PageRequest as PathPageRequest;
 
@@ -185,644 +190,6 @@ pub struct QueryId(usize);
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SinglePathId(usize);
 
-/// The typed failure taxonomy of the service. Every enqueued request
-/// resolves to a [`TicketAnswer`] *or* one of these — the service never
-/// leaves a [`Ticket::wait`] hanging.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServiceError {
-    /// The request named a query id that was never registered with this
-    /// service (`id` out of the `registered` handles). Rejected at
-    /// enqueue time.
-    UnknownQuery {
-        /// The offending raw id.
-        id: usize,
-        /// How many queries of that kind are registered.
-        registered: usize,
-    },
-    /// The scheduler queue is full ([`ServiceConfig::max_queued`]); the
-    /// request was shed at enqueue time instead of growing the queue
-    /// without bound. `retry_after` is the service's backoff hint —
-    /// clients should wait at least that long (see [`Backoff`] for a
-    /// jittered retry loop) before re-enqueueing.
-    Overloaded {
-        /// Requests queued at the moment the request was shed.
-        queued: usize,
-        /// The configured queue bound.
-        max_queued: usize,
-        /// Suggested minimum wait before retrying.
-        retry_after: Duration,
-    },
-    /// The request's deadline expired before a worker dispatched it
-    /// ([`ServiceConfig::default_deadline`]), or a bounded wait
-    /// ([`Ticket::wait_timeout`]) gave up. Expired requests are dropped
-    /// *loudly* at dispatch: the ticket resolves with this error and
-    /// [`ServiceStats::deadline_expired`] counts it.
-    Deadline,
-    /// The worker serving the request's batch panicked. The batch is
-    /// the isolation unit: its tickets resolve with this error, the
-    /// worker is respawned, and the per-epoch closure cache stays
-    /// usable (an interrupted cold solve is simply retried by the next
-    /// request). Counted in [`ServiceStats::worker_panics`].
-    WorkerPanicked,
-    /// The service is shutting down: either the request arrived after
-    /// [`CfpqService::shutdown`] (rejected at enqueue), or it was still
-    /// queued when the bounded drain deadline expired (resolved at
-    /// shutdown).
-    ShuttingDown,
-}
-
-impl ServiceError {
-    /// The retry-after hint of an [`ServiceError::Overloaded`] error,
-    /// `None` for every other variant (retrying does not help an
-    /// unknown query, and a shutting-down service will not come back).
-    pub fn retry_after(&self) -> Option<Duration> {
-        match self {
-            Self::Overloaded { retry_after, .. } => Some(*retry_after),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::UnknownQuery { id, registered } => {
-                write!(f, "query {id} is not registered (have {registered})")
-            }
-            Self::Overloaded {
-                queued,
-                max_queued,
-                retry_after,
-            } => write!(
-                f,
-                "scheduler overloaded ({queued}/{max_queued} queued); retry after {retry_after:?}"
-            ),
-            Self::Deadline => write!(f, "request deadline expired"),
-            Self::WorkerPanicked => write!(f, "worker panicked while serving the request's batch"),
-            Self::ShuttingDown => write!(f, "service is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
-/// Deterministic exponential backoff with seeded full jitter — the
-/// client-side companion of [`ServiceError::Overloaded`]. Delays grow
-/// `base · 2^attempt` up to `cap`, each drawn uniformly from
-/// `[base, current]` by a fixed-seed xorshift generator, so retry storms
-/// decorrelate without making tests flaky.
-///
-/// ```
-/// use cfpq_service::Backoff;
-/// use std::time::Duration;
-///
-/// let mut b = Backoff::new(42);
-/// let first = b.next_delay();
-/// assert!(first >= Duration::from_millis(1));
-/// assert!(b.next_delay() <= Duration::from_millis(100)); // capped
-/// let mut b2 = Backoff::new(42);
-/// assert_eq!(b2.next_delay(), first); // same seed, same schedule
-/// ```
-#[derive(Clone, Debug)]
-pub struct Backoff {
-    state: u64,
-    base: Duration,
-    cap: Duration,
-    attempt: u32,
-}
-
-impl Backoff {
-    /// A backoff with the default bounds (base 1 ms, cap 100 ms) and the
-    /// given jitter seed.
-    pub fn new(seed: u64) -> Self {
-        Self::with_bounds(seed, Duration::from_millis(1), Duration::from_millis(100))
-    }
-
-    /// A backoff with explicit bounds: delays start at `base` and the
-    /// exponential growth saturates at `cap`.
-    pub fn with_bounds(seed: u64, base: Duration, cap: Duration) -> Self {
-        Self {
-            // xorshift must not start at 0; fold the seed with a golden-
-            // ratio constant (splitmix-style) so seed 0 is fine too.
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
-            base,
-            cap: cap.max(base),
-            attempt: 0,
-        }
-    }
-
-    /// The next delay of the schedule: `base · 2^attempt` (saturating at
-    /// the cap), jittered uniformly down towards `base`.
-    pub fn next_delay(&mut self) -> Duration {
-        // xorshift64* — tiny, deterministic, and plenty for jitter.
-        self.state ^= self.state << 13;
-        self.state ^= self.state >> 7;
-        self.state ^= self.state << 17;
-        let ceiling = self
-            .base
-            .saturating_mul(1u32 << self.attempt.min(16))
-            .min(self.cap);
-        self.attempt = self.attempt.saturating_add(1);
-        let base_ns = self.base.as_nanos() as u64;
-        let ceil_ns = (ceiling.as_nanos() as u64).max(base_ns);
-        let span = ceil_ns - base_ns;
-        let jittered = if span == 0 {
-            base_ns
-        } else {
-            base_ns + self.state % (span + 1)
-        };
-        Duration::from_nanos(jittered)
-    }
-
-    /// Restarts the schedule (the jitter stream keeps advancing, so a
-    /// reset schedule does not replay the same delays).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-}
-
-/// Scheduler/worker-pool configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceConfig {
-    /// Scheduler worker threads (clamped to at least 1).
-    pub workers: usize,
-    /// Per-request result quota for [`CfpqService::enqueue_paths`]: the
-    /// total number of paths one request may receive across all its
-    /// pairs. Pages cut by the quota come back with `exhausted: false`
-    /// (and count into [`ServiceStats::pages_truncated`]), so clients
-    /// can resume with `offset` paging instead of silently losing tail
-    /// results.
-    pub path_quota: usize,
-    /// Backpressure bound: the maximum number of requests that may sit
-    /// in the scheduler queues at once. `enqueue*` beyond this point
-    /// sheds the request with [`ServiceError::Overloaded`] (counted in
-    /// [`ServiceStats::requests_shed`]) instead of queueing without
-    /// bound.
-    pub max_queued: usize,
-    /// Deadline attached to every enqueued request, measured from
-    /// enqueue time. A request still queued past its deadline is
-    /// dropped loudly at dispatch ([`ServiceError::Deadline`], counted
-    /// in [`ServiceStats::deadline_expired`]). `None` (the default)
-    /// disables service-side deadlines; [`Ticket::wait_timeout`] bounds
-    /// the caller side independently.
-    pub default_deadline: Option<Duration>,
-    /// Bound on the [`CfpqService::shutdown`] /
-    /// `Drop` drain: workers get this long to serve what is queued,
-    /// then every still-queued ticket resolves to
-    /// [`ServiceError::ShuttingDown`]. The drop path must never block
-    /// forever on queued work.
-    pub drain_deadline: Duration,
-}
-
-impl ServiceConfig {
-    /// A config with `workers` scheduler threads and the default path
-    /// quota, queue bound, and drain deadline (no request deadline).
-    pub fn new(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            path_quota: 1024,
-            max_queued: 4096,
-            default_deadline: None,
-            drain_deadline: Duration::from_secs(5),
-        }
-    }
-
-    /// Overrides the per-request all-path result quota.
-    pub fn with_path_quota(mut self, quota: usize) -> Self {
-        self.path_quota = quota;
-        self
-    }
-
-    /// Overrides the backpressure bound (clamped to at least 1).
-    pub fn with_max_queued(mut self, max_queued: usize) -> Self {
-        self.max_queued = max_queued.max(1);
-        self
-    }
-
-    /// Attaches a deadline to every enqueued request.
-    pub fn with_default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Overrides the bounded shutdown drain.
-    pub fn with_drain_deadline(mut self, deadline: Duration) -> Self {
-        self.drain_deadline = deadline;
-        self
-    }
-
-    /// Derives the config *and* the kernel device from one
-    /// [`Parallelism`] budget, so the scheduler pool and the `Device`
-    /// pool cannot oversubscribe the machine between them. Pass the
-    /// returned device into the engine (for the `-par` backends).
-    pub fn from_parallelism(
-        budget: Parallelism,
-        requested_workers: usize,
-    ) -> (Self, cfpq_matrix::Device) {
-        let (workers, device) = budget.split(requested_workers);
-        (Self::new(workers), device)
-    }
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self::new(2)
-    }
-}
-
-/// Per-epoch service counters (see [`CfpqService::stats`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServiceStats {
-    /// Epoch number (0 = the build epoch).
-    pub epoch: u64,
-    /// Wall time to build and publish this epoch, milliseconds: index
-    /// build for epoch 0, clone + closure repairs + atomic swap for
-    /// every later epoch. Readers of the previous epoch were never
-    /// blocked during this window.
-    pub publish_ms: f64,
-    /// Requests answered against this epoch (scheduler requests plus
-    /// direct snapshot evaluations).
-    pub queries_served: u64,
-    /// Scheduler batches served (each batch shares one closure lookup).
-    pub batches: u64,
-    /// Evaluations answered from an already-solved closure (an `Arc`
-    /// bump, no kernel work) — including named-pair batches whose rows
-    /// a source-restricted closure already held.
-    pub cache_hits: u64,
-    /// Closures cold-solved in this epoch: all-pairs ones, and the first
-    /// source-restricted solve of each query.
-    pub cold_solves: u64,
-    /// Matrix products launched by those cold solves and by extensions
-    /// of source-restricted closures.
-    pub cold_products: u64,
-    /// Closures repaired from the previous epoch at publish time.
-    pub repairs: u64,
-    /// Matrix products launched by those repairs (the incremental cost
-    /// of the update; compare with `cold_products`).
-    pub repair_products: u64,
-    /// Witness paths streamed to [`CfpqService::enqueue_paths`] tickets
-    /// answered against this epoch.
-    pub paths_served: u64,
-    /// Path pages returned non-exhausted (cut by the request's `limit`
-    /// or the service's `path_quota`) — nonzero means some client saw a
-    /// truncated page and may want to resume with `offset` paging.
-    pub pages_truncated: u64,
-    /// Batches whose worker panicked mid-serve; each resolved its
-    /// tickets to [`ServiceError::WorkerPanicked`] instead of hanging
-    /// them or poisoning the scheduler.
-    pub worker_panics: u64,
-    /// Workers respawned by their supervisor loop after a panic
-    /// escaped a batch. Pairs with `worker_panics`: the pool heals
-    /// itself instead of shrinking.
-    pub worker_restarts: u64,
-    /// Requests shed at enqueue time because the queue was at
-    /// [`ServiceConfig::max_queued`] ([`ServiceError::Overloaded`]).
-    pub requests_shed: u64,
-    /// Requests dropped at dispatch because their deadline had expired
-    /// ([`ServiceError::Deadline`]).
-    pub deadline_expired: u64,
-}
-
-#[derive(Default)]
-struct EpochCounters {
-    queries_served: AtomicU64,
-    batches: AtomicU64,
-    cache_hits: AtomicU64,
-    cold_solves: AtomicU64,
-    cold_products: AtomicU64,
-    repairs: AtomicU64,
-    repair_products: AtomicU64,
-    paths_served: AtomicU64,
-    pages_truncated: AtomicU64,
-}
-
-/// Observability bundle shared by every service thread: the installed
-/// [`Recorder`] (a [`NoopRecorder`] unless the service was built with
-/// [`CfpqService::with_observability`]), the [`MetricsRegistry`] behind
-/// [`CfpqService::metrics`], and pre-resolved handles for the hot-path
-/// metrics so workers never touch the registry lock per request.
-///
-/// The failure counters (`requests_shed`, `deadline_expired`,
-/// `worker_panics`, `worker_restarts`) live *here*, not in
-/// [`EpochCounters`]: the registry is their single source of truth, and
-/// [`CfpqService::stats`] derives the per-epoch view by differencing the
-/// [`FailureSnapshot`] each epoch records at publish time.
-struct Obs {
-    recorder: Arc<dyn Recorder>,
-    /// `recorder.is_enabled()` at install time, cached — span plumbing
-    /// (ticket spans, recorder installs on worker threads) is skipped
-    /// entirely when false.
-    enabled: bool,
-    metrics: Arc<MetricsRegistry>,
-    ticket_wait_us: Histogram,
-    ticket_run_us: Histogram,
-    publish_us: Histogram,
-    queue_depth: Gauge,
-    queue_depth_max: Gauge,
-    requests_shed: Counter,
-    deadline_expired: Counter,
-    worker_panics: Counter,
-    worker_restarts: Counter,
-}
-
-impl Obs {
-    fn new(recorder: Arc<dyn Recorder>) -> Self {
-        let metrics = Arc::new(MetricsRegistry::new());
-        metrics.describe(
-            "cfpq_ticket_wait_us",
-            "Microseconds a request spent queued before a worker dispatched its batch",
-        );
-        metrics.describe(
-            "cfpq_ticket_run_us",
-            "Microseconds from batch dispatch to ticket resolve (shared across the batch)",
-        );
-        metrics.describe(
-            "cfpq_epoch_publish_us",
-            "Microseconds to build and publish an epoch (clone + closure repairs + swap)",
-        );
-        metrics.describe(
-            "cfpq_queue_depth",
-            "Requests sitting in the scheduler queues right now",
-        );
-        metrics.describe(
-            "cfpq_queue_depth_max",
-            "High-water mark of cfpq_queue_depth over the service lifetime",
-        );
-        metrics.describe(
-            "cfpq_requests_shed_total",
-            "Requests shed at enqueue because the queue was at max_queued",
-        );
-        metrics.describe(
-            "cfpq_deadline_expired_total",
-            "Requests dropped at dispatch because their deadline had expired",
-        );
-        metrics.describe(
-            "cfpq_worker_panics_total",
-            "Batches whose worker panicked mid-serve (tickets resolved WorkerPanicked)",
-        );
-        metrics.describe(
-            "cfpq_worker_restarts_total",
-            "Workers respawned by their supervisor loop after a panic",
-        );
-        Self {
-            enabled: recorder.is_enabled(),
-            ticket_wait_us: metrics.histogram("cfpq_ticket_wait_us"),
-            ticket_run_us: metrics.histogram("cfpq_ticket_run_us"),
-            publish_us: metrics.histogram("cfpq_epoch_publish_us"),
-            queue_depth: metrics.gauge("cfpq_queue_depth"),
-            queue_depth_max: metrics.gauge("cfpq_queue_depth_max"),
-            requests_shed: metrics.counter("cfpq_requests_shed_total"),
-            deadline_expired: metrics.counter("cfpq_deadline_expired_total"),
-            worker_panics: metrics.counter("cfpq_worker_panics_total"),
-            worker_restarts: metrics.counter("cfpq_worker_restarts_total"),
-            recorder,
-            metrics,
-        }
-    }
-
-    /// The registry-backed failure counters, read once — epoch publish
-    /// stores this so [`CfpqService::stats`] can difference per epoch.
-    fn failure_snapshot(&self) -> FailureSnapshot {
-        FailureSnapshot {
-            worker_panics: self.worker_panics.get(),
-            worker_restarts: self.worker_restarts.get(),
-            requests_shed: self.requests_shed.get(),
-            deadline_expired: self.deadline_expired.get(),
-        }
-    }
-
-    /// Closes a ticket span and charges the wait/run histograms. Called
-    /// by whichever thread resolves the request (worker, panic sweep, or
-    /// shutdown drain); `dispatched` is when a worker took the batch
-    /// (resolve time for requests that never got one).
-    fn finish_ticket(
-        &self,
-        span: SpanId,
-        enqueued_at: Instant,
-        dispatched: Instant,
-        outcome: &'static str,
-    ) {
-        let wait_us = dispatched.duration_since(enqueued_at).as_micros() as u64;
-        let run_us = dispatched.elapsed().as_micros() as u64;
-        self.ticket_wait_us.observe(wait_us);
-        self.ticket_run_us.observe(run_us);
-        if !span.is_none() {
-            self.recorder.end(
-                span,
-                vec![
-                    ("wait_us", AttrValue::U64(wait_us)),
-                    ("run_us", AttrValue::U64(run_us)),
-                    ("outcome", AttrValue::Str(outcome)),
-                ],
-            );
-        }
-    }
-}
-
-/// Values of the four registry failure counters at one instant (taken
-/// at epoch publish). [`CfpqService::stats`] attributes to epoch `i`
-/// whatever happened between its publish and the next one's.
-#[derive(Clone, Copy, Debug, Default)]
-struct FailureSnapshot {
-    worker_panics: u64,
-    worker_restarts: u64,
-    requests_shed: u64,
-    deadline_expired: u64,
-}
-
-/// A per-epoch cache of lazily-solved values: one `OnceLock` cell per
-/// query, so concurrent readers of the same unsolved query block on a
-/// single solve instead of racing duplicates. If a solve panics, the
-/// cell stays empty (`OnceLock::get_or_init` leaves an uninitialized
-/// cell on unwind) — the next reader simply retries the solve.
-struct CacheMap<V> {
-    cells: Mutex<HashMap<usize, Arc<OnceLock<Arc<V>>>>>,
-}
-
-impl<V> CacheMap<V> {
-    fn new() -> Self {
-        Self {
-            cells: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The cell of query `k` (created empty on first touch). The map
-    /// lock is only held for the lookup; solving happens on the cell.
-    fn cell(&self, k: usize) -> Arc<OnceLock<Arc<V>>> {
-        lock_recover(&self.cells).entry(k).or_default().clone()
-    }
-
-    /// Pre-fills query `k` (the epoch builder installing a repaired
-    /// closure).
-    fn preset(&self, k: usize, v: Arc<V>) {
-        let cell = self.cell(k);
-        let _ = cell.set(v);
-    }
-
-    /// Every solved entry at this moment (cells still solving are
-    /// skipped; their result stays usable on the epoch that owns them).
-    fn filled(&self) -> Vec<(usize, Arc<V>)> {
-        lock_recover(&self.cells)
-            .iter()
-            .filter_map(|(&k, cell)| cell.get().map(|v| (k, v.clone())))
-            .collect()
-    }
-
-    /// Solves (or fetches) the closure of query `q` of `queries` on
-    /// `epoch`, to which this cache belongs; returns it with the query.
-    fn solve_or_fetch<E: ServiceEngine>(
-        &self,
-        queries: &RwLock<Vec<Arc<PreparedQuery>>>,
-        epoch: &Epoch<E>,
-        q: usize,
-    ) -> Result<(Arc<PreparedQuery>, Arc<V>), ServiceError>
-    where
-        V: CachedClosure<E>,
-    {
-        let prepared = registered(queries, q)?;
-        let cold = Cell::new(false);
-        let solved = self
-            .cell(q)
-            .get_or_init(|| {
-                cold.set(true);
-                let solved = V::cold_solve(&epoch.index, &prepared);
-                let products = solved.stats().products_computed as u64;
-                let counters = &epoch.counters;
-                counters.cold_solves.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .cold_products
-                    .fetch_add(products, Ordering::Relaxed);
-                Arc::new(solved)
-            })
-            .clone();
-        if !cold.get() {
-            epoch.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((prepared, solved))
-    }
-
-    /// The next epoch's cache: every closure solved here, repaired for
-    /// `batch`, which `index` (the next epoch's) has absorbed. The
-    /// published epoch keeps serving the originals — `Arc::make_mut`
-    /// repairs a copy.
-    fn carry_over<E: ServiceEngine>(
-        &self,
-        queries: &RwLock<Vec<Arc<PreparedQuery>>>,
-        index: &GraphIndex<E>,
-        batch: &EdgeBatch,
-        counters: &EpochCounters,
-    ) -> Self
-    where
-        V: CachedClosure<E>,
-    {
-        let queries = read_recover(queries).clone();
-        let batches = std::slice::from_ref(batch);
-        let next = Self::new();
-        for (q, mut solved) in self.filled() {
-            let stats = Arc::make_mut(&mut solved).repair(index, &queries[q], batches);
-            counters.repairs.fetch_add(1, Ordering::Relaxed);
-            counters
-                .repair_products
-                .fetch_add(stats.products_computed as u64, Ordering::Relaxed);
-            next.preset(q, solved);
-        }
-        next
-    }
-}
-
-/// Query `id` of `queries`. Handles come from outside, so every entry
-/// point that takes one — `enqueue*`, the snapshot reads — checks it
-/// here and nowhere else.
-fn registered(
-    queries: &RwLock<Vec<Arc<PreparedQuery>>>,
-    id: usize,
-) -> Result<Arc<PreparedQuery>, ServiceError> {
-    let queries = read_recover(queries);
-    let registered = queries.len();
-    let found = queries.get(id).cloned();
-    found.ok_or(ServiceError::UnknownQuery { id, registered })
-}
-
-/// One immutable version of the graph: the index, the per-query closure
-/// caches, and the counters charged to this epoch.
-struct Epoch<E: ServiceEngine> {
-    epoch: u64,
-    index: GraphIndex<E>,
-    rel: CacheMap<RelationalIndex<E::Matrix>>,
-    /// The lazy answer over each `rel` closure, created when a snapshot
-    /// read or a full-answer ticket first asks for one and shared by all
-    /// later ones, so a relation is extracted at most once per epoch.
-    answers: CacheMap<QueryAnswer>,
-    /// Per query, the source-restricted closure that named-pair tickets
-    /// grow while the epoch holds no all-pairs closure for it: extended
-    /// when a ticket names rows outside it, never carried into the next
-    /// epoch. `None` until the first such ticket — and again after a
-    /// solve that panicked, which takes the closure down with it.
-    sources: CacheMap<Mutex<Option<SourceClosure<E::Matrix>>>>,
-    sp: CacheMap<SinglePathIndex<<E as LenEngine>::LenMatrix>>,
-    counters: Arc<EpochCounters>,
-}
-
-struct EpochRecord {
-    epoch: u64,
-    publish_ms: f64,
-    counters: Arc<EpochCounters>,
-    /// Registry failure-counter values when this epoch was published —
-    /// the baseline [`CfpqService::stats`] differences against.
-    failures_at_publish: FailureSnapshot,
-}
-
-/// One queue per registered query: requests for the same grammar batch
-/// together and share a single closure lookup.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum QueueKey {
-    Rel(usize),
-    Sp(usize),
-    /// All-path enumeration over the relational query `q` — shares the
-    /// rel closure cache (the pruning oracle) but queues separately so a
-    /// path batch amortizes one enumerator across its requests.
-    Paths(usize),
-}
-
-struct Request {
-    pairs: Vec<(u32, u32)>,
-    /// Page bounds for `QueueKey::Paths` requests; `None` elsewhere.
-    page: Option<PageRequest>,
-    /// Absolute expiry instant ([`ServiceConfig::default_deadline`]);
-    /// checked at dispatch time.
-    deadline: Option<Instant>,
-    ticket: Arc<TicketState>,
-    /// When the request entered the queue — the wait-vs-run split of the
-    /// ticket lifecycle is measured from here.
-    enqueued_at: Instant,
-    /// The open `"ticket"` span ([`SpanId::NONE`] when tracing is off):
-    /// started at enqueue, closed by whichever thread resolves the
-    /// request.
-    span: SpanId,
-}
-
-struct SchedState {
-    queues: BTreeMap<QueueKey, VecDeque<Request>>,
-    /// Keys with pending requests, in arrival order (a key appears here
-    /// iff its queue exists and is non-empty).
-    round_robin: VecDeque<QueueKey>,
-    /// Total requests currently queued (the backpressure gauge; freed
-    /// when a worker takes the batch, whether or not anyone waits on
-    /// its tickets).
-    queued: usize,
-    /// Set by [`CfpqService::shutdown`]: no new requests are accepted,
-    /// and workers exit once the queues are empty.
-    shutdown: bool,
-}
-
-struct SchedShared {
-    state: Mutex<SchedState>,
-    available: Condvar,
-    /// Notified whenever a worker empties the queues — the bounded
-    /// shutdown drain waits on this instead of polling.
-    drained: Condvar,
-}
-
 struct Inner<E: ServiceEngine> {
     config: ServiceConfig,
     queries: RwLock<Vec<Arc<PreparedQuery>>>,
@@ -836,156 +203,6 @@ struct Inner<E: ServiceEngine> {
     obs: Obs,
 }
 
-/// One endpoint pair's page of an [`CfpqService::enqueue_paths`]
-/// answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PairPaths {
-    /// Source node.
-    pub from: u32,
-    /// Target node.
-    pub to: u32,
-    /// The page's witness paths, in (length, lexicographic) order.
-    pub paths: Vec<Vec<Edge>>,
-    /// `false` iff the page was cut by the request's `limit` or the
-    /// service's `path_quota` — more paths exist within `max_len`; page
-    /// on with a larger `offset`.
-    pub exhausted: bool,
-}
-
-/// The result a [`Ticket`] resolves to.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TicketAnswer {
-    /// The epoch the request was answered against — the request's
-    /// linearization point in the epoch order.
-    pub epoch: u64,
-    /// If the request named pairs: the subset of them in `R_S` (sorted).
-    /// If it named none: all of `R_S`.
-    pub pairs: Vec<(u32, u32)>,
-    /// For [`CfpqService::enqueue_paths`] requests: one page per
-    /// answered pair (aligned with `pairs`), all enumerated against the
-    /// same epoch. `None` for relational and single-path requests.
-    pub paths: Option<Vec<PairPaths>>,
-    /// Per-request scheduling profile, populated only when the service
-    /// was built with [`CfpqService::with_observability`] — `None` on an
-    /// uninstrumented service, so answers stay deterministic there.
-    pub trace: Option<QueryTrace>,
-}
-
-/// The scheduling profile of one answered request (see
-/// [`TicketAnswer::trace`]): where its latency went, and the id of its
-/// `"ticket"` span in the installed [`Recorder`] for correlation with
-/// the exported trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryTrace {
-    /// The epoch the request was answered against.
-    pub epoch: u64,
-    /// Microseconds from enqueue to batch dispatch (queue wait).
-    pub wait_us: u64,
-    /// Microseconds from dispatch to resolve. The batch is served as a
-    /// unit, so this is shared by every request batched together.
-    pub run_us: u64,
-    /// Requests served in the same batch (including this one).
-    pub batch_size: u32,
-    /// The request's `"ticket"` span id ([`SpanId::NONE`] when the
-    /// installed recorder is disabled).
-    pub span: SpanId,
-}
-
-/// What a ticket resolves to: the answer, or a typed error.
-pub type TicketResult = Result<TicketAnswer, ServiceError>;
-
-#[derive(Default)]
-struct TicketState {
-    slot: Mutex<Option<TicketResult>>,
-    ready: Condvar,
-}
-
-impl TicketState {
-    /// Resolves the ticket — first write wins, so a panic-recovery
-    /// sweep can blanket-fail a batch without clobbering requests the
-    /// worker already answered. Returns whether this call resolved it.
-    fn resolve(&self, outcome: TicketResult) -> bool {
-        let mut slot = lock_recover(&self.slot);
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(outcome);
-        self.ready.notify_all();
-        true
-    }
-}
-
-/// A claim on an enqueued request; [`Ticket::wait`] blocks until a
-/// scheduler worker has resolved it — to an answer or a typed
-/// [`ServiceError`], never a hang. Dropping a ticket without waiting is
-/// fine: its queue slot is freed when the batch is dispatched, and the
-/// un-awaited answer is simply discarded.
-pub struct Ticket {
-    state: Arc<TicketState>,
-}
-
-impl std::fmt::Debug for Ticket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ticket")
-            .field("resolved", &self.try_peek())
-            .finish()
-    }
-}
-
-impl Ticket {
-    /// Blocks until the request is resolved and returns the outcome
-    /// (consuming the ticket — the answer is moved out, not copied,
-    /// which matters for relation-sized results).
-    pub fn wait(self) -> TicketResult {
-        let mut slot = lock_recover(&self.state.slot);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self
-                .state
-                .ready
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// [`Ticket::wait`] bounded by a timeout: `Ok(outcome)` if the
-    /// request resolved in time, `Err(self)` (the ticket, still
-    /// waitable) if the timeout elapsed first — a local timeout does
-    /// not cancel the queued request, it only stops this wait.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<TicketResult, Ticket> {
-        self.wait_deadline(Instant::now() + timeout)
-    }
-
-    /// [`Ticket::wait_timeout`] against an absolute deadline.
-    pub fn wait_deadline(self, deadline: Instant) -> Result<TicketResult, Ticket> {
-        let mut slot = lock_recover(&self.state.slot);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return Ok(outcome);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(slot);
-                return Err(self);
-            }
-            let (s, _timed_out) = self
-                .state
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = s;
-        }
-    }
-
-    /// The outcome, if already resolved (never blocks; leaves the
-    /// ticket waitable).
-    pub fn try_peek(&self) -> Option<TicketResult> {
-        lock_recover(&self.state.slot).clone()
-    }
-}
-
 /// A thread-safe, snapshot-isolated CFPQ query service over one evolving
 /// graph. See the crate docs for the architecture; in short: readers
 /// evaluate against immutable epochs ([`CfpqService::snapshot`]),
@@ -995,478 +212,6 @@ impl Ticket {
 pub struct CfpqService<E: ServiceEngine> {
     inner: Arc<Inner<E>>,
     workers: Vec<JoinHandle<()>>,
-}
-
-/// An immutable view of one epoch: evaluations against a snapshot are
-/// repeatable — later [`CfpqService::add_edges`] calls publish *new*
-/// epochs and never mutate this one.
-pub struct Snapshot<E: ServiceEngine> {
-    inner: Arc<Inner<E>>,
-    epoch: Arc<Epoch<E>>,
-}
-
-impl<E: ServiceEngine> Clone for Snapshot<E> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-            epoch: Arc::clone(&self.epoch),
-        }
-    }
-}
-
-impl<E: ServiceEngine> Snapshot<E> {
-    /// The epoch this snapshot pins.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.epoch
-    }
-
-    /// `|V|` of the pinned epoch.
-    pub fn n_nodes(&self) -> usize {
-        self.epoch.index.n_nodes()
-    }
-
-    /// Stored edges of the pinned epoch.
-    pub fn n_edges(&self) -> usize {
-        self.epoch.index.n_edges()
-    }
-
-    /// Evaluates a prepared relational query against this epoch. The
-    /// first evaluation of a query in an epoch solves (or inherits the
-    /// repaired) closure; every later one is an `Arc` bump. The answer
-    /// is a lazy view shared by the whole epoch: a relation is extracted
-    /// by whoever reads its pairs first.
-    ///
-    /// # Panics
-    ///
-    /// If `id` was not registered with this service; callers passing
-    /// handles on from elsewhere should use [`Snapshot::try_evaluate`].
-    pub fn evaluate(&self, id: QueryId) -> QueryAnswer {
-        self.try_evaluate(id)
-            .expect("query not registered in this service")
-    }
-
-    /// [`Snapshot::evaluate`] with the handle check surfaced as
-    /// [`ServiceError::UnknownQuery`] instead of a panic.
-    pub fn try_evaluate(&self, id: QueryId) -> Result<QueryAnswer, ServiceError> {
-        let epoch = &*self.epoch;
-        let (prepared, solved) = epoch.rel.solve_or_fetch(&self.inner.queries, epoch, id.0)?;
-        epoch
-            .counters
-            .queries_served
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(epoch_answer(epoch, id.0, &prepared, &solved))
-    }
-
-    /// Evaluates a prepared single-path query against this epoch; the
-    /// returned index supports witness extraction
-    /// ([`cfpq_core::single_path::extract_path`]) as usual.
-    ///
-    /// # Panics
-    ///
-    /// If `id` was not registered with this service; callers passing
-    /// handles on from elsewhere should use
-    /// [`Snapshot::try_evaluate_single_path`].
-    pub fn evaluate_single_path(
-        &self,
-        id: SinglePathId,
-    ) -> Arc<SinglePathIndex<<E as LenEngine>::LenMatrix>> {
-        self.try_evaluate_single_path(id)
-            .expect("query not registered in this service")
-    }
-
-    /// [`Snapshot::evaluate_single_path`] with the handle check surfaced
-    /// as [`ServiceError::UnknownQuery`] instead of a panic.
-    pub fn try_evaluate_single_path(
-        &self,
-        id: SinglePathId,
-    ) -> Result<Arc<SinglePathIndex<<E as LenEngine>::LenMatrix>>, ServiceError> {
-        let epoch = &*self.epoch;
-        let (_, solved) = epoch
-            .sp
-            .solve_or_fetch(&self.inner.sp_queries, epoch, id.0)?;
-        epoch
-            .counters
-            .queries_served
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(solved)
-    }
-}
-
-/// The epoch's shared lazy answer over `solved`, the closure of query
-/// `q` on `epoch`.
-fn epoch_answer<E: ServiceEngine>(
-    epoch: &Epoch<E>,
-    q: usize,
-    prepared: &PreparedQuery,
-    solved: &Arc<RelationalIndex<E::Matrix>>,
-) -> QueryAnswer {
-    let cell = epoch.answers.cell(q);
-    let answer = cell.get_or_init(|| {
-        Arc::new(QueryAnswer::from_shared(
-            epoch.index.engine().name(),
-            prepared.wcnf(),
-            Arc::clone(solved),
-        ))
-    });
-    QueryAnswer::clone(answer)
-}
-
-/// The requested pairs that `related` holds, sorted and deduplicated.
-/// Tickets come from outside: a pair naming a node id `≥ n` is related
-/// to nothing and must not reach the matrices, whose reads are not
-/// range-checked.
-fn probe_pairs(
-    wanted: &[(u32, u32)],
-    n: usize,
-    related: impl Fn(u32, u32) -> bool,
-) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = wanted
-        .iter()
-        .copied()
-        .filter(|&(i, j)| (i as usize) < n && (j as usize) < n && related(i, j))
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// The pairs a relational or paths ticket is answered with: the
-/// requested ones probed on the closure, or — for a ticket naming none —
-/// all of `R_S`, extracted once per epoch.
-fn rel_targets<E: ServiceEngine>(
-    epoch: &Epoch<E>,
-    q: usize,
-    prepared: &PreparedQuery,
-    solved: &Arc<RelationalIndex<E::Matrix>>,
-    wanted: &[(u32, u32)],
-) -> Vec<(u32, u32)> {
-    if wanted.is_empty() {
-        return epoch_answer(epoch, q, prepared, solved)
-            .start_pairs()
-            .to_vec();
-    }
-    let start = prepared.wcnf().start;
-    probe_pairs(wanted, solved.n_nodes, |i, j| solved.contains(start, i, j))
-}
-
-/// Answers a batch of named-pair requests for query `q` from the
-/// epoch's source-restricted closure, first extending it to the source
-/// nodes the batch names (one extension for the whole batch). Charged
-/// like the all-pairs path: the first solve of a query in an epoch is a
-/// cold solve, every product goes to `cold_products`, and a batch whose
-/// rows were all solved already — no kernel ran — is a cache hit.
-fn probe_sources<E: ServiceEngine>(
-    epoch: &Epoch<E>,
-    q: usize,
-    prepared: &PreparedQuery,
-    batch: &VecDeque<Request>,
-) -> Vec<Vec<(u32, u32)>> {
-    let cell = epoch.sources.cell(q);
-    let mut slot = lock_recover(cell.get_or_init(Default::default));
-    // Taken out for the solve: if it panics the closure unwinds with it
-    // and the next ticket starts over, rather than reading one that
-    // stopped half-way to its fixpoint.
-    let taken = slot.take();
-    let first = taken.is_none();
-    let sources: Vec<u32> = batch
-        .iter()
-        .flat_map(|req| req.pairs.iter().map(|&(i, _)| i))
-        .collect();
-    let (closure, products) = match taken {
-        Some(mut closure) => {
-            let stats = extend_prepared_from(&epoch.index, prepared, &mut closure, &sources);
-            (closure, stats.products_computed)
-        }
-        None => {
-            let closure = solve_prepared_from(&epoch.index, prepared, &sources);
-            let products = closure.stats().products_computed;
-            (closure, products)
-        }
-    };
-    let counters = &epoch.counters;
-    if first {
-        counters.cold_solves.fetch_add(1, Ordering::Relaxed);
-    } else if products == 0 {
-        counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    counters
-        .cold_products
-        .fetch_add(products as u64, Ordering::Relaxed);
-    let start = prepared.wcnf().start;
-    let closure = slot.insert(closure);
-    batch
-        .iter()
-        .map(|req| {
-            probe_pairs(&req.pairs, closure.n_nodes(), |i, j| {
-                closure.contains(start, i, j)
-            })
-        })
-        .collect()
-}
-
-/// One scheduler worker: drain a query's whole queue, evaluate that
-/// query once against the current epoch, answer every request from it.
-///
-/// Each batch runs under `catch_unwind`: a panic mid-serve (a buggy or
-/// fault-injected engine, a malformed query) resolves the batch's
-/// still-pending tickets to [`ServiceError::WorkerPanicked`] and is
-/// then propagated to the supervisor loop in [`spawn_worker`], which
-/// respawns the worker logic. The batch is the blast radius; the
-/// scheduler, the epoch caches, and every other queue keep serving.
-fn worker_loop<E: ServiceEngine>(inner: &Inner<E>) {
-    loop {
-        let (key, batch) = {
-            let mut st = lock_recover(&inner.sched.state);
-            loop {
-                if let Some(key) = st.round_robin.pop_front() {
-                    let queue = st.queues.remove(&key).expect("round-robin key has a queue");
-                    st.queued -= queue.len();
-                    inner.obs.queue_depth.set(st.queued as u64);
-                    if st.queued == 0 {
-                        inner.sched.drained.notify_all();
-                    }
-                    break (key, queue);
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = inner
-                    .sched
-                    .available
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        // Deadline-expired requests are dropped loudly *before* the
-        // batch pays for any kernel work on their behalf.
-        let dispatched = Instant::now();
-        let (live, expired): (VecDeque<Request>, VecDeque<Request>) = batch
-            .into_iter()
-            .partition(|r| r.deadline.is_none_or(|d| dispatched < d));
-        if !expired.is_empty() {
-            inner.obs.deadline_expired.add(expired.len() as u64);
-            for req in expired {
-                req.ticket.resolve(Err(ServiceError::Deadline));
-                inner
-                    .obs
-                    .finish_ticket(req.span, req.enqueued_at, dispatched, "deadline");
-            }
-        }
-        if live.is_empty() {
-            continue;
-        }
-        // Kept outside the catch_unwind so the panic sweep can fail the
-        // batch's unanswered tickets and close their spans.
-        let tickets: Vec<(Arc<TicketState>, SpanId, Instant)> = live
-            .iter()
-            .map(|r| (Arc::clone(&r.ticket), r.span, r.enqueued_at))
-            .collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_batch(inner, key, live, dispatched)
-        }));
-        if let Err(payload) = outcome {
-            inner.obs.worker_panics.inc();
-            // First-write-wins: requests the worker answered before the
-            // panic keep their answers (and already-closed spans); the
-            // rest fail typed.
-            for (t, span, enqueued_at) in &tickets {
-                if t.resolve(Err(ServiceError::WorkerPanicked)) {
-                    inner
-                        .obs
-                        .finish_ticket(*span, *enqueued_at, dispatched, "panic");
-                }
-            }
-            // Hand the panic to the supervisor so the worker is
-            // accounted as died-and-respawned.
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// Spawns one supervised scheduler worker: the supervisor loop catches
-/// panics escaping [`worker_loop`], counts the restart, and re-enters
-/// the loop — the pool never shrinks below its configured size while
-/// the service lives.
-fn spawn_worker<E: ServiceEngine>(inner: Arc<Inner<E>>, i: usize) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("cfpq-service-{i}"))
-        .spawn(move || {
-            // Workers carry the service's recorder so solve/sweep/kernel
-            // spans from batches they serve land in the same trace as
-            // the ticket spans. Skipped entirely when tracing is off.
-            let _obs = inner
-                .obs
-                .enabled
-                .then(|| cfpq_obs::install(Arc::clone(&inner.obs.recorder)));
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| worker_loop(&inner))) {
-                    // Clean exit: shutdown with drained queues.
-                    Ok(()) => return,
-                    Err(_) => inner.obs.worker_restarts.inc(),
-                }
-            }
-        })
-        .expect("spawn service worker")
-}
-
-/// Resolves a successfully served request: attaches its [`QueryTrace`]
-/// (on an instrumented service), closes the ticket span, and charges
-/// the wait/run histograms.
-fn resolve_served(
-    obs: &Obs,
-    req: &Request,
-    dispatched: Instant,
-    batch_size: u32,
-    epoch: u64,
-    pairs: Vec<(u32, u32)>,
-    paths: Option<Vec<PairPaths>>,
-) {
-    let trace = obs.enabled.then(|| QueryTrace {
-        epoch,
-        wait_us: dispatched.duration_since(req.enqueued_at).as_micros() as u64,
-        run_us: dispatched.elapsed().as_micros() as u64,
-        batch_size,
-        span: req.span,
-    });
-    // Metrics and span first: whoever wakes on the ticket may read them
-    // at once, and must find this request in them.
-    obs.finish_ticket(req.span, req.enqueued_at, dispatched, "ok");
-    req.ticket.resolve(Ok(TicketAnswer {
-        epoch,
-        pairs,
-        paths,
-        trace,
-    }));
-}
-
-fn serve_batch<E: ServiceEngine>(
-    inner: &Inner<E>,
-    key: QueueKey,
-    batch: VecDeque<Request>,
-    dispatched: Instant,
-) {
-    let mut batch_sp = cfpq_obs::span("batch");
-    let batch_size = batch.len() as u32;
-    let epoch = read_recover(&inner.current).clone();
-    if batch_sp.is_recording() {
-        batch_sp.attr_str(
-            "queue",
-            match key {
-                QueueKey::Rel(_) => "rel",
-                QueueKey::Sp(_) => "sp",
-                QueueKey::Paths(_) => "paths",
-            },
-        );
-        batch_sp.attr_u64("requests", batch_size as u64);
-        batch_sp.attr_u64("epoch", epoch.epoch);
-    }
-    let counters = &epoch.counters;
-    counters.batches.fetch_add(1, Ordering::Relaxed);
-    counters
-        .queries_served
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    let resolve = |req: &Request, pairs, paths| {
-        let obs = &inner.obs;
-        resolve_served(obs, req, dispatched, batch_size, epoch.epoch, pairs, paths)
-    };
-    // Queued handles were range-checked at enqueue and queries are never
-    // unregistered, so the closure lookups below cannot miss.
-    const CHECKED: &str = "query checked at enqueue";
-    match key {
-        QueueKey::Rel(q) => {
-            // Named pairs need the rows they name; only a full answer —
-            // or an epoch that already has it — reads the whole closure.
-            let all_named = batch.iter().all(|req| !req.pairs.is_empty());
-            if all_named && epoch.rel.cell(q).get().is_none() {
-                let prepared = read_recover(&inner.queries)[q].clone();
-                let answers = probe_sources(&epoch, q, &prepared, &batch);
-                for (req, pairs) in batch.iter().zip(answers) {
-                    resolve(req, pairs, None);
-                }
-            } else {
-                let (prepared, solved) = epoch
-                    .rel
-                    .solve_or_fetch(&inner.queries, &epoch, q)
-                    .expect(CHECKED);
-                for req in &batch {
-                    let pairs = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
-                    resolve(req, pairs, None);
-                }
-            }
-        }
-        QueueKey::Sp(q) => {
-            let (prepared, solved) = epoch
-                .sp
-                .solve_or_fetch(&inner.sp_queries, &epoch, q)
-                .expect(CHECKED);
-            let start = prepared.wcnf().start;
-            // Extracted for the first full-answer request of the batch.
-            let mut full = None;
-            for req in &batch {
-                let pairs = if req.pairs.is_empty() {
-                    full.get_or_insert_with(|| solved.pairs(start)).clone()
-                } else {
-                    probe_pairs(&req.pairs, solved.n_nodes, |i, j| {
-                        solved.contains(start, i, j)
-                    })
-                };
-                resolve(req, pairs, None);
-            }
-        }
-        QueueKey::Paths(q) => {
-            let (prepared, solved) = epoch
-                .rel
-                .solve_or_fetch(&inner.queries, &epoch, q)
-                .expect(CHECKED);
-            let wcnf = prepared.wcnf();
-            let start = wcnf.start;
-            // One enumerator per batch: its memoized length classes are
-            // shared by every request and every pair answered here, and
-            // it reads the same epoch the pruning closure came from —
-            // pages are epoch-consistent by construction.
-            let mut enumerator = PathEnumerator::from_index(&epoch.index, wcnf);
-            let quota = inner.config.path_quota;
-            for req in &batch {
-                let page = req.page.unwrap_or_default();
-                let targets = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
-                // The quota bounds one request's total paths across all
-                // its pairs; a page it cuts short is reported truncated,
-                // never silently clipped.
-                let mut budget = quota;
-                let mut answers = Vec::with_capacity(targets.len());
-                for &(i, j) in &targets {
-                    let result = if page.limit.min(budget) == 0 {
-                        PathPage::truncated()
-                    } else {
-                        enumerator.page(
-                            &solved,
-                            start,
-                            i,
-                            j,
-                            PageRequest {
-                                limit: page.limit.min(budget),
-                                ..page
-                            },
-                        )
-                    };
-                    budget -= result.paths.len();
-                    counters
-                        .paths_served
-                        .fetch_add(result.paths.len() as u64, Ordering::Relaxed);
-                    if !result.exhausted {
-                        counters.pages_truncated.fetch_add(1, Ordering::Relaxed);
-                    }
-                    answers.push(PairPaths {
-                        from: i,
-                        to: j,
-                        paths: result.paths,
-                        exhausted: result.exhausted,
-                    });
-                }
-                resolve(req, targets, Some(answers));
-            }
-        }
-    }
 }
 
 impl<E: ServiceEngine> CfpqService<E> {
@@ -1978,7 +723,9 @@ mod tests {
     use cfpq_core::session::CfpqSession;
     use cfpq_grammar::queries;
     use cfpq_graph::generators;
-    use cfpq_matrix::{DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine};
+    use cfpq_matrix::{
+        DenseEngine, Device, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
+    };
 
     #[test]
     fn service_matches_one_shot_solve() {
