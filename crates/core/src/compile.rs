@@ -488,7 +488,7 @@ mod tests {
             let mut session = CfpqSession::new(SparseEngine, &graph);
             let rsm_id = session.prepare_query(compiled.clone().into_prepared());
             let wcnf = cfg.to_wcnf(CnfOptions::default()).unwrap();
-            let cnf_id = session.prepare_wcnf(wcnf);
+            let cnf_id = session.prepare_query(PreparedQuery::from_wcnf(wcnf));
             let rsm_answer = session.evaluate(rsm_id);
             let cnf_answer = session.evaluate(cnf_id);
             assert_eq!(

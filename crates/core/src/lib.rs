@@ -52,6 +52,6 @@ pub use query::{solve, Backend, QueryAnswer};
 pub use regular::{solve_regular, Nfa};
 pub use relational::{solve_set_matrix, FixpointSolver, RelationalIndex, SolveStats};
 pub use session::{
-    CfpqSession, EdgeBatch, GraphIndex, PreparedQuery, QueryId, RunInfo, SessionError, SinglePathId,
+    CfpqSession, EdgeBatch, GraphIndex, GraphState, PreparedQuery, QueryId, RunInfo, SinglePathId,
 };
 pub use single_path::{solve_single_path_oracle, SinglePathIndex, SinglePathSolver};

@@ -43,12 +43,12 @@
 //! witnesses of a relational query, pruned by the very closure
 //! [`CfpqSession::evaluate`] caches.
 //!
-//! There is one cached-closure lifecycle, not one per query kind:
-//! [`CachedClosure`] says how a kind of closure is cold-solved and
-//! repaired, and one private `refresh` — handle check, cold solve or
-//! repair or cache hit, [`RunInfo`], batch-log watermark — sits behind
-//! every `evaluate*` and `enumerate_paths` call. `cfpq-service` keeps its
-//! per-epoch caches through the same trait.
+//! There is one cached-closure lifecycle, not one per query kind or per
+//! front: a [`GraphState`] holds the index, the prepared queries and one
+//! closure cell per query ([`CachedClosure`] says how each kind of
+//! closure is cold-solved and repaired). A session drives one state
+//! inline and records each read's [`RunInfo`]; a `cfpq-service` epoch is
+//! a state too, whose publish repairs every closure before readers come.
 //!
 //! ```
 //! use cfpq_core::session::CfpqSession;
@@ -82,8 +82,10 @@ use cfpq_grammar::symbol::Interner;
 use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::{Graph, NodeId};
 use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
+use cfpq_obs::SpanGuard;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The persistent matrix form of a graph: one Boolean adjacency matrix
 /// per edge label, built once and updated in place as edges arrive.
@@ -109,8 +111,8 @@ pub struct GraphIndex<E: BoolEngine> {
 }
 
 /// The record of one [`GraphIndex::add_edges`] batch: which `(from, to)`
-/// pairs were genuinely new, per label index. Sessions keep these as the
-/// update log that incremental re-evaluation consumes.
+/// pairs were genuinely new, per label index. A [`GraphState`] keeps it
+/// beside every closure it made stale, for the repair to seed from.
 #[derive(Clone, Debug)]
 pub struct EdgeBatch {
     /// `(label index, new pairs)` — only labels that gained entries.
@@ -383,46 +385,28 @@ impl PreparedQuery {
     }
 }
 
-/// Handle to a (relational) query registered in a [`CfpqSession`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Handle to a relational query prepared on a [`GraphState`] — that of
+/// a [`CfpqSession`] or of a `cfpq-service` service.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct QueryId(usize);
 
-/// Handle to a single-path query registered in a [`CfpqSession`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Handle to a single-path query prepared on a [`GraphState`].
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SinglePathId(usize);
 
-/// Typed failure of the fallible session entry points
-/// ([`CfpqSession::try_evaluate`] and friends). The session is
-/// single-caller, so the only runtime failure is handle confusion —
-/// but layers that serve many callers (the service crate) need it as a
-/// value, not a panic: a request must be rejectable without unwinding
-/// the thread that carries everyone else's work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionError {
-    /// The handle's index is out of range for this session — it was
-    /// forged, or belongs to a different session.
-    UnknownQuery {
-        /// The offending raw id.
-        id: usize,
-        /// How many queries of that kind this session holds.
-        registered: usize,
-    },
-}
-
-impl std::fmt::Display for SessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::UnknownQuery { id, registered } => {
-                write!(
-                    f,
-                    "query {id} is not registered in this session (have {registered})"
-                )
-            }
-        }
+impl QueryId {
+    /// The handle's position among the relational queries of its state.
+    pub fn index(self) -> usize {
+        self.0
     }
 }
 
-impl std::error::Error for SessionError {}
+impl SinglePathId {
+    /// The handle's position among the single-path queries of its state.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
 
 /// What the most recent evaluation of a query actually did: a cold solve
 /// or an incremental repair, and how much kernel work it launched. This
@@ -438,11 +422,11 @@ pub struct RunInfo {
     pub incremental: bool,
 }
 
-/// A closure that sessions and the `cfpq-service` epochs cache per
-/// prepared query — a [`RelationalIndex`] or a [`SinglePathIndex`]: how
-/// it is cold-solved against an index and repaired once the index has
-/// absorbed further edges, so the lifecycle around it (solve once, serve
-/// from the cache, repair after updates) is written once per layer.
+/// A closure that a [`GraphState`] caches per prepared query — a
+/// [`RelationalIndex`] or a [`SinglePathIndex`]: how it is cold-solved
+/// against an index and repaired once the index has absorbed further
+/// edges, so the lifecycle around it (solve once, serve from the cache,
+/// repair after updates) is written once.
 pub trait CachedClosure<E: BoolEngine>: Clone {
     /// Cold solve: seeds straight from the index's label matrices, then
     /// the fixpoint.
@@ -540,89 +524,275 @@ impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatri
     }
 }
 
-/// Per-query cached state, whatever the closure: the prepared grammar,
-/// the solved closure (if any), and how much of the session's edge log
-/// it has absorbed.
-#[derive(Clone)]
-struct CachedQuery<C, D = ()> {
+/// The closure cell of one prepared query, filled by its first read.
+struct Cell<C> {
     query: PreparedQuery,
-    /// Shared with every [`QueryAnswer`] handed out for it; repaired
-    /// through `Arc::make_mut`, so the closure is copied only while a
-    /// caller still holds an answer over it.
-    solved: Option<Arc<C>>,
-    /// Index into the session's batch log: batches before this are
-    /// reflected in `solved`.
-    watermark: usize,
-    last_run: Option<RunInfo>,
-    /// What a reader built from `solved` and the graph state it reflects
-    /// and keeps for the next read — the [`PathEnumerator`] of a
-    /// relational query. Valid for exactly that state, so every cold
-    /// solve and repair drops it.
-    derived: Option<D>,
+    /// The closure, up to date with the index of the state holding it.
+    solved: OnceLock<Arc<C>>,
+    /// A closure solved before the index absorbed the batches beside it.
+    /// Set only while `solved` is empty; the read that repairs it takes
+    /// it whole, so a repair that panics leaves the cell empty.
+    stale: Mutex<Option<(Arc<C>, Vec<EdgeBatch>)>>,
 }
 
-impl<C, D> CachedQuery<C, D> {
+impl<C> Clone for Cell<C> {
+    fn clone(&self) -> Self {
+        let stale = self.stale().clone();
+        Self {
+            query: self.query.clone(),
+            solved: self.solved.clone(),
+            stale: Mutex::new(stale),
+        }
+    }
+}
+
+impl<C> Cell<C> {
     fn new(query: PreparedQuery) -> Self {
+        let (solved, stale) = (OnceLock::new(), Mutex::new(None));
         Self {
             query,
-            solved: None,
-            watermark: 0,
-            last_run: None,
-            derived: None,
+            solved,
+            stale,
         }
     }
 
-    /// How far into the batch log the solved closure has caught up;
-    /// `None` while unsolved (an eventual cold solve reads the index
-    /// directly, so it pins no batch).
-    fn absorbed(&self) -> Option<usize> {
-        self.solved.as_ref().map(|_| self.watermark)
+    fn stale(&self) -> MutexGuard<'_, Option<(Arc<C>, Vec<EdgeBatch>)>> {
+        // Only ever taken or replaced whole: a poisoned value is valid.
+        self.stale.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Brings query `id` of `queries` up to date with `index`, of whose
-    /// history `batches` is the not-yet-compacted tail: cold solve on
-    /// first use, semi-naive repair when batches arrived since it last
-    /// caught up, the cached closure otherwise. The one place a session
-    /// handle is range-checked and `RunInfo` and watermark are written.
-    fn refresh<'q, E: BoolEngine>(
-        queries: &'q mut [Self],
-        id: usize,
-        index: &GraphIndex<E>,
-        batches: &[EdgeBatch],
-    ) -> Result<&'q mut Self, SessionError>
+    /// The closure, cold-solved if the cell is empty, repaired for every
+    /// pending batch in one resume if it is stale, served as it is
+    /// otherwise; with the run the read made (`None` for a hit).
+    fn read<E: BoolEngine>(&self, index: &GraphIndex<E>) -> (&Arc<C>, Option<RunInfo>)
     where
         C: CachedClosure<E>,
     {
-        let registered = queries.len();
-        let state = queries
-            .get_mut(id)
-            .ok_or(SessionError::UnknownQuery { id, registered })?;
-        let mut sp = cfpq_obs::span("session.evaluate");
-        let (outcome, run) = match &mut state.solved {
-            None => {
-                let solved = C::cold_solve(index, &state.query);
-                let stats = solved.stats().clone();
-                state.solved = Some(Arc::new(solved));
-                ("cold", Some((stats, false)))
-            }
-            Some(solved) if state.watermark < batches.len() => {
-                let pending = &batches[state.watermark..];
-                let stats = Arc::make_mut(solved).repair(index, &state.query, pending);
-                ("repair", Some((stats, true)))
-            }
-            Some(_) => ("cached", None),
-        };
-        if let Some((stats, incremental)) = run {
-            state.last_run = Some(RunInfo {
-                sweeps: stats.sweep_nnz.len(),
+        let mut run = None;
+        let solved = self.solved.get_or_init(|| {
+            // Taken by value, not cloned: with no answer holding the
+            // closure, `make_mut` repairs it in place.
+            let (closure, stats, incremental) = match self.stale().take() {
+                Some((mut closure, batches)) => {
+                    let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
+                    (closure, stats, true)
+                }
+                None => {
+                    let closure = C::cold_solve(index, &self.query);
+                    let stats = closure.stats().clone();
+                    (Arc::new(closure), stats, false)
+                }
+            };
+            let sweeps = stats.sweep_nnz.len();
+            run = Some(RunInfo {
                 stats,
+                sweeps,
                 incremental,
             });
-            state.watermark = batches.len();
-            state.derived = None;
+            closure
+        });
+        (solved, run)
+    }
+
+    /// The run of a repair if the cell is stale: empty and solved cells
+    /// are left alone.
+    fn repair_stale<E: BoolEngine>(&self, index: &GraphIndex<E>) -> Option<RunInfo>
+    where
+        C: CachedClosure<E>,
+    {
+        let stale = self.stale().is_some();
+        stale.then(|| self.read(index).1).flatten()
+    }
+
+    /// Makes a solved closure stale for `batch`, which the index just
+    /// absorbed, or adds `batch` to a stale one's. An empty cell stays
+    /// empty: its cold solve reads the index.
+    fn absorb(&mut self, batch: &EdgeBatch) {
+        let stale = self.stale.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(solved) = self.solved.take() {
+            *stale = Some((solved, vec![batch.clone()]));
+        } else if let Some((_, pending)) = stale {
+            pending.push(batch.clone());
         }
-        sp.attr_str("outcome", outcome);
-        Ok(state)
+    }
+}
+
+/// The cells of one query kind, in handle order. Append-only, so a cell
+/// never moves: it is read without a lock, and `push` takes `&self` so a
+/// query can be prepared on a state that readers share. Cell `i` sits in
+/// bucket `⌊log₂(i + 1)⌋`, which holds `2^bucket` cells.
+struct Cells<C> {
+    #[allow(clippy::type_complexity)]
+    buckets: [OnceLock<Box<[OnceLock<Cell<C>>]>>; usize::BITS as usize],
+    /// A count only: each cell is published by its own `OnceLock`.
+    len: AtomicUsize,
+}
+
+impl<C> Cells<C> {
+    fn new() -> Self {
+        let buckets = std::array::from_fn(|_| OnceLock::new());
+        Self {
+            buckets,
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// Bucket and offset of cell `i`.
+    fn locate(i: usize) -> (usize, usize) {
+        let bucket = (i + 1).ilog2() as usize;
+        (bucket, i + 1 - (1 << bucket))
+    }
+
+    fn get(&self, i: usize) -> Option<&Cell<C>> {
+        let (bucket, at) = Self::locate(i);
+        self.buckets[bucket].get()?[at].get()
+    }
+
+    /// Appends `cell`; returns its index.
+    fn push(&self, cell: Cell<C>) -> usize {
+        let i = self.len.fetch_add(1, Ordering::Relaxed);
+        let (bucket, at) = Self::locate(i);
+        let new_bucket = || (0..1 << bucket).map(|_| OnceLock::new()).collect();
+        let cells = self.buckets[bucket].get_or_init(new_bucket);
+        assert!(cells[at].set(cell).is_ok(), "each index is handed out once");
+        i
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Cell<C>> {
+        (0..self.len.load(Ordering::Relaxed)).filter_map(|i| self.get(i))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Cell<C>> {
+        let buckets = self.buckets.iter_mut().filter_map(OnceLock::get_mut);
+        buckets.flat_map(|cells| cells.iter_mut().filter_map(OnceLock::get_mut))
+    }
+}
+
+impl<C> Clone for Cells<C> {
+    fn clone(&self) -> Self {
+        let copy = Self::new();
+        for cell in self.iter() {
+            copy.push(cell.clone());
+        }
+        copy
+    }
+}
+
+/// One version of a graph and what is evaluated against it: the
+/// [`GraphIndex`], the prepared queries of both kinds, and one closure
+/// cell per query, filled by its first read.
+///
+/// A read cold-solves the cell, or repairs the closure it holds for every
+/// batch [`GraphState::add_edges`] added since, in one resume, or hits —
+/// and reports which. Nothing is repaired before a read asks unless the
+/// owner calls [`GraphState::repair_stale`]: a [`CfpqSession`] never
+/// does; a `cfpq-service` publish does, so that readers never repair.
+///
+/// Reads and `prepare*` take `&self`: concurrent readers of an empty cell
+/// wait for one solve, a solve that panics leaves the cell empty, and a
+/// query can be prepared on a state readers share. A clone shares the
+/// closures copy-on-write; a query prepared on either afterwards does not
+/// reach the other.
+#[derive(Clone)]
+pub struct GraphState<E: BoolEngine + LenEngine> {
+    index: GraphIndex<E>,
+    rel: Cells<RelationalIndex<E::Matrix>>,
+    sp: Cells<SinglePathIndex<E::LenMatrix>>,
+}
+
+/// A read of a [`GraphState`] cell: the query, its closure up to date
+/// with the index, and the run the read made (`None` for a hit).
+pub type CellRead<'s, C> = (&'s PreparedQuery, &'s Arc<C>, Option<RunInfo>);
+
+impl<E: BoolEngine + LenEngine> GraphState<E> {
+    /// A state over `index`, with no query prepared.
+    pub fn new(index: GraphIndex<E>) -> Self {
+        let (rel, sp) = (Cells::new(), Cells::new());
+        Self { index, rel, sp }
+    }
+
+    /// The index every read solves against.
+    pub fn index(&self) -> &GraphIndex<E> {
+        &self.index
+    }
+
+    /// Registers a relational query, unsolved until read.
+    pub fn prepare(&self, query: PreparedQuery) -> QueryId {
+        QueryId(self.rel.push(Cell::new(query)))
+    }
+
+    /// Registers a single-path (§5) query, unsolved until read.
+    pub fn prepare_single_path(&self, query: PreparedQuery) -> SinglePathId {
+        SinglePathId(self.sp.push(Cell::new(query)))
+    }
+
+    /// How many relational queries are prepared.
+    pub fn n_queries(&self) -> usize {
+        self.rel.len.load(Ordering::Relaxed)
+    }
+
+    /// How many single-path queries are prepared.
+    pub fn n_single_path_queries(&self) -> usize {
+        self.sp.len.load(Ordering::Relaxed)
+    }
+
+    /// Relational query `id`, if this state holds it.
+    pub fn query(&self, id: QueryId) -> Option<&PreparedQuery> {
+        Some(&self.rel.get(id.0)?.query)
+    }
+
+    /// The closure of relational query `id` as it stands, not solved or
+    /// repaired: `None` while its cell is empty or stale.
+    pub fn solved(&self, id: QueryId) -> Option<&Arc<RelationalIndex<E::Matrix>>> {
+        self.rel.get(id.0)?.solved.get()
+    }
+
+    /// [`GraphState::solved`] for a single-path query.
+    pub fn solved_single_path(
+        &self,
+        id: SinglePathId,
+    ) -> Option<&Arc<SinglePathIndex<E::LenMatrix>>> {
+        self.sp.get(id.0)?.solved.get()
+    }
+
+    /// Reads relational query `id`; `None` if this state holds no such
+    /// query.
+    pub fn evaluate(&self, id: QueryId) -> Option<CellRead<'_, RelationalIndex<E::Matrix>>> {
+        let cell = self.rel.get(id.0)?;
+        let (solved, run) = cell.read(&self.index);
+        Some((&cell.query, solved, run))
+    }
+
+    /// Reads single-path query `id`; `None` if this state holds no such
+    /// query.
+    pub fn evaluate_single_path(
+        &self,
+        id: SinglePathId,
+    ) -> Option<CellRead<'_, SinglePathIndex<E::LenMatrix>>> {
+        let cell = self.sp.get(id.0)?;
+        let (solved, run) = cell.read(&self.index);
+        Some((&cell.query, solved, run))
+    }
+
+    /// Inserts edges into the index ([`GraphIndex::add_edges`]) and makes
+    /// every solved closure stale for the batch; returns how many edges
+    /// were new.
+    pub fn add_edges(&mut self, edges: &[(NodeId, &str, NodeId)]) -> usize {
+        let batch = self.index.add_edges(edges);
+        if batch.inserted > 0 {
+            self.rel.iter_mut().for_each(|cell| cell.absorb(&batch));
+            self.sp.iter_mut().for_each(|cell| cell.absorb(&batch));
+        }
+        batch.inserted
+    }
+
+    /// Repairs every stale closure now, relational queries first, each
+    /// in handle order; `report` gets each repair's run.
+    pub fn repair_stale(&self, report: impl FnMut(RunInfo)) {
+        let index = &self.index;
+        let rel = self.rel.iter().filter_map(|cell| cell.repair_stale(index));
+        let sp = self.sp.iter().filter_map(|cell| cell.repair_stale(index));
+        rel.chain(sp).for_each(report);
     }
 }
 
@@ -636,18 +806,44 @@ impl<C, D> CachedQuery<C, D> {
 /// cached closure is *repaired* semi-naively from exactly the new edges
 /// ([`FixpointSolver::resume`]), which on real workloads launches far
 /// fewer matrix products than a cold solve. Single-path queries and the
-/// path pages of a relational query go through the same lifecycle.
+/// path pages of a relational query go through the same lifecycle: the
+/// session drives one [`GraphState`] inline and records each read.
 #[derive(Clone)]
 pub struct CfpqSession<E: BoolEngine + LenEngine> {
-    index: GraphIndex<E>,
-    /// Log of accepted edge batches; every query's watermark points
-    /// into this.
-    batches: Vec<EdgeBatch>,
-    /// Prepared relational queries with their cached closures and, once
-    /// paged, the memoized enumeration tables.
-    queries: Vec<CachedQuery<RelationalIndex<E::Matrix>, PathEnumerator>>,
-    /// Prepared single-path queries with their cached length closures.
-    sp_queries: Vec<CachedQuery<SinglePathIndex<E::LenMatrix>>>,
+    state: GraphState<E>,
+    /// Per query of each kind, in handle order.
+    rel: Vec<Reads>,
+    sp: Vec<Reads>,
+}
+
+/// What a session keeps of the reads of one query.
+#[derive(Clone, Default)]
+struct Reads {
+    last_run: Option<RunInfo>,
+    /// The enumeration tables paged from the closure the last run left
+    /// (relational queries only). Valid for exactly that closure, so
+    /// every run drops them.
+    paths: Option<PathEnumerator>,
+}
+
+const UNREGISTERED: &str = "query not registered in this session";
+
+/// Closes a read's `"session.evaluate"` span with its outcome. A read
+/// that ran replaces the last run and drops what was built from the
+/// closure it changed.
+fn record(mut sp: SpanGuard, run: Option<RunInfo>, reads: &mut Reads) {
+    let outcome = match &run {
+        None => "cached",
+        Some(run) if run.incremental => "repair",
+        Some(_) => "cold",
+    };
+    sp.attr_str("outcome", outcome);
+    if run.is_some() {
+        *reads = Reads {
+            last_run: run,
+            paths: None,
+        };
+    }
 }
 
 /// Cold-solves a prepared (relational) query against an index: seed
@@ -755,26 +951,20 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// Opens a session over an already-built index.
     pub fn over(index: GraphIndex<E>) -> Self {
         Self {
-            index,
-            batches: Vec::new(),
-            queries: Vec::new(),
-            sp_queries: Vec::new(),
+            state: GraphState::new(index),
+            rel: Vec::new(),
+            sp: Vec::new(),
         }
     }
 
     /// The underlying label-matrix index.
     pub fn index(&self) -> &GraphIndex<E> {
-        &self.index
+        self.state.index()
     }
 
     /// Normalizes `grammar` and registers it for evaluation.
     pub fn prepare(&mut self, grammar: &Cfg) -> Result<QueryId, GrammarError> {
         Ok(self.prepare_query(PreparedQuery::new(grammar)?))
-    }
-
-    /// Registers an already-normalized grammar for evaluation.
-    pub fn prepare_wcnf(&mut self, wcnf: Wcnf) -> QueryId {
-        self.prepare_query(PreparedQuery::from_wcnf(wcnf))
     }
 
     /// Compiles an NFA-form regular path query onto the unified RSM
@@ -821,8 +1011,8 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// ε-witnesses should surface in [`CfpqSession::enumerate_paths`].
     pub fn prepare_query(&mut self, query: PreparedQuery) -> QueryId {
         let _sp = cfpq_obs::span("session.prepare");
-        self.queries.push(CachedQuery::new(query));
-        QueryId(self.queries.len() - 1)
+        self.rel.push(Reads::default());
+        self.state.prepare(query)
     }
 
     /// Inserts a batch of edges into the index (growing the node
@@ -830,39 +1020,10 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// were genuinely new. Cached query closures are *not* recomputed
     /// here — each query repairs itself lazily on its next
     /// [`CfpqSession::evaluate`] / [`CfpqSession::evaluate_single_path`]
-    /// / [`CfpqSession::enumerate_paths`] call.
+    /// / [`CfpqSession::enumerate_paths`] call, for every batch since in
+    /// one resume.
     pub fn add_edges(&mut self, edges: &[(NodeId, &str, NodeId)]) -> usize {
-        let batch = self.index.add_edges(edges);
-        let inserted = batch.inserted;
-        // The log only exists to repair already-solved closures: with no
-        // solved query, cold solves read the index directly, so nothing
-        // needs the batch.
-        if inserted > 0 && self.absorbed().next().is_some() {
-            self.batches.push(batch);
-        }
-        inserted
-    }
-
-    /// The batch-log watermark of every solved query, of either kind.
-    fn absorbed(&self) -> impl Iterator<Item = usize> + '_ {
-        let rel = self.queries.iter().filter_map(CachedQuery::absorbed);
-        rel.chain(self.sp_queries.iter().filter_map(CachedQuery::absorbed))
-    }
-
-    /// Drops log batches every solved query has already absorbed, so a
-    /// long-lived session's memory tracks the graph, not the total
-    /// number of `add_edges` calls ever made. Unevaluated queries don't
-    /// pin the log (their eventual cold solve reads the index directly).
-    fn compact_batches(&mut self) {
-        let consumed = self.absorbed().min().unwrap_or(self.batches.len());
-        if consumed == 0 {
-            return;
-        }
-        self.batches.drain(..consumed);
-        let rel = self.queries.iter_mut().map(|q| &mut q.watermark);
-        for watermark in rel.chain(self.sp_queries.iter_mut().map(|q| &mut q.watermark)) {
-            *watermark = watermark.saturating_sub(consumed);
-        }
+        self.state.add_edges(edges)
     }
 
     /// Evaluates a prepared query against the current graph, reusing the
@@ -877,31 +1038,20 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     ///
     /// # Panics
     ///
-    /// If `id` does not belong to this session. Multi-caller layers
-    /// should use [`CfpqSession::try_evaluate`] so a forged handle is a
-    /// value error instead of an unwind.
+    /// If `id` does not belong to this session.
     pub fn evaluate(&mut self, id: QueryId) -> QueryAnswer {
-        self.try_evaluate(id)
-            .expect("query not registered in this session")
+        let sp = cfpq_obs::span("session.evaluate");
+        let (query, solved, run) = self.state.evaluate(id).expect(UNREGISTERED);
+        record(sp, run, &mut self.rel[id.0]);
+        let engine = self.state.index().engine().name();
+        QueryAnswer::from_shared(engine, query.wcnf(), Arc::clone(solved))
     }
 
-    /// [`CfpqSession::evaluate`] with the handle check surfaced as a
-    /// typed [`SessionError`] instead of a panic.
-    pub fn try_evaluate(&mut self, id: QueryId) -> Result<QueryAnswer, SessionError> {
-        let state = CachedQuery::refresh(&mut self.queries, id.0, &self.index, &self.batches)?;
-        let solved = state.solved.as_ref().expect("closure just materialized");
-        let answer = QueryAnswer::from_shared(
-            self.index.engine.name(),
-            &state.query.wcnf,
-            Arc::clone(solved),
-        );
-        self.compact_batches();
-        Ok(answer)
-    }
-
-    /// The closed relational index of a query, if it has been evaluated.
+    /// The closed relational index of a query as of its last evaluation:
+    /// `None` before the first, and after [`CfpqSession::add_edges`] until
+    /// the next one repairs it.
     pub fn solved_index(&self, id: QueryId) -> Option<&RelationalIndex<E::Matrix>> {
-        self.queries.get(id.0)?.solved.as_deref()
+        self.state.solved(id).map(|solved| &**solved)
     }
 
     /// What the last [`CfpqSession::evaluate`] or
@@ -909,7 +1059,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// its closure (cold vs incremental, and its kernel-work counters).
     /// `None` until the first of either.
     pub fn last_run(&self, id: QueryId) -> Option<&RunInfo> {
-        self.queries.get(id.0)?.last_run.as_ref()
+        self.rel.get(id.0)?.last_run.as_ref()
     }
 
     /// Streams one page of distinct witness paths for the query's start
@@ -927,8 +1077,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     ///
     /// # Panics
     ///
-    /// If `id` does not belong to this session. Multi-caller layers
-    /// should use [`CfpqSession::try_enumerate_paths`].
+    /// If `id` does not belong to this session.
     pub fn enumerate_paths(
         &mut self,
         id: QueryId,
@@ -936,31 +1085,18 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         to: NodeId,
         page: PageRequest,
     ) -> PathPage {
-        self.try_enumerate_paths(id, from, to, page)
-            .expect("query not registered in this session")
-    }
-
-    /// [`CfpqSession::enumerate_paths`] with the handle check surfaced
-    /// as a typed [`SessionError`] instead of a panic.
-    pub fn try_enumerate_paths(
-        &mut self,
-        id: QueryId,
-        from: NodeId,
-        to: NodeId,
-        page: PageRequest,
-    ) -> Result<PathPage, SessionError> {
-        let state = CachedQuery::refresh(&mut self.queries, id.0, &self.index, &self.batches)?;
-        let wcnf = &state.query.wcnf;
-        let solved = state.solved.as_ref().expect("closure just materialized");
+        let sp = cfpq_obs::span("session.evaluate");
+        let (query, solved, run) = self.state.evaluate(id).expect(UNREGISTERED);
+        let reads = &mut self.rel[id.0];
         // The memoized length classes are exact-length sets over the edge
         // relation they were built from — any of them may grow with it,
-        // so the refresh dropped them and they are rebuilt, not patched.
-        let result = state
-            .derived
-            .get_or_insert_with(|| PathEnumerator::from_index(&self.index, wcnf))
-            .page(solved, wcnf.start, from, to, page);
-        self.compact_batches();
-        Ok(result)
+        // so a run drops them and they are rebuilt, not patched.
+        record(sp, run, reads);
+        let (index, wcnf) = (self.state.index(), query.wcnf());
+        reads
+            .paths
+            .get_or_insert_with(|| PathEnumerator::from_index(index, wcnf))
+            .page(solved, wcnf.start, from, to, page)
     }
 
     /// Normalizes `grammar` and registers it for single-path (§5)
@@ -974,8 +1110,8 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// Registers a fully-configured [`PreparedQuery`] for single-path
     /// evaluation ([`SolveOptions`] apply as usual).
     pub fn prepare_single_path_query(&mut self, query: PreparedQuery) -> SinglePathId {
-        self.sp_queries.push(CachedQuery::new(query));
-        SinglePathId(self.sp_queries.len() - 1)
+        self.sp.push(Reads::default());
+        self.state.prepare_single_path(query)
     }
 
     /// Evaluates a prepared single-path query: the first call runs a
@@ -990,36 +1126,24 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     ///
     /// # Panics
     ///
-    /// If `id` does not belong to this session. Multi-caller layers
-    /// should use [`CfpqSession::try_evaluate_single_path`].
+    /// If `id` does not belong to this session.
     pub fn evaluate_single_path(&mut self, id: SinglePathId) -> &SinglePathIndex<E::LenMatrix> {
-        self.try_evaluate_single_path(id)
-            .expect("query not registered in this session")
+        let sp = cfpq_obs::span("session.evaluate");
+        let (_, solved, run) = self.state.evaluate_single_path(id).expect(UNREGISTERED);
+        record(sp, run, &mut self.sp[id.0]);
+        solved
     }
 
-    /// [`CfpqSession::evaluate_single_path`] with the handle check
-    /// surfaced as a typed [`SessionError`] instead of a panic.
-    pub fn try_evaluate_single_path(
-        &mut self,
-        id: SinglePathId,
-    ) -> Result<&SinglePathIndex<E::LenMatrix>, SessionError> {
-        CachedQuery::refresh(&mut self.sp_queries, id.0, &self.index, &self.batches)?;
-        self.compact_batches();
-        Ok(self
-            .single_path_index(id)
-            .expect("closure just materialized"))
-    }
-
-    /// The solved single-path index of a query, if it has been
-    /// evaluated (without forcing an evaluation).
+    /// The solved single-path index of a query as of its last
+    /// evaluation, without forcing one (see [`CfpqSession::solved_index`]).
     pub fn single_path_index(&self, id: SinglePathId) -> Option<&SinglePathIndex<E::LenMatrix>> {
-        self.sp_queries.get(id.0)?.solved.as_deref()
+        self.state.solved_single_path(id).map(|solved| &**solved)
     }
 
     /// What the last [`CfpqSession::evaluate_single_path`] of this query
     /// actually did. `None` until the first evaluation.
     pub fn last_single_path_run(&self, id: SinglePathId) -> Option<&RunInfo> {
-        self.sp_queries.get(id.0)?.last_run.as_ref()
+        self.sp.get(id.0)?.last_run.as_ref()
     }
 }
 
@@ -1032,6 +1156,12 @@ mod tests {
     use cfpq_matrix::{
         DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
     };
+
+    /// How many edge batches each cell of `cells` waits for.
+    fn pending<C>(cells: &Cells<C>) -> Vec<usize> {
+        let stale = |cell: &Cell<C>| cell.stale.lock().unwrap().as_ref().map_or(0, |s| s.1.len());
+        cells.iter().map(stale).collect()
+    }
 
     #[test]
     fn session_matches_one_shot_solve() {
@@ -1050,8 +1180,8 @@ mod tests {
     #[test]
     fn read_accessors_answer_none_for_handles_of_another_session() {
         // A handle minted by a session that prepared more queries is out
-        // of range here; the `Option` accessors must say so, and every
-        // evaluating entry point must fail typed, not panic.
+        // of range here; the `Option` accessors must say so, and so must
+        // the state's reads, which a service turns into a typed error.
         let grammar = queries::query1();
         let graph = generators::paper_example();
         let mut big = CfpqSession::new(SparseEngine, &graph);
@@ -1067,18 +1197,10 @@ mod tests {
         assert!(small.last_run(q).is_none());
         assert!(small.single_path_index(sp).is_none());
         assert!(small.last_single_path_run(sp).is_none());
-        let unknown = SessionError::UnknownQuery {
-            id: 1,
-            registered: 1,
-        };
-        assert_eq!(small.try_evaluate(q).err(), Some(unknown));
-        assert_eq!(
-            small
-                .try_enumerate_paths(q, 0, 0, PageRequest::default())
-                .err(),
-            Some(unknown)
-        );
-        assert_eq!(small.try_evaluate_single_path(sp).err(), Some(unknown));
+        assert!(small.state.query(q).is_none());
+        assert!(small.state.evaluate(q).is_none());
+        assert!(small.state.evaluate_single_path(sp).is_none());
+        assert_eq!((q.index(), small.state.n_queries()), (1, 1));
     }
 
     #[test]
@@ -1152,7 +1274,7 @@ mod tests {
         let mut session = CfpqSession::new(SparseEngine, &graph);
         let id = session.prepare(&grammar).unwrap();
         let handles = |s: &CfpqSession<SparseEngine>| {
-            Arc::strong_count(s.queries[id.0].solved.as_ref().expect("evaluated"))
+            Arc::strong_count(s.state.solved(id).expect("evaluated"))
         };
         let first = session.evaluate(id);
         let second = session.evaluate(id);
@@ -1244,9 +1366,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_log_is_compacted_once_absorbed() {
-        // The edge log must track outstanding repairs, not the lifetime
-        // count of add_edges calls.
+    fn pending_batches_coalesce_into_one_repair() {
+        // A cell keeps the batches its closure has not absorbed, and no
+        // others: the next read repairs for all of them in one run.
         let grammar = cfpq_grammar::Cfg::parse("S -> a S b | a b").unwrap();
         let chain = generators::word_chain(&["a", "a", "b", "b"]);
         let mut partial = Graph::new(chain.n_nodes());
@@ -1255,20 +1377,31 @@ mod tests {
         }
         let mut session = CfpqSession::new(SparseEngine, &partial);
         let id = session.prepare(&grammar).unwrap();
-        // Batches before the first solve are not even logged: the cold
+        // Batches before the first solve are not even kept: the cold
         // solve reads the index directly.
         let e = &chain.edges()[1];
         session.add_edges(&[(e.from, chain.label_name(e.label), e.to)]);
-        assert!(session.batches.is_empty(), "no solved query, no log");
+        assert_eq!(
+            pending(&session.state.rel),
+            [0],
+            "no solved query, none kept"
+        );
         session.evaluate(id);
-        // Logged while pending, drained once every solved query caught up.
+        // Kept while pending, dropped by the read that repairs.
         for e in chain.edges().iter().skip(2) {
             session.add_edges(&[(e.from, chain.label_name(e.label), e.to)]);
         }
-        assert_eq!(session.batches.len(), 2);
+        assert_eq!(pending(&session.state.rel), [2]);
         let answer = session.evaluate(id);
-        assert!(session.batches.is_empty(), "absorbed batches are drained");
-        assert_eq!(session.queries[id.0].watermark, 0);
+        assert_eq!(
+            pending(&session.state.rel),
+            [0],
+            "absorbed batches are dropped"
+        );
+        assert!(
+            session.last_run(id).unwrap().incremental,
+            "one repair for both"
+        );
         let scratch = solve(&chain, &grammar, Backend::Sparse).unwrap();
         assert_eq!(answer.start_pairs(), scratch.start_pairs());
     }
@@ -1424,20 +1557,19 @@ mod tests {
         let mut session = CfpqSession::new(SparseEngine, &graph);
         let rel = session.prepare(&queries::query1()).unwrap();
         let sp = session.prepare_single_path(&queries::query1()).unwrap();
-        let start = session.sp_queries[sp.0].query.wcnf.start;
+        let start = session.state.sp.get(sp.0).unwrap().query.wcnf().start;
         let answer = session.evaluate(rel);
         assert_eq!(
             answer.start_pairs(),
             session.evaluate_single_path(sp).pairs(start)
         );
-        // An update repairs both caches lazily; the log drains once both
-        // absorbed it.
+        // An update repairs both caches lazily, each on its own read.
         session.add_edges(&[(1, "subClassOf", 0)]);
         let answer = session.evaluate(rel);
-        assert_eq!(session.batches.len(), 1, "single-path still pending");
+        assert_eq!(pending(&session.state.sp), [1], "single-path still pending");
         let pairs = session.evaluate_single_path(sp).pairs(start);
         assert_eq!(answer.start_pairs(), pairs);
-        assert!(session.batches.is_empty(), "both absorbed, log drained");
+        assert_eq!(pending(&session.state.sp), [0], "both absorbed");
     }
 
     #[test]
@@ -1472,8 +1604,8 @@ mod tests {
             fresh.enumerate_paths(q2, 0, 4, PageRequest::default()),
             outer
         );
-        // The log drained once the only query absorbed it.
-        assert!(session.batches.is_empty());
+        // The closure absorbed the batch.
+        assert_eq!(pending(&session.state.rel), [0]);
     }
 
     #[test]
@@ -1503,7 +1635,7 @@ mod tests {
         assert_eq!(run.stats, cold.stats, "the first page launched no kernel");
         // The next page extends the same tables.
         let classes = |s: &CfpqSession<SparseEngine>| {
-            let tables = s.queries[q.0].derived.as_ref();
+            let tables = s.rel[q.0].paths.as_ref();
             tables.expect("kept beside the closure").n_classes()
         };
         let after_first = classes(&session);

@@ -135,7 +135,9 @@ fn check_engine<E: BoolEngine + LenEngine + Clone>(
 /// Copy-on-write isolation on one engine: an answer taken before an
 /// update keeps reading the relation it was evaluated against — even
 /// when its first read comes after the repair — and the session copies
-/// the closure for a repair only while such an answer is alive.
+/// the closure for a repair only while such an answer is alive. A
+/// single-path closure, never borrowed across its repairs, is repaired
+/// in place every time.
 fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
     let grammar = Cfg::parse("S -> a S b | a b").unwrap();
     let chain = generators::word_chain(&["a", "a", "a", "b", "b", "b"]);
@@ -147,6 +149,17 @@ fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
     let id = session.prepare(&grammar).unwrap();
     let closure_at =
         |session: &CfpqSession<E>| std::ptr::from_ref(session.solved_index(id).expect("evaluated"));
+    let sp = session.prepare_single_path(&grammar).unwrap();
+    let lengths_at = |session: &CfpqSession<E>| {
+        std::ptr::from_ref(session.single_path_index(sp).expect("evaluated"))
+    };
+    session.evaluate_single_path(sp);
+    let lengths = lengths_at(&session);
+    let repair_lengths_in_place = |session: &mut CfpqSession<E>| {
+        session.evaluate_single_path(sp);
+        assert!(session.last_single_path_run(sp).unwrap().incremental);
+        assert_eq!(lengths_at(session), lengths, "nothing borrowed: in place");
+    };
 
     let before = session.evaluate(id);
     let viewed = closure_at(&session);
@@ -162,6 +175,7 @@ fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
     assert!(!before.contains("S", 1, 5));
     assert_eq!(before.start_count(), 1);
     assert_eq!(after.start_pairs(), &[(1, 5), (2, 4)]);
+    repair_lengths_in_place(&mut session);
 
     drop((before, after));
     let unshared = closure_at(&session);
@@ -174,6 +188,7 @@ fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
         "no live answer: the repair is in place"
     );
     assert_eq!(last.start_pairs(), &[(0, 6), (1, 5), (2, 4)]);
+    repair_lengths_in_place(&mut session);
 }
 
 #[test]

@@ -228,12 +228,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the bounded shutdown drain.
-    pub fn with_drain_deadline(mut self, deadline: Duration) -> Self {
-        self.drain_deadline = deadline;
-        self
-    }
-
     /// Derives the config *and* the kernel device from one
     /// [`Parallelism`] budget, so the scheduler pool and the `Device`
     /// pool cannot oversubscribe the machine between them. Pass the

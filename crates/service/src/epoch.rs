@@ -1,19 +1,18 @@
-//! Epochs: one immutable version of the graph with its per-query
-//! closure caches, the [`Snapshot`] that pins one, and the per-epoch
+//! Epochs: one immutable version of the graph — a [`GraphState`] that
+//! absorbed every batch so far, with every closure it inherited
+//! repaired — the [`Snapshot`] that pins one, and the per-epoch
 //! [`ServiceStats`].
 
 use crate::obs::FailureSnapshot;
-use crate::Inner;
-use crate::{lock_recover, read_recover, QueryId, ServiceEngine, ServiceError, SinglePathId};
+use crate::{lock_recover, QueryId, ServiceEngine, ServiceError, SinglePathId};
 use cfpq_core::query::QueryAnswer;
 use cfpq_core::relational::{RelationalIndex, SourceClosure};
-use cfpq_core::session::{CachedClosure, EdgeBatch, GraphIndex, PreparedQuery};
+use cfpq_core::session::{GraphState, PreparedQuery, RunInfo};
 use cfpq_core::single_path::SinglePathIndex;
 use cfpq_matrix::LenEngine;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 #[cfg(doc)]
 use crate::{CfpqService, ServiceConfig};
@@ -84,137 +83,132 @@ pub(crate) struct EpochCounters {
     pub(crate) pages_truncated: AtomicU64,
 }
 
-/// A per-epoch cache of lazily-solved values: one `OnceLock` cell per
-/// query, so concurrent readers of the same unsolved query block on a
-/// single solve instead of racing duplicates. If a solve panics, the
-/// cell stays empty (`OnceLock::get_or_init` leaves an uninitialized
-/// cell on unwind) — the next reader simply retries the solve.
-pub(crate) struct CacheMap<V> {
-    cells: Mutex<HashMap<usize, Arc<OnceLock<Arc<V>>>>>,
-}
-
-impl<V> CacheMap<V> {
-    pub(crate) fn new() -> Self {
-        Self {
-            cells: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The cell of query `k` (created empty on first touch). The map
-    /// lock is only held for the lookup; solving happens on the cell.
-    pub(crate) fn cell(&self, k: usize) -> Arc<OnceLock<Arc<V>>> {
-        lock_recover(&self.cells).entry(k).or_default().clone()
-    }
-
-    /// Pre-fills query `k` (the epoch builder installing a repaired
-    /// closure).
-    pub(crate) fn preset(&self, k: usize, v: Arc<V>) {
-        let cell = self.cell(k);
-        let _ = cell.set(v);
-    }
-
-    /// Every solved entry at this moment (cells still solving are
-    /// skipped; their result stays usable on the epoch that owns them).
-    pub(crate) fn filled(&self) -> Vec<(usize, Arc<V>)> {
-        lock_recover(&self.cells)
-            .iter()
-            .filter_map(|(&k, cell)| cell.get().map(|v| (k, v.clone())))
-            .collect()
-    }
-
-    /// Solves (or fetches) the closure of query `q` of `queries` on
-    /// `epoch`, to which this cache belongs; returns it with the query.
-    pub(crate) fn solve_or_fetch<E: ServiceEngine>(
-        &self,
-        queries: &RwLock<Vec<Arc<PreparedQuery>>>,
-        epoch: &Epoch<E>,
-        q: usize,
-    ) -> Result<(Arc<PreparedQuery>, Arc<V>), ServiceError>
-    where
-        V: CachedClosure<E>,
-    {
-        let prepared = registered(queries, q)?;
-        let cold = Cell::new(false);
-        let solved = self
-            .cell(q)
-            .get_or_init(|| {
-                cold.set(true);
-                let solved = V::cold_solve(&epoch.index, &prepared);
-                let products = solved.stats().products_computed as u64;
-                let counters = &epoch.counters;
-                counters.cold_solves.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .cold_products
-                    .fetch_add(products, Ordering::Relaxed);
-                Arc::new(solved)
-            })
-            .clone();
-        if !cold.get() {
-            epoch.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((prepared, solved))
-    }
-
-    /// The next epoch's cache: every closure solved here, repaired for
-    /// `batch`, which `index` (the next epoch's) has absorbed. The
-    /// published epoch keeps serving the originals — `Arc::make_mut`
-    /// repairs a copy.
-    pub(crate) fn carry_over<E: ServiceEngine>(
-        &self,
-        queries: &RwLock<Vec<Arc<PreparedQuery>>>,
-        index: &GraphIndex<E>,
-        batch: &EdgeBatch,
-        counters: &EpochCounters,
-    ) -> Self
-    where
-        V: CachedClosure<E>,
-    {
-        let queries = read_recover(queries).clone();
-        let batches = std::slice::from_ref(batch);
-        let next = Self::new();
-        for (q, mut solved) in self.filled() {
-            let stats = Arc::make_mut(&mut solved).repair(index, &queries[q], batches);
-            counters.repairs.fetch_add(1, Ordering::Relaxed);
-            counters
-                .repair_products
-                .fetch_add(stats.products_computed as u64, Ordering::Relaxed);
-            next.preset(q, solved);
-        }
-        next
+impl EpochCounters {
+    /// Charges one read of a closure cell: a cache hit, or the cold solve
+    /// or repair it ran, with that run's products.
+    pub(crate) fn charge(&self, run: Option<RunInfo>) {
+        let Some(run) = run else {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let (runs, products) = if run.incremental {
+            (&self.repairs, &self.repair_products)
+        } else {
+            (&self.cold_solves, &self.cold_products)
+        };
+        runs.fetch_add(1, Ordering::Relaxed);
+        let launched = run.stats.products_computed as u64;
+        products.fetch_add(launched, Ordering::Relaxed);
     }
 }
 
-/// Query `id` of `queries`. Handles come from outside, so every entry
-/// point that takes one — `enqueue*`, the snapshot reads — checks it
-/// here and nowhere else.
-pub(crate) fn registered(
-    queries: &RwLock<Vec<Arc<PreparedQuery>>>,
-    id: usize,
-) -> Result<Arc<PreparedQuery>, ServiceError> {
-    let queries = read_recover(queries);
-    let registered = queries.len();
-    let found = queries.get(id).cloned();
-    found.ok_or(ServiceError::UnknownQuery { id, registered })
+/// Queued handles were checked at enqueue, queries are never
+/// unregistered, and every epoch holds the queries of the ones before.
+pub(crate) const CHECKED: &str = "query checked at enqueue";
+
+/// `UnknownQuery` unless `id` is one of the `registered` handles of its
+/// kind.
+fn known(id: usize, registered: usize) -> Result<(), ServiceError> {
+    let unknown = ServiceError::UnknownQuery { id, registered };
+    (id < registered).then_some(()).ok_or(unknown)
 }
 
-/// One immutable version of the graph: the index, the per-query closure
-/// caches, and the counters charged to this epoch.
+/// What an epoch derives from a relational query besides its closure,
+/// never carried into the next epoch.
+pub(crate) struct Reads<M> {
+    /// The lazy answer over the closure, created when a snapshot read or
+    /// a full-answer ticket first asks for one and shared by all later
+    /// ones, so a relation is extracted at most once per epoch.
+    answer: OnceLock<QueryAnswer>,
+    /// The source-restricted closure that named-pair tickets grow while
+    /// the epoch holds no all-pairs closure for the query: extended when
+    /// a ticket names rows outside it. `None` until the first such
+    /// ticket — and again after a solve that panicked, which takes the
+    /// closure down with it.
+    pub(crate) sources: Mutex<Option<SourceClosure<M>>>,
+}
+
+/// One immutable version of the graph: its [`GraphState`] — index,
+/// prepared queries and closure cells — what readers derived from it,
+/// and the counters charged to it.
 pub(crate) struct Epoch<E: ServiceEngine> {
     pub(crate) epoch: u64,
-    pub(crate) index: GraphIndex<E>,
-    pub(crate) rel: CacheMap<RelationalIndex<E::Matrix>>,
-    /// The lazy answer over each `rel` closure, created when a snapshot
-    /// read or a full-answer ticket first asks for one and shared by all
-    /// later ones, so a relation is extracted at most once per epoch.
-    pub(crate) answers: CacheMap<QueryAnswer>,
-    /// Per query, the source-restricted closure that named-pair tickets
-    /// grow while the epoch holds no all-pairs closure for it: extended
-    /// when a ticket names rows outside it, never carried into the next
-    /// epoch. `None` until the first such ticket — and again after a
-    /// solve that panicked, which takes the closure down with it.
-    pub(crate) sources: CacheMap<Mutex<Option<SourceClosure<E::Matrix>>>>,
-    pub(crate) sp: CacheMap<SinglePathIndex<<E as LenEngine>::LenMatrix>>,
+    pub(crate) state: GraphState<E>,
+    reads: Mutex<HashMap<QueryId, Arc<Reads<E::Matrix>>>>,
     pub(crate) counters: Arc<EpochCounters>,
+}
+
+impl<E: ServiceEngine> Epoch<E> {
+    pub(crate) fn new(epoch: u64, state: GraphState<E>, counters: Arc<EpochCounters>) -> Self {
+        Self {
+            epoch,
+            state,
+            reads: Mutex::new(HashMap::new()),
+            counters,
+        }
+    }
+
+    /// Fails typed unless this epoch holds relational query `id`.
+    /// Handles come from outside, so every entry point that takes one —
+    /// `enqueue*`, the snapshot reads — checks it here.
+    pub(crate) fn check(&self, id: QueryId) -> Result<(), ServiceError> {
+        known(id.index(), self.state.n_queries())
+    }
+
+    /// [`Epoch::check`] for a single-path query.
+    pub(crate) fn check_single_path(&self, id: SinglePathId) -> Result<(), ServiceError> {
+        known(id.index(), self.state.n_single_path_queries())
+    }
+
+    /// The closure of checked query `id`, charged to this epoch.
+    pub(crate) fn evaluate(
+        &self,
+        id: QueryId,
+    ) -> (&PreparedQuery, &Arc<RelationalIndex<E::Matrix>>) {
+        let (query, solved, run) = self.state.evaluate(id).expect(CHECKED);
+        self.counters.charge(run);
+        (query, solved)
+    }
+
+    /// The length closure of checked single-path query `id`, charged to
+    /// this epoch.
+    pub(crate) fn evaluate_single_path(
+        &self,
+        id: SinglePathId,
+    ) -> (&PreparedQuery, &Arc<SinglePathIndex<E::LenMatrix>>) {
+        let (query, solved, run) = self.state.evaluate_single_path(id).expect(CHECKED);
+        self.counters.charge(run);
+        (query, solved)
+    }
+
+    /// What this epoch derived from query `id` so far (created empty on
+    /// first touch; the map lock is held for the lookup only).
+    pub(crate) fn reads(&self, id: QueryId) -> Arc<Reads<E::Matrix>> {
+        let mut reads = lock_recover(&self.reads);
+        let found = reads.entry(id).or_insert_with(|| {
+            Arc::new(Reads {
+                answer: OnceLock::new(),
+                sources: Mutex::new(None),
+            })
+        });
+        Arc::clone(found)
+    }
+
+    /// The epoch's shared lazy answer over `solved`, the closure of
+    /// `query`, handle `id`.
+    pub(crate) fn answer(
+        &self,
+        id: QueryId,
+        query: &PreparedQuery,
+        solved: &Arc<RelationalIndex<E::Matrix>>,
+    ) -> QueryAnswer {
+        let reads = self.reads(id);
+        let answer = reads.answer.get_or_init(|| {
+            let engine = self.state.index().engine().name();
+            QueryAnswer::from_shared(engine, query.wcnf(), Arc::clone(solved))
+        });
+        answer.clone()
+    }
 }
 
 pub(crate) struct EpochRecord {
@@ -229,18 +223,9 @@ pub(crate) struct EpochRecord {
 /// An immutable view of one epoch: evaluations against a snapshot are
 /// repeatable — later [`CfpqService::add_edges`] calls publish *new*
 /// epochs and never mutate this one.
+#[derive(Clone)]
 pub struct Snapshot<E: ServiceEngine> {
-    pub(crate) inner: Arc<Inner<E>>,
     pub(crate) epoch: Arc<Epoch<E>>,
-}
-
-impl<E: ServiceEngine> Clone for Snapshot<E> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-            epoch: Arc::clone(&self.epoch),
-        }
-    }
 }
 
 impl<E: ServiceEngine> Snapshot<E> {
@@ -251,12 +236,12 @@ impl<E: ServiceEngine> Snapshot<E> {
 
     /// `|V|` of the pinned epoch.
     pub fn n_nodes(&self) -> usize {
-        self.epoch.index.n_nodes()
+        self.epoch.state.index().n_nodes()
     }
 
     /// Stored edges of the pinned epoch.
     pub fn n_edges(&self) -> usize {
-        self.epoch.index.n_edges()
+        self.epoch.state.index().n_edges()
     }
 
     /// Evaluates a prepared relational query against this epoch. The
@@ -267,23 +252,25 @@ impl<E: ServiceEngine> Snapshot<E> {
     ///
     /// # Panics
     ///
-    /// If `id` was not registered with this service; callers passing
-    /// handles on from elsewhere should use [`Snapshot::try_evaluate`].
+    /// If the epoch holds no query `id`; callers passing handles on from
+    /// elsewhere should use [`Snapshot::try_evaluate`].
     pub fn evaluate(&self, id: QueryId) -> QueryAnswer {
         self.try_evaluate(id)
             .expect("query not registered in this service")
     }
 
     /// [`Snapshot::evaluate`] with the handle check surfaced as
-    /// [`ServiceError::UnknownQuery`] instead of a panic.
+    /// [`ServiceError::UnknownQuery`] instead of a panic. A query
+    /// prepared after this epoch was superseded is unknown to it.
     pub fn try_evaluate(&self, id: QueryId) -> Result<QueryAnswer, ServiceError> {
         let epoch = &*self.epoch;
-        let (prepared, solved) = epoch.rel.solve_or_fetch(&self.inner.queries, epoch, id.0)?;
+        epoch.check(id)?;
+        let (query, solved) = epoch.evaluate(id);
         epoch
             .counters
             .queries_served
             .fetch_add(1, Ordering::Relaxed);
-        Ok(epoch_answer(epoch, id.0, &prepared, &solved))
+        Ok(epoch.answer(id, query, solved))
     }
 
     /// Evaluates a prepared single-path query against this epoch; the
@@ -292,9 +279,8 @@ impl<E: ServiceEngine> Snapshot<E> {
     ///
     /// # Panics
     ///
-    /// If `id` was not registered with this service; callers passing
-    /// handles on from elsewhere should use
-    /// [`Snapshot::try_evaluate_single_path`].
+    /// If the epoch holds no query `id`; callers passing handles on from
+    /// elsewhere should use [`Snapshot::try_evaluate_single_path`].
     pub fn evaluate_single_path(
         &self,
         id: SinglePathId,
@@ -310,32 +296,12 @@ impl<E: ServiceEngine> Snapshot<E> {
         id: SinglePathId,
     ) -> Result<Arc<SinglePathIndex<<E as LenEngine>::LenMatrix>>, ServiceError> {
         let epoch = &*self.epoch;
-        let (_, solved) = epoch
-            .sp
-            .solve_or_fetch(&self.inner.sp_queries, epoch, id.0)?;
+        epoch.check_single_path(id)?;
+        let (_, solved) = epoch.evaluate_single_path(id);
         epoch
             .counters
             .queries_served
             .fetch_add(1, Ordering::Relaxed);
-        Ok(solved)
+        Ok(Arc::clone(solved))
     }
-}
-
-/// The epoch's shared lazy answer over `solved`, the closure of query
-/// `q` on `epoch`.
-pub(crate) fn epoch_answer<E: ServiceEngine>(
-    epoch: &Epoch<E>,
-    q: usize,
-    prepared: &PreparedQuery,
-    solved: &Arc<RelationalIndex<E::Matrix>>,
-) -> QueryAnswer {
-    let cell = epoch.answers.cell(q);
-    let answer = cell.get_or_init(|| {
-        Arc::new(QueryAnswer::from_shared(
-            epoch.index.engine().name(),
-            prepared.wcnf(),
-            Arc::clone(solved),
-        ))
-    });
-    QueryAnswer::clone(answer)
 }

@@ -12,22 +12,20 @@
 //! serialized. This crate adds the missing subsystem:
 //!
 //! * **Snapshot isolation.** The graph lives in immutable epoch-tagged
-//!   [`Snapshot`]s: an `Arc`-shared [`GraphIndex`] plus a per-epoch
-//!   closure cache. Readers grab the current snapshot and keep using it
-//!   for as long as they like; [`CfpqService::add_edges`] clones the
-//!   index *off to the side*, repairs every cached closure through the
-//!   session layer's semi-naive resume path
-//!   ([`cfpq_core::session::CachedClosure::repair`], one loop for both
-//!   kinds of closure), and publishes the next epoch atomically. A
-//!   reader never blocks on a writer and never observes a half-applied
-//!   batch.
+//!   [`Snapshot`]s. An epoch is a [`GraphState`] — the index, the
+//!   prepared queries and one closure cell per query, the state a
+//!   `CfpqSession` drives inline — plus the counters charged to it.
+//!   Readers grab the current snapshot and keep using it for as long as
+//!   they like; [`CfpqService::add_edges`] clones the state *off to the
+//!   side*, applies the batch, repairs every closure it inherited
+//!   ([`GraphState::repair_stale`], the semi-naive resume), and
+//!   publishes the next epoch atomically. A reader never blocks on a
+//!   writer, never observes a half-applied batch, and never pays for a
+//!   repair.
 //! * **Shared closure caching.** Within an epoch, each prepared query's
-//!   solved closure is computed exactly once (a `OnceLock` cell:
-//!   concurrent readers of the same cold query block on one solve
-//!   instead of racing N solves) and then served by `Arc` refcount bump.
-//!   Publishing an epoch *repairs* the previous epoch's solved closures
-//!   instead of discarding them, so an update costs incremental kernel
-//!   work, not N cold re-solves.
+//!   closure is solved at most once — concurrent readers of a cold query
+//!   wait on one solve — and then served by `Arc` refcount bump; across
+//!   epochs it is repaired, not re-solved.
 //! * **A multi-queue scheduler.** [`CfpqService::enqueue`] accepts
 //!   `(query, pairs)` requests and returns a [`Ticket`]; worker threads
 //!   drain one query's whole queue as a batch, evaluate that query's
@@ -115,13 +113,13 @@
 
 use cfpq_core::all_paths::PageRequest;
 use cfpq_core::query::QueryAnswer;
-use cfpq_core::session::{GraphIndex, PreparedQuery};
+use cfpq_core::session::{GraphIndex, GraphState, PreparedQuery};
 use cfpq_core::single_path::SinglePathIndex;
 use cfpq_grammar::{Cfg, GrammarError};
 use cfpq_graph::{Graph, NodeId};
 use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
 use cfpq_obs::{MetricsRegistry, NoopRecorder, Recorder, SpanId};
-use epoch::{registered, CacheMap, Epoch, EpochCounters, EpochRecord};
+use epoch::{Epoch, EpochCounters, EpochRecord};
 use obs::Obs;
 use sched::{spawn_worker, QueueKey, Request, SchedShared, SchedState};
 use std::collections::{BTreeMap, VecDeque};
@@ -145,6 +143,7 @@ pub use epoch::{ServiceStats, Snapshot};
 pub use ticket::{PairPaths, QueryTrace, Ticket, TicketAnswer, TicketResult};
 
 pub use cfpq_core::all_paths::PageRequest as PathPageRequest;
+pub use cfpq_core::session::{QueryId, SinglePathId};
 
 // ---------------------------------------------------------------------------
 // Poison-recovering lock helpers
@@ -182,21 +181,13 @@ pub trait ServiceEngine: BoolEngine + LenEngine + Clone + 'static {}
 
 impl<E: BoolEngine + LenEngine + Clone + 'static> ServiceEngine for E {}
 
-/// Handle to a relational query registered in a [`CfpqService`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct QueryId(usize);
-
-/// Handle to a single-path (§5) query registered in a [`CfpqService`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SinglePathId(usize);
-
 struct Inner<E: ServiceEngine> {
     config: ServiceConfig,
-    queries: RwLock<Vec<Arc<PreparedQuery>>>,
-    sp_queries: RwLock<Vec<Arc<PreparedQuery>>>,
     current: RwLock<Arc<Epoch<E>>>,
     /// Serializes writers: epochs are built one at a time, off to the
-    /// side, while readers keep using the published one.
+    /// side, while readers keep using the published one. Preparing a
+    /// query takes it too, so that no publish is cloning the state the
+    /// query is added to.
     writer: Mutex<()>,
     epochs: Mutex<Vec<EpochRecord>>,
     sched: SchedShared,
@@ -256,16 +247,6 @@ impl<E: ServiceEngine> CfpqService<E> {
         Self::over_full(index, config, 0.0, Arc::new(NoopRecorder))
     }
 
-    /// [`CfpqService::over`] with a span [`Recorder`] installed (see
-    /// [`CfpqService::with_observability`]).
-    pub fn over_with_observability(
-        index: GraphIndex<E>,
-        config: ServiceConfig,
-        recorder: Arc<dyn Recorder>,
-    ) -> Self {
-        Self::over_full(index, config, 0.0, recorder)
-    }
-
     fn over_full(
         index: GraphIndex<E>,
         config: ServiceConfig,
@@ -274,20 +255,11 @@ impl<E: ServiceEngine> CfpqService<E> {
     ) -> Self {
         let obs = Obs::new(recorder);
         let counters = Arc::new(EpochCounters::default());
-        let epoch = Arc::new(Epoch {
-            epoch: 0,
-            index,
-            rel: CacheMap::new(),
-            answers: CacheMap::new(),
-            sources: CacheMap::new(),
-            sp: CacheMap::new(),
-            counters: Arc::clone(&counters),
-        });
+        let state = GraphState::new(index);
+        let epoch = Arc::new(Epoch::new(0, state, Arc::clone(&counters)));
         let failures_at_publish = obs.failure_snapshot();
         let inner = Arc::new(Inner {
             config,
-            queries: RwLock::new(Vec::new()),
-            sp_queries: RwLock::new(Vec::new()),
             current: RwLock::new(epoch),
             writer: Mutex::new(()),
             epochs: Mutex::new(vec![EpochRecord {
@@ -330,16 +302,16 @@ impl<E: ServiceEngine> CfpqService<E> {
 
     /// Normalizes `grammar` and registers it for relational evaluation.
     /// Queries may be prepared at any time, including while the service
-    /// is serving.
+    /// is serving: a query reaches the current epoch and every later one,
+    /// not the epochs that older snapshots pin.
     pub fn prepare(&self, grammar: &Cfg) -> Result<QueryId, GrammarError> {
         Ok(self.prepare_query(PreparedQuery::new(grammar)?))
     }
 
     /// Registers a fully-configured [`PreparedQuery`].
     pub fn prepare_query(&self, query: PreparedQuery) -> QueryId {
-        let mut queries = write_recover(&self.inner.queries);
-        queries.push(Arc::new(query));
-        QueryId(queries.len() - 1)
+        let _writer = lock_recover(&self.inner.writer);
+        self.current().state.prepare(query)
     }
 
     /// Compiles an NFA-form regular path query onto the unified RSM
@@ -369,9 +341,12 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// Registers a fully-configured [`PreparedQuery`] for single-path
     /// evaluation.
     pub fn prepare_single_path_query(&self, query: PreparedQuery) -> SinglePathId {
-        let mut queries = write_recover(&self.inner.sp_queries);
-        queries.push(Arc::new(query));
-        SinglePathId(queries.len() - 1)
+        let _writer = lock_recover(&self.inner.writer);
+        self.current().state.prepare_single_path(query)
+    }
+
+    fn current(&self) -> Arc<Epoch<E>> {
+        read_recover(&self.inner.current).clone()
     }
 
     /// The current epoch's snapshot. The returned view is immutable:
@@ -379,8 +354,7 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// without disturbing it.
     pub fn snapshot(&self) -> Snapshot<E> {
         Snapshot {
-            inner: Arc::clone(&self.inner),
-            epoch: read_recover(&self.inner.current).clone(),
+            epoch: self.current(),
         }
     }
 
@@ -401,7 +375,7 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// The current epoch number (starts at 0; each successful
     /// [`CfpqService::add_edges`] publishes the next).
     pub fn current_epoch(&self) -> u64 {
-        read_recover(&self.inner.current).epoch
+        self.current().epoch
     }
 
     /// Submits a relational request to the scheduler: answer `query`
@@ -435,8 +409,8 @@ impl<E: ServiceEngine> CfpqService<E> {
     ///   the next named-pair ticket regrows what it needs on the new
     ///   epoch.
     pub fn enqueue(&self, query: QueryId, pairs: Vec<(u32, u32)>) -> Result<Ticket, ServiceError> {
-        registered(&self.inner.queries, query.0)?;
-        self.push_request(QueueKey::Rel(query.0), pairs, None)
+        self.current().check(query)?;
+        self.push_request(QueueKey::Rel(query), pairs, None)
     }
 
     /// Submits an all-path enumeration request: stream `page`-bounded
@@ -453,8 +427,8 @@ impl<E: ServiceEngine> CfpqService<E> {
         pairs: Vec<(u32, u32)>,
         page: PageRequest,
     ) -> Result<Ticket, ServiceError> {
-        registered(&self.inner.queries, query.0)?;
-        self.push_request(QueueKey::Paths(query.0), pairs, Some(page))
+        self.current().check(query)?;
+        self.push_request(QueueKey::Paths(query), pairs, Some(page))
     }
 
     /// Submits a single-path request to the scheduler (answers with the
@@ -466,8 +440,8 @@ impl<E: ServiceEngine> CfpqService<E> {
         query: SinglePathId,
         pairs: Vec<(u32, u32)>,
     ) -> Result<Ticket, ServiceError> {
-        registered(&self.inner.sp_queries, query.0)?;
-        self.push_request(QueueKey::Sp(query.0), pairs, None)
+        self.current().check_single_path(query)?;
+        self.push_request(QueueKey::Sp(query), pairs, None)
     }
 
     fn push_request(
@@ -534,12 +508,14 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// skipped and unseen node ids grow the node universe, exactly as in
     /// [`GraphIndex::add_edges`].
     ///
-    /// The new epoch is built **off to the side**: the current index is
-    /// cloned, the batch applied, and every closure the current epoch
-    /// has solved is repaired through the semi-naive resume paths —
-    /// concurrent readers keep answering from the published epoch the
-    /// whole time and switch only when the new one is complete. Writers
-    /// are serialized with each other (epochs are totally ordered).
+    /// The new epoch is built **off to the side**: the current epoch's
+    /// [`GraphState`] is cloned, the batch applied, and every closure
+    /// the current epoch has solved is repaired through the semi-naive
+    /// resume paths ([`GraphState::repair_stale`]), so its readers never
+    /// pay for a repair — concurrent readers keep answering from the
+    /// published epoch the whole time and switch only when the new one
+    /// is complete. Writers are serialized with each other (epochs are
+    /// totally ordered).
     ///
     /// Publishing is all-or-nothing under panics, too: every
     /// intermediate lives on the stack until the final atomic swap, so
@@ -550,20 +526,21 @@ impl<E: ServiceEngine> CfpqService<E> {
     pub fn add_edges(&self, edges: &[(NodeId, &str, NodeId)]) -> usize {
         let _writer = lock_recover(&self.inner.writer);
         let started = Instant::now();
-        let cur = read_recover(&self.inner.current).clone();
+        let cur = self.current();
         // All-duplicate batches (idempotent retries) must not pay the
         // index clone below: an edge can only be new if it names an
         // unseen node, an unseen label, or an unset cell.
-        let n = cur.index.n_nodes() as NodeId;
+        let index = cur.state.index();
+        let n = index.n_nodes() as NodeId;
         let all_present = edges.iter().all(|&(u, name, v)| {
-            u < n && v < n && cur.index.adjacency(name).is_some_and(|m| m.get(u, v))
+            u < n && v < n && index.adjacency(name).is_some_and(|m| m.get(u, v))
         });
         if all_present {
             return 0;
         }
-        let mut index = cur.index.clone();
-        let batch = index.add_edges(edges);
-        if batch.inserted == 0 {
+        let mut state = cur.state.clone();
+        let inserted = state.add_edges(edges);
+        if inserted == 0 {
             return 0;
         }
         // The publishing thread carries the service's recorder for the
@@ -577,24 +554,13 @@ impl<E: ServiceEngine> CfpqService<E> {
             .then(|| cfpq_obs::install(Arc::clone(&self.inner.obs.recorder)));
         let mut publish_sp = cfpq_obs::span("epoch.publish");
         let counters = Arc::new(EpochCounters::default());
-        let (queries, sp_queries) = (&self.inner.queries, &self.inner.sp_queries);
-        let rel = cur.rel.carry_over(queries, &index, &batch, &counters);
-        let sp = cur.sp.carry_over(sp_queries, &index, &batch, &counters);
-
-        let next = Arc::new(Epoch {
-            epoch: cur.epoch + 1,
-            index,
-            rel,
-            answers: CacheMap::new(),
-            sources: CacheMap::new(),
-            sp,
-            counters: Arc::clone(&counters),
-        });
+        state.repair_stale(|run| counters.charge(Some(run)));
+        let next = Arc::new(Epoch::new(cur.epoch + 1, state, Arc::clone(&counters)));
         let publish_ms = started.elapsed().as_secs_f64() * 1e3;
         self.inner.obs.publish_us.observe((publish_ms * 1e3) as u64);
         if publish_sp.is_recording() {
             publish_sp.attr_u64("epoch", cur.epoch + 1);
-            publish_sp.attr_u64("inserted", batch.inserted as u64);
+            publish_sp.attr_u64("inserted", inserted as u64);
             publish_sp.attr_u64("repairs", counters.repairs.load(Ordering::Relaxed));
         }
         *write_recover(&self.inner.current) = next;
@@ -604,7 +570,7 @@ impl<E: ServiceEngine> CfpqService<E> {
             counters,
             failures_at_publish: self.inner.obs.failure_snapshot(),
         });
-        batch.inserted
+        inserted
     }
 
     /// Stops accepting requests and drains the queues within the
@@ -720,9 +686,10 @@ impl<E: ServiceEngine> Drop for CfpqService<E> {
 mod tests {
     use super::*;
     use cfpq_core::query::{solve, Backend};
-    use cfpq_core::session::CfpqSession;
+    use cfpq_core::session::{CfpqSession, RunInfo};
     use cfpq_grammar::queries;
     use cfpq_graph::generators;
+    use cfpq_graph::Edge;
     use cfpq_matrix::{
         DenseEngine, Device, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
     };
@@ -953,9 +920,14 @@ mod tests {
         let graph = generators::paper_example();
         let service = CfpqService::new(SparseEngine, &graph);
         let q = service.prepare(&queries::query1()).unwrap();
-        // Handles are indices; forge out-of-range ones.
-        let bad_rel = QueryId(7);
-        let bad_sp = SinglePathId(0);
+        // Handles are positions: a service that prepared more queries
+        // mints ones out of this service's range.
+        let other = CfpqService::new(SparseEngine, &graph);
+        let minted: Vec<QueryId> = (0..8)
+            .map(|_| other.prepare(&queries::query1()).unwrap())
+            .collect();
+        let bad_rel = minted[7];
+        let bad_sp = other.prepare_single_path(&queries::query1()).unwrap();
         assert_eq!(
             service.enqueue(bad_rel, vec![]).err(),
             Some(ServiceError::UnknownQuery {
@@ -1118,19 +1090,70 @@ mod tests {
     }
 
     #[test]
-    fn single_path_repairs_across_epochs() {
-        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
-        let chain = generators::word_chain(&["a", "a", "b"]);
-        let service = CfpqService::new(SparseEngine, &chain);
-        let q = service.prepare_single_path(&grammar).unwrap();
-        let start = service.inner.sp_queries.read().unwrap()[0].wcnf().start;
-        assert_eq!(service.evaluate_single_path(q).pairs(start), vec![(1, 3)]);
-        service.add_edges(&[(3, "b", 4)]);
-        let idx = service.evaluate_single_path(q);
-        assert_eq!(idx.pairs(start), vec![(0, 4), (1, 3)]);
-        assert_eq!(idx.length(start, 0, 4), Some(4));
-        let stats = service.stats();
-        assert_eq!(stats[1].repairs, 1);
+    fn both_fronts_repair_alike() {
+        use cfpq_core::regular::Nfa;
+        use cfpq_matrix::TiledEngine;
+        // A session and a service over one graph take the same batches.
+        // After each, every query read as a full answer must agree, and
+        // the session's lazy repairs must launch exactly the products
+        // the service's publish did.
+        fn check<E: ServiceEngine>(engine: E) {
+            let full = cfpq_graph::ontology::dataset("skos").unwrap().to_graph();
+            let query_label = |e: &Edge| full.label_name(e.label).starts_with("subClassOf");
+            let held: Vec<Edge> = full.edges().iter().copied().filter(query_label).collect();
+            let held = &held[held.len() - 6..];
+            let mut base = Graph::new(full.n_nodes());
+            for e in full.edges().iter().filter(|e| !held.contains(e)) {
+                base.add_edge_named(e.from, full.label_name(e.label), e.to);
+            }
+            let (q1, plus) = (queries::query1(), Nfa::plus("subClassOf"));
+            let start = PreparedQuery::new(&q1).unwrap().wcnf().start;
+            let mut session = CfpqSession::new(engine.clone(), &base);
+            let s = (
+                session.prepare(&q1).unwrap(),
+                session.prepare_regular(&plus),
+                session.prepare_single_path(&q1).unwrap(),
+            );
+            let service = CfpqService::new(engine, &base);
+            let v = (
+                service.prepare(&q1).unwrap(),
+                service.prepare_regular(&plus),
+                service.prepare_single_path(&q1).unwrap(),
+            );
+            let read_both = |session: &mut CfpqSession<E>| {
+                let snap = service.snapshot();
+                for (sq, vq) in [(s.0, v.0), (s.1, v.1)] {
+                    let answer = snap.evaluate(vq);
+                    assert_eq!(session.evaluate(sq).start_pairs(), answer.start_pairs());
+                }
+                let lengths = snap.evaluate_single_path(v.2).pairs_with_lengths(start);
+                let session_lengths = session.evaluate_single_path(s.2);
+                assert_eq!(session_lengths.pairs_with_lengths(start), lengths);
+                // The session's runs of this round, in products.
+                let products = |run: Option<&RunInfo>| run.unwrap().stats.products_computed;
+                let runs = [session.last_run(s.0), session.last_run(s.1)];
+                let sp_run = session.last_single_path_run(s.2);
+                runs.into_iter()
+                    .chain([sp_run])
+                    .map(products)
+                    .sum::<usize>()
+            };
+            read_both(&mut session);
+            for (b, batch) in held.chunks(2).enumerate() {
+                let edges: Vec<(u32, &str, u32)> = batch
+                    .iter()
+                    .map(|e| (e.from, full.label_name(e.label), e.to))
+                    .collect();
+                assert_eq!(session.add_edges(&edges), service.add_edges(&edges));
+                let repaired = read_both(&mut session);
+                let stats = &service.stats()[b + 1];
+                assert_eq!((stats.repairs, stats.cold_solves), (3, 0), "batch {b}");
+                assert!(stats.repair_products > 0, "batch {b}");
+                assert_eq!(repaired as u64, stats.repair_products, "batch {b}");
+            }
+        }
+        check(SparseEngine);
+        check(TiledEngine::serial());
     }
 
     #[test]

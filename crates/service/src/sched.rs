@@ -2,10 +2,12 @@
 //! workers that drain a queue as one batch and answer it from one
 //! closure lookup.
 
-use crate::epoch::{epoch_answer, Epoch};
+use crate::epoch::{Epoch, CHECKED};
 use crate::obs::Obs;
 use crate::ticket::{PairPaths, QueryTrace, TicketAnswer, TicketState};
-use crate::{lock_recover, read_recover, Inner, ServiceEngine, ServiceError};
+use crate::{
+    lock_recover, read_recover, Inner, QueryId, ServiceEngine, ServiceError, SinglePathId,
+};
 use cfpq_core::all_paths::{PageRequest, PathEnumerator, PathPage};
 use cfpq_core::relational::RelationalIndex;
 use cfpq_core::session::{extend_prepared_from, solve_prepared_from, PreparedQuery};
@@ -21,12 +23,12 @@ use std::time::Instant;
 /// together and share a single closure lookup.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) enum QueueKey {
-    Rel(usize),
-    Sp(usize),
-    /// All-path enumeration over the relational query `q` — shares the
-    /// rel closure cache (the pruning oracle) but queues separately so a
-    /// path batch amortizes one enumerator across its requests.
-    Paths(usize),
+    Rel(QueryId),
+    Sp(SinglePathId),
+    /// All-path enumeration over a relational query — shares its closure
+    /// cell (the pruning oracle) but queues separately so a path batch
+    /// amortizes one enumerator across its requests.
+    Paths(QueryId),
 }
 
 pub(crate) struct Request {
@@ -92,15 +94,13 @@ fn probe_pairs(
 /// all of `R_S`, extracted once per epoch.
 fn rel_targets<E: ServiceEngine>(
     epoch: &Epoch<E>,
-    q: usize,
+    q: QueryId,
     prepared: &PreparedQuery,
     solved: &Arc<RelationalIndex<E::Matrix>>,
     wanted: &[(u32, u32)],
 ) -> Vec<(u32, u32)> {
     if wanted.is_empty() {
-        return epoch_answer(epoch, q, prepared, solved)
-            .start_pairs()
-            .to_vec();
+        return epoch.answer(q, prepared, solved).start_pairs().to_vec();
     }
     let start = prepared.wcnf().start;
     probe_pairs(wanted, solved.n_nodes, |i, j| solved.contains(start, i, j))
@@ -114,12 +114,12 @@ fn rel_targets<E: ServiceEngine>(
 /// rows were all solved already — no kernel ran — is a cache hit.
 fn probe_sources<E: ServiceEngine>(
     epoch: &Epoch<E>,
-    q: usize,
+    q: QueryId,
     prepared: &PreparedQuery,
     batch: &VecDeque<Request>,
 ) -> Vec<Vec<(u32, u32)>> {
-    let cell = epoch.sources.cell(q);
-    let mut slot = lock_recover(cell.get_or_init(Default::default));
+    let reads = epoch.reads(q);
+    let mut slot = lock_recover(&reads.sources);
     // Taken out for the solve: if it panics the closure unwinds with it
     // and the next ticket starts over, rather than reading one that
     // stopped half-way to its fixpoint.
@@ -131,11 +131,12 @@ fn probe_sources<E: ServiceEngine>(
         .collect();
     let (closure, products) = match taken {
         Some(mut closure) => {
-            let stats = extend_prepared_from(&epoch.index, prepared, &mut closure, &sources);
+            let index = epoch.state.index();
+            let stats = extend_prepared_from(index, prepared, &mut closure, &sources);
             (closure, stats.products_computed)
         }
         None => {
-            let closure = solve_prepared_from(&epoch.index, prepared, &sources);
+            let closure = solve_prepared_from(epoch.state.index(), prepared, &sources);
             let products = closure.stats().products_computed;
             (closure, products)
         }
@@ -326,36 +327,27 @@ fn serve_batch<E: ServiceEngine>(
         let obs = &inner.obs;
         resolve_served(obs, req, dispatched, batch_size, epoch.epoch, pairs, paths)
     };
-    // Queued handles were range-checked at enqueue and queries are never
-    // unregistered, so the closure lookups below cannot miss.
-    const CHECKED: &str = "query checked at enqueue";
     match key {
         QueueKey::Rel(q) => {
             // Named pairs need the rows they name; only a full answer —
             // or an epoch that already has it — reads the whole closure.
             let all_named = batch.iter().all(|req| !req.pairs.is_empty());
-            if all_named && epoch.rel.cell(q).get().is_none() {
-                let prepared = read_recover(&inner.queries)[q].clone();
-                let answers = probe_sources(&epoch, q, &prepared, &batch);
+            if all_named && epoch.state.solved(q).is_none() {
+                let prepared = epoch.state.query(q).expect(CHECKED);
+                let answers = probe_sources(&epoch, q, prepared, &batch);
                 for (req, pairs) in batch.iter().zip(answers) {
                     resolve(req, pairs, None);
                 }
             } else {
-                let (prepared, solved) = epoch
-                    .rel
-                    .solve_or_fetch(&inner.queries, &epoch, q)
-                    .expect(CHECKED);
+                let (prepared, solved) = epoch.evaluate(q);
                 for req in &batch {
-                    let pairs = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
+                    let pairs = rel_targets(&epoch, q, prepared, solved, &req.pairs);
                     resolve(req, pairs, None);
                 }
             }
         }
         QueueKey::Sp(q) => {
-            let (prepared, solved) = epoch
-                .sp
-                .solve_or_fetch(&inner.sp_queries, &epoch, q)
-                .expect(CHECKED);
+            let (prepared, solved) = epoch.evaluate_single_path(q);
             let start = prepared.wcnf().start;
             // Extracted for the first full-answer request of the batch.
             let mut full = None;
@@ -371,21 +363,18 @@ fn serve_batch<E: ServiceEngine>(
             }
         }
         QueueKey::Paths(q) => {
-            let (prepared, solved) = epoch
-                .rel
-                .solve_or_fetch(&inner.queries, &epoch, q)
-                .expect(CHECKED);
+            let (prepared, solved) = epoch.evaluate(q);
             let wcnf = prepared.wcnf();
             let start = wcnf.start;
             // One enumerator per batch: its memoized length classes are
             // shared by every request and every pair answered here, and
             // it reads the same epoch the pruning closure came from —
             // pages are epoch-consistent by construction.
-            let mut enumerator = PathEnumerator::from_index(&epoch.index, wcnf);
+            let mut enumerator = PathEnumerator::from_index(epoch.state.index(), wcnf);
             let quota = inner.config.path_quota;
             for req in &batch {
                 let page = req.page.unwrap_or_default();
-                let targets = rel_targets(&epoch, q, &prepared, &solved, &req.pairs);
+                let targets = rel_targets(&epoch, q, prepared, solved, &req.pairs);
                 // The quota bounds one request's total paths across all
                 // its pairs; a page it cuts short is reported truncated,
                 // never silently clipped.
@@ -396,7 +385,7 @@ fn serve_batch<E: ServiceEngine>(
                         PathPage::truncated()
                     } else {
                         enumerator.page(
-                            &solved,
+                            solved,
                             start,
                             i,
                             j,

@@ -11,7 +11,7 @@
 //! snapshot isolation — a reader pinned to the old epoch keeps its
 //! answers — and (b) the per-epoch [`ServiceStats`]: the update was a
 //! cheap incremental repair, and batched requests shared one cached
-//! closure.
+//! closure. It asserts both, so CI runs it as a check.
 
 use cfpq::prelude::*;
 use cfpq::service::ServiceConfig;
@@ -65,15 +65,24 @@ fn main() {
         before.epoch(),
         after.epoch()
     );
+    let pairs_old = before.evaluate(q1).start_count();
     println!(
-        "R_S: {} pairs on the old snapshot (unchanged: {}), {} on the new epoch",
-        before.evaluate(q1).start_count(),
-        before.evaluate(q1).start_count() == pairs_before,
+        "R_S: {pairs_old} pairs on the old snapshot (unchanged: {}), {} on the new epoch",
+        pairs_old == pairs_before,
         after.evaluate(q1).start_count()
+    );
+    assert_eq!(
+        pairs_old, pairs_before,
+        "the publish left the old epoch alone"
     );
 
     println!("\nper-epoch stats:");
-    for s in service.stats() {
+    let stats = service.stats();
+    // The publish repaired the one closure epoch 0 had solved, so the
+    // read of epoch 1 above was a hit.
+    let epoch1 = (stats[1].repairs, stats[1].cold_solves, stats[1].cache_hits);
+    assert_eq!(epoch1, (1, 0, 1), "epoch 1: one repair, no cold solve");
+    for s in stats {
         println!(
             "  epoch {}: served {:>3}  hits {:>3}  cold {} ({} products)  \
              repairs {} ({} products)  publish {:.2} ms",

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use cfpq_core::relational::{solve_set_matrix, FixpointSolver, SolveStats, SourceClosure};
     pub use cfpq_core::session::{
         extend_prepared_from, solve_prepared, solve_prepared_from, CfpqSession, GraphIndex,
-        PreparedQuery, QueryId, SessionError, SinglePathId,
+        PreparedQuery, QueryId, SinglePathId,
     };
     pub use cfpq_core::single_path::{extract_path, validate_witness, SinglePathSolver};
     pub use cfpq_grammar::{Cfg, Nt, Term, Wcnf};
@@ -66,9 +66,8 @@ pub mod prelude {
         ParSparseEngine, Parallelism, SparseEngine, TiledEngine,
     };
     pub use cfpq_obs::{MetricsRegistry, NoopRecorder, Recorder, SpanCollector};
-    // The service's query handles keep their own names (`cfpq::service::
-    // QueryId` vs the session's `QueryId` above), so only the
-    // unambiguous types are in the prelude.
+    // The service hands out the session's `QueryId` / `SinglePathId`
+    // above (`cfpq::service::QueryId` is the same type).
     pub use cfpq_service::{
         Backoff, CfpqService, QueryTrace, ServiceConfig, ServiceError, ServiceStats, Snapshot,
         Ticket, TicketResult,
