@@ -19,6 +19,11 @@
 //! `(left_len, right_len)` split. Classes are computed lazily in length
 //! order, so a page that fills early never touches longer lengths.
 //!
+//! The enumerator keeps no edges of its own: a page reads the
+//! [`GraphIndex`] the closure was solved on, whose label matrices are the
+//! one edge store above the matrix layer. A terminal step is a
+//! [`BoolMat::get`] of the label matrix bound to the terminal by name.
+//!
 //! ε-witnesses are first-class: when the relational index was solved
 //! with `nullable_diagonal` enabled, a nullable `A` at a diagonal pair
 //! `(m, m)` yields the empty path, and binary splits `A → BC` may erase
@@ -38,8 +43,9 @@
 //!
 //! The pre-rewrite recursive walk survives as
 //! [`enumerate_paths_eager`] — the reference oracle the fixed-seed
-//! property suite and the `all-paths` bench compare the enumerator
-//! against.
+//! property suite compares the enumerator against. It reads the
+//! [`Graph`]'s edge list where the enumerator reads the index, so each
+//! checks the other across the two edge stores.
 
 use crate::relational::{label_terminal_map, RelationalIndex};
 use crate::session::GraphIndex;
@@ -48,25 +54,6 @@ use cfpq_graph::{Edge, Graph, Label, NodeId};
 use cfpq_matrix::{BoolEngine, BoolMat};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-
-/// Enumeration limits of the one-shot [`enumerate_paths`] facade (the
-/// paged API takes a [`PageRequest`]).
-#[derive(Clone, Copy, Debug)]
-pub struct EnumLimits {
-    /// Maximum path length in edges.
-    pub max_len: usize,
-    /// Maximum number of paths returned.
-    pub max_paths: usize,
-}
-
-impl Default for EnumLimits {
-    fn default() -> Self {
-        Self {
-            max_len: 16,
-            max_paths: 64,
-        }
-    }
-}
 
 /// One page of an all-path enumeration: skip `offset` paths in the
 /// (length, lexicographic) stream, return at most `limit`, never explore
@@ -86,8 +73,8 @@ impl Default for PageRequest {
     fn default() -> Self {
         Self {
             offset: 0,
-            limit: EnumLimits::default().max_paths,
-            max_len: EnumLimits::default().max_len,
+            limit: 64,
+            max_len: 16,
         }
     }
 }
@@ -124,95 +111,28 @@ type PathKey = Vec<(u32, u32, u32)>;
 /// Memo key: `(nt, from, to, len)`.
 type ClassKey = (u32, u32, u32, u32);
 
-/// One terminal's slot in [`TermAdjacency`]: the graph label bound to
-/// the terminal plus the sorted `(from, to)` pairs carrying it.
-type TermEdges = Option<(Label, Vec<(u32, u32)>)>;
-
-/// The terminal-labeled edge relation the enumerator walks: for each
-/// grammar terminal, the graph label bound to it (by name) and the
-/// sorted set of `(from, to)` pairs carrying that label. Built once per
-/// graph state, from either a [`Graph`] or a session/service
-/// [`GraphIndex`] (whose label matrices are the only edge storage the
-/// upper layers keep).
-#[derive(Clone, Debug)]
-pub struct TermAdjacency {
-    n_nodes: usize,
-    /// Indexed by `Term::index()`; `None` when no graph label binds to
-    /// the terminal.
-    by_term: Vec<TermEdges>,
-}
-
-impl TermAdjacency {
-    /// Builds the relation from a graph's edge list.
-    pub fn from_graph(graph: &Graph, grammar: &Wcnf) -> Self {
-        let term_of = label_terminal_map(graph, grammar);
-        let mut by_term: Vec<TermEdges> = vec![None; grammar.n_terms()];
-        for e in graph.edges() {
-            if let Some(term) = term_of[e.label.index()] {
-                by_term[term.index()]
-                    .get_or_insert_with(|| (e.label, Vec::new()))
-                    .1
-                    .push((e.from, e.to));
-            }
-        }
-        for entry in by_term.iter_mut().flatten() {
-            entry.1.sort_unstable();
-            entry.1.dedup();
-        }
-        Self {
-            n_nodes: graph.n_nodes(),
-            by_term,
-        }
-    }
-
-    /// Builds the relation from a session/service [`GraphIndex`]'s label
-    /// matrices. Emitted [`Edge::label`]s use the index's label ids
-    /// (identical to the source graph's when the index was built with
-    /// [`GraphIndex::build`] and labels arrived in graph order).
-    pub fn from_index<E: BoolEngine>(index: &GraphIndex<E>, grammar: &Wcnf) -> Self {
-        let mut by_term: Vec<TermEdges> = vec![None; grammar.n_terms()];
-        for (l, (name, matrix)) in index.label_matrices().enumerate() {
-            let Some(term) = grammar.symbols.get_term(name) else {
-                continue;
-            };
-            let mut pairs = matrix.pairs();
-            pairs.sort_unstable();
-            by_term[term.index()] = Some((Label(l as u32), pairs));
-        }
-        Self {
-            n_nodes: index.n_nodes(),
-            by_term,
-        }
-    }
-
-    /// Node-universe size.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// The label of the `(i, term, j)` edge, if present.
-    fn edge(&self, term: Term, i: u32, j: u32) -> Option<Label> {
-        let (label, pairs) = self.by_term[term.index()].as_ref()?;
-        pairs.binary_search(&(i, j)).ok().map(|_| *label)
-    }
+/// What one page reads: the closure it prunes against, and per grammar
+/// terminal (by `Term::index()`) the index label bound to it by name.
+struct View<'a, M, A> {
+    closure: &'a RelationalIndex<M>,
+    labels: Vec<Option<(Label, &'a A)>>,
 }
 
 /// The lazy, deduplicating, paged all-path enumerator.
 ///
-/// An enumerator is bound to one *(graph state, grammar)* pair — build
-/// it with [`PathEnumerator::from_graph`] or
-/// [`PathEnumerator::from_index`] — and serves any number of
-/// [`PathEnumerator::page`] calls against the matching relational
-/// closure, accumulating memoized length classes across calls: paging
-/// deeper, re-querying other endpoint pairs, or re-reading earlier pages
-/// reuses everything already computed. After the underlying graph
-/// changes, the tables are stale (classes only ever *grow* with new
-/// edges, but entries are exact-length sets, so any of them may grow) —
-/// drop the enumerator and build a fresh one; the session layer does
-/// exactly that on its repair path.
+/// An enumerator holds one grammar's tables and the length classes it
+/// has memoized, and serves any number of [`PathEnumerator::page`] calls:
+/// paging deeper, re-querying other endpoint pairs, or re-reading earlier
+/// pages reuses everything already computed. The memo tables are valid
+/// for one graph state only — every page must pass the same index and
+/// closure. After the graph changes, classes may grow (entries are
+/// exact-length sets), so drop the enumerator and build a fresh one; the
+/// session drops it whenever a run changed the closure.
 #[derive(Clone)]
 pub struct PathEnumerator {
-    adj: TermAdjacency,
+    /// Per terminal: its name, which binds it to the index label of the
+    /// same name.
+    term_names: Vec<String>,
     /// `nullable[nt]` — the nonterminal could derive ε in the source
     /// grammar (weak-CNF itself is ε-free; see [`Wcnf::nullable`]).
     nullable: Vec<bool>,
@@ -232,7 +152,8 @@ pub struct PathEnumerator {
 }
 
 impl PathEnumerator {
-    fn new(adj: TermAdjacency, grammar: &Wcnf) -> Self {
+    /// An enumerator for `grammar`, with nothing memoized yet.
+    pub fn new(grammar: &Wcnf) -> Self {
         let mut terms_of: Vec<Vec<Term>> = vec![Vec::new(); grammar.n_nts()];
         for r in &grammar.term_rules {
             terms_of[r.lhs.index()].push(r.term);
@@ -246,7 +167,7 @@ impl PathEnumerator {
             nullable[nt.index()] = true;
         }
         Self {
-            adj,
+            term_names: grammar.symbols.terms().map(|(_, n)| n.to_owned()).collect(),
             nullable,
             terms_of,
             rules: Arc::new(grammar.binary_rules.clone()),
@@ -254,16 +175,6 @@ impl PathEnumerator {
             bases: HashMap::new(),
             eps: HashMap::new(),
         }
-    }
-
-    /// An enumerator over a graph's edge list.
-    pub fn from_graph(graph: &Graph, grammar: &Wcnf) -> Self {
-        Self::new(TermAdjacency::from_graph(graph, grammar), grammar)
-    }
-
-    /// An enumerator over a session/service [`GraphIndex`].
-    pub fn from_index<E: BoolEngine>(index: &GraphIndex<E>, grammar: &Wcnf) -> Self {
-        Self::new(TermAdjacency::from_index(index, grammar), grammar)
     }
 
     /// Memoized length classes currently materialized (an observability
@@ -275,23 +186,29 @@ impl PathEnumerator {
     /// Streams one page of distinct witness paths for `(nt, from, to)`:
     /// skip `req.offset` paths of the (length, lexicographic) stream,
     /// return up to `req.limit`, never explore beyond `req.max_len`
-    /// edges. `index` must be the relational closure of the graph state
-    /// this enumerator was built from (and decides ε-visibility: only a
+    /// edges. Terminal steps read `index`'s label matrices, and emitted
+    /// [`Edge::label`]s are its label ids. `closure` must be the
+    /// relational closure of `index` (it decides ε-visibility: only a
     /// `nullable_diagonal` closure unlocks ε-witnesses and ε-side
-    /// splits).
-    pub fn page<M: BoolMat>(
+    /// splits), and every page of one enumerator must pass the same two.
+    pub fn page<E: BoolEngine, M: BoolMat>(
         &mut self,
-        index: &RelationalIndex<M>,
+        index: &GraphIndex<E>,
+        closure: &RelationalIndex<M>,
         nt: Nt,
         from: NodeId,
         to: NodeId,
         req: PageRequest,
     ) -> PathPage {
+        let view = View {
+            closure,
+            labels: self.term_names.iter().map(|n| index.label(n)).collect(),
+        };
         let mut paths = Vec::new();
         let mut skip = req.offset;
         let mut exhausted = true;
         'lengths: for len in 0..=req.max_len {
-            let class = self.class(index, nt, from, to, len);
+            let class = self.class(&view, nt, from, to, len);
             for key in class.iter() {
                 if skip > 0 {
                     skip -= 1;
@@ -311,10 +228,10 @@ impl PathEnumerator {
     /// The full length class for `(nt, from, to)` at exactly `len`
     /// edges: every base class of every ε-erasure-reachable nonterminal,
     /// deduplicated and sorted. `len == 0` is the ε-witness, reported
-    /// only when the diagonal pair is in the (nullable-aware) index.
-    fn class<M: BoolMat>(
+    /// only when the diagonal pair is in the (nullable-aware) closure.
+    fn class<M: BoolMat, A: BoolMat>(
         &mut self,
-        index: &RelationalIndex<M>,
+        view: &View<M, A>,
         nt: Nt,
         from: u32,
         to: u32,
@@ -324,20 +241,21 @@ impl PathEnumerator {
         if let Some(v) = self.classes.get(&key) {
             return Arc::clone(v);
         }
+        let closure = view.closure;
         let v = if len == 0 {
-            if from == to && self.nullable[nt.index()] && index.contains(nt, from, to) {
+            if from == to && self.nullable[nt.index()] && closure.contains(nt, from, to) {
                 Arc::new(vec![Vec::new()])
             } else {
                 Arc::new(Vec::new())
             }
-        } else if !index.contains(nt, from, to) {
+        } else if !closure.contains(nt, from, to) {
             // The closure is complete: no pair, no witness of any length.
             Arc::new(Vec::new())
         } else {
-            let reach = self.eps_reach(index, from, to);
+            let reach = self.eps_reach(closure, from, to);
             let mut set: BTreeSet<PathKey> = BTreeSet::new();
             for &d in &reach[nt.index()] {
-                let base = self.base_class(index, Nt(d), from, to, len);
+                let base = self.base_class(view, Nt(d), from, to, len);
                 set.extend(base.iter().cloned());
             }
             Arc::new(set.into_iter().collect())
@@ -347,14 +265,15 @@ impl PathEnumerator {
     }
 
     /// The ε-erasure-free contributions to a length class: terminal
-    /// edges at `len == 1`, two-sided splits `d → BC` over every pivot
-    /// at `len ≥ 2` — the pivots being the stored cells of row `from` of
-    /// `R_B`, in ascending order, so a split costs that row and not the
-    /// graph. Both sides of a split are full classes of strictly smaller
+    /// edges at `len == 1` — a read of each bound label matrix — and
+    /// two-sided splits `d → BC` over every pivot at `len ≥ 2`, the
+    /// pivots being the stored cells of row `from` of `R_B`, in
+    /// ascending order, so a split costs that row and not the graph.
+    /// Both sides of a split are full classes of strictly smaller
     /// length, so the recursion terminates without any guard.
-    fn base_class<M: BoolMat>(
+    fn base_class<M: BoolMat, A: BoolMat>(
         &mut self,
-        index: &RelationalIndex<M>,
+        view: &View<M, A>,
         d: Nt,
         from: u32,
         to: u32,
@@ -366,25 +285,24 @@ impl PathEnumerator {
         }
         let mut set: BTreeSet<PathKey> = BTreeSet::new();
         if len == 1 {
-            for t in 0..self.terms_of[d.index()].len() {
-                let term = self.terms_of[d.index()][t];
-                if let Some(label) = self.adj.edge(term, from, to) {
-                    set.insert(vec![(from, label.0, to)]);
-                }
-            }
+            set.extend(self.terms_of[d.index()].iter().filter_map(|term| {
+                let (label, matrix) = view.labels[term.index()]?;
+                matrix.get(from, to).then(|| vec![(from, label.0, to)])
+            }));
         } else {
+            let closure = view.closure;
             let rules = Arc::clone(&self.rules);
             for rule in rules.iter().filter(|r| r.lhs == d) {
-                for k in index.matrices[rule.left.index()].row_cols(from) {
-                    if !index.contains(rule.right, k, to) {
+                for k in closure.matrices[rule.left.index()].row_cols(from) {
+                    if !closure.contains(rule.right, k, to) {
                         continue;
                     }
                     for left_len in 1..len {
-                        let lefts = self.class(index, rule.left, from, k, left_len);
+                        let lefts = self.class(view, rule.left, from, k, left_len);
                         if lefts.is_empty() {
                             continue;
                         }
-                        let rights = self.class(index, rule.right, k, to, len - left_len);
+                        let rights = self.class(view, rule.right, k, to, len - left_len);
                         for lp in lefts.iter() {
                             for rp in rights.iter() {
                                 let mut full = lp.clone();
@@ -403,7 +321,7 @@ impl PathEnumerator {
 
     /// ε-erasure reachability over nonterminals at endpoint pair
     /// `(i, j)`: `A` steps to `C` if a rule `A → BC` can erase its left
-    /// side (`B` nullable with `(B, i, i)` in the index), and to `B` if
+    /// side (`B` nullable with `(B, i, i)` in the closure), and to `B` if
     /// it can erase its right side at `j`. An erasure keeps the
     /// endpoints *and the length* fixed and only rewrites the
     /// nonterminal, so the class of `A` is the union of the base classes
@@ -412,7 +330,7 @@ impl PathEnumerator {
     /// like `S → S S` with nullable `S` simply yield `S ∈ reach[S]`.
     fn eps_reach<M: BoolMat>(
         &mut self,
-        index: &RelationalIndex<M>,
+        closure: &RelationalIndex<M>,
         i: u32,
         j: u32,
     ) -> Arc<Vec<Vec<u32>>> {
@@ -422,10 +340,10 @@ impl PathEnumerator {
         let n_nts = self.terms_of.len();
         let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n_nts];
         for rule in self.rules.iter() {
-            if self.nullable[rule.left.index()] && index.contains(rule.left, i, i) {
+            if self.nullable[rule.left.index()] && closure.contains(rule.left, i, i) {
                 succ[rule.lhs.index()].push(rule.right.0);
             }
-            if self.nullable[rule.right.index()] && index.contains(rule.right, j, j) {
+            if self.nullable[rule.right.index()] && closure.contains(rule.right, j, j) {
                 succ[rule.lhs.index()].push(rule.left.0);
             }
         }
@@ -464,42 +382,13 @@ fn decode(key: &[(u32, u32, u32)]) -> Vec<Edge> {
         .collect()
 }
 
-/// One-shot facade over the [`PathEnumerator`]: the first
-/// `limits.max_paths` distinct witness paths for `(nt, from, to)` within
-/// `limits.max_len`, in (length, lexicographic) order — the empty
-/// ε-witness first where it applies — plus the `exhausted` flag, so
-/// capped results are distinguishable from complete ones. Requires the
-/// relational index for pruning: a split `(B, i, k), (C, k, j)` is only
-/// explored if both pairs are in the relations, so an index solved with
-/// `nullable_diagonal` also unlocks the ε-side splits.
-pub fn enumerate_paths<M: BoolMat>(
-    index: &RelationalIndex<M>,
-    graph: &Graph,
-    grammar: &Wcnf,
-    nt: Nt,
-    from: NodeId,
-    to: NodeId,
-    limits: EnumLimits,
-) -> PathPage {
-    PathEnumerator::from_graph(graph, grammar).page(
-        index,
-        nt,
-        from,
-        to,
-        PageRequest {
-            offset: 0,
-            limit: limits.max_paths,
-            max_len: limits.max_len,
-        },
-    )
-}
-
-/// The pre-rewrite eager recursive walk, kept as the reference oracle
-/// for the fixed-seed property suite and the eager-vs-lazy bench rows.
-/// Unlike [`enumerate_paths`] it re-derives sub-paths from scratch at
-/// every pivot and split (exponential on exactly the cyclic graphs the
-/// module exists for), emits within-length results in edge-iteration
-/// order, and truncates at `max_paths` — use the enumerator for
+/// The pre-rewrite eager recursive walk over the graph's edge list, kept
+/// as the reference oracle for the fixed-seed property suite. Unlike the
+/// [`PathEnumerator`] it re-derives sub-paths from scratch at every pivot
+/// and split (exponential on exactly the cyclic graphs the module exists
+/// for) and emits within-length results in edge-iteration order. It
+/// collects the first `req.offset + req.limit` distinct paths within
+/// `req.max_len` and skips `req.offset` of them — use the enumerator for
 /// anything but oracle comparisons.
 pub fn enumerate_paths_eager<M: BoolMat>(
     index: &RelationalIndex<M>,
@@ -508,7 +397,7 @@ pub fn enumerate_paths_eager<M: BoolMat>(
     nt: Nt,
     from: NodeId,
     to: NodeId,
-    limits: EnumLimits,
+    req: PageRequest,
 ) -> Vec<Vec<Edge>> {
     if !index.contains(nt, from, to) {
         return Vec::new();
@@ -520,7 +409,7 @@ pub fn enumerate_paths_eager<M: BoolMat>(
         graph,
         grammar,
         term_of: &term_of,
-        limits,
+        max_paths: req.offset.saturating_add(req.limit),
     };
     let mut results = Vec::new();
     // The ε-witness: the empty path, reported only when the relations
@@ -531,7 +420,7 @@ pub fn enumerate_paths_eager<M: BoolMat>(
     // Iterative deepening so output is ordered by length and the search
     // never wastes budget on long paths before short ones are exhausted.
     let mut guard = HashSet::new();
-    for len in 1..=limits.max_len {
+    for len in 1..=req.max_len {
         ctx.collect(
             nt,
             from,
@@ -542,12 +431,12 @@ pub fn enumerate_paths_eager<M: BoolMat>(
             &mut seen,
             &mut guard,
         );
-        if results.len() >= limits.max_paths {
+        if results.len() >= ctx.max_paths {
             break;
         }
     }
-    results.truncate(limits.max_paths);
-    results
+    results.truncate(ctx.max_paths);
+    results.split_off(req.offset.min(results.len()))
 }
 
 struct Ctx<'a, M: BoolMat> {
@@ -555,7 +444,7 @@ struct Ctx<'a, M: BoolMat> {
     graph: &'a Graph,
     grammar: &'a Wcnf,
     term_of: &'a [Option<Term>],
-    limits: EnumLimits,
+    max_paths: usize,
 }
 
 /// One in-flight enumeration state of the eager walk; re-entering it
@@ -581,7 +470,7 @@ impl<M: BoolMat> Ctx<'_, M> {
         seen: &mut BTreeSet<PathKey>,
         guard: &mut HashSet<GuardKey>,
     ) {
-        if results.len() >= self.limits.max_paths {
+        if results.len() >= self.max_paths {
             return;
         }
         let key = (nt, from, to, len);
@@ -621,7 +510,7 @@ impl<M: BoolMat> Ctx<'_, M> {
                     prefix.push(Edge { from, label, to });
                     self.emit(prefix, results, seen);
                     prefix.pop();
-                    if results.len() >= self.limits.max_paths {
+                    if results.len() >= self.max_paths {
                         return;
                     }
                 }
@@ -690,7 +579,7 @@ impl<M: BoolMat> Ctx<'_, M> {
                             let mut full = new_prefix.clone();
                             full.extend_from_slice(&rp);
                             self.emit(&full, results, seen);
-                            if results.len() >= self.limits.max_paths {
+                            if results.len() >= self.max_paths {
                                 return;
                             }
                         }
@@ -725,13 +614,44 @@ mod tests {
             .unwrap()
     }
 
+    /// A page of `S`'s paths from a fresh enumerator over `graph`'s index.
+    fn page<M: BoolMat>(
+        closure: &RelationalIndex<M>,
+        graph: &Graph,
+        g: &Wcnf,
+        from: u32,
+        to: u32,
+        req: PageRequest,
+    ) -> PathPage {
+        let s = g.symbols.get_nt("S").unwrap();
+        let index = GraphIndex::build(DenseEngine, graph);
+        PathEnumerator::new(g).page(&index, closure, s, from, to, req)
+    }
+
+    /// The first `limit` paths within `max_len`.
+    fn first(limit: usize, max_len: usize) -> PageRequest {
+        PageRequest {
+            offset: 0,
+            limit,
+            max_len,
+        }
+    }
+
+    /// Self loops `a` and `b` at one node: infinitely many witnesses of
+    /// `S -> a S b | a b`.
+    fn ab_loops() -> Graph {
+        let mut graph = Graph::new(1);
+        graph.add_edge_named(0, "a", 0);
+        graph.add_edge_named(0, "b", 0);
+        graph
+    }
+
     #[test]
     fn chain_has_exactly_one_path() {
         let g = wcnf("S -> a S b | a b");
-        let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "a", "b", "b"]);
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let page = enumerate_paths(&idx, &graph, &g, s, 0, 4, EnumLimits::default());
+        let page = page(&idx, &graph, &g, 0, 4, PageRequest::default());
         assert_eq!(page.paths.len(), 1);
         assert_eq!(page.paths[0].len(), 4);
         assert!(page.exhausted, "one path exists, and the page proves it");
@@ -739,19 +659,12 @@ mod tests {
 
     #[test]
     fn cyclic_graph_yields_multiple_valid_paths() {
-        // Self loops a and b at a single node: infinitely many witnesses;
-        // the enumeration returns all up to the caps, each valid.
+        // The enumeration returns all witnesses up to the caps, each valid.
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
-        let mut graph = cfpq_graph::Graph::new(1);
-        graph.add_edge_named(0, "a", 0);
-        graph.add_edge_named(0, "b", 0);
+        let graph = ab_loops();
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let limits = EnumLimits {
-            max_len: 8,
-            max_paths: 10,
-        };
-        let page = enumerate_paths(&idx, &graph, &g, s, 0, 0, limits);
+        let page = page(&idx, &graph, &g, 0, 0, first(10, 8));
         // a b, a a b b, a a a b b b, a a a a b b b b → 4 distinct within 8.
         assert_eq!(page.paths.len(), 4);
         assert!(page.exhausted, "nothing else exists within max_len 8");
@@ -766,27 +679,14 @@ mod tests {
     #[test]
     fn cyclic_stress_completes_where_eager_was_exponential() {
         // The acceptance stress: the `cyclic_graph_yields_multiple_valid_
-        // paths` setup scaled to max_paths = 1000, max_len = 64. One
+        // paths` setup scaled to limit = 1000, max_len = 64. One
         // memoized class per (nt, len) — the eager walk re-derived each
         // from scratch per pivot and split.
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
-        let mut graph = cfpq_graph::Graph::new(1);
-        graph.add_edge_named(0, "a", 0);
-        graph.add_edge_named(0, "b", 0);
+        let graph = ab_loops();
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let page = enumerate_paths(
-            &idx,
-            &graph,
-            &g,
-            s,
-            0,
-            0,
-            EnumLimits {
-                max_len: 64,
-                max_paths: 1000,
-            },
-        );
+        let page = page(&idx, &graph, &g, 0, 0, first(1000, 64));
         // One witness aⁿbⁿ per even length 2..=64.
         assert_eq!(page.paths.len(), 32);
         assert!(page.exhausted);
@@ -810,11 +710,11 @@ mod tests {
             })
             .solve(&graph, &g);
         // Diagonal: ε-witness plus nothing else at node 0 of length 0.
-        let at_zero = enumerate_paths(&idx, &graph, &g, s, 0, 0, EnumLimits::default());
+        let at_zero = page(&idx, &graph, &g, 0, 0, PageRequest::default());
         assert_eq!(at_zero.paths[0], Vec::<Edge>::new(), "ε-witness first");
         assert!(validate_witness(&at_zero.paths[0], &graph, &g, s, 0, 0));
         // Full span: the bracket word ( ) ( ) is a witness of length 4.
-        let full = enumerate_paths(&idx, &graph, &g, s, 0, 4, EnumLimits::default());
+        let full = page(&idx, &graph, &g, 0, 4, PageRequest::default());
         assert!(
             full.paths.iter().any(|p| p.len() == 4),
             "full-span witness found, got lengths {:?}",
@@ -824,7 +724,7 @@ mod tests {
             assert!(validate_witness(p, &graph, &g, s, 0, 4), "path {p:?}");
         }
         // Inner span ( over nodes 2..4 ): a single bracket pair.
-        let inner = enumerate_paths(&idx, &graph, &g, s, 2, 4, EnumLimits::default());
+        let inner = page(&idx, &graph, &g, 2, 4, PageRequest::default());
         assert_eq!(inner.paths.len(), 1);
         assert_eq!(inner.paths[0].len(), 2);
     }
@@ -835,19 +735,18 @@ mod tests {
         // so no ε-witness is reported — enumeration stays consistent
         // with the index it prunes against.
         let g = wcnf("S -> ( S ) | eps");
-        let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["(", ")"]);
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let page = enumerate_paths(&idx, &graph, &g, s, 1, 1, EnumLimits::default());
-        assert!(page.paths.is_empty());
-        assert!(page.exhausted, "empty because nothing exists, not capped");
+        let plain = page(&idx, &graph, &g, 1, 1, PageRequest::default());
+        assert!(plain.paths.is_empty());
+        assert!(plain.exhausted, "empty because nothing exists, not capped");
         let aware = FixpointSolver::new(&DenseEngine)
             .options(SolveOptions {
                 nullable_diagonal: true,
             })
             .solve(&graph, &g);
-        let page = enumerate_paths(&aware, &graph, &g, s, 1, 1, EnumLimits::default());
-        assert_eq!(page.paths, vec![Vec::new()], "exactly the ε-witness");
+        let eps = page(&aware, &graph, &g, 1, 1, PageRequest::default());
+        assert_eq!(eps.paths, vec![Vec::new()], "exactly the ε-witness");
     }
 
     #[test]
@@ -855,10 +754,9 @@ mod tests {
         // Dyck-1 without eps on ( ) ( ): S spans (0,4) via S S and the
         // single bracketing; only one underlying path exists though.
         let g = wcnf("S -> S S | ( S ) | ( )");
-        let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["(", ")", "(", ")"]);
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let page = enumerate_paths(&idx, &graph, &g, s, 0, 4, EnumLimits::default());
+        let page = page(&idx, &graph, &g, 0, 4, PageRequest::default());
         // The path is unique even though derivations are many — dedup.
         assert_eq!(page.paths.len(), 1);
     }
@@ -866,23 +764,9 @@ mod tests {
     #[test]
     fn respects_limits_and_reports_truncation() {
         let g = wcnf("S -> a S b | a b");
-        let s = g.symbols.get_nt("S").unwrap();
-        let mut graph = cfpq_graph::Graph::new(1);
-        graph.add_edge_named(0, "a", 0);
-        graph.add_edge_named(0, "b", 0);
+        let graph = ab_loops();
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let page = enumerate_paths(
-            &idx,
-            &graph,
-            &g,
-            s,
-            0,
-            0,
-            EnumLimits {
-                max_len: 100,
-                max_paths: 3,
-            },
-        );
+        let page = page(&idx, &graph, &g, 0, 0, first(3, 100));
         assert_eq!(page.paths.len(), 3);
         // The old API could not answer "3 exist" vs "capped at 3".
         assert!(!page.exhausted, "cap was hit: more witnesses exist");
@@ -891,10 +775,9 @@ mod tests {
     #[test]
     fn missing_pair_is_empty() {
         let g = wcnf("S -> a b");
-        let s = g.symbols.get_nt("S").unwrap();
         let graph = generators::word_chain(&["a", "b"]);
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let page = enumerate_paths(&idx, &graph, &g, s, 1, 0, EnumLimits::default());
+        let page = page(&idx, &graph, &g, 1, 0, PageRequest::default());
         assert!(page.paths.is_empty());
         assert!(page.exhausted);
     }
@@ -906,15 +789,14 @@ mod tests {
         // their (from, label, to) triples regardless of edge insertion
         // or engine iteration order — the pinned paging contract.
         let g = wcnf("S -> a b");
-        let s = g.symbols.get_nt("S").unwrap();
-        let mut graph = cfpq_graph::Graph::new(4);
+        let mut graph = Graph::new(4);
         // Inserted deliberately in "wrong" order.
         graph.add_edge_named(0, "a", 2);
         graph.add_edge_named(2, "b", 3);
         graph.add_edge_named(0, "a", 1);
         graph.add_edge_named(1, "b", 3);
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let page = enumerate_paths(&idx, &graph, &g, s, 0, 3, EnumLimits::default());
+        let page = page(&idx, &graph, &g, 0, 3, PageRequest::default());
         assert_eq!(page.paths.len(), 2);
         let keys: Vec<Vec<(u32, u32, u32)>> = page
             .paths
@@ -933,37 +815,21 @@ mod tests {
     fn pages_concatenate_to_the_full_stream() {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
-        let mut graph = cfpq_graph::Graph::new(1);
-        graph.add_edge_named(0, "a", 0);
-        graph.add_edge_named(0, "b", 0);
+        let graph = ab_loops();
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let mut enumerator = PathEnumerator::from_graph(&graph, &g);
-        let full = enumerator.page(
-            &idx,
-            s,
-            0,
-            0,
-            PageRequest {
-                offset: 0,
-                limit: 100,
-                max_len: 12,
-            },
-        );
+        let index = GraphIndex::build(DenseEngine, &graph);
+        let mut enumerator = PathEnumerator::new(&g);
+        let full = enumerator.page(&index, &idx, s, 0, 0, first(100, 12));
         assert!(full.exhausted);
         let mut stitched = Vec::new();
         let mut offset = 0;
         loop {
-            let page = enumerator.page(
-                &idx,
-                s,
-                0,
-                0,
-                PageRequest {
-                    offset,
-                    limit: 2,
-                    max_len: 12,
-                },
-            );
+            let req = PageRequest {
+                offset,
+                limit: 2,
+                max_len: 12,
+            };
+            let page = enumerator.page(&index, &idx, s, 0, 0, req);
             let n = page.paths.len();
             stitched.extend(page.paths);
             offset += n;
@@ -989,48 +855,15 @@ mod tests {
                 nullable_diagonal: true,
             })
             .solve(&graph, &g);
-        let page = enumerate_paths(
-            &idx,
-            &graph,
-            &g,
-            s,
-            0,
-            24,
-            EnumLimits {
-                max_len: 24,
-                max_paths: 4,
-            },
-        );
+        let whole = page(&idx, &graph, &g, 0, 24, first(4, 24));
         // Exactly one witness exists (the chain itself) …
-        assert_eq!(page.paths.len(), 1);
-        assert_eq!(page.paths[0].len(), 24);
-        assert!(page.exhausted);
+        assert_eq!(whole.paths.len(), 1);
+        assert_eq!(whole.paths[0].len(), 24);
+        assert!(whole.exhausted);
         // … and the eager oracle agrees on a shallower prefix (running
-        // it at depth 24 is exactly the blowup this PR removes).
-        let eager = enumerate_paths_eager(
-            &idx,
-            &graph,
-            &g,
-            s,
-            0,
-            6,
-            EnumLimits {
-                max_len: 6,
-                max_paths: 4,
-            },
-        );
-        let lazy = enumerate_paths(
-            &idx,
-            &graph,
-            &g,
-            s,
-            0,
-            6,
-            EnumLimits {
-                max_len: 6,
-                max_paths: 4,
-            },
-        );
+        // it at depth 24 is exactly the blowup the enumerator removes).
+        let eager = enumerate_paths_eager(&idx, &graph, &g, s, 0, 6, first(4, 6));
+        let lazy = page(&idx, &graph, &g, 0, 6, first(4, 6));
         let key = |p: &Vec<Edge>| {
             p.iter()
                 .map(|e| (e.from, e.label.0, e.to))
@@ -1045,16 +878,11 @@ mod tests {
     fn eager_oracle_matches_enumerator_on_cyclic_setup() {
         let g = wcnf("S -> a S b | a b");
         let s = g.symbols.get_nt("S").unwrap();
-        let mut graph = cfpq_graph::Graph::new(1);
-        graph.add_edge_named(0, "a", 0);
-        graph.add_edge_named(0, "b", 0);
+        let graph = ab_loops();
         let idx = FixpointSolver::new(&DenseEngine).solve(&graph, &g);
-        let limits = EnumLimits {
-            max_len: 10,
-            max_paths: 100,
-        };
-        let eager = enumerate_paths_eager(&idx, &graph, &g, s, 0, 0, limits);
-        let lazy = enumerate_paths(&idx, &graph, &g, s, 0, 0, limits);
+        let req = first(100, 10);
+        let eager = enumerate_paths_eager(&idx, &graph, &g, s, 0, 0, req);
+        let lazy = page(&idx, &graph, &g, 0, 0, req);
         assert_eq!(eager.len(), lazy.paths.len());
         let key = |p: &Vec<Edge>| {
             p.iter()
@@ -1064,5 +892,12 @@ mod tests {
         let eager_keys: BTreeSet<_> = eager.iter().map(key).collect();
         let lazy_keys: BTreeSet<_> = lazy.paths.iter().map(key).collect();
         assert_eq!(eager_keys, lazy_keys);
+        // The oracle pages as the enumerator does: one length per path
+        // here, so its edge-iteration order is the stream order.
+        let skipped = PageRequest { offset: 2, ..req };
+        assert_eq!(
+            enumerate_paths_eager(&idx, &graph, &g, s, 0, 0, skipped),
+            page(&idx, &graph, &g, 0, 0, skipped).paths
+        );
     }
 }

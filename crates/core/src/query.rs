@@ -70,11 +70,7 @@ trait Closure: Send + Sync {
 
 impl<M: BoolMat> Closure for RelationalIndex<M> {
     fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
-        // The matrices do not range-check reads (CSR indexes its row
-        // pointers, dense would read a neighbouring row's word).
-        (i as usize) < self.n_nodes
-            && (j as usize) < self.n_nodes
-            && RelationalIndex::contains(self, nt, i, j)
+        RelationalIndex::contains(self, nt, i, j)
     }
     fn count(&self, nt: Nt) -> usize {
         RelationalIndex::count(self, nt)

@@ -570,8 +570,7 @@ impl<M: BoolMat> SourceClosure<M> {
     /// exact when row `i` of `A` is demanded ([`SourceClosure::demanded`]),
     /// `false` otherwise — as for ids the graph does not have.
     pub fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
-        let n = self.n_nodes;
-        (i as usize) < n && (j as usize) < n && self.vars[nt.index()].get(i, j)
+        self.vars[nt.index()].get(i, j)
     }
 
     /// The solved part of `R_A` as sorted pairs: its demanded rows.

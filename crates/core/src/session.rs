@@ -80,7 +80,7 @@ use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::symbol::Interner;
 use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
-use cfpq_graph::{Graph, NodeId};
+use cfpq_graph::{Graph, Label, NodeId};
 use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
 use cfpq_obs::SpanGuard;
 use std::collections::BTreeMap;
@@ -194,7 +194,15 @@ impl<E: BoolEngine> GraphIndex<E> {
 
     /// The adjacency matrix of a label, if the label exists.
     pub fn adjacency(&self, label: &str) -> Option<&E::Matrix> {
-        self.labels.get(label).map(|l| &self.matrices[l as usize])
+        self.label(label).map(|(_, m)| m)
+    }
+
+    /// The id and adjacency matrix of a label, if the label exists. Ids
+    /// are interned in arrival order, so an index built from a graph
+    /// numbers its labels as the graph does.
+    pub(crate) fn label(&self, name: &str) -> Option<(Label, &E::Matrix)> {
+        let l = self.labels.get(name)?;
+        Some((Label(l), &self.matrices[l as usize]))
     }
 
     /// Iterates `(name, matrix)` for every label.
@@ -1095,8 +1103,8 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         let (index, wcnf) = (self.state.index(), query.wcnf());
         reads
             .paths
-            .get_or_insert_with(|| PathEnumerator::from_index(index, wcnf))
-            .page(solved, wcnf.start, from, to, page)
+            .get_or_insert_with(|| PathEnumerator::new(wcnf))
+            .page(index, solved, wcnf.start, from, to, page)
     }
 
     /// Normalizes `grammar` and registers it for single-path (§5)

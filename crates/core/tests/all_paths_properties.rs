@@ -15,11 +15,9 @@
 //!    [`cfpq_core::session::CfpqSession::add_edges`] serves the same
 //!    pages as a from-scratch session over the final graph.
 
-use cfpq_core::all_paths::{
-    enumerate_paths_eager, EnumLimits, PageRequest, PathEnumerator, PathPage,
-};
+use cfpq_core::all_paths::{enumerate_paths_eager, PageRequest, PathEnumerator, PathPage};
 use cfpq_core::relational::{FixpointSolver, SolveOptions};
-use cfpq_core::session::{CfpqSession, PreparedQuery};
+use cfpq_core::session::{CfpqSession, GraphIndex, PreparedQuery};
 use cfpq_core::single_path::validate_witness;
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Wcnf};
@@ -88,7 +86,7 @@ fn named_page(page: &PathPage, names: &[String]) -> (Vec<NamedPath>, bool) {
 /// Enumerates every start pair on one engine's closure and checks the
 /// stream's invariants; returns the per-pair pages for cross-engine
 /// comparison.
-fn check_engine<E: BoolEngine>(
+fn check_engine<E: BoolEngine + Clone>(
     name: &str,
     engine: &E,
     graph: &Graph,
@@ -99,7 +97,8 @@ fn check_engine<E: BoolEngine>(
         .options(options)
         .solve(graph, grammar);
     let start = grammar.start;
-    let mut enumerator = PathEnumerator::from_graph(graph, grammar);
+    let index = GraphIndex::build(engine.clone(), graph);
+    let mut enumerator = PathEnumerator::new(grammar);
     let req = PageRequest {
         offset: 0,
         limit: LIMIT,
@@ -107,7 +106,7 @@ fn check_engine<E: BoolEngine>(
     };
     let mut out = Vec::new();
     for (i, j) in idx.pairs(start) {
-        let page = enumerator.page(&idx, start, i, j, req);
+        let page = enumerator.page(&index, &idx, start, i, j, req);
         prop_assert!(
             page.exhausted,
             "{}: ({},{}) hit the {}-path suite limit",
@@ -134,18 +133,7 @@ fn check_engine<E: BoolEngine>(
         sorted.dedup();
         prop_assert_eq!(&keys, &sorted, "{}: stream order at ({},{})", name, i, j);
         // 3. The eager oracle finds exactly the same set.
-        let eager = enumerate_paths_eager(
-            &idx,
-            graph,
-            grammar,
-            start,
-            i,
-            j,
-            EnumLimits {
-                max_len: MAX_LEN,
-                max_paths: LIMIT,
-            },
-        );
+        let eager = enumerate_paths_eager(&idx, graph, grammar, start, i, j, req);
         let mut eager_keys: Vec<_> = eager.iter().map(|p| (p.len(), path_key(p))).collect();
         eager_keys.sort();
         eager_keys.dedup();
@@ -232,9 +220,10 @@ proptest! {
                 .options(options)
                 .solve(&graph, &grammar);
             let start = grammar.start;
-            let mut enumerator = PathEnumerator::from_graph(&graph, &grammar);
+            let index = GraphIndex::build(SparseEngine, &graph);
+            let mut enumerator = PathEnumerator::new(&grammar);
             for (i, j) in idx.pairs(start) {
-                let full = enumerator.page(&idx, start, i, j, PageRequest {
+                let full = enumerator.page(&index, &idx, start, i, j, PageRequest {
                     offset: 0,
                     limit: LIMIT,
                     max_len: MAX_LEN,
@@ -243,7 +232,7 @@ proptest! {
                 let mut stitched = Vec::new();
                 let mut offset = 0;
                 loop {
-                    let page = enumerator.page(&idx, start, i, j, PageRequest {
+                    let page = enumerator.page(&index, &idx, start, i, j, PageRequest {
                         offset,
                         limit: page_size,
                         max_len: MAX_LEN,

@@ -22,6 +22,7 @@
 
 use cfpq_core::all_paths::{PageRequest, PathEnumerator};
 use cfpq_core::relational::{FixpointSolver, RelationalIndex, SolveOptions};
+use cfpq_core::session::GraphIndex;
 use cfpq_core::single_path::{
     extract_path, solve_single_path_oracle, validate_witness, SinglePathIndex, SinglePathSolver,
 };
@@ -377,6 +378,7 @@ fn page_reads<E: BoolEngine>(
     grammar: &Wcnf,
 ) -> (Vec<Vec<Vec<Edge>>>, (usize, usize)) {
     let solved = FixpointSolver::new(&engine).solve(graph, grammar);
+    let labels = GraphIndex::build(engine, graph);
     let pairs = solved.pairs(grammar.start);
     let index = RelationalIndex {
         matrices: solved.matrices.into_iter().map(Counted).collect(),
@@ -390,10 +392,10 @@ fn page_reads<E: BoolEngine>(
         max_len: 6,
     };
     reads_of(|| {
-        let mut paths = PathEnumerator::from_graph(graph, grammar);
+        let mut paths = PathEnumerator::new(grammar);
         pairs
             .into_iter()
-            .map(|(i, j)| paths.page(&index, grammar.start, i, j, req).paths)
+            .map(|(i, j)| paths.page(&labels, &index, grammar.start, i, j, req).paths)
             .collect()
     })
 }

@@ -173,11 +173,6 @@ impl Cfg {
         self.productions.push(Production { lhs, rhs });
     }
 
-    /// All nonterminals with at least one production.
-    pub fn defined_nts(&self) -> HashSet<Nt> {
-        self.productions.iter().map(|p| p.lhs).collect()
-    }
-
     /// Renders the grammar in (roughly) the DSL syntax.
     pub fn to_text(&self) -> String {
         let mut out = String::new();

@@ -59,12 +59,6 @@ impl DenseBitMatrix {
         self.n
     }
 
-    /// Words per row.
-    #[inline]
-    pub fn words_per_row(&self) -> usize {
-        self.wpr
-    }
-
     /// Sets bit `(i, j)`.
     ///
     /// # Panics

@@ -37,7 +37,9 @@ use std::sync::Arc;
 pub trait BoolMat: Clone + PartialEq + Send + Sync + 'static {
     /// Matrix dimension `n`.
     fn n(&self) -> usize;
-    /// Reads bit `(i, j)`.
+    /// Reads bit `(i, j)`. Total: a cell outside the matrix (`i` or
+    /// `j` ≥ `n`, up to `u32::MAX`) reads unset, so callers holding
+    /// node ids from outside need no range check of their own.
     fn get(&self, i: u32, j: u32) -> bool;
     /// Number of set bits (`#results` per nonterminal in Table 1/2 terms).
     fn nnz(&self) -> usize;
@@ -542,7 +544,8 @@ mod tests {
         kernel_spans: usize,
     }
 
-    /// `row_cols` is `pairs()` row by row, and a row past `n` is empty.
+    /// `row_cols` is `pairs()` row by row, and a row or cell past `n`
+    /// is empty: `get` is total.
     fn check_rows<M: BoolMat>(m: &M) {
         let n = m.n() as u32;
         let rows: Vec<(u32, u32)> = (0..n)
@@ -551,6 +554,7 @@ mod tests {
         assert_eq!(rows, m.pairs());
         assert_eq!(m.row_cols(n).count(), 0);
         assert_eq!(m.row_cols(u32::MAX).count(), 0);
+        assert!(!m.get(n, 0) && !m.get(0, n) && !m.get(u32::MAX, u32::MAX));
     }
 
     fn check_engine<E: BoolEngine + LenEngine>(e: &E, name: &str) -> Observed {

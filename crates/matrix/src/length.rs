@@ -61,7 +61,8 @@ const MAX_LEN: u32 = u32::MAX - 1;
 pub trait LenMat: Clone + PartialEq + Send + Sync + 'static {
     /// Matrix dimension `n`.
     fn n(&self) -> usize;
-    /// The stored length at `(i, j)`, if the cell is present.
+    /// The stored length at `(i, j)`, if the cell is present. Total, as
+    /// [`crate::BoolMat::get`]: a cell outside the matrix reads absent.
     fn get(&self, i: u32, j: u32) -> Option<u32>;
     /// Number of present cells.
     fn nnz(&self) -> usize;
@@ -679,7 +680,8 @@ pub(crate) mod tests {
         assert_eq!(s.get(1, 1), Some(3));
     }
 
-    /// `row_cells` is `entries()` row by row, and a row past `n` is empty.
+    /// `row_cells` is `entries()` row by row, and a row or cell past `n`
+    /// is empty: `get` is total.
     fn check_rows<M: LenMat>(m: &M) {
         let n = m.n() as u32;
         let rows: Vec<(u32, u32, u32)> = (0..n)
@@ -688,6 +690,9 @@ pub(crate) mod tests {
         assert_eq!(rows, m.entries());
         assert_eq!(m.row_cells(n).count(), 0);
         assert_eq!(m.row_cells(u32::MAX).count(), 0);
+        for (i, j) in [(n, 0), (0, n), (u32::MAX, u32::MAX)] {
+            assert_eq!(m.get(i, j), None);
+        }
     }
 
     /// Drives every method of the engine's length half; returns the

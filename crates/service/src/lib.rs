@@ -531,10 +531,9 @@ impl<E: ServiceEngine> CfpqService<E> {
         // index clone below: an edge can only be new if it names an
         // unseen node, an unseen label, or an unset cell.
         let index = cur.state.index();
-        let n = index.n_nodes() as NodeId;
-        let all_present = edges.iter().all(|&(u, name, v)| {
-            u < n && v < n && index.adjacency(name).is_some_and(|m| m.get(u, v))
-        });
+        let all_present = edges
+            .iter()
+            .all(|&(u, name, v)| index.adjacency(name).is_some_and(|m| m.get(u, v)));
         if all_present {
             return 0;
         }
@@ -1304,8 +1303,7 @@ mod tests {
 
     #[test]
     fn paths_pages_are_epoch_consistent_across_updates() {
-        use cfpq_core::all_paths::enumerate_paths;
-        use cfpq_core::all_paths::EnumLimits;
+        use cfpq_core::all_paths::PathEnumerator;
         use cfpq_core::relational::FixpointSolver;
         let grammar = Cfg::parse("S -> a S b | a b").unwrap();
         let wcnf = grammar
@@ -1338,24 +1336,78 @@ mod tests {
         full.add_edge_named(3, "b", 4);
         for (answer, graph) in [(&before, &chain), (&after, &full)] {
             let rel = FixpointSolver::new(&SparseEngine).solve(graph, &wcnf);
+            let index = GraphIndex::build(SparseEngine, graph);
             for pp in answer.paths.as_ref().unwrap() {
-                let expect = enumerate_paths(
-                    &rel,
-                    graph,
-                    &wcnf,
-                    wcnf.start,
-                    pp.from,
-                    pp.to,
-                    EnumLimits {
-                        max_len: req.max_len,
-                        max_paths: req.limit,
-                    },
-                );
+                let expect =
+                    PathEnumerator::new(&wcnf).page(&index, &rel, wcnf.start, pp.from, pp.to, req);
                 assert_eq!(pp.paths, expect.paths);
                 assert_eq!(pp.exhausted, expect.exhausted);
             }
         }
         assert_eq!(after.pairs, vec![(0, 4), (1, 3)]);
+    }
+
+    #[test]
+    fn a_label_first_seen_in_a_batch_binds_in_pages() {
+        use cfpq_core::all_paths::enumerate_paths_eager;
+        use cfpq_core::relational::FixpointSolver;
+        use cfpq_core::single_path::validate_witness;
+        // `b` is in the grammar but not the graph: nothing relates, until
+        // a batch brings it and the index interns it last.
+        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+        let wcnf = grammar
+            .to_wcnf(cfpq_grammar::cnf::CnfOptions::default())
+            .unwrap();
+        let mut graph = Graph::new(3);
+        graph.add_edge_named(0, "a", 1);
+        graph.add_edge_named(1, "a", 0);
+        let b_edges = [(1, "b", 2), (2, "b", 1)];
+        let req = PageRequest {
+            offset: 0,
+            limit: 16,
+            max_len: 8,
+        };
+        let mut session = CfpqSession::new(SparseEngine, &graph);
+        let sq = session.prepare(&grammar).unwrap();
+        let service = CfpqService::new(SparseEngine, &graph);
+        let q = service.prepare(&grammar).unwrap();
+        assert!(session.enumerate_paths(sq, 0, 2, req).paths.is_empty());
+        let before = service.enqueue_paths(q, vec![(0, 2)], req).unwrap();
+        assert_eq!(before.wait().unwrap().paths.unwrap(), vec![]);
+
+        session.add_edges(&b_edges);
+        service.add_edges(&b_edges);
+        for (u, label, v) in b_edges {
+            graph.add_edge_named(u, label, v);
+        }
+        let rel = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
+        let pairs = rel.pairs(wcnf.start);
+        assert_eq!(pairs, vec![(0, 2), (1, 1)]);
+        let after = service.enqueue_paths(q, vec![], req).unwrap();
+        let served = after.wait().unwrap().paths.unwrap();
+        assert_eq!(served.len(), pairs.len());
+        for (pp, (i, j)) in served.iter().zip(pairs) {
+            assert_eq!((pp.from, pp.to), (i, j));
+            let mut eager = enumerate_paths_eager(&rel, &graph, &wcnf, wcnf.start, i, j, req);
+            eager.sort_by_key(|p| {
+                (
+                    p.len(),
+                    p.iter()
+                        .map(|e| (e.from, e.label, e.to))
+                        .collect::<Vec<_>>(),
+                )
+            });
+            assert!(!eager.is_empty());
+            for p in &eager {
+                assert!(validate_witness(p, &graph, &wcnf, wcnf.start, i, j));
+            }
+            assert_eq!(pp.paths, eager, "service page at ({i},{j})");
+            assert_eq!(
+                session.enumerate_paths(sq, i, j, req).paths,
+                eager,
+                "session page at ({i},{j})"
+            );
+        }
     }
 
     #[test]

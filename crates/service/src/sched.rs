@@ -71,18 +71,13 @@ pub(crate) struct SchedShared {
 }
 
 /// The requested pairs that `related` holds, sorted and deduplicated.
-/// Tickets come from outside: a pair naming a node id `≥ n` is related
-/// to nothing and must not reach the matrices, whose reads are not
-/// range-checked.
-fn probe_pairs(
-    wanted: &[(u32, u32)],
-    n: usize,
-    related: impl Fn(u32, u32) -> bool,
-) -> Vec<(u32, u32)> {
+/// Tickets come from outside, but matrix reads are total: a pair naming
+/// a node id past the graph is related to nothing.
+fn probe_pairs(wanted: &[(u32, u32)], related: impl Fn(u32, u32) -> bool) -> Vec<(u32, u32)> {
     let mut out: Vec<(u32, u32)> = wanted
         .iter()
         .copied()
-        .filter(|&(i, j)| (i as usize) < n && (j as usize) < n && related(i, j))
+        .filter(|&(i, j)| related(i, j))
         .collect();
     out.sort_unstable();
     out.dedup();
@@ -103,7 +98,7 @@ fn rel_targets<E: ServiceEngine>(
         return epoch.answer(q, prepared, solved).start_pairs().to_vec();
     }
     let start = prepared.wcnf().start;
-    probe_pairs(wanted, solved.n_nodes, |i, j| solved.contains(start, i, j))
+    probe_pairs(wanted, |i, j| solved.contains(start, i, j))
 }
 
 /// Answers a batch of named-pair requests for query `q` from the
@@ -154,11 +149,7 @@ fn probe_sources<E: ServiceEngine>(
     let closure = slot.insert(closure);
     batch
         .iter()
-        .map(|req| {
-            probe_pairs(&req.pairs, closure.n_nodes(), |i, j| {
-                closure.contains(start, i, j)
-            })
-        })
+        .map(|req| probe_pairs(&req.pairs, |i, j| closure.contains(start, i, j)))
         .collect()
 }
 
@@ -355,9 +346,7 @@ fn serve_batch<E: ServiceEngine>(
                 let pairs = if req.pairs.is_empty() {
                     full.get_or_insert_with(|| solved.pairs(start)).clone()
                 } else {
-                    probe_pairs(&req.pairs, solved.n_nodes, |i, j| {
-                        solved.contains(start, i, j)
-                    })
+                    probe_pairs(&req.pairs, |i, j| solved.contains(start, i, j))
                 };
                 resolve(req, pairs, None);
             }
@@ -368,9 +357,10 @@ fn serve_batch<E: ServiceEngine>(
             let start = wcnf.start;
             // One enumerator per batch: its memoized length classes are
             // shared by every request and every pair answered here, and
-            // it reads the same epoch the pruning closure came from —
-            // pages are epoch-consistent by construction.
-            let mut enumerator = PathEnumerator::from_index(epoch.state.index(), wcnf);
+            // every page reads the same epoch the pruning closure came
+            // from — pages are epoch-consistent by construction.
+            let index = epoch.state.index();
+            let mut enumerator = PathEnumerator::new(wcnf);
             let quota = inner.config.path_quota;
             for req in &batch {
                 let page = req.page.unwrap_or_default();
@@ -385,6 +375,7 @@ fn serve_batch<E: ServiceEngine>(
                         PathPage::truncated()
                     } else {
                         enumerator.page(
+                            index,
                             solved,
                             start,
                             i,

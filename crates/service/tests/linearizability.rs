@@ -37,6 +37,7 @@
 use cfpq_core::all_paths::{PageRequest, PathEnumerator};
 use cfpq_core::regular::Nfa;
 use cfpq_core::relational::FixpointSolver;
+use cfpq_core::session::GraphIndex;
 use cfpq_core::solve_regular;
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Wcnf};
@@ -152,12 +153,13 @@ fn reference_paths(workload: &Workload, wcnf: &Wcnf) -> Vec<Vec<PairPaths>> {
     let mut expected = Vec::new();
     let mut push_epoch = |graph: &Graph| {
         let rel = FixpointSolver::new(&SparseEngine).solve(graph, wcnf);
-        let mut enumerator = PathEnumerator::from_graph(graph, wcnf);
+        let index = GraphIndex::build(SparseEngine, graph);
+        let mut enumerator = PathEnumerator::new(wcnf);
         expected.push(
             rel.pairs(wcnf.start)
                 .into_iter()
                 .map(|(i, j)| {
-                    let page = enumerator.page(&rel, wcnf.start, i, j, path_req());
+                    let page = enumerator.page(&index, &rel, wcnf.start, i, j, path_req());
                     PairPaths {
                         from: i,
                         to: j,

@@ -5,11 +5,13 @@
 //! Uses the same-generation query on a small class hierarchy and extracts
 //! a witness for every answer pair, re-validating each against the
 //! grammar (Theorem 5 in action). Also demonstrates the bounded all-path
-//! enumeration (§7 future-work semantics) on a cyclic graph.
+//! enumeration (§7 future-work semantics) on a cyclic graph: the
+//! enumerator reads the graph's label matrices, and its page must equal
+//! the eager oracle's, which reads the edge list.
 //!
 //! Run with: `cargo run --release --example single_path_witness`
 
-use cfpq::core::all_paths::{enumerate_paths, EnumLimits};
+use cfpq::core::all_paths::enumerate_paths_eager;
 use cfpq::core::single_path::validate_witness;
 use cfpq::grammar::cnf::CnfOptions;
 use cfpq::grammar::queries;
@@ -54,18 +56,20 @@ fn main() {
     cyclic.add_edge_named(0, "subClassOf_r", 0);
     cyclic.add_edge_named(0, "subClassOf", 0);
     let rel = FixpointSolver::new(&SparseEngine).solve(&cyclic, &wcnf);
-    let page = enumerate_paths(
-        &rel,
-        &cyclic,
-        &wcnf,
-        s,
-        0,
-        0,
-        EnumLimits {
-            max_len: 6,
-            max_paths: 10,
-        },
-    );
+    let labels = GraphIndex::build(SparseEngine, &cyclic);
+    let req = PageRequest {
+        offset: 0,
+        limit: 10,
+        max_len: 6,
+    };
+    let page = PathEnumerator::new(&wcnf).page(&labels, &rel, s, 0, 0, req);
+    // The oracle emits a length's paths in edge order; the page sorts them.
+    let mut eager = enumerate_paths_eager(&rel, &cyclic, &wcnf, s, 0, 0, req);
+    eager.sort_by_key(|p| {
+        let key: Vec<_> = p.iter().map(|e| (e.from, e.label, e.to)).collect();
+        (p.len(), key)
+    });
+    assert_eq!(page.paths, eager, "the page equals the eager oracle's");
     println!(
         "\nCyclic graph (self loops): {} distinct witnesses of length <= 6 for (S, 0, 0):",
         page.paths.len()

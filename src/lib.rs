@@ -47,9 +47,7 @@ pub use cfpq_service as service;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use cfpq_core::all_paths::{
-        enumerate_paths, EnumLimits, PageRequest, PathEnumerator, PathPage,
-    };
+    pub use cfpq_core::all_paths::{PageRequest, PathEnumerator, PathPage};
     pub use cfpq_core::compile::{CompiledQuery, QueryKind};
     pub use cfpq_core::query::{solve, Backend, QueryAnswer};
     pub use cfpq_core::regular::{solve_regular, Nfa};

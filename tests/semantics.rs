@@ -2,7 +2,6 @@
 //! witness extraction at scale, all-path enumeration, and the
 //! conjunctive-grammar upper approximation.
 
-use cfpq::core::all_paths::{enumerate_paths, EnumLimits};
 use cfpq::core::conjunctive::{anbncn, solve_conjunctive};
 use cfpq::core::single_path::validate_witness;
 use cfpq::grammar::cnf::CnfOptions;
@@ -57,16 +56,17 @@ fn all_paths_on_binary_tree_counts_descend_ascend_pairs() {
     let graph = generators::binary_tree(3, "down", "up");
     let rel = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
     assert!(rel.contains(s, 0, 0));
-    let page = enumerate_paths(
+    let index = GraphIndex::build(SparseEngine, &graph);
+    let page = PathEnumerator::new(&wcnf).page(
+        &index,
         &rel,
-        &graph,
-        &wcnf,
         s,
         0,
         0,
-        EnumLimits {
+        PageRequest {
+            offset: 0,
+            limit: 1000,
             max_len: 6,
-            max_paths: 1000,
         },
     );
     assert!(page.exhausted, "1000-path cap was not hit");
