@@ -13,12 +13,15 @@
 //! prepared queries against the index, caching each query's closure.
 //!
 //! The payoff is incremental evaluation: [`CfpqSession::add_edges`]
-//! inserts edges into the label matrices in place (via
+//! inserts edges into the label matrices (via
 //! [`BoolEngine::union_pairs`], growing the node universe when an edge
-//! names an unseen node id) and, on the next evaluation of a
-//! previously-solved query, *repairs* the cached closure through
-//! [`FixpointSolver::resume`] — the semi-naive Δ loop seeded with only
-//! the new entries — instead of re-solving from scratch. On the
+//! names an unseen node id). Clones of the index share those matrices
+//! copy-on-write: a label's matrix is copied on its first write while
+//! another clone holds it, and never otherwise. On the next evaluation
+//! of a previously-solved query, the session *repairs* the cached
+//! closure through [`FixpointSolver::resume`] — the semi-naive Δ loop
+//! seeded with only the new entries — instead of re-solving from
+//! scratch. On the
 //! evaluation datasets this computes strictly fewer products than a cold
 //! solve (asserted by this module's tests, measured by the `benchmark/`
 //! workload `update-stream`).
@@ -88,13 +91,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The persistent matrix form of a graph: one Boolean adjacency matrix
-/// per edge label, built once and updated in place as edges arrive.
+/// per edge label, built once and updated as edges arrive.
 ///
 /// This is the artifact Algorithm 1's initialization (lines 6–7)
 /// produces implicitly and then throws away; materialized, it is shared
 /// by every query evaluated against the graph. Generic over all five
 /// [`BoolEngine`]s, so the index inherits the paper's representation ×
 /// device matrix, and the tiled layout beside it.
+///
+/// The fixpoint only reads the label matrices, so clones share them
+/// copy-on-write: a clone costs one reference count per label, and
+/// [`GraphIndex::add_edges`] copies a label's matrix only where another
+/// clone still holds it, and only if the batch writes to that label.
 ///
 /// The node universe starts at the build graph's size and grows on
 /// demand: [`GraphIndex::add_edges`] accepts new labels *and* new node
@@ -106,7 +114,7 @@ pub struct GraphIndex<E: BoolEngine> {
     engine: E,
     n_nodes: usize,
     labels: Interner,
-    matrices: Vec<E::Matrix>,
+    matrices: Vec<Arc<E::Matrix>>,
     n_edges: usize,
 }
 
@@ -158,7 +166,7 @@ impl<E: BoolEngine> GraphIndex<E> {
         }
         let matrices = pairs_by_label
             .iter()
-            .map(|pairs| engine.from_pairs(n, pairs))
+            .map(|pairs| Arc::new(engine.from_pairs(n, pairs)))
             .collect();
         Self {
             engine,
@@ -202,20 +210,26 @@ impl<E: BoolEngine> GraphIndex<E> {
     /// numbers its labels as the graph does.
     pub(crate) fn label(&self, name: &str) -> Option<(Label, &E::Matrix)> {
         let l = self.labels.get(name)?;
-        Some((Label(l), &self.matrices[l as usize]))
+        Some((Label(l), &*self.matrices[l as usize]))
     }
 
     /// Iterates `(name, matrix)` for every label.
     pub fn label_matrices(&self) -> impl Iterator<Item = (&str, &E::Matrix)> {
         self.labels
             .iter()
-            .map(|(l, name)| (name, &self.matrices[l as usize]))
+            .map(|(l, name)| (name, &*self.matrices[l as usize]))
     }
 
-    /// Inserts a batch of edges in place, interning unseen labels on the
-    /// fly and growing the node universe to cover previously-unseen node
-    /// ids (every label matrix is widened first, so no insertion can go
-    /// out of bounds).
+    /// Inserts a batch of edges, interning unseen labels on the fly and
+    /// growing the node universe to cover previously-unseen node ids
+    /// (every label matrix is widened first, so no insertion can go out
+    /// of bounds).
+    ///
+    /// Only the label matrices the batch writes to are touched: those
+    /// that gain a pair, or all of them when the universe grows. Each is
+    /// updated in place if this index holds it alone, and copied first if
+    /// a clone shares it, so the clone never sees the batch. A batch of
+    /// duplicates writes nothing.
     ///
     /// Duplicate-edge semantics match [`Graph::add_edge`] exactly: the
     /// edge set is a *set* keyed on `(from, label, to)`, so re-inserting
@@ -229,7 +243,7 @@ impl<E: BoolEngine> GraphIndex<E> {
             let needed = max_id as usize + 1;
             if needed > self.n_nodes {
                 for m in &mut self.matrices {
-                    self.engine.grow(m, needed);
+                    self.engine.grow(Arc::make_mut(m), needed);
                 }
                 self.n_nodes = needed;
             }
@@ -241,7 +255,8 @@ impl<E: BoolEngine> GraphIndex<E> {
         for &(u, name, v) in edges {
             let l = self.labels.intern(name);
             while self.matrices.len() <= l as usize {
-                self.matrices.push(self.engine.zeros(self.n_nodes));
+                self.matrices
+                    .push(Arc::new(self.engine.zeros(self.n_nodes)));
             }
             if self.matrices[l as usize].get(u, v) || !batch_seen.insert((l, u, v)) {
                 duplicates += 1;
@@ -253,7 +268,7 @@ impl<E: BoolEngine> GraphIndex<E> {
         let new_by_label: Vec<(u32, Vec<(u32, u32)>)> = new_by_label.into_iter().collect();
         for (l, pairs) in &new_by_label {
             self.engine
-                .union_pairs(&mut self.matrices[*l as usize], pairs);
+                .union_pairs(Arc::make_mut(&mut self.matrices[*l as usize]), pairs);
             inserted += pairs.len();
         }
         self.n_edges += inserted;
@@ -293,7 +308,7 @@ impl<E: BoolEngine> GraphIndex<E> {
                     Some(acc) => {
                         self.engine.union_in_place(acc, m);
                     }
-                    None => seeds[nt.index()] = Some(m.clone()),
+                    None => seeds[nt.index()] = Some(E::Matrix::clone(m)),
                 }
             }
         }
@@ -699,8 +714,9 @@ impl<C> Clone for Cells<C> {
 /// Reads and `prepare*` take `&self`: concurrent readers of an empty cell
 /// wait for one solve, a solve that panics leaves the cell empty, and a
 /// query can be prepared on a state readers share. A clone shares the
-/// closures copy-on-write; a query prepared on either afterwards does not
-/// reach the other.
+/// closures and the index's label matrices copy-on-write, so it costs
+/// O(labels + prepared queries); a query prepared on either afterwards
+/// does not reach the other.
 #[derive(Clone)]
 pub struct GraphState<E: BoolEngine + LenEngine> {
     index: GraphIndex<E>,
@@ -929,7 +945,7 @@ pub fn extend_prepared_from<E: BoolEngine>(
     let mut terminals: Vec<Vec<&E::Matrix>> = vec![Vec::new(); wcnf.n_nts()];
     for (m, nts) in index.matrices.iter().zip(index.label_nonterminals(wcnf)) {
         for nt in nts {
-            terminals[nt.index()].push(m);
+            terminals[nt.index()].push(&**m);
         }
     }
     closure.extend(&index.engine, &terminals, sources)

@@ -200,6 +200,74 @@ fn answers_are_isolated_from_later_updates_copy_on_write() {
     check_copy_on_write(TiledEngine::new(Device::new(2)));
 }
 
+/// Where each label matrix of a session's index lives, in label order.
+fn label_addresses<E: BoolEngine + LenEngine>(
+    session: &CfpqSession<E>,
+) -> Vec<(String, *const E::Matrix)> {
+    let labels = session.index().label_matrices();
+    labels
+        .map(|(name, m)| (name.to_owned(), std::ptr::from_ref(m)))
+        .collect()
+}
+
+/// Copy-on-write of the label matrices on one engine: a session clone
+/// shares every label with the original, and a batch copies only the
+/// label it writes to, in the copy that took it. The other copy keeps
+/// its matrices and its answers. A batch naming a new node widens, and
+/// so copies, every label.
+fn check_label_copy_on_write<E: BoolEngine + LenEngine + Clone>(engine: E) {
+    let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+    let graph = generators::word_chain(&["a", "b", "b", "c"]);
+    let mut session = CfpqSession::new(engine.clone(), &graph);
+    let id = session.prepare(&grammar).unwrap();
+    let answer = session.evaluate(id).start_pairs().to_vec();
+    let shared = label_addresses(&session);
+    let names: Vec<&str> = shared.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["a", "b", "c"]);
+
+    let mut copy = session.clone();
+    assert_eq!(label_addresses(&copy), shared, "a clone shares every label");
+    assert_eq!(copy.add_edges(&[(1, "a", 1)]), 1);
+    assert_eq!(
+        label_addresses(&session),
+        shared,
+        "the other copy moves nothing"
+    );
+    for ((name, was), (_, now)) in shared.iter().zip(label_addresses(&copy)) {
+        assert_eq!(*was == now, name != "a", "label {name}");
+    }
+    assert_eq!(session.evaluate(id).start_pairs(), answer);
+    assert!(
+        !session.last_run(id).unwrap().incremental,
+        "still the cold solve"
+    );
+    let mut grown = graph.clone();
+    grown.add_edge_named(1, "a", 1);
+    let mut scratch = CfpqSession::new(engine, &grown);
+    let scratch_id = scratch.prepare(&grammar).unwrap();
+    let expect = scratch.evaluate(scratch_id).start_pairs().to_vec();
+    assert_ne!(expect, answer);
+    assert_eq!(copy.evaluate(id).start_pairs(), expect);
+
+    let mut widened = session.clone();
+    assert_eq!(widened.add_edges(&[(4, "c", 5)]), 1, "node 5 is new");
+    assert_eq!(widened.index().n_nodes(), 6);
+    assert_eq!(label_addresses(&session), shared);
+    for ((name, was), (_, now)) in shared.iter().zip(label_addresses(&widened)) {
+        assert_ne!(*was, now, "label {name} was widened");
+    }
+    assert_eq!(session.evaluate(id).start_pairs(), answer);
+}
+
+#[test]
+fn label_matrices_are_shared_copy_on_write() {
+    check_label_copy_on_write(DenseEngine);
+    check_label_copy_on_write(SparseEngine);
+    check_label_copy_on_write(ParDenseEngine::new(Device::new(2)));
+    check_label_copy_on_write(ParSparseEngine::new(Device::new(3)));
+    check_label_copy_on_write(TiledEngine::new(Device::new(2)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(8, RNG_SEED))]
 

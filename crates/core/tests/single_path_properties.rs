@@ -255,6 +255,9 @@ impl<M: BoolMat> BoolMat for Counted<M> {
     fn row_cols(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
         self.0.row_cols(i).inspect(|_| count_cell())
     }
+    fn bytes(&self) -> usize {
+        self.0.bytes()
+    }
 }
 
 impl<M: LenMat> LenMat for Counted<M> {

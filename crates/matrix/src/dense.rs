@@ -90,6 +90,11 @@ impl DenseBitMatrix {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Heap bytes of the bitset, by capacity.
+    pub fn bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// All set `(row, col)` pairs in row-major order.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::with_capacity(self.nnz());

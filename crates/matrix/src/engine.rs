@@ -51,6 +51,9 @@ pub trait BoolMat: Clone + PartialEq + Send + Sync + 'static {
     /// walks: the candidates `k` of a split `(i, k), (k, j)` are the
     /// stored cells of the left operand's row `i`, not all `n` nodes.
     fn row_cols(&self, i: u32) -> impl Iterator<Item = u32> + '_;
+    /// Heap bytes the representation's buffers hold, by capacity: what
+    /// the matrix costs in memory, as opposed to [`BoolMat::nnz`].
+    fn bytes(&self) -> usize;
 }
 
 /// The positions of the set bits of `word`, ascending.
@@ -87,6 +90,9 @@ impl BoolMat for DenseBitMatrix {
             .zip(words)
             .flat_map(|(wi, &word)| word_bits(word).map(move |bit| wi * 64 + bit))
     }
+    fn bytes(&self) -> usize {
+        DenseBitMatrix::bytes(self)
+    }
 }
 
 impl BoolMat for CsrMatrix {
@@ -109,6 +115,9 @@ impl BoolMat for CsrMatrix {
             &[]
         };
         cols.iter().copied()
+    }
+    fn bytes(&self) -> usize {
+        CsrMatrix::bytes(self)
     }
 }
 
@@ -628,8 +637,12 @@ mod tests {
         // A row over tile columns 0, 1, 2 and 4 comes out ascending,
         // whatever order it was written in.
         let mut crossing = e.from_pairs(300, &[(70, 299), (70, 3), (69, 5)]);
+        // A built matrix holds buffers, and a union gives none back.
+        let built_bytes = crossing.bytes();
+        assert!(built_bytes > 0 && a.bytes() > 0);
         e.union_pairs(&mut crossing, &[(70, 140), (70, 64), (71, 0)]);
         assert_eq!(crossing.row_cols(70).collect::<Vec<_>>(), [3, 64, 140, 299]);
+        assert!(crossing.bytes() >= built_bytes);
         for built in [&wide_a, &wide_b, &wide_mask, &crossing] {
             check_rows(built);
         }

@@ -146,6 +146,14 @@ impl<V: Copy> Csr<V> {
         self.cols.len()
     }
 
+    /// Heap bytes of the three buffers, by capacity.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.row_ptr.capacity() * size_of::<usize>()
+            + self.cols.capacity() * size_of::<u32>()
+            + self.vals.capacity() * size_of::<V>()
+    }
+
     /// Where row `i` lies in `cols` and `vals`.
     #[inline]
     pub fn row(&self, i: usize) -> Range<usize> {
@@ -436,6 +444,11 @@ impl CsrMatrix {
     #[inline]
     pub fn nnz(&self) -> usize {
         self.csr.nnz()
+    }
+
+    /// Heap bytes of the row pointers and columns, by capacity.
+    pub fn bytes(&self) -> usize {
+        self.csr.bytes()
     }
 
     /// Column indices of row `i` (ascending).

@@ -684,6 +684,9 @@ impl BoolMat for TiledBitMatrix {
             word_bits(self.csr.vals[t][r]).map(move |bit| base + bit)
         })
     }
+    fn bytes(&self) -> usize {
+        self.csr.bytes()
+    }
 }
 
 impl BoolRepr for TiledBitMatrix {

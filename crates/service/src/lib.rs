@@ -117,7 +117,7 @@ use cfpq_core::session::{GraphIndex, GraphState, PreparedQuery};
 use cfpq_core::single_path::SinglePathIndex;
 use cfpq_grammar::{Cfg, GrammarError};
 use cfpq_graph::{Graph, NodeId};
-use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
+use cfpq_matrix::{BoolEngine, LenEngine};
 use cfpq_obs::{MetricsRegistry, NoopRecorder, Recorder, SpanId};
 use epoch::{Epoch, EpochCounters, EpochRecord};
 use obs::Obs;
@@ -255,6 +255,7 @@ impl<E: ServiceEngine> CfpqService<E> {
     ) -> Self {
         let obs = Obs::new(recorder);
         let counters = Arc::new(EpochCounters::default());
+        obs.index_published(&index, None);
         let state = GraphState::new(index);
         let epoch = Arc::new(Epoch::new(0, state, Arc::clone(&counters)));
         let failures_at_publish = obs.failure_snapshot();
@@ -517,6 +518,13 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// is complete. Writers are serialized with each other (epochs are
     /// totally ordered).
     ///
+    /// The clone costs O(labels + prepared queries), not the edge set:
+    /// epochs share label matrices and closures copy-on-write, so a
+    /// publish copies only the label matrices its batch writes to (every
+    /// one if the batch grows the node universe), and the
+    /// `cfpq_epoch_index_copied_bytes` gauge says how many bytes that
+    /// was. A batch of duplicates copies nothing and publishes nothing.
+    ///
     /// Publishing is all-or-nothing under panics, too: every
     /// intermediate lives on the stack until the final atomic swap, so
     /// if a repair panics (a faulty engine, resource exhaustion) the
@@ -527,16 +535,6 @@ impl<E: ServiceEngine> CfpqService<E> {
         let _writer = lock_recover(&self.inner.writer);
         let started = Instant::now();
         let cur = self.current();
-        // All-duplicate batches (idempotent retries) must not pay the
-        // index clone below: an edge can only be new if it names an
-        // unseen node, an unseen label, or an unset cell.
-        let index = cur.state.index();
-        let all_present = edges
-            .iter()
-            .all(|&(u, name, v)| index.adjacency(name).is_some_and(|m| m.get(u, v)));
-        if all_present {
-            return 0;
-        }
         let mut state = cur.state.clone();
         let inserted = state.add_edges(edges);
         if inserted == 0 {
@@ -562,6 +560,8 @@ impl<E: ServiceEngine> CfpqService<E> {
             publish_sp.attr_u64("inserted", inserted as u64);
             publish_sp.attr_u64("repairs", counters.repairs.load(Ordering::Relaxed));
         }
+        let (published, prev) = (next.state.index(), cur.state.index());
+        self.inner.obs.index_published(published, Some(prev));
         *write_recover(&self.inner.current) = next;
         lock_recover(&self.inner.epochs).push(EpochRecord {
             epoch: cur.epoch + 1,
@@ -690,7 +690,7 @@ mod tests {
     use cfpq_graph::generators;
     use cfpq_graph::Edge;
     use cfpq_matrix::{
-        DenseEngine, Device, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
+        CsrMatrix, DenseEngine, Device, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
     };
 
     #[test]
@@ -744,6 +744,65 @@ mod tests {
         );
         assert_eq!(service.current_epoch(), 0, "no-op batches publish nothing");
         assert_eq!(service.stats().len(), 1);
+    }
+
+    #[test]
+    fn publishes_copy_only_the_labels_their_batches_touch() {
+        let grammar = graph_grammar();
+        let mut graph = generators::word_chain(&["a", "b", "b", "c"]);
+        let service = CfpqService::new(SparseEngine, &graph);
+        let q = service.prepare(&grammar).unwrap();
+        // Per label, in label order (a, b, c): where its matrix lives and
+        // what it holds.
+        let labels = |snapshot: &Snapshot<SparseEngine>| -> Vec<(*const CsrMatrix, u64)> {
+            let index = snapshot.epoch.state.index();
+            let matrices = index.label_matrices();
+            matrices
+                .map(|(_, m)| (std::ptr::from_ref(m), m.bytes() as u64))
+                .collect()
+        };
+        let metrics = service.metrics();
+        let gauge = |name| metrics.gauge(name).get();
+        let gauges = || {
+            let total = gauge("cfpq_epoch_index_bytes");
+            (total, gauge("cfpq_epoch_index_copied_bytes"))
+        };
+        let total = |labels: &[(*const CsrMatrix, u64)]| labels.iter().map(|l| l.1).sum();
+
+        let epoch0 = service.snapshot();
+        let at0 = labels(&epoch0);
+        assert_eq!(
+            gauges(),
+            (total(&at0), total(&at0)),
+            "epoch 0 shares nothing"
+        );
+        let answer0 = epoch0.evaluate(q).start_pairs().to_vec();
+        assert_eq!(service.add_edges(&[(1, "a", 1)]), 1);
+        let epoch1 = service.snapshot();
+        let at1 = labels(&epoch1);
+        assert_eq!(gauges(), (total(&at1), at1[0].1), "epoch 1 copied a");
+        let answer1 = epoch1.evaluate(q).start_pairs().to_vec();
+        assert_eq!(service.add_edges(&[(2, "b", 4)]), 1);
+        let at2 = labels(&service.snapshot());
+        assert_eq!(gauges(), (total(&at2), at2[1].1), "epoch 2 copied b");
+        assert!(at2[1].1 < total(&at2));
+
+        // Where label `l` lives in epochs 0, 1 and 2.
+        let epochs = |l: usize| [&at0, &at1, &at2].map(|at| at[l].0);
+        let [a, b, c] = [0, 1, 2].map(epochs);
+        assert!(a[0] != a[1] && a[1] == a[2], "a: {a:?}");
+        assert!(b[0] == b[1] && b[1] != b[2], "b: {b:?}");
+        assert!(c[0] == c[1] && c[1] == c[2], "c, never written: {c:?}");
+
+        // Both pinned epochs answer as they did before the publishes.
+        assert_eq!(epoch0.evaluate(q).start_pairs(), answer0);
+        assert_eq!(epoch1.evaluate(q).start_pairs(), answer1);
+        for (u, label, v) in [(1, "a", 1), (2, "b", 4)] {
+            graph.add_edge_named(u, label, v);
+        }
+        let expect = solve(&graph, &grammar, Backend::Sparse).unwrap();
+        assert_eq!(service.evaluate(q).start_pairs(), expect.start_pairs());
+        assert!(answer0 != answer1 && answer1 != expect.start_pairs());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The service's observability bundle: the installed span recorder,
 //! the metrics registry and the hot-path metric handles.
 
+use cfpq_core::session::GraphIndex;
+use cfpq_matrix::{BoolEngine, BoolMat};
 use cfpq_obs::{AttrValue, Counter, Gauge, Histogram, MetricsRegistry, Recorder, SpanId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,6 +28,8 @@ pub(crate) struct Obs {
     pub(crate) ticket_wait_us: Histogram,
     pub(crate) ticket_run_us: Histogram,
     pub(crate) publish_us: Histogram,
+    index_bytes: Gauge,
+    index_copied_bytes: Gauge,
     pub(crate) queue_depth: Gauge,
     pub(crate) queue_depth_max: Gauge,
     pub(crate) requests_shed: Counter,
@@ -48,6 +52,14 @@ impl Obs {
         metrics.describe(
             "cfpq_epoch_publish_us",
             "Microseconds to build and publish an epoch (clone + closure repairs + swap)",
+        );
+        metrics.describe(
+            "cfpq_epoch_index_bytes",
+            "Heap bytes of the current epoch's label matrices, by capacity",
+        );
+        metrics.describe(
+            "cfpq_epoch_index_copied_bytes",
+            "Of cfpq_epoch_index_bytes, the label matrices the current epoch does not share with the previous one",
         );
         metrics.describe(
             "cfpq_queue_depth",
@@ -78,6 +90,8 @@ impl Obs {
             ticket_wait_us: metrics.histogram("cfpq_ticket_wait_us"),
             ticket_run_us: metrics.histogram("cfpq_ticket_run_us"),
             publish_us: metrics.histogram("cfpq_epoch_publish_us"),
+            index_bytes: metrics.gauge("cfpq_epoch_index_bytes"),
+            index_copied_bytes: metrics.gauge("cfpq_epoch_index_copied_bytes"),
             queue_depth: metrics.gauge("cfpq_queue_depth"),
             queue_depth_max: metrics.gauge("cfpq_queue_depth_max"),
             requests_shed: metrics.counter("cfpq_requests_shed_total"),
@@ -98,6 +112,27 @@ impl Obs {
             requests_shed: self.requests_shed.get(),
             deadline_expired: self.deadline_expired.get(),
         }
+    }
+
+    /// Sets the epoch index gauges for a published `index`: the bytes of
+    /// all its label matrices, and of those not shared with `prev`, the
+    /// index of the epoch before (none for the first epoch, which copies
+    /// everything). Labels keep their ids across epochs, so label `l` of
+    /// `index` is shared iff it is the very matrix label `l` of `prev` is.
+    pub(crate) fn index_published<E: BoolEngine>(
+        &self,
+        index: &GraphIndex<E>,
+        prev: Option<&GraphIndex<E>>,
+    ) {
+        let mut before = prev.into_iter().flat_map(GraphIndex::label_matrices);
+        let (mut total, mut copied) = (0, 0);
+        for (_, m) in index.label_matrices() {
+            let shared = before.next().is_some_and(|(_, p)| std::ptr::eq(p, m));
+            total += m.bytes();
+            copied += if shared { 0 } else { m.bytes() };
+        }
+        self.index_bytes.set(total as u64);
+        self.index_copied_bytes.set(copied as u64);
     }
 
     /// Closes a ticket span and charges the wait/run histograms. Called

@@ -9,9 +9,11 @@
 //! kernel device, fires a burst of client requests through the
 //! multi-queue scheduler, publishes an edge update, and shows (a)
 //! snapshot isolation — a reader pinned to the old epoch keeps its
-//! answers — and (b) the per-epoch [`ServiceStats`]: the update was a
+//! answers — (b) the per-epoch [`ServiceStats`]: the update was a
 //! cheap incremental repair, and batched requests shared one cached
-//! closure. It asserts both, so CI runs it as a check.
+//! closure — and (c) the epoch index gauges: the publish copied only the
+//! label matrix its batch wrote to. It asserts all three, so CI runs it
+//! as a check.
 
 use cfpq::prelude::*;
 use cfpq::service::ServiceConfig;
@@ -58,7 +60,8 @@ fn main() {
     // the new epoch repairs the cached closure instead of re-solving.
     let before = service.snapshot();
     let pairs_before = before.evaluate(q1).start_count();
-    let inserted = service.add_edges(&[(0, "subClassOf", 1), (1, "subClassOf", 2)]);
+    let batch = [(0, "subClassOf", 1), (1, "subClassOf", 2)];
+    let inserted = service.add_edges(&batch);
     let after = service.snapshot();
     println!(
         "update: {inserted} new edges, epoch {} -> {}",
@@ -96,4 +99,24 @@ fn main() {
             s.publish_ms
         );
     }
+
+    // Epochs share the label matrices a batch leaves alone: the publish
+    // copied `subClassOf`'s matrix — as an index that took the same
+    // batch holds it — and nothing else.
+    let metrics = service.metrics();
+    let index_bytes = metrics.gauge("cfpq_epoch_index_bytes").get();
+    let copied = metrics.gauge("cfpq_epoch_index_copied_bytes").get();
+    println!(
+        "  epoch {}: index {index_bytes} bytes, {copied} copied by its publish",
+        after.epoch()
+    );
+    let mut index = GraphIndex::build(SparseEngine, &graph);
+    index.add_edges(&batch);
+    let sub_class_of = index.adjacency("subClassOf").expect("a skos label");
+    assert_eq!(
+        copied,
+        sub_class_of.bytes() as u64,
+        "the publish copied subClassOf"
+    );
+    assert!(copied < index_bytes, "and shared every other label");
 }
