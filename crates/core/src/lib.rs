@@ -41,11 +41,13 @@ pub mod all_paths;
 pub mod compile;
 pub mod conjunctive;
 mod fixpoint;
+mod index;
 pub mod query;
 pub mod regular;
 pub mod relational;
 pub mod session;
 pub mod single_path;
+mod state;
 
 pub use compile::{CompiledQuery, QueryKind};
 pub use query::{solve, Backend, QueryAnswer};

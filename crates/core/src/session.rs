@@ -78,747 +78,21 @@
 
 use crate::all_paths::{PageRequest, PathEnumerator, PathPage};
 use crate::query::QueryAnswer;
-use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats, SourceClosure};
+use crate::relational::{FixpointSolver, RelationalIndex, SolveStats, SourceClosure};
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
-use cfpq_grammar::cnf::CnfOptions;
-use cfpq_grammar::symbol::Interner;
-use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
-use cfpq_graph::{Graph, Label, NodeId};
-use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
+use cfpq_grammar::{Cfg, GrammarError};
+use cfpq_graph::{Graph, NodeId};
+use cfpq_matrix::{BoolEngine, LenEngine};
 use cfpq_obs::SpanGuard;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// The persistent matrix form of a graph: one Boolean adjacency matrix
-/// per edge label, built once and updated as edges arrive.
-///
-/// This is the artifact Algorithm 1's initialization (lines 6–7)
-/// produces implicitly and then throws away; materialized, it is shared
-/// by every query evaluated against the graph. Generic over all five
-/// [`BoolEngine`]s, so the index inherits the paper's representation ×
-/// device matrix, and the tiled layout beside it.
-///
-/// The fixpoint only reads the label matrices, so clones share them
-/// copy-on-write: a clone costs one reference count per label, and
-/// [`GraphIndex::add_edges`] copies a label's matrix only where another
-/// clone still holds it, and only if the batch writes to that label.
-///
-/// The node universe starts at the build graph's size and grows on
-/// demand: [`GraphIndex::add_edges`] accepts new labels *and* new node
-/// ids, widening every label matrix (dense rebuild / CSR and tile-row append)
-/// before inserting. Sessions pick the growth up lazily — a cached
-/// closure is widened the same way before its next repair.
-#[derive(Clone)]
-pub struct GraphIndex<E: BoolEngine> {
-    engine: E,
-    n_nodes: usize,
-    labels: Interner,
-    matrices: Vec<Arc<E::Matrix>>,
-    n_edges: usize,
-}
-
-/// The record of one [`GraphIndex::add_edges`] batch: which `(from, to)`
-/// pairs were genuinely new, per label index. A [`GraphState`] keeps it
-/// beside every closure it made stale, for the repair to seed from.
-#[derive(Clone, Debug)]
-pub struct EdgeBatch {
-    /// `(label index, new pairs)` — only labels that gained entries.
-    new_by_label: Vec<(u32, Vec<(u32, u32)>)>,
-    /// Edges actually inserted (previously absent from the index).
-    pub inserted: usize,
-    /// Edges skipped because the index (or this same batch) already held
-    /// them.
-    pub duplicates: usize,
-}
-
-impl<E: BoolEngine> GraphIndex<E> {
-    /// Decomposes `graph` into per-label adjacency matrices on `engine`.
-    pub fn build(engine: E, graph: &Graph) -> Self {
-        Self::build_where(engine, graph, |_| true)
-    }
-
-    /// [`GraphIndex::build`] restricted to the labels `keep` accepts:
-    /// only those get a matrix, and edges on other labels are not
-    /// indexed (nor counted by [`GraphIndex::n_edges`]). This is what
-    /// the one-shot `solve` facade uses — it knows the single grammar it
-    /// will ever evaluate, so labels that grammar never mentions (e.g.
-    /// RDF padding predicates) would be dead weight, n²-bit dead weight
-    /// on the dense engines. Long-lived sessions serving unknown future
-    /// grammars should index everything ([`GraphIndex::build`]).
-    pub fn build_where(engine: E, graph: &Graph, mut keep: impl FnMut(&str) -> bool) -> Self {
-        let n = graph.n_nodes();
-        let mut labels = Interner::new();
-        // Kept graph-label index → index-local label id.
-        let mut local: Vec<Option<u32>> = vec![None; graph.n_labels()];
-        for (l, name) in graph.labels() {
-            if keep(name) {
-                local[l.index()] = Some(labels.intern(name));
-            }
-        }
-        let mut pairs_by_label: Vec<Vec<(u32, u32)>> = vec![Vec::new(); labels.len()];
-        let mut n_edges = 0usize;
-        for e in graph.edges() {
-            if let Some(l) = local[e.label.index()] {
-                pairs_by_label[l as usize].push((e.from, e.to));
-                n_edges += 1;
-            }
-        }
-        let matrices = pairs_by_label
-            .iter()
-            .map(|pairs| Arc::new(engine.from_pairs(n, pairs)))
-            .collect();
-        Self {
-            engine,
-            n_nodes: n,
-            labels,
-            matrices,
-            n_edges,
-        }
-    }
-
-    /// The engine the matrices live on.
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    /// Matrix dimension `|V|`. Starts at the build graph's node count
-    /// and **grows** when [`GraphIndex::add_edges`] receives an edge
-    /// naming an unseen node id (it never shrinks) — the same implicit
-    /// growth contract as [`Graph::add_edge`]'s `ensure_node` behaviour.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// Number of labels with a materialized matrix.
-    pub fn n_labels(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Total stored edges across all label matrices.
-    pub fn n_edges(&self) -> usize {
-        self.n_edges
-    }
-
-    /// The adjacency matrix of a label, if the label exists.
-    pub fn adjacency(&self, label: &str) -> Option<&E::Matrix> {
-        self.label(label).map(|(_, m)| m)
-    }
-
-    /// The id and adjacency matrix of a label, if the label exists. Ids
-    /// are interned in arrival order, so an index built from a graph
-    /// numbers its labels as the graph does.
-    pub(crate) fn label(&self, name: &str) -> Option<(Label, &E::Matrix)> {
-        let l = self.labels.get(name)?;
-        Some((Label(l), &*self.matrices[l as usize]))
-    }
-
-    /// Iterates `(name, matrix)` for every label.
-    pub fn label_matrices(&self) -> impl Iterator<Item = (&str, &E::Matrix)> {
-        self.labels
-            .iter()
-            .map(|(l, name)| (name, &*self.matrices[l as usize]))
-    }
-
-    /// Inserts a batch of edges, interning unseen labels on the fly and
-    /// growing the node universe to cover previously-unseen node ids
-    /// (every label matrix is widened first, so no insertion can go out
-    /// of bounds).
-    ///
-    /// Only the label matrices the batch writes to are touched: those
-    /// that gain a pair, or all of them when the universe grows. Each is
-    /// updated in place if this index holds it alone, and copied first if
-    /// a clone shares it, so the clone never sees the batch. A batch of
-    /// duplicates writes nothing.
-    ///
-    /// Duplicate-edge semantics match [`Graph::add_edge`] exactly: the
-    /// edge set is a *set* keyed on `(from, label, to)`, so re-inserting
-    /// a present edge is a no-op — where `add_edge` reports this by
-    /// returning `false`, a batch insert reports it in
-    /// [`EdgeBatch::duplicates`] (which also counts repeats *within* the
-    /// same batch). The returned [`EdgeBatch`] records exactly the new
-    /// entries per label, which is what incremental re-solves seed from.
-    pub fn add_edges(&mut self, edges: &[(NodeId, &str, NodeId)]) -> EdgeBatch {
-        if let Some(max_id) = edges.iter().map(|&(u, _, v)| u.max(v)).max() {
-            let needed = max_id as usize + 1;
-            if needed > self.n_nodes {
-                for m in &mut self.matrices {
-                    self.engine.grow(Arc::make_mut(m), needed);
-                }
-                self.n_nodes = needed;
-            }
-        }
-        let mut new_by_label: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
-        let mut batch_seen: std::collections::HashSet<(u32, u32, u32)> =
-            std::collections::HashSet::with_capacity(edges.len());
-        let mut duplicates = 0usize;
-        for &(u, name, v) in edges {
-            let l = self.labels.intern(name);
-            while self.matrices.len() <= l as usize {
-                self.matrices
-                    .push(Arc::new(self.engine.zeros(self.n_nodes)));
-            }
-            if self.matrices[l as usize].get(u, v) || !batch_seen.insert((l, u, v)) {
-                duplicates += 1;
-                continue;
-            }
-            new_by_label.entry(l).or_default().push((u, v));
-        }
-        let mut inserted = 0usize;
-        let new_by_label: Vec<(u32, Vec<(u32, u32)>)> = new_by_label.into_iter().collect();
-        for (l, pairs) in &new_by_label {
-            self.engine
-                .union_pairs(Arc::make_mut(&mut self.matrices[*l as usize]), pairs);
-            inserted += pairs.len();
-        }
-        self.n_edges += inserted;
-        EdgeBatch {
-            new_by_label,
-            inserted,
-            duplicates,
-        }
-    }
-
-    /// Per label index, the nonterminals `A` with a rule `A → x` for the
-    /// terminal `x` the label binds to by name (none for a label the
-    /// grammar never mentions). Cold, restricted and repair seeds all
-    /// read the binding here, so it cannot drift between them.
-    fn label_nonterminals(&self, wcnf: &Wcnf) -> Vec<Vec<Nt>> {
-        let by_term = wcnf.nts_by_terminal();
-        self.labels
-            .iter()
-            .map(|(_, name)| match wcnf.symbols.get_term(name) {
-                Some(term) => by_term[term.index()].clone(),
-                None => Vec::new(),
-            })
-            .collect()
-    }
-
-    /// The per-nonterminal seed matrices of a cold solve: every label
-    /// matrix union-ed into the `T_A` of each nonterminal with a rule
-    /// `A → label`, plus the ε-diagonal when `options` ask for it. This
-    /// is Algorithm 1's initialization (lines 6–7) read straight off the
-    /// index instead of the edge list.
-    pub fn seed_matrices(&self, wcnf: &Wcnf, options: SolveOptions) -> Vec<E::Matrix> {
-        let n = self.n_nodes;
-        let mut seeds: Vec<Option<E::Matrix>> = (0..wcnf.n_nts()).map(|_| None).collect();
-        for (m, nts) in self.matrices.iter().zip(self.label_nonterminals(wcnf)) {
-            for nt in nts {
-                match &mut seeds[nt.index()] {
-                    Some(acc) => {
-                        self.engine.union_in_place(acc, m);
-                    }
-                    None => seeds[nt.index()] = Some(E::Matrix::clone(m)),
-                }
-            }
-        }
-        let mut matrices: Vec<E::Matrix> = seeds
-            .into_iter()
-            .map(|m| m.unwrap_or_else(|| self.engine.zeros(n)))
-            .collect();
-        if options.nullable_diagonal {
-            let diagonal: Vec<(u32, u32)> = (0..n as u32).map(|m| (m, m)).collect();
-            for &nt in &wcnf.nullable {
-                self.engine
-                    .union_pairs(&mut matrices[nt.index()], &diagonal);
-            }
-        }
-        matrices
-    }
-
-    /// The per-nonterminal length-1 seed matrices of a cold single-path
-    /// solve (the §5 analogue of [`GraphIndex::seed_matrices`]; the
-    /// ε-overlay is applied by the solver, not here).
-    pub fn seed_length_matrices(&self, wcnf: &Wcnf) -> Vec<<E as LenEngine>::LenMatrix>
-    where
-        E: LenEngine,
-    {
-        let mut entries: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); wcnf.n_nts()];
-        for (m, nts) in self.matrices.iter().zip(self.label_nonterminals(wcnf)) {
-            if nts.is_empty() {
-                continue;
-            }
-            let pairs = m.pairs();
-            for nt in nts {
-                entries[nt.index()].extend(pairs.iter().map(|&(i, j)| (i, j, 1)));
-            }
-        }
-        entries
-            .into_iter()
-            .map(|e| self.engine.len_from_entries(self.n_nodes, &e))
-            .collect()
-    }
-
-    /// Translates edge batches this index absorbed into per-nonterminal
-    /// seed pairs: the base facts a repair of `wcnf`'s closure starts
-    /// from.
-    fn batch_seeds(&self, wcnf: &Wcnf, batches: &[EdgeBatch]) -> Vec<Vec<(u32, u32)>> {
-        let nts_of = self.label_nonterminals(wcnf);
-        let mut new_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); wcnf.n_nts()];
-        for batch in batches {
-            for (label, pairs) in &batch.new_by_label {
-                for nt in &nts_of[*label as usize] {
-                    new_pairs[nt.index()].extend_from_slice(pairs);
-                }
-            }
-        }
-        new_pairs
-    }
-}
-
-/// A grammar compiled for repeated evaluation: the weak-CNF
-/// normalization runs once, here, instead of once per `solve` call. The
-/// label→terminal binding is resolved against the session's index at
-/// evaluation time (so labels added later still bind).
-#[derive(Clone, Debug)]
-pub struct PreparedQuery {
-    wcnf: Wcnf,
-    options: SolveOptions,
-}
-
-impl PreparedQuery {
-    /// Normalizes `grammar` to weak CNF (the expensive, once-per-query
-    /// step) with the default options.
-    pub fn new(grammar: &Cfg) -> Result<Self, GrammarError> {
-        Ok(Self::from_wcnf(grammar.to_wcnf(CnfOptions::default())?))
-    }
-
-    /// Wraps an already-normalized grammar.
-    pub fn from_wcnf(wcnf: Wcnf) -> Self {
-        Self {
-            wcnf,
-            options: SolveOptions::default(),
-        }
-    }
-
-    /// Sets the solve options (ε-diagonal seeding).
-    pub fn options(mut self, options: SolveOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The normalized grammar.
-    pub fn wcnf(&self) -> &Wcnf {
-        &self.wcnf
-    }
-
-    /// The start nonterminal's name.
-    pub fn start_name(&self) -> &str {
-        self.wcnf.symbols.nt_name(self.wcnf.start)
-    }
-}
-
-/// Handle to a relational query prepared on a [`GraphState`] — that of
-/// a [`CfpqSession`] or of a `cfpq-service` service.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct QueryId(usize);
-
-/// Handle to a single-path query prepared on a [`GraphState`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct SinglePathId(usize);
-
-impl QueryId {
-    /// The handle's position among the relational queries of its state.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl SinglePathId {
-    /// The handle's position among the single-path queries of its state.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// What the most recent evaluation of a query actually did: a cold solve
-/// or an incremental repair, and how much kernel work it launched. This
-/// is the observable behind the incremental-beats-cold acceptance check.
-#[derive(Clone, Debug)]
-pub struct RunInfo {
-    /// Kernel-work counters of that run alone (not cumulative).
-    pub stats: SolveStats,
-    /// Fixpoint sweeps of that run alone.
-    pub sweeps: usize,
-    /// `true` if the run repaired a cached closure via
-    /// [`FixpointSolver::resume`]; `false` for a cold solve.
-    pub incremental: bool,
-}
-
-/// A closure that a [`GraphState`] caches per prepared query — a
-/// [`RelationalIndex`] or a [`SinglePathIndex`]: how it is cold-solved
-/// against an index and repaired once the index has absorbed further
-/// edges, so the lifecycle around it (solve once, serve from the cache,
-/// repair after updates) is written once.
-pub trait CachedClosure<E: BoolEngine>: Clone {
-    /// Cold solve: seeds straight from the index's label matrices, then
-    /// the fixpoint.
-    fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self;
-
-    /// Repairs the closure in place for `batches`, which `index` absorbed
-    /// since the closure was solved or last repaired: widens it if the
-    /// node universe grew, then resumes the semi-naive Δ loop from the
-    /// batches' seeds. Returns the stats of the repair alone.
-    fn repair(
-        &mut self,
-        index: &GraphIndex<E>,
-        query: &PreparedQuery,
-        batches: &[EdgeBatch],
-    ) -> SolveStats;
-
-    /// Cumulative kernel-work counters: the cold solve plus every repair.
-    fn stats(&self) -> &SolveStats;
-}
-
-impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
-    fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
-        solve_prepared(index, query)
-    }
-
-    /// Widening seeds the new ε-diagonal cells when the query asks for
-    /// the nullable diagonal.
-    fn repair(
-        &mut self,
-        index: &GraphIndex<E>,
-        query: &PreparedQuery,
-        batches: &[EdgeBatch],
-    ) -> SolveStats {
-        let mut sp = cfpq_obs::span("query.repair");
-        let (wcnf, n) = (query.wcnf(), index.n_nodes);
-        let mut new_pairs = index.batch_seeds(wcnf, batches);
-        if self.n_nodes < n {
-            let old_n = self.n_nodes;
-            for m in &mut self.matrices {
-                index.engine.grow(m, n);
-            }
-            self.n_nodes = n;
-            if query.options.nullable_diagonal {
-                for &nt in &wcnf.nullable {
-                    new_pairs[nt.index()].extend((old_n as u32..n as u32).map(|m| (m, m)));
-                }
-            }
-        }
-        let stats = FixpointSolver::new(&index.engine)
-            .options(query.options)
-            .resume(self, wcnf, &new_pairs)
-            .expect("seeds read off the grown index are cells of it");
-        if sp.is_recording() {
-            sp.attr_u64("n_nodes", n as u64);
-            sp.attr_u64("products", stats.products_computed as u64);
-        }
-        stats
-    }
-
-    fn stats(&self) -> &SolveStats {
-        &self.stats
-    }
-}
-
-impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatrix> {
-    fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
-        solve_prepared_single_path(index, query)
-    }
-
-    /// The resume's ε-overlay covers the diagonal cells of new nodes;
-    /// first-write-wins means entries that survive keep their recorded
-    /// witness lengths.
-    fn repair(
-        &mut self,
-        index: &GraphIndex<E>,
-        query: &PreparedQuery,
-        batches: &[EdgeBatch],
-    ) -> SolveStats {
-        let n = index.n_nodes;
-        if self.n_nodes < n {
-            for m in &mut self.lengths {
-                index.engine.len_grow(m, n);
-            }
-            self.n_nodes = n;
-        }
-        let new_pairs = index.batch_seeds(query.wcnf(), batches);
-        SinglePathSolver::new(&index.engine)
-            .options(query.options)
-            .resume(self, query.wcnf(), &new_pairs)
-            .expect("seeds read off the grown index are cells of it")
-    }
-
-    fn stats(&self) -> &SolveStats {
-        &self.stats
-    }
-}
-
-/// The closure cell of one prepared query, filled by its first read.
-struct Cell<C> {
-    query: PreparedQuery,
-    /// The closure, up to date with the index of the state holding it.
-    solved: OnceLock<Arc<C>>,
-    /// A closure solved before the index absorbed the batches beside it.
-    /// Set only while `solved` is empty; the read that repairs it takes
-    /// it whole, so a repair that panics leaves the cell empty.
-    stale: Mutex<Option<(Arc<C>, Vec<EdgeBatch>)>>,
-}
-
-impl<C> Clone for Cell<C> {
-    fn clone(&self) -> Self {
-        let stale = self.stale().clone();
-        Self {
-            query: self.query.clone(),
-            solved: self.solved.clone(),
-            stale: Mutex::new(stale),
-        }
-    }
-}
-
-impl<C> Cell<C> {
-    fn new(query: PreparedQuery) -> Self {
-        let (solved, stale) = (OnceLock::new(), Mutex::new(None));
-        Self {
-            query,
-            solved,
-            stale,
-        }
-    }
-
-    fn stale(&self) -> MutexGuard<'_, Option<(Arc<C>, Vec<EdgeBatch>)>> {
-        // Only ever taken or replaced whole: a poisoned value is valid.
-        self.stale.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The closure, cold-solved if the cell is empty, repaired for every
-    /// pending batch in one resume if it is stale, served as it is
-    /// otherwise; with the run the read made (`None` for a hit).
-    fn read<E: BoolEngine>(&self, index: &GraphIndex<E>) -> (&Arc<C>, Option<RunInfo>)
-    where
-        C: CachedClosure<E>,
-    {
-        let mut run = None;
-        let solved = self.solved.get_or_init(|| {
-            // Taken by value, not cloned: with no answer holding the
-            // closure, `make_mut` repairs it in place.
-            let (closure, stats, incremental) = match self.stale().take() {
-                Some((mut closure, batches)) => {
-                    let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
-                    (closure, stats, true)
-                }
-                None => {
-                    let closure = C::cold_solve(index, &self.query);
-                    let stats = closure.stats().clone();
-                    (Arc::new(closure), stats, false)
-                }
-            };
-            let sweeps = stats.sweep_nnz.len();
-            run = Some(RunInfo {
-                stats,
-                sweeps,
-                incremental,
-            });
-            closure
-        });
-        (solved, run)
-    }
-
-    /// The run of a repair if the cell is stale: empty and solved cells
-    /// are left alone.
-    fn repair_stale<E: BoolEngine>(&self, index: &GraphIndex<E>) -> Option<RunInfo>
-    where
-        C: CachedClosure<E>,
-    {
-        let stale = self.stale().is_some();
-        stale.then(|| self.read(index).1).flatten()
-    }
-
-    /// Makes a solved closure stale for `batch`, which the index just
-    /// absorbed, or adds `batch` to a stale one's. An empty cell stays
-    /// empty: its cold solve reads the index.
-    fn absorb(&mut self, batch: &EdgeBatch) {
-        let stale = self.stale.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if let Some(solved) = self.solved.take() {
-            *stale = Some((solved, vec![batch.clone()]));
-        } else if let Some((_, pending)) = stale {
-            pending.push(batch.clone());
-        }
-    }
-}
-
-/// The cells of one query kind, in handle order. Append-only, so a cell
-/// never moves: it is read without a lock, and `push` takes `&self` so a
-/// query can be prepared on a state that readers share. Cell `i` sits in
-/// bucket `⌊log₂(i + 1)⌋`, which holds `2^bucket` cells.
-struct Cells<C> {
-    #[allow(clippy::type_complexity)]
-    buckets: [OnceLock<Box<[OnceLock<Cell<C>>]>>; usize::BITS as usize],
-    /// A count only: each cell is published by its own `OnceLock`.
-    len: AtomicUsize,
-}
-
-impl<C> Cells<C> {
-    fn new() -> Self {
-        let buckets = std::array::from_fn(|_| OnceLock::new());
-        Self {
-            buckets,
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Bucket and offset of cell `i`.
-    fn locate(i: usize) -> (usize, usize) {
-        let bucket = (i + 1).ilog2() as usize;
-        (bucket, i + 1 - (1 << bucket))
-    }
-
-    fn get(&self, i: usize) -> Option<&Cell<C>> {
-        let (bucket, at) = Self::locate(i);
-        self.buckets[bucket].get()?[at].get()
-    }
-
-    /// Appends `cell`; returns its index.
-    fn push(&self, cell: Cell<C>) -> usize {
-        let i = self.len.fetch_add(1, Ordering::Relaxed);
-        let (bucket, at) = Self::locate(i);
-        let new_bucket = || (0..1 << bucket).map(|_| OnceLock::new()).collect();
-        let cells = self.buckets[bucket].get_or_init(new_bucket);
-        assert!(cells[at].set(cell).is_ok(), "each index is handed out once");
-        i
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Cell<C>> {
-        (0..self.len.load(Ordering::Relaxed)).filter_map(|i| self.get(i))
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Cell<C>> {
-        let buckets = self.buckets.iter_mut().filter_map(OnceLock::get_mut);
-        buckets.flat_map(|cells| cells.iter_mut().filter_map(OnceLock::get_mut))
-    }
-}
-
-impl<C> Clone for Cells<C> {
-    fn clone(&self) -> Self {
-        let copy = Self::new();
-        for cell in self.iter() {
-            copy.push(cell.clone());
-        }
-        copy
-    }
-}
-
-/// One version of a graph and what is evaluated against it: the
-/// [`GraphIndex`], the prepared queries of both kinds, and one closure
-/// cell per query, filled by its first read.
-///
-/// A read cold-solves the cell, or repairs the closure it holds for every
-/// batch [`GraphState::add_edges`] added since, in one resume, or hits —
-/// and reports which. Nothing is repaired before a read asks unless the
-/// owner calls [`GraphState::repair_stale`]: a [`CfpqSession`] never
-/// does; a `cfpq-service` publish does, so that readers never repair.
-///
-/// Reads and `prepare*` take `&self`: concurrent readers of an empty cell
-/// wait for one solve, a solve that panics leaves the cell empty, and a
-/// query can be prepared on a state readers share. A clone shares the
-/// closures and the index's label matrices copy-on-write, so it costs
-/// O(labels + prepared queries); a query prepared on either afterwards
-/// does not reach the other.
-#[derive(Clone)]
-pub struct GraphState<E: BoolEngine + LenEngine> {
-    index: GraphIndex<E>,
-    rel: Cells<RelationalIndex<E::Matrix>>,
-    sp: Cells<SinglePathIndex<E::LenMatrix>>,
-}
-
-/// A read of a [`GraphState`] cell: the query, its closure up to date
-/// with the index, and the run the read made (`None` for a hit).
-pub type CellRead<'s, C> = (&'s PreparedQuery, &'s Arc<C>, Option<RunInfo>);
-
-impl<E: BoolEngine + LenEngine> GraphState<E> {
-    /// A state over `index`, with no query prepared.
-    pub fn new(index: GraphIndex<E>) -> Self {
-        let (rel, sp) = (Cells::new(), Cells::new());
-        Self { index, rel, sp }
-    }
-
-    /// The index every read solves against.
-    pub fn index(&self) -> &GraphIndex<E> {
-        &self.index
-    }
-
-    /// Registers a relational query, unsolved until read.
-    pub fn prepare(&self, query: PreparedQuery) -> QueryId {
-        QueryId(self.rel.push(Cell::new(query)))
-    }
-
-    /// Registers a single-path (§5) query, unsolved until read.
-    pub fn prepare_single_path(&self, query: PreparedQuery) -> SinglePathId {
-        SinglePathId(self.sp.push(Cell::new(query)))
-    }
-
-    /// How many relational queries are prepared.
-    pub fn n_queries(&self) -> usize {
-        self.rel.len.load(Ordering::Relaxed)
-    }
-
-    /// How many single-path queries are prepared.
-    pub fn n_single_path_queries(&self) -> usize {
-        self.sp.len.load(Ordering::Relaxed)
-    }
-
-    /// Relational query `id`, if this state holds it.
-    pub fn query(&self, id: QueryId) -> Option<&PreparedQuery> {
-        Some(&self.rel.get(id.0)?.query)
-    }
-
-    /// The closure of relational query `id` as it stands, not solved or
-    /// repaired: `None` while its cell is empty or stale.
-    pub fn solved(&self, id: QueryId) -> Option<&Arc<RelationalIndex<E::Matrix>>> {
-        self.rel.get(id.0)?.solved.get()
-    }
-
-    /// [`GraphState::solved`] for a single-path query.
-    pub fn solved_single_path(
-        &self,
-        id: SinglePathId,
-    ) -> Option<&Arc<SinglePathIndex<E::LenMatrix>>> {
-        self.sp.get(id.0)?.solved.get()
-    }
-
-    /// Reads relational query `id`; `None` if this state holds no such
-    /// query.
-    pub fn evaluate(&self, id: QueryId) -> Option<CellRead<'_, RelationalIndex<E::Matrix>>> {
-        let cell = self.rel.get(id.0)?;
-        let (solved, run) = cell.read(&self.index);
-        Some((&cell.query, solved, run))
-    }
-
-    /// Reads single-path query `id`; `None` if this state holds no such
-    /// query.
-    pub fn evaluate_single_path(
-        &self,
-        id: SinglePathId,
-    ) -> Option<CellRead<'_, SinglePathIndex<E::LenMatrix>>> {
-        let cell = self.sp.get(id.0)?;
-        let (solved, run) = cell.read(&self.index);
-        Some((&cell.query, solved, run))
-    }
-
-    /// Inserts edges into the index ([`GraphIndex::add_edges`]) and makes
-    /// every solved closure stale for the batch; returns how many edges
-    /// were new.
-    pub fn add_edges(&mut self, edges: &[(NodeId, &str, NodeId)]) -> usize {
-        let batch = self.index.add_edges(edges);
-        if batch.inserted > 0 {
-            self.rel.iter_mut().for_each(|cell| cell.absorb(&batch));
-            self.sp.iter_mut().for_each(|cell| cell.absorb(&batch));
-        }
-        batch.inserted
-    }
-
-    /// Repairs every stale closure now, relational queries first, each
-    /// in handle order; `report` gets each repair's run.
-    pub fn repair_stale(&self, report: impl FnMut(RunInfo)) {
-        let index = &self.index;
-        let rel = self.rel.iter().filter_map(|cell| cell.repair_stale(index));
-        let sp = self.sp.iter().filter_map(|cell| cell.repair_stale(index));
-        rel.chain(sp).for_each(report);
-    }
-}
+use std::sync::Arc;
+
+#[cfg(doc)]
+use crate::relational::SolveOptions;
+
+pub use crate::index::{EdgeBatch, GraphIndex};
+pub use crate::state::{
+    CachedClosure, CellRead, GraphState, PreparedQuery, QueryId, RunInfo, SinglePathId,
+};
 
 /// A multi-query evaluation session over one [`GraphIndex`]: prepare
 /// grammars once, evaluate them many times, feed edges in between.
@@ -1175,6 +449,8 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
 mod tests {
     use super::*;
     use crate::query::{solve, Backend};
+    use crate::relational::SolveOptions;
+    use crate::state::{Cell, Cells};
     use cfpq_grammar::queries;
     use cfpq_graph::generators;
     use cfpq_matrix::{
@@ -1732,19 +1008,5 @@ mod tests {
             cnf_answer.start_pairs(),
             "RSM-form and WCNF-form CFPQ agree on the start relation"
         );
-    }
-
-    #[test]
-    fn graph_index_exposes_label_matrices() {
-        let graph = generators::word_chain(&["a", "b"]);
-        let index = GraphIndex::build(SparseEngine, &graph);
-        assert_eq!(index.n_nodes(), 3);
-        assert_eq!(index.n_labels(), 2);
-        assert_eq!(index.n_edges(), 2);
-        assert_eq!(index.adjacency("a").unwrap().pairs(), vec![(0, 1)]);
-        assert_eq!(index.adjacency("b").unwrap().pairs(), vec![(1, 2)]);
-        assert!(index.adjacency("nope").is_none());
-        let names: Vec<&str> = index.label_matrices().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["a", "b"]);
     }
 }
