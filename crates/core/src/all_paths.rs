@@ -126,8 +126,9 @@ struct View<'a, M, A> {
 /// pages reuses everything already computed. The memo tables are valid
 /// for one graph state only — every page must pass the same index and
 /// closure. After the graph changes, classes may grow (entries are
-/// exact-length sets), so drop the enumerator and build a fresh one; the
-/// session drops it whenever a run changed the closure.
+/// exact-length sets), so drop the enumerator and build a fresh one. A
+/// [`crate::session::GraphState`] keeps one beside each relational
+/// closure and drops it with every batch of edges the state absorbs.
 #[derive(Clone)]
 pub struct PathEnumerator {
     /// Per terminal: its name, which binds it to the index label of the

@@ -221,11 +221,12 @@ impl QueryAnswer {
         Self::from_shared(backend, wcnf, Arc::new(index.clone()))
     }
 
-    /// An answer viewing a shared solved index. This is what sessions
-    /// and the `cfpq-service` snapshot cache hand out: they keep their
-    /// own `Arc` to the closure and repair it through `Arc::make_mut`,
-    /// so a repair copies the closure only while an answer still reads
-    /// it.
+    /// An answer viewing a shared solved index. This is what a
+    /// [`crate::session::GraphState`] cell hands out to sessions and
+    /// `cfpq-service` snapshots: the cell keeps its own `Arc` to the
+    /// closure, drops its answer when a batch of edges arrives, and
+    /// repairs through `Arc::make_mut`, so a repair copies the closure
+    /// only while a caller's answer still reads it.
     pub fn from_shared<M: BoolMat>(
         backend: &'static str,
         wcnf: &Wcnf,

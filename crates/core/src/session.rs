@@ -49,9 +49,13 @@
 //! There is one cached-closure lifecycle, not one per query kind or per
 //! front: a [`GraphState`] holds the index, the prepared queries and one
 //! closure cell per query ([`CachedClosure`] says how each kind of
-//! closure is cold-solved and repaired). A session drives one state
-//! inline and records each read's [`RunInfo`]; a `cfpq-service` epoch is
-//! a state too, whose publish repairs every closure before readers come.
+//! closure is cold-solved and repaired). A relational cell also keeps
+//! what reads derive from its closure — the shared answer, the path
+//! enumerator, the source-restricted closure of named-pair lookups — and
+//! empties them when the state absorbs a batch of edges. A session
+//! drives one state inline and records each read's [`RunInfo`]; a
+//! `cfpq-service` epoch is a state too, whose publish repairs every
+//! closure before readers come.
 //!
 //! ```
 //! use cfpq_core::session::CfpqSession;
@@ -76,7 +80,7 @@
 //! assert!(session.last_run(q).unwrap().incremental);
 //! ```
 
-use crate::all_paths::{PageRequest, PathEnumerator, PathPage};
+use crate::all_paths::{PageRequest, PathPage};
 use crate::query::QueryAnswer;
 use crate::relational::{FixpointSolver, RelationalIndex, SolveStats, SourceClosure};
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
@@ -84,7 +88,6 @@ use cfpq_grammar::{Cfg, GrammarError};
 use cfpq_graph::{Graph, NodeId};
 use cfpq_matrix::{BoolEngine, LenEngine};
 use cfpq_obs::SpanGuard;
-use std::sync::Arc;
 
 #[cfg(doc)]
 use crate::relational::SolveOptions;
@@ -109,27 +112,16 @@ pub use crate::state::{
 #[derive(Clone)]
 pub struct CfpqSession<E: BoolEngine + LenEngine> {
     state: GraphState<E>,
-    /// Per query of each kind, in handle order.
-    rel: Vec<Reads>,
-    sp: Vec<Reads>,
-}
-
-/// What a session keeps of the reads of one query.
-#[derive(Clone, Default)]
-struct Reads {
-    last_run: Option<RunInfo>,
-    /// The enumeration tables paged from the closure the last run left
-    /// (relational queries only). Valid for exactly that closure, so
-    /// every run drops them.
-    paths: Option<PathEnumerator>,
+    /// The last run of each query of each kind, in handle order.
+    rel: Vec<Option<RunInfo>>,
+    sp: Vec<Option<RunInfo>>,
 }
 
 const UNREGISTERED: &str = "query not registered in this session";
 
 /// Closes a read's `"session.evaluate"` span with its outcome. A read
-/// that ran replaces the last run and drops what was built from the
-/// closure it changed.
-fn record(mut sp: SpanGuard, run: Option<RunInfo>, reads: &mut Reads) {
+/// that ran replaces the last run.
+fn record(mut sp: SpanGuard, run: Option<RunInfo>, last_run: &mut Option<RunInfo>) {
     let outcome = match &run {
         None => "cached",
         Some(run) if run.incremental => "repair",
@@ -137,10 +129,7 @@ fn record(mut sp: SpanGuard, run: Option<RunInfo>, reads: &mut Reads) {
     };
     sp.attr_str("outcome", outcome);
     if run.is_some() {
-        *reads = Reads {
-            last_run: run,
-            paths: None,
-        };
+        *last_run = run;
     }
 }
 
@@ -309,7 +298,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// ε-witnesses should surface in [`CfpqSession::enumerate_paths`].
     pub fn prepare_query(&mut self, query: PreparedQuery) -> QueryId {
         let _sp = cfpq_obs::span("session.prepare");
-        self.rel.push(Reads::default());
+        self.rel.push(None);
         self.state.prepare(query)
     }
 
@@ -339,10 +328,9 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// If `id` does not belong to this session.
     pub fn evaluate(&mut self, id: QueryId) -> QueryAnswer {
         let sp = cfpq_obs::span("session.evaluate");
-        let (query, solved, run) = self.state.evaluate(id).expect(UNREGISTERED);
+        let (answer, run) = self.state.evaluate(id).expect(UNREGISTERED);
         record(sp, run, &mut self.rel[id.0]);
-        let engine = self.state.index().engine().name();
-        QueryAnswer::from_shared(engine, query.wcnf(), Arc::clone(solved))
+        answer
     }
 
     /// The closed relational index of a query as of its last evaluation:
@@ -357,7 +345,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// its closure (cold vs incremental, and its kernel-work counters).
     /// `None` until the first of either.
     pub fn last_run(&self, id: QueryId) -> Option<&RunInfo> {
-        self.rel.get(id.0)?.last_run.as_ref()
+        self.rel.get(id.0)?.as_ref()
     }
 
     /// Streams one page of distinct witness paths for the query's start
@@ -366,12 +354,12 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     ///
     /// The closure [`CfpqSession::evaluate`] caches is the pruning
     /// oracle: whichever of the two is called first solves it, the other
-    /// finds it. The memoized enumeration tables are kept beside it: on a
-    /// quiet graph, consecutive pages (or other endpoint pairs) keep
-    /// extending them; once [`CfpqSession::add_edges`] grew the graph,
-    /// the next call of either kind repairs the closure and the tables
-    /// are rebuilt — so a repaired session serves exactly the pages a
-    /// from-scratch session would.
+    /// finds it. The memoized enumeration tables are kept in its cell:
+    /// on a quiet graph, consecutive pages (or other endpoint pairs) keep
+    /// extending them; [`CfpqSession::add_edges`] drops them with the
+    /// batch, the next call of either kind repairs the closure, and the
+    /// tables are rebuilt — so a repaired session serves exactly the
+    /// pages a from-scratch session would.
     ///
     /// # Panics
     ///
@@ -384,17 +372,16 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         page: PageRequest,
     ) -> PathPage {
         let sp = cfpq_obs::span("session.evaluate");
-        let (query, solved, run) = self.state.evaluate(id).expect(UNREGISTERED);
-        let reads = &mut self.rel[id.0];
-        // The memoized length classes are exact-length sets over the edge
-        // relation they were built from — any of them may grow with it,
-        // so a run drops them and they are rebuilt, not patched.
-        record(sp, run, reads);
-        let (index, wcnf) = (self.state.index(), query.wcnf());
-        reads
-            .paths
-            .get_or_insert_with(|| PathEnumerator::new(wcnf))
-            .page(index, solved, wcnf.start, from, to, page)
+        let index = self.state.index();
+        let (page, run) = self
+            .state
+            .paths(id, |paths, (query, solved, run)| {
+                let page = paths.page(index, solved, query.wcnf().start, from, to, page);
+                (page, run)
+            })
+            .expect(UNREGISTERED);
+        record(sp, run, &mut self.rel[id.0]);
+        page
     }
 
     /// Normalizes `grammar` and registers it for single-path (§5)
@@ -408,7 +395,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// Registers a fully-configured [`PreparedQuery`] for single-path
     /// evaluation ([`SolveOptions`] apply as usual).
     pub fn prepare_single_path_query(&mut self, query: PreparedQuery) -> SinglePathId {
-        self.sp.push(Reads::default());
+        self.sp.push(None);
         self.state.prepare_single_path(query)
     }
 
@@ -441,7 +428,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// What the last [`CfpqSession::evaluate_single_path`] of this query
     /// actually did. `None` until the first evaluation.
     pub fn last_single_path_run(&self, id: SinglePathId) -> Option<&RunInfo> {
-        self.sp.get(id.0)?.last_run.as_ref()
+        self.sp.get(id.0)?.as_ref()
     }
 }
 
@@ -456,10 +443,12 @@ mod tests {
     use cfpq_matrix::{
         DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
     };
+    use std::sync::Arc;
 
     /// How many edge batches each cell of `cells` waits for.
-    fn pending<C>(cells: &Cells<C>) -> Vec<usize> {
-        let stale = |cell: &Cell<C>| cell.stale.lock().unwrap().as_ref().map_or(0, |s| s.1.len());
+    fn pending<C, D>(cells: &Cells<C, D>) -> Vec<usize> {
+        let stale =
+            |cell: &Cell<C, D>| cell.stale.lock().unwrap().as_ref().map_or(0, |s| s.1.len());
         cells.iter().map(stale).collect()
     }
 
@@ -568,25 +557,29 @@ mod tests {
     }
 
     #[test]
-    fn the_closure_is_shared_with_live_answers_only() {
-        let grammar = queries::query1();
-        let graph = generators::paper_example();
+    fn a_repair_works_in_place_unless_a_caller_holds_an_answer() {
+        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+        let graph = generators::word_chain(&["a", "a", "b"]);
         let mut session = CfpqSession::new(SparseEngine, &graph);
         let id = session.prepare(&grammar).unwrap();
-        let handles = |s: &CfpqSession<SparseEngine>| {
-            Arc::strong_count(s.state.solved(id).expect("evaluated"))
-        };
-        let first = session.evaluate(id);
-        let second = session.evaluate(id);
-        assert_eq!(
-            handles(&session),
-            3,
-            "the session's handle plus two answers"
-        );
-        drop((first, second));
-        // The session caches no answer of its own, so the next repair
-        // finds the closure unshared and works in place.
-        assert_eq!(handles(&session), 1);
+        let closure = |s: &CfpqSession<SparseEngine>| Arc::as_ptr(s.state.solved(id).unwrap());
+        assert_eq!(session.evaluate(id).start_pairs(), &[(1, 3)]);
+        let solved = closure(&session);
+        // The cell's own answer goes with the batch, so with none held
+        // by the caller the repair finds the closure unshared.
+        session.add_edges(&[(3, "b", 4)]);
+        assert_eq!(session.evaluate(id).start_pairs(), &[(0, 4), (1, 3)]);
+        assert!(session.last_run(id).unwrap().incremental);
+        assert_eq!(closure(&session), solved, "repaired in place");
+        // A held answer keeps the closure it was read from: the repair
+        // copies, and the answer still reads the pairs before the batch.
+        let held = session.evaluate(id);
+        session.add_edges(&[(2, "b", 5)]);
+        let repaired = session.evaluate(id);
+        assert!(session.last_run(id).unwrap().incremental);
+        assert_ne!(closure(&session), solved, "repaired on a copy");
+        assert_eq!(repaired.start_pairs(), &[(0, 4), (1, 3), (1, 5)]);
+        assert_eq!(held.start_pairs(), &[(0, 4), (1, 3)]);
     }
 
     #[test]
@@ -934,15 +927,16 @@ mod tests {
         assert!(!run.incremental, "no second solve, no repair");
         assert_eq!(run.stats, cold.stats, "the first page launched no kernel");
         // The next page extends the same tables.
-        let classes = |s: &CfpqSession<SparseEngine>| {
-            let tables = s.rel[q.0].paths.as_ref();
-            tables.expect("kept beside the closure").n_classes()
-        };
-        let after_first = classes(&session);
+        let classes = |s: &CfpqSession<SparseEngine>| s.state.paths(q, |p, _| p.n_classes());
+        let after_first = classes(&session).unwrap();
+        assert!(after_first > 0, "kept in the closure's cell");
         session.enumerate_paths(q, 0, 0, page_at(2));
-        assert!(classes(&session) > after_first, "same tables, grown");
+        assert!(
+            classes(&session).unwrap() > after_first,
+            "same tables, grown"
+        );
 
-        // A repair between pages drops them: the next page is the one a
+        // A batch between pages drops them: the next page is the one a
         // from-scratch session over the grown graph serves (the stale
         // tables hold one witness per length, the grown graph has more).
         session.add_edges(&[(0, "a", 1), (1, "b", 0)]);

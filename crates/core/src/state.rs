@@ -1,8 +1,10 @@
 //! One version of a graph and what is evaluated against it: the
 //! prepared queries, their handles, and one closure cell per query.
 
+use crate::all_paths::PathEnumerator;
 use crate::index::{EdgeBatch, GraphIndex};
-use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats};
+use crate::query::QueryAnswer;
+use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats, SourceClosure};
 use crate::session::{solve_prepared, solve_prepared_single_path};
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
@@ -196,8 +198,34 @@ impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatri
     }
 }
 
-/// The closure cell of one prepared query, filled by its first read.
-pub(crate) struct Cell<C> {
+/// Locks a slot that is only ever taken or replaced whole, so a poisoned
+/// value is valid.
+fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What reads derive from a relational closure, kept in its cell and
+/// valid while the index is unchanged: [`Cell::absorb`] empties it, and
+/// a clone of the cell starts empty.
+pub(crate) struct Derived<M> {
+    answer: OnceLock<QueryAnswer>,
+    sources: Mutex<Option<SourceClosure<M>>>,
+    paths: Mutex<Option<PathEnumerator>>,
+}
+
+impl<M> Default for Derived<M> {
+    fn default() -> Self {
+        Self {
+            answer: OnceLock::new(),
+            sources: Mutex::new(None),
+            paths: Mutex::new(None),
+        }
+    }
+}
+
+/// The closure cell of one prepared query, filled by its first read,
+/// and what reads derived from it (`D`; single-path cells keep none).
+pub(crate) struct Cell<C, D = ()> {
     pub(crate) query: PreparedQuery,
     /// The closure, up to date with the index of the state holding it.
     solved: OnceLock<Arc<C>>,
@@ -205,32 +233,30 @@ pub(crate) struct Cell<C> {
     /// Set only while `solved` is empty; the read that repairs it takes
     /// it whole, so a repair that panics leaves the cell empty.
     pub(crate) stale: Mutex<Option<(Arc<C>, Vec<EdgeBatch>)>>,
+    derived: D,
 }
 
-impl<C> Clone for Cell<C> {
+impl<C, D: Default> Clone for Cell<C, D> {
     fn clone(&self) -> Self {
-        let stale = self.stale().clone();
+        let stale = lock(&self.stale).clone();
         Self {
             query: self.query.clone(),
             solved: self.solved.clone(),
             stale: Mutex::new(stale),
+            derived: D::default(),
         }
     }
 }
 
-impl<C> Cell<C> {
+impl<C, D: Default> Cell<C, D> {
     fn new(query: PreparedQuery) -> Self {
         let (solved, stale) = (OnceLock::new(), Mutex::new(None));
         Self {
             query,
             solved,
             stale,
+            derived: D::default(),
         }
-    }
-
-    fn stale(&self) -> MutexGuard<'_, Option<(Arc<C>, Vec<EdgeBatch>)>> {
-        // Only ever taken or replaced whole: a poisoned value is valid.
-        self.stale.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The closure, cold-solved if the cell is empty, repaired for every
@@ -244,7 +270,7 @@ impl<C> Cell<C> {
         let solved = self.solved.get_or_init(|| {
             // Taken by value, not cloned: with no answer holding the
             // closure, `make_mut` repairs it in place.
-            let (closure, stats, incremental) = match self.stale().take() {
+            let (closure, stats, incremental) = match lock(&self.stale).take() {
                 Some((mut closure, batches)) => {
                     let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
                     (closure, stats, true)
@@ -272,14 +298,17 @@ impl<C> Cell<C> {
     where
         C: CachedClosure<E>,
     {
-        let stale = self.stale().is_some();
+        let stale = lock(&self.stale).is_some();
         stale.then(|| self.read(index).1).flatten()
     }
 
     /// Makes a solved closure stale for `batch`, which the index just
     /// absorbed, or adds `batch` to a stale one's. An empty cell stays
-    /// empty: its cold solve reads the index.
+    /// empty: its cold solve reads the index. What reads derived from
+    /// the old index goes first, so that with no caller holding an
+    /// answer, the repair finds the closure unshared and works in place.
     fn absorb(&mut self, batch: &EdgeBatch) {
+        self.derived = D::default();
         let stale = self.stale.get_mut().unwrap_or_else(PoisonError::into_inner);
         if let Some(solved) = self.solved.take() {
             *stale = Some((solved, vec![batch.clone()]));
@@ -293,14 +322,14 @@ impl<C> Cell<C> {
 /// never moves: it is read without a lock, and `push` takes `&self` so a
 /// query can be prepared on a state that readers share. Cell `i` sits in
 /// bucket `⌊log₂(i + 1)⌋`, which holds `2^bucket` cells.
-pub(crate) struct Cells<C> {
+pub(crate) struct Cells<C, D = ()> {
     #[allow(clippy::type_complexity)]
-    buckets: [OnceLock<Box<[OnceLock<Cell<C>>]>>; usize::BITS as usize],
+    buckets: [OnceLock<Box<[OnceLock<Cell<C, D>>]>>; usize::BITS as usize],
     /// A count only: each cell is published by its own `OnceLock`.
     len: AtomicUsize,
 }
 
-impl<C> Cells<C> {
+impl<C, D> Cells<C, D> {
     fn new() -> Self {
         let buckets = std::array::from_fn(|_| OnceLock::new());
         Self {
@@ -315,13 +344,13 @@ impl<C> Cells<C> {
         (bucket, i + 1 - (1 << bucket))
     }
 
-    pub(crate) fn get(&self, i: usize) -> Option<&Cell<C>> {
+    pub(crate) fn get(&self, i: usize) -> Option<&Cell<C, D>> {
         let (bucket, at) = Self::locate(i);
         self.buckets[bucket].get()?[at].get()
     }
 
     /// Appends `cell`; returns its index.
-    fn push(&self, cell: Cell<C>) -> usize {
+    fn push(&self, cell: Cell<C, D>) -> usize {
         let i = self.len.fetch_add(1, Ordering::Relaxed);
         let (bucket, at) = Self::locate(i);
         let new_bucket = || (0..1 << bucket).map(|_| OnceLock::new()).collect();
@@ -330,17 +359,17 @@ impl<C> Cells<C> {
         i
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Cell<C>> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Cell<C, D>> {
         (0..self.len.load(Ordering::Relaxed)).filter_map(|i| self.get(i))
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Cell<C>> {
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Cell<C, D>> {
         let buckets = self.buckets.iter_mut().filter_map(OnceLock::get_mut);
         buckets.flat_map(|cells| cells.iter_mut().filter_map(OnceLock::get_mut))
     }
 }
 
-impl<C> Clone for Cells<C> {
+impl<C, D: Default> Clone for Cells<C, D> {
     fn clone(&self) -> Self {
         let copy = Self::new();
         for cell in self.iter() {
@@ -369,7 +398,7 @@ impl<C> Clone for Cells<C> {
 #[derive(Clone)]
 pub struct GraphState<E: BoolEngine + LenEngine> {
     index: GraphIndex<E>,
-    pub(crate) rel: Cells<RelationalIndex<E::Matrix>>,
+    pub(crate) rel: Cells<RelationalIndex<E::Matrix>, Derived<E::Matrix>>,
     pub(crate) sp: Cells<SinglePathIndex<E::LenMatrix>>,
 }
 
@@ -428,12 +457,43 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         self.sp.get(id.0)?.solved.get()
     }
 
-    /// Reads relational query `id`; `None` if this state holds no such
-    /// query.
-    pub fn evaluate(&self, id: QueryId) -> Option<CellRead<'_, RelationalIndex<E::Matrix>>> {
+    /// Reads relational query `id`: its answer, a lazy view over the
+    /// closure that every read shares until the index changes, and the
+    /// run the read made; `None` if this state holds no such query.
+    pub fn evaluate(&self, id: QueryId) -> Option<(QueryAnswer, Option<RunInfo>)> {
         let cell = self.rel.get(id.0)?;
         let (solved, run) = cell.read(&self.index);
-        Some((&cell.query, solved, run))
+        let answer = cell.derived.answer.get_or_init(|| {
+            let engine = self.index.engine().name();
+            QueryAnswer::from_shared(engine, cell.query.wcnf(), Arc::clone(solved))
+        });
+        Some((answer.clone(), run))
+    }
+
+    /// Reads relational query `id` and lends `page` the read and the
+    /// cell's path enumerator, whose memo tables every page of the
+    /// closure grows; `None` if this state holds no such query. The
+    /// enumerator is out of the cell while `page` runs, so no lock is
+    /// held and a `page` that panics drops it.
+    pub fn paths<R>(
+        &self,
+        id: QueryId,
+        page: impl FnOnce(&mut PathEnumerator, CellRead<'_, RelationalIndex<E::Matrix>>) -> R,
+    ) -> Option<R> {
+        let cell = self.rel.get(id.0)?;
+        let (solved, run) = cell.read(&self.index);
+        let taken = lock(&cell.derived.paths).take();
+        let mut paths = taken.unwrap_or_else(|| PathEnumerator::new(cell.query.wcnf()));
+        let out = page(&mut paths, (&cell.query, solved, run));
+        *lock(&cell.derived.paths) = Some(paths);
+        Some(out)
+    }
+
+    /// The cell's slot for the source-restricted closure that named-pair
+    /// reads of relational query `id` grow while the cell is empty,
+    /// locked; `None` if this state holds no such query.
+    pub fn sources(&self, id: QueryId) -> Option<MutexGuard<'_, Option<SourceClosure<E::Matrix>>>> {
+        Some(lock(&self.rel.get(id.0)?.derived.sources))
     }
 
     /// Reads single-path query `id`; `None` if this state holds no such

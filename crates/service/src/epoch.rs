@@ -1,18 +1,16 @@
 //! Epochs: one immutable version of the graph — a [`GraphState`] that
 //! absorbed every batch so far, with every closure it inherited
-//! repaired — the [`Snapshot`] that pins one, and the per-epoch
-//! [`ServiceStats`].
+//! repaired and nothing derived from the epoch before — the
+//! [`Snapshot`] that pins one, and the per-epoch [`ServiceStats`].
 
 use crate::obs::FailureSnapshot;
-use crate::{lock_recover, QueryId, ServiceEngine, ServiceError, SinglePathId};
+use crate::{QueryId, ServiceEngine, ServiceError, SinglePathId};
 use cfpq_core::query::QueryAnswer;
-use cfpq_core::relational::{RelationalIndex, SourceClosure};
 use cfpq_core::session::{GraphState, PreparedQuery, RunInfo};
 use cfpq_core::single_path::SinglePathIndex;
 use cfpq_matrix::LenEngine;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 #[cfg(doc)]
 use crate::{CfpqService, ServiceConfig};
@@ -113,28 +111,12 @@ fn known(id: usize, registered: usize) -> Result<(), ServiceError> {
     (id < registered).then_some(()).ok_or(unknown)
 }
 
-/// What an epoch derives from a relational query besides its closure,
-/// never carried into the next epoch.
-pub(crate) struct Reads<M> {
-    /// The lazy answer over the closure, created when a snapshot read or
-    /// a full-answer ticket first asks for one and shared by all later
-    /// ones, so a relation is extracted at most once per epoch.
-    answer: OnceLock<QueryAnswer>,
-    /// The source-restricted closure that named-pair tickets grow while
-    /// the epoch holds no all-pairs closure for the query: extended when
-    /// a ticket names rows outside it. `None` until the first such
-    /// ticket — and again after a solve that panicked, which takes the
-    /// closure down with it.
-    pub(crate) sources: Mutex<Option<SourceClosure<M>>>,
-}
-
 /// One immutable version of the graph: its [`GraphState`] — index,
-/// prepared queries and closure cells — what readers derived from it,
-/// and the counters charged to it.
+/// prepared queries, and per query a closure cell with what readers
+/// derived from the closure — and the counters charged to it.
 pub(crate) struct Epoch<E: ServiceEngine> {
     pub(crate) epoch: u64,
     pub(crate) state: GraphState<E>,
-    reads: Mutex<HashMap<QueryId, Arc<Reads<E::Matrix>>>>,
     pub(crate) counters: Arc<EpochCounters>,
 }
 
@@ -143,7 +125,6 @@ impl<E: ServiceEngine> Epoch<E> {
         Self {
             epoch,
             state,
-            reads: Mutex::new(HashMap::new()),
             counters,
         }
     }
@@ -160,14 +141,11 @@ impl<E: ServiceEngine> Epoch<E> {
         known(id.index(), self.state.n_single_path_queries())
     }
 
-    /// The closure of checked query `id`, charged to this epoch.
-    pub(crate) fn evaluate(
-        &self,
-        id: QueryId,
-    ) -> (&PreparedQuery, &Arc<RelationalIndex<E::Matrix>>) {
-        let (query, solved, run) = self.state.evaluate(id).expect(CHECKED);
+    /// The answer of checked query `id`, charged to this epoch.
+    pub(crate) fn evaluate(&self, id: QueryId) -> QueryAnswer {
+        let (answer, run) = self.state.evaluate(id).expect(CHECKED);
         self.counters.charge(run);
-        (query, solved)
+        answer
     }
 
     /// The length closure of checked single-path query `id`, charged to
@@ -179,35 +157,6 @@ impl<E: ServiceEngine> Epoch<E> {
         let (query, solved, run) = self.state.evaluate_single_path(id).expect(CHECKED);
         self.counters.charge(run);
         (query, solved)
-    }
-
-    /// What this epoch derived from query `id` so far (created empty on
-    /// first touch; the map lock is held for the lookup only).
-    pub(crate) fn reads(&self, id: QueryId) -> Arc<Reads<E::Matrix>> {
-        let mut reads = lock_recover(&self.reads);
-        let found = reads.entry(id).or_insert_with(|| {
-            Arc::new(Reads {
-                answer: OnceLock::new(),
-                sources: Mutex::new(None),
-            })
-        });
-        Arc::clone(found)
-    }
-
-    /// The epoch's shared lazy answer over `solved`, the closure of
-    /// `query`, handle `id`.
-    pub(crate) fn answer(
-        &self,
-        id: QueryId,
-        query: &PreparedQuery,
-        solved: &Arc<RelationalIndex<E::Matrix>>,
-    ) -> QueryAnswer {
-        let reads = self.reads(id);
-        let answer = reads.answer.get_or_init(|| {
-            let engine = self.state.index().engine().name();
-            QueryAnswer::from_shared(engine, query.wcnf(), Arc::clone(solved))
-        });
-        answer.clone()
     }
 }
 
@@ -265,12 +214,12 @@ impl<E: ServiceEngine> Snapshot<E> {
     pub fn try_evaluate(&self, id: QueryId) -> Result<QueryAnswer, ServiceError> {
         let epoch = &*self.epoch;
         epoch.check(id)?;
-        let (query, solved) = epoch.evaluate(id);
+        let answer = epoch.evaluate(id);
         epoch
             .counters
             .queries_served
             .fetch_add(1, Ordering::Relaxed);
-        Ok(epoch.answer(id, query, solved))
+        Ok(answer)
     }
 
     /// Evaluates a prepared single-path query against this epoch; the

@@ -46,9 +46,10 @@
 //!   indistinguishable from any CFPQ's.
 //! * **Paths as a workload.** [`CfpqService::enqueue_paths`] serves the
 //!   §7 all-path semantics through the same scheduler: a ticketed,
-//!   paged stream of witness paths per answer pair, enumerated by the
-//!   memoized [`cfpq_core::all_paths::PathEnumerator`] against one
-//!   epoch (pages are snapshot-consistent even while writers publish),
+//!   paged stream of witness paths per answer pair, enumerated against
+//!   one epoch by the memoized [`cfpq_core::all_paths::PathEnumerator`]
+//!   that epoch keeps beside the query's closure (pages are
+//!   snapshot-consistent even while writers publish),
 //!   clamped per request by [`ServiceConfig::path_quota`], with
 //!   truncation reported explicitly — per page via
 //!   [`PairPaths::exhausted`], per epoch via
@@ -393,12 +394,13 @@ impl<E: ServiceEngine> CfpqService<E> {
     ///   epoch has no all-pairs closure for `query`, the batch is served
     ///   from a source-restricted closure
     ///   ([`cfpq_core::relational::SourceClosure`]): work proportional
-    ///   to the rows reachable from the sources, kept per (query, epoch)
-    ///   and *extended* when a later ticket names rows outside it. The
-    ///   first such solve of a query in an epoch counts as one of
-    ///   [`ServiceStats::cold_solves`], every product of it and of its
-    ///   extensions goes to [`ServiceStats::cold_products`], and a batch
-    ///   whose rows are all there already — no kernel runs — is one of
+    ///   to the rows reachable from the sources, kept in the query's
+    ///   closure cell of the epoch and *extended* when a later ticket
+    ///   names rows outside it. The first such solve of a query in an
+    ///   epoch counts as one of [`ServiceStats::cold_solves`], every
+    ///   product of it and of its extensions goes to
+    ///   [`ServiceStats::cold_products`], and a batch whose rows are all
+    ///   there already — no kernel runs — is one of
     ///   [`ServiceStats::cache_hits`].
     /// * **Empty `pairs`** needs every row: the all-pairs closure is
     ///   solved once per epoch, shared with [`Snapshot::evaluate`] and
@@ -1404,6 +1406,94 @@ mod tests {
             }
         }
         assert_eq!(after.pairs, vec![(0, 4), (1, 3)]);
+    }
+
+    #[test]
+    fn paths_batches_of_one_epoch_page_one_enumerator() {
+        use cfpq_core::all_paths::PathEnumerator;
+        use cfpq_core::relational::FixpointSolver;
+        // a^n b^n around two self-loops: one witness per even length, so
+        // a deeper page needs more memoized length classes.
+        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+        let wcnf = grammar
+            .to_wcnf(cfpq_grammar::cnf::CnfOptions::default())
+            .unwrap();
+        let mut graph = Graph::new(1);
+        graph.add_edge_named(0, "a", 0);
+        graph.add_edge_named(0, "b", 0);
+        let service = CfpqService::with_config(SparseEngine, &graph, ServiceConfig::new(1));
+        let q = service.prepare(&grammar).unwrap();
+        let req = |offset| PageRequest {
+            offset,
+            limit: 2,
+            max_len: 12,
+        };
+        let page = |offset| {
+            let ticket = service.enqueue_paths(q, vec![(0, 0)], req(offset));
+            ticket.unwrap().wait().unwrap().paths.unwrap().remove(0)
+        };
+        let classes = || {
+            // With one worker, this ticket is served only after the
+            // batch before it returned the enumerator to the cell.
+            service.enqueue(q, vec![(0, 0)]).unwrap().wait().unwrap();
+            let epoch = service.current();
+            epoch.state.paths(q, |paths, _| paths.n_classes()).unwrap()
+        };
+        let first = page(0);
+        let memo = classes();
+        assert!(memo > 0, "the first batch left its tables in the cell");
+        let second = page(2);
+        assert!(classes() > memo, "the second batch grew the same tables");
+        // Both pages are the ones a fresh enumeration serves.
+        let index = GraphIndex::build(SparseEngine, &graph);
+        let rel = FixpointSolver::new(&SparseEngine).solve(&graph, &wcnf);
+        for (offset, pp) in [(0, first), (2, second)] {
+            let fresh =
+                PathEnumerator::new(&wcnf).page(&index, &rel, wcnf.start, 0, 0, req(offset));
+            assert_eq!((pp.paths, pp.exhausted), (fresh.paths, fresh.exhausted));
+        }
+        assert_eq!(service.stats()[0].cold_solves, 1);
+    }
+
+    #[test]
+    fn restricted_closures_stay_with_their_epoch() {
+        let graph = generators::clustered_blocks(3, 8, 2, &["a", "b"], 5);
+        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+        let full = solve(&graph, &grammar, Backend::Sparse).unwrap();
+        let service = CfpqService::with_config(SparseEngine, &graph, ServiceConfig::new(1));
+        let q = service.prepare(&grammar).unwrap();
+        let wanted: Vec<(u32, u32)> = (0..8).map(|j| (1, j)).collect();
+        let ask = || service.enqueue(q, wanted.clone()).unwrap().wait().unwrap();
+        let restricted = |snapshot: &Snapshot<SparseEngine>| {
+            let slot = snapshot.epoch.state.sources(q).unwrap();
+            slot.as_ref().map(|closure| closure.n_nodes())
+        };
+
+        // Epoch 0 holds only the restricted closure of its ticket.
+        let first = ask();
+        let pinned = service.snapshot();
+        assert!(pinned.epoch.state.solved(q).is_none());
+        assert_eq!(restricted(&pinned), Some(24));
+
+        // The publish has no all-pairs closure to repair, and epoch 1
+        // starts with no restricted one: its first ticket solves anew.
+        assert_eq!(service.add_edges(&[(0, "a", 24), (24, "b", 0)]), 2);
+        assert_eq!(restricted(&service.snapshot()), None);
+        let next = ask();
+        assert_eq!((first.epoch, next.epoch), (0, 1));
+        assert_eq!(first.pairs, next.pairs);
+        let expect: Vec<(u32, u32)> = wanted
+            .iter()
+            .copied()
+            .filter(|&(i, j)| full.contains("S", i, j))
+            .collect();
+        assert_eq!(first.pairs, expect);
+        let stats = service.stats();
+        assert_eq!((stats[0].cold_solves, stats[1].cold_solves), (1, 1));
+        assert_eq!(stats[1].repairs, 0);
+        assert_eq!(restricted(&service.snapshot()), Some(25));
+        // The pinned epoch keeps its own.
+        assert_eq!(restricted(&pinned), Some(24));
     }
 
     #[test]

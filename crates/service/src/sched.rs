@@ -8,8 +8,8 @@ use crate::ticket::{PairPaths, QueryTrace, TicketAnswer, TicketState};
 use crate::{
     lock_recover, read_recover, Inner, QueryId, ServiceEngine, ServiceError, SinglePathId,
 };
-use cfpq_core::all_paths::{PageRequest, PathEnumerator, PathPage};
-use cfpq_core::relational::RelationalIndex;
+use cfpq_core::all_paths::{PageRequest, PathPage};
+use cfpq_core::query::QueryAnswer;
 use cfpq_core::session::{extend_prepared_from, solve_prepared_from, PreparedQuery};
 use cfpq_obs::SpanId;
 use std::collections::{BTreeMap, VecDeque};
@@ -26,8 +26,8 @@ pub(crate) enum QueueKey {
     Rel(QueryId),
     Sp(SinglePathId),
     /// All-path enumeration over a relational query — shares its closure
-    /// cell (the pruning oracle) but queues separately so a path batch
-    /// amortizes one enumerator across its requests.
+    /// cell (the pruning oracle and the enumerator beside it) but queues
+    /// separately, so a batch of pages takes the enumerator once.
     Paths(QueryId),
 }
 
@@ -87,34 +87,27 @@ fn probe_pairs(wanted: &[(u32, u32)], related: impl Fn(u32, u32) -> bool) -> Vec
 /// The pairs a relational or paths ticket is answered with: the
 /// requested ones probed on the closure, or — for a ticket naming none —
 /// all of `R_S`, extracted once per epoch.
-fn rel_targets<E: ServiceEngine>(
-    epoch: &Epoch<E>,
-    q: QueryId,
-    prepared: &PreparedQuery,
-    solved: &Arc<RelationalIndex<E::Matrix>>,
-    wanted: &[(u32, u32)],
-) -> Vec<(u32, u32)> {
+fn rel_targets(answer: &QueryAnswer, wanted: &[(u32, u32)]) -> Vec<(u32, u32)> {
     if wanted.is_empty() {
-        return epoch.answer(q, prepared, solved).start_pairs().to_vec();
+        return answer.start_pairs().to_vec();
     }
-    let start = prepared.wcnf().start;
-    probe_pairs(wanted, |i, j| solved.contains(start, i, j))
+    probe_pairs(wanted, |i, j| answer.contains(&answer.start, i, j))
 }
 
 /// Answers a batch of named-pair requests for query `q` from the
-/// epoch's source-restricted closure, first extending it to the source
-/// nodes the batch names (one extension for the whole batch). Charged
-/// like the all-pairs path: the first solve of a query in an epoch is a
-/// cold solve, every product goes to `cold_products`, and a batch whose
-/// rows were all solved already — no kernel ran — is a cache hit.
+/// source-restricted closure in its cell, first extending it to the
+/// source nodes the batch names (one extension for the whole batch).
+/// Charged like the all-pairs path: the first solve of a query in an
+/// epoch is a cold solve, every product goes to `cold_products`, and a
+/// batch whose rows were all solved already — no kernel ran — is a
+/// cache hit.
 fn probe_sources<E: ServiceEngine>(
     epoch: &Epoch<E>,
     q: QueryId,
     prepared: &PreparedQuery,
     batch: &VecDeque<Request>,
 ) -> Vec<Vec<(u32, u32)>> {
-    let reads = epoch.reads(q);
-    let mut slot = lock_recover(&reads.sources);
+    let mut slot = epoch.state.sources(q).expect(CHECKED);
     // Taken out for the solve: if it panics the closure unwinds with it
     // and the next ticket starts over, rather than reading one that
     // stopped half-way to its fixpoint.
@@ -330,10 +323,9 @@ fn serve_batch<E: ServiceEngine>(
                     resolve(req, pairs, None);
                 }
             } else {
-                let (prepared, solved) = epoch.evaluate(q);
+                let answer = epoch.evaluate(q);
                 for req in &batch {
-                    let pairs = rel_targets(&epoch, q, prepared, solved, &req.pairs);
-                    resolve(req, pairs, None);
+                    resolve(req, rel_targets(&answer, &req.pairs), None);
                 }
             }
         }
@@ -352,56 +344,57 @@ fn serve_batch<E: ServiceEngine>(
             }
         }
         QueueKey::Paths(q) => {
-            let (prepared, solved) = epoch.evaluate(q);
-            let wcnf = prepared.wcnf();
-            let start = wcnf.start;
-            // One enumerator per batch: its memoized length classes are
-            // shared by every request and every pair answered here, and
-            // every page reads the same epoch the pruning closure came
-            // from — pages are epoch-consistent by construction.
-            let index = epoch.state.index();
-            let mut enumerator = PathEnumerator::new(wcnf);
+            // The cell's enumerator: its memoized length classes are
+            // shared by every request, pair and batch of this epoch, and
+            // every page reads the epoch the pruning closure came from —
+            // pages are epoch-consistent by construction.
+            let (answer, index) = (epoch.evaluate(q), epoch.state.index());
             let quota = inner.config.path_quota;
-            for req in &batch {
-                let page = req.page.unwrap_or_default();
-                let targets = rel_targets(&epoch, q, prepared, solved, &req.pairs);
-                // The quota bounds one request's total paths across all
-                // its pairs; a page it cuts short is reported truncated,
-                // never silently clipped.
-                let mut budget = quota;
-                let mut answers = Vec::with_capacity(targets.len());
-                for &(i, j) in &targets {
-                    let result = if page.limit.min(budget) == 0 {
-                        PathPage::truncated()
-                    } else {
-                        enumerator.page(
-                            index,
-                            solved,
-                            start,
-                            i,
-                            j,
-                            PageRequest {
-                                limit: page.limit.min(budget),
-                                ..page
-                            },
-                        )
-                    };
-                    budget -= result.paths.len();
-                    counters
-                        .paths_served
-                        .fetch_add(result.paths.len() as u64, Ordering::Relaxed);
-                    if !result.exhausted {
-                        counters.pages_truncated.fetch_add(1, Ordering::Relaxed);
+            // The read above left the cell solved: this one is a hit.
+            let served = epoch.state.paths(q, |enumerator, (prepared, solved, _)| {
+                let start = prepared.wcnf().start;
+                for req in &batch {
+                    let page = req.page.unwrap_or_default();
+                    let targets = rel_targets(&answer, &req.pairs);
+                    // The quota bounds one request's total paths across all
+                    // its pairs; a page it cuts short is reported truncated,
+                    // never silently clipped.
+                    let mut budget = quota;
+                    let mut answers = Vec::with_capacity(targets.len());
+                    for &(i, j) in &targets {
+                        let result = if page.limit.min(budget) == 0 {
+                            PathPage::truncated()
+                        } else {
+                            enumerator.page(
+                                index,
+                                solved,
+                                start,
+                                i,
+                                j,
+                                PageRequest {
+                                    limit: page.limit.min(budget),
+                                    ..page
+                                },
+                            )
+                        };
+                        budget -= result.paths.len();
+                        counters
+                            .paths_served
+                            .fetch_add(result.paths.len() as u64, Ordering::Relaxed);
+                        if !result.exhausted {
+                            counters.pages_truncated.fetch_add(1, Ordering::Relaxed);
+                        }
+                        answers.push(PairPaths {
+                            from: i,
+                            to: j,
+                            paths: result.paths,
+                            exhausted: result.exhausted,
+                        });
                     }
-                    answers.push(PairPaths {
-                        from: i,
-                        to: j,
-                        paths: result.paths,
-                        exhausted: result.exhausted,
-                    });
+                    resolve(req, targets, Some(answers));
                 }
-                resolve(req, targets, Some(answers));
-            }
+            });
+            served.expect(CHECKED);
         }
     }
 }

@@ -11,9 +11,11 @@
 //! snapshot isolation — a reader pinned to the old epoch keeps its
 //! answers — (b) the per-epoch [`ServiceStats`]: the update was a
 //! cheap incremental repair, and batched requests shared one cached
-//! closure — and (c) the epoch index gauges: the publish copied only the
-//! label matrix its batch wrote to. It asserts all three, so CI runs it
-//! as a check.
+//! closure — (c) path pages: two batches of one epoch page one pair
+//! alike from the enumerator kept in the closure's cell, and a page of
+//! the next epoch equals a fresh enumeration over its graph — and (d)
+//! the epoch index gauges: the publish copied only the label matrix its
+//! batch wrote to. It asserts all four, so CI runs it as a check.
 
 use cfpq::prelude::*;
 use cfpq::service::ServiceConfig;
@@ -55,6 +57,29 @@ fn main() {
             });
         }
     });
+
+    // Page one pair twice in epoch 0, in two batches: the second batch
+    // pages from the enumerator the first left in the closure's cell.
+    let pair = service.evaluate(q1).start_pairs()[0];
+    let req = PageRequest {
+        offset: 0,
+        limit: 4,
+        max_len: 6,
+    };
+    let page = |service: &CfpqService<_>| {
+        let ticket = service.enqueue_paths(q1, vec![pair], req);
+        let answer = ticket.expect("q1 is registered").wait().expect("no faults");
+        let mut pages = answer.paths.expect("a paths ticket");
+        (answer.epoch, pages.remove(0))
+    };
+    let (first, second) = (page(&service), page(&service));
+    println!(
+        "paths {pair:?}: {} paths @ epoch {}, equal in a second batch: {}",
+        first.1.paths.len(),
+        first.0,
+        first == second
+    );
+    assert_eq!(first, second, "one epoch pages one pair alike");
 
     // Pin a snapshot, then update the graph: the snapshot is immutable,
     // the new epoch repairs the cached closure instead of re-solving.
@@ -100,6 +125,25 @@ fn main() {
         );
     }
 
+    // A page of the new epoch is the page a fresh enumerator serves over
+    // the new graph: nothing derived from epoch 0 reached it.
+    let mut index = GraphIndex::build(SparseEngine, &graph);
+    index.add_edges(&batch);
+    let query = PreparedQuery::new(&cfpq::grammar::queries::query1()).expect("Q1 normalizes");
+    let (wcnf, closure) = (query.wcnf(), solve_prepared(&index, &query));
+    let fresh = PathEnumerator::new(wcnf).page(&index, &closure, wcnf.start, pair.0, pair.1, req);
+    let (epoch, paged) = page(&service);
+    println!(
+        "paths {pair:?} @ epoch {epoch}: {} paths, equal to a fresh enumeration: {}",
+        paged.paths.len(),
+        (&paged.paths, paged.exhausted) == (&fresh.paths, fresh.exhausted)
+    );
+    assert_eq!(epoch, after.epoch());
+    assert_eq!(
+        (paged.paths, paged.exhausted),
+        (fresh.paths, fresh.exhausted)
+    );
+
     // Epochs share the label matrices a batch leaves alone: the publish
     // copied `subClassOf`'s matrix — as an index that took the same
     // batch holds it — and nothing else.
@@ -110,8 +154,6 @@ fn main() {
         "  epoch {}: index {index_bytes} bytes, {copied} copied by its publish",
         after.epoch()
     );
-    let mut index = GraphIndex::build(SparseEngine, &graph);
-    index.add_edges(&batch);
     let sub_class_of = index.adjacency("subClassOf").expect("a skos label");
     assert_eq!(
         copied,
