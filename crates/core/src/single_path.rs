@@ -48,6 +48,7 @@
 use cfpq_grammar::{Nt, Wcnf};
 use cfpq_graph::{Edge, Graph, NodeId};
 use cfpq_matrix::{DenseLenMatrix, LenEngine, LenMat, NO_PATH};
+use std::ops::Range;
 
 use crate::fixpoint::{self, Lengths};
 use crate::relational::{init_pairs, label_terminal_map, SeedOutOfRange, SolveOptions, SolveStats};
@@ -167,7 +168,7 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
         grammar: &Wcnf,
     ) -> SinglePathIndex<E::LenMatrix> {
         let stats = fixpoint::solve(&Lengths(self.engine), &mut matrices, grammar);
-        self.apply_epsilon_overlay(&mut matrices, n, grammar);
+        self.apply_epsilon_overlay(&mut matrices, 0..n, grammar);
         SinglePathIndex {
             n_nodes: n,
             lengths: matrices,
@@ -185,6 +186,12 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
     /// the index's cumulative counters are also advanced. A pair outside
     /// the index's matrices is a [`SeedOutOfRange`] error and leaves the
     /// index as it was.
+    ///
+    /// The matrices may have been widened (`len_grow`) past
+    /// `index.n_nodes` since the index was solved: the resume then
+    /// overlays the ε-cells of the new nodes' diagonal, after the
+    /// fixpoint as a cold solve does, and sets `n_nodes` to the matrices'
+    /// size. The old nodes' ε-cells are there already.
     pub fn resume(
         &self,
         index: &mut SinglePathIndex<E::LenMatrix>,
@@ -195,22 +202,28 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
         let stats = fixpoint::resume(&algebra, &mut index.lengths, grammar, new_pairs)?;
         index.iterations += stats.sweep_nnz.len();
         index.stats.absorb(&stats);
-        // Re-applied unconditionally: a session that grew the node
-        // universe needs ε-cells on the new diagonal entries too.
-        self.apply_epsilon_overlay(&mut index.lengths, index.n_nodes, grammar);
+        let n = index.lengths.first().map_or(index.n_nodes, LenMat::n);
+        self.apply_epsilon_overlay(&mut index.lengths, index.n_nodes..n, grammar);
+        index.n_nodes = n;
         Ok(stats)
     }
 
-    /// Seeds `(A, m, m) = 0` for every nullable `A` wherever no witness
-    /// is recorded yet. Runs *after* the fixpoint: ε-elimination is
-    /// complete, so composing through an ε-cell can never reach a pair
-    /// the ε-free closure misses — and keeping ε-cells out of the sweeps
-    /// keeps every stored split well-founded for extraction.
-    fn apply_epsilon_overlay(&self, lengths: &mut [E::LenMatrix], n: usize, grammar: &Wcnf) {
-        if !self.options.nullable_diagonal {
+    /// Seeds `(A, m, m) = 0` for every nullable `A` and node `m` of
+    /// `nodes` wherever no witness is recorded yet. Runs *after* the
+    /// fixpoint: ε-elimination is complete, so composing through an
+    /// ε-cell can never reach a pair the ε-free closure misses — and
+    /// keeping ε-cells out of the sweeps keeps every stored split
+    /// well-founded for extraction.
+    fn apply_epsilon_overlay(
+        &self,
+        lengths: &mut [E::LenMatrix],
+        nodes: Range<usize>,
+        grammar: &Wcnf,
+    ) {
+        if !self.options.nullable_diagonal || nodes.is_empty() {
             return;
         }
-        let diagonal: Vec<(u32, u32, u32)> = (0..n as u32).map(|m| (m, m, 0)).collect();
+        let diagonal: Vec<(u32, u32, u32)> = nodes.map(|m| (m as u32, m as u32, 0)).collect();
         for &nt in &grammar.nullable {
             self.engine
                 .len_set_absent(&mut lengths[nt.index()], &diagonal);

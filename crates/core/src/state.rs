@@ -10,7 +10,7 @@ use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, GrammarError, Wcnf};
 use cfpq_graph::NodeId;
-use cfpq_matrix::{BoolEngine, LenEngine};
+use cfpq_matrix::{BoolEngine, LenEngine, LenMat};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -170,21 +170,20 @@ impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatri
         solve_prepared_single_path(index, query)
     }
 
-    /// The resume's ε-overlay covers the diagonal cells of new nodes;
-    /// first-write-wins means entries that survive keep their recorded
-    /// witness lengths.
+    /// The resume's ε-overlay covers the diagonal cells of the new
+    /// nodes only: the matrices are widened here, and the resume moves
+    /// `n_nodes`. First-write-wins means entries that survive keep their
+    /// recorded witness lengths.
     fn repair(
         &mut self,
         index: &GraphIndex<E>,
         query: &PreparedQuery,
         batches: &[EdgeBatch],
     ) -> SolveStats {
-        let n = index.n_nodes;
-        if self.n_nodes < n {
-            for m in &mut self.lengths {
-                index.engine.len_grow(m, n);
+        for m in &mut self.lengths {
+            if m.n() < index.n_nodes {
+                index.engine.len_grow(m, index.n_nodes);
             }
-            self.n_nodes = n;
         }
         let new_pairs = index.batch_seeds(query.wcnf(), batches);
         SinglePathSolver::new(&index.engine)

@@ -353,3 +353,152 @@ proptest! {
         }
     }
 }
+
+/// [`SparseEngine`] with every entry handed to `len_set_absent`
+/// recorded: the ε-overlay of a single-path closure writes its length-0
+/// cells there (and a repair its length-1 seeds).
+#[derive(Clone, Default)]
+struct SetAbsentLog {
+    inner: SparseEngine,
+    written: std::sync::Arc<std::sync::Mutex<Vec<(u32, u32, u32)>>>,
+}
+
+impl BoolEngine for SetAbsentLog {
+    type Matrix = <SparseEngine as BoolEngine>::Matrix;
+
+    fn name(&self) -> &'static str {
+        "sparse-set-absent-log"
+    }
+    fn zeros(&self, n: usize) -> Self::Matrix {
+        self.inner.zeros(n)
+    }
+    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> Self::Matrix {
+        self.inner.from_pairs(n, pairs)
+    }
+    fn multiply(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix {
+        self.inner.multiply(a, b)
+    }
+    fn union_in_place(&self, a: &mut Self::Matrix, b: &Self::Matrix) -> bool {
+        self.inner.union_in_place(a, b)
+    }
+    fn union_pairs(&self, a: &mut Self::Matrix, pairs: &[(u32, u32)]) -> bool {
+        self.inner.union_pairs(a, pairs)
+    }
+    fn grow(&self, a: &mut Self::Matrix, n: usize) {
+        self.inner.grow(a, n)
+    }
+    fn difference(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix {
+        self.inner.difference(a, b)
+    }
+    fn intersect(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix {
+        self.inner.intersect(a, b)
+    }
+    fn multiply_masked_batch(
+        &self,
+        jobs: &[cfpq_matrix::MaskedJob<'_, Self::Matrix>],
+    ) -> Vec<Self::Matrix> {
+        self.inner.multiply_masked_batch(jobs)
+    }
+}
+
+impl LenEngine for SetAbsentLog {
+    type LenMatrix = <SparseEngine as LenEngine>::LenMatrix;
+
+    fn len_empty(&self, n: usize) -> Self::LenMatrix {
+        self.inner.len_empty(n)
+    }
+    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> Self::LenMatrix {
+        self.inner.len_from_entries(n, entries)
+    }
+    fn len_set_absent(
+        &self,
+        a: &mut Self::LenMatrix,
+        entries: &[(u32, u32, u32)],
+    ) -> Vec<(u32, u32, u32)> {
+        self.written.lock().unwrap().extend_from_slice(entries);
+        self.inner.len_set_absent(a, entries)
+    }
+    fn len_multiply_masked(
+        &self,
+        a: &Self::LenMatrix,
+        b: &Self::LenMatrix,
+        mask: Option<&Self::LenMatrix>,
+    ) -> Self::LenMatrix {
+        self.inner.len_multiply_masked(a, b, mask)
+    }
+    fn len_merge_absent(
+        &self,
+        acc: &mut Self::LenMatrix,
+        add: &Self::LenMatrix,
+    ) -> Self::LenMatrix {
+        self.inner.len_merge_absent(acc, add)
+    }
+    fn len_grow(&self, a: &mut Self::LenMatrix, n: usize) {
+        self.inner.len_grow(a, n)
+    }
+}
+
+/// A single-path repair overlays the ε-cells of the nodes a batch
+/// brings, and only those: on a nullable grammar over 10,000 nodes, a
+/// one-edge batch naming two new nodes hands `len_set_absent` their two
+/// diagonal cells per nullable nonterminal — not 10,002 of them — and
+/// every length stored before the batch is still there.
+#[test]
+fn a_single_path_repair_overlays_only_the_new_nodes_diagonal() {
+    use cfpq_core::relational::SolveOptions;
+    // 2,500 gadgets `4g -a-> 4g+1 -b-> 4g+2`, node 4g+3 isolated.
+    let n = 10_000u32;
+    let mut graph = Graph::new(n as usize);
+    for g in (0..n).step_by(4) {
+        graph.add_edge_named(g, "a", g + 1);
+        graph.add_edge_named(g + 1, "b", g + 2);
+    }
+    let engine = SetAbsentLog::default();
+    let mut session = CfpqSession::new(engine.clone(), &graph);
+    let query = PreparedQuery::new(&Cfg::parse("S -> a S b | S S | eps").unwrap())
+        .unwrap()
+        .options(SolveOptions {
+            nullable_diagonal: true,
+        });
+    let (s, nullable) = (query.wcnf().start, query.wcnf().nullable.len());
+    assert!(nullable > 0, "the grammar has a nullable nonterminal");
+    let id = session.prepare_single_path_query(query);
+    let before = session.evaluate_single_path(id).pairs_with_lengths(s);
+    let overlaid = || -> Vec<(u32, u32, u32)> {
+        let mut written = std::mem::take(&mut *engine.written.lock().unwrap());
+        written.retain(|&(_, _, l)| l == 0);
+        written
+    };
+    assert_eq!(
+        overlaid().len(),
+        nullable * n as usize,
+        "a cold solve overlays every node"
+    );
+
+    session.add_edges(&[(n, "a", n + 1)]);
+    let repaired = session.evaluate_single_path(id);
+    let mut expect: Vec<(u32, u32, u32)> = (0..nullable)
+        .flat_map(|_| [(n, n, 0), (n + 1, n + 1, 0)])
+        .collect();
+    let mut got = overlaid();
+    assert_eq!(got.len(), expect.len(), "only the new nodes' diagonal");
+    got.sort_unstable();
+    expect.sort_unstable();
+    assert_eq!(got, expect);
+    assert_eq!(repaired.n_nodes, n as usize + 2);
+
+    for (i, j, l) in before {
+        assert_eq!(
+            repaired.length(s, i, j),
+            Some(l),
+            "({i}, {j}) kept its length"
+        );
+    }
+    for m in [n, n + 1] {
+        assert_eq!(
+            repaired.length(s, m, m),
+            Some(0),
+            "new node {m} has its ε-cell"
+        );
+    }
+}

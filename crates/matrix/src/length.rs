@@ -15,16 +15,22 @@
 //! * [`DenseLenMatrix`] — row-major `u32` lengths (the dGPU-style
 //!   representation),
 //! * [`CsrLenMatrix`] — CSR with a parallel value array (the sCPU/sGPU
-//!   representation, and the length representation of the tiled engine
-//!   too). It is the storage of [`crate::sparse`], `Csr<u32>`, and its
-//!   kernels are the shared ones with a length per cell: the
-//!   first-write-wins merge is the row splice (a length is a `Cell` that
-//!   never changes once stored), construction the counting sort, and
-//!   the masked product the flat loop `Csr::multiply` — each costs its Δ
-//!   plus, for the merge, one copy of the accumulator, with a constant
-//!   number of allocations per call. What is this module's own is the
-//!   length algebra: `LenRow`, the row accumulator whose `⊗` is
+//!   representation). It is the storage of [`crate::sparse`],
+//!   `Csr<u32>`, and its kernels are the shared ones with a length per
+//!   cell: the first-write-wins merge is the row splice (a length is a
+//!   `Cell` that never changes once stored), construction the counting
+//!   sort, and the masked product the flat loop `Csr::multiply` — each
+//!   costs its Δ plus, for the merge, one copy of the accumulator, with a
+//!   constant number of allocations per call. What is this module's own
+//!   is the length algebra: `LenRow`, the row accumulator whose `⊗` is
 //!   `add_len` over operands `≥ 1` and whose `⊕` keeps the first write,
+//! * [`TiledLenMatrix`] — the tiled engine's: the 64 × 64 bit tiles of
+//!   [`crate::TiledBitMatrix`], each with its lengths in bit-rank order
+//!   in one arena per matrix. Its product is the same flat loop with a
+//!   tile-row accumulator that writes each cell once, at the smallest
+//!   `k`, as the dense and CSR kernels do; its merge splices in only the
+//!   tiles a Δ brings and re-lays only those that gain cells (the
+//!   `tiled` submodule),
 //! * [`LenEngine`] — the backend abstraction, implemented once, below,
 //!   for the same five engine names as [`crate::BoolEngine`]: an engine's
 //!   Boolean representation names the length representation it runs on.
@@ -42,9 +48,13 @@
 //! shorter *nonzero* parts, and a length-1 cell is always a direct
 //! edge).
 
+mod tiled;
+
+pub use tiled::TiledLenMatrix;
+
 use crate::engine::{run_batch, traced_kernel};
 use crate::repr::{Backend, BoolRepr, LenRepr};
-use crate::sparse::{assert_in_range, splice_rows, BitRow, Csr, Report, RowAccumulator};
+use crate::sparse::{assert_in_range, splice_rows, BitRow, Csr, Report, RowAccumulator, RowCells};
 
 /// The *absent* sentinel of length matrices. Any other value — including
 /// `0`, the ε-witness — is a present path length.
@@ -75,6 +85,14 @@ pub trait LenMat: Clone + PartialEq + Send + Sync + 'static {
     /// on the CSR form); a row outside the matrix is empty, as
     /// [`LenMat::get`] reads it absent. See [`crate::BoolMat::row_cols`].
     fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_;
+    /// Heap bytes held, by capacity (see [`crate::BoolMat::bytes`]). The
+    /// three representations of this crate count their buffers — the
+    /// tiled one its arena's dead values too; the default, for a matrix
+    /// type defined elsewhere, estimates a CSR layout: a column and a
+    /// length per present cell.
+    fn bytes(&self) -> usize {
+        self.nnz() * 2 * std::mem::size_of::<u32>()
+    }
 }
 
 /// One job of a [`LenEngine::len_multiply_masked_batch`]: operands
@@ -346,6 +364,9 @@ impl LenMat for DenseLenMatrix {
             .zip(vals.iter().copied())
             .filter(|&(_, l)| l != NO_PATH)
     }
+    fn bytes(&self) -> usize {
+        self.vals.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// Serial dense masked length product.
@@ -528,6 +549,9 @@ impl LenMat for CsrLenMatrix {
         };
         cols.iter().copied().zip(vals.iter().copied())
     }
+    fn bytes(&self) -> usize {
+        self.csr.bytes()
+    }
 }
 
 /// A reusable accumulator for one output row of the CSR length product:
@@ -563,7 +587,15 @@ impl RowAccumulator<u32> for LenRow {
     /// `left + l` at every column the row holds an `l ≥ 1` at; an
     /// ε-witness composes on neither side (see the module docs).
     #[inline]
-    fn add(&mut self, &left: &u32, _k: u32, _row_len: usize, cols: &[u32], vals: &[u32]) {
+    fn add(
+        &mut self,
+        &left: &u32,
+        _k: u32,
+        _row_len: usize,
+        _mask: Option<RowCells<'_, u32>>,
+        cols: &[u32],
+        vals: &[u32],
+    ) {
         if left == 0 {
             return;
         }
@@ -579,7 +611,7 @@ impl RowAccumulator<u32> for LenRow {
     }
 
     /// `occupied` keeps the masked columns and the drain skips them.
-    fn drain_into(&mut self, mask: Option<(&[u32], &[u32])>, out: &mut Csr<u32>) {
+    fn drain_into(&mut self, mask: Option<RowCells<'_, u32>>, out: &mut Csr<u32>) {
         for &j in mask.map_or(&[][..], |(cols, _)| cols) {
             self.vals[j as usize] = NO_PATH;
         }
@@ -601,22 +633,6 @@ impl LenRepr for CsrLenMatrix {
     }
     fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self {
         Self::from_entries(n, entries)
-    }
-    /// Filters to the absent cells (a no-op batch costs only the probes),
-    /// lets `from_entries` keep the first occurrence of each — and refuse
-    /// an entry outside the matrix before `self` is touched — and
-    /// splices them in.
-    fn set_absent(&mut self, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
-        let absent: Vec<(u32, u32, u32)> = entries
-            .iter()
-            .copied()
-            .filter(|&(i, j, _)| self.get(i, j).is_none())
-            .collect();
-        if absent.is_empty() {
-            return absent;
-        }
-        let fresh = CsrLenMatrix::from_entries(self.n(), &absent);
-        LenMat::entries(&self.merge_absent(&fresh))
     }
     /// First-write-wins merge as one flat splice ([`splice_rows`]):
     /// `self` is copied in contiguous runs around the cells `add` brings,
@@ -725,11 +741,17 @@ pub(crate) mod tests {
         let none = e.len_merge_absent(&mut acc, &c);
         assert_eq!(none.nnz(), 0, "second merge adds nothing");
 
+        // bytes counts the storage by capacity: never less than the
+        // cells it holds, and it grows with them.
+        let before = acc.bytes();
+        assert!(before >= acc.nnz() * std::mem::size_of::<u32>());
+
         // set_absent mirrors merge_absent for explicit entries.
         let written = e.len_set_absent(&mut acc, &[(0, 2, 1), (2, 0, 4), (2, 0, 9)]);
         assert_eq!(written, vec![(2, 0, 4)]);
         assert_eq!(acc.get(0, 2), Some(7));
         assert_eq!(acc.get(2, 0), Some(4));
+        assert!(acc.bytes() >= before);
 
         // grow keeps cells and extends the universe.
         let mut g = e.len_from_entries(2, &[(0, 1, 1), (1, 1, 2)]);
@@ -800,6 +822,17 @@ pub(crate) mod tests {
         let b = dense(&[(1, 0, MAX_LEN)], 2);
         let c = dense_multiply_masked(&a, &b, None);
         assert_eq!(c.get(0, 0), Some(MAX_LEN), "saturated, still present");
+    }
+
+    #[test]
+    fn bytes_count_the_buffers_by_capacity() {
+        assert_eq!(LenMat::bytes(&dense(&[(0, 1, 2)], 10)), 10 * 10 * 4);
+        let s = csr(&[(0, 1, 2), (3, 3, 1)], 10);
+        // Eleven row ends, two columns and two lengths.
+        assert_eq!(
+            LenMat::bytes(&s),
+            11 * std::mem::size_of::<usize>() + 2 * 4 + 2 * 4
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`TiledBitMatrix`] — non-empty 64 × 64 bit tiles in that storage,
 //!   multiplied by dense tile kernels ([`tiled`], with [`TiledEngine`]),
 //! * [`length`] — the length-annotated matrices of the single-path
-//!   semantics (§5), [`DenseLenMatrix`] and [`CsrLenMatrix`], and their
-//!   backend trait [`LenEngine`],
+//!   semantics (§5), [`DenseLenMatrix`], [`CsrLenMatrix`] and
+//!   [`TiledLenMatrix`], and their backend trait [`LenEngine`],
 //! * [`Device`] — a multi-worker execution device standing in for the GPU
 //!   (README, "Paper → implementation map"),
 //! * [`engine`] — the [`engine::BoolEngine`] abstraction the solvers are
@@ -42,7 +42,9 @@ pub use engine::{
     BoolEngine, BoolMat, DenseEngine, KernelCounters, MaskedJob, ParDenseEngine, ParSparseEngine,
     SparseEngine, TiledEngine,
 };
-pub use length::{CsrLenMatrix, DenseLenMatrix, LenEngine, LenJob, LenMat, NO_PATH};
+pub use length::{
+    CsrLenMatrix, DenseLenMatrix, LenEngine, LenJob, LenMat, TiledLenMatrix, NO_PATH,
+};
 pub use setmatrix::SetMatrix;
 pub use sparse::CsrMatrix;
 pub use tiled::{TiledBitMatrix, TILE};

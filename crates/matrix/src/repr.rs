@@ -49,7 +49,23 @@ pub trait LenRepr: LenMat {
 
     fn empty(n: usize) -> Self;
     fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self;
-    fn set_absent(&mut self, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)>;
+    /// Writes each entry where the cell is absent; returns the entries
+    /// written. By default it filters to the absent cells (a no-op batch
+    /// costs only the probes), lets `from_entries` keep the first
+    /// occurrence of each — and refuse an entry outside the matrix before
+    /// `self` is touched — and merges them in.
+    fn set_absent(&mut self, entries: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
+        let absent: Vec<(u32, u32, u32)> = entries
+            .iter()
+            .copied()
+            .filter(|&(i, j, _)| self.get(i, j).is_none())
+            .collect();
+        if absent.is_empty() {
+            return absent;
+        }
+        let fresh = Self::from_entries(self.n(), &absent);
+        self.merge_absent(&fresh).entries()
+    }
     fn merge_absent(&mut self, add: &Self) -> Self;
     fn grow(&mut self, n: usize);
 

@@ -6,9 +6,10 @@
 //! implementations (sCPU and sGPU use "CSR format for sparse matrix
 //! representation"). The crate keeps the layout once, `Csr<V>` —
 //! `row_ptr`, `cols` and one value per stored cell — under [`CsrMatrix`]
-//! (`V = ()`), [`crate::CsrLenMatrix`] (a length) and
+//! (`V = ()`), [`crate::CsrLenMatrix`] (a length),
 //! [`crate::TiledBitMatrix`] (a 64 × 64 bit tile; its rows are
-//! tile-rows). A sweep of the solvers meets each with a small Δ on one
+//! tile-rows) and [`crate::TiledLenMatrix`] (a tile and where its
+//! lengths start). A sweep of the solvers meets each with a small Δ on one
 //! side and a large closure on the other, so every shared operation is
 //! one flat pass over the cells of the side it iterates plus one bulk
 //! write of the result's row pointers, with a constant number of
@@ -20,17 +21,19 @@
 //!   the other's row and copies what lies in between — whole runs of
 //!   untouched rows included — as contiguous blocks. Where both operands
 //!   store a cell the value's `Cell` implementation decides: nothing to
-//!   do for a bit or a length, OR, AND-NOT and AND for a tile;
+//!   do for a bit or a length, OR, AND-NOT and AND for a tile (a length
+//!   tile's lengths are then re-laid by its own merge);
 //! * construction of the two flat types is a counting sort by row,
 //!   `Csr::from_cells`, which is where a cell outside the matrix is
 //!   refused (`assert_in_range`, as on every other write path);
-//! * the product of all three is one loop, `Csr::multiply`, flat over the
+//! * the product of all four is one loop, `Csr::multiply`, flat over the
 //!   left operand's cells and masked lazily; the cell type brings its
 //!   `RowAccumulator` — a dense bitset here, a table of lengths (`⊗` =
 //!   saturating add, `⊕` = first write) in [`crate::length`], a row of
 //!   tiles in [`crate::tiled`], where a pair of cells is a 64 × 64
 //!   product through one of two kernels picked from popcounts rather
-//!   than a `⊗` of two scalars.
+//!   than a `⊗` of two scalars, and a row of length tiles, which is
+//!   handed each row's mask up front so that it writes no masked cell.
 
 use crate::device::Device;
 use crate::engine::MaskedJob;
@@ -640,8 +643,24 @@ pub(crate) trait RowAccumulator<V> {
     /// Accumulates `left ⊗ value` at `col` for every cell `(col, value)`
     /// of row `k` of the right operand, where `left` is the cell at
     /// column `k` of a left row of `row_len` cells (what a tile's kernel
-    /// choice reads; a scalar ignores both).
-    fn add(&mut self, left: &V, k: u32, row_len: usize, cols: &[u32], vals: &[V]);
+    /// choice reads; a scalar ignores both). `mask` is the row of known
+    /// cells `drain_into` will be handed: an accumulator whose writes
+    /// cost more than a bit may leave those cells out now.
+    fn add(
+        &mut self,
+        left: &V,
+        k: u32,
+        row_len: usize,
+        mask: Option<RowCells<'_, V>>,
+        cols: &[u32],
+        vals: &[V],
+    );
+
+    /// How many cells the product's output should have room for from
+    /// the start; by default none, and it grows as rows are drained.
+    fn reserve(&self) -> usize {
+        0
+    }
 
     /// Whether nothing was accumulated since the last drain.
     fn is_empty(&self) -> bool;
@@ -651,8 +670,11 @@ pub(crate) trait RowAccumulator<V> {
     /// for a scalar, the bits of each tile for a tile), appends what is
     /// left to `out` in ascending column order, and clears the
     /// accumulator.
-    fn drain_into(&mut self, mask: Option<(&[u32], &[V])>, out: &mut Csr<V>);
+    fn drain_into(&mut self, mask: Option<RowCells<'_, V>>, out: &mut Csr<V>);
 }
+
+/// One row of a `Csr<V>` as its `(cols, vals)`.
+pub(crate) type RowCells<'a, V> = (&'a [u32], &'a [V]);
 
 impl<V: Copy> Csr<V> {
     /// Rows `range` of `(self × b) \ mask?` as a block of their own, row
@@ -676,7 +698,13 @@ impl<V: Copy> Csr<V> {
             assert_eq!(self.rows(), m.rows(), "mask dimension mismatch");
         }
         acc.fit(self.rows());
-        let mut out = Csr::with_capacity(range.len(), 0);
+        let mut out = Csr::with_capacity(range.len(), acc.reserve());
+        let mask_row = |i: usize| {
+            mask.map(|m| {
+                let row = m.row(i);
+                (&m.cols[row.clone()], &m.vals[row])
+            })
+        };
         // Flat over the cells of `self`, not row by row: against a sparse
         // Δ almost no cell finds anything to multiply with, so the scan
         // is one predictable loop. `open` is the row being accumulated;
@@ -685,25 +713,21 @@ impl<V: Copy> Csr<V> {
         let mut open = range.start;
         // Closes row `open` and the rows up to `next`, which nothing
         // reached.
-        let mut close = |acc: &mut A, open: usize, next: usize| {
-            // Only a row that received a candidate pays for its mask row.
+        let mut close = |acc: &mut A, open_mask, open: usize, next: usize| {
             if !acc.is_empty() {
-                let mask_row = mask.map(|m| {
-                    let row = m.row(open);
-                    (&m.cols[row.clone()], &m.vals[row])
-                });
-                acc.drain_into(mask_row, &mut out);
+                acc.drain_into(open_mask, &mut out);
             }
             out.row_ptr
                 .resize(out.row_ptr.len() + (next - open), out.nnz());
         };
-        // The cells of row `open`, read when a row is opened: the skipping
-        // cells, the bulk of a sparse Δ's scan, pay for nothing but the
-        // test that skips them.
-        let mut open_len = if range.is_empty() {
-            0
+        // The cells and the mask row of row `open`, read when a row is
+        // opened: the skipping cells, the bulk of a sparse Δ's scan, pay
+        // for nothing but the test that skips them, and only a row that
+        // received a candidate pays for its mask row.
+        let (mut open_len, mut open_mask) = if range.is_empty() {
+            (0, None)
         } else {
-            self.row(open).len()
+            (self.row(open).len(), mask_row(open))
         };
         let cells = self.row_ptr[range.start]..self.row_ptr[range.end];
         let mut found = 0;
@@ -716,14 +740,14 @@ impl<V: Copy> Csr<V> {
             found += 1;
             if self.row_ptr[open + 1] <= e {
                 let next = row_of(&self.row_ptr, open, e);
-                close(acc, open, next);
+                close(acc, open_mask, open, next);
                 open = next;
-                open_len = self.row(open).len();
+                (open_len, open_mask) = (self.row(open).len(), mask_row(open));
             }
             let (cols, vals) = (&b.cols[b_row.clone()], &b.vals[b_row]);
-            acc.add(&self.vals[e], k, open_len, cols, vals);
+            acc.add(&self.vals[e], k, open_len, open_mask, cols, vals);
         }
-        close(acc, open, range.end);
+        close(acc, open_mask, open, range.end);
         (out, (cells.len() - found) as u64)
     }
 }
@@ -771,7 +795,15 @@ impl RowAccumulator<()> for BitRow {
     }
 
     #[inline]
-    fn add(&mut self, _left: &(), _k: u32, _row_len: usize, cols: &[u32], _vals: &[()]) {
+    fn add(
+        &mut self,
+        _left: &(),
+        _k: u32,
+        _row_len: usize,
+        _mask: Option<RowCells<'_, ()>>,
+        cols: &[u32],
+        _vals: &[()],
+    ) {
         for &j in cols {
             self.set(j);
         }
@@ -781,7 +813,7 @@ impl RowAccumulator<()> for BitRow {
         self.touched.is_empty()
     }
 
-    fn drain_into(&mut self, mask: Option<(&[u32], &[()])>, out: &mut Csr<()>) {
+    fn drain_into(&mut self, mask: Option<RowCells<'_, ()>>, out: &mut Csr<()>) {
         for &j in mask.map_or(&[][..], |(cols, _)| cols) {
             self.words[(j / 64) as usize] &= !(1u64 << (j % 64));
         }

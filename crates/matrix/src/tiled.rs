@@ -65,18 +65,18 @@
 
 use crate::device::Device;
 use crate::engine::{word_bits, BoolMat, MaskedJob};
-use crate::length::CsrLenMatrix;
+use crate::length::TiledLenMatrix;
 use crate::repr::BoolRepr;
-use crate::sparse::{assert_in_range, Cell, Csr, RowAccumulator};
+use crate::sparse::{assert_in_range, Cell, Csr, RowAccumulator, RowCells};
 use std::cell::RefCell;
 use std::ops::Range;
 
 /// Tile edge length in bits. One tile is `TILE` `u64` words.
 pub const TILE: usize = 64;
 
-type TileWords = [u64; TILE];
+pub(crate) type TileWords = [u64; TILE];
 
-const EMPTY_TILE: TileWords = [0u64; TILE];
+pub(crate) const EMPTY_TILE: TileWords = [0u64; TILE];
 
 /// An `n × n` Boolean matrix stored as non-empty 64×64 bitset tiles in
 /// a CSR-of-tiles layout.
@@ -90,7 +90,7 @@ pub struct TiledBitMatrix {
 }
 
 #[inline]
-fn tile_count(n: usize) -> usize {
+pub(crate) fn tile_count(n: usize) -> usize {
     n.div_ceil(TILE)
 }
 
@@ -439,7 +439,7 @@ fn transpose_tile(tile: &TileWords) -> TileWords {
 const TRANSPOSE_OPS: usize = 6 * (TILE / 2);
 
 #[inline]
-fn tile_bits(t: &TileWords) -> usize {
+pub(crate) fn tile_bits(t: &TileWords) -> usize {
     t.iter().map(|w| w.count_ones() as usize).sum()
 }
 
@@ -609,7 +609,15 @@ impl RowAccumulator<TileWords> for TileAccumulator {
     }
 
     #[inline]
-    fn add(&mut self, a: &TileWords, k: u32, row_len: usize, cols: &[u32], panel: &[TileWords]) {
+    fn add(
+        &mut self,
+        a: &TileWords,
+        k: u32,
+        row_len: usize,
+        _mask: Option<RowCells<'_, TileWords>>,
+        cols: &[u32],
+        panel: &[TileWords],
+    ) {
         if self.right_driven_is_cheaper(a, k as usize, panel, row_len) {
             let a_cols = transpose_tile(a);
             for (&tj, b) in cols.iter().zip(panel) {
@@ -630,7 +638,7 @@ impl RowAccumulator<TileWords> for TileAccumulator {
     /// form), each less the bits of the mask tile at its tile-column,
     /// counting instead of storing those left empty, and moves to a fresh
     /// stamp. Masking and draining are one pass, while the tile is hot.
-    fn drain_into(&mut self, mask: Option<(&[u32], &[TileWords])>, out: &mut Csr<TileWords>) {
+    fn drain_into(&mut self, mask: Option<RowCells<'_, TileWords>>, out: &mut Csr<TileWords>) {
         self.fold_transposed();
         self.row.touched.sort_unstable();
         for &tj in &self.row.touched {
@@ -692,9 +700,8 @@ impl BoolMat for TiledBitMatrix {
 impl BoolRepr for TiledBitMatrix {
     const REPR: &'static str = "tiled";
     const ON_DEVICE: &'static str = "tiled";
-    /// Tile payloads are bitsets and path lengths need `u32` cells, so
-    /// the tiled engine's §5 kernels are the CSR ones.
-    type Len = CsrLenMatrix;
+    /// The same tiles, with each tile's lengths in an arena by bit rank.
+    type Len = TiledLenMatrix;
 
     fn zeros(n: usize) -> Self {
         Self::zeros(n)

@@ -12,7 +12,9 @@
 //! The counter (`support/counting_allocator.rs`) is per thread, so the
 //! test harness's own threads do not disturb it.
 
-use cfpq_matrix::{CsrLenMatrix, CsrMatrix, LenEngine, SparseEngine, TiledBitMatrix};
+use cfpq_matrix::{
+    CsrLenMatrix, CsrMatrix, LenEngine, SparseEngine, TiledBitMatrix, TiledEngine, TiledLenMatrix,
+};
 use counting_allocator::allocations;
 
 #[path = "support/counting_allocator.rs"]
@@ -169,4 +171,33 @@ fn a_tiled_union_allocates_for_what_it_adds_and_not_per_tile_row() {
     assert!(union <= 5, "union allocated {union} times");
     // No new bit: the storage stays where it is, so nothing is allocated.
     assert_eq!((again, as_pairs), (0, 0), "a union that adds nothing");
+}
+
+/// Allocation count of merging the 100-cell Δ of [`closure_and_delta`]
+/// into the `n`-row tiled length closure, and the Δ it reports.
+fn tiled_length_merge_allocations(n: u32) -> usize {
+    let (closure_pairs, delta_pairs) = closure_and_delta(n);
+    let with_len = |pairs: &[(u32, u32)]| -> Vec<(u32, u32, u32)> {
+        pairs
+            .iter()
+            .map(|&(i, j)| (i, j, 1 + (i + j) % 7))
+            .collect()
+    };
+    let n = n as usize;
+    let closure = TiledLenMatrix::from_entries(n, &with_len(&closure_pairs));
+    let delta = TiledLenMatrix::from_entries(n, &with_len(&delta_pairs));
+    let mut acc = closure.clone();
+    let (merge, fresh) = allocations(|| TiledEngine::serial().len_merge_absent(&mut acc, &delta));
+    assert!(fresh == delta && acc.nnz() == closure.nnz() + 100);
+    merge
+}
+
+#[test]
+fn a_tiled_length_merge_allocates_independently_of_the_number_of_rows() {
+    let small = tiled_length_merge_allocations(2_500);
+    let large = tiled_length_merge_allocations(25_000);
+    // The Δ, the arena compacted into room for its growth, and the tile
+    // splice that brings the Δ's new tiles: nothing per row or per tile.
+    assert_eq!(small, large, "2,500 rows or 25,000");
+    assert!(large <= 16, "merge allocated {large} times");
 }

@@ -1,9 +1,13 @@
-//! Property-based tests for the length kernels (§5): on every engine
-//! whose length matrices are CSR — `SparseEngine`, `ParSparseEngine`, and
-//! `TiledEngine` — `len_merge_absent`, `len_set_absent` and
-//! `len_multiply_masked` must be observationally identical to the dense
-//! reference, cell for cell and length for length, including on the
-//! shapes a flat splice can get wrong.
+//! Property-based tests for the length kernels (§5): on every sparse
+//! engine — `SparseEngine` and `ParSparseEngine` (CSR lengths) and
+//! `TiledEngine` (lengths in 64 × 64 tiles) — `len_merge_absent`,
+//! `len_set_absent` and `len_multiply_masked` must be observationally
+//! identical to the dense reference, cell for cell and length for length,
+//! including on the shapes a flat splice can get wrong. The cases at
+//! `N = 37` fit one tile; those at `WIDE = 150` cross tile boundaries:
+//! three tile-rows, the last one partial, with cells in the first and
+//! last tile-rows, a full tile, ε cells on the diagonal, and a `grow`
+//! across a boundary.
 
 use cfpq_matrix::{
     DenseEngine, Device, LenEngine, LenMat, ParSparseEngine, SparseEngine, TiledEngine,
@@ -195,6 +199,81 @@ proptest! {
                 .collect();
             assert_eq!(masked, kept, "masked ≡ product \\\\ mask");
             (masked, plain)
+        })?;
+    }
+}
+
+/// Three tile-rows, the last one 22 rows deep.
+const WIDE: usize = 150;
+
+fn wide_entries(max_len: usize) -> impl Strategy<Value = Vec<Entry>> {
+    prop::collection::vec((0..WIDE as u32, 0..WIDE as u32, 0u32..9), 0..max_len)
+}
+
+/// Adds one of the shapes a tiled matrix can get wrong to `entries`.
+fn wide_shaped(shape: u8, mut entries: Vec<Entry>) -> Vec<Entry> {
+    let last = WIDE as u32 - 1;
+    match shape {
+        // The full middle tile, lengths 1 to 5.
+        0 => {
+            entries.extend((64..128).flat_map(|i| (64..128).map(move |j| (i, j, 1 + (i + j) % 5))))
+        }
+        // An ε cell on every diagonal cell not written yet.
+        1 => entries.extend((0..WIDE as u32).map(|m| (m, m, 0))),
+        // The corners of the first and the last tile-row, and cells on
+        // both sides of each tile boundary.
+        2 => entries.extend([
+            (0, 0, 1),
+            (0, last, 2),
+            (last, 0, 3),
+            (last, last, 4),
+            (63, 64, 5),
+            (64, 63, 6),
+            (127, 128, 7),
+            (128, 127, 8),
+        ]),
+        _ => {}
+    }
+    entries
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(48, RNG_SEED))]
+
+    #[test]
+    fn merges_and_products_across_tile_boundaries_agree_with_dense(
+        acc in wide_entries(400),
+        add in wide_entries(400),
+        b in wide_entries(400),
+        mask in wide_entries(3000),
+        shapes in (0u8..4, 0u8..4, 0u8..4),
+        grown in 0usize..2,
+    ) {
+        let (acc, add, b) = (
+            wide_shaped(shapes.0, acc),
+            wide_shaped(shapes.1, add),
+            wide_shaped(shapes.2, b),
+        );
+        // Optionally built over two tile-rows and grown into the third.
+        let small = if grown == 1 { 100 } else { WIDE };
+        let acc: Vec<Entry> = acc
+            .into_iter()
+            .filter(|&(i, j, _)| (i as usize) < small && (j as usize) < small)
+            .collect();
+        on_every_engine(|make| {
+            let mut merged = make(&acc, small);
+            merged.grow(WIDE);
+            let fresh = merged.merge(&add);
+            let closure = merged.entries();
+            let mut set = make(&acc, small);
+            set.grow(WIDE);
+            assert_eq!(set.set(&add), fresh, "set_absent reports the fresh cells");
+            assert_eq!(set.entries(), closure, "set_absent ≡ merge_absent");
+            // The closure on either side of a product, masked by a random
+            // matrix and by itself.
+            let left = make(&closure, WIDE).times(&b, Some(&mask));
+            let right = make(&b, WIDE).times(&closure, Some(&closure));
+            (closure, fresh, left, right)
         })?;
     }
 }
