@@ -187,11 +187,15 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
     /// the index's matrices is a [`SeedOutOfRange`] error and leaves the
     /// index as it was.
     ///
-    /// The matrices may have been widened (`len_grow`) past
-    /// `index.n_nodes` since the index was solved: the resume then
-    /// overlays the ε-cells of the new nodes' diagonal, after the
-    /// fixpoint as a cold solve does, and sets `n_nodes` to the matrices'
-    /// size. The old nodes' ε-cells are there already.
+    /// The matrices may have been widened (`len_grow`, inside this
+    /// crate) past `index.n_nodes` since the index was solved: the resume
+    /// then overlays the ε-cells of the new nodes' diagonal, after the
+    /// fixpoint as a cold solve does, and moves `n_nodes` to the
+    /// matrices' size. The old nodes' ε-cells are there already. So
+    /// `n_nodes` counts exactly the nodes whose ε-cells are written, and
+    /// a caller must not move it: one that raised it past the matrices'
+    /// size fails a debug assertion here, and one that raised it to a
+    /// widened size would leave the new nodes without ε-cells.
     pub fn resume(
         &self,
         index: &mut SinglePathIndex<E::LenMatrix>,
@@ -203,6 +207,11 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
         index.iterations += stats.sweep_nnz.len();
         index.stats.absorb(&stats);
         let n = index.lengths.first().map_or(index.n_nodes, LenMat::n);
+        debug_assert!(
+            n >= index.n_nodes,
+            "n_nodes is {} but the matrices are {n} wide",
+            index.n_nodes
+        );
         self.apply_epsilon_overlay(&mut index.lengths, index.n_nodes..n, grammar);
         index.n_nodes = n;
         Ok(stats)

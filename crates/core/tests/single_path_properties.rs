@@ -280,6 +280,9 @@ impl<M: LenMat> LenMat for Counted<M> {
     fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.0.row_cells(i).inspect(|_| count_cell())
     }
+    fn bytes(&self) -> usize {
+        self.0.bytes()
+    }
 }
 
 /// [`SinglePathIndex`] is built by a solver only, so the counted length

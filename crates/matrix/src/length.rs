@@ -85,14 +85,9 @@ pub trait LenMat: Clone + PartialEq + Send + Sync + 'static {
     /// on the CSR form); a row outside the matrix is empty, as
     /// [`LenMat::get`] reads it absent. See [`crate::BoolMat::row_cols`].
     fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_;
-    /// Heap bytes held, by capacity (see [`crate::BoolMat::bytes`]). The
-    /// three representations of this crate count their buffers — the
-    /// tiled one its arena's dead values too; the default, for a matrix
-    /// type defined elsewhere, estimates a CSR layout: a column and a
-    /// length per present cell.
-    fn bytes(&self) -> usize {
-        self.nnz() * 2 * std::mem::size_of::<u32>()
-    }
+    /// Heap bytes held, by capacity (see [`crate::BoolMat::bytes`]); the
+    /// tiled form counts its arena's dead values too.
+    fn bytes(&self) -> usize;
 }
 
 /// One job of a [`LenEngine::len_multiply_masked_batch`]: operands
@@ -590,9 +585,9 @@ impl RowAccumulator<u32> for LenRow {
     fn add(
         &mut self,
         &left: &u32,
+        _i: usize,
         _k: u32,
         _row_len: usize,
-        _mask: Option<RowCells<'_, u32>>,
         cols: &[u32],
         vals: &[u32],
     ) {

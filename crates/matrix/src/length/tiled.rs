@@ -427,8 +427,9 @@ impl LenRepr for TiledLenMatrix {
     /// The tiles it brings to places `self` stores nothing at are spliced
     /// in, as the Boolean union does; a merge whose Δ lands in stored
     /// tiles copies none of `self`'s tiles. Every tile that gained cells
-    /// is then re-laid at the end of the arena, its old lengths and the
-    /// new ones interleaved by bit rank.
+    /// is then re-laid at the end of the arena: the old lengths of its
+    /// rows the Δ leaves alone go over in runs, and the rows it reaches
+    /// interleave old and new lengths by bit rank.
     fn merge_absent(&mut self, add: &Self) -> Self {
         assert_eq!(self.n, add.n, "dimension mismatch");
         // A masked product, what the closure is mostly merged with, meets
@@ -489,42 +490,35 @@ impl LenRepr for TiledLenMatrix {
                 (*w, *s) = (*w | n, *s + t);
             }
             (tile.rows, tile.at) = (tile.rows | new.rows, self.lens.len());
+            // Row by row: the old lengths of the rows the Δ leaves alone
+            // go over in runs, and a row it reaches interleaves old and new
+            // lengths bit by bit.
             let (count, new_count) = (tile.count(), new_lens.len());
-            if new_count * 8 < count {
-                // Under an eighth of the cells are new: the old lengths
-                // between two of them go over as one run.
-                let (mut run, mut next) = (old_at, 0);
-                for (r, &word) in new.bits.iter().enumerate() {
-                    for c in word_bits(word) {
-                        let old = old_at + tile.rank(r, c) - next;
-                        self.lens.extend_from_within(run..old);
-                        self.lens.push(new_lens[next]);
-                        (run, next) = (old, next + 1);
-                    }
-                }
-                self.lens
-                    .extend_from_within(run..old_at + count - new_count);
-                continue;
-            }
-            // Many: old and new lengths interleave bit by bit.
             self.lens.resize(tile.at + count, 0);
             let (arena, out) = self.lens.split_at_mut(tile.at);
             let old_lens = &arena[old_at..old_at + count - new_count];
-            let (mut old, mut next, mut cells) = (0, 0, out.iter_mut());
-            for (&word, &new_word) in tile.bits.iter().zip(&new.bits) {
-                let mut word = word;
+            let (mut at, mut old) = (0, 0);
+            for r in word_bits(new.rows) {
+                let r = r as usize;
+                let run = tile.starts[r] as usize - at;
+                out[at..at + run].copy_from_slice(&old_lens[old..old + run]);
+                (at, old) = (at + run, old + run);
+                let (mut word, new_word) = (tile.bits[r], new.bits[r]);
+                let mut next = new.starts[r] as usize;
                 while word != 0 {
                     let bit = word & word.wrapping_neg();
                     word ^= bit;
                     let is_new = usize::from(new_word & bit != 0);
+                    // Both reads stay in bounds past either side's last value.
                     let (n, o) = (
                         new_lens[next.min(new_count - 1)],
                         old_lens[old.min(old_lens.len() - 1)],
                     );
-                    *cells.next().expect("one slot per cell") = if is_new == 1 { n } else { o };
-                    (next, old) = (next + is_new, old + 1 - is_new);
+                    out[at] = if is_new == 1 { n } else { o };
+                    (at, next, old) = (at + 1, next + is_new, old + 1 - is_new);
                 }
             }
+            out[at..].copy_from_slice(&old_lens[old..]);
         }
         self.csr.vals = tiles;
         self.live += fresh.live;
@@ -544,31 +538,21 @@ impl LenRepr for TiledLenMatrix {
             if let Some(m) = mask {
                 assert_eq!(a.n, m.n, "mask dimension mismatch");
             }
-            // Every output tile comes from a pair of a left tile and a
-            // tile of its panel.
-            let pairs = a
-                .csr
-                .cols
-                .iter()
-                .map(|&k| b.csr.row(k as usize).len())
-                .sum();
-            let (mut csr, lens) = LEN_SCRATCH.with_borrow_mut(|scratch| {
+            let (csr, lens) = LEN_SCRATCH.with_borrow_mut(|scratch| {
                 let mut acc = LenTileRow {
                     a: &a.lens,
                     b: &b.lens,
-                    pairs,
+                    mask: mask.map(|m| &m.csr),
                     scratch,
                 };
                 let rows = 0..a.csr.rows();
-                let (csr, _) = a.csr.multiply(&b.csr, mask.map(|m| &m.csr), rows, &mut acc);
+                let (csr, _) = a.csr.multiply(&b.csr, acc.mask, rows, &mut acc);
                 // The lengths were drained into the scratch's buffer, which
                 // keeps its capacity: the product's arena is one copy.
                 let lens = acc.scratch.lens.to_vec();
                 acc.scratch.lens.clear();
                 (csr, lens)
             });
-            csr.cols.shrink_to_fit();
-            csr.vals.shrink_to_fit();
             TiledLenMatrix {
                 n: a.n,
                 csr,
@@ -637,14 +621,12 @@ impl LenScratch {
 }
 
 /// The row accumulator of the tiled length product: the arenas of the
-/// product's two operands, and the thread's scratch, into whose buffer
-/// the drains lay out the product's lengths.
+/// product's two operands, its mask, and the thread's scratch, into whose
+/// buffer the drains lay out the product's lengths.
 struct LenTileRow<'a> {
     a: &'a [u32],
     b: &'a [u32],
-    /// How many pairs of tiles the product multiplies, a bound on the
-    /// tiles it outputs.
-    pairs: usize,
+    mask: Option<&'a Csr<LenTile>>,
     scratch: &'a mut LenScratch,
 }
 
@@ -702,26 +684,26 @@ impl RowAccumulator<LenTile> for LenTileRow<'_> {
         s.touched.clear();
     }
 
-    /// The mask goes into each output tile as it is first touched.
+    /// Mask row `i` goes into each output tile as it is first touched.
     #[inline]
     fn add(
         &mut self,
         a: &LenTile,
+        i: usize,
         _k: u32,
         _row_len: usize,
-        mask: Option<RowCells<'_, LenTile>>,
         cols: &[u32],
         panel: &[LenTile],
     ) {
+        let mask = self.mask.map(|m| {
+            let row = m.row(i);
+            (&m.cols[row.clone()], &m.vals[row])
+        });
         let a_lens = &self.a[a.at..];
         for (&tj, b) in cols.iter().zip(panel) {
             let slot = self.scratch.slot(tj, mask);
             multiply_tile(a, a_lens, b, &self.b[b.at..], slot);
         }
-    }
-
-    fn reserve(&self) -> usize {
-        self.pairs
     }
 
     fn is_empty(&self) -> bool {
@@ -788,6 +770,37 @@ mod tests {
         assert_eq!((m.nnz(), m.lens.len()), (6, 9));
         assert_eq!(m.bytes(), m.csr.bytes() + m.lens.capacity() * 4);
         assert!(m.bytes() >= m.csr.bytes() + 9 * 4);
+    }
+
+    #[test]
+    fn a_merge_lays_old_and_new_lengths_in_bit_rank_order() {
+        // Old cells in every other row of tile (1, 2); new ones in every
+        // third row, before, between and after the old ones of a row, and
+        // alone in rows with no old cell.
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u32
+        };
+        let (mut old, mut new) = (Vec::new(), Vec::new());
+        for r in 0..64 {
+            for c in 0..64 {
+                if r % 2 == 0 && next() % 3 == 0 {
+                    old.push((r, c));
+                } else if r % 3 == 0 && next() % 4 == 0 {
+                    new.push((r, c));
+                }
+            }
+        }
+        let old = tile_1_2(1, &old);
+        let new = tile_1_2(5000, &new);
+        let mut m = TiledLenMatrix::from_entries(200, &old);
+        let fresh = m.merge_absent(&TiledLenMatrix::from_entries(200, &new));
+        assert_eq!(fresh.entries(), new);
+        let mut all = [old, new].concat();
+        all.sort_unstable();
+        assert_eq!(m.entries(), all);
+        assert_eq!(m, TiledLenMatrix::from_entries(200, &all));
     }
 
     #[test]

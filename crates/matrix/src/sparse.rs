@@ -32,8 +32,9 @@
 //!   saturating add, `⊕` = first write) in [`crate::length`], a row of
 //!   tiles in [`crate::tiled`], where a pair of cells is a 64 × 64
 //!   product through one of two kernels picked from popcounts rather
-//!   than a `⊗` of two scalars, and a row of length tiles, which is
-//!   handed each row's mask up front so that it writes no masked cell.
+//!   than a `⊗` of two scalars, and a row of length tiles, which reads
+//!   the mask as it opens each output tile so that it writes no masked
+//!   cell.
 
 use crate::device::Device;
 use crate::engine::MaskedJob;
@@ -641,26 +642,12 @@ pub(crate) trait RowAccumulator<V> {
     fn fit(&mut self, n: usize);
 
     /// Accumulates `left ⊗ value` at `col` for every cell `(col, value)`
-    /// of row `k` of the right operand, where `left` is the cell at
-    /// column `k` of a left row of `row_len` cells (what a tile's kernel
-    /// choice reads; a scalar ignores both). `mask` is the row of known
-    /// cells `drain_into` will be handed: an accumulator whose writes
-    /// cost more than a bit may leave those cells out now.
-    fn add(
-        &mut self,
-        left: &V,
-        k: u32,
-        row_len: usize,
-        mask: Option<RowCells<'_, V>>,
-        cols: &[u32],
-        vals: &[V],
-    );
-
-    /// How many cells the product's output should have room for from
-    /// the start; by default none, and it grows as rows are drained.
-    fn reserve(&self) -> usize {
-        0
-    }
+    /// of row `k` of the right operand, where `left` is the cell `(i, k)`
+    /// of a left row of `row_len` cells (what a tile's kernel choice
+    /// reads; a scalar ignores both). `i` names the mask row `drain_into`
+    /// will be handed: an accumulator whose writes cost more than a bit
+    /// may read it and leave those cells out now.
+    fn add(&mut self, left: &V, i: usize, k: u32, row_len: usize, cols: &[u32], vals: &[V]);
 
     /// Whether nothing was accumulated since the last drain.
     fn is_empty(&self) -> bool;
@@ -698,13 +685,7 @@ impl<V: Copy> Csr<V> {
             assert_eq!(self.rows(), m.rows(), "mask dimension mismatch");
         }
         acc.fit(self.rows());
-        let mut out = Csr::with_capacity(range.len(), acc.reserve());
-        let mask_row = |i: usize| {
-            mask.map(|m| {
-                let row = m.row(i);
-                (&m.cols[row.clone()], &m.vals[row])
-            })
-        };
+        let mut out = Csr::with_capacity(range.len(), 0);
         // Flat over the cells of `self`, not row by row: against a sparse
         // Δ almost no cell finds anything to multiply with, so the scan
         // is one predictable loop. `open` is the row being accumulated;
@@ -713,21 +694,25 @@ impl<V: Copy> Csr<V> {
         let mut open = range.start;
         // Closes row `open` and the rows up to `next`, which nothing
         // reached.
-        let mut close = |acc: &mut A, open_mask, open: usize, next: usize| {
+        let mut close = |acc: &mut A, open: usize, next: usize| {
+            // Only a row that received a candidate pays for its mask row.
             if !acc.is_empty() {
-                acc.drain_into(open_mask, &mut out);
+                let mask_row = mask.map(|m| {
+                    let row = m.row(open);
+                    (&m.cols[row.clone()], &m.vals[row])
+                });
+                acc.drain_into(mask_row, &mut out);
             }
             out.row_ptr
                 .resize(out.row_ptr.len() + (next - open), out.nnz());
         };
-        // The cells and the mask row of row `open`, read when a row is
-        // opened: the skipping cells, the bulk of a sparse Δ's scan, pay
-        // for nothing but the test that skips them, and only a row that
-        // received a candidate pays for its mask row.
-        let (mut open_len, mut open_mask) = if range.is_empty() {
-            (0, None)
+        // The cells of row `open`, read when a row is opened: the skipping
+        // cells, the bulk of a sparse Δ's scan, pay for nothing but the
+        // test that skips them.
+        let mut open_len = if range.is_empty() {
+            0
         } else {
-            (self.row(open).len(), mask_row(open))
+            self.row(open).len()
         };
         let cells = self.row_ptr[range.start]..self.row_ptr[range.end];
         let mut found = 0;
@@ -740,14 +725,14 @@ impl<V: Copy> Csr<V> {
             found += 1;
             if self.row_ptr[open + 1] <= e {
                 let next = row_of(&self.row_ptr, open, e);
-                close(acc, open_mask, open, next);
+                close(acc, open, next);
                 open = next;
-                (open_len, open_mask) = (self.row(open).len(), mask_row(open));
+                open_len = self.row(open).len();
             }
             let (cols, vals) = (&b.cols[b_row.clone()], &b.vals[b_row]);
-            acc.add(&self.vals[e], k, open_len, open_mask, cols, vals);
+            acc.add(&self.vals[e], open, k, open_len, cols, vals);
         }
-        close(acc, open_mask, open, range.end);
+        close(acc, open, range.end);
         (out, (cells.len() - found) as u64)
     }
 }
@@ -795,15 +780,7 @@ impl RowAccumulator<()> for BitRow {
     }
 
     #[inline]
-    fn add(
-        &mut self,
-        _left: &(),
-        _k: u32,
-        _row_len: usize,
-        _mask: Option<RowCells<'_, ()>>,
-        cols: &[u32],
-        _vals: &[()],
-    ) {
+    fn add(&mut self, _left: &(), _i: usize, _k: u32, _row_len: usize, cols: &[u32], _vals: &[()]) {
         for &j in cols {
             self.set(j);
         }

@@ -612,9 +612,9 @@ impl RowAccumulator<TileWords> for TileAccumulator {
     fn add(
         &mut self,
         a: &TileWords,
+        _i: usize,
         k: u32,
         row_len: usize,
-        _mask: Option<RowCells<'_, TileWords>>,
         cols: &[u32],
         panel: &[TileWords],
     ) {
