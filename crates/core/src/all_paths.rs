@@ -49,9 +49,10 @@
 
 use crate::relational::{label_terminal_map, RelationalIndex};
 use crate::session::GraphIndex;
+use crate::single_path::SinglePathIndex;
 use cfpq_grammar::{BinaryRule, Nt, Term, Wcnf};
 use cfpq_graph::{Edge, Graph, Label, NodeId};
-use cfpq_matrix::{BoolEngine, BoolMat};
+use cfpq_matrix::{BoolEngine, BoolMat, LenMat};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -111,10 +112,43 @@ type PathKey = Vec<(u32, u32, u32)>;
 /// Memo key: `(nt, from, to, len)`.
 type ClassKey = (u32, u32, u32, u32);
 
+/// What a page reads of the closure it prunes against: membership, and
+/// a row's stored columns (the pivots of a split). A relational closure
+/// is one, and so is a §5 length closure, whose support is the same
+/// relation.
+pub trait Relation {
+    /// True if `(i, j) ∈ R_nt`; node ids outside the closure are related
+    /// to nothing.
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool;
+
+    /// The columns `j` with `(i, j) ∈ R_nt`, ascending.
+    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_;
+}
+
+impl<M: BoolMat> Relation for RelationalIndex<M> {
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
+        RelationalIndex::contains(self, nt, i, j)
+    }
+
+    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {
+        self.matrices[nt.index()].row_cols(i)
+    }
+}
+
+impl<L: LenMat> Relation for SinglePathIndex<L> {
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
+        SinglePathIndex::contains(self, nt, i, j)
+    }
+
+    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {
+        self.matrix(nt).row_cells(i).map(|(j, _)| j)
+    }
+}
+
 /// What one page reads: the closure it prunes against, and per grammar
 /// terminal (by `Term::index()`) the index label bound to it by name.
-struct View<'a, M, A> {
-    closure: &'a RelationalIndex<M>,
+struct View<'a, R, A> {
+    closure: &'a R,
     labels: Vec<Option<(Label, &'a A)>>,
 }
 
@@ -188,14 +222,15 @@ impl PathEnumerator {
     /// skip `req.offset` paths of the (length, lexicographic) stream,
     /// return up to `req.limit`, never explore beyond `req.max_len`
     /// edges. Terminal steps read `index`'s label matrices, and emitted
-    /// [`Edge::label`]s are its label ids. `closure` must be the
-    /// relational closure of `index` (it decides ε-visibility: only a
+    /// [`Edge::label`]s are its label ids. `closure` must hold the
+    /// relation of the grammar over `index` — its relational closure, or
+    /// its length closure (it decides ε-visibility: only a
     /// `nullable_diagonal` closure unlocks ε-witnesses and ε-side
     /// splits), and every page of one enumerator must pass the same two.
-    pub fn page<E: BoolEngine, M: BoolMat>(
+    pub fn page<E: BoolEngine, R: Relation>(
         &mut self,
         index: &GraphIndex<E>,
-        closure: &RelationalIndex<M>,
+        closure: &R,
         nt: Nt,
         from: NodeId,
         to: NodeId,
@@ -230,9 +265,9 @@ impl PathEnumerator {
     /// edges: every base class of every ε-erasure-reachable nonterminal,
     /// deduplicated and sorted. `len == 0` is the ε-witness, reported
     /// only when the diagonal pair is in the (nullable-aware) closure.
-    fn class<M: BoolMat, A: BoolMat>(
+    fn class<R: Relation, A: BoolMat>(
         &mut self,
-        view: &View<M, A>,
+        view: &View<R, A>,
         nt: Nt,
         from: u32,
         to: u32,
@@ -272,9 +307,9 @@ impl PathEnumerator {
     /// ascending order, so a split costs that row and not the graph.
     /// Both sides of a split are full classes of strictly smaller
     /// length, so the recursion terminates without any guard.
-    fn base_class<M: BoolMat, A: BoolMat>(
+    fn base_class<R: Relation, A: BoolMat>(
         &mut self,
-        view: &View<M, A>,
+        view: &View<R, A>,
         d: Nt,
         from: u32,
         to: u32,
@@ -294,7 +329,7 @@ impl PathEnumerator {
             let closure = view.closure;
             let rules = Arc::clone(&self.rules);
             for rule in rules.iter().filter(|r| r.lhs == d) {
-                for k in closure.matrices[rule.left.index()].row_cols(from) {
+                for k in closure.row_cols(rule.left, from) {
                     if !closure.contains(rule.right, k, to) {
                         continue;
                     }
@@ -329,12 +364,7 @@ impl PathEnumerator {
     /// of every nonterminal in `reach[A]` (which always contains `A`).
     /// This closed set is what replaces the old recursion guard: rules
     /// like `S → S S` with nullable `S` simply yield `S ∈ reach[S]`.
-    fn eps_reach<M: BoolMat>(
-        &mut self,
-        closure: &RelationalIndex<M>,
-        i: u32,
-        j: u32,
-    ) -> Arc<Vec<Vec<u32>>> {
+    fn eps_reach<R: Relation>(&mut self, closure: &R, i: u32, j: u32) -> Arc<Vec<Vec<u32>>> {
         if let Some(r) = self.eps.get(&(i, j)) {
             return Arc::clone(r);
         }

@@ -8,13 +8,14 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::Graph;
 use cfpq_matrix::{
-    BoolEngine, BoolMat, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine,
+    BoolEngine, BoolMat, DenseEngine, Device, LenMat, ParDenseEngine, ParSparseEngine, SparseEngine,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::relational::{solve_set_matrix, RelationalIndex, SetMatrixResult};
 use crate::session::{CfpqSession, PreparedQuery};
+use crate::single_path::SinglePathIndex;
 
 /// Which implementation evaluates the query (§6 naming in comments).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,7 +63,8 @@ impl Backend {
 /// What a [`QueryAnswer`] reads from a solved closure, with the matrix
 /// type erased so the answer itself stays non-generic. `contains` is
 /// total: a node id outside the closure's universe is related to nothing.
-trait Closure: Send + Sync {
+/// A §5 length closure is one too: its support is the relation.
+pub(crate) trait Closure: Send + Sync {
     fn contains(&self, nt: Nt, i: u32, j: u32) -> bool;
     fn count(&self, nt: Nt) -> usize;
     fn pairs(&self, nt: Nt) -> Vec<(u32, u32)>;
@@ -77,6 +79,18 @@ impl<M: BoolMat> Closure for RelationalIndex<M> {
     }
     fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
         RelationalIndex::pairs(self, nt)
+    }
+}
+
+impl<L: LenMat> Closure for SinglePathIndex<L> {
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
+        SinglePathIndex::contains(self, nt, i, j)
+    }
+    fn count(&self, nt: Nt) -> usize {
+        SinglePathIndex::count(self, nt)
+    }
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
+        SinglePathIndex::pairs(self, nt)
     }
 }
 
@@ -123,9 +137,11 @@ impl View {
 }
 
 /// A relational answer: a lazy view over the solved closure — the
-/// Boolean matrices `R_A` of Theorem 2 — keyed by nonterminal *name*
-/// (names survive normalization; synthesized CNF helpers appear under
-/// their generated names such as `T<a>`).
+/// Boolean matrices `R_A` of Theorem 2, or the §5 length matrices of a
+/// grammar a state also holds as a single-path query, whose support is
+/// `R_A` — keyed by nonterminal *name* (names survive normalization;
+/// synthesized CNF helpers appear under their generated names such as
+/// `T<a>`).
 ///
 /// The answer shares the closure it was evaluated from instead of
 /// copying it out, and pays only for what is read:
@@ -223,7 +239,8 @@ impl QueryAnswer {
 
     /// An answer viewing a shared solved index. This is what a
     /// [`crate::session::GraphState`] cell hands out to sessions and
-    /// `cfpq-service` snapshots: the cell keeps its own `Arc` to the
+    /// `cfpq-service` snapshots (a linked query's cell views its twin's
+    /// length closure the same way): the cell keeps its own `Arc` to the
     /// closure, drops its answer when a batch of edges arrives, and
     /// repairs through `Arc::make_mut`, so a repair copies the closure
     /// only while a caller's answer still reads it.
@@ -235,7 +252,7 @@ impl QueryAnswer {
         Self::over(backend, index.n_nodes, index.iterations, wcnf, index)
     }
 
-    fn over(
+    pub(crate) fn over(
         backend: &'static str,
         n_nodes: usize,
         iterations: usize,

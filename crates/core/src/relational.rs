@@ -179,7 +179,7 @@ impl<M: BoolMat> RelationalIndex<M> {
 }
 
 /// Options of a solve ([`FixpointSolver::options`] and its siblings).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveOptions {
     /// Seed `(A, m, m)` for every node `m` and every nullable `A`. The
     /// paper omits ε-rules because "only the empty paths mπm correspond

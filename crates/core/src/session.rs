@@ -49,13 +49,15 @@
 //! There is one cached-closure lifecycle, not one per query kind or per
 //! front: a [`GraphState`] holds the index, the prepared queries and one
 //! closure cell per query ([`CachedClosure`] says how each kind of
-//! closure is cold-solved and repaired). A relational cell also keeps
-//! what reads derive from its closure — the shared answer, the path
-//! enumerator, the source-restricted closure of named-pair lookups — and
-//! empties them when the state absorbs a batch of edges. A session
-//! drives one state inline and records each read's [`RunInfo`]; a
-//! `cfpq-service` epoch is a state too, whose publish repairs every
-//! closure before readers come.
+//! closure is cold-solved and repaired), and one closure per grammar: a
+//! relational query whose grammar and options a single-path query shares
+//! is served from that query's length closure. A relational cell also
+//! keeps what reads derive from the closure serving it — the shared
+//! answer, the path enumerator, the source-restricted closure of
+//! named-pair lookups — and empties them when the state absorbs a batch
+//! of edges. A session drives one state inline and records each read's
+//! [`RunInfo`]; a `cfpq-service` epoch is a state too, whose publish
+//! repairs every closure before readers come.
 //!
 //! ```
 //! use cfpq_core::session::CfpqSession;
@@ -94,7 +96,8 @@ use crate::relational::SolveOptions;
 
 pub use crate::index::{EdgeBatch, GraphIndex};
 pub use crate::state::{
-    CachedClosure, CellRead, GraphState, PreparedQuery, QueryId, RunInfo, SinglePathId,
+    CachedClosure, CellRead, GraphState, PreparedQuery, QueryId, RunInfo, Served, ServedRead,
+    SinglePathId,
 };
 
 /// A multi-query evaluation session over one [`GraphIndex`]: prepare
@@ -329,21 +332,36 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     pub fn evaluate(&mut self, id: QueryId) -> QueryAnswer {
         let sp = cfpq_obs::span("session.evaluate");
         let (answer, run) = self.state.evaluate(id).expect(UNREGISTERED);
-        record(sp, run, &mut self.rel[id.0]);
+        record(sp, run, self.run_of(id));
         answer
     }
 
-    /// The closed relational index of a query as of its last evaluation:
-    /// `None` before the first, and after [`CfpqSession::add_edges`] until
-    /// the next one repairs it.
-    pub fn solved_index(&self, id: QueryId) -> Option<&RelationalIndex<E::Matrix>> {
-        self.state.solved(id).map(|solved| &**solved)
+    /// Where a run of relational query `id` is recorded: on the handle
+    /// that owns the closure it ran on, its single-path twin if it has
+    /// one.
+    fn run_of(&mut self, id: QueryId) -> &mut Option<RunInfo> {
+        match self.state.twin(id) {
+            Some(twin) => &mut self.sp[twin.0],
+            None => &mut self.rel[id.0],
+        }
     }
 
     /// What the last [`CfpqSession::evaluate`] or
-    /// [`CfpqSession::enumerate_paths`] of this query actually did to
-    /// its closure (cold vs incremental, and its kernel-work counters).
-    /// `None` until the first of either.
+    /// [`CfpqSession::enumerate_paths`] of this query that ran a solve or
+    /// a repair of its closure did (cold vs incremental, and its
+    /// kernel-work counters); hits leave it as it was. `None` until the
+    /// first such read.
+    ///
+    /// A run is recorded on the handle that owns the closure it ran on.
+    /// A query linked to a single-path query of the same grammar (see
+    /// [`GraphState`]) has no closure of its own: its reads solve and
+    /// repair that query's length closure, those runs are recorded as
+    /// the single-path query's ([`CfpqSession::last_single_path_run`]),
+    /// and the single-path read that follows a repair is a hit. So
+    /// `last_run` of a linked query stays as it was before the link, and
+    /// the products summed over every handle's runs are the kernel work
+    /// launched: Boolean products on relational handles, length products
+    /// on single-path ones.
     pub fn last_run(&self, id: QueryId) -> Option<&RunInfo> {
         self.rel.get(id.0)?.as_ref()
     }
@@ -376,11 +394,11 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         let (page, run) = self
             .state
             .paths(id, |paths, (query, solved, run)| {
-                let page = paths.page(index, solved, query.wcnf().start, from, to, page);
+                let page = paths.page(index, &solved, query.wcnf().start, from, to, page);
                 (page, run)
             })
             .expect(UNREGISTERED);
-        record(sp, run, &mut self.rel[id.0]);
+        record(sp, run, self.run_of(id));
         page
     }
 
@@ -393,7 +411,9 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     }
 
     /// Registers a fully-configured [`PreparedQuery`] for single-path
-    /// evaluation ([`SolveOptions`] apply as usual).
+    /// evaluation ([`SolveOptions`] apply as usual). A relational query
+    /// of the same grammar and options, prepared before or after, is
+    /// then served from this query's length closure (see [`GraphState`]).
     pub fn prepare_single_path_query(&mut self, query: PreparedQuery) -> SinglePathId {
         self.sp.push(None);
         self.state.prepare_single_path(query)
@@ -420,13 +440,16 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     }
 
     /// The solved single-path index of a query as of its last
-    /// evaluation, without forcing one (see [`CfpqSession::solved_index`]).
+    /// evaluation, without forcing one: `None` before the first, and
+    /// after [`CfpqSession::add_edges`] until the next read repairs it.
     pub fn single_path_index(&self, id: SinglePathId) -> Option<&SinglePathIndex<E::LenMatrix>> {
         self.state.solved_single_path(id).map(|solved| &**solved)
     }
 
-    /// What the last [`CfpqSession::evaluate_single_path`] of this query
-    /// actually did. `None` until the first evaluation.
+    /// What the last read that ran a solve or a repair of this query's
+    /// length closure did: a [`CfpqSession::evaluate_single_path`] of
+    /// it, or a read of a relational query linked to it (see
+    /// [`CfpqSession::last_run`]). `None` until the first such read.
     pub fn last_single_path_run(&self, id: SinglePathId) -> Option<&RunInfo> {
         self.sp.get(id.0)?.as_ref()
     }
@@ -482,7 +505,7 @@ mod tests {
         let mut small = CfpqSession::new(SparseEngine, &graph);
         small.prepare(&grammar).unwrap();
         small.prepare_single_path(&grammar).unwrap();
-        assert!(small.solved_index(q).is_none());
+        assert!(!small.state.is_solved(q));
         assert!(small.last_run(q).is_none());
         assert!(small.single_path_index(sp).is_none());
         assert!(small.last_single_path_run(sp).is_none());
@@ -562,7 +585,9 @@ mod tests {
         let graph = generators::word_chain(&["a", "a", "b"]);
         let mut session = CfpqSession::new(SparseEngine, &graph);
         let id = session.prepare(&grammar).unwrap();
-        let closure = |s: &CfpqSession<SparseEngine>| Arc::as_ptr(s.state.solved(id).unwrap());
+        let closure = |s: &CfpqSession<SparseEngine>| {
+            Arc::as_ptr(s.state.rel.get(id.0).unwrap().solved.get().unwrap())
+        };
         assert_eq!(session.evaluate(id).start_pairs(), &[(1, 3)]);
         let solved = closure(&session);
         // The cell's own answer goes with the batch, so with none held
@@ -856,13 +881,62 @@ mod tests {
             answer.start_pairs(),
             session.evaluate_single_path(sp).pairs(start)
         );
-        // An update repairs both caches lazily, each on its own read.
+        // One closure serves both: an update is repaired once, by the
+        // first read of either, and the other read hits.
         session.add_edges(&[(1, "subClassOf", 0)]);
         let answer = session.evaluate(rel);
-        assert_eq!(pending(&session.state.sp), [1], "single-path still pending");
+        assert_eq!(
+            pending(&session.state.sp),
+            [0],
+            "repaired by the relational read"
+        );
+        let run = session.last_single_path_run(sp).unwrap().clone();
+        assert!(run.incremental, "recorded on the closure's own handle");
+        assert!(session.last_run(rel).is_none());
         let pairs = session.evaluate_single_path(sp).pairs(start);
         assert_eq!(answer.start_pairs(), pairs);
-        assert_eq!(pending(&session.state.sp), [0], "both absorbed");
+        let hit = &session.last_single_path_run(sp).unwrap().stats;
+        assert_eq!(*hit, run.stats, "a hit");
+        assert!(session.state.rel.get(rel.0).unwrap().solved.get().is_none());
+    }
+
+    #[test]
+    fn a_boolean_closure_solved_before_the_link_goes_with_the_next_batch() {
+        let graph = generators::paper_example();
+        let mut session = CfpqSession::new(SparseEngine, &graph);
+        let other = session.prepare(&queries::query2()).unwrap();
+        let rel = session.prepare(&queries::query1()).unwrap();
+        let before = session.evaluate(rel).start_pairs().to_vec();
+        session.evaluate(other);
+        let boolean = |s: &CfpqSession<SparseEngine>| {
+            let cell = s.state.rel.get(rel.0).unwrap();
+            (
+                cell.solved.get().is_some(),
+                cell.stale.lock().unwrap().is_some(),
+            )
+        };
+        assert_eq!(boolean(&session), (true, false));
+        // Prepared later, the single-path query serves Q1 from now on.
+        let sp = session.prepare_single_path(&queries::query1()).unwrap();
+        assert_eq!(
+            (session.state.twin(rel), session.state.twin(other)),
+            (Some(sp), None)
+        );
+        assert!(!session.state.is_solved(rel), "its twin is not solved yet");
+        assert_eq!(session.evaluate(rel).start_pairs(), before);
+        assert!(session.state.is_solved(rel));
+        assert!(!session.last_single_path_run(sp).unwrap().incremental);
+        // The batch drops the Boolean closure instead of keeping it to
+        // repair; a grammar with no twin keeps its own.
+        session.add_edges(&[(1, "subClassOf", 0)]);
+        assert_eq!(boolean(&session), (false, false));
+        assert_eq!(pending(&session.state.rel), [1, 0]);
+        let answer = session.evaluate(rel);
+        assert!(session.last_single_path_run(sp).unwrap().incremental);
+        let mut grown = graph.clone();
+        grown.add_edge_named(1, "subClassOf", 0);
+        let scratch = solve(&grown, &queries::query1(), Backend::Sparse).unwrap();
+        assert_eq!(answer.start_pairs(), scratch.start_pairs());
     }
 
     #[test]

@@ -1,16 +1,24 @@
 //! One version of a graph and what is evaluated against it: the
 //! prepared queries, their handles, and one closure cell per query.
+//!
+//! One closure per grammar: a relational query prepared with the same
+//! [`Wcnf`] and [`SolveOptions`] as a single-path query of the same
+//! state is linked to it, whichever was prepared first, and is served
+//! from that query's §5 length closure. Its relation is the support of
+//! the lengths (`supp L_A = T_A`), so the Boolean closure of that grammar
+//! is never solved or repaired. A grammar prepared only relationally
+//! keeps its cheaper Boolean closure.
 
-use crate::all_paths::PathEnumerator;
+use crate::all_paths::{PathEnumerator, Relation};
 use crate::index::{EdgeBatch, GraphIndex};
 use crate::query::QueryAnswer;
 use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats, SourceClosure};
 use crate::session::{solve_prepared, solve_prepared_single_path};
 use crate::single_path::{SinglePathIndex, SinglePathSolver};
 use cfpq_grammar::cnf::CnfOptions;
-use cfpq_grammar::{Cfg, GrammarError, Wcnf};
+use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::NodeId;
-use cfpq_matrix::{BoolEngine, LenEngine, LenMat};
+use cfpq_matrix::{BoolEngine, BoolMat, LenEngine, LenMat};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -21,7 +29,7 @@ use crate::session::CfpqSession;
 /// normalization runs once, here, instead of once per `solve` call. The
 /// label→terminal binding is resolved against the session's index at
 /// evaluation time (so labels added later still bind).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedQuery {
     wcnf: Wcnf,
     pub(crate) options: SolveOptions,
@@ -226,8 +234,12 @@ impl<M> Default for Derived<M> {
 /// and what reads derived from it (`D`; single-path cells keep none).
 pub(crate) struct Cell<C, D = ()> {
     pub(crate) query: PreparedQuery,
+    /// Relational cells only: the single-path cell of the same query,
+    /// which serves this cell's reads. Set once, when the later of the
+    /// two is prepared; this cell's own closure is then never solved.
+    twin: OnceLock<usize>,
     /// The closure, up to date with the index of the state holding it.
-    solved: OnceLock<Arc<C>>,
+    pub(crate) solved: OnceLock<Arc<C>>,
     /// A closure solved before the index absorbed the batches beside it.
     /// Set only while `solved` is empty; the read that repairs it takes
     /// it whole, so a repair that panics leaves the cell empty.
@@ -240,6 +252,7 @@ impl<C, D: Default> Clone for Cell<C, D> {
         let stale = lock(&self.stale).clone();
         Self {
             query: self.query.clone(),
+            twin: self.twin.clone(),
             solved: self.solved.clone(),
             stale: Mutex::new(stale),
             derived: D::default(),
@@ -252,6 +265,7 @@ impl<C, D: Default> Cell<C, D> {
         let (solved, stale) = (OnceLock::new(), Mutex::new(None));
         Self {
             query,
+            twin: OnceLock::new(),
             solved,
             stale,
             derived: D::default(),
@@ -306,10 +320,15 @@ impl<C, D: Default> Cell<C, D> {
     /// empty: its cold solve reads the index. What reads derived from
     /// the old index goes first, so that with no caller holding an
     /// answer, the repair finds the closure unshared and works in place.
+    /// A cell its twin serves drops a closure solved before the link
+    /// instead of keeping it for a repair.
     fn absorb(&mut self, batch: &EdgeBatch) {
         self.derived = D::default();
         let stale = self.stale.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if let Some(solved) = self.solved.take() {
+        if self.twin.get().is_some() {
+            self.solved.take();
+            *stale = None;
+        } else if let Some(solved) = self.solved.take() {
             *stale = Some((solved, vec![batch.clone()]));
         } else if let Some((_, pending)) = stale {
             pending.push(batch.clone());
@@ -362,6 +381,12 @@ impl<C, D> Cells<C, D> {
         (0..self.len.load(Ordering::Relaxed)).filter_map(|i| self.get(i))
     }
 
+    /// The index of the first cell prepared for `query`.
+    fn find(&self, query: &PreparedQuery) -> Option<usize> {
+        let len = self.len.load(Ordering::Relaxed);
+        (0..len).find(|&i| self.get(i).is_some_and(|cell| cell.query == *query))
+    }
+
     fn iter_mut(&mut self) -> impl Iterator<Item = &mut Cell<C, D>> {
         let buckets = self.buckets.iter_mut().filter_map(OnceLock::get_mut);
         buckets.flat_map(|cells| cells.iter_mut().filter_map(OnceLock::get_mut))
@@ -380,7 +405,7 @@ impl<C, D: Default> Clone for Cells<C, D> {
 
 /// One version of a graph and what is evaluated against it: the
 /// [`GraphIndex`], the prepared queries of both kinds, and one closure
-/// cell per query, filled by its first read.
+/// per grammar, held in the cell of the query whose read fills it.
 ///
 /// A read cold-solves the cell, or repairs the closure it holds for every
 /// batch [`GraphState::add_edges`] added since, in one resume, or hits —
@@ -388,12 +413,24 @@ impl<C, D: Default> Clone for Cells<C, D> {
 /// owner calls [`GraphState::repair_stale`]: a [`CfpqSession`] never
 /// does; a `cfpq-service` publish does, so that readers never repair.
 ///
+/// A relational query prepared with the same grammar and options as a
+/// single-path query is linked to it, in either prepare order (the first
+/// such single-path query if there are several; [`GraphState::twin`]
+/// names it). Its reads read that query's length cell — the cold solve,
+/// the repair or the hit, whose run the relational read reports (a
+/// [`CfpqSession`] records it as the single-path query's, the owner of
+/// the closure) — and serve the answer, the path pages and the named
+/// lookups from the lengths' support. Its own Boolean closure is never
+/// solved; one solved before the link is dropped with the next batch.
+/// Two relational queries of one grammar are not linked to each other.
+///
 /// Reads and `prepare*` take `&self`: concurrent readers of an empty cell
 /// wait for one solve, a solve that panics leaves the cell empty, and a
-/// query can be prepared on a state readers share. A clone shares the
-/// closures and the index's label matrices copy-on-write, so it costs
-/// O(labels + prepared queries); a query prepared on either afterwards
-/// does not reach the other.
+/// query can be prepared on a state readers share (two prepares racing
+/// each other may leave a pair unlinked, which costs only the sharing).
+/// A clone shares the closures and the index's label matrices
+/// copy-on-write, so it costs O(labels + prepared queries); a query
+/// prepared on either afterwards does not reach the other.
 #[derive(Clone)]
 pub struct GraphState<E: BoolEngine + LenEngine> {
     index: GraphIndex<E>,
@@ -404,6 +441,58 @@ pub struct GraphState<E: BoolEngine + LenEngine> {
 /// A read of a [`GraphState`] cell: the query, its closure up to date
 /// with the index, and the run the read made (`None` for a hit).
 pub type CellRead<'s, C> = (&'s PreparedQuery, &'s Arc<C>, Option<RunInfo>);
+
+/// A read of a relational query through [`GraphState::paths`]: the
+/// query, the closure serving it, and the run the read made.
+pub type ServedRead<'s, E> = (
+    &'s PreparedQuery,
+    Served<'s, <E as BoolEngine>::Matrix, <E as LenEngine>::LenMatrix>,
+    Option<RunInfo>,
+);
+
+/// The closure a relational read is served from: the query's own
+/// Boolean closure, or the §5 length closure of its single-path twin,
+/// whose support is the same relation. Either is a [`Relation`].
+pub enum Served<'s, M, L: LenMat> {
+    /// The query's Boolean closure.
+    Bool(&'s Arc<RelationalIndex<M>>),
+    /// The length closure of the single-path query it is linked to.
+    Len(&'s Arc<SinglePathIndex<L>>),
+}
+
+impl<M: BoolMat, L: LenMat> Served<'_, M, L> {
+    /// A shared answer viewing the closure.
+    fn answer(&self, backend: &'static str, wcnf: &Wcnf) -> QueryAnswer {
+        match self {
+            Served::Bool(closure) => QueryAnswer::from_shared(backend, wcnf, Arc::clone(closure)),
+            Served::Len(closure) => {
+                let (n, iterations) = (closure.n_nodes, closure.iterations);
+                let closure: Arc<SinglePathIndex<L>> = Arc::clone(closure);
+                QueryAnswer::over(backend, n, iterations, wcnf, closure)
+            }
+        }
+    }
+}
+
+impl<M: BoolMat, L: LenMat> Relation for Served<'_, M, L> {
+    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
+        match self {
+            Served::Bool(closure) => closure.contains(nt, i, j),
+            Served::Len(closure) => closure.contains(nt, i, j),
+        }
+    }
+
+    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {
+        let (bool_row, len_row) = match self {
+            Served::Bool(closure) => (Some(Relation::row_cols(&***closure, nt, i)), None),
+            Served::Len(closure) => (None, Some(Relation::row_cols(&***closure, nt, i))),
+        };
+        bool_row
+            .into_iter()
+            .flatten()
+            .chain(len_row.into_iter().flatten())
+    }
+}
 
 impl<E: BoolEngine + LenEngine> GraphState<E> {
     /// A state over `index`, with no query prepared.
@@ -417,14 +506,28 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         &self.index
     }
 
-    /// Registers a relational query, unsolved until read.
+    /// Registers a relational query, unsolved until read, and links it
+    /// to a single-path query of the same grammar and options if this
+    /// state holds one.
     pub fn prepare(&self, query: PreparedQuery) -> QueryId {
-        QueryId(self.rel.push(Cell::new(query)))
+        let cell = Cell::new(query);
+        if let Some(twin) = self.sp.find(&cell.query) {
+            cell.twin.set(twin).expect("a new cell has no twin");
+        }
+        QueryId(self.rel.push(cell))
     }
 
-    /// Registers a single-path (§5) query, unsolved until read.
+    /// Registers a single-path (§5) query, unsolved until read, and
+    /// links to it every relational query of the same grammar and
+    /// options that has no twin yet.
     pub fn prepare_single_path(&self, query: PreparedQuery) -> SinglePathId {
-        SinglePathId(self.sp.push(Cell::new(query)))
+        let i = self.sp.push(Cell::new(query));
+        let query = &self.sp.get(i).expect("pushed above").query;
+        for cell in self.rel.iter().filter(|cell| cell.query == *query) {
+            // A query linked already keeps its first twin.
+            let _ = cell.twin.set(i);
+        }
+        SinglePathId(i)
     }
 
     /// How many relational queries are prepared.
@@ -442,13 +545,30 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         Some(&self.rel.get(id.0)?.query)
     }
 
-    /// The closure of relational query `id` as it stands, not solved or
-    /// repaired: `None` while its cell is empty or stale.
-    pub fn solved(&self, id: QueryId) -> Option<&Arc<RelationalIndex<E::Matrix>>> {
-        self.rel.get(id.0)?.solved.get()
+    /// The single-path query whose length closure serves relational
+    /// query `id`, if it is linked to one.
+    pub fn twin(&self, id: QueryId) -> Option<SinglePathId> {
+        Some(SinglePathId(*self.rel.get(id.0)?.twin.get()?))
     }
 
-    /// [`GraphState::solved`] for a single-path query.
+    /// Whether the closure that serves relational query `id` — its own,
+    /// or its single-path twin's — is solved and up to date, so a read
+    /// would hit; `false` if this state holds no such query.
+    pub fn is_solved(&self, id: QueryId) -> bool {
+        let Some(cell) = self.rel.get(id.0) else {
+            return false;
+        };
+        match cell.twin.get() {
+            Some(&twin) => self
+                .sp
+                .get(twin)
+                .is_some_and(|twin| twin.solved.get().is_some()),
+            None => cell.solved.get().is_some(),
+        }
+    }
+
+    /// The closure of single-path query `id` as it stands, not solved or
+    /// repaired: `None` while its cell is empty or stale.
     pub fn solved_single_path(
         &self,
         id: SinglePathId,
@@ -456,16 +576,54 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         self.sp.get(id.0)?.solved.get()
     }
 
-    /// Reads relational query `id`: its answer, a lazy view over the
-    /// closure that every read shares until the index changes, and the
-    /// run the read made; `None` if this state holds no such query.
-    pub fn evaluate(&self, id: QueryId) -> Option<(QueryAnswer, Option<RunInfo>)> {
+    /// Heap bytes of the closures this state holds solved and up to date
+    /// (by capacity, [`BoolMat::bytes`] and [`LenMat::bytes`]): one per
+    /// grammar that has been read, so a linked grammar counts its
+    /// length closure once and no Boolean one.
+    pub fn closure_bytes(&self) -> usize {
+        let rel = self.rel.iter().filter_map(|cell| cell.solved.get());
+        let sp = self.sp.iter().filter_map(|cell| cell.solved.get());
+        let rel = rel.flat_map(|closure| closure.matrices.iter().map(BoolMat::bytes));
+        rel.chain(sp.flat_map(|closure| closure.lengths.iter().map(LenMat::bytes)))
+            .sum()
+    }
+
+    /// Reads the closure that serves relational query `id`: its cell,
+    /// the closure, and the run the read made.
+    #[allow(clippy::type_complexity)]
+    fn read(
+        &self,
+        id: QueryId,
+    ) -> Option<(
+        &Cell<RelationalIndex<E::Matrix>, Derived<E::Matrix>>,
+        Served<'_, E::Matrix, E::LenMatrix>,
+        Option<RunInfo>,
+    )> {
         let cell = self.rel.get(id.0)?;
-        let (solved, run) = cell.read(&self.index);
-        let answer = cell.derived.answer.get_or_init(|| {
-            let engine = self.index.engine().name();
-            QueryAnswer::from_shared(engine, cell.query.wcnf(), Arc::clone(solved))
-        });
+        let (served, run) = match cell.twin.get() {
+            Some(&twin) => {
+                let twin = self.sp.get(twin).expect("a twin is a cell of this state");
+                let (closure, run) = twin.read(&self.index);
+                (Served::Len(closure), run)
+            }
+            None => {
+                let (closure, run) = cell.read(&self.index);
+                (Served::Bool(closure), run)
+            }
+        };
+        Some((cell, served, run))
+    }
+
+    /// Reads relational query `id`: its answer, a lazy view over the
+    /// closure that serves it, which every read shares until the index
+    /// changes, and the run the read made; `None` if this state holds no
+    /// such query.
+    pub fn evaluate(&self, id: QueryId) -> Option<(QueryAnswer, Option<RunInfo>)> {
+        let (cell, served, run) = self.read(id)?;
+        let answer = cell
+            .derived
+            .answer
+            .get_or_init(|| served.answer(self.index.engine().name(), cell.query.wcnf()));
         Some((answer.clone(), run))
     }
 
@@ -477,20 +635,19 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
     pub fn paths<R>(
         &self,
         id: QueryId,
-        page: impl FnOnce(&mut PathEnumerator, CellRead<'_, RelationalIndex<E::Matrix>>) -> R,
+        page: impl FnOnce(&mut PathEnumerator, ServedRead<'_, E>) -> R,
     ) -> Option<R> {
-        let cell = self.rel.get(id.0)?;
-        let (solved, run) = cell.read(&self.index);
+        let (cell, served, run) = self.read(id)?;
         let taken = lock(&cell.derived.paths).take();
         let mut paths = taken.unwrap_or_else(|| PathEnumerator::new(cell.query.wcnf()));
-        let out = page(&mut paths, (&cell.query, solved, run));
+        let out = page(&mut paths, (&cell.query, served, run));
         *lock(&cell.derived.paths) = Some(paths);
         Some(out)
     }
 
     /// The cell's slot for the source-restricted closure that named-pair
-    /// reads of relational query `id` grow while the cell is empty,
-    /// locked; `None` if this state holds no such query.
+    /// reads of relational query `id` grow while the closure serving it
+    /// is unsolved, locked; `None` if this state holds no such query.
     pub fn sources(&self, id: QueryId) -> Option<MutexGuard<'_, Option<SourceClosure<E::Matrix>>>> {
         Some(lock(&self.rel.get(id.0)?.derived.sources))
     }
@@ -519,7 +676,9 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
     }
 
     /// Repairs every stale closure now, relational queries first, each
-    /// in handle order; `report` gets each repair's run.
+    /// in handle order; `report` gets each repair's run. A linked
+    /// relational query has no closure of its own to repair: its
+    /// twin's repair is the one run for that grammar.
     pub fn repair_stale(&self, report: impl FnMut(RunInfo)) {
         let index = &self.index;
         let rel = self.rel.iter().filter_map(|cell| cell.repair_stale(index));

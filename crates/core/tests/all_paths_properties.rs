@@ -13,7 +13,10 @@
 //! 4. page concatenation reproduces the one-big-page stream, and
 //! 5. a session whose closure was repaired after
 //!    [`cfpq_core::session::CfpqSession::add_edges`] serves the same
-//!    pages as a from-scratch session over the final graph.
+//!    pages as a from-scratch session over the final graph, and
+//! 6. a query a session also holds as a single-path query, whose pages
+//!    prune against the length closure's support, serves the same pages
+//!    as one prepared only relationally.
 
 use cfpq_core::all_paths::{enumerate_paths_eager, PageRequest, PathEnumerator, PathPage};
 use cfpq_core::relational::{FixpointSolver, SolveOptions};
@@ -320,6 +323,69 @@ proptest! {
                 // path, not a cold re-solve.
                 prop_assert!(session.last_run(id).unwrap().incremental
                     || session.add_edges(&held) == 0);
+            }
+        }
+    }
+
+    #[test]
+    fn linked_pages_equal_unlinked_pages(
+        graph_seed in 0u64..1000,
+        n_nodes in 3usize..7,
+        split in 1usize..6,
+        page_size in 1usize..4,
+    ) {
+        // Two sessions take the same edges, before and after a batch:
+        // one also prepares the grammar single-path, so its relational
+        // reads are served by the length closure; the other does not.
+        // Every page — whole, cut by offset and limit, and under a
+        // shorter length bound — must be the same on both.
+        let graph = generators::random_graph(n_nodes, 3 * n_nodes, &LABELS, graph_seed);
+        let edges = graph.edges();
+        let split = split.min(edges.len());
+        let mut base = Graph::new(graph.n_nodes());
+        for e in &edges[..edges.len() - split] {
+            base.add_edge_named(e.from, graph.label_name(e.label), e.to);
+        }
+        let held: Vec<(u32, &str, u32)> = edges[edges.len() - split..]
+            .iter()
+            .map(|e| (e.from, graph.label_name(e.label), e.to))
+            .collect();
+        let requests = [
+            PageRequest { offset: 0, limit: LIMIT, max_len: MAX_LEN },
+            PageRequest { offset: 0, limit: page_size, max_len: MAX_LEN },
+            PageRequest { offset: page_size, limit: page_size, max_len: MAX_LEN },
+            PageRequest { offset: 0, limit: LIMIT, max_len: 2 },
+        ];
+        for grammar in grammars() {
+            for nullable_diagonal in [false, true] {
+                let query = PreparedQuery::from_wcnf(grammar.clone())
+                    .options(SolveOptions { nullable_diagonal });
+                let mut linked = CfpqSession::new(SparseEngine, &base);
+                let id = linked.prepare_query(query.clone());
+                linked.prepare_single_path_query(query.clone());
+                let mut plain = CfpqSession::new(SparseEngine, &base);
+                let plain_id = plain.prepare_query(query);
+                for round in 0..2 {
+                    if round == 1 {
+                        prop_assert_eq!(linked.add_edges(&held), plain.add_edges(&held));
+                    }
+                    let n = linked.index().n_nodes() as u32;
+                    for i in 0..n {
+                        for j in 0..n {
+                            for req in requests {
+                                prop_assert_eq!(
+                                    linked.enumerate_paths(id, i, j, req),
+                                    plain.enumerate_paths(plain_id, i, j, req),
+                                    "round {} ({},{}) {:?}",
+                                    round,
+                                    i,
+                                    j,
+                                    req
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

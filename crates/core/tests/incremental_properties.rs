@@ -9,8 +9,8 @@
 //! least fixpoint, no matter how the updates are sliced.
 //!
 //! The answers a session hands out are lazy views over the closure it
-//! keeps repairing, so the suite also holds every lazy read to the
-//! closure's own `RelationalIndex::pairs` — cold and after each repair —
+//! keeps repairing, so the suite also holds every lazy read to a cold
+//! `RelationalIndex`'s pairs — on a cold session and after each repair —
 //! and checks that an answer taken before an update is isolated from it.
 
 use cfpq_core::query::{solve_wcnf, Backend, QueryAnswer};
@@ -45,8 +45,9 @@ fn grammars() -> Vec<Wcnf> {
         .collect()
 }
 
-/// Holds every lazy read of `answer` to the closure it views: probes on
-/// hits, misses and node ids past the graph (which must read "not
+/// Holds every lazy read of `answer` to `closure`, a cold solve of the
+/// graph the answer was read on: probes on hits, misses and node ids past
+/// the graph (which must read "not
 /// related", never panic), the count, each nonterminal's pair list —
 /// helpers included — and the name-ordered `relations()` walk. Probes
 /// come first so they cannot lean on an earlier extraction.
@@ -119,25 +120,26 @@ fn check_engine<E: BoolEngine + LenEngine + Clone>(
             "prefix of {} edges diverges",
             prefix.n_edges()
         );
-        check_lazy_reads(
-            &session.evaluate(id),
-            session.solved_index(id).expect("evaluated"),
-            wcnf,
-        )?;
+        let closure = FixpointSolver::new(&SparseEngine).solve(&prefix, wcnf);
+        check_lazy_reads(&session.evaluate(id), &closure, wcnf)?;
     }
     // And on a cold closure of the whole graph.
     let mut cold = CfpqSession::over(session.index().clone());
     let id = cold.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
     let answer = cold.evaluate(id);
-    check_lazy_reads(&answer, cold.solved_index(id).expect("evaluated"), wcnf)
+    let closure = FixpointSolver::new(&SparseEngine).solve(graph, wcnf);
+    check_lazy_reads(&answer, &closure, wcnf)
 }
 
 /// Copy-on-write isolation on one engine: an answer taken before an
 /// update keeps reading the relation it was evaluated against — even
 /// when its first read comes after the repair — and the session copies
-/// the closure for a repair only while such an answer is alive. A
-/// single-path closure, never borrowed across its repairs, is repaired
-/// in place every time.
+/// the closure for a repair only while such an answer is alive. The
+/// grammar is prepared under both kinds, so that closure is the
+/// single-path query's length closure: the first repair is the
+/// relational read's, the second the single-path read's, each is
+/// recorded on the single-path handle, which owns the closure, and the
+/// other read after it is a hit.
 fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
     let grammar = Cfg::parse("S -> a S b | a b").unwrap();
     let chain = generators::word_chain(&["a", "a", "a", "b", "b", "b"]);
@@ -147,25 +149,25 @@ fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
     }
     let mut session = CfpqSession::new(engine, &partial);
     let id = session.prepare(&grammar).unwrap();
-    let closure_at =
-        |session: &CfpqSession<E>| std::ptr::from_ref(session.solved_index(id).expect("evaluated"));
     let sp = session.prepare_single_path(&grammar).unwrap();
-    let lengths_at = |session: &CfpqSession<E>| {
+    let closure_at = |session: &CfpqSession<E>| {
         std::ptr::from_ref(session.single_path_index(sp).expect("evaluated"))
     };
-    session.evaluate_single_path(sp);
-    let lengths = lengths_at(&session);
-    let repair_lengths_in_place = |session: &mut CfpqSession<E>| {
-        session.evaluate_single_path(sp);
-        assert!(session.last_single_path_run(sp).unwrap().incremental);
-        assert_eq!(lengths_at(session), lengths, "nothing borrowed: in place");
-    };
 
+    let lengths_run = |session: &CfpqSession<E>| {
+        let run = session.last_single_path_run(sp).expect("a run");
+        (run.incremental, run.stats.clone())
+    };
     let before = session.evaluate(id);
     let viewed = closure_at(&session);
     session.add_edges(&[(4, "b", 5)]);
     let after = session.evaluate(id);
-    assert!(session.last_run(id).unwrap().incremental);
+    let repaired = lengths_run(&session);
+    assert!(repaired.0, "the relational read repaired the lengths");
+    assert!(
+        session.last_run(id).is_none(),
+        "it has no closure of its own"
+    );
     assert_ne!(
         closure_at(&session),
         viewed,
@@ -175,20 +177,23 @@ fn check_copy_on_write<E: BoolEngine + LenEngine>(engine: E) {
     assert!(!before.contains("S", 1, 5));
     assert_eq!(before.start_count(), 1);
     assert_eq!(after.start_pairs(), &[(1, 5), (2, 4)]);
-    repair_lengths_in_place(&mut session);
+    session.evaluate_single_path(sp);
+    assert_eq!(lengths_run(&session), repaired, "the single-path read hits");
 
     drop((before, after));
     let unshared = closure_at(&session);
     session.add_edges(&[(5, "b", 6)]);
-    let last = session.evaluate(id);
-    assert!(session.last_run(id).unwrap().incremental);
+    session.evaluate_single_path(sp);
+    let repaired = lengths_run(&session);
+    assert!(repaired.0, "the single-path read repaired the lengths");
     assert_eq!(
         closure_at(&session),
         unshared,
         "no live answer: the repair is in place"
     );
+    let last = session.evaluate(id);
     assert_eq!(last.start_pairs(), &[(0, 6), (1, 5), (2, 4)]);
-    repair_lengths_in_place(&mut session);
+    assert_eq!(lengths_run(&session), repaired, "the relational read hits");
 }
 
 #[test]
@@ -346,10 +351,12 @@ proptest! {
         session.add_edges(&rest);
         session.evaluate(id);
         let cold = FixpointSolver::new(&SparseEngine).solve(&graph, wcnf);
-        let repaired = session.solved_index(id).expect("evaluated");
+        let repaired = session.evaluate(id);
         for a in 0..wcnf.n_nts() {
             let nt = cfpq_grammar::Nt(a as u32);
-            prop_assert_eq!(repaired.pairs(nt), cold.pairs(nt));
+            let name = wcnf.symbols.nt_name(nt);
+            let expect = cold.pairs(nt);
+            prop_assert_eq!(repaired.pairs(name), Some(expect.as_slice()));
         }
     }
 }
@@ -500,5 +507,238 @@ fn a_single_path_repair_overlays_only_the_new_nodes_diagonal() {
             Some(0),
             "new node {m} has its ε-cell"
         );
+    }
+}
+
+/// An engine that counts the Boolean masked product batches it launches
+/// — every product of a relational fixpoint goes through one — and
+/// forwards everything else to `inner`.
+#[derive(Clone)]
+struct BoolBatches<E> {
+    inner: E,
+    launched: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl<E> BoolBatches<E> {
+    fn new(inner: E) -> Self {
+        let launched = std::sync::Arc::default();
+        Self { inner, launched }
+    }
+
+    fn launched(&self) -> usize {
+        self.launched.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl<E: BoolEngine> BoolEngine for BoolBatches<E> {
+    type Matrix = E::Matrix;
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn zeros(&self, n: usize) -> Self::Matrix {
+        self.inner.zeros(n)
+    }
+    fn from_pairs(&self, n: usize, pairs: &[(u32, u32)]) -> Self::Matrix {
+        self.inner.from_pairs(n, pairs)
+    }
+    fn multiply(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix {
+        self.inner.multiply(a, b)
+    }
+    fn union_in_place(&self, a: &mut Self::Matrix, b: &Self::Matrix) -> bool {
+        self.inner.union_in_place(a, b)
+    }
+    fn union_pairs(&self, a: &mut Self::Matrix, pairs: &[(u32, u32)]) -> bool {
+        self.inner.union_pairs(a, pairs)
+    }
+    fn grow(&self, a: &mut Self::Matrix, n: usize) {
+        self.inner.grow(a, n)
+    }
+    fn difference(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix {
+        self.inner.difference(a, b)
+    }
+    fn intersect(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix {
+        self.inner.intersect(a, b)
+    }
+    fn multiply_masked(
+        &self,
+        a: &Self::Matrix,
+        b: &Self::Matrix,
+        mask: &Self::Matrix,
+    ) -> Self::Matrix {
+        self.inner.multiply_masked(a, b, mask)
+    }
+    fn multiply_masked_batch(
+        &self,
+        jobs: &[cfpq_matrix::MaskedJob<'_, Self::Matrix>],
+    ) -> Vec<Self::Matrix> {
+        let launched = &self.launched;
+        launched.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.multiply_masked_batch(jobs)
+    }
+    fn kernel_counters(&self) -> cfpq_matrix::KernelCounters {
+        self.inner.kernel_counters()
+    }
+}
+
+impl<E: LenEngine> LenEngine for BoolBatches<E> {
+    type LenMatrix = E::LenMatrix;
+
+    fn len_empty(&self, n: usize) -> Self::LenMatrix {
+        self.inner.len_empty(n)
+    }
+    fn len_from_entries(&self, n: usize, entries: &[(u32, u32, u32)]) -> Self::LenMatrix {
+        self.inner.len_from_entries(n, entries)
+    }
+    fn len_set_absent(
+        &self,
+        a: &mut Self::LenMatrix,
+        entries: &[(u32, u32, u32)],
+    ) -> Vec<(u32, u32, u32)> {
+        self.inner.len_set_absent(a, entries)
+    }
+    fn len_multiply_masked(
+        &self,
+        a: &Self::LenMatrix,
+        b: &Self::LenMatrix,
+        mask: Option<&Self::LenMatrix>,
+    ) -> Self::LenMatrix {
+        self.inner.len_multiply_masked(a, b, mask)
+    }
+    fn len_multiply_masked_batch(
+        &self,
+        jobs: &[cfpq_matrix::LenJob<'_, Self::LenMatrix>],
+    ) -> Vec<Self::LenMatrix> {
+        self.inner.len_multiply_masked_batch(jobs)
+    }
+    fn len_merge_absent(
+        &self,
+        acc: &mut Self::LenMatrix,
+        add: &Self::LenMatrix,
+    ) -> Self::LenMatrix {
+        self.inner.len_merge_absent(acc, add)
+    }
+    fn len_grow(&self, a: &mut Self::LenMatrix, n: usize) {
+        self.inner.len_grow(a, n)
+    }
+}
+
+/// Holds a linked relational read to the same grammar's read on a state
+/// with no single-path twin: the start pairs and count, every
+/// nonterminal's pairs, and a probe of every cell (node ids past the
+/// graph included).
+fn check_same_answer(
+    linked: &QueryAnswer,
+    plain: &QueryAnswer,
+    wcnf: &Wcnf,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(linked.n_nodes, plain.n_nodes);
+    prop_assert_eq!(linked.start_pairs(), plain.start_pairs());
+    prop_assert_eq!(linked.start_count(), plain.start_count());
+    let n = plain.n_nodes as u32;
+    for a in 0..wcnf.n_nts() {
+        let name = wcnf.symbols.nt_name(Nt(a as u32));
+        prop_assert_eq!(linked.pairs(name), plain.pairs(name), "R_{}", name);
+        for i in 0..n + 2 {
+            for j in 0..n + 2 {
+                prop_assert_eq!(linked.contains(name, i, j), plain.contains(name, i, j));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A relational query linked to its single-path twin on `engine`, in
+/// both prepare orders and with `nullable_diagonal` off and on, read
+/// after a cold solve of the first half of `graph`'s nodes and after
+/// every batch of `batch` edges that follows (batches that name new
+/// nodes grow the universe): every read equals the read of a session
+/// that prepared the grammar only relationally, and no linked read
+/// launches a Boolean product. Batches alternate between a caller
+/// holding the last answer — the length repair then works on a copy —
+/// and holding none, when it works in place.
+fn check_linked<E: BoolEngine + LenEngine + Clone>(
+    engine: E,
+    graph: &Graph,
+    wcnf: &Wcnf,
+    batch: usize,
+) -> Result<(), TestCaseError> {
+    let half = (graph.n_nodes() as u32).div_ceil(2);
+    let edge = |e: &cfpq_graph::Edge| (e.from, graph.label_name(e.label), e.to);
+    let (old, new): (Vec<&cfpq_graph::Edge>, Vec<_>) = graph
+        .edges()
+        .iter()
+        .partition(|e| e.from < half && e.to < half);
+    let mut base = Graph::new(half as usize);
+    for e in old {
+        base.add_edge_named(e.from, graph.label_name(e.label), e.to);
+    }
+    let batches: Vec<Vec<(u32, &str, u32)>> = new
+        .chunks(batch)
+        .map(|chunk| chunk.iter().map(|e| edge(e)).collect())
+        .collect();
+    for nullable_diagonal in [false, true] {
+        let options = cfpq_core::relational::SolveOptions { nullable_diagonal };
+        let query = PreparedQuery::from_wcnf(wcnf.clone()).options(options);
+        for single_path_first in [false, true] {
+            let counted = BoolBatches::new(engine.clone());
+            let mut linked = CfpqSession::new(counted.clone(), &base);
+            let (id, sp) = if single_path_first {
+                let sp = linked.prepare_single_path_query(query.clone());
+                (linked.prepare_query(query.clone()), sp)
+            } else {
+                let id = linked.prepare_query(query.clone());
+                (id, linked.prepare_single_path_query(query.clone()))
+            };
+            let plain_counted = BoolBatches::new(engine.clone());
+            let mut plain = CfpqSession::new(plain_counted.clone(), &base);
+            let plain_id = plain.prepare_query(query.clone());
+            let mut answer = linked.evaluate(id);
+            check_same_answer(&answer, &plain.evaluate(plain_id), wcnf)?;
+            for (b, edges) in batches.iter().enumerate() {
+                let hold = b % 2 == 0;
+                let before = std::ptr::from_ref(linked.single_path_index(sp).expect("read"));
+                let held = hold.then(|| (answer.start_pairs().to_vec(), answer));
+                prop_assert_eq!(linked.add_edges(edges), plain.add_edges(edges));
+                answer = linked.evaluate(id);
+                prop_assert!(linked.last_single_path_run(sp).expect("read").incremental);
+                let after = std::ptr::from_ref(linked.single_path_index(sp).expect("read"));
+                prop_assert_eq!(before == after, !hold, "batch {}: in place iff unshared", b);
+                if let Some((pairs, old)) = held {
+                    prop_assert_eq!(old.start_pairs(), pairs.as_slice(), "the old relation");
+                }
+                check_same_answer(&answer, &plain.evaluate(plain_id), wcnf)?;
+            }
+            prop_assert!(linked.last_run(id).is_none(), "every run is the lengths'");
+            prop_assert_eq!(
+                counted.launched(),
+                0,
+                "a linked read multiplies lengths only"
+            );
+            prop_assert!(plain_counted.launched() > 0, "the Boolean closure does not");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(6, RNG_SEED))]
+
+    #[test]
+    fn a_linked_relational_read_equals_the_boolean_closure(
+        graph_seed in 0u64..1000,
+        n_nodes in 3usize..8,
+        batch in 1usize..4,
+    ) {
+        let grammars = ["S -> a S b | a b | S S", "S -> a S b | S S | eps"];
+        for src in grammars {
+            let wcnf = Cfg::parse(src).unwrap().to_wcnf(CnfOptions::default()).unwrap();
+            let graph = generators::random_graph(n_nodes, 3 * n_nodes, &["a", "b"], graph_seed);
+            check_linked(DenseEngine, &graph, &wcnf, batch)?;
+            check_linked(SparseEngine, &graph, &wcnf, batch)?;
+            check_linked(ParDenseEngine::new(Device::new(2)), &graph, &wcnf, batch)?;
+            check_linked(ParSparseEngine::new(Device::new(3)), &graph, &wcnf, batch)?;
+            check_linked(TiledEngine::new(Device::new(2)), &graph, &wcnf, batch)?;
+        }
     }
 }

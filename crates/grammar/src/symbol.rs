@@ -34,7 +34,7 @@ impl Nt {
 /// A string interner mapping names to dense indices and back.
 ///
 /// Used for both terminal and nonterminal namespaces (separately).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Interner {
     names: Vec<String>,
     by_name: HashMap<String, u32>,
@@ -89,7 +89,7 @@ impl Interner {
 /// Symbol table holding the terminal and nonterminal namespaces of a
 /// grammar. Cloned freely (names are small); the CNF pipeline extends the
 /// nonterminal namespace with fresh synthetic names.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SymbolTable {
     terms: Interner,
     nts: Interner,

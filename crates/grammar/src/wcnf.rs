@@ -35,7 +35,7 @@ pub struct BinaryRule {
 }
 
 /// A grammar in weak Chomsky Normal Form.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Wcnf {
     /// Symbol names (shared with the source grammar, possibly extended with
     /// synthetic nonterminals created during normalization).

@@ -40,7 +40,10 @@ pub struct ServiceStats {
     /// Matrix products launched by those cold solves and by extensions
     /// of source-restricted closures.
     pub cold_products: u64,
-    /// Closures repaired from the previous epoch at publish time.
+    /// Closures repaired from the previous epoch at publish time, one
+    /// per closure: a grammar prepared both relationally and
+    /// single-path has one (its length closure), so it counts one
+    /// repair, and the reads of its two handles that follow are hits.
     pub repairs: u64,
     /// Matrix products launched by those repairs (the incremental cost
     /// of the update; compare with `cold_products`).

@@ -256,8 +256,8 @@ impl<E: ServiceEngine> CfpqService<E> {
     ) -> Self {
         let obs = Obs::new(recorder);
         let counters = Arc::new(EpochCounters::default());
-        obs.index_published(&index, None);
         let state = GraphState::new(index);
+        obs.epoch_published(&state, None);
         let epoch = Arc::new(Epoch::new(0, state, Arc::clone(&counters)));
         let failures_at_publish = obs.failure_snapshot();
         let inner = Arc::new(Inner {
@@ -562,8 +562,8 @@ impl<E: ServiceEngine> CfpqService<E> {
             publish_sp.attr_u64("inserted", inserted as u64);
             publish_sp.attr_u64("repairs", counters.repairs.load(Ordering::Relaxed));
         }
-        let (published, prev) = (next.state.index(), cur.state.index());
-        self.inner.obs.index_published(published, Some(prev));
+        let obs = &self.inner.obs;
+        obs.epoch_published(&next.state, Some(&cur.state));
         *write_recover(&self.inner.current) = next;
         lock_recover(&self.inner.epochs).push(EpochRecord {
             epoch: cur.epoch + 1,
@@ -913,6 +913,87 @@ mod tests {
     }
 
     #[test]
+    fn a_grammar_prepared_under_both_kinds_keeps_one_closure() {
+        use cfpq_grammar::Nt;
+        use cfpq_matrix::LenMat;
+        let graph = generators::clustered_blocks(3, 8, 2, &["a", "b"], 5);
+        let grammar = Cfg::parse("S -> a S b | a b").unwrap();
+        let wcnf = PreparedQuery::new(&grammar).unwrap().wcnf().clone();
+        let service = CfpqService::with_config(SparseEngine, &graph, ServiceConfig::new(1));
+        let q = service.prepare(&grammar).unwrap();
+        let sp = service.prepare_single_path(&grammar).unwrap();
+        let closure_bytes = || service.metrics().gauge("cfpq_epoch_closure_bytes").get();
+        assert_eq!(closure_bytes(), 0, "epoch 0 is published unsolved");
+        let ask = |wanted: Vec<(u32, u32)>| service.enqueue(q, wanted).unwrap().wait().unwrap();
+        let first_block: Vec<(u32, u32)> = (0..8).map(|j| (1, j)).collect();
+        let other_block: Vec<(u32, u32)> = (16..24).map(|j| (17, j)).collect();
+
+        // Until the length closure serving Q is solved, named lookups
+        // grow the restricted closure.
+        let pinned = service.snapshot();
+        let named = ask(first_block.clone());
+        assert!(!pinned.epoch.state.is_solved(q));
+        assert!(pinned.epoch.state.sources(q).unwrap().is_some());
+        let restricted = service.stats()[0].clone();
+        assert_eq!((restricted.cold_solves, restricted.cache_hits), (1, 0));
+
+        // The single-path read solves it; from then on a lookup of rows
+        // the restricted closure never reached is a hit on it.
+        let lengths = service.evaluate_single_path(sp);
+        assert!(pinned.epoch.state.is_solved(q));
+        let full = ask(other_block.clone());
+        let served = service.stats()[0].clone();
+        assert_eq!(served.cold_solves, 2, "the length closure's cold solve");
+        assert_eq!(
+            served.cold_products,
+            restricted.cold_products + lengths.stats.products_computed as u64
+        );
+        assert_eq!(served.cache_hits, 1, "no second Boolean solve");
+        let expect: Vec<(u32, u32)> = other_block
+            .iter()
+            .copied()
+            .filter(|&(i, j)| lengths.contains(wcnf.start, i, j))
+            .collect();
+        assert_eq!(full.pairs, expect);
+
+        // A publish repairs that one closure, and the gauge counts it
+        // once: its length matrices, and no Boolean closure.
+        let old_answer = pinned.evaluate(q).start_pairs().to_vec();
+        let old_lengths = pinned
+            .evaluate_single_path(sp)
+            .pairs_with_lengths(wcnf.start);
+        assert_eq!(service.add_edges(&[(7, "a", 24), (24, "b", 16)]), 2);
+        let stats = service.stats();
+        assert_eq!((stats[1].repairs, stats[1].cold_solves), (1, 0));
+        let repaired = service.evaluate_single_path(sp);
+        let bytes: usize = (0..wcnf.n_nts())
+            .map(|a| repaired.matrix(Nt(a as u32)).bytes())
+            .sum();
+        assert_eq!(closure_bytes(), bytes as u64);
+        assert_eq!(
+            service.stats()[1].cache_hits,
+            1,
+            "the publish left it solved"
+        );
+
+        // The older epoch still answers what it answered.
+        assert_eq!(pinned.evaluate(q).start_pairs(), old_answer);
+        assert_eq!(
+            pinned
+                .evaluate_single_path(sp)
+                .pairs_with_lengths(wcnf.start),
+            old_lengths
+        );
+        let mut grown = graph.clone();
+        grown.add_edge_named(7, "a", 24);
+        grown.add_edge_named(24, "b", 16);
+        let fresh = solve(&grown, &grammar, Backend::Sparse).unwrap();
+        assert_eq!(service.evaluate(q).start_pairs(), fresh.start_pairs());
+        assert_ne!(fresh.start_pairs(), old_answer);
+        assert_eq!(named.pairs, ask(first_block).pairs);
+    }
+
+    #[test]
     fn rpq_tickets_ride_the_scheduler_and_epoch_repair() {
         use cfpq_core::regular::{solve_regular, Nfa};
         let mut graph = Graph::new(4);
@@ -1156,7 +1237,10 @@ mod tests {
         // A session and a service over one graph take the same batches.
         // After each, every query read as a full answer must agree, and
         // the session's lazy repairs must launch exactly the products
-        // the service's publish did.
+        // the service's publish did. Q1 is prepared under both kinds, so
+        // one length closure serves both: the publish repairs it once,
+        // and in the session the relational read of Q1 repairs it and
+        // records the run on the single-path handle, which owns it.
         fn check<E: ServiceEngine>(engine: E) {
             let full = cfpq_graph::ontology::dataset("skos").unwrap().to_graph();
             let query_label = |e: &Edge| full.label_name(e.label).starts_with("subClassOf");
@@ -1189,12 +1273,12 @@ mod tests {
                 let lengths = snap.evaluate_single_path(v.2).pairs_with_lengths(start);
                 let session_lengths = session.evaluate_single_path(s.2);
                 assert_eq!(session_lengths.pairs_with_lengths(start), lengths);
-                // The session's runs of this round, in products.
+                // The session's runs of this round, in products. Q1's
+                // relational handle owns no closure and records none.
+                assert!(session.last_run(s.0).is_none());
                 let products = |run: Option<&RunInfo>| run.unwrap().stats.products_computed;
-                let runs = [session.last_run(s.0), session.last_run(s.1)];
-                let sp_run = session.last_single_path_run(s.2);
-                runs.into_iter()
-                    .chain([sp_run])
+                [session.last_run(s.1), session.last_single_path_run(s.2)]
+                    .into_iter()
                     .map(products)
                     .sum::<usize>()
             };
@@ -1207,7 +1291,7 @@ mod tests {
                 assert_eq!(session.add_edges(&edges), service.add_edges(&edges));
                 let repaired = read_both(&mut session);
                 let stats = &service.stats()[b + 1];
-                assert_eq!((stats.repairs, stats.cold_solves), (3, 0), "batch {b}");
+                assert_eq!((stats.repairs, stats.cold_solves), (2, 0), "batch {b}");
                 assert!(stats.repair_products > 0, "batch {b}");
                 assert_eq!(repaired as u64, stats.repair_products, "batch {b}");
             }
@@ -1472,7 +1556,7 @@ mod tests {
         // Epoch 0 holds only the restricted closure of its ticket.
         let first = ask();
         let pinned = service.snapshot();
-        assert!(pinned.epoch.state.solved(q).is_none());
+        assert!(!pinned.epoch.state.is_solved(q));
         assert_eq!(restricted(&pinned), Some(24));
 
         // The publish has no all-pairs closure to repair, and epoch 1

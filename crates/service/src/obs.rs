@@ -1,8 +1,8 @@
 //! The service's observability bundle: the installed span recorder,
 //! the metrics registry and the hot-path metric handles.
 
-use cfpq_core::session::GraphIndex;
-use cfpq_matrix::{BoolEngine, BoolMat};
+use cfpq_core::session::{GraphIndex, GraphState};
+use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
 use cfpq_obs::{AttrValue, Counter, Gauge, Histogram, MetricsRegistry, Recorder, SpanId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,6 +30,7 @@ pub(crate) struct Obs {
     pub(crate) publish_us: Histogram,
     index_bytes: Gauge,
     index_copied_bytes: Gauge,
+    closure_bytes: Gauge,
     pub(crate) queue_depth: Gauge,
     pub(crate) queue_depth_max: Gauge,
     pub(crate) requests_shed: Counter,
@@ -62,6 +63,10 @@ impl Obs {
             "Of cfpq_epoch_index_bytes, the label matrices the current epoch does not share with the previous one",
         );
         metrics.describe(
+            "cfpq_epoch_closure_bytes",
+            "Heap bytes of the solved closures the current epoch holds at publish, one per grammar, by capacity",
+        );
+        metrics.describe(
             "cfpq_queue_depth",
             "Requests sitting in the scheduler queues right now",
         );
@@ -92,6 +97,7 @@ impl Obs {
             publish_us: metrics.histogram("cfpq_epoch_publish_us"),
             index_bytes: metrics.gauge("cfpq_epoch_index_bytes"),
             index_copied_bytes: metrics.gauge("cfpq_epoch_index_copied_bytes"),
+            closure_bytes: metrics.gauge("cfpq_epoch_closure_bytes"),
             queue_depth: metrics.gauge("cfpq_queue_depth"),
             queue_depth_max: metrics.gauge("cfpq_queue_depth_max"),
             requests_shed: metrics.counter("cfpq_requests_shed_total"),
@@ -114,16 +120,20 @@ impl Obs {
         }
     }
 
-    /// Sets the epoch index gauges for a published `index`: the bytes of
-    /// all its label matrices, and of those not shared with `prev`, the
-    /// index of the epoch before (none for the first epoch, which copies
-    /// everything). Labels keep their ids across epochs, so label `l` of
-    /// `index` is shared iff it is the very matrix label `l` of `prev` is.
-    pub(crate) fn index_published<E: BoolEngine>(
+    /// Sets the epoch gauges for a published `state`: the bytes of all
+    /// its label matrices, of those not shared with `prev`, the state of
+    /// the epoch before (none for the first epoch, which copies
+    /// everything), and of the closures it holds solved
+    /// ([`GraphState::closure_bytes`]). Labels keep their ids across
+    /// epochs, so label `l` is shared iff it is the very matrix label `l`
+    /// of `prev` is.
+    pub(crate) fn epoch_published<E: BoolEngine + LenEngine>(
         &self,
-        index: &GraphIndex<E>,
-        prev: Option<&GraphIndex<E>>,
+        state: &GraphState<E>,
+        prev: Option<&GraphState<E>>,
     ) {
+        let index = state.index();
+        let prev = prev.map(GraphState::index);
         let mut before = prev.into_iter().flat_map(GraphIndex::label_matrices);
         let (mut total, mut copied) = (0, 0);
         for (_, m) in index.label_matrices() {
@@ -133,6 +143,7 @@ impl Obs {
         }
         self.index_bytes.set(total as u64);
         self.index_copied_bytes.set(copied as u64);
+        self.closure_bytes.set(state.closure_bytes() as u64);
     }
 
     /// Closes a ticket span and charges the wait/run histograms. Called

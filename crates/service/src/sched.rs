@@ -314,9 +314,10 @@ fn serve_batch<E: ServiceEngine>(
     match key {
         QueueKey::Rel(q) => {
             // Named pairs need the rows they name; only a full answer —
-            // or an epoch that already has it — reads the whole closure.
+            // or an epoch whose closure serving `q` (its own or its
+            // single-path twin's) is solved — reads the whole closure.
             let all_named = batch.iter().all(|req| !req.pairs.is_empty());
-            if all_named && epoch.state.solved(q).is_none() {
+            if all_named && !epoch.state.is_solved(q) {
                 let prepared = epoch.state.query(q).expect(CHECKED);
                 let answers = probe_sources(&epoch, q, prepared, &batch);
                 for (req, pairs) in batch.iter().zip(answers) {
@@ -367,7 +368,7 @@ fn serve_batch<E: ServiceEngine>(
                         } else {
                             enumerator.page(
                                 index,
-                                solved,
+                                &solved,
                                 start,
                                 i,
                                 j,

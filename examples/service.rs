@@ -15,7 +15,9 @@
 //! alike from the enumerator kept in the closure's cell, and a page of
 //! the next epoch equals a fresh enumeration over its graph — and (d)
 //! the epoch index gauges: the publish copied only the label matrix its
-//! batch wrote to. It asserts all four, so CI runs it as a check.
+//! batch wrote to. Q1 is also prepared single-path, and the one length
+//! closure behind both of its handles is repaired once per publish. It
+//! asserts all of this, so CI runs it as a check.
 
 use cfpq::prelude::*;
 use cfpq::service::ServiceConfig;
@@ -39,6 +41,10 @@ fn main() {
     let q1 = service
         .prepare(&cfpq::grammar::queries::query1())
         .expect("Q1 normalizes");
+    // Q1 for §5 witness lengths too: both handles read one length
+    // closure, whose support is Q1's relation.
+    let query = PreparedQuery::new(&cfpq::grammar::queries::query1()).expect("Q1 normalizes");
+    let sp = service.prepare_single_path_query(query.clone());
 
     // A burst of concurrent clients: each enqueues a request and waits
     // on its ticket. All requests share one grammar, so the scheduler
@@ -94,22 +100,25 @@ fn main() {
         after.epoch()
     );
     let pairs_old = before.evaluate(q1).start_count();
+    let pairs_new = after.evaluate(q1).start_count();
     println!(
-        "R_S: {pairs_old} pairs on the old snapshot (unchanged: {}), {} on the new epoch",
+        "R_S: {pairs_old} pairs on the old snapshot (unchanged: {}), {pairs_new} on the new epoch",
         pairs_old == pairs_before,
-        after.evaluate(q1).start_count()
     );
     assert_eq!(
         pairs_old, pairs_before,
         "the publish left the old epoch alone"
     );
 
+    let start = query.wcnf().start;
+    assert_eq!(after.evaluate_single_path(sp).count(start), pairs_new);
+
     println!("\nper-epoch stats:");
     let stats = service.stats();
-    // The publish repaired the one closure epoch 0 had solved, so the
-    // read of epoch 1 above was a hit.
+    // The publish repaired the one closure epoch 0 had solved for Q1's
+    // two handles, so both reads of epoch 1 above were hits.
     let epoch1 = (stats[1].repairs, stats[1].cold_solves, stats[1].cache_hits);
-    assert_eq!(epoch1, (1, 0, 1), "epoch 1: one repair, no cold solve");
+    assert_eq!(epoch1, (1, 0, 2), "epoch 1: one repair, no cold solve");
     for s in stats {
         println!(
             "  epoch {}: served {:>3}  hits {:>3}  cold {} ({} products)  \
@@ -129,7 +138,6 @@ fn main() {
     // the new graph: nothing derived from epoch 0 reached it.
     let mut index = GraphIndex::build(SparseEngine, &graph);
     index.add_edges(&batch);
-    let query = PreparedQuery::new(&cfpq::grammar::queries::query1()).expect("Q1 normalizes");
     let (wcnf, closure) = (query.wcnf(), solve_prepared(&index, &query));
     let fresh = PathEnumerator::new(wcnf).page(&index, &closure, wcnf.start, pair.0, pair.1, req);
     let (epoch, paged) = page(&service);
