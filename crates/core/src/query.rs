@@ -321,18 +321,13 @@ pub fn solve_wcnf(graph: &Graph, wcnf: &Wcnf, backend: Backend) -> QueryAnswer {
 }
 
 /// Builds a single-use session, prepares the query, evaluates it once.
-/// The index is restricted to the labels this grammar actually mentions
-/// — a one-shot call knows its only grammar up front, so indexing the
-/// rest (e.g. RDF padding predicates) would be pure overhead.
+/// The index builds only the labels this grammar reads.
 fn one_shot<E: BoolEngine + cfpq_matrix::LenEngine>(
     engine: E,
     graph: &Graph,
     wcnf: &Wcnf,
 ) -> QueryAnswer {
-    let index = crate::session::GraphIndex::build_where(engine, graph, |name| {
-        wcnf.symbols.get_term(name).is_some()
-    });
-    let mut session = CfpqSession::over(index);
+    let mut session = CfpqSession::new(engine, graph);
     let id = session.prepare_query(PreparedQuery::from_wcnf(wcnf.clone()));
     session.evaluate(id)
 }

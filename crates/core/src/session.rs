@@ -12,16 +12,21 @@
 //! [`PreparedQuery`]s, and a [`CfpqSession`] evaluates any number of
 //! prepared queries against the index, caching each query's closure.
 //!
+//! The index builds a label's matrix on its first read: a label no
+//! prepared query reads costs only its pair list, 8 B an edge, and the
+//! first read builds the matrix once for every clone that shares the
+//! label.
+//!
 //! The payoff is incremental evaluation: [`CfpqSession::add_edges`]
 //! inserts edges into the label matrices (via
-//! [`BoolEngine::union_pairs`], growing the node universe when an edge
-//! names an unseen node id). Clones of the index share those matrices
-//! copy-on-write: a label's matrix is copied on its first write while
-//! another clone holds it, and never otherwise. On the next evaluation
-//! of a previously-solved query, the session *repairs* the cached
-//! closure through [`FixpointSolver::resume`] — the semi-naive Δ loop
-//! seeded with only the new entries — instead of re-solving from
-//! scratch. On the
+//! [`BoolEngine::union_pairs`], or into an unread label's pair list,
+//! growing the node universe when an edge names an unseen node id).
+//! Clones of the index share the labels copy-on-write: a label is
+//! copied on its first write while another clone holds it, and never
+//! otherwise. On the next evaluation of a previously-solved query, the
+//! session *repairs* the cached closure through
+//! [`FixpointSolver::resume`] — the semi-naive Δ loop seeded with only
+//! the new entries — instead of re-solving from scratch. On the
 //! evaluation datasets this computes strictly fewer products than a cold
 //! solve (asserted by this module's tests, measured by the `benchmark/`
 //! workload `update-stream`).
@@ -209,9 +214,9 @@ pub fn extend_prepared_from<E: BoolEngine>(
     );
     let wcnf = query.wcnf();
     let mut terminals: Vec<Vec<&E::Matrix>> = vec![Vec::new(); wcnf.n_nts()];
-    for (m, nts) in index.matrices.iter().zip(index.label_nonterminals(wcnf)) {
+    for (m, nts) in index.terminal_matrices(wcnf) {
         for nt in nts {
-            terminals[nt.index()].push(&**m);
+            terminals[nt.index()].push(m);
         }
     }
     closure.extend(&index.engine, &terminals, sources)

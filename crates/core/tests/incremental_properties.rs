@@ -13,9 +13,10 @@
 //! `RelationalIndex`'s pairs — on a cold session and after each repair —
 //! and checks that an answer taken before an update is isolated from it.
 
+use cfpq_core::all_paths::PageRequest;
 use cfpq_core::query::{solve_wcnf, Backend, QueryAnswer};
 use cfpq_core::relational::{FixpointSolver, RelationalIndex};
-use cfpq_core::session::{CfpqSession, PreparedQuery};
+use cfpq_core::session::{solve_prepared_from, CfpqSession, PreparedQuery, QueryId, SinglePathId};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Nt, Wcnf};
 use cfpq_graph::{generators, Graph};
@@ -271,6 +272,151 @@ fn label_matrices_are_shared_copy_on_write() {
     check_label_copy_on_write(ParDenseEngine::new(Device::new(2)));
     check_label_copy_on_write(ParSparseEngine::new(Device::new(3)));
     check_label_copy_on_write(TiledEngine::new(Device::new(2)));
+}
+
+/// Every label `session`'s index holds, built or not.
+fn label_names<E: BoolEngine + LenEngine>(session: &CfpqSession<E>) -> Vec<String> {
+    let labels = session.index().label_bytes();
+    labels.map(|(name, _)| name.to_owned()).collect()
+}
+
+/// Builds every label of `session`'s index.
+fn build_all<E: BoolEngine + LenEngine>(session: &CfpqSession<E>) {
+    for name in label_names(session) {
+        session
+            .index()
+            .adjacency(&name)
+            .expect("a label of the index");
+    }
+}
+
+/// Everything a session serves that reads a label matrix, in one
+/// comparable form: the relational answer of `id` (every nonterminal's
+/// pairs), the lengths of `sp`, the start pairs of a closure restricted
+/// to `sources`, and a page of paths for every pair of nodes below 4.
+type Served = (
+    Vec<Option<Vec<(u32, u32)>>>,
+    Vec<Vec<(u32, u32, u32)>>,
+    Vec<(u32, u32)>,
+    Vec<cfpq_core::all_paths::PathPage>,
+);
+
+fn served<E: BoolEngine + LenEngine>(
+    session: &mut CfpqSession<E>,
+    (id, rel): (QueryId, &PreparedQuery),
+    (sp, lengths): (SinglePathId, &PreparedQuery),
+    sources: &[u32],
+) -> Served {
+    let answer = session.evaluate(id);
+    let names = rel.wcnf().symbols.nts().map(|(_, name)| name);
+    let relation = names.map(|name| answer.pairs(name).map(<[_]>::to_vec));
+    let index = session.evaluate_single_path(sp);
+    let nts = (0..lengths.wcnf().n_nts()).map(|a| Nt(a as u32));
+    let lengths_of = nts.map(|nt| index.pairs_with_lengths(nt)).collect();
+    let restricted = solve_prepared_from(session.index(), rel, sources);
+    let req = PageRequest {
+        offset: 0,
+        limit: 3,
+        max_len: 6,
+    };
+    let pages = (0..16).map(|p| session.enumerate_paths(id, p / 4, p % 4, req));
+    (
+        relation.collect(),
+        lengths_of,
+        restricted.pairs(rel.wcnf().start),
+        pages.collect(),
+    )
+}
+
+/// A session over an index that builds its labels on first read, on
+/// `engine`, against one whose labels are all built before any read:
+/// `graph`'s edges on nodes below its middle and labels other than `e`
+/// first, then the rest in batches of `batch` edges. The batches write to
+/// labels the grammars read (`a`, `b`), labels they never name (`c`,
+/// `d`), the new label `e`, and name new node ids. After every batch both
+/// sessions serve alike, the unread labels are still unbuilt, and a
+/// clone taken before the batch serves what it served then.
+fn check_lazy_labels<E: BoolEngine + LenEngine + Clone>(
+    engine: E,
+    graph: &Graph,
+    batch: usize,
+) -> Result<(), TestCaseError> {
+    let mut queries = grammars().into_iter().map(PreparedQuery::from_wcnf);
+    let (rel, lengths) = (queries.next().unwrap(), queries.next().unwrap());
+    let half = (graph.n_nodes() as u32).div_ceil(2);
+    let edge = |e: &cfpq_graph::Edge| (e.from, graph.label_name(e.label), e.to);
+    let (old, new): (Vec<&cfpq_graph::Edge>, Vec<_>) = graph
+        .edges()
+        .iter()
+        .partition(|e| e.from < half && e.to < half && graph.label_name(e.label) != "e");
+    let mut base = Graph::new(half as usize);
+    for e in old {
+        base.add_edge_named(e.from, graph.label_name(e.label), e.to);
+    }
+    let mut lazy = CfpqSession::new(engine.clone(), &base);
+    let mut eager = CfpqSession::new(engine, &base);
+    build_all(&eager);
+    let ids = |session: &mut CfpqSession<E>| {
+        let id = session.prepare_query(rel.clone());
+        (id, session.prepare_single_path_query(lengths.clone()))
+    };
+    let ((id, sp), (eager_id, eager_sp)) = (ids(&mut lazy), ids(&mut eager));
+    let sources = [0, half];
+    let unread = |session: &CfpqSession<E>| -> Vec<String> {
+        let names = label_names(session).into_iter();
+        names.filter(|l| l != "a" && l != "b").collect()
+    };
+    let mut before = served(&mut lazy, (id, &rel), (sp, &lengths), &sources);
+    for (b, edges) in new.chunks(batch).enumerate() {
+        let edges: Vec<_> = edges.iter().map(|e| edge(e)).collect();
+        let mut clone = lazy.clone();
+        let bytes: Vec<(String, usize)> = {
+            let labels = clone.index().label_bytes();
+            labels
+                .map(|(name, bytes)| (name.to_owned(), bytes))
+                .collect()
+        };
+        prop_assert_eq!(lazy.add_edges(&edges), eager.add_edges(&edges));
+        build_all(&eager);
+        let now = served(&mut lazy, (id, &rel), (sp, &lengths), &sources);
+        let expect = served(&mut eager, (eager_id, &rel), (eager_sp, &lengths), &sources);
+        prop_assert_eq!(&now, &expect, "batch {}", b);
+        prop_assert_eq!(lazy.index().n_edges(), eager.index().n_edges());
+        for label in unread(&lazy) {
+            prop_assert_eq!(lazy.index().is_built(&label), Some(false), "{}", label);
+        }
+        for label in unread(&eager) {
+            prop_assert_eq!(eager.index().is_built(&label), Some(true), "{}", label);
+        }
+        let then = served(&mut clone, (id, &rel), (sp, &lengths), &sources);
+        prop_assert_eq!(&then, &before, "batch {}: the clone", b);
+        let labels = clone.index().label_bytes();
+        let now_bytes: Vec<(String, usize)> = labels
+            .map(|(name, bytes)| (name.to_owned(), bytes))
+            .collect();
+        prop_assert_eq!(now_bytes, bytes, "batch {}: the clone's labels", b);
+        before = now;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(6, RNG_SEED))]
+
+    #[test]
+    fn lazy_labels_serve_as_labels_built_up_front(
+        graph_seed in 0u64..1000,
+        n_nodes in 3usize..8,
+        batch in 1usize..5,
+    ) {
+        let labels = ["a", "b", "c", "d", "e"];
+        let graph = generators::random_graph(n_nodes, 4 * n_nodes, &labels, graph_seed);
+        check_lazy_labels(DenseEngine, &graph, batch)?;
+        check_lazy_labels(SparseEngine, &graph, batch)?;
+        check_lazy_labels(ParDenseEngine::new(Device::new(2)), &graph, batch)?;
+        check_lazy_labels(ParSparseEngine::new(Device::new(3)), &graph, batch)?;
+        check_lazy_labels(TiledEngine::new(Device::new(2)), &graph, batch)?;
+    }
 }
 
 proptest! {

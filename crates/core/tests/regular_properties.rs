@@ -457,10 +457,10 @@ impl LenEngine for CountingEngine {
 }
 
 /// The materialization contract behind the unified pipeline: the
-/// session's `GraphIndex` builds each label matrix once, and compiled
-/// queries (RPQ and CFPQ alike) are evaluated — cold solve *and*
-/// incremental repair — without a single additional `from_pairs`
-/// materialization. The standalone oracle, by contrast, rebuilds its
+/// session's `GraphIndex` builds each label matrix once, on its first
+/// read, and compiled queries (RPQ and CFPQ alike) are evaluated — cold
+/// solve *and* incremental repair — without a single additional
+/// `from_pairs` materialization. The standalone oracle, by contrast, rebuilds its
 /// label matrices on every call.
 #[test]
 fn pipeline_never_rematerializes_label_matrices() {
@@ -479,11 +479,12 @@ fn pipeline_never_rematerializes_label_matrices() {
         "…and again on every subsequent call"
     );
 
-    // The session pays materialization once, at index build.
+    // The session pays materialization once per label, on its first
+    // read: building the index builds nothing.
     let engine = CountingEngine::new();
     let counter = engine.from_pairs_calls.clone();
     let mut session = CfpqSession::new(engine, &graph);
-    let after_index = counter.load(Ordering::Relaxed);
+    assert_eq!(counter.load(Ordering::Relaxed), 0, "no label read yet");
 
     let rpq = session.prepare_regular(&nfa);
     let cfpq = session
@@ -491,6 +492,12 @@ fn pipeline_never_rematerializes_label_matrices() {
         .unwrap();
     session.evaluate(rpq);
     session.evaluate(cfpq);
+    let after_index = counter.load(Ordering::Relaxed);
+    assert_eq!(
+        after_index,
+        session.index().n_labels(),
+        "the cold solves build each label once, and nothing else"
+    );
     session.evaluate(rpq);
     session.evaluate(cfpq);
     assert_eq!(

@@ -521,9 +521,10 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// totally ordered).
     ///
     /// The clone costs O(labels + prepared queries), not the edge set:
-    /// epochs share label matrices and closures copy-on-write, so a
-    /// publish copies only the label matrices its batch writes to (every
-    /// one if the batch grows the node universe), and the
+    /// epochs share labels and closures copy-on-write, so a publish
+    /// copies only the labels its batch writes to (every one if the
+    /// batch grows the node universe; a label no read has built copies
+    /// its pair list, and stays unbuilt), and the
     /// `cfpq_epoch_index_copied_bytes` gauge says how many bytes that
     /// was. A batch of duplicates copies nothing and publishes nothing.
     ///
@@ -692,7 +693,7 @@ mod tests {
     use cfpq_graph::generators;
     use cfpq_graph::Edge;
     use cfpq_matrix::{
-        CsrMatrix, DenseEngine, Device, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
+        DenseEngine, Device, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
     };
 
     #[test]
@@ -754,14 +755,11 @@ mod tests {
         let mut graph = generators::word_chain(&["a", "b", "b", "c"]);
         let service = CfpqService::new(SparseEngine, &graph);
         let q = service.prepare(&grammar).unwrap();
-        // Per label, in label order (a, b, c): where its matrix lives and
-        // what it holds.
-        let labels = |snapshot: &Snapshot<SparseEngine>| -> Vec<(*const CsrMatrix, u64)> {
+        // Per label, in label order (a, b, c): what it holds, read as the
+        // gauges read it (its matrix once built, its pairs before).
+        let labels = |snapshot: &Snapshot<SparseEngine>| -> Vec<u64> {
             let index = snapshot.epoch.state.index();
-            let matrices = index.label_matrices();
-            matrices
-                .map(|(_, m)| (std::ptr::from_ref(m), m.bytes() as u64))
-                .collect()
+            index.label_bytes().map(|(_, b)| b as u64).collect()
         };
         let metrics = service.metrics();
         let gauge = |name| metrics.gauge(name).get();
@@ -769,7 +767,7 @@ mod tests {
             let total = gauge("cfpq_epoch_index_bytes");
             (total, gauge("cfpq_epoch_index_copied_bytes"))
         };
-        let total = |labels: &[(*const CsrMatrix, u64)]| labels.iter().map(|l| l.1).sum();
+        let total = |labels: &[u64]| labels.iter().sum();
 
         let epoch0 = service.snapshot();
         let at0 = labels(&epoch0);
@@ -782,19 +780,24 @@ mod tests {
         assert_eq!(service.add_edges(&[(1, "a", 1)]), 1);
         let epoch1 = service.snapshot();
         let at1 = labels(&epoch1);
-        assert_eq!(gauges(), (total(&at1), at1[0].1), "epoch 1 copied a");
+        assert_eq!(gauges(), (total(&at1), at1[0]), "epoch 1 copied a");
         let answer1 = epoch1.evaluate(q).start_pairs().to_vec();
         assert_eq!(service.add_edges(&[(2, "b", 4)]), 1);
-        let at2 = labels(&service.snapshot());
-        assert_eq!(gauges(), (total(&at2), at2[1].1), "epoch 2 copied b");
-        assert!(at2[1].1 < total(&at2));
+        let epoch2 = service.snapshot();
+        let at2 = labels(&epoch2);
+        assert_eq!(gauges(), (total(&at2), at2[1]), "epoch 2 copied b");
+        assert!(at2[1] < total(&at2));
 
-        // Where label `l` lives in epochs 0, 1 and 2.
-        let epochs = |l: usize| [&at0, &at1, &at2].map(|at| at[l].0);
-        let [a, b, c] = [0, 1, 2].map(epochs);
-        assert!(a[0] != a[1] && a[1] == a[2], "a: {a:?}");
-        assert!(b[0] == b[1] && b[1] != b[2], "b: {b:?}");
-        assert!(c[0] == c[1] && c[1] == c[2], "c, never written: {c:?}");
+        // Whether label `l` is the very label of the epoch before, in
+        // epochs 1 and 2.
+        let epochs = |l: &str| {
+            let [i0, i1, i2] = [&epoch0, &epoch1, &epoch2].map(|s| s.epoch.state.index());
+            [i1.shares_label(i0, l), i2.shares_label(i1, l)]
+        };
+        let [a, b, c] = ["a", "b", "c"].map(epochs);
+        assert!(!a[0] && a[1], "a: {a:?}");
+        assert!(b[0] && !b[1], "b: {b:?}");
+        assert!(c[0] && c[1], "c, never written: {c:?}");
 
         // Both pinned epochs answer as they did before the publishes.
         assert_eq!(epoch0.evaluate(q).start_pairs(), answer0);
@@ -805,6 +808,41 @@ mod tests {
         let expect = solve(&graph, &grammar, Backend::Sparse).unwrap();
         assert_eq!(service.evaluate(q).start_pairs(), expect.start_pairs());
         assert!(answer0 != answer1 && answer1 != expect.start_pairs());
+    }
+
+    #[test]
+    fn a_label_no_query_reads_costs_its_pairs_and_stays_unbuilt() {
+        let mut graph = generators::word_chain(&["a", "b"]);
+        graph.add_edge_named(0, "pad", 2);
+        graph.add_edge_named(2, "pad", 1);
+        let index = GraphIndex::build(SparseEngine, &graph);
+        let service = CfpqService::over(index, ServiceConfig::new(1));
+        let q = service.prepare(&graph_grammar()).unwrap();
+        assert_eq!(service.evaluate(q).start_pairs(), &[(0, 2)]);
+        assert_eq!(service.add_edges(&[(2, "a", 0)]), 1);
+
+        let snapshot = service.snapshot();
+        let index = snapshot.epoch.state.index();
+        assert_eq!(index.is_built("a"), Some(true), "the query read a");
+        assert_eq!(index.is_built("pad"), Some(false), "and never pad");
+        let labels: Vec<(&str, u64)> = index
+            .label_bytes()
+            .map(|(name, bytes)| (name, bytes as u64))
+            .collect();
+        assert_eq!(labels[2], ("pad", 16), "two pairs, 8 B each");
+        let metrics = service.metrics();
+        let total = labels.iter().map(|l| l.1).sum();
+        assert_eq!(metrics.gauge("cfpq_epoch_index_bytes").get(), total);
+        assert_eq!(
+            metrics.gauge("cfpq_epoch_index_copied_bytes").get(),
+            labels[0].1,
+            "the publish copied a; pad is shared, unbuilt"
+        );
+        assert_eq!(
+            index.is_built("pad"),
+            Some(false),
+            "the gauges built nothing"
+        );
     }
 
     #[test]

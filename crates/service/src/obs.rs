@@ -1,8 +1,8 @@
 //! The service's observability bundle: the installed span recorder,
 //! the metrics registry and the hot-path metric handles.
 
-use cfpq_core::session::{GraphIndex, GraphState};
-use cfpq_matrix::{BoolEngine, BoolMat, LenEngine};
+use cfpq_core::session::GraphState;
+use cfpq_matrix::{BoolEngine, LenEngine};
 use cfpq_obs::{AttrValue, Counter, Gauge, Histogram, MetricsRegistry, Recorder, SpanId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,11 +56,11 @@ impl Obs {
         );
         metrics.describe(
             "cfpq_epoch_index_bytes",
-            "Heap bytes of the current epoch's label matrices, by capacity",
+            "Heap bytes of the current epoch's labels by capacity: a built label's matrix, an unread label's pair list",
         );
         metrics.describe(
             "cfpq_epoch_index_copied_bytes",
-            "Of cfpq_epoch_index_bytes, the label matrices the current epoch does not share with the previous one",
+            "Of cfpq_epoch_index_bytes, the labels the current epoch does not share with the previous one",
         );
         metrics.describe(
             "cfpq_epoch_closure_bytes",
@@ -121,12 +121,14 @@ impl Obs {
     }
 
     /// Sets the epoch gauges for a published `state`: the bytes of all
-    /// its label matrices, of those not shared with `prev`, the state of
-    /// the epoch before (none for the first epoch, which copies
-    /// everything), and of the closures it holds solved
-    /// ([`GraphState::closure_bytes`]). Labels keep their ids across
-    /// epochs, so label `l` is shared iff it is the very matrix label `l`
-    /// of `prev` is.
+    /// its labels, of those not shared with `prev`, the state of the
+    /// epoch before (none for the first epoch, which copies everything),
+    /// and of the closures it holds solved
+    /// ([`GraphState::closure_bytes`]). A label counts its matrix once a
+    /// read has built it and its pair list before
+    /// ([`cfpq_core::GraphIndex::label_bytes`]); no label is built here.
+    /// A label is shared iff it is the very label of `prev`, built or
+    /// not.
     pub(crate) fn epoch_published<E: BoolEngine + LenEngine>(
         &self,
         state: &GraphState<E>,
@@ -134,12 +136,12 @@ impl Obs {
     ) {
         let index = state.index();
         let prev = prev.map(GraphState::index);
-        let mut before = prev.into_iter().flat_map(GraphIndex::label_matrices);
         let (mut total, mut copied) = (0, 0);
-        for (_, m) in index.label_matrices() {
-            let shared = before.next().is_some_and(|(_, p)| std::ptr::eq(p, m));
-            total += m.bytes();
-            copied += if shared { 0 } else { m.bytes() };
+        for (name, bytes) in index.label_bytes() {
+            total += bytes;
+            if !prev.is_some_and(|prev| index.shares_label(prev, name)) {
+                copied += bytes;
+            }
         }
         self.index_bytes.set(total as u64);
         self.index_copied_bytes.set(copied as u64);

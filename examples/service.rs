@@ -15,9 +15,10 @@
 //! alike from the enumerator kept in the closure's cell, and a page of
 //! the next epoch equals a fresh enumeration over its graph — and (d)
 //! the epoch index gauges: the publish copied only the label matrix its
-//! batch wrote to. Q1 is also prepared single-path, and the one length
-//! closure behind both of its handles is repaired once per publish. It
-//! asserts all of this, so CI runs it as a check.
+//! batch wrote to, and a label no query reads was never built. Q1 is
+//! also prepared single-path, and the one length closure behind both of
+//! its handles is repaired once per publish. It asserts all of this, so
+//! CI runs it as a check.
 
 use cfpq::prelude::*;
 use cfpq::service::ServiceConfig;
@@ -34,10 +35,17 @@ fn main() {
         device.n_workers()
     );
 
-    let graph = cfpq::graph::ontology::dataset("skos")
+    let mut graph = cfpq::graph::ontology::dataset("skos")
         .expect("bundled dataset")
         .to_graph();
-    let service = CfpqService::with_config(ParSparseEngine::new(device), &graph, config);
+    // A label no query below reads: it keeps its pairs and never gets a
+    // matrix.
+    graph.add_edge_named(0, "padding", 1);
+    graph.add_edge_named(1, "padding", 2);
+    // The service starts over a clone of this index. Clones share their
+    // labels, so whatever the service's reads build shows here too.
+    let shared = GraphIndex::build(ParSparseEngine::new(device), &graph);
+    let service = CfpqService::over(shared.clone(), config);
     let q1 = service
         .prepare(&cfpq::grammar::queries::query1())
         .expect("Q1 normalizes");
@@ -169,4 +177,16 @@ fn main() {
         "the publish copied subClassOf"
     );
     assert!(copied < index_bytes, "and shared every other label");
+
+    // Q1 read subClassOf, so the first read built it, once, for every
+    // index that shares the label; no read ever built `padding`, which
+    // costs its two pairs.
+    let built = |label| shared.is_built(label).expect("a label of the graph");
+    println!(
+        "  labels: subClassOf built {}, padding built {}",
+        built("subClassOf"),
+        built("padding")
+    );
+    assert!(built("subClassOf"), "built by the service's first read");
+    assert!(!built("padding"), "a label no query reads stays unbuilt");
 }
