@@ -160,7 +160,10 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
 
     /// Runs the fixpoint from pre-seeded length matrices (the session
     /// layer seeds straight from its label matrices). The ε-overlay is
-    /// applied here; callers only provide the length-1 base facts.
+    /// applied here; callers only provide the length-1 base facts. The
+    /// closed matrices are then trimmed ([`LenMat::shrink_to_fit`]): a
+    /// cold closure holds only its present cells. [`Self::resume`] keeps
+    /// the room its merges leave, for the next repair to merge into.
     pub fn solve_from_matrices(
         &self,
         mut matrices: Vec<E::LenMatrix>,
@@ -169,6 +172,7 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
     ) -> SinglePathIndex<E::LenMatrix> {
         let stats = fixpoint::solve(&Lengths(self.engine), &mut matrices, grammar);
         self.apply_epsilon_overlay(&mut matrices, 0..n, grammar);
+        matrices.iter_mut().for_each(LenMat::shrink_to_fit);
         SinglePathIndex {
             n_nodes: n,
             lengths: matrices,
@@ -514,10 +518,13 @@ pub fn validate_witness(
 mod tests {
     use super::*;
     use crate::relational::FixpointSolver;
+    use crate::session::CfpqSession;
     use cfpq_grammar::cnf::CnfOptions;
     use cfpq_grammar::Cfg;
     use cfpq_graph::generators;
-    use cfpq_matrix::{DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine};
+    use cfpq_matrix::{
+        DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    };
 
     fn wcnf(src: &str) -> Wcnf {
         Cfg::parse(src)
@@ -569,6 +576,35 @@ mod tests {
         assert_eq!(
             pairs_of(&ParSparseEngine::new(Device::new(3)), &graph, &g),
             expect
+        );
+    }
+
+    #[test]
+    fn a_cold_closure_holds_only_its_cells() {
+        let cfg = Cfg::parse("S -> a S b | a b | S S").unwrap();
+        let g = cfg.to_wcnf(CnfOptions::default()).unwrap();
+        // Three tile-rows, many sweeps: the merges re-lay tiles.
+        let graph = generators::random_graph(150, 600, &["a", "b"], 7);
+        // A trimmed copy is exact, so a matrix that holds as many bytes
+        // holds no dead value and no spare capacity.
+        fn assert_trimmed<M: LenMat>(lengths: &[M]) {
+            for m in lengths {
+                let mut copy = m.clone();
+                copy.shrink_to_fit();
+                assert_eq!(copy.bytes(), m.bytes(), "a trim frees nothing");
+            }
+        }
+        let engine = TiledEngine::serial();
+        let idx = SinglePathSolver::new(&engine).solve(&graph, &g);
+        assert!(idx.iterations > 3 && idx.count(Nt(0)) > 1_000);
+        assert_trimmed(&idx.lengths);
+        let mut session = CfpqSession::new(engine, &graph);
+        let id = session.prepare_single_path(&cfg).unwrap();
+        assert_trimmed(&session.evaluate_single_path(id).lengths);
+        assert_trimmed(
+            &SinglePathSolver::new(&SparseEngine)
+                .solve(&graph, &g)
+                .lengths,
         );
     }
 

@@ -17,6 +17,8 @@ use cfpq_core::all_paths::PageRequest;
 use cfpq_core::query::{solve_wcnf, Backend, QueryAnswer};
 use cfpq_core::relational::{FixpointSolver, RelationalIndex};
 use cfpq_core::session::{solve_prepared_from, CfpqSession, PreparedQuery, QueryId, SinglePathId};
+use cfpq_core::single_path::{extract_path, validate_witness};
+use cfpq_core::SinglePathSolver;
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, Nt, Wcnf};
 use cfpq_graph::{generators, Graph};
@@ -886,5 +888,58 @@ proptest! {
             check_linked(ParSparseEngine::new(Device::new(3)), &graph, &wcnf, batch)?;
             check_linked(TiledEngine::new(Device::new(2)), &graph, &wcnf, batch)?;
         }
+    }
+}
+
+/// Single-path repairs of a closure whose cold solve trimmed it (so the
+/// first merge of each repair finds no room in the arena), on the tiled
+/// engine over three tile-rows: `graph`'s first half of edges
+/// cold-solved, then the rest in batches of `batch` edges. After every
+/// batch each nonterminal's pairs equal a cold solve of the grown graph,
+/// and the repaired lengths of some start pairs extract to valid
+/// witnesses.
+fn check_trimmed_repairs(graph: &Graph, wcnf: &Wcnf, batch: usize) -> Result<(), TestCaseError> {
+    let edge = |e: &cfpq_graph::Edge| (e.from, graph.label_name(e.label), e.to);
+    let half = graph.n_edges() / 2;
+    let mut grown = Graph::new(graph.n_nodes());
+    for e in &graph.edges()[..half] {
+        grown.add_edge_named(e.from, graph.label_name(e.label), e.to);
+    }
+    let engine = TiledEngine::new(Device::new(2));
+    let mut session = CfpqSession::new(engine.clone(), &grown);
+    let sp = session.prepare_single_path_query(PreparedQuery::from_wcnf(wcnf.clone()));
+    session.evaluate_single_path(sp);
+    for (b, edges) in graph.edges()[half..].chunks(batch).enumerate() {
+        for e in edges {
+            grown.add_edge_named(e.from, graph.label_name(e.label), e.to);
+        }
+        let edges: Vec<_> = edges.iter().map(edge).collect();
+        session.add_edges(&edges);
+        let repaired = session.evaluate_single_path(sp);
+        let cold = SinglePathSolver::new(&engine).solve(&grown, wcnf);
+        for a in 0..wcnf.n_nts() {
+            let nt = Nt(a as u32);
+            prop_assert_eq!(repaired.pairs(nt), cold.pairs(nt), "batch {}: {:?}", b, nt);
+        }
+        for (i, j) in repaired.pairs(wcnf.start).into_iter().step_by(97).take(8) {
+            let path = extract_path(repaired, &grown, wcnf, wcnf.start, i, j).unwrap();
+            prop_assert!(validate_witness(&path, &grown, wcnf, wcnf.start, i, j));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(4, RNG_SEED))]
+
+    #[test]
+    fn tiled_lengths_repair_after_a_trimmed_cold_solve_as_a_cold_solve(
+        graph_seed in 0u64..1000,
+        n_nodes in 130usize..192,
+        batch in 20usize..60,
+    ) {
+        let wcnf = &grammars()[0];
+        let graph = generators::random_graph(n_nodes, 2 * n_nodes, &["a", "b"], graph_seed);
+        check_trimmed_repairs(&graph, wcnf, batch)?;
     }
 }

@@ -283,6 +283,9 @@ impl<M: LenMat> LenMat for Counted<M> {
     fn bytes(&self) -> usize {
         self.0.bytes()
     }
+    fn shrink_to_fit(&mut self) {
+        self.0.shrink_to_fit()
+    }
 }
 
 /// [`SinglePathIndex`] is built by a solver only, so the counted length

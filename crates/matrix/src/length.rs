@@ -86,8 +86,16 @@ pub trait LenMat: Clone + PartialEq + Send + Sync + 'static {
     /// [`LenMat::get`] reads it absent. See [`crate::BoolMat::row_cols`].
     fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_;
     /// Heap bytes held, by capacity (see [`crate::BoolMat::bytes`]); the
-    /// tiled form counts its arena's dead values too.
+    /// tiled form counts its arena's dead values too. A cold closure holds
+    /// neither dead values nor spare capacity: its solve ends with
+    /// [`LenMat::shrink_to_fit`]. A repaired one keeps the headroom its
+    /// merges left, which the next repair's merges would otherwise have
+    /// to allocate again.
     fn bytes(&self) -> usize;
+    /// Drops whatever [`LenMat::bytes`] counts beyond the present cells:
+    /// the tiled form's dead arena values, and spare capacity. The cells
+    /// and their lengths are unchanged.
+    fn shrink_to_fit(&mut self);
 }
 
 /// One job of a [`LenEngine::len_multiply_masked_batch`]: operands
@@ -362,6 +370,8 @@ impl LenMat for DenseLenMatrix {
     fn bytes(&self) -> usize {
         self.vals.capacity() * std::mem::size_of::<u32>()
     }
+    /// Nothing to drop: every cell is stored, present or not.
+    fn shrink_to_fit(&mut self) {}
 }
 
 /// Serial dense masked length product.
@@ -546,6 +556,9 @@ impl LenMat for CsrLenMatrix {
     }
     fn bytes(&self) -> usize {
         self.csr.bytes()
+    }
+    fn shrink_to_fit(&mut self) {
+        self.csr.shrink();
     }
 }
 

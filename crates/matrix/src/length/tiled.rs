@@ -104,6 +104,13 @@ impl Cell for LenTile {
 
 /// An `n × n` length matrix stored as non-empty 64 × 64 bit tiles, with
 /// every stored tile's lengths in one arena (see the module docs).
+///
+/// The arena keeps the history of the merges: the dead values of re-laid
+/// tiles, up to as many as the live ones, and the room its growth
+/// reserved. A cold §5 closure holds neither, since its solve ends with
+/// [`LenMat::shrink_to_fit`]. A repaired closure keeps both: the next
+/// repair's merges re-lay tiles into that room, and trimming after every
+/// repair made them grow the arena again.
 #[derive(Clone, Debug)]
 pub struct TiledLenMatrix {
     n: usize,
@@ -201,6 +208,7 @@ impl TiledLenMatrix {
             }
         }
         csr.row_ptr.resize(tn + 1, csr.nnz());
+        csr.shrink();
         Self {
             n,
             csr,
@@ -371,6 +379,16 @@ impl LenMat for TiledLenMatrix {
     }
     fn bytes(&self) -> usize {
         TiledLenMatrix::bytes(self)
+    }
+    /// Compacts the arena, then gives back its spare capacity and the
+    /// tile storage's: [`TiledLenMatrix::bytes`] is then the stored tiles
+    /// plus 4 B a present cell.
+    fn shrink_to_fit(&mut self) {
+        if self.lens.len() > self.live {
+            self.compact();
+        }
+        self.lens.shrink_to_fit();
+        self.csr.shrink();
     }
 }
 
@@ -801,6 +819,60 @@ mod tests {
         all.sort_unstable();
         assert_eq!(m.entries(), all);
         assert_eq!(m, TiledLenMatrix::from_entries(200, &all));
+    }
+
+    /// What a tiled length matrix holding only its present cells takes:
+    /// its tiles, their tile-columns and row ends, and 4 B a cell.
+    fn exact_bytes(m: &TiledLenMatrix) -> usize {
+        use std::mem::size_of;
+        m.csr.nnz() * (size_of::<LenTile>() + 4)
+            + m.csr.row_ptr.len() * size_of::<usize>()
+            + m.nnz() * 4
+    }
+
+    #[test]
+    fn a_built_matrix_holds_exactly_its_cells() {
+        // Five tiles: grown tile by tile, the storage would keep room for
+        // eight.
+        let mut entries = tile_1_2(1, &[(0, 5), (3, 0), (63, 63)]);
+        entries.extend([(0, 0, 1), (0, 70, 2), (130, 0, 3), (199, 199, 4)]);
+        let m = TiledLenMatrix::from_entries(200, &entries);
+        assert_eq!(m.csr.nnz(), 5);
+        assert_eq!(m.bytes(), exact_bytes(&m));
+    }
+
+    #[test]
+    fn a_trim_keeps_the_cells_and_drops_everything_else() {
+        let mut m = TiledLenMatrix::from_entries(200, &[(0, 0, 9)]);
+        for k in 1..30 {
+            // Each merge re-lays tile (0, 0), and from k = 3 on adds a
+            // cell in tile-row 1 or 2.
+            let cells = [(k, k, k + 1), (64 + k * 4, k * 4, 1)];
+            m.merge_absent(&TiledLenMatrix::from_entries(
+                200,
+                &cells[..1 + usize::from(k >= 3)],
+            ));
+        }
+        assert!(m.lens.len() > m.nnz(), "the merges left dead values");
+        assert!(m.bytes() > exact_bytes(&m));
+        let mut trimmed = m.clone();
+        trimmed.shrink_to_fit();
+        assert_eq!(trimmed, m);
+        assert_eq!(trimmed.entries(), m.entries());
+        assert_eq!(trimmed.bytes(), exact_bytes(&trimmed));
+        trimmed.shrink_to_fit();
+        assert_eq!(
+            trimmed.bytes(),
+            exact_bytes(&trimmed),
+            "a second trim frees nothing"
+        );
+        assert_eq!(trimmed, m);
+        // The trimmed arena has no room to re-lay a tile in: the merge
+        // grows it, and gives what a merge into the untrimmed matrix does.
+        let add = TiledLenMatrix::from_entries(200, &[(5, 6, 1), (70, 150, 2), (199, 0, 3)]);
+        assert_eq!(trimmed.merge_absent(&add), m.merge_absent(&add));
+        assert_eq!(trimmed, m);
+        assert_eq!(trimmed.entries(), m.entries());
     }
 
     #[test]

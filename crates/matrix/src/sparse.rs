@@ -217,11 +217,12 @@ impl<V: Copy> Csr<V> {
         self.vals.extend_from_slice(&src.vals[range]);
     }
 
-    /// Gives back the capacity reserved for cells that never came.
-    fn shrink(mut self) -> Self {
+    /// Gives back the capacity reserved for cells or rows that never
+    /// came, so that [`Csr::bytes`] is the exact footprint.
+    pub(crate) fn shrink(&mut self) {
+        self.row_ptr.shrink_to_fit();
         self.cols.shrink_to_fit();
         self.vals.shrink_to_fit();
-        self
     }
 }
 
@@ -403,9 +404,14 @@ pub(crate) fn splice_rows<V: Cell>(
     close(&mut merged, &mut reported, copied, row..n);
     let merged = merged.map(|mut m| {
         m.extend(a, copied..a.nnz());
-        m.shrink()
+        m.shrink();
+        m
     });
-    (merged, reported.map(Csr::shrink))
+    let reported = reported.map(|mut r| {
+        r.shrink();
+        r
+    });
+    (merged, reported)
 }
 
 /// An `n × n` Boolean matrix in CSR format; column indices per row are

@@ -151,7 +151,9 @@ impl TiledBitMatrix {
     /// a contiguous run of the input, so tiles are filled first-touch via
     /// a `tile_col → slot` scratch (no global sort) and only the
     /// per-tile-row column lists are sorted at the end of their run. The
-    /// tile-rows between two runs get their row ends in one bulk write.
+    /// tile-rows between two runs get their row ends in one bulk write,
+    /// and the storage is cut to its exact size at the end: a label's
+    /// matrix lives as long as its index.
     fn from_sorted_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
         debug_assert!(pairs.is_sorted());
         let tn = tile_count(n);
@@ -202,6 +204,7 @@ impl TiledBitMatrix {
             csr.row_ptr.push(csr.nnz());
         }
         csr.row_ptr.resize(tn + 1, csr.nnz());
+        csr.shrink();
         Self { n, csr }
     }
 
@@ -772,6 +775,21 @@ mod tests {
         b.insert_pairs(&[(70, 70)]);
         b.insert_pairs(&[(0, 0)]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_built_matrix_holds_exactly_its_tiles() {
+        // Three tiles in the first tile-row and two in the fourth: grown
+        // tile by tile, the storage would keep room for eight.
+        let n = 250;
+        let mut pairs = pseudo_pairs(n, 400, 7);
+        pairs.retain(|&(i, j)| i < 64 && j < 192);
+        pairs.extend([(200, 100), (249, 249)]);
+        let m = TiledBitMatrix::from_pairs(n, &pairs);
+        assert_eq!(m.stored_tiles(), 5);
+        let exact = m.stored_tiles() * (std::mem::size_of::<TileWords>() + 4)
+            + (tile_count(n) + 1) * std::mem::size_of::<usize>();
+        assert_eq!(m.bytes(), exact);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! test harness's own threads do not disturb it.
 
 use cfpq_matrix::{
-    CsrLenMatrix, CsrMatrix, LenEngine, SparseEngine, TiledBitMatrix, TiledEngine, TiledLenMatrix,
+    CsrLenMatrix, CsrMatrix, LenEngine, LenMat, SparseEngine, TiledBitMatrix, TiledEngine,
+    TiledLenMatrix,
 };
 use counting_allocator::allocations;
 
@@ -174,8 +175,11 @@ fn a_tiled_union_allocates_for_what_it_adds_and_not_per_tile_row() {
 }
 
 /// Allocation count of merging the 100-cell Δ of [`closure_and_delta`]
-/// into the `n`-row tiled length closure, and the Δ it reports.
-fn tiled_length_merge_allocations(n: u32) -> usize {
+/// into the `n`-row tiled length closure, and the Δ it reports. With
+/// `trimmed`, the closure is merged from its odd and even rows first,
+/// which leaves dead values and spare room in its arena, and then
+/// trimmed (`LenMat::shrink_to_fit`), as a cold solve leaves it.
+fn tiled_length_merge_allocations(n: u32, trimmed: bool) -> usize {
     let (closure_pairs, delta_pairs) = closure_and_delta(n);
     let with_len = |pairs: &[(u32, u32)]| -> Vec<(u32, u32, u32)> {
         pairs
@@ -184,20 +188,35 @@ fn tiled_length_merge_allocations(n: u32) -> usize {
             .collect()
     };
     let n = n as usize;
+    let engine = TiledEngine::serial();
     let closure = TiledLenMatrix::from_entries(n, &with_len(&closure_pairs));
     let delta = TiledLenMatrix::from_entries(n, &with_len(&delta_pairs));
     let mut acc = closure.clone();
-    let (merge, fresh) = allocations(|| TiledEngine::serial().len_merge_absent(&mut acc, &delta));
+    if trimmed {
+        let (even, odd): (Pairs, Pairs) = closure_pairs.iter().partition(|&&(i, _)| i % 2 == 0);
+        acc = TiledLenMatrix::from_entries(n, &with_len(&even));
+        engine.len_merge_absent(&mut acc, &TiledLenMatrix::from_entries(n, &with_len(&odd)));
+        let bytes = acc.bytes();
+        acc.shrink_to_fit();
+        assert!(acc == closure && acc.bytes() < bytes);
+    }
+    let (merge, fresh) = allocations(|| engine.len_merge_absent(&mut acc, &delta));
     assert!(fresh == delta && acc.nnz() == closure.nnz() + 100);
     merge
 }
 
 #[test]
 fn a_tiled_length_merge_allocates_independently_of_the_number_of_rows() {
-    let small = tiled_length_merge_allocations(2_500);
-    let large = tiled_length_merge_allocations(25_000);
-    // The Δ, the arena compacted into room for its growth, and the tile
-    // splice that brings the Δ's new tiles: nothing per row or per tile.
-    assert_eq!(small, large, "2,500 rows or 25,000");
-    assert!(large <= 16, "merge allocated {large} times");
+    for trimmed in [false, true] {
+        let small = tiled_length_merge_allocations(2_500, trimmed);
+        let large = tiled_length_merge_allocations(25_000, trimmed);
+        // The Δ, the arena compacted into room for its growth, and the
+        // tile splice that brings the Δ's new tiles: nothing per row or
+        // per tile.
+        assert_eq!(small, large, "2,500 rows or 25,000 (trimmed: {trimmed})");
+        assert!(
+            large <= 16,
+            "merge allocated {large} times (trimmed: {trimmed})"
+        );
+    }
 }

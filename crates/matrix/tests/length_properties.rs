@@ -7,7 +7,9 @@
 //! `N = 37` fit one tile; those at `WIDE = 150` cross tile boundaries:
 //! three tile-rows, the last one partial, with cells in the first and
 //! last tile-rows, a full tile, ε cells on the diagonal, and a `grow`
-//! across a boundary.
+//! across a boundary. On every engine a trim (`LenMat::shrink_to_fit`)
+//! keeps the matrix as it was, and a merge into a trimmed matrix gives
+//! what one into an untrimmed copy does.
 
 use cfpq_matrix::{
     DenseEngine, Device, LenEngine, LenMat, ParSparseEngine, SparseEngine, TiledEngine,
@@ -79,6 +81,10 @@ trait LenOps {
     fn merge(&mut self, add: &[Entry]) -> Vec<Entry>;
     /// `len_set_absent`; returns the written entries, sorted.
     fn set(&mut self, add: &[Entry]) -> Vec<Entry>;
+    /// `LenMat::shrink_to_fit`, which must leave the matrix `==` with the
+    /// same entries, free no byte it did not hold, and have nothing left
+    /// to free when called again.
+    fn trim(&mut self);
     /// `self × b`, masked by `mask` if given, as one job of a batch of
     /// two (the other job is the unmasked product, returned second).
     fn times(&self, b: &[Entry], mask: Option<&[Entry]>) -> (Vec<Entry>, Vec<Entry>);
@@ -113,6 +119,17 @@ impl<E: LenEngine> LenOps for Ops<E> {
         let mut written = self.engine.len_set_absent(&mut self.matrix, add);
         written.sort_unstable();
         written
+    }
+    fn trim(&mut self) {
+        let (before, bytes) = (self.matrix.clone(), self.matrix.bytes());
+        self.matrix.shrink_to_fit();
+        assert!(self.matrix == before, "a trim changes no cell");
+        assert_eq!(self.matrix.entries(), before.entries());
+        assert!(self.matrix.bytes() <= bytes, "a trim never adds bytes");
+        let bytes = self.matrix.bytes();
+        self.matrix.shrink_to_fit();
+        assert!(self.matrix == before);
+        assert_eq!(self.matrix.bytes(), bytes, "a second trim frees nothing");
     }
     fn times(&self, b: &[Entry], mask: Option<&[Entry]>) -> (Vec<Entry>, Vec<Entry>) {
         let n = self.matrix.n();
@@ -150,6 +167,7 @@ proptest! {
             merged.grow(N);
             let before = merged.entries();
             let fresh = merged.merge(&add);
+            merged.trim();
             let after = merged.entries();
             // The laws, on whichever engine this is: nothing stored is
             // ever rewritten, and `fresh` is exactly what was added.
@@ -269,6 +287,10 @@ proptest! {
             set.grow(WIDE);
             assert_eq!(set.set(&add), fresh, "set_absent reports the fresh cells");
             assert_eq!(set.entries(), closure, "set_absent ≡ merge_absent");
+            // A trimmed closure merges as the untrimmed one does.
+            merged.trim();
+            assert_eq!(merged.merge(&b), set.merge(&b), "a trim changes no later merge");
+            assert_eq!(merged.entries(), set.entries());
             // The closure on either side of a product, masked by a random
             // matrix and by itself.
             let left = make(&closure, WIDE).times(&b, Some(&mask));

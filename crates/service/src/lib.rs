@@ -694,6 +694,7 @@ mod tests {
     use cfpq_graph::Edge;
     use cfpq_matrix::{
         DenseEngine, Device, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
+        TiledEngine,
     };
 
     #[test]
@@ -948,6 +949,40 @@ mod tests {
             stats[0].cold_products + stats[1].repair_products,
             engine.ops()
         );
+    }
+
+    #[test]
+    fn the_closure_gauge_counts_a_cold_length_closure_at_its_trimmed_size() {
+        use cfpq_grammar::Nt;
+        use cfpq_matrix::LenMat;
+        // Four tile-rows of nested and concatenated brackets: the solve's
+        // merges re-lay tiles, which leaves dead values behind.
+        let graph = generators::clustered_blocks(4, 60, 2, &["a", "b"], 11);
+        let grammar = Cfg::parse("S -> a S b | a b | S S").unwrap();
+        let n_nts = PreparedQuery::new(&grammar).unwrap().wcnf().n_nts();
+        let service =
+            CfpqService::with_config(TiledEngine::serial(), &graph, ServiceConfig::new(1));
+        let sp = service.prepare_single_path(&grammar).unwrap();
+        let cold = service.evaluate_single_path(sp);
+        assert_eq!(service.stats()[0].cold_solves, 1);
+        assert!(cold.iterations > 3);
+        let matrices = || (0..n_nts).map(|a| cold.matrix(Nt(a as u32)));
+        let bytes: usize = matrices().map(LenMat::bytes).sum();
+        let trimmed: usize = matrices()
+            .map(|m| {
+                let mut m = m.clone();
+                m.shrink_to_fit();
+                m.bytes()
+            })
+            .sum();
+        assert_eq!(bytes, trimmed, "the cold solve trimmed its closure");
+        // The gauge is set at a publish. One on a label the grammar does
+        // not read gives the repair no seed: the epoch holds the cold
+        // closure, and the gauge counts it at its trimmed size.
+        assert_eq!(service.add_edges(&[(0, "c", 1)]), 1);
+        assert_eq!(service.stats()[1].repair_products, 0);
+        let gauge = service.metrics().gauge("cfpq_epoch_closure_bytes").get();
+        assert_eq!(gauge, trimmed as u64);
     }
 
     #[test]
