@@ -112,22 +112,38 @@ type PathKey = Vec<(u32, u32, u32)>;
 /// Memo key: `(nt, from, to, len)`.
 type ClassKey = (u32, u32, u32, u32);
 
-/// What a page reads of the closure it prunes against: membership, and
-/// a row's stored columns (the pivots of a split). A relational closure
-/// is one, and so is a §5 length closure, whose support is the same
-/// relation.
+/// What is read of a solved closure — by a [`crate::query::QueryAnswer`],
+/// which keeps it type-erased, and by a page, which also reads a row's
+/// columns (the pivots of a split). A relational closure is one, and so
+/// is a §5 length closure, whose support is the same relation.
 pub trait Relation {
     /// True if `(i, j) ∈ R_nt`; node ids outside the closure are related
     /// to nothing.
     fn contains(&self, nt: Nt, i: u32, j: u32) -> bool;
 
+    /// `|R_nt|`.
+    fn count(&self, nt: Nt) -> usize;
+
+    /// `R_nt` as sorted pairs.
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)>;
+
     /// The columns `j` with `(i, j) ∈ R_nt`, ascending.
-    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_;
+    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_
+    where
+        Self: Sized;
 }
 
 impl<M: BoolMat> Relation for RelationalIndex<M> {
     fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
         RelationalIndex::contains(self, nt, i, j)
+    }
+
+    fn count(&self, nt: Nt) -> usize {
+        RelationalIndex::count(self, nt)
+    }
+
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
+        RelationalIndex::pairs(self, nt)
     }
 
     fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {
@@ -138,6 +154,14 @@ impl<M: BoolMat> Relation for RelationalIndex<M> {
 impl<L: LenMat> Relation for SinglePathIndex<L> {
     fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
         SinglePathIndex::contains(self, nt, i, j)
+    }
+
+    fn count(&self, nt: Nt) -> usize {
+        SinglePathIndex::count(self, nt)
+    }
+
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
+        SinglePathIndex::pairs(self, nt)
     }
 
     fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {

@@ -8,7 +8,7 @@
 //! change and so never have one. There are two builders of one.
 //! [`Program::of_grammar`] is Algorithm 1: a variable `T_A` per
 //! nonterminal and `T_A ⊇ T_B × T_C` for every rule `A → B C`, behind
-//! [`solve`] and [`resume`]. [`crate::relational::SourceClosure`] writes
+//! [`solve`] and [`repair`]. [`crate::relational::SourceClosure`] writes
 //! the demand-driven table — row selectors, row selections and the
 //! graph's label matrices as constants — and supplies the one thing a
 //! product cannot derive, which rows are demanded next, as the `grow`
@@ -17,9 +17,12 @@
 //! [`Lengths`] over a [`LenEngine`] (§5, the length of the first witness
 //! found). [`crate::relational::FixpointSolver`] and
 //! [`crate::single_path::SinglePathSolver`] are the typed fronts of the
-//! all-pairs program: they seed the matrices, call in here, and place
-//! the ε-diagonal (before the fixpoint for §4, as an overlay after it
-//! for §5).
+//! all-pairs program: they seed the matrices and call in here.
+//!
+//! The lifecycle around the loop is here once too, for both algebras:
+//! the cold [`solve`], the [`repair`] that widens a closure to a grown
+//! node universe, and the ε-diagonal both finish with
+//! ([`overlay_epsilon`]), never a Δ.
 //!
 //! Each sweep multiplies only the entries the previous one discovered:
 //! per rule `ΔL × R` and `L × ΔR`, a constant contributing no Δ side.
@@ -33,10 +36,11 @@
 //! exactly the new information (Azimov & Grigorev, arXiv:1707.01007;
 //! Shemetova et al., arXiv:2103.14688).
 
-use crate::relational::{SeedOutOfRange, SolveStats};
+use crate::relational::{SeedOutOfRange, SolveOptions, SolveStats};
 use cfpq_grammar::{Nt, Wcnf};
 use cfpq_matrix::{BoolEngine, BoolMat, KernelCounters, LenEngine, LenMat};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One job of a batch of products: operands `(a, b)` plus an optional
 /// complement mask (the shape of [`cfpq_matrix::MaskedJob`] and
@@ -47,9 +51,6 @@ type Job<'a, M> = (&'a M, &'a M, Option<&'a M>);
 pub(crate) trait Algebra {
     /// One `T_A`.
     type Matrix: Clone;
-
-    /// The dimension `n` of an `n × n` matrix.
-    fn n(&self, m: &Self::Matrix) -> usize;
 
     /// Runs a sweep's products as one batch; cells of a job's mask are
     /// never emitted.
@@ -79,6 +80,14 @@ pub(crate) trait Algebra {
     /// Stored cells.
     fn nnz(&self, m: &Self::Matrix) -> usize;
 
+    /// Widens `m` to `n × n`, `n` at least its size; the new cells are
+    /// unset.
+    fn grow(&self, m: &mut Self::Matrix, n: usize);
+
+    /// Writes the ε-cell `(m, m)` of every node of `nodes` into `full`
+    /// where it holds nothing yet.
+    fn diagonal(&self, full: &mut Self::Matrix, nodes: Range<usize>);
+
     /// The engine's cumulative [`KernelCounters`] (all-zero for kernels
     /// that keep none).
     fn counters(&self) -> KernelCounters {
@@ -91,10 +100,6 @@ pub(crate) struct Boolean<'e, E>(pub &'e E);
 
 impl<E: BoolEngine> Algebra for Boolean<'_, E> {
     type Matrix = E::Matrix;
-
-    fn n(&self, m: &E::Matrix) -> usize {
-        m.n()
-    }
 
     fn products(&self, jobs: &[Job<'_, E::Matrix>]) -> Vec<E::Matrix> {
         self.0.multiply_masked_batch(jobs)
@@ -145,6 +150,15 @@ impl<E: BoolEngine> Algebra for Boolean<'_, E> {
         m.nnz()
     }
 
+    fn grow(&self, m: &mut E::Matrix, n: usize) {
+        self.0.grow(m, n);
+    }
+
+    fn diagonal(&self, full: &mut E::Matrix, nodes: Range<usize>) {
+        let cells: Vec<(u32, u32)> = nodes.map(|m| (m as u32, m as u32)).collect();
+        self.0.union_pairs(full, &cells);
+    }
+
     fn counters(&self) -> KernelCounters {
         self.0.kernel_counters()
     }
@@ -158,10 +172,6 @@ pub(crate) struct Lengths<'e, E>(pub &'e E);
 
 impl<E: LenEngine> Algebra for Lengths<'_, E> {
     type Matrix = E::LenMatrix;
-
-    fn n(&self, m: &E::LenMatrix) -> usize {
-        m.n()
-    }
 
     fn products(&self, jobs: &[Job<'_, E::LenMatrix>]) -> Vec<E::LenMatrix> {
         self.0.len_multiply_masked_batch(jobs)
@@ -191,6 +201,17 @@ impl<E: LenEngine> Algebra for Lengths<'_, E> {
 
     fn nnz(&self, m: &E::LenMatrix) -> usize {
         m.nnz()
+    }
+
+    fn grow(&self, m: &mut E::LenMatrix, n: usize) {
+        self.0.len_grow(m, n);
+    }
+
+    /// The empty path, at length 0 (first write wins: a cell holding a
+    /// witness keeps it).
+    fn diagonal(&self, full: &mut E::LenMatrix, nodes: Range<usize>) {
+        let cells: Vec<(u32, u32, u32)> = nodes.map(|m| (m as u32, m as u32, 0)).collect();
+        self.0.len_set_absent(full, &cells);
     }
 }
 
@@ -280,66 +301,106 @@ impl Program {
     }
 }
 
-/// The `grow` of a program whose Δ come from its products alone.
-pub(crate) fn no_growth<M>(_: &[Option<M>], _: &mut SolveStats) -> Vec<Vec<(u32, u32)>> {
-    Vec::new()
+/// A closed all-pairs closure, as [`repair`] advances it.
+pub(crate) trait Closed {
+    type Matrix;
+
+    /// The matrices, the nodes they cover, the sweeps run and the
+    /// cumulative counters.
+    fn parts(&mut self) -> (&mut [Self::Matrix], &mut usize, &mut usize, &mut SolveStats);
 }
 
 /// Runs the all-pairs fixpoint to completion from freshly seeded
-/// matrices (`matrices[A.index()]` holds the initialization of `T_A`).
-/// Returns the run's work counters, one `sweep_nnz` point per sweep.
-/// Termination: entries only grow, bounded by `|V|²·|N|` (Theorem 3).
+/// matrices (`matrices[A.index()]` holds the initialization of `T_A`),
+/// then overlays the ε-diagonal of the `n` nodes. Returns the run's work
+/// counters. Termination: entries only grow, bounded by `|V|²·|N|`
+/// (Theorem 3).
 pub(crate) fn solve<A: Algebra>(
     algebra: &A,
     matrices: &mut [A::Matrix],
     grammar: &Wcnf,
+    options: SolveOptions,
+    n: usize,
+) -> SolveStats {
+    let stats = run_grammar(algebra, matrices, grammar, None);
+    overlay_epsilon(algebra, matrices, grammar, options, 0..n);
+    stats
+}
+
+/// Repairs a closed closure for newly-discovered base facts
+/// (`new_pairs[A.index()]` are candidate additions to `T_A`): widens it
+/// to `n` nodes if it covers fewer, re-runs only the Δ loop the new facts
+/// seed, overlays the ε-diagonal of the nodes it gained, and advances the
+/// closure's counters; what that guarantees is on
+/// [`crate::relational::FixpointSolver::resume`]. Returns the counters of
+/// this run alone, all-default when nothing was new. A pair outside the
+/// widened matrices is refused before anything is written.
+pub(crate) fn repair<A: Algebra>(
+    algebra: &A,
+    closure: &mut impl Closed<Matrix = A::Matrix>,
+    grammar: &Wcnf,
+    options: SolveOptions,
+    n: usize,
+    new_pairs: &[Vec<(u32, u32)>],
+) -> Result<SolveStats, SeedOutOfRange> {
+    let (matrices, n_nodes, iterations, cumulative) = closure.parts();
+    let n = n.max(*n_nodes);
+    assert_eq!(new_pairs.len(), grammar.n_nts(), "one list per nonterminal");
+    for (a, pairs) in new_pairs.iter().enumerate() {
+        if let Some(&cell) = pairs.iter().find(|&&(i, j)| i.max(j) as usize >= n) {
+            let nt = Nt(a as u32);
+            return Err(SeedOutOfRange { nt, cell, n });
+        }
+    }
+    if n > *n_nodes {
+        matrices.iter_mut().for_each(|m| algebra.grow(m, n));
+    }
+    let stats = run_grammar(algebra, matrices, grammar, Some(new_pairs));
+    overlay_epsilon(algebra, matrices, grammar, options, *n_nodes..n);
+    *n_nodes = n;
+    *iterations += stats.sweep_nnz.len();
+    cumulative.absorb(&stats);
+    Ok(stats)
+}
+
+/// Algorithm 1's program over `matrices`, from `seeds` as [`run`] takes
+/// them, as one `"solve"` span.
+fn run_grammar<A: Algebra>(
+    algebra: &A,
+    matrices: &mut [A::Matrix],
+    grammar: &Wcnf,
+    seeds: Option<&[Vec<(u32, u32)>]>,
 ) -> SolveStats {
     let mut sp = cfpq_obs::span("solve");
     let program = Program::of_grammar(grammar);
-    let stats = run(algebra, matrices, &program, &[], None, no_growth);
+    let stats = run(algebra, matrices, &program, &[], seeds, |_, _| Vec::new());
     if sp.is_recording() {
-        sp.attr_str("mode", "cold");
+        sp.attr_str("mode", if seeds.is_some() { "resume" } else { "cold" });
         sp.attr_u64("sweeps", stats.sweep_nnz.len() as u64);
         sp.attr_u64("products", stats.products_computed as u64);
     }
     stats
 }
 
-/// Folds newly-discovered base facts into closed matrices
-/// (`new_pairs[A.index()]` are candidate additions to `T_A`) and re-runs
-/// only the Δ loop they seed; what that guarantees is on
-/// [`crate::relational::FixpointSolver::resume`]. Returns the counters of
-/// this run alone: one `sweep_nnz` point per sweep, all-default when
-/// nothing was new. This is where pairs a caller wrote reach a closed
-/// matrix, so this is where they are range-checked: a pair outside the
-/// matrices is refused before anything is written.
-pub(crate) fn resume<A: Algebra>(
+/// Writes `(A, m, m)` for every nullable `A` and node `m` of `nodes`
+/// where the closure holds no other witness, if `options` ask for the
+/// ε-diagonal: the one writer of an all-pairs closure's diagonal. It runs
+/// after the fixpoint, as ε-elimination is complete: composing through
+/// an ε-cell reaches no pair the ε-free closure misses, and length sweeps
+/// that never see one keep every stored split well-founded.
+fn overlay_epsilon<A: Algebra>(
     algebra: &A,
     matrices: &mut [A::Matrix],
     grammar: &Wcnf,
-    new_pairs: &[Vec<(u32, u32)>],
-) -> Result<SolveStats, SeedOutOfRange> {
-    assert_eq!(
-        new_pairs.len(),
-        grammar.n_nts(),
-        "one pair list per nonterminal"
-    );
-    for ((a, pairs), full) in new_pairs.iter().enumerate().zip(matrices.iter()) {
-        let n = algebra.n(full);
-        if let Some(&cell) = pairs.iter().find(|&&(i, j)| i.max(j) as usize >= n) {
-            let nt = Nt(a as u32);
-            return Err(SeedOutOfRange { nt, cell, n });
-        }
+    options: SolveOptions,
+    nodes: Range<usize>,
+) {
+    if !options.nullable_diagonal || nodes.is_empty() {
+        return;
     }
-    let mut sp = cfpq_obs::span("solve");
-    let program = Program::of_grammar(grammar);
-    let stats = run(algebra, matrices, &program, &[], Some(new_pairs), no_growth);
-    if sp.is_recording() {
-        sp.attr_str("mode", "resume");
-        sp.attr_u64("sweeps", stats.sweep_nnz.len() as u64);
-        sp.attr_u64("products", stats.products_computed as u64);
+    for &nt in &grammar.nullable {
+        algebra.diagonal(&mut matrices[nt.index()], nodes.clone());
     }
-    Ok(stats)
 }
 
 /// The sweep loop (the module docs say what a sweep is): runs `program`
@@ -551,7 +612,9 @@ mod tests {
             let e = SparseEngine.from_pairs(n, &edges);
             let mut r = vec![e.clone()];
             let bits = Boolean(&SparseEngine);
-            let stats = run(&bits, &mut r, &program, &[vec![&e]], None, no_growth);
+            let stats = run(&bits, &mut r, &program, &[vec![&e]], None, |_, _| {
+                Vec::new()
+            });
             assert_eq!(r[0].pairs(), expect);
             assert!(stats.sweep_nnz.len() > 1, "the closure took sweeps");
             assert_eq!(stats.products_computed, stats.sweep_nnz.len());
@@ -562,7 +625,9 @@ mod tests {
             let e = SparseEngine.len_from_entries(n, &unit);
             let mut r = vec![e.clone()];
             let lengths = Lengths(&SparseEngine);
-            let len_stats = run(&lengths, &mut r, &program, &[vec![&e]], None, no_growth);
+            let len_stats = run(&lengths, &mut r, &program, &[vec![&e]], None, |_, _| {
+                Vec::new()
+            });
             assert_eq!(r[0].pairs(), expect);
             assert_eq!(len_stats, stats, "the same sweeps, cell for cell");
             // Every recorded length is the length of a real walk.

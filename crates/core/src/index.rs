@@ -1,7 +1,6 @@
 //! The persistent label-matrix index of a graph and the seeds a
 //! closure is solved or repaired from.
 
-use crate::relational::SolveOptions;
 use cfpq_grammar::symbol::Interner;
 use cfpq_grammar::{Nt, Wcnf};
 use cfpq_graph::{Graph, Label, NodeId};
@@ -375,11 +374,10 @@ impl<E: BoolEngine> GraphIndex<E> {
 
     /// The per-nonterminal seed matrices of a cold solve: every label
     /// matrix union-ed into the `T_A` of each nonterminal with a rule
-    /// `A → label`, plus the ε-diagonal when `options` ask for it. This
-    /// is Algorithm 1's initialization (lines 6–7) read straight off the
-    /// index instead of the edge list.
-    pub fn seed_matrices(&self, wcnf: &Wcnf, options: SolveOptions) -> Vec<E::Matrix> {
-        let n = self.n_nodes;
+    /// `A → label`. This is Algorithm 1's initialization (lines 6–7) read
+    /// straight off the index instead of the edge list; the ε-diagonal is
+    /// the solver's, written after the fixpoint.
+    pub fn seed_matrices(&self, wcnf: &Wcnf) -> Vec<E::Matrix> {
         let mut seeds: Vec<Option<E::Matrix>> = (0..wcnf.n_nts()).map(|_| None).collect();
         for (m, nts) in self.terminal_matrices(wcnf) {
             for nt in nts {
@@ -391,23 +389,14 @@ impl<E: BoolEngine> GraphIndex<E> {
                 }
             }
         }
-        let mut matrices: Vec<E::Matrix> = seeds
+        seeds
             .into_iter()
-            .map(|m| m.unwrap_or_else(|| self.engine.zeros(n)))
-            .collect();
-        if options.nullable_diagonal {
-            let diagonal: Vec<(u32, u32)> = (0..n as u32).map(|m| (m, m)).collect();
-            for &nt in &wcnf.nullable {
-                self.engine
-                    .union_pairs(&mut matrices[nt.index()], &diagonal);
-            }
-        }
-        matrices
+            .map(|m| m.unwrap_or_else(|| self.engine.zeros(self.n_nodes)))
+            .collect()
     }
 
     /// The per-nonterminal length-1 seed matrices of a cold single-path
-    /// solve (the §5 analogue of [`GraphIndex::seed_matrices`]; the
-    /// ε-overlay is applied by the solver, not here).
+    /// solve (the §5 analogue of [`GraphIndex::seed_matrices`]).
     pub fn seed_length_matrices(&self, wcnf: &Wcnf) -> Vec<<E as LenEngine>::LenMatrix>
     where
         E: LenEngine,

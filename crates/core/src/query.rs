@@ -8,14 +8,14 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::Graph;
 use cfpq_matrix::{
-    BoolEngine, BoolMat, DenseEngine, Device, LenMat, ParDenseEngine, ParSparseEngine, SparseEngine,
+    BoolEngine, BoolMat, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use crate::relational::{solve_set_matrix, RelationalIndex, SetMatrixResult};
+use crate::all_paths::Relation;
+use crate::relational::{solve_set_matrix, RelationalIndex, SolveStats};
 use crate::session::{CfpqSession, PreparedQuery};
-use crate::single_path::SinglePathIndex;
 
 /// Which implementation evaluates the query (§6 naming in comments).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,56 +60,9 @@ impl Backend {
     }
 }
 
-/// What a [`QueryAnswer`] reads from a solved closure, with the matrix
-/// type erased so the answer itself stays non-generic. `contains` is
-/// total: a node id outside the closure's universe is related to nothing.
-/// A §5 length closure is one too: its support is the relation.
-pub(crate) trait Closure: Send + Sync {
-    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool;
-    fn count(&self, nt: Nt) -> usize;
-    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)>;
-}
-
-impl<M: BoolMat> Closure for RelationalIndex<M> {
-    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
-        RelationalIndex::contains(self, nt, i, j)
-    }
-    fn count(&self, nt: Nt) -> usize {
-        RelationalIndex::count(self, nt)
-    }
-    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
-        RelationalIndex::pairs(self, nt)
-    }
-}
-
-impl<L: LenMat> Closure for SinglePathIndex<L> {
-    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
-        SinglePathIndex::contains(self, nt, i, j)
-    }
-    fn count(&self, nt: Nt) -> usize {
-        SinglePathIndex::count(self, nt)
-    }
-    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
-        SinglePathIndex::pairs(self, nt)
-    }
-}
-
-impl Closure for SetMatrixResult {
-    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
-        let n = self.matrix.n();
-        (i as usize) < n && (j as usize) < n && self.matrix.contains(i, j, nt)
-    }
-    fn count(&self, nt: Nt) -> usize {
-        SetMatrixResult::pairs(self, nt).len()
-    }
-    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
-        SetMatrixResult::pairs(self, nt)
-    }
-}
-
 /// One nonterminal of an answer: where its relation lives in the
 /// closure, and its pair list once somebody has read it.
-struct Relation {
+struct NtPairs {
     nt: Nt,
     pairs: OnceLock<Vec<(u32, u32)>>,
 }
@@ -117,13 +70,13 @@ struct Relation {
 /// The part of an answer its clones share: the solved closure and the
 /// pair lists extracted from it so far, keyed by nonterminal name.
 struct View {
-    closure: Arc<dyn Closure>,
-    relations: BTreeMap<String, Relation>,
+    closure: Arc<dyn Relation + Send + Sync>,
+    relations: BTreeMap<String, NtPairs>,
 }
 
 impl View {
     /// `R_A` as sorted pairs, extracted from the closure on first read.
-    fn pairs_of<'a>(&'a self, name: &str, relation: &'a Relation) -> &'a [(u32, u32)] {
+    fn pairs_of<'a>(&'a self, name: &str, relation: &'a NtPairs) -> &'a [(u32, u32)] {
         relation.pairs.get_or_init(|| {
             let mut sp = cfpq_obs::span("query.materialize");
             let pairs = self.closure.pairs(relation.nt);
@@ -257,12 +210,12 @@ impl QueryAnswer {
         n_nodes: usize,
         iterations: usize,
         wcnf: &Wcnf,
-        closure: Arc<dyn Closure>,
+        closure: Arc<dyn Relation + Send + Sync>,
     ) -> Self {
         let relations = (0..wcnf.n_nts())
             .map(|i| {
                 let nt = Nt(i as u32);
-                let relation = Relation {
+                let relation = NtPairs {
                     nt,
                     pairs: OnceLock::new(),
                 };
@@ -308,14 +261,16 @@ pub fn solve_wcnf(graph: &Graph, wcnf: &Wcnf, backend: Backend) -> QueryAnswer {
             one_shot(ParSparseEngine::new(Backend::device(workers)), graph, wcnf)
         }
         Backend::SetMatrix => {
-            let result = solve_set_matrix(graph, wcnf, false);
-            QueryAnswer::over(
-                backend.name(),
-                graph.n_nodes(),
-                result.iterations,
-                wcnf,
-                Arc::new(result),
-            )
+            // The paper-literal closure, its relations read into CSR.
+            let (result, n) = (solve_set_matrix(graph, wcnf, false), graph.n_nodes());
+            let relation = |a: usize| SparseEngine.from_pairs(n, &result.pairs(Nt(a as u32)));
+            let index = RelationalIndex {
+                matrices: (0..wcnf.n_nts()).map(relation).collect(),
+                iterations: result.iterations,
+                n_nodes: n,
+                stats: SolveStats::default(),
+            };
+            QueryAnswer::from_shared(backend.name(), wcnf, Arc::new(index))
         }
     }
 }

@@ -19,9 +19,10 @@
 //!
 //! [`FixpointSolver`] is the Boolean front of the one masked semi-naive
 //! sweep loop in `fixpoint.rs` (the module docs there describe a sweep):
-//! it seeds `T_A` from the edges, places the optional ε-diagonal, and
-//! hands over. [`crate::single_path::SinglePathSolver`] runs the same
-//! loop over witness lengths. Algorithm 1 as printed — full products
+//! it seeds `T_A` from the edges and hands over; the repair and the
+//! optional ε-diagonal, written after the fixpoint, are shared too.
+//! [`crate::single_path::SinglePathSolver`] runs the same loop over
+//! witness lengths. Algorithm 1 as printed — full products
 //! every sweep — is [`solve_set_matrix`], the oracle the property suites
 //! compare the loop against. Per-sweep work counters come back in
 //! [`RelationalIndex::stats`].
@@ -92,15 +93,17 @@ pub struct SolveStats {
     /// this run avoided — by deduplicating shared `(B, C)` right-hand
     /// sides and by skipping kernels whose Δ operand was empty.
     pub products_skipped: usize,
-    /// Total stored entries (`Σ_A nnz(T_A)`) after each sweep.
+    /// Total stored entries (`Σ_A nnz(T_A)`) after each sweep. The
+    /// ε-diagonal is written after a run's last sweep, so no run counts
+    /// the ε-cells it writes (a repair counts those written before it).
     pub sweep_nnz: Vec<usize>,
     /// Tile-pair kernels the blocked backends proved away during this
     /// run (empty counterpart tile-rows, fully-masked output tiles) —
     /// the engine's [`KernelCounters`](cfpq_matrix::KernelCounters)
     /// sampled before/after the run. Zero for the flat engines.
     pub tiles_skipped: u64,
-    /// Final `nnz(T_A)` per nonterminal (indexed like the grammar's
-    /// nonterminals).
+    /// `nnz(T_A)` per nonterminal after the run's last sweep, before its
+    /// ε-cells (indexed like the grammar's nonterminals).
     pub nt_nnz: Vec<usize>,
 }
 
@@ -181,7 +184,7 @@ impl<M: BoolMat> RelationalIndex<M> {
 /// Options of a solve ([`FixpointSolver::options`] and its siblings).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// Seed `(A, m, m)` for every node `m` and every nullable `A`. The
+    /// Report `(A, m, m)` for every node `m` and every nullable `A`. The
     /// paper omits ε-rules because "only the empty paths mπm correspond
     /// to an empty string"; enabling this reports those empty-path
     /// matches, matching the semantics of parsers that keep ε (e.g. the
@@ -219,7 +222,7 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         }
     }
 
-    /// Sets the solve options (ε-diagonal seeding).
+    /// Sets the solve options (the ε-diagonal).
     pub fn options(mut self, options: SolveOptions) -> Self {
         self.options = options;
         self
@@ -235,13 +238,7 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
     /// straight to the latter.
     pub fn solve(&self, graph: &Graph, grammar: &Wcnf) -> RelationalIndex<E::Matrix> {
         let n = graph.n_nodes();
-        let mut init = init_pairs(graph, grammar);
-        if self.options.nullable_diagonal {
-            for &nt in &grammar.nullable {
-                init[nt.index()].extend((0..n as u32).map(|m| (m, m)));
-            }
-        }
-        let matrices: Vec<E::Matrix> = init
+        let matrices: Vec<E::Matrix> = init_pairs(graph, grammar)
             .into_iter()
             .map(|pairs| self.engine.from_pairs(n, &pairs))
             .collect();
@@ -249,19 +246,20 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
     }
 
     /// Runs the fixpoint from pre-seeded per-nonterminal matrices
-    /// (`matrices[A.index()]` holds the initialization of `T_A`). The
-    /// caller is responsible for the seeding — including the optional
-    /// ε-diagonal; [`SolveOptions::nullable_diagonal`] is not re-applied
-    /// here. This is the service entry point the session layer uses: the
-    /// graph→matrix decomposition lives in the `GraphIndex`, the fixpoint
-    /// is just a function of the seeds.
+    /// (`matrices[A.index()]` holds the initialization of `T_A`: the
+    /// graph's edges, nothing else), then writes the ε-diagonal if
+    /// [`SolveOptions::nullable_diagonal`] asks for it. This is the
+    /// service entry point the session layer uses: the graph→matrix
+    /// decomposition lives in the `GraphIndex`, the fixpoint is just a
+    /// function of the seeds.
     pub fn solve_from_matrices(
         &self,
         mut matrices: Vec<E::Matrix>,
         n: usize,
         grammar: &Wcnf,
     ) -> RelationalIndex<E::Matrix> {
-        let stats = fixpoint::solve(&Boolean(self.engine), &mut matrices, grammar);
+        let algebra = Boolean(self.engine);
+        let stats = fixpoint::solve(&algebra, &mut matrices, grammar, self.options, n);
         RelationalIndex {
             matrices,
             iterations: stats.sweep_nnz.len(),
@@ -289,11 +287,21 @@ impl<'e, E: BoolEngine> FixpointSolver<'e, E> {
         grammar: &Wcnf,
         new_pairs: &[Vec<(u32, u32)>],
     ) -> Result<SolveStats, SeedOutOfRange> {
-        let algebra = Boolean(self.engine);
-        let stats = fixpoint::resume(&algebra, &mut index.matrices, grammar, new_pairs)?;
-        index.iterations += stats.sweep_nnz.len();
-        index.stats.absorb(&stats);
-        Ok(stats)
+        let (algebra, n) = (Boolean(self.engine), index.n_nodes);
+        fixpoint::repair(&algebra, index, grammar, self.options, n, new_pairs)
+    }
+}
+
+impl<M> fixpoint::Closed for RelationalIndex<M> {
+    type Matrix = M;
+
+    fn parts(&mut self) -> (&mut [M], &mut usize, &mut usize, &mut SolveStats) {
+        (
+            &mut self.matrices,
+            &mut self.n_nodes,
+            &mut self.iterations,
+            &mut self.stats,
+        )
     }
 }
 

@@ -150,17 +150,10 @@ pub fn solve_prepared<E: BoolEngine>(
     index: &GraphIndex<E>,
     query: &PreparedQuery,
 ) -> RelationalIndex<E::Matrix> {
-    let mut sp = cfpq_obs::span("query.cold");
     let wcnf = query.wcnf();
-    let matrices = index.seed_matrices(wcnf, query.options);
-    let solved = FixpointSolver::new(&index.engine)
+    FixpointSolver::new(&index.engine)
         .options(query.options)
-        .solve_from_matrices(matrices, index.n_nodes, wcnf);
-    if sp.is_recording() {
-        sp.attr_u64("n_nodes", index.n_nodes as u64);
-        sp.attr_u64("sweeps", solved.iterations as u64);
-    }
-    solved
+        .solve_from_matrices(index.seed_matrices(wcnf), index.n_nodes, wcnf)
 }
 
 /// Solves a prepared query **from the given source nodes only**: the
@@ -231,10 +224,9 @@ pub fn solve_prepared_single_path<E: BoolEngine + LenEngine>(
     query: &PreparedQuery,
 ) -> SinglePathIndex<E::LenMatrix> {
     let wcnf = query.wcnf();
-    let matrices = index.seed_length_matrices(wcnf);
     SinglePathSolver::new(&index.engine)
         .options(query.options)
-        .solve_from_matrices(matrices, index.n_nodes, wcnf)
+        .solve_from_matrices(index.seed_length_matrices(wcnf), index.n_nodes, wcnf)
 }
 
 impl<E: BoolEngine + LenEngine> CfpqSession<E> {

@@ -32,15 +32,16 @@
 //! index must agree ([`SinglePathIndex::contains`] is answered from the
 //! same cells). The seed-era table encoded *absent* as `0`, which left
 //! no representation for a present path of length 0; length matrices use
-//! [`cfpq_matrix::NO_PATH`] (`u32::MAX`) as the absent sentinel instead,
-//! and the initializer finishes by seeding `(A, m, m) = 0` for every
-//! nullable `A` wherever the closure recorded no other witness (first
-//! write wins). Because ε-elimination is complete (compensation rules
-//! cover every erased occurrence), these ε-cells never need to act as
-//! product operands — the kernels skip length-0 cells — which keeps every stored
-//! split well-founded: extraction recurses on strictly smaller nonzero
-//! lengths and resolves length 0 to the empty path and length 1 to a
-//! graph edge.
+//! [`cfpq_matrix::NO_PATH`] (`u32::MAX`) as the absent sentinel instead.
+//! The ε-overlay is the relational one (`fixpoint.rs`): after the
+//! fixpoint of a cold solve, and of a repair for the nodes it adds,
+//! `(A, m, m) = 0` for every nullable `A` wherever the closure recorded
+//! no other witness (first write wins). Because ε-elimination is
+//! complete (compensation rules cover every erased occurrence), these
+//! ε-cells never need to act as product operands — the length kernels
+//! skip length-0 cells — which keeps every stored split well-founded:
+//! extraction recurses on strictly smaller nonzero lengths and resolves
+//! length 0 to the empty path and length 1 to a graph edge.
 //!
 //! The extracted witness is re-derivable by construction; tests re-check
 //! every extracted label string with the CYK oracle.
@@ -48,7 +49,6 @@
 use cfpq_grammar::{Nt, Wcnf};
 use cfpq_graph::{Edge, Graph, NodeId};
 use cfpq_matrix::{DenseLenMatrix, LenEngine, LenMat, NO_PATH};
-use std::ops::Range;
 
 use crate::fixpoint::{self, Lengths};
 use crate::relational::{init_pairs, label_terminal_map, SeedOutOfRange, SolveOptions, SolveStats};
@@ -60,15 +60,14 @@ use crate::relational::{init_pairs, label_terminal_map, SeedOutOfRange, SolveOpt
 pub struct SinglePathIndex<M: LenMat> {
     /// Graph size |V|.
     pub n_nodes: usize,
-    /// One `n × n` length matrix per nonterminal (crate-visible so the
-    /// session layer can widen a cached closure when the node universe
-    /// grows).
+    /// One `n × n` length matrix per nonterminal.
     pub(crate) lengths: Vec<M>,
     /// Fixpoint sweeps executed.
     pub iterations: usize,
     /// Kernel-work counters of the fixpoint (naive oracle runs count one
-    /// product per rule per sweep). The ε-overlay is written after it,
-    /// so `sweep_nnz` and `nt_nnz` do not count ε-cells.
+    /// product per rule per sweep). As for a relational index, the
+    /// ε-overlay is written after each run, so that run's `sweep_nnz` and
+    /// `nt_nnz` do not count its ε-cells.
     pub stats: SolveStats,
 }
 
@@ -137,7 +136,7 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
         }
     }
 
-    /// Sets the solve options (ε-diagonal seeding).
+    /// Sets the solve options (the ε-overlay).
     pub fn options(mut self, options: SolveOptions) -> Self {
         self.options = options;
         self
@@ -158,20 +157,20 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
         self.solve_from_matrices(matrices, n, grammar)
     }
 
-    /// Runs the fixpoint from pre-seeded length matrices (the session
-    /// layer seeds straight from its label matrices). The ε-overlay is
-    /// applied here; callers only provide the length-1 base facts. The
-    /// closed matrices are then trimmed ([`LenMat::shrink_to_fit`]): a
-    /// cold closure holds only its present cells. [`Self::resume`] keeps
-    /// the room its merges leave, for the next repair to merge into.
+    /// Runs the fixpoint from pre-seeded length-1 base facts (the
+    /// session layer seeds straight from its label matrices), then the
+    /// ε-overlay if enabled. The closed matrices are then trimmed
+    /// ([`LenMat::shrink_to_fit`]): a cold closure holds only its present
+    /// cells. [`Self::resume`] keeps the room its merges leave, for the
+    /// next repair to merge into.
     pub fn solve_from_matrices(
         &self,
         mut matrices: Vec<E::LenMatrix>,
         n: usize,
         grammar: &Wcnf,
     ) -> SinglePathIndex<E::LenMatrix> {
-        let stats = fixpoint::solve(&Lengths(self.engine), &mut matrices, grammar);
-        self.apply_epsilon_overlay(&mut matrices, 0..n, grammar);
+        let algebra = Lengths(self.engine);
+        let stats = fixpoint::solve(&algebra, &mut matrices, grammar, self.options, n);
         matrices.iter_mut().for_each(LenMat::shrink_to_fit);
         SinglePathIndex {
             n_nodes: n,
@@ -184,63 +183,33 @@ impl<'e, E: LenEngine> SinglePathSolver<'e, E> {
     /// Incrementally folds newly-discovered base facts (fresh graph
     /// edges, as length-1 entries) into a closed index, re-running only
     /// the semi-naive Δ loop — the single-path analogue of
-    /// [`crate::relational::FixpointSolver::resume`]. Entries already
-    /// present keep their recorded lengths (first-write-wins); the rest
-    /// seed the Δ sweeps. Returns the stats of the resume portion alone;
-    /// the index's cumulative counters are also advanced. A pair outside
-    /// the index's matrices is a [`SeedOutOfRange`] error and leaves the
-    /// index as it was.
-    ///
-    /// The matrices may have been widened (`len_grow`, inside this
-    /// crate) past `index.n_nodes` since the index was solved: the resume
-    /// then overlays the ε-cells of the new nodes' diagonal, after the
-    /// fixpoint as a cold solve does, and moves `n_nodes` to the
-    /// matrices' size. The old nodes' ε-cells are there already. So
-    /// `n_nodes` counts exactly the nodes whose ε-cells are written, and
-    /// a caller must not move it: one that raised it past the matrices'
-    /// size fails a debug assertion here, and one that raised it to a
-    /// widened size would leave the new nodes without ε-cells.
+    /// [`crate::relational::FixpointSolver::resume`], and the same
+    /// repair. Entries already present keep their recorded lengths
+    /// (first-write-wins); the rest seed the Δ sweeps. Returns the stats
+    /// of the resume portion alone; the index's cumulative counters are
+    /// also advanced. A pair outside the index's matrices is a
+    /// [`SeedOutOfRange`] error and leaves the index as it was.
     pub fn resume(
         &self,
         index: &mut SinglePathIndex<E::LenMatrix>,
         grammar: &Wcnf,
         new_pairs: &[Vec<(u32, u32)>],
     ) -> Result<SolveStats, SeedOutOfRange> {
-        let algebra = Lengths(self.engine);
-        let stats = fixpoint::resume(&algebra, &mut index.lengths, grammar, new_pairs)?;
-        index.iterations += stats.sweep_nnz.len();
-        index.stats.absorb(&stats);
-        let n = index.lengths.first().map_or(index.n_nodes, LenMat::n);
-        debug_assert!(
-            n >= index.n_nodes,
-            "n_nodes is {} but the matrices are {n} wide",
-            index.n_nodes
-        );
-        self.apply_epsilon_overlay(&mut index.lengths, index.n_nodes..n, grammar);
-        index.n_nodes = n;
-        Ok(stats)
+        let (algebra, n) = (Lengths(self.engine), index.n_nodes);
+        fixpoint::repair(&algebra, index, grammar, self.options, n, new_pairs)
     }
+}
 
-    /// Seeds `(A, m, m) = 0` for every nullable `A` and node `m` of
-    /// `nodes` wherever no witness is recorded yet. Runs *after* the
-    /// fixpoint: ε-elimination is complete, so composing through an
-    /// ε-cell can never reach a pair the ε-free closure misses — and
-    /// keeping ε-cells out of the sweeps keeps every stored split
-    /// well-founded for extraction.
-    fn apply_epsilon_overlay(
-        &self,
-        lengths: &mut [E::LenMatrix],
-        nodes: Range<usize>,
-        grammar: &Wcnf,
-    ) {
-        if !self.options.nullable_diagonal || nodes.is_empty() {
-            return;
-        }
-        let diagonal: Vec<(u32, u32, u32)> = nodes.map(|m| (m as u32, m as u32, 0)).collect();
-        for &nt in &grammar.nullable {
-            self.engine
-                .len_set_absent(&mut lengths[nt.index()], &diagonal);
-        }
+impl<M: LenMat> fixpoint::Closed for SinglePathIndex<M> {
+    type Matrix = M;
+
+    fn parts(&mut self) -> (&mut [M], &mut usize, &mut usize, &mut SolveStats) {
+        (
+            &mut self.lengths,
+            &mut self.n_nodes,
+            &mut self.iterations,
+            &mut self.stats,
+        )
     }
 }
 
@@ -306,7 +275,7 @@ pub fn solve_single_path_oracle(
         }
     }
 
-    // ε-overlay, identical to the engine pipeline's initializer.
+    // ε-overlay, as the engine pipeline writes it after the fixpoint.
     if options.nullable_diagonal {
         for &nt in &grammar.nullable {
             let tab = &mut tabs[nt.index()];
@@ -787,63 +756,89 @@ mod tests {
 
     #[test]
     fn cold_solve_and_resume_are_traced_like_the_relational_solvers() {
+        use crate::session::PreparedQuery;
         use cfpq_obs::{AttrValue, SpanCollector};
         let (g, _, partial, new_pairs) = chain_missing_its_last_edge();
-        let collector = std::sync::Arc::new(SpanCollector::new());
-        let guard = cfpq_obs::install(collector.clone());
-        let solver = SinglePathSolver::new(&SparseEngine);
-        let mut idx = solver.solve(&partial, &g);
-        let cold = idx.stats.clone();
-        let repair = solver.resume(&mut idx, &g, &new_pairs).unwrap();
-        drop(guard);
+        // The solver on its own, then a session's cell, whose reads open
+        // `query.cold` and `query.repair` around the solves.
+        for through_session in [false, true] {
+            let collector = std::sync::Arc::new(SpanCollector::new());
+            let guard = cfpq_obs::install(collector.clone());
+            let (cold, repair) = if through_session {
+                let mut session = CfpqSession::new(SparseEngine, &partial);
+                let id = session.prepare_single_path_query(PreparedQuery::from_wcnf(g.clone()));
+                let cold = session.evaluate_single_path(id).stats.clone();
+                session.add_edges(&[(3, "b", 4)]);
+                session.evaluate_single_path(id);
+                let repair = session.last_single_path_run(id).unwrap();
+                (cold, repair.stats.clone())
+            } else {
+                let solver = SinglePathSolver::new(&SparseEngine);
+                let mut idx = solver.solve(&partial, &g);
+                let cold = idx.stats.clone();
+                (cold, solver.resume(&mut idx, &g, &new_pairs).unwrap())
+            };
+            drop(guard);
 
-        let spans = collector.spans();
-        let solves: Vec<_> = spans.iter().filter(|s| s.name == "solve").collect();
-        let modes: Vec<_> = solves.iter().map(|s| s.attr("mode")).collect();
-        assert_eq!(
-            modes,
-            [
-                Some(&AttrValue::Str("cold")),
-                Some(&AttrValue::Str("resume"))
-            ]
-        );
-        for (solve, run) in solves.iter().zip([cold, repair]) {
-            let (sweeps, products) = (run.sweep_nnz.len(), run.products_computed);
-            assert_eq!(solve.attr("sweeps"), Some(&AttrValue::U64(sweeps as u64)));
+            let spans = collector.spans();
+            let solves: Vec<_> = spans.iter().filter(|s| s.name == "solve").collect();
+            let modes: Vec<_> = solves.iter().map(|s| s.attr("mode")).collect();
             assert_eq!(
-                solve.attr("products"),
-                Some(&AttrValue::U64(products as u64))
+                modes,
+                [
+                    Some(&AttrValue::Str("cold")),
+                    Some(&AttrValue::Str("resume"))
+                ]
             );
-            let children: Vec<_> = spans
+            for ((solve, run), read) in solves
                 .iter()
-                .filter(|s| s.name == "sweep" && s.parent == solve.id)
-                .collect();
-            assert_eq!(children.len(), sweeps, "one sweep span per sweep");
-            assert!(
-                children.iter().any(|s| matches!(
-                    s.attr("delta_nnz"),
-                    Some(AttrValue::Text(t)) if t.contains(':')
-                )),
-                "sweeps carry the per-nonterminal delta-nnz breakdown"
-            );
-            // Length products open the same `kernel` span the Boolean
-            // ones do, one per product, under the solve that ran them.
-            let kernels: Vec<_> = spans
-                .iter()
-                .filter(|s| s.name == "kernel")
-                .filter(|k| {
-                    let mut cur = k.parent;
-                    while cur != 0 && cur != solve.id {
-                        cur = spans.iter().find(|s| s.id == cur).map_or(0, |s| s.parent);
-                    }
-                    cur == solve.id
-                })
-                .collect();
-            assert_eq!(kernels.len(), products, "one kernel span per product");
-            for kernel in kernels {
-                assert_eq!(kernel.attr("op"), Some(&AttrValue::Str("len")));
-                assert_eq!(kernel.attr("repr"), Some(&AttrValue::Str("csr")));
-                assert!(matches!(kernel.attr("nnz"), Some(AttrValue::U64(_))));
+                .zip([cold, repair])
+                .zip(["query.cold", "query.repair"])
+            {
+                let (sweeps, products) = (run.sweep_nnz.len(), run.products_computed);
+                assert_eq!(solve.attr("sweeps"), Some(&AttrValue::U64(sweeps as u64)));
+                assert_eq!(
+                    solve.attr("products"),
+                    Some(&AttrValue::U64(products as u64))
+                );
+                if through_session {
+                    let parent = spans.iter().find(|s| s.id == solve.parent).unwrap();
+                    assert_eq!(parent.name, read);
+                    assert_eq!(parent.attr("kind"), Some(&AttrValue::Str("single_path")));
+                    assert_eq!(parent.attr("products"), solve.attr("products"));
+                    assert_eq!(parent.attr("n_nodes"), Some(&AttrValue::U64(5)));
+                }
+                let children: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.name == "sweep" && s.parent == solve.id)
+                    .collect();
+                assert_eq!(children.len(), sweeps, "one sweep span per sweep");
+                assert!(
+                    children.iter().any(|s| matches!(
+                        s.attr("delta_nnz"),
+                        Some(AttrValue::Text(t)) if t.contains(':')
+                    )),
+                    "sweeps carry the per-nonterminal delta-nnz breakdown"
+                );
+                // Length products open the same `kernel` span the Boolean
+                // ones do, one per product, under the solve that ran them.
+                let kernels: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.name == "kernel")
+                    .filter(|k| {
+                        let mut cur = k.parent;
+                        while cur != 0 && cur != solve.id {
+                            cur = spans.iter().find(|s| s.id == cur).map_or(0, |s| s.parent);
+                        }
+                        cur == solve.id
+                    })
+                    .collect();
+                assert_eq!(kernels.len(), products, "one kernel span per product");
+                for kernel in kernels {
+                    assert_eq!(kernel.attr("op"), Some(&AttrValue::Str("len")));
+                    assert_eq!(kernel.attr("repr"), Some(&AttrValue::Str("csr")));
+                    assert!(matches!(kernel.attr("nnz"), Some(AttrValue::U64(_))));
+                }
             }
         }
     }

@@ -10,11 +10,12 @@
 //! keeps its cheaper Boolean closure.
 
 use crate::all_paths::{PathEnumerator, Relation};
+use crate::fixpoint::{self, Boolean, Lengths};
 use crate::index::{EdgeBatch, GraphIndex};
 use crate::query::QueryAnswer;
-use crate::relational::{FixpointSolver, RelationalIndex, SolveOptions, SolveStats, SourceClosure};
+use crate::relational::{RelationalIndex, SolveOptions, SolveStats, SourceClosure};
 use crate::session::{solve_prepared, solve_prepared_single_path};
-use crate::single_path::{SinglePathIndex, SinglePathSolver};
+use crate::single_path::SinglePathIndex;
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::NodeId;
@@ -99,8 +100,8 @@ pub struct RunInfo {
     pub stats: SolveStats,
     /// Fixpoint sweeps of that run alone.
     pub sweeps: usize,
-    /// `true` if the run repaired a cached closure via
-    /// [`FixpointSolver::resume`]; `false` for a cold solve.
+    /// `true` if the run repaired a cached closure
+    /// ([`CachedClosure::repair`]); `false` for a cold solve.
     pub incremental: bool,
 }
 
@@ -110,14 +111,19 @@ pub struct RunInfo {
 /// edges, so the lifecycle around it (solve once, serve from the cache,
 /// repair after updates) is written once.
 pub trait CachedClosure<E: BoolEngine>: Clone {
+    /// The kind of query the closure serves, as the `kind` attribute of
+    /// the `"query.cold"` and `"query.repair"` spans of its reads.
+    const KIND: &'static str;
+
     /// Cold solve: seeds straight from the index's label matrices, then
     /// the fixpoint.
     fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self;
 
     /// Repairs the closure in place for `batches`, which `index` absorbed
-    /// since the closure was solved or last repaired: widens it if the
-    /// node universe grew, then resumes the semi-naive Δ loop from the
-    /// batches' seeds. Returns the stats of the repair alone.
+    /// since the closure was solved or last repaired: both kinds widen
+    /// it to the grown node universe, resume the semi-naive Δ loop from
+    /// the batches' seeds and overlay the ε-diagonal of the new nodes, in
+    /// one function. Returns the stats of the repair alone.
     fn repair(
         &mut self,
         index: &GraphIndex<E>,
@@ -130,42 +136,22 @@ pub trait CachedClosure<E: BoolEngine>: Clone {
 }
 
 impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
+    const KIND: &'static str = "relational";
+
     fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
         solve_prepared(index, query)
     }
 
-    /// Widening seeds the new ε-diagonal cells when the query asks for
-    /// the nullable diagonal.
     fn repair(
         &mut self,
         index: &GraphIndex<E>,
         query: &PreparedQuery,
         batches: &[EdgeBatch],
     ) -> SolveStats {
-        let mut sp = cfpq_obs::span("query.repair");
-        let (wcnf, n) = (query.wcnf(), index.n_nodes);
-        let mut new_pairs = index.batch_seeds(wcnf, batches);
-        if self.n_nodes < n {
-            let old_n = self.n_nodes;
-            for m in &mut self.matrices {
-                index.engine.grow(m, n);
-            }
-            self.n_nodes = n;
-            if query.options.nullable_diagonal {
-                for &nt in &wcnf.nullable {
-                    new_pairs[nt.index()].extend((old_n as u32..n as u32).map(|m| (m, m)));
-                }
-            }
-        }
-        let stats = FixpointSolver::new(&index.engine)
-            .options(query.options)
-            .resume(self, wcnf, &new_pairs)
-            .expect("seeds read off the grown index are cells of it");
-        if sp.is_recording() {
-            sp.attr_u64("n_nodes", n as u64);
-            sp.attr_u64("products", stats.products_computed as u64);
-        }
-        stats
+        let (wcnf, algebra) = (query.wcnf(), Boolean(&index.engine));
+        let seeds = index.batch_seeds(wcnf, batches);
+        fixpoint::repair(&algebra, self, wcnf, query.options, index.n_nodes, &seeds)
+            .expect("seeds read off the grown index are cells of it")
     }
 
     fn stats(&self) -> &SolveStats {
@@ -174,29 +160,21 @@ impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
 }
 
 impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatrix> {
+    const KIND: &'static str = "single_path";
+
     fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
         solve_prepared_single_path(index, query)
     }
 
-    /// The resume's ε-overlay covers the diagonal cells of the new
-    /// nodes only: the matrices are widened here, and the resume moves
-    /// `n_nodes`. First-write-wins means entries that survive keep their
-    /// recorded witness lengths.
     fn repair(
         &mut self,
         index: &GraphIndex<E>,
         query: &PreparedQuery,
         batches: &[EdgeBatch],
     ) -> SolveStats {
-        for m in &mut self.lengths {
-            if m.n() < index.n_nodes {
-                index.engine.len_grow(m, index.n_nodes);
-            }
-        }
-        let new_pairs = index.batch_seeds(query.wcnf(), batches);
-        SinglePathSolver::new(&index.engine)
-            .options(query.options)
-            .resume(self, query.wcnf(), &new_pairs)
+        let (wcnf, algebra) = (query.wcnf(), Lengths(&index.engine));
+        let seeds = index.batch_seeds(wcnf, batches);
+        fixpoint::repair(&algebra, self, wcnf, query.options, index.n_nodes, &seeds)
             .expect("seeds read off the grown index are cells of it")
     }
 
@@ -283,18 +261,26 @@ impl<C, D: Default> Cell<C, D> {
         let solved = self.solved.get_or_init(|| {
             // Taken by value, not cloned: with no answer holding the
             // closure, `make_mut` repairs it in place.
-            let (closure, stats, incremental) = match lock(&self.stale).take() {
+            let (closure, stats, incremental, mut sp) = match lock(&self.stale).take() {
                 Some((mut closure, batches)) => {
+                    let sp = cfpq_obs::span("query.repair");
                     let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
-                    (closure, stats, true)
+                    (closure, stats, true, sp)
                 }
                 None => {
+                    let sp = cfpq_obs::span("query.cold");
                     let closure = C::cold_solve(index, &self.query);
                     let stats = closure.stats().clone();
-                    (Arc::new(closure), stats, false)
+                    (Arc::new(closure), stats, false, sp)
                 }
             };
             let sweeps = stats.sweep_nnz.len();
+            if sp.is_recording() {
+                sp.attr_str("kind", C::KIND);
+                sp.attr_u64("n_nodes", index.n_nodes as u64);
+                sp.attr_u64("sweeps", sweeps as u64);
+                sp.attr_u64("products", stats.products_computed as u64);
+            }
             run = Some(RunInfo {
                 stats,
                 sweeps,
@@ -461,6 +447,14 @@ pub enum Served<'s, M, L: LenMat> {
 }
 
 impl<M: BoolMat, L: LenMat> Served<'_, M, L> {
+    /// The closure, type-erased.
+    fn closure(&self) -> &dyn Relation {
+        match self {
+            Served::Bool(closure) => &***closure,
+            Served::Len(closure) => &***closure,
+        }
+    }
+
     /// A shared answer viewing the closure.
     fn answer(&self, backend: &'static str, wcnf: &Wcnf) -> QueryAnswer {
         match self {
@@ -476,10 +470,15 @@ impl<M: BoolMat, L: LenMat> Served<'_, M, L> {
 
 impl<M: BoolMat, L: LenMat> Relation for Served<'_, M, L> {
     fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
-        match self {
-            Served::Bool(closure) => closure.contains(nt, i, j),
-            Served::Len(closure) => closure.contains(nt, i, j),
-        }
+        self.closure().contains(nt, i, j)
+    }
+
+    fn count(&self, nt: Nt) -> usize {
+        self.closure().count(nt)
+    }
+
+    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
+        self.closure().pairs(nt)
     }
 
     fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {

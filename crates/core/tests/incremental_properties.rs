@@ -506,7 +506,87 @@ proptest! {
             let expect = cold.pairs(nt);
             prop_assert_eq!(repaired.pairs(name), Some(expect.as_slice()));
         }
+
+        // And a nullable grammar under `nullable_diagonal`, both kinds,
+        // on every engine, in batches that grow the node universe.
+        let nullable = Cfg::parse("S -> a S b | S S | eps").unwrap();
+        let nullable = nullable.to_wcnf(CnfOptions::default()).unwrap();
+        let batch = 1 + graph_seed as usize % 3;
+        check_nullable_growth(DenseEngine, &graph, &nullable, batch)?;
+        check_nullable_growth(SparseEngine, &graph, &nullable, batch)?;
+        check_nullable_growth(ParDenseEngine::new(Device::new(2)), &graph, &nullable, batch)?;
+        check_nullable_growth(ParSparseEngine::new(Device::new(3)), &graph, &nullable, batch)?;
+        check_nullable_growth(TiledEngine::new(Device::new(2)), &graph, &nullable, batch)?;
     }
+}
+
+/// Repairs of a nullable grammar's closures under `nullable_diagonal`
+/// on `engine`, one session per kind (in one session the relational
+/// query would read the length closure): the edges among the first half
+/// of `graph`'s nodes cold-solved, then the rest in batches of `batch`
+/// edges, which name new nodes. After every batch each kind's repaired
+/// closure equals a cold solve of the grown graph on every nonterminal,
+/// both cover its nodes, and the Boolean closure is the support of the
+/// length closure — ε-diagonal of the new nodes included.
+fn check_nullable_growth<E: BoolEngine + LenEngine + Clone>(
+    engine: E,
+    graph: &Graph,
+    wcnf: &Wcnf,
+    batch: usize,
+) -> Result<(), TestCaseError> {
+    let options = cfpq_core::relational::SolveOptions {
+        nullable_diagonal: true,
+    };
+    let query = PreparedQuery::from_wcnf(wcnf.clone()).options(options);
+    let half = (graph.n_nodes() as u32).div_ceil(2);
+    let (old, new): (Vec<&cfpq_graph::Edge>, Vec<_>) = graph
+        .edges()
+        .iter()
+        .partition(|e| e.from < half && e.to < half);
+    let mut grown = Graph::new(half as usize);
+    for e in old {
+        grown.add_edge_named(e.from, graph.label_name(e.label), e.to);
+    }
+    let mut rel = CfpqSession::new(engine.clone(), &grown);
+    let id = rel.prepare_query(query.clone());
+    let mut sp = CfpqSession::new(engine.clone(), &grown);
+    let sid = sp.prepare_single_path_query(query);
+    rel.evaluate(id);
+    sp.evaluate_single_path(sid);
+    for (b, edges) in new.chunks(batch).enumerate() {
+        let edges: Vec<(u32, &str, u32)> = edges
+            .iter()
+            .map(|e| (e.from, graph.label_name(e.label), e.to))
+            .collect();
+        for &(from, label, to) in &edges {
+            grown.add_edge_named(from, label, to);
+        }
+        rel.add_edges(&edges);
+        sp.add_edges(&edges);
+        let boolean = rel.evaluate(id);
+        sp.evaluate_single_path(sid);
+        prop_assert!(rel.last_run(id).expect("read").incremental);
+        prop_assert!(sp.last_single_path_run(sid).expect("read").incremental);
+        let lengths = sp.single_path_index(sid).expect("read");
+        let n = grown.n_nodes();
+        prop_assert_eq!((boolean.n_nodes, lengths.n_nodes), (n, n), "batch {}", b);
+        let cold = FixpointSolver::new(&engine)
+            .options(options)
+            .solve(&grown, wcnf);
+        let cold_lengths = SinglePathSolver::new(&engine)
+            .options(options)
+            .solve(&grown, wcnf);
+        for a in 0..wcnf.n_nts() {
+            let nt = Nt(a as u32);
+            let name = wcnf.symbols.nt_name(nt);
+            let support = lengths.pairs(nt);
+            let expect = cold.pairs(nt);
+            prop_assert_eq!(&support, &cold_lengths.pairs(nt), "batch {}: {}", b, name);
+            prop_assert_eq!(boolean.pairs(name), Some(expect.as_slice()));
+            prop_assert_eq!(boolean.pairs(name), Some(support.as_slice()));
+        }
+    }
+    Ok(())
 }
 
 /// [`SparseEngine`] with every entry handed to `len_set_absent`

@@ -184,13 +184,6 @@ pub fn current_context() -> Option<(Arc<dyn Recorder>, SpanId)> {
         .flatten()
 }
 
-/// The innermost open span on this thread (`SpanId::NONE` when none).
-pub fn current_span() -> SpanId {
-    CONTEXT
-        .try_with(|c| c.borrow().as_ref().map_or(SpanId::NONE, |ctx| ctx.current))
-        .unwrap_or(SpanId::NONE)
-}
-
 /// Open a span named `name` under the thread's current span.
 ///
 /// When no recorder is installed (or the installed one is disabled)
@@ -256,11 +249,6 @@ impl SpanGuard {
     /// Attach an unsigned integer attribute.
     pub fn attr_u64(&mut self, key: &'static str, value: u64) {
         self.attr(key, AttrValue::U64(value));
-    }
-
-    /// Attach a float attribute.
-    pub fn attr_f64(&mut self, key: &'static str, value: f64) {
-        self.attr(key, AttrValue::F64(value));
     }
 
     /// Attach a static-string attribute.

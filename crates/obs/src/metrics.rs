@@ -185,13 +185,6 @@ pub fn escape_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Escape a Prometheus label value: backslash, double quote, newline.
-pub fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 /// Escape a string for embedding in a JSON document.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -601,8 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn label_escaping() {
-        assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn help_and_json_escaping() {
         assert_eq!(escape_help("a\\b\nc"), "a\\\\b\\nc");
         assert_eq!(json_escape("x\"\\\n\u{1}"), "x\\\"\\\\\\n\\u0001");
     }
