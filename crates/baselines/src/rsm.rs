@@ -18,9 +18,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 pub use cfpq_grammar::rsm::{Rsm, RsmBox, StateId};
 
-/// Compatibility alias for the promoted box type.
-pub type Box_ = RsmBox;
-
 /// Evaluates RSM reachability for `start` from every graph node.
 ///
 /// Configurations `(A, u, q, v)`: box `A` entered at graph node `u`,

@@ -19,6 +19,10 @@
 //! `(left_len, right_len)` split. Classes are computed lazily in length
 //! order, so a page that fills early never touches longer lengths.
 //!
+//! A page prunes against a `&dyn` [`Relation`], the one read interface
+//! of a solved closure: a relational closure, or a §5 length closure,
+//! whose support is the same relation.
+//!
 //! The enumerator keeps no edges of its own: a page reads the
 //! [`GraphIndex`] the closure was solved on, whose label matrices are the
 //! one edge store above the matrix layer. A terminal step is a
@@ -112,10 +116,10 @@ type PathKey = Vec<(u32, u32, u32)>;
 /// Memo key: `(nt, from, to, len)`.
 type ClassKey = (u32, u32, u32, u32);
 
-/// What is read of a solved closure — by a [`crate::query::QueryAnswer`],
-/// which keeps it type-erased, and by a page, which also reads a row's
-/// columns (the pivots of a split). A relational closure is one, and so
-/// is a §5 length closure, whose support is the same relation.
+/// What is read of a solved closure — by a [`crate::query::QueryAnswer`]
+/// and by a page, which also reads a row's columns (the pivots of a
+/// split), both through `&dyn Relation`. A relational closure is one, and
+/// so is a §5 length closure, whose support is the same relation.
 pub trait Relation {
     /// True if `(i, j) ∈ R_nt`; node ids outside the closure are related
     /// to nothing.
@@ -127,10 +131,13 @@ pub trait Relation {
     /// `R_nt` as sorted pairs.
     fn pairs(&self, nt: Nt) -> Vec<(u32, u32)>;
 
-    /// The columns `j` with `(i, j) ∈ R_nt`, ascending.
-    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_
-    where
-        Self: Sized;
+    /// The columns `j` with `(i, j) ∈ R_nt`, ascending; none for a row
+    /// outside the closure.
+    fn row_cols(&self, nt: Nt, i: u32) -> Box<dyn Iterator<Item = u32> + '_>;
+
+    /// The nodes the closure covers and the sweeps that closed it: an
+    /// answer's `n_nodes` and `iterations`.
+    fn extent(&self) -> (usize, usize);
 }
 
 impl<M: BoolMat> Relation for RelationalIndex<M> {
@@ -146,8 +153,12 @@ impl<M: BoolMat> Relation for RelationalIndex<M> {
         RelationalIndex::pairs(self, nt)
     }
 
-    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {
-        self.matrices[nt.index()].row_cols(i)
+    fn row_cols(&self, nt: Nt, i: u32) -> Box<dyn Iterator<Item = u32> + '_> {
+        Box::new(self.matrices[nt.index()].row_cols(i))
+    }
+
+    fn extent(&self) -> (usize, usize) {
+        (self.n_nodes, self.iterations)
     }
 }
 
@@ -164,15 +175,19 @@ impl<L: LenMat> Relation for SinglePathIndex<L> {
         SinglePathIndex::pairs(self, nt)
     }
 
-    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {
-        self.matrix(nt).row_cells(i).map(|(j, _)| j)
+    fn row_cols(&self, nt: Nt, i: u32) -> Box<dyn Iterator<Item = u32> + '_> {
+        Box::new(self.matrix(nt).row_cells(i).map(|(j, _)| j))
+    }
+
+    fn extent(&self) -> (usize, usize) {
+        (self.n_nodes, self.iterations)
     }
 }
 
 /// What one page reads: the closure it prunes against, and per grammar
 /// terminal (by `Term::index()`) the index label bound to it by name.
-struct View<'a, R, A> {
-    closure: &'a R,
+struct View<'a, A> {
+    closure: &'a dyn Relation,
     labels: Vec<Option<(Label, &'a A)>>,
 }
 
@@ -251,10 +266,10 @@ impl PathEnumerator {
     /// its length closure (it decides ε-visibility: only a
     /// `nullable_diagonal` closure unlocks ε-witnesses and ε-side
     /// splits), and every page of one enumerator must pass the same two.
-    pub fn page<E: BoolEngine, R: Relation>(
+    pub fn page<E: BoolEngine>(
         &mut self,
         index: &GraphIndex<E>,
-        closure: &R,
+        closure: &dyn Relation,
         nt: Nt,
         from: NodeId,
         to: NodeId,
@@ -289,9 +304,9 @@ impl PathEnumerator {
     /// edges: every base class of every ε-erasure-reachable nonterminal,
     /// deduplicated and sorted. `len == 0` is the ε-witness, reported
     /// only when the diagonal pair is in the (nullable-aware) closure.
-    fn class<R: Relation, A: BoolMat>(
+    fn class<A: BoolMat>(
         &mut self,
-        view: &View<R, A>,
+        view: &View<A>,
         nt: Nt,
         from: u32,
         to: u32,
@@ -331,9 +346,9 @@ impl PathEnumerator {
     /// ascending order, so a split costs that row and not the graph.
     /// Both sides of a split are full classes of strictly smaller
     /// length, so the recursion terminates without any guard.
-    fn base_class<R: Relation, A: BoolMat>(
+    fn base_class<A: BoolMat>(
         &mut self,
-        view: &View<R, A>,
+        view: &View<A>,
         d: Nt,
         from: u32,
         to: u32,
@@ -388,7 +403,7 @@ impl PathEnumerator {
     /// of every nonterminal in `reach[A]` (which always contains `A`).
     /// This closed set is what replaces the old recursion guard: rules
     /// like `S → S S` with nullable `S` simply yield `S ∈ reach[S]`.
-    fn eps_reach<R: Relation>(&mut self, closure: &R, i: u32, j: u32) -> Arc<Vec<Vec<u32>>> {
+    fn eps_reach(&mut self, closure: &dyn Relation, i: u32, j: u32) -> Arc<Vec<Vec<u32>>> {
         if let Some(r) = self.eps.get(&(i, j)) {
             return Arc::clone(r);
         }

@@ -178,6 +178,11 @@ impl QueryAnswer {
             .map(|(name, relation)| (name.as_str(), self.view.pairs_of(name, relation)))
     }
 
+    /// The closure the answer views.
+    pub(crate) fn relation(&self) -> &dyn Relation {
+        &*self.view.closure
+    }
+
     /// An answer over a copy of a solved relational index: the matrices
     /// are cloned (O(stored words)), no pair list is extracted. Callers
     /// that already hold the index behind an `Arc` share it instead
@@ -202,16 +207,16 @@ impl QueryAnswer {
         wcnf: &Wcnf,
         index: Arc<RelationalIndex<M>>,
     ) -> Self {
-        Self::over(backend, index.n_nodes, index.iterations, wcnf, index)
+        Self::over(backend, wcnf, index)
     }
 
+    /// An answer viewing any shared closure of `wcnf`.
     pub(crate) fn over(
         backend: &'static str,
-        n_nodes: usize,
-        iterations: usize,
         wcnf: &Wcnf,
         closure: Arc<dyn Relation + Send + Sync>,
     ) -> Self {
+        let (n_nodes, iterations) = closure.extent();
         let relations = (0..wcnf.n_nts())
             .map(|i| {
                 let nt = Nt(i as u32);

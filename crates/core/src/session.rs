@@ -53,10 +53,12 @@
 //!
 //! There is one cached-closure lifecycle, not one per query kind or per
 //! front: a [`GraphState`] holds the index, the prepared queries and one
-//! closure cell per query ([`CachedClosure`] says how each kind of
-//! closure is cold-solved and repaired), and one closure per grammar: a
-//! relational query whose grammar and options a single-path query shares
-//! is served from that query's length closure. A relational cell also
+//! closure cell per query (each kind of closure says only how it is
+//! cold-solved and which algebra repairs it), and one closure per
+//! grammar: a relational query whose grammar and options a single-path
+//! query shares is served from that query's length closure. Either kind
+//! is read relationally through one trait object,
+//! [`crate::all_paths::Relation`]. A relational cell also
 //! keeps what reads derive from the closure serving it — the shared
 //! answer, the path enumerator, the source-restricted closure of
 //! named-pair lookups — and empties them when the state absorbs a batch
@@ -100,10 +102,7 @@ use cfpq_obs::SpanGuard;
 use crate::relational::SolveOptions;
 
 pub use crate::index::{EdgeBatch, GraphIndex};
-pub use crate::state::{
-    CachedClosure, CellRead, GraphState, PreparedQuery, QueryId, RunInfo, Served, ServedRead,
-    SinglePathId,
-};
+pub use crate::state::{CellRead, GraphState, PreparedQuery, QueryId, RunInfo, SinglePathId};
 
 /// A multi-query evaluation session over one [`GraphIndex`]: prepare
 /// grammars once, evaluate them many times, feed edges in between.
@@ -390,8 +389,8 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         let index = self.state.index();
         let (page, run) = self
             .state
-            .paths(id, |paths, (query, solved, run)| {
-                let page = paths.page(index, &solved, query.wcnf().start, from, to, page);
+            .paths(id, |paths, (query, closure, run)| {
+                let page = paths.page(index, closure, query.wcnf().start, from, to, page);
                 (page, run)
             })
             .expect(UNREGISTERED);

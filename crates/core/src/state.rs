@@ -8,16 +8,22 @@
 //! the lengths (`supp L_A = T_A`), so the Boolean closure of that grammar
 //! is never solved or repaired. A grammar prepared only relationally
 //! keeps its cheaper Boolean closure.
+//!
+//! A relational read hands out whichever closure serves the query as one
+//! `Arc<dyn Relation + Send + Sync>`: answers and path pages read both
+//! kinds through the same [`Relation`] impls. What differs per kind —
+//! the cold solve and the algebra of its repair — is the crate-private
+//! `CachedClosure`, and the lifecycle around it is written once here.
 
 use crate::all_paths::{PathEnumerator, Relation};
-use crate::fixpoint::{self, Boolean, Lengths};
+use crate::fixpoint::{self, Algebra, Boolean, Closed, Lengths};
 use crate::index::{EdgeBatch, GraphIndex};
 use crate::query::QueryAnswer;
 use crate::relational::{RelationalIndex, SolveOptions, SolveStats, SourceClosure};
 use crate::session::{solve_prepared, solve_prepared_single_path};
 use crate::single_path::SinglePathIndex;
 use cfpq_grammar::cnf::CnfOptions;
-use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
+use cfpq_grammar::{Cfg, GrammarError, Wcnf};
 use cfpq_graph::NodeId;
 use cfpq_matrix::{BoolEngine, BoolMat, LenEngine, LenMat};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,17 +106,17 @@ pub struct RunInfo {
     pub stats: SolveStats,
     /// Fixpoint sweeps of that run alone.
     pub sweeps: usize,
-    /// `true` if the run repaired a cached closure
-    /// ([`CachedClosure::repair`]); `false` for a cold solve.
+    /// `true` if the run repaired a cached closure for the batches of
+    /// edges its index absorbed since; `false` for a cold solve.
     pub incremental: bool,
 }
 
 /// A closure that a [`GraphState`] caches per prepared query — a
 /// [`RelationalIndex`] or a [`SinglePathIndex`]: how it is cold-solved
-/// against an index and repaired once the index has absorbed further
-/// edges, so the lifecycle around it (solve once, serve from the cache,
-/// repair after updates) is written once.
-pub trait CachedClosure<E: BoolEngine>: Clone {
+/// against an index and which algebra its sweeps run, so the lifecycle
+/// around it (solve once, serve from the cache, repair after updates)
+/// and the repair itself are written once.
+pub(crate) trait CachedClosure<E: BoolEngine>: Closed + Clone {
     /// The kind of query the closure serves, as the `kind` attribute of
     /// the `"query.cold"` and `"query.repair"` spans of its reads.
     const KIND: &'static str;
@@ -119,20 +125,25 @@ pub trait CachedClosure<E: BoolEngine>: Clone {
     /// the fixpoint.
     fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self;
 
+    /// The element algebra of the closure's sweeps on `engine`.
+    fn algebra(engine: &E) -> impl Algebra<Matrix = Self::Matrix> + '_;
+
     /// Repairs the closure in place for `batches`, which `index` absorbed
-    /// since the closure was solved or last repaired: both kinds widen
-    /// it to the grown node universe, resume the semi-naive Δ loop from
-    /// the batches' seeds and overlay the ε-diagonal of the new nodes, in
-    /// one function. Returns the stats of the repair alone.
+    /// since the closure was solved or last repaired: widens it to the
+    /// grown node universe, resumes the semi-naive Δ loop from the
+    /// batches' seeds and overlays the ε-diagonal of the new nodes.
+    /// Returns the stats of the repair alone.
     fn repair(
         &mut self,
         index: &GraphIndex<E>,
         query: &PreparedQuery,
         batches: &[EdgeBatch],
-    ) -> SolveStats;
-
-    /// Cumulative kernel-work counters: the cold solve plus every repair.
-    fn stats(&self) -> &SolveStats;
+    ) -> SolveStats {
+        let (wcnf, algebra) = (query.wcnf(), Self::algebra(&index.engine));
+        let seeds = index.batch_seeds(wcnf, batches);
+        fixpoint::repair(&algebra, self, wcnf, query.options, index.n_nodes, &seeds)
+            .expect("seeds read off the grown index are cells of it")
+    }
 }
 
 impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
@@ -142,20 +153,8 @@ impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
         solve_prepared(index, query)
     }
 
-    fn repair(
-        &mut self,
-        index: &GraphIndex<E>,
-        query: &PreparedQuery,
-        batches: &[EdgeBatch],
-    ) -> SolveStats {
-        let (wcnf, algebra) = (query.wcnf(), Boolean(&index.engine));
-        let seeds = index.batch_seeds(wcnf, batches);
-        fixpoint::repair(&algebra, self, wcnf, query.options, index.n_nodes, &seeds)
-            .expect("seeds read off the grown index are cells of it")
-    }
-
-    fn stats(&self) -> &SolveStats {
-        &self.stats
+    fn algebra(engine: &E) -> impl Algebra<Matrix = E::Matrix> + '_ {
+        Boolean(engine)
     }
 }
 
@@ -166,20 +165,8 @@ impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatri
         solve_prepared_single_path(index, query)
     }
 
-    fn repair(
-        &mut self,
-        index: &GraphIndex<E>,
-        query: &PreparedQuery,
-        batches: &[EdgeBatch],
-    ) -> SolveStats {
-        let (wcnf, algebra) = (query.wcnf(), Lengths(&index.engine));
-        let seeds = index.batch_seeds(wcnf, batches);
-        fixpoint::repair(&algebra, self, wcnf, query.options, index.n_nodes, &seeds)
-            .expect("seeds read off the grown index are cells of it")
-    }
-
-    fn stats(&self) -> &SolveStats {
-        &self.stats
+    fn algebra(engine: &E) -> impl Algebra<Matrix = E::LenMatrix> + '_ {
+        Lengths(engine)
     }
 }
 
@@ -260,8 +247,10 @@ impl<C, D: Default> Cell<C, D> {
         let mut run = None;
         let solved = self.solved.get_or_init(|| {
             // Taken by value, not cloned: with no answer holding the
-            // closure, `make_mut` repairs it in place.
-            let (closure, stats, incremental, mut sp) = match lock(&self.stale).take() {
+            // closure, `make_mut` repairs it in place. The lock is let go
+            // before the run, so a clone of the state waits for no read.
+            let stale = lock(&self.stale).take();
+            let (closure, stats, incremental, mut sp) = match stale {
                 Some((mut closure, batches)) => {
                     let sp = cfpq_obs::span("query.repair");
                     let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
@@ -269,8 +258,9 @@ impl<C, D: Default> Cell<C, D> {
                 }
                 None => {
                     let sp = cfpq_obs::span("query.cold");
-                    let closure = C::cold_solve(index, &self.query);
-                    let stats = closure.stats().clone();
+                    let mut closure = C::cold_solve(index, &self.query);
+                    // A cold solve's cumulative counters are its run's.
+                    let stats = closure.parts().3.clone();
                     (Arc::new(closure), stats, false, sp)
                 }
             };
@@ -428,71 +418,6 @@ pub struct GraphState<E: BoolEngine + LenEngine> {
 /// with the index, and the run the read made (`None` for a hit).
 pub type CellRead<'s, C> = (&'s PreparedQuery, &'s Arc<C>, Option<RunInfo>);
 
-/// A read of a relational query through [`GraphState::paths`]: the
-/// query, the closure serving it, and the run the read made.
-pub type ServedRead<'s, E> = (
-    &'s PreparedQuery,
-    Served<'s, <E as BoolEngine>::Matrix, <E as LenEngine>::LenMatrix>,
-    Option<RunInfo>,
-);
-
-/// The closure a relational read is served from: the query's own
-/// Boolean closure, or the §5 length closure of its single-path twin,
-/// whose support is the same relation. Either is a [`Relation`].
-pub enum Served<'s, M, L: LenMat> {
-    /// The query's Boolean closure.
-    Bool(&'s Arc<RelationalIndex<M>>),
-    /// The length closure of the single-path query it is linked to.
-    Len(&'s Arc<SinglePathIndex<L>>),
-}
-
-impl<M: BoolMat, L: LenMat> Served<'_, M, L> {
-    /// The closure, type-erased.
-    fn closure(&self) -> &dyn Relation {
-        match self {
-            Served::Bool(closure) => &***closure,
-            Served::Len(closure) => &***closure,
-        }
-    }
-
-    /// A shared answer viewing the closure.
-    fn answer(&self, backend: &'static str, wcnf: &Wcnf) -> QueryAnswer {
-        match self {
-            Served::Bool(closure) => QueryAnswer::from_shared(backend, wcnf, Arc::clone(closure)),
-            Served::Len(closure) => {
-                let (n, iterations) = (closure.n_nodes, closure.iterations);
-                let closure: Arc<SinglePathIndex<L>> = Arc::clone(closure);
-                QueryAnswer::over(backend, n, iterations, wcnf, closure)
-            }
-        }
-    }
-}
-
-impl<M: BoolMat, L: LenMat> Relation for Served<'_, M, L> {
-    fn contains(&self, nt: Nt, i: u32, j: u32) -> bool {
-        self.closure().contains(nt, i, j)
-    }
-
-    fn count(&self, nt: Nt) -> usize {
-        self.closure().count(nt)
-    }
-
-    fn pairs(&self, nt: Nt) -> Vec<(u32, u32)> {
-        self.closure().pairs(nt)
-    }
-
-    fn row_cols(&self, nt: Nt, i: u32) -> impl Iterator<Item = u32> + '_ {
-        let (bool_row, len_row) = match self {
-            Served::Bool(closure) => (Some(Relation::row_cols(&***closure, nt, i)), None),
-            Served::Len(closure) => (None, Some(Relation::row_cols(&***closure, nt, i))),
-        };
-        bool_row
-            .into_iter()
-            .flatten()
-            .chain(len_row.into_iter().flatten())
-    }
-}
-
 impl<E: BoolEngine + LenEngine> GraphState<E> {
     /// A state over `index`, with no query prepared.
     pub fn new(index: GraphIndex<E>) -> Self {
@@ -587,30 +512,23 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
             .sum()
     }
 
-    /// Reads the closure that serves relational query `id`: its cell,
-    /// the closure, and the run the read made.
-    #[allow(clippy::type_complexity)]
+    /// Reads the closure that serves a relational `cell` — its own, or
+    /// its single-path twin's — and the run the read made.
     fn read(
         &self,
-        id: QueryId,
-    ) -> Option<(
-        &Cell<RelationalIndex<E::Matrix>, Derived<E::Matrix>>,
-        Served<'_, E::Matrix, E::LenMatrix>,
-        Option<RunInfo>,
-    )> {
-        let cell = self.rel.get(id.0)?;
-        let (served, run) = match cell.twin.get() {
+        cell: &Cell<RelationalIndex<E::Matrix>, Derived<E::Matrix>>,
+    ) -> (Arc<dyn Relation + Send + Sync>, Option<RunInfo>) {
+        match cell.twin.get() {
             Some(&twin) => {
                 let twin = self.sp.get(twin).expect("a twin is a cell of this state");
                 let (closure, run) = twin.read(&self.index);
-                (Served::Len(closure), run)
+                (closure.clone(), run)
             }
             None => {
                 let (closure, run) = cell.read(&self.index);
-                (Served::Bool(closure), run)
+                (closure.clone(), run)
             }
-        };
-        Some((cell, served, run))
+        }
     }
 
     /// Reads relational query `id`: its answer, a lazy view over the
@@ -618,28 +536,32 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
     /// changes, and the run the read made; `None` if this state holds no
     /// such query.
     pub fn evaluate(&self, id: QueryId) -> Option<(QueryAnswer, Option<RunInfo>)> {
-        let (cell, served, run) = self.read(id)?;
+        let cell = self.rel.get(id.0)?;
+        let (closure, run) = self.read(cell);
+        let backend = self.index.engine().name();
         let answer = cell
             .derived
             .answer
-            .get_or_init(|| served.answer(self.index.engine().name(), cell.query.wcnf()));
+            .get_or_init(|| QueryAnswer::over(backend, cell.query.wcnf(), closure));
         Some((answer.clone(), run))
     }
 
-    /// Reads relational query `id` and lends `page` the read and the
-    /// cell's path enumerator, whose memo tables every page of the
-    /// closure grows; `None` if this state holds no such query. The
-    /// enumerator is out of the cell while `page` runs, so no lock is
-    /// held and a `page` that panics drops it.
+    /// Reads relational query `id` through [`GraphState::evaluate`] and
+    /// lends `page` the cell's path enumerator, whose memo tables every
+    /// page of the closure grows, with the query, the answer's relation
+    /// and the run the read made; `None` if this state holds no such
+    /// query. The enumerator is out of the cell while `page` runs, so no
+    /// lock is held and a `page` that panics drops it.
     pub fn paths<R>(
         &self,
         id: QueryId,
-        page: impl FnOnce(&mut PathEnumerator, ServedRead<'_, E>) -> R,
+        page: impl FnOnce(&mut PathEnumerator, (&PreparedQuery, &dyn Relation, Option<RunInfo>)) -> R,
     ) -> Option<R> {
-        let (cell, served, run) = self.read(id)?;
+        let (answer, run) = self.evaluate(id)?;
+        let cell = self.rel.get(id.0)?;
         let taken = lock(&cell.derived.paths).take();
         let mut paths = taken.unwrap_or_else(|| PathEnumerator::new(cell.query.wcnf()));
-        let out = page(&mut paths, (&cell.query, served, run));
+        let out = page(&mut paths, (&cell.query, answer.relation(), run));
         *lock(&cell.derived.paths) = Some(paths);
         Some(out)
     }

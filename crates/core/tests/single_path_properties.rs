@@ -15,12 +15,17 @@
 //!    paper evaluates an arbitrary path), and it is the witness §5's
 //!    "simple search" finds when it tries every node as the pivot.
 //!
+//! 4. the [`Relation`] contract, read through `&dyn Relation` on both
+//!    closures of the engine, the length closure and the relational
+//!    one: rows of `row_cols` ascend and concatenate to `pairs`, `count`
+//!    is the number of pairs, and `contains` is total.
+//!
 //! Two deterministic guards then hold the cost of turning a closure into
 //! paths — [`extract_path`] and [`PathEnumerator::page`] — to the stored
 //! row of a split's left operand: isolated nodes added to the graph add
 //! no matrix read.
 
-use cfpq_core::all_paths::{PageRequest, PathEnumerator};
+use cfpq_core::all_paths::{PageRequest, PathEnumerator, Relation};
 use cfpq_core::relational::{FixpointSolver, RelationalIndex, SolveOptions};
 use cfpq_core::session::GraphIndex;
 use cfpq_core::single_path::{
@@ -58,8 +63,9 @@ fn grammars() -> Vec<Wcnf> {
 }
 
 /// Checks one engine against the oracle, the relational index and the
-/// CYK-validated extraction on one (graph, grammar, options) case.
-fn check_engine<E: LenEngine>(
+/// CYK-validated extraction on one (graph, grammar, options) case, and
+/// both of its closures against the [`Relation`] contract.
+fn check_engine<E: BoolEngine + LenEngine>(
     name: &str,
     engine: &E,
     graph: &Graph,
@@ -73,8 +79,14 @@ fn check_engine<E: LenEngine>(
     let relational = FixpointSolver::new(&SparseEngine)
         .options(options)
         .solve(graph, grammar);
+    let own = FixpointSolver::new(engine)
+        .options(options)
+        .solve(graph, grammar);
+    check_relation(name, &idx, graph, grammar)?;
+    check_relation(name, &own, graph, grammar)?;
     for a in 0..grammar.n_nts() {
         let nt = Nt(a as u32);
+        prop_assert_eq!(own.pairs(nt), relational.pairs(nt), "{}, nt {:?}", name, nt);
         prop_assert_eq!(
             idx.pairs(nt),
             oracle.pairs(nt),
@@ -108,6 +120,47 @@ fn check_engine<E: LenEngine>(
     // validate_witness). The ε-witness is the empty path.
     check_extraction(name, &idx, graph, grammar)?;
     check_extraction("oracle", &oracle, graph, grammar)?;
+    Ok(())
+}
+
+/// The [`Relation`] contract on a closure over `graph`, read through
+/// `&dyn Relation` as answers and pages read it: each row of `row_cols`
+/// ascends, the rows concatenate to `pairs`, `count` is the number of
+/// pairs, the extent is the graph's nodes, and `contains` is total — it
+/// agrees with `pairs` and relates ids at `n` and at `u32::MAX` to
+/// nothing.
+fn check_relation(
+    name: &str,
+    closure: &dyn Relation,
+    graph: &Graph,
+    grammar: &Wcnf,
+) -> Result<(), TestCaseError> {
+    let n = graph.n_nodes() as u32;
+    prop_assert_eq!(closure.extent().0, graph.n_nodes(), "{}", name);
+    let ids = || (0..n).chain([n, u32::MAX]);
+    for a in 0..grammar.n_nts() {
+        let nt = Nt(a as u32);
+        let pairs = closure.pairs(nt);
+        prop_assert_eq!(closure.count(nt), pairs.len(), "{}, nt {:?}", name, nt);
+        let mut rows = Vec::new();
+        for i in ids() {
+            let row: Vec<u32> = closure.row_cols(nt, i).collect();
+            prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "{}: row {}", name, i);
+            rows.extend(row.into_iter().map(|j| (i, j)));
+            for j in ids() {
+                let related = pairs.binary_search(&(i, j)).is_ok();
+                prop_assert_eq!(
+                    closure.contains(nt, i, j),
+                    related,
+                    "{}: {}, {}",
+                    name,
+                    i,
+                    j
+                );
+            }
+        }
+        prop_assert_eq!(rows, pairs, "{}: rows are the pairs of {:?}", name, nt);
+    }
     Ok(())
 }
 

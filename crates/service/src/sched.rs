@@ -368,7 +368,7 @@ fn serve_batch<E: ServiceEngine>(
                         } else {
                             enumerator.page(
                                 index,
-                                &solved,
+                                solved,
                                 start,
                                 i,
                                 j,

@@ -53,6 +53,35 @@ fn chain_grammar() -> cfpq_grammar::Cfg {
     cfpq_grammar::Cfg::parse("S -> a S b | a b").unwrap()
 }
 
+/// A publish does not wait for a read: a reader cold-solving a query in
+/// the current epoch holds no lock the publish's copy of that epoch
+/// takes, so `add_edges` returns while the stalled solve still runs (the
+/// copy starts the query's cell empty, and its first read solves it).
+#[test]
+fn a_publish_does_not_wait_for_a_solving_reader() {
+    let stall = FaultPlan::none().with_delay_every(1, Duration::from_millis(100));
+    let injector = FaultInjector::new(SparseEngine, stall);
+    let graph = chain_graph();
+    let service = CfpqService::with_config(injector.clone(), &graph, ServiceConfig::new(1));
+    let q = service.prepare(&chain_grammar()).unwrap();
+    let snapshot = service.snapshot();
+    let reader = std::thread::spawn(move || snapshot.evaluate(q).start_pairs().to_vec());
+    // Op 1 is the first to stall: the reader is inside its cold solve.
+    let deadline = Instant::now() + LONG;
+    while injector.ops() < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the reader never started its solve"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(service.add_edges(&[(3, "b", 4)]), 1);
+    assert!(!reader.is_finished(), "the publish waited for the reader");
+    assert_eq!(reader.join().unwrap(), [(1, 3)]);
+    let answer = wait_bounded(service.enqueue(q, vec![]).unwrap()).unwrap();
+    assert_eq!(answer.pairs, [(0, 4), (1, 3)]);
+}
+
 /// Scheduled panics kill exactly the batches they land in; retries
 /// re-run the interrupted solve (the epoch cell is left empty on
 /// unwind) and the post-fault epochs stay byte-identical to a
