@@ -1,5 +1,6 @@
 //! The edge-labeled directed graph `D = (V, E)`, `E ⊆ V × Σ × V` (§2).
 
+use crate::hash::WordSet;
 use cfpq_grammar::symbol::Interner;
 use std::fmt;
 
@@ -51,7 +52,7 @@ pub struct Graph {
     /// adj[u] = sorted-on-demand list of (label, v).
     adj: Vec<Vec<(Label, NodeId)>>,
     /// Membership set enforcing edge uniqueness in O(1) per insertion.
-    edge_set: std::collections::HashSet<(NodeId, u32, NodeId)>,
+    edge_set: WordSet<(NodeId, u32, NodeId)>,
 }
 
 impl Graph {
@@ -62,7 +63,7 @@ impl Graph {
             n_nodes,
             edges: Vec::new(),
             adj: vec![Vec::new(); n_nodes],
-            edge_set: std::collections::HashSet::new(),
+            edge_set: WordSet::default(),
         }
     }
 
@@ -180,7 +181,7 @@ impl Graph {
             n_nodes: self.n_nodes * k,
             edges: Vec::with_capacity(self.edges.len() * k),
             adj: vec![Vec::new(); self.n_nodes * k],
-            edge_set: std::collections::HashSet::with_capacity(self.edges.len() * k),
+            edge_set: WordSet::with_capacity_and_hasher(self.edges.len() * k, Default::default()),
         };
         for c in 0..k as NodeId {
             for &Edge { from, label, to } in &self.edges {

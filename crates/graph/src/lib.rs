@@ -17,6 +17,7 @@
 
 pub mod generators;
 pub mod graph;
+mod hash;
 pub mod ontology;
 pub mod triples;
 

@@ -23,10 +23,10 @@
 //! (e.g. 8·1086 = 8688 and 8·17634 = 141072).
 
 use crate::graph::Graph;
+use crate::hash::WordSet;
 use crate::triples::TripleSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Shape parameters for one synthetic ontology.
 #[derive(Clone, Copy, Debug)]
@@ -198,7 +198,7 @@ impl OntologyProfile {
         while n_classes * (n_classes - 1) / 2 < 2 * n_class_edges {
             n_classes += 1;
         }
-        let mut class_edges: HashSet<(usize, usize)> = HashSet::new();
+        let mut class_edges: WordSet<(usize, usize)> = WordSet::default();
         for i in 1..n_classes {
             if class_edges.len() >= n_class_edges {
                 break;
@@ -231,7 +231,7 @@ impl OntologyProfile {
         while n_instances * class_pool < 2 * n_type_edges {
             n_instances += 1;
         }
-        let mut type_edges: HashSet<(usize, usize)> = HashSet::new();
+        let mut type_edges: WordSet<(usize, usize)> = WordSet::default();
         for j in 0..n_instances.min(n_type_edges) {
             let class = rng.gen_range(0..class_pool);
             type_edges.insert((j, class));
@@ -253,7 +253,7 @@ impl OntologyProfile {
         // `Graph::add_edge` enforces edge uniqueness.
         let mut node_pool: Vec<String> = (0..class_pool).map(|i| format!("c{i}")).collect();
         node_pool.extend((0..n_instances).map(|j| format!("i{j}")));
-        let mut padding_seen: HashSet<(usize, usize, usize)> = HashSet::new();
+        let mut padding_seen: WordSet<(usize, usize, usize)> = WordSet::default();
         for k in 0..n_padding {
             let p_idx = k % PADDING_PREDICATES.len();
             loop {

@@ -191,9 +191,12 @@ impl KernelCounters {
 ///   after a run brackets exactly that run's work on a quiescent engine.
 /// * **A product costs its sparser operand, and nothing shows which.**
 ///   A tile pair can be evaluated by walking the set bits of either
-///   tile (for `TiledEngine`: the left tile's rows, or — after one
-///   64×64 transpose — the right panel's, into a transposed
-///   accumulator), at one word-OR per bit walked. The backend picks the
+///   tile (for `TiledEngine`: the left tile's non-empty rows, or —
+///   after one 64×64 transpose — the right panel's set bits, listed as
+///   cells once per product, into a transposed accumulator), at one
+///   word-OR per bit walked. Neither side steps over an empty row, so
+///   a tile pair costs its bits, not its 64 words (a panel's words are
+///   read once per product, to list it). The backend picks the
 ///   side per left tile by comparing the two operation counts, computed
 ///   from popcounts of the operands it was handed and from nothing
 ///   else: no threshold, option or build setting enters, so a caller

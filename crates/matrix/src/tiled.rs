@@ -29,29 +29,41 @@
 //! * a pass costs what the matrix stores, not its `⌈n / 64⌉` tile-rows:
 //!   a product walks the stored tiles of its left operand flat and
 //!   gallops over each run of tile-rows they leave empty, a build jumps
-//!   from the tile-row of one pair to that of the next, and
+//!   from the run of one tile-row to that of the next, and
 //!   [`TiledBitMatrix::pairs`] gallops from one stored tile-row to the
 //!   next. All that is left per tile-row is a bulk fill: the row ends a
 //!   product or a build writes for an empty run in one `resize`, and the
-//!   build's tile-column scratch;
+//!   build's tile-column scratch and bucket counts;
+//! * a build costs its pairs, `O(m + n / 64)`, and compares none: pairs
+//!   grouped by tile-row, ascending — what `pairs()` emits, and the label
+//!   pairs of a graph whose edges were added source by source — are read
+//!   as they are, others are bucketed by tile-row with a counting sort
+//!   first. Each tile-row's tile-columns are numbered before a bit is
+//!   set, so every tile is written in place, once;
 //! * `C_{ij} |= A_{ik} × B_{kj}` runs a dense bitset kernel per tile
 //!   pair, and a left tile `A_{ik}` goes through its *panel* — the `nb`
 //!   stored tiles of `B`'s tile-row `k` — whichever of two ways costs
-//!   fewer word-ORs. *Left-driven*, the classic kernel: for every set
-//!   bit `(r, k')` of `A_{ik}`, OR row `k'` of the panel tile into row
-//!   `r` of the accumulator — `|A_{ik}| · nb` ORs. *Right-driven*:
-//!   transpose `A_{ik}` once, then for every set bit `(k', j')` of the
-//!   panel OR column `k'` of `A_{ik}` into row `j'` of a transposed
-//!   accumulator — `|B_{k*}|` ORs — and transpose each such accumulator
-//!   back into the ordinary one when the tile-row is drained. A dense Δ
-//!   against a sparse label matrix (`ΔS × T_b`) is cheap right-driven
-//!   and the same pair the other way round (`T_a × ΔS`) is cheap
-//!   left-driven, so a sweep costs its sparser operands. The choice is
-//!   made from popcounts of the two operands alone
-//!   (`TileAccumulator::right_driven_is_cheaper`, where the rule and
-//!   its unit live), is not configurable, and cannot show in a result:
-//!   both paths feed one accumulator ahead of masking, the zero-tile
-//!   test and the skip accounting;
+//!   fewer word-ORs. Each kernel walks only what it ORs, so a tile pair
+//!   costs its bits and not a 64-word walk. *Left-driven*, the classic
+//!   kernel: for every set bit `(r, k')` of `A_{ik}`, OR row `k'` of the
+//!   panel tile into row `r` of the accumulator — `|A_{ik}| · nb` ORs,
+//!   stepping through the non-empty rows of `A_{ik}` only (a row mask
+//!   taken once per left tile). *Right-driven*: transpose `A_{ik}` once,
+//!   then for every set bit `(k', j')` of the panel OR column `k'` of
+//!   `A_{ik}` into row `j'` of a transposed accumulator — `|B_{k*}|`
+//!   ORs — and transpose each such accumulator back into the ordinary
+//!   one when the tile-row is drained. The panel's set bits are read as
+//!   a list of `(k', j')` cells, made once per product by the first left
+//!   tile that takes the panel right-driven and read by every later left
+//!   tile of tile-column `k`; the lists are thread scratch beside the
+//!   accumulator, like its tiles. A dense Δ against a sparse label
+//!   matrix (`ΔS × T_b`) is cheap right-driven and the same pair the
+//!   other way round (`T_a × ΔS`) is cheap left-driven, so a sweep costs
+//!   its sparser operands. The choice is made from popcounts of the two
+//!   operands alone (`TileAccumulator::right_driven_is_cheaper`, where
+//!   the rule and its unit live), is not configurable, and cannot show
+//!   in a result: both paths feed one accumulator ahead of masking, the
+//!   zero-tile test and the skip accounting;
 //! * tile pairs whose counterpart tile-row in `B` is empty are skipped
 //!   without touching any bit (counted in
 //!   [`crate::engine::KernelCounters::tiles_skipped`]);
@@ -131,77 +143,85 @@ impl TiledBitMatrix {
         Self { n, csr }
     }
 
-    /// Builds a matrix from `(row, col)` pairs in `O(nnz)` if they come
-    /// row-major-sorted — what `pairs()` emits on every representation —
-    /// and after sorting a copy if not.
+    /// Builds a matrix from `(row, col)` pairs in `O(m + n / 64)` for `m`
+    /// pairs, in any order, duplicates allowed. Pairs that come grouped
+    /// by tile-row, ascending — what `pairs()` emits — are built from as
+    /// they are; others are first bucketed by tile-row with a counting
+    /// sort. Nothing compares two pairs.
     ///
     /// # Panics
     ///
     /// If a pair names a row or column `>= n`.
     pub fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        if pairs.is_sorted() {
-            return Self::from_sorted_pairs(n, pairs);
+        let tile_row = |&(i, _): &(u32, u32)| i as usize / TILE;
+        if pairs.is_sorted_by_key(tile_row) {
+            return Self::from_grouped_pairs(n, pairs);
         }
-        let mut sorted = pairs.to_vec();
-        sorted.sort_unstable();
-        Self::from_sorted_pairs(n, &sorted)
+        // `at[t]` is where tile-row `t`'s bucket starts, then, as the
+        // pairs are dealt, where its next pair goes.
+        let mut at = vec![0usize; tile_count(n) + 1];
+        for pair in pairs {
+            // Refused before its tile-row is counted: a row past the last
+            // tile names none.
+            assert_in_range(n, *pair);
+            at[tile_row(pair) + 1] += 1;
+        }
+        for t in 1..at.len() {
+            at[t] += at[t - 1];
+        }
+        let mut grouped = vec![(0, 0); pairs.len()];
+        for pair in pairs {
+            let slot = &mut at[tile_row(pair)];
+            grouped[*slot] = *pair;
+            *slot += 1;
+        }
+        Self::from_grouped_pairs(n, &grouped)
     }
 
-    /// The `O(nnz)` builder for row-major-sorted pairs: each tile-row is
-    /// a contiguous run of the input, so tiles are filled first-touch via
-    /// a `tile_col → slot` scratch (no global sort) and only the
-    /// per-tile-row column lists are sorted at the end of their run. The
-    /// tile-rows between two runs get their row ends in one bulk write,
-    /// and the storage is cut to its exact size at the end: a label's
-    /// matrix lives as long as its index.
-    fn from_sorted_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        debug_assert!(pairs.is_sorted());
+    /// The builder for pairs grouped by tile-row, ascending: each
+    /// tile-row is one run of the input. A run's tile-columns are marked
+    /// in a `tile_col → slot` scratch, sorted and numbered first, so its
+    /// tiles are laid out in canonical order before a bit is set and no
+    /// tile is moved after. The tile-rows between two runs get their row
+    /// ends in one bulk write, and the storage is cut to its exact size
+    /// at the end: a label's matrix lives as long as its index.
+    fn from_grouped_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
         let tn = tile_count(n);
         let mut csr: Csr<TileWords> = Csr::with_capacity(tn, 0);
         let mut slot_of: Vec<u32> = vec![u32::MAX; tn];
-        let mut k = 0usize;
-        while let Some(&first) = pairs.get(k) {
+        let mut start = 0;
+        while let Some(&first) = pairs.get(start) {
             // Refused before its tile-row is opened: a row past the last
             // tile names none.
             assert_in_range(n, first);
             let ti = first.0 as usize / TILE;
             csr.row_ptr.resize(ti + 1, csr.nnz());
-            let row_start = csr.nnz();
-            while k < pairs.len() && pairs[k].0 as usize / TILE == ti {
-                let (i, j) = pairs[k];
+            let first_tile = csr.nnz();
+            // The run's tile-columns, marked as met, then numbered in
+            // ascending order.
+            let mut end = start;
+            while let Some(&(i, j)) = pairs.get(end).filter(|p| p.0 as usize / TILE == ti) {
                 assert_in_range(n, (i, j));
                 let tj = j as usize / TILE;
-                let mut slot = slot_of[tj];
-                if slot == u32::MAX {
-                    slot = csr.nnz() as u32;
-                    slot_of[tj] = slot;
+                if slot_of[tj] == u32::MAX {
+                    slot_of[tj] = 0;
                     csr.push(tj as u32, EMPTY_TILE);
                 }
-                csr.vals[slot as usize][i as usize % TILE] |= 1u64 << (j as usize % TILE);
-                k += 1;
+                end += 1;
             }
-            // Restore the canonical ascending tile-col order for this
-            // tile-row (first-touch order follows the rows, not the
-            // columns) and release the scratch slots.
-            let m = csr.nnz() - row_start;
-            if m > 1 {
-                let mut perm: Vec<u32> = (0..m as u32).collect();
-                perm.sort_unstable_by_key(|&x| csr.cols[row_start + x as usize]);
-                let cols: Vec<u32> = perm
-                    .iter()
-                    .map(|&x| csr.cols[row_start + x as usize])
-                    .collect();
-                let tls: Vec<TileWords> = perm
-                    .iter()
-                    .map(|&x| csr.vals[row_start + x as usize])
-                    .collect();
-                csr.cols[row_start..].copy_from_slice(&cols);
-                csr.vals[row_start..].copy_from_slice(&tls);
+            csr.cols[first_tile..].sort_unstable();
+            for (t, &tj) in (first_tile..).zip(&csr.cols[first_tile..]) {
+                slot_of[tj as usize] = t as u32;
             }
-            for &tj in &csr.cols[row_start..] {
+            for &(i, j) in &pairs[start..end] {
+                let tile = &mut csr.vals[slot_of[j as usize / TILE] as usize];
+                tile[i as usize % TILE] |= 1u64 << (j as usize % TILE);
+            }
+            for &tj in &csr.cols[first_tile..] {
                 slot_of[tj as usize] = u32::MAX;
             }
             csr.row_ptr.push(csr.nnz());
+            start = end;
         }
         csr.row_ptr.resize(tn + 1, csr.nnz());
         csr.shrink();
@@ -376,16 +396,23 @@ impl TiledBitMatrix {
     }
 }
 
-/// The left-driven 64×64 kernel: `c |= a × b` over the Boolean semiring.
-/// For each tile row `r`, every set bit `k` of `a[r]` ORs `b`'s row `k`
-/// into `c[r]` — one word-OR per set bit of `a`, whatever `b` holds.
+/// Bit `r` set iff row `r` of `t` is not empty.
 #[inline]
-fn tile_multiply_into(a: &TileWords, b: &TileWords, c: &mut TileWords) {
-    for r in 0..TILE {
+fn row_mask(t: &TileWords) -> u64 {
+    t.iter()
+        .enumerate()
+        .fold(0, |mask, (r, &w)| mask | u64::from(w != 0) << r)
+}
+
+/// The left-driven 64×64 kernel: `c |= a × b` over the Boolean semiring,
+/// given `rows = row_mask(a)`. For each non-empty row `r` of `a`, every
+/// set bit `k` of `a[r]` ORs `b`'s row `k` into `c[r]` — one word-OR per
+/// set bit of `a`, whatever `b` holds, and no step over an empty row.
+#[inline]
+fn tile_multiply_into(a: &TileWords, rows: u64, b: &TileWords, c: &mut TileWords) {
+    for r in word_bits(rows) {
+        let r = r as usize;
         let mut aw = a[r];
-        if aw == 0 {
-            continue;
-        }
         let mut cw = c[r];
         while aw != 0 {
             cw |= b[aw.trailing_zeros() as usize];
@@ -396,20 +423,16 @@ fn tile_multiply_into(a: &TileWords, b: &TileWords, c: &mut TileWords) {
 }
 
 /// The right-driven 64×64 kernel: `cᵀ |= (a × b)ᵀ`, given `a`'s columns
-/// (`a_cols = aᵀ`). Every set bit `(k, j)` of `b` ORs column `k` of `a`
-/// into column `j` of the product, which is row `j` of the transposed
-/// accumulator — one word-OR per set bit of `b`, whatever `a` holds
-/// (an empty column is OR-ed like any other: testing for it would put a
-/// coin-flip branch in front of every row of a half-empty `a`).
+/// (`a_cols = aᵀ`) and `b`'s set bits as `(k, j)` cells. Every cell ORs
+/// column `k` of `a` into column `j` of the product, which is row `j` of
+/// the transposed accumulator — one word-OR per set bit of `b`, whatever
+/// `a` holds (an empty column is OR-ed like any other: testing for it
+/// would put a coin-flip branch in front of every cell of a half-empty
+/// `a`).
 #[inline]
-fn tile_multiply_transposed_into(a_cols: &TileWords, b: &TileWords, c_cols: &mut TileWords) {
-    for k in 0..TILE {
-        let col = a_cols[k];
-        let mut bw = b[k];
-        while bw != 0 {
-            c_cols[bw.trailing_zeros() as usize] |= col;
-            bw &= bw - 1;
-        }
+fn tile_multiply_transposed_into(a_cols: &TileWords, b_cells: &[[u8; 2]], c_cols: &mut TileWords) {
+    for &[k, j] in b_cells {
+        c_cols[j as usize % TILE] |= a_cols[k as usize % TILE];
     }
 }
 
@@ -484,25 +507,47 @@ impl TileSlots {
     }
 }
 
+/// What the product in progress has read off one panel, the right
+/// operand's tile-row `k`: valid iff `product` is that product's stamp.
+#[derive(Clone, Copy, Default)]
+struct Panel {
+    product: u64,
+    /// The popcount of the panel's tiles.
+    bits: usize,
+    /// Where the panel's cell lists start in
+    /// [`TileAccumulator::cell_ends`], once a left tile took it
+    /// right-driven.
+    listed: Option<usize>,
+}
+
 /// Per-thread accumulator for one tile-row of a product: the row's
 /// output tiles, a second set holding the transposes of what the
-/// right-driven kernel produced, and the panel bit counts the path
-/// choice reads. Reused across products via a thread-local (the device
-/// workers are persistent), so no per-product `O(tn)` allocation or
-/// zeroing happens — only tiles actually touched are cleared, at first
-/// touch — and the right-driven half (as many tiles again, 512 B each)
-/// is allocated by the first product on the thread that takes that path.
+/// right-driven kernel produced, and what the path choice and the
+/// right-driven kernel read off each panel — its bit count, and its set
+/// bits listed as cells. Reused across products via a thread-local (the
+/// device workers are persistent), so no per-product `O(tn)` allocation
+/// or zeroing happens — only tiles actually touched are cleared, at
+/// first touch — and the right-driven half (as many tiles again, 512 B
+/// each) is allocated by the first product on the thread that takes
+/// that path.
 struct TileAccumulator {
     /// Stamp of the current tile-row. Bumped per row and per product and
-    /// never reset, so one counter keys both tile sets and `panel_bits`.
+    /// never reset, so one counter keys both tile sets and `panels`.
     cur: u64,
     /// `cur` as the product in progress began.
     product: u64,
     row: TileSlots,
     transposed: TileSlots,
-    /// `panel_bits[k] == (product, bits)` iff `bits` is the popcount of
-    /// the right operand's tile-row `k` in the product in progress.
-    panel_bits: Vec<(u64, usize)>,
+    /// Indexed by tile-column `k`: what was read off panel `k`.
+    panels: Vec<Panel>,
+    /// The set bits of the panels listed in the product in progress, as
+    /// `(k, j)` cells, tile by tile: a panel is listed once, the first
+    /// time a left tile takes it right-driven, and every later left tile
+    /// of its tile-column reads the list instead of 64 panel words.
+    cells: Vec<[u8; 2]>,
+    /// Tile `t` of the panel listed at `at` holds
+    /// `cells[cell_ends[at + t]..cell_ends[at + t + 1]]`.
+    cell_ends: Vec<usize>,
     /// Tiles of the product in progress that were accumulated but drained
     /// empty — masked out whole, or cancelled.
     dropped: u64,
@@ -515,7 +560,9 @@ impl TileAccumulator {
             product: 0,
             row: TileSlots::new(),
             transposed: TileSlots::new(),
-            panel_bits: Vec::new(),
+            panels: Vec::new(),
+            cells: Vec::new(),
+            cell_ends: Vec::new(),
             dropped: 0,
         }
     }
@@ -523,12 +570,6 @@ impl TileAccumulator {
     #[inline]
     fn tile(&mut self, tj: u32) -> &mut TileWords {
         self.row.tile(self.cur, tj)
-    }
-
-    #[inline]
-    fn transposed_tile(&mut self, tj: u32) -> &mut TileWords {
-        self.transposed.ensure(self.row.tiles.len());
-        self.transposed.tile(self.cur, tj)
     }
 
     /// Transposes back what the right-driven kernel accumulated for this
@@ -545,9 +586,9 @@ impl TileAccumulator {
     }
 
     /// Picks the path of one left tile `a` — tile-column `k`, one of
-    /// `row_len` stored in its tile-row — through its `panel`, the `nb`
-    /// stored tiles of the right operand's tile-row `k`, by counting
-    /// both paths in word operations:
+    /// `row_len` stored in its tile-row, `rows` its [`row_mask`] —
+    /// through its `panel`, the `nb` stored tiles of the right operand's
+    /// tile-row `k`, by counting both paths in word operations:
     ///
     /// * left-driven ([`tile_multiply_into`]): an OR per set bit of `a`
     ///   for every panel tile, `|a| · nb`;
@@ -560,7 +601,9 @@ impl TileAccumulator {
     ///
     /// Both counts are read off the operands alone, so a product takes
     /// the same paths wherever and however often it runs, and its bits
-    /// never depend on them. Counting stays below the work it steers by
+    /// never depend on them. Both kernels walk only what they OR — the
+    /// non-empty rows of `a`, the listed cells of the panel — so an OR
+    /// is the unit of both. Counting stays below the work it steers by
     /// first holding left-driven to what right-driven costs at its best
     /// (its transposes, and one bit in each stored panel tile): a tile
     /// whose non-empty rows, were they full, stay under that is not
@@ -570,6 +613,7 @@ impl TileAccumulator {
     fn right_driven_is_cheaper(
         &mut self,
         a: &TileWords,
+        rows: u64,
         k: usize,
         panel: &[TileWords],
         row_len: usize,
@@ -577,21 +621,54 @@ impl TileAccumulator {
         let nb = panel.len();
         let transposes = TRANSPOSE_OPS + ((TRANSPOSE_OPS + TILE) * nb).div_ceil(row_len);
         let right_at_best = transposes + nb;
-        let nonzero_rows = a.iter().filter(|&&w| w != 0).count();
-        if TILE * nonzero_rows * nb <= right_at_best {
+        if TILE * rows.count_ones() as usize * nb <= right_at_best {
             return false;
         }
         let left = tile_bits(a) * nb;
         if left <= right_at_best {
             return false;
         }
-        if self.panel_bits.len() < self.row.tiles.len() {
-            self.panel_bits.resize(self.row.tiles.len(), (0, 0));
+        if self.panels.len() < self.row.tiles.len() {
+            self.panels.resize(self.row.tiles.len(), Panel::default());
         }
-        if self.panel_bits[k].0 != self.product {
-            self.panel_bits[k] = (self.product, panel.iter().map(tile_bits).sum());
+        let seen = &mut self.panels[k];
+        if seen.product != self.product {
+            *seen = Panel {
+                product: self.product,
+                bits: panel.iter().map(tile_bits).sum(),
+                listed: None,
+            };
         }
-        transposes + self.panel_bits[k].1 < left
+        transposes + seen.bits < left
+    }
+
+    /// Where panel `k`'s cell lists start in `cell_ends`, listing them
+    /// the first time the product in progress asks. Called only after
+    /// [`Self::right_driven_is_cheaper`] counted the panel in this
+    /// product.
+    fn listed(&mut self, k: usize, panel: &[TileWords]) -> usize {
+        let seen = &mut self.panels[k];
+        debug_assert_eq!(seen.product, self.product, "the panel was counted");
+        if let Some(at) = seen.listed {
+            return at;
+        }
+        let at = self.cell_ends.len();
+        seen.listed = Some(at);
+        // The panel's bit count sizes the list, so the cells are written
+        // by index, with no capacity test per cell.
+        let mut end = self.cells.len();
+        self.cells.resize(end + seen.bits, [0; 2]);
+        self.cell_ends.push(end);
+        for b in panel {
+            for (r, &word) in (0u8..).zip(b) {
+                for j in word_bits(word) {
+                    self.cells[end] = [r, j as u8];
+                    end += 1;
+                }
+            }
+            self.cell_ends.push(end);
+        }
+        at
     }
 }
 
@@ -600,8 +677,9 @@ impl TileAccumulator {
 /// operand's tile-row `k`, on whichever kernel costs fewer word-ORs.
 impl RowAccumulator<TileWords> for TileAccumulator {
     /// Starts a product (or a device block of one): a fresh stamp for its
-    /// panel counts and first tile-row, nothing dropped yet, and nothing
-    /// left of a product that panicked halfway on this thread.
+    /// panels and first tile-row, no panel listed, nothing dropped yet,
+    /// and nothing left of a product that panicked halfway on this
+    /// thread.
     fn fit(&mut self, tn: usize) {
         self.row.ensure(tn);
         self.cur += 1;
@@ -609,6 +687,8 @@ impl RowAccumulator<TileWords> for TileAccumulator {
         self.dropped = 0;
         self.row.touched.clear();
         self.transposed.touched.clear();
+        self.cells.clear();
+        self.cell_ends.clear();
     }
 
     #[inline]
@@ -621,14 +701,19 @@ impl RowAccumulator<TileWords> for TileAccumulator {
         cols: &[u32],
         panel: &[TileWords],
     ) {
-        if self.right_driven_is_cheaper(a, k as usize, panel, row_len) {
+        let rows = row_mask(a);
+        if self.right_driven_is_cheaper(a, rows, k as usize, panel, row_len) {
             let a_cols = transpose_tile(a);
-            for (&tj, b) in cols.iter().zip(panel) {
-                tile_multiply_transposed_into(&a_cols, b, self.transposed_tile(tj));
+            let at = self.listed(k as usize, panel);
+            self.transposed.ensure(self.row.tiles.len());
+            let ends = &self.cell_ends[at..=at + panel.len()];
+            for (&tj, end) in cols.iter().zip(ends.windows(2)) {
+                let c_cols = self.transposed.tile(self.cur, tj);
+                tile_multiply_transposed_into(&a_cols, &self.cells[end[0]..end[1]], c_cols);
             }
         } else {
             for (&tj, b) in cols.iter().zip(panel) {
-                tile_multiply_into(a, b, self.tile(tj));
+                tile_multiply_into(a, rows, b, self.tile(tj));
             }
         }
     }
@@ -828,9 +913,10 @@ mod tests {
         assert!(TiledBitMatrix::zeros(BANDED_N).pairs().is_empty());
 
         // A row in the edge tile's padding, or past the tile grid, is
-        // still refused after the builder skipped the empty tile-rows.
+        // still refused after the builder skipped the empty tile-rows,
+        // and ahead of a lower tile-row, which buckets the pairs first.
         for bad in [(BANDED_N as u32 + 5, 0), (BANDED_N as u32 + 64, 0)] {
-            for pairs in [vec![bad], vec![(3, 3), bad]] {
+            for pairs in [vec![bad], vec![(3, 3), bad], vec![bad, (3, 3)]] {
                 let refusal = std::panic::catch_unwind(|| {
                     TiledBitMatrix::from_pairs(BANDED_N, &pairs);
                 })
@@ -993,8 +1079,15 @@ mod tests {
 
         let mut chooser = TileAccumulator::new();
         chooser.fit(a.tile_rows());
-        assert!(chooser.right_driven_is_cheaper(&a.csr.vals[0], 0, &b.csr.vals[..3], 2));
-        assert!(!chooser.right_driven_is_cheaper(&a.csr.vals[1], 1, &b.csr.vals[3..], 2));
+        let (full, two_bits) = (&a.csr.vals[0], &a.csr.vals[1]);
+        assert!(chooser.right_driven_is_cheaper(full, row_mask(full), 0, &b.csr.vals[..3], 2));
+        assert!(!chooser.right_driven_is_cheaper(
+            two_bits,
+            row_mask(two_bits),
+            1,
+            &b.csr.vals[3..],
+            2
+        ));
 
         // Output tile (0, 1) fully masked, (0, 2) partly.
         let mut pm: Vec<(u32, u32)> = (0..64)
@@ -1024,10 +1117,244 @@ mod tests {
         assert_eq!(masked.stored_tiles(), 2);
     }
 
+    /// Holds `a × b` and `(a × b) \ mask` to the dense products, serially
+    /// and on devices of 2 and 3 workers, whose outputs and skip counts
+    /// must also equal the serial ones.
+    fn check_against_dense(
+        what: &str,
+        n: usize,
+        pa: &[(u32, u32)],
+        pb: &[(u32, u32)],
+        pm: &[(u32, u32)],
+    ) {
+        let (a, b, mask) = (
+            TiledBitMatrix::from_pairs(n, pa),
+            TiledBitMatrix::from_pairs(n, pb),
+            TiledBitMatrix::from_pairs(n, pm),
+        );
+        let (da, db, dm) = (
+            crate::DenseBitMatrix::from_pairs(n, pa),
+            crate::DenseBitMatrix::from_pairs(n, pb),
+            crate::DenseBitMatrix::from_pairs(n, pm),
+        );
+        let product = da.multiply(&db);
+        for (mask, expect) in [
+            (None, product.pairs()),
+            (Some(&mask), product.difference(&dm).pairs()),
+        ] {
+            let serial = a.multiply_masked_opt_on(&b, mask, None);
+            let masked = mask.is_some();
+            assert_eq!(serial.0.pairs(), expect, "{what}, serial, masked: {masked}");
+            for workers in [2, 3] {
+                let par = a.multiply_masked_opt_on(&b, mask, Some(&Device::new(workers)));
+                assert_eq!(par, serial, "{what}, {workers} workers, masked: {masked}");
+            }
+        }
+    }
+
+    /// The pairs of a 64 × 64 block at tile `(ti, tj)`: `cells` gives
+    /// the in-tile `(row, col)` cells.
+    fn tile_at(ti: u32, tj: u32, cells: impl IntoIterator<Item = (u32, u32)>) -> Vec<(u32, u32)> {
+        let base = |t: u32| t * TILE as u32;
+        cells
+            .into_iter()
+            .map(|(r, c)| (base(ti) + r, base(tj) + c))
+            .collect()
+    }
+
+    fn full_tile() -> impl Iterator<Item = (u32, u32)> {
+        (0..64).flat_map(|r| (0..64).map(move |c| (r, c)))
+    }
+
+    #[test]
+    fn both_kernels_match_dense_on_every_tile_shape_and_panel_length() {
+        // 5 tile-rows, the last 57 rows deep. Each left operand puts one
+        // shape at tiles (1, 2) and (3, 2), so two left tiles meet panel
+        // 2 and the second reads what the first listed; the full tile
+        // and the full column go right-driven against a sparse panel.
+        let n = 5 * TILE - 7;
+        let shapes: [(&str, Vec<(u32, u32)>); 4] = [
+            ("one bit", vec![(0, 40)]),
+            ("full row", (0..64).map(|c| (63, c)).collect()),
+            ("full column", (0..64).map(|r| (r, 33)).collect()),
+            ("full tile", full_tile().collect()),
+        ];
+        // Panel 2 of `b`: a few bits in each of its tiles, one of them a
+        // full row, over 1, 2 and all 5 tile-columns.
+        let panel_tile = |tj: u32| {
+            let mut cells: Vec<(u32, u32)> = pseudo_pairs(TILE, 6, u64::from(tj) + 5);
+            if tj == 0 {
+                cells.extend((0..57).map(|c| (40, c)));
+            }
+            tile_at(
+                2,
+                tj,
+                cells.into_iter().filter(move |&(_, c)| tj < 4 || c < 57),
+            )
+        };
+        let panels: [&[u32]; 3] = [&[4], &[0, 3], &[0, 1, 2, 3, 4]];
+        // Output tile (1, 0) masked out whole, the rest partly.
+        let mut pm = tile_at(1, 0, full_tile());
+        pm.extend(pseudo_pairs(n, 900, 0x3A5C));
+        for (shape, cells) in &shapes {
+            let mut pa = tile_at(1, 2, cells.iter().copied());
+            pa.extend(tile_at(3, 2, cells.iter().copied()));
+            // A second left tile in tile-row 1, whose panel is empty.
+            pa.push((64, 5));
+            for panel in panels {
+                let pb: Vec<(u32, u32)> = panel.iter().flat_map(|&tj| panel_tile(tj)).collect();
+                let what = format!("{shape} × a panel of {}", panel.len());
+                check_against_dense(&what, n, &pa, &pb, &pm);
+            }
+        }
+        // The chooser sends the full tile right-driven and the one bit
+        // left-driven, so both kernels ran above.
+        let b = TiledBitMatrix::from_pairs(n, &panel_tile(0));
+        let panel = &b.csr.vals[..];
+        let mut chooser = TileAccumulator::new();
+        chooser.fit(tile_count(n));
+        for ((shape, cells), right) in [(&shapes[0], false), (&shapes[3], true)] {
+            let a = TiledBitMatrix::from_pairs(n, &tile_at(1, 2, cells.iter().copied()));
+            let tile = &a.csr.vals[0];
+            let chose = chooser.right_driven_is_cheaper(tile, row_mask(tile), 2, panel, 1);
+            assert_eq!(chose, right, "{shape}");
+        }
+    }
+
+    /// Full tiles at `(0, 1)` and `(2, 1)`: both meet panel 1 of a sparse
+    /// right operand right-driven, the second through the cells the first
+    /// listed.
+    fn two_full_tiles_over_panel_1(n: usize) -> TiledBitMatrix {
+        let mut pa = tile_at(0, 1, full_tile());
+        pa.extend(tile_at(2, 1, full_tile()));
+        TiledBitMatrix::from_pairs(n, &pa)
+    }
+
+    #[test]
+    fn a_panel_listed_by_one_product_is_not_read_by_the_next() {
+        // Two right operands whose tile-row 1 stores tiles at the same
+        // tile-columns with the same bit count but different bits: a
+        // list kept from the first product gives the second its answer.
+        let n = 3 * TILE;
+        let a = two_full_tiles_over_panel_1(n);
+        let first = [(64 + 3, 7), (64 + 10, 70), (64 + 10, 130)];
+        let second = [(64 + 4, 8), (64 + 11, 71), (64 + 12, 131)];
+        let da = crate::DenseBitMatrix::from_pairs(n, &a.pairs());
+        for pb in [&first, &second, &first] {
+            let b = TiledBitMatrix::from_pairs(n, pb);
+            let db = crate::DenseBitMatrix::from_pairs(n, pb);
+            assert_eq!(a.multiply(&b).pairs(), da.multiply(&db).pairs(), "{pb:?}");
+        }
+        assert!(
+            TILE_ACC.with_borrow(|acc| acc.cell_ends.len()) > 1,
+            "a panel was listed"
+        );
+    }
+
+    /// A row accumulator that forwards to the thread's tile accumulator
+    /// and panics at its `adds`-th `add`, as a product that fails midway
+    /// would: rows open, panels counted and listed, nothing drained.
+    struct PanicsMidway<'a> {
+        acc: &'a mut TileAccumulator,
+        adds: usize,
+    }
+
+    impl RowAccumulator<TileWords> for PanicsMidway<'_> {
+        fn fit(&mut self, tn: usize) {
+            self.acc.fit(tn);
+        }
+        fn add(
+            &mut self,
+            a: &TileWords,
+            i: usize,
+            k: u32,
+            len: usize,
+            cols: &[u32],
+            panel: &[TileWords],
+        ) {
+            self.adds -= 1;
+            assert!(self.adds > 0, "the product fails midway");
+            self.acc.add(a, i, k, len, cols, panel);
+        }
+        fn is_empty(&self) -> bool {
+            self.acc.is_empty()
+        }
+        fn drain_into(&mut self, mask: Option<RowCells<'_, TileWords>>, out: &mut Csr<TileWords>) {
+            self.acc.drain_into(mask, out);
+        }
+    }
+
+    #[test]
+    fn a_product_after_one_that_panicked_midway_is_exact() {
+        // Tile-row 0 of `a` meets panel 1 right-driven, then panel 2,
+        // where the product fails with the row still open.
+        let n = 3 * TILE;
+        let mut pa = two_full_tiles_over_panel_1(n).pairs();
+        pa.push((5, 130));
+        let a = TiledBitMatrix::from_pairs(n, &pa);
+        let spoiled = TiledBitMatrix::from_pairs(n, &[(64 + 3, 7), (64 + 5, 9), (130, 1)]);
+        let failed = std::panic::catch_unwind(|| {
+            TILE_ACC.with_borrow_mut(|acc| {
+                let mut midway = PanicsMidway { acc, adds: 2 };
+                a.csr
+                    .multiply(&spoiled.csr, None, 0..a.tile_rows(), &mut midway);
+            })
+        });
+        assert!(failed.is_err());
+        let left = TILE_ACC.with_borrow(|acc| (acc.transposed.touched.len(), acc.cell_ends.len()));
+        assert_eq!(
+            left,
+            (1, 2),
+            "the failed product left a row open and a panel listed"
+        );
+        // Panel 1 now lands in output tile-column 2 only, so a transposed
+        // tile the failed product left behind would be folded in as it is.
+        let pb = [(64 + 4, 136), (64 + 6, 138), (131, 2)];
+        let pm = tile_at(0, 0, (0..64).map(|i| (i, i)));
+        check_against_dense("after a panic", n, &pa, &pb, &pm);
+    }
+
+    #[test]
+    fn from_pairs_builds_the_same_matrix_from_any_order_and_duplicates() {
+        let mut sorted = banded_with_full_tile(2000, 0xD0);
+        sorted.extend(pseudo_pairs(BANDED_N, 500, 0xD1));
+        sorted.sort_unstable();
+        sorted.dedup();
+        let reference = TiledBitMatrix::from_pairs(BANDED_N, &sorted);
+        // Grouped by tile-row but unsorted inside each group: each
+        // tile-row's run reversed.
+        let mut grouped = sorted.clone();
+        for run in grouped.chunk_by_mut(|x, y| x.0 as usize / TILE == y.0 as usize / TILE) {
+            run.reverse();
+        }
+        assert!(!grouped.is_sorted() && grouped.is_sorted_by_key(|p| p.0 as usize / TILE));
+        let reversed: Vec<(u32, u32)> = sorted.iter().rev().copied().collect();
+        let duplicated: Vec<(u32, u32)> = sorted.iter().flat_map(|&p| [p, p]).collect();
+        let mut twice = reversed.clone();
+        twice.extend(&grouped);
+        for (order, pairs) in [
+            ("grouped", grouped),
+            ("reversed", reversed),
+            ("duplicated", duplicated),
+            ("reversed, then grouped", twice),
+        ] {
+            let built = TiledBitMatrix::from_pairs(BANDED_N, &pairs);
+            assert_eq!(built, reference, "{order}");
+            assert_eq!(built.bytes(), reference.bytes(), "{order}: exact capacity");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "pair (0, 131) is outside the 130 × 130 matrix")]
     fn from_pairs_rejects_a_column_in_the_edge_tiles_padding() {
         TiledBitMatrix::from_pairs(130, &[(0, 131)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pair (0, 131) is outside the 130 × 130 matrix")]
+    fn from_pairs_rejects_a_column_in_the_edge_tiles_padding_out_of_tile_row_order() {
+        // Bucketed by tile-row before the build: refused while counted.
+        TiledBitMatrix::from_pairs(130, &[(100, 3), (0, 131)]);
     }
 
     #[test]
