@@ -12,44 +12,34 @@
 //! The workhorse is the [`PathEnumerator`]: a memoized bottom-up
 //! enumerator over per-`(nt, from, to, len)` *length classes*. Each class
 //! — the sorted, deduplicated set of witness paths of exactly `len` edges
-//! — is computed once and reused by every larger split that needs it, so
-//! enumerating on a cyclic graph costs work proportional to the classes
-//! actually materialized, not to the (exponential) number of derivation
-//! trees the old re-entrant recursive walk re-explored per pivot and per
-//! `(left_len, right_len)` split. Classes are computed lazily in length
-//! order, so a page that fills early never touches longer lengths.
-//!
+//! — is computed once, in length order, and reused by every larger split
+//! that needs it, so the work is proportional to the classes a page
+//! materializes, not to the (exponential) number of derivation trees.
 //! A page prunes against a `&dyn` [`Relation`], the one read interface
-//! of a solved closure: a relational closure, or a §5 length closure,
-//! whose support is the same relation.
-//!
-//! The enumerator keeps no edges of its own: a page reads the
-//! [`GraphIndex`] the closure was solved on, whose label matrices are the
-//! one edge store above the matrix layer. A terminal step is a
-//! [`BoolMat::get`] of the label matrix bound to the terminal by name.
+//! of a solved closure (relational, or §5 lengths, whose support is the
+//! same relation), and reads the edges off the [`GraphIndex`] the
+//! closure was solved on: a terminal step is a [`BoolMat::get`] of the
+//! label matrix bound to the terminal by name.
 //!
 //! ε-witnesses are first-class: when the relational index was solved
 //! with `nullable_diagonal` enabled, a nullable `A` at a diagonal pair
 //! `(m, m)` yields the empty path, and binary splits `A → BC` may erase
 //! either side (`B` deriving ε at the source node, or `C` at the target
-//! node) — pruned, like every other split, against the nullable-aware
-//! relations. Erasing a side keeps `(from, to, len)` fixed and only
-//! rewrites the nonterminal, so instead of the old recursion guard the
+//! node), pruned like every other split. Erasing a side keeps
+//! `(from, to, len)` fixed and only rewrites the nonterminal, so the
 //! enumerator precomputes the ε-erasure *reachability* over nonterminals
 //! per endpoint pair and unions the base classes of every reachable
-//! nonterminal — no cyclic recursion can arise at all (two-sided splits
-//! strictly decrease `len`).
+//! nonterminal; two-sided splits strictly decrease `len`, so no cyclic
+//! recursion arises.
 //!
 //! Truncation is never silent: every [`PathPage`] carries an
 //! [`PathPage::exhausted`] flag stating whether enumeration proved that
 //! no further path exists within the length bound beyond the returned
 //! page.
 //!
-//! The pre-rewrite recursive walk survives as
-//! [`enumerate_paths_eager`] — the reference oracle the fixed-seed
-//! property suite compares the enumerator against. It reads the
-//! [`Graph`]'s edge list where the enumerator reads the index, so each
-//! checks the other across the two edge stores.
+//! [`enumerate_paths_eager`], an eager recursive walk over the
+//! [`Graph`]'s edge list, is the reference oracle the fixed-seed property
+//! suite compares the enumerator against, across the two edge stores.
 
 use crate::relational::{label_terminal_map, RelationalIndex};
 use crate::session::GraphIndex;

@@ -195,13 +195,9 @@ impl QueryAnswer {
         Self::from_shared(backend, wcnf, Arc::new(index.clone()))
     }
 
-    /// An answer viewing a shared solved index. This is what a
-    /// [`crate::session::GraphState`] cell hands out to sessions and
-    /// `cfpq-service` snapshots (a linked query's cell views its twin's
-    /// length closure the same way): the cell keeps its own `Arc` to the
-    /// closure, drops its answer when a batch of edges arrives, and
-    /// repairs through `Arc::make_mut`, so a repair copies the closure
-    /// only while a caller's answer still reads it.
+    /// An answer viewing a shared solved index, as a
+    /// [`crate::session::GraphState`] cell hands one out: a repair of the
+    /// cell's closure copies it only while such an answer still reads it.
     pub fn from_shared<M: BoolMat>(
         backend: &'static str,
         wcnf: &Wcnf,

@@ -2,22 +2,15 @@
 //! evaluator.
 //!
 //! §3 positions CFPQ as the strictly-more-expressive sibling of the
-//! regular language constrained path querying of [2, 8, 16, 21]. The
-//! *production* RPQ path no longer lives here: an [`Nfa`] is compiled
-//! through [`crate::compile::CompiledQuery`] into its right-linear
-//! grammar by the same RSM lowering CFPQ uses, and evaluated by the
-//! [`crate::relational::FixpointSolver`]
-//! pipeline — masked semi-naive sweeps against the session's
-//! [`crate::session::GraphIndex`] label matrices, with incremental
-//! repair after edge updates and service scheduling on top.
-//!
-//! [`solve_regular`] below survives only as the **differential oracle**
-//! for that pipeline: a deliberately independent, hand-rolled product-graph
+//! regular language constrained path querying of [2, 8, 16, 21]. An
+//! [`Nfa`] is evaluated by compiling it ([`crate::compile::CompiledQuery`])
+//! into its right-linear grammar, which Algorithm 1's pipeline runs like
+//! any CFPQ, repairs and serves. [`solve_regular`] is the **differential
+//! oracle** for that pipeline: an independent, hand-rolled product-graph
 //! fixpoint (unmasked, full recompute each round, label matrices rebuilt
 //! from the graph on every call) whose answer the compiled path must
-//! reproduce byte-for-byte. Property suites triangulate all three
-//! formulations: this oracle, the compiled pipeline, and the equivalent
-//! regular grammar under Algorithm 1.
+//! reproduce byte-for-byte; property suites triangulate it, the compiled
+//! pipeline, and the equivalent regular grammar under Algorithm 1.
 
 use cfpq_graph::{Graph, Label};
 use cfpq_matrix::BoolEngine;

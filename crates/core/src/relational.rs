@@ -29,11 +29,9 @@
 //!
 //! # Incremental repair
 //!
-//! The fixpoint is a *service*, not just an entry point: a closed
-//! [`RelationalIndex`] can absorb newly-discovered base facts through
-//! [`FixpointSolver::resume`], which seeds the semi-naive Δ loop with
-//! only the new entries. This is what `cfpq_core::session::CfpqSession`
-//! builds on to answer `add_edges` without re-solving from scratch.
+//! A closed [`RelationalIndex`] absorbs newly-discovered base facts
+//! through [`FixpointSolver::resume`], which seeds the semi-naive Δ loop
+//! with only the new entries: how a session repairs after `add_edges`.
 //!
 //! # Source-restricted evaluation
 //!

@@ -1,70 +1,24 @@
 //! The engine layer for serving *many* queries over *one* evolving
-//! graph: a persistent label-matrix index, prepared queries, and
-//! incremental edge updates.
-//!
-//! Algorithm 1's setup phase decomposes the graph into one Boolean
-//! adjacency matrix per edge label (lines 6–7). The one-shot facade
-//! ([`crate::query::solve`]) used to redo that decomposition — plus the
-//! grammar's CNF normalization — on every call. This module inverts the
-//! call graph, following the "one algorithm to evaluate them all"
-//! architecture (Shemetova et al., arXiv:2103.14688): the graph lives as
-//! a persistent [`GraphIndex`], grammars are normalized once into
+//! graph, after the "one algorithm to evaluate them all" architecture
+//! (Shemetova et al., arXiv:2103.14688): the graph lives as a persistent
+//! [`GraphIndex`] (Algorithm 1's per-label matrices, lines 6–7, each
+//! built on its first read), grammars are normalized once into
 //! [`PreparedQuery`]s, and a [`CfpqSession`] evaluates any number of
-//! prepared queries against the index, caching each query's closure.
+//! them against the index, caching each query's closure.
 //!
-//! The index builds a label's matrix on its first read: a label no
-//! prepared query reads costs only its pair list, 8 B an edge, and the
-//! first read builds the matrix once for every clone that shares the
-//! label.
+//! The payoff is incremental evaluation: after
+//! [`CfpqSession::add_edges`], the next evaluation of a solved query
+//! *repairs* its closure through [`FixpointSolver::resume`] — the
+//! semi-naive Δ loop seeded with only the new entries — instead of
+//! re-solving it, which on the evaluation datasets launches strictly
+//! fewer products (asserted by this module's tests, measured by the
+//! `benchmark/` workload `update-stream`).
 //!
-//! The payoff is incremental evaluation: [`CfpqSession::add_edges`]
-//! inserts edges into the label matrices (via
-//! [`BoolEngine::union_pairs`], or into an unread label's pair list,
-//! growing the node universe when an edge names an unseen node id).
-//! Clones of the index share the labels copy-on-write: a label is
-//! copied on its first write while another clone holds it, and never
-//! otherwise. On the next evaluation of a previously-solved query, the
-//! session *repairs* the cached closure through
-//! [`FixpointSolver::resume`] — the semi-naive Δ loop seeded with only
-//! the new entries — instead of re-solving from scratch. On the
-//! evaluation datasets this computes strictly fewer products than a cold
-//! solve (asserted by this module's tests, measured by the `benchmark/`
-//! workload `update-stream`).
-//!
-//! Sessions also speak the **unified compiled-query pipeline**:
-//! [`CfpqSession::prepare_regular`] lowers an NFA-form RPQ (and
-//! [`CfpqSession::prepare_rsm`] a CFG's RSM boxes) through
-//! [`crate::compile::CompiledQuery`] into a state grammar this same
-//! machinery evaluates — so regular queries get the cached closures,
-//! semi-naive repair, and engine genericity for free, with the old
-//! `solve_regular` surviving only as a differential oracle.
-//!
-//! Sessions serve the paper's other two semantics through the same
-//! lifecycle. **Single-path (§5)**:
-//! [`CfpqSession::prepare_single_path`] registers a grammar for
-//! length-annotated evaluation, [`CfpqSession::evaluate_single_path`]
-//! caches its length closure (cold-solved on the
-//! [`cfpq_matrix::LenEngine`] kernels, repaired semi-naively after edge
-//! updates), and witness extraction
-//! ([`crate::single_path::extract_path`]) works unchanged on the cached
-//! index. **All-path (§7)**: [`CfpqSession::enumerate_paths`] pages the
-//! witnesses of a relational query, pruned by the very closure
-//! [`CfpqSession::evaluate`] caches.
-//!
-//! There is one cached-closure lifecycle, not one per query kind or per
-//! front: a [`GraphState`] holds the index, the prepared queries and one
-//! closure cell per query (each kind of closure says only how it is
-//! cold-solved and which algebra repairs it), and one closure per
-//! grammar: a relational query whose grammar and options a single-path
-//! query shares is served from that query's length closure. Either kind
-//! is read relationally through one trait object,
-//! [`crate::all_paths::Relation`]. A relational cell also
-//! keeps what reads derive from the closure serving it — the shared
-//! answer, the path enumerator, the source-restricted closure of
-//! named-pair lookups — and empties them when the state absorbs a batch
-//! of edges. A session drives one state inline and records each read's
-//! [`RunInfo`]; a `cfpq-service` epoch is a state too, whose publish
-//! repairs every closure before readers come.
+//! Regular queries, RSM boxes (both lowered through
+//! [`crate::compile::CompiledQuery`]), single-path queries (§5) and the
+//! all-path (§7) pages of a relational query go through the same cached
+//! closures: the session drives one [`GraphState`] inline and records
+//! each read's [`RunInfo`]; a `cfpq-service` epoch is a state too.
 //!
 //! ```
 //! use cfpq_core::session::CfpqSession;
@@ -105,17 +59,9 @@ pub use crate::index::{EdgeBatch, GraphIndex};
 pub use crate::state::{CellRead, GraphState, PreparedQuery, QueryId, RunInfo, SinglePathId};
 
 /// A multi-query evaluation session over one [`GraphIndex`]: prepare
-/// grammars once, evaluate them many times, feed edges in between.
-///
-/// Evaluation is lazy and cached: the first [`CfpqSession::evaluate`] of
-/// a query runs a cold solve seeded straight from the index's label
-/// matrices; subsequent evaluations return the cached closure, unless
-/// [`CfpqSession::add_edges`] grew the graph in between — then the
-/// cached closure is *repaired* semi-naively from exactly the new edges
-/// ([`FixpointSolver::resume`]), which on real workloads launches far
-/// fewer matrix products than a cold solve. Single-path queries and the
-/// path pages of a relational query go through the same lifecycle: the
-/// session drives one [`GraphState`] inline and records each read.
+/// grammars once, evaluate them many times, feed edges in between. It
+/// drives one [`GraphState`] inline, so a read cold-solves, repairs or
+/// hits as the module docs describe, and records each read's run.
 #[derive(Clone)]
 pub struct CfpqSession<E: BoolEngine + LenEngine> {
     state: GraphState<E>,
@@ -141,10 +87,8 @@ fn record(mut sp: SpanGuard, run: Option<RunInfo>, last_run: &mut Option<RunInfo
 }
 
 /// Cold-solves a prepared (relational) query against an index: seed
-/// matrices straight from the label matrices, then the fixpoint. This is
-/// the one code path behind
-/// [`CfpqSession::evaluate`]'s first call *and* every `cfpq-service`
-/// epoch-cache miss.
+/// matrices straight from the label matrices, then the fixpoint — the
+/// one code path behind every cold relational read of a [`GraphState`].
 pub fn solve_prepared<E: BoolEngine>(
     index: &GraphIndex<E>,
     query: &PreparedQuery,
@@ -157,10 +101,8 @@ pub fn solve_prepared<E: BoolEngine>(
 
 /// Solves a prepared query **from the given source nodes only**: the
 /// rows of the context-free relations that `sources` reach, instead of
-/// all `|V|` of them (see [`SourceClosure`] for the fixpoint). The work
-/// is proportional to what is reachable from the sources, so this is the
-/// path for point lookups; [`solve_prepared`] stays the path for whole
-/// answers. Restricted evaluation honours the query's [`SolveOptions`].
+/// all `|V|` of them ([`SourceClosure`]), honouring the query's
+/// [`SolveOptions`] — the path for point lookups.
 ///
 /// ```
 /// use cfpq_core::session::{extend_prepared_from, solve_prepared_from, GraphIndex, PreparedQuery};
@@ -216,8 +158,7 @@ pub fn extend_prepared_from<E: BoolEngine>(
 
 /// Cold-solves a prepared query under single-path (§5) semantics: the
 /// length-1 seeds come straight from the label matrices, the masked
-/// semi-naive length closure does the rest. The single code path behind
-/// session and service single-path cache misses.
+/// semi-naive length closure does the rest.
 pub fn solve_prepared_single_path<E: BoolEngine + LenEngine>(
     index: &GraphIndex<E>,
     query: &PreparedQuery,
@@ -253,14 +194,11 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         Ok(self.prepare_query(PreparedQuery::new(grammar)?))
     }
 
-    /// Compiles an NFA-form regular path query onto the unified RSM
-    /// pipeline ([`crate::compile::CompiledQuery::from_nfa`]) and
-    /// registers it. The query evaluates through the same
-    /// [`FixpointSolver`] path as every CFPQ — masked semi-naive sweeps
-    /// against the index's materialized label matrices, cached closure,
-    /// incremental repair after [`CfpqSession::add_edges`]. The answer's
-    /// start relation (`Rpq`) holds exactly
-    /// [`crate::regular::solve_regular`]'s pairs.
+    /// Compiles an NFA-form regular path query
+    /// ([`crate::compile::CompiledQuery::from_nfa`]) and registers it, to
+    /// be evaluated and repaired like every CFPQ. The answer's start
+    /// relation (`Rpq`) holds exactly [`crate::regular::solve_regular`]'s
+    /// pairs.
     ///
     /// ```
     /// use cfpq_core::regular::Nfa;
@@ -303,24 +241,18 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
 
     /// Inserts a batch of edges into the index (growing the node
     /// universe if an edge names an unseen node id); returns how many
-    /// were genuinely new. Cached query closures are *not* recomputed
-    /// here — each query repairs itself lazily on its next
-    /// [`CfpqSession::evaluate`] / [`CfpqSession::evaluate_single_path`]
-    /// / [`CfpqSession::enumerate_paths`] call, for every batch since in
-    /// one resume.
+    /// were genuinely new. No closure is repaired here: each one is on
+    /// the next read of a query it serves, for every batch since in one
+    /// resume.
     pub fn add_edges(&mut self, edges: &[(NodeId, &str, NodeId)]) -> usize {
         self.state.add_edges(edges)
     }
 
-    /// Evaluates a prepared query against the current graph, reusing the
-    /// cached closure when nothing changed and repairing it semi-naively
-    /// when edges arrived since the last evaluation.
-    ///
-    /// The returned [`QueryAnswer`] is a lazy view sharing that closure
-    /// (see its docs for what each read costs). It is isolated from
-    /// later updates: while an answer is alive, the next repair works on
-    /// a copy of the closure (`Arc::make_mut`); once every answer is
-    /// dropped, repairs are in place again.
+    /// Evaluates a prepared query against the current graph: a lazy
+    /// [`QueryAnswer`] over the cached closure, cold-solved or repaired
+    /// first if it must be. An answer is isolated from later updates:
+    /// while one is alive, the next repair works on a copy of the
+    /// closure; once every answer is dropped, repairs are in place again.
     ///
     /// # Panics
     ///
@@ -342,22 +274,15 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         }
     }
 
-    /// What the last [`CfpqSession::evaluate`] or
-    /// [`CfpqSession::enumerate_paths`] of this query that ran a solve or
-    /// a repair of its closure did (cold vs incremental, and its
-    /// kernel-work counters); hits leave it as it was. `None` until the
-    /// first such read.
+    /// What the last read of this query that ran a solve or a repair did
+    /// (cold vs incremental, and its kernel-work counters); hits leave it
+    /// as it was. `None` until the first such read.
     ///
-    /// A run is recorded on the handle that owns the closure it ran on.
-    /// A query linked to a single-path query of the same grammar (see
-    /// [`GraphState`]) has no closure of its own: its reads solve and
-    /// repair that query's length closure, those runs are recorded as
-    /// the single-path query's ([`CfpqSession::last_single_path_run`]),
-    /// and the single-path read that follows a repair is a hit. So
-    /// `last_run` of a linked query stays as it was before the link, and
-    /// the products summed over every handle's runs are the kernel work
-    /// launched: Boolean products on relational handles, length products
-    /// on single-path ones.
+    /// A run is recorded on the handle that owns the closure it ran on:
+    /// a query linked to a single-path query (see [`GraphState`]) records
+    /// its runs as that query's ([`CfpqSession::last_single_path_run`]),
+    /// so the products summed over every handle's runs are the kernel
+    /// work launched.
     pub fn last_run(&self, id: QueryId) -> Option<&RunInfo> {
         self.rel.get(id.0)?.as_ref()
     }
@@ -367,13 +292,10 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     /// order — see [`crate::all_paths::PathEnumerator::page`].
     ///
     /// The closure [`CfpqSession::evaluate`] caches is the pruning
-    /// oracle: whichever of the two is called first solves it, the other
-    /// finds it. The memoized enumeration tables are kept in its cell:
-    /// on a quiet graph, consecutive pages (or other endpoint pairs) keep
-    /// extending them; [`CfpqSession::add_edges`] drops them with the
-    /// batch, the next call of either kind repairs the closure, and the
-    /// tables are rebuilt — so a repaired session serves exactly the
-    /// pages a from-scratch session would.
+    /// oracle, and the memoized enumeration tables are kept beside it:
+    /// consecutive pages keep extending them until
+    /// [`CfpqSession::add_edges`] drops them with the batch, so a
+    /// repaired session serves exactly the pages a fresh one would.
     ///
     /// # Panics
     ///
@@ -399,9 +321,7 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
     }
 
     /// Normalizes `grammar` and registers it for single-path (§5)
-    /// evaluation: the session will keep a length-annotated closure for
-    /// it, cold-solved once and repaired incrementally after
-    /// [`CfpqSession::add_edges`].
+    /// evaluation, with a length-annotated closure.
     pub fn prepare_single_path(&mut self, grammar: &Cfg) -> Result<SinglePathId, GrammarError> {
         Ok(self.prepare_single_path_query(PreparedQuery::new(grammar)?))
     }
@@ -415,15 +335,11 @@ impl<E: BoolEngine + LenEngine> CfpqSession<E> {
         self.state.prepare_single_path(query)
     }
 
-    /// Evaluates a prepared single-path query: the first call runs a
-    /// cold length closure seeded straight from the label matrices;
-    /// subsequent calls return the cached closure, repairing it through
-    /// [`SinglePathSolver::resume`] when edges arrived in between —
-    /// first-write-wins means entries that survive an update keep their
-    /// recorded witness lengths, so only genuinely new information
-    /// launches length kernels. Witness extraction
-    /// ([`crate::single_path::extract_path`]) works unchanged on the
-    /// returned index.
+    /// Evaluates a prepared single-path query through the same lifecycle
+    /// as [`CfpqSession::evaluate`]; a repair
+    /// ([`SinglePathSolver::resume`]) keeps every recorded witness length
+    /// (first write wins), so only new information launches length
+    /// kernels.
     ///
     /// # Panics
     ///
@@ -466,8 +382,7 @@ mod tests {
 
     /// How many edge batches each cell of `cells` waits for.
     fn pending<C, D>(cells: &Cells<C, D>) -> Vec<usize> {
-        let stale =
-            |cell: &Cell<C, D>| cell.stale.lock().unwrap().as_ref().map_or(0, |s| s.1.len());
+        let stale = |cell: &Cell<C, D>| cell.peek().1.unwrap_or(0);
         cells.iter().map(stale).collect()
     }
 
@@ -582,7 +497,7 @@ mod tests {
         let mut session = CfpqSession::new(SparseEngine, &graph);
         let id = session.prepare(&grammar).unwrap();
         let closure = |s: &CfpqSession<SparseEngine>| {
-            Arc::as_ptr(s.state.rel.get(id.0).unwrap().solved.get().unwrap())
+            Arc::as_ptr(s.state.rel.get(id.0).unwrap().peek().0.unwrap())
         };
         assert_eq!(session.evaluate(id).start_pairs(), &[(1, 3)]);
         let solved = closure(&session);
@@ -893,7 +808,7 @@ mod tests {
         assert_eq!(answer.start_pairs(), pairs);
         let hit = &session.last_single_path_run(sp).unwrap().stats;
         assert_eq!(*hit, run.stats, "a hit");
-        assert!(session.state.rel.get(rel.0).unwrap().solved.get().is_none());
+        assert!(session.state.rel.get(rel.0).unwrap().peek().0.is_none());
     }
 
     #[test]
@@ -905,11 +820,8 @@ mod tests {
         let before = session.evaluate(rel).start_pairs().to_vec();
         session.evaluate(other);
         let boolean = |s: &CfpqSession<SparseEngine>| {
-            let cell = s.state.rel.get(rel.0).unwrap();
-            (
-                cell.solved.get().is_some(),
-                cell.stale.lock().unwrap().is_some(),
-            )
+            let (solved, stale) = s.state.rel.get(rel.0).unwrap().peek();
+            (solved.is_some(), stale.is_some())
         };
         assert_eq!(boolean(&session), (true, false));
         // Prepared later, the single-path query serves Q1 from now on.

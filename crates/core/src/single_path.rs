@@ -10,29 +10,24 @@
 //! extraction of Theorem 5 terminate: both split lengths are strictly
 //! smaller and remain valid forever because matrices only grow.
 //!
-//! That first-write-wins discipline is exactly the masked-kernel contract
-//! of the relational pipeline, so [`SinglePathSolver`] is not a second
-//! solver: it is the length front of the same loop
-//! [`crate::relational::FixpointSolver`] fronts for bits (`fixpoint.rs`)
-//! — one length matrix ([`cfpq_matrix::LenMat`]) per nonterminal,
-//! per-sweep Δ operands, shared `(B, C)` products, and
-//! [`cfpq_matrix::LenEngine`] masked kernels that only emit cells the
-//! closure does not hold yet — generic over the paper's four
-//! representation × device engines, with the same spans and the same
-//! [`SolveStats`] as a relational run. The seed-era `O(n³)` triple loop
-//! over flat length tables survives as [`solve_single_path_oracle`], the
-//! reference the property suite holds the engine pipeline to.
+//! First-write-wins is exactly the masked-kernel contract of the
+//! relational pipeline, so [`SinglePathSolver`] is the length front of
+//! the loop [`crate::relational::FixpointSolver`] fronts for bits
+//! (`fixpoint.rs`): one [`cfpq_matrix::LenMat`] per nonterminal, per-sweep
+//! Δ operands, shared `(B, C)` products and [`cfpq_matrix::LenEngine`]
+//! masked kernels that only emit cells the closure does not hold yet,
+//! with the same spans and [`SolveStats`] as a relational run. A naive
+//! `O(n³)` loop over flat length tables, [`solve_single_path_oracle`], is
+//! the reference the property suite holds the pipeline to.
 //!
-//! # ε-witnesses (the nullable-diagonal fix)
+//! # ε-witnesses
 //!
 //! The weak-CNF grammars the solvers consume are ε-eliminated; the
 //! nonterminals that *were* nullable are recorded in `Wcnf::nullable`.
 //! With [`SolveOptions::nullable_diagonal`] set, the relational solver
-//! reports `(A, m, m)` for every nullable `A` — and the single-path
-//! index must agree ([`SinglePathIndex::contains`] is answered from the
-//! same cells). The seed-era table encoded *absent* as `0`, which left
-//! no representation for a present path of length 0; length matrices use
-//! [`cfpq_matrix::NO_PATH`] (`u32::MAX`) as the absent sentinel instead.
+//! reports `(A, m, m)` for every nullable `A`, and the single-path index
+//! agrees ([`SinglePathIndex::contains`] reads the same cells): absent is
+//! [`cfpq_matrix::NO_PATH`] (`u32::MAX`), so the empty path has length 0.
 //! The ε-overlay is the relational one (`fixpoint.rs`): after the
 //! fixpoint of a cold solve, and of a repair for the nodes it adds,
 //! `(A, m, m) = 0` for every nullable `A` wherever the closure recorded

@@ -1,19 +1,26 @@
 //! One version of a graph and what is evaluated against it: the
-//! prepared queries, their handles, and one closure cell per query.
+//! prepared queries, their handles, and one closure cell per query
+//! ([`GraphState`] says which closure serves which query). What differs
+//! per kind of closure — the cold solve and the algebra of its repair —
+//! is the crate-private `CachedClosure`; the lifecycle around it is
+//! written once here.
 //!
-//! One closure per grammar: a relational query prepared with the same
-//! [`Wcnf`] and [`SolveOptions`] as a single-path query of the same
-//! state is linked to it, whichever was prepared first, and is served
-//! from that query's §5 length closure. Its relation is the support of
-//! the lengths (`supp L_A = T_A`), so the Boolean closure of that grammar
-//! is never solved or repaired. A grammar prepared only relationally
-//! keeps its cheaper Boolean closure.
+//! A cell holds its closure in a `Slot`. Each event is one transition
+//! of the slot under the cell's lock; solves and repairs run outside it,
+//! and a hit reads a `Solved` closure without it:
 //!
-//! A relational read hands out whichever closure serves the query as one
-//! `Arc<dyn Relation + Send + Sync>`: answers and path pages read both
-//! kinds through the same [`Relation`] impls. What differs per kind —
-//! the cold solve and the algebra of its repair — is the crate-private
-//! `CachedClosure`, and the lifecycle around it is written once here.
+//! | slot | a read starts | the run settles | clone, `absorb` | `repair_stale` |
+//! |---|---|---|---|---|
+//! | `Empty` | cold solve → `Solving` | | `Empty`, `Empty` | |
+//! | `Solving(run)` | waits, settles, reads again | `Solved`; `Empty` on a panic | shares the run, → `Stale` on it | |
+//! | `Solved(c)` | hit | | shares `c`, → `Stale` on `c` | |
+//! | `Stale { base, batches }` | repairs → `Solving` | | shares both, adds the batch | repairs → `Solving` once `base` finished |
+//!
+//! `base` is a finished closure or a run in flight, which the repair
+//! waits for (a read cold-solves if that run panicked). A run that
+//! panics settles its slot `Empty` and its waiters read again, so none
+//! waits for ever, and a clone of a solving cell adopts the run: a
+//! publish neither waits for it nor solves it anew.
 
 use crate::all_paths::{PathEnumerator, Relation};
 use crate::fixpoint::{self, Algebra, Boolean, Closed, Lengths};
@@ -26,16 +33,15 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, GrammarError, Wcnf};
 use cfpq_graph::NodeId;
 use cfpq_matrix::{BoolEngine, BoolMat, LenEngine, LenMat};
+use std::mem;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
-#[cfg(doc)]
-use crate::session::CfpqSession;
-
-/// A grammar compiled for repeated evaluation: the weak-CNF
-/// normalization runs once, here, instead of once per `solve` call. The
-/// label→terminal binding is resolved against the session's index at
-/// evaluation time (so labels added later still bind).
+/// A grammar compiled for repeated evaluation: normalized to weak CNF
+/// once, here. Its terminals bind to the index's labels by name at
+/// evaluation time, so labels added later still bind.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedQuery {
     wcnf: Wcnf,
@@ -74,8 +80,8 @@ impl PreparedQuery {
     }
 }
 
-/// Handle to a relational query prepared on a [`GraphState`] — that of
-/// a [`CfpqSession`] or of a `cfpq-service` service.
+/// Handle to a relational query prepared on a [`GraphState`], a
+/// session's or a service's.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct QueryId(pub(crate) usize);
 
@@ -97,9 +103,8 @@ impl SinglePathId {
     }
 }
 
-/// What the most recent evaluation of a query actually did: a cold solve
-/// or an incremental repair, and how much kernel work it launched. This
-/// is the observable behind the incremental-beats-cold acceptance check.
+/// What a read of a query ran: a cold solve or an incremental repair,
+/// and how much kernel work it launched.
 #[derive(Clone, Debug)]
 pub struct RunInfo {
     /// Kernel-work counters of that run alone (not cumulative).
@@ -113,9 +118,8 @@ pub struct RunInfo {
 
 /// A closure that a [`GraphState`] caches per prepared query — a
 /// [`RelationalIndex`] or a [`SinglePathIndex`]: how it is cold-solved
-/// against an index and which algebra its sweeps run, so the lifecycle
-/// around it (solve once, serve from the cache, repair after updates)
-/// and the repair itself are written once.
+/// and which algebra its sweeps run, so that its lifecycle and its
+/// repair are written once.
 pub(crate) trait CachedClosure<E: BoolEngine>: Closed + Clone {
     /// The kind of query the closure serves, as the `kind` attribute of
     /// the `"query.cold"` and `"query.repair"` spans of its reads.
@@ -129,10 +133,9 @@ pub(crate) trait CachedClosure<E: BoolEngine>: Closed + Clone {
     fn algebra(engine: &E) -> impl Algebra<Matrix = Self::Matrix> + '_;
 
     /// Repairs the closure in place for `batches`, which `index` absorbed
-    /// since the closure was solved or last repaired: widens it to the
-    /// grown node universe, resumes the semi-naive Δ loop from the
-    /// batches' seeds and overlays the ε-diagonal of the new nodes.
-    /// Returns the stats of the repair alone.
+    /// since: widens it to the grown node universe, resumes the
+    /// semi-naive Δ loop from the batches' seeds and overlays the new
+    /// nodes' ε-diagonal. Returns the stats of the repair alone.
     fn repair(
         &mut self,
         index: &GraphIndex<E>,
@@ -176,9 +179,8 @@ fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What reads derive from a relational closure, kept in its cell and
-/// valid while the index is unchanged: [`Cell::absorb`] empties it, and
-/// a clone of the cell starts empty.
+/// What reads derive from a relational closure, kept in its cell until
+/// the index changes ([`Cell::absorb`]); a clone of the cell starts empty.
 pub(crate) struct Derived<M> {
     answer: OnceLock<QueryAnswer>,
     sources: Mutex<Option<SourceClosure<M>>>,
@@ -195,6 +197,93 @@ impl<M> Default for Derived<M> {
     }
 }
 
+/// A run in flight: set once, to the closure it made or to `None` if it
+/// panicked. The slots that wait for it share it.
+type Flight<C> = Arc<OnceLock<Option<Arc<C>>>>;
+
+/// The closure a stale slot repairs: a finished one, or one in flight.
+#[derive(Clone)]
+enum Base<C> {
+    Done(Arc<C>),
+    InFlight(Flight<C>),
+}
+
+/// The lifecycle of a cell's closure; the module doc has its table.
+#[derive(Clone)]
+enum Slot<C> {
+    Empty,
+    Solving(Flight<C>),
+    Solved(Arc<C>),
+    Stale {
+        base: Base<C>,
+        batches: Vec<EdgeBatch>,
+    },
+}
+
+/// A run a slot hands out: its flight, and the base to repair for the
+/// batches (`None`: a cold solve).
+type Run<C> = (Flight<C>, Option<(Base<C>, Vec<EdgeBatch>)>);
+
+/// What a read does after its transition: hit, wait for the run in
+/// flight and read again, or run.
+enum Step<C> {
+    Hit(Arc<C>),
+    Wait(Flight<C>),
+    Run(Run<C>),
+}
+
+impl<C> Slot<C> {
+    /// A read starts.
+    fn read(&mut self) -> Step<C> {
+        match self {
+            Slot::Solved(closure) => Step::Hit(closure.clone()),
+            Slot::Solving(flight) => Step::Wait(flight.clone()),
+            Slot::Empty | Slot::Stale { .. } => Step::Run(self.start()),
+        }
+    }
+
+    /// Hands out a run, which the slot is `Solving` on from now on.
+    fn start(&mut self) -> Run<C> {
+        let flight = Flight::default();
+        match mem::replace(self, Slot::Solving(flight.clone())) {
+            Slot::Stale { base, batches } => (flight, Some((base, batches))),
+            _ => (flight, None),
+        }
+    }
+
+    /// A run settles: a slot `Solving` on it holds its closure, or is
+    /// `Empty` again if it panicked.
+    fn settle(&mut self, flight: &Flight<C>, outcome: Option<Arc<C>>) {
+        if matches!(self, Slot::Solving(f) if Arc::ptr_eq(f, flight)) {
+            *self = outcome.map_or(Slot::Empty, Slot::Solved);
+        }
+    }
+
+    /// The index absorbed `batch`.
+    fn absorb(&mut self, batch: &EdgeBatch) {
+        let (base, mut batches) = match mem::replace(self, Slot::Empty) {
+            Slot::Empty => return,
+            Slot::Solving(flight) => (Base::InFlight(flight), Vec::new()),
+            Slot::Solved(closure) => (Base::Done(closure), Vec::new()),
+            Slot::Stale { base, batches } => (base, batches),
+        };
+        batches.push(batch.clone());
+        *self = Slot::Stale { base, batches };
+    }
+
+    /// A publish repairs a stale slot whose base is finished: it waits
+    /// for no read, and a panicked base is left to a read's cold solve.
+    fn repair_stale(&mut self) -> Option<Run<C>> {
+        let Slot::Stale { base, .. } = self else {
+            return None;
+        };
+        if let Base::InFlight(flight) = base {
+            flight.get()?.as_ref()?; // still running, or panicked
+        }
+        Some(self.start())
+    }
+}
+
 /// The closure cell of one prepared query, filled by its first read,
 /// and what reads derived from it (`D`; single-path cells keep none).
 pub(crate) struct Cell<C, D = ()> {
@@ -203,23 +292,21 @@ pub(crate) struct Cell<C, D = ()> {
     /// which serves this cell's reads. Set once, when the later of the
     /// two is prepared; this cell's own closure is then never solved.
     twin: OnceLock<usize>,
-    /// The closure, up to date with the index of the state holding it.
-    pub(crate) solved: OnceLock<Arc<C>>,
-    /// A closure solved before the index absorbed the batches beside it.
-    /// Set only while `solved` is empty; the read that repairs it takes
-    /// it whole, so a repair that panics leaves the cell empty.
-    pub(crate) stale: Mutex<Option<(Arc<C>, Vec<EdgeBatch>)>>,
+    /// Each transition is made under this lock; no run holds it.
+    slot: Mutex<Slot<C>>,
+    /// A `Solved` slot's closure, set under the lock, for hits without it.
+    hit: OnceLock<Arc<C>>,
     derived: D,
 }
 
-impl<C, D: Default> Clone for Cell<C, D> {
+impl<C: Clone, D: Default> Clone for Cell<C, D> {
     fn clone(&self) -> Self {
-        let stale = lock(&self.stale).clone();
+        let slot = lock(&self.slot);
         Self {
             query: self.query.clone(),
             twin: self.twin.clone(),
-            solved: self.solved.clone(),
-            stale: Mutex::new(stale),
+            slot: Mutex::new(slot.clone()),
+            hit: self.hit.clone(),
             derived: D::default(),
         }
     }
@@ -227,87 +314,138 @@ impl<C, D: Default> Clone for Cell<C, D> {
 
 impl<C, D: Default> Cell<C, D> {
     fn new(query: PreparedQuery) -> Self {
-        let (solved, stale) = (OnceLock::new(), Mutex::new(None));
         Self {
             query,
             twin: OnceLock::new(),
-            solved,
-            stale,
+            slot: Mutex::new(Slot::Empty),
+            hit: OnceLock::new(),
             derived: D::default(),
         }
     }
 
-    /// The closure, cold-solved if the cell is empty, repaired for every
-    /// pending batch in one resume if it is stale, served as it is
-    /// otherwise; with the run the read made (`None` for a hit).
+    /// The closure up to date with the index, and the run the read made:
+    /// `None` for a hit, or for a wait on another read's run.
     fn read<E: BoolEngine>(&self, index: &GraphIndex<E>) -> (&Arc<C>, Option<RunInfo>)
     where
         C: CachedClosure<E>,
     {
-        let mut run = None;
-        let solved = self.solved.get_or_init(|| {
-            // Taken by value, not cloned: with no answer holding the
-            // closure, `make_mut` repairs it in place. The lock is let go
-            // before the run, so a clone of the state waits for no read.
-            let stale = lock(&self.stale).take();
-            let (closure, stats, incremental, mut sp) = match stale {
-                Some((mut closure, batches)) => {
-                    let sp = cfpq_obs::span("query.repair");
-                    let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
-                    (closure, stats, true, sp)
-                }
-                None => {
-                    let sp = cfpq_obs::span("query.cold");
-                    let mut closure = C::cold_solve(index, &self.query);
-                    // A cold solve's cumulative counters are its run's.
-                    let stats = closure.parts().3.clone();
-                    (Arc::new(closure), stats, false, sp)
-                }
-            };
-            let sweeps = stats.sweep_nnz.len();
-            if sp.is_recording() {
-                sp.attr_str("kind", C::KIND);
-                sp.attr_u64("n_nodes", index.n_nodes as u64);
-                sp.attr_u64("sweeps", sweeps as u64);
-                sp.attr_u64("products", stats.products_computed as u64);
+        loop {
+            if let Some(closure) = self.hit.get() {
+                return (closure, None);
             }
-            run = Some(RunInfo {
-                stats,
-                sweeps,
-                incremental,
-            });
-            closure
-        });
-        (solved, run)
+            let step = lock(&self.slot).read();
+            match step {
+                Step::Hit(closure) => return (self.hit.get_or_init(|| closure), None),
+                Step::Wait(flight) => self.settle(&flight, flight.wait().clone()),
+                Step::Run(run) => {
+                    let run = self.run(index, run);
+                    return (self.hit.get().expect("a run settles its slot"), Some(run));
+                }
+            }
+        }
     }
 
-    /// The run of a repair if the cell is stale: empty and solved cells
-    /// are left alone.
+    /// Settles the slot, and publishes a solved closure for hits.
+    fn settle(&self, flight: &Flight<C>, outcome: Option<Arc<C>>) {
+        let mut slot = lock(&self.slot);
+        slot.settle(flight, outcome);
+        if let Slot::Solved(closure) = &*slot {
+            let _ = self.hit.set(closure.clone());
+        }
+    }
+
+    /// Runs outside the lock, then settles the slot and the flight with
+    /// the closure, or with `None` if the run panics, and unwinds on.
+    fn run<E: BoolEngine>(&self, index: &GraphIndex<E>, (flight, repair): Run<C>) -> RunInfo
+    where
+        C: CachedClosure<E>,
+    {
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| self.solve(index, repair)));
+        let (closure, run) = ran.unwrap_or_else(|panic| {
+            self.settle(&flight, None);
+            let _ = flight.set(None);
+            panic::resume_unwind(panic)
+        });
+        self.settle(&flight, Some(closure.clone()));
+        let _ = flight.set(Some(closure));
+        run
+    }
+
+    /// A repair of `base` for the batches, after waiting for it if it is
+    /// in flight, or a cold solve if there is none or its run panicked.
+    fn solve<E: BoolEngine>(
+        &self,
+        index: &GraphIndex<E>,
+        repair: Option<(Base<C>, Vec<EdgeBatch>)>,
+    ) -> (Arc<C>, RunInfo)
+    where
+        C: CachedClosure<E>,
+    {
+        let mut waited = None;
+        let repair = repair.and_then(|(base, batches)| match base {
+            // Taken by value, not cloned: with no answer or other epoch
+            // holding the closure, `make_mut` repairs it in place.
+            Base::Done(closure) => Some((closure, batches)),
+            Base::InFlight(flight) => {
+                let started = Instant::now();
+                let closure = flight.wait().clone()?;
+                waited = Some(started.elapsed().as_micros() as u64);
+                Some((closure, batches))
+            }
+        });
+        let (closure, stats, incremental, mut sp) = match repair {
+            Some((mut closure, batches)) => {
+                let sp = cfpq_obs::span("query.repair");
+                let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
+                (closure, stats, true, sp)
+            }
+            None => {
+                let sp = cfpq_obs::span("query.cold");
+                let mut closure = C::cold_solve(index, &self.query);
+                // A cold solve's cumulative counters are its run's.
+                let stats = closure.parts().3.clone();
+                (Arc::new(closure), stats, false, sp)
+            }
+        };
+        let sweeps = stats.sweep_nnz.len();
+        if sp.is_recording() {
+            sp.attr_str("kind", C::KIND);
+            sp.attr_u64("n_nodes", index.n_nodes as u64);
+            sp.attr_u64("sweeps", sweeps as u64);
+            sp.attr_u64("products", stats.products_computed as u64);
+            if let Some(waited) = waited {
+                sp.attr_str("base", "in_flight");
+                sp.attr_u64("waited_us", waited);
+            }
+        }
+        let run = RunInfo {
+            stats,
+            sweeps,
+            incremental,
+        };
+        (closure, run)
+    }
+
+    /// The run of a repair if the cell is stale on a finished closure.
     fn repair_stale<E: BoolEngine>(&self, index: &GraphIndex<E>) -> Option<RunInfo>
     where
         C: CachedClosure<E>,
     {
-        let stale = lock(&self.stale).is_some();
-        stale.then(|| self.read(index).1).flatten()
+        let run = lock(&self.slot).repair_stale()?;
+        Some(self.run(index, run))
     }
 
-    /// Makes a solved closure stale for `batch`, which the index just
-    /// absorbed, or adds `batch` to a stale one's. An empty cell stays
-    /// empty: its cold solve reads the index. What reads derived from
-    /// the old index goes first, so that with no caller holding an
-    /// answer, the repair finds the closure unshared and works in place.
-    /// A cell its twin serves drops a closure solved before the link
-    /// instead of keeping it for a repair.
+    /// The index just absorbed `batch`; a cell its twin serves drops its
+    /// closure. What reads derived from the old index goes first, so that
+    /// with no caller holding an answer, the repair finds the closure
+    /// unshared and works in place.
     fn absorb(&mut self, batch: &EdgeBatch) {
         self.derived = D::default();
-        let stale = self.stale.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if self.twin.get().is_some() {
-            self.solved.take();
-            *stale = None;
-        } else if let Some(solved) = self.solved.take() {
-            *stale = Some((solved, vec![batch.clone()]));
-        } else if let Some((_, pending)) = stale {
-            pending.push(batch.clone());
+        self.hit.take();
+        let slot = self.slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+        match self.twin.get() {
+            Some(_) => *slot = Slot::Empty,
+            None => slot.absorb(batch),
         }
     }
 }
@@ -369,7 +507,7 @@ impl<C, D> Cells<C, D> {
     }
 }
 
-impl<C, D: Default> Clone for Cells<C, D> {
+impl<C: Clone, D: Default> Clone for Cells<C, D> {
     fn clone(&self) -> Self {
         let copy = Self::new();
         for cell in self.iter() {
@@ -383,30 +521,24 @@ impl<C, D: Default> Clone for Cells<C, D> {
 /// [`GraphIndex`], the prepared queries of both kinds, and one closure
 /// per grammar, held in the cell of the query whose read fills it.
 ///
-/// A read cold-solves the cell, or repairs the closure it holds for every
-/// batch [`GraphState::add_edges`] added since, in one resume, or hits —
-/// and reports which. Nothing is repaired before a read asks unless the
-/// owner calls [`GraphState::repair_stale`]: a [`CfpqSession`] never
-/// does; a `cfpq-service` publish does, so that readers never repair.
+/// A read cold-solves the closure, repairs it for every batch
+/// [`GraphState::add_edges`] added since in one resume, or hits, and
+/// reports which; concurrent readers wait for one run. Only
+/// [`GraphState::repair_stale`] repairs before a read asks: a service
+/// publish calls it, a [`crate::session::CfpqSession`] never does. A
+/// clone costs O(labels + prepared queries): it shares the closures,
+/// finished or still being solved, and the index's labels copy-on-write;
+/// a query prepared on either afterwards does not reach the other.
 ///
-/// A relational query prepared with the same grammar and options as a
-/// single-path query is linked to it, in either prepare order (the first
-/// such single-path query if there are several; [`GraphState::twin`]
-/// names it). Its reads read that query's length cell — the cold solve,
-/// the repair or the hit, whose run the relational read reports (a
-/// [`CfpqSession`] records it as the single-path query's, the owner of
-/// the closure) — and serve the answer, the path pages and the named
-/// lookups from the lengths' support. Its own Boolean closure is never
-/// solved; one solved before the link is dropped with the next batch.
-/// Two relational queries of one grammar are not linked to each other.
-///
-/// Reads and `prepare*` take `&self`: concurrent readers of an empty cell
-/// wait for one solve, a solve that panics leaves the cell empty, and a
-/// query can be prepared on a state readers share (two prepares racing
-/// each other may leave a pair unlinked, which costs only the sharing).
-/// A clone shares the closures and the index's label matrices
-/// copy-on-write, so it costs O(labels + prepared queries); a query
-/// prepared on either afterwards does not reach the other.
+/// A relational query is linked to the first single-path query with the
+/// same grammar and options, in either prepare order
+/// ([`GraphState::twin`]; two relational queries are never linked): its
+/// reads read that query's length cell, report its run, and serve from
+/// the lengths' support (`supp L_A = T_A`) through one [`Relation`]. Its
+/// own Boolean closure is never solved; one solved before the link goes
+/// with the next batch. `prepare*` takes `&self`, so readers may share
+/// the state (two racing prepares may leave a pair unlinked, costing
+/// only the sharing).
 #[derive(Clone)]
 pub struct GraphState<E: BoolEngine + LenEngine> {
     index: GraphIndex<E>,
@@ -475,20 +607,14 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         Some(SinglePathId(*self.rel.get(id.0)?.twin.get()?))
     }
 
-    /// Whether the closure that serves relational query `id` — its own,
-    /// or its single-path twin's — is solved and up to date, so a read
-    /// would hit; `false` if this state holds no such query.
+    /// Whether a read of relational query `id` would hit; `false` if this
+    /// state holds no such query.
     pub fn is_solved(&self, id: QueryId) -> bool {
         let Some(cell) = self.rel.get(id.0) else {
             return false;
         };
-        match cell.twin.get() {
-            Some(&twin) => self
-                .sp
-                .get(twin)
-                .is_some_and(|twin| twin.solved.get().is_some()),
-            None => cell.solved.get().is_some(),
-        }
+        let twin = cell.twin.get().and_then(|&twin| self.sp.get(twin));
+        twin.map_or(cell.hit.get().is_some(), |twin| twin.hit.get().is_some())
     }
 
     /// The closure of single-path query `id` as it stands, not solved or
@@ -497,7 +623,7 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         &self,
         id: SinglePathId,
     ) -> Option<&Arc<SinglePathIndex<E::LenMatrix>>> {
-        self.sp.get(id.0)?.solved.get()
+        self.sp.get(id.0)?.hit.get()
     }
 
     /// Heap bytes of the closures this state holds solved and up to date
@@ -505,8 +631,8 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
     /// grammar that has been read, so a linked grammar counts its
     /// length closure once and no Boolean one.
     pub fn closure_bytes(&self) -> usize {
-        let rel = self.rel.iter().filter_map(|cell| cell.solved.get());
-        let sp = self.sp.iter().filter_map(|cell| cell.solved.get());
+        let rel = self.rel.iter().filter_map(|cell| cell.hit.get());
+        let sp = self.sp.iter().filter_map(|cell| cell.hit.get());
         let rel = rel.flat_map(|closure| closure.matrices.iter().map(BoolMat::bytes));
         rel.chain(sp.flat_map(|closure| closure.lengths.iter().map(LenMat::bytes)))
             .sum()
@@ -518,17 +644,13 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         &self,
         cell: &Cell<RelationalIndex<E::Matrix>, Derived<E::Matrix>>,
     ) -> (Arc<dyn Relation + Send + Sync>, Option<RunInfo>) {
-        match cell.twin.get() {
-            Some(&twin) => {
-                let twin = self.sp.get(twin).expect("a twin is a cell of this state");
-                let (closure, run) = twin.read(&self.index);
-                (closure.clone(), run)
-            }
-            None => {
-                let (closure, run) = cell.read(&self.index);
-                (closure.clone(), run)
-            }
+        if let Some(&twin) = cell.twin.get() {
+            let twin = self.sp.get(twin).expect("a twin is a cell of this state");
+            let (closure, run) = twin.read(&self.index);
+            return (closure.clone(), run);
         }
+        let (closure, run) = cell.read(&self.index);
+        (closure.clone(), run)
     }
 
     /// Reads relational query `id`: its answer, a lazy view over the
@@ -548,10 +670,9 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
 
     /// Reads relational query `id` through [`GraphState::evaluate`] and
     /// lends `page` the cell's path enumerator, whose memo tables every
-    /// page of the closure grows, with the query, the answer's relation
-    /// and the run the read made; `None` if this state holds no such
-    /// query. The enumerator is out of the cell while `page` runs, so no
-    /// lock is held and a `page` that panics drops it.
+    /// page grows, with the query, the relation and the run the read
+    /// made; `None` if this state holds no such query. No lock is held
+    /// while `page` runs, and a `page` that panics drops the enumerator.
     pub fn paths<R>(
         &self,
         id: QueryId,
@@ -596,14 +717,249 @@ impl<E: BoolEngine + LenEngine> GraphState<E> {
         batch.inserted
     }
 
-    /// Repairs every stale closure now, relational queries first, each
-    /// in handle order; `report` gets each repair's run. A linked
-    /// relational query has no closure of its own to repair: its
-    /// twin's repair is the one run for that grammar.
+    /// Repairs every stale closure whose base is finished now, relational
+    /// queries first, each in handle order; `report` gets each repair's
+    /// run. A closure a reader is still solving is left to the first
+    /// read, which waits for it.
     pub fn repair_stale(&self, report: impl FnMut(RunInfo)) {
         let index = &self.index;
         let rel = self.rel.iter().filter_map(|cell| cell.repair_stale(index));
         let sp = self.sp.iter().filter_map(|cell| cell.repair_stale(index));
         rel.chain(sp).for_each(report);
+    }
+}
+
+#[cfg(test)]
+impl<C, D> Cell<C, D> {
+    /// The closure a hit serves, and how many batches a stale slot waits
+    /// for (`None` unless the slot is stale).
+    pub(crate) fn peek(&self) -> (Option<&Arc<C>>, Option<usize>) {
+        let pending = match &*lock(&self.slot) {
+            Slot::Stale { batches, .. } => Some(batches.len()),
+            _ => None,
+        };
+        (self.hit.get(), pending)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfpq_graph::Graph;
+    use cfpq_matrix::SparseEngine;
+
+    /// Events of the model: reads, the settling of the run in flight in
+    /// an epoch's cell, a waiting reader of an epoch resuming, the
+    /// publish of epoch 1 (a clone of epoch 0 that absorbed a batch) and
+    /// its `repair_stale`.
+    #[derive(Clone, Copy, Debug)]
+    enum Event {
+        Read(usize),
+        Finish(usize),
+        Panic(usize),
+        Resume(usize),
+        Publish,
+        RepairStale,
+    }
+
+    const EVENTS: [Event; 10] = [
+        Event::Read(0),
+        Event::Read(1),
+        Event::Finish(0),
+        Event::Finish(1),
+        Event::Panic(0),
+        Event::Panic(1),
+        Event::Resume(0),
+        Event::Resume(1),
+        Event::Publish,
+        Event::RepairStale,
+    ];
+
+    /// One query's cells over epochs 0 and 1, with no threads: a closure
+    /// is the number of batches its index absorbed, so epoch `e`'s
+    /// version is `e`.
+    struct World {
+        slots: Vec<Slot<usize>>,
+        /// The run each cell's slot is `Solving` on, until it settles.
+        runs: Vec<Option<Run<usize>>>,
+        /// The runs each epoch's waiting readers wait for.
+        waits: Vec<Vec<Flight<usize>>>,
+        /// Whether a closure, finished or in flight, was ever in the
+        /// epoch's lineage: its own cell's, or epoch 0's at the publish.
+        held: Vec<bool>,
+        panicked: bool,
+        /// Repairs run on a base that was in flight at the publish, and
+        /// cold solves that replaced a panicked base.
+        adopted: usize,
+        degraded: usize,
+    }
+
+    impl World {
+        fn new() -> Self {
+            Self {
+                slots: vec![Slot::Empty],
+                runs: vec![None],
+                waits: vec![Vec::new()],
+                held: vec![false],
+                panicked: false,
+                adopted: 0,
+                degraded: 0,
+            }
+        }
+
+        fn read(&mut self, e: usize) {
+            match self.slots[e].read() {
+                Step::Hit(closure) => assert_eq!(*closure, e, "I2: a hit serves its epoch"),
+                Step::Wait(flight) => self.waits[e].push(flight),
+                Step::Run(run) => self.start(e, run),
+            }
+        }
+
+        fn start(&mut self, e: usize, run: Run<usize>) {
+            let cold = run.1.is_none();
+            assert!(!cold || self.panicked || !self.held[e], "I1: a cold solve");
+            self.held[e] = true;
+            assert!(self.runs[e].replace(run).is_none(), "one run per cell");
+        }
+
+        /// Applies `event`; `None` if it cannot happen now.
+        fn apply(&mut self, event: Event, batch: &EdgeBatch) -> Option<()> {
+            match event {
+                Event::Read(e) => {
+                    self.slots.get(e)?;
+                    self.read(e);
+                }
+                Event::Finish(e) => {
+                    let run = self.runs.get_mut(e)?;
+                    if let Some((Base::InFlight(base), _)) = &run.as_ref()?.1 {
+                        base.get()?; // still waiting for its base
+                    }
+                    let (flight, repair) = run.take()?;
+                    let closure = match repair {
+                        None => e,
+                        Some((base, batches)) => {
+                            let base = match base {
+                                Base::Done(closure) => Some(*closure),
+                                Base::InFlight(base) => {
+                                    let closure = base.get().unwrap().as_deref().copied();
+                                    self.adopted += usize::from(closure.is_some());
+                                    self.degraded += usize::from(closure.is_none());
+                                    closure
+                                }
+                            };
+                            assert!(base.is_some() || self.panicked, "I1: a lost base");
+                            base.map_or(e, |base| base + batches.len())
+                        }
+                    };
+                    assert_eq!(closure, e, "I2: a run serves its epoch");
+                    let closure = Arc::new(closure);
+                    self.slots[e].settle(&flight, Some(closure.clone()));
+                    flight.set(Some(closure)).unwrap();
+                }
+                Event::Panic(e) => {
+                    let (flight, _) = self.runs.get_mut(e)?.take()?;
+                    self.slots[e].settle(&flight, None);
+                    flight.set(None).unwrap();
+                    self.panicked = true;
+                }
+                Event::Resume(e) => {
+                    let waits = self.waits.get_mut(e)?;
+                    let at = waits.iter().position(|flight| flight.get().is_some())?;
+                    let flight = waits.remove(at);
+                    self.slots[e].settle(&flight, flight.get().unwrap().clone());
+                    self.read(e);
+                }
+                Event::Publish => {
+                    (self.slots.len() == 1).then_some(())?;
+                    let mut slot = self.slots[0].clone();
+                    slot.absorb(batch);
+                    self.held.push(!matches!(self.slots[0], Slot::Empty));
+                    self.slots.push(slot);
+                    self.runs.push(None);
+                    self.waits.push(Vec::new());
+                }
+                Event::RepairStale => {
+                    if let Some(run) = self.slots.get_mut(1)?.repair_stale() {
+                        let waits =
+                            matches!(&run.1, Some((Base::InFlight(f), _)) if f.get().is_none());
+                        assert!(!waits, "a publish waits for a read");
+                        self.start(1, run);
+                    }
+                }
+            }
+            self.check();
+            Some(())
+        }
+
+        /// I3: a slot is `Solving` exactly while its cell's run is live,
+        /// so a panic leaves none behind, and every run a reader or a
+        /// stale base waits for is live or settled.
+        fn check(&self) {
+            let live = |flight: &Flight<usize>| {
+                let run = |run: &Option<Run<usize>>| {
+                    run.as_ref().is_some_and(|run| Arc::ptr_eq(&run.0, flight))
+                };
+                flight.get().is_some() || self.runs.iter().any(run)
+            };
+            for (e, slot) in self.slots.iter().enumerate() {
+                match (slot, &self.runs[e]) {
+                    (Slot::Solving(flight), Some(run)) => {
+                        assert!(Arc::ptr_eq(flight, &run.0), "I3: solving on its run")
+                    }
+                    (Slot::Solving(_), None) => panic!("I3: solving with no run"),
+                    (_, Some(_)) => panic!("I3: a run its slot left"),
+                    (
+                        Slot::Stale {
+                            base: Base::InFlight(base),
+                            ..
+                        },
+                        None,
+                    ) => {
+                        assert!(live(base), "I3: a stale base nobody runs")
+                    }
+                    _ => {}
+                }
+                assert!(
+                    self.waits[e].iter().all(live),
+                    "I3: a reader waits for ever"
+                );
+            }
+        }
+    }
+
+    /// Replays `events` from the start (flights are shared, so a world
+    /// is not cloned) and explores every event after them.
+    fn explore(events: &mut Vec<Event>, depth: usize, batch: &EdgeBatch, seen: &mut [usize; 3]) {
+        let mut world = World::new();
+        for &event in events.iter() {
+            if world.apply(event, batch).is_none() {
+                return;
+            }
+        }
+        seen[0] += 1;
+        seen[1] += world.adopted;
+        seen[2] += world.degraded;
+        if events.len() < depth {
+            for event in EVENTS {
+                events.push(event);
+                explore(events, depth, batch, seen);
+                events.pop();
+            }
+        }
+    }
+
+    #[test]
+    fn every_event_sequence_keeps_the_cell_invariants() {
+        let mut graph = Graph::new(2);
+        graph.add_edge_named(0, "a", 1);
+        let batch = GraphIndex::build(SparseEngine, &graph).add_edges(&[(1, "a", 0)]);
+        let mut seen = [0; 3];
+        explore(&mut Vec::new(), 8, &batch, &mut seen);
+        let [sequences, adopted, degraded] = seen;
+        assert!(sequences > 10_000, "{sequences} sequences");
+        assert!(
+            adopted > 0 && degraded > 0,
+            "{adopted} adopted, {degraded} degraded"
+        );
     }
 }

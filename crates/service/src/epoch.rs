@@ -40,10 +40,12 @@ pub struct ServiceStats {
     /// Matrix products launched by those cold solves and by extensions
     /// of source-restricted closures.
     pub cold_products: u64,
-    /// Closures repaired from the previous epoch at publish time, one
-    /// per closure: a grammar prepared both relationally and
-    /// single-path has one (its length closure), so it counts one
-    /// repair, and the reads of its two handles that follow are hits.
+    /// Closures repaired from the previous epoch, one per closure: at
+    /// publish time, or by the first read of one the publish adopted
+    /// while a reader was solving it. A grammar prepared both
+    /// relationally and single-path has one (its length closure), so it
+    /// counts one repair, and the reads of its two handles that follow
+    /// are hits.
     pub repairs: u64,
     /// Matrix products launched by those repairs (the incremental cost
     /// of the update; compare with `cold_products`).
@@ -197,10 +199,10 @@ impl<E: ServiceEngine> Snapshot<E> {
     }
 
     /// Evaluates a prepared relational query against this epoch. The
-    /// first evaluation of a query in an epoch solves (or inherits the
-    /// repaired) closure; every later one is an `Arc` bump. The answer
-    /// is a lazy view shared by the whole epoch: a relation is extracted
-    /// by whoever reads its pairs first.
+    /// first evaluation of a query in an epoch inherits the closure the
+    /// publish repaired, or solves or repairs it; every later one is an
+    /// `Arc` bump. The answer is a lazy view shared by the whole epoch: a
+    /// relation is extracted by whoever reads its pairs first.
     ///
     /// # Panics
     ///

@@ -2,30 +2,24 @@
 //!
 //! The concurrent serving layer over the session engine: many reader
 //! threads evaluating prepared queries against one evolving graph,
-//! without a global lock around the solver.
-//!
-//! The paper frames CFPQ as a graph-database primitive, and follow-up
-//! work (Medeiros et al., "An Algorithm for Context-Free Path Queries
-//! over Graph Databases") evaluates it explicitly in a serving context —
-//! but `cfpq_core::session::CfpqSession` is strictly single-threaded:
-//! one caller, one mutable session, queries and edge updates fully
-//! serialized. This crate adds the missing subsystem:
+//! without a global lock around the solver — CFPQ as a graph-database
+//! primitive in a serving context (Medeiros et al., "An Algorithm for
+//! Context-Free Path Queries over Graph Databases").
 //!
 //! * **Snapshot isolation.** The graph lives in immutable epoch-tagged
 //!   [`Snapshot`]s. An epoch is a [`GraphState`] — the index, the
 //!   prepared queries and one closure cell per query, the state a
 //!   `CfpqSession` drives inline — plus the counters charged to it.
-//!   Readers grab the current snapshot and keep using it for as long as
-//!   they like; [`CfpqService::add_edges`] clones the state *off to the
-//!   side*, applies the batch, repairs every closure it inherited
+//!   [`CfpqService::add_edges`] clones the state *off to the side*,
+//!   applies the batch, repairs every closure it inherited
 //!   ([`GraphState::repair_stale`], the semi-naive resume), and
-//!   publishes the next epoch atomically. A reader never blocks on a
-//!   writer, never observes a half-applied batch, and never pays for a
-//!   repair.
-//! * **Shared closure caching.** Within an epoch, each prepared query's
-//!   closure is solved at most once — concurrent readers of a cold query
-//!   wait on one solve — and then served by `Arc` refcount bump; across
-//!   epochs it is repaired, not re-solved.
+//!   publishes the next epoch atomically: a reader never blocks on a
+//!   writer and never observes a half-applied batch. Within an epoch a
+//!   query's closure is solved at most once, concurrent readers waiting
+//!   on one solve, and then served by `Arc` refcount bump. A closure a
+//!   reader of the old epoch was still solving at the publish is
+//!   adopted, not waited for or solved again: the new epoch's first read
+//!   waits for it and repairs it.
 //! * **A multi-queue scheduler.** [`CfpqService::enqueue`] accepts
 //!   `(query, pairs)` requests and returns a [`Ticket`]; worker threads
 //!   drain one query's whole queue as a batch, evaluate that query's
@@ -514,11 +508,12 @@ impl<E: ServiceEngine> CfpqService<E> {
     /// The new epoch is built **off to the side**: the current epoch's
     /// [`GraphState`] is cloned, the batch applied, and every closure
     /// the current epoch has solved is repaired through the semi-naive
-    /// resume paths ([`GraphState::repair_stale`]), so its readers never
-    /// pay for a repair — concurrent readers keep answering from the
-    /// published epoch the whole time and switch only when the new one
-    /// is complete. Writers are serialized with each other (epochs are
-    /// totally ordered).
+    /// resume paths ([`GraphState::repair_stale`]) — concurrent readers
+    /// keep answering from the published epoch the whole time and switch
+    /// only when the new one is complete. A closure a reader is still
+    /// solving is not waited for: the new epoch adopts it, and its first
+    /// read repairs it. Writers are serialized with each other (epochs
+    /// are totally ordered).
     ///
     /// The clone costs O(labels + prepared queries), not the edge set:
     /// epochs share labels and closures copy-on-write, so a publish
@@ -1747,5 +1742,44 @@ mod tests {
             delays,
             "different seeds decorrelate"
         );
+    }
+
+    /// A publish that caught a reader mid-solve leaves the repair to the
+    /// next epoch's first read, whose `query.repair` span says that it
+    /// waited for the adopted run and for how long.
+    #[test]
+    fn an_adopted_repair_reports_the_wait_for_its_base() {
+        use crate::faults::{FaultInjector, FaultPlan};
+        use cfpq_obs::{AttrValue, SpanCollector};
+        let stall = FaultPlan::none().with_delay_every(1, Duration::from_millis(50));
+        let injector = FaultInjector::new(SparseEngine, stall);
+        let graph = generators::word_chain(&["a", "a", "b"]);
+        let collector = Arc::new(SpanCollector::new());
+        let config = ServiceConfig::new(1);
+        let service =
+            CfpqService::with_observability(injector.clone(), &graph, config, collector.clone());
+        let q = service
+            .prepare(&Cfg::parse("S -> a S b | a b").unwrap())
+            .unwrap();
+        let snapshot = service.snapshot();
+        let reader = std::thread::spawn(move || snapshot.evaluate(q).start_pairs().to_vec());
+        // Op 1 is the first to stall: the reader is inside its cold solve.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while injector.ops() < 2 {
+            assert!(Instant::now() < deadline, "the reader never started");
+            std::thread::yield_now();
+        }
+        assert_eq!(service.add_edges(&[(3, "b", 4)]), 1);
+        let answer = service.enqueue(q, vec![]).unwrap().wait().unwrap();
+        assert_eq!(answer.pairs, [(0, 4), (1, 3)]);
+        assert_eq!(reader.join().unwrap(), [(1, 3)]);
+        let spans = collector.spans();
+        let repairs: Vec<_> = spans.iter().filter(|s| s.name == "query.repair").collect();
+        assert_eq!(repairs.len(), 1, "the read repaired; the publish did not");
+        assert_eq!(repairs[0].attr("base"), Some(&AttrValue::Str("in_flight")));
+        let Some(&AttrValue::U64(waited_us)) = repairs[0].attr("waited_us") else {
+            panic!("no waited_us on {:?}", repairs[0]);
+        };
+        assert!(waited_us > 0, "the ticket came while the base was stalled");
     }
 }

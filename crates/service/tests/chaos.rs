@@ -56,7 +56,7 @@ fn chain_grammar() -> cfpq_grammar::Cfg {
 /// A publish does not wait for a read: a reader cold-solving a query in
 /// the current epoch holds no lock the publish's copy of that epoch
 /// takes, so `add_edges` returns while the stalled solve still runs (the
-/// copy starts the query's cell empty, and its first read solves it).
+/// copy adopts the solve in flight, and its first read repairs it).
 #[test]
 fn a_publish_does_not_wait_for_a_solving_reader() {
     let stall = FaultPlan::none().with_delay_every(1, Duration::from_millis(100));
@@ -80,6 +80,47 @@ fn a_publish_does_not_wait_for_a_solving_reader() {
     assert_eq!(reader.join().unwrap(), [(1, 3)]);
     let answer = wait_bounded(service.enqueue(q, vec![]).unwrap()).unwrap();
     assert_eq!(answer.pairs, [(0, 4), (1, 3)]);
+    let epoch1 = &service.stats()[1];
+    assert_eq!((epoch1.cold_solves, epoch1.repairs), (0, 1), "{epoch1:?}");
+}
+
+/// A publish that adopted a solve in flight outlives that solve's panic:
+/// the next epoch's first read, waiting for the base when it panics,
+/// cold-solves instead of waiting for a closure that never comes.
+#[test]
+fn a_panicked_base_in_flight_degrades_to_a_cold_solve() {
+    silence_injected_panics();
+    // Op 1 stalls, then panics: the reader is inside its cold solve
+    // while the publish copies its cell.
+    let plan = FaultPlan::panic_on([1]).with_delay_every(1, Duration::from_millis(100));
+    let injector = FaultInjector::new(SparseEngine, plan);
+    let graph = chain_graph();
+    let service = CfpqService::with_config(injector.clone(), &graph, ServiceConfig::new(1));
+    let q = service.prepare(&chain_grammar()).unwrap();
+    let snapshot = service.snapshot();
+    let reader = std::thread::spawn(move || snapshot.evaluate(q).start_pairs().to_vec());
+    let deadline = Instant::now() + LONG;
+    while injector.ops() < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the reader never started its solve"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(service.add_edges(&[(3, "b", 4)]), 1);
+    assert!(!reader.is_finished(), "the publish waited for the reader");
+    // Enqueued while the base still runs: the ticket's read waits on it.
+    let ticket = service.enqueue(q, vec![]).unwrap();
+    assert!(reader.join().is_err(), "the scheduled panic fired");
+    assert_eq!(injector.panics_injected(), 1);
+    let answer = wait_bounded(ticket).unwrap();
+    let mut grown = chain_graph();
+    grown.add_edge_named(3, "b", 4);
+    let sequential = solve(&grown, &chain_grammar(), Backend::Sparse).unwrap();
+    assert_eq!(answer.epoch, 1);
+    assert_eq!(answer.pairs, sequential.start_pairs());
+    let epoch1 = &service.stats()[1];
+    assert_eq!((epoch1.cold_solves, epoch1.repairs), (1, 0), "{epoch1:?}");
 }
 
 /// Scheduled panics kill exactly the batches they land in; retries
