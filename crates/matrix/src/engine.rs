@@ -57,6 +57,7 @@ pub trait BoolMat: Clone + PartialEq + Send + Sync + 'static {
 }
 
 /// The positions of the set bits of `word`, ascending.
+#[inline(always)]
 pub(crate) fn word_bits(mut word: u64) -> impl Iterator<Item = u32> {
     std::iter::from_fn(move || {
         (word != 0).then(|| {
@@ -175,7 +176,7 @@ impl KernelCounters {
 /// # The tile-kernel contract
 ///
 /// Blocked backends (`TiledEngine`) decompose every product into
-/// fixed-size tile-pair kernels. Four guarantees keep them
+/// fixed-size tile-pair kernels. Five guarantees keep them
 /// interchangeable with the flat engines:
 ///
 /// * **Canonical form.** No all-zero tile is ever stored and tile
@@ -204,6 +205,15 @@ impl KernelCounters {
 ///   canonical form, `tiles_skipped` and the way a `Device` splits the
 ///   tile-rows are the same whichever side ran — serial and
 ///   multi-worker products stay byte-identical.
+/// * **One source, the instantiation the CPU runs best.** The baseline
+///   x86-64 target of a release build lacks POPCNT, BMI and AVX2, on
+///   which tile kernels spend most of their instructions (popcounts,
+///   trailing-zero counts, 64-word passes). `TiledEngine`'s products,
+///   set operations, builds and popcounts therefore run compiled for
+///   AVX2, BMI1/2, LZCNT and POPCNT where the CPU has all five, detected
+///   at run time, and as baseline code elsewhere. It is the same code,
+///   and the same bytes come out of it either way; no option, feature or
+///   build flag selects it, and the engine traits do not see it.
 ///
 /// # The Recorder contract
 ///

@@ -27,6 +27,7 @@
 //!   closure whose equivalence is Theorem 1.
 
 pub mod closure;
+mod cpu;
 pub mod dense;
 pub mod device;
 pub mod engine;

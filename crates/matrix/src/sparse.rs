@@ -254,18 +254,21 @@ impl Cell for u32 {}
 impl<V: Cell> Csr<V> {
     /// `self ∪= other` as one flat splice; returns `true` if anything was
     /// added, and leaves the storage untouched if not.
+    #[inline(always)]
     pub fn union_in_place(&mut self, other: &Self) -> bool {
         let (merged, _) = splice_rows(self, other, true, None);
         merged.map(|merged| *self = merged).is_some()
     }
 
     /// `self \ other`; never reads `other` outside the rows `self` fills.
+    #[inline(always)]
     pub fn difference(&self, other: &Self) -> Self {
         let (_, absent) = splice_rows(other, self, false, Some(Report::Absent));
         absent.expect("a report was asked for")
     }
 
     /// `self ∩ other`; never reads `other` outside the rows `self` fills.
+    #[inline(always)]
     pub fn intersect(&self, other: &Self) -> Self {
         let (_, present) = splice_rows(other, self, false, Some(Report::Present));
         present.expect("a report was asked for")
@@ -288,6 +291,7 @@ pub(crate) fn assert_in_range(n: usize, (i, j): (u32, u32)) {
 /// steps from `from`. The flat passes below only ever search forward
 /// from their previous answer, so this costs O(log distance): one probe
 /// when rows or columns are dense, a binary search when they are sparse.
+#[inline(always)]
 pub(crate) fn gallop<T>(sorted: &[T], from: usize, pred: impl Fn(&T) -> bool) -> usize {
     let (mut lo, mut step) = (from, 1);
     while lo + step <= sorted.len() && pred(&sorted[lo + step - 1]) {
@@ -300,6 +304,7 @@ pub(crate) fn gallop<T>(sorted: &[T], from: usize, pred: impl Fn(&T) -> bool) ->
 
 /// The row holding flat entry `e`, searched forward from `row`, whose own
 /// entries end at or before `e`.
+#[inline(always)]
 pub(crate) fn row_of(row_ptr: &[usize], row: usize, e: usize) -> usize {
     gallop(&row_ptr[1..], row + 1, |&end| end <= e)
 }
@@ -329,6 +334,7 @@ pub(crate) enum Report {
 /// The cost is O(nnz(b) · log(row of a)) plus one bulk write of each
 /// result's row pointers and, with `merge`, the copy of `a`; only
 /// `merge` ever reads `a` outside the rows `b` fills.
+#[inline(always)]
 pub(crate) fn splice_rows<V: Cell>(
     a: &Csr<V>,
     b: &Csr<V>,
@@ -679,6 +685,7 @@ impl<V: Copy> Csr<V> {
     /// The cost is the cells of `self` in `range`, a gallop over each run
     /// of rows nothing reaches, and one bulk write of their row ends: a
     /// block pays nothing per empty row of `self` beyond that write.
+    #[inline(always)]
     pub fn multiply<A: RowAccumulator<V>>(
         &self,
         b: &Self,
@@ -698,20 +705,6 @@ impl<V: Copy> Csr<V> {
         // it is closed when a cell that does find something lies in a
         // later row.
         let mut open = range.start;
-        // Closes row `open` and the rows up to `next`, which nothing
-        // reached.
-        let mut close = |acc: &mut A, open: usize, next: usize| {
-            // Only a row that received a candidate pays for its mask row.
-            if !acc.is_empty() {
-                let mask_row = mask.map(|m| {
-                    let row = m.row(open);
-                    (&m.cols[row.clone()], &m.vals[row])
-                });
-                acc.drain_into(mask_row, &mut out);
-            }
-            out.row_ptr
-                .resize(out.row_ptr.len() + (next - open), out.nnz());
-        };
         // The cells of row `open`, read when a row is opened: the skipping
         // cells, the bulk of a sparse Δ's scan, pay for nothing but the
         // test that skips them.
@@ -731,16 +724,38 @@ impl<V: Copy> Csr<V> {
             found += 1;
             if self.row_ptr[open + 1] <= e {
                 let next = row_of(&self.row_ptr, open, e);
-                close(acc, open, next);
+                close_rows(acc, mask, &mut out, open, next);
                 open = next;
                 open_len = self.row(open).len();
             }
             let (cols, vals) = (&b.cols[b_row.clone()], &b.vals[b_row]);
             acc.add(&self.vals[e], open, k, open_len, cols, vals);
         }
-        close(acc, open, range.end);
+        close_rows(acc, mask, &mut out, open, range.end);
         (out, (cells.len() - found) as u64)
     }
+}
+
+/// Closes row `open` of a product block and the rows up to `next`, which
+/// nothing reached.
+#[inline(always)]
+fn close_rows<V: Copy, A: RowAccumulator<V>>(
+    acc: &mut A,
+    mask: Option<&Csr<V>>,
+    out: &mut Csr<V>,
+    open: usize,
+    next: usize,
+) {
+    // Only a row that received a candidate pays for its mask row.
+    if !acc.is_empty() {
+        let mask_row = mask.map(|m| {
+            let row = m.row(open);
+            (&m.cols[row.clone()], &m.vals[row])
+        });
+        acc.drain_into(mask_row, out);
+    }
+    out.row_ptr
+        .resize(out.row_ptr.len() + (next - open), out.nnz());
 }
 
 /// The dense bitset accumulator for one output row of Boolean SpGEMM,

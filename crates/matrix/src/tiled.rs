@@ -68,13 +68,27 @@
 //!   without touching any bit (counted in
 //!   [`crate::engine::KernelCounters::tiles_skipped`]);
 //! * tile-row blocks of the product are dispatched in parallel across
-//!   the existing [`Device`] pool, exactly like the flat kernels.
+//!   the existing [`Device`] pool, exactly like the flat kernels;
+//! * the hot entry points — a product block, the set operations,
+//!   [`TiledBitMatrix::insert_pairs`], [`TiledBitMatrix::from_pairs`]
+//!   and [`TiledBitMatrix::nnz`], which the fixpoint reads of every Δ —
+//!   run their one source in one of two instantiations (`cpu.rs`): the
+//!   baseline x86-64 target a release build is made for lacks POPCNT,
+//!   BMI and AVX2, so where the CPU has them (with LZCNT) the same code
+//!   runs compiled for them: a popcount is one instruction instead of a
+//!   SWAR sequence, a trailing-zero count needs no zero test, and a
+//!   64-word tile pass moves four words per operation instead of two.
+//!   Everything below an entry point is `#[inline(always)]`, so it is
+//!   compiled into the featured instantiation rather than called from
+//!   it. Only the CPU picks: nothing can be set, a CPU without the five
+//!   features runs the baseline code, and both give the same bytes.
 //!
 //! The canonical-form invariant — **no stored all-zero tile, tile
 //! columns strictly ascending per tile-row** — is maintained by every
 //! constructor and operation, so derived `PartialEq` is semantic
 //! equality.
 
+use crate::cpu::{self, Level};
 use crate::device::Device;
 use crate::engine::{word_bits, BoolMat, MaskedJob};
 use crate::length::TiledLenMatrix;
@@ -106,18 +120,20 @@ pub(crate) fn tile_count(n: usize) -> usize {
     n.div_ceil(TILE)
 }
 
-#[inline]
+#[inline(always)]
 fn tile_is_zero(t: &TileWords) -> bool {
     t.iter().all(|&w| w == 0)
 }
 
 /// `tile`, unless it is empty: the canonical form stores no zero tile.
+#[inline(always)]
 fn nonzero(tile: TileWords) -> Option<TileWords> {
     (!tile_is_zero(&tile)).then_some(tile)
 }
 
 /// Two tiles stored at the same place combine word by word.
 impl Cell for TileWords {
+    #[inline(always)]
     fn absorb(&mut self, other: &Self) -> bool {
         let mut grew = 0u64;
         for (w, &o) in self.iter_mut().zip(other) {
@@ -127,10 +143,12 @@ impl Cell for TileWords {
         grew != 0
     }
 
+    #[inline(always)]
     fn minus(&self, other: &Self) -> Option<Self> {
         nonzero(std::array::from_fn(|r| self[r] & !other[r]))
     }
 
+    #[inline(always)]
     fn meet(&self, other: &Self) -> Option<Self> {
         nonzero(std::array::from_fn(|r| self[r] & other[r]))
     }
@@ -153,6 +171,15 @@ impl TiledBitMatrix {
     ///
     /// If a pair names a row or column `>= n`.
     pub fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
+        cpu::dispatch(
+            #[inline(always)]
+            || Self::build(n, pairs),
+        )
+    }
+
+    /// [`Self::from_pairs`] on the instantiation its caller runs.
+    #[inline(always)]
+    fn build(n: usize, pairs: &[(u32, u32)]) -> Self {
         let tile_row = |&(i, _): &(u32, u32)| i as usize / TILE;
         if pairs.is_sorted_by_key(tile_row) {
             return Self::from_grouped_pairs(n, pairs);
@@ -185,6 +212,7 @@ impl TiledBitMatrix {
     /// tile is moved after. The tile-rows between two runs get their row
     /// ends in one bulk write, and the storage is cut to its exact size
     /// at the end: a label's matrix lives as long as its index.
+    #[inline(always)]
     fn from_grouped_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
         let tn = tile_count(n);
         let mut csr: Csr<TileWords> = Csr::with_capacity(tn, 0);
@@ -258,6 +286,15 @@ impl TiledBitMatrix {
 
     /// Number of set bits.
     pub fn nnz(&self) -> usize {
+        cpu::dispatch(
+            #[inline(always)]
+            || self.count_bits(),
+        )
+    }
+
+    /// [`Self::nnz`] on the instantiation its caller runs.
+    #[inline(always)]
+    fn count_bits(&self) -> usize {
         self.csr.vals.iter().map(tile_bits).sum()
     }
 
@@ -295,12 +332,21 @@ impl TiledBitMatrix {
     ///
     /// If a pair names a row or column `>= n`; the matrix is unchanged.
     pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
+        cpu::dispatch(
+            #[inline(always)]
+            || self.insert(pairs),
+        )
+    }
+
+    /// [`Self::insert_pairs`] on the instantiation its caller runs.
+    #[inline(always)]
+    fn insert(&mut self, pairs: &[(u32, u32)]) -> bool {
         let fresh: Vec<(u32, u32)> = pairs
             .iter()
             .copied()
             .filter(|&(i, j)| !self.get(i, j))
             .collect();
-        !fresh.is_empty() && self.union_in_place(&Self::from_pairs(self.n, &fresh))
+        !fresh.is_empty() && self.csr.union_in_place(&Self::build(self.n, &fresh).csr)
     }
 
     /// `self |= other` as one splice of tile-rows (see
@@ -310,21 +356,30 @@ impl TiledBitMatrix {
     /// changed.
     pub fn union_in_place(&mut self, other: &TiledBitMatrix) -> bool {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        self.csr.union_in_place(&other.csr)
+        cpu::dispatch(
+            #[inline(always)]
+            || self.csr.union_in_place(&other.csr),
+        )
     }
 
     /// `self \ other` — bits set in `self` but not `other`; costs the
     /// tiles `self` stores.
     pub fn difference(&self, other: &TiledBitMatrix) -> TiledBitMatrix {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        let csr = self.csr.difference(&other.csr);
+        let csr = cpu::dispatch(
+            #[inline(always)]
+            || self.csr.difference(&other.csr),
+        );
         Self { n: self.n, csr }
     }
 
     /// `self ∩ other` — bitwise AND; costs the tiles `self` stores.
     pub fn intersect(&self, other: &TiledBitMatrix) -> TiledBitMatrix {
         assert_eq!(self.n, other.n, "dimension mismatch");
-        let csr = self.csr.intersect(&other.csr);
+        let csr = cpu::dispatch(
+            #[inline(always)]
+            || self.csr.intersect(&other.csr),
+        );
         Self { n: self.n, csr }
     }
 
@@ -364,14 +419,14 @@ impl TiledBitMatrix {
         if let Some(m) = mask {
             assert_eq!(self.n, m.n, "mask dimension mismatch");
         }
-        let n = self.n;
-        let tn = self.tile_rows();
+        let (n, tn, level) = (self.n, self.tile_rows(), cpu::level());
         let Some(device) = device.filter(|d| d.n_workers() > 1 && tn > 1) else {
             // One block is the whole product.
-            let (csr, skipped) = self.multiply_block(other, mask, 0..tn);
+            let (csr, skipped) = self.multiply_block(other, mask, 0..tn, level);
             return (Self { n, csr }, skipped);
         };
-        let blocks = device.par_map_ranges(tn, |range| self.multiply_block(other, mask, range));
+        let blocks =
+            device.par_map_ranges(tn, |range| self.multiply_block(other, mask, range, level));
         let skipped = blocks.iter().map(|(_, skipped)| skipped).sum();
         let csr = Csr::concat(blocks.into_iter().map(|(block, _)| block));
         debug_assert_eq!(csr.rows(), tn, "every tile-row stitched");
@@ -381,23 +436,30 @@ impl TiledBitMatrix {
     /// Computes tile-rows `rows` of `(self × other) \ mask?` as a block of
     /// their own (row ends relative to it), and the skipped-kernel count:
     /// the shared flat product (`sparse.rs::Csr::multiply`) over the
-    /// stored tiles of `self`, on this thread's tile accumulator.
+    /// stored tiles of `self`, on this thread's tile accumulator and on
+    /// the kernels of `level`.
     fn multiply_block(
         &self,
         other: &TiledBitMatrix,
         mask: Option<&TiledBitMatrix>,
         rows: Range<usize>,
+        level: Level,
     ) -> (Csr<TileWords>, u64) {
+        let mask = mask.map(|m| &m.csr);
         TILE_ACC.with_borrow_mut(|acc| {
-            let mask = mask.map(|m| &m.csr);
-            let (block, empty_panels) = self.csr.multiply(&other.csr, mask, rows, acc);
-            (block, empty_panels + acc.dropped)
+            level.run(
+                #[inline(always)]
+                || {
+                    let (block, empty_panels) = self.csr.multiply(&other.csr, mask, rows, acc);
+                    (block, empty_panels + acc.dropped)
+                },
+            )
         })
     }
 }
 
 /// Bit `r` set iff row `r` of `t` is not empty.
-#[inline]
+#[inline(always)]
 fn row_mask(t: &TileWords) -> u64 {
     t.iter()
         .enumerate()
@@ -408,7 +470,7 @@ fn row_mask(t: &TileWords) -> u64 {
 /// given `rows = row_mask(a)`. For each non-empty row `r` of `a`, every
 /// set bit `k` of `a[r]` ORs `b`'s row `k` into `c[r]` — one word-OR per
 /// set bit of `a`, whatever `b` holds, and no step over an empty row.
-#[inline]
+#[inline(always)]
 fn tile_multiply_into(a: &TileWords, rows: u64, b: &TileWords, c: &mut TileWords) {
     for r in word_bits(rows) {
         let r = r as usize;
@@ -429,7 +491,7 @@ fn tile_multiply_into(a: &TileWords, rows: u64, b: &TileWords, c: &mut TileWords
 /// `a` holds (an empty column is OR-ed like any other: testing for it
 /// would put a coin-flip branch in front of every cell of a half-empty
 /// `a`).
-#[inline]
+#[inline(always)]
 fn tile_multiply_transposed_into(a_cols: &TileWords, b_cells: &[[u8; 2]], c_cols: &mut TileWords) {
     for &[k, j] in b_cells {
         c_cols[j as usize % TILE] |= a_cols[k as usize % TILE];
@@ -440,6 +502,7 @@ fn tile_multiply_transposed_into(a_cols: &TileWords, b_cells: &[[u8; 2]], c_cols
 /// 1), 32 word pairs each. A round at width `j` exchanges, inside every
 /// `2j × 2j` diagonal block, the upper-right `j × j` quadrant with the
 /// lower-left one.
+#[inline(always)]
 fn transpose_tile(tile: &TileWords) -> TileWords {
     let mut t = *tile;
     let mut j = TILE / 2;
@@ -464,7 +527,7 @@ fn transpose_tile(tile: &TileWords) -> TileWords {
 /// rounds of 32 swaps.
 const TRANSPOSE_OPS: usize = 6 * (TILE / 2);
 
-#[inline]
+#[inline(always)]
 pub(crate) fn tile_bits(t: &TileWords) -> usize {
     t.iter().map(|w| w.count_ones() as usize).sum()
 }
@@ -488,6 +551,7 @@ impl TileSlots {
         }
     }
 
+    #[inline(always)]
     fn ensure(&mut self, tn: usize) {
         if self.tiles.len() < tn {
             self.tiles.resize(tn, EMPTY_TILE);
@@ -495,7 +559,7 @@ impl TileSlots {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn tile(&mut self, cur: u64, tj: u32) -> &mut TileWords {
         let idx = tj as usize;
         if self.stamp[idx] != cur {
@@ -567,7 +631,7 @@ impl TileAccumulator {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn tile(&mut self, tj: u32) -> &mut TileWords {
         self.row.tile(self.cur, tj)
     }
@@ -575,6 +639,7 @@ impl TileAccumulator {
     /// Transposes back what the right-driven kernel accumulated for this
     /// tile-row and ORs it into the row's ordinary tiles, so masking and
     /// the drain see one row.
+    #[inline(always)]
     fn fold_transposed(&mut self) {
         for &tj in &self.transposed.touched {
             let back = transpose_tile(&self.transposed.tiles[tj as usize]);
@@ -610,6 +675,7 @@ impl TileAccumulator {
     /// popcounted; one whose bits stay under it is not compared; and a
     /// panel is popcounted once per product, when the first left tile
     /// that needs the comparison meets it.
+    #[inline(always)]
     fn right_driven_is_cheaper(
         &mut self,
         a: &TileWords,
@@ -646,6 +712,7 @@ impl TileAccumulator {
     /// the first time the product in progress asks. Called only after
     /// [`Self::right_driven_is_cheaper`] counted the panel in this
     /// product.
+    #[inline(always)]
     fn listed(&mut self, k: usize, panel: &[TileWords]) -> usize {
         let seen = &mut self.panels[k];
         debug_assert_eq!(seen.product, self.product, "the panel was counted");
@@ -680,6 +747,7 @@ impl RowAccumulator<TileWords> for TileAccumulator {
     /// panels and first tile-row, no panel listed, nothing dropped yet,
     /// and nothing left of a product that panicked halfway on this
     /// thread.
+    #[inline(always)]
     fn fit(&mut self, tn: usize) {
         self.row.ensure(tn);
         self.cur += 1;
@@ -691,7 +759,7 @@ impl RowAccumulator<TileWords> for TileAccumulator {
         self.cell_ends.clear();
     }
 
-    #[inline]
+    #[inline(always)]
     fn add(
         &mut self,
         a: &TileWords,
@@ -718,6 +786,7 @@ impl RowAccumulator<TileWords> for TileAccumulator {
         }
     }
 
+    #[inline(always)]
     fn is_empty(&self) -> bool {
         self.row.touched.is_empty() && self.transposed.touched.is_empty()
     }
@@ -726,6 +795,7 @@ impl RowAccumulator<TileWords> for TileAccumulator {
     /// form), each less the bits of the mask tile at its tile-column,
     /// counting instead of storing those left empty, and moves to a fresh
     /// stamp. Masking and draining are one pass, while the tile is hot.
+    #[inline(always)]
     fn drain_into(&mut self, mask: Option<RowCells<'_, TileWords>>, out: &mut Csr<TileWords>) {
         self.fold_transposed();
         self.row.touched.sort_unstable();
@@ -825,6 +895,14 @@ impl BoolRepr for TiledBitMatrix {
 mod tests {
     use super::*;
     use crate::{BoolEngine, TiledEngine};
+
+    /// The two instantiations of the hot code: the baseline body called
+    /// directly, and the same body through the dispatcher, which is the
+    /// featured one on a CPU with AVX2, BMI1/2, LZCNT and POPCNT. Each
+    /// test that takes a level holds both to the same bytes.
+    fn levels() -> [Level; 2] {
+        [Level::BASELINE, cpu::level()]
+    }
 
     fn pseudo_pairs(n: usize, count: usize, seed: u64) -> Vec<(u32, u32)> {
         let mut state = seed;
@@ -1117,11 +1195,12 @@ mod tests {
         assert_eq!(masked.stored_tiles(), 2);
     }
 
-    /// Holds `a × b` and `(a × b) \ mask` to the dense products, serially
-    /// and on devices of 2 and 3 workers, whose outputs and skip counts
-    /// must also equal the serial ones.
+    /// Holds `a × b` and `(a × b) \ mask` on the kernels of `level` to
+    /// the dense products; the dispatched product, serial and on devices
+    /// of 2 and 3 workers, must equal it to the skip count.
     fn check_against_dense(
         what: &str,
+        level: Level,
         n: usize,
         pa: &[(u32, u32)],
         pb: &[(u32, u32)],
@@ -1142,12 +1221,15 @@ mod tests {
             (None, product.pairs()),
             (Some(&mask), product.difference(&dm).pairs()),
         ] {
-            let serial = a.multiply_masked_opt_on(&b, mask, None);
+            let (csr, skipped) = a.multiply_block(&b, mask, 0..a.tile_rows(), level);
+            let serial = (TiledBitMatrix { n, csr }, skipped);
             let masked = mask.is_some();
-            assert_eq!(serial.0.pairs(), expect, "{what}, serial, masked: {masked}");
+            let what = format!("{what}, {level:?}, masked: {masked}");
+            assert_eq!(serial.0.pairs(), expect, "{what}");
+            assert_eq!(a.multiply_masked_opt_on(&b, mask, None), serial, "{what}");
             for workers in [2, 3] {
                 let par = a.multiply_masked_opt_on(&b, mask, Some(&Device::new(workers)));
-                assert_eq!(par, serial, "{what}, {workers} workers, masked: {masked}");
+                assert_eq!(par, serial, "{what}, {workers} workers");
             }
         }
     }
@@ -1201,10 +1283,10 @@ mod tests {
             pa.extend(tile_at(3, 2, cells.iter().copied()));
             // A second left tile in tile-row 1, whose panel is empty.
             pa.push((64, 5));
-            for panel in panels {
+            for (panel, level) in panels.into_iter().flat_map(|p| levels().map(|l| (p, l))) {
                 let pb: Vec<(u32, u32)> = panel.iter().flat_map(|&tj| panel_tile(tj)).collect();
                 let what = format!("{shape} × a panel of {}", panel.len());
-                check_against_dense(&what, n, &pa, &pb, &pm);
+                check_against_dense(&what, level, n, &pa, &pb, &pm);
             }
         }
         // The chooser sends the full tile right-driven and the one bit
@@ -1311,7 +1393,7 @@ mod tests {
         // tile the failed product left behind would be folded in as it is.
         let pb = [(64 + 4, 136), (64 + 6, 138), (131, 2)];
         let pm = tile_at(0, 0, (0..64).map(|i| (i, i)));
-        check_against_dense("after a panic", n, &pa, &pb, &pm);
+        check_against_dense("after a panic", cpu::level(), n, &pa, &pb, &pm);
     }
 
     #[test]
@@ -1320,7 +1402,7 @@ mod tests {
         sorted.extend(pseudo_pairs(BANDED_N, 500, 0xD1));
         sorted.sort_unstable();
         sorted.dedup();
-        let reference = TiledBitMatrix::from_pairs(BANDED_N, &sorted);
+        let reference = TiledBitMatrix::build(BANDED_N, &sorted);
         // Grouped by tile-row but unsorted inside each group: each
         // tile-row's run reversed.
         let mut grouped = sorted.clone();
@@ -1333,14 +1415,23 @@ mod tests {
         let mut twice = reversed.clone();
         twice.extend(&grouped);
         for (order, pairs) in [
+            ("sorted", sorted),
             ("grouped", grouped),
             ("reversed", reversed),
             ("duplicated", duplicated),
             ("reversed, then grouped", twice),
         ] {
-            let built = TiledBitMatrix::from_pairs(BANDED_N, &pairs);
-            assert_eq!(built, reference, "{order}");
-            assert_eq!(built.bytes(), reference.bytes(), "{order}: exact capacity");
+            for level in levels() {
+                let built = level.run(|| TiledBitMatrix::build(BANDED_N, &pairs));
+                assert_eq!(built, reference, "{order}, {level:?}");
+                let bytes = built.bytes();
+                assert_eq!(
+                    bytes,
+                    reference.bytes(),
+                    "{order}, {level:?}: exact capacity"
+                );
+            }
+            assert_eq!(TiledBitMatrix::from_pairs(BANDED_N, &pairs), reference);
         }
     }
 
@@ -1371,23 +1462,87 @@ mod tests {
 
     #[test]
     fn union_and_insert_detect_change() {
-        let mut a = TiledBitMatrix::from_pairs(100, &[(0, 1)]);
-        let b = TiledBitMatrix::from_pairs(100, &[(0, 1), (65, 70)]);
-        assert!(a.union_in_place(&b));
         let storage = |m: &TiledBitMatrix| {
             let csr = &m.csr;
             (csr.row_ptr.as_ptr(), csr.cols.as_ptr(), csr.vals.as_ptr())
         };
-        let before = storage(&a);
-        assert!(!a.union_in_place(&b), "second union is a no-op");
-        assert_eq!(storage(&a), before, "and leaves the storage where it is");
-        assert_eq!(a.nnz(), 2);
-        assert!(a.insert_pairs(&[(99, 99)]));
-        let before = storage(&a);
-        assert!(!a.insert_pairs(&[(99, 99), (0, 1)]));
-        assert!(!a.insert_pairs(&[]));
-        assert_eq!(storage(&a), before, "nothing new, nothing rebuilt");
-        assert_eq!(a.pairs(), vec![(0, 1), (65, 70), (99, 99)]);
+        for level in levels() {
+            let mut a = TiledBitMatrix::from_pairs(100, &[(0, 1)]);
+            let b = TiledBitMatrix::from_pairs(100, &[(0, 1), (65, 70)]);
+            let union = |a: &mut TiledBitMatrix| level.run(|| a.csr.union_in_place(&b.csr));
+            assert!(union(&mut a));
+            let before = storage(&a);
+            assert!(!union(&mut a), "second union is a no-op");
+            assert_eq!(storage(&a), before, "and leaves the storage where it is");
+            assert_eq!(level.run(|| a.count_bits()), 2);
+            assert!(level.run(|| a.insert(&[(99, 99)])));
+            let before = storage(&a);
+            assert!(!level.run(|| a.insert(&[(99, 99), (0, 1)])));
+            assert!(!level.run(|| a.insert(&[])));
+            assert!(!a.insert_pairs(&[(99, 99), (0, 1)]));
+            assert!(!a.union_in_place(&b));
+            assert_eq!(storage(&a), before, "nothing new, nothing rebuilt");
+            assert_eq!(a.pairs(), vec![(0, 1), (65, 70), (99, 99)]);
+        }
+    }
+
+    #[test]
+    fn set_operations_and_nnz_give_the_same_bytes_on_both_instantiations() {
+        // Banded operands that meet in stored tiles and in tiles only one
+        // of them stores, one tile full; each operation's baseline body,
+        // its body through the dispatcher and its public entry must agree
+        // byte for byte, and with a dense reference.
+        let pa = banded_with_full_tile(2000, 0x5E7);
+        let pb = banded_pairs(1500, 0x5E8);
+        let (a, b) = (
+            TiledBitMatrix::build(BANDED_N, &pa),
+            TiledBitMatrix::build(BANDED_N, &pb),
+        );
+        let (da, db) = (
+            crate::DenseBitMatrix::from_pairs(BANDED_N, &pa),
+            crate::DenseBitMatrix::from_pairs(BANDED_N, &pb),
+        );
+        let mut union = da.clone();
+        union.union_in_place(&db);
+        let fresh: Vec<(u32, u32)> = pb.iter().map(|&(i, j)| (j, i)).collect();
+        let mut inserted = da.clone();
+        inserted.union_in_place(&crate::DenseBitMatrix::from_pairs(BANDED_N, &fresh));
+        let mut all = Vec::new();
+        for level in levels() {
+            let mut u = a.clone();
+            assert!(level.run(|| u.csr.union_in_place(&b.csr)));
+            let d = level.run(|| a.csr.difference(&b.csr));
+            let m = level.run(|| a.csr.intersect(&b.csr));
+            let mut ins = a.clone();
+            assert!(level.run(|| ins.insert(&fresh)));
+            let (d, m) = (
+                TiledBitMatrix { n: a.n, csr: d },
+                TiledBitMatrix { n: a.n, csr: m },
+            );
+            let nnz = [&a, &u, &d, &m, &ins].map(|x| level.run(|| x.count_bits()));
+            assert_eq!(u.pairs(), union.pairs(), "{level:?}");
+            assert_eq!(d.pairs(), da.difference(&db).pairs(), "{level:?}");
+            assert_eq!(m.pairs(), da.intersect(&db).pairs(), "{level:?}");
+            assert_eq!(ins.pairs(), inserted.pairs(), "{level:?}");
+            assert_eq!(
+                nnz,
+                [&a, &u, &d, &m, &ins].map(|x| x.pairs().len()),
+                "{level:?}"
+            );
+            assert!(!d.is_zero() && !m.is_zero());
+            let bytes = [&u, &d, &m, &ins].map(TiledBitMatrix::bytes);
+            all.push((u, d, m, ins, nnz, bytes));
+        }
+        assert_eq!(all[0], all[1], "both instantiations, byte for byte");
+        // The public entries dispatch to the same bodies.
+        let (u0, d0, m0, ins0, nnz0, _) = &all[0];
+        let mut u = a.clone();
+        assert!(u.union_in_place(&b));
+        let mut ins = a.clone();
+        assert!(ins.insert_pairs(&fresh));
+        let (d, m) = (a.difference(&b), a.intersect(&b));
+        assert_eq!((&u, &d, &m, &ins), (u0, d0, m0, ins0));
+        assert_eq!([&a, &u, &d, &m, &ins].map(TiledBitMatrix::nnz), *nnz0);
     }
 
     #[test]

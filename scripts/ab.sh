@@ -15,8 +15,18 @@
 #
 # Every run's ops_per_s, setup_s, peak_rss_mb and failed count is
 # printed, then per workload each side's failed ops and, per metric,
-# each side's median with its q1–q3 and in how many pairs the change was
-# better (higher ops_per_s, lower setup_s and peak_rss_mb).
+# each side's median with its q1–q3, in how many pairs the change was
+# better (higher ops_per_s, lower setup_s and peak_rss_mb), and the
+# verdict of the acceptance gate, with the metric's `bound` read from
+# BASE's BENCHMARK.json:
+#
+#   unresolved    BASE's q1–q3 is wider than the bound (relative to its
+#                 median): the runs spread too widely to tell;
+#   gain          the change is better in at least 9 of every 10 pairs
+#                 and its median beats BASE's by more than BASE's q1–q3;
+#   worse         the change's median is worse than BASE's by more than
+#                 the bound;
+#   within bound  anything else.
 set -eu
 if [ $# -ne 6 ]; then
     echo "usage: sh scripts/ab.sh BASE CHANGE WORKLOADS PAIRS SECONDS SEED" >&2
@@ -72,8 +82,8 @@ for workload in $workloads; do
     done
 done
 
-python3 - "$runs" <<'EOF'
-import sys
+python3 - "$runs" "$base/BENCHMARK.json" <<'EOF'
+import json, sys
 
 def quartiles(xs):
     xs = sorted(xs)
@@ -90,8 +100,19 @@ for line in open(sys.argv[1]):
     runs.setdefault(workload, {}).setdefault(int(pair), {})[side] = (
         float(ops), float(setup), float(rss), int(failed))
 
+bounds = {m["name"]: m["bound"] for m in json.load(open(sys.argv[2]))["end_to_end"]}
+
+def verdict(base, change, better, higher, bound):
+    (b1, bm, b3), (_, cm, _) = quartiles(base), quartiles(change)
+    if b3 - b1 > bound * bm:
+        return "unresolved"
+    gained = cm - bm if higher else bm - cm
+    if 10 * better >= 9 * len(base) and gained > b3 - b1:
+        return "gain"
+    return "worse" if -gained > bound * bm else "within bound"
+
 print()
-print("workload metric: base median [q1-q3] -> change median [q1-q3], change better in k/n")
+print("workload metric: base median [q1-q3] -> change median [q1-q3], change better in k/n: verdict")
 for workload, by_pair in runs.items():
     both = [p for p in by_pair.values() if "base" in p and "change" in p]
     failed = [sum(p[side][3] for p in both) for side in ("base", "change")]
@@ -102,6 +123,8 @@ for workload, by_pair in runs.items():
         change = [p["change"][at] for p in both]
         better = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
+        judged = verdict(base, change, better, higher, bounds[metric])
         print(f"{workload} {metric}: {bq[1]:.4g} [{bq[0]:.4g}-{bq[2]:.4g}] -> "
-              f"{cq[1]:.4g} [{cq[0]:.4g}-{cq[2]:.4g}], change better in {better}/{len(both)}")
+              f"{cq[1]:.4g} [{cq[0]:.4g}-{cq[2]:.4g}], change better in {better}/{len(both)}: "
+              f"{judged}")
 EOF
