@@ -193,10 +193,19 @@ impl<E: LenEngine> Algebra for Lengths<'_, E> {
         (nnz > 0).then_some((new, nnz))
     }
 
+    /// As the Boolean seed: point reads, one build of the absent cells,
+    /// and the merge's report as the Δ.
     fn seed(&self, full: &mut E::LenMatrix, pairs: &[(u32, u32)]) -> Option<E::LenMatrix> {
-        let entries: Vec<(u32, u32, u32)> = pairs.iter().map(|&(i, j)| (i, j, 1)).collect();
-        let written = self.0.len_set_absent(full, &entries);
-        (!written.is_empty()).then(|| self.0.len_from_entries(full.n(), &written))
+        let absent: Vec<(u32, u32, u32)> = pairs
+            .iter()
+            .filter(|&&(i, j)| full.get(i, j).is_none())
+            .map(|&(i, j)| (i, j, 1))
+            .collect();
+        if absent.is_empty() {
+            return None;
+        }
+        let fresh = self.0.len_from_entries(full.n(), &absent);
+        self.fold(full, fresh, true).map(|(new, _)| new)
     }
 
     fn nnz(&self, m: &E::LenMatrix) -> usize {

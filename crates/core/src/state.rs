@@ -132,19 +132,22 @@ pub(crate) trait CachedClosure<E: BoolEngine>: Closed + Clone {
     /// The element algebra of the closure's sweeps on `engine`.
     fn algebra(engine: &E) -> impl Algebra<Matrix = Self::Matrix> + '_;
 
-    /// Repairs the closure in place for `batches`, which `index` absorbed
-    /// since: widens it to the grown node universe, resumes the
-    /// semi-naive Δ loop from the batches' seeds and overlays the new
-    /// nodes' ε-diagonal. Returns the stats of the repair alone.
+    /// The nodes the closure covers.
+    fn n_nodes(&self) -> usize;
+
+    /// Repairs the closure in place for `seeds`, which batches `index`
+    /// absorbed since seed ([`GraphIndex::batch_seeds`]): widens it to the
+    /// grown node universe, resumes the semi-naive Δ loop from the seeds
+    /// and overlays the new nodes' ε-diagonal. Returns the stats of the
+    /// repair alone.
     fn repair(
         &mut self,
         index: &GraphIndex<E>,
         query: &PreparedQuery,
-        batches: &[EdgeBatch],
+        seeds: &[Vec<(u32, u32)>],
     ) -> SolveStats {
         let (wcnf, algebra) = (query.wcnf(), Self::algebra(&index.engine));
-        let seeds = index.batch_seeds(wcnf, batches);
-        fixpoint::repair(&algebra, self, wcnf, query.options, index.n_nodes, &seeds)
+        fixpoint::repair(&algebra, self, wcnf, query.options, index.n_nodes, seeds)
             .expect("seeds read off the grown index are cells of it")
     }
 }
@@ -154,6 +157,10 @@ impl<E: BoolEngine> CachedClosure<E> for RelationalIndex<E::Matrix> {
 
     fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
         solve_prepared(index, query)
+    }
+
+    fn n_nodes(&self) -> usize {
+        self.n_nodes
     }
 
     fn algebra(engine: &E) -> impl Algebra<Matrix = E::Matrix> + '_ {
@@ -166,6 +173,10 @@ impl<E: BoolEngine + LenEngine> CachedClosure<E> for SinglePathIndex<E::LenMatri
 
     fn cold_solve(index: &GraphIndex<E>, query: &PreparedQuery) -> Self {
         solve_prepared_single_path(index, query)
+    }
+
+    fn n_nodes(&self) -> usize {
+        self.n_nodes
     }
 
     fn algebra(engine: &E) -> impl Algebra<Matrix = E::LenMatrix> + '_ {
@@ -396,7 +407,16 @@ impl<C, D: Default> Cell<C, D> {
         let (closure, stats, incremental, mut sp) = match repair {
             Some((mut closure, batches)) => {
                 let sp = cfpq_obs::span("query.repair");
-                let stats = Arc::make_mut(&mut closure).repair(index, &self.query, &batches);
+                // Seeded before it is copied: batches that seed nothing
+                // and add no node leave the closure as it is, so it is
+                // republished, not copied from an epoch that holds it.
+                let seeds = index.batch_seeds(self.query.wcnf(), &batches);
+                let stats = if seeds.iter().all(Vec::is_empty) && closure.n_nodes() >= index.n_nodes
+                {
+                    SolveStats::default()
+                } else {
+                    Arc::make_mut(&mut closure).repair(index, &self.query, &seeds)
+                };
                 (closure, stats, true, sp)
             }
             None => {
@@ -946,6 +966,57 @@ mod tests {
                 events.pop();
             }
         }
+    }
+
+    #[test]
+    fn a_batch_that_seeds_nothing_republishes_the_closures_it_repairs() {
+        // Neither grammar reads `pad`.
+        let mut graph = Graph::new(4);
+        graph.add_edge_named(0, "a", 1);
+        graph.add_edge_named(1, "b", 2);
+        graph.add_edge_named(2, "pad", 3);
+        let prepared = |g: &str| PreparedQuery::new(&Cfg::parse(g).unwrap()).unwrap();
+        let state = GraphState::new(GraphIndex::build(SparseEngine, &graph));
+        let rel = state.prepare(prepared("S -> a S b | a b"));
+        let sp = state.prepare_single_path(prepared("S -> a b"));
+        let answer = state.evaluate(rel).unwrap().0.start_pairs().to_vec();
+        state.evaluate_single_path(sp).unwrap();
+        let closures = |s: &GraphState<SparseEngine>| {
+            let rel = s.rel.get(rel.0).unwrap().peek().0.cloned().unwrap();
+            (rel, s.sp.get(sp.0).unwrap().peek().0.cloned().unwrap())
+        };
+        let (old_rel, old_sp) = closures(&state);
+        // `state` stays pinned as the old snapshot while `next` publishes
+        // one batch after another.
+        let mut next = state.clone();
+        let publish = |next: &mut GraphState<SparseEngine>, edges: &[(NodeId, &str, NodeId)]| {
+            assert_eq!(next.add_edges(edges), edges.len());
+            let mut runs = Vec::new();
+            next.repair_stale(|run| runs.push(run));
+            assert!(runs.len() == 2 && runs.iter().all(|run| run.incremental));
+            let products = runs
+                .iter()
+                .map(|run| run.stats.products_computed)
+                .sum::<usize>();
+            let (rel, sp) = closures(next);
+            (
+                Arc::ptr_eq(&rel, &old_rel),
+                Arc::ptr_eq(&sp, &old_sp),
+                products,
+            )
+        };
+        // A `pad` edge between old nodes seeds nothing: both closures are
+        // republished as they are, each a repair with no product.
+        assert_eq!(publish(&mut next, &[(3, "pad", 0)]), (true, true, 0));
+        // A `pad` edge to a new node widens them: both are copied.
+        assert_eq!(publish(&mut next, &[(3, "pad", 4)]), (false, false, 0));
+        assert_eq!(closures(&next).1.n_nodes, 5);
+        // A label a rule reads seeds the copies, and the old snapshot
+        // keeps its closures and its answer.
+        let (_, _, products) = publish(&mut next, &[(2, "a", 0)]);
+        assert!(products > 0);
+        assert!(Arc::ptr_eq(&closures(&state).0, &old_rel));
+        assert_eq!(state.evaluate(rel).unwrap().0.start_pairs(), answer);
     }
 
     #[test]

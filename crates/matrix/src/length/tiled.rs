@@ -7,6 +7,10 @@
 //! columns ascending), in one value arena per matrix. A cell's length is
 //! read by a popcount rank.
 //!
+//! * A build is the Boolean tile builder's
+//!   ([`crate::TiledBitMatrix::from_pairs`]) plus one rank and one write
+//!   per entry: it costs its entries plus `n / 64`, so that a seed of a
+//!   few cells costs those cells and not the rows.
 //! * The product is the shared flat loop `Csr::multiply` with
 //!   [`LenTileRow`] as the row accumulator. It walks a left tile's bits
 //!   with `k` ascending across the tile-row, and `b_row & !blocked` —
@@ -29,6 +33,7 @@ use crate::engine::word_bits;
 use crate::repr::LenRepr;
 use crate::sparse::{gallop, splice_rows, Cell, Csr, Report, RowAccumulator, RowCells};
 use crate::tiled::{tile_count, TileWords, EMPTY_TILE, TILE};
+use crate::TiledBitMatrix;
 use std::cell::RefCell;
 
 /// A stored tile: which of its cells are present, where each of its rows
@@ -136,85 +141,46 @@ impl TiledLenMatrix {
     }
 
     /// Builds from `(row, col, length)` entries, first-write-wins on
-    /// duplicate cells (the first occurrence in `entries` is kept): the
-    /// counting sort of the CSR length matrix (`Csr::from_cells`), then
-    /// one tile-row at a time, its tiles' bits and then their lengths,
-    /// row by row.
+    /// duplicate cells (the first occurrence in `entries` is kept): it
+    /// costs its entries plus `n / 64`. The presence tiles come from the
+    /// Boolean tile builder ([`TiledBitMatrix::from_pairs`]), each is laid
+    /// out in the arena in storage order, and every length is written at
+    /// its cell's rank in the tile a search of its tile-row finds, the
+    /// entries walked from last to first so that the first occurrence of
+    /// a cell is written last.
     ///
     /// # Panics
     ///
     /// If an entry names a row or column `>= n`.
     pub fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self {
         debug_assert!(entries.iter().all(|e| e.2 != NO_PATH), "NO_PATH is absent");
-        let cells = Csr::from_cells(n, entries.len(), |e| entries[e]);
-        let tn = tile_count(n);
-        // Tile-column → the index of its tile in the tile-row being built.
-        let mut tile_of = vec![usize::MAX; tn];
-        let mut csr = Csr::with_capacity(tn, 0);
-        let mut lens = vec![0; cells.nnz()];
-        let mut next = Vec::new();
-        let empty = LenTile {
-            bits: EMPTY_TILE,
-            starts: [0; TILE],
-            rows: 0,
-            at: 0,
+        let pairs: Vec<(u32, u32)> = entries.iter().map(|&(i, j, _)| (i, j)).collect();
+        let Csr {
+            row_ptr,
+            cols,
+            vals,
+        } = TiledBitMatrix::from_pairs(n, &pairs).into_tiles();
+        let mut live = 0;
+        let vals: Vec<LenTile> = vals
+            .into_iter()
+            .map(|bits| {
+                let tile = LenTile::new(bits, live);
+                live += tile.count();
+                tile
+            })
+            .collect();
+        let csr = Csr {
+            row_ptr,
+            cols,
+            vals,
         };
-        for ti in 0..tn {
-            let rows = ti * TILE..n.min((ti + 1) * TILE);
-            let span = cells.row_ptr[rows.start]..cells.row_ptr[rows.end];
-            if span.is_empty() {
-                continue;
-            }
-            csr.row_ptr.resize(ti + 1, csr.nnz());
-            let first = csr.nnz();
-            // The tile-columns the tile-row reaches, marked as met, then
-            // numbered in ascending order.
-            for &j in &cells.cols[span.clone()] {
-                let tj = j as usize / TILE;
-                if tile_of[tj] == usize::MAX {
-                    tile_of[tj] = 0;
-                    csr.push(tj as u32, empty);
-                }
-            }
-            csr.cols[first..].sort_unstable();
-            for (t, &tj) in (first..).zip(&csr.cols[first..]) {
-                tile_of[tj as usize] = t;
-            }
-            // Each tile's bits, and its row counts in `starts` until
-            // `with_counts` turns them into row starts.
-            for i in rows.clone() {
-                for &j in &cells.cols[cells.row(i)] {
-                    let tile = &mut csr.vals[tile_of[j as usize / TILE]];
-                    tile.bits[i % TILE] |= 1 << (j as usize % TILE);
-                    tile.starts[i % TILE] += 1;
-                }
-            }
-            next.clear();
-            let mut at = span.start;
-            for tile in &mut csr.vals[first..] {
-                *tile = LenTile::with_counts(tile.bits, tile.starts, at);
-                next.push(at);
-                at += tile.count();
-            }
-            for i in rows {
-                for at in cells.row(i) {
-                    let next = &mut next[tile_of[cells.cols[at] as usize / TILE] - first];
-                    lens[*next] = cells.vals[at];
-                    *next += 1;
-                }
-            }
-            for &tj in &csr.cols[first..] {
-                tile_of[tj as usize] = usize::MAX;
-            }
+        let mut lens = vec![0; live];
+        for &(i, j, l) in entries.iter().rev() {
+            let t = csr.find(i as usize / TILE, j / TILE as u32);
+            let tile = &csr.vals[t.expect("the tiles hold every entry")];
+            lens[tile.at + tile.rank(i as usize % TILE, j % TILE as u32)] = l;
         }
-        csr.row_ptr.resize(tn + 1, csr.nnz());
-        csr.shrink();
-        Self {
-            n,
-            csr,
-            live: lens.len(),
-            lens,
-        }
+        Self { n, csr, lens, live }
     }
 
     /// Matrix dimension `n`.

@@ -256,6 +256,11 @@ impl TiledBitMatrix {
         Self { n, csr }
     }
 
+    /// The tile storage, as the length builder lays its lengths over it.
+    pub(crate) fn into_tiles(self) -> Csr<TileWords> {
+        self.csr
+    }
+
     /// Matrix dimension `n`.
     #[inline]
     pub fn n(&self) -> usize {

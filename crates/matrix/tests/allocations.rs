@@ -9,14 +9,17 @@
 //! union allocate must not depend on the number of tile-rows, and a
 //! union that adds nothing must allocate nothing at all.
 //!
-//! The counter (`support/counting_allocator.rs`) is per thread, so the
-//! test harness's own threads do not disturb it.
+//! A tiled build, or a seed of a few cells, is held to its bytes: it
+//! must cost its cells and the tile-rows, not the rows.
+//!
+//! The counters (`support/counting_allocator.rs`) are per thread, so the
+//! test harness's own threads do not disturb them.
 
 use cfpq_matrix::{
     CsrLenMatrix, CsrMatrix, LenEngine, LenMat, SparseEngine, TiledBitMatrix, TiledEngine,
     TiledLenMatrix,
 };
-use counting_allocator::allocations;
+use counting_allocator::{allocated_bytes, allocations};
 
 #[path = "support/counting_allocator.rs"]
 mod counting_allocator;
@@ -218,5 +221,47 @@ fn a_tiled_length_merge_allocates_independently_of_the_number_of_rows() {
             large <= 16,
             "merge allocated {large} times (trimmed: {trimmed})"
         );
+    }
+}
+
+#[test]
+fn a_two_cell_build_or_seed_allocates_fewer_bytes_than_the_matrix_has_rows() {
+    // 800 tile-rows: anything kept per row, such as 8 B of row pointer,
+    // comes to several times the bound of `n` bytes.
+    let n = 51_200;
+    let engine = TiledEngine::serial();
+    // Two cells in two tile-rows, out of tile-row order.
+    let cells = [(40_000, 7, 1), (3, 50_000, 2)];
+    let (build, built) = allocated_bytes(|| engine.len_from_entries(n, &cells));
+    assert_eq!(built.entries(), [(3, 50_000, 2), (40_000, 7, 1)]);
+    // A seed as the fixpoint makes one: point reads, one build of the
+    // absent cells and one merge, whose report is the Δ. One cell is
+    // held already; the other lands in a tile-row the closure stores
+    // nothing in, so the merge splices its tile in.
+    let mut closure = engine.len_from_entries(n, &[(3, 50_000, 5), (100, 100, 1)]);
+    let (seed, fresh) = allocated_bytes(|| {
+        let absent: Vec<(u32, u32, u32)> = cells
+            .iter()
+            .copied()
+            .filter(|&(i, j, _)| closure.get(i, j).is_none())
+            .collect();
+        let fresh = engine.len_from_entries(n, &absent);
+        engine.len_merge_absent(&mut closure, &fresh)
+    });
+    assert_eq!(fresh.entries(), [(40_000, 7, 1)]);
+    assert_eq!(closure.get(3, 50_000), Some(5), "first write wins");
+    // The Boolean builder, on pairs out of and in tile-row order.
+    let (unsorted, m) =
+        allocated_bytes(|| TiledBitMatrix::from_pairs(n, &[(40_000, 7), (3, 50_000)]));
+    let (sorted, same) =
+        allocated_bytes(|| TiledBitMatrix::from_pairs(n, &[(3, 50_000), (40_000, 7)]));
+    assert!(m == same && m.nnz() == 2);
+    for (what, bytes) in [
+        ("length build", build),
+        ("length seed", seed),
+        ("Boolean build, unsorted", unsorted),
+        ("Boolean build, sorted", sorted),
+    ] {
+        assert!(bytes < n, "{what} allocated {bytes} B on {n} nodes");
     }
 }

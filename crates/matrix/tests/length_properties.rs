@@ -9,10 +9,13 @@
 //! last tile-rows, a full tile, ε cells on the diagonal, and a `grow`
 //! across a boundary. On every engine a trim (`LenMat::shrink_to_fit`)
 //! keeps the matrix as it was, and a merge into a trimmed matrix gives
-//! what one into an untrimmed copy does.
+//! what one into an untrimmed copy does. The tiled builder is checked on
+//! its own at the sizes around one tile: the first occurrence of a cell
+//! wins, a build holds no slack, and a cell outside the matrix panics.
 
 use cfpq_matrix::{
     DenseEngine, Device, LenEngine, LenMat, ParSparseEngine, SparseEngine, TiledEngine,
+    TiledLenMatrix,
 };
 use proptest::prelude::*;
 
@@ -297,5 +300,60 @@ proptest! {
             let right = make(&b, WIDE).times(&closure, Some(&closure));
             (closure, fresh, left, right)
         })?;
+    }
+}
+
+/// One cell, one tile less a row, one tile, one tile and a row, and four
+/// tile-rows, the last one partial.
+const BUILD_SIZES: [usize; 5] = [1, 63, 64, 65, 200];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(96, RNG_SEED))]
+
+    #[test]
+    fn a_tiled_build_keeps_the_first_occurrence_of_every_cell(
+        raw in prop::collection::vec((0u32..200, 0u32..200, 0u32..9), 0..300),
+        size in 0..BUILD_SIZES.len(),
+    ) {
+        let n = BUILD_SIZES[size];
+        let mut entries: Vec<Entry> = raw
+            .iter()
+            .map(|&(i, j, l)| (i % n as u32, j % n as u32, l))
+            .collect();
+        // Every other entry again, later and in reverse, with another
+        // length: the first occurrence must win.
+        let again: Vec<Entry> = entries
+            .iter()
+            .rev()
+            .step_by(2)
+            .map(|&(i, j, l)| (i, j, l + 10))
+            .collect();
+        entries.extend(again);
+        let dense = DenseEngine.len_from_entries(n, &entries);
+        let mut tiled = TiledLenMatrix::from_entries(n, &entries);
+        prop_assert_eq!(tiled.entries(), dense.entries(), "n = {}", n);
+        prop_assert_eq!(tiled.nnz(), dense.nnz());
+        let bytes = tiled.bytes();
+        tiled.shrink_to_fit();
+        prop_assert_eq!(tiled.bytes(), bytes, "a build holds no slack");
+    }
+}
+
+#[test]
+fn a_tiled_build_refuses_a_cell_outside_the_matrix() {
+    for n in BUILD_SIZES {
+        let last = n as u32 - 1;
+        // Past the last row, past the last column, and column 127 of the
+        // last row: in the last tile's padding, or past the tile grid at
+        // n = 64 (at n = 200 it is a cell of the matrix).
+        let outside = [(n as u32, 0, 1), (0, n as u32, 1), (last, 127, 1)];
+        for cell in outside
+            .into_iter()
+            .filter(|&(i, j, _)| i.max(j) as usize >= n)
+        {
+            let build =
+                std::panic::catch_unwind(|| TiledLenMatrix::from_entries(n, &[(0, 0, 1), cell]));
+            assert!(build.is_err(), "n = {n}: {cell:?} was taken");
+        }
     }
 }
