@@ -29,8 +29,8 @@
 //!   in one arena per matrix. Its product is the same flat loop with a
 //!   tile-row accumulator that writes each cell once, at the smallest
 //!   `k`, as the dense and CSR kernels do; its merge splices in only the
-//!   tiles a Δ brings and re-lays only those that gain cells (the
-//!   `tiled` submodule),
+//!   tiles a Δ brings and re-lays only the rows it reaches (the `tiled`
+//!   submodule),
 //! * [`LenEngine`] — the backend abstraction, implemented once, below,
 //!   for the same five engine names as [`crate::BoolEngine`]: an engine's
 //!   Boolean representation names the length representation it runs on.

@@ -2,15 +2,16 @@
 //! same 64 × 64 tiles the tiled engine's Boolean closure multiplies.
 //!
 //! Presence is the layout of [`crate::TiledBitMatrix`] — the stored bit
-//! tiles of each tile-row in the shared `Csr` storage — and each stored
-//! tile keeps its lengths contiguous, in bit-rank order (row by row,
-//! columns ascending), in one value arena per matrix. A cell's length is
-//! read by a popcount rank.
+//! tiles of each tile-row in the shared `Csr` storage — and each row of
+//! a stored tile keeps its lengths contiguous, columns ascending, in one
+//! value arena per matrix, wherever that row's own offset says. A cell's
+//! length is read by a popcount rank within its row.
 //!
 //! * A build is the Boolean tile builder's
 //!   ([`crate::TiledBitMatrix::from_pairs`]) plus one rank and one write
 //!   per entry: it costs its entries plus `n / 64`, so that a seed of a
-//!   few cells costs those cells and not the rows.
+//!   few cells costs those cells and not the rows. Each tile's rows are
+//!   laid out one after another.
 //! * The product is the shared flat loop `Csr::multiply` with
 //!   [`LenTileRow`] as the row accumulator. It walks a left tile's bits
 //!   with `k` ascending across the tile-row, and `b_row & !blocked` —
@@ -20,87 +21,107 @@
 //!   at the cost of the Boolean tile walk plus one write per new cell.
 //!   Every write lands in the output tile at once, so no later tile's
 //!   `k` can overtake it.
-//! * The first-write-wins merge splices in only the tiles a Δ brings to
-//!   places the closure stores nothing at (`splice_rows`, as the Boolean
-//!   union does); only the tiles that gain cells are re-laid, at the end
-//!   of the arena, and the lengths of every other tile stay where they
-//!   are. The arena is compacted in place when its dead values outnumber
-//!   its live ones, and before it grows, so that growing never copies a
-//!   dead value.
+//! * The first-write-wins merge costs its Δ. It splices in only the
+//!   tiles a Δ brings to places the closure stores nothing at
+//!   (`splice_rows`, as the Boolean union does), and re-lays only the
+//!   rows the Δ reaches, at the end of the arena, old and new lengths
+//!   interleaved by bit rank; every other row stays where it is. The
+//!   arena is compacted when its dead values outnumber its live ones,
+//!   and when it must grow: the live rows are copied, in storage order,
+//!   into the new arena — rows that lay one after another as one run —
+//!   so that growing copies no dead value and costs one pass.
+//! * The product, the merge, the build and the walk over every cell run
+//!   on the instantiation of the Boolean tile code (`cpu.rs`): compiled
+//!   for AVX2, BMI and POPCNT where the CPU has them, so a rank is one
+//!   `popcnt` and not a SWAR sequence. Everything below them is
+//!   `#[inline(always)]`, and both instantiations give the same bytes.
 
 use super::{add_len, LenJob, LenMat, NO_PATH};
+use crate::cpu::{self, Level};
 use crate::engine::word_bits;
 use crate::repr::LenRepr;
 use crate::sparse::{gallop, splice_rows, Cell, Csr, Report, RowAccumulator, RowCells};
-use crate::tiled::{tile_count, TileWords, EMPTY_TILE, TILE};
+use crate::tiled::{tile_bits, tile_count, TileWords, EMPTY_TILE, TILE};
 use crate::TiledBitMatrix;
 use std::cell::RefCell;
 
-/// A stored tile: which of its cells are present, where each of its rows
-/// starts in bit-rank order, and where its lengths start in the arena of
-/// the matrix that stores it.
+/// A stored tile: which of its cells are present, and where each of its
+/// rows keeps its lengths in the arena of the matrix that stores it.
 #[derive(Clone, Copy, Debug)]
 struct LenTile {
     bits: TileWords,
-    /// `starts[r]` is the number of bits in the rows above `r`.
-    starts: [u16; TILE],
+    /// Row `r`'s lengths are `lens[at[r]..]`, one per bit of `bits[r]`,
+    /// columns ascending. An empty row's offset is 0, so every offset
+    /// lies inside the arena.
+    at: [u32; TILE],
     /// Bit `r` is set iff row `r` holds a cell.
     rows: u64,
-    /// The tile's lengths are `lens[at..at + count]`, in bit-rank order.
-    at: usize,
+}
+
+/// `at` as an arena offset.
+#[inline(always)]
+fn arena_index(at: usize) -> u32 {
+    u32::try_from(at).expect("a length arena holds fewer than 2³² values")
 }
 
 impl LenTile {
-    /// A tile of `bits` whose lengths start at `at`.
+    /// A tile of `bits` whose rows lie one after another from `at`.
+    #[inline(always)]
     fn new(bits: TileWords, at: usize) -> Self {
         // Counted apart from the running sum, so the counts vectorize.
-        let counts = std::array::from_fn(|r| bits[r].count_ones() as u16);
+        let counts = std::array::from_fn(|r| bits[r].count_ones());
         Self::with_counts(bits, counts, at)
     }
 
     /// [`LenTile::new`] given the number of bits in each row.
-    fn with_counts(bits: TileWords, counts: [u16; TILE], at: usize) -> Self {
-        let (mut starts, mut start, mut rows) = ([0; TILE], 0, 0);
-        for (r, (s, &count)) in starts.iter_mut().zip(&counts).enumerate() {
-            *s = start;
+    #[inline(always)]
+    fn with_counts(bits: TileWords, counts: [u32; TILE], at: usize) -> Self {
+        // The tile's end fits an offset, so no row's start wraps.
+        arena_index(at + counts.iter().sum::<u32>() as usize);
+        let (mut offsets, mut start, mut rows) = ([0; TILE], at as u32, 0);
+        for (r, (o, &count)) in offsets.iter_mut().zip(&counts).enumerate() {
+            *o = if count == 0 { 0 } else { start };
             start += count;
             rows |= u64::from(count != 0) << r;
         }
         LenTile {
             bits,
-            starts,
+            at: offsets,
             rows,
-            at,
         }
     }
 
-    /// Number of cells.
-    #[inline]
-    fn count(&self) -> usize {
-        self.rank(TILE - 1, 0) + self.bits[TILE - 1].count_ones() as usize
+    /// Where cell `(r, c)`'s length lies in the arena: its row's offset
+    /// plus how many of the row's cells come before it.
+    #[inline(always)]
+    fn rank(&self, r: usize, c: u32) -> usize {
+        self.at[r] as usize + (self.bits[r] & ((1u64 << c) - 1)).count_ones() as usize
     }
 
-    /// The rank of cell `(r, c)` among the tile's bits: how many of its
-    /// cells come before it.
-    #[inline]
-    fn rank(&self, r: usize, c: u32) -> usize {
-        self.starts[r] as usize + (self.bits[r] & ((1u64 << c) - 1)).count_ones() as usize
+    /// The lengths of row `r`, out of the arena `lens` that holds them.
+    #[inline(always)]
+    fn row<'a>(&self, lens: &'a [u32], r: usize) -> &'a [u32] {
+        let at = self.at[r] as usize;
+        &lens[at..at + self.bits[r].count_ones() as usize]
     }
 }
 
 /// Where two stored tiles meet only their bits combine: the tile keeps
-/// the `at`, `starts` and `rows` of the cells it had, from which the
-/// merge re-lays it, and the Δ's tiles are laid out anew.
+/// the offsets and `rows` of the cells it had, from which the merge
+/// re-lays the rows that grew, and the Δ's tiles are laid out anew.
 impl Cell for LenTile {
+    #[inline(always)]
     fn absorb(&mut self, other: &Self) -> bool {
         self.bits.absorb(&other.bits)
     }
 
+    #[inline(always)]
     fn minus(&self, other: &Self) -> Option<Self> {
         let bits = self.bits.minus(&other.bits)?;
         Some(LenTile { bits, ..*self })
     }
 
+    #[inline(always)]
     fn meet(&self, other: &Self) -> Option<Self> {
         let bits = self.bits.meet(&other.bits)?;
         Some(LenTile { bits, ..*self })
@@ -108,13 +129,14 @@ impl Cell for LenTile {
 }
 
 /// An `n × n` length matrix stored as non-empty 64 × 64 bit tiles, with
-/// every stored tile's lengths in one arena (see the module docs).
+/// the lengths of every stored tile's rows in one arena (see the module
+/// docs).
 ///
 /// The arena keeps the history of the merges: the dead values of re-laid
-/// tiles, up to as many as the live ones, and the room its growth
+/// rows, up to as many as the live ones, and the room its growth
 /// reserved. A cold §5 closure holds neither, since its solve ends with
 /// [`LenMat::shrink_to_fit`]. A repaired closure keeps both: the next
-/// repair's merges re-lay tiles into that room, and trimming after every
+/// repair's merges re-lay rows into that room, and trimming after every
 /// repair made them grow the arena again.
 #[derive(Clone, Debug)]
 pub struct TiledLenMatrix {
@@ -122,8 +144,8 @@ pub struct TiledLenMatrix {
     /// One row per tile-row, one cell per stored tile, as in
     /// [`crate::TiledBitMatrix`]; no stored tile is empty.
     csr: Csr<LenTile>,
-    /// The arena: each stored tile's lengths, and the dead values of
-    /// tiles re-laid since the last compaction.
+    /// The arena: the lengths of each stored tile's rows, and the dead
+    /// values of rows re-laid since the last compaction.
     lens: Vec<u32>,
     /// Present cells, the arena's live values.
     live: usize,
@@ -153,19 +175,28 @@ impl TiledLenMatrix {
     ///
     /// If an entry names a row or column `>= n`.
     pub fn from_entries(n: usize, entries: &[(u32, u32, u32)]) -> Self {
+        cpu::dispatch(
+            #[inline(always)]
+            || Self::build(n, entries),
+        )
+    }
+
+    /// [`Self::from_entries`] on the instantiation its caller runs.
+    #[inline(always)]
+    fn build(n: usize, entries: &[(u32, u32, u32)]) -> Self {
         debug_assert!(entries.iter().all(|e| e.2 != NO_PATH), "NO_PATH is absent");
         let pairs: Vec<(u32, u32)> = entries.iter().map(|&(i, j, _)| (i, j)).collect();
         let Csr {
             row_ptr,
             cols,
             vals,
-        } = TiledBitMatrix::from_pairs(n, &pairs).into_tiles();
+        } = TiledBitMatrix::build(n, &pairs).into_tiles();
         let mut live = 0;
         let vals: Vec<LenTile> = vals
             .into_iter()
             .map(|bits| {
                 let tile = LenTile::new(bits, live);
-                live += tile.count();
+                live += tile_bits(&bits);
                 tile
             })
             .collect();
@@ -178,7 +209,7 @@ impl TiledLenMatrix {
         for &(i, j, l) in entries.iter().rev() {
             let t = csr.find(i as usize / TILE, j / TILE as u32);
             let tile = &csr.vals[t.expect("the tiles hold every entry")];
-            lens[tile.at + tile.rank(i as usize % TILE, j % TILE as u32)] = l;
+            lens[tile.rank(i as usize % TILE, j % TILE as u32)] = l;
         }
         Self { n, csr, lens, live }
     }
@@ -198,7 +229,7 @@ impl TiledLenMatrix {
         let t = self.csr.find(i as usize / TILE, j / TILE as u32)?;
         let tile = &self.csr.vals[t];
         let (r, c) = (i as usize % TILE, j % TILE as u32);
-        (tile.bits[r] >> c & 1 == 1).then(|| self.lens[tile.at + tile.rank(r, c)])
+        (tile.bits[r] >> c & 1 == 1).then(|| self.lens[tile.rank(r, c)])
     }
 
     /// Number of present cells.
@@ -221,28 +252,31 @@ impl TiledLenMatrix {
         self.n = n;
     }
 
-    /// The lengths of a tile this matrix stores.
-    fn tile_lens(&self, tile: &LenTile) -> &[u32] {
-        &self.lens[tile.at..tile.at + tile.count()]
+    /// `cell(row, col, length)` of every present cell in row-major order.
+    fn cells<T>(&self, cell: impl Fn(u32, u32, u32) -> T) -> Vec<T> {
+        cpu::dispatch(
+            #[inline(always)]
+            || self.walk(cell),
+        )
     }
 
-    /// `cell(row, col, length)` of every present cell in row-major order:
-    /// one walk of each stored tile-row, with a cursor into each of its
-    /// tiles' lengths.
-    fn cells<T>(&self, cell: impl Fn(u32, u32, u32) -> T) -> Vec<T> {
+    /// [`Self::cells`] on the instantiation its caller runs: one walk of
+    /// each stored tile-row, over the rows one of its tiles fills.
+    #[inline(always)]
+    fn walk<T>(&self, cell: impl Fn(u32, u32, u32) -> T) -> Vec<T> {
         let mut out = Vec::with_capacity(self.live);
-        let mut next = Vec::new();
         for ti in self.csr.occupied_rows() {
             let tiles = self.csr.row(ti);
-            next.clear();
-            next.extend(self.csr.vals[tiles.clone()].iter().map(|t| t.at));
-            for r in 0..TILE {
-                let i = (ti * TILE + r) as u32;
-                for (t, at) in tiles.clone().zip(&mut next) {
-                    let base = self.csr.cols[t] * TILE as u32;
-                    for bit in word_bits(self.csr.vals[t].bits[r]) {
-                        out.push(cell(i, base + bit, self.lens[*at]));
-                        *at += 1;
+            let filled = self.csr.vals[tiles.clone()]
+                .iter()
+                .fold(0, |rows, tile| rows | tile.rows);
+            for r in word_bits(filled) {
+                let i = (ti * TILE) as u32 + r;
+                for t in tiles.clone() {
+                    let (tile, base) = (&self.csr.vals[t], self.csr.cols[t] * TILE as u32);
+                    let lens = tile.row(&self.lens, r as usize);
+                    for (bit, &l) in word_bits(tile.bits[r as usize]).zip(lens) {
+                        out.push(cell(i, base + bit, l));
                     }
                 }
             }
@@ -252,18 +286,19 @@ impl TiledLenMatrix {
 
     /// The cells of `add` absent from `self`: the report of the tile
     /// splice (`splice_rows`), with their lengths picked out of `add`'s
-    /// arena.
+    /// arena and each tile's rows laid out one after another.
+    #[inline(always)]
     fn absent(&self, add: &Self) -> Self {
         let (_, fresh) = splice_rows(&self.csr, &add.csr, false, Some(Report::Absent));
-        // A fresh tile has the `at` and `starts` of `add`'s tile at its
-        // place until it is laid out.
+        // A fresh tile has the offsets of `add`'s tile at its place until
+        // it is laid out.
         let mut fresh = fresh.expect("a report was asked for");
         let mut tiles = std::mem::take(&mut fresh.vals);
         let mut lens = Vec::with_capacity(add.live);
         for (f, a) in places(&fresh, &add.csr) {
             let (tile, from) = (&mut tiles[f], &add.csr.vals[a.expect("fresh ⊆ add")]);
             *tile = LenTile::new(tile.bits, lens.len());
-            pick(from, &add.lens[from.at..], &tile.bits, &mut lens);
+            pick(from, &add.lens, &tile.bits, &mut lens);
         }
         fresh.vals = tiles;
         Self {
@@ -274,20 +309,142 @@ impl TiledLenMatrix {
         }
     }
 
-    /// Drops the arena's dead values in place: the tiles' lengths move
-    /// down, in the order they lie in the arena, and the capacity stays.
-    fn compact(&mut self) {
-        let mut order: Vec<usize> = (0..self.csr.nnz()).collect();
-        order.sort_unstable_by_key(|&t| self.csr.vals[t].at);
-        let mut end = 0;
-        for t in order {
-            let tile = &mut self.csr.vals[t];
-            let count = tile.count();
-            self.lens.copy_within(tile.at..tile.at + count, end);
-            tile.at = end;
-            end += count;
+    /// First-write-wins merge on the instantiation its caller runs (see
+    /// [`LenRepr::merge_absent`] below).
+    #[inline(always)]
+    fn merge(&mut self, add: &Self) -> Self {
+        // A masked product, what the closure is mostly merged with, meets
+        // none of its cells: then the Δ is `add` itself.
+        let meets = |(a, at): (usize, Option<usize>)| {
+            let (held, new) = (at.map(|at| &self.csr.vals[at].bits), &add.csr.vals[a].bits);
+            held.is_some_and(|held| held.iter().zip(new).any(|(h, n)| h & n != 0))
+        };
+        let fresh = if places(&add.csr, &self.csr).any(meets) {
+            self.absent(add)
+        } else {
+            add.clone()
+        };
+        // What the re-lay appends: the Δ, and the old cells of the rows it
+        // reaches. An arena without room for that is compacted as it
+        // grows, so that growing never copies a dead value.
+        let (mut relaid, mut spliced) = (fresh.live, false);
+        for (f, at) in places(&fresh.csr, &self.csr) {
+            match at {
+                Some(at) => {
+                    let old = &self.csr.vals[at].bits;
+                    let reached = word_bits(fresh.csr.vals[f].rows);
+                    relaid += reached
+                        .map(|r| old[r as usize].count_ones() as usize)
+                        .sum::<usize>();
+                }
+                None => spliced = true,
+            }
         }
-        self.lens.truncate(end);
+        if self.lens.len() + relaid > self.lens.capacity() {
+            let (needed, capacity) = (self.live + relaid, self.lens.capacity());
+            self.relay(if needed <= capacity {
+                capacity
+            } else {
+                needed.max(2 * capacity)
+            });
+        }
+        if spliced {
+            let (merged, _) = splice_rows(&self.csr, &fresh.csr, true, None);
+            self.csr = merged.expect("the Δ stores a place `self` does not");
+        }
+        // Now `self` stores every place of the Δ: a spliced-in tile with
+        // the Δ's bits and offsets, a spliced one with both tiles' bits and
+        // its old offsets, the others as they were. A row the Δ reaches is
+        // re-laid at the end of the arena — its new lengths alone, which
+        // go over in runs, or interleaved with its old ones — and every
+        // other row stays where it is.
+        let mut tiles = std::mem::take(&mut self.csr.vals);
+        let mut run = Run::default();
+        for (f, m) in places(&fresh.csr, &self.csr) {
+            let (new, tile) = (&fresh.csr.vals[f], &mut tiles[m.expect("spliced in")]);
+            for r in word_bits(new.rows) {
+                let r = r as usize;
+                let new_lens = new.row(&fresh.lens, r);
+                let (new_word, old_word) = (new.bits[r], tile.bits[r] & !new.bits[r]);
+                if old_word == 0 {
+                    let from = new.at[r] as usize;
+                    tile.at[r] = run.take(from, new_lens.len(), &fresh.lens, &mut self.lens);
+                } else {
+                    run.flush(&fresh.lens, &mut self.lens);
+                    let old_at = tile.at[r] as usize;
+                    tile.at[r] = arena_index(self.lens.len());
+                    interleave(old_word, old_at, new_word, new_lens, &mut self.lens);
+                }
+                tile.bits[r] = old_word | new_word;
+            }
+            tile.rows |= new.rows;
+        }
+        run.flush(&fresh.lens, &mut self.lens);
+        self.csr.vals = tiles;
+        self.live += fresh.live;
+        if self.lens.len() - self.live > self.live {
+            self.relay(self.lens.capacity());
+        }
+        fresh
+    }
+
+    /// Copies the live lengths into a new arena of `capacity`, tile by
+    /// tile in storage order, and drops the old one with its dead values.
+    /// Rows that lay one after another go over as one copy: after a build,
+    /// a product or the last compaction that is whole runs of tiles.
+    #[inline(always)]
+    fn relay(&mut self, capacity: usize) {
+        let mut lens = Vec::with_capacity(capacity);
+        let mut run = Run::default();
+        for tile in &mut self.csr.vals {
+            for r in word_bits(tile.rows) {
+                let r = r as usize;
+                let count = tile.bits[r].count_ones() as usize;
+                tile.at[r] = run.take(tile.at[r] as usize, count, &self.lens, &mut lens);
+            }
+        }
+        run.flush(&self.lens, &mut lens);
+        self.lens = lens;
+    }
+
+    /// `(self ⊗ b) \ mask?` on the kernels of `level`: the flat product
+    /// the Boolean tiled kernel uses (`Csr::multiply`), on this thread's
+    /// scratch.
+    fn product(&self, b: &Self, mask: Option<&Self>, level: Level) -> Self {
+        assert_eq!(self.n, b.n, "dimension mismatch");
+        if let Some(m) = mask {
+            assert_eq!(self.n, m.n, "mask dimension mismatch");
+        }
+        let (csr, lens) = LEN_SCRATCH.with_borrow_mut(|scratch| {
+            // Dispatched inside the borrow: `with_borrow_mut` is not
+            // inlined, so a closure around it would run the product as
+            // baseline code, called from the trampoline.
+            level.run(
+                #[inline(always)]
+                || {
+                    let mut acc = LenTileRow {
+                        a: &self.lens,
+                        b: &b.lens,
+                        mask: mask.map(|m| &m.csr),
+                        scratch,
+                    };
+                    let rows = 0..self.csr.rows();
+                    let (csr, _) = self.csr.multiply(&b.csr, acc.mask, rows, &mut acc);
+                    // The lengths were drained into the scratch's buffer,
+                    // which keeps its capacity: the product's arena is one
+                    // copy.
+                    let lens = acc.scratch.lens.to_vec();
+                    acc.scratch.lens.clear();
+                    (csr, lens)
+                },
+            )
+        });
+        TiledLenMatrix {
+            n: self.n,
+            csr,
+            live: lens.len(),
+            lens,
+        }
     }
 }
 
@@ -298,12 +455,11 @@ impl PartialEq for TiledLenMatrix {
         self.n == other.n
             && self.csr.row_ptr == other.csr.row_ptr
             && self.csr.cols == other.csr.cols
-            && self
-                .csr
-                .vals
-                .iter()
-                .zip(&other.csr.vals)
-                .all(|(a, b)| a.bits == b.bits && self.tile_lens(a) == other.tile_lens(b))
+            && self.csr.vals.iter().zip(&other.csr.vals).all(|(a, b)| {
+                a.bits == b.bits
+                    && word_bits(a.rows)
+                        .all(|r| a.row(&self.lens, r as usize) == b.row(&other.lens, r as usize))
+            })
     }
 }
 
@@ -325,8 +481,8 @@ impl LenMat for TiledLenMatrix {
     fn entries(&self) -> Vec<(u32, u32, u32)> {
         self.cells(|i, j, l| (i, j, l))
     }
-    /// Word `i % 64` of each tile stored in tile-row `i / 64`, its
-    /// lengths from the rank of the word's first bit on.
+    /// Word `i % 64` of each tile stored in tile-row `i / 64`, beside the
+    /// lengths of that row of the tile.
     fn row_cells(&self, i: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         let (ti, r) = (i as usize / TILE, i as usize % TILE);
         let tiles = if (i as usize) < self.n {
@@ -337,9 +493,8 @@ impl LenMat for TiledLenMatrix {
         tiles.flat_map(move |t| {
             let tile = &self.csr.vals[t];
             let base = self.csr.cols[t] * TILE as u32;
-            let lens = &self.lens[tile.at + tile.starts[r] as usize..];
             word_bits(tile.bits[r])
-                .zip(lens)
+                .zip(tile.row(&self.lens, r))
                 .map(move |(bit, &l)| (base + bit, l))
         })
     }
@@ -351,7 +506,7 @@ impl LenMat for TiledLenMatrix {
     /// plus 4 B a present cell.
     fn shrink_to_fit(&mut self) {
         if self.lens.len() > self.live {
-            self.compact();
+            self.relay(self.live);
         }
         self.lens.shrink_to_fit();
         self.csr.shrink();
@@ -362,6 +517,7 @@ impl LenMat for TiledLenMatrix {
 /// stores the same place if it does: a gallop along each row of `sup`
 /// that `sub` fills. Only places are read, so a caller may have taken
 /// either side's values out to write them.
+#[inline(always)]
 fn places<'a, V: Copy, W: Copy>(
     sub: &'a Csr<V>,
     sup: &'a Csr<W>,
@@ -375,25 +531,82 @@ fn places<'a, V: Copy, W: Copy>(
     })
 }
 
+/// A run of arena values on their way into another arena: values taken
+/// from right after the run's end extend it, so that rows laid out one
+/// after another go over as one copy, not one per row.
+#[derive(Default)]
+struct Run {
+    start: usize,
+    end: usize,
+}
+
+impl Run {
+    /// Takes `count` values from `src[from..]` into the run; returns the
+    /// offset they get in `out`. A run that does not end at `from` is
+    /// copied out first.
+    #[inline(always)]
+    fn take(&mut self, from: usize, count: usize, src: &[u32], out: &mut Vec<u32>) -> u32 {
+        if from != self.end {
+            self.flush(src, out);
+            (self.start, self.end) = (from, from);
+        }
+        let at = out.len() + (self.end - self.start);
+        self.end += count;
+        arena_index(at)
+    }
+
+    /// Copies the run out to `out`; a value written to `out` next comes
+    /// after it.
+    #[inline(always)]
+    fn flush(&mut self, src: &[u32], out: &mut Vec<u32>) {
+        out.extend_from_slice(&src[self.start..self.end]);
+        self.start = self.end;
+    }
+}
+
+/// Appends the lengths of the row `old_word | new_word` in column order:
+/// those of `old_word`'s cells from `lens[old_at..]`, those of
+/// `new_word`'s from `new_lens`. The two words are disjoint and neither
+/// is empty.
+#[inline(always)]
+fn interleave(old_word: u64, old_at: usize, new_word: u64, new_lens: &[u32], lens: &mut Vec<u32>) {
+    let at = lens.len();
+    lens.resize(at + (old_word | new_word).count_ones() as usize, 0);
+    let (arena, out) = lens.split_at_mut(at);
+    let old_lens = &arena[old_at..old_at + old_word.count_ones() as usize];
+    let (mut old, mut next) = (0, 0);
+    for (slot, bit) in out.iter_mut().zip(word_bits(old_word | new_word)) {
+        let is_new = (new_word >> bit & 1) as usize;
+        // Both reads stay in bounds past either side's last value.
+        let (n, o) = (
+            new_lens[next.min(new_lens.len() - 1)],
+            old_lens[old.min(old_lens.len() - 1)],
+        );
+        *slot = if is_new == 1 { n } else { o };
+        (next, old) = (next + is_new, old + 1 - is_new);
+    }
+}
+
 /// Appends the lengths of `from`'s cells that `bits` holds, in bit-rank
-/// order; `bits` is a subset of `from`'s bits and `lens` its lengths.
+/// order; `bits` is a subset of `from`'s bits and `lens` its arena. Rows
+/// kept whole go over in runs.
+#[inline(always)]
 fn pick(from: &LenTile, lens: &[u32], bits: &TileWords, out: &mut Vec<u32>) {
-    // Rows kept whole go over as one run, up to the next row that drops
-    // cells.
-    let (mut run, mut at) = (0, 0);
-    for (&have, &want) in from.bits.iter().zip(bits) {
-        let count = have.count_ones() as usize;
-        if have != want {
-            out.extend_from_slice(&lens[run..at]);
+    let mut run = Run::default();
+    for r in word_bits(from.rows) {
+        let r = r as usize;
+        let (have, want, row) = (from.bits[r], bits[r], from.row(lens, r));
+        if have == want {
+            run.take(from.at[r] as usize, row.len(), lens, out);
+        } else if want != 0 {
+            run.flush(lens, out);
             let picked = word_bits(have)
-                .zip(&lens[at..])
+                .zip(row)
                 .filter(|&(bit, _)| want >> bit & 1 == 1);
             out.extend(picked.map(|(_, &l)| l));
-            run = at + count;
         }
-        at += count;
     }
-    out.extend_from_slice(&lens[run..at]);
+    run.flush(lens, out);
 }
 
 impl LenRepr for TiledLenMatrix {
@@ -410,140 +623,24 @@ impl LenRepr for TiledLenMatrix {
     /// ([`TiledLenMatrix::absent`], or `add` itself if they meet nowhere).
     /// The tiles it brings to places `self` stores nothing at are spliced
     /// in, as the Boolean union does; a merge whose Δ lands in stored
-    /// tiles copies none of `self`'s tiles. Every tile that gained cells
-    /// is then re-laid at the end of the arena: the old lengths of its
-    /// rows the Δ leaves alone go over in runs, and the rows it reaches
-    /// interleave old and new lengths by bit rank.
+    /// tiles copies none of `self`'s tiles. Only the rows the Δ reaches
+    /// are re-laid at the end of the arena, each its old and new lengths
+    /// interleaved by bit rank, so a merge appends its new cells plus the
+    /// old cells of those rows.
     fn merge_absent(&mut self, add: &Self) -> Self {
         assert_eq!(self.n, add.n, "dimension mismatch");
-        // A masked product, what the closure is mostly merged with, meets
-        // none of its cells: then the Δ is `add` itself.
-        let meets = |(a, at): (usize, Option<usize>)| {
-            let (held, new) = (at.map(|at| &self.csr.vals[at].bits), &add.csr.vals[a].bits);
-            held.is_some_and(|held| held.iter().zip(new).any(|(h, n)| h & n != 0))
-        };
-        let fresh = if places(&add.csr, &self.csr).any(meets) {
-            self.absent(add)
-        } else {
-            add.clone()
-        };
-        // What the re-lay appends: the Δ, and the old lengths of the tiles
-        // it lands in. An arena without room for that is compacted before
-        // it grows, so that growing never copies a dead value.
-        let (mut relaid, mut spliced) = (fresh.live, false);
-        for (_, at) in places(&fresh.csr, &self.csr) {
-            match at {
-                Some(at) => relaid += self.csr.vals[at].count(),
-                None => spliced = true,
-            }
-        }
-        if self.lens.len() + relaid > self.lens.capacity() {
-            self.compact();
-            self.lens.reserve(relaid);
-        }
-        if spliced {
-            let (merged, _) = splice_rows(&self.csr, &fresh.csr, true, None);
-            self.csr = merged.expect("the Δ stores a place `self` does not");
-        }
-        // Now `self` stores every place of the Δ: a spliced-in tile with
-        // the Δ's bits, a spliced one with both tiles' bits, the others
-        // with their own.
-        let mut tiles = std::mem::take(&mut self.csr.vals);
-        for (f, m) in places(&fresh.csr, &self.csr) {
-            let (new, tile) = (&fresh.csr.vals[f], &mut tiles[m.expect("spliced in")]);
-            let new_lens = fresh.tile_lens(new);
-            if tile.bits == new.bits {
-                // Spliced in: the Δ's tile is all of it.
-                *tile = LenTile {
-                    at: self.lens.len(),
-                    ..*new
-                };
-                self.lens.extend_from_slice(new_lens);
-                continue;
-            }
-            // The tile's own `starts` are still its old cells' (a splice
-            // only ORs bits in), and the two sets are disjoint, so the
-            // grown tile's row starts are the sums of both.
-            let old_at = tile.at;
-            for ((w, s), (&n, &t)) in tile
-                .bits
-                .iter_mut()
-                .zip(&mut tile.starts)
-                .zip(new.bits.iter().zip(&new.starts))
-            {
-                (*w, *s) = (*w | n, *s + t);
-            }
-            (tile.rows, tile.at) = (tile.rows | new.rows, self.lens.len());
-            // Row by row: the old lengths of the rows the Δ leaves alone
-            // go over in runs, and a row it reaches interleaves old and new
-            // lengths bit by bit.
-            let (count, new_count) = (tile.count(), new_lens.len());
-            self.lens.resize(tile.at + count, 0);
-            let (arena, out) = self.lens.split_at_mut(tile.at);
-            let old_lens = &arena[old_at..old_at + count - new_count];
-            let (mut at, mut old) = (0, 0);
-            for r in word_bits(new.rows) {
-                let r = r as usize;
-                let run = tile.starts[r] as usize - at;
-                out[at..at + run].copy_from_slice(&old_lens[old..old + run]);
-                (at, old) = (at + run, old + run);
-                let (mut word, new_word) = (tile.bits[r], new.bits[r]);
-                let mut next = new.starts[r] as usize;
-                while word != 0 {
-                    let bit = word & word.wrapping_neg();
-                    word ^= bit;
-                    let is_new = usize::from(new_word & bit != 0);
-                    // Both reads stay in bounds past either side's last value.
-                    let (n, o) = (
-                        new_lens[next.min(new_count - 1)],
-                        old_lens[old.min(old_lens.len() - 1)],
-                    );
-                    out[at] = if is_new == 1 { n } else { o };
-                    (at, next, old) = (at + 1, next + is_new, old + 1 - is_new);
-                }
-            }
-            out[at..].copy_from_slice(&old_lens[old..]);
-        }
-        self.csr.vals = tiles;
-        self.live += fresh.live;
-        if self.lens.len() - self.live > self.live {
-            self.compact();
-        }
-        fresh
+        cpu::dispatch(
+            #[inline(always)]
+            || self.merge(add),
+        )
     }
     fn grow(&mut self, n: usize) {
         self.grow(n)
     }
-    /// The flat product the Boolean tiled kernel uses (`Csr::multiply`),
-    /// on this thread's scratch. Always serial, as every length product.
+    /// [`TiledLenMatrix::product`] on the CPU's instantiation. Always
+    /// serial, as every length product.
     fn kernel() -> impl FnMut(LenJob<'_, Self>) -> Self {
-        |(a, b, mask): LenJob<'_, Self>| {
-            assert_eq!(a.n, b.n, "dimension mismatch");
-            if let Some(m) = mask {
-                assert_eq!(a.n, m.n, "mask dimension mismatch");
-            }
-            let (csr, lens) = LEN_SCRATCH.with_borrow_mut(|scratch| {
-                let mut acc = LenTileRow {
-                    a: &a.lens,
-                    b: &b.lens,
-                    mask: mask.map(|m| &m.csr),
-                    scratch,
-                };
-                let rows = 0..a.csr.rows();
-                let (csr, _) = a.csr.multiply(&b.csr, acc.mask, rows, &mut acc);
-                // The lengths were drained into the scratch's buffer, which
-                // keeps its capacity: the product's arena is one copy.
-                let lens = acc.scratch.lens.to_vec();
-                acc.scratch.lens.clear();
-                (csr, lens)
-            });
-            TiledLenMatrix {
-                n: a.n,
-                csr,
-                live: lens.len(),
-                lens,
-            }
-        }
+        |(a, b, mask): LenJob<'_, Self>| a.product(b, mask, cpu::level())
     }
 }
 
@@ -582,6 +679,7 @@ struct LenScratch {
 impl LenScratch {
     /// Tile-column `tj`'s slot, opened with the mask tile stored there
     /// as its blocked cells if this tile-row has not touched it yet.
+    #[inline(always)]
     fn slot(&mut self, tj: u32, mask: Option<RowCells<'_, LenTile>>) -> &mut LenSlot {
         let (stamp, s) = &mut self.slot_of[tj as usize];
         if *stamp != self.stamp {
@@ -619,6 +717,7 @@ struct LenTileRow<'a> {
 /// less `c`'s blocked row is exactly the cells this `k` writes first.
 /// Each gets `l_a + l_b`, `l_b` read by its popcount rank in `b`'s row.
 /// ε cells (length 0) compose on neither side.
+#[inline(always)]
 fn multiply_tile(a: &LenTile, a_lens: &[u32], b: &LenTile, b_lens: &[u32], c: &mut LenSlot) {
     for r in word_bits(a.rows) {
         let r = r as usize;
@@ -640,7 +739,7 @@ fn multiply_tile(a: &LenTile, a_lens: &[u32], b: &LenTile, b_lens: &[u32], c: &m
             if la == 0 {
                 continue;
             }
-            let row_lens = &b_lens[b.starts[k as usize] as usize..];
+            let row_lens = &b_lens[b.at[k as usize] as usize..];
             let mut m = new;
             while m != 0 {
                 let bit = m.trailing_zeros();
@@ -659,6 +758,7 @@ fn multiply_tile(a: &LenTile, a_lens: &[u32], b: &LenTile, b_lens: &[u32], c: &m
 }
 
 impl RowAccumulator<LenTile> for LenTileRow<'_> {
+    #[inline(always)]
     fn fit(&mut self, tn: usize) {
         let s = &mut *self.scratch;
         if s.slot_of.len() < tn {
@@ -669,7 +769,7 @@ impl RowAccumulator<LenTile> for LenTileRow<'_> {
     }
 
     /// Mask row `i` goes into each output tile as it is first touched.
-    #[inline]
+    #[inline(always)]
     fn add(
         &mut self,
         a: &LenTile,
@@ -683,13 +783,13 @@ impl RowAccumulator<LenTile> for LenTileRow<'_> {
             let row = m.row(i);
             (&m.cols[row.clone()], &m.vals[row])
         });
-        let a_lens = &self.a[a.at..];
         for (&tj, b) in cols.iter().zip(panel) {
             let slot = self.scratch.slot(tj, mask);
-            multiply_tile(a, a_lens, b, &self.b[b.at..], slot);
+            multiply_tile(a, self.a, b, self.b, slot);
         }
     }
 
+    #[inline(always)]
     fn is_empty(&self) -> bool {
         self.scratch.touched.is_empty()
     }
@@ -697,6 +797,7 @@ impl RowAccumulator<LenTile> for LenTileRow<'_> {
     /// Appends the row's written tiles in ascending tile-column order,
     /// their lengths to the product's arena in bit-rank order, and moves
     /// to a fresh stamp. The mask was applied as the tiles were opened.
+    #[inline(always)]
     fn drain_into(&mut self, _mask: Option<RowCells<'_, LenTile>>, out: &mut Csr<LenTile>) {
         let s = &mut *self.scratch;
         s.touched.sort_unstable();
@@ -709,14 +810,13 @@ impl RowAccumulator<LenTile> for LenTileRow<'_> {
             for &(cell, _) in &slot.lens {
                 counts[cell as usize / TILE] += 1;
             }
-            out.push(tj, LenTile::with_counts(slot.written, counts, s.lens.len()));
-            let tile = out.vals.last().expect("just pushed");
-            s.lens.resize(tile.at + slot.lens.len(), 0);
-            let lens = &mut s.lens[tile.at..];
+            let tile = LenTile::with_counts(slot.written, counts, s.lens.len());
+            s.lens.resize(s.lens.len() + slot.lens.len(), 0);
             for &(cell, l) in &slot.lens {
                 let (r, c) = (cell as usize / TILE, u32::from(cell) % TILE as u32);
-                lens[tile.rank(r, c)] = l;
+                s.lens[tile.rank(r, c)] = l;
             }
+            out.push(tj, tile);
         }
         s.touched.clear();
         s.stamp += 1;
@@ -736,24 +836,40 @@ mod tests {
             .collect()
     }
 
+    impl TiledLenMatrix {
+        /// The lengths of a tile this matrix stores, row by row.
+        fn tile_lens(&self, tile: &LenTile) -> Vec<u32> {
+            word_bits(tile.rows)
+                .flat_map(|r| tile.row(&self.lens, r as usize))
+                .copied()
+                .collect()
+        }
+    }
+
     #[test]
-    fn a_merge_relays_only_the_tiles_that_gain_cells() {
+    fn a_merge_relays_only_the_rows_it_reaches() {
         let mut m = TiledLenMatrix::from_entries(200, &[(0, 0, 9), (0, 1, 8)]);
-        let other = tile_1_2(1, &[(0, 5), (3, 0), (63, 63)]);
+        let other = tile_1_2(1, &[(0, 5), (3, 0), (3, 9), (63, 63)]);
         m.set_absent(&other);
-        let untouched = m.csr.vals[0].at;
-        // A cell between the tile's first and second ones re-lays it at
-        // the end of the arena; the other tile's lengths stay put.
-        let fresh = m.merge_absent(&TiledLenMatrix::from_entries(200, &tile_1_2(7, &[(1, 9)])));
-        assert_eq!(fresh.entries(), [(65, 137, 7)]);
+        let (untouched, before) = (m.csr.vals[0].at, m.csr.vals[1].at);
+        // A cell in row 1, which held none, and one between row 3's two
+        // cells: both rows are re-laid at the end of the arena, and every
+        // other row's lengths stay put.
+        let add = tile_1_2(7, &[(1, 9), (3, 4)]);
+        let fresh = m.merge_absent(&TiledLenMatrix::from_entries(200, &add));
+        assert_eq!(fresh.entries(), [(65, 137, 7), (67, 132, 8)]);
         assert_eq!(m.csr.vals[0].at, untouched);
-        assert_eq!(m.tile_lens(&m.csr.vals[1]), [1, 7, 2, 3]);
+        let after = m.csr.vals[1].at;
+        assert_eq!((after[0], after[63]), (before[0], before[63]));
+        assert_eq!((after[1], after[3]), (6, 7), "appended, row by row");
+        assert_eq!(m.tile_lens(&m.csr.vals[1]), [1, 7, 2, 8, 3, 4]);
         assert_eq!(m.get(65, 137), Some(7));
-        assert_eq!(m.get(127, 191), Some(3));
-        // The re-laid tile's old lengths are dead, and counted.
-        assert_eq!((m.nnz(), m.lens.len()), (6, 9));
+        assert_eq!(m.get(67, 137), Some(3));
+        assert_eq!(m.get(127, 191), Some(4));
+        // Row 3's two old lengths are dead, and counted.
+        assert_eq!((m.nnz(), m.lens.len()), (8, 10));
         assert_eq!(m.bytes(), m.csr.bytes() + m.lens.capacity() * 4);
-        assert!(m.bytes() >= m.csr.bytes() + 9 * 4);
+        assert!(m.bytes() >= m.csr.bytes() + 10 * 4);
     }
 
     #[test]
@@ -811,9 +927,9 @@ mod tests {
     fn a_trim_keeps_the_cells_and_drops_everything_else() {
         let mut m = TiledLenMatrix::from_entries(200, &[(0, 0, 9)]);
         for k in 1..30 {
-            // Each merge re-lays tile (0, 0), and from k = 3 on adds a
-            // cell in tile-row 1 or 2.
-            let cells = [(k, k, k + 1), (64 + k * 4, k * 4, 1)];
+            // Each merge re-lays row 0 of tile (0, 0), and from k = 3 on
+            // adds a cell in tile-row 1 or 2.
+            let cells = [(0, k, k + 1), (64 + k * 4, k * 4, 1)];
             m.merge_absent(&TiledLenMatrix::from_entries(
                 200,
                 &cells[..1 + usize::from(k >= 3)],
@@ -847,9 +963,9 @@ mod tests {
         let mut expect = vec![(0, 0, 1)];
         let mut relaid = 0;
         for k in 1..40 {
-            // Each merge re-lays the only tile.
-            m.merge_absent(&TiledLenMatrix::from_entries(64, &[(k, k, k + 1)]));
-            expect.push((k, k, k + 1));
+            // Each merge re-lays the only row that holds cells.
+            m.merge_absent(&TiledLenMatrix::from_entries(64, &[(0, k, k + 1)]));
+            expect.push((0, k, k + 1));
             let dead = m.lens.len() - m.nnz();
             assert!(dead <= m.nnz(), "{dead} dead, {} live", m.nnz());
             relaid += usize::from(dead > 0);
@@ -857,5 +973,148 @@ mod tests {
         assert!(relaid > 20, "dead values were left behind, then compacted");
         assert_eq!(m.entries(), expect);
         assert_eq!(m, TiledLenMatrix::from_entries(64, &expect));
+    }
+
+    /// `count` entries of an `n × n` matrix, lengths 0 to 8.
+    fn pseudo_entries(n: u32, count: usize, seed: u64) -> Vec<(u32, u32, u32)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        (0..count)
+            .map(|_| (next() % n, next() % n, next() % 9))
+            .collect()
+    }
+
+    #[test]
+    fn a_merge_grows_the_arena_by_its_cells_and_the_old_cells_of_the_rows_it_reaches() {
+        use std::collections::HashSet;
+        for seed in 0..16 {
+            // A closure in the first two tile-rows and tile-columns, and a
+            // Δ anywhere: into rows that hold cells, rows that hold none,
+            // and tiles the closure does not store.
+            let closure: Vec<(u32, u32, u32)> = pseudo_entries(200, 1500, seed)
+                .into_iter()
+                .filter(|&(i, j, _)| i < 128 && j < 128)
+                .collect();
+            let add = pseudo_entries(200, 40, seed + 100);
+            let held: HashSet<(u32, u32)> = closure.iter().map(|&(i, j, _)| (i, j)).collect();
+            let new: HashSet<(u32, u32)> = add
+                .iter()
+                .map(|&(i, j, _)| (i, j))
+                .filter(|cell| !held.contains(cell))
+                .collect();
+            // A row of a tile is a row and a tile-column.
+            let reached: HashSet<(u32, u32)> = new.iter().map(|&(i, j)| (i, j / 64)).collect();
+            let old = held
+                .iter()
+                .filter(|&&(i, j)| reached.contains(&(i, j / 64)))
+                .count();
+            let mut m = TiledLenMatrix::from_entries(200, &closure);
+            // Room enough that the merge compacts nothing.
+            m.lens.reserve(10_000);
+            let (len, capacity) = (m.lens.len(), m.lens.capacity());
+            let fresh = m.merge_absent(&TiledLenMatrix::from_entries(200, &add));
+            assert_eq!(fresh.nnz(), new.len(), "seed {seed}");
+            assert_eq!(m.lens.len() - len, new.len() + old, "seed {seed}");
+            assert_eq!(m.lens.capacity(), capacity, "seed {seed}");
+            let mut all = closure.clone();
+            all.extend(&add);
+            assert_eq!(m, TiledLenMatrix::from_entries(200, &all), "seed {seed}");
+        }
+    }
+
+    /// A tiled length matrix's storage, byte for byte: its tiles with
+    /// their offsets, and its arena with its dead values and capacity.
+    type Raw = (
+        Vec<usize>,
+        Vec<u32>,
+        Vec<(TileWords, [u32; TILE], u64)>,
+        Vec<u32>,
+        usize,
+        usize,
+    );
+
+    fn raw(m: &TiledLenMatrix) -> Raw {
+        let tiles = m.csr.vals.iter().map(|t| (t.bits, t.at, t.rows));
+        (
+            m.csr.row_ptr.clone(),
+            m.csr.cols.clone(),
+            tiles.collect(),
+            m.lens.clone(),
+            m.lens.capacity(),
+            m.live,
+        )
+    }
+
+    #[test]
+    fn length_kernels_give_the_same_bytes_on_both_instantiations() {
+        use crate::length::DenseLenMatrix;
+        // Four tile-rows, the last one partial: ε cells on the diagonal,
+        // a full tile, and a Δ that meets the closure (so the merge picks
+        // what is absent), lands in rows that hold cells and rows that do
+        // not, and brings tiles. The second merge goes into rows the
+        // first one re-laid.
+        let n = 230;
+        let mut closure = pseudo_entries(n, 900, 1);
+        closure.extend((0..n).map(|m| (m, m, 0)));
+        closure.extend((64..128).flat_map(|i| (0..64).map(move |j| (i, j, 1 + (i ^ j) % 5))));
+        let mut add = pseudo_entries(n, 600, 2);
+        add.extend(closure.iter().step_by(7).map(|&(i, j, l)| (i, j, l + 1)));
+        let mask = pseudo_entries(n, 2000, 3);
+        let n = n as usize;
+        let runs = [Level::BASELINE, cpu::level()].map(|level| {
+            let build = |entries| level.run(|| TiledLenMatrix::build(n, entries));
+            let (a, b, m) = (build(&closure), build(&add), build(&mask));
+            let mut merged = a.clone();
+            let fresh = level.run(|| merged.merge(&b));
+            let again = level.run(|| merged.merge(&m));
+            let products = [
+                a.product(&b, Some(&m), level),
+                merged.product(&merged, Some(&merged), level),
+                b.product(&merged, None, level),
+            ];
+            let cells = level.run(|| merged.walk(|i, j, l| (i, j, l)));
+            let matrices = [&a, &b, &m, &merged, &fresh, &again].map(raw);
+            (matrices, products.map(|p| raw(&p)), cells)
+        });
+        assert_eq!(runs[0], runs[1], "both instantiations, byte for byte");
+
+        // The public entries dispatch to the same bodies ...
+        let public = |entries| TiledLenMatrix::from_entries(n, entries);
+        let (a, b, m) = (public(&closure), public(&add), public(&mask));
+        let mut merged = a.clone();
+        let fresh = merged.merge_absent(&b);
+        let again = merged.merge_absent(&m);
+        let mut kernel = <TiledLenMatrix as LenRepr>::kernel();
+        let products = [
+            kernel((&a, &b, Some(&m))),
+            kernel((&merged, &merged, Some(&merged))),
+            kernel((&b, &merged, None)),
+        ];
+        assert_eq!([&a, &b, &m, &merged, &fresh, &again].map(raw), runs[0].0);
+        assert_eq!(products.each_ref().map(raw), runs[0].1);
+        // ... and give what the dense kernels do.
+        let dense = |entries| DenseLenMatrix::from_entries(n, entries);
+        let (da, db, dm) = (dense(&closure), dense(&add), dense(&mask));
+        let mut dmerged = da.clone();
+        let dfresh = dmerged.merge_absent(&db);
+        let dagain = dmerged.merge_absent(&dm);
+        let mut kernel = <DenseLenMatrix as LenRepr>::kernel();
+        let dproducts = [
+            kernel((&da, &db, Some(&dm))),
+            kernel((&dmerged, &dmerged, Some(&dmerged))),
+            kernel((&db, &dmerged, None)),
+        ];
+        assert_eq!(runs[0].2, dmerged.entries());
+        for (tiled, dense) in [(&fresh, &dfresh), (&again, &dagain)] {
+            assert_eq!(tiled.entries(), dense.entries());
+        }
+        for (tiled, dense) in products.iter().zip(&dproducts) {
+            assert_eq!(tiled.entries(), dense.entries());
+        }
     }
 }

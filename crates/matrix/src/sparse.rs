@@ -8,8 +8,8 @@
 //! `row_ptr`, `cols` and one value per stored cell — under [`CsrMatrix`]
 //! (`V = ()`), [`crate::CsrLenMatrix`] (a length),
 //! [`crate::TiledBitMatrix`] (a 64 × 64 bit tile; its rows are
-//! tile-rows) and [`crate::TiledLenMatrix`] (a tile and where its
-//! lengths start). A sweep of the solvers meets each with a small Δ on one
+//! tile-rows) and [`crate::TiledLenMatrix`] (a tile and where each of
+//! its rows keeps its lengths). A sweep of the solvers meets each with a small Δ on one
 //! side and a large closure on the other, so every shared operation is
 //! one flat pass over the cells of the side it iterates plus one bulk
 //! write of the result's row pointers, with a constant number of
@@ -22,7 +22,9 @@
 //!   untouched rows included — as contiguous blocks. Where both operands
 //!   store a cell the value's `Cell` implementation decides: nothing to
 //!   do for a bit or a length, OR, AND-NOT and AND for a tile (a length
-//!   tile's lengths are then re-laid by its own merge);
+//!   tile's lengths are then re-laid by its own merge). A union whose
+//!   every cell lands on a stored one skips the splice and absorbs them
+//!   where they are: it costs the cells it brings, not the closure;
 //! * construction of the two flat types is a counting sort by row,
 //!   `Csr::from_cells`, which is where a cell outside the matrix is
 //!   refused (`assert_in_range`, as on every other write path);
@@ -252,12 +254,43 @@ impl Cell for () {}
 impl Cell for u32 {}
 
 impl<V: Cell> Csr<V> {
-    /// `self ∪= other` as one flat splice; returns `true` if anything was
-    /// added, and leaves the storage untouched if not.
+    /// `self ∪= other`; returns `true` if anything was added. While every
+    /// cell of `other` lands on a cell `self` stores, it is absorbed where
+    /// it lands: a union that brings no new cell — for tiles, no new tile,
+    /// however many bits — writes in place and allocates nothing. The
+    /// first cell `self` lacks sends the rest to one flat splice, which
+    /// re-reads the cells absorbed so far as `self`'s own.
     #[inline(always)]
     pub fn union_in_place(&mut self, other: &Self) -> bool {
+        if let Some(grew) = self.absorb_stored(other) {
+            return grew;
+        }
         let (merged, _) = splice_rows(self, other, true, None);
-        merged.map(|merged| *self = merged).is_some()
+        *self = merged.expect("a cell `self` lacks is inserted");
+        true
+    }
+
+    /// Absorbs the cells of `other`, in storage order, into the cells of
+    /// `self` at the same places, and returns whether any grew — or
+    /// `None` at the first cell `self` does not store. One gallop per row
+    /// of `other`, forward from the previous hit, as in [`splice_rows`].
+    #[inline(always)]
+    fn absorb_stored(&mut self, other: &Self) -> Option<bool> {
+        assert_eq!(self.rows(), other.rows(), "dimension mismatch");
+        let (mut row, mut at, mut grew) = (0, 0, false);
+        for (e, (&col, val)) in other.cols.iter().zip(&other.vals).enumerate() {
+            if other.row_ptr[row + 1] <= e {
+                row = row_of(&other.row_ptr, row, e);
+                at = self.row_ptr[row];
+            }
+            let end = self.row_ptr[row + 1];
+            at = gallop(&self.cols[..end], at, |&c| c < col);
+            if at == end || self.cols[at] != col {
+                return None;
+            }
+            grew |= self.vals[at].absorb(val);
+        }
+        Some(grew)
     }
 
     /// `self \ other`; never reads `other` outside the rows `self` fills.

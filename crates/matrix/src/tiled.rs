@@ -21,8 +21,10 @@
 //!   are therefore the shared row splice with this module's `Cell`
 //!   implementation — OR, AND-NOT and AND of two tiles stored at the
 //!   same place, an emptied tile dropped — and cost the tiles of their
-//!   smaller operand; a union that adds no bit leaves the storage where
-//!   it is. The product is the shared flat loop too (`Csr::multiply`),
+//!   smaller operand. A union whose tiles all land on stored ones — most
+//!   of a sweep's, since a Δ's bits fall in tiles the closure holds — ORs
+//!   them in place and allocates nothing; only one that brings a new tile
+//!   is a splice. The product is the shared flat loop too (`Csr::multiply`),
 //!   with this module's `TileAccumulator` as the row accumulator. Only
 //!   construction (bits are packed into tiles as they stream in) and the
 //!   tile kernels below are this module's own;
@@ -179,7 +181,7 @@ impl TiledBitMatrix {
 
     /// [`Self::from_pairs`] on the instantiation its caller runs.
     #[inline(always)]
-    fn build(n: usize, pairs: &[(u32, u32)]) -> Self {
+    pub(crate) fn build(n: usize, pairs: &[(u32, u32)]) -> Self {
         let tile_row = |&(i, _): &(u32, u32)| i as usize / TILE;
         if pairs.is_sorted_by_key(tile_row) {
             return Self::from_grouped_pairs(n, pairs);
@@ -354,11 +356,11 @@ impl TiledBitMatrix {
         !fresh.is_empty() && self.csr.union_in_place(&Self::build(self.n, &fresh).csr)
     }
 
-    /// `self |= other` as one splice of tile-rows (see
-    /// `sparse.rs::splice_rows`): it costs the tiles `other` stores, a
-    /// tile both store is rewritten only if it gains a bit, and the
-    /// storage is untouched if no bit is new. Returns `true` if any bit
-    /// changed.
+    /// `self |= other`; returns `true` if any bit changed. It costs the
+    /// tiles `other` stores: if each lands on a tile `self` stores, it is
+    /// OR-ed in there and nothing is allocated or moved
+    /// (`sparse.rs::Csr::union_in_place`); one that brings a new tile is
+    /// one splice of tile-rows (`sparse.rs::splice_rows`).
     pub fn union_in_place(&mut self, other: &TiledBitMatrix) -> bool {
         assert_eq!(self.n, other.n, "dimension mismatch");
         cpu::dispatch(
@@ -1548,6 +1550,74 @@ mod tests {
         let (d, m) = (a.difference(&b), a.intersect(&b));
         assert_eq!((&u, &d, &m, &ins), (u0, d0, m0, ins0));
         assert_eq!([&a, &u, &d, &m, &ins].map(TiledBitMatrix::nnz), *nnz0);
+    }
+
+    /// A Δ for [`banded_pairs`]-shaped closures: `count` random pairs, of
+    /// which `landing` out of 4 are moved into tile (0, 0), which every
+    /// such closure stores, and the rest into the tile-rows between its
+    /// bands, where it stores nothing.
+    fn delta_pairs(count: usize, landing: usize, seed: u64) -> Vec<(u32, u32)> {
+        let stored = |x: u32| x % TILE as u32;
+        let unstored = |x: u32| (x % (24 * TILE as u32)) + TILE as u32;
+        pseudo_pairs(BANDED_N, count, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(e, (i, j))| {
+                if e % 4 < landing {
+                    (stored(i), stored(j))
+                } else {
+                    (unstored(i), j)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_union_in_place_equals_the_splice_and_a_dense_union() {
+        // Δs whose tiles all land on stored tiles (4 of 4), partly (1–3),
+        // or nowhere (0), and Δs that are subsets of the closure — whole,
+        // or its first 40 pairs. The in-place union must give the bytes
+        // and the `grew` flag of the splice, and the dense union's bits.
+        for seed in 0..24u64 {
+            let closure = banded_with_full_tile(600, seed);
+            let a = TiledBitMatrix::build(BANDED_N, &closure);
+            let head: Vec<(u32, u32)> = a.pairs().into_iter().take(40).collect();
+            let mut deltas: Vec<(String, Vec<(u32, u32)>)> = (0..=4)
+                .map(|landing| {
+                    (
+                        format!("{landing} of 4 land"),
+                        delta_pairs(80, landing, seed),
+                    )
+                })
+                .collect();
+            deltas.push(("the closure".into(), closure.clone()));
+            deltas.push(("40 pairs of the closure".into(), head));
+            for (what, pairs) in deltas {
+                let b = TiledBitMatrix::build(BANDED_N, &pairs);
+                let mut dense = crate::DenseBitMatrix::from_pairs(BANDED_N, &closure);
+                let grew =
+                    dense.union_in_place(&crate::DenseBitMatrix::from_pairs(BANDED_N, &pairs));
+                let (spliced, _) = crate::sparse::splice_rows(&a.csr, &b.csr, true, None);
+                assert_eq!(spliced.is_some(), grew, "seed {seed}, {what}");
+                for level in levels() {
+                    let mut u = a.clone();
+                    let before = u.csr.vals.as_ptr();
+                    let got = level.run(|| u.csr.union_in_place(&b.csr));
+                    let what = format!("seed {seed}, {what}, {level:?}");
+                    assert_eq!(got, grew, "{what}");
+                    assert_eq!(u.pairs(), dense.pairs(), "{what}");
+                    assert_eq!(&u.csr, spliced.as_ref().unwrap_or(&a.csr), "{what}");
+                    assert_eq!(
+                        u.bytes(),
+                        spliced.as_ref().unwrap_or(&a.csr).bytes(),
+                        "{what}"
+                    );
+                    if u.stored_tiles() == a.stored_tiles() {
+                        assert_eq!(u.csr.vals.as_ptr(), before, "{what}: written in place");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

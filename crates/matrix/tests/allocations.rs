@@ -7,7 +7,8 @@
 //! The tiled matrix is held to the same rule one level up: what its
 //! product — whichever way its tiles go through their panels — and its
 //! union allocate must not depend on the number of tile-rows, and a
-//! union that adds nothing must allocate nothing at all.
+//! union that adds nothing, or only bits in tiles the closure stores,
+//! must allocate nothing at all.
 //!
 //! A tiled build, or a seed of a few cells, is held to its bytes: it
 //! must cost its cells and the tile-rows, not the rows.
@@ -177,11 +178,33 @@ fn a_tiled_union_allocates_for_what_it_adds_and_not_per_tile_row() {
     assert_eq!((again, as_pairs), (0, 0), "a union that adds nothing");
 }
 
+#[test]
+fn a_tiled_union_into_stored_tiles_allocates_nothing() {
+    for n in [512u32, 51_200] {
+        // 100 new bits, each beside a bit of the closure in the same
+        // tile: column 2i xor 2 is neither 2i nor 2i + 1.
+        let (closure_pairs, _) = closure_and_delta(n);
+        let delta_pairs: Pairs = (0..100)
+            .map(|k| 5 * k + 2)
+            .map(|i| (i, (2 * i % n) ^ 2))
+            .collect();
+        let closure = TiledBitMatrix::from_pairs(n as usize, &closure_pairs);
+        let delta = TiledBitMatrix::from_pairs(n as usize, &delta_pairs);
+        let mut acc = closure.clone();
+        let (union, grew) = allocations(|| acc.union_in_place(&delta));
+        assert!(grew && acc.nnz() == closure.nnz() + 100);
+        assert_eq!(acc.stored_tiles(), closure.stored_tiles());
+        // Written where the tiles are: no new storage, nothing cut back.
+        assert_eq!(union, 0, "n = {n}: a union into stored tiles");
+    }
+}
+
 /// Allocation count of merging the 100-cell Δ of [`closure_and_delta`]
 /// into the `n`-row tiled length closure, and the Δ it reports. With
-/// `trimmed`, the closure is merged from its odd and even rows first,
-/// which leaves dead values and spare room in its arena, and then
-/// trimmed (`LenMat::shrink_to_fit`), as a cold solve leaves it.
+/// `trimmed`, the closure is merged first: the second cell of every row
+/// into the first, which re-lays every row and so leaves dead values and
+/// spare room in its arena, and then trimmed (`LenMat::shrink_to_fit`),
+/// as a cold solve leaves it.
 fn tiled_length_merge_allocations(n: u32, trimmed: bool) -> usize {
     let (closure_pairs, delta_pairs) = closure_and_delta(n);
     let with_len = |pairs: &[(u32, u32)]| -> Vec<(u32, u32, u32)> {
@@ -196,9 +219,12 @@ fn tiled_length_merge_allocations(n: u32, trimmed: bool) -> usize {
     let delta = TiledLenMatrix::from_entries(n, &with_len(&delta_pairs));
     let mut acc = closure.clone();
     if trimmed {
-        let (even, odd): (Pairs, Pairs) = closure_pairs.iter().partition(|&&(i, _)| i % 2 == 0);
-        acc = TiledLenMatrix::from_entries(n, &with_len(&even));
-        engine.len_merge_absent(&mut acc, &TiledLenMatrix::from_entries(n, &with_len(&odd)));
+        let (first, second): (Pairs, Pairs) = closure_pairs.chunks(2).map(|p| (p[0], p[1])).unzip();
+        acc = TiledLenMatrix::from_entries(n, &with_len(&first));
+        engine.len_merge_absent(
+            &mut acc,
+            &TiledLenMatrix::from_entries(n, &with_len(&second)),
+        );
         let bytes = acc.bytes();
         acc.shrink_to_fit();
         assert!(acc == closure && acc.bytes() < bytes);

@@ -303,6 +303,63 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(48, RNG_SEED))]
+
+    /// A tiled closure merged into again and again, as a fixpoint does,
+    /// against the dense reference after every merge. The closure starts
+    /// in the even rows of the first two tile-columns, so the first Δs
+    /// reach rows that hold cells, rows that hold none in stored tiles,
+    /// and tile-column 2, whose tiles are spliced in; every other Δ also
+    /// repeats cells the closure holds with other lengths. The merges
+    /// leave one tile's rows scattered over the arena, which point reads,
+    /// row walks, products on either side and a trim must all read.
+    #[test]
+    fn repeated_merges_agree_with_dense_lengths(
+        acc in wide_entries(300),
+        deltas in prop::collection::vec(wide_entries(60), 1..6),
+        b in wide_entries(300),
+    ) {
+        let (dense, tiled) = (DenseEngine, TiledEngine::serial());
+        let acc: Vec<Entry> = acc.into_iter().filter(|&(i, j, _)| i % 2 == 0 && j < 128).collect();
+        let mut d = dense.len_from_entries(WIDE, &acc);
+        let mut t = tiled.len_from_entries(WIDE, &acc);
+        for (step, delta) in deltas.iter().enumerate() {
+            let mut delta = delta.clone();
+            if step % 2 == 1 {
+                delta.extend(d.entries().iter().step_by(3).map(|&(i, j, l)| (i, j, l + 1)));
+            }
+            let fd = dense.len_merge_absent(&mut d, &dense.len_from_entries(WIDE, &delta));
+            let ft = tiled.len_merge_absent(&mut t, &tiled.len_from_entries(WIDE, &delta));
+            prop_assert_eq!(ft.entries(), fd.entries(), "fresh, step {}", step);
+            prop_assert_eq!(t.entries(), d.entries(), "closure, step {}", step);
+            prop_assert_eq!(t.nnz(), d.nnz());
+            for i in 0..WIDE as u32 {
+                let row: Vec<(u32, u32)> = t.row_cells(i).collect();
+                prop_assert_eq!(row, d.row_cells(i).collect::<Vec<_>>(), "row {}", i);
+                for j in (0..WIDE as u32).step_by(7) {
+                    prop_assert_eq!(t.get(i, j), d.get(i, j));
+                }
+            }
+        }
+        let (bd, bt) = (dense.len_from_entries(WIDE, &b), tiled.len_from_entries(WIDE, &b));
+        for (got, expect) in [
+            (
+                tiled.len_multiply_masked(&t, &bt, Some(&t)),
+                dense.len_multiply_masked(&d, &bd, Some(&d)),
+            ),
+            (tiled.len_multiply_masked(&bt, &t, None), dense.len_multiply_masked(&bd, &d, None)),
+            (tiled.len_multiply_masked(&t, &t, None), dense.len_multiply_masked(&d, &d, None)),
+        ] {
+            prop_assert_eq!(got.entries(), expect.entries());
+        }
+        let mut trimmed = t.clone();
+        trimmed.shrink_to_fit();
+        prop_assert!(trimmed == t);
+        prop_assert_eq!(trimmed.entries(), d.entries());
+    }
+}
+
 /// One cell, one tile less a row, one tile, one tile and a row, and four
 /// tile-rows, the last one partial.
 const BUILD_SIZES: [usize; 5] = [1, 63, 64, 65, 200];

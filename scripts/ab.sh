@@ -49,19 +49,33 @@ for side in "$base" "$change"; do
         --manifest-path "$side/benchmark/Cargo.toml"
 done
 
-# One run: prints "workload pair seed side ops setup rss failed".
+# One run: prints "workload pair seed side ops setup rss failed". A run
+# whose benchmark exits non-zero, or prints no result line, stops the
+# comparison with a message that names it: a pair with one side missing
+# would otherwise drop out of the medians unseen.
 run() {
     dir=$1 name=$2 workload=$3 pair=$4 s=$5
-    line=$(cd "$dir" && "$(bin "$dir")" --workload "$workload" --seed "$s" \
-        --seconds "$seconds" --trace 0 | tail -n 1)
-    echo "$line" | python3 -c '
+    fail() {
+        echo "ab.sh: $workload, $name side ($dir), pair $pair, seed $s: $1" >&2
+        exit 1
+    }
+    out=$(cd "$dir" && "$(bin "$dir")" --workload "$workload" --seed "$s" \
+        --seconds "$seconds" --trace 0) || fail "the benchmark exited with status $?"
+    echo "$out" | tail -n 1 | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 m = r["metrics"]
 print(sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4],
       m["ops_per_s"]["value"], m["setup_s"]["value"], m["peak_rss_mb"]["value"],
       r["failed"])
-' "$workload" "$pair" "$s" "$name"
+' "$workload" "$pair" "$s" "$name" 2>/dev/null || fail "no result line"
+}
+
+# Runs one side, stopping the script if the run failed, and records it.
+record() {
+    row=$(run "$@")
+    echo "$row"
+    echo "$row" >>"$runs"
 }
 
 runs=$(mktemp)
@@ -72,11 +86,11 @@ for workload in $workloads; do
     while [ "$p" -lt "$pairs" ]; do
         s=$((seed + p))
         if [ $((p % 2)) -eq 0 ]; then
-            run "$base" base "$workload" "$p" "$s" | tee -a "$runs"
-            run "$change" change "$workload" "$p" "$s" | tee -a "$runs"
+            record "$base" base "$workload" "$p" "$s"
+            record "$change" change "$workload" "$p" "$s"
         else
-            run "$change" change "$workload" "$p" "$s" | tee -a "$runs"
-            run "$base" base "$workload" "$p" "$s" | tee -a "$runs"
+            record "$change" change "$workload" "$p" "$s"
+            record "$base" base "$workload" "$p" "$s"
         fi
         p=$((p + 1))
     done
