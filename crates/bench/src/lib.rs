@@ -30,7 +30,7 @@ use cfpq_core::relational::{FixpointSolver, SolveStats};
 use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{queries, Cfg, Wcnf};
 use cfpq_graph::ontology::{evaluation_suite, Dataset};
-use cfpq_matrix::{Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine};
+use cfpq_matrix::{ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine, TiledEngine};
 use std::time::Instant;
 
 /// Which of the paper's two evaluation queries to run.
@@ -137,13 +137,8 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
     let start_cfg = cfg.start.expect("query has start");
     let start_wcnf = wcnf.start;
     let graph = &dataset.graph;
-    let device = || {
-        if device_workers == 0 {
-            Device::host_parallel()
-        } else {
-            Device::new(device_workers)
-        }
-    };
+    // 0 workers: one per available core.
+    let device = || Parallelism::new(device_workers).device();
 
     // GLL on the original grammar.
     let (gll_store, gll_ms) = time_ms(|| GllSolver::new(&cfg, graph).solve(graph, start_cfg));
@@ -155,8 +150,9 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
     let results = sparse_idx.matrices[start_wcnf.index()].nnz();
     let sparse = SweepStats::of(sparse_idx.iterations, &sparse_idx.stats);
 
-    // sGPU: parallel CSR (per-kernel offload above the work threshold,
-    // mirroring CUSPARSE per-multiply offload).
+    // sGPU: CSR on the device, which runs the products of a sweep side
+    // by side (the paper's §7 remark); each product runs whole on one
+    // thread.
     let engine = ParSparseEngine::new(device());
     let (spar_idx, sparse_par_ms) = time_ms(|| FixpointSolver::new(&engine).solve(graph, &wcnf));
     let spar_results = spar_idx.matrices[start_wcnf.index()].nnz();

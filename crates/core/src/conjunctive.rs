@@ -133,16 +133,19 @@ pub fn solve_conjunctive<E: BoolEngine>(
         iterations += 1;
         let mut changed = false;
         for rule in &grammar.conj_rules {
-            let mut acc: Option<E::Matrix> = None;
-            for &(b, c) in &rule.conjuncts {
-                let product = engine.multiply(&matrices[b.index()], &matrices[c.index()]);
-                stats.products_computed += 1;
-                acc = Some(match acc {
-                    None => product,
-                    Some(prev) => engine.intersect(&prev, &product),
-                });
-            }
-            let contribution = acc.expect("at least one conjunct");
+            // A rule's conjuncts read the same matrices, so they are one
+            // batch: a device engine runs them side by side.
+            let jobs: Vec<(&E::Matrix, &E::Matrix)> = rule
+                .conjuncts
+                .iter()
+                .map(|&(b, c)| (&matrices[b.index()], &matrices[c.index()]))
+                .collect();
+            let products = engine.multiply_batch(&jobs);
+            stats.products_computed += products.len();
+            let contribution = products
+                .into_iter()
+                .reduce(|acc, product| engine.intersect(&acc, &product))
+                .expect("at least one conjunct");
             changed |= engine.union_in_place(&mut matrices[rule.lhs.index()], &contribution);
         }
         stats
@@ -194,7 +197,9 @@ mod tests {
     use super::*;
     use crate::relational::FixpointSolver;
     use cfpq_graph::generators;
-    use cfpq_matrix::{DenseEngine, SparseEngine};
+    use cfpq_matrix::{
+        DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine, TiledEngine,
+    };
 
     fn s_of(g: &ConjunctiveGrammar) -> Nt {
         g.symbols.get_nt("S").unwrap()
@@ -223,14 +228,44 @@ mod tests {
         }
     }
 
+    /// What of a solve may not depend on the engine.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Every nonterminal's pairs.
+        pairs: Vec<Vec<(u32, u32)>>,
+        sweeps: usize,
+        products: usize,
+        sweep_nnz: Vec<usize>,
+    }
+
+    fn observed<E: BoolEngine>(engine: &E, graph: &Graph, g: &ConjunctiveGrammar) -> Observed {
+        let idx = solve_conjunctive(engine, graph, g);
+        Observed {
+            pairs: (0..g.n_nts()).map(|i| idx.pairs(Nt(i as u32))).collect(),
+            sweeps: idx.iterations,
+            products: idx.stats.products_computed,
+            sweep_nnz: idx.stats.sweep_nnz.clone(),
+        }
+    }
+
     #[test]
     fn engines_agree_on_conjunctive() {
+        // The conjuncts of `S → XC & AY` are one batch, which the device
+        // engines run side by side.
         let g = anbncn();
-        let graph = generators::word_chain(&["a", "a", "b", "b", "c", "c"]);
-        let dense = solve_conjunctive(&DenseEngine, &graph, &g);
-        let sparse = solve_conjunctive(&SparseEngine, &graph, &g);
-        for i in 0..g.n_nts() {
-            assert_eq!(dense.pairs(Nt(i as u32)), sparse.pairs(Nt(i as u32)));
+        let chain = generators::word_chain(&["a", "a", "b", "b", "c", "c"]);
+        let random = generators::random_graph(150, 450, &["a", "b", "c"], 5);
+        for graph in [chain, random] {
+            let dense = observed(&DenseEngine, &graph, &g);
+            assert!(dense.products > 0 && dense.pairs.iter().any(|p| !p.is_empty()));
+            let sparse = observed(&SparseEngine, &graph, &g);
+            assert_eq!(sparse, dense, "sparse");
+            let par_dense = observed(&ParDenseEngine::new(Device::new(2)), &graph, &g);
+            assert_eq!(par_dense, dense, "dense-par");
+            let par_sparse = observed(&ParSparseEngine::new(Device::new(3)), &graph, &g);
+            assert_eq!(par_sparse, dense, "sparse-par");
+            let tiled = observed(&TiledEngine::new(Device::new(2)), &graph, &g);
+            assert_eq!(tiled, dense, "tiled");
         }
     }
 

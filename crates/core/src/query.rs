@@ -8,7 +8,7 @@ use cfpq_grammar::cnf::CnfOptions;
 use cfpq_grammar::{Cfg, GrammarError, Nt, Wcnf};
 use cfpq_graph::Graph;
 use cfpq_matrix::{
-    BoolEngine, BoolMat, DenseEngine, Device, ParDenseEngine, ParSparseEngine, SparseEngine,
+    BoolEngine, BoolMat, DenseEngine, ParDenseEngine, ParSparseEngine, Parallelism, SparseEngine,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -48,14 +48,6 @@ impl Backend {
             Backend::Sparse => "sparse",
             Backend::SparsePar { .. } => "sparse-par",
             Backend::SetMatrix => "set-matrix",
-        }
-    }
-
-    fn device(workers: usize) -> Device {
-        if workers == 0 {
-            Device::host_parallel()
-        } else {
-            Device::new(workers)
         }
     }
 }
@@ -254,13 +246,17 @@ pub fn solve(graph: &Graph, grammar: &Cfg, backend: Backend) -> Result<QueryAnsw
 pub fn solve_wcnf(graph: &Graph, wcnf: &Wcnf, backend: Backend) -> QueryAnswer {
     match backend {
         Backend::Dense => one_shot(DenseEngine, graph, wcnf),
-        Backend::DensePar { workers } => {
-            one_shot(ParDenseEngine::new(Backend::device(workers)), graph, wcnf)
-        }
+        Backend::DensePar { workers } => one_shot(
+            ParDenseEngine::new(Parallelism::new(workers).device()),
+            graph,
+            wcnf,
+        ),
         Backend::Sparse => one_shot(SparseEngine, graph, wcnf),
-        Backend::SparsePar { workers } => {
-            one_shot(ParSparseEngine::new(Backend::device(workers)), graph, wcnf)
-        }
+        Backend::SparsePar { workers } => one_shot(
+            ParSparseEngine::new(Parallelism::new(workers).device()),
+            graph,
+            wcnf,
+        ),
         Backend::SetMatrix => {
             // The paper-literal closure, its relations read into CSR.
             let (result, n) = (solve_set_matrix(graph, wcnf, false), graph.n_nodes());

@@ -3,9 +3,10 @@
 //! This is the representation the paper's dGPU implementation uses
 //! ("row-major order for general matrix representation"). Multiplication
 //! is the classic bitset kernel: for every set bit `(i, k)` of `A`, OR row
-//! `k` of `B` into row `i` of `C` — `O(n²·n/64)` word operations.
+//! `k` of `B` into row `i` of `C` — `O(n²·n/64)` word operations. A
+//! product runs on the calling thread; the dGPU stand-in
+//! (`ParDenseEngine`) runs the products of a batch side by side.
 
-use crate::device::Device;
 use crate::engine::MaskedJob;
 use crate::length::DenseLenMatrix;
 use crate::repr::BoolRepr;
@@ -132,7 +133,7 @@ impl DenseBitMatrix {
     /// assert_eq!(a.multiply(&b).pairs(), vec![(0, 2)]); // path composition
     /// ```
     pub fn multiply(&self, other: &DenseBitMatrix) -> DenseBitMatrix {
-        self.multiply_masked_opt_on(other, None, None)
+        self.multiply_masked_opt(other, None)
     }
 
     /// Masked Boolean product `(self × other) \ mask`: entries already
@@ -152,45 +153,22 @@ impl DenseBitMatrix {
     /// assert_eq!(a.multiply_masked(&b, &mask).pairs(), vec![(1, 2)]);
     /// ```
     pub fn multiply_masked(&self, other: &DenseBitMatrix, mask: &DenseBitMatrix) -> DenseBitMatrix {
-        self.multiply_masked_opt_on(other, Some(mask), None)
+        self.multiply_masked_opt(other, Some(mask))
     }
 
-    /// The product entry point, `(self × other) \ mask?`, with row blocks
-    /// computed in parallel on the `device` pool if one is given.
-    ///
-    /// Small matrices run serially even then: kernel dispatch has a fixed
-    /// latency (as GPU offload pays launch/transfer costs), so offloading
-    /// only pays off past a size threshold.
-    pub fn multiply_masked_opt_on(
+    /// The product entry point, `(self × other) \ mask?`, on the calling
+    /// thread.
+    pub fn multiply_masked_opt(
         &self,
         other: &DenseBitMatrix,
         mask: Option<&DenseBitMatrix>,
-        device: Option<&Device>,
     ) -> DenseBitMatrix {
         assert_eq!(self.n, other.n, "dimension mismatch");
         if let Some(m) = mask {
             assert_eq!(self.n, m.n, "mask dimension mismatch");
         }
-        const OFFLOAD_THRESHOLD_N: usize = 192;
         let mut c = DenseBitMatrix::zeros(self.n);
-        let Some(device) = device.filter(|d| d.n_workers() > 1 && self.n >= OFFLOAD_THRESHOLD_N)
-        else {
-            multiply_rows(self, other, mask, 0, &mut c.bits);
-            return c;
-        };
-        let rows_per = self.n.div_ceil(device.n_workers()).max(1);
-        let wpr = self.wpr;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = c
-            .bits
-            .chunks_mut(rows_per * wpr)
-            .enumerate()
-            .map(|(chunk_idx, chunk)| {
-                let first_row = chunk_idx * rows_per;
-                Box::new(move || multiply_rows(self, other, mask, first_row, chunk))
-                    as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        device.run_scoped(tasks);
+        multiply_rows(self, other, mask, &mut c.bits);
         c
     }
 
@@ -240,17 +218,15 @@ thread_local! {
     static ROW_SCRATCH: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Computes rows `first_row ..` of `(a × b) \ mask?` into `out` (a slice
-/// of whole rows, `out.len() / a.wpr` rows long) — the one row kernel of
-/// the serial and the device-parallel product. After a row is
-/// accumulated, every word already set in the mask row is ANDed out, so
-/// the output never regenerates known entries. Rows whose mask is fully
-/// saturated (all `n` columns set) skip the accumulation entirely.
+/// Computes `(a × b) \ mask?` into `out`, the zeroed words of the
+/// product. After a row is accumulated, every word already set in the
+/// mask row is ANDed out, so the output never regenerates known entries.
+/// Rows whose mask is fully saturated (all `n` columns set) skip the
+/// accumulation entirely.
 fn multiply_rows(
     a: &DenseBitMatrix,
     b: &DenseBitMatrix,
     mask: Option<&DenseBitMatrix>,
-    first_row: usize,
     out: &mut [u64],
 ) {
     let wpr = a.wpr;
@@ -260,8 +236,7 @@ fn multiply_rows(
             scratch.resize(wpr, 0);
         }
         let acc = &mut scratch[..wpr];
-        for (local_i, crow) in out.chunks_mut(wpr).enumerate() {
-            let i = first_row + local_i;
+        for (i, crow) in out.chunks_mut(wpr).enumerate() {
             let arow = a.row(i);
             // An empty left row yields an empty output row; skip the mask
             // popcount and AND-out passes (the masked-delta hot path has a
@@ -328,10 +303,55 @@ impl BoolRepr for DenseBitMatrix {
         self.intersect(other)
     }
     /// Nothing to own: the row scratch is the thread's.
-    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>) {
-        |(a, b, mask): MaskedJob<'_, Self>, device: Option<&Device>| {
-            (a.multiply_masked_opt_on(b, mask, device), None)
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>) -> (Self, Option<u64>) {
+        |(a, b, mask): MaskedJob<'_, Self>| (a.multiply_masked_opt(b, mask), None)
+    }
+}
+
+impl DenseBitMatrix {
+    /// Sets every bit of `pairs` in place; returns `true` if any bit was
+    /// newly set. This is the point-update path behind
+    /// `BoolEngine::union_pairs` — a `GraphIndex` absorbing an edge batch
+    /// touches only the addressed words instead of building a whole
+    /// matrix to union.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a row or column `>= n`; the matrix is unchanged.
+    pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
+        for &pair in pairs {
+            assert_in_range(self.n, pair);
         }
+        let mut changed = false;
+        for &(i, j) in pairs {
+            let w = &mut self.bits[i as usize * self.wpr + j as usize / 64];
+            let bit = 1u64 << (j % 64);
+            changed |= *w & bit == 0;
+            *w |= bit;
+        }
+        changed
+    }
+
+    /// `self \ other` — bits set in `self` but not `other`. Used by the
+    /// semi-naive (delta) closure variant in `cfpq-core`.
+    pub fn difference(&self, other: &DenseBitMatrix) -> DenseBitMatrix {
+        assert_eq!(self.n, other.n, "dimension mismatch");
+        let mut out = self.clone();
+        for (a, &b) in out.bits.iter_mut().zip(other.bits.iter()) {
+            *a &= !b;
+        }
+        out
+    }
+
+    /// `self ∩ other` — bitwise AND. Used by the conjunctive-grammar
+    /// extension in `cfpq-core`.
+    pub fn intersect(&self, other: &DenseBitMatrix) -> DenseBitMatrix {
+        assert_eq!(self.n, other.n, "dimension mismatch");
+        let mut out = self.clone();
+        for (a, &b) in out.bits.iter_mut().zip(other.bits.iter()) {
+            *a &= b;
+        }
+        out
     }
 }
 
@@ -395,24 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_product_equals_serial() {
-        let n = 260usize; // above the offload threshold, not a multiple of 64
-        let mut a = DenseBitMatrix::zeros(n);
-        let mut b = DenseBitMatrix::zeros(n);
-        for i in 0..n as u32 {
-            a.set(i, (i * 7 + 3) % n as u32);
-            a.set(i, (i * 13 + 1) % n as u32);
-            b.set(i, (i * 5 + 2) % n as u32);
-        }
-        let serial = a.multiply(&b);
-        for workers in [1, 2, 3, 8] {
-            let device = Device::new(workers);
-            let par = a.multiply_masked_opt_on(&b, None, Some(&device));
-            assert_eq!(par, serial, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn union_detects_change() {
         let mut a = DenseBitMatrix::from_pairs(5, &[(0, 1)]);
         let b = DenseBitMatrix::from_pairs(5, &[(0, 1), (2, 3)]);
@@ -434,8 +436,6 @@ mod tests {
         let c = m.multiply(&m);
         assert_eq!(c.n(), 0);
         assert!(c.is_zero());
-        let d = Device::new(4);
-        assert_eq!(m.multiply_masked_opt_on(&m, None, Some(&d)).n(), 0);
     }
 
     #[test]
@@ -444,53 +444,6 @@ mod tests {
         let m = DenseBitMatrix::from_pairs(130, &[(1, 100), (1, 3), (1, 64)]);
         assert_eq!(m.row_cols(1).collect::<Vec<_>>(), vec![3, 64, 100]);
         assert_eq!(m.row_cols(0).count(), 0);
-    }
-}
-
-impl DenseBitMatrix {
-    /// Sets every bit of `pairs` in place; returns `true` if any bit was
-    /// newly set. This is the point-update path behind
-    /// `BoolEngine::union_pairs` — a `GraphIndex` absorbing an edge batch
-    /// touches only the addressed words instead of building a whole
-    /// matrix to union.
-    ///
-    /// # Panics
-    ///
-    /// If a pair names a row or column `>= n`; the matrix is unchanged.
-    pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> bool {
-        for &pair in pairs {
-            assert_in_range(self.n, pair);
-        }
-        let mut changed = false;
-        for &(i, j) in pairs {
-            let w = &mut self.bits[i as usize * self.wpr + j as usize / 64];
-            let bit = 1u64 << (j % 64);
-            changed |= *w & bit == 0;
-            *w |= bit;
-        }
-        changed
-    }
-
-    /// `self \ other` — bits set in `self` but not `other`. Used by the
-    /// semi-naive (delta) closure variant in `cfpq-core`.
-    pub fn difference(&self, other: &DenseBitMatrix) -> DenseBitMatrix {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let mut out = self.clone();
-        for (a, &b) in out.bits.iter_mut().zip(other.bits.iter()) {
-            *a &= !b;
-        }
-        out
-    }
-
-    /// `self ∩ other` — bitwise AND. Used by the conjunctive-grammar
-    /// extension in `cfpq-core`.
-    pub fn intersect(&self, other: &DenseBitMatrix) -> DenseBitMatrix {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let mut out = self.clone();
-        for (a, &b) in out.bits.iter_mut().zip(other.bits.iter()) {
-            *a &= b;
-        }
-        out
     }
 }
 
@@ -545,23 +498,5 @@ mod setops_tests {
         }
         let a = DenseBitMatrix::from_pairs(9, &[(0, 1), (5, 5)]);
         assert!(a.multiply_masked(&a, &full).is_zero());
-    }
-
-    #[test]
-    fn parallel_masked_product_equals_serial() {
-        let n = 210usize; // above the offload threshold
-        let mut a = DenseBitMatrix::zeros(n);
-        let mut mask = DenseBitMatrix::zeros(n);
-        for i in 0..n as u32 {
-            a.set(i, (i * 31 + 7) % n as u32);
-            a.set((i * 5) % n as u32, i);
-            mask.set(i, (i * 17 + 1) % n as u32);
-        }
-        let serial = a.multiply_masked(&a, &mask);
-        for workers in [1, 2, 4] {
-            let d = Device::new(workers);
-            let par = a.multiply_masked_opt_on(&a, Some(&mask), Some(&d));
-            assert_eq!(par, serial, "w={workers}");
-        }
     }
 }

@@ -1,20 +1,24 @@
 //! The execution "device" standing in for the paper's GPU.
 //!
 //! The paper offloads whole-matrix multiplications to CUBLAS (dense) and
-//! CUSPARSE (sparse) on an NVIDIA GTX 1070. This repository has no GPU,
-//! so the device is a **persistent worker pool**:
-//! workers are created once (like a CUDA context) and kernels are
-//! submitted as batches of row-block tasks, so per-kernel overhead is a
-//! queue hand-off rather than thread creation. The algorithm side is
-//! unchanged — the closure loop hands whole matrices to an opaque device
-//! exactly as the paper's implementations hand them to CUDA.
+//! CUSPARSE (sparse) on an NVIDIA GTX 1070, and remarks (§7) that the
+//! products of one sweep "may be performed on different GPGPU
+//! independently". This repository has no GPU, so the device is a
+//! **persistent worker pool** that does the latter: workers are created
+//! once (like a CUDA context), and a batch of independent products is
+//! cut into one run of jobs per worker ([`Device::par_map_ranges`], the
+//! engines' `run_batch`), so per-batch overhead is a queue hand-off
+//! rather than thread creation. Each product is one serial kernel call on
+//! whichever thread runs it; the closure loop hands whole matrices to an
+//! opaque engine exactly as the paper's implementations hand them to
+//! CUDA.
 //!
 //! `Device` is a cheaply clonable handle (like a CUDA stream handle);
 //! the pool shuts down when the last handle drops.
 //!
 //! ## Safety
 //!
-//! [`Device::run_scoped`] accepts non-`'static` tasks and erases their
+//! `Device::run_scoped` accepts non-`'static` tasks and erases their
 //! lifetime to queue them on pool workers. This is the classic
 //! scoped-thread-pool pattern and is sound because the method does not
 //! return until every submitted task has completed (panic-safe barrier:
@@ -147,23 +151,9 @@ impl Device {
         }
     }
 
-    /// A device sized to the machine's available parallelism.
-    pub fn host_parallel() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(n)
-    }
-
     /// Number of workers.
     pub fn n_workers(&self) -> usize {
         self.n_workers
-    }
-
-    /// Splits `0..n_items` into at most `n_workers` contiguous ranges of
-    /// near-equal size.
-    pub fn partition(&self, n_items: usize) -> Vec<Range<usize>> {
-        partition(n_items, self.n_workers)
     }
 
     /// Runs the given tasks on the pool and returns once **all** have
@@ -171,7 +161,7 @@ impl Device {
     /// module-level safety discussion). If a task panicked, the first
     /// panic is re-raised here once all have completed — on a pool as on
     /// the inline device, the caller sees what the task said.
-    pub fn run_scoped<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+    pub(crate) fn run_scoped<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if tasks.is_empty() {
             return;
         }
@@ -250,13 +240,12 @@ impl Device {
         }
     }
 
-    /// Runs `f` over each partition of `0..n_items` on the pool and
-    /// collects the results in partition order. This is the map primitive
-    /// of the sparse kernels (each worker produces the rows of its block)
-    /// and of the engines' batches (each worker runs its share of a
-    /// sweep's independent products — the paper's §7 remark that "matrix
-    /// multiplication in the main loop … may be performed on different
-    /// GPGPU independently").
+    /// Runs `f` over each [`partition`] of `0..n_items` into at most
+    /// `n_workers` ranges on the pool and collects the results in
+    /// partition order. This is the map primitive of the engines' batches:
+    /// each worker runs its share of a sweep's independent products — the
+    /// paper's §7 remark that "matrix multiplication in the main loop …
+    /// may be performed on different GPGPU independently".
     ///
     /// Must not be called from inside a device task (the caller blocks on
     /// the pool, so nested submission from every worker could starve).
@@ -265,7 +254,7 @@ impl Device {
         T: Send,
         F: Fn(Range<usize>) -> T + Sync,
     {
-        let ranges = self.partition(n_items);
+        let ranges = partition(n_items, self.n_workers);
         if ranges.len() <= 1 || self.pool.is_none() {
             return ranges.into_iter().map(&f).collect();
         }
@@ -296,10 +285,10 @@ impl Device {
 /// Two layers of this workspace spawn threads: the [`Device`] kernel
 /// pool (the paper's GPU stand-in) and, since the `cfpq-service` crate,
 /// a query-scheduler worker pool. Sizing each to
-/// `available_parallelism` independently — which
-/// [`Device::host_parallel`] does when used naively — oversubscribes
-/// the machine as soon as both exist: `W` service workers each driving
-/// an `N`-worker device ask for `W × N` runnable threads on `N` cores.
+/// `available_parallelism` independently (`Parallelism::auto().device()`
+/// for the kernel pool, and as many service workers) oversubscribes the
+/// machine as soon as both exist: `W` service workers each driving an
+/// `N`-worker device ask for `W × N` runnable threads on `N` cores.
 ///
 /// `Parallelism` is the coordination point: construct one budget for
 /// the process (`--threads` on the CLIs) and [`Parallelism::split`] it
@@ -348,8 +337,8 @@ impl Parallelism {
     }
 
     /// A [`Device`] consuming the whole budget — what a single-caller
-    /// workload (no service pool) should use instead of
-    /// [`Device::host_parallel`].
+    /// workload (no service pool) uses; `Parallelism::auto().device()` is
+    /// a device sized to the machine.
     pub fn device(self) -> Device {
         Device::new(self.total)
     }

@@ -18,6 +18,10 @@
 //! else: the five names pair one of the three matrix types with a
 //! [`Device`] or with none, and [`BoolEngine`] — like
 //! [`crate::LenEngine`] — has one implementation, below, for all five.
+//! A device does one thing, in one place (`run_batch`): it runs the
+//! independent products of a batch side by side. Every product itself
+//! is one serial kernel call on whichever thread runs it, so a single
+//! `multiply` on a device engine runs on the caller.
 
 use crate::dense::DenseBitMatrix;
 use crate::device::Device;
@@ -31,8 +35,8 @@ use std::sync::Arc;
 /// Minimal Boolean-matrix interface required by the solvers.
 ///
 /// `Send + Sync + 'static` because matrices cross thread boundaries in
-/// two places: the [`Device`] kernel pool borrows them for row-block
-/// tasks, and the `cfpq-service` snapshot layer shares whole closed
+/// two places: the [`Device`] kernel pool borrows them for the jobs of
+/// a batch, and the `cfpq-service` snapshot layer shares whole closed
 /// indexes between reader threads behind `Arc`s.
 pub trait BoolMat: Clone + PartialEq + Send + Sync + 'static {
     /// Matrix dimension `n`.
@@ -202,9 +206,8 @@ impl KernelCounters {
 ///   from popcounts of the operands it was handed and from nothing
 ///   else: no threshold, option or build setting enters, so a caller
 ///   cannot select a side and need not. The output matrix, its
-///   canonical form, `tiles_skipped` and the way a `Device` splits the
-///   tile-rows are the same whichever side ran — serial and
-///   multi-worker products stay byte-identical.
+///   canonical form and `tiles_skipped` are the same whichever side
+///   ran.
 /// * **One source, the instantiation the CPU runs best.** The baseline
 ///   x86-64 target of a release build lacks POPCNT, BMI and AVX2, on
 ///   which tile kernels spend most of their instructions (popcounts,
@@ -374,16 +377,15 @@ pub(crate) fn run_batch<J: Sync, M: Send>(
     }
 }
 
-/// One product of `e` through `kernel`, under its span, the tiles it
-/// skipped added to the engine's counter.
+/// One product of `e` through `kernel`, on the calling thread, under its
+/// span, the tiles it skipped added to the engine's counter.
 fn product<B: Backend>(
     e: &B,
-    kernel: &mut impl FnMut(MaskedJob<'_, B::Repr>, Option<&Device>) -> (B::Repr, Option<u64>),
+    kernel: &mut impl FnMut(MaskedJob<'_, B::Repr>) -> (B::Repr, Option<u64>),
     job: MaskedJob<'_, B::Repr>,
-    device: Option<&Device>,
 ) -> B::Repr {
     let op = if job.2.is_some() { "masked" } else { "mul" };
-    let (out, skipped) = traced_kernel(B::Repr::REPR, op, BoolMat::nnz, || kernel(job, device));
+    let (out, skipped) = traced_kernel(B::Repr::REPR, op, BoolMat::nnz, || kernel(job));
     if let Some(skipped @ 1..) = skipped {
         e.add_tiles_skipped(skipped);
     }
@@ -406,7 +408,7 @@ impl<B: Backend> BoolEngine for B {
         B::Repr::from_pairs(n, pairs)
     }
     fn multiply(&self, a: &B::Repr, b: &B::Repr) -> B::Repr {
-        product(self, &mut B::Repr::kernel(), (a, b, None), self.device())
+        product(self, &mut B::Repr::kernel(), (a, b, None))
     }
     fn union_in_place(&self, a: &mut B::Repr, b: &B::Repr) -> bool {
         a.union_in_place(b)
@@ -428,21 +430,13 @@ impl<B: Backend> BoolEngine for B {
         self.multiply_masked_batch(&jobs)
     }
     fn multiply_masked(&self, a: &B::Repr, b: &B::Repr, mask: &B::Repr) -> B::Repr {
-        product(
-            self,
-            &mut B::Repr::kernel(),
-            (a, b, Some(mask)),
-            self.device(),
-        )
+        product(self, &mut B::Repr::kernel(), (a, b, Some(mask)))
     }
     fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, B::Repr>]) -> Vec<B::Repr> {
         run_batch(self.device(), jobs, |run| {
             let mut kernel = B::Repr::kernel();
-            // A job of a batch gets no device: the run is the unit of
-            // parallelism, and a device task must not submit to its own
-            // pool (no nested offload, see the `Device` docs).
             run.iter()
-                .map(|&job| product(self, &mut kernel, job, None))
+                .map(|&job| product(self, &mut kernel, job))
                 .collect()
         })
     }
@@ -473,8 +467,9 @@ impl Backend for SparseEngine {
     const NAME: &'static str = "sparse";
 }
 
-/// The representation `R` on a [`Device`]: a single product splits its
-/// rows over the device's workers and a batch its jobs. Clones share the
+/// The representation `R` on a [`Device`]: a batch runs its jobs side by
+/// side on the device's workers, and a single product runs on the
+/// caller, as each job of a batch runs on one thread. Clones share the
 /// device handle *and* the skip counter, so
 /// [`BoolEngine::kernel_counters`] reads one stream across snapshots and
 /// worker threads. Reached under the three names below; on
@@ -530,8 +525,8 @@ pub type ParDenseEngine = OnDevice<DenseBitMatrix>;
 /// Device-parallel CSR backend — the stand-in for the paper's sGPU.
 pub type ParSparseEngine = OnDevice<CsrMatrix>;
 
-/// Device-parallel block-tiled backend: tile-row blocks of a product are
-/// dispatched across the [`Device`] pool.
+/// Block-tiled backend: the products of a batch are spread over the
+/// [`Device`] pool.
 pub type TiledEngine = OnDevice<TiledBitMatrix>;
 
 impl TiledEngine {
@@ -632,10 +627,8 @@ mod tests {
         assert_eq!(masked_batch[1].pairs(), product.pairs());
         assert_eq!(masked_batch[2].pairs(), reversed.pairs());
 
-        // Wide enough for a device to split a single product — past the
-        // dense offload threshold, over five tile-rows — and with a tile
-        // to skip: of `a`'s tiles (0, 2) and (1, 0), the first meets an
-        // empty tile-row of `b`.
+        // Over five tile-rows, with a tile to skip: of `a`'s tiles (0, 2)
+        // and (1, 0), the first meets an empty tile-row of `b`.
         let wide_a = e.from_pairs(300, &[(0, 140), (70, 3)]);
         let wide_b = e.from_pairs(300, &[(0, 1), (3, 299)]);
         let before = e.kernel_counters();

@@ -663,9 +663,7 @@ impl LenRepr for CsrLenMatrix {
     fn kernel() -> impl FnMut(LenJob<'_, Self>) -> Self {
         let mut acc = LenRow::default();
         move |(a, b, mask): LenJob<'_, Self>| {
-            let (csr, _) = a
-                .csr
-                .multiply(&b.csr, mask.map(|m| &m.csr), 0..a.n(), &mut acc);
+            let (csr, _) = a.csr.multiply(&b.csr, mask.map(|m| &m.csr), &mut acc);
             CsrLenMatrix { csr }
         }
     }

@@ -428,8 +428,7 @@ impl TiledLenMatrix {
                         mask: mask.map(|m| &m.csr),
                         scratch,
                     };
-                    let rows = 0..self.csr.rows();
-                    let (csr, _) = self.csr.multiply(&b.csr, acc.mask, rows, &mut acc);
+                    let (csr, _) = self.csr.multiply(&b.csr, acc.mask, &mut acc);
                     // The lengths were drained into the scratch's buffer,
                     // which keeps its capacity: the product's arena is one
                     // copy.

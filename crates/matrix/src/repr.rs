@@ -4,8 +4,10 @@
 //! handed to three matrix libraries. Here a *representation* says how a
 //! matrix is stored and multiplied ([`BoolRepr`] for bits, [`LenRepr`]
 //! for §5's path lengths), a [`Backend`] pairs one with an optional
-//! [`Device`], and `BoolEngine` and `LenEngine` are implemented once
-//! each, for every `Backend`, in [`crate::engine`] and [`crate::length`].
+//! [`Device`], on which a batch runs its products side by side (each
+//! product is one serial kernel call, wherever it runs), and `BoolEngine`
+//! and `LenEngine` are implemented once each, for every `Backend`, in
+//! [`crate::engine`] and [`crate::length`].
 //! The module is private, which seals the three traits: code outside the
 //! crate picks an engine by name or decorates one, and adds none.
 
@@ -31,14 +33,12 @@ pub trait BoolRepr: BoolMat {
     fn difference(&self, other: &Self) -> Self;
     fn intersect(&self, other: &Self) -> Self;
 
-    /// The product entry point `((a, b, mask?), device?) → ((a × b) \ mask?,
-    /// tiles skipped)` for one run of products on the calling thread:
-    /// whatever consecutive serial products can share — the CSR row
-    /// accumulator — lives in the returned kernel. With a `device` the
-    /// rows of the product are split over its workers (past the
-    /// representation's own offload threshold); the skip count is `None`
-    /// where the representation has no tiles to skip.
-    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>);
+    /// The product entry point `(a, b, mask?) → ((a × b) \ mask?, tiles
+    /// skipped)` for one run of products on the calling thread: whatever
+    /// consecutive products can share — the CSR row accumulator — lives
+    /// in the returned kernel. The skip count is `None` where the
+    /// representation has no tiles to skip.
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>) -> (Self, Option<u64>);
 }
 
 /// A length-matrix representation (§5): first-write-wins cells, and one
@@ -82,8 +82,8 @@ pub trait Backend: Send + Sync {
     /// `BoolEngine::name`.
     const NAME: &'static str;
 
-    /// Where a product may split its rows and a batch its jobs; `None`
-    /// runs everything on the calling thread.
+    /// Where a batch runs its jobs side by side; `None` runs every job on
+    /// the calling thread. A single product always runs on the caller.
     fn device(&self) -> Option<&Device> {
         None
     }

@@ -29,7 +29,9 @@
 //!   `Csr::from_cells`, which is where a cell outside the matrix is
 //!   refused (`assert_in_range`, as on every other write path);
 //! * the product of all four is one loop, `Csr::multiply`, flat over the
-//!   left operand's cells and masked lazily; the cell type brings its
+//!   left operand's cells and masked lazily, a whole product per call on
+//!   the calling thread (a device runs whole products side by side, never
+//!   part of one); the cell type brings its
 //!   `RowAccumulator` — a dense bitset here, a table of lengths (`⊗` =
 //!   saturating add, `⊕` = first write) in [`crate::length`], a row of
 //!   tiles in [`crate::tiled`], where a pair of cells is a 64 × 64
@@ -38,7 +40,6 @@
 //!   the mask as it opens each output tile so that it writes no masked
 //!   cell.
 
-use crate::device::Device;
 use crate::engine::MaskedJob;
 use crate::length::CsrLenMatrix;
 use crate::repr::BoolRepr;
@@ -124,21 +125,6 @@ impl<V: Copy> Csr<V> {
             cols: order.iter().map(|&e| cell(e).1).collect(),
             vals: order.iter().map(|&e| cell(e).2).collect(),
         }
-    }
-
-    /// The row blocks of a device-parallel product, each with row ends
-    /// relative to itself, as one storage; the first block's vectors
-    /// become the result's instead of being copied into it.
-    pub fn concat(blocks: impl IntoIterator<Item = Self>) -> Self {
-        let mut blocks = blocks.into_iter();
-        let mut out = blocks.next().unwrap_or_else(|| Self::empty(0));
-        for block in blocks {
-            let base = out.nnz();
-            out.row_ptr
-                .extend(block.row_ptr[1..].iter().map(|&end| base + end));
-            out.extend(&block, 0..block.nnz());
-        }
-        out
     }
 
     #[inline]
@@ -566,7 +552,7 @@ impl CsrMatrix {
     /// straight into the flat CSR `row_ptr`/`cols` arrays — no
     /// intermediate per-row `Vec` allocations.
     pub fn multiply(&self, other: &CsrMatrix) -> CsrMatrix {
-        self.multiply_masked_opt_on(other, None, None)
+        self.multiply_masked_opt(other, None)
     }
 
     /// Masked Boolean SpGEMM `(self × other) \ mask`: each output row is
@@ -586,43 +572,20 @@ impl CsrMatrix {
     /// assert_eq!(a.multiply_masked(&b, &mask).pairs(), vec![(1, 2)]);
     /// ```
     pub fn multiply_masked(&self, other: &CsrMatrix, mask: &CsrMatrix) -> CsrMatrix {
-        self.multiply_masked_opt_on(other, Some(mask), None)
+        self.multiply_masked_opt(other, Some(mask))
     }
 
-    /// The product entry point, `(self × other) \ mask?`, with row blocks
-    /// computed in parallel on `device` if one is given.
-    ///
-    /// Small operands run serially even then: kernel dispatch has a fixed
-    /// latency (just as GPU offload pays transfer/launch costs), so
-    /// offloading only pays off past a work threshold.
-    pub fn multiply_masked_opt_on(
-        &self,
-        other: &CsrMatrix,
-        mask: Option<&CsrMatrix>,
-        device: Option<&Device>,
-    ) -> CsrMatrix {
-        self.product(other, mask, device, &mut BitRow::default())
+    /// The product entry point, `(self × other) \ mask?`, on the calling
+    /// thread.
+    pub fn multiply_masked_opt(&self, other: &CsrMatrix, mask: Option<&CsrMatrix>) -> CsrMatrix {
+        self.product(other, mask, &mut BitRow::default())
     }
 
-    /// [`CsrMatrix::multiply_masked_opt_on`] on a caller-owned
-    /// accumulator, which a serial product uses and leaves clean for the
-    /// next (the blocks of a device-parallel one bring their own).
-    fn product(
-        &self,
-        other: &CsrMatrix,
-        mask: Option<&CsrMatrix>,
-        device: Option<&Device>,
-        acc: &mut BitRow,
-    ) -> CsrMatrix {
-        const OFFLOAD_THRESHOLD_NNZ: usize = 64 * 1024;
-        let (a, b, mask) = (&self.csr, &other.csr, mask.map(|m| &m.csr));
-        let work = self.nnz() + other.nnz();
-        let csr = match device.filter(|d| d.n_workers() > 1 && work >= OFFLOAD_THRESHOLD_NNZ) {
-            None => a.multiply(b, mask, 0..self.n(), acc).0,
-            Some(device) => Csr::concat(device.par_map_ranges(self.n(), |range| {
-                a.multiply(b, mask, range, &mut BitRow::default()).0
-            })),
-        };
+    /// [`CsrMatrix::multiply_masked_opt`] on a caller-owned accumulator,
+    /// which the product uses and leaves clean for the next.
+    fn product(&self, other: &CsrMatrix, mask: Option<&CsrMatrix>, acc: &mut BitRow) -> CsrMatrix {
+        let mask = mask.map(|m| &m.csr);
+        let (csr, _) = self.csr.multiply(&other.csr, mask, acc);
         Self { csr }
     }
 
@@ -668,11 +631,9 @@ impl BoolRepr for CsrMatrix {
         self.intersect(other)
     }
     /// One row accumulator for the run.
-    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>) {
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>) -> (Self, Option<u64>) {
         let mut acc = BitRow::default();
-        move |(a, b, mask): MaskedJob<'_, Self>, device: Option<&Device>| {
-            (a.product(b, mask, device, &mut acc), None)
-        }
+        move |(a, b, mask): MaskedJob<'_, Self>| (a.product(b, mask, &mut acc), None)
     }
 }
 
@@ -682,8 +643,7 @@ impl BoolRepr for CsrMatrix {
 /// [`crate::length`], a row of 64 × 64 tiles in [`crate::tiled`]. Reused
 /// from row to row and from job to job.
 pub(crate) trait RowAccumulator<V> {
-    /// Makes room for rows of `n` columns, as a product (or one device
-    /// block of it) starts.
+    /// Makes room for rows of `n` columns, as a product starts.
     fn fit(&mut self, n: usize);
 
     /// Accumulates `left ⊗ value` at `col` for every cell `(col, value)`
@@ -709,44 +669,38 @@ pub(crate) trait RowAccumulator<V> {
 pub(crate) type RowCells<'a, V> = (&'a [u32], &'a [V]);
 
 impl<V: Copy> Csr<V> {
-    /// Rows `range` of `(self × b) \ mask?` as a block of their own, row
-    /// ends relative to it, on a caller-owned accumulator: the whole
-    /// product if serial, one block per worker on a device. Also returns
+    /// `(self × b) \ mask?` on a caller-owned accumulator. Also returns
     /// how many cells of `self` met an empty row of `b` and so were
     /// skipped (for tiles, whole families of tile products).
     ///
-    /// The cost is the cells of `self` in `range`, a gallop over each run
-    /// of rows nothing reaches, and one bulk write of their row ends: a
-    /// block pays nothing per empty row of `self` beyond that write.
+    /// The cost is the cells of `self`, a gallop over each run of rows
+    /// nothing reaches, and one bulk write of their row ends: a product
+    /// pays nothing per empty row of `self` beyond that write.
     #[inline(always)]
     pub fn multiply<A: RowAccumulator<V>>(
         &self,
         b: &Self,
         mask: Option<&Self>,
-        range: Range<usize>,
         acc: &mut A,
     ) -> (Self, u64) {
         assert_eq!(self.rows(), b.rows(), "dimension mismatch");
         if let Some(m) = mask {
             assert_eq!(self.rows(), m.rows(), "mask dimension mismatch");
         }
-        acc.fit(self.rows());
-        let mut out = Csr::with_capacity(range.len(), 0);
+        let rows = self.rows();
+        acc.fit(rows);
+        let mut out = Csr::with_capacity(rows, 0);
         // Flat over the cells of `self`, not row by row: against a sparse
         // Δ almost no cell finds anything to multiply with, so the scan
         // is one predictable loop. `open` is the row being accumulated;
         // it is closed when a cell that does find something lies in a
         // later row.
-        let mut open = range.start;
+        let mut open = 0;
         // The cells of row `open`, read when a row is opened: the skipping
         // cells, the bulk of a sparse Δ's scan, pay for nothing but the
         // test that skips them.
-        let mut open_len = if range.is_empty() {
-            0
-        } else {
-            self.row(open).len()
-        };
-        let cells = self.row_ptr[range.start]..self.row_ptr[range.end];
+        let mut open_len = if rows == 0 { 0 } else { self.row(open).len() };
+        let cells = 0..self.nnz();
         let mut found = 0;
         for e in cells.clone() {
             let k = self.cols[e];
@@ -764,12 +718,12 @@ impl<V: Copy> Csr<V> {
             let (cols, vals) = (&b.cols[b_row.clone()], &b.vals[b_row]);
             acc.add(&self.vals[e], open, k, open_len, cols, vals);
         }
-        close_rows(acc, mask, &mut out, open, range.end);
+        close_rows(acc, mask, &mut out, open, rows);
         (out, (cells.len() - found) as u64)
     }
 }
 
-/// Closes row `open` of a product block and the rows up to `next`, which
+/// Closes row `open` of a product and the rows up to `next`, which
 /// nothing reached.
 #[inline(always)]
 fn close_rows<V: Copy, A: RowAccumulator<V>>(
@@ -912,23 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_product_equals_serial() {
-        // 60 entries a row: enough nnz to cross the offload threshold.
-        let n = 600usize;
-        let pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| (0..60u32).map(move |d| (i, (i * 31 + d * 7 + 2) % n as u32)))
-            .collect();
-        let m = CsrMatrix::from_pairs(n, &pairs);
-        assert!(m.nnz() + m.nnz() >= 64 * 1024, "test must cross threshold");
-        let serial = m.multiply(&m);
-        for workers in [1, 2, 5, 16] {
-            let d = Device::new(workers);
-            let par = m.multiply_masked_opt_on(&m, None, Some(&d));
-            assert_eq!(par, serial, "workers {workers}");
-        }
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = CsrMatrix::from_pairs(7, &[(0, 6), (6, 0), (3, 3), (2, 5)]);
         assert_eq!(m.transpose().transpose(), m);
@@ -940,8 +877,7 @@ mod tests {
     fn zero_sized() {
         let m = CsrMatrix::zeros(0);
         assert!(m.multiply(&m).is_zero());
-        let d = Device::new(3);
-        assert_eq!(m.multiply_masked_opt_on(&m, None, Some(&d)).n(), 0);
+        assert_eq!(m.multiply_masked_opt(&m, None).n(), 0);
     }
 
     fn drain_sorted(acc: &mut BitRow, mask: Option<&[u32]>) -> Vec<u32> {
@@ -1019,29 +955,6 @@ mod tests {
         let masked = a.multiply_masked(&a, &m);
         assert_eq!(masked, expect);
         assert!(masked.intersect(&m).is_zero(), "disjoint from mask");
-    }
-
-    #[test]
-    fn parallel_masked_product_equals_serial() {
-        // Enough nnz to cross the offload threshold.
-        let n = 600usize;
-        let pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| (0..120u32).map(move |d| (i, (i * 31 + d * 7 + 1) % n as u32)))
-            .collect();
-        let a = CsrMatrix::from_pairs(n, &pairs);
-        let mask_pairs: Vec<(u32, u32)> = (0..n as u32)
-            .flat_map(|i| (0..40u32).map(move |d| (i, (i * 13 + d * 3) % n as u32)))
-            .collect();
-        let m = CsrMatrix::from_pairs(n, &mask_pairs);
-        assert!(a.nnz() + a.nnz() >= 64 * 1024, "test must cross threshold");
-        let serial = a.multiply_masked(&a, &m);
-        for workers in [2, 4] {
-            let d = Device::new(workers);
-            let par = a.multiply_masked_opt_on(&a, Some(&m), Some(&d));
-            assert_eq!(par, serial, "w={workers}");
-            let par = a.multiply_masked_opt_on(&a, None, Some(&d));
-            assert_eq!(par, a.multiply(&a), "w={workers}");
-        }
     }
 
     #[test]

@@ -69,9 +69,10 @@
 //! * tile pairs whose counterpart tile-row in `B` is empty are skipped
 //!   without touching any bit (counted in
 //!   [`crate::engine::KernelCounters::tiles_skipped`]);
-//! * tile-row blocks of the product are dispatched in parallel across
-//!   the existing [`Device`] pool, exactly like the flat kernels;
-//! * the hot entry points — a product block, the set operations,
+//! * a product runs on the calling thread, like the flat kernels; a
+//!   [`crate::TiledEngine`] on a multi-worker [`crate::Device`] runs the
+//!   products of a batch side by side;
+//! * the hot entry points — a product, the set operations,
 //!   [`TiledBitMatrix::insert_pairs`], [`TiledBitMatrix::from_pairs`]
 //!   and [`TiledBitMatrix::nnz`], which the fixpoint reads of every Δ —
 //!   run their one source in one of two instantiations (`cpu.rs`): the
@@ -91,13 +92,11 @@
 //! equality.
 
 use crate::cpu::{self, Level};
-use crate::device::Device;
 use crate::engine::{word_bits, BoolMat, MaskedJob};
 use crate::length::TiledLenMatrix;
 use crate::repr::BoolRepr;
 use crate::sparse::{assert_in_range, Cell, Csr, RowAccumulator, RowCells};
 use std::cell::RefCell;
-use std::ops::Range;
 
 /// Tile edge length in bits. One tile is `TILE` `u64` words.
 pub const TILE: usize = 64;
@@ -402,54 +401,41 @@ impl TiledBitMatrix {
 
     /// Serial Boolean product `self × other`.
     pub fn multiply(&self, other: &TiledBitMatrix) -> TiledBitMatrix {
-        self.multiply_masked_opt_on(other, None, None).0
+        self.multiply_masked_opt(other, None).0
     }
 
     /// Serial masked product `(self × other) \ mask` — see
     /// [`crate::engine::BoolEngine::multiply_masked`] for the contract.
     pub fn multiply_masked(&self, other: &TiledBitMatrix, mask: &TiledBitMatrix) -> TiledBitMatrix {
-        self.multiply_masked_opt_on(other, Some(mask), None).0
+        self.multiply_masked_opt(other, Some(mask)).0
     }
 
-    /// The product entry point, `(self × other) \ mask?`, with tile-row
-    /// blocks computed in parallel on the `device` pool if one is given.
-    /// Also returns the number of tile-granular kernel launches avoided
-    /// (empty counterpart tile-rows in `other`, plus accumulated output
-    /// tiles that masking or cancellation left empty).
-    pub fn multiply_masked_opt_on(
+    /// The product entry point, `(self × other) \ mask?`, on the calling
+    /// thread and on the kernels the CPU runs best. Also returns the
+    /// number of tile-granular kernel launches avoided (empty counterpart
+    /// tile-rows in `other`, plus accumulated output tiles that masking
+    /// or cancellation left empty).
+    pub fn multiply_masked_opt(
         &self,
         other: &TiledBitMatrix,
         mask: Option<&TiledBitMatrix>,
-        device: Option<&Device>,
     ) -> (TiledBitMatrix, u64) {
         assert_eq!(self.n, other.n, "dimension mismatch");
         if let Some(m) = mask {
             assert_eq!(self.n, m.n, "mask dimension mismatch");
         }
-        let (n, tn, level) = (self.n, self.tile_rows(), cpu::level());
-        let Some(device) = device.filter(|d| d.n_workers() > 1 && tn > 1) else {
-            // One block is the whole product.
-            let (csr, skipped) = self.multiply_block(other, mask, 0..tn, level);
-            return (Self { n, csr }, skipped);
-        };
-        let blocks =
-            device.par_map_ranges(tn, |range| self.multiply_block(other, mask, range, level));
-        let skipped = blocks.iter().map(|(_, skipped)| skipped).sum();
-        let csr = Csr::concat(blocks.into_iter().map(|(block, _)| block));
-        debug_assert_eq!(csr.rows(), tn, "every tile-row stitched");
-        (Self { n, csr }, skipped)
+        let (csr, skipped) = self.product(other, mask, cpu::level());
+        (Self { n: self.n, csr }, skipped)
     }
 
-    /// Computes tile-rows `rows` of `(self × other) \ mask?` as a block of
-    /// their own (row ends relative to it), and the skipped-kernel count:
-    /// the shared flat product (`sparse.rs::Csr::multiply`) over the
-    /// stored tiles of `self`, on this thread's tile accumulator and on
-    /// the kernels of `level`.
-    fn multiply_block(
+    /// `(self × other) \ mask?` and the skipped-kernel count: the shared
+    /// flat product (`sparse.rs::Csr::multiply`) over the stored tiles of
+    /// `self`, on this thread's tile accumulator and on the kernels of
+    /// `level`.
+    fn product(
         &self,
         other: &TiledBitMatrix,
         mask: Option<&TiledBitMatrix>,
-        rows: Range<usize>,
         level: Level,
     ) -> (Csr<TileWords>, u64) {
         let mask = mask.map(|m| &m.csr);
@@ -457,8 +443,8 @@ impl TiledBitMatrix {
             level.run(
                 #[inline(always)]
                 || {
-                    let (block, empty_panels) = self.csr.multiply(&other.csr, mask, rows, acc);
-                    (block, empty_panels + acc.dropped)
+                    let (csr, empty_panels) = self.csr.multiply(&other.csr, mask, acc);
+                    (csr, empty_panels + acc.dropped)
                 },
             )
         })
@@ -750,10 +736,9 @@ impl TileAccumulator {
 /// tile-column `k` goes through its panel, the stored tiles of the right
 /// operand's tile-row `k`, on whichever kernel costs fewer word-ORs.
 impl RowAccumulator<TileWords> for TileAccumulator {
-    /// Starts a product (or a device block of one): a fresh stamp for its
-    /// panels and first tile-row, no panel listed, nothing dropped yet,
-    /// and nothing left of a product that panicked halfway on this
-    /// thread.
+    /// Starts a product: a fresh stamp for its panels and first tile-row,
+    /// no panel listed, nothing dropped yet, and nothing left of a product
+    /// that panicked halfway on this thread.
     #[inline(always)]
     fn fit(&mut self, tn: usize) {
         self.row.ensure(tn);
@@ -890,9 +875,9 @@ impl BoolRepr for TiledBitMatrix {
         self.intersect(other)
     }
     /// Nothing to own: the tile accumulator is the thread's.
-    fn kernel() -> impl FnMut(MaskedJob<'_, Self>, Option<&Device>) -> (Self, Option<u64>) {
-        |(a, b, mask): MaskedJob<'_, Self>, device: Option<&Device>| {
-            let (product, skipped) = a.multiply_masked_opt_on(b, mask, device);
+    fn kernel() -> impl FnMut(MaskedJob<'_, Self>) -> (Self, Option<u64>) {
+        |(a, b, mask): MaskedJob<'_, Self>| {
+            let (product, skipped) = a.multiply_masked_opt(b, mask);
             (product, Some(skipped))
         }
     }
@@ -1093,32 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_product_equals_serial() {
-        let n = 300usize;
-        let uniform = |seed| TiledBitMatrix::from_pairs(n, &pseudo_pairs(n, 2000, seed));
-        let banded = |pairs: Vec<(u32, u32)>| TiledBitMatrix::from_pairs(BANDED_N, &pairs);
-        // At widths 2 and 3 the 51 banded tile-rows split at 26 and at
-        // 17 and 34: every block starts or ends inside an empty run.
-        for (a, b, mask) in [
-            (uniform(7), uniform(8), uniform(9)),
-            (
-                banded(banded_with_full_tile(400, 7)),
-                banded(banded_pairs(400, 8)),
-                banded(banded_pairs(900, 9)),
-            ),
-        ] {
-            for mask in [Some(&mask), None] {
-                let serial = a.multiply_masked_opt_on(&b, mask, None);
-                for workers in [1usize, 2, 3, 4] {
-                    let d = Device::new(workers);
-                    let par = a.multiply_masked_opt_on(&b, mask, Some(&d));
-                    assert_eq!(par, serial, "workers = {workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn transpose_matches_the_bit_by_bit_definition_and_undoes_itself() {
         let mut tile = EMPTY_TILE;
         for (i, j) in pseudo_pairs(TILE, 700, 0x7A) {
@@ -1188,7 +1147,7 @@ mod tests {
 
         let allocated = || TILE_ACC.with_borrow(|acc| acc.transposed.tiles.len());
         assert_eq!(allocated(), 0, "no right-driven product on this thread yet");
-        let (plain, skipped) = a.multiply_masked_opt_on(&b, None, None);
+        let (plain, skipped) = a.multiply_masked_opt(&b, None);
         assert_eq!(
             allocated(),
             a.tile_rows(),
@@ -1196,15 +1155,15 @@ mod tests {
         );
         assert!(plain.pairs() == da.multiply(&db).pairs());
         assert_eq!(skipped, 0);
-        let (masked, skipped) = a.multiply_masked_opt_on(&b, Some(&mask), None);
+        let (masked, skipped) = a.multiply_masked_opt(&b, Some(&mask));
         assert!(masked.pairs() == da.multiply(&db).difference(&dm).pairs());
         assert_eq!(skipped, 1, "output tile (0, 1) is masked out whole");
         assert_eq!(masked.stored_tiles(), 2);
     }
 
     /// Holds `a × b` and `(a × b) \ mask` on the kernels of `level` to
-    /// the dense products; the dispatched product, serial and on devices
-    /// of 2 and 3 workers, must equal it to the skip count.
+    /// the dense products; the dispatched product must equal it to the
+    /// skip count.
     fn check_against_dense(
         what: &str,
         level: Level,
@@ -1228,16 +1187,12 @@ mod tests {
             (None, product.pairs()),
             (Some(&mask), product.difference(&dm).pairs()),
         ] {
-            let (csr, skipped) = a.multiply_block(&b, mask, 0..a.tile_rows(), level);
-            let serial = (TiledBitMatrix { n, csr }, skipped);
+            let (csr, skipped) = a.product(&b, mask, level);
+            let on_level = (TiledBitMatrix { n, csr }, skipped);
             let masked = mask.is_some();
             let what = format!("{what}, {level:?}, masked: {masked}");
-            assert_eq!(serial.0.pairs(), expect, "{what}");
-            assert_eq!(a.multiply_masked_opt_on(&b, mask, None), serial, "{what}");
-            for workers in [2, 3] {
-                let par = a.multiply_masked_opt_on(&b, mask, Some(&Device::new(workers)));
-                assert_eq!(par, serial, "{what}, {workers} workers");
-            }
+            assert_eq!(on_level.0.pairs(), expect, "{what}");
+            assert_eq!(a.multiply_masked_opt(&b, mask), on_level, "{what}");
         }
     }
 
@@ -1385,8 +1340,7 @@ mod tests {
         let failed = std::panic::catch_unwind(|| {
             TILE_ACC.with_borrow_mut(|acc| {
                 let mut midway = PanicsMidway { acc, adds: 2 };
-                a.csr
-                    .multiply(&spoiled.csr, None, 0..a.tile_rows(), &mut midway);
+                a.csr.multiply(&spoiled.csr, None, &mut midway);
             })
         });
         assert!(failed.is_err());
@@ -1636,7 +1590,7 @@ mod tests {
         // the whole product family is skipped without touching a bit.
         let a = TiledBitMatrix::from_pairs(300, &[(0, 140)]);
         let b = TiledBitMatrix::from_pairs(300, &[(0, 1)]);
-        let (c, skipped) = a.multiply_masked_opt_on(&b, None, None);
+        let (c, skipped) = a.multiply_masked_opt(&b, None);
         assert!(c.is_zero());
         assert_eq!(skipped, 1);
         // A fully-masked output tile also counts as avoided work.
@@ -1651,7 +1605,7 @@ mod tests {
         };
         let x = TiledBitMatrix::from_pairs(300, &[(0, 1)]);
         let y = TiledBitMatrix::from_pairs(300, &[(1, 2)]);
-        let (c, skipped) = x.multiply_masked_opt_on(&y, Some(&full_mask), None);
+        let (c, skipped) = x.multiply_masked_opt(&y, Some(&full_mask));
         assert!(c.is_zero());
         assert_eq!(skipped, 1);
     }

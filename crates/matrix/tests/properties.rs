@@ -38,17 +38,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_products_agree_with_serial(a in pairs(N, 80), b in pairs(N, 80), workers in 1usize..6) {
-        let device = Device::new(workers);
-        let da = DenseBitMatrix::from_pairs(N, &a);
-        let db = DenseBitMatrix::from_pairs(N, &b);
-        prop_assert_eq!(da.multiply(&db), da.multiply_masked_opt_on(&db, None, Some(&device)));
-        let sa = CsrMatrix::from_pairs(N, &a);
-        let sb = CsrMatrix::from_pairs(N, &b);
-        prop_assert_eq!(sa.multiply(&sb), sa.multiply_masked_opt_on(&sb, None, Some(&device)));
-    }
-
-    #[test]
     fn union_is_commutative_idempotent_monotone(a in pairs(N, 60), b in pairs(N, 60)) {
         let da = DenseBitMatrix::from_pairs(N, &a);
         let db = DenseBitMatrix::from_pairs(N, &b);
@@ -384,7 +373,6 @@ proptest! {
     fn tiled_products_equal_dense_ones_at_every_density(
         seeds in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
     ) {
-        let devices = [Device::new(2), Device::new(3)];
         // The same four pair lists per operand, once per representation.
         let per_class = |seed: u64| -> Vec<(DenseBitMatrix, TiledBitMatrix)> {
             (0..4)
@@ -407,25 +395,12 @@ proptest! {
                 });
                 for (mask, expect, masking) in unmasked.into_iter().chain(masked) {
                     let what = format!("densities {left} x {right}, mask {masking}");
-                    let (serial, skipped) = ta.multiply_masked_opt_on(tb, mask, None);
+                    let (product, _) = ta.multiply_masked_opt(tb, mask);
                     // Structural equality: the same bits in canonical form.
-                    // (Boolean asserts — a failure names the case instead of
-                    // printing two 200 × 200 matrices.)
+                    // (A Boolean assert — a failure names the case instead
+                    // of printing two 200 × 200 matrices.)
                     let expect = TiledBitMatrix::from_pairs(N_PANELS, &expect.pairs());
-                    prop_assert!(serial == expect, "{}", what);
-                    for device in &devices {
-                        let workers = device.n_workers();
-                        let (split, split_skipped) =
-                            ta.multiply_masked_opt_on(tb, mask, Some(device));
-                        prop_assert!(split == serial, "{} workers, {}", workers, what);
-                        prop_assert_eq!(
-                            split_skipped,
-                            skipped,
-                            "tiles_skipped, {} workers, {}",
-                            workers,
-                            what
-                        );
-                    }
+                    prop_assert!(product == expect, "{}", what);
                 }
             }
         }
