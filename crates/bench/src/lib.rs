@@ -21,7 +21,8 @@
 //! on g1–g3.
 //!
 //! Every matrix column runs [`FixpointSolver`]'s masked semi-naive loop;
-//! each row also reports the serial CSR run's kernel counters. Sessions,
+//! each row also reports the kernel counters of the serial CSR run and
+//! of the tiled run. Sessions,
 //! the service, single-path and RPQ evaluation are measured by the
 //! whole-stack benchmark in `benchmark/`, not here.
 
@@ -118,6 +119,9 @@ pub struct Row {
     pub tiled_ms: f64,
     /// Work counters of the sCPU run.
     pub sparse: SweepStats,
+    /// Work counters of the tiled run: the engine the whole-stack
+    /// benchmark's tiled workloads use, and the only one that skips tiles.
+    pub tiled: SweepStats,
 }
 
 /// Times a closure in milliseconds.
@@ -157,10 +161,11 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
     let (spar_idx, sparse_par_ms) = time_ms(|| FixpointSolver::new(&engine).solve(graph, &wcnf));
     let spar_results = spar_idx.matrices[start_wcnf.index()].nnz();
 
-    // Block-tiled backend on the same device pool.
+    // Block-tiled backend on the same device.
     let engine = TiledEngine::new(device());
     let (tiled_idx, tiled_ms) = time_ms(|| FixpointSolver::new(&engine).solve(graph, &wcnf));
     let tiled_results = tiled_idx.matrices[start_wcnf.index()].nnz();
+    let tiled = SweepStats::of(tiled_idx.iterations, &tiled_idx.stats);
 
     // dGPU: parallel dense; skipped on the large repeated graphs, as in
     // the paper.
@@ -205,6 +210,7 @@ pub fn run_row(query: Query, dataset: &Dataset, device_workers: usize) -> Row {
         sparse_par_ms,
         tiled_ms,
         sparse,
+        tiled,
     }
 }
 
@@ -283,6 +289,7 @@ impl Row {
             ("sparse_par_ms", self.sparse_par_ms.to_string()),
             ("tiled_ms", self.tiled_ms.to_string()),
             ("sparse", self.sparse.json(level + 1)),
+            ("tiled", self.tiled.json(level + 1)),
         ];
         json_object(&fields, level)
     }
@@ -401,6 +408,14 @@ mod tests {
                 tiles_skipped: 0,
                 nt_nnz: vec![],
             },
+            tiled: SweepStats {
+                sweeps: 1,
+                products_computed: 2,
+                products_skipped: 0,
+                sweep_nnz: vec![],
+                tiles_skipped: 9,
+                nt_nnz: vec![7],
+            },
         };
         let expect = r#"[
   {
@@ -426,6 +441,16 @@ mod tests {
           ],
           "tiles_skipped": 0,
           "nt_nnz": []
+        },
+        "tiled": {
+          "sweeps": 1,
+          "products_computed": 2,
+          "products_skipped": 0,
+          "sweep_nnz": [],
+          "tiles_skipped": 9,
+          "nt_nnz": [
+            7
+          ]
         }
       }
     ]

@@ -1,8 +1,11 @@
 //! The rows `reproduce all --smoke --json` writes, pinned without their
-//! timings: `#results`, node counts, sweeps, products computed and
-//! skipped, per-sweep and per-nonterminal nnz of Q1 and Q2 over the four
-//! smallest ontologies. A change that moves any of them — one product
-//! more or fewer, a sweep added — fails here with the diff.
+//! timings: `#results`, node counts, and for the serial CSR run and the
+//! tiled run each the sweeps, products computed and skipped, tiles
+//! skipped and per-sweep and per-nonterminal nnz, of Q1 and Q2 over the
+//! four smallest ontologies. The tiled run is on a 2-wide device, so its
+//! batches go through `Device::par_map_ranges`. A change that moves any
+//! of them — one product more or fewer, a sweep added, a tile pair no
+//! longer skipped — fails here with the diff.
 //!
 //! When such a move is intended, rewrite the file and commit it with the
 //! change:
