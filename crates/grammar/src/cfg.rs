@@ -228,98 +228,6 @@ impl fmt::Display for Cfg {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_simple_grammar() {
-        let g = Cfg::parse("S -> a S b | a b").unwrap();
-        assert_eq!(g.productions.len(), 2);
-        let s = g.symbols.get_nt("S").unwrap();
-        assert_eq!(g.start, Some(s));
-        let a = g.symbols.get_term("a").unwrap();
-        let b = g.symbols.get_term("b").unwrap();
-        assert_eq!(
-            g.productions[0].rhs,
-            vec![Symbol::T(a), Symbol::N(s), Symbol::T(b)]
-        );
-        assert_eq!(g.productions[1].rhs, vec![Symbol::T(a), Symbol::T(b)]);
-    }
-
-    #[test]
-    fn parse_epsilon_and_comments() {
-        let g = Cfg::parse("# Dyck language\nS -> ( S ) S | eps  # alternatives\n").unwrap();
-        assert_eq!(g.productions.len(), 2);
-        assert!(g.productions[1].rhs.is_empty());
-    }
-
-    #[test]
-    fn parse_unicode_epsilon() {
-        let g = Cfg::parse("S -> ε").unwrap();
-        assert!(g.productions[0].rhs.is_empty());
-    }
-
-    #[test]
-    fn lhs_everywhere_is_nonterminal() {
-        // `B` is used before its defining rule appears; it must still be a
-        // nonterminal in the first rule.
-        let g = Cfg::parse("S -> B a\nB -> b").unwrap();
-        let b_nt = g.symbols.get_nt("B").unwrap();
-        assert_eq!(g.productions[0].rhs[0], Symbol::N(b_nt));
-        assert!(matches!(g.productions[0].rhs[1], Symbol::T(_)));
-    }
-
-    #[test]
-    fn missing_arrow_is_error() {
-        let err = Cfg::parse("S a b").unwrap_err();
-        assert!(matches!(err, GrammarError::Syntax { line: 1, .. }));
-    }
-
-    #[test]
-    fn multi_symbol_lhs_is_error() {
-        let err = Cfg::parse("S T -> a").unwrap_err();
-        assert!(matches!(err, GrammarError::Syntax { .. }));
-    }
-
-    #[test]
-    fn empty_grammar_is_error() {
-        assert_eq!(
-            Cfg::parse("# only comments\n").unwrap_err(),
-            GrammarError::Empty
-        );
-    }
-
-    #[test]
-    fn parse_with_start_overrides() {
-        let g = Cfg::parse_with_start("S -> B\nB -> b", "B").unwrap();
-        assert_eq!(g.start, g.symbols.get_nt("B"));
-        assert!(matches!(
-            Cfg::parse_with_start("S -> a", "Z"),
-            Err(GrammarError::UnknownStart(_))
-        ));
-    }
-
-    #[test]
-    fn to_text_roundtrip() {
-        let src = "S -> a S b\nS -> eps\n";
-        let g = Cfg::parse(src).unwrap();
-        let g2 = Cfg::parse(&g.to_text()).unwrap();
-        assert_eq!(g.productions.len(), g2.productions.len());
-        assert_eq!(g.to_text(), g2.to_text());
-    }
-
-    #[test]
-    fn add_rule_builder() {
-        let mut g = Cfg::new();
-        g.add_rule("S", &["a", "S"], &["S"]);
-        g.add_rule("S", &["a"], &["S"]);
-        assert_eq!(g.productions.len(), 2);
-        assert_eq!(g.start, g.symbols.get_nt("S"));
-        assert!(matches!(g.productions[0].rhs[1], Symbol::N(_)));
-    }
-}
-
 impl Cfg {
     /// Enumerates every word of length ≤ `max_len` derivable from
     /// `start`, by breadth-first expansion of sentential forms. This is a
@@ -419,5 +327,97 @@ mod bounded_language_tests {
         let s = g.symbols.get_nt("S").unwrap();
         let words = g.bounded_language(s, 4);
         assert_eq!(words.len(), 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_simple_grammar() {
+        let g = Cfg::parse("S -> a S b | a b").unwrap();
+        assert_eq!(g.productions.len(), 2);
+        let s = g.symbols.get_nt("S").unwrap();
+        assert_eq!(g.start, Some(s));
+        let a = g.symbols.get_term("a").unwrap();
+        let b = g.symbols.get_term("b").unwrap();
+        assert_eq!(
+            g.productions[0].rhs,
+            vec![Symbol::T(a), Symbol::N(s), Symbol::T(b)]
+        );
+        assert_eq!(g.productions[1].rhs, vec![Symbol::T(a), Symbol::T(b)]);
+    }
+
+    #[test]
+    fn parse_epsilon_and_comments() {
+        let g = Cfg::parse("# Dyck language\nS -> ( S ) S | eps  # alternatives\n").unwrap();
+        assert_eq!(g.productions.len(), 2);
+        assert!(g.productions[1].rhs.is_empty());
+    }
+
+    #[test]
+    fn parse_unicode_epsilon() {
+        let g = Cfg::parse("S -> ε").unwrap();
+        assert!(g.productions[0].rhs.is_empty());
+    }
+
+    #[test]
+    fn lhs_everywhere_is_nonterminal() {
+        // `B` is used before its defining rule appears; it must still be a
+        // nonterminal in the first rule.
+        let g = Cfg::parse("S -> B a\nB -> b").unwrap();
+        let b_nt = g.symbols.get_nt("B").unwrap();
+        assert_eq!(g.productions[0].rhs[0], Symbol::N(b_nt));
+        assert!(matches!(g.productions[0].rhs[1], Symbol::T(_)));
+    }
+
+    #[test]
+    fn missing_arrow_is_error() {
+        let err = Cfg::parse("S a b").unwrap_err();
+        assert!(matches!(err, GrammarError::Syntax { line: 1, .. }));
+    }
+
+    #[test]
+    fn multi_symbol_lhs_is_error() {
+        let err = Cfg::parse("S T -> a").unwrap_err();
+        assert!(matches!(err, GrammarError::Syntax { .. }));
+    }
+
+    #[test]
+    fn empty_grammar_is_error() {
+        assert_eq!(
+            Cfg::parse("# only comments\n").unwrap_err(),
+            GrammarError::Empty
+        );
+    }
+
+    #[test]
+    fn parse_with_start_overrides() {
+        let g = Cfg::parse_with_start("S -> B\nB -> b", "B").unwrap();
+        assert_eq!(g.start, g.symbols.get_nt("B"));
+        assert!(matches!(
+            Cfg::parse_with_start("S -> a", "Z"),
+            Err(GrammarError::UnknownStart(_))
+        ));
+    }
+
+    #[test]
+    fn to_text_roundtrip() {
+        let src = "S -> a S b\nS -> eps\n";
+        let g = Cfg::parse(src).unwrap();
+        let g2 = Cfg::parse(&g.to_text()).unwrap();
+        assert_eq!(g.productions.len(), g2.productions.len());
+        assert_eq!(g.to_text(), g2.to_text());
+    }
+
+    #[test]
+    fn add_rule_builder() {
+        let mut g = Cfg::new();
+        g.add_rule("S", &["a", "S"], &["S"]);
+        g.add_rule("S", &["a"], &["S"]);
+        assert_eq!(g.productions.len(), 2);
+        assert_eq!(g.start, g.symbols.get_nt("S"));
+        assert!(matches!(g.productions[0].rhs[1], Symbol::N(_)));
     }
 }

@@ -223,102 +223,6 @@ impl fmt::Display for Graph {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn triangle() -> Graph {
-        let mut g = Graph::new(3);
-        g.add_edge_named(0, "a", 1);
-        g.add_edge_named(1, "b", 2);
-        g.add_edge_named(2, "a", 0);
-        g
-    }
-
-    #[test]
-    fn basic_accessors() {
-        let g = triangle();
-        assert_eq!(g.n_nodes(), 3);
-        assert_eq!(g.n_edges(), 3);
-        assert_eq!(g.n_labels(), 2);
-        let a = g.get_label("a").unwrap();
-        let pairs: Vec<_> = g.edges_with_label(a).collect();
-        assert_eq!(pairs, vec![(0, 1), (2, 0)]);
-        assert_eq!(g.out_edges(1), &[(g.get_label("b").unwrap(), 2)]);
-    }
-
-    #[test]
-    fn add_edge_grows_nodes() {
-        let mut g = Graph::new(0);
-        g.add_edge_named(5, "x", 9);
-        assert_eq!(g.n_nodes(), 10);
-        assert_eq!(g.out_edges(5).len(), 1);
-        assert!(g.out_edges(3).is_empty());
-        assert!(g.out_edges(10).is_empty(), "no such node, no edges");
-    }
-
-    #[test]
-    fn self_loops_and_duplicates_rejected_at_insertion() {
-        let mut g = Graph::new(1);
-        assert!(g.add_edge_named(0, "a", 0));
-        assert!(g.add_edge_named(0, "b", 0));
-        assert!(!g.add_edge_named(0, "a", 0), "duplicate is a no-op");
-        assert_eq!(g.n_edges(), 2);
-        assert_eq!(g.out_edges(0).len(), 2);
-    }
-
-    #[test]
-    fn duplicate_insertion_keeps_views_coherent() {
-        // Regression test for the old footgun: duplicate add_edge calls
-        // used to leave duplicates in `edges`/`out_edges`; all views
-        // must stay coherent through duplicate insertions.
-        let mut g = Graph::new(3);
-        for _ in 0..3 {
-            g.add_edge_named(0, "a", 1);
-            g.add_edge_named(1, "b", 2);
-        }
-        assert_eq!(g.n_edges(), 2);
-        let a = g.get_label("a").unwrap();
-        assert_eq!(g.edges_with_label(a).collect::<Vec<_>>(), vec![(0, 1)]);
-        assert_eq!(g.out_edges(0), &[(a, 1)]);
-        assert!(g.has_edge(0, a, 1));
-        assert!(!g.has_edge(1, a, 0));
-        assert_eq!(g.label_histogram(), vec![("a".into(), 1), ("b".into(), 1)]);
-        // The flat edge list agrees with the membership view.
-        assert_eq!(g.edges().len(), 2);
-    }
-
-    #[test]
-    fn repeat_is_disjoint_union() {
-        let g = triangle();
-        let r = g.repeat(3);
-        assert_eq!(r.n_nodes(), 9);
-        assert_eq!(r.n_edges(), 9);
-        // Copy 2's `a` edges are shifted by 6.
-        let a = r.get_label("a").unwrap();
-        let pairs: Vec<_> = r.edges_with_label(a).collect();
-        assert!(pairs.contains(&(6, 7)));
-        assert!(pairs.contains(&(8, 6)));
-        // No cross-copy edges.
-        for e in r.edges() {
-            assert_eq!(e.from / 3, e.to / 3, "edge crosses copies: {e:?}");
-        }
-    }
-
-    #[test]
-    fn label_histogram_counts() {
-        let g = triangle();
-        let h = g.label_histogram();
-        assert_eq!(h, vec![("a".to_owned(), 2), ("b".to_owned(), 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 1")]
-    fn repeat_zero_panics() {
-        triangle().repeat(0);
-    }
-}
-
 /// Structural statistics of a graph — iteration counts of the fixpoint
 /// solvers correlate with these (cycle structure in particular), so the
 /// bench harness reports them alongside timings.
@@ -504,5 +408,101 @@ mod stats_tests {
         let stats = g.stats();
         assert_eq!(stats.n_sccs, 2);
         assert_eq!(stats.n_self_loops, 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn triangle() -> Graph {
+        let mut g = Graph::new(3);
+        g.add_edge_named(0, "a", 1);
+        g.add_edge_named(1, "b", 2);
+        g.add_edge_named(2, "a", 0);
+        g
+    }
+
+    #[test]
+    fn basic_accessors() {
+        let g = triangle();
+        assert_eq!(g.n_nodes(), 3);
+        assert_eq!(g.n_edges(), 3);
+        assert_eq!(g.n_labels(), 2);
+        let a = g.get_label("a").unwrap();
+        let pairs: Vec<_> = g.edges_with_label(a).collect();
+        assert_eq!(pairs, vec![(0, 1), (2, 0)]);
+        assert_eq!(g.out_edges(1), &[(g.get_label("b").unwrap(), 2)]);
+    }
+
+    #[test]
+    fn add_edge_grows_nodes() {
+        let mut g = Graph::new(0);
+        g.add_edge_named(5, "x", 9);
+        assert_eq!(g.n_nodes(), 10);
+        assert_eq!(g.out_edges(5).len(), 1);
+        assert!(g.out_edges(3).is_empty());
+        assert!(g.out_edges(10).is_empty(), "no such node, no edges");
+    }
+
+    #[test]
+    fn self_loops_and_duplicates_rejected_at_insertion() {
+        let mut g = Graph::new(1);
+        assert!(g.add_edge_named(0, "a", 0));
+        assert!(g.add_edge_named(0, "b", 0));
+        assert!(!g.add_edge_named(0, "a", 0), "duplicate is a no-op");
+        assert_eq!(g.n_edges(), 2);
+        assert_eq!(g.out_edges(0).len(), 2);
+    }
+
+    #[test]
+    fn duplicate_insertion_keeps_views_coherent() {
+        // Regression test for the old footgun: duplicate add_edge calls
+        // used to leave duplicates in `edges`/`out_edges`; all views
+        // must stay coherent through duplicate insertions.
+        let mut g = Graph::new(3);
+        for _ in 0..3 {
+            g.add_edge_named(0, "a", 1);
+            g.add_edge_named(1, "b", 2);
+        }
+        assert_eq!(g.n_edges(), 2);
+        let a = g.get_label("a").unwrap();
+        assert_eq!(g.edges_with_label(a).collect::<Vec<_>>(), vec![(0, 1)]);
+        assert_eq!(g.out_edges(0), &[(a, 1)]);
+        assert!(g.has_edge(0, a, 1));
+        assert!(!g.has_edge(1, a, 0));
+        assert_eq!(g.label_histogram(), vec![("a".into(), 1), ("b".into(), 1)]);
+        // The flat edge list agrees with the membership view.
+        assert_eq!(g.edges().len(), 2);
+    }
+
+    #[test]
+    fn repeat_is_disjoint_union() {
+        let g = triangle();
+        let r = g.repeat(3);
+        assert_eq!(r.n_nodes(), 9);
+        assert_eq!(r.n_edges(), 9);
+        // Copy 2's `a` edges are shifted by 6.
+        let a = r.get_label("a").unwrap();
+        let pairs: Vec<_> = r.edges_with_label(a).collect();
+        assert!(pairs.contains(&(6, 7)));
+        assert!(pairs.contains(&(8, 6)));
+        // No cross-copy edges.
+        for e in r.edges() {
+            assert_eq!(e.from / 3, e.to / 3, "edge crosses copies: {e:?}");
+        }
+    }
+
+    #[test]
+    fn label_histogram_counts() {
+        let g = triangle();
+        let h = g.label_histogram();
+        assert_eq!(h, vec![("a".to_owned(), 2), ("b".to_owned(), 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "k >= 1")]
+    fn repeat_zero_panics() {
+        triangle().repeat(0);
     }
 }
