@@ -212,8 +212,9 @@ impl DenseBitMatrix {
 // whole product — and copied into the (cold, freshly-zeroed) output
 // buffer once, only when nonzero. Without it every OR pass streams
 // read-modify-writes through the `zeros()`-sized output allocation,
-// which shows up on large-`n` profiles. Device workers are persistent
-// threads, so the buffer amortizes across every product of a solve.
+// which shows up on large-`n` profiles. The buffer lives as long as its
+// thread: on the caller it amortizes across every product of a solve, on
+// a thread a device spawned for a batch across that batch's run.
 thread_local! {
     static ROW_SCRATCH: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }

@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// Minimal Boolean-matrix interface required by the solvers.
 ///
 /// `Send + Sync + 'static` because matrices cross thread boundaries in
-/// two places: the [`Device`] kernel pool borrows them for the jobs of
+/// two places: the threads of a [`Device`] borrow them for the jobs of
 /// a batch, and the `cfpq-service` snapshot layer shares whole closed
 /// indexes between reader threads behind `Arc`s.
 pub trait BoolMat: Clone + PartialEq + Send + Sync + 'static {
@@ -234,9 +234,9 @@ impl KernelCounters {
 /// * **Decorators add no kernel spans.** A decorator forwards to an
 ///   inner engine that already records its kernels; like the counters
 ///   above, span emission belongs to the engine doing the work. The
-///   [`crate::Device`] propagates the calling thread's recorder onto
-///   pool threads, so batch jobs land in the caller's trace without
-///   decorator help.
+///   [`crate::Device`] installs the calling thread's recorder on the
+///   threads it runs a batch on, so batch jobs land in the caller's
+///   trace without decorator help.
 pub trait BoolEngine: Send + Sync {
     /// The matrix type this engine operates on.
     type Matrix: BoolMat;
@@ -286,8 +286,8 @@ pub trait BoolEngine: Send + Sync {
     fn intersect(&self, a: &Self::Matrix, b: &Self::Matrix) -> Self::Matrix;
 
     /// Computes several independent products. The default runs them
-    /// sequentially; device-backed engines hand each worker of the pool
-    /// a run of serial kernels, exploiting inter-rule independence
+    /// sequentially; device-backed engines hand each worker of the
+    /// device a run of serial kernels, exploiting inter-rule independence
     /// within a fixpoint sweep (the paper's §7 multi-device remark).
     fn multiply_batch(&self, jobs: &[(&Self::Matrix, &Self::Matrix)]) -> Vec<Self::Matrix> {
         jobs.iter().map(|(a, b)| self.multiply(a, b)).collect()
@@ -317,7 +317,7 @@ pub trait BoolEngine: Send + Sync {
     /// complement mask ([`BoolEngine::multiply_masked`] semantics when
     /// the mask is present, plain [`BoolEngine::multiply`] otherwise).
     /// The default runs sequentially; device-backed engines hand each
-    /// worker of the pool a run of serial kernels so a fixpoint sweep's
+    /// worker of the device a run of serial kernels so a fixpoint sweep's
     /// rule kernels overlap.
     fn multiply_masked_batch(&self, jobs: &[MaskedJob<'_, Self::Matrix>]) -> Vec<Self::Matrix> {
         jobs.iter()
@@ -360,7 +360,7 @@ pub(crate) fn traced_kernel<M>(
 
 /// The batch rule of every engine: the jobs are cut into one contiguous
 /// run per worker of the `device`, and `run` executes a run serially on
-/// whichever thread picks it up, so the kernels of a run share what they
+/// the thread it is given, so the kernels of a run share what they
 /// can. Without a device, or with a single job, the batch is one run on
 /// the caller.
 pub(crate) fn run_batch<J: Sync, M: Send>(
@@ -526,7 +526,7 @@ pub type ParDenseEngine = OnDevice<DenseBitMatrix>;
 pub type ParSparseEngine = OnDevice<CsrMatrix>;
 
 /// Block-tiled backend: the products of a batch are spread over the
-/// [`Device`] pool.
+/// [`Device`]'s threads.
 pub type TiledEngine = OnDevice<TiledBitMatrix>;
 
 impl TiledEngine {
@@ -680,9 +680,9 @@ mod tests {
         let tiled = check_engine(&TiledEngine::serial(), "tiled");
         for device in widths {
             let workers = device.n_workers();
-            let par_dense = check_engine(&ParDenseEngine::new(device.clone()), "dense-par");
+            let par_dense = check_engine(&ParDenseEngine::new(device), "dense-par");
             assert_eq!(par_dense, dense, "dense-par on {workers}");
-            let par_sparse = check_engine(&ParSparseEngine::new(device.clone()), "sparse-par");
+            let par_sparse = check_engine(&ParSparseEngine::new(device), "sparse-par");
             assert_eq!(par_sparse, sparse, "sparse-par on {workers}");
             let on_device = check_engine(&TiledEngine::new(device), "tiled");
             assert_eq!(on_device, tiled, "tiled on {workers}");
@@ -697,5 +697,25 @@ mod tests {
         assert_eq!(dense.products, tiled.products);
         assert_eq!(dense.lengths, sparse.lengths);
         assert_eq!(dense.lengths, tiled.lengths);
+    }
+
+    #[test]
+    fn batch_spans_follow_the_jobs_onto_device_threads() {
+        let e = TiledEngine::new(Device::new(2));
+        let a = e.from_pairs(5, &[(0, 1), (4, 4)]);
+        let b = e.from_pairs(5, &[(1, 2), (4, 4)]);
+        let collector = Arc::new(SpanCollector::new());
+        let guard = cfpq_obs::install(collector.clone());
+        let sweep = cfpq_obs::span("sweep");
+        let batch = e.multiply_masked_batch(&[(&a, &b, None), (&b, &a, Some(&a))]);
+        drop(sweep);
+        drop(guard);
+        assert_eq!(batch.len(), 2);
+        let spans = collector.spans();
+        let sweep = spans.iter().find(|s| s.name == "sweep").expect("parent");
+        let kernels: Vec<_> = spans.iter().filter(|s| s.name == "kernel").collect();
+        assert_eq!(kernels.len(), 2);
+        assert!(kernels.iter().all(|k| k.parent == sweep.id), "{kernels:?}");
+        assert_ne!(kernels[0].thread, kernels[1].thread, "one job per thread");
     }
 }

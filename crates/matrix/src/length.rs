@@ -148,7 +148,7 @@ pub trait LenEngine: Send + Sync {
 
     /// Computes several independent (optionally masked) products. The
     /// default runs them sequentially; device-backed engines hand each
-    /// worker of the pool a run of serial kernels, as
+    /// worker of the device a run of serial kernels, as
     /// [`crate::BoolEngine::multiply_masked_batch`] does.
     fn len_multiply_masked_batch(
         &self,

@@ -643,6 +643,9 @@ impl LenRepr for TiledLenMatrix {
     }
 }
 
+// The product's scratch, reused across the products a thread runs: every
+// product on the calling thread, one batch's run on a thread a device
+// spawned.
 thread_local! {
     static LEN_SCRATCH: RefCell<LenScratch> = RefCell::new(LenScratch::default());
 }

@@ -581,8 +581,9 @@ struct Panel {
 /// output tiles, a second set holding the transposes of what the
 /// right-driven kernel produced, and what the path choice and the
 /// right-driven kernel read off each panel — its bit count, and its set
-/// bits listed as cells. Reused across products via a thread-local (the
-/// device workers are persistent), so no per-product `O(tn)` allocation
+/// bits listed as cells. Reused across products via a thread-local (on
+/// the calling thread for as long as it lives; on a thread a device
+/// spawned, for that batch), so no per-product `O(tn)` allocation
 /// or zeroing happens — only tiles actually touched are cleared, at
 /// first touch — and the right-driven half (as many tiles again, 512 B
 /// each) is allocated by the first product on the thread that takes

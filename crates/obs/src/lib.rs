@@ -85,7 +85,8 @@ pub type Attr = (&'static str, AttrValue);
 /// Sink for span events.
 ///
 /// Implementations must be cheap and non-blocking: `start`/`end` run on
-/// hot paths (including device pool threads). The contract:
+/// hot paths (including the threads a device runs a batch on). The
+/// contract:
 ///
 /// * `start` issues a fresh id (never `SpanId::NONE` while enabled) and
 ///   records the parent link; `end` closes the span and attaches its
@@ -128,9 +129,9 @@ thread_local! {
 
 /// Install `recorder` as this thread's active recorder.
 ///
-/// Spans opened via [`span`] on this thread (and on device pool threads
-/// the caller launches work onto — the pool propagates the context) go
-/// to it until the returned guard drops, which restores whatever was
+/// Spans opened via [`span`] on this thread (and on the threads a device
+/// runs the caller's batches on — the device installs the context there)
+/// go to it until the returned guard drops, which restores whatever was
 /// installed before. Guards nest LIFO.
 #[must_use = "dropping the guard immediately uninstalls the recorder"]
 pub fn install(recorder: Arc<dyn Recorder>) -> InstallGuard {
@@ -171,8 +172,8 @@ impl Drop for InstallGuard {
 }
 
 /// Snapshot of this thread's recording context: the installed recorder
-/// and the currently open span, if any. Used by the device pool to
-/// re-install the caller's context on worker threads.
+/// and the currently open span, if any. Used by a device to install the
+/// caller's context on the threads it runs a batch on.
 pub fn current_context() -> Option<(Arc<dyn Recorder>, SpanId)> {
     CONTEXT
         .try_with(|c| {

@@ -229,8 +229,9 @@ impl ServiceConfig {
     }
 
     /// Derives the config *and* the kernel device from one
-    /// [`Parallelism`] budget, so the scheduler pool and the `Device`
-    /// pool cannot oversubscribe the machine between them. Pass the
+    /// [`Parallelism`] budget, so the scheduler workers and the threads
+    /// their `Device` batches run on cannot oversubscribe the machine
+    /// between them. Pass the
     /// returned device into the engine (for the `-par` backends).
     pub fn from_parallelism(
         budget: Parallelism,

@@ -107,7 +107,7 @@ pub fn silence_injected_panics() {
 /// spends its time, and counting a stable operation class keeps
 /// schedules meaningful across engines. Batch entry points tick each
 /// job up front and then delegate the whole batch to the inner engine,
-/// so device-backed engines keep their pool parallelism — the
+/// so device-backed engines keep their batch parallelism — the
 /// decorator contract documented on [`BoolEngine`].
 #[derive(Clone, Debug)]
 pub struct FaultInjector<E> {

@@ -67,10 +67,11 @@
 //!   (`tests/chaos.rs`) hold the contract under injected worker
 //!   panics, overload, and racing updates.
 //!
-//! Thread-pool sizing composes with the kernel pool through
+//! Thread-pool sizing composes with the device's width through
 //! [`cfpq_matrix::Parallelism`]: split one budget between scheduler
-//! workers and the [`cfpq_matrix::Device`] so the two layers never
-//! oversubscribe the machine.
+//! workers and the [`cfpq_matrix::Device`] each of them drives (a worker
+//! runs its batches on `device.n_workers()` threads, itself counted), so
+//! the two layers never oversubscribe the machine.
 //!
 //! ```
 //! use cfpq_core::session::PreparedQuery;

@@ -55,6 +55,17 @@ use std::time::Duration;
 /// Base RNG seed shared with the workspace's other fixed-seed suites.
 const RNG_SEED: u64 = 0x5E4_71CE;
 
+/// Sets its flag when dropped. A writer holds one for the readers'
+/// `done` flag, so a writer that panics still ends their loops, and the
+/// panic fails the test instead of hanging it in the scope's join.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Reader threads per engine run (the CI stress job raises this).
 fn n_readers() -> usize {
     std::env::var("CFPQ_LIN_THREADS")
@@ -326,13 +337,14 @@ fn check_engine<E: ServiceEngine>(engine: E, workload: &Workload, grammar: &Cfg,
 
             // The writer: apply the batches in order, interleaved with the
             // readers above.
+            let writing = SetOnDrop(&done);
             for batch in &workload.batches {
                 let edges: Vec<(u32, &str, u32)> =
                     batch.iter().map(|(u, l, v)| (*u, l.as_str(), *v)).collect();
                 let inserted = service.add_edges(&edges);
                 assert!(inserted > 0, "every generated batch publishes an epoch");
             }
-            done.store(true, Ordering::Relaxed);
+            drop(writing);
 
             let mut obs = Vec::new();
             let mut path_obs = Vec::new();
@@ -478,10 +490,17 @@ fn check_cold_named_tickets<E: ServiceEngine>(engine: E, workload: &Workload, gr
                 })
             })
             .collect();
+        let writing = SetOnDrop(&done);
         for (b, batch) in workload.batches.iter().enumerate() {
             // Every epoch gets to serve a ticket that was enqueued on it.
+            // A client stops only after `done`, so one that stopped
+            // before panicked, and would never serve the rest.
             let seen = served.load(Ordering::Relaxed);
             while served.load(Ordering::Relaxed) < seen + 3 {
+                assert!(
+                    !clients.iter().any(|c| c.is_finished()),
+                    "a client stopped before the writer finished"
+                );
                 std::thread::yield_now();
             }
             let edges: Vec<(u32, &str, u32)> =
@@ -492,7 +511,7 @@ fn check_cold_named_tickets<E: ServiceEngine>(engine: E, workload: &Workload, gr
                 assert_eq!(full.pairs, expected[full.epoch as usize]);
             }
         }
-        done.store(true, Ordering::Relaxed);
+        drop(writing);
         clients
             .into_iter()
             .flat_map(|c| c.join().expect("client panicked"))
@@ -648,6 +667,7 @@ fn chaos_observations_match_a_sequential_execution() {
         // the old epoch serving), and force an overload window halfway
         // through by pinning both workers on cold solves of fresh
         // queries while bursting past the queue bound.
+        let writing = SetOnDrop(&done);
         let mut writer_caught = 0u64;
         let mut sheds = 0u64;
         let mut burst_tickets = Vec::new();
@@ -669,10 +689,21 @@ fn chaos_observations_match_a_sequential_execution() {
                 // Blockers: two fresh queries, cold in this epoch, one
                 // per worker queue — their stalled solves hold both
                 // workers long enough for the burst to hit the bound.
+                // The readers may fill the queue first: a blocker then
+                // backs off and retries, as they do.
                 let blockers: Vec<_> = (0..2)
-                    .map(|_| {
+                    .map(|i| {
                         let q = service.prepare(&grammar).unwrap();
-                        service.enqueue(q, vec![]).unwrap()
+                        let mut backoff = Backoff::new(RNG_SEED ^ (0xB10C + i));
+                        loop {
+                            match service.enqueue(q, vec![]) {
+                                Ok(t) => break t,
+                                Err(ServiceError::Overloaded { retry_after, .. }) => {
+                                    std::thread::sleep(retry_after.min(backoff.next_delay()));
+                                }
+                                Err(e) => panic!("unexpected blocker error: {e}"),
+                            }
+                        }
                     })
                     .collect();
                 std::thread::sleep(Duration::from_millis(10));
@@ -694,7 +725,7 @@ fn chaos_observations_match_a_sequential_execution() {
                 }
             }
         }
-        done.store(true, Ordering::Relaxed);
+        drop(writing);
 
         let mut obs = Vec::new();
         for r in readers {

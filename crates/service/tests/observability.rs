@@ -27,6 +27,15 @@ use std::time::Instant;
 #[path = "../../matrix/tests/support/counting_allocator.rs"]
 mod counting_allocator;
 
+/// Sets its flag when dropped: what ends the readers' loops below.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn attr<'a>(span: &'a Span, key: &str) -> Option<&'a cfpq_obs::AttrValue> {
     span.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
@@ -259,12 +268,14 @@ fn concurrent_span_tree_is_well_formed() {
                 }
             });
         }
+        // A writer that panics still ends the readers.
+        let writing = SetOnDrop(&done);
         for b in 0..4u32 {
             // Fresh nodes make every batch genuinely new.
             let fresh = 100 + b;
             assert!(service.add_edges(&[(0, "a", fresh), (fresh, "b", 1)]) > 0);
         }
-        done.store(true, Ordering::Relaxed);
+        drop(writing);
     });
     drop(service);
 

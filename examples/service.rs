@@ -24,8 +24,9 @@ use cfpq::prelude::*;
 use cfpq::service::ServiceConfig;
 
 fn main() {
-    // One thread budget for the whole process: 2 scheduler workers, the
-    // rest (if any) to the kernel pool — never oversubscribed.
+    // One thread budget for the whole process: 2 scheduler workers, each
+    // running its batches on a device of budget / workers threads, itself
+    // counted — never oversubscribed.
     let budget = Parallelism::new(4);
     let (config, device) = ServiceConfig::from_parallelism(budget, 2);
     println!(
